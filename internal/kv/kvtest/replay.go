@@ -1,8 +1,16 @@
 package kvtest
 
 import (
+	"crypto/sha256"
+	_ "embed"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -27,31 +35,142 @@ import (
 // rules do not model. The run deliberately crosses the churn paths where
 // iteration order is easiest to leak: crash/recovery, partition/heal,
 // bucket rebalancing and log compaction.
+//
+// Each case's outcome is also pinned across commits by a digest in
+// testdata/replay.golden (see checkGolden).
 func DeterministicReplay(t *testing.T, f Factory) {
-	cases := []struct {
-		name  string
-		strat kv.Strategy
-		depth int
-		cache int
-	}{
-		// One per-operation strategy and one batched strategy through the
-		// asynchronous commit pipeline: between them they cross every
-		// append, commit, shadow-map and retire path. The cache-on case
-		// layers the read cache and prefetcher over the pipelined run —
-		// hit/miss/speculative events and every invalidation path
-		// (including the LRU sweeps) must replay byte-identically too.
-		{"MStoreEach", kv.MStoreEach, 0, 0},
-		{"RangedCommit/pipelined", kv.RangedCommit, 3, 0},
-		{"RangedCommit/pipelined+cache", kv.RangedCommit, 3, 32},
-	}
-	for _, c := range cases {
+	for _, c := range replayCases() {
 		t.Run(c.name, func(t *testing.T) {
 			first := replayRun(t, f, c.strat, c.depth, c.cache)
 			second := replayRun(t, f, c.strat, c.depth, c.cache)
 			compareReplay(t, "operation results", first.results, second.results)
 			compareReplay(t, "metrics", first.metrics, second.metrics)
 			compareReplay(t, "event stream", first.events, second.events)
+			checkGolden(t, first)
 		})
+	}
+}
+
+// replayCase is one configuration of the replay matrix.
+type replayCase struct {
+	name  string
+	strat kv.Strategy
+	depth int
+	cache int
+}
+
+// replayCases is the full matrix: every strategy, the asynchronous
+// commit pipeline on top of the batched ones, each with the read cache
+// and prefetcher off and on. Between them the cases cross every append,
+// commit, shadow-map, retire and invalidation path (the cache is small
+// enough that the LRU evicts during the run), so a refactor of any of
+// them either replays to the pinned digests or shows up here.
+func replayCases() []replayCase {
+	names := [...]string{"MStoreEach", "StoreFlush", "RStoreFlush", "GPFEach", "GroupCommit", "RangedCommit"}
+	var cases []replayCase
+	for _, strat := range kv.Strategies {
+		depths := []int{1}
+		if strat.Batched() {
+			depths = append(depths, 3)
+		}
+		for _, depth := range depths {
+			for _, cache := range []int{0, 32} {
+				name := names[strat]
+				if depth > 1 {
+					name += "/pipelined"
+				}
+				if cache > 0 {
+					name += "+cache"
+				}
+				cases = append(cases, replayCase{name, strat, depth, cache})
+			}
+		}
+	}
+	return cases
+}
+
+// update rewrites testdata/replay.golden from the current run instead of
+// checking against it:
+//
+//	go test -p 1 ./internal/kv ./internal/pool -run Conformance/DeterministicReplay -update
+//
+// (-p 1: both test binaries merge into the one file). Only a change that
+// means to alter simulated behaviour may use it.
+var update = flag.Bool("update", false, "rewrite kvtest/testdata/replay.golden from this run")
+
+//go:embed testdata/replay.golden
+var goldenFile string
+
+// checkGolden pins the run's outcome across commits: a SHA-256 over the
+// operation results, the metrics document and the rendered event stream
+// must equal the digest recorded for this test (keyed by its full name,
+// so the Store and each Router topology pin their own) in
+// testdata/replay.golden. Replay determinism says two runs of one build
+// agree; the golden says two builds agree — which is what makes "zero
+// behavioural diff" a tier-1 check for refactors of the commit, cache
+// and recovery paths.
+func checkGolden(t *testing.T, out replayOutcome) {
+	t.Helper()
+	h := sha256.New()
+	for _, part := range []string{out.results, out.metrics, out.events} {
+		fmt.Fprintf(h, "%d\n%s", len(part), part)
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if *update {
+		updateGolden(t, t.Name(), got)
+		return
+	}
+	want, ok := parseGolden(goldenFile)[t.Name()]
+	if !ok {
+		t.Fatalf("no golden digest for %s in testdata/replay.golden (run with -update to record one)", t.Name())
+	}
+	if got != want {
+		t.Fatalf("replay digest %s differs from the golden %s: simulated behaviour changed "+
+			"(results, metrics or event stream). If that is intended, rerun with -update.", got, want)
+	}
+}
+
+// parseGolden reads "name digest" lines; blank lines and # comments are
+// skipped.
+func parseGolden(doc string) map[string]string {
+	m := map[string]string{}
+	for _, line := range strings.Split(doc, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(f[0], "#") {
+			m[f[0]] = f[1]
+		}
+	}
+	return m
+}
+
+// updateGolden merges one digest into the golden file on disk (the kv
+// and pool test binaries each own a disjoint set of names) and rewrites
+// it sorted by name.
+func updateGolden(t *testing.T, name, digest string) {
+	t.Helper()
+	_, src, _, ok := runtime.Caller(0)
+	if !ok {
+		t.Fatal("cannot locate kvtest's source directory")
+	}
+	path := filepath.Join(filepath.Dir(src), "testdata", "replay.golden")
+	doc, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	m := parseGolden(string(doc))
+	m[name] = digest
+	names := make([]string, 0, len(m))
+	for n := range m { //cxl0:order-insensitive — collected then sorted below
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString("# SHA-256 of (results, metrics JSON, event stream) per DeterministicReplay case.\n")
+	b.WriteString("# Regenerate with -update (see kvtest/replay.go); do not edit by hand.\n")
+	for _, n := range names {
+		fmt.Fprintf(&b, "%s %s\n", n, m[n])
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
