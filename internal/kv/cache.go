@@ -19,12 +19,13 @@ package kv
 // docs/caching.md):
 //
 //   - append (Put/Delete/Apply): the written key, at index update.
-//   - commit points — pipelined flight retirement and the blocking
-//     commit's acknowledgment loop: every client key of the committed
-//     range. Under the pipeline, reads are gated by the acked-watermark
-//     (docs/pipeline.md) and may have cached the key's *shadow* (last
-//     acked) state; retirement moves the watermark past the newer
-//     record, so the cached shadow value must die with the shadow entry.
+//   - commit points (ackRange — an in-place commit or a flight's
+//     retirement): every committed key whose shadow entry the commit
+//     retires or advances. Under the pipeline, reads are gated by the
+//     acked-watermark (docs/pipeline.md) and may have cached the key's
+//     *shadow* (last acked) state; the commit moves the watermark past
+//     the newer record, so the cached shadow value must die with the
+//     shadow entry.
 //   - bucket migration: the migrated bucket's keys, at the flip (and on
 //     the recovery redo path, reindexBucket).
 //   - compaction: the compacted shard's keys, at the reclaim.
@@ -180,8 +181,13 @@ func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 
 // invalidateKeyLocked snoops key's line Invalid — the inline coherence
 // action every write path performs for the keys whose visible state it
-// changes. A no-op for an uncached key.
+// changes. A no-op for an uncached key, and — like the other
+// invalidate methods — on a nil cache (Config.ReadCache == 0), so write
+// and churn paths call them unguarded.
 func (c *readCache) invalidateKeyLocked(key core.Val) {
+	if c == nil {
+		return
+	}
 	e, ok := c.entries[key]
 	if !ok {
 		return
@@ -198,6 +204,9 @@ func (c *readCache) invalidateKeyLocked(key core.Val) {
 // list, never the map: the walk order is the deterministic recency
 // order, so the sweep is replay-safe.
 func (c *readCache) invalidateMatchLocked(pred func(core.Val) bool) {
+	if c == nil {
+		return
+	}
 	for e := c.head; e != nil; {
 		next := e.next
 		if pred(e.key) {
@@ -210,10 +219,20 @@ func (c *readCache) invalidateMatchLocked(pred func(core.Val) bool) {
 	}
 }
 
+// invalidateShardLocked snoops every cached key shard i serves — the
+// shard-scoped transitions (crash, recovery, partition, heal, compaction
+// reclaim).
+func (s *Store) invalidateShardLocked(i int) {
+	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.shardOf(k) == i })
+}
+
 // invalidateAllLocked drops every entry — front-end failover
 // (CrashFront): the cache is front-end volatile state and dies with the
 // front's machine.
 func (c *readCache) invalidateAllLocked() {
+	if c == nil {
+		return
+	}
 	for e := c.head; e != nil; e = e.next {
 		e.line.OnSnoopInvalidate()
 		c.invalidations++

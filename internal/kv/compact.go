@@ -130,9 +130,7 @@ func (s *Store) hookCompact(step CompactStep) {
 // event records reaching the checkpoint even when the hook injects a
 // crash there.
 func (s *Store) compactCheckpoint(step CompactStep, sh *shard, epoch uint64, live, reclaimed int) {
-	if s.rec != nil {
-		s.rec.CompactionStep(step.String(), sh.id, epoch, live, reclaimed, s.cluster.NowNS())
-	}
+	s.rec.CompactionStep(step.String(), sh.id, epoch, live, reclaimed, s.cluster.NowNS())
 	s.hookCompact(step)
 }
 
@@ -259,7 +257,7 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	t := sh.thread()
+	t := sh.thread
 	live := make([]rec, 0, len(keys))
 	for _, k := range keys {
 		if sh.down {
@@ -308,13 +306,11 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	for i, r := range live {
 		sh.index[r.key] = sh.cap + i
 	}
-	if s.cache != nil {
-		// Reclaim re-homed every live record into the new snapshot region:
-		// the lines the front end's copies were filled against are being
-		// retired, so the compaction snoops the shard's keys wholesale
-		// (see docs/caching.md).
-		s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.shardOf(k) == sh.id })
-	}
+	// Reclaim re-homed every live record into the new snapshot region:
+	// the lines the front end's copies were filled against are being
+	// retired, so the compaction snoops the shard's keys wholesale (see
+	// docs/caching.md).
+	s.invalidateShardLocked(sh.id)
 	// Zero the dead log's checksum words so reclaimed data is unreadable
 	// as well as invalid. Best-effort: the epoch binding already retires
 	// these records, so a crash mid-sweep loses nothing — the sweep just
@@ -334,12 +330,12 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 }
 
 // writeSnapshot writes the live records into epoch's snapshot region and
-// makes them durable with the store's persistence strategy: per-word
-// MStore / store+flush for the per-operation strategies, or one deferred
-// flush — a single GPF, or under RangedCommit a single RFlushRange over
-// exactly the snapshot's lines — for the batched and GPF strategies. The
-// snapshot is private until the epoch record commits it, so a crash in
-// here simply aborts; there is no retry.
+// makes them durable with the store's persistence strategy: every word
+// persists as it is written under a per-word strategy, otherwise one
+// flush of the strategy's scope covers the whole snapshot — a single
+// RFlushRange over exactly its lines, or a single GPF. The snapshot is
+// private until the epoch record commits it, so a crash in here simply
+// aborts; there is no retry.
 func (s *Store) writeSnapshot(sh *shard, t *memsim.Thread, epoch uint64, live []rec) error {
 	machineEpoch := s.cluster.Epoch(sh.machine)
 	if len(live) == 0 {
@@ -352,44 +348,15 @@ func (s *Store) writeSnapshot(sh *shard, t *memsim.Thread, epoch uint64, live []
 		if sh.down {
 			return ErrShardDown
 		}
-		locs := [recWords]core.LocID{
-			sh.snapKeyLoc(epoch, i), sh.snapValLoc(epoch, i), sh.snapChkLoc(epoch, i),
-		}
-		vals := [recWords]core.Val{r.key, r.val, snapChkOf(i, r.key, r.val, epoch)}
-		var err error
-		switch s.cfg.Strategy {
-		case MStoreEach:
-			err = mstoreWords(t, locs[:], vals[:])
-		case StoreFlush, RStoreFlush:
-			err = s.storeFlushWords(t, sh, locs[:], vals[:])
-		case GPFEach, GroupCommit, RangedCommit:
-			// Write now, flush the whole snapshot once below.
-			for w, l := range locs {
-				if err = t.LStore(l, vals[w]); err != nil {
-					break
-				}
-			}
-		default:
-			err = fmt.Errorf("%w: %v", ErrUnknownStrategy, s.cfg.Strategy)
-		}
+		err := s.writeWords(t, sh,
+			[recWords]core.LocID{sh.snapKeyLoc(epoch, i), sh.snapValLoc(epoch, i), sh.snapChkLoc(epoch, i)},
+			[recWords]core.Val{r.key, r.val, snapChkOf(i, r.key, r.val, epoch)})
 		if err != nil {
 			return err
 		}
 	}
-	switch s.cfg.Strategy {
-	case MStoreEach, StoreFlush, RStoreFlush:
-		// Per-record strategies persisted every snapshot word in the
-		// loop above; there is no batch flush to issue.
-	case RangedCommit:
-		if len(live) > 0 {
-			if err := t.RFlushRange(sh.snapKeyLoc(epoch, 0), len(live)*recWords); err != nil {
-				return err
-			}
-		}
-	case GPFEach, GroupCommit:
-		if err := s.gpf(sh, t, true); err != nil {
-			return err
-		}
+	if err := s.flushRange(t, sh, sh.snapKeyLoc(epoch, 0), len(live)*recWords, true); err != nil {
+		return err
 	}
 	if sh.down || s.cluster.Epoch(sh.machine) != machineEpoch {
 		// The shard machine failed while the snapshot was in flight: parts

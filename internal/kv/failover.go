@@ -35,23 +35,13 @@ func (s *Store) CrashFront() {
 	s.cluster.Crash(s.front)
 	s.frontDown = true
 	for _, sh := range s.shards {
-		// Fold every unretired record back into the pending tail (a no-op
-		// at pipeline depth 1, where acked + pending always spans the
-		// log); the re-attachment replay decides what survived. The
-		// pipeline bookkeeping is volatile front-end state and dies here.
-		sh.pending = len(sh.log) - sh.acked
-		sh.flights = nil
-		sh.laneEnd = 0
-		sh.shadow = nil
+		// The re-attachment replay decides what survived.
+		sh.foldFlights()
 	}
-	if s.cache != nil {
-		// The read cache is front-end DRAM, the most volatile state of
-		// all: it dies with the front's machine, wholesale.
-		s.cache.invalidateAllLocked()
-	}
-	if s.rec != nil {
-		s.rec.Crash(-1, s.cluster.NowNS())
-	}
+	// The read cache is front-end DRAM, the most volatile state of all:
+	// it dies with the front's machine, wholesale.
+	s.cache.invalidateAllLocked()
+	s.rec.Crash(-1, s.cluster.NowNS())
 }
 
 // FrontDown reports whether the front-end machine is currently crashed.
@@ -87,10 +77,10 @@ func (s *Store) RecoverFront() ([]RecoveryStats, error) {
 		if sh.down {
 			continue
 		}
-		// Respawn the shard's workers on the restarted front (their old
-		// threads died with it); colocated workers get fresh threads on
-		// their shard machine, which is equivalent.
-		if err := s.spawnThreads(sh); err != nil {
+		// Respawn the shard's worker on the restarted front (its old
+		// thread died with it); a colocated worker gets a fresh thread on
+		// its shard machine, which is equivalent.
+		if err := s.spawnThread(sh); err != nil {
 			return all, err
 		}
 		stats, err := s.recoverShard(sh)

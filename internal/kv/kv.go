@@ -316,12 +316,9 @@ type Config struct {
 	EvictEvery int
 	// Seed drives the cluster's nondeterminism.
 	Seed int64
-	// Colocate binds each shard's worker threads to the shard's own
+	// Colocate binds each shard's worker thread to the shard's own
 	// machine (owner-local access) instead of the front-end machine.
 	Colocate bool
-	// ThreadsPerShard is the number of worker threads per shard
-	// (default 1); operations round-robin across them.
-	ThreadsPerShard int
 	// Latency is the cost model charged to the simulated clock
 	// (default latency.NewModel()).
 	Latency *latency.Model
@@ -370,9 +367,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PipelineDepth < 1 {
 		c.PipelineDepth = 1
-	}
-	if c.ThreadsPerShard <= 0 {
-		c.ThreadsPerShard = 1
 	}
 	if c.Latency == nil {
 		c.Latency = latency.NewModel()

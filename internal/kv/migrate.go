@@ -126,9 +126,7 @@ func (s *Store) hookStep(step MigrateStep) {
 // event, then fires the test hook — in that order, so the event records
 // reaching the checkpoint even when the hook injects a crash there.
 func (s *Store) stepCheckpoint(step MigrateStep, b, from, to, records int) {
-	if s.rec != nil {
-		s.rec.MigrationStep(step.String(), b, from, to, records, s.cluster.NowNS())
-	}
+	s.rec.MigrationStep(step.String(), b, from, to, records, s.cluster.NowNS())
 	s.hookStep(step)
 }
 
@@ -237,7 +235,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].slot < pairs[j].slot })
 	rstart := s.cluster.NowNS()
-	rt := src.thread()
+	rt := src.thread
 	readErr := func() error {
 		for i := range pairs {
 			// The newest record may live in the log or — after a
@@ -294,7 +292,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 			}
 			dst.log = append(dst.log, r)
 		}
-		if err := s.flushPending(dst); err != nil {
+		if err := s.commitLocked(dst); err != nil {
 			return err
 		}
 		dst.acked = len(dst.log)
@@ -323,7 +321,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 			return err
 		}
 		src.log = append(src.log, moveOut)
-		if err := s.flushPending(src); err != nil {
+		if err := s.commitLocked(src); err != nil {
 			return err
 		}
 		src.acked = len(src.log)
@@ -344,13 +342,11 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 		dst.index[p.key] = preLen + 1 + i
 		delete(src.index, p.key)
 	}
-	if s.cache != nil {
-		// Move-in: the bucket's keys re-home to the destination's copies.
-		// The values are unchanged, but the source — whose lines the front
-		// end's copies were filled against — no longer owns them, so the
-		// flip snoops the whole bucket (see docs/caching.md).
-		s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.bucketOf(k) == b })
-	}
+	// Move-in: the bucket's keys re-home to the destination's copies. The
+	// values are unchanged, but the source — whose lines the front end's
+	// copies were filled against — no longer owns them, so the flip snoops
+	// the whole bucket (see docs/caching.md).
+	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.bucketOf(k) == b })
 	s.migrations++
 	s.migratedRecords += uint64(len(pairs))
 	stats.Records = len(pairs)
@@ -372,7 +368,7 @@ func (s *Store) abortCopies(dst *shard, preLen int, cause error) error {
 	}
 	start := s.cluster.NowNS()
 	defer s.chargeChurn(dst, start)
-	t := dst.thread()
+	t := dst.thread
 	for slot := preLen; slot < len(dst.log); slot++ {
 		if err := t.MStore(dst.chkLoc(slot), 0); err != nil {
 			return cause
@@ -400,11 +396,9 @@ func (s *Store) reindexBucket(dst *shard, b int) {
 	for slot, r := range dst.log {
 		s.replayRecord(dst.index, slot, r, b)
 	}
-	if s.cache != nil {
-		// The redo flip re-homed the bucket, same as migrateBucket's
-		// in-line flip: snoop the front end's copies of its keys.
-		s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.bucketOf(k) == b })
-	}
+	// The redo flip re-homed the bucket, same as migrateBucket's in-line
+	// flip: snoop the front end's copies of its keys.
+	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.bucketOf(k) == b })
 }
 
 // Rebalance examines per-shard busy-time shares accumulated since the last
@@ -420,9 +414,6 @@ func (s *Store) Rebalance() ([]MigrationStats, error) {
 	defer s.mu.Unlock()
 	if s.frontDown {
 		return nil, ErrFrontDown
-	}
-	if s.rec == nil {
-		return s.rebalanceLocked()
 	}
 	start := s.cluster.NowNS()
 	moves, err := s.rebalanceLocked()

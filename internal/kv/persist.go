@@ -1,0 +1,151 @@
+package kv
+
+// The persistence seam. The paper's §6 transformation has one abstraction
+// for "make this store durable" — MStore, store+flush, RStore+RFlush and
+// a GPF are interchangeable instances of it — and this file is where the
+// service keeps that choice: a Strategy resolves, once, in Open, to a
+// persister, and every writer (log, snapshot, batch commit, migration,
+// recovery re-persist) goes through writeWords and flushRange below
+// instead of dispatching on the strategy itself. What stays with each
+// caller is its crash policy: the log writer retries under an epoch
+// guard, the snapshot writer aborts (see docs/persistence.md).
+
+import (
+	"errors"
+	"fmt"
+
+	"cxl0/internal/core"
+	"cxl0/internal/memsim"
+)
+
+// flushScope is what has to happen after a range of words was written
+// for them to be durable, and who pays for it.
+type flushScope int
+
+const (
+	// perWord: every word was persisted as it was written; nothing is
+	// left to flush.
+	perWord flushScope = iota
+	// shardLocal: one RFlushRange over exactly the written lines. Only
+	// the shard's own device takes part, so the cost lands on the shard
+	// alone and flushes of disjoint ranges overlap.
+	shardLocal
+	// fabricWide: one Global Persistent Flush. It drains every cache in
+	// the system, so every other shard is charged the stall, two of them
+	// cannot overlap, and one partitioned machine blocks it.
+	fabricWide
+)
+
+// persister is one strategy's answer to "make these words durable".
+type persister struct {
+	// word writes one word of a record at l on behalf of the shard on
+	// machine owner; under a perWord scope it is persistent on return.
+	word func(t *memsim.Thread, owner core.MachineID, l core.LocID, v core.Val) error
+	// scope is the flush the written words still need.
+	scope flushScope
+	// batched says the log writer only stages records and a commit
+	// point flushes them per batch; otherwise every record is flushed —
+	// and acknowledged — before its write returns.
+	batched bool
+}
+
+// persisterFor is the strategy table.
+func persisterFor(st Strategy) (persister, error) {
+	switch st {
+	case MStoreEach:
+		return persister{word: mstoreWord, scope: perWord}, nil
+	case StoreFlush:
+		return persister{word: lstoreFlushWord, scope: perWord}, nil
+	case RStoreFlush:
+		return persister{word: rstoreFlushWord, scope: perWord}, nil
+	case GPFEach:
+		return persister{word: lstoreWord, scope: fabricWide}, nil
+	case GroupCommit:
+		return persister{word: lstoreWord, scope: fabricWide, batched: true}, nil
+	case RangedCommit:
+		return persister{word: lstoreWord, scope: shardLocal, batched: true}, nil
+	}
+	return persister{}, fmt.Errorf("%w: %v", ErrUnknownStrategy, st)
+}
+
+func mstoreWord(t *memsim.Thread, _ core.MachineID, l core.LocID, v core.Val) error {
+	return t.MStore(l, v)
+}
+
+// lstoreWord leaves the word in the worker's cache: visible, not yet
+// durable.
+func lstoreWord(t *memsim.Thread, _ core.MachineID, l core.LocID, v core.Val) error {
+	return t.LStore(l, v)
+}
+
+// lstoreFlushWord is the LStore+flush idiom: the owner's LFlush when the
+// worker is colocated with the shard, RFlush otherwise.
+func lstoreFlushWord(t *memsim.Thread, owner core.MachineID, l core.LocID, v core.Val) error {
+	if err := t.LStore(l, v); err != nil {
+		return err
+	}
+	if t.Machine() == owner {
+		return t.LFlush(l)
+	}
+	return t.RFlush(l)
+}
+
+func rstoreFlushWord(t *memsim.Thread, _ core.MachineID, l core.LocID, v core.Val) error {
+	if err := t.RStore(l, v); err != nil {
+		return err
+	}
+	return t.RFlush(l)
+}
+
+// writeWords writes one record's words on shard sh with the store's
+// strategy. The arrays travel by value so they stay on the caller's
+// stack across the indirect call.
+func (s *Store) writeWords(t *memsim.Thread, sh *shard, locs [recWords]core.LocID, vals [recWords]core.Val) error {
+	for i, l := range locs {
+		if err := s.persist.word(t, sh.machine, l, vals[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flushRange makes the words written at [first, first+words) on shard sh
+// durable per the strategy's scope. sh itself pays through its caller's
+// elapsed-span accounting, which contains this call; a fabric-wide flush
+// also charges its cost to every other shard, because the whole fabric
+// stalls for its duration regardless of which shard triggered it. When
+// the flush serves churn work (recovery, migration, compaction) rather
+// than client traffic, that cross-charge is classified as churn on the
+// stalled shards too, keeping the placement-skew metric clean of it.
+//
+//cxl0:locked mu
+func (s *Store) flushRange(t *memsim.Thread, sh *shard, first core.LocID, words int, churn bool) error {
+	switch s.persist.scope {
+	case perWord:
+	case shardLocal:
+		if words > 0 {
+			return t.RFlushRange(first, words)
+		}
+	case fabricWide:
+		start := s.cluster.NowNS()
+		if err := t.GPF(); err != nil {
+			if errors.Is(err, memsim.ErrUnreachable) {
+				// One partitioned machine anywhere blocks commits
+				// cluster-wide — the blast radius the ranged strategy
+				// avoids.
+				return fmt.Errorf("%w: global persistent flush blocked: %v", ErrUnavailable, err)
+			}
+			return err
+		}
+		cost := s.cluster.NowNS() - start
+		for _, other := range s.shards {
+			if other != sh {
+				other.busyNS += cost
+				if churn {
+					other.churnNS += cost
+				}
+			}
+		}
+	}
+	return nil
+}

@@ -1,39 +1,43 @@
 package kv
 
-// The asynchronous commit pipeline (Config.PipelineDepth > 1, batched
-// strategies only). The blocking path commits a full batch inside the
-// append that filled it: the shard's busy clock absorbs the flush cost
-// before the next append can start, so commit latency gates append
-// throughput. The pipeline breaks that serialization:
+// The commit path's asynchronous half. A batched strategy has one commit
+// path (store.go): flushBatch makes the open batch durable and returns
+// it as a flight, ackFlight is its commit point. What differs with the
+// pipeline depth is only *when* a full batch's commit point is reached:
 //
-//   - When a batch fills, issueFlight performs the flush immediately on
-//     the simulated fabric (the records are durable from that point —
-//     crash semantics depend on it) but keeps its cost off the shard's
-//     busy clock. The batch becomes a flight: an in-flight flush whose
-//     completion point (endBusy, in shard-busy-time coordinates) is
-//     where its cost has been fully absorbed. Ranged flushes cover
-//     disjoint log ranges, so the device overlaps up to PipelineDepth
-//     of them — the window K is the modeled device queue depth; a GPF
-//     drains every cache in the fabric, so group flights serialize on a
-//     per-shard flush lane (a global fence cannot overlap another).
-//   - Appends keep streaming into the log while up to PipelineDepth
-//     flights are in flight. The filling write returns Ack.Durable ==
-//     false; the batch's client acks fire when its flight *retires* —
-//     its own commit point, in batch order (the flight queue is FIFO).
+//   - At depth 1, append commits in place (commitLocked): flush, ack on
+//     the spot, and the flush cost sits inside the append's elapsed span,
+//     so the shard's busy clock absorbs it before the next append can
+//     start — commit latency gates append throughput.
+//   - At depth K > 1, append calls issueFlight instead: the flush still
+//     runs immediately on the simulated fabric (the records are durable
+//     from that point — crash semantics depend on it) but its cost stays
+//     off the shard's busy clock. The flight is enqueued with a
+//     completion point (endBusy, in shard-busy-time coordinates) where
+//     its cost has been fully absorbed. Shard-local (ranged) flushes
+//     cover disjoint log ranges, so the device overlaps up to K of them
+//     — the window K is the modeled device queue depth; a fabric-wide
+//     GPF drains every cache in the system, so group flights serialize
+//     on a per-shard flush lane (a global fence cannot overlap another).
+//   - Appends keep streaming into the log while up to K flights are in
+//     flight. The filling write returns Ack.Durable == false; the
+//     batch's client acks fire when its flight *retires* — its own
+//     commit point, in batch order (the flight queue is FIFO).
 //   - A flight retires for free once the shard's busy clock passes its
 //     completion point (the flush overlapped useful work); issuing into
 //     a full pipeline or draining (Sync, Compact, Apply's commit point,
-//     migration) stalls the shard to the oldest flight's completion
-//     point first — the only moments flush cost can surface in the
-//     makespan.
-//   - sh.acked — the acked-watermark — advances only at retirement, and
-//     reads are gated by it: every key overwritten past the watermark
-//     keeps its last acked state in the shard's shadow map, and
-//     Get/MultiGet/Scan serve that state until the covering flight
-//     retires. A read never observes a value a crash could take back.
+//     migration — every in-place commit drains first) stalls the shard
+//     to the oldest flight's completion point — the only moments flush
+//     cost can surface in the makespan.
+//   - sh.acked — the acked-watermark — advances only at a commit point,
+//     and reads are gated by it: every key overwritten past the
+//     watermark keeps its last acked state in the shard's shadow map,
+//     and Get/MultiGet/Scan serve that state until the covering batch's
+//     commit point. A read never observes a value a crash could take
+//     back.
 //
 // A crash with flights in flight folds them back into the pending tail
-// (crashLocked): their records are already durable on the medium, so
+// (foldFlights): their records are already durable on the medium, so
 // Recover's scan validates and salvages them — the acked prefix always
 // survives, and flushed-but-unretired batches are acknowledged by the
 // recovery exactly like a salvaged pending batch. See docs/pipeline.md
@@ -41,8 +45,9 @@ package kv
 
 import "cxl0/internal/core"
 
-// flight is one in-flight commit flush: log slots [first, limit) were
-// flushed at issueNS on the simulated clock, and the flush's cost
+// flight is one flushed batch: log slots [first, limit) were flushed
+// over issueNS..ackNS on the simulated clock. A batch committed in place
+// is acknowledged straight away (depth 1, no queue); an in-flight one
 // occupies the shard's flush lane until endBusy on the shard's busy
 // clock.
 type flight struct {
@@ -58,7 +63,8 @@ type flight struct {
 	// coordinates: once sh.busyNS passes it, the flush fully overlapped
 	// other work and the flight retires for free.
 	endBusy float64
-	// depth is the pipeline occupancy at issue (this flight included).
+	// depth is the pipeline occupancy at issue (this flight included; 1
+	// for an in-place commit).
 	depth int
 }
 
@@ -74,18 +80,20 @@ type shadowEntry struct {
 	newest int
 }
 
-// pipelined reports whether the asynchronous commit pipeline is active:
-// a pipeline depth above 1 under a batched strategy. At depth 1 every
-// path below is bypassed and the store behaves exactly like the
-// blocking commit it replaces.
+// pipelined reports whether a full batch is issued asynchronously: a
+// pipeline depth above 1 under a batched strategy. It is append's
+// decision alone — track a shadow and issue a flight, or commit in
+// place. Everything else in this file works off the flight queue and the
+// shadow map, which are simply empty when nothing was ever issued.
 func (s *Store) pipelined() bool {
-	return s.cfg.PipelineDepth > 1 && s.cfg.Strategy.Batched()
+	return s.cfg.PipelineDepth > 1 && s.persist.batched
 }
 
 // shadowTrack records the acked-watermark state of key before the
 // append of slot lands in the index, so watermark-gated reads keep
-// serving the acked state until the covering flight retires. Called
-// only on the pipelined path, before the index update.
+// serving the acked state until the covering batch's commit point.
+// Called only when batches are issued asynchronously, before the index
+// update.
 //
 //cxl0:locked mu
 func (s *Store) shadowTrack(sh *shard, key core.Val, slot int) {
@@ -102,7 +110,7 @@ func (s *Store) shadowTrack(sh *shard, key core.Val, slot int) {
 }
 
 // issueFlight flushes shard sh's open batch and enqueues it as an
-// in-flight flight instead of blocking the shard on it. The flush runs
+// in-flight flight instead of acknowledging it in place. The flush runs
 // now on the simulated fabric — the records are durable from this
 // moment, which is what makes crash recovery of in-flight batches a
 // plain salvage — but its cost lands on the shard's flush lane; the
@@ -111,89 +119,29 @@ func (s *Store) shadowTrack(sh *shard, key core.Val, slot int) {
 //
 //cxl0:locked mu
 func (s *Store) issueFlight(sh *shard) error {
-	if sh.pending == 0 {
-		return nil
-	}
-	if sh.down {
-		return ErrShardDown
-	}
-	if sh.partitioned {
-		return ErrUnavailable
-	}
 	for len(sh.flights) >= s.cfg.PipelineDepth {
 		s.stallRetire(sh)
 	}
-	t := sh.thread()
-	first := len(sh.log) - sh.pending
-	fstart := s.cluster.NowNS()
-	for {
-		epoch := s.cluster.Epoch(sh.machine)
-		if epoch != sh.batchE {
-			// Same re-issue rule as flushPending: the shard machine
-			// crashed and recovered since the batch opened, so the
-			// LStored records may be gone. They are unacknowledged, so
-			// re-issuing is sound.
-			for slot := first; slot < len(sh.log); slot++ {
-				if err := lstoreRecord(t, sh, slot, sh.log[slot]); err != nil {
-					return err
-				}
-			}
-			sh.batchE = epoch
-			continue
-		}
-		var err error
-		if s.cfg.Strategy == RangedCommit {
-			err = s.rflushSlots(sh, t, first, len(sh.log))
-		} else {
-			err = s.gpf(sh, t, s.migrating || s.compacting)
-		}
-		if err != nil {
-			return err
-		}
-		if s.cluster.Epoch(sh.machine) == epoch {
-			break
-		}
+	f, err := s.flushBatch(sh)
+	if err != nil {
+		return err
 	}
-	now := s.cluster.NowNS()
-	cost := now - fstart
-	// Bucket attribution mirrors flushPending: the rebalancer must see
-	// commit cost on the committed keys' buckets whether the flush
-	// blocked or pipelined.
-	var batchKeys []core.Val
-	for slot := first; slot < len(sh.log); slot++ {
-		if r := sh.log[slot]; !r.move && !r.copied {
-			batchKeys = append(batchKeys, r.key)
-		}
-	}
-	if cost > 0 && len(batchKeys) > 0 {
-		per := cost / float64(len(batchKeys))
-		for _, k := range batchKeys {
-			s.bucketWin[s.bucketOf(k)] += per
-		}
-	}
-	// When the flush starts depends on the strategy's scope. Ranged
+	// When the flush starts depends on the strategy's scope. Shard-local
 	// flushes cover disjoint log ranges, so the device processes up to
 	// PipelineDepth of them concurrently — the software window is the
 	// modeled device queue depth, and a new flight's flush starts the
-	// moment it is issued. A GPF drains every cache in the fabric: two
-	// global flushes cannot overlap, so group flights queue on the
+	// moment it is issued. A fabric-wide flush drains every cache in the
+	// system: two of them cannot overlap, so such flights queue on the
 	// shard's flush lane behind the previous one.
 	lane := sh.busyNS
-	if s.cfg.Strategy != RangedCommit && lane < sh.laneEnd {
+	if s.persist.scope == fabricWide && lane < sh.laneEnd {
 		lane = sh.laneEnd
 	}
-	queue := lane - sh.busyNS
-	f := flight{
-		first: first, limit: len(sh.log),
-		issueNS: fstart, ackNS: now,
-		queueNS: queue,
-		endBusy: lane + cost,
-		depth:   len(sh.flights) + 1,
-	}
+	f.queueNS = lane - sh.busyNS
+	f.endBusy = lane + (f.ackNS - f.issueNS)
+	f.depth = len(sh.flights) + 1
 	sh.laneEnd = f.endBusy
 	sh.flights = append(sh.flights, f)
-	sh.pending = 0
-	s.commits++
 	s.pipeCommits++
 	if f.depth > s.maxInFlight {
 		s.maxInFlight = f.depth
@@ -201,73 +149,35 @@ func (s *Store) issueFlight(sh *shard) error {
 	return nil
 }
 
-// retireFlight retires the oldest flight: its batch's commit point. The
-// acked-watermark advances to the flight's limit, its client writes are
-// acknowledged (ack latency spans submit to flush completion plus lane
-// wait; issue latency was recorded at append), and the shadow map
-// catches up — entries whose newest record the watermark just passed
-// die, the rest advance to their newest record at or below it.
+// retireFlight retires the oldest flight: its batch's commit point (ack
+// latency spans submit to flush completion plus lane wait; issue latency
+// was recorded at append).
 //
 //cxl0:locked mu
 func (s *Store) retireFlight(sh *shard) {
 	f := sh.flights[0]
 	sh.flights = sh.flights[1:]
-	acked := 0
-	now := f.ackNS
-	for slot := f.first; slot < f.limit; slot++ {
-		r := sh.log[slot]
-		if r.move || r.copied {
-			continue
-		}
-		ackLat := (now - r.startNS) + f.queueNS
-		sh.writeLat = append(sh.writeLat, ackLat)
-		sh.issueLat = append(sh.issueLat, r.issueNS-r.startNS)
-		s.ackedWrites++
-		acked++
-		if s.rec != nil {
-			s.rec.WriteLatency(ackLat, r.issueNS-r.startNS)
-		}
-	}
-	for slot := f.first; slot < f.limit; slot++ {
-		r := sh.log[slot]
-		if r.move || r.copied {
-			continue
-		}
-		e, ok := sh.shadow[r.key]
-		if !ok {
-			continue
-		}
-		if e.newest < f.limit {
-			delete(sh.shadow, r.key)
-		} else {
-			e.exists = r.val != 0
-			e.slot = slot
-			sh.shadow[r.key] = e
-		}
-	}
-	sh.acked = f.limit
-	if s.cache != nil {
-		// The watermark just passed these records: reads may have cached
-		// their keys' shadow (pre-flight acked) state, which stopped being
-		// the visible state this instant. Snoop those copies — the next
-		// read misses to the newly acknowledged value (or to the advanced
-		// shadow slot). This is the "cached value tracks the watermark"
-		// half of the crash-safety argument in docs/caching.md.
-		for slot := f.first; slot < f.limit; slot++ {
-			if r := sh.log[slot]; !r.move {
-				s.cache.invalidateKeyLocked(r.key)
-			}
-		}
-	}
-	if s.rec != nil {
-		s.obsCommitAcked += uint64(acked)
-		s.rec.Commit(sh.id, f.issueNS, f.ackNS, f.limit-f.first, acked, f.depth, f.queueNS)
-	}
+	s.ackFlight(sh, f)
+}
+
+// foldFlights folds every unretired record back into the pending tail
+// when the shard's (or the front end's) machine crashes: in-flight
+// flights were flushed to the medium at issue, so recovery's scan
+// salvages them like any recovered pending batch — the acked prefix is
+// exactly [0, acked). The flight queue, flush lane and watermark shadow
+// are volatile bookkeeping and die with the crash.
+//
+//cxl0:locked mu
+func (sh *shard) foldFlights() {
+	sh.pending = len(sh.log) - sh.acked
+	sh.flights = nil
+	sh.laneEnd = 0
+	sh.shadow = nil
 }
 
 // retireReady retires every flight whose completion point the shard's
 // busy clock has already passed — flushes that fully overlapped other
-// work. Called at operation entry on the pipelined path; free.
+// work. Called at operation entry; free.
 //
 //cxl0:locked mu
 func (s *Store) retireReady(sh *shard) {

@@ -118,11 +118,8 @@ func (s *Store) observeReadLocked(sh *shard, key core.Val) {
 // the timeline (a cache-off run and a prefetch-on run issue the same
 // Loads for different costs, never different fabric traffic). Keys that
 // are unroutable (down, partitioned), absent, or already cached are
-// skipped.
+// skipped. Callers hold a predictor, which only exists over a cache.
 func (s *Store) prefetchLocked(keys []core.Val) {
-	if s.cache == nil {
-		return
-	}
 	for _, k := range keys {
 		if k < 0 || s.cache.containsLocked(k) {
 			continue
@@ -132,12 +129,10 @@ func (s *Store) prefetchLocked(keys []core.Val) {
 			continue
 		}
 		slot, ok := sh.index[k]
-		if s.pipelined() {
-			// The same watermark gate as getLocked: speculate only on the
-			// state a demand read would be served.
-			if e, shadowed := sh.shadow[k]; shadowed {
-				slot, ok = e.slot, e.exists
-			}
+		// The same watermark gate as getLocked: speculate only on the
+		// state a demand read would be served.
+		if e, shadowed := sh.shadow[k]; shadowed {
+			slot, ok = e.slot, e.exists
 		}
 		if !ok {
 			continue

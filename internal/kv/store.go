@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -92,8 +91,9 @@ type shard struct {
 	snapBase  [2]core.LocID
 	epochBase core.LocID
 
-	threads []*memsim.Thread
-	rr      int
+	// thread is the shard's worker: homed on the front end, or on the
+	// shard's own machine under Config.Colocate.
+	thread *memsim.Thread
 
 	index map[core.Val]int // key -> encoded slot of newest live record (see valLocOf)
 	log   []rec            // appended records, slot-ordered
@@ -109,8 +109,8 @@ type shard struct {
 	acked   int
 	pending int    // batched records awaiting their batch's commit flush
 	batchE  uint64 // shard-machine crash epoch when the open batch began
-	// Asynchronous commit pipeline state (Config.PipelineDepth > 1; see
-	// pipeline.go). flights are the in-flight commit flushes, oldest
+	// Asynchronous commit pipeline state (all empty at pipeline depth 1;
+	// see pipeline.go). flights are the in-flight commit flushes, oldest
 	// first; laneEnd is the flush lane's frontier in shard-busy-time
 	// coordinates; shadow holds the acked-watermark read state of keys
 	// overwritten past the watermark (nil when empty).
@@ -172,12 +172,6 @@ func (sh *shard) valLocOf(slot int) core.LocID {
 		return sh.snapValLoc(sh.epoch, slot-sh.cap)
 	}
 	return sh.valLoc(slot)
-}
-
-func (sh *shard) thread() *memsim.Thread {
-	t := sh.threads[sh.rr%len(sh.threads)]
-	sh.rr++
-	return t
 }
 
 // Metrics is a snapshot of a store's service counters.
@@ -314,8 +308,11 @@ func (m Metrics) MaxMeanBusyRatio() float64 {
 // Store is a sharded durable key-value service over one memsim cluster.
 // Methods are safe for concurrent use; operations serialize per shard.
 type Store struct {
-	mu      sync.Mutex
-	cfg     Config
+	mu  sync.Mutex
+	cfg Config
+	// persist is the configured Strategy, resolved (see persist.go): the
+	// only form in which it reaches the write, commit and recovery paths.
+	persist persister
 	cluster *memsim.Cluster
 	front   core.MachineID
 	shards  []*shard
@@ -361,7 +358,7 @@ type Store struct {
 
 	// migrating (resp. compacting) is true while a bucket migration (resp.
 	// a log compaction) is writing and flushing its records, so shared
-	// flush paths (flushPending's GPF cross-charge) can classify their
+	// flush paths (a fabric-wide flush's cross-charge) can classify their
 	// cost as churn.
 	migrating  bool
 	compacting bool
@@ -401,8 +398,9 @@ type Store struct {
 // shard, all with non-volatile memory) and the shards on it.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Strategy < 0 || int(cfg.Strategy) >= len(strategyNames) {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownStrategy, cfg.Strategy)
+	persist, err := persisterFor(cfg.Strategy)
+	if err != nil {
+		return nil, err
 	}
 	machines := []memsim.MachineConfig{{Name: "front", Mem: core.NonVolatile, Heap: 0}}
 	for i := 0; i < cfg.Shards; i++ {
@@ -429,6 +427,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		cfg:       cfg,
+		persist:   persist,
 		cluster:   cluster,
 		front:     0,
 		shardMap:  make([]int, cfg.Buckets),
@@ -465,7 +464,7 @@ func Open(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		sh.epochBase = epochBase
-		if err := s.spawnThreads(sh); err != nil {
+		if err := s.spawnThread(sh); err != nil {
 			return nil, err
 		}
 		s.shards = append(s.shards, sh)
@@ -473,20 +472,14 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) spawnThreads(sh *shard) error {
+// spawnThread (re)starts shard sh's worker thread.
+func (s *Store) spawnThread(sh *shard) (err error) {
 	home := s.front
 	if s.cfg.Colocate {
 		home = sh.machine
 	}
-	sh.threads = sh.threads[:0]
-	for i := 0; i < s.cfg.ThreadsPerShard; i++ {
-		t, err := s.cluster.NewThread(home)
-		if err != nil {
-			return err
-		}
-		sh.threads = append(sh.threads, t)
-	}
-	return nil
+	sh.thread, err = s.cluster.NewThread(home)
+	return err
 }
 
 // Cluster returns the backing cluster (for churn injection and
@@ -555,275 +548,186 @@ func (s *Store) AppendedCount(i int) int {
 	return len(s.shards[i].log)
 }
 
-// writeRecord makes the record at slot durable (or enqueues it, under the
-// batched strategies) according to the strategy. The caller has already
+// writeLogWords writes the record at slot into shard sh's log with the
+// strategy's word write: persistent on return under a per-word strategy,
+// otherwise in the worker's cache (visible, not yet durable) until a
+// flush over the slot's lines.
+func (s *Store) writeLogWords(t *memsim.Thread, sh *shard, slot int, r rec) error {
+	return s.writeWords(t, sh,
+		[recWords]core.LocID{sh.keyLoc(slot), sh.valLoc(slot), sh.chkLoc(slot)},
+		[recWords]core.Val{r.key, r.val, r.chk(slot, sh.epoch)})
+}
+
+// writeRecord is the log writer: it makes the record at slot durable
+// before returning, or — under a batched strategy — stages it in the
+// shard's open batch for the next commit point. The caller has already
 // bounds-checked slot.
+//
+//cxl0:locked mu
 func (s *Store) writeRecord(sh *shard, slot int, r rec) error {
-	t := sh.thread()
-	locs := [recWords]core.LocID{sh.keyLoc(slot), sh.valLoc(slot), sh.chkLoc(slot)}
-	vals := [recWords]core.Val{r.key, r.val, r.chk(slot, sh.epoch)}
-
-	switch s.cfg.Strategy {
-	case MStoreEach:
-		return mstoreWords(t, locs[:], vals[:])
-
-	case StoreFlush, RStoreFlush:
-		// Store-then-flush has a window in which the owner's crash destroys
-		// the stored value and the flush completes vacuously. Records are
-		// private until indexed, so the epoch-guarded retry (the flit
-		// PrivateStore idiom) is sound.
-		for {
-			epoch := s.cluster.Epoch(sh.machine)
-			if err := s.storeFlushWords(t, sh, locs[:], vals[:]); err != nil {
-				return err
-			}
-			if s.cluster.Epoch(sh.machine) == epoch {
-				return nil
-			}
-		}
-
-	case GPFEach:
-		for {
-			epoch := s.cluster.Epoch(sh.machine)
-			if err := lstoreRecord(t, sh, slot, r); err != nil {
-				return err
-			}
-			if err := s.gpf(sh, t, s.migrating || s.compacting); err != nil {
-				return err
-			}
-			if s.cluster.Epoch(sh.machine) == epoch {
-				return nil
-			}
-		}
-
-	case GroupCommit, RangedCommit:
+	t := sh.thread
+	if s.persist.batched {
 		if sh.pending == 0 {
 			sh.batchE = s.cluster.Epoch(sh.machine)
 		}
-		if err := lstoreRecord(t, sh, slot, r); err != nil {
+		if err := s.writeLogWords(t, sh, slot, r); err != nil {
 			return err
 		}
 		sh.pending++
 		return nil
 	}
-	return fmt.Errorf("%w: %v", ErrUnknownStrategy, s.cfg.Strategy)
-}
-
-// mstoreWords persists each word with MStore — MStoreEach's per-record
-// write, shared between the log and snapshot writers.
-func mstoreWords(t *memsim.Thread, locs []core.LocID, vals []core.Val) error {
-	for i, l := range locs {
-		if err := t.MStore(l, vals[i]); err != nil {
+	// Store-then-flush has a window in which the owner's crash destroys
+	// the stored value and the flush completes vacuously. Records are
+	// private until indexed, so the epoch-guarded retry (the flit
+	// PrivateStore idiom) is sound — and idempotent for the strategies
+	// that have no such window.
+	for {
+		epoch := s.cluster.Epoch(sh.machine)
+		if err := s.writeLogWords(t, sh, slot, r); err != nil {
 			return err
+		}
+		if err := s.flushRange(t, sh, sh.keyLoc(slot), recWords, s.migrating || s.compacting); err != nil {
+			return err
+		}
+		if s.cluster.Epoch(sh.machine) == epoch {
+			return nil
 		}
 	}
-	return nil
 }
 
-// storeFlushWords writes and persists each word with the store+flush
-// idiom (RStore or LStore per the strategy, then the owner's LFlush when
-// the worker is colocated under StoreFlush, RFlush otherwise) — one pass,
-// shared between the log and snapshot writers. The caller owns the crash
-// policy: writeRecord wraps it in the epoch-guarded retry, writeSnapshot
-// aborts instead (the snapshot is uncommitted until its epoch record).
-func (s *Store) storeFlushWords(t *memsim.Thread, sh *shard, locs []core.LocID, vals []core.Val) error {
-	for i, l := range locs {
-		var err error
-		if s.cfg.Strategy == RStoreFlush {
-			err = t.RStore(l, vals[i])
-		} else {
-			err = t.LStore(l, vals[i])
-		}
-		if err != nil {
-			return err
-		}
-		if s.cfg.Strategy == StoreFlush && t.Machine() == sh.machine {
-			err = t.LFlush(l)
-		} else {
-			err = t.RFlush(l)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// lstoreRecord writes the record at slot into the worker's cache (visible,
-// not yet durable) — the batched strategies' enqueue and re-issue path.
-func lstoreRecord(t *memsim.Thread, sh *shard, slot int, r rec) error {
-	locs := [recWords]core.LocID{sh.keyLoc(slot), sh.valLoc(slot), sh.chkLoc(slot)}
-	vals := [recWords]core.Val{r.key, r.val, r.chk(slot, sh.epoch)}
-	for i, l := range locs {
-		if err := t.LStore(l, vals[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// gpf issues a Global Persistent Flush on behalf of shard sh and charges
-// its cost to every other shard: a GPF drains every cache in the system,
-// so the whole fabric stalls for its duration regardless of which shard
-// triggered it. sh itself is charged by its caller's elapsed-span
-// accounting, which contains this call. When the GPF serves churn work
-// (crash recovery, bucket migration) rather than client traffic, the
-// cross-charge is classified as churn on the stalled shards too, keeping
-// the placement-skew metric clean of it.
+// flushBatch makes shard sh's open batch (sh.pending > 0) durable — one
+// strategy flush over the batch's log lines, with the epoch-guarded
+// re-issue — and closes it. It returns the batch as a flight: the flushed
+// range and the flush's span on the simulated clock. Acknowledging it is
+// the caller's move: in place (commitLocked) or at retirement
+// (issueFlight).
 //
 //cxl0:locked mu
-func (s *Store) gpf(sh *shard, t *memsim.Thread, churn bool) error {
-	start := s.cluster.NowNS()
-	if err := t.GPF(); err != nil {
-		if errors.Is(err, memsim.ErrUnreachable) {
-			// A GPF must drain every cache in the fabric, so one
-			// partitioned machine anywhere blocks commits cluster-wide —
-			// the blast radius the ranged strategies avoid.
-			return fmt.Errorf("%w: global persistent flush blocked: %v", ErrUnavailable, err)
-		}
-		return err
-	}
-	cost := s.cluster.NowNS() - start
-	for _, other := range s.shards {
-		if other != sh {
-			other.busyNS += cost
-			if churn {
-				other.churnNS += cost
-			}
-		}
-	}
-	return nil
-}
-
-// rflushSlots persists shard sh's log slots [first, limit) with one ranged
-// flush over exactly those records' lines. Unlike gpf there is no
-// cross-shard charge: a ranged flush involves only the shard's own device,
-// so the rest of the fabric keeps running and the cost lands on sh alone
-// (via the caller's elapsed-span accounting).
-func (s *Store) rflushSlots(sh *shard, t *memsim.Thread, first, limit int) error {
-	if first >= limit {
-		return nil
-	}
-	return t.RFlushRange(sh.keyLoc(first), (limit-first)*recWords)
-}
-
-// flushPending makes shard sh's open batch durable — one GPF or one ranged
-// flush over the batch's log lines, with the epoch-guarded re-issue — and
-// advances the acked log position, without any client-acknowledgment
-// bookkeeping. commitLocked layers that on top; bucket migration calls
-// this directly for its copied records (which are not client writes).
-//
-//cxl0:locked mu
-func (s *Store) flushPending(sh *shard) error {
-	if sh.pending == 0 {
-		return nil
-	}
+func (s *Store) flushBatch(sh *shard) (flight, error) {
 	if sh.down {
-		return ErrShardDown
+		return flight{}, ErrShardDown
 	}
 	if sh.partitioned {
-		return ErrUnavailable
+		return flight{}, ErrUnavailable
 	}
-	t := sh.thread()
+	t := sh.thread
+	first := len(sh.log) - sh.pending
 	fstart := s.cluster.NowNS()
 	for {
 		epoch := s.cluster.Epoch(sh.machine)
 		if epoch != sh.batchE {
 			// The shard machine crashed and recovered since the batch
-			// opened: the LStored records may have been destroyed while
+			// opened: the staged records may have been destroyed while
 			// cached remotely. Records are unacknowledged, so re-issuing
 			// them is sound.
-			for slot := len(sh.log) - sh.pending; slot < len(sh.log); slot++ {
-				if err := lstoreRecord(t, sh, slot, sh.log[slot]); err != nil {
-					return err
+			for slot := first; slot < len(sh.log); slot++ {
+				if err := s.writeLogWords(t, sh, slot, sh.log[slot]); err != nil {
+					return flight{}, err
 				}
 			}
 			sh.batchE = epoch
 			continue
 		}
-		var err error
-		if s.cfg.Strategy == RangedCommit {
-			err = s.rflushSlots(sh, t, len(sh.log)-sh.pending, len(sh.log))
-		} else {
-			err = s.gpf(sh, t, s.migrating || s.compacting)
-		}
-		if err != nil {
-			return err
+		if err := s.flushRange(t, sh, sh.keyLoc(first), sh.pending*recWords, s.migrating || s.compacting); err != nil {
+			return flight{}, err
 		}
 		if s.cluster.Epoch(sh.machine) == epoch {
 			break
 		}
 	}
+	now := s.cluster.NowNS()
 	// Attribute the flush cost to the committed client records' buckets,
 	// evenly — so the rebalancer sees a bucket's true load including its
-	// share of commit cost, not just its write path. Migration flushes
-	// (markers and copies) attribute nothing: their cost is churn.
-	var batchKeys []core.Val
-	for slot := len(sh.log) - sh.pending; slot < len(sh.log); slot++ {
-		if r := sh.log[slot]; !r.move && !r.copied {
-			batchKeys = append(batchKeys, r.key)
+	// share of commit cost, not just its write path, whether the flush
+	// blocks or pipelines. Migration flushes (markers and copies)
+	// attribute nothing: their cost is churn.
+	clients := 0
+	for _, r := range sh.log[first:] {
+		if !r.move && !r.copied {
+			clients++
 		}
 	}
-	if cost := s.cluster.NowNS() - fstart; cost > 0 && len(batchKeys) > 0 {
-		per := cost / float64(len(batchKeys))
-		for _, k := range batchKeys {
-			s.bucketWin[s.bucketOf(k)] += per
+	if cost := now - fstart; cost > 0 && clients > 0 {
+		per := cost / float64(clients)
+		for _, r := range sh.log[first:] {
+			if !r.move && !r.copied {
+				s.bucketWin[s.bucketOf(r.key)] += per
+			}
 		}
 	}
-	flushed := sh.pending
-	sh.acked = len(sh.log)
 	sh.pending = 0
 	s.commits++
-	if s.rec != nil {
-		// The commit event carries the client acks this flush vouches
-		// for — commitLocked's acknowledgment loop covers exactly the
-		// batchKeys records, and migration-copy flushes carry 0.
-		s.obsCommitAcked += uint64(len(batchKeys))
-		s.rec.Commit(sh.id, fstart, s.cluster.NowNS(), flushed, len(batchKeys), 1, 0)
-	}
-	return nil
+	return flight{first: first, limit: len(sh.log), issueNS: fstart, ackNS: now, depth: 1}, nil
 }
 
-// commitLocked flushes shard sh's open batch (GroupCommit or RangedCommit)
-// and acknowledges its client writes. On the pipelined path it is the
-// drain point: every in-flight flight retires (in batch order, stalling
-// the shard as needed) before the open batch commits, so after a
-// successful return the acked-watermark covers the whole log.
-func (s *Store) commitLocked(sh *shard) error {
-	if s.pipelined() {
-		s.drainFlights(sh)
+// ackRange acknowledges the client writes among shard sh's log slots
+// [first, limit), durable since ackNS after waiting queueNS for the
+// flush lane, and returns how many there were. It is the one place an
+// acknowledgment is recorded — per-record acks, commit points and
+// recovery's salvage all pass through it — and the one place the
+// acked-watermark's read state catches up: a shadow entry whose newest
+// record the range covers dies, any other advances to the key's record
+// in the range, and either way the key's visible state just moved, so
+// the front end's cached copy is snooped (see docs/caching.md). Move
+// markers and migrated copies are not client writes and are skipped.
+//
+//cxl0:locked mu
+func (s *Store) ackRange(sh *shard, first, limit int, ackNS, queueNS float64) int {
+	acked := 0
+	for slot := first; slot < limit; slot++ {
+		r := sh.log[slot]
+		if r.move || r.copied {
+			continue
+		}
+		ackLat, issueLat := (ackNS-r.startNS)+queueNS, r.issueNS-r.startNS
+		sh.writeLat = append(sh.writeLat, ackLat)
+		sh.issueLat = append(sh.issueLat, issueLat)
+		s.rec.WriteLatency(ackLat, issueLat)
+		s.ackedWrites++
+		acked++
+		if e, ok := sh.shadow[r.key]; ok {
+			if e.newest < limit {
+				delete(sh.shadow, r.key)
+			} else {
+				e.exists, e.slot = r.val != 0, slot
+				sh.shadow[r.key] = e
+			}
+			s.cache.invalidateKeyLocked(r.key)
+		}
 	}
+	return acked
+}
+
+// ackFlight is a batch's commit point: the acked-watermark advances to
+// the flight's limit, its client writes are acknowledged, and the commit
+// event carries exactly those acks.
+//
+//cxl0:locked mu
+func (s *Store) ackFlight(sh *shard, f flight) {
+	acked := s.ackRange(sh, f.first, f.limit, f.ackNS, f.queueNS)
+	sh.acked = f.limit
+	s.obsCommitAcked += uint64(acked)
+	s.rec.Commit(sh.id, f.issueNS, f.ackNS, f.limit-f.first, acked, f.depth, f.queueNS)
+}
+
+// commitLocked is the in-place commit: it retires every in-flight flight
+// (in batch order, stalling the shard as needed), then flushes shard sh's
+// open batch and acknowledges it on the spot — the flush cost lands in
+// the caller's elapsed span. After a successful return the
+// acked-watermark covers the whole log. Bucket migration commits its
+// markers and copies through here too (they carry no client acks).
+//
+//cxl0:locked mu
+func (s *Store) commitLocked(sh *shard) error {
+	s.drainFlights(sh)
 	if sh.pending == 0 {
 		return nil
 	}
-	first := len(sh.log) - sh.pending
-	if err := s.flushPending(sh); err != nil {
+	f, err := s.flushBatch(sh)
+	if err != nil {
 		return err
 	}
-	now := s.cluster.NowNS()
-	for slot := first; slot < len(sh.log); slot++ {
-		if r := sh.log[slot]; !r.move && !r.copied {
-			sh.writeLat = append(sh.writeLat, now-r.startNS)
-			sh.issueLat = append(sh.issueLat, r.issueNS-r.startNS)
-			s.ackedWrites++
-			if s.rec != nil {
-				s.rec.WriteLatency(now-r.startNS, r.issueNS-r.startNS)
-			}
-		}
-	}
-	if s.cache != nil && s.pipelined() {
-		// The commit moved the acked-watermark past these records: reads
-		// may have cached their keys' shadow (pre-batch acked) state,
-		// which just stopped being the visible state. Snoop them with the
-		// shadow they die with. (With the pipeline off there is no shadow
-		// to have cached — the blocking commit changes no visible value —
-		// so the cached copies stay valid.)
-		for slot := first; slot < len(sh.log); slot++ {
-			if r := sh.log[slot]; !r.move {
-				s.cache.invalidateKeyLocked(r.key)
-			}
-		}
-	}
+	s.ackFlight(sh, f)
 	// The watermark caught up with the log tip; no read needs shadow
 	// state anymore.
 	sh.shadow = nil
@@ -850,9 +754,7 @@ func (s *Store) append(sh *shard, key, val core.Val) (Ack, error) {
 	} else {
 		s.puts++
 	}
-	if s.pipelined() {
-		s.retireReady(sh)
-	}
+	s.retireReady(sh)
 	// Auto-compaction runs before this append's span stamp: compactLocked
 	// charges its own time as churn, and charging it inside the append's
 	// elapsed span too would double-count it as traffic — including when
@@ -885,27 +787,19 @@ func (s *Store) append(sh *shard, key, val core.Val) (Ack, error) {
 	} else {
 		sh.index[key] = slot
 	}
-	if s.cache != nil {
-		// Snoop the front end's cached copy inline with the index update:
-		// the key's visible state just changed (or, under the pipeline,
-		// reads now serve its shadow state, which retirement will snoop in
-		// turn — see docs/caching.md).
-		s.cache.invalidateKeyLocked(key)
-	}
+	// Snoop the front end's cached copy inline with the index update: the
+	// key's visible state just changed (or, under the pipeline, reads now
+	// serve its shadow state, which its commit point will snoop in turn —
+	// see docs/caching.md).
+	s.cache.invalidateKeyLocked(key)
 	// The write path's cost is this key's bucket's load; a batch commit
 	// triggered below is shared cost, attributed to the whole batch's
-	// buckets by flushPending.
+	// buckets by flushBatch.
 	s.bucketWin[s.bucketOf(key)] += s.cluster.NowNS() - start
-	durable := s.cfg.Strategy.Durable()
+	durable := !s.persist.batched
 	if durable {
-		now := s.cluster.NowNS()
 		sh.acked = len(sh.log)
-		sh.writeLat = append(sh.writeLat, now-start)
-		sh.issueLat = append(sh.issueLat, r.issueNS-start)
-		s.ackedWrites++
-		if s.rec != nil {
-			s.rec.WriteLatency(now-start, r.issueNS-start)
-		}
+		s.ackRange(sh, slot, slot+1, s.cluster.NowNS(), 0)
 	} else if sh.pending >= s.cfg.Batch {
 		if s.pipelined() {
 			// The pipelined commit point: close the append's span first
@@ -1017,17 +911,13 @@ func (s *Store) getLocked(key core.Val) (core.Val, bool, error) {
 	// served, and a denied read must neither count nor dilute the cache
 	// hit rate's denominator.
 	s.gets++
-	if s.pipelined() {
-		s.retireReady(sh)
-	}
+	s.retireReady(sh)
 	slot, ok := sh.index[key]
-	if s.pipelined() {
-		// Watermark gate: a key overwritten past the acked-watermark is
-		// served from its shadow (last acked) state — a read never
-		// observes a value a crash could still take back.
-		if e, shadowed := sh.shadow[key]; shadowed {
-			slot, ok = e.slot, e.exists
-		}
+	// Watermark gate: a key overwritten past the acked-watermark is
+	// served from its shadow (last acked) state — a read never observes a
+	// value a crash could still take back.
+	if e, shadowed := sh.shadow[key]; shadowed {
+		slot, ok = e.slot, e.exists
 	}
 	if !ok {
 		return 0, false, nil
@@ -1047,7 +937,7 @@ func (s *Store) getLocked(key core.Val) (core.Val, bool, error) {
 		}
 	}
 	start := s.cluster.NowNS()
-	v, err := sh.thread().Load(sh.valLocOf(slot))
+	v, err := sh.thread.Load(sh.valLocOf(slot))
 	span := s.cluster.NowNS() - start
 	sh.busyNS += span
 	s.bucketWin[s.bucketOf(key)] += span
@@ -1223,7 +1113,7 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 	unavailable := make([]bool, len(s.shards))
 	missing := 0
 	for _, sh := range s.shards {
-		if s.pipelined() && !sh.down && !sh.partitioned {
+		if !sh.partitioned {
 			s.retireReady(sh)
 		}
 		for k, slot := range sh.index { //cxl0:order-insensitive — candidates sorted by key below
@@ -1282,7 +1172,7 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 			}
 		}
 		start := s.cluster.NowNS()
-		v, err := c.sh.thread().Load(c.sh.valLocOf(c.slot))
+		v, err := c.sh.thread.Load(c.sh.valLocOf(c.slot))
 		span := s.cluster.NowNS() - start
 		c.sh.busyNS += span
 		s.bucketWin[s.bucketOf(c.key)] += span
@@ -1353,27 +1243,12 @@ func (s *Store) crashLocked(i int) {
 	sh := s.shards[i]
 	s.cluster.Crash(sh.machine)
 	sh.down = true
-	if s.pipelined() {
-		// Fold in-flight flights back into the pending tail: their
-		// records were flushed to the medium at issue, so Recover's scan
-		// salvages them like any recovered pending batch — the acked
-		// prefix is exactly [0, acked). The flight queue, flush lane and
-		// watermark shadow are volatile bookkeeping and die with the
-		// crash.
-		sh.pending = len(sh.log) - sh.acked
-		sh.flights = nil
-		sh.laneEnd = 0
-		sh.shadow = nil
-	}
-	if s.cache != nil {
-		// Reads may have cached visible-but-unacknowledged values this
-		// crash just destroyed; recovery decides what survives, so the
-		// front end's copies of the shard's keys go now.
-		s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.shardOf(k) == i })
-	}
-	if s.rec != nil {
-		s.rec.Crash(i, s.cluster.NowNS())
-	}
+	sh.foldFlights()
+	// Reads may have cached visible-but-unacknowledged values this crash
+	// just destroyed; recovery decides what survives, so the front end's
+	// copies of the shard's keys go now.
+	s.invalidateShardLocked(i)
+	s.rec.Crash(i, s.cluster.NowNS())
 }
 
 // Partition cuts shard i's machine off the fabric. Operations routed to
@@ -1388,15 +1263,11 @@ func (s *Store) Partition(i int) {
 	sh := s.shards[i]
 	sh.partitioned = true
 	s.cluster.Partition(sh.machine)
-	if s.cache != nil {
-		// A partitioned owner cannot snoop the front end's copies, so the
-		// front end drops them instead of holding lines the fabric cannot
-		// revoke (see docs/caching.md).
-		s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.shardOf(k) == i })
-	}
-	if s.rec != nil {
-		s.rec.Partition(i, s.cluster.NowNS())
-	}
+	// A partitioned owner cannot snoop the front end's copies, so the
+	// front end drops them instead of holding lines the fabric cannot
+	// revoke (see docs/caching.md).
+	s.invalidateShardLocked(i)
+	s.rec.Partition(i, s.cluster.NowNS())
 }
 
 // Heal reconnects shard i to the fabric, restoring service immediately.
@@ -1410,15 +1281,11 @@ func (s *Store) Heal(i int) {
 	}
 	sh.partitioned = false
 	s.cluster.Heal(sh.machine)
-	if s.cache != nil {
-		// Conservative partition-transition invalidation, mirroring
-		// Partition's: service resumes from the authoritative medium, not
-		// from copies cached across the outage.
-		s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.shardOf(k) == i })
-	}
-	if s.rec != nil {
-		s.rec.Heal(i, s.cluster.NowNS())
-	}
+	// Conservative partition-transition invalidation, mirroring
+	// Partition's: service resumes from the authoritative medium, not
+	// from copies cached across the outage.
+	s.invalidateShardLocked(i)
+	s.rec.Heal(i, s.cluster.NowNS())
 }
 
 // Degrade sets shard i's device latency multiplier: every operation
@@ -1431,12 +1298,10 @@ func (s *Store) Degrade(i int, factor float64) {
 	defer s.mu.Unlock()
 	sh := s.shards[i]
 	s.cluster.Degrade(sh.machine, factor)
-	if s.rec != nil {
-		if factor < 1 {
-			factor = 1
-		}
-		s.rec.Degrade(i, factor, s.cluster.NowNS())
+	if factor < 1 {
+		factor = 1
 	}
+	s.rec.Degrade(i, factor, s.cluster.NowNS())
 }
 
 // Health reports each shard's fault state in shard order.
@@ -1518,7 +1383,7 @@ func (s *Store) Recover(i int) (RecoveryStats, error) {
 		return RecoveryStats{}, fmt.Errorf("%w: shard %d cannot recover while partitioned; heal first", ErrUnavailable, i)
 	}
 	s.cluster.Recover(sh.machine)
-	if err := s.spawnThreads(sh); err != nil {
+	if err := s.spawnThread(sh); err != nil {
 		return RecoveryStats{}, err
 	}
 	stats, err := s.recoverShard(sh)
@@ -1541,7 +1406,7 @@ func (s *Store) Recover(i int) (RecoveryStats, error) {
 //cxl0:locked mu
 func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
 	i := sh.id
-	t := sh.thread()
+	t := sh.thread
 	appended := len(sh.log)
 	ackedBefore := sh.acked
 	start := s.cluster.NowNS()
@@ -1647,18 +1512,14 @@ scan:
 	// in place, so when the cut equals the acked prefix (always, under
 	// the per-operation strategies) there is nothing to re-persist. The
 	// truncated tail's checksums were MStored, which is persistent by
-	// itself. Under RangedCommit the flush is a ranged one over exactly
-	// the shard's own unacknowledged survivors; GroupCommit keeps the
-	// fabric-wide GPF.
+	// itself. The flush has the strategy's scope: under RangedCommit a
+	// ranged one over exactly the shard's own unacknowledged survivors,
+	// under the GPF strategies the fabric-wide GPF, and nothing under a
+	// per-word strategy, whose surviving records (a crashed migration's
+	// copies) were each persistent when their write returned.
 	if cut > ackedBefore {
-		if s.cfg.Strategy == RangedCommit {
-			if err := s.rflushSlots(sh, t, ackedBefore, cut); err != nil {
-				return RecoveryStats{}, err
-			}
-		} else {
-			if err := s.gpf(sh, t, true); err != nil {
-				return RecoveryStats{}, err
-			}
+		if err := s.flushRange(t, sh, sh.keyLoc(ackedBefore), (cut-ackedBefore)*recWords, true); err != nil {
+			return RecoveryStats{}, err
 		}
 	}
 
@@ -1756,24 +1617,11 @@ scan:
 	// discarded; the durability check above already guaranteed the cut is
 	// at or past the acknowledged prefix, so the lost records are exactly
 	// the unacknowledged tail.
+	salvaged := s.ackRange(sh, appended-sh.pending, cut, s.cluster.NowNS(), 0)
 	droppedPending := 0
-	salvaged := 0
-	pendingStart := appended - sh.pending
-	now := s.cluster.NowNS()
-	for slot := pendingStart; slot < cut; slot++ {
-		if r := sh.log[slot]; !r.move && !r.copied {
-			sh.writeLat = append(sh.writeLat, now-r.startNS)
-			sh.issueLat = append(sh.issueLat, r.issueNS-r.startNS)
-			s.ackedWrites++
-			salvaged++
-			if s.rec != nil {
-				s.rec.WriteLatency(now-r.startNS, r.issueNS-r.startNS)
-			}
-		}
-	}
 	for slot := cut; slot < appended; slot++ {
 		// Lost migration markers and copies are not client writes; only
-		// dropped client records count, mirroring the salvage loop above.
+		// dropped client records count, mirroring the salvage above.
 		if r := sh.log[slot]; !r.move && !r.copied {
 			droppedPending++
 		}
@@ -1786,14 +1634,12 @@ scan:
 	sh.acked = cut
 	sh.pending = 0
 
-	if s.cache != nil {
-		// Recovery truncated the unacknowledged tail and rebuilt the
-		// shard's visible state; any copy cached from the pre-crash state
-		// is suspect. (crashLocked already snooped the shard's keys, but
-		// recoverShard also runs crash-free via RecoverFront, and a
-		// migration redo above may have flipped buckets — sweep again.)
-		s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.shardOf(k) == sh.id })
-	}
+	// Recovery truncated the unacknowledged tail and rebuilt the shard's
+	// visible state; any copy cached from the pre-crash state is suspect.
+	// (crashLocked already snooped the shard's keys, but recoverShard also
+	// runs crash-free via RecoverFront, and a migration redo above may
+	// have flipped buckets — sweep again.)
+	s.invalidateShardLocked(i)
 
 	simNS := s.cluster.NowNS() - start
 	sh.busyNS += simNS
@@ -1801,9 +1647,7 @@ scan:
 	s.dropped += uint64(droppedPending)
 	s.recoveries++
 	s.recoveryNS = append(s.recoveryNS, simNS)
-	if s.rec != nil {
-		s.rec.Recover(i, start, s.cluster.NowNS(), cut, salvaged, appended-cut)
-	}
+	s.rec.Recover(i, start, s.cluster.NowNS(), cut, salvaged, appended-cut)
 	return RecoveryStats{
 		Shard:          i,
 		Recovered:      cut,
