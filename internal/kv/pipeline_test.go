@@ -3,6 +3,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -617,4 +618,88 @@ func TestPipelinePartitionWhileInFlight(t *testing.T) {
 			t.Fatalf("shard 0 acked %d of %d after heal+sync", st.AckedCount(0), len(st.shards[0].log))
 		}
 	})
+}
+
+// TestResetMetricsRebasesFlushLane: ResetMetrics discards the shards'
+// busy clocks, and the flush lane (laneEnd, in-flight endBusy) is
+// positioned on those clocks — it must be rebased with them. Otherwise
+// the first group flight after a reset queues behind a phantom lane as
+// long as the whole preload, and the measured window absorbs it (what
+// workload.Run's preload → Sync → ResetMetrics did to every
+// group/K>1 benchmark row). A reset run's post-preload window must cost
+// and acknowledge exactly what the same window costs without the reset.
+func TestResetMetricsRebasesFlushLane(t *testing.T) {
+	const preload, measured = 400, 64
+	// window drives preload (+ Sync) then the measured puts (+ Sync) and
+	// returns the measured window's summed busy time and ack latencies.
+	window := func(t *testing.T, strat Strategy, syncFirst, reset bool) (float64, []float64) {
+		t.Helper()
+		st, err := Open(Config{Shards: 2, Strategy: strat, Batch: 4, PipelineDepth: 2, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		put := func(i int) {
+			if _, err := st.Put(core.Val(i%97), core.Val(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < preload; i++ {
+			put(i)
+		}
+		if syncFirst {
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.mu.Lock()
+		busy0 := 0.0
+		acked0 := make([]int, len(st.shards))
+		for i, sh := range st.shards {
+			busy0 += sh.busyNS
+			acked0[i] = len(sh.writeLat)
+		}
+		st.mu.Unlock()
+		if reset {
+			st.ResetMetrics()
+			busy0 = 0
+			for i := range acked0 {
+				acked0[i] = 0
+			}
+		}
+		for i := preload; i < preload+measured; i++ {
+			put(i)
+		}
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		busy := -busy0
+		var acks []float64
+		for i, sh := range st.shards {
+			busy += sh.busyNS
+			acks = append(acks, sh.writeLat[acked0[i]:]...)
+		}
+		return busy, acks
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, strat := range []Strategy{GroupCommit, RangedCommit} {
+		for _, syncFirst := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/sync=%v", strat, syncFirst), func(t *testing.T) {
+				wantBusy, wantAcks := window(t, strat, syncFirst, false)
+				gotBusy, gotAcks := window(t, strat, syncFirst, true)
+				if !near(gotBusy, wantBusy) {
+					t.Errorf("measured busy after ResetMetrics = %.0f ns, want %.0f ns (the same window without a reset)", gotBusy, wantBusy)
+				}
+				if len(gotAcks) != len(wantAcks) {
+					t.Fatalf("acked %d writes in the window after ResetMetrics, want %d", len(gotAcks), len(wantAcks))
+				}
+				for i := range wantAcks {
+					if !near(gotAcks[i], wantAcks[i]) {
+						t.Fatalf("ack latency %d after ResetMetrics = %.0f ns, want %.0f ns", i, gotAcks[i], wantAcks[i])
+					}
+				}
+			})
+		}
+	}
 }

@@ -1721,6 +1721,13 @@ func (s *Store) ResetMetrics() {
 		s.cache.specFills, s.cache.invalidations, s.cache.evictions = 0, 0, 0
 	}
 	for _, sh := range s.shards {
+		// The flush lane and the in-flight flights' completion points live
+		// on the busy clock being discarded: rebase them with it, or the
+		// next flight queues behind a lane as long as everything reset away.
+		for i := range sh.flights {
+			sh.flights[i].endBusy -= sh.busyNS
+		}
+		sh.laneEnd = max(0, sh.laneEnd-sh.busyNS)
 		sh.busyNS = 0
 		sh.churnNS = 0
 		sh.writeLat = nil
