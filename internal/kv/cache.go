@@ -226,6 +226,12 @@ func (s *Store) invalidateShardLocked(i int) {
 	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.shardOf(k) == i })
 }
 
+// invalidateBucketLocked snoops every cached key of bucket b — a
+// migration flip, in line or redone by recovery.
+func (s *Store) invalidateBucketLocked(b int) {
+	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.bucketOf(k) == b })
+}
+
 // invalidateAllLocked drops every entry — front-end failover
 // (CrashFront): the cache is front-end volatile state and dies with the
 // front's machine.

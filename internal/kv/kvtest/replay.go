@@ -2,7 +2,6 @@ package kvtest
 
 import (
 	"crypto/sha256"
-	_ "embed"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -98,9 +97,6 @@ func replayCases() []replayCase {
 // means to alter simulated behaviour may use it.
 var update = flag.Bool("update", false, "rewrite kvtest/testdata/replay.golden from this run")
 
-//go:embed testdata/replay.golden
-var goldenFile string
-
 // checkGolden pins the run's outcome across commits: a SHA-256 over the
 // operation results, the metrics document and the rendered event stream
 // must equal the digest recorded for this test (keyed by its full name,
@@ -116,11 +112,13 @@ func checkGolden(t *testing.T, out replayOutcome) {
 		fmt.Fprintf(h, "%d\n%s", len(part), part)
 	}
 	got := hex.EncodeToString(h.Sum(nil))
+	golden := readGolden(t)
 	if *update {
-		updateGolden(t, t.Name(), got)
+		golden[t.Name()] = got
+		writeGolden(t, golden)
 		return
 	}
-	want, ok := parseGolden(goldenFile)[t.Name()]
+	want, ok := golden[t.Name()]
 	if !ok {
 		t.Fatalf("no golden digest for %s in testdata/replay.golden (run with -update to record one)", t.Name())
 	}
@@ -130,11 +128,27 @@ func checkGolden(t *testing.T, out replayOutcome) {
 	}
 }
 
-// parseGolden reads "name digest" lines; blank lines and # comments are
-// skipped.
-func parseGolden(doc string) map[string]string {
+// goldenPath locates testdata/replay.golden next to this source file:
+// the suite runs from the kv and pool package directories, not here.
+func goldenPath(t *testing.T) string {
+	t.Helper()
+	_, src, _, ok := runtime.Caller(0)
+	if !ok {
+		t.Fatal("cannot locate kvtest's source directory")
+	}
+	return filepath.Join(filepath.Dir(src), "testdata", "replay.golden")
+}
+
+// readGolden parses the golden file's "name digest" lines; blank lines
+// and # comments are skipped.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile(goldenPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := map[string]string{}
-	for _, line := range strings.Split(doc, "\n") {
+	for _, line := range strings.Split(string(doc), "\n") {
 		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(f[0], "#") {
 			m[f[0]] = f[1]
 		}
@@ -142,22 +156,11 @@ func parseGolden(doc string) map[string]string {
 	return m
 }
 
-// updateGolden merges one digest into the golden file on disk (the kv
-// and pool test binaries each own a disjoint set of names) and rewrites
-// it sorted by name.
-func updateGolden(t *testing.T, name, digest string) {
+// writeGolden rewrites the golden file sorted by name. The kv and pool
+// test binaries each own a disjoint set of names, so an -update run
+// merges into what is on disk rather than replacing it.
+func writeGolden(t *testing.T, m map[string]string) {
 	t.Helper()
-	_, src, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("cannot locate kvtest's source directory")
-	}
-	path := filepath.Join(filepath.Dir(src), "testdata", "replay.golden")
-	doc, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
-	m := parseGolden(string(doc))
-	m[name] = digest
 	names := make([]string, 0, len(m))
 	for n := range m { //cxl0:order-insensitive — collected then sorted below
 		names = append(names, n)
@@ -169,7 +172,7 @@ func updateGolden(t *testing.T, name, digest string) {
 	for _, n := range names {
 		fmt.Fprintf(&b, "%s %s\n", n, m[n])
 	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(goldenPath(t), []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

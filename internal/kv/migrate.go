@@ -346,7 +346,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 	// values are unchanged, but the source — whose lines the front end's
 	// copies were filled against — no longer owns them, so the flip snoops
 	// the whole bucket (see docs/caching.md).
-	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.bucketOf(k) == b })
+	s.invalidateBucketLocked(b)
 	s.migrations++
 	s.migratedRecords += uint64(len(pairs))
 	stats.Records = len(pairs)
@@ -398,7 +398,7 @@ func (s *Store) reindexBucket(dst *shard, b int) {
 	}
 	// The redo flip re-homed the bucket, same as migrateBucket's in-line
 	// flip: snoop the front end's copies of its keys.
-	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.bucketOf(k) == b })
+	s.invalidateBucketLocked(b)
 }
 
 // Rebalance examines per-shard busy-time shares accumulated since the last
