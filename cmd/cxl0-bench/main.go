@@ -1,10 +1,13 @@
-// Command cxl0-bench runs the KV service benchmark matrix: YCSB-style
-// workloads × persistence strategies × shard counts × cluster counts ×
-// hardware variants, all on the simulated CXL clock. It drives the kv.DB
-// interface — a single cluster-backed store, or a pool.Router over
-// several clusters for the pooled rows — prints a result table and
-// writes a machine-readable BENCH_kv.json capturing the repo's
-// performance trajectory.
+// Command cxl0-bench runs the KV service benchmark matrix on the
+// simulated CXL clock, prints a result table and writes the
+// machine-readable BENCH_kv.json that captures the repo's performance
+// trajectory. It drives the kv.DB interface only — a single
+// cluster-backed store, or a pool.Router over several for the pooled
+// rows.
+//
+// The matrix is the row-class table in classes.go; README.md's "KV
+// service benchmark" section lists each class with the axes it sweeps,
+// the headline it feeds and the flag that disables it.
 //
 // Example:
 //
@@ -16,14 +19,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"cxl0/internal/core"
-	"cxl0/internal/faults"
 	"cxl0/internal/kv"
 	"cxl0/internal/workload"
 )
@@ -37,6 +39,8 @@ type benchFile struct {
 	Headline  headline          `json:"headline"`
 }
 
+// benchConfig echoes the flags the matrix ran at; the list fields carry
+// the parsed, trimmed names.
 type benchConfig struct {
 	Ops            int      `json:"ops"`
 	Keys           int      `json:"keys"`
@@ -56,990 +60,222 @@ type benchConfig struct {
 	PipelineDepths []int    `json:"pipeline_depths"`
 }
 
-// headline summarizes the two batching claims: group commit amortizes the
-// GPF against the per-op-GPF baseline, and ranged commit keeps per-op
-// commit cost flat in shard count where group commit's fabric-wide GPF
-// charge grows linearly.
-type headline struct {
-	GroupVsGPFSpeedup float64 `json:"group_vs_gpf_speedup"`
-	GroupConfig       string  `json:"group_config"`
-	// RangedVsGroupSpeedup compares RangedCommit against GroupCommit at
-	// the largest shard count in the matrix, where GPF stalls hurt most.
-	RangedVsGroupSpeedup float64 `json:"ranged_vs_group_speedup,omitempty"`
-	RangedConfig         string  `json:"ranged_config,omitempty"`
-	// *PerOpCostGrowth is the mean per-op simulated cost at the largest
-	// shard count divided by the same at the smallest, averaged over
-	// workload/variant combos: ~1.0 means commit cost is shard-local,
-	// while fabric-wide charging grows linearly with the shard count.
-	GroupPerOpCostGrowth  float64 `json:"group_per_op_cost_growth,omitempty"`
-	RangedPerOpCostGrowth float64 `json:"ranged_per_op_cost_growth,omitempty"`
-	// PipelinedThroughput is the async-commit-pipeline claim: for each
-	// batched strategy × shard count × pipeline depth K > 1 in the sweep,
-	// throughput against the identical blocking (K=1) static row, with
-	// the ack/issue latency split pipelining trades for it. Ranged
-	// commit overlaps flushes with appends (speedup grows with K up to
-	// flush/append cost parity); group commit's fabric-wide GPF
-	// serializes the pipeline, so its rows hover near 1x — the contrast
-	// is the claim (see docs/pipeline.md).
-	PipelinedThroughput []pipelinedHead `json:"pipelined_throughput,omitempty"`
-	// ReadCache is the node-local read-cache claim: for each read-heavy
-	// workload (B, C, D) × pooled cluster count in the cache sweep, the
-	// cache-on row's hit rate and mean served-read latency against the
-	// identical cache-off row. The cache serves repeated reads from
-	// front-end DRAM and the predictor warms it speculatively, so the
-	// reduction grows with the workload's read skew (see docs/caching.md).
-	ReadCache []readCacheHead `json:"read_cache,omitempty"`
-	// Skew: max/mean shard busy (traffic only) under the zipfian
-	// update-heavy workload A — the static-routing row against the same
-	// configuration with online rebalancing, at the pair with the
-	// largest static/rebalanced improvement factor; pairs rebalancing
-	// tames to <= 1.5 always outrank pairs it does not.
-	// RebalanceSpeedup is the throughput ratio at that same pair.
-	StaticMaxMeanBusy     float64 `json:"static_max_mean_busy"`
-	RebalancedMaxMeanBusy float64 `json:"rebalanced_max_mean_busy"`
-	ImbalanceConfig       string  `json:"imbalance_config"`
-	RebalanceSpeedup      float64 `json:"rebalance_speedup"`
-	// PooledThroughputScaling is the multi-cluster pooling claim: for
-	// each pooled cluster count in the matrix, the throughput speedup of
-	// the pooled service over the identical 1-cluster configuration,
-	// averaged over every matched workload/strategy/shards/variant combo
-	// (and the best single pairing). Clusters share nothing, so the
-	// speedup is capacity scaling, not batching.
-	PooledThroughputScaling []pooledScale `json:"pooled_throughput_scaling,omitempty"`
-	// Compaction is the long-run capacity claim: the capacity-pressure
-	// rows (per-shard logs sized far below the workload's append volume,
-	// auto-compaction on) complete without ShardFullError, and this row
-	// reports how hard compaction worked to make that possible.
-	Compaction *compactionHead `json:"compaction,omitempty"`
-	// FaultCampaign is the graceful-degradation claim: per campaign
-	// class, throughput retention against the fault-free baseline and
-	// the recovery-time distribution — scripted correlated crashes,
-	// degraded devices and fabric partitions versus the uniform-churn
-	// baseline (see internal/faults and docs/faults.md).
-	FaultCampaign  faultCampaignHead `json:"fault_campaign"`
-	BestThroughput float64           `json:"best_throughput_ops_per_sec"`
-	BestConfig     string            `json:"best_config"`
+// matrix is the parsed flag set: the axes and knobs every row class
+// expands its rows from.
+type matrix struct {
+	benchConfig
+	colocate   bool
+	specs      []workload.Spec
+	strategies []kv.Strategy
+	variants   []core.Variant
+	// sweepSpec is the sweep classes' fixed workload: A when it is in the
+	// matrix, else the first. With the first variant it makes a
+	// single-cluster sweep row's comparator the already-measured static
+	// row, byte for byte.
+	sweepSpec workload.Spec
 }
 
-// faultCampaignHead summarizes the campaign sweep: one entry per
-// campaign class, each aggregated over the swept strategies at the
-// sweep's fixed configuration.
-type faultCampaignHead struct {
-	// Config is the fixed workload/shards/variant the sweep ran at (the
-	// campaign rows in results carry the per-strategy detail).
-	Config string `json:"config"`
-	// Classes reports each campaign class against the fault-free
-	// baseline ("none"), in sweep order: uniform churn first, then the
-	// structured classes, so every class reads against both baselines.
-	Classes []campaignClassHead `json:"classes"`
-}
-
-// campaignClassHead is one campaign class's aggregate over the swept
-// strategies.
-type campaignClassHead struct {
-	Campaign string `json:"campaign"`
-	// Retention is the class's goodput over the fault-free baseline's
-	// for the same strategy: the mean across strategies, and the
-	// worst/best strategy with its ratio. Goodput counts served
-	// operations only, so retention captures the clock-time cost of a
-	// class (degradation, recovery churn) — but not denied load, which
-	// costs nothing on the clock. Availability below captures that:
-	// the served fraction of offered operations. Under the GPF-based
-	// strategies a partition blocks commits cluster-wide, so
-	// "partitioned" availability splits sharply by strategy — that
-	// split is the blast-radius claim.
-	MeanRetention  float64 `json:"mean_retention"`
-	WorstRetention float64 `json:"worst_retention"`
-	WorstStrategy  string  `json:"worst_strategy"`
-	BestRetention  float64 `json:"best_retention"`
-	BestStrategy   string  `json:"best_strategy"`
-	// Availability is served ops over offered ops (1 on a class that
-	// denies nothing, like "degraded").
-	MeanAvailability          float64 `json:"mean_availability"`
-	WorstAvailability         float64 `json:"worst_availability"`
-	WorstAvailabilityStrategy string  `json:"worst_availability_strategy"`
-	// Recovery-time distribution, worst case across the swept strategies
-	// on the simulated clock: Outage* are crash-to-recovered windows,
-	// RecoveryP95NS the recovery work itself, PartitionP95NS the
-	// partition-to-heal window. Zero where the class injects no fault of
-	// that kind.
-	OutageP50NS    float64 `json:"outage_p50_ns"`
-	OutageP95NS    float64 `json:"outage_p95_ns"`
-	RecoveryP95NS  float64 `json:"recovery_p95_ns"`
-	PartitionP95NS float64 `json:"partition_p95_ns"`
-	// Denied-operation totals across the swept strategies: FailedOps hit
-	// crashed shards, UnavailableOps partitioned ones, PartialResults
-	// counts fan-out reads that degraded instead of failing.
-	FailedOps      int `json:"failed_ops"`
-	UnavailableOps int `json:"unavailable_ops"`
-	PartialResults int `json:"partial_results"`
-}
-
-// compactionHead summarizes the capacity-pressure rows.
-type compactionHead struct {
-	// Compactions and ReclaimedSlots are totals across every pressure row.
-	Compactions    int `json:"compactions"`
-	ReclaimedSlots int `json:"reclaimed_slots"`
-	// AppendsOverCapacity is the best row's append volume (preload +
-	// writes) divided by its total log slots (Shards × Capacity): how far
-	// past a bounded-lifetime log the run went.
-	AppendsOverCapacity float64 `json:"appends_over_capacity"`
-	// ThroughputVsUncapped compares the best pressure row against the
-	// identical configuration with worst-case (never-compacting) capacity
-	// — the throughput cost of running at sustained capacity pressure.
-	ThroughputVsUncapped float64 `json:"throughput_vs_uncapped,omitempty"`
-	Config               string  `json:"config"`
-}
-
-// pipelinedHead is one pipelined row's comparison against its blocking
-// (depth-1) baseline row.
-type pipelinedHead struct {
-	Strategy string `json:"strategy"`
-	Shards   int    `json:"shards"`
-	Depth    int    `json:"pipeline_depth"`
-	// ThroughputOpsPerSec is the pipelined row's throughput and
-	// SpeedupVsBlocking its ratio over the identical K=1 static row.
-	ThroughputOpsPerSec float64 `json:"throughput_ops_per_sec"`
-	SpeedupVsBlocking   float64 `json:"speedup_vs_blocking,omitempty"`
-	// AckP99NS / IssueP99NS are the write-latency split: submit-to-
-	// durable-ack (grows with queue depth) vs submit-to-return (what the
-	// client blocks on — the pipeline's point).
-	AckP99NS   float64 `json:"ack_p99_ns"`
-	IssueP99NS float64 `json:"issue_p99_ns"`
-	Config     string  `json:"config"`
-}
-
-// readCacheHead is one cache-on sweep row's comparison against its
-// identical cache-off baseline row.
-type readCacheHead struct {
-	Workload string `json:"workload"`
-	Clusters int    `json:"clusters"`
-	// ReadCache is the row's cache capacity (the -cache flag) and
-	// CacheHitRate its hits/(hits+misses) over served reads.
-	ReadCache        int     `json:"read_cache"`
-	CacheHitRate     float64 `json:"cache_hit_rate"`
-	SpeculativeFills uint64  `json:"speculative_fills"`
-	// ReadMeanNS / BaselineReadMeanNS are the mean served-read latencies
-	// with and without the cache; ReadLatencyReduction is
-	// 1 - ReadMeanNS/BaselineReadMeanNS (the fraction of read latency the
-	// cache removed).
-	ReadMeanNS           float64 `json:"read_mean_ns"`
-	BaselineReadMeanNS   float64 `json:"baseline_read_mean_ns"`
-	ReadLatencyReduction float64 `json:"read_latency_reduction"`
-	ThroughputSpeedup    float64 `json:"throughput_speedup,omitempty"`
-	Config               string  `json:"config"`
-}
-
-// pooledScale is one cluster count's pooling speedup over the matched
-// 1-cluster rows.
-type pooledScale struct {
-	Clusters    int     `json:"clusters"`
-	MeanSpeedup float64 `json:"mean_speedup"`
-	BestSpeedup float64 `json:"best_speedup"`
-	BestConfig  string  `json:"best_config"`
+// row is one benchmark row, carrying its class tag from expansion
+// onward — so summarizers select rows by class instead of re-deriving it
+// from result fields. plan fills class and opts, the run loop Result.
+type row struct {
+	class *rowClass
+	opts  workload.Options
+	workload.Result
 }
 
 func main() {
-	ops := flag.Int("ops", 2000, "measured operations per configuration")
-	keys := flag.Int("keys", 400, "preloaded keyspace size")
-	batch := flag.Int("batch", 16, "batched-commit batch size")
-	crashEvery := flag.Int("crash-every", 700, "ops between crash+recover cycles (0 disables)")
-	evictEvery := flag.Int("evict-every", 8, "background cache-eviction period (0 disables)")
-	rebalanceEvery := flag.Int("rebalance-every", 250, "ops between load-rebalance checks on the rebalanced rows (0 disables those rows)")
-	compactAtFill := flag.Float64("compact-at-fill", 0.85, "auto-compaction threshold of the capacity-pressure rows (0 disables those rows)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	workloadsF := flag.String("workloads", "A,E", "comma-separated YCSB workloads (A,B,C,D,E)")
-	strategiesF := flag.String("strategies", "mstore,flush,gpf,group,ranged", "comma-separated persistence strategies")
-	shardsF := flag.String("shards", "1,4,12", "comma-separated per-cluster shard counts")
-	clustersF := flag.String("clusters", "1,2,4", "comma-separated pooled cluster counts (rows with >1 pool that many clusters behind a router)")
-	variantsF := flag.String("variants", "base,psn", "comma-separated hardware variants (base,psn,lwb)")
-	pipelineDepthsF := flag.String("pipeline-depths", "1,2,4", "comma-separated commit-pipeline depths for the pipelined sweep (1 is the blocking baseline already in the matrix; depths >1 add sweep rows)")
-	cacheCap := flag.Int("cache", 256, "read-cache entry capacity of the cache-sweep rows (0 disables those rows)")
-	colocate := flag.Bool("colocate", false, "bind shard workers to the shard's machine")
-	out := flag.String("out", "BENCH_kv.json", "output JSON path (empty disables)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "cxl0-bench:", err)
+		os.Exit(1)
+	}
+}
 
-	var specs []workload.Spec
-	for _, name := range strings.Split(*workloadsF, ",") {
-		spec, err := workload.YCSB(strings.TrimSpace(name))
-		if err != nil {
-			fatal(err)
-		}
-		spec.Keys = *keys
-		specs = append(specs, spec)
-	}
-	// Validate the whole strategy list up front — unknown names and
-	// duplicates both fail here with the full picture, not 90 seconds
-	// into the matrix (duplicates would silently run rows twice and
-	// corrupt the headline comparisons).
-	strategies, err := parseStrategies(*strategiesF)
+// run is the whole command: parse the flags, run the matrix, write the
+// artifact.
+func run(args []string, stdout io.Writer) error {
+	m, out, err := parseFlags(args)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	shardCounts, err := parseCounts(*shardsF, "shard")
+	file, _, err := bench(m, stdout)
+	if err != nil || out == "" {
+		return err
+	}
+	blob, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	clusterCounts, err := parseCounts(*clustersF, "cluster")
-	if err != nil {
-		fatal(err)
+	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
+		return err
 	}
-	pipelineDepths, err := parseCounts(*pipelineDepthsF, "pipeline depth")
-	if err != nil {
-		fatal(err)
-	}
-	var variants []core.Variant
-	for _, name := range strings.Split(*variantsF, ",") {
-		switch strings.TrimSpace(strings.ToLower(name)) {
-		case "base":
-			variants = append(variants, core.Base)
-		case "psn":
-			variants = append(variants, core.PSN)
-		case "lwb":
-			variants = append(variants, core.LWB)
-		default:
-			fatal(fmt.Errorf("unknown variant %q (want base, psn or lwb)", name))
-		}
-	}
+	fmt.Fprintf(stdout, "wrote %s (%d results)\n", out, len(file.Results))
+	return nil
+}
 
-	fmt.Printf("KV service benchmark: %d ops/config, %d keys, batch %d, crash every %d ops, rebalance every %d ops, compact at %.0f%% fill\n",
-		*ops, *keys, *batch, *crashEvery, *rebalanceEvery, 100**compactAtFill)
-	fmt.Printf("%-4s %-8s %7s %3s %-9s %3s %14s %12s %10s %10s %6s %5s %5s\n",
+// bench walks the plan in artifact order — its loop is the only
+// workload.Run call site — printing the table as it goes, and returns the
+// artifact with the tagged rows its headline was summarized from.
+func bench(m *matrix, stdout io.Writer) (benchFile, []row, error) {
+	fmt.Fprintf(stdout, "KV service benchmark: %d ops/config, %d keys, batch %d, crash every %d ops, rebalance every %d ops, compact at %.0f%% fill\n",
+		m.Ops, m.Keys, m.Batch, m.CrashEvery, m.RebalanceEvery, 100*m.CompactAtFill)
+	fmt.Fprintf(stdout, "%-4s %-8s %7s %3s %-9s %3s %14s %12s %10s %10s %6s %5s %5s\n",
 		"wl", "strategy", "shards", "cl", "variant", "rb", "ops/sec(sim)", "p50 ns", "p99 ns", "rcvry ns", "mx/mn", "migr", "cmpct")
+	file := benchFile{
+		Paper:     "A Programming Model for Disaggregated Memory over CXL",
+		Benchmark: "sharded durable KV service (internal/kv) under YCSB-style workloads (internal/workload)",
+		Config:    m.benchConfig,
+	}
+	var rows []row
+	for _, r := range plan(m) {
+		o := r.opts
+		label := fmt.Sprintf("%s row %s/%v/%d/%dcl/%v", r.class.name, o.Spec.Name, o.Store.Strategy, o.Store.Shards, o.Clusters, o.Store.Variant)
+		var err error
+		r.Result, err = workload.Run(o)
+		if r.class.skip != nil && errors.Is(err, r.class.skip) {
+			fmt.Fprintf(os.Stderr, "cxl0-bench: skipping %s: %v\n", label, err)
+			continue
+		}
+		if err != nil {
+			return file, nil, fmt.Errorf("%s: %w", label, err)
+		}
+		rows, file.Results = append(rows, r), append(file.Results, r.Result)
+		fmt.Fprintf(stdout, "%-4s %-8s %7d %3d %-9s %3s %14.0f %12.0f %10.0f %10.0f %6.2f %5d %5d\n",
+			r.Workload, r.Strategy, r.Shards, r.Clusters, r.Variant, r.class.mark,
+			r.ThroughputOpsPerSec, r.P50NS, r.P99NS, r.RecoveryMeanNS,
+			r.MaxMeanBusy, r.Migrations, r.Compactions)
+	}
+	file.Headline = summarize(rows, m)
+	fmt.Fprintln(stdout)
+	file.Headline.print(stdout)
+	return file, rows, nil
+}
 
-	var results []workload.Result
-	for _, clusters := range clusterCounts {
-		for _, spec := range specs {
-			for _, variant := range variants {
-				for _, nShards := range shardCounts {
-					for _, strat := range strategies {
-						// One static-routing row per configuration; for every
-						// single-cluster multi-shard configuration also a row
-						// with the online rebalancer enabled, so the report
-						// carries the skew comparison the headline
-						// summarizes. Pooled rows stay static: rebalancing is
-						// cluster-local machinery already measured at one
-						// cluster, and the pooled rows exist to isolate the
-						// capacity-scaling claim.
-						rebalances := []int{0}
-						if *rebalanceEvery > 0 && nShards > 1 && clusters == 1 {
-							rebalances = append(rebalances, *rebalanceEvery)
-						}
-						for _, rb := range rebalances {
-							res, err := workload.Run(workload.Options{
-								Spec: spec,
-								Store: kv.Config{
-									Shards:     nShards,
-									Strategy:   strat,
-									Batch:      *batch,
-									Variant:    variant,
-									EvictEvery: *evictEvery,
-									Colocate:   *colocate,
-								},
-								Clusters:       clusters,
-								Ops:            *ops,
-								CrashEvery:     *crashEvery,
-								RebalanceEvery: rb,
-								Seed:           *seed,
-							})
-							if err != nil {
-								fatal(fmt.Errorf("%s/%v/%d/%dcl/%v/rb=%d: %w", spec.Name, strat, nShards, clusters, variant, rb, err))
-							}
-							results = append(results, res)
-							mark := " "
-							if rb > 0 {
-								mark = "+"
-							}
-							printRow(res, mark)
-						}
-						// Capacity-pressure row: the same configuration with
-						// per-shard logs sized far below the workload's
-						// append volume and auto-compaction keeping it
-						// alive. Single-cluster, static-map, write-heavy
-						// workloads only — the row exists to isolate the
-						// long-run capacity claim, not to recross the
-						// pooling and rebalancing ones.
-						if clusters == 1 && *compactAtFill > 0 && spec.UpdatePct+spec.InsertPct >= 20 {
-							res, err := workload.Run(workload.Options{
-								Spec: spec,
-								Store: kv.Config{
-									Shards:        nShards,
-									Strategy:      strat,
-									Batch:         *batch,
-									Variant:       variant,
-									EvictEvery:    *evictEvery,
-									Colocate:      *colocate,
-									Capacity:      pressureCapacity(*keys, *ops*spec.InsertPct/100, nShards),
-									CompactAtFill: *compactAtFill,
-								},
-								Clusters:   clusters,
-								Ops:        *ops,
-								CrashEvery: *crashEvery,
-								Seed:       *seed,
-							})
-							if errors.Is(err, kv.ErrShardFull) {
-								// Hash placement is binomial: with very
-								// large keyspaces a shard's live set can
-								// exceed the pressure row's slack, which no
-								// compaction can fold. That invalidates this
-								// stress row, not the matrix — skip it
-								// loudly.
-								fmt.Fprintf(os.Stderr, "cxl0-bench: skipping capacity-pressure row %s/%v/%d/%v: %v\n",
-									spec.Name, strat, nShards, variant, err)
+// plan expands the class table into the rows to run, in artifact order:
+// the full matrix first — each cell's static row with the cell-riding
+// classes' rows right behind it — then each sweep class's own rows.
+func plan(m *matrix) []row {
+	var todo []row
+	for _, clusters := range m.Clusters {
+		for _, spec := range m.specs {
+			for _, variant := range m.variants {
+				for _, shards := range m.Shards {
+					for _, strat := range m.strategies {
+						base := m.options(spec, strat, shards, clusters, variant)
+						for _, rc := range classes {
+							if rc.cell == nil {
 								continue
 							}
-							if err != nil {
-								fatal(fmt.Errorf("%s/%v/%d/%v/capped: %w", spec.Name, strat, nShards, variant, err))
+							if o, ok := rc.cell(m, base); ok {
+								todo = append(todo, row{class: rc, opts: o})
 							}
-							results = append(results, res)
-							printRow(res, "c")
 						}
 					}
 				}
 			}
 		}
 	}
+	for _, rc := range classes {
+		if rc.sweep != nil {
+			for _, o := range rc.sweep(m) {
+				todo = append(todo, row{class: rc, opts: o})
+			}
+		}
+	}
+	return todo
+}
 
-	// Fault-campaign sweep: every strategy × campaign class at one fixed
-	// configuration (the first workload-A spec, the largest shard count,
-	// the first variant, single cluster), plus a fault-free "none"
-	// baseline per strategy for the retention ratios. With >1 pooled
-	// cluster in the matrix, one pooled partitioned pair rides along to
-	// show partition blast radius staying cluster-local.
-	campaignEvery := *ops / 5
-	if campaignEvery < 2 {
-		campaignEvery = 2
+// options is the one constructor every row's workload.Options starts
+// from — the static row of one matrix cell; row classes modify the copy
+// they are handed.
+func (m *matrix) options(spec workload.Spec, strat kv.Strategy, shards, clusters int, variant core.Variant) workload.Options {
+	return workload.Options{
+		Spec: spec,
+		Store: kv.Config{
+			Shards:     shards,
+			Strategy:   strat,
+			Batch:      m.Batch,
+			Variant:    variant,
+			EvictEvery: m.EvictEvery,
+			Colocate:   m.colocate,
+		},
+		Clusters:   clusters,
+		Ops:        m.Ops,
+		CrashEvery: m.CrashEvery,
+		Seed:       m.Seed,
 	}
-	faultSpec := specs[0]
-	for _, s := range specs {
-		if s.Name == "A" {
-			faultSpec = s
-		}
+}
+
+// parseFlags parses the command line into the matrix and the -out path.
+func parseFlags(args []string) (*matrix, string, error) {
+	var m matrix
+	fs := flag.NewFlagSet("cxl0-bench", flag.ContinueOnError)
+	fs.IntVar(&m.Ops, "ops", 2000, "measured operations per configuration")
+	fs.IntVar(&m.Keys, "keys", 400, "preloaded keyspace size")
+	fs.IntVar(&m.Batch, "batch", 16, "batched-commit batch size")
+	fs.IntVar(&m.CrashEvery, "crash-every", 700, "ops between crash+recover cycles (0 disables)")
+	fs.IntVar(&m.EvictEvery, "evict-every", 8, "background cache-eviction period (0 disables)")
+	fs.IntVar(&m.RebalanceEvery, "rebalance-every", 250, "ops between load-rebalance checks on the rebalanced rows (0 disables those rows)")
+	fs.Float64Var(&m.CompactAtFill, "compact-at-fill", 0.85, "auto-compaction threshold of the capacity-pressure rows (0 disables those rows)")
+	fs.Int64Var(&m.Seed, "seed", 1, "workload seed")
+	workloads := fs.String("workloads", "A,E", "comma-separated YCSB workloads (A,B,C,D,E)")
+	strategies := fs.String("strategies", "mstore,flush,gpf,group,ranged", "comma-separated persistence strategies")
+	shards := fs.String("shards", "1,4,12", "comma-separated per-cluster shard counts")
+	clusters := fs.String("clusters", "1,2,4", "comma-separated pooled cluster counts (rows with >1 pool that many clusters behind a router)")
+	variants := fs.String("variants", "base,psn", "comma-separated hardware variants (base,psn,lwb)")
+	depths := fs.String("pipeline-depths", "1,2,4", "comma-separated commit-pipeline depths for the pipelined sweep (1 is the blocking baseline already in the matrix; depths >1 add sweep rows)")
+	fs.IntVar(&m.Cache, "cache", 256, "read-cache entry capacity of the cache-sweep rows (0 disables those rows)")
+	fs.BoolVar(&m.colocate, "colocate", false, "bind shard workers to the shard's machine")
+	out := fs.String("out", "BENCH_kv.json", "output JSON path (empty disables)")
+	if err := fs.Parse(args); err != nil {
+		return nil, "", err
 	}
-	maxShards := shardCounts[0]
-	for _, s := range shardCounts {
-		if s > maxShards {
-			maxShards = s
-		}
+
+	// Validate every list up front — unknown names and duplicates fail
+	// here with the full picture, not 90 seconds into the matrix.
+	var errs [6]error
+	m.specs, m.Workloads, errs[0] = parseList("workloads", *workloads, workload.YCSB)
+	m.strategies, m.Strategies, errs[1] = parseList("strategies", *strategies, kv.ParseStrategy)
+	m.Shards, _, errs[2] = parseList("shards", *shards, parseCount)
+	m.Clusters, _, errs[3] = parseList("clusters", *clusters, parseCount)
+	m.variants, m.Variants, errs[4] = parseList("variants", *variants, core.ParseVariant)
+	m.PipelineDepths, _, errs[5] = parseList("pipeline-depths", *depths, parseCount)
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, "", err
 	}
-	maxClusters := clusterCounts[0]
-	for _, c := range clusterCounts {
-		if c > maxClusters {
-			maxClusters = c
-		}
+	for i := range m.specs {
+		m.specs[i].Keys = m.Keys
 	}
-	campaignClasses := []string{"none", "uniform", "correlated", "degraded", "partitioned"}
-	var faultRows []workload.Result
-	runCampaign := func(strat kv.Strategy, clusters int, campaign *faults.Campaign) {
-		res, err := workload.Run(workload.Options{
-			Spec: faultSpec,
-			Store: kv.Config{
-				Shards:     maxShards,
-				Strategy:   strat,
-				Batch:      *batch,
-				Variant:    variants[0],
-				EvictEvery: *evictEvery,
-				Colocate:   *colocate,
-			},
-			Clusters: clusters,
-			Ops:      *ops,
-			Seed:     *seed,
-			Campaign: campaign,
-		})
+	m.sweepSpec = m.specs[max(0, slices.IndexFunc(m.specs, func(s workload.Spec) bool { return s.Name == "A" }))]
+	m.CampaignEvery = max(m.Ops/5, 2)
+	return &m, *out, nil
+}
+
+// parseList is the one parser behind every comma-separated list flag:
+// it trims each element, parses it, and rejects a value that repeats —
+// each of its rows would run twice and skew the headlines. names are the
+// trimmed elements, for the artifact's config echo.
+func parseList[T comparable](flagName, list string, parse func(string) (T, error)) (vals []T, names []string, err error) {
+	seen := map[T]string{}
+	for _, elem := range strings.Split(list, ",") {
+		name := strings.TrimSpace(elem)
+		v, err := parse(name)
 		if err != nil {
-			fatal(fmt.Errorf("%s/%v/%d/%dcl/campaign=%s: %w", faultSpec.Name, strat, maxShards, clusters, campaign.Name, err))
+			return nil, nil, fmt.Errorf("-%s: %w", flagName, err)
 		}
-		faultRows = append(faultRows, res)
-		printRow(res, "f")
-	}
-	for _, strat := range strategies {
-		for _, class := range campaignClasses {
-			runCampaign(strat, 1, campaignFor(class, *ops, maxShards, campaignEvery))
+		if prev, dup := seen[v]; dup {
+			return nil, nil, fmt.Errorf("-%s: duplicate %q repeats %q (each row would run twice and skew the headlines)", flagName, name, prev)
 		}
+		seen[v] = name
+		vals, names = append(vals, v), append(names, name)
 	}
-	if maxClusters > 1 {
-		total := maxShards * maxClusters
-		runCampaign(strategies[0], maxClusters, campaignFor("none", *ops, total, campaignEvery))
-		runCampaign(strategies[0], maxClusters, campaignFor("partitioned", *ops, total, campaignEvery))
-	}
-	results = append(results, faultRows...)
-
-	// Pipelined-commit sweep: the batched strategies at every shard count
-	// with the async commit pipeline at each depth K > 1, on the same
-	// workload-A spec, first variant, single cluster and churn settings
-	// as the static rows — so each sweep row's K=1 comparator is the
-	// already-measured static row, byte for byte.
-	var pipeRows []workload.Result
-	for _, strat := range strategies {
-		if !strat.Batched() {
-			continue
-		}
-		for _, nShards := range shardCounts {
-			for _, depth := range pipelineDepths {
-				if depth <= 1 {
-					continue
-				}
-				res, err := workload.Run(workload.Options{
-					Spec: faultSpec,
-					Store: kv.Config{
-						Shards:        nShards,
-						Strategy:      strat,
-						Batch:         *batch,
-						Variant:       variants[0],
-						EvictEvery:    *evictEvery,
-						Colocate:      *colocate,
-						PipelineDepth: depth,
-					},
-					Clusters:   1,
-					Ops:        *ops,
-					CrashEvery: *crashEvery,
-					Seed:       *seed,
-				})
-				if err != nil {
-					fatal(fmt.Errorf("%s/%v/%d/K%d: %w", faultSpec.Name, strat, nShards, depth, err))
-				}
-				pipeRows = append(pipeRows, res)
-				printRow(res, "k")
-			}
-		}
-	}
-	results = append(results, pipeRows...)
-
-	// Read-cache sweep: the read-heavy YCSB workloads (B, C, D) at every
-	// pooled cluster count, each run twice — cache off and cache on (with
-	// the prefetcher) at the -cache capacity — with everything else
-	// identical, so each on-row's baseline is its off-row byte for byte.
-	// Fixed at the largest shard count, the first variant and ranged
-	// commit when swept (the read path is strategy-independent; one
-	// strategy isolates the caching claim).
-	var cacheRows []workload.Result
-	if *cacheCap > 0 {
-		cacheStrat := strategies[0]
-		for _, s := range strategies {
-			if s == kv.RangedCommit {
-				cacheStrat = s
-			}
-		}
-		for _, wl := range []string{"B", "C", "D"} {
-			spec, err := workload.YCSB(wl)
-			if err != nil {
-				fatal(err)
-			}
-			spec.Keys = *keys
-			for _, clusters := range clusterCounts {
-				for _, capacity := range []int{0, *cacheCap} {
-					res, err := workload.Run(workload.Options{
-						Spec: spec,
-						Store: kv.Config{
-							Shards:     maxShards,
-							Strategy:   cacheStrat,
-							Batch:      *batch,
-							Variant:    variants[0],
-							EvictEvery: *evictEvery,
-							Colocate:   *colocate,
-							ReadCache:  capacity,
-							Prefetch:   capacity > 0,
-						},
-						Clusters:   clusters,
-						Ops:        *ops,
-						CrashEvery: *crashEvery,
-						CacheSweep: true,
-						Seed:       *seed,
-					})
-					if err != nil {
-						fatal(fmt.Errorf("%s/%v/%d/%dcl/cache=%d: %w", spec.Name, cacheStrat, maxShards, clusters, capacity, err))
-					}
-					cacheRows = append(cacheRows, res)
-					printRow(res, "h")
-				}
-			}
-		}
-	}
-	results = append(results, cacheRows...)
-
-	head := summarize(results, shardCounts, *keys)
-	head.PipelinedThroughput = summarizePipelined(pipeRows, results)
-	head.ReadCache = summarizeReadCache(cacheRows)
-	head.FaultCampaign = summarizeCampaigns(faultRows,
-		fmt.Sprintf("%s/%d/%s", faultSpec.Name, maxShards, variants[0].String()))
-	fmt.Println()
-	for _, ch := range head.FaultCampaign.Classes {
-		fmt.Printf("fault campaign %-11s retention: mean %.2f, worst %.2f (%s), best %.2f (%s); availability: mean %.2f, worst %.2f (%s)\n",
-			ch.Campaign, ch.MeanRetention, ch.WorstRetention, ch.WorstStrategy, ch.BestRetention, ch.BestStrategy,
-			ch.MeanAvailability, ch.WorstAvailability, ch.WorstAvailabilityStrategy)
-	}
-	if head.GroupConfig != "" {
-		fmt.Printf("headline: group commit is %.1fx per-op GPF throughput (%s)\n",
-			head.GroupVsGPFSpeedup, head.GroupConfig)
-	}
-	if head.RangedConfig != "" {
-		fmt.Printf("headline: ranged commit is %.1fx group commit throughput at the largest shard count (%s)\n",
-			head.RangedVsGroupSpeedup, head.RangedConfig)
-	}
-	if head.GroupPerOpCostGrowth > 0 && head.RangedPerOpCostGrowth > 0 {
-		fmt.Printf("commit locality: per-op cost growth min->max shards: group %.2fx (fabric-wide GPF), ranged %.2fx (shard-local)\n",
-			head.GroupPerOpCostGrowth, head.RangedPerOpCostGrowth)
-	}
-	for _, ph := range head.PipelinedThroughput {
-		fmt.Printf("headline: pipelined %s at %d shards K=%d is %.2fx the blocking commit throughput (ack p99 %.0f ns, issue p99 %.0f ns)\n",
-			ph.Strategy, ph.Shards, ph.Depth, ph.SpeedupVsBlocking, ph.AckP99NS, ph.IssueP99NS)
-	}
-	if head.ImbalanceConfig != "" {
-		fmt.Printf("headline: rebalancing cuts workload A max/mean shard busy %.2fx -> %.2fx at %.2fx the static throughput (%s)\n",
-			head.StaticMaxMeanBusy, head.RebalancedMaxMeanBusy, head.RebalanceSpeedup, head.ImbalanceConfig)
-	}
-	for _, ps := range head.PooledThroughputScaling {
-		fmt.Printf("headline: pooling %d clusters is %.2fx the 1-cluster throughput on average (best %.2fx at %s)\n",
-			ps.Clusters, ps.MeanSpeedup, ps.BestSpeedup, ps.BestConfig)
-	}
-	for _, rc := range head.ReadCache {
-		fmt.Printf("headline: read cache on %s at %d clusters hits %.0f%% and cuts mean read latency %.0f%% (%d speculative fills, %s)\n",
-			rc.Workload, rc.Clusters, 100*rc.CacheHitRate, 100*rc.ReadLatencyReduction, rc.SpeculativeFills, rc.Config)
-	}
-	if head.Compaction != nil {
-		fmt.Printf("headline: compaction sustained %.1fx the log capacity in appends — %d compactions reclaimed %d slots, %.2fx the uncapped throughput (%s)\n",
-			head.Compaction.AppendsOverCapacity, head.Compaction.Compactions,
-			head.Compaction.ReclaimedSlots, head.Compaction.ThroughputVsUncapped, head.Compaction.Config)
-	}
-	if head.BestConfig != "" {
-		fmt.Printf("best throughput: %.0f sim ops/sec (%s)\n", head.BestThroughput, head.BestConfig)
-	}
-
-	if *out != "" {
-		file := benchFile{
-			Paper:     "A Programming Model for Disaggregated Memory over CXL",
-			Benchmark: "sharded durable KV service (internal/kv) under YCSB-style workloads (internal/workload)",
-			Config: benchConfig{
-				Ops: *ops, Keys: *keys, Batch: *batch, CrashEvery: *crashEvery,
-				EvictEvery: *evictEvery, RebalanceEvery: *rebalanceEvery,
-				CompactAtFill: *compactAtFill, CampaignEvery: campaignEvery,
-				Cache: *cacheCap, Seed: *seed,
-				Workloads: strings.Split(*workloadsF, ","), Strategies: strings.Split(*strategiesF, ","),
-				Shards: shardCounts, Clusters: clusterCounts, Variants: strings.Split(*variantsF, ","),
-				PipelineDepths: pipelineDepths,
-			},
-			Results:  results,
-			Headline: head,
-		}
-		blob, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d results)\n", *out, len(results))
-	}
+	return vals, names, nil
 }
 
-// printRow prints one result line; mark distinguishes rebalanced ("+")
-// and capacity-pressure ("c") rows.
-func printRow(res workload.Result, mark string) {
-	fmt.Printf("%-4s %-8s %7d %3d %-9s %3s %14.0f %12.0f %10.0f %10.0f %6.2f %5d %5d\n",
-		res.Workload, res.Strategy, res.Shards, res.Clusters, res.Variant, mark,
-		res.ThroughputOpsPerSec, res.P50NS, res.P99NS, res.RecoveryMeanNS,
-		res.MaxMeanBusy, res.Migrations, res.Compactions)
-}
-
-// pressureCapacity sizes a capacity-pressure row's per-shard log: the
-// expected per-shard live set (preload plus the workload's inserts) plus
-// slack — far below the workload's append volume, so the run must
-// compact repeatedly to survive, while the live set always folds.
-func pressureCapacity(keys, inserts, shards int) int {
-	return (keys+inserts)/shards + 64
-}
-
-// campaignFor builds one campaign class's schedule for the sweep's
-// fixed op count and (global) shard count. "none" is the fault-free
-// baseline: an empty campaign, so the row still runs the tolerant
-// campaign path but injects nothing.
-func campaignFor(class string, ops, shards, every int) *faults.Campaign {
-	c, err := faults.ForClass(class, ops, shards, every)
-	if err != nil {
-		fatal(err)
+func parseCount(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("bad count %q (want a positive integer)", s)
 	}
-	return c
-}
-
-// summarizeCampaigns aggregates the campaign rows into the fault_campaign
-// headline: per class, throughput retention against the same strategy's
-// fault-free "none" row and the worst-case recovery-time percentiles.
-func summarizeCampaigns(rows []workload.Result, config string) faultCampaignHead {
-	head := faultCampaignHead{Config: config}
-	// Retention compares goodput, not throughput: denied operations cost
-	// nothing on the simulated clock, so a class that blocks lots of
-	// writes would otherwise look faster than the baseline.
-	base := map[string]float64{}
-	for _, r := range rows {
-		if r.Campaign == "none" {
-			base[fmt.Sprintf("%s/%d", r.Strategy, r.Clusters)] = r.GoodputOpsPerSec
-		}
-	}
-	for _, class := range []string{"uniform", "correlated", "degraded", "partitioned"} {
-		ch := campaignClassHead{Campaign: class, WorstRetention: math.Inf(1), WorstAvailability: math.Inf(1)}
-		n := 0
-		for _, r := range rows {
-			if r.Campaign != class {
-				continue
-			}
-			if b := base[fmt.Sprintf("%s/%d", r.Strategy, r.Clusters)]; b > 0 {
-				ret := r.GoodputOpsPerSec / b
-				ch.MeanRetention += ret
-				n++
-				if ret < ch.WorstRetention {
-					ch.WorstRetention, ch.WorstStrategy = ret, r.Strategy
-				}
-				if ret > ch.BestRetention {
-					ch.BestRetention, ch.BestStrategy = ret, r.Strategy
-				}
-			}
-			if r.Ops > 0 {
-				avail := float64(r.Ops-r.FailedOps-r.UnavailableOps) / float64(r.Ops)
-				ch.MeanAvailability += avail
-				if avail < ch.WorstAvailability {
-					ch.WorstAvailability, ch.WorstAvailabilityStrategy = avail, r.Strategy
-				}
-			}
-			ch.OutageP50NS = math.Max(ch.OutageP50NS, r.OutageP50NS)
-			ch.OutageP95NS = math.Max(ch.OutageP95NS, r.OutageP95NS)
-			ch.RecoveryP95NS = math.Max(ch.RecoveryP95NS, r.RecoveryP95NS)
-			ch.PartitionP95NS = math.Max(ch.PartitionP95NS, r.PartitionP95NS)
-			ch.FailedOps += r.FailedOps
-			ch.UnavailableOps += r.UnavailableOps
-			ch.PartialResults += r.PartialResults
-		}
-		if n > 0 {
-			ch.MeanRetention /= float64(n)
-			ch.MeanAvailability /= float64(n)
-		}
-		if math.IsInf(ch.WorstRetention, 1) {
-			ch.WorstRetention = 0
-		}
-		if math.IsInf(ch.WorstAvailability, 1) {
-			ch.WorstAvailability = 0
-		}
-		head.Classes = append(head.Classes, ch)
-	}
-	return head
-}
-
-// summarizeReadCache derives the read_cache headline: each cache-on
-// sweep row against its identical cache-off baseline, matched on
-// workload and cluster count (the sweep varies nothing else).
-func summarizeReadCache(rows []workload.Result) []readCacheHead {
-	off := map[string]workload.Result{}
-	for _, r := range rows {
-		if r.ReadCache == 0 {
-			off[fmt.Sprintf("%s/%d", r.Workload, r.Clusters)] = r
-		}
-	}
-	var heads []readCacheHead
-	for _, r := range rows {
-		if r.ReadCache == 0 {
-			continue
-		}
-		h := readCacheHead{
-			Workload:         r.Workload,
-			Clusters:         r.Clusters,
-			ReadCache:        r.ReadCache,
-			CacheHitRate:     r.CacheHitRate,
-			SpeculativeFills: r.SpeculativeFills,
-			ReadMeanNS:       r.ReadMeanNS,
-			Config:           fmt.Sprintf("%s/%s/%d/%s/%dcl/cache%d", r.Workload, r.Strategy, r.Shards, r.Variant, r.Clusters, r.ReadCache),
-		}
-		if base, ok := off[fmt.Sprintf("%s/%d", r.Workload, r.Clusters)]; ok {
-			h.BaselineReadMeanNS = base.ReadMeanNS
-			if base.ReadMeanNS > 0 {
-				h.ReadLatencyReduction = 1 - r.ReadMeanNS/base.ReadMeanNS
-			}
-			if base.ThroughputOpsPerSec > 0 {
-				h.ThroughputSpeedup = r.ThroughputOpsPerSec / base.ThroughputOpsPerSec
-			}
-		}
-		heads = append(heads, h)
-	}
-	return heads
-}
-
-// summarizePipelined derives the pipelined_throughput headline: each
-// sweep row against its identical blocking (K=1) static row — matched
-// on strategy/workload/shards/variant with single-cluster static
-// routing, the same filter byKey uses inside summarize.
-func summarizePipelined(pipeRows, all []workload.Result) []pipelinedHead {
-	blocking := map[string]workload.Result{}
-	for _, r := range all {
-		if r.Campaign == "" && r.PipelineDepth == 0 && !r.CacheSweep &&
-			r.RebalanceEvery == 0 && r.Clusters == 1 && r.CompactAtFill == 0 {
-			blocking[fmt.Sprintf("%s/%s/%d/%s", r.Strategy, r.Workload, r.Shards, r.Variant)] = r
-		}
-	}
-	var heads []pipelinedHead
-	for _, r := range pipeRows {
-		ph := pipelinedHead{
-			Strategy:            r.Strategy,
-			Shards:              r.Shards,
-			Depth:               r.PipelineDepth,
-			ThroughputOpsPerSec: r.ThroughputOpsPerSec,
-			AckP99NS:            r.AckP99NS,
-			IssueP99NS:          r.IssueP99NS,
-			Config:              fmt.Sprintf("%s/%s/%d/%s/K%d", r.Workload, r.Strategy, r.Shards, r.Variant, r.PipelineDepth),
-		}
-		if base, ok := blocking[fmt.Sprintf("%s/%s/%d/%s", r.Strategy, r.Workload, r.Shards, r.Variant)]; ok && base.ThroughputOpsPerSec > 0 {
-			ph.SpeedupVsBlocking = r.ThroughputOpsPerSec / base.ThroughputOpsPerSec
-		}
-		heads = append(heads, ph)
-	}
-	return heads
-}
-
-// summarize derives the headline claims from the full result matrix.
-// Campaign rows are excluded: they run fault schedules no other row
-// runs, so folding them into the batching/pooling/skew comparisons (or
-// the best-throughput pick — the fault-free "none" baseline rows skip
-// the default crash churn) would skew those claims; summarizeCampaigns
-// reads them instead.
-func summarize(all []workload.Result, shardCounts []int, keys int) headline {
-	var results []workload.Result
-	for _, r := range all {
-		// Campaign, pipelined-sweep and cache-sweep rows run schedules/
-		// configurations no other row runs; summarizeCampaigns,
-		// summarizePipelined and summarizeReadCache read them instead.
-		if r.Campaign == "" && r.PipelineDepth == 0 && !r.CacheSweep {
-			results = append(results, r)
-		}
-	}
-	var head headline
-	minShards, maxShards := shardCounts[0], shardCounts[0]
-	for _, s := range shardCounts {
-		if s < minShards {
-			minShards = s
-		}
-		if s > maxShards {
-			maxShards = s
-		}
-	}
-	// strategy/workload/shards/variant -> 1-cluster static-routing result
-	// (the batching and cost-growth claims compare static single-cluster
-	// rows apples to apples; rebalanced rows feed the skew headline below
-	// and pooled rows the scaling headline).
-	byKey := map[string]workload.Result{}
-	for _, r := range results {
-		if r.RebalanceEvery == 0 && r.Clusters == 1 && r.CompactAtFill == 0 {
-			byKey[fmt.Sprintf("%s/%s/%d/%s", r.Strategy, r.Workload, r.Shards, r.Variant)] = r
-		}
-		if r.ThroughputOpsPerSec > head.BestThroughput {
-			head.BestThroughput = r.ThroughputOpsPerSec
-			head.BestConfig = fmt.Sprintf("%s/%s/%d/%s", r.Workload, r.Strategy, r.Shards, r.Variant)
-			if r.Clusters > 1 {
-				head.BestConfig += fmt.Sprintf("/%dclusters", r.Clusters)
-			}
-			if r.RebalanceEvery > 0 {
-				head.BestConfig += "/rebalanced"
-			}
-			if r.CompactAtFill > 0 {
-				head.BestConfig += "/capped"
-			}
-		}
-	}
-
-	// Compaction claim: total the capacity-pressure rows and report the
-	// one that pushed the most appends through the least log, with its
-	// throughput cost against the matching uncapped static row.
-	for _, r := range results {
-		if r.CompactAtFill == 0 {
-			continue
-		}
-		if head.Compaction == nil {
-			head.Compaction = &compactionHead{}
-		}
-		head.Compaction.Compactions += r.Compactions
-		head.Compaction.ReclaimedSlots += r.ReclaimedSlots
-		if r.Compactions == 0 || r.Shards*r.Capacity == 0 {
-			continue
-		}
-		appends := float64(keys + r.Updates + r.Inserts)
-		ratio := appends / float64(r.Shards*r.Capacity)
-		if ratio > head.Compaction.AppendsOverCapacity {
-			head.Compaction.AppendsOverCapacity = ratio
-			head.Compaction.Config = fmt.Sprintf("%s/%s/%d/%s/cap%d", r.Workload, r.Strategy, r.Shards, r.Variant, r.Capacity)
-			if base, ok := byKey[fmt.Sprintf("%s/%s/%d/%s", r.Strategy, r.Workload, r.Shards, r.Variant)]; ok && base.ThroughputOpsPerSec > 0 {
-				head.Compaction.ThroughputVsUncapped = r.ThroughputOpsPerSec / base.ThroughputOpsPerSec
-			}
-		}
-	}
-
-	// Pooling claim: for every pooled static row with a matching
-	// 1-cluster static row, the throughput ratio is pure capacity
-	// scaling (same per-cluster configuration, same traffic).
-	poolSum := map[int]float64{}
-	poolN := map[int]int{}
-	poolBest := map[int]pooledScale{}
-	for _, r := range results {
-		if r.Clusters <= 1 || r.RebalanceEvery != 0 {
-			continue
-		}
-		single, ok := byKey[fmt.Sprintf("%s/%s/%d/%s", r.Strategy, r.Workload, r.Shards, r.Variant)]
-		if !ok || single.ThroughputOpsPerSec <= 0 {
-			continue
-		}
-		sp := r.ThroughputOpsPerSec / single.ThroughputOpsPerSec
-		poolSum[r.Clusters] += sp
-		poolN[r.Clusters]++
-		if best := poolBest[r.Clusters]; sp > best.BestSpeedup {
-			poolBest[r.Clusters] = pooledScale{
-				Clusters:    r.Clusters,
-				BestSpeedup: sp,
-				BestConfig:  fmt.Sprintf("%s/%s/%d/%s", r.Workload, r.Strategy, r.Shards, r.Variant),
-			}
-		}
-	}
-	var clusterKeys []int
-	for c := range poolN {
-		clusterKeys = append(clusterKeys, c)
-	}
-	sort.Ints(clusterKeys)
-	for _, c := range clusterKeys {
-		ps := poolBest[c]
-		ps.MeanSpeedup = poolSum[c] / float64(poolN[c])
-		head.PooledThroughputScaling = append(head.PooledThroughputScaling, ps)
-	}
-	// perOp is the mean simulated service cost per operation, with crash-
-	// recovery time excluded: recovery scans shrink with the per-shard log
-	// under every strategy, and leaving them in would mask the commit-cost
-	// scaling this metric is meant to expose. The exclusion covers the
-	// recovering shard's elapsed span only; if a GroupCommit recovery ever
-	// re-persists surviving pending records, its GPF's cross-charge to the
-	// other shards stays in (a small upward bias on group's growth —
-	// fabric-wide recovery is part of what the metric indicts).
-	perOp := func(r workload.Result) float64 {
-		if r.Ops == 0 {
-			return 0
-		}
-		cost := r.TotalCostNS - r.RecoveryMeanNS*float64(r.Recoveries)
-		return cost / float64(r.Ops)
-	}
-	// Skew headline: among workload-A pairs (static vs rebalanced, same
-	// strategy/shards/variant), report the largest skew-improvement
-	// factor — with pairs the rebalancer tames to <= 1.5 always
-	// outranking pairs it does not, so an already-balanced configuration
-	// (e.g. GPF commits, whose fabric-wide stall equalizes shards by
-	// slowing them all) can never shadow a genuine taming.
-	const skewTarget = 1.5
-	tamed, bestScore := false, 0.0
-	for _, r := range results {
-		if r.RebalanceEvery == 0 || r.Workload != "A" || r.Shards < 2 || r.Clusters != 1 {
-			continue
-		}
-		static, ok := byKey[fmt.Sprintf("%s/%s/%d/%s", r.Strategy, r.Workload, r.Shards, r.Variant)]
-		if !ok || static.MaxMeanBusy <= 0 || r.MaxMeanBusy <= 0 {
-			continue
-		}
-		score := static.MaxMeanBusy / r.MaxMeanBusy
-		// A pair only gets tamed preference when rebalancing actually
-		// improved it — a low-skew config that rebalancing worsened must
-		// not shadow a genuine taming elsewhere in the matrix.
-		isTamed := r.MaxMeanBusy <= skewTarget && score >= 1
-		if (isTamed && !tamed) || (isTamed == tamed && score > bestScore) {
-			tamed, bestScore = isTamed, score
-			head.StaticMaxMeanBusy = static.MaxMeanBusy
-			head.RebalancedMaxMeanBusy = r.MaxMeanBusy
-			head.ImbalanceConfig = fmt.Sprintf("%s/%s/%d/%s", r.Workload, r.Strategy, r.Shards, r.Variant)
-			if static.ThroughputOpsPerSec > 0 {
-				head.RebalanceSpeedup = r.ThroughputOpsPerSec / static.ThroughputOpsPerSec
-			}
-		}
-	}
-
-	growthSum := map[string]float64{}
-	growthN := map[string]int{}
-	for _, r := range results {
-		if r.RebalanceEvery > 0 || r.Clusters != 1 || r.CompactAtFill > 0 {
-			continue
-		}
-		key := fmt.Sprintf("%s/%d/%s", r.Workload, r.Shards, r.Variant)
-		switch r.Strategy {
-		case kv.GroupCommit.String():
-			// Group commit's amortization claim, against per-op GPF.
-			if base, ok := byKey[fmt.Sprintf("%s/%s", kv.GPFEach, key)]; ok && base.ThroughputOpsPerSec > 0 {
-				if sp := r.ThroughputOpsPerSec / base.ThroughputOpsPerSec; sp > head.GroupVsGPFSpeedup {
-					head.GroupVsGPFSpeedup = sp
-					head.GroupConfig = key
-				}
-			}
-		case kv.RangedCommit.String():
-			// Ranged commit's locality claim, against group commit at the
-			// largest shard count.
-			if r.Shards != maxShards {
-				break
-			}
-			if base, ok := byKey[fmt.Sprintf("%s/%s", kv.GroupCommit, key)]; ok && base.ThroughputOpsPerSec > 0 {
-				if sp := r.ThroughputOpsPerSec / base.ThroughputOpsPerSec; sp > head.RangedVsGroupSpeedup {
-					head.RangedVsGroupSpeedup = sp
-					head.RangedConfig = key
-				}
-			}
-		}
-		// Per-op cost growth from the smallest to the largest shard count,
-		// averaged over workload/variant combos.
-		if maxShards > minShards && r.Shards == maxShards &&
-			(r.Strategy == kv.GroupCommit.String() || r.Strategy == kv.RangedCommit.String()) {
-			small, ok := byKey[fmt.Sprintf("%s/%s/%d/%s", r.Strategy, r.Workload, minShards, r.Variant)]
-			if ok && perOp(small) > 0 {
-				growthSum[r.Strategy] += perOp(r) / perOp(small)
-				growthN[r.Strategy]++
-			}
-		}
-	}
-	if n := growthN[kv.GroupCommit.String()]; n > 0 {
-		head.GroupPerOpCostGrowth = growthSum[kv.GroupCommit.String()] / float64(n)
-	}
-	if n := growthN[kv.RangedCommit.String()]; n > 0 {
-		head.RangedPerOpCostGrowth = growthSum[kv.RangedCommit.String()] / float64(n)
-	}
-	return head
-}
-
-// parseStrategies parses and validates the -strategies list in one pass:
-// every name must be a known strategy and no strategy may repeat, so a
-// bad list fails before the first benchmark row runs.
-func parseStrategies(list string) ([]kv.Strategy, error) {
-	var strategies []kv.Strategy
-	seen := map[kv.Strategy]string{}
-	for _, name := range strings.Split(list, ",") {
-		s, err := kv.ParseStrategy(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		if prev, dup := seen[s]; dup {
-			return nil, fmt.Errorf("duplicate strategy in -strategies: %q repeats %q (each row would run twice and skew the headlines)",
-				strings.TrimSpace(name), prev)
-		}
-		seen[s] = strings.TrimSpace(name)
-		strategies = append(strategies, s)
-	}
-	return strategies, nil
-}
-
-// parseCounts parses a comma-separated list of positive ints (-shards,
-// -clusters), rejecting malformed entries and duplicates up front.
-func parseCounts(list, what string) ([]int, error) {
-	var counts []int
-	seen := map[int]bool{}
-	for _, s := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad %s count %q", what, s)
-		}
-		if seen[n] {
-			return nil, fmt.Errorf("duplicate %s count %d", what, n)
-		}
-		seen[n] = true
-		counts = append(counts, n)
-	}
-	return counts, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cxl0-bench:", err)
-	os.Exit(1)
+	return n, nil
 }

@@ -1,0 +1,251 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"cxl0/internal/kv"
+)
+
+// reduced is the in-process matrix: every row class runs, in ~4 s.
+var reduced = strings.Fields("-ops 300 -keys 80 -crash-every 120 -rebalance-every 100 -shards 1,4 -clusters 1,2")
+
+// schema is an artifact's JSON shape: the config and headline key sets
+// and the union of the per-result keys.
+type schema struct {
+	Config, Headline, Results []string
+}
+
+// decoded is an artifact with its objects left open, so key sets can be
+// read off without naming a field.
+type decoded struct {
+	Config   map[string]json.RawMessage   `json:"config"`
+	Headline map[string]json.RawMessage   `json:"headline"`
+	Results  []map[string]json.RawMessage `json:"results"`
+}
+
+func decode(t *testing.T, blob []byte) decoded {
+	t.Helper()
+	var d decoded
+	if err := json.Unmarshal(blob, &d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func (d decoded) schema() schema {
+	var results []string
+	for _, r := range d.Results {
+		for k := range r {
+			if !slices.Contains(results, k) {
+				results = append(results, k)
+			}
+		}
+	}
+	slices.Sort(results)
+	return schema{sortedKeys(d.Config), sortedKeys(d.Headline), results}
+}
+
+func sortedKeys(m map[string]json.RawMessage) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+func committed(t *testing.T) ([]byte, benchFile) {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_kv.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file benchFile
+	if err := json.Unmarshal(blob, &file); err != nil {
+		t.Fatal(err)
+	}
+	return blob, file
+}
+
+// TestReducedMatrix is the bench CLI's contract, held on a reduced
+// matrix: same JSON shape as the committed artifact, and every row class
+// in the table alive — its rows ran, every headline key it feeds is
+// populated, and its own liveness predicate holds.
+func TestReducedMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the reduced matrix takes ~4 s, ten times that under -race; the flag and artifact tests still run")
+	}
+	m, _, err := parseFlags(reduced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, rows, err := bench(m, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decode(t, blob)
+
+	// A reduced run must produce the same JSON shape as the committed
+	// artifact: catches schema drift without a full rerun.
+	committedBlob, _ := committed(t)
+	if want := decode(t, committedBlob).schema(); !reflect.DeepEqual(got.schema(), want) {
+		t.Errorf("reduced run's schema differs from BENCH_kv.json's:\n got %+v\nwant %+v", got.schema(), want)
+	}
+	// Every row — not just some — carries the skew, compaction and
+	// pooling fields.
+	for i, r := range got.Results {
+		for _, k := range []string{"max_mean_busy", "rebalance_every", "migrations", "migrated_records", "compactions", "reclaimed_slots", "clusters"} {
+			if _, ok := r[k]; !ok {
+				t.Errorf("result %d lacks %q", i, k)
+			}
+		}
+	}
+	// The config echoes the axes the sweeps ran over.
+	if c := file.Config; !slices.Equal(c.Clusters, []int{1, 2}) || !slices.Equal(c.PipelineDepths, []int{1, 2, 4}) || c.Cache <= 0 {
+		t.Errorf("config echo: clusters %v, pipeline depths %v, cache %d", c.Clusters, c.PipelineDepths, c.Cache)
+	}
+
+	for _, rc := range classes {
+		var mine []row
+		for _, r := range rows {
+			if r.class == rc {
+				mine = append(mine, r)
+			}
+		}
+		if len(mine) == 0 {
+			t.Errorf("%s: no rows ran", rc.name)
+		}
+		for _, key := range rc.feeds {
+			if v := string(got.Headline[key]); v == "" || v == "0" || v == `""` || v == "null" || v == "[]" {
+				t.Errorf("%s: headline key %q not populated (%q)", rc.name, key, v)
+			}
+		}
+		if rc.live == nil {
+			t.Errorf("%s: row class without a liveness predicate", rc.name)
+		} else if !rc.live(mine, &file.Headline) {
+			t.Errorf("%s: not live over %d rows; headline %s", rc.name, len(mine), blob[bytes.Index(blob, []byte(`"headline"`)):])
+		}
+	}
+}
+
+// TestTableCoversHeadline pins the table to the artifact: between them
+// the classes feed exactly the committed headline's keys, so a class (or
+// the headline it feeds) dropped from the table fails here.
+func TestTableCoversHeadline(t *testing.T) {
+	var fed []string
+	for _, rc := range classes {
+		if rc.cell == nil == (rc.sweep == nil) {
+			t.Errorf("%s: want exactly one of cell and sweep", rc.name)
+		}
+		fed = append(fed, rc.feeds...)
+	}
+	slices.Sort(fed)
+	blob, _ := committed(t)
+	if want := sortedKeys(decode(t, blob).Headline); !slices.Equal(fed, want) {
+		t.Errorf("classes feed %v\nBENCH_kv.json's headline has %v", fed, want)
+	}
+}
+
+// TestCommittedArtifact holds the one claim that needs the full matrix's
+// 12 shards to be robust — ranged commit with a pipeline beats its
+// blocking self (~1.3x at 12 shards, ~1.0x at 4) — on the committed
+// artifact, which CI's "artifact is current" step proves current.
+func TestCommittedArtifact(t *testing.T) {
+	_, file := committed(t)
+	if !slices.ContainsFunc(file.Headline.PipelinedThroughput, func(ph pipelinedHead) bool {
+		return ph.Strategy == kv.RangedCommit.String() && ph.Depth > 1 && ph.SpeedupVsBlocking > 1
+	}) {
+		t.Errorf("no pipelined ranged row beats blocking commit: %+v", file.Headline.PipelinedThroughput)
+	}
+}
+
+func TestParseFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name, args string
+		is         error  // errors.Is target, if any
+		want       string // error substring; "" = must parse
+	}{
+		{name: "defaults", args: ""},
+		{name: "whitespace is trimmed", args: "-workloads=A,\tE -strategies=group,\tranged -variants=base,\tPSN -shards=1,\t4"},
+		{name: "unknown strategy", args: "-strategies turbo", is: kv.ErrUnknownStrategy, want: `"turbo"`},
+		{name: "duplicate strategy", args: "-strategies group,ranged,group", want: `-strategies: duplicate "group"`},
+		{name: "duplicate strategy by case", args: "-strategies group,GROUP", want: `duplicate "GROUP" repeats "group"`},
+		{name: "duplicate workload", args: "-workloads A,A", want: `-workloads: duplicate "A"`},
+		{name: "duplicate workload by case", args: "-workloads A,a", want: `-workloads: duplicate "a"`},
+		{name: "duplicate variant", args: "-variants base,base", want: `-variants: duplicate "base"`},
+		{name: "duplicate shard count", args: "-shards 1,4,1", want: `-shards: duplicate "1"`},
+		{name: "duplicate cluster count", args: "-clusters 2,2", want: `-clusters: duplicate "2"`},
+		{name: "duplicate pipeline depth", args: "-pipeline-depths 1,2,2", want: `-pipeline-depths: duplicate "2"`},
+		{name: "unknown workload", args: "-workloads Z", want: `unknown YCSB workload "Z"`},
+		{name: "unknown variant", args: "-variants cxl0", want: `unknown variant "cxl0"`},
+		{name: "empty element", args: "-shards 1,,4", want: `-shards: bad count ""`},
+		{name: "empty list", args: "-workloads=", want: `-workloads: `},
+		{name: "non-positive count", args: "-clusters 0", want: `-clusters: bad count "0"`},
+		{name: "every bad list is reported", args: "-strategies turbo -shards x", is: kv.ErrUnknownStrategy, want: `-shards: bad count "x"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Split on single spaces only: the tabs above stay inside
+			// their list values.
+			var args []string
+			if tc.args != "" {
+				args = strings.Split(tc.args, " ")
+			}
+			m, _, err := parseFlags(args)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if slices.ContainsFunc(slices.Concat(m.Workloads, m.Strategies, m.Variants), func(s string) bool { return s != strings.TrimSpace(s) }) {
+					t.Errorf("config echoes untrimmed names: %q %q %q", m.Workloads, m.Strategies, m.Variants)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) || (tc.is != nil && !errors.Is(err, tc.is)) {
+				t.Errorf("got error %v, want one containing %q (is %v)", err, tc.want, tc.is)
+			}
+		})
+	}
+}
+
+// TestRun drives the command end to end on a two-row matrix: the table
+// on stdout, the artifact on disk, and a bad flag as an error, not an
+// exit.
+func TestRun(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "bench.json")
+	var stdout bytes.Buffer
+	args := strings.Fields("-ops 40 -keys 20 -workloads A -strategies gpf,group -shards 1 -clusters 1 -variants base -pipeline-depths 1 -cache 0 -compact-at-fill 0 -out " + out)
+	if err := run(args, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file benchFile
+	if err := json.Unmarshal(blob, &file); err != nil {
+		t.Fatal(err)
+	}
+	// Two static rows, then none + four campaign classes per strategy.
+	if len(file.Results) != 12 || file.Headline.GroupConfig != "A/1/CXL0" {
+		t.Errorf("got %d results, group_config %q", len(file.Results), file.Headline.GroupConfig)
+	}
+	if s := stdout.String(); !strings.Contains(s, "headline: group commit is") || !strings.HasSuffix(s, "(12 results)\n") {
+		t.Errorf("stdout lacks the headline or the wrote line:\n%s", s)
+	}
+	if err := run([]string{"-strategies", "turbo", "-out", ""}, io.Discard); !errors.Is(err, kv.ErrUnknownStrategy) {
+		t.Errorf("run with an unknown strategy: %v", err)
+	}
+}

@@ -254,21 +254,13 @@ func (s *server) drive(ctx context.Context, rate int, seed int64, crashEvery, re
 			}
 		}
 		if crashEvery > 0 && i%crashEvery == 0 {
-			// Rotate over healthy shards only: injecting into a shard the
-			// campaign already holds down (or off the fabric) would
-			// double-fault it and break the campaign's outage accounting.
-			hs := s.db.Health()
-			for probe := 0; probe < len(hs); probe++ {
-				cand := (crashShard + probe) % len(hs)
-				if hs[cand].Down || hs[cand].Partitioned {
-					continue
-				}
-				crashShard = cand + 1
-				s.db.Crash(cand)
-				if _, err := s.db.Recover(cand); err != nil {
+			// Rotate over healthy shards only (see faults.NextHealthy).
+			if shard := faults.NextHealthy(s.db.Health(), crashShard); shard >= 0 {
+				crashShard = shard + 1
+				s.db.Crash(shard)
+				if _, err := s.db.Recover(shard); err != nil {
 					s.failed.Add(1)
 				}
-				break
 			}
 		}
 		if rebalanceEvery > 0 && i%rebalanceEvery == 0 {

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Variant selects one of the paper's model flavours (§3.5).
 type Variant int
@@ -31,6 +34,21 @@ func (v Variant) String() string {
 
 // Variants lists all model variants.
 var Variants = []Variant{Base, PSN, LWB}
+
+// ParseVariant converts a variant's short name — base, psn or lwb, as the
+// litmus scripts and CLI flags spell them, matched case-insensitively —
+// into a Variant.
+func ParseVariant(name string) (Variant, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "base":
+		return Base, nil
+	case "psn":
+		return PSN, nil
+	case "lwb":
+		return LWB, nil
+	}
+	return 0, fmt.Errorf("unknown variant %q (want base, psn or lwb)", name)
+}
 
 // Apply returns the states reachable from s by performing exactly the
 // labeled transition l under variant v, with no interleaved τ steps. The

@@ -375,3 +375,19 @@ func TestSetupAvailability(t *testing.T) {
 		}
 	}
 }
+
+func TestParseVariant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Variant
+	}{{"base", Base}, {"psn", PSN}, {"lwb", LWB}, {" PSN ", PSN}} {
+		if got, err := ParseVariant(tc.name); err != nil || got != tc.want {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, name := range []string{"", "cxl0", "CXL0-PSN"} {
+		if _, err := ParseVariant(name); err == nil {
+			t.Errorf("ParseVariant(%q) accepted", name)
+		}
+	}
+}

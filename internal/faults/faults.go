@@ -292,6 +292,22 @@ func (e *Engine) Finish() error {
 // Stats returns what the campaign has measured so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
+// NextHealthy returns the index of the first shard at or after from
+// (wrapping round) that is neither down nor partitioned, or -1 when
+// every shard is impaired. Uniform crash churn running beside a campaign
+// rotates with it: injecting into a shard the campaign already holds
+// down — or partitioned, where recovery would need a heal first — would
+// double-fault it and break the campaign's outage accounting.
+func NextHealthy(health []kv.ShardHealth, from int) int {
+	for probe := range health {
+		cand := (from + probe) % len(health)
+		if !health[cand].Down && !health[cand].Partitioned {
+			return cand
+		}
+	}
+	return -1
+}
+
 // PercentileNS returns the p-th percentile (nearest-rank, p in [0,100])
 // of xs, which need not be sorted. Returns 0 for an empty slice.
 func PercentileNS(xs []float64, p float64) float64 {

@@ -124,16 +124,9 @@ func ParseScript(input string) (*Script, error) {
 				if !ok {
 					return nil, fmt.Errorf("line %d: expect spec %q must be variant=allowed|forbidden", lineNo, spec)
 				}
-				var variant core.Variant
-				switch vs {
-				case "base":
-					variant = core.Base
-				case "psn":
-					variant = core.PSN
-				case "lwb":
-					variant = core.LWB
-				default:
-					return nil, fmt.Errorf("line %d: unknown variant %q", lineNo, vs)
+				variant, err := core.ParseVariant(vs)
+				if err != nil {
+					return nil, fmt.Errorf("line %d: %v", lineNo, err)
 				}
 				switch verdict {
 				case "allowed":

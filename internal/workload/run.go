@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"cxl0/internal/core"
 	"cxl0/internal/faults"
@@ -338,20 +337,9 @@ func Run(o Options) (Result, error) {
 			}
 		}
 		if o.CrashEvery > 0 && i > 0 && i%o.CrashEvery == 0 {
-			// Rotate to the next healthy shard; a shard the campaign
-			// already holds down (or partitioned — recovery would need a
-			// heal first) is skipped, not double-injected.
-			shard := -1
-			health := db.Health()
-			for probe := 0; probe < len(health); probe++ {
-				cand := (crashShard + probe) % len(health)
-				if !health[cand].Down && !health[cand].Partitioned {
-					shard = cand
-					crashShard = cand + 1
-					break
-				}
-			}
-			if shard >= 0 {
+			// Rotate over healthy shards only (see faults.NextHealthy).
+			if shard := faults.NextHealthy(db.Health(), crashShard); shard >= 0 {
+				crashShard = shard + 1
 				db.Crash(shard)
 				stats, err := db.Recover(shard)
 				if err != nil {
@@ -422,17 +410,15 @@ func Run(o Options) (Result, error) {
 		res.GoodputOpsPerSec = float64(o.Ops-res.FailedOps-res.UnavailableOps) / (res.SimNS * 1e-9)
 	}
 	lat := append(append([]float64(nil), readLat...), m.WriteLatencies...)
-	sort.Float64s(lat)
-	res.P50NS = percentile(lat, 50)
-	res.P95NS = percentile(lat, 95)
-	res.P99NS = percentile(lat, 99)
-	res.MaxNS = percentile(lat, 100)
+	res.P50NS = faults.PercentileNS(lat, 50)
+	res.P95NS = faults.PercentileNS(lat, 95)
+	res.P99NS = faults.PercentileNS(lat, 99)
+	res.MaxNS = faults.PercentileNS(lat, 100)
 	if clusters > 1 {
 		slat := append(append([]float64(nil), readLatSerial...), m.WriteLatencies...)
-		sort.Float64s(slat)
-		res.SerialP50NS = percentile(slat, 50)
-		res.SerialP95NS = percentile(slat, 95)
-		res.SerialP99NS = percentile(slat, 99)
+		res.SerialP50NS = faults.PercentileNS(slat, 50)
+		res.SerialP95NS = faults.PercentileNS(slat, 95)
+		res.SerialP99NS = faults.PercentileNS(slat, 99)
 	}
 	if o.CacheSweep {
 		res.CacheSweep = true
@@ -452,16 +438,12 @@ func Run(o Options) (Result, error) {
 	}
 	if cfg.Strategy.Batched() && cfg.PipelineDepth > 1 {
 		res.PipelineDepth = cfg.PipelineDepth
-		ackLat := append([]float64(nil), m.WriteLatencies...)
-		sort.Float64s(ackLat)
-		issueLat := append([]float64(nil), m.IssueLatencies...)
-		sort.Float64s(issueLat)
-		res.AckP50NS = percentile(ackLat, 50)
-		res.AckP95NS = percentile(ackLat, 95)
-		res.AckP99NS = percentile(ackLat, 99)
-		res.IssueP50NS = percentile(issueLat, 50)
-		res.IssueP95NS = percentile(issueLat, 95)
-		res.IssueP99NS = percentile(issueLat, 99)
+		res.AckP50NS = faults.PercentileNS(m.WriteLatencies, 50)
+		res.AckP95NS = faults.PercentileNS(m.WriteLatencies, 95)
+		res.AckP99NS = faults.PercentileNS(m.WriteLatencies, 99)
+		res.IssueP50NS = faults.PercentileNS(m.IssueLatencies, 50)
+		res.IssueP95NS = faults.PercentileNS(m.IssueLatencies, 95)
+		res.IssueP99NS = faults.PercentileNS(m.IssueLatencies, 99)
 	}
 	res.Recoveries = int(m.Recoveries)
 	res.RecordsLost = recoveryLost
@@ -498,20 +480,4 @@ func Run(o Options) (Result, error) {
 		res.PartitionP95NS = faults.PercentileNS(fs.PartitionNS, 95)
 	}
 	return res, nil
-}
-
-// percentile returns the p-th percentile of the already sorted slice xs
-// (nearest-rank; p=100 is the maximum). Returns 0 for an empty slice.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
