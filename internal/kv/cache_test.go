@@ -21,7 +21,7 @@ func keyOnShard(t *testing.T, st *Store, want int, from core.Val) core.Val {
 }
 
 // TestServedOnlyCounters pins the service-counter contract Metrics
-// documents: Puts/Gets/Deletes/Scans/MultiGets count operations served,
+// documents: Puts/Gets/Deletes/Scans/MultiGets/Batches count operations served,
 // so a read or write denied by frontDown/down/partitioned must not
 // count. (The pre-denial increments this test pins against also diluted
 // the read cache's hit-rate denominator.)
@@ -101,9 +101,12 @@ func TestServedOnlyCounters(t *testing.T) {
 	if _, err := st.MultiGet([]core.Val{k0}); !errors.Is(err, ErrFrontDown) {
 		t.Fatalf("multiget with front down: %v", err)
 	}
+	if _, err := st.Apply(new(Batch).Put(k0, 450)); !errors.Is(err, ErrFrontDown) {
+		t.Fatalf("apply with front down: %v", err)
+	}
 	m = st.Metrics()
 	if m.Gets != base.Gets || m.Puts != base.Puts || m.Deletes != base.Deletes ||
-		m.Scans != base.Scans || m.MultiGets != base.MultiGets {
+		m.Scans != base.Scans || m.MultiGets != base.MultiGets || m.Batches != base.Batches {
 		t.Fatalf("front-down denials counted: %+v vs base %+v", m, base)
 	}
 	if _, err := st.RecoverFront(); err != nil {
@@ -123,7 +126,7 @@ func TestServedOnlyCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = st.Metrics()
-	if m.Gets != base.Gets+3 || m.Puts != base.Puts+1 || m.Deletes != base.Deletes+1 {
+	if m.Gets != base.Gets+3 || m.Puts != base.Puts+1 || m.Deletes != base.Deletes+1 || m.Batches != base.Batches+1 {
 		t.Fatalf("served ops miscounted: %+v vs base %+v", m, base)
 	}
 }

@@ -1039,7 +1039,6 @@ func (s *Store) Apply(b *Batch) (Ack, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.batches++
 	if s.rec == nil {
 		return s.applyLocked(b)
 	}
@@ -1054,6 +1053,11 @@ func (s *Store) Apply(b *Batch) (Ack, error) {
 // applyLocked is Apply's body with the store lock held and the batch
 // validated.
 func (s *Store) applyLocked(b *Batch) (Ack, error) {
+	if s.frontDown {
+		return Ack{}, ErrFrontDown
+	}
+	// Served-only counting, like getLocked: a denied Apply never ran.
+	s.batches++
 	touched := make([]bool, len(s.shards))
 	var last Ack
 	for bi, op := range b.ops {

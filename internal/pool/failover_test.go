@@ -41,6 +41,7 @@ func TestRouterFrontFailover(t *testing.T) {
 		}
 	}
 
+	base := r.Metrics()
 	r.CrashFront()
 	if !r.FrontDown() {
 		t.Fatal("FrontDown() false after CrashFront")
@@ -53,6 +54,15 @@ func TestRouterFrontFailover(t *testing.T) {
 	}
 	if err := r.Sync(); !errors.Is(err, kv.ErrFrontDown) {
 		t.Fatalf("sync while pooled fronts down: %v, want ErrFrontDown", err)
+	}
+	if _, err := r.Apply(new(pool.Batch).Put(0, 9).Put(1, 9)); !errors.Is(err, kv.ErrFrontDown) {
+		t.Fatalf("apply while pooled fronts down: %v, want ErrFrontDown", err)
+	}
+	// Op counters are served-only: none of the denials above counts, on
+	// any cluster — Batches included.
+	if m := r.Metrics(); m.Puts != base.Puts || m.Gets != base.Gets || m.Batches != base.Batches {
+		t.Fatalf("front-down denials counted: puts %d→%d gets %d→%d batches %d→%d",
+			base.Puts, m.Puts, base.Gets, m.Gets, base.Batches, m.Batches)
 	}
 
 	stats, err := r.RecoverFront()
