@@ -15,29 +15,30 @@ package kv
 // happens with the lock held before the new state is readable) or after
 // it (and misses to the authoritative medium).
 //
-// What "every write path" means, precisely (the invalidation table in
-// docs/caching.md):
+// What "every write path" means, precisely — one function per scope of
+// move, each the only place its snoop is issued (the invalidation table
+// in docs/caching.md; TestSeams holds the package to it):
 //
-//   - append (Put/Delete/Apply): the written key, at index update.
-//   - commit points (ackRange — an in-place commit or a flight's
-//     retirement): every committed key whose shadow entry the commit
-//     retires or advances. Under the pipeline, reads are gated by the
+//   - one key: keyMoved. append (Put/Delete/Apply) takes the view's
+//     write step and always snoops; a commit point (ackRange — an
+//     in-place commit, a flight's retirement, recovery's salvage) takes
+//     the ack step and snoops every key whose shadow entry it retires or
+//     advances. Under the pipeline, reads are gated by the
 //     acked-watermark (docs/pipeline.md) and may have cached the key's
 //     *shadow* (last acked) state; the commit moves the watermark past
 //     the newer record, so the cached shadow value must die with the
 //     shadow entry.
-//   - bucket migration: the migrated bucket's keys, at the flip (and on
-//     the recovery redo path, reindexBucket).
-//   - compaction: the compacted shard's keys, at the reclaim.
-//   - crash, recovery and front-end failover: the affected shard's keys
-//     (crashLocked, recoverShard) or the whole cache (CrashFront). This
-//     is load-bearing, not conservatism: under a batched strategy a read
-//     can cache a visible-but-unacknowledged value, and recovery may
-//     legitimately drop that record — the cached copy must go with it.
-//   - partition transitions (Partition/Heal): the shard's keys,
-//     conservatively — a partitioned owner cannot snoop the front end,
-//     so the front end drops its copies instead of serving them while
-//     the fabric cannot revoke them.
+//   - one bucket: flipBucket — a migration's flip, in line or redone by
+//     recovery.
+//   - one shard: invalidateShardLocked — its state replaced (compaction's
+//     reclaim, recovery's rebuild) or its availability changed (crash,
+//     partition, heal). This is load-bearing, not conservatism: under a
+//     batched strategy a read can cache a visible-but-unacknowledged
+//     value, and recovery may legitimately drop that record — the cached
+//     copy must go with it. And a partitioned owner cannot snoop the
+//     front end, so the front end drops its copies instead of serving
+//     them while the fabric cannot revoke them.
+//   - everything: CrashFront — the cache is front-end volatile state.
 //
 // A cache hit costs nothing on the simulated clock, like the index
 // probe: the copy lives in the front end's local DRAM. Only found
@@ -180,10 +181,10 @@ func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 }
 
 // invalidateKeyLocked snoops key's line Invalid — the inline coherence
-// action every write path performs for the keys whose visible state it
-// changes. A no-op for an uncached key, and — like the other
-// invalidate methods — on a nil cache (Config.ReadCache == 0), so write
-// and churn paths call them unguarded.
+// action keyMoved performs for a key whose visible state moved. A no-op
+// for an uncached key, and — like the other invalidate methods — on a
+// nil cache (Config.ReadCache == 0), so write and churn paths call them
+// unguarded.
 func (c *readCache) invalidateKeyLocked(key core.Val) {
 	if c == nil {
 		return
@@ -199,10 +200,9 @@ func (c *readCache) invalidateKeyLocked(key core.Val) {
 }
 
 // invalidateMatchLocked snoops every cached key matching pred — the
-// shard- and bucket-scoped invalidations (crash, recovery, partition
-// transitions, migration flips, compaction reclaim). Walks the LRU
-// list, never the map: the walk order is the deterministic recency
-// order, so the sweep is replay-safe.
+// shard- and bucket-scoped invalidations (invalidateShardLocked,
+// flipBucket). Walks the LRU list, never the map: the walk order is the
+// deterministic recency order, so the sweep is replay-safe.
 func (c *readCache) invalidateMatchLocked(pred func(core.Val) bool) {
 	if c == nil {
 		return
@@ -224,12 +224,6 @@ func (c *readCache) invalidateMatchLocked(pred func(core.Val) bool) {
 // reclaim).
 func (s *Store) invalidateShardLocked(i int) {
 	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.shardOf(k) == i })
-}
-
-// invalidateBucketLocked snoops every cached key of bucket b — a
-// migration flip, in line or redone by recovery.
-func (s *Store) invalidateBucketLocked(b int) {
-	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.bucketOf(k) == b })
 }
 
 // invalidateAllLocked drops every entry — front-end failover

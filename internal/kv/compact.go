@@ -205,11 +205,8 @@ func (s *Store) CompactShard(i int) (CompactionStats, error) {
 // caller holds the store lock.
 func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	stats = CompactionStats{Shard: sh.id}
-	if sh.down {
-		return stats, ErrShardDown
-	}
-	if sh.partitioned {
-		return stats, ErrUnavailable
+	if err := sh.unavailable(); err != nil {
+		return stats, err
 	}
 	if len(sh.log) == 0 {
 		return stats, nil
@@ -218,7 +215,7 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	// one condition that remains a ShardFullError under auto-compaction.
 	// Checked up front so a client retrying against a full shard fails
 	// cheaply instead of re-running the collect phase every time.
-	if live := len(sh.index); live > sh.cap {
+	if live := sh.view.live(); live > sh.cap {
 		return stats, &ShardFullError{
 			Shard: sh.id, Appended: live, Capacity: sh.cap, Need: live - sh.cap, Live: true,
 		}
@@ -252,22 +249,20 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 
 	// Collect the live set in key order, paying the simulated cost of
 	// reading each value from wherever it lives (log or old snapshot).
-	keys := make([]core.Val, 0, len(sh.index))
-	for k := range sh.index { //cxl0:order-insensitive — collected then sorted below
-		keys = append(keys, k)
+	live := make([]rec, 0, sh.view.live())
+	for k := range sh.view.tip() {
+		live = append(live, rec{key: k})
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
 	t := sh.thread
-	live := make([]rec, 0, len(keys))
-	for _, k := range keys {
+	for i := range live {
 		if sh.down {
 			return stats, ErrShardDown
 		}
-		v, err := t.Load(sh.valLocOf(sh.index[k]))
-		if err != nil {
+		slot, _ := sh.view.visible(live[i].key) // the tip: the commit above drained the pipeline
+		if live[i].val, err = t.Load(sh.valLocOf(slot)); err != nil {
 			return stats, err
 		}
-		live = append(live, rec{key: k, val: v})
 	}
 
 	next := sh.epoch + 1
@@ -302,10 +297,7 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	sh.snap = live
 	sh.log = sh.log[:0]
 	sh.acked, sh.pending = 0, 0
-	sh.index = make(map[core.Val]int, len(live))
-	for i, r := range live {
-		sh.index[r.key] = sh.cap + i
-	}
+	sh.view.reset(live)
 	// Reclaim re-homed every live record into the new snapshot region:
 	// the lines the front end's copies were filled against are being
 	// retired, so the compaction snoops the shard's keys wholesale (see

@@ -200,7 +200,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 	// aborts the migration untouched.
 	if s.cfg.CompactAtFill > 0 {
 		need := 0
-		for k := range src.index { //cxl0:order-insensitive — pure count, no ordering escapes
+		for k := range src.view.tip() {
 			if s.bucketOf(k) == b {
 				need++
 			}
@@ -228,7 +228,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 		val  core.Val
 	}
 	var pairs []pair
-	for k, slot := range src.index { //cxl0:order-insensitive — collected then sorted by slot below
+	for k, slot := range src.view.tip() {
 		if s.bucketOf(k) == b {
 			pairs = append(pairs, pair{slot: slot, key: k})
 		}
@@ -336,17 +336,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 	// Phase 3: flip. The commit point has passed, so the flip proceeds
 	// even if a machine just failed — recovery on either shard resolves
 	// to exactly this state (redo on src, index rebuild on dst).
-	s.shardMap[b] = to
-	s.bucketVer[b] = ver
-	for i, p := range pairs {
-		dst.index[p.key] = preLen + 1 + i
-		delete(src.index, p.key)
-	}
-	// Move-in: the bucket's keys re-home to the destination's copies. The
-	// values are unchanged, but the source — whose lines the front end's
-	// copies were filled against — no longer owns them, so the flip snoops
-	// the whole bucket (see docs/caching.md).
-	s.invalidateBucketLocked(b)
+	s.flipBucket(b, to, ver)
 	s.migrations++
 	s.migratedRecords += uint64(len(pairs))
 	stats.Records = len(pairs)
@@ -380,25 +370,28 @@ func (s *Store) abortCopies(dst *shard, preLen int, cause error) error {
 	return cause
 }
 
-// reindexBucket rebuilds dst's index entries for bucket b from its log
-// mirror — the redo path when a recovery completes a flip whose
-// destination never crashed (so its live index never indexed the copies).
-// The replay applies the same wipe rule as recovery's full rebuild, via
-// the shared replayRecord.
+// flipBucket repoints bucket b at shard `to` as of migration version ver
+// and moves its keys' visible state with it — the one bucket-scoped move,
+// shared by a migration's in-line flip and the redo of a recovery that
+// finds a durable move-out record whose flip was lost. The old owner's
+// view drops the bucket; the new owner's is rebuilt for it from its log
+// mirror (the copies the migration committed there before its move-out),
+// under the same wipe rule as recovery's full rebuild (view.replay). The
+// values are unchanged, but the old owner — whose lines the front end's
+// copies were filled against — no longer owns them, so the flip snoops
+// the whole bucket (see docs/caching.md).
 //
 //cxl0:locked mu
-func (s *Store) reindexBucket(dst *shard, b int) {
-	for k := range dst.index { //cxl0:order-insensitive — uniform delete, order-free
-		if s.bucketOf(k) == b {
-			delete(dst.index, k)
-		}
-	}
+func (s *Store) flipBucket(b, to int, ver uint64) {
+	inBucket := func(k core.Val) bool { return s.bucketOf(k) == b }
+	s.shards[s.shardMap[b]].view.drop(inBucket)
+	s.shardMap[b], s.bucketVer[b] = to, ver
+	dst := s.shards[to]
+	dst.view.drop(inBucket)
 	for slot, r := range dst.log {
-		s.replayRecord(dst.index, slot, r, b)
+		dst.view.replay(slot, r, s.bucketOf, b)
 	}
-	// The redo flip re-homed the bucket, same as migrateBucket's in-line
-	// flip: snoop the front end's copies of its keys.
-	s.invalidateBucketLocked(b)
+	s.cache.invalidateMatchLocked(inBucket)
 }
 
 // Rebalance examines per-shard busy-time shares accumulated since the last
@@ -462,7 +455,7 @@ func (s *Store) rebalanceLocked() ([]MigrationStats, error) {
 		// destination-headroom check below (rebuilt per move: each
 		// migration changes the indexes).
 		counts := map[int]int{}
-		for k := range s.shards[hot].index { //cxl0:order-insensitive — pure counting
+		for k := range s.shards[hot].view.tip() {
 			counts[s.bucketOf(k)]++
 		}
 		// Hottest bucket on the hot shard whose move strictly lowers the
@@ -478,7 +471,7 @@ func (s *Store) rebalanceLocked() ([]MigrationStats, error) {
 		cdst := s.shards[cold]
 		fill := len(cdst.log)
 		if s.cfg.CompactAtFill > 0 {
-			fill = len(cdst.index)
+			fill = cdst.view.live()
 		}
 		best, bestW := -1, 0.0
 		for b, owner := range s.shardMap {

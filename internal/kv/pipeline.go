@@ -31,7 +31,7 @@ package kv
 //     cost can surface in the makespan.
 //   - sh.acked — the acked-watermark — advances only at a commit point,
 //     and reads are gated by it: every key overwritten past the
-//     watermark keeps its last acked state in the shard's shadow map,
+//     watermark keeps its last acked state in the shard's view (view.go),
 //     and Get/MultiGet/Scan serve that state until the covering batch's
 //     commit point. A read never observes a value a crash could take
 //     back.
@@ -42,8 +42,6 @@ package kv
 // survives, and flushed-but-unretired batches are acknowledged by the
 // recovery exactly like a salvaged pending batch. See docs/pipeline.md
 // for the full protocol and its crash-safety argument.
-
-import "cxl0/internal/core"
 
 // flight is one flushed batch: log slots [first, limit) were flushed
 // over issueNS..ackNS on the simulated clock. A batch committed in place
@@ -68,45 +66,14 @@ type flight struct {
 	depth int
 }
 
-// shadowEntry is one key's acked-watermark state: what a read must
-// serve while newer records of the key sit beyond the watermark.
-type shadowEntry struct {
-	// exists and slot give the key's newest acked state (slot is an
-	// index-encoded slot, see valLocOf; meaningless when !exists).
-	exists bool
-	slot   int
-	// newest is the slot of the key's newest appended record — the
-	// entry dies when the watermark passes it.
-	newest int
-}
-
 // pipelined reports whether a full batch is issued asynchronously: a
 // pipeline depth above 1 under a batched strategy. It is append's
-// decision alone — track a shadow and issue a flight, or commit in
-// place. Everything else in this file works off the flight queue and the
-// shadow map, which are simply empty when nothing was ever issued.
+// decision alone — gate the view's write step and issue a flight, or
+// commit in place. Everything else in this file works off the flight
+// queue and the view's shadow, which are simply empty when nothing was
+// ever issued.
 func (s *Store) pipelined() bool {
 	return s.cfg.PipelineDepth > 1 && s.persist.batched
-}
-
-// shadowTrack records the acked-watermark state of key before the
-// append of slot lands in the index, so watermark-gated reads keep
-// serving the acked state until the covering batch's commit point.
-// Called only when batches are issued asynchronously, before the index
-// update.
-//
-//cxl0:locked mu
-func (s *Store) shadowTrack(sh *shard, key core.Val, slot int) {
-	if e, ok := sh.shadow[key]; ok {
-		e.newest = slot
-		sh.shadow[key] = e
-		return
-	}
-	if sh.shadow == nil {
-		sh.shadow = map[core.Val]shadowEntry{}
-	}
-	prev, live := sh.index[key]
-	sh.shadow[key] = shadowEntry{exists: live, slot: prev, newest: slot}
 }
 
 // issueFlight flushes shard sh's open batch and enqueues it as an
@@ -172,7 +139,7 @@ func (sh *shard) foldFlights() {
 	sh.pending = len(sh.log) - sh.acked
 	sh.flights = nil
 	sh.laneEnd = 0
-	sh.shadow = nil
+	sh.view.caughtUp()
 }
 
 // retireReady retires every flight whose completion point the shard's

@@ -125,28 +125,17 @@ func (s *Store) prefetchLocked(keys []core.Val) {
 			continue
 		}
 		sh := s.shards[s.shardOf(k)]
-		if sh.down || sh.partitioned {
+		if sh.unavailable() != nil {
 			continue
 		}
-		slot, ok := sh.index[k]
 		// The same watermark gate as getLocked: speculate only on the
 		// state a demand read would be served.
-		if e, shadowed := sh.shadow[k]; shadowed {
-			slot, ok = e.slot, e.exists
-		}
+		slot, ok := sh.view.visible(k)
 		if !ok {
 			continue
 		}
-		var v core.Val
-		if slot >= sh.cap {
-			v = sh.snap[slot-sh.cap].val
-		} else {
-			v = sh.log[slot].val
-		}
-		s.cache.fillLocked(k, v, true)
-		if s.rec != nil {
-			s.rec.SpeculativeFill(sh.id, s.cluster.NowNS())
-		}
+		s.cache.fillLocked(k, sh.mirrorVal(slot), true)
+		s.rec.SpeculativeFill(sh.id, s.obsNow())
 	}
 }
 

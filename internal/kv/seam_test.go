@@ -5,45 +5,221 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestStrategySeam keeps the persistence seam from silently regrowing:
-// Config.Strategy is resolved to a persister once, in Open, and no other
-// non-test code in this package may read it — apart from persist.go (the
-// strategy table) and kv.go (the Config and Strategy declarations).
-func TestStrategySeam(t *testing.T) {
+// A seam is one construct this package keeps in one place, so that an
+// argument made about that place ("every move of a key's visible state
+// snoops the cache") holds for the whole package. TestSeams fails when a
+// site of the construct appears anywhere else in the non-test sources.
+type seam struct {
+	name string
+	// site reports whether n is a site of the construct.
+	site func(n ast.Node) bool
+	// files may hold any number of sites; funcs ("Recv.name", or "name"
+	// for a plain function) must each hold exactly one.
+	files []string
+	funcs []string
+	// fix is what to do instead of adding a site.
+	fix string
+}
+
+var seams = []seam{
+	{
+		// Config.Strategy is resolved to a persister once, in Open; no
+		// other code may read it apart from the strategy table (persist.go)
+		// and the Config and Strategy declarations (kv.go).
+		name:  "cfg.Strategy reads",
+		site:  cfgStrategyRead,
+		files: []string{"persist.go", "kv.go"},
+		funcs: []string{"Open"},
+		fix:   "dispatch through the persister (persist.go)",
+	},
+	{
+		name:  "the tip index, the watermark shadow and the slot encoding's base",
+		site:  func(n ast.Node) bool { return selects(n, "index") || selects(n, "shadow") || selects(n, "logCap") },
+		files: []string{"view.go"},
+		fix:   "go through a view method (view.go)",
+	},
+	{
+		name:  "the view's per-key write step",
+		site:  func(n ast.Node) bool { return callsOn(n, "view", "write") },
+		funcs: []string{"Store.keyMoved"},
+		fix:   "a key's visible state moves in Store.keyMoved, which also snoops the read cache",
+	},
+	{
+		name:  "the view's per-key ack step",
+		site:  func(n ast.Node) bool { return callsOn(n, "view", "ack") },
+		funcs: []string{"Store.keyMoved"},
+		fix:   "a key's visible state moves in Store.keyMoved, which also snoops the read cache",
+	},
+	{
+		name:  "the per-key cache snoop",
+		site:  func(n ast.Node) bool { return calls(n, "invalidateKeyLocked") != nil },
+		funcs: []string{"Store.keyMoved"},
+		fix:   "a key's visible state moves in Store.keyMoved, which also snoops the read cache",
+	},
+	{
+		name:  "the bucket- and shard-scoped cache snoops",
+		site:  func(n ast.Node) bool { return calls(n, "invalidateMatchLocked") != nil },
+		funcs: []string{"Store.flipBucket", "Store.invalidateShardLocked"},
+		fix:   "bulk moves of visible state are Store.flipBucket (a bucket) and the callers of invalidateShardLocked (a shard)",
+	},
+	{
+		name:  "the demand-read cache lookup",
+		site:  func(n ast.Node) bool { return calls(n, "lookupLocked") != nil },
+		funcs: []string{"Store.readValue"},
+		fix:   "serve demand reads through Store.readValue",
+	},
+	{
+		name: "the demand-read cache fill",
+		site: func(n ast.Node) bool {
+			c := calls(n, "fillLocked")
+			return c != nil && len(c.Args) == 3 && isIdent(c.Args[2], "false")
+		},
+		funcs: []string{"Store.readValue"},
+		fix:   "serve demand reads through Store.readValue",
+	},
+	{
+		// One demand read; the two churn reads fold (compaction) or copy
+		// (migration) whole sets of records on the shard's own thread.
+		name:  "loads of an encoded slot's value",
+		site:  func(n ast.Node) bool { return calls(n, "valLocOf") != nil },
+		funcs: []string{"Store.readValue", "Store.compactLocked", "Store.migrateBucket"},
+		fix:   "serve demand reads through Store.readValue",
+	},
+	{
+		// The shapes a hand-derived log-slot-vs-snapshot-slot encoding
+		// takes: `slot >= sh.cap`, `sh.cap + i`. Comparing a log length to
+		// the capacity is not one of them.
+		name: "slot arithmetic on a shard's capacity",
+		site: capSlotArith,
+		fix:  "decode slots with view.decode (shard.valLocOf, shard.mirrorVal)",
+	},
+}
+
+// TestSeams holds every non-test file of the package to the seam table.
+func TestSeams(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		n := fi.Name()
-		return !strings.HasSuffix(n, "_test.go") && n != "persist.go" && n != "kv.go"
+		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range pkgs { //cxl0:order-insensitive — every file is checked, order-free
-		for _, file := range pkg.Files { //cxl0:order-insensitive — as above
-			for _, decl := range file.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "Open" && fn.Recv == nil {
-					continue
+	for _, sm := range seams {
+		t.Run(sm.name, func(t *testing.T) {
+			perFunc := map[string]int{}
+			for _, pkg := range pkgs { //cxl0:order-insensitive — every file is checked, order-free
+				for path, file := range pkg.Files { //cxl0:order-insensitive — as above
+					if slices.Contains(sm.files, path) {
+						continue
+					}
+					for _, decl := range file.Decls {
+						fn := funcName(decl)
+						ast.Inspect(decl, func(n ast.Node) bool {
+							if n == nil || !sm.site(n) {
+								return true
+							}
+							perFunc[fn]++
+							if !slices.Contains(sm.funcs, fn) {
+								t.Errorf("%s: %s outside its seam (%s): %s",
+									fset.Position(n.Pos()), sm.name, fn, sm.fix)
+							}
+							return true
+						})
+					}
 				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok || sel.Sel.Name != "Strategy" {
-						return true
-					}
-					x := sel.X
-					if inner, ok := x.(*ast.SelectorExpr); ok {
-						x = inner.Sel
-					}
-					if id, ok := x.(*ast.Ident); ok && id.Name == "cfg" {
-						t.Errorf("%s reads cfg.Strategy outside Open: dispatch through the persister (persist.go) instead",
-							fset.Position(sel.Pos()))
-					}
-					return true
-				})
 			}
-		}
+			for _, fn := range sm.funcs {
+				if perFunc[fn] != 1 {
+					t.Errorf("%s: %d sites in %s, want exactly 1 — update the seam table if the seam moved", sm.name, perFunc[fn], fn)
+				}
+			}
+		})
 	}
+}
+
+// funcName names a declaration for the seam table: "Recv.name" for a
+// method, "name" for a function, "" for anything else.
+func funcName(decl ast.Decl) string {
+	fn, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return ""
+	}
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	if id, ok := recv.(*ast.Ident); ok {
+		return id.Name + "." + fn.Name.Name
+	}
+	return fn.Name.Name
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// selects reports whether n is a selector expression x.name.
+func selects(n ast.Node, name string) bool {
+	sel, ok := n.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == name
+}
+
+// calls returns n as a call of a method or function called name, else nil.
+func calls(n ast.Node, name string) *ast.CallExpr {
+	c, ok := n.(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	if selects(c.Fun, name) || isIdent(c.Fun, name) {
+		return c
+	}
+	return nil
+}
+
+// callsOn reports whether n is a call x.field.name(...).
+func callsOn(n ast.Node, field, name string) bool {
+	c := calls(n, name)
+	if c == nil {
+		return false
+	}
+	sel, ok := c.Fun.(*ast.SelectorExpr)
+	return ok && selects(sel.X, field)
+}
+
+// cfgStrategyRead reports whether n reads cfg.Strategy or x.cfg.Strategy.
+func cfgStrategyRead(n ast.Node) bool {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Strategy" {
+		return false
+	}
+	x := sel.X
+	if inner, ok := x.(*ast.SelectorExpr); ok {
+		x = inner.Sel
+	}
+	return isIdent(x, "cfg")
+}
+
+// capSlotArith reports whether n offsets a value by x.cap (x.cap + i) or
+// tests a value that is not a length against it (slot >= x.cap).
+func capSlotArith(n ast.Node) bool {
+	b, ok := n.(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	switch b.Op {
+	case token.ADD:
+		return selects(b.X, "cap") || selects(b.Y, "cap")
+	case token.GEQ, token.LSS:
+		return selects(b.Y, "cap") && calls(b.X, "len") == nil
+	}
+	return false
 }

@@ -49,131 +49,6 @@ type RecoveryStats struct {
 	SimNS float64
 }
 
-// rec mirrors one appended log record on the Go side (the service's own
-// bookkeeping; authoritative content lives in simulated memory).
-type rec struct {
-	key, val core.Val
-	startNS  float64 // simulated submit time, for ack-latency accounting
-	// issueNS is when the record's write path finished (the append
-	// returned to the client): issueNS-startNS is the issue latency,
-	// ack latency the (possibly much later) commit point minus startNS.
-	issueNS float64
-	// move marks a move-marker record (bucket-migration bookkeeping, keyed
-	// by bucket rather than client key; checksummed in the moveChkOf
-	// domain). copied marks a migrated copy of a client record — real
-	// (key, value) content, but its write was acknowledged on the source
-	// shard, so it is excluded from ack-latency and acked-write counting.
-	move, copied bool
-}
-
-// chk returns the record's checksum word for slot under the shard's
-// snapshot epoch, in the domain matching its kind.
-func (r rec) chk(slot int, epoch uint64) core.Val {
-	if r.move {
-		return moveChkOf(slot, r.key, r.val, epoch)
-	}
-	return chkOf(slot, r.key, r.val, epoch)
-}
-
-// shard is one hash partition: a log region, a double-buffered snapshot
-// region and a two-slot snapshot-epoch record on one machine, plus the
-// volatile index over them.
-type shard struct {
-	id      int
-	machine core.MachineID
-	base    core.LocID
-	cap     int
-	// snapBase are the two snapshot regions (each cap records): the
-	// snapshot of epoch e lives in region e%2, so writing the next
-	// snapshot never disturbs the committed one. epochBase is the two-slot
-	// snapshot-epoch record (the compaction commit record, parity-
-	// addressed the same way).
-	snapBase  [2]core.LocID
-	epochBase core.LocID
-
-	// thread is the shard's worker: homed on the front end, or on the
-	// shard's own machine under Config.Colocate.
-	thread *memsim.Thread
-
-	index map[core.Val]int // key -> encoded slot of newest live record (see valLocOf)
-	log   []rec            // appended records, slot-ordered
-	// snap mirrors the committed snapshot's records (slot-ordered live
-	// puts; no tombstones, no markers) and epoch is the committed
-	// snapshot epoch (0 = never compacted).
-	snap  []rec
-	epoch uint64
-	// acked is the durability watermark: log records [0, acked) are
-	// acknowledged durable. It anchors the pipelined commit path's
-	// crash-safety argument, so it may only move under the store lock.
-	//cxl0:guarded-by mu
-	acked   int
-	pending int    // batched records awaiting their batch's commit flush
-	batchE  uint64 // shard-machine crash epoch when the open batch began
-	// Asynchronous commit pipeline state (all empty at pipeline depth 1;
-	// see pipeline.go). flights are the in-flight commit flushes, oldest
-	// first; laneEnd is the flush lane's frontier in shard-busy-time
-	// coordinates; shadow holds the acked-watermark read state of keys
-	// overwritten past the watermark (nil when empty).
-	//cxl0:guarded-by mu
-	flights []flight
-	//cxl0:guarded-by mu
-	laneEnd float64
-	//cxl0:guarded-by mu
-	shadow map[core.Val]shadowEntry
-	down   bool
-	// partitioned marks the shard's machine as cut off by a fabric
-	// partition: everything is intact but unreachable, so operations fail
-	// with ErrUnavailable (no recovery needed — Heal restores service).
-	partitioned bool
-	// busyNS is the simulated time this shard's operations consumed.
-	//cxl0:guarded-by mu
-	busyNS float64
-	// churnNS is the part of busyNS spent on crash recovery, bucket
-	// migration and log compaction — exogenous, one-off costs that say
-	// nothing about where traffic is placed. The placement-skew metric and
-	// the rebalancer's load windows exclude it.
-	//cxl0:guarded-by mu
-	churnNS float64
-	// Per-shard write-latency samples: ack latencies of acknowledged
-	// writes and the issue (submit-to-return) latencies of the same.
-	//cxl0:guarded-by mu
-	writeLat []float64
-	//cxl0:guarded-by mu
-	issueLat []float64
-}
-
-func (sh *shard) keyLoc(slot int) core.LocID { return sh.base + core.LocID(slot*recWords) }
-func (sh *shard) valLoc(slot int) core.LocID { return sh.base + core.LocID(slot*recWords+1) }
-func (sh *shard) chkLoc(slot int) core.LocID { return sh.base + core.LocID(slot*recWords+2) }
-
-// Snapshot-region locations, addressed by the epoch whose snapshot they
-// hold (region epoch%2).
-func (sh *shard) snapKeyLoc(epoch uint64, slot int) core.LocID {
-	return sh.snapBase[epoch%2] + core.LocID(slot*recWords)
-}
-func (sh *shard) snapValLoc(epoch uint64, slot int) core.LocID {
-	return sh.snapBase[epoch%2] + core.LocID(slot*recWords+1)
-}
-func (sh *shard) snapChkLoc(epoch uint64, slot int) core.LocID {
-	return sh.snapBase[epoch%2] + core.LocID(slot*recWords+2)
-}
-
-// epochLoc addresses word w of the epoch-record slot with the given
-// parity.
-func (sh *shard) epochLoc(parity uint64, w int) core.LocID {
-	return sh.epochBase + core.LocID(int(parity)*epochWords+w)
-}
-
-// valLocOf resolves an index entry to its value location: entries below
-// cap are log slots, entries at cap and above are slots of the current
-// snapshot (compaction re-homes live records there).
-func (sh *shard) valLocOf(slot int) core.LocID {
-	if slot >= sh.cap {
-		return sh.snapValLoc(sh.epoch, slot-sh.cap)
-	}
-	return sh.valLoc(slot)
-}
-
 // Metrics is a snapshot of a store's service counters.
 type Metrics struct {
 	// Puts, Gets, Deletes and Scans count operations served. Gets counts
@@ -306,7 +181,8 @@ func (m Metrics) MaxMeanBusyRatio() float64 {
 }
 
 // Store is a sharded durable key-value service over one memsim cluster.
-// Methods are safe for concurrent use; operations serialize per shard.
+// Methods are safe for concurrent use; operations serialize on the one
+// store lock.
 type Store struct {
 	mu  sync.Mutex
 	cfg Config
@@ -386,7 +262,8 @@ type Store struct {
 	// for everything the store does. Instrumentation reads the simulated
 	// clock but never advances it and never touches the fabric's RNG, so
 	// an observed run is bit-identical on the simulated timeline to an
-	// unobserved one; with rec nil the hot path pays one pointer check.
+	// unobserved one; with rec nil the hot path pays pointer checks only
+	// (obsNow and the nil recorder's no-op methods).
 	// obsCommitAcked counts the client acks carried on emitted commit
 	// events, so op spans can report exactly the acks not already
 	// attributed to a commit event (the ack-agreement invariant).
@@ -445,7 +322,7 @@ func Open(cfg Config) (*Store, error) {
 			id:      i,
 			machine: core.MachineID(i + 1),
 			cap:     cfg.Capacity,
-			index:   map[core.Val]int{},
+			view:    view{logCap: cfg.Capacity, index: map[core.Val]int{}},
 		}
 		base, err := cluster.Alloc(sh.machine, cfg.Capacity*recWords)
 		if err != nil {
@@ -500,6 +377,17 @@ func (s *Store) Observe(rec *obs.Recorder) {
 
 // NowNS returns the cluster's simulated clock.
 func (s *Store) NowNS() float64 { return s.cluster.NowNS() }
+
+// obsNow is the simulated clock as an observability timestamp: read only
+// while a recorder is attached (the read takes the cluster's lock), so
+// the unobserved hot path pays one pointer check and hands the nil
+// recorder's no-op methods a zero they ignore.
+func (s *Store) obsNow() float64 {
+	if s.rec == nil {
+		return 0
+	}
+	return s.cluster.NowNS()
+}
 
 // NumShards returns the shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
@@ -604,11 +492,8 @@ func (s *Store) writeRecord(sh *shard, slot int, r rec) error {
 //
 //cxl0:locked mu
 func (s *Store) flushBatch(sh *shard) (flight, error) {
-	if sh.down {
-		return flight{}, ErrShardDown
-	}
-	if sh.partitioned {
-		return flight{}, ErrUnavailable
+	if err := sh.unavailable(); err != nil {
+		return flight{}, err
 	}
 	t := sh.thread
 	first := len(sh.log) - sh.pending
@@ -665,11 +550,9 @@ func (s *Store) flushBatch(sh *shard) (flight, error) {
 // flush lane, and returns how many there were. It is the one place an
 // acknowledgment is recorded — per-record acks, commit points and
 // recovery's salvage all pass through it — and the one place the
-// acked-watermark's read state catches up: a shadow entry whose newest
-// record the range covers dies, any other advances to the key's record
-// in the range, and either way the key's visible state just moved, so
-// the front end's cached copy is snooped (see docs/caching.md). Move
-// markers and migrated copies are not client writes and are skipped.
+// acked-watermark's read state catches up, record by record (keyMoved's
+// ack step). Move markers and migrated copies are not client writes and
+// are skipped.
 //
 //cxl0:locked mu
 func (s *Store) ackRange(sh *shard, first, limit int, ackNS, queueNS float64) int {
@@ -685,17 +568,28 @@ func (s *Store) ackRange(sh *shard, first, limit int, ackNS, queueNS float64) in
 		s.rec.WriteLatency(ackLat, issueLat)
 		s.ackedWrites++
 		acked++
-		if e, ok := sh.shadow[r.key]; ok {
-			if e.newest < limit {
-				delete(sh.shadow, r.key)
-			} else {
-				e.exists, e.slot = r.val != 0, slot
-				sh.shadow[r.key] = e
-			}
-			s.cache.invalidateKeyLocked(r.key)
-		}
+		s.keyMoved(sh, r, slot, limit)
 	}
 	return acked
+}
+
+// keyMoved is the one visibility event: the only function in which the
+// state reads of a single key are served moves, so the only per-key
+// snoop of the front end's cached copy (docs/caching.md). The record r
+// at log slot slot was either just appended (acked < 0: the view's write
+// step — the tip moves, and under the pipeline reads now serve the key's
+// shadow state, which its commit point snoops in turn) or is being
+// acknowledged by the watermark advancing to acked (the view's ack step,
+// which moves nothing unless the key was shadowed).
+//
+//cxl0:locked mu
+func (s *Store) keyMoved(sh *shard, r rec, slot, acked int) {
+	if acked < 0 {
+		sh.view.write(r.key, slot, r.val != 0, s.pipelined())
+	} else if !sh.view.ack(r.key, slot, r.val != 0, acked) {
+		return
+	}
+	s.cache.invalidateKeyLocked(r.key)
 }
 
 // ackFlight is a batch's commit point: the acked-watermark advances to
@@ -730,7 +624,7 @@ func (s *Store) commitLocked(sh *shard) error {
 	s.ackFlight(sh, f)
 	// The watermark caught up with the log tip; no read needs shadow
 	// state anymore.
-	sh.shadow = nil
+	sh.view.caughtUp()
 	return nil
 }
 
@@ -741,11 +635,8 @@ func (s *Store) append(sh *shard, key, val core.Val) (Ack, error) {
 	if s.frontDown {
 		return Ack{}, ErrFrontDown
 	}
-	if sh.down {
-		return Ack{}, ErrShardDown
-	}
-	if sh.partitioned {
-		return Ack{}, ErrUnavailable
+	if err := sh.unavailable(); err != nil {
+		return Ack{}, err
 	}
 	// Count past the denial checks: Metrics.Puts/Deletes count operations
 	// served, and a write denied above was never served.
@@ -775,23 +666,8 @@ func (s *Store) append(sh *shard, key, val core.Val) (Ack, error) {
 		return Ack{}, err
 	}
 	r.issueNS = s.cluster.NowNS()
-	if s.pipelined() {
-		// Record the key's acked-watermark state before the index moves
-		// past it: reads keep serving that state until this record's
-		// batch retires.
-		s.shadowTrack(sh, key, slot)
-	}
 	sh.log = append(sh.log, r)
-	if val == 0 {
-		delete(sh.index, key)
-	} else {
-		sh.index[key] = slot
-	}
-	// Snoop the front end's cached copy inline with the index update: the
-	// key's visible state just changed (or, under the pipeline, reads now
-	// serve its shadow state, which its commit point will snoop in turn —
-	// see docs/caching.md).
-	s.cache.invalidateKeyLocked(key)
+	s.keyMoved(sh, r, slot, -1)
 	// The write path's cost is this key's bucket's load; a batch commit
 	// triggered below is shared cost, attributed to the whole batch's
 	// buckets by flushBatch.
@@ -827,16 +703,19 @@ func (s *Store) Put(key, val core.Val) (Ack, error) {
 	if key < 0 || val < 1 {
 		return Ack{}, ErrBadKey
 	}
+	return s.writeOp(obs.OpPut, key, val)
+}
+
+// writeOp is the body Put and Delete (val 0, the tombstone) share: one
+// append under the store lock, inside an op span when observed.
+func (s *Store) writeOp(op obs.Op, key, val core.Val) (Ack, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sh := s.shards[s.shardOf(key)]
-	if s.rec == nil {
-		return s.append(sh, key, val)
-	}
-	start := s.cluster.NowNS()
+	start := s.obsNow()
 	ackedW, commitW := s.ackedWrites, s.obsCommitAcked
 	ack, err := s.append(sh, key, val)
-	s.rec.OpSpan(obs.OpPut, sh.id, start, s.cluster.NowNS(),
+	s.rec.OpSpan(op, sh.id, start, s.obsNow(),
 		1, s.spanAcked(ackedW, commitW), ack.Durable)
 	return ack, err
 }
@@ -857,18 +736,7 @@ func (s *Store) Delete(key core.Val) (Ack, error) {
 	if key < 0 {
 		return Ack{}, ErrBadKey
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sh := s.shards[s.shardOf(key)]
-	if s.rec == nil {
-		return s.append(sh, key, 0)
-	}
-	start := s.cluster.NowNS()
-	ackedW, commitW := s.ackedWrites, s.obsCommitAcked
-	ack, err := s.append(sh, key, 0)
-	s.rec.OpSpan(obs.OpDelete, sh.id, start, s.cluster.NowNS(),
-		1, s.spanAcked(ackedW, commitW), ack.Durable)
-	return ack, err
+	return s.writeOp(obs.OpDelete, key, 0)
 }
 
 // Get returns the value mapped to key. The index probe is free (a
@@ -880,17 +748,14 @@ func (s *Store) Get(key core.Val) (core.Val, bool, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rec == nil {
-		return s.getLocked(key)
-	}
 	shard := s.shardOf(key)
-	start := s.cluster.NowNS()
+	start := s.obsNow()
 	v, ok, err := s.getLocked(key)
 	n := 0
 	if ok {
 		n = 1
 	}
-	s.rec.OpSpan(obs.OpGet, shard, start, s.cluster.NowNS(), n, 0, false)
+	s.rec.OpSpan(obs.OpGet, shard, start, s.obsNow(), n, 0, false)
 	return v, ok, err
 }
 
@@ -901,57 +766,57 @@ func (s *Store) getLocked(key core.Val) (core.Val, bool, error) {
 	if s.frontDown {
 		return 0, false, ErrFrontDown
 	}
-	if sh.down {
-		return 0, false, ErrShardDown
-	}
-	if sh.partitioned {
-		return 0, false, ErrUnavailable
+	if err := sh.unavailable(); err != nil {
+		return 0, false, err
 	}
 	// Count past the denial checks: Metrics.Gets counts operations
 	// served, and a denied read must neither count nor dilute the cache
 	// hit rate's denominator.
 	s.gets++
 	s.retireReady(sh)
-	slot, ok := sh.index[key]
-	// Watermark gate: a key overwritten past the acked-watermark is
-	// served from its shadow (last acked) state — a read never observes a
-	// value a crash could still take back.
-	if e, shadowed := sh.shadow[key]; shadowed {
-		slot, ok = e.slot, e.exists
-	}
+	slot, ok := sh.view.visible(key)
 	if !ok {
 		return 0, false, nil
 	}
+	v, err := s.readValue(sh, key, slot)
+	if err != nil {
+		return 0, false, err
+	}
+	s.observeReadLocked(sh, key)
+	return v, true, nil
+}
+
+// readValue is the one demand-read path: it serves key, whose visible
+// state is the record at encoded slot on shard sh, from the front end's
+// cached copy when there is one and from the shard's memory otherwise.
+// A hit costs no simulated Load and no shard busy time — the read never
+// reached the fabric, and the copy is coherent by construction (every
+// move of the key's visible state snooped it; see cache.go), so it
+// equals what the Load would return. A miss pays the Load, charged to
+// the shard's busy clock and the key's bucket, and fills the cache.
+//
+//cxl0:locked mu
+func (s *Store) readValue(sh *shard, key core.Val, slot int) (core.Val, error) {
 	if s.cache != nil {
 		if v, hit := s.cache.lookupLocked(key); hit {
-			// Served from the front end's local copy: no simulated Load,
-			// no shard busy time — this read never reached the fabric. The
-			// copy is coherent by construction (every state change above
-			// snooped it; see cache.go), so it equals what the Load below
-			// would return.
-			if s.rec != nil {
-				s.rec.CacheHit(sh.id, s.cluster.NowNS())
-			}
-			s.observeReadLocked(sh, key)
-			return v, true, nil
+			s.rec.CacheHit(sh.id, s.obsNow())
+			return v, nil
 		}
 	}
 	start := s.cluster.NowNS()
 	v, err := sh.thread.Load(sh.valLocOf(slot))
-	span := s.cluster.NowNS() - start
+	end := s.cluster.NowNS()
+	span := end - start
 	sh.busyNS += span
 	s.bucketWin[s.bucketOf(key)] += span
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if s.cache != nil {
 		s.cache.fillLocked(key, v, false)
-		if s.rec != nil {
-			s.rec.CacheMiss(sh.id, s.cluster.NowNS())
-		}
-		s.observeReadLocked(sh, key)
+		s.rec.CacheMiss(sh.id, end)
 	}
-	return v, true, nil
+	return v, nil
 }
 
 // MultiGet resolves a set of keys under one lock acquisition, returning
@@ -975,10 +840,7 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 	}
 	// Served-only counting, like getLocked: a denied MultiGet never ran.
 	s.multiGets++
-	var start float64
-	if s.rec != nil {
-		start = s.cluster.NowNS()
-	}
+	start := s.obsNow()
 	out := make([]Lookup, 0, len(keys))
 	unavailable := make([]bool, len(s.shards))
 	missing := 0
@@ -997,9 +859,7 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 		}
 		out = append(out, Lookup{Key: k, Val: v, Found: ok})
 	}
-	if s.rec != nil {
-		s.rec.OpSpan(obs.OpMultiGet, -1, start, s.cluster.NowNS(), len(out)-missing, 0, false)
-	}
+	s.rec.OpSpan(obs.OpMultiGet, -1, start, s.obsNow(), len(out)-missing, 0, false)
 	if missing > 0 {
 		return out, &PartialResultError{Op: "multiget", Unavailable: shardList(unavailable), Missing: missing}
 	}
@@ -1039,13 +899,10 @@ func (s *Store) Apply(b *Batch) (Ack, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rec == nil {
-		return s.applyLocked(b)
-	}
-	start := s.cluster.NowNS()
+	start := s.obsNow()
 	ackedW, commitW := s.ackedWrites, s.obsCommitAcked
 	ack, err := s.applyLocked(b)
-	s.rec.OpSpan(obs.OpApply, -1, start, s.cluster.NowNS(),
+	s.rec.OpSpan(obs.OpApply, -1, start, s.obsNow(),
 		b.Len(), s.spanAcked(ackedW, commitW), ack.Durable)
 	return ack, err
 }
@@ -1104,10 +961,7 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 	}
 	// Served-only counting, like getLocked: a denied Scan never ran.
 	s.scans++
-	var sstart float64
-	if s.rec != nil {
-		sstart = s.cluster.NowNS()
-	}
+	sstart := s.obsNow()
 	type cand struct {
 		key  core.Val
 		slot int
@@ -1120,44 +974,22 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 		if !sh.partitioned {
 			s.retireReady(sh)
 		}
-		for k, slot := range sh.index { //cxl0:order-insensitive — candidates sorted by key below
-			if k >= lo && k < hi {
-				// A down shard only fails the scan when it actually holds
-				// keys in range; an idle down shard costs nothing. A
-				// partitioned shard degrades the scan to a partial result
-				// instead: its data is intact behind the partition, so
-				// skipping it is safe and the typed error says what is
-				// missing.
-				if sh.down {
-					return nil, ErrShardDown
-				}
-				if sh.partitioned {
-					unavailable[sh.id] = true
-					missing++
-					continue
-				}
-				// Watermark gate: serve the key's last acked state — or
-				// skip it entirely when it had none (its first write is
-				// still in flight).
-				if e, shadowed := sh.shadow[k]; shadowed {
-					if e.exists {
-						cands = append(cands, cand{key: k, slot: e.slot, sh: sh})
-					}
-					continue
-				}
-				cands = append(cands, cand{key: k, slot: slot, sh: sh})
+		for k, slot := range sh.view.inRange(lo, hi) {
+			// A down shard only fails the scan when it actually holds
+			// keys in range; an idle down shard costs nothing. A
+			// partitioned shard degrades the scan to a partial result
+			// instead: its data is intact behind the partition, so
+			// skipping it is safe and the typed error says what is
+			// missing.
+			if sh.down {
+				return nil, ErrShardDown
 			}
-		}
-		// Keys deleted past the watermark left the index but their acked
-		// state is still readable — the shadow carries it.
-		for k, e := range sh.shadow { //cxl0:order-insensitive — candidates sorted by key below
-			if k < lo || k >= hi || !e.exists || sh.down || sh.partitioned {
+			if sh.partitioned {
+				unavailable[sh.id] = true
+				missing++
 				continue
 			}
-			if _, live := sh.index[k]; live {
-				continue
-			}
-			cands = append(cands, cand{key: k, slot: e.slot, sh: sh})
+			cands = append(cands, cand{key: k, slot: slot, sh: sh})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].key < cands[j].key })
@@ -1166,28 +998,9 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 	}
 	out := make([]Pair, 0, len(cands))
 	for _, c := range cands {
-		if s.cache != nil {
-			if v, hit := s.cache.lookupLocked(c.key); hit {
-				if s.rec != nil {
-					s.rec.CacheHit(c.sh.id, s.cluster.NowNS())
-				}
-				out = append(out, Pair{Key: c.key, Val: v})
-				continue
-			}
-		}
-		start := s.cluster.NowNS()
-		v, err := c.sh.thread.Load(c.sh.valLocOf(c.slot))
-		span := s.cluster.NowNS() - start
-		c.sh.busyNS += span
-		s.bucketWin[s.bucketOf(c.key)] += span
+		v, err := s.readValue(c.sh, c.key, c.slot)
 		if err != nil {
 			return nil, err
-		}
-		if s.cache != nil {
-			s.cache.fillLocked(c.key, v, false)
-			if s.rec != nil {
-				s.rec.CacheMiss(c.sh.id, s.cluster.NowNS())
-			}
 		}
 		out = append(out, Pair{Key: c.key, Val: v})
 	}
@@ -1202,9 +1015,7 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 		s.prefetchLocked(ahead)
 	}
 	s.scannedPairs += uint64(len(out))
-	if s.rec != nil {
-		s.rec.OpSpan(obs.OpScan, -1, sstart, s.cluster.NowNS(), len(out), 0, false)
-	}
+	s.rec.OpSpan(obs.OpScan, -1, sstart, s.obsNow(), len(out), 0, false)
 	if missing > 0 {
 		return out, &PartialResultError{Op: "scan", Unavailable: shardList(unavailable), Missing: missing}
 	}
@@ -1322,39 +1133,6 @@ func (s *Store) Health() []ShardHealth {
 		}
 	}
 	return out
-}
-
-// replayRecord applies one log record to an index under the move-marker
-// wipe rule: a marker for bucket b supersedes every earlier record of b
-// in the log — either the bucket moved away (move-out), or it moved
-// (back) in and the copies following the marker carry its authoritative
-// state (move-in). Without the wipe, a key deleted while its bucket lived
-// elsewhere could resurrect from a pre-migration record. onlyBucket >= 0
-// restricts the replay to that bucket's records (the redo re-index path);
-// -1 replays everything (recovery's full index rebuild). Both crash-path
-// call sites must agree on these semantics exactly, which is why they
-// share this one implementation.
-func (s *Store) replayRecord(index map[core.Val]int, slot int, r rec, onlyBucket int) {
-	if r.move {
-		b := int(r.key)
-		if onlyBucket >= 0 && b != onlyBucket {
-			return
-		}
-		for k := range index { //cxl0:order-insensitive — uniform delete, order-free
-			if s.bucketOf(k) == b {
-				delete(index, k)
-			}
-		}
-		return
-	}
-	if onlyBucket >= 0 && s.bucketOf(r.key) != onlyBucket {
-		return
-	}
-	if r.val == 0 {
-		delete(index, r.key)
-	} else {
-		index[r.key] = slot
-	}
 }
 
 // Recover restarts shard i after a crash: it resolves the shard's
@@ -1567,19 +1345,15 @@ scan:
 	// Rebuild the index from what the scans actually read: the snapshot's
 	// records first (they predate every log record — compaction folded
 	// them before the reclaimed log restarted), then the log replay under
-	// the move-marker wipe rule (see replayRecord); superseded markers are
+	// the move-marker wipe rule (see view.replay); superseded markers are
 	// inert. A marker's wipe covers the snapshot-derived entries of its
 	// bucket too, exactly as it covers earlier log records.
-	sh.index = map[core.Val]int{}
-	for slot, r := range snapScanned {
-		sh.index[r.key] = sh.cap + slot
-	}
+	sh.view.reset(snapScanned)
 	sh.snap = snapScanned
 	for slot, r := range scanned {
-		if superseded[slot] {
-			continue
+		if !superseded[slot] {
+			sh.view.replay(slot, r, s.bucketOf, -1)
 		}
-		s.replayRecord(sh.index, slot, r, -1)
 	}
 
 	// Redo: a durable move-out record is a migration's commit point. One
@@ -1595,24 +1369,18 @@ scan:
 		if !out || ver <= s.bucketVer[b] {
 			continue
 		}
-		s.shardMap[b] = to
-		s.bucketVer[b] = ver
-		// Reindex the destination even when it is down: the copies the
-		// flip lands on are durable (committed before the move-out), so
-		// these mirror-derived entries are exactly what its own Recover
+		// The destination is reindexed even when it is down: the copies
+		// the flip lands on are durable (committed before the move-out),
+		// so these mirror-derived entries are exactly what its own Recover
 		// will rebuild — and until then they let Scan see that a down
 		// shard holds keys in range instead of silently omitting them.
-		s.reindexBucket(s.shards[to], b)
+		s.flipBucket(b, to, ver)
 	}
 
 	// Ownership sweep: drop index entries for buckets this shard no
 	// longer serves — records that migrated away, and orphaned copies an
 	// aborted inbound migration left in the log.
-	for k := range sh.index { //cxl0:order-insensitive — uniform delete, order-free
-		if s.shardOf(k) != sh.id {
-			delete(sh.index, k)
-		}
-	}
+	sh.view.drop(func(k core.Val) bool { return s.shardOf(k) != sh.id })
 
 	// Pending batched records occupy the log's tail; the client writes
 	// among those the scan reached were recovered (and are durable after
@@ -1698,7 +1466,7 @@ func (s *Store) Metrics() Metrics {
 		m.PerShardBusyNS = append(m.PerShardBusyNS, sh.busyNS)
 		m.PerShardChurnNS = append(m.PerShardChurnNS, sh.churnNS)
 		m.PerShardFill = append(m.PerShardFill, float64(len(sh.log))/float64(sh.cap))
-		m.PerShardLive = append(m.PerShardLive, len(sh.index))
+		m.PerShardLive = append(m.PerShardLive, sh.view.live())
 		m.WriteLatencies = append(m.WriteLatencies, sh.writeLat...)
 		m.IssueLatencies = append(m.IssueLatencies, sh.issueLat...)
 		m.PerShardInFlight = append(m.PerShardInFlight, len(sh.flights))
