@@ -148,6 +148,27 @@ func TestAddLocsContiguous(t *testing.T) {
 	}
 }
 
+func TestAddLocsUnknownMachinePanics(t *testing.T) {
+	for _, call := range []struct {
+		name string
+		add  func(*Topology)
+	}{
+		{"AddLoc", func(topo *Topology) { topo.AddLoc("x", 3) }},
+		{"AddLocs", func(topo *Topology) { topo.AddLocs(3, 2) }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "no machine 3") {
+					t.Errorf("%s on an unknown machine: panic %q, want one naming machine 3", call.name, msg)
+				}
+			}()
+			topo := NewTopology()
+			topo.AddMachine("m", NonVolatile)
+			call.add(topo)
+		}()
+	}
+}
+
 func TestStateString(t *testing.T) {
 	topo := NewTopology()
 	m := topo.AddMachine("m", NonVolatile)

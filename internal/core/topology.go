@@ -84,6 +84,9 @@ func (t *Topology) AddLoc(name string, m MachineID) LocID {
 // AddLocs registers n anonymous locations owned by machine m and returns the
 // ID of the first; the rest follow contiguously.
 func (t *Topology) AddLocs(m MachineID, n int) LocID {
+	if int(m) < 0 || int(m) >= len(t.machines) {
+		panic(fmt.Sprintf("core: AddLocs: no machine %d", m))
+	}
 	first := LocID(len(t.owner))
 	for i := 0; i < n; i++ {
 		t.AddLoc(fmt.Sprintf("%s[%d]", t.machines[m].Name, int(first)+i), m)

@@ -133,6 +133,9 @@ func (c *Cluster) Machines() int { return c.topo.NumMachines() }
 
 // Alloc reserves n contiguous locations on machine m's heap.
 func (c *Cluster) Alloc(m core.MachineID, n int) (core.LocID, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("memsim: Alloc needs n >= 0, got %d", n)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.heapNext[m]+n > c.heapSize[m] {

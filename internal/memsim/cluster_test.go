@@ -159,6 +159,26 @@ func TestAllocExhaustion(t *testing.T) {
 	}
 }
 
+// A negative size used to pass the capacity check and move the heap
+// pointer backwards, so the next Alloc handed out words already in use.
+func TestAllocRejectsNegativeSize(t *testing.T) {
+	c := NewCluster([]MachineConfig{{Name: "m", Mem: core.NonVolatile, Heap: 8}}, Config{})
+	first, err := c.Alloc(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Alloc(0, -4); err == nil {
+		t.Error("Alloc(-4) succeeded")
+	}
+	next, err := c.Alloc(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next < first+4 {
+		t.Errorf("Alloc after a negative request returned %d, inside the live block [%d,%d)", next, first, first+4)
+	}
+}
+
 func TestConcurrentFAA(t *testing.T) {
 	c, _, _ := pair(t, Config{EvictEvery: 3, Seed: 42})
 	x, _ := c.Alloc(0, 1)
