@@ -8,8 +8,14 @@ import "fmt"
 // in place avoids cloning the whole state on every primitive. Exploration
 // code must keep using the cloning API.
 //
+// The runtime does not enumerate TauSteps to take one either: it draws
+// k < State.TauStepCount() and applies State.TauStepAt(k), the k-th step of
+// that enumeration, which the state's occupancy index (occupancy.go) finds
+// without visiting the cells. Every cache write of both APIs goes through
+// State.setCache, which keeps the index.
+//
 // TestInPlaceAgreesWithApply property-checks that both APIs define the same
-// transition relation.
+// transition relation and leave the index agreeing with TauSteps.
 
 // ApplyInPlace mutates s by the labeled transition l under variant v and
 // reports whether l was enabled (s is unchanged when not). For OpLoad under
@@ -20,22 +26,16 @@ func ApplyInPlace(s *State, l Label, v Variant) bool {
 	case OpLoad:
 		return loadInPlace(s, l, v)
 	case OpLStore:
-		for m := range s.cache {
-			s.cache[m][l.Loc] = Bot
-		}
-		s.cache[l.M][l.Loc] = l.Val
+		s.invalidate(l.Loc)
+		s.setCache(l.M, l.Loc, l.Val)
 		return true
 	case OpRStore:
 		k := s.topo.Owner(l.Loc)
-		for m := range s.cache {
-			s.cache[m][l.Loc] = Bot
-		}
-		s.cache[k][l.Loc] = l.Val
+		s.invalidate(l.Loc)
+		s.setCache(k, l.Loc, l.Val)
 		return true
 	case OpMStore:
-		for m := range s.cache {
-			s.cache[m][l.Loc] = Bot
-		}
+		s.invalidate(l.Loc)
 		s.mem[l.Loc] = l.Val
 		return true
 	case OpLFlush:
@@ -70,7 +70,7 @@ func loadInPlace(s *State, l Label, v Variant) bool {
 		if cv != l.Val {
 			return false
 		}
-		s.cache[l.M][l.Loc] = cv
+		s.setCache(l.M, l.Loc, cv)
 		return true
 	}
 	return s.mem[l.Loc] == l.Val
@@ -109,22 +109,17 @@ func ApplyTauInPlace(s *State, t TauStep) {
 		if s.topo.Owner(t.Loc) != t.From {
 			panic("core: ApplyTauInPlace: vertical propagation from non-owner")
 		}
-		for m := range s.cache {
-			s.cache[m][t.Loc] = Bot
-		}
+		s.invalidate(t.Loc)
 		s.mem[t.Loc] = v
 	} else {
-		k := s.topo.Owner(t.Loc)
-		s.cache[t.From][t.Loc] = Bot
-		s.cache[k][t.Loc] = v
+		s.setCache(t.From, t.Loc, Bot)
+		s.setCache(s.topo.Owner(t.Loc), t.Loc, v)
 	}
 }
 
 // CrashInPlace mutates s by the crash of machine m under variant v.
 func CrashInPlace(s *State, m MachineID, v Variant) {
-	for l := range s.cache[m] {
-		s.cache[m][l] = Bot
-	}
+	s.occ[m].each(func(l LocID) { s.setCache(m, l, Bot) })
 	if s.topo.Mem(m) == Volatile {
 		for l := 0; l < s.topo.NumLocs(); l++ {
 			if s.topo.Owner(LocID(l)) == m {
@@ -137,11 +132,11 @@ func CrashInPlace(s *State, m MachineID, v Variant) {
 			if MachineID(j) == m {
 				continue
 			}
-			for l := 0; l < s.topo.NumLocs(); l++ {
-				if s.topo.Owner(LocID(l)) == m {
-					s.cache[j][l] = Bot
+			s.occ[j].each(func(l LocID) {
+				if s.topo.Owner(l) == m {
+					s.setCache(MachineID(j), l, Bot)
 				}
-			}
+			})
 		}
 	}
 }

@@ -38,7 +38,9 @@ func randomLabel(rng *rand.Rand) Label {
 // TestInPlaceAgreesWithApply property-checks that ApplyInPlace defines the
 // same (deterministic fragment of the) transition relation as Apply: for
 // random states and labels, enabledness matches, and when enabled the
-// in-place result equals Apply's successor.
+// in-place result equals Apply's successor. Every state either API
+// produces must also carry an occupancy index that agrees with the full
+// scans (indexAgrees).
 func TestInPlaceAgreesWithApply(t *testing.T) {
 	topo := NewTopology()
 	m0 := topo.AddMachine("m1", NonVolatile)
@@ -50,11 +52,39 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		variant := Variants[int(variantRaw)%len(Variants)]
 		s := NewState(topo)
+		indexed := func(what string, states ...*State) bool {
+			for _, st := range states {
+				if err := indexAgrees(st); err != nil {
+					t.Logf("after %s: %v", what, err)
+					return false
+				}
+			}
+			return true
+		}
 		for step := 0; step < 40; step++ {
+			if rng.Intn(5) == 0 {
+				// Plant or drop a copy directly, keeping the global
+				// invariant: a planted copy repeats the line's cached value.
+				m, x := MachineID(rng.Intn(2)), LocID(rng.Intn(2))
+				v := Bot
+				if rng.Intn(2) == 0 {
+					if v = Val(rng.Intn(3)); !s.NoCacheHolds(x) {
+						v, _ = s.CachedValue(x)
+					}
+				}
+				s = s.Clone()
+				s.SetCache(m, x, v)
+				if !indexed("SetCache on a clone", s) {
+					return false
+				}
+			}
 			l := randomLabel(rng)
 			viaClone := Apply(s, l, variant)
 			inPlace := s.Clone()
 			enabled := ApplyInPlace(inPlace, l, variant)
+			if !indexed(l.String(), append(viaClone, inPlace, s)...) {
+				return false
+			}
 			if enabled != (len(viaClone) > 0) {
 				t.Logf("enabledness mismatch at %v (state %v): clone=%d inplace=%v",
 					l, s, len(viaClone), enabled)
@@ -86,6 +116,9 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 				ApplyTauInPlace(ip, ts)
 				if !ip.Equal(cloned) {
 					t.Logf("τ mismatch at %v", ts)
+					return false
+				}
+				if !indexed(ts.String(), ip, cloned) {
 					return false
 				}
 				s = cloned

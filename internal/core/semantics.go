@@ -63,24 +63,18 @@ func Apply(s *State, l Label, v Variant) []*State {
 		return applyLoad(s, l, v)
 	case OpLStore:
 		n := s.Clone()
-		for m := range n.cache {
-			n.cache[m][l.Loc] = Bot
-		}
-		n.cache[l.M][l.Loc] = l.Val
+		n.invalidate(l.Loc)
+		n.setCache(l.M, l.Loc, l.Val)
 		return []*State{n}
 	case OpRStore:
 		k := s.topo.Owner(l.Loc)
 		n := s.Clone()
-		for m := range n.cache {
-			n.cache[m][l.Loc] = Bot
-		}
-		n.cache[k][l.Loc] = l.Val
+		n.invalidate(l.Loc)
+		n.setCache(k, l.Loc, l.Val)
 		return []*State{n}
 	case OpMStore:
 		n := s.Clone()
-		for m := range n.cache {
-			n.cache[m][l.Loc] = Bot
-		}
+		n.invalidate(l.Loc)
 		n.mem[l.Loc] = l.Val
 		return []*State{n}
 	case OpLFlush:
@@ -147,7 +141,7 @@ func applyLoad(s *State, l Label, v Variant) []*State {
 				return nil
 			}
 			n := s.Clone()
-			n.cache[l.M][l.Loc] = cv
+			n.setCache(l.M, l.Loc, cv)
 			return []*State{n}
 		}
 		// LOAD-from-M.
@@ -191,7 +185,7 @@ func applyRMW(s *State, l Label) []*State {
 func Crash(s *State, m MachineID, v Variant) *State {
 	n := s.Clone()
 	for l := range n.cache[m] {
-		n.cache[m][l] = Bot
+		n.setCache(m, LocID(l), Bot)
 	}
 	if s.topo.Mem(m) == Volatile {
 		for l := 0; l < s.topo.NumLocs(); l++ {
@@ -207,7 +201,7 @@ func Crash(s *State, m MachineID, v Variant) *State {
 			}
 			for l := 0; l < s.topo.NumLocs(); l++ {
 				if s.topo.Owner(LocID(l)) == m {
-					n.cache[j][l] = Bot
+					n.setCache(MachineID(j), LocID(l), Bot)
 				}
 			}
 		}
@@ -267,14 +261,11 @@ func ApplyTau(s *State, t TauStep) *State {
 		if s.topo.Owner(t.Loc) != t.From {
 			panic("core: ApplyTau: vertical propagation from non-owner")
 		}
-		for m := range n.cache {
-			n.cache[m][t.Loc] = Bot
-		}
+		n.invalidate(t.Loc)
 		n.mem[t.Loc] = v
 	} else {
-		k := s.topo.Owner(t.Loc)
-		n.cache[t.From][t.Loc] = Bot
-		n.cache[k][t.Loc] = v
+		n.setCache(t.From, t.Loc, Bot)
+		n.setCache(s.topo.Owner(t.Loc), t.Loc, v)
 	}
 	return n
 }

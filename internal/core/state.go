@@ -10,24 +10,45 @@ import (
 // address space (Bot = invalid) and one memory cell per location, held by
 // its owner.
 type State struct {
-	topo  *Topology
-	cache [][]Val // [machine][loc]; Bot means ⊥
+	topo *Topology
+	// cells backs cache and mem — one row of NumLocs values per machine,
+	// then memory — so that Clone copies all of them with one allocation.
+	cells []Val
+	cache [][]Val // [machine][loc]; Bot means ⊥; written only by setCache
 	mem   []Val   // [loc], stored at Owner(loc)
+
+	// occ and held index the non-⊥ cells of cache (occupancy.go). They are
+	// derived from it, so Key, Equal and String leave them out.
+	occBits []uint64    // backs every machine's occupancy
+	occ     []occupancy // [machine]
+	held    int         // non-⊥ cells over all machines
 }
 
 // NewState returns the initial state for t: all caches ⊥, all memory zero.
 func NewState(t *Topology) *State {
-	s := &State{topo: t}
-	s.cache = make([][]Val, t.NumMachines())
-	for m := range s.cache {
-		row := make([]Val, t.NumLocs())
-		for l := range row {
-			row[l] = Bot
-		}
-		s.cache[m] = row
+	s := &State{topo: t, occ: make([]occupancy, t.NumMachines())}
+	_, stride := occLayout(t.NumLocs())
+	s.occBits = make([]uint64, t.NumMachines()*stride)
+	s.cells = make([]Val, (t.NumMachines()+1)*t.NumLocs())
+	for i := range s.cells[:t.NumMachines()*t.NumLocs()] {
+		s.cells[i] = Bot
 	}
-	s.mem = make([]Val, t.NumLocs())
+	s.carve()
 	return s
+}
+
+// carve points the cache rows and mem at their parts of cells, and every
+// machine's occupancy at its part of occBits.
+func (s *State) carve() {
+	n := s.topo.NumLocs()
+	blocks, stride := occLayout(n)
+	s.cache = make([][]Val, s.topo.NumMachines())
+	for m := range s.cache {
+		s.cache[m] = s.cells[m*n : (m+1)*n : (m+1)*n]
+		part := s.occBits[m*stride : (m+1)*stride]
+		s.occ[m].block, s.occ[m].words = part[:blocks], part[blocks:]
+	}
+	s.mem = s.cells[len(s.cache)*n:]
 }
 
 // Topology returns the topology this state belongs to.
@@ -35,13 +56,12 @@ func (s *State) Topology() *Topology { return s.topo }
 
 // Clone returns a deep copy of s.
 func (s *State) Clone() *State {
-	c := &State{topo: s.topo}
-	c.cache = make([][]Val, len(s.cache))
-	for m := range s.cache {
-		c.cache[m] = append([]Val(nil), s.cache[m]...)
-	}
-	c.mem = append([]Val(nil), s.mem...)
-	return c
+	c := *s
+	c.cells = append([]Val(nil), s.cells...)
+	c.occBits = append([]uint64(nil), s.occBits...)
+	c.occ = append([]occupancy(nil), s.occ...)
+	c.carve()
+	return &c
 }
 
 // Cache returns C_m(l).
@@ -52,7 +72,7 @@ func (s *State) Mem(l LocID) Val { return s.mem[l] }
 
 // SetCache sets C_m(l) = v. Exported for test setup and the runtime; normal
 // evolution goes through Apply and TauSuccessors.
-func (s *State) SetCache(m MachineID, l LocID, v Val) { s.cache[m][l] = v }
+func (s *State) SetCache(m MachineID, l LocID, v Val) { s.setCache(m, l, v) }
 
 // SetMem sets M(l) = v.
 func (s *State) SetMem(l LocID, v Val) { s.mem[l] = v }
@@ -101,16 +121,7 @@ func (s *State) NoCacheHoldsRange(l LocID, n int) bool {
 }
 
 // CachesEmpty reports whether every cache is entirely empty.
-func (s *State) CachesEmpty() bool {
-	for m := range s.cache {
-		for _, v := range s.cache[m] {
-			if v != Bot {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (s *State) CachesEmpty() bool { return s.held == 0 }
 
 // CheckInvariant verifies the CXL0 global invariant: for every location, all
 // valid cached copies hold the same value, and memory values are

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+)
 
 // MachineID identifies a machine (node) in the system.
 type MachineID int
@@ -50,8 +55,16 @@ type MachineSpec struct {
 type Topology struct {
 	machines []MachineSpec
 	owner    []MachineID // indexed by LocID
-	locNames []string
+	// named lists the locations AddLoc registered, in ID order, and
+	// locIndex finds them by name. Every other location came from AddLocs,
+	// has no entry in either, and is called "<machine>[<id>]".
+	named    []namedLoc
 	locIndex map[string]LocID
+}
+
+type namedLoc struct {
+	id   LocID
+	name string
 }
 
 // NewTopology returns an empty topology.
@@ -66,9 +79,9 @@ func (t *Topology) AddMachine(name string, mem MemKind) MachineID {
 }
 
 // AddLoc registers a shared location owned by machine m and returns its ID.
-// Location names must be unique.
+// Location names must be unique, the names of anonymous locations included.
 func (t *Topology) AddLoc(name string, m MachineID) LocID {
-	if _, dup := t.locIndex[name]; dup {
+	if _, dup := t.LocByName(name); dup {
 		panic(fmt.Sprintf("core: duplicate location name %q", name))
 	}
 	if int(m) < 0 || int(m) >= len(t.machines) {
@@ -76,22 +89,43 @@ func (t *Topology) AddLoc(name string, m MachineID) LocID {
 	}
 	id := LocID(len(t.owner))
 	t.owner = append(t.owner, m)
-	t.locNames = append(t.locNames, name)
+	t.named = append(t.named, namedLoc{id, name})
 	t.locIndex[name] = id
 	return id
 }
 
 // AddLocs registers n anonymous locations owned by machine m and returns the
-// ID of the first; the rest follow contiguously.
+// ID of the first; the rest follow contiguously. Location l of them is
+// called "<machine>[<l>]", a name made when asked for, not stored.
 func (t *Topology) AddLocs(m MachineID, n int) LocID {
 	if int(m) < 0 || int(m) >= len(t.machines) {
 		panic(fmt.Sprintf("core: AddLocs: no machine %d", m))
 	}
 	first := LocID(len(t.owner))
+	for _, nl := range t.named {
+		if machine, id, ok := parseAnonName(nl.name); ok && machine == t.machines[m].Name && id >= first && id < first+LocID(n) {
+			panic(fmt.Sprintf("core: duplicate location name %q", nl.name))
+		}
+	}
 	for i := 0; i < n; i++ {
-		t.AddLoc(fmt.Sprintf("%s[%d]", t.machines[m].Name, int(first)+i), m)
+		t.owner = append(t.owner, m)
 	}
 	return first
+}
+
+// parseAnonName splits a name of the form AddLocs gives, "<machine>[<id>]"
+// with the ID in canonical decimal.
+func parseAnonName(name string) (machine string, id LocID, ok bool) {
+	open := strings.LastIndexByte(name, '[')
+	if open < 0 || !strings.HasSuffix(name, "]") {
+		return "", 0, false
+	}
+	digits := name[open+1 : len(name)-1]
+	n, err := strconv.Atoi(digits)
+	if err != nil || n < 0 || strconv.Itoa(n) != digits {
+		return "", 0, false
+	}
+	return name[:open], LocID(n), true
 }
 
 // NumMachines returns the number of machines.
@@ -109,11 +143,34 @@ func (t *Topology) Mem(m MachineID) MemKind { return t.machines[m].Mem }
 // MachineName returns the name of machine m.
 func (t *Topology) MachineName(m MachineID) string { return t.machines[m].Name }
 
+// givenName returns the name AddLoc registered l under, if it did.
+func (t *Topology) givenName(l LocID) (string, bool) {
+	i := sort.Search(len(t.named), func(i int) bool { return t.named[i].id >= l })
+	if i < len(t.named) && t.named[i].id == l {
+		return t.named[i].name, true
+	}
+	return "", false
+}
+
 // LocName returns the name of location l.
-func (t *Topology) LocName(l LocID) string { return t.locNames[l] }
+func (t *Topology) LocName(l LocID) string {
+	if name, ok := t.givenName(l); ok {
+		return name
+	}
+	return fmt.Sprintf("%s[%d]", t.machines[t.owner[l]].Name, int(l))
+}
 
 // LocByName returns the location with the given name.
 func (t *Topology) LocByName(name string) (LocID, bool) {
-	l, ok := t.locIndex[name]
-	return l, ok
+	if l, ok := t.locIndex[name]; ok {
+		return l, true
+	}
+	machine, l, ok := parseAnonName(name)
+	if !ok || int(l) >= len(t.owner) || t.machines[t.owner[l]].Name != machine {
+		return 0, false
+	}
+	if _, named := t.givenName(l); named {
+		return 0, false
+	}
+	return l, true
 }

@@ -7,11 +7,15 @@
 // corresponding CXL0 transition from package core, so the set of traces the
 // runtime can produce is exactly the set the LTS allows. Nondeterministic
 // cache eviction (the τ steps) is injected probabilistically after
-// operations and on demand via Churn; crashes and recoveries are injected
-// through Crash and Recover. A simulated clock charges each primitive the
-// latency model's cost, enabling performance comparisons between
-// persistence strategies that wall-clock time on a single host cannot
-// expose.
+// operations and on demand via Churn: one seeded draw k below
+// core.State.TauStepCount picks step k of core.TauSteps' (machine, loc)
+// order, which core.State.TauStepAt returns from the state's occupancy
+// index, so an eviction costs the host the same whatever the size of the
+// state. GPF and Crash likewise visit only the lines some cache holds.
+// Crashes and recoveries are injected through Crash and Recover. A
+// simulated clock charges each primitive the latency model's cost,
+// enabling performance comparisons between persistence strategies that
+// wall-clock time on a single host cannot expose.
 package memsim
 
 import (
@@ -99,6 +103,10 @@ type Cluster struct {
 	// cache. This overlay exists purely for latency accounting and never
 	// influences semantics.
 	hot []map[core.LocID]bool
+
+	// flushLines is chargeRangedFlushLocked's scratch: lines of the range
+	// being flushed, per owning machine.
+	flushLines []int
 }
 
 // NewCluster builds a cluster with the given machines and pre-provisioned
@@ -122,6 +130,7 @@ func NewCluster(machines []MachineConfig, cfg Config) *Cluster {
 	}
 	c.topo = topo
 	c.st = core.NewState(topo)
+	c.flushLines = make([]int, len(machines))
 	return c
 }
 
@@ -298,12 +307,16 @@ func (c *Cluster) Churn(n int) {
 	}
 }
 
+// evictOnceLocked applies one τ step drawn uniformly from those enabled —
+// the k-th of core.TauSteps' (machine, loc) order, found through the
+// state's occupancy index instead of by enumerating them — and draws
+// nothing when no line is cached.
 func (c *Cluster) evictOnceLocked() {
-	steps := core.TauSteps(c.st)
-	if len(steps) == 0 {
+	n := c.st.TauStepCount()
+	if n == 0 {
 		return
 	}
-	c.applyTauLocked(steps[c.rng.Intn(len(steps))])
+	c.applyTauLocked(c.st.TauStepAt(c.rng.Intn(n)))
 }
 
 // applyTauLocked performs one propagation step and maintains the hot-line
@@ -415,17 +428,17 @@ func (c *Cluster) chargeRangedFlushLocked(issuer core.MachineID, base core.LocID
 	if c.cfg.Latency == nil {
 		return
 	}
-	perDevice := map[core.MachineID]int{}
+	clear(c.flushLines)
 	for i := 0; i < n; i++ {
-		perDevice[c.topo.Owner(base+core.LocID(i))]++
+		c.flushLines[c.topo.Owner(base+core.LocID(i))]++
 	}
 	// Charge devices in machine order: float64 addition is not
-	// associative, and map-iteration order would make the simulated clock
-	// nondeterministic for ranges spanning several owners. Each device's
-	// portion scales with its own degradation factor — a slow device slows
-	// exactly its share of the range, not the whole fabric.
-	for dev := 0; dev < c.topo.NumMachines(); dev++ {
-		if lines := perDevice[core.MachineID(dev)]; lines > 0 {
+	// associative, so the order is part of the simulated clock's value.
+	// Each device's portion scales with its own degradation factor — a
+	// slow device slows exactly its share of the range, not the whole
+	// fabric.
+	for dev, lines := range c.flushLines {
+		if lines > 0 {
 			c.clockNS += c.cfg.Latency.RFlushRangeCost(lines, core.MachineID(dev) == issuer) * c.degrade[dev]
 		}
 	}

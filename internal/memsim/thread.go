@@ -232,8 +232,11 @@ func (t *Thread) GPF() error {
 	if err := t.c.fabricWholeLocked(); err != nil {
 		return err
 	}
-	for x := 0; x < t.c.topo.NumLocs(); x++ {
-		t.drainLocked(core.LocID(x), true)
+	// Force propagation until nothing is cached. Lines drain independently
+	// and a drain draws no randomness, so taking whichever step is first
+	// ends in the same state as draining location by location.
+	for t.c.st.TauStepCount() > 0 {
+		t.c.applyTauLocked(t.c.st.TauStepAt(0))
 	}
 	t.applyLocked(core.GPFL(t.m))
 	t.c.chargeGPFLocked()
