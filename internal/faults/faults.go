@@ -161,6 +161,15 @@ func (e *Engine) Step(op int) error {
 }
 
 func (e *Engine) fire(ev Event) error {
+	// A schedule is input: hold every shard it names to the DB's range
+	// before applying any of them, so a bad event fails whole and by name
+	// instead of indexing past the shard table mid-way.
+	n := e.db.NumShards()
+	for _, sh := range ev.Shards {
+		if sh < 0 || sh >= n {
+			return fmt.Errorf("faults: event at op %d names shard %d of %d", ev.At, sh, n)
+		}
+	}
 	switch ev.Action {
 	case Crash:
 		for _, sh := range ev.Shards {

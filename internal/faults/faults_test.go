@@ -2,6 +2,7 @@ package faults_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"cxl0/internal/faults"
 	"cxl0/internal/kv"
 	"cxl0/internal/obs"
+	"cxl0/internal/pool"
 )
 
 func open(t *testing.T, shards int) *kv.Store {
@@ -222,6 +224,43 @@ func TestSkippedInjectionsNeverDoubleApply(t *testing.T) {
 	for i, h := range st.Health() {
 		if h.Down || h.Partitioned {
 			t.Fatalf("shard %d still impaired after Finish: %+v", i, h)
+		}
+	}
+}
+
+// TestEventShardOutOfRange: a schedule naming a shard the DB does not
+// have fails by name — for every action, on a single store and on a
+// pooled router (whose global index space is clusters × shards) — and
+// applies none of the event's shards, in-range ones included.
+func TestEventShardOutOfRange(t *testing.T) {
+	router, err := pool.Open(pool.Config{Clusters: 2, Store: kv.Config{Shards: 2, Strategy: kv.GroupCommit, Batch: 8, Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs := []struct {
+		name string
+		db   kv.DB
+	}{{"store", open(t, 4)}, {"router", router}}
+	for _, d := range dbs {
+		for _, action := range []faults.Action{faults.Crash, faults.Recover, faults.Partition, faults.Heal, faults.Degrade} {
+			for _, bad := range []int{99, 4, -1} {
+				eng := faults.New(d.db, &faults.Campaign{Name: "oob", Events: []faults.Event{
+					{At: 3, Action: action, Shards: []int{1, bad}, Factor: 2},
+				}})
+				err := eng.Step(3)
+				want := fmt.Sprintf("faults: event at op 3 names shard %d of 4", bad)
+				if err == nil || err.Error() != want {
+					t.Fatalf("%s: %v of shard %d: err = %v, want %q", d.name, action, bad, err, want)
+				}
+				if s := eng.Stats(); !reflect.DeepEqual(s, faults.Stats{Campaign: "oob"}) {
+					t.Fatalf("%s: %v of shard %d applied part of the event: %+v", d.name, action, bad, s)
+				}
+			}
+		}
+		for i, h := range d.db.Health() {
+			if h.Down || h.Partitioned || h.DegradeFactor > 1 {
+				t.Fatalf("%s: shard %d impaired by a rejected event: %+v", d.name, i, h)
+			}
 		}
 	}
 }
