@@ -1,0 +1,215 @@
+package kv
+
+// Metrics is a snapshot of a store's service counters.
+type Metrics struct {
+	// Puts, Gets, Deletes and Scans count operations served. Gets counts
+	// point lookups, including each key resolved by a MultiGet.
+	Puts, Gets, Deletes, Scans uint64
+	ScannedPairs               uint64
+	// MultiGets counts MultiGet calls and Batches counts Apply calls (a
+	// Router splitting one client batch across clusters counts one Apply
+	// per sub-batch it forwards).
+	MultiGets, Batches uint64
+	Commits            uint64 // commit flushes issued (GPF or ranged batches)
+	// ScanDiscardedPairs counts pairs a pooled scan fan-out loaded from
+	// clusters and then discarded in the router's merge — always 0 on a
+	// single store, where Scan never over-fetches (see pool.Router.Scan).
+	ScanDiscardedPairs uint64
+	// Acked is the cumulative count of client writes acknowledged durable
+	// (at return, at a batch commit, via Sync, or by a recovery that
+	// salvaged a pending batch). It only ever grows: recovery truncation
+	// and bucket migration move log positions around, but an acknowledged
+	// write stays acknowledged. Migrated copies are not client writes and
+	// are counted in MigratedRecords instead.
+	Acked           uint64
+	DroppedPending  uint64
+	Recoveries      uint64
+	Migrations      uint64 // completed bucket migrations
+	MigratedRecords uint64 // live records copied by completed migrations
+	// Compactions counts committed shard compactions and ReclaimedSlots
+	// the log and old-snapshot slots they retired (deleted, overwritten
+	// and migrated-away records, plus superseded snapshot entries). Both
+	// are cumulative and only ever grow.
+	Compactions    uint64
+	ReclaimedSlots uint64
+	RecoveryNS     []float64
+	// CompactionNS are the simulated durations of committed compactions
+	// (charged to the compacted shard as churn, like recovery time).
+	CompactionNS []float64
+	// PerShardBusyNS is each shard's accumulated simulated busy time.
+	// Shards run on distinct machines, so the service-level makespan under
+	// perfect parallelism is the maximum entry. Global operations (GPF)
+	// are charged to every shard because a Global Persistent Flush stalls
+	// the whole fabric; RangedCommit's ranged flushes involve only the
+	// shard's own device and are charged to that shard alone.
+	PerShardBusyNS []float64
+	// PerShardChurnNS is the part of PerShardBusyNS spent on crash
+	// recovery and bucket migration: exogenous one-off costs, excluded
+	// from the placement-skew metric (MaxMeanBusyRatio).
+	PerShardChurnNS []float64
+	// PerShardFill is each shard's log fill fraction at snapshot time
+	// (appended records over capacity — live occupancy, not cumulative),
+	// and PerShardLive its live record count (index size). Both follow
+	// PerShardBusyNS's global shard order under a pooled router.
+	PerShardFill []float64
+	PerShardLive []int
+	// WriteLatencies are simulated ack latencies of acknowledged writes
+	// (submit to durable-ack, including any commit-pipeline lane wait);
+	// IssueLatencies are the same writes' submit-to-return latencies.
+	// With the pipeline off they nearly coincide; the gap between their
+	// distributions is exactly what pipelining buys (see docs/pipeline.md).
+	WriteLatencies []float64
+	IssueLatencies []float64
+	// PipelinedCommits counts commit flushes issued through the
+	// asynchronous pipeline (always 0 at PipelineDepth 1) and
+	// MaxInFlight the deepest pipeline occupancy any shard reached.
+	// PerShardInFlight and PerShardAcked are gauges at snapshot time:
+	// each shard's in-flight flush count and its acked-watermark
+	// position (log records [0, acked) are acknowledged durable).
+	PipelinedCommits uint64
+	MaxInFlight      int
+	PerShardInFlight []int
+	PerShardAcked    []int
+	// Read-cache counters (all 0 unless Config.ReadCache > 0; see
+	// docs/caching.md). CacheHits and CacheMisses count cache
+	// consultations on the served-read path — a hit was answered from the
+	// front end's local copy without a simulated Load, so the hit rate is
+	// CacheHits/(CacheHits+CacheMisses) over exactly the reads that
+	// resolved a value. SpeculativeFills counts prefetcher warm-ups
+	// installed ahead of demand, CacheInvalidations the inline coherence
+	// snoops by write paths, and CacheSize is the entry-count gauge at
+	// snapshot time.
+	CacheHits, CacheMisses uint64
+	SpeculativeFills       uint64
+	CacheInvalidations     uint64
+	CacheSize              int
+}
+
+// MaxBusyNS returns the busiest shard's simulated time — the service
+// makespan under perfect shard parallelism.
+func (m Metrics) MaxBusyNS() float64 {
+	max := 0.0
+	for _, b := range m.PerShardBusyNS {
+		if b > max {
+			max = b
+		}
+	}
+	return max
+}
+
+// TotalBusyNS returns the summed simulated time across shards (the
+// single-machine-equivalent cost).
+func (m Metrics) TotalBusyNS() float64 {
+	total := 0.0
+	for _, b := range m.PerShardBusyNS {
+		total += b
+	}
+	return total
+}
+
+// MaxMeanBusyRatio returns the busiest shard's traffic time divided by
+// the mean — the placement-skew metric: 1.0 is a perfectly balanced
+// service, and the traffic makespan exceeds the ideally parallel one by
+// exactly this factor. Churn time (crash recovery, bucket migration) is
+// excluded: it is one-off cost unrelated to where traffic is routed, and
+// the run's crash schedule would otherwise drown the signal. Returns 0
+// when no traffic time has accumulated.
+func (m Metrics) MaxMeanBusyRatio() float64 {
+	max, total := 0.0, 0.0
+	for i, b := range m.PerShardBusyNS {
+		if i < len(m.PerShardChurnNS) {
+			b -= m.PerShardChurnNS[i]
+		}
+		total += b
+		if b > max {
+			max = b
+		}
+	}
+	if total <= 0 {
+		return 0
+	}
+	return max / (total / float64(len(m.PerShardBusyNS)))
+}
+
+// Metrics returns a snapshot of the store's counters.
+func (s *Store) Metrics() Metrics {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := Metrics{
+		Puts:            s.puts,
+		Gets:            s.gets,
+		Deletes:         s.deletes,
+		Scans:           s.scans,
+		ScannedPairs:    s.scannedPairs,
+		MultiGets:       s.multiGets,
+		Batches:         s.batches,
+		Commits:         s.commits,
+		Acked:           s.ackedWrites,
+		DroppedPending:  s.dropped,
+		Recoveries:      s.recoveries,
+		Migrations:      s.migrations,
+		MigratedRecords: s.migratedRecords,
+		Compactions:     s.compactions,
+		ReclaimedSlots:  s.reclaimedSlots,
+		RecoveryNS:      append([]float64(nil), s.recoveryNS...),
+		CompactionNS:    append([]float64(nil), s.compactionNS...),
+	}
+	m.PipelinedCommits = s.pipeCommits
+	m.MaxInFlight = s.maxInFlight
+	if s.cache != nil {
+		m.CacheHits = s.cache.hits
+		m.CacheMisses = s.cache.misses
+		m.SpeculativeFills = s.cache.specFills
+		m.CacheInvalidations = s.cache.invalidations
+		m.CacheSize = s.cache.lenLocked()
+	}
+	for _, sh := range s.shards {
+		m.PerShardBusyNS = append(m.PerShardBusyNS, sh.busyNS)
+		m.PerShardChurnNS = append(m.PerShardChurnNS, sh.churnNS)
+		m.PerShardFill = append(m.PerShardFill, float64(len(sh.log))/float64(sh.cap))
+		m.PerShardLive = append(m.PerShardLive, sh.view.live())
+		m.WriteLatencies = append(m.WriteLatencies, sh.writeLat...)
+		m.IssueLatencies = append(m.IssueLatencies, sh.issueLat...)
+		m.PerShardInFlight = append(m.PerShardInFlight, len(sh.flights))
+		m.PerShardAcked = append(m.PerShardAcked, sh.acked)
+	}
+	return m
+}
+
+// ResetMetrics zeroes the counters, busy clocks and latency records while
+// keeping the stored data — used to exclude a preload phase from
+// measurement.
+func (s *Store) ResetMetrics() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.puts, s.gets, s.deletes, s.scans = 0, 0, 0, 0
+	s.multiGets, s.batches = 0, 0
+	s.scannedPairs, s.commits, s.dropped, s.recoveries = 0, 0, 0, 0
+	s.ackedWrites, s.migrations, s.migratedRecords = 0, 0, 0
+	s.compactions, s.reclaimedSlots = 0, 0
+	s.recoveryNS, s.compactionNS = nil, nil
+	s.pipeCommits, s.maxInFlight = 0, 0
+	if s.cache != nil {
+		s.cache.hits, s.cache.misses = 0, 0
+		s.cache.specFills, s.cache.invalidations, s.cache.evictions = 0, 0, 0
+	}
+	for _, sh := range s.shards {
+		// The flush lane and the in-flight flights' completion points live
+		// on the busy clock being discarded: rebase them with it, or the
+		// next flight queues behind a lane as long as everything reset away.
+		for i := range sh.flights {
+			sh.flights[i].endBusy -= sh.busyNS
+		}
+		sh.laneEnd = max(0, sh.laneEnd-sh.busyNS)
+		sh.busyNS = 0
+		sh.churnNS = 0
+		sh.writeLat = nil
+		sh.issueLat = nil
+	}
+	for i := range s.winBase {
+		s.winBase[i] = 0
+	}
+	for b := range s.bucketWin {
+		s.bucketWin[b] = 0
+	}
+}

@@ -1,0 +1,323 @@
+package kv
+
+import (
+	"fmt"
+
+	"cxl0/internal/core"
+)
+
+// RecoveryStats reports one shard recovery.
+type RecoveryStats struct {
+	// Shard is the recovered shard.
+	Shard int
+	// Recovered is the number of log records that survived (the durable —
+	// or still-visible — prefix). Records folded into a snapshot by an
+	// earlier compaction are counted in Snapshot, not here.
+	Recovered int
+	// Snapshot is the number of committed snapshot records the recovery
+	// revalidated (0 when the shard never compacted).
+	Snapshot int
+	// Lost is the number of appended records the crash destroyed.
+	Lost int
+	// DroppedPending is the number of unacknowledged batched writes
+	// discarded by the recovery.
+	DroppedPending int
+	// SimNS is the simulated time the recovery consumed (scan + log
+	// truncation + re-persist).
+	SimNS float64
+}
+
+// Recover restarts shard i after a crash: it resolves the shard's
+// snapshot-epoch record (the compaction commit record — MStored, so its
+// two slots are unconditionally durable and the valid one with the
+// highest epoch is authoritative), revalidates the committed snapshot,
+// scans the shard's log tail from the surviving state, truncates at the
+// first incompletely persisted record, rebuilds the volatile index from
+// snapshot plus scan, drops any unacknowledged batched writes, and
+// re-persists the recovered log prefix — with one GPF, or under
+// RangedCommit with one ranged flush over the shard's own recovered log
+// lines, so even recovery stays off the rest of the fabric. Bucket-
+// migration markers found in the log drive the wipe, redo and ownership
+// rules that keep the shard map crash-consistent (see migrate.go and
+// docs/rebalancing.md).
+func (s *Store) Recover(i int) (RecoveryStats, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.frontDown {
+		// Non-colocated workers are homed on the front end; nothing can
+		// run until it is back. RecoverFront recovers every shard's state
+		// itself.
+		return RecoveryStats{}, fmt.Errorf("%w: recover shard %d via RecoverFront", ErrFrontDown, i)
+	}
+	sh := s.shards[i]
+	if !sh.down {
+		return RecoveryStats{Shard: i}, nil
+	}
+	if sh.partitioned {
+		return RecoveryStats{}, fmt.Errorf("%w: shard %d cannot recover while partitioned; heal first", ErrUnavailable, i)
+	}
+	s.cluster.Recover(sh.machine)
+	if err := s.spawnThread(sh); err != nil {
+		return RecoveryStats{}, err
+	}
+	stats, err := s.recoverShard(sh)
+	if err != nil {
+		return RecoveryStats{}, err
+	}
+	sh.down = false
+	return stats, nil
+}
+
+// recoverShard is the recovery core shared by Recover (a crashed shard
+// machine, freshly restarted) and RecoverFront (a crashed front-end
+// machine whose cache held the shards' open batches — see failover.go):
+// resolve the epoch record, revalidate the snapshot, scan the log,
+// truncate, re-persist, rebuild the index, redo lost migration flips and
+// salvage the durable pending tail. The caller has already restarted
+// whatever machine crashed and respawned the shard's workers; clearing
+// sh.down (when set) is also the caller's job.
+//
+//cxl0:locked mu
+func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
+	i := sh.id
+	t := sh.thread
+	appended := len(sh.log)
+	ackedBefore := sh.acked
+	start := s.cluster.NowNS()
+
+	// Resolve the snapshot-epoch record from the medium. It was MStored —
+	// persistent the moment it was written — so it must agree with the
+	// front-end's committed view; any divergence means the compaction
+	// commit record was lost, which no crash can cause.
+	epoch, snapLen, err := s.readEpochRecord(sh, t)
+	if err != nil {
+		return RecoveryStats{}, err
+	}
+	if epoch != sh.epoch || snapLen != len(sh.snap) {
+		return RecoveryStats{}, fmt.Errorf(
+			"%w: shard %d snapshot-epoch record reads (epoch %d, %d records), committed state is (epoch %d, %d records)",
+			ErrDurabilityViolation, i, epoch, snapLen, sh.epoch, len(sh.snap))
+	}
+
+	// Revalidate the committed snapshot: every record was durable at the
+	// epoch commit, so all snapLen of them must validate in the snapshot
+	// domain under the committed epoch.
+	snapScanned := make([]rec, 0, snapLen)
+	for slot := 0; slot < snapLen; slot++ {
+		k, err := t.Load(sh.snapKeyLoc(epoch, slot))
+		if err != nil {
+			return RecoveryStats{}, err
+		}
+		v, err := t.Load(sh.snapValLoc(epoch, slot))
+		if err != nil {
+			return RecoveryStats{}, err
+		}
+		chk, err := t.Load(sh.snapChkLoc(epoch, slot))
+		if err != nil {
+			return RecoveryStats{}, err
+		}
+		if chk != snapChkOf(slot, k, v, epoch) {
+			return RecoveryStats{}, fmt.Errorf(
+				"%w: shard %d snapshot record %d of %d (epoch %d) failed validation",
+				ErrDurabilityViolation, i, slot, snapLen, epoch)
+		}
+		snapScanned = append(snapScanned, rec{key: k, val: v})
+	}
+
+	// Scan: accept log records until the first one whose checksum does not
+	// match its content in either domain (client records validate under
+	// chkOf, move markers under moveChkOf) for the committed epoch — a
+	// pre-compaction leftover carries an older epoch's checksum and cuts
+	// the scan exactly where the reclaimed log ends. Acknowledged records
+	// are all durable, so the cut can only fall in the unacknowledged
+	// tail.
+	cut := 0
+	scanned := make([]rec, 0, appended)
+scan:
+	for slot := 0; slot < appended; slot++ {
+		k, err := t.Load(sh.keyLoc(slot))
+		if err != nil {
+			return RecoveryStats{}, err
+		}
+		v, err := t.Load(sh.valLoc(slot))
+		if err != nil {
+			return RecoveryStats{}, err
+		}
+		chk, err := t.Load(sh.chkLoc(slot))
+		if err != nil {
+			return RecoveryStats{}, err
+		}
+		r := rec{key: k, val: v}
+		switch chk {
+		case chkOf(slot, k, v, epoch):
+		case moveChkOf(slot, k, v, epoch):
+			r.move = true
+		default:
+			break scan
+		}
+		scanned = append(scanned, r)
+		cut = slot + 1
+	}
+
+	// A cut inside the acknowledged prefix means an acknowledged — and
+	// therefore durable — record failed to validate. No crash can cause
+	// that while the strategies keep their contract, so it is reported as
+	// a durability violation rather than silently truncated away.
+	if cut < ackedBefore {
+		return RecoveryStats{}, fmt.Errorf(
+			"%w: shard %d validated only %d of %d acknowledged records",
+			ErrDurabilityViolation, i, cut, ackedBefore)
+	}
+
+	// Truncate: invalidate the checksum words of the lost tail so a
+	// half-persisted old record can never validate once its slot is
+	// reused in a later incarnation.
+	for slot := cut; slot < appended; slot++ {
+		if err := t.MStore(sh.chkLoc(slot), 0); err != nil {
+			return RecoveryStats{}, err
+		}
+	}
+
+	// Re-persist: the scan may have read records that survived only in a
+	// surviving machine's cache, and one flush makes the recovered prefix
+	// durable again so it also survives the next crash. Only the slots
+	// beyond the acknowledged prefix can need this: acknowledged records
+	// were already persistent before the crash and are never overwritten
+	// in place, so when the cut equals the acked prefix (always, under
+	// the per-operation strategies) there is nothing to re-persist. The
+	// truncated tail's checksums were MStored, which is persistent by
+	// itself. The flush has the strategy's scope: under RangedCommit a
+	// ranged one over exactly the shard's own unacknowledged survivors,
+	// under the GPF strategies the fabric-wide GPF, and nothing under a
+	// per-word strategy, whose surviving records (a crashed migration's
+	// copies) were each persistent when their write returned.
+	if cut > ackedBefore {
+		if err := s.flushRange(t, sh, sh.keyLoc(ackedBefore), (cut-ackedBefore)*recWords, true); err != nil {
+			return RecoveryStats{}, err
+		}
+	}
+
+	// Classify orphaned move-out markers before rebuilding anything: a
+	// client record of the marker's bucket *after* the marker proves this
+	// shard kept serving the bucket — the migration failed in phase 2
+	// with its commit record durable but the map never flipped, and
+	// writes acknowledged since supersede the destination's (now stale)
+	// copies. Such a marker has no authority at all: it must neither
+	// wipe this log's earlier bucket records during the index rebuild
+	// (they are still the live state) nor redo the flip (that would
+	// resurrect the stale copies over acknowledged data). In the genuine
+	// lost-flip case nothing can follow the marker: the migration holds
+	// the store lock from commit point to flip.
+	superseded := make([]bool, len(scanned))
+	for idx, r := range scanned {
+		if !r.move {
+			continue
+		}
+		ver, out, _ := decodeMove(r.val, len(s.shards))
+		if ver > s.moveSeq {
+			// Redundant today — every scanned marker was written by this
+			// Store instance under the lock, so ver <= moveSeq always —
+			// but a future front-end-restart path (ROADMAP) that rebuilds
+			// the map from shard logs must treat every logged version as
+			// spent, and this loop is where that contract lives.
+			s.moveSeq = ver
+		}
+		if !out {
+			continue
+		}
+		b := int(r.key)
+		for _, later := range scanned[idx+1:] {
+			if !later.move && s.bucketOf(later.key) == b {
+				superseded[idx] = true
+				break
+			}
+		}
+	}
+
+	// Rebuild the index from what the scans actually read: the snapshot's
+	// records first (they predate every log record — compaction folded
+	// them before the reclaimed log restarted), then the log replay under
+	// the move-marker wipe rule (see view.replay); superseded markers are
+	// inert. A marker's wipe covers the snapshot-derived entries of its
+	// bucket too, exactly as it covers earlier log records.
+	sh.view.reset(snapScanned)
+	sh.snap = snapScanned
+	for slot, r := range scanned {
+		if !superseded[slot] {
+			sh.view.replay(slot, r, s.bucketOf, -1)
+		}
+	}
+
+	// Redo: a durable move-out record is a migration's commit point. One
+	// newer than the applied map state means the flip was lost between
+	// the commit point and the in-memory map update; complete it now so
+	// ownership is resolved from the log, deterministically.
+	for idx, r := range scanned {
+		if !r.move || superseded[idx] {
+			continue
+		}
+		b := int(r.key)
+		ver, out, to := decodeMove(r.val, len(s.shards))
+		if !out || ver <= s.bucketVer[b] {
+			continue
+		}
+		// The destination is reindexed even when it is down: the copies
+		// the flip lands on are durable (committed before the move-out),
+		// so these mirror-derived entries are exactly what its own Recover
+		// will rebuild — and until then they let Scan see that a down
+		// shard holds keys in range instead of silently omitting them.
+		s.flipBucket(b, to, ver)
+	}
+
+	// Ownership sweep: drop index entries for buckets this shard no
+	// longer serves — records that migrated away, and orphaned copies an
+	// aborted inbound migration left in the log.
+	sh.view.drop(func(k core.Val) bool { return s.shardOf(k) != sh.id })
+
+	// Pending batched records occupy the log's tail; the client writes
+	// among those the scan reached were recovered (and are durable after
+	// the flush above), so they count as acknowledged — at a submit-to-
+	// durable latency spanning the crash. Everything beyond the cut is
+	// discarded; the durability check above already guaranteed the cut is
+	// at or past the acknowledged prefix, so the lost records are exactly
+	// the unacknowledged tail.
+	salvaged := s.ackRange(sh, appended-sh.pending, cut, s.cluster.NowNS(), 0)
+	droppedPending := 0
+	for slot := cut; slot < appended; slot++ {
+		// Lost migration markers and copies are not client writes; only
+		// dropped client records count, mirroring the salvage above.
+		if r := sh.log[slot]; !r.move && !r.copied {
+			droppedPending++
+		}
+	}
+	sh.log = sh.log[:cut]
+	for slot := range sh.log {
+		sh.log[slot].key = scanned[slot].key
+		sh.log[slot].val = scanned[slot].val
+	}
+	sh.acked = cut
+	sh.pending = 0
+
+	// Recovery truncated the unacknowledged tail and rebuilt the shard's
+	// visible state; any copy cached from the pre-crash state is suspect.
+	// (crashLocked already snooped the shard's keys, but recoverShard also
+	// runs crash-free via RecoverFront, and a migration redo above may
+	// have flipped buckets — sweep again.)
+	s.invalidateShardLocked(i)
+
+	simNS := s.cluster.NowNS() - start
+	sh.busyNS += simNS
+	sh.churnNS += simNS
+	s.dropped += uint64(droppedPending)
+	s.recoveries++
+	s.recoveryNS = append(s.recoveryNS, simNS)
+	s.rec.Recover(i, start, s.cluster.NowNS(), cut, salvaged, appended-cut)
+	return RecoveryStats{
+		Shard:          i,
+		Recovered:      cut,
+		Snapshot:       snapLen,
+		Lost:           appended - cut,
+		DroppedPending: droppedPending,
+		SimNS:          simNS,
+	}, nil
+}

@@ -28,158 +28,6 @@ type Pair struct {
 	Val core.Val `json:"val"`
 }
 
-// RecoveryStats reports one shard recovery.
-type RecoveryStats struct {
-	// Shard is the recovered shard.
-	Shard int
-	// Recovered is the number of log records that survived (the durable —
-	// or still-visible — prefix). Records folded into a snapshot by an
-	// earlier compaction are counted in Snapshot, not here.
-	Recovered int
-	// Snapshot is the number of committed snapshot records the recovery
-	// revalidated (0 when the shard never compacted).
-	Snapshot int
-	// Lost is the number of appended records the crash destroyed.
-	Lost int
-	// DroppedPending is the number of unacknowledged batched writes
-	// discarded by the recovery.
-	DroppedPending int
-	// SimNS is the simulated time the recovery consumed (scan + log
-	// truncation + re-persist).
-	SimNS float64
-}
-
-// Metrics is a snapshot of a store's service counters.
-type Metrics struct {
-	// Puts, Gets, Deletes and Scans count operations served. Gets counts
-	// point lookups, including each key resolved by a MultiGet.
-	Puts, Gets, Deletes, Scans uint64
-	ScannedPairs               uint64
-	// MultiGets counts MultiGet calls and Batches counts Apply calls (a
-	// Router splitting one client batch across clusters counts one Apply
-	// per sub-batch it forwards).
-	MultiGets, Batches uint64
-	Commits            uint64 // commit flushes issued (GPF or ranged batches)
-	// ScanDiscardedPairs counts pairs a pooled scan fan-out loaded from
-	// clusters and then discarded in the router's merge — always 0 on a
-	// single store, where Scan never over-fetches (see pool.Router.Scan).
-	ScanDiscardedPairs uint64
-	// Acked is the cumulative count of client writes acknowledged durable
-	// (at return, at a batch commit, via Sync, or by a recovery that
-	// salvaged a pending batch). It only ever grows: recovery truncation
-	// and bucket migration move log positions around, but an acknowledged
-	// write stays acknowledged. Migrated copies are not client writes and
-	// are counted in MigratedRecords instead.
-	Acked           uint64
-	DroppedPending  uint64
-	Recoveries      uint64
-	Migrations      uint64 // completed bucket migrations
-	MigratedRecords uint64 // live records copied by completed migrations
-	// Compactions counts committed shard compactions and ReclaimedSlots
-	// the log and old-snapshot slots they retired (deleted, overwritten
-	// and migrated-away records, plus superseded snapshot entries). Both
-	// are cumulative and only ever grow.
-	Compactions    uint64
-	ReclaimedSlots uint64
-	RecoveryNS     []float64
-	// CompactionNS are the simulated durations of committed compactions
-	// (charged to the compacted shard as churn, like recovery time).
-	CompactionNS []float64
-	// PerShardBusyNS is each shard's accumulated simulated busy time.
-	// Shards run on distinct machines, so the service-level makespan under
-	// perfect parallelism is the maximum entry. Global operations (GPF)
-	// are charged to every shard because a Global Persistent Flush stalls
-	// the whole fabric; RangedCommit's ranged flushes involve only the
-	// shard's own device and are charged to that shard alone.
-	PerShardBusyNS []float64
-	// PerShardChurnNS is the part of PerShardBusyNS spent on crash
-	// recovery and bucket migration: exogenous one-off costs, excluded
-	// from the placement-skew metric (MaxMeanBusyRatio).
-	PerShardChurnNS []float64
-	// PerShardFill is each shard's log fill fraction at snapshot time
-	// (appended records over capacity — live occupancy, not cumulative),
-	// and PerShardLive its live record count (index size). Both follow
-	// PerShardBusyNS's global shard order under a pooled router.
-	PerShardFill []float64
-	PerShardLive []int
-	// WriteLatencies are simulated ack latencies of acknowledged writes
-	// (submit to durable-ack, including any commit-pipeline lane wait);
-	// IssueLatencies are the same writes' submit-to-return latencies.
-	// With the pipeline off they nearly coincide; the gap between their
-	// distributions is exactly what pipelining buys (see docs/pipeline.md).
-	WriteLatencies []float64
-	IssueLatencies []float64
-	// PipelinedCommits counts commit flushes issued through the
-	// asynchronous pipeline (always 0 at PipelineDepth 1) and
-	// MaxInFlight the deepest pipeline occupancy any shard reached.
-	// PerShardInFlight and PerShardAcked are gauges at snapshot time:
-	// each shard's in-flight flush count and its acked-watermark
-	// position (log records [0, acked) are acknowledged durable).
-	PipelinedCommits uint64
-	MaxInFlight      int
-	PerShardInFlight []int
-	PerShardAcked    []int
-	// Read-cache counters (all 0 unless Config.ReadCache > 0; see
-	// docs/caching.md). CacheHits and CacheMisses count cache
-	// consultations on the served-read path — a hit was answered from the
-	// front end's local copy without a simulated Load, so the hit rate is
-	// CacheHits/(CacheHits+CacheMisses) over exactly the reads that
-	// resolved a value. SpeculativeFills counts prefetcher warm-ups
-	// installed ahead of demand, CacheInvalidations the inline coherence
-	// snoops by write paths, and CacheSize is the entry-count gauge at
-	// snapshot time.
-	CacheHits, CacheMisses uint64
-	SpeculativeFills       uint64
-	CacheInvalidations     uint64
-	CacheSize              int
-}
-
-// MaxBusyNS returns the busiest shard's simulated time — the service
-// makespan under perfect shard parallelism.
-func (m Metrics) MaxBusyNS() float64 {
-	max := 0.0
-	for _, b := range m.PerShardBusyNS {
-		if b > max {
-			max = b
-		}
-	}
-	return max
-}
-
-// TotalBusyNS returns the summed simulated time across shards (the
-// single-machine-equivalent cost).
-func (m Metrics) TotalBusyNS() float64 {
-	total := 0.0
-	for _, b := range m.PerShardBusyNS {
-		total += b
-	}
-	return total
-}
-
-// MaxMeanBusyRatio returns the busiest shard's traffic time divided by
-// the mean — the placement-skew metric: 1.0 is a perfectly balanced
-// service, and the traffic makespan exceeds the ideally parallel one by
-// exactly this factor. Churn time (crash recovery, bucket migration) is
-// excluded: it is one-off cost unrelated to where traffic is routed, and
-// the run's crash schedule would otherwise drown the signal. Returns 0
-// when no traffic time has accumulated.
-func (m Metrics) MaxMeanBusyRatio() float64 {
-	max, total := 0.0, 0.0
-	for i, b := range m.PerShardBusyNS {
-		if i < len(m.PerShardChurnNS) {
-			b -= m.PerShardChurnNS[i]
-		}
-		total += b
-		if b > max {
-			max = b
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	return max / (total / float64(len(m.PerShardBusyNS)))
-}
-
 // Store is a sharded durable key-value service over one memsim cluster.
 // Methods are safe for concurrent use; operations serialize on the one
 // store lock.
@@ -1133,382 +981,4 @@ func (s *Store) Health() []ShardHealth {
 		}
 	}
 	return out
-}
-
-// Recover restarts shard i after a crash: it resolves the shard's
-// snapshot-epoch record (the compaction commit record — MStored, so its
-// two slots are unconditionally durable and the valid one with the
-// highest epoch is authoritative), revalidates the committed snapshot,
-// scans the shard's log tail from the surviving state, truncates at the
-// first incompletely persisted record, rebuilds the volatile index from
-// snapshot plus scan, drops any unacknowledged batched writes, and
-// re-persists the recovered log prefix — with one GPF, or under
-// RangedCommit with one ranged flush over the shard's own recovered log
-// lines, so even recovery stays off the rest of the fabric. Bucket-
-// migration markers found in the log drive the wipe, redo and ownership
-// rules that keep the shard map crash-consistent (see migrate.go and
-// docs/rebalancing.md).
-func (s *Store) Recover(i int) (RecoveryStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.frontDown {
-		// Non-colocated workers are homed on the front end; nothing can
-		// run until it is back. RecoverFront recovers every shard's state
-		// itself.
-		return RecoveryStats{}, fmt.Errorf("%w: recover shard %d via RecoverFront", ErrFrontDown, i)
-	}
-	sh := s.shards[i]
-	if !sh.down {
-		return RecoveryStats{Shard: i}, nil
-	}
-	if sh.partitioned {
-		return RecoveryStats{}, fmt.Errorf("%w: shard %d cannot recover while partitioned; heal first", ErrUnavailable, i)
-	}
-	s.cluster.Recover(sh.machine)
-	if err := s.spawnThread(sh); err != nil {
-		return RecoveryStats{}, err
-	}
-	stats, err := s.recoverShard(sh)
-	if err != nil {
-		return RecoveryStats{}, err
-	}
-	sh.down = false
-	return stats, nil
-}
-
-// recoverShard is the recovery core shared by Recover (a crashed shard
-// machine, freshly restarted) and RecoverFront (a crashed front-end
-// machine whose cache held the shards' open batches — see failover.go):
-// resolve the epoch record, revalidate the snapshot, scan the log,
-// truncate, re-persist, rebuild the index, redo lost migration flips and
-// salvage the durable pending tail. The caller has already restarted
-// whatever machine crashed and respawned the shard's workers; clearing
-// sh.down (when set) is also the caller's job.
-//
-//cxl0:locked mu
-func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
-	i := sh.id
-	t := sh.thread
-	appended := len(sh.log)
-	ackedBefore := sh.acked
-	start := s.cluster.NowNS()
-
-	// Resolve the snapshot-epoch record from the medium. It was MStored —
-	// persistent the moment it was written — so it must agree with the
-	// front-end's committed view; any divergence means the compaction
-	// commit record was lost, which no crash can cause.
-	epoch, snapLen, err := s.readEpochRecord(sh, t)
-	if err != nil {
-		return RecoveryStats{}, err
-	}
-	if epoch != sh.epoch || snapLen != len(sh.snap) {
-		return RecoveryStats{}, fmt.Errorf(
-			"%w: shard %d snapshot-epoch record reads (epoch %d, %d records), committed state is (epoch %d, %d records)",
-			ErrDurabilityViolation, i, epoch, snapLen, sh.epoch, len(sh.snap))
-	}
-
-	// Revalidate the committed snapshot: every record was durable at the
-	// epoch commit, so all snapLen of them must validate in the snapshot
-	// domain under the committed epoch.
-	snapScanned := make([]rec, 0, snapLen)
-	for slot := 0; slot < snapLen; slot++ {
-		k, err := t.Load(sh.snapKeyLoc(epoch, slot))
-		if err != nil {
-			return RecoveryStats{}, err
-		}
-		v, err := t.Load(sh.snapValLoc(epoch, slot))
-		if err != nil {
-			return RecoveryStats{}, err
-		}
-		chk, err := t.Load(sh.snapChkLoc(epoch, slot))
-		if err != nil {
-			return RecoveryStats{}, err
-		}
-		if chk != snapChkOf(slot, k, v, epoch) {
-			return RecoveryStats{}, fmt.Errorf(
-				"%w: shard %d snapshot record %d of %d (epoch %d) failed validation",
-				ErrDurabilityViolation, i, slot, snapLen, epoch)
-		}
-		snapScanned = append(snapScanned, rec{key: k, val: v})
-	}
-
-	// Scan: accept log records until the first one whose checksum does not
-	// match its content in either domain (client records validate under
-	// chkOf, move markers under moveChkOf) for the committed epoch — a
-	// pre-compaction leftover carries an older epoch's checksum and cuts
-	// the scan exactly where the reclaimed log ends. Acknowledged records
-	// are all durable, so the cut can only fall in the unacknowledged
-	// tail.
-	cut := 0
-	scanned := make([]rec, 0, appended)
-scan:
-	for slot := 0; slot < appended; slot++ {
-		k, err := t.Load(sh.keyLoc(slot))
-		if err != nil {
-			return RecoveryStats{}, err
-		}
-		v, err := t.Load(sh.valLoc(slot))
-		if err != nil {
-			return RecoveryStats{}, err
-		}
-		chk, err := t.Load(sh.chkLoc(slot))
-		if err != nil {
-			return RecoveryStats{}, err
-		}
-		r := rec{key: k, val: v}
-		switch chk {
-		case chkOf(slot, k, v, epoch):
-		case moveChkOf(slot, k, v, epoch):
-			r.move = true
-		default:
-			break scan
-		}
-		scanned = append(scanned, r)
-		cut = slot + 1
-	}
-
-	// A cut inside the acknowledged prefix means an acknowledged — and
-	// therefore durable — record failed to validate. No crash can cause
-	// that while the strategies keep their contract, so it is reported as
-	// a durability violation rather than silently truncated away.
-	if cut < ackedBefore {
-		return RecoveryStats{}, fmt.Errorf(
-			"%w: shard %d validated only %d of %d acknowledged records",
-			ErrDurabilityViolation, i, cut, ackedBefore)
-	}
-
-	// Truncate: invalidate the checksum words of the lost tail so a
-	// half-persisted old record can never validate once its slot is
-	// reused in a later incarnation.
-	for slot := cut; slot < appended; slot++ {
-		if err := t.MStore(sh.chkLoc(slot), 0); err != nil {
-			return RecoveryStats{}, err
-		}
-	}
-
-	// Re-persist: the scan may have read records that survived only in a
-	// surviving machine's cache, and one flush makes the recovered prefix
-	// durable again so it also survives the next crash. Only the slots
-	// beyond the acknowledged prefix can need this: acknowledged records
-	// were already persistent before the crash and are never overwritten
-	// in place, so when the cut equals the acked prefix (always, under
-	// the per-operation strategies) there is nothing to re-persist. The
-	// truncated tail's checksums were MStored, which is persistent by
-	// itself. The flush has the strategy's scope: under RangedCommit a
-	// ranged one over exactly the shard's own unacknowledged survivors,
-	// under the GPF strategies the fabric-wide GPF, and nothing under a
-	// per-word strategy, whose surviving records (a crashed migration's
-	// copies) were each persistent when their write returned.
-	if cut > ackedBefore {
-		if err := s.flushRange(t, sh, sh.keyLoc(ackedBefore), (cut-ackedBefore)*recWords, true); err != nil {
-			return RecoveryStats{}, err
-		}
-	}
-
-	// Classify orphaned move-out markers before rebuilding anything: a
-	// client record of the marker's bucket *after* the marker proves this
-	// shard kept serving the bucket — the migration failed in phase 2
-	// with its commit record durable but the map never flipped, and
-	// writes acknowledged since supersede the destination's (now stale)
-	// copies. Such a marker has no authority at all: it must neither
-	// wipe this log's earlier bucket records during the index rebuild
-	// (they are still the live state) nor redo the flip (that would
-	// resurrect the stale copies over acknowledged data). In the genuine
-	// lost-flip case nothing can follow the marker: the migration holds
-	// the store lock from commit point to flip.
-	superseded := make([]bool, len(scanned))
-	for idx, r := range scanned {
-		if !r.move {
-			continue
-		}
-		ver, out, _ := decodeMove(r.val, len(s.shards))
-		if ver > s.moveSeq {
-			// Redundant today — every scanned marker was written by this
-			// Store instance under the lock, so ver <= moveSeq always —
-			// but a future front-end-restart path (ROADMAP) that rebuilds
-			// the map from shard logs must treat every logged version as
-			// spent, and this loop is where that contract lives.
-			s.moveSeq = ver
-		}
-		if !out {
-			continue
-		}
-		b := int(r.key)
-		for _, later := range scanned[idx+1:] {
-			if !later.move && s.bucketOf(later.key) == b {
-				superseded[idx] = true
-				break
-			}
-		}
-	}
-
-	// Rebuild the index from what the scans actually read: the snapshot's
-	// records first (they predate every log record — compaction folded
-	// them before the reclaimed log restarted), then the log replay under
-	// the move-marker wipe rule (see view.replay); superseded markers are
-	// inert. A marker's wipe covers the snapshot-derived entries of its
-	// bucket too, exactly as it covers earlier log records.
-	sh.view.reset(snapScanned)
-	sh.snap = snapScanned
-	for slot, r := range scanned {
-		if !superseded[slot] {
-			sh.view.replay(slot, r, s.bucketOf, -1)
-		}
-	}
-
-	// Redo: a durable move-out record is a migration's commit point. One
-	// newer than the applied map state means the flip was lost between
-	// the commit point and the in-memory map update; complete it now so
-	// ownership is resolved from the log, deterministically.
-	for idx, r := range scanned {
-		if !r.move || superseded[idx] {
-			continue
-		}
-		b := int(r.key)
-		ver, out, to := decodeMove(r.val, len(s.shards))
-		if !out || ver <= s.bucketVer[b] {
-			continue
-		}
-		// The destination is reindexed even when it is down: the copies
-		// the flip lands on are durable (committed before the move-out),
-		// so these mirror-derived entries are exactly what its own Recover
-		// will rebuild — and until then they let Scan see that a down
-		// shard holds keys in range instead of silently omitting them.
-		s.flipBucket(b, to, ver)
-	}
-
-	// Ownership sweep: drop index entries for buckets this shard no
-	// longer serves — records that migrated away, and orphaned copies an
-	// aborted inbound migration left in the log.
-	sh.view.drop(func(k core.Val) bool { return s.shardOf(k) != sh.id })
-
-	// Pending batched records occupy the log's tail; the client writes
-	// among those the scan reached were recovered (and are durable after
-	// the flush above), so they count as acknowledged — at a submit-to-
-	// durable latency spanning the crash. Everything beyond the cut is
-	// discarded; the durability check above already guaranteed the cut is
-	// at or past the acknowledged prefix, so the lost records are exactly
-	// the unacknowledged tail.
-	salvaged := s.ackRange(sh, appended-sh.pending, cut, s.cluster.NowNS(), 0)
-	droppedPending := 0
-	for slot := cut; slot < appended; slot++ {
-		// Lost migration markers and copies are not client writes; only
-		// dropped client records count, mirroring the salvage above.
-		if r := sh.log[slot]; !r.move && !r.copied {
-			droppedPending++
-		}
-	}
-	sh.log = sh.log[:cut]
-	for slot := range sh.log {
-		sh.log[slot].key = scanned[slot].key
-		sh.log[slot].val = scanned[slot].val
-	}
-	sh.acked = cut
-	sh.pending = 0
-
-	// Recovery truncated the unacknowledged tail and rebuilt the shard's
-	// visible state; any copy cached from the pre-crash state is suspect.
-	// (crashLocked already snooped the shard's keys, but recoverShard also
-	// runs crash-free via RecoverFront, and a migration redo above may
-	// have flipped buckets — sweep again.)
-	s.invalidateShardLocked(i)
-
-	simNS := s.cluster.NowNS() - start
-	sh.busyNS += simNS
-	sh.churnNS += simNS
-	s.dropped += uint64(droppedPending)
-	s.recoveries++
-	s.recoveryNS = append(s.recoveryNS, simNS)
-	s.rec.Recover(i, start, s.cluster.NowNS(), cut, salvaged, appended-cut)
-	return RecoveryStats{
-		Shard:          i,
-		Recovered:      cut,
-		Snapshot:       snapLen,
-		Lost:           appended - cut,
-		DroppedPending: droppedPending,
-		SimNS:          simNS,
-	}, nil
-}
-
-// Metrics returns a snapshot of the store's counters.
-func (s *Store) Metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := Metrics{
-		Puts:            s.puts,
-		Gets:            s.gets,
-		Deletes:         s.deletes,
-		Scans:           s.scans,
-		ScannedPairs:    s.scannedPairs,
-		MultiGets:       s.multiGets,
-		Batches:         s.batches,
-		Commits:         s.commits,
-		Acked:           s.ackedWrites,
-		DroppedPending:  s.dropped,
-		Recoveries:      s.recoveries,
-		Migrations:      s.migrations,
-		MigratedRecords: s.migratedRecords,
-		Compactions:     s.compactions,
-		ReclaimedSlots:  s.reclaimedSlots,
-		RecoveryNS:      append([]float64(nil), s.recoveryNS...),
-		CompactionNS:    append([]float64(nil), s.compactionNS...),
-	}
-	m.PipelinedCommits = s.pipeCommits
-	m.MaxInFlight = s.maxInFlight
-	if s.cache != nil {
-		m.CacheHits = s.cache.hits
-		m.CacheMisses = s.cache.misses
-		m.SpeculativeFills = s.cache.specFills
-		m.CacheInvalidations = s.cache.invalidations
-		m.CacheSize = s.cache.lenLocked()
-	}
-	for _, sh := range s.shards {
-		m.PerShardBusyNS = append(m.PerShardBusyNS, sh.busyNS)
-		m.PerShardChurnNS = append(m.PerShardChurnNS, sh.churnNS)
-		m.PerShardFill = append(m.PerShardFill, float64(len(sh.log))/float64(sh.cap))
-		m.PerShardLive = append(m.PerShardLive, sh.view.live())
-		m.WriteLatencies = append(m.WriteLatencies, sh.writeLat...)
-		m.IssueLatencies = append(m.IssueLatencies, sh.issueLat...)
-		m.PerShardInFlight = append(m.PerShardInFlight, len(sh.flights))
-		m.PerShardAcked = append(m.PerShardAcked, sh.acked)
-	}
-	return m
-}
-
-// ResetMetrics zeroes the counters, busy clocks and latency records while
-// keeping the stored data — used to exclude a preload phase from
-// measurement.
-func (s *Store) ResetMetrics() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.puts, s.gets, s.deletes, s.scans = 0, 0, 0, 0
-	s.multiGets, s.batches = 0, 0
-	s.scannedPairs, s.commits, s.dropped, s.recoveries = 0, 0, 0, 0
-	s.ackedWrites, s.migrations, s.migratedRecords = 0, 0, 0
-	s.compactions, s.reclaimedSlots = 0, 0
-	s.recoveryNS, s.compactionNS = nil, nil
-	s.pipeCommits, s.maxInFlight = 0, 0
-	if s.cache != nil {
-		s.cache.hits, s.cache.misses = 0, 0
-		s.cache.specFills, s.cache.invalidations, s.cache.evictions = 0, 0, 0
-	}
-	for _, sh := range s.shards {
-		// The flush lane and the in-flight flights' completion points live
-		// on the busy clock being discarded: rebase them with it, or the
-		// next flight queues behind a lane as long as everything reset away.
-		for i := range sh.flights {
-			sh.flights[i].endBusy -= sh.busyNS
-		}
-		sh.laneEnd = max(0, sh.laneEnd-sh.busyNS)
-		sh.busyNS = 0
-		sh.churnNS = 0
-		sh.writeLat = nil
-		sh.issueLat = nil
-	}
-	for i := range s.winBase {
-		s.winBase[i] = 0
-	}
-	for b := range s.bucketWin {
-		s.bucketWin[b] = 0
-	}
 }
