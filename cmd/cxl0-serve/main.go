@@ -334,26 +334,12 @@ type metricsSnapshot struct {
 		Degraded    []int  `json:"degraded"`
 	} `json:"faults"`
 
+	// KV is the service's counter block — kv.Counters, under the JSON
+	// keys its tags declare — plus the two gauges that do not sum.
 	KV struct {
-		Puts               uint64 `json:"puts"`
-		Gets               uint64 `json:"gets"`
-		Deletes            uint64 `json:"deletes"`
-		Scans              uint64 `json:"scans"`
-		ScannedPairs       uint64 `json:"scanned_pairs"`
-		ScanDiscardedPairs uint64 `json:"scan_discarded_pairs"`
-		Acked              uint64 `json:"acked"`
-		Commits            uint64 `json:"commits"`
-		DroppedPending     uint64 `json:"dropped_pending"`
-		Recoveries         uint64 `json:"recoveries"`
-		Migrations         uint64 `json:"migrations"`
-		Compactions        uint64 `json:"compactions"`
-		ReclaimedSlots     uint64 `json:"reclaimed_slots"`
-		PipelinedCommits   uint64 `json:"pipelined_commits"`
-		MaxInFlight        int    `json:"max_in_flight"`
-		CacheHits          uint64 `json:"cache_hits"`
-		CacheMisses        uint64 `json:"cache_misses"`
-		SpeculativeFills   uint64 `json:"speculative_fills"`
-		CacheSize          int    `json:"cache_size"`
+		kv.Counters
+		MaxInFlight int `json:"max_in_flight"`
+		CacheSize   int `json:"cache_size"`
 	} `json:"kv"`
 
 	Shards []shardRow   `json:"shards"`
@@ -392,14 +378,7 @@ func (s *server) snapshot() metricsSnapshot {
 			doc.Faults.Degraded = append(doc.Faults.Degraded, h.Shard)
 		}
 	}
-	doc.KV.Puts, doc.KV.Gets, doc.KV.Deletes = m.Puts, m.Gets, m.Deletes
-	doc.KV.Scans, doc.KV.ScannedPairs, doc.KV.ScanDiscardedPairs = m.Scans, m.ScannedPairs, m.ScanDiscardedPairs
-	doc.KV.Acked, doc.KV.Commits, doc.KV.DroppedPending = m.Acked, m.Commits, m.DroppedPending
-	doc.KV.Recoveries, doc.KV.Migrations = m.Recoveries, m.Migrations
-	doc.KV.Compactions, doc.KV.ReclaimedSlots = m.Compactions, m.ReclaimedSlots
-	doc.KV.PipelinedCommits, doc.KV.MaxInFlight = m.PipelinedCommits, m.MaxInFlight
-	doc.KV.CacheHits, doc.KV.CacheMisses = m.CacheHits, m.CacheMisses
-	doc.KV.SpeculativeFills, doc.KV.CacheSize = m.SpeculativeFills, m.CacheSize
+	doc.KV.Counters, doc.KV.MaxInFlight, doc.KV.CacheSize = m.Counters, m.MaxInFlight, m.CacheSize
 	totalBusy := 0.0
 	for _, b := range m.PerShardBusyNS {
 		totalBusy += b

@@ -128,6 +128,36 @@ func TestMetricsEndpointAdvances(t *testing.T) {
 	}
 }
 
+// TestMetricsKVKeys pins the /metrics compatibility contract: the kv
+// block is kv.Counters plus two gauges, so its keys are whatever the
+// struct tags say — and these 19, served since before the counters had
+// one declaration, must stay among them, each a number. (CI's serve smoke
+// and the dashboard read them by name.)
+func TestMetricsKVKeys(t *testing.T) {
+	ts := newTestServer(t)
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		KV map[string]json.Number `json:"kv"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("the kv block must be a flat object of numbers: %v", err)
+	}
+	for _, key := range []string{
+		"puts", "gets", "deletes", "scans", "scanned_pairs", "scan_discarded_pairs",
+		"acked", "commits", "dropped_pending", "recoveries", "migrations",
+		"compactions", "reclaimed_slots", "pipelined_commits", "max_in_flight",
+		"cache_hits", "cache_misses", "speculative_fills", "cache_size",
+	} {
+		if _, ok := doc.KV[key]; !ok {
+			t.Errorf("/metrics kv block no longer serves %q", key)
+		}
+	}
+}
+
 func TestEventsEndpointStreams(t *testing.T) {
 	ts := newTestServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

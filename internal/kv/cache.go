@@ -72,28 +72,21 @@ type readCache struct {
 	head *cacheEntry
 	//cxl0:guarded-by mu
 	tail *cacheEntry
-	// hits and misses count lookups on the served-read path (the hit
-	// rate's denominator is exactly the reads that resolved a value);
-	// specFills counts speculative prefetch fills, invalidations the
-	// inline snoops, evictions the LRU replacements.
+	// ctr is the owning store's counter block: lookups on the served-read
+	// path count into CacheHits/CacheMisses (the hit rate's denominator is
+	// exactly the reads that resolved a value), speculative prefetch
+	// fills into SpeculativeFills and the inline snoops into
+	// CacheInvalidations.
 	//cxl0:guarded-by mu
-	hits uint64
-	//cxl0:guarded-by mu
-	misses uint64
-	//cxl0:guarded-by mu
-	specFills uint64
-	//cxl0:guarded-by mu
-	invalidations uint64
-	//cxl0:guarded-by mu
-	evictions uint64
+	ctr *Counters
 }
 
 // newReadCache builds a cache bounded to capacity entries (capacity >= 1;
-// the caller gates on Config.ReadCache > 0).
+// the caller gates on Config.ReadCache > 0) that counts into ctr.
 //
 //cxl0:locked mu
-func newReadCache(capacity int) *readCache {
-	return &readCache{capacity: capacity, entries: make(map[core.Val]*cacheEntry, capacity)}
+func newReadCache(capacity int, ctr *Counters) *readCache {
+	return &readCache{capacity: capacity, entries: make(map[core.Val]*cacheEntry, capacity), ctr: ctr}
 }
 
 // unlinkLocked removes e from the LRU list (not from the map).
@@ -130,10 +123,10 @@ func (c *readCache) pushFrontLocked(e *cacheEntry) {
 func (c *readCache) lookupLocked(key core.Val) (core.Val, bool) {
 	e, ok := c.entries[key]
 	if !ok || !e.line.ReadHit() {
-		c.misses++
+		c.ctr.CacheMisses++
 		return 0, false
 	}
-	c.hits++
+	c.ctr.CacheHits++
 	if c.head != e {
 		c.unlinkLocked(e)
 		c.pushFrontLocked(e)
@@ -160,7 +153,7 @@ func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 			c.pushFrontLocked(e)
 		}
 		if speculative {
-			c.specFills++
+			c.ctr.SpeculativeFills++
 		}
 		return
 	}
@@ -169,14 +162,13 @@ func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 		c.unlinkLocked(lru)
 		delete(c.entries, lru.key)
 		lru.line.OnEvict()
-		c.evictions++
 	}
 	e := &cacheEntry{key: key}
 	e.line.OnFill(uint64(val), false)
 	c.entries[key] = e
 	c.pushFrontLocked(e)
 	if speculative {
-		c.specFills++
+		c.ctr.SpeculativeFills++
 	}
 }
 
@@ -196,7 +188,7 @@ func (c *readCache) invalidateKeyLocked(key core.Val) {
 	e.line.OnSnoopInvalidate()
 	c.unlinkLocked(e)
 	delete(c.entries, key)
-	c.invalidations++
+	c.ctr.CacheInvalidations++
 }
 
 // invalidateMatchLocked snoops every cached key matching pred — the
@@ -213,7 +205,7 @@ func (c *readCache) invalidateMatchLocked(pred func(core.Val) bool) {
 			e.line.OnSnoopInvalidate()
 			c.unlinkLocked(e)
 			delete(c.entries, e.key)
-			c.invalidations++
+			c.ctr.CacheInvalidations++
 		}
 		e = next
 	}
@@ -235,7 +227,7 @@ func (c *readCache) invalidateAllLocked() {
 	}
 	for e := c.head; e != nil; e = e.next {
 		e.line.OnSnoopInvalidate()
-		c.invalidations++
+		c.ctr.CacheInvalidations++
 	}
 	c.head, c.tail = nil, nil
 	c.entries = make(map[core.Val]*cacheEntry, c.capacity)

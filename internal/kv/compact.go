@@ -224,10 +224,7 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	// state. The commit acknowledges client writes, so its cost is
 	// charged as ordinary traffic, like the append- and Sync-triggered
 	// commits; everything after is compaction churn.
-	cstart := s.cluster.NowNS()
-	err = s.commitLocked(sh)
-	sh.busyNS += s.cluster.NowNS() - cstart
-	if err != nil {
+	if err := s.commitCharged(sh); err != nil {
 		return stats, err
 	}
 
@@ -237,12 +234,11 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	defer func() {
 		s.compacting = false
 		span := s.cluster.NowNS() - start
-		sh.busyNS += span
-		sh.churnNS += span
+		sh.charge(span, true)
 		if committed {
 			stats.SimNS = span
-			s.compactions++
-			s.reclaimedSlots += uint64(stats.Reclaimed)
+			s.ctr.Compactions++
+			s.ctr.ReclaimedSlots += uint64(stats.Reclaimed)
 			s.compactionNS = append(s.compactionNS, span)
 		}
 	}()

@@ -1,38 +1,94 @@
 package kv
 
-// Metrics is a snapshot of a store's service counters.
-type Metrics struct {
+// Counters are the service's cumulative counters: each only ever grows
+// between resets and sums across pooled stores. This struct is their one
+// declaration — a Store counts into one value of it, Metrics embeds it,
+// a pool.Router sums it with Add, and cxl0-serve's /metrics embeds it
+// again, so the JSON tags are the keys /metrics serves. A new counter is
+// a field here plus its line in Add (TestCountersDeclaredOnce holds the
+// two together).
+type Counters struct {
 	// Puts, Gets, Deletes and Scans count operations served. Gets counts
 	// point lookups, including each key resolved by a MultiGet.
-	Puts, Gets, Deletes, Scans uint64
-	ScannedPairs               uint64
+	Puts         uint64 `json:"puts"`
+	Gets         uint64 `json:"gets"`
+	Deletes      uint64 `json:"deletes"`
+	Scans        uint64 `json:"scans"`
+	ScannedPairs uint64 `json:"scanned_pairs"`
 	// MultiGets counts MultiGet calls and Batches counts Apply calls (a
 	// Router splitting one client batch across clusters counts one Apply
 	// per sub-batch it forwards).
-	MultiGets, Batches uint64
-	Commits            uint64 // commit flushes issued (GPF or ranged batches)
+	MultiGets uint64 `json:"multi_gets"`
+	Batches   uint64 `json:"batches"`
+	Commits   uint64 `json:"commits"` // commit flushes issued (GPF or ranged batches)
 	// ScanDiscardedPairs counts pairs a pooled scan fan-out loaded from
 	// clusters and then discarded in the router's merge — always 0 on a
 	// single store, where Scan never over-fetches (see pool.Router.Scan).
-	ScanDiscardedPairs uint64
+	ScanDiscardedPairs uint64 `json:"scan_discarded_pairs"`
 	// Acked is the cumulative count of client writes acknowledged durable
 	// (at return, at a batch commit, via Sync, or by a recovery that
 	// salvaged a pending batch). It only ever grows: recovery truncation
 	// and bucket migration move log positions around, but an acknowledged
 	// write stays acknowledged. Migrated copies are not client writes and
 	// are counted in MigratedRecords instead.
-	Acked           uint64
-	DroppedPending  uint64
-	Recoveries      uint64
-	Migrations      uint64 // completed bucket migrations
-	MigratedRecords uint64 // live records copied by completed migrations
+	Acked           uint64 `json:"acked"`
+	DroppedPending  uint64 `json:"dropped_pending"`
+	Recoveries      uint64 `json:"recoveries"`
+	Migrations      uint64 `json:"migrations"`       // completed bucket migrations
+	MigratedRecords uint64 `json:"migrated_records"` // live records copied by completed migrations
 	// Compactions counts committed shard compactions and ReclaimedSlots
 	// the log and old-snapshot slots they retired (deleted, overwritten
 	// and migrated-away records, plus superseded snapshot entries). Both
 	// are cumulative and only ever grow.
-	Compactions    uint64
-	ReclaimedSlots uint64
-	RecoveryNS     []float64
+	Compactions    uint64 `json:"compactions"`
+	ReclaimedSlots uint64 `json:"reclaimed_slots"`
+	// PipelinedCommits counts commit flushes issued through the
+	// asynchronous pipeline (always 0 at PipelineDepth 1).
+	PipelinedCommits uint64 `json:"pipelined_commits"`
+	// Read-cache counters (all 0 unless Config.ReadCache > 0; see
+	// docs/caching.md). CacheHits and CacheMisses count cache
+	// consultations on the served-read path — a hit was answered from the
+	// front end's local copy without a simulated Load, so the hit rate is
+	// CacheHits/(CacheHits+CacheMisses) over exactly the reads that
+	// resolved a value. SpeculativeFills counts prefetcher warm-ups
+	// installed ahead of demand and CacheInvalidations the inline
+	// coherence snoops by write paths.
+	CacheHits          uint64 `json:"cache_hits"`
+	CacheMisses        uint64 `json:"cache_misses"`
+	SpeculativeFills   uint64 `json:"speculative_fills"`
+	CacheInvalidations uint64 `json:"cache_invalidations"`
+}
+
+// Add sums o into c, field by field.
+func (c *Counters) Add(o Counters) {
+	c.Puts += o.Puts
+	c.Gets += o.Gets
+	c.Deletes += o.Deletes
+	c.Scans += o.Scans
+	c.ScannedPairs += o.ScannedPairs
+	c.MultiGets += o.MultiGets
+	c.Batches += o.Batches
+	c.Commits += o.Commits
+	c.ScanDiscardedPairs += o.ScanDiscardedPairs
+	c.Acked += o.Acked
+	c.DroppedPending += o.DroppedPending
+	c.Recoveries += o.Recoveries
+	c.Migrations += o.Migrations
+	c.MigratedRecords += o.MigratedRecords
+	c.Compactions += o.Compactions
+	c.ReclaimedSlots += o.ReclaimedSlots
+	c.PipelinedCommits += o.PipelinedCommits
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
+	c.SpeculativeFills += o.SpeculativeFills
+	c.CacheInvalidations += o.CacheInvalidations
+}
+
+// Metrics is a snapshot of a store's service counters, plus the gauges
+// and sample series that do not sum.
+type Metrics struct {
+	Counters
+	RecoveryNS []float64
 	// CompactionNS are the simulated durations of committed compactions
 	// (charged to the compacted shard as churn, like recovery time).
 	CompactionNS []float64
@@ -60,29 +116,15 @@ type Metrics struct {
 	// distributions is exactly what pipelining buys (see docs/pipeline.md).
 	WriteLatencies []float64
 	IssueLatencies []float64
-	// PipelinedCommits counts commit flushes issued through the
-	// asynchronous pipeline (always 0 at PipelineDepth 1) and
-	// MaxInFlight the deepest pipeline occupancy any shard reached.
-	// PerShardInFlight and PerShardAcked are gauges at snapshot time:
-	// each shard's in-flight flush count and its acked-watermark
+	// MaxInFlight is the deepest commit-pipeline occupancy any shard
+	// reached. PerShardInFlight and PerShardAcked are gauges at snapshot
+	// time: each shard's in-flight flush count and its acked-watermark
 	// position (log records [0, acked) are acknowledged durable).
-	PipelinedCommits uint64
 	MaxInFlight      int
 	PerShardInFlight []int
 	PerShardAcked    []int
-	// Read-cache counters (all 0 unless Config.ReadCache > 0; see
-	// docs/caching.md). CacheHits and CacheMisses count cache
-	// consultations on the served-read path — a hit was answered from the
-	// front end's local copy without a simulated Load, so the hit rate is
-	// CacheHits/(CacheHits+CacheMisses) over exactly the reads that
-	// resolved a value. SpeculativeFills counts prefetcher warm-ups
-	// installed ahead of demand, CacheInvalidations the inline coherence
-	// snoops by write paths, and CacheSize is the entry-count gauge at
-	// snapshot time.
-	CacheHits, CacheMisses uint64
-	SpeculativeFills       uint64
-	CacheInvalidations     uint64
-	CacheSize              int
+	// CacheSize is the read cache's entry-count gauge at snapshot time.
+	CacheSize int
 }
 
 // MaxBusyNS returns the busiest shard's simulated time — the service
@@ -136,31 +178,12 @@ func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := Metrics{
-		Puts:            s.puts,
-		Gets:            s.gets,
-		Deletes:         s.deletes,
-		Scans:           s.scans,
-		ScannedPairs:    s.scannedPairs,
-		MultiGets:       s.multiGets,
-		Batches:         s.batches,
-		Commits:         s.commits,
-		Acked:           s.ackedWrites,
-		DroppedPending:  s.dropped,
-		Recoveries:      s.recoveries,
-		Migrations:      s.migrations,
-		MigratedRecords: s.migratedRecords,
-		Compactions:     s.compactions,
-		ReclaimedSlots:  s.reclaimedSlots,
-		RecoveryNS:      append([]float64(nil), s.recoveryNS...),
-		CompactionNS:    append([]float64(nil), s.compactionNS...),
+		Counters:     s.ctr,
+		RecoveryNS:   append([]float64(nil), s.recoveryNS...),
+		CompactionNS: append([]float64(nil), s.compactionNS...),
+		MaxInFlight:  s.maxInFlight,
 	}
-	m.PipelinedCommits = s.pipeCommits
-	m.MaxInFlight = s.maxInFlight
 	if s.cache != nil {
-		m.CacheHits = s.cache.hits
-		m.CacheMisses = s.cache.misses
-		m.SpeculativeFills = s.cache.specFills
-		m.CacheInvalidations = s.cache.invalidations
 		m.CacheSize = s.cache.lenLocked()
 	}
 	for _, sh := range s.shards {
@@ -182,34 +205,14 @@ func (s *Store) Metrics() Metrics {
 func (s *Store) ResetMetrics() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.puts, s.gets, s.deletes, s.scans = 0, 0, 0, 0
-	s.multiGets, s.batches = 0, 0
-	s.scannedPairs, s.commits, s.dropped, s.recoveries = 0, 0, 0, 0
-	s.ackedWrites, s.migrations, s.migratedRecords = 0, 0, 0
-	s.compactions, s.reclaimedSlots = 0, 0
+	s.ctr = Counters{}
 	s.recoveryNS, s.compactionNS = nil, nil
-	s.pipeCommits, s.maxInFlight = 0, 0
-	if s.cache != nil {
-		s.cache.hits, s.cache.misses = 0, 0
-		s.cache.specFills, s.cache.invalidations, s.cache.evictions = 0, 0, 0
-	}
+	s.maxInFlight = 0
 	for _, sh := range s.shards {
-		// The flush lane and the in-flight flights' completion points live
-		// on the busy clock being discarded: rebase them with it, or the
-		// next flight queues behind a lane as long as everything reset away.
-		for i := range sh.flights {
-			sh.flights[i].endBusy -= sh.busyNS
-		}
-		sh.laneEnd = max(0, sh.laneEnd-sh.busyNS)
-		sh.busyNS = 0
-		sh.churnNS = 0
+		sh.resetClocks()
 		sh.writeLat = nil
 		sh.issueLat = nil
 	}
-	for i := range s.winBase {
-		s.winBase[i] = 0
-	}
-	for b := range s.bucketWin {
-		s.bucketWin[b] = 0
-	}
+	clear(s.winBase)
+	clear(s.bucketWin)
 }

@@ -130,16 +130,6 @@ func (s *Store) stepCheckpoint(step MigrateStep, b, from, to, records int) {
 	s.hookStep(step)
 }
 
-// chargeChurn charges the simulated span since start to shard sh as both
-// busy time and churn — the accounting every migration phase shares.
-//
-//cxl0:locked mu
-func (s *Store) chargeChurn(sh *shard, start float64) {
-	span := s.cluster.NowNS() - start
-	sh.busyNS += span
-	sh.churnNS += span
-}
-
 // MigrateBucket moves bucket b's live records to shard `to`, durably, and
 // repoints the shard map. A no-op when the bucket already lives there.
 func (s *Store) MigrateBucket(b, to int) (MigrationStats, error) {
@@ -183,10 +173,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 	// cost is charged as ordinary traffic (busyNS), like the append- and
 	// Sync-triggered commits; everything after is migration churn.
 	for _, sh := range []*shard{src, dst} {
-		cstart := s.cluster.NowNS()
-		err := s.commitLocked(sh)
-		sh.busyNS += s.cluster.NowNS() - cstart
-		if err != nil {
+		if err := s.commitCharged(sh); err != nil {
 			return stats, err
 		}
 	}
@@ -248,7 +235,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 		}
 		return nil
 	}()
-	s.chargeChurn(src, rstart)
+	src.charge(s.cluster.NowNS()-rstart, true)
 	if readErr != nil {
 		return stats, readErr
 	}
@@ -298,7 +285,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 		dst.acked = len(dst.log)
 		return nil
 	}()
-	s.chargeChurn(dst, wstart)
+	dst.charge(s.cluster.NowNS()-wstart, true)
 	if copyErr != nil {
 		return stats, s.abortCopies(dst, preLen, copyErr)
 	}
@@ -327,7 +314,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 		src.acked = len(src.log)
 		return nil
 	}()
-	s.chargeChurn(src, tstart)
+	src.charge(s.cluster.NowNS()-tstart, true)
 	if writeOut != nil {
 		return stats, writeOut
 	}
@@ -337,8 +324,8 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 	// even if a machine just failed — recovery on either shard resolves
 	// to exactly this state (redo on src, index rebuild on dst).
 	s.flipBucket(b, to, ver)
-	s.migrations++
-	s.migratedRecords += uint64(len(pairs))
+	s.ctr.Migrations++
+	s.ctr.MigratedRecords += uint64(len(pairs))
 	stats.Records = len(pairs)
 	stats.SimNS = s.cluster.NowNS() - startNS
 	s.stepCheckpoint(StepAfterFlip, b, from, to, len(pairs))
@@ -357,7 +344,7 @@ func (s *Store) abortCopies(dst *shard, preLen int, cause error) error {
 		return cause
 	}
 	start := s.cluster.NowNS()
-	defer s.chargeChurn(dst, start)
+	defer func() { dst.charge(s.cluster.NowNS()-start, true) }()
 	t := dst.thread
 	for slot := preLen; slot < len(dst.log); slot++ {
 		if err := t.MStore(dst.chkLoc(slot), 0); err != nil {

@@ -140,10 +140,7 @@ func (s *Store) flushRange(t *memsim.Thread, sh *shard, first core.LocID, words 
 		cost := s.cluster.NowNS() - start
 		for _, other := range s.shards {
 			if other != sh {
-				other.busyNS += cost
-				if churn {
-					other.churnNS += cost
-				}
+				other.charge(cost, churn)
 			}
 		}
 	}

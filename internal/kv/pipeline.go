@@ -109,7 +109,7 @@ func (s *Store) issueFlight(sh *shard) error {
 	f.depth = len(sh.flights) + 1
 	sh.laneEnd = f.endBusy
 	sh.flights = append(sh.flights, f)
-	s.pipeCommits++
+	s.ctr.PipelinedCommits++
 	if f.depth > s.maxInFlight {
 		s.maxInFlight = f.depth
 	}
@@ -142,6 +142,19 @@ func (sh *shard) foldFlights() {
 	sh.view.caughtUp()
 }
 
+// rebaseFlights moves the flush lane and the in-flight flights'
+// completion points to a busy clock whose origin moved forward by
+// origin (resetClocks): left in the old coordinates, the next flight
+// would queue behind a lane as long as everything reset away.
+//
+//cxl0:locked mu
+func (sh *shard) rebaseFlights(origin float64) {
+	for i := range sh.flights {
+		sh.flights[i].endBusy -= origin
+	}
+	sh.laneEnd = max(0, sh.laneEnd-origin)
+}
+
 // retireReady retires every flight whose completion point the shard's
 // busy clock has already passed — flushes that fully overlapped other
 // work. Called at operation entry; free.
@@ -159,9 +172,7 @@ func (s *Store) retireReady(sh *shard) {
 //
 //cxl0:locked mu
 func (s *Store) stallRetire(sh *shard) {
-	if f := sh.flights[0]; f.endBusy > sh.busyNS {
-		sh.busyNS = f.endBusy
-	}
+	sh.stallTo(sh.flights[0].endBusy)
 	s.retireFlight(sh)
 }
 

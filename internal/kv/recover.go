@@ -306,10 +306,9 @@ scan:
 	s.invalidateShardLocked(i)
 
 	simNS := s.cluster.NowNS() - start
-	sh.busyNS += simNS
-	sh.churnNS += simNS
-	s.dropped += uint64(droppedPending)
-	s.recoveries++
+	sh.charge(simNS, true)
+	s.ctr.DroppedPending += uint64(droppedPending)
+	s.ctr.Recoveries++
 	s.recoveryNS = append(s.recoveryNS, simNS)
 	s.rec.Recover(i, start, s.cluster.NowNS(), cut, salvaged, appended-cut)
 	return RecoveryStats{

@@ -152,3 +152,36 @@ func (sh *shard) unavailable() error {
 	}
 	return nil
 }
+
+// charge is the one place the shard's clocks advance: span of simulated
+// time the shard spent lands on its busy clock, and on its churn clock
+// too when the work was churn (recovery, migration, compaction — or a
+// fabric-wide flush serving one of them that stalled this shard).
+//
+//cxl0:locked mu
+func (sh *shard) charge(span float64, churn bool) {
+	sh.busyNS += span
+	if churn {
+		sh.churnNS += span
+	}
+}
+
+// stallTo makes the shard wait until its busy clock reads t (a flight's
+// completion point); a no-op when the clock is already past it.
+//
+//cxl0:locked mu
+func (sh *shard) stallTo(t float64) {
+	if t > sh.busyNS {
+		sh.busyNS = t
+	}
+}
+
+// resetClocks zeroes the busy and churn clocks. The flush lane and the
+// in-flight flights' completion points live on the busy clock being
+// discarded, so they are rebased with it.
+//
+//cxl0:locked mu
+func (sh *shard) resetClocks() {
+	sh.rebaseFlights(sh.busyNS)
+	sh.busyNS, sh.churnNS = 0, 0
+}

@@ -1,8 +1,9 @@
 package kv
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"cxl0/internal/core"
@@ -58,21 +59,14 @@ type Store struct {
 	winBase   []float64
 	bucketWin []float64
 
-	puts, gets, deletes, scans uint64
-	scannedPairs               uint64
-	multiGets, batches         uint64
-	commits                    uint64
-	pipeCommits                uint64
-	maxInFlight                int
-	ackedWrites                uint64
-	dropped                    uint64
-	recoveries                 uint64
-	migrations                 uint64
-	migratedRecords            uint64
-	compactions                uint64
-	reclaimedSlots             uint64
-	recoveryNS                 []float64
-	compactionNS               []float64
+	// ctr holds the service counters (metrics.go is their one
+	// declaration); maxInFlight and the two sample series are the
+	// store-level metrics state that does not sum.
+	//cxl0:guarded-by mu
+	ctr          Counters
+	maxInFlight  int
+	recoveryNS   []float64
+	compactionNS []float64
 
 	// frontDown is true while the front-end machine is crashed: every
 	// client operation enters through the front end, so the whole
@@ -121,6 +115,8 @@ type Store struct {
 
 // Open builds the cluster (one front-end machine plus one machine per
 // shard, all with non-volatile memory) and the shards on it.
+//
+//cxl0:locked mu — the store has not escaped yet
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	persist, err := persisterFor(cfg.Strategy)
@@ -142,14 +138,6 @@ func Open(cfg Config) (*Store, error) {
 		Seed:       cfg.Seed,
 		Latency:    cfg.Latency,
 	})
-	var cache *readCache
-	var pred *predictor
-	if cfg.ReadCache > 0 {
-		cache = newReadCache(cfg.ReadCache)
-		if cfg.Prefetch {
-			pred = newPredictor(cfg.Shards)
-		}
-	}
 	s := &Store{
 		cfg:       cfg,
 		persist:   persist,
@@ -159,8 +147,12 @@ func Open(cfg Config) (*Store, error) {
 		bucketVer: make([]uint64, cfg.Buckets),
 		bucketWin: make([]float64, cfg.Buckets),
 		winBase:   make([]float64, cfg.Shards),
-		cache:     cache,
-		pred:      pred,
+	}
+	if cfg.ReadCache > 0 {
+		s.cache = newReadCache(cfg.ReadCache, &s.ctr)
+		if cfg.Prefetch {
+			s.pred = newPredictor(cfg.Shards)
+		}
 	}
 	for b := range s.shardMap {
 		s.shardMap[b] = b % cfg.Shards
@@ -389,7 +381,7 @@ func (s *Store) flushBatch(sh *shard) (flight, error) {
 		}
 	}
 	sh.pending = 0
-	s.commits++
+	s.ctr.Commits++
 	return flight{first: first, limit: len(sh.log), issueNS: fstart, ackNS: now, depth: 1}, nil
 }
 
@@ -414,7 +406,7 @@ func (s *Store) ackRange(sh *shard, first, limit int, ackNS, queueNS float64) in
 		sh.writeLat = append(sh.writeLat, ackLat)
 		sh.issueLat = append(sh.issueLat, issueLat)
 		s.rec.WriteLatency(ackLat, issueLat)
-		s.ackedWrites++
+		s.ctr.Acked++
 		acked++
 		s.keyMoved(sh, r, slot, limit)
 	}
@@ -476,6 +468,21 @@ func (s *Store) commitLocked(sh *shard) error {
 	return nil
 }
 
+// commitCharged is commitLocked as a drain point runs it — Apply's and
+// Sync's commit points, and the commit that precedes a compaction or a
+// migration: inside its own span on the shard's busy clock, charged as
+// ordinary traffic because the flush acknowledges client writes. (An
+// append's batch-full commit and a migration's marker commits run inside
+// their callers' spans instead.)
+//
+//cxl0:locked mu
+func (s *Store) commitCharged(sh *shard) error {
+	start := s.cluster.NowNS()
+	err := s.commitLocked(sh)
+	sh.charge(s.cluster.NowNS()-start, false)
+	return err
+}
+
 // append routes one write (val 0 = tombstone) to shard sh.
 //
 //cxl0:locked mu
@@ -489,9 +496,9 @@ func (s *Store) append(sh *shard, key, val core.Val) (Ack, error) {
 	// Count past the denial checks: Metrics.Puts/Deletes count operations
 	// served, and a write denied above was never served.
 	if val == 0 {
-		s.deletes++
+		s.ctr.Deletes++
 	} else {
-		s.puts++
+		s.ctr.Puts++
 	}
 	s.retireReady(sh)
 	// Auto-compaction runs before this append's span stamp: compactLocked
@@ -530,7 +537,7 @@ func (s *Store) append(sh *shard, key, val core.Val) (Ack, error) {
 			// (the flush must not land on the busy clock), then issue
 			// the batch as an in-flight flight. The filling write
 			// returns unacknowledged — its ack fires at retirement.
-			sh.busyNS += s.cluster.NowNS() - start
+			sh.charge(s.cluster.NowNS()-start, false)
 			if err := s.issueFlight(sh); err != nil {
 				return Ack{}, err
 			}
@@ -541,7 +548,7 @@ func (s *Store) append(sh *shard, key, val core.Val) (Ack, error) {
 		}
 		durable = true
 	}
-	sh.busyNS += s.cluster.NowNS() - start
+	sh.charge(s.cluster.NowNS()-start, false)
 	return Ack{Shard: sh.id, Seq: slot, Durable: durable}, nil
 }
 
@@ -561,7 +568,7 @@ func (s *Store) writeOp(op obs.Op, key, val core.Val) (Ack, error) {
 	defer s.mu.Unlock()
 	sh := s.shards[s.shardOf(key)]
 	start := s.obsNow()
-	ackedW, commitW := s.ackedWrites, s.obsCommitAcked
+	ackedW, commitW := s.ctr.Acked, s.obsCommitAcked
 	ack, err := s.append(sh, key, val)
 	s.rec.OpSpan(op, sh.id, start, s.obsNow(),
 		1, s.spanAcked(ackedW, commitW), ack.Durable)
@@ -575,8 +582,10 @@ func (s *Store) writeOp(op obs.Op, key, val core.Val) (Ack, error) {
 // (including batch-full commits an append triggers mid-op), so summing
 // Acked over a store's op-span, commit and recover events always equals
 // Metrics.Acked.
+//
+//cxl0:locked mu
 func (s *Store) spanAcked(ackedBefore, commitBefore uint64) int {
-	return int(s.ackedWrites-ackedBefore) - int(s.obsCommitAcked-commitBefore)
+	return int(s.ctr.Acked-ackedBefore) - int(s.obsCommitAcked-commitBefore)
 }
 
 // Delete removes key by appending a tombstone record.
@@ -620,7 +629,7 @@ func (s *Store) getLocked(key core.Val) (core.Val, bool, error) {
 	// Count past the denial checks: Metrics.Gets counts operations
 	// served, and a denied read must neither count nor dilute the cache
 	// hit rate's denominator.
-	s.gets++
+	s.ctr.Gets++
 	s.retireReady(sh)
 	slot, ok := sh.view.visible(key)
 	if !ok {
@@ -655,7 +664,7 @@ func (s *Store) readValue(sh *shard, key core.Val, slot int) (core.Val, error) {
 	v, err := sh.thread.Load(sh.valLocOf(slot))
 	end := s.cluster.NowNS()
 	span := end - start
-	sh.busyNS += span
+	sh.charge(span, false)
 	s.bucketWin[s.bucketOf(key)] += span
 	if err != nil {
 		return 0, err
@@ -687,7 +696,7 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 		return nil, ErrFrontDown
 	}
 	// Served-only counting, like getLocked: a denied MultiGet never ran.
-	s.multiGets++
+	s.ctr.MultiGets++
 	start := s.obsNow()
 	out := make([]Lookup, 0, len(keys))
 	unavailable := make([]bool, len(s.shards))
@@ -748,7 +757,7 @@ func (s *Store) Apply(b *Batch) (Ack, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := s.obsNow()
-	ackedW, commitW := s.ackedWrites, s.obsCommitAcked
+	ackedW, commitW := s.ctr.Acked, s.obsCommitAcked
 	ack, err := s.applyLocked(b)
 	s.rec.OpSpan(obs.OpApply, -1, start, s.obsNow(),
 		b.Len(), s.spanAcked(ackedW, commitW), ack.Durable)
@@ -762,7 +771,7 @@ func (s *Store) applyLocked(b *Batch) (Ack, error) {
 		return Ack{}, ErrFrontDown
 	}
 	// Served-only counting, like getLocked: a denied Apply never ran.
-	s.batches++
+	s.ctr.Batches++
 	touched := make([]bool, len(s.shards))
 	var last Ack
 	for bi, op := range b.ops {
@@ -788,11 +797,7 @@ func (s *Store) applyLocked(b *Batch) (Ack, error) {
 		if !hit {
 			continue
 		}
-		sh := s.shards[id]
-		start := s.cluster.NowNS()
-		err := s.commitLocked(sh)
-		sh.busyNS += s.cluster.NowNS() - start
-		if err != nil {
+		if err := s.commitCharged(s.shards[id]); err != nil {
 			return Ack{}, err
 		}
 	}
@@ -808,7 +813,7 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 		return nil, ErrFrontDown
 	}
 	// Served-only counting, like getLocked: a denied Scan never ran.
-	s.scans++
+	s.ctr.Scans++
 	sstart := s.obsNow()
 	type cand struct {
 		key  core.Val
@@ -840,7 +845,7 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 			cands = append(cands, cand{key: k, slot: slot, sh: sh})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].key < cands[j].key })
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.key, b.key) })
 	if limit > 0 && len(cands) > limit {
 		cands = cands[:limit]
 	}
@@ -862,7 +867,7 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 		}
 		s.prefetchLocked(ahead)
 	}
-	s.scannedPairs += uint64(len(out))
+	s.ctr.ScannedPairs += uint64(len(out))
 	s.rec.OpSpan(obs.OpScan, -1, sstart, s.obsNow(), len(out), 0, false)
 	if missing > 0 {
 		return out, &PartialResultError{Op: "scan", Unavailable: shardList(unavailable), Missing: missing}
@@ -882,10 +887,7 @@ func (s *Store) Sync() error {
 		if sh.pending == 0 && len(sh.flights) == 0 {
 			continue
 		}
-		start := s.cluster.NowNS()
-		err := s.commitLocked(sh)
-		sh.busyNS += s.cluster.NowNS() - start
-		if err != nil {
+		if err := s.commitCharged(sh); err != nil {
 			return err
 		}
 	}

@@ -35,9 +35,10 @@
 package pool
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -280,11 +281,8 @@ func (r *Router) MultiGet(keys []core.Val) ([]kv.Lookup, error) {
 		byCluster[c] = append(byCluster[c], k)
 		byClusterPos[c] = append(byClusterPos[c], i)
 	}
-	var span uint64
-	if r.rec != nil {
-		span = r.rec.NewSpan()
-	}
-	pstart := r.nowNS()
+	span := r.rec.NewSpan()
+	pstart := r.obsNow()
 	out := make([]kv.Lookup, len(keys))
 	var unavailable []int
 	missing := 0
@@ -292,10 +290,7 @@ func (r *Router) MultiGet(keys []core.Val) ([]kv.Lookup, error) {
 		if len(sub) == 0 {
 			continue
 		}
-		var lstart float64
-		if r.rec != nil {
-			lstart = r.stores[c].NowNS()
-		}
+		lstart := r.obsClusterNow(c)
 		res, err := r.stores[c].MultiGet(sub)
 		var partial *kv.PartialResultError
 		if err != nil && !errors.As(err, &partial) {
@@ -309,16 +304,12 @@ func (r *Router) MultiGet(keys []core.Val) ([]kv.Lookup, error) {
 			}
 			missing += partial.Missing
 		}
-		if r.rec != nil {
-			r.rec.FanOutLeg(span, obs.OpMultiGet, c, lstart, r.stores[c].NowNS(), len(sub)-missingOf(partial))
-		}
+		r.rec.FanOutLeg(span, obs.OpMultiGet, c, lstart, r.obsClusterNow(c), len(sub)-missingOf(partial))
 		for j, l := range res {
 			out[byClusterPos[c][j]] = l
 		}
 	}
-	if r.rec != nil {
-		r.rec.FanOut(span, obs.OpMultiGet, pstart, r.nowNS(), len(keys))
-	}
+	r.rec.FanOut(span, obs.OpMultiGet, pstart, r.obsNow(), len(keys))
 	if missing > 0 {
 		return out, &kv.PartialResultError{Op: "multiget", Unavailable: unavailable, Missing: missing}
 	}
@@ -349,11 +340,8 @@ func missingOf(e *kv.PartialResultError) int {
 func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var span uint64
-	if r.rec != nil {
-		span = r.rec.NewSpan()
-	}
-	pstart := r.nowNS()
+	span := r.rec.NewSpan()
+	pstart := r.obsNow()
 	unavail := make([]bool, r.nShards)
 
 	legs := make([]scanLeg, len(r.stores))
@@ -376,14 +364,12 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 			if limit > 0 && limit-l.fetched < ask {
 				ask = limit - l.fetched
 			}
-			if r.rec != nil && !l.everAsked {
-				l.simStart = r.stores[c].NowNS()
+			if !l.everAsked {
+				l.simStart = r.obsClusterNow(c)
 			}
 			l.everAsked = true
 			pairs, err := r.stores[c].Scan(l.next, hi, ask)
-			if r.rec != nil {
-				l.simEnd = r.stores[c].NowNS()
-			}
+			l.simEnd = r.obsClusterNow(c)
 			var partial *kv.PartialResultError
 			if err != nil && !errors.As(err, &partial) {
 				return nil, clusterErr(c, err)
@@ -453,21 +439,19 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 	}
 	// Clusters partition the keyspace, so pairs are unique across them and
 	// a sort is a merge.
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Key < merged[j].Key })
+	slices.SortFunc(merged, func(a, b kv.Pair) int { return cmp.Compare(a.Key, b.Key) })
 	if limit > 0 && len(merged) > limit {
 		merged = merged[:limit]
 	}
 	if d := fetched - len(merged); d > 0 {
 		r.scanDiscarded.Add(uint64(d))
 	}
-	if r.rec != nil {
-		for c := range legs {
-			if legs[c].everAsked {
-				r.rec.FanOutLeg(span, obs.OpScan, c, legs[c].simStart, legs[c].simEnd, legs[c].fetched)
-			}
+	for c := range legs {
+		if legs[c].everAsked {
+			r.rec.FanOutLeg(span, obs.OpScan, c, legs[c].simStart, legs[c].simEnd, legs[c].fetched)
 		}
-		r.rec.FanOut(span, obs.OpScan, pstart, r.nowNS(), len(merged))
 	}
+	r.rec.FanOut(span, obs.OpScan, pstart, r.obsNow(), len(merged))
 	missing := 0
 	for c := range legs {
 		missing += legs[c].missing
@@ -506,7 +490,7 @@ func kthSmallestKey(legs []scanLeg, limit int) core.Val {
 			keys = append(keys, p.Key)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys[limit-1]
 }
 
@@ -542,35 +526,25 @@ func (r *Router) Apply(b *Batch) (kv.Ack, error) {
 		}
 		lastCluster = c
 	}
-	var span uint64
-	if r.rec != nil {
-		span = r.rec.NewSpan()
-	}
-	pstart := r.nowNS()
+	span := r.rec.NewSpan()
+	pstart := r.obsNow()
 	var final kv.Ack
 	for c := range sub {
 		if sub[c].Len() == 0 {
 			continue
 		}
-		var lstart float64
-		if r.rec != nil {
-			lstart = r.stores[c].NowNS()
-		}
+		lstart := r.obsClusterNow(c)
 		ack, err := r.stores[c].Apply(&sub[c])
 		if err != nil {
 			return kv.Ack{}, clusterErr(c, err)
 		}
-		if r.rec != nil {
-			r.rec.FanOutLeg(span, obs.OpApply, c, lstart, r.stores[c].NowNS(), sub[c].Len())
-		}
+		r.rec.FanOutLeg(span, obs.OpApply, c, lstart, r.obsClusterNow(c), sub[c].Len())
 		ack.Shard = r.globalShard(c, ack.Shard)
 		if c == lastCluster {
 			final = ack
 		}
 	}
-	if r.rec != nil {
-		r.rec.FanOut(span, obs.OpApply, pstart, r.nowNS(), b.Len())
-	}
+	r.rec.FanOut(span, obs.OpApply, pstart, r.obsNow(), b.Len())
 	return final, nil
 }
 
@@ -762,22 +736,13 @@ func (r *Router) Metrics() kv.Metrics {
 	var agg kv.Metrics
 	for _, st := range r.stores {
 		m := st.Metrics()
-		agg.Puts += m.Puts
-		agg.Gets += m.Gets
-		agg.Deletes += m.Deletes
-		agg.Scans += m.Scans
-		agg.ScannedPairs += m.ScannedPairs
-		agg.ScanDiscardedPairs += m.ScanDiscardedPairs
-		agg.MultiGets += m.MultiGets
-		agg.Batches += m.Batches
-		agg.Commits += m.Commits
-		agg.Acked += m.Acked
-		agg.DroppedPending += m.DroppedPending
-		agg.Recoveries += m.Recoveries
-		agg.Migrations += m.Migrations
-		agg.MigratedRecords += m.MigratedRecords
-		agg.Compactions += m.Compactions
-		agg.ReclaimedSlots += m.ReclaimedSlots
+		agg.Counters.Add(m.Counters)
+		agg.MaxInFlight = max(agg.MaxInFlight, m.MaxInFlight)
+		// Each pooled cluster's front end owns its own read cache
+		// (Config.Store passes ReadCache/Prefetch through), so the pooled
+		// size, like the cache counters, is the sum over per-front-end
+		// caches.
+		agg.CacheSize += m.CacheSize
 		agg.RecoveryNS = append(agg.RecoveryNS, m.RecoveryNS...)
 		agg.CompactionNS = append(agg.CompactionNS, m.CompactionNS...)
 		agg.PerShardBusyNS = append(agg.PerShardBusyNS, m.PerShardBusyNS...)
@@ -786,20 +751,8 @@ func (r *Router) Metrics() kv.Metrics {
 		agg.PerShardLive = append(agg.PerShardLive, m.PerShardLive...)
 		agg.WriteLatencies = append(agg.WriteLatencies, m.WriteLatencies...)
 		agg.IssueLatencies = append(agg.IssueLatencies, m.IssueLatencies...)
-		agg.PipelinedCommits += m.PipelinedCommits
-		if m.MaxInFlight > agg.MaxInFlight {
-			agg.MaxInFlight = m.MaxInFlight
-		}
 		agg.PerShardInFlight = append(agg.PerShardInFlight, m.PerShardInFlight...)
 		agg.PerShardAcked = append(agg.PerShardAcked, m.PerShardAcked...)
-		// Each pooled cluster's front end owns its own read cache
-		// (Config.Store passes ReadCache/Prefetch through), so the pooled
-		// counters are the sum over per-front-end caches.
-		agg.CacheHits += m.CacheHits
-		agg.CacheMisses += m.CacheMisses
-		agg.SpeculativeFills += m.SpeculativeFills
-		agg.CacheInvalidations += m.CacheInvalidations
-		agg.CacheSize += m.CacheSize
 	}
 	agg.ScanDiscardedPairs += r.scanDiscarded.Load()
 	return agg
@@ -825,6 +778,25 @@ func (r *Router) nowNS() float64 {
 		total += st.NowNS()
 	}
 	return total
+}
+
+// obsNow is the pool's summed clock as an observability timestamp, and
+// obsClusterNow cluster c's own: read only while a recorder is attached
+// (each read takes a cluster's lock), so an unobserved fan-out pays one
+// pointer check and hands the nil recorder's no-op methods a zero they
+// ignore — kv.Store's obsNow, one level up.
+func (r *Router) obsNow() float64 {
+	if r.rec == nil {
+		return 0
+	}
+	return r.nowNS()
+}
+
+func (r *Router) obsClusterNow(c int) float64 {
+	if r.rec == nil {
+		return 0
+	}
+	return r.stores[c].NowNS()
 }
 
 // NowNS returns the sum of the pooled clusters' independent simulated

@@ -149,6 +149,67 @@ func TestRouterRoutesAndAggregates(t *testing.T) {
 	}
 }
 
+// TestRouterMetricsSumCounters: the pooled snapshot's counters are
+// exactly kv.Counters.Add over the clusters' own, plus the one counter
+// the router itself owns (pairs its scan merge discarded) — after a
+// workload that moves the churn counters too: a crash with recovery, a
+// rebalance, a compaction and limited scans that over-fetch.
+func TestRouterMetricsSumCounters(t *testing.T) {
+	r := openTest(t, Config{Clusters: 3, Store: kv.Config{
+		Shards: 2, Strategy: kv.GroupCommit, Batch: 4, PipelineDepth: 2, Capacity: 512, Seed: 5,
+		ReadCache: 16, Prefetch: true, RebalanceThreshold: 1.01,
+	}})
+	for round := 0; round < 3; round++ {
+		for k := core.Val(0); k < 90; k++ {
+			// Skewed towards low keys so the rebalancer has a hotspot.
+			if _, err := r.Put(k%(30*core.Val(round+1)), k+1); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := r.Get(k / 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b Batch
+		b.Put(1000, 1).Put(1001, 2).Delete(7)
+		if _, err := r.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.MultiGet([]core.Val{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Scan(0, 90, 5); err != nil {
+			t.Fatal(err)
+		}
+		switch round {
+		case 0:
+			r.Crash(3)
+			if _, err := r.Recover(3); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			if _, err := r.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if _, err := r.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := r.Metrics().Counters
+	if got.Recoveries == 0 || got.Migrations == 0 || got.Compactions == 0 || got.ScanDiscardedPairs == 0 {
+		t.Fatalf("the workload should have recovered, migrated, compacted and over-fetched: %+v", got)
+	}
+	var want kv.Counters
+	for c := 0; c < r.NumClusters(); c++ {
+		want.Add(r.Cluster(c).Metrics().Counters)
+	}
+	want.ScanDiscardedPairs += r.scanDiscarded.Load()
+	if got != want {
+		t.Fatalf("pooled counters\n  %+v\nare not the sum of the clusters' plus the router's discarded pairs\n  %+v", got, want)
+	}
+}
+
 // TestRouterMultiGetMergesAcrossClusters: results come back in input
 // order with per-key found flags, regardless of which cluster served
 // each key.
