@@ -2,6 +2,7 @@ package kv
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"cxl0/internal/core"
@@ -13,11 +14,12 @@ import (
 // cannot silently drop a counter whose Add line was forgotten — and
 // ResetMetrics leaves none behind.
 func TestCountersDeclaredOnce(t *testing.T) {
-	primes := []uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
-		97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223}
 	typ := reflect.TypeOf(Counters{})
-	if 2*typ.NumField() > len(primes) {
-		t.Fatalf("%d counters need %d distinct primes, the test has %d — extend the list", typ.NumField(), 2*typ.NumField(), len(primes))
+	var primes []uint64
+	for c := uint64(2); len(primes) < 2*typ.NumField(); c++ {
+		if !slices.ContainsFunc(primes, func(p uint64) bool { return c%p == 0 }) {
+			primes = append(primes, c)
+		}
 	}
 	var a, b Counters
 	tags := map[string]string{}
