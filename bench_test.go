@@ -15,6 +15,7 @@ package cxl0bench
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"cxl0/internal/core"
@@ -272,6 +273,35 @@ func BenchmarkKVWorkloadE(b *testing.B) {
 	for _, s := range []kv.Strategy{kv.MStoreEach, kv.GPFEach, kv.GroupCommit} {
 		b.Run(s.String(), func(b *testing.B) {
 			benchKVWorkload(b, "E", s, 2)
+		})
+	}
+}
+
+// BenchmarkKVScanLimit tracks the host cost of a limit-16 scan at two
+// shard sizes. A shard's range walk is ordered and stops at the limit, so
+// ns/op must not follow keys-per-shard; every scan must come back full.
+func BenchmarkKVScanLimit(b *testing.B) {
+	const shards, limit = 2, 16
+	for _, perShard := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("keys-per-shard=%d", perShard), func(b *testing.B) {
+			keys := shards * perShard
+			st, err := kv.Open(kv.Config{Shards: shards, Capacity: 2 * perShard, Strategy: kv.MStoreEach, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := 0; k < keys; k++ {
+				if _, err := st.Put(core.Val(k), core.Val(k+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := core.Val(i * 7919 % (keys - limit))
+				pairs, err := st.Scan(lo, math.MaxInt64, limit)
+				if err != nil || len(pairs) != limit || pairs[0].Key != lo {
+					b.Fatalf("scan from %d: %d pairs, %v; want %d from a dense keyspace", lo, len(pairs), err, limit)
+				}
+			}
 		})
 	}
 }

@@ -3,7 +3,6 @@ package kv
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"cxl0/internal/core"
 	"cxl0/internal/memsim"
@@ -243,13 +242,13 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 		}
 	}()
 
-	// Collect the live set in key order, paying the simulated cost of
-	// reading each value from wherever it lives (log or old snapshot).
+	// Collect the live set in key order (the order tip yields), paying
+	// the simulated cost of reading each value from wherever it lives (log
+	// or old snapshot).
 	live := make([]rec, 0, sh.view.live())
 	for k := range sh.view.tip() {
 		live = append(live, rec{key: k})
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
 	t := sh.thread
 	for i := range live {
 		if sh.down {

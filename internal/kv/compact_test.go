@@ -13,6 +13,16 @@ import (
 // reclaimed, deleted and overwritten records are retired, the snapshot
 // epoch advances, and the compacted state survives crash/recovery.
 func TestCompactReclaimsAndPreserves(t *testing.T) {
+	// The snapshot is written in key order: compaction folds view.tip(),
+	// which yields it, and recovery's re-homing relies on it.
+	snapInKeyOrder := func(t *testing.T, st *Store) {
+		t.Helper()
+		for i, r := range st.shards[0].snap[1:] {
+			if prev := st.shards[0].snap[i].key; prev >= r.key {
+				t.Fatalf("snapshot record %d holds key %d after key %d, want ascending", i+1, r.key, prev)
+			}
+		}
+	}
 	for _, strat := range Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
 			st := openTest(t, Config{Shards: 1, Capacity: 64, Strategy: strat, Batch: 4, Seed: 17, EvictEvery: 3})
@@ -117,6 +127,7 @@ func TestCompactReclaimsAndPreserves(t *testing.T) {
 			if e := st.SnapshotEpoch(0); e != 2 {
 				t.Fatalf("epoch %d after second compaction, want 2", e)
 			}
+			snapInKeyOrder(t, st)
 			check()
 			if got := st.Metrics().Compactions; got != 2 {
 				t.Fatalf("compactions = %d, want 2", got)

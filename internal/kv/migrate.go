@@ -1,9 +1,10 @@
 package kv
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cxl0/internal/core"
 )
@@ -220,7 +221,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 			pairs = append(pairs, pair{slot: slot, key: k})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].slot < pairs[j].slot })
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.slot, b.slot) })
 	rstart := s.cluster.NowNS()
 	rt := src.thread
 	readErr := func() error {

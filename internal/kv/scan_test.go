@@ -1,0 +1,218 @@
+package kv
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"cxl0/internal/core"
+	"cxl0/internal/obs"
+)
+
+// scanReference is Store.Scan as it stood before the view kept an
+// ordered key set: collect every visible key in range from every
+// shard's hash index, sort them all, keep limit. It is the differential
+// reference for the ordered walk (as core.TauSteps is for the occupancy
+// index) and takes every step Scan takes — counters, flight retirement,
+// demand reads in key order, the scan-run prefetch — so a store driven
+// through it must stay bit-identical to one driven through Scan.
+func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.frontDown {
+		return nil, ErrFrontDown
+	}
+	s.ctr.Scans++
+	sstart := s.obsNow()
+	type cand struct {
+		key  core.Val
+		slot int
+		sh   *shard
+	}
+	var cands []cand
+	unavailable := make([]bool, len(s.shards))
+	missing := 0
+	for _, sh := range s.shards {
+		if !sh.partitioned {
+			s.retireReady(sh)
+		}
+		// The unordered range walk: tip keys through the watermark gate,
+		// then keys deleted past the watermark.
+		v := &sh.view
+		var keys []core.Val
+		var slots []int
+		for k, slot := range v.index { //cxl0:order-insensitive — sorted below
+			if k < lo || k >= hi {
+				continue
+			}
+			if e, shadowed := v.shadow[k]; shadowed {
+				if !e.exists {
+					continue
+				}
+				slot = e.slot
+			}
+			keys, slots = append(keys, k), append(slots, slot)
+		}
+		for k, e := range v.shadow { //cxl0:order-insensitive — sorted below
+			if _, tip := v.index[k]; tip || k < lo || k >= hi || !e.exists {
+				continue
+			}
+			keys, slots = append(keys, k), append(slots, e.slot)
+		}
+		for i, k := range keys {
+			if sh.down {
+				return nil, ErrShardDown
+			}
+			if sh.partitioned {
+				unavailable[sh.id] = true
+				missing++
+				continue
+			}
+			cands = append(cands, cand{key: k, slot: slots[i], sh: sh})
+		}
+	}
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.key, b.key) })
+	if limit > 0 && len(cands) > limit {
+		cands = cands[:limit]
+	}
+	out := make([]Pair, 0, len(cands))
+	for _, c := range cands {
+		v, err := s.readValue(c.sh, c.key, c.slot)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Pair{Key: c.key, Val: v})
+	}
+	if s.pred != nil && len(out) > 0 {
+		last := out[len(out)-1].Key
+		ahead := make([]core.Val, 0, scanRunAhead)
+		for i := core.Val(1); i <= scanRunAhead; i++ {
+			ahead = append(ahead, last+i)
+		}
+		s.prefetchLocked(ahead)
+	}
+	s.ctr.ScannedPairs += uint64(len(out))
+	s.rec.OpSpan(obs.OpScan, -1, sstart, s.obsNow(), len(out), 0, false)
+	if missing > 0 {
+		return out, &PartialResultError{Op: "scan", Unavailable: shardList(unavailable), Missing: missing}
+	}
+	return out, nil
+}
+
+// shadowInRange counts the shards of s holding a watermark shadow, and
+// the keys in [lo, hi) that shadow alone still carries — deleted past
+// the watermark — which are what the ordered walk has to merge in.
+func shadowInRange(s *Store, lo, hi core.Val) (shadowed, deleted int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sh := range s.shards {
+		if len(sh.view.shadow) > 0 {
+			shadowed++
+		}
+		for k, e := range sh.view.shadow { //cxl0:order-insensitive — counted
+			if _, tip := sh.view.index[k]; !tip && e.exists && k >= lo && k < hi {
+				deleted++
+			}
+		}
+	}
+	return shadowed, deleted
+}
+
+// TestScanMatchesReference drives two identically configured stores
+// through one random put/delete/scan sequence with shards crashed and
+// partitioned along the way, one scanning through Store.Scan and the
+// other through scanReference. Every scan must agree on pairs, error
+// type, Unavailable and Missing, and at the end the two stores must
+// agree on every metric and on the simulated clock: the ordered walk
+// issues exactly the reads the walk-and-sort issued, in the same order.
+func TestScanMatchesReference(t *testing.T) {
+	const (
+		keys   = 240
+		shards = 4
+		steps  = 900
+	)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// shadowed says the sequence must meet scans over keys written
+		// and deleted past the watermark.
+		shadowed bool
+	}{
+		{name: "depth=1", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 1}},
+		{name: "depth=2", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 2}, shadowed: true},
+		{name: "depth=1/cache+prefetch", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 1, ReadCache: 32, Prefetch: true}},
+	} {
+		for seed := int64(1); seed <= 6; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Shards, cfg.Capacity, cfg.Seed, cfg.EvictEvery = shards, 4096, seed, 5
+				got, ref := openTest(t, cfg), openTest(t, cfg)
+				both := func(op func(*Store) error) {
+					t.Helper()
+					if g, r := op(got), op(ref); !reflect.DeepEqual(g, r) {
+						t.Fatalf("the stores diverged outside Scan: %v vs %v", g, r)
+					}
+				}
+				rng := rand.New(rand.NewSource(seed))
+				down, cut := -1, -1
+				scans, partial, failed, overShadow, overDeleted := 0, 0, 0, 0, 0
+				for step := 0; step < steps; step++ {
+					key := core.Val(rng.Intn(keys))
+					switch p := rng.Intn(100); {
+					case p < 45:
+						val := core.Val(1 + rng.Intn(1000))
+						both(func(s *Store) error { _, err := s.Put(key, val); return err })
+					case p < 60:
+						both(func(s *Store) error { _, err := s.Delete(key); return err })
+					case p < 63 && down < 0:
+						down = rng.Intn(shards)
+						both(func(s *Store) error { s.Crash(down); return nil })
+					case p < 66 && cut < 0:
+						cut = rng.Intn(shards)
+						both(func(s *Store) error { s.Partition(cut); return nil })
+					case p < 72 && down >= 0:
+						both(func(s *Store) error { _, err := s.Recover(down); return err })
+						down = -1
+					case p < 78 && cut >= 0:
+						both(func(s *Store) error { s.Heal(cut); return nil })
+						cut = -1
+					default:
+						hi := []core.Val{key, key + core.Val(1+rng.Intn(keys/2)), math.MaxInt64}[rng.Intn(3)]
+						limit := []int{0, 1, 16, keys + 1}[rng.Intn(4)]
+						shadowed, deleted := shadowInRange(got, key, hi)
+						overShadow, overDeleted = overShadow+shadowed, overDeleted+deleted
+						gp, gerr := got.Scan(key, hi, limit)
+						rp, rerr := scanReference(ref, key, hi, limit)
+						if !slices.Equal(gp, rp) || !reflect.DeepEqual(gerr, rerr) {
+							t.Fatalf("step %d: Scan(%d,%d,%d) = %v, %v; the reference says %v, %v",
+								step, key, hi, limit, gp, gerr, rp, rerr)
+						}
+						scans++
+						if _, ok := gerr.(*PartialResultError); ok {
+							partial++
+						} else if gerr != nil {
+							failed++
+						}
+					}
+				}
+				if gm, rm := got.Metrics(), ref.Metrics(); !reflect.DeepEqual(gm, rm) {
+					t.Fatalf("metrics diverged:\n got %+v\n ref %+v", gm, rm)
+				}
+				if g, r := got.cluster.NowNS(), ref.cluster.NowNS(); g != r {
+					t.Fatalf("simulated clocks diverged: %v vs %v", g, r)
+				}
+				if scans == 0 || partial == 0 || failed == 0 {
+					t.Fatalf("%d scans, %d partial, %d failed: the sequence did not reach every outcome", scans, partial, failed)
+				}
+				if tc.shadowed && (overShadow == 0 || overDeleted == 0) {
+					t.Fatalf("%d scans met a shadow, %d in-range keys deleted past the watermark: the gate's merge went untested",
+						overShadow, overDeleted)
+				}
+			})
+		}
+	}
+}

@@ -40,8 +40,11 @@ var seams = []seam{
 		fix:   "dispatch through the persister (persist.go)",
 	},
 	{
-		name:  "the tip index, the watermark shadow and the slot encoding's base",
-		site:  func(n ast.Node) bool { return selects(n, "index") || selects(n, "shadow") || selects(n, "logCap") },
+		// keys is the tip index's ordered key set.
+		name: "the tip index, the watermark shadow and the slot encoding's base",
+		site: func(n ast.Node) bool {
+			return selects(n, "index") || selects(n, "keys") || selects(n, "shadow") || selects(n, "logCap")
+		},
 		files: []string{"view.go"},
 		fix:   "go through a view method (view.go)",
 	},

@@ -699,13 +699,13 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 	s.ctr.MultiGets++
 	start := s.obsNow()
 	out := make([]Lookup, 0, len(keys))
-	unavailable := make([]bool, len(s.shards))
+	var unavailable []bool
 	missing := 0
 	for _, k := range keys {
 		if sh := s.shards[s.shardOf(k)]; sh.partitioned && !sh.down {
 			// Not counted in Gets: the placeholder lookup was denied by
 			// the partition, not served.
-			unavailable[sh.id] = true
+			unavailable = s.markShard(unavailable, sh)
 			missing++
 			out = append(out, Lookup{Key: k})
 			continue
@@ -721,6 +721,16 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 		return out, &PartialResultError{Op: "multiget", Unavailable: shardList(unavailable), Missing: missing}
 	}
 	return out, nil
+}
+
+// markShard sets sh in a shard membership mask, allocated on first use:
+// the mask is read only when a partitioned shard was met.
+func (s *Store) markShard(mask []bool, sh *shard) []bool {
+	if mask == nil {
+		mask = make([]bool, len(s.shards))
+	}
+	mask[sh.id] = true
+	return mask
 }
 
 // shardList converts a membership mask into the ascending index list a
@@ -805,7 +815,9 @@ func (s *Store) applyLocked(b *Batch) (Ack, error) {
 }
 
 // Scan returns up to limit live pairs with lo <= key < hi, in key order,
-// loading each value from its shard.
+// loading each value from its shard. Each shard's range walk is ordered
+// (view.inRange) and stops after limit keys, so a limited scan costs
+// O(shards · (log live + limit)), whatever the shards hold.
 func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -821,28 +833,40 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 		sh   *shard
 	}
 	var cands []cand
-	unavailable := make([]bool, len(s.shards))
+	if limit > 0 {
+		// A shard contributes its limit smallest in-range keys at most.
+		n := 0
+		for _, sh := range s.shards {
+			n += min(limit, sh.view.live())
+		}
+		cands = make([]cand, 0, n)
+	}
+	var unavailable []bool
 	missing := 0
 	for _, sh := range s.shards {
 		if !sh.partitioned {
 			s.retireReady(sh)
 		}
+		taken := 0
 		for k, slot := range sh.view.inRange(lo, hi) {
 			// A down shard only fails the scan when it actually holds
 			// keys in range; an idle down shard costs nothing. A
 			// partitioned shard degrades the scan to a partial result
 			// instead: its data is intact behind the partition, so
 			// skipping it is safe and the typed error says what is
-			// missing.
+			// missing — exactly, so its walk runs the whole range.
 			if sh.down {
 				return nil, ErrShardDown
 			}
 			if sh.partitioned {
-				unavailable[sh.id] = true
+				unavailable = s.markShard(unavailable, sh)
 				missing++
 				continue
 			}
 			cands = append(cands, cand{key: k, slot: slot, sh: sh})
+			if taken++; taken == limit {
+				break
+			}
 		}
 	}
 	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.key, b.key) })

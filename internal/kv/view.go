@@ -4,16 +4,19 @@ package kv
 // is decided by two volatile maps — the tip index over everything
 // appended, and the shadow of keys whose newest record sits past the
 // acked-watermark (docs/pipeline.md) — and by one slot encoding that says
-// whether a record lives in the log or in the committed snapshot. All
-// three live in this file and are touched nowhere else (TestSeams): the
-// store drives the view through the per-key write and ack steps (and
-// snoops its read cache when they say a key moved, see Store.keyMoved)
-// and through the bulk steps compaction, recovery and bucket migration
-// need. No method here takes or reaches a *Store: the view knows keys,
-// slots and the watermark, not routing, caches or clocks.
+// whether a record lives in the log or in the committed snapshot; the
+// tip index's key set is also kept sorted, so a range read costs what it
+// yields and not what the shard holds. All four live in this file and
+// are touched nowhere else (TestSeams): the store drives the view
+// through the per-key write and ack steps (and snoops its read cache
+// when they say a key moved, see Store.keyMoved) and through the bulk
+// steps compaction, recovery and bucket migration need. No method here
+// takes or reaches a *Store: the view knows keys, slots and the
+// watermark, not routing, caches or clocks.
 
 import (
 	"iter"
+	"slices"
 
 	"cxl0/internal/core"
 )
@@ -38,6 +41,9 @@ type view struct {
 	logCap int
 	// index maps a key to the encoded slot of its newest live record.
 	index map[core.Val]int
+	// keys is index's key set in ascending order. It moves only when a
+	// key enters or leaves index, never on an overwrite.
+	keys []core.Val
 	// shadow holds the acked-watermark read state of keys overwritten
 	// past the watermark (nil when empty; always empty at pipeline
 	// depth 1). It anchors the pipelined commit path's crash-safety
@@ -73,33 +79,39 @@ func (v *view) visible(key core.Val) (slot int, ok bool) {
 }
 
 // inRange yields every key in [lo, hi) with a visible state and its
-// encoded slot, in no particular order: tip keys through the watermark
+// encoded slot, in ascending key order: tip keys through the watermark
 // gate (a key whose first write is still in flight has no visible state
-// and is skipped), then keys deleted past the watermark, which left the
-// index but whose acked state the shadow still carries.
+// and is skipped), merged with the keys deleted past the watermark,
+// which left the index but whose acked state the shadow still carries.
+// The walk starts at a binary search to lo, so a caller that stops after
+// n yields has paid O(log live + n + shadowed).
 //
 //cxl0:locked mu
 func (v *view) inRange(lo, hi core.Val) iter.Seq2[core.Val, int] {
 	return func(yield func(core.Val, int) bool) {
-		for k, slot := range v.index { //cxl0:order-insensitive — callers sort what they collect
-			if k < lo || k >= hi {
-				continue
+		// The shadow holds only keys written past the watermark, a set
+		// bounded by the pipeline's in-flight writes.
+		var deleted []core.Val
+		for k, e := range v.shadow { //cxl0:order-insensitive — sorted below
+			if _, tip := v.index[k]; !tip && e.exists && k >= lo && k < hi {
+				deleted = append(deleted, k)
 			}
-			if e, shadowed := v.shadow[k]; shadowed {
-				if !e.exists {
-					continue
+		}
+		slices.Sort(deleted)
+		i, _ := slices.BinarySearch(v.keys, lo)
+		for ; i < len(v.keys) && v.keys[i] < hi; i++ {
+			k := v.keys[i]
+			for ; len(deleted) > 0 && deleted[0] < k; deleted = deleted[1:] {
+				if !yield(deleted[0], v.shadow[deleted[0]].slot) {
+					return
 				}
-				slot = e.slot
 			}
-			if !yield(k, slot) {
+			if slot, ok := v.visible(k); ok && !yield(k, slot) {
 				return
 			}
 		}
-		for k, e := range v.shadow { //cxl0:order-insensitive — as above
-			if _, tip := v.index[k]; tip || k < lo || k >= hi || !e.exists {
-				continue
-			}
-			if !yield(k, e.slot) {
+		for _, k := range deleted {
+			if !yield(k, v.shadow[k].slot) {
 				return
 			}
 		}
@@ -107,12 +119,12 @@ func (v *view) inRange(lo, hi core.Val) iter.Seq2[core.Val, int] {
 }
 
 // tip yields every live key with the encoded slot of its newest record,
-// ungated — what compaction folds and migration copies, both of which
-// drain the pipeline first.
+// in ascending key order and ungated — what compaction folds and
+// migration copies, both of which drain the pipeline first.
 func (v *view) tip() iter.Seq2[core.Val, int] {
 	return func(yield func(core.Val, int) bool) {
-		for k, slot := range v.index { //cxl0:order-insensitive — callers sort or count what they collect
-			if !yield(k, slot) {
+		for _, k := range v.keys {
+			if !yield(k, v.index[k]) {
 				return
 			}
 		}
@@ -120,12 +132,23 @@ func (v *view) tip() iter.Seq2[core.Val, int] {
 }
 
 // set moves key's tip to slot, or drops the key when the record there
-// is a tombstone.
+// is a tombstone. The ordered key set follows only when the index's size
+// says the key entered or left it.
 func (v *view) set(key core.Val, slot int, live bool) {
+	n := len(v.index)
 	if live {
 		v.index[key] = slot
 	} else {
 		delete(v.index, key)
+	}
+	if len(v.index) == n {
+		return
+	}
+	i, _ := slices.BinarySearch(v.keys, key)
+	if live {
+		v.keys = slices.Insert(v.keys, i, key)
+	} else {
+		v.keys = slices.Delete(v.keys, i, i+1)
 	}
 }
 
@@ -186,20 +209,27 @@ func (v *view) caughtUp() { v.shadow = nil }
 //cxl0:locked mu
 func (v *view) reset(snap []rec) {
 	v.index = make(map[core.Val]int, len(snap))
+	v.keys = make([]core.Val, len(snap))
 	for i, r := range snap {
 		v.index[r.key] = v.logCap + i
+		v.keys[i] = r.key
 	}
+	// A snapshot is written in key order (compaction folds tip()), so
+	// this is a check, not a sort, on every path that exists today.
+	slices.Sort(v.keys)
 	v.shadow = nil
 }
 
 // drop removes every tip key matching gone (a bucket that moved away,
 // keys the shard no longer owns).
 func (v *view) drop(gone func(core.Val) bool) {
-	for k := range v.index { //cxl0:order-insensitive — uniform delete, order-free
-		if gone(k) {
-			delete(v.index, k)
+	v.keys = slices.DeleteFunc(v.keys, func(k core.Val) bool {
+		if !gone(k) {
+			return false
 		}
-	}
+		delete(v.index, k)
+		return true
+	})
 }
 
 // replay applies log record r at slot under the move-marker wipe rule:

@@ -2,7 +2,9 @@ package kv
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cxl0/internal/core"
@@ -13,13 +15,18 @@ import (
 // write step, every ack advances the watermark over a prefix and takes
 // the ack step record by record. What the view must serve is then a
 // plain replay: of records [0, acked) when writes are gated by the
-// watermark, of the whole log when they are not.
+// watermark, of the whole log when they are not — onto the snapshot the
+// view was last re-homed to, a move marker wiping its bucket.
 type viewModel struct {
 	v     view
+	snap  []rec
 	log   []rec
 	acked int
 	gated bool
 }
+
+// modelBucket is the model's key-to-bucket map (the store's is a hash).
+func modelBucket(k core.Val) int { return int(k % 3) }
 
 func newViewModel(gated bool) *viewModel {
 	return &viewModel{v: view{logCap: 1 << 20, index: map[core.Val]int{}}, gated: gated}
@@ -63,14 +70,80 @@ func (m *viewModel) want() map[core.Val]int {
 		upto = m.acked
 	}
 	want := map[core.Val]int{}
+	for i, r := range m.snap {
+		want[r.key] = m.v.logCap + i
+	}
 	for slot, r := range m.log[:upto] {
-		if r.val == 0 {
+		switch {
+		case r.move:
+			for k := range want { //cxl0:order-insensitive — uniform delete, order-free
+				if modelBucket(k) == int(r.key) {
+					delete(want, k)
+				}
+			}
+		case r.val == 0:
 			delete(want, r.key)
-		} else {
+		default:
 			want[r.key] = slot
 		}
 	}
 	return want
+}
+
+// drain acks every record and drops the shadow: the state the bulk
+// steps below start from (compaction and migration commit first, and a
+// crash took the shadow with it before recovery replays).
+//
+//cxl0:locked mu
+func (m *viewModel) drain(t *testing.T) {
+	t.Helper()
+	m.ack(t, len(m.log))
+	m.v.caughtUp()
+}
+
+// compact re-homes the view onto a snapshot of its visible state, the
+// way compaction's reclaim does; reversed hands reset the records in
+// descending key order, which no caller does today and reset must
+// still index.
+//
+//cxl0:locked mu
+func (m *viewModel) compact(t *testing.T, reversed bool) {
+	t.Helper()
+	m.drain(t)
+	want := m.want()
+	snap := make([]rec, 0, len(want))
+	for _, k := range slices.Sorted(maps.Keys(want)) {
+		snap = append(snap, rec{key: k, val: 1})
+	}
+	if reversed {
+		slices.Reverse(snap)
+	}
+	m.v.reset(snap)
+	m.snap, m.log, m.acked = snap, nil, 0
+}
+
+// dropBucket is the ownership drop of bucket b; the model logs it as the
+// move marker a migration would have written.
+//
+//cxl0:locked mu
+func (m *viewModel) dropBucket(t *testing.T, b int) {
+	t.Helper()
+	m.drain(t)
+	m.v.drop(func(k core.Val) bool { return modelBucket(k) == b })
+	m.log = append(m.log, rec{key: core.Val(b), move: true})
+	m.acked = len(m.log)
+}
+
+// replay applies r the way recovery's rebuild does: ungated, under the
+// move-marker wipe rule.
+//
+//cxl0:locked mu
+func (m *viewModel) replay(t *testing.T, r rec) {
+	t.Helper()
+	m.drain(t)
+	m.v.replay(len(m.log), r, modelBucket, -1)
+	m.log = append(m.log, r)
+	m.acked = len(m.log)
 }
 
 //cxl0:locked mu
@@ -85,11 +158,25 @@ func (m *viewModel) check(t *testing.T, keys core.Val, lo, hi core.Val) {
 				k, slot, ok, m.acked, len(m.log), wslot, wok)
 		}
 	}
-	got := map[core.Val]int{}
-	for k, slot := range m.v.inRange(lo, hi) {
-		if _, dup := got[k]; dup {
-			t.Fatalf("inRange(%d,%d) yielded key %d twice", lo, hi, k)
+	// The ordered key set is the index's key set, strictly ascending.
+	if len(m.v.keys) != len(m.v.index) {
+		t.Fatalf("keys holds %d keys, the index %d: %v vs %v", len(m.v.keys), len(m.v.index), m.v.keys, m.v.index)
+	}
+	for i, k := range m.v.keys {
+		if _, ok := m.v.index[k]; !ok {
+			t.Fatalf("keys holds %d, which the index does not: %v vs %v", k, m.v.keys, m.v.index)
 		}
+		if i > 0 && m.v.keys[i-1] >= k {
+			t.Fatalf("keys not strictly ascending at %d: %v", i, m.v.keys)
+		}
+	}
+	got := map[core.Val]int{}
+	prev := core.Val(-1)
+	for k, slot := range m.v.inRange(lo, hi) {
+		if k <= prev {
+			t.Fatalf("inRange(%d,%d) yielded key %d after key %d, want strictly ascending", lo, hi, k, prev)
+		}
+		prev = k
 		got[k] = slot
 	}
 	for k, wslot := range want { //cxl0:order-insensitive — set comparison
@@ -134,6 +221,69 @@ func TestViewModel(t *testing.T) {
 			})
 		}
 	}
+}
+
+// viewFuzzKeys is the key space of FuzzViewKeys' programs.
+const viewFuzzKeys = 12
+
+// runViewProgram interprets prog against a fresh model, checking it after
+// every step. Byte 0 says whether writes are gated; every following pair
+// (op, arg) is one step — a put, a delete, an ack of a prefix, or one of
+// the bulk steps on a drained view — and the range the check scans.
+//
+//cxl0:locked mu
+func runViewProgram(t *testing.T, prog []byte) {
+	if len(prog) == 0 {
+		return
+	}
+	m := newViewModel(prog[0]&1 == 1)
+	for i := 1; i+1 < len(prog); i += 2 {
+		op, arg := prog[i], prog[i+1]
+		key := core.Val(arg % viewFuzzKeys)
+		switch op % 10 {
+		case 0, 1, 2, 3, 4:
+			m.write(key, 1+core.Val(arg))
+		case 5, 6:
+			m.write(key, 0)
+		case 7, 8:
+			if m.acked < len(m.log) {
+				m.ack(t, m.acked+1+int(arg)%(len(m.log)-m.acked))
+			}
+		default:
+			switch arg % 5 {
+			case 0:
+				m.compact(t, arg&16 != 0)
+			case 1:
+				m.dropBucket(t, modelBucket(core.Val(arg>>4)))
+			case 2:
+				m.replay(t, rec{key: core.Val(arg >> 4 % viewFuzzKeys), val: 1 + core.Val(arg)})
+			case 3:
+				m.replay(t, rec{key: core.Val(arg >> 4 % viewFuzzKeys)})
+			case 4:
+				m.replay(t, rec{key: core.Val(modelBucket(core.Val(arg >> 4))), val: 1, move: true})
+			}
+		}
+		lo := core.Val(op>>4) % viewFuzzKeys
+		m.check(t, viewFuzzKeys, lo, lo+core.Val(arg>>4))
+	}
+	m.ack(t, len(m.log))
+	m.check(t, viewFuzzKeys, 0, viewFuzzKeys)
+}
+
+// FuzzViewKeys holds the view's ordered key set to its index and its
+// range walk to the replay model over arbitrary step programs, the bulk
+// steps included. The seed corpus is TestViewModel's mix, bulk steps
+// added, drawn from the same seeds.
+func FuzzViewKeys(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := []byte{byte(seed)}
+		for step := 0; step < 300; step++ {
+			prog = append(prog, byte(rng.Intn(256)), byte(rng.Intn(256)))
+		}
+		f.Add(prog)
+	}
+	f.Fuzz(runViewProgram)
 }
 
 // TestViewWatermarkCases pins the gate's two edge shapes by hand: a key

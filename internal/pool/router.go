@@ -342,7 +342,8 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 	defer r.mu.RUnlock()
 	span := r.rec.NewSpan()
 	pstart := r.obsNow()
-	unavail := make([]bool, r.nShards)
+	// Read only when a partitioned shard was met: allocated on first use.
+	var unavail []bool
 
 	legs := make([]scanLeg, len(r.stores))
 	for c := range legs {
@@ -375,6 +376,9 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 				return nil, clusterErr(c, err)
 			}
 			if partial != nil {
+				if unavail == nil {
+					unavail = make([]bool, r.nShards)
+				}
 				for _, sh := range partial.Unavailable {
 					unavail[r.globalShard(c, sh)] = true
 				}
@@ -386,7 +390,11 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 				}
 			}
 			l.fetched += len(pairs)
-			l.pairs = append(l.pairs, pairs...)
+			if l.pairs == nil {
+				l.pairs = pairs // the store's slice is fresh and ours to keep
+			} else {
+				l.pairs = append(l.pairs, pairs...)
+			}
 			progressed = progressed || len(pairs) > 0
 			if limit <= 0 || len(pairs) < ask {
 				// Unlimited scans finish in one round; a short return
@@ -431,11 +439,13 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 		}
 	}
 
-	var merged []kv.Pair
 	fetched := 0
 	for c := range legs {
-		merged = append(merged, legs[c].pairs...)
 		fetched += legs[c].fetched
+	}
+	merged := make([]kv.Pair, 0, fetched)
+	for c := range legs {
+		merged = append(merged, legs[c].pairs...)
 	}
 	// Clusters partition the keyspace, so pairs are unique across them and
 	// a sort is a merge.
