@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -175,5 +176,22 @@ func TestAnonymousNameCollisionPanics(t *testing.T) {
 	topo.AddLocs(m, 2)
 	if l := topo.AddLoc("m[7]", m); topo.LocName(l) != "m[7]" {
 		t.Errorf("LocName(%d) = %q, want the given name m[7]", l, topo.LocName(l))
+	}
+}
+
+// TestOwnerOutsideTheTopologyPanicsByName: asking for the owner of a
+// location that was never registered is a caller's bug, reported like
+// AddLoc and AddLocs report theirs.
+func TestOwnerOutsideTheTopologyPanicsByName(t *testing.T) {
+	topo := fuzzTopo()
+	for _, l := range []LocID{-1, LocID(topo.NumLocs()), LocID(topo.NumLocs()) + 7} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "core: Owner:") {
+					t.Errorf("Owner(%d) panicked with %q, want a core: message", l, msg)
+				}
+			}()
+			topo.Owner(l)
+		}()
 	}
 }

@@ -135,7 +135,12 @@ func (t *Topology) NumMachines() int { return len(t.machines) }
 func (t *Topology) NumLocs() int { return len(t.owner) }
 
 // Owner returns the machine owning location l.
-func (t *Topology) Owner(l LocID) MachineID { return t.owner[l] }
+func (t *Topology) Owner(l LocID) MachineID {
+	if int(l) < 0 || int(l) >= len(t.owner) {
+		panic(fmt.Sprintf("core: Owner: no location %d", l))
+	}
+	return t.owner[l]
+}
 
 // Mem returns the memory kind of machine m.
 func (t *Topology) Mem(m MachineID) MemKind { return t.machines[m].Mem }

@@ -2,6 +2,8 @@ package memsim
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"cxl0/internal/core"
@@ -167,6 +169,39 @@ func TestRFlushRangeArguments(t *testing.T) {
 	c.Crash(0)
 	if err := th.RFlushRange(base, 1); !errors.Is(err, ErrCrashed) {
 		t.Errorf("RFlushRange from a dead thread: %v", err)
+	}
+}
+
+// TestRFlushRangeRejectsOverflow: a length that overflows base+n is a bad
+// range like any other — an error before the cluster lock is taken, with
+// nothing counted and nothing charged.
+func TestRFlushRangeRejectsOverflow(t *testing.T) {
+	c := NewCluster([]MachineConfig{{Name: "m", Mem: core.NonVolatile, Heap: 4}},
+		Config{Latency: latency.NewModel()})
+	th, err := c.NewThread(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := th.LStore(1, 7); err != nil {
+		t.Fatal(err)
+	}
+	stats, clock, state := c.Stats(), c.NowNS(), c.Snapshot()
+	for _, r := range []struct {
+		base core.LocID
+		n    int
+	}{{1, math.MaxInt}, {3, math.MaxInt - 2}, {4, 1}, {math.MaxInt, 1}, {-1, 2}} {
+		if err := th.RFlushRange(r.base, r.n); err == nil {
+			t.Errorf("RFlushRange(%d, %d) accepted", r.base, r.n)
+		}
+	}
+	if got := c.Stats(); !reflect.DeepEqual(got, stats) {
+		t.Errorf("rejected ranges counted: Stats %v, was %v", got, stats)
+	}
+	if got := c.NowNS(); got != clock {
+		t.Errorf("rejected ranges charged: clock %v, was %v", got, clock)
+	}
+	if got := c.Snapshot(); !got.Equal(state) {
+		t.Errorf("rejected ranges moved the state: %v, was %v", got, state)
 	}
 }
 

@@ -190,9 +190,10 @@ func (t *Thread) RFlushRange(base core.LocID, n int) error {
 	if n < 1 {
 		return fmt.Errorf("memsim: RFlushRange needs n >= 1, got %d", n)
 	}
-	if int(base) < 0 || int(base)+n > t.c.topo.NumLocs() {
-		return fmt.Errorf("memsim: RFlushRange [%d,%d) outside the %d allocated locations",
-			base, int(base)+n, t.c.topo.NumLocs())
+	// n is compared with what is left past base: base+n can overflow.
+	if locs := t.c.topo.NumLocs(); int(base) < 0 || n > locs-int(base) {
+		return fmt.Errorf("memsim: RFlushRange of %d locations from %d is outside the %d allocated",
+			n, base, locs)
 	}
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
