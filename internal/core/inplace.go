@@ -39,7 +39,7 @@ func ApplyInPlace(s *State, l Label, v Variant) bool {
 		s.mem[l.Loc] = l.Val
 		return true
 	case OpLFlush:
-		return s.cache[l.M][l.Loc] == Bot
+		return s.Cache(l.M, l.Loc) == Bot
 	case OpRFlush:
 		return s.NoCacheHolds(l.Loc)
 	case OpRFlushRange:
@@ -58,7 +58,7 @@ func ApplyInPlace(s *State, l Label, v Variant) bool {
 
 func loadInPlace(s *State, l Label, v Variant) bool {
 	if v == LWB {
-		if own := s.cache[l.M][l.Loc]; own != Bot {
+		if own := s.Cache(l.M, l.Loc); own != Bot {
 			return own == l.Val
 		}
 		if !s.NoCacheHolds(l.Loc) {
@@ -101,7 +101,7 @@ func rmwInPlace(s *State, l Label) bool {
 // ApplyTauInPlace mutates s by one silent propagation step, which must be
 // enabled.
 func ApplyTauInPlace(s *State, t TauStep) {
-	v := s.cache[t.From][t.Loc]
+	v := s.Cache(t.From, t.Loc)
 	if v == Bot {
 		panic("core: ApplyTauInPlace: step not enabled")
 	}
@@ -119,20 +119,17 @@ func ApplyTauInPlace(s *State, t TauStep) {
 
 // CrashInPlace mutates s by the crash of machine m under variant v.
 func CrashInPlace(s *State, m MachineID, v Variant) {
-	s.occ[m].each(func(l LocID) { s.setCache(m, l, Bot) })
+	s.rows[m].held.each(func(l LocID) { s.setCache(m, l, Bot) })
 	if s.topo.Mem(m) == Volatile {
-		for l := 0; l < s.topo.NumLocs(); l++ {
-			if s.topo.Owner(LocID(l)) == m {
-				s.mem[l] = 0
+		s.topo.OwnerRuns(0, LocID(len(s.mem)), func(owner MachineID, lo, hi LocID) {
+			if owner == m {
+				clear(s.mem[lo:hi])
 			}
-		}
+		})
 	}
 	if v == PSN {
-		for j := range s.cache {
-			if MachineID(j) == m {
-				continue
-			}
-			s.occ[j].each(func(l LocID) {
+		for j := range s.rows {
+			s.rows[j].held.each(func(l LocID) {
 				if s.topo.Owner(l) == m {
 					s.setCache(MachineID(j), l, Bot)
 				}

@@ -39,8 +39,8 @@ func randomLabel(rng *rand.Rand) Label {
 // same (deterministic fragment of the) transition relation as Apply: for
 // random states and labels, enabledness matches, and when enabled the
 // in-place result equals Apply's successor. Every state either API
-// produces must also carry an occupancy index that agrees with the full
-// scans (indexAgrees).
+// produces must also answer as the dense mirror does that the same labels
+// were replayed into (agrees), and Apply must leave its argument alone.
 func TestInPlaceAgreesWithApply(t *testing.T) {
 	topo := NewTopology()
 	m0 := topo.AddMachine("m1", NonVolatile)
@@ -51,10 +51,10 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 	f := func(seed int64, variantRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		variant := Variants[int(variantRaw)%len(Variants)]
-		s := NewState(topo)
-		indexed := func(what string, states ...*State) bool {
+		s, d := NewState(topo), newDense(topo)
+		mirrored := func(what string, d *dense, states ...*State) bool {
 			for _, st := range states {
-				if err := indexAgrees(st); err != nil {
+				if err := agrees(st, d); err != nil {
 					t.Logf("after %s: %v", what, err)
 					return false
 				}
@@ -74,7 +74,8 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 				}
 				s = s.Clone()
 				s.SetCache(m, x, v)
-				if !indexed("SetCache on a clone", s) {
+				d.cache[m][x] = v
+				if !mirrored("SetCache on a clone", d, s) {
 					return false
 				}
 			}
@@ -82,7 +83,14 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 			viaClone := Apply(s, l, variant)
 			inPlace := s.Clone()
 			enabled := ApplyInPlace(inPlace, l, variant)
-			if !indexed(l.String(), append(viaClone, inPlace, s)...) {
+			if !mirrored("Apply of "+l.String()+" to it", d, s) {
+				return false
+			}
+			if want := d.apply(l, variant); want != enabled {
+				t.Logf("%v enabled in place: %v, in the mirror: %v (state %v)", l, enabled, want, s)
+				return false
+			}
+			if !mirrored(l.String(), d, append(viaClone, inPlace)...) {
 				return false
 			}
 			if enabled != (len(viaClone) > 0) {
@@ -118,7 +126,8 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 					t.Logf("τ mismatch at %v", ts)
 					return false
 				}
-				if !indexed(ts.String(), ip, cloned) {
+				d.tau(ts)
+				if !mirrored(ts.String(), d, ip, cloned) {
 					return false
 				}
 				s = cloned

@@ -2,34 +2,12 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
-
-// indexAgrees holds s's occupancy index to the full scans it stands in
-// for: TauStepCount and TauStepAt against TauSteps, CachesEmpty against a
-// walk of every cell.
-func indexAgrees(s *State) error {
-	steps := TauSteps(s)
-	if n := s.TauStepCount(); n != len(steps) {
-		return fmt.Errorf("TauStepCount = %d, TauSteps enumerates %d in %v", n, len(steps), s)
-	}
-	for k, want := range steps {
-		if got := s.TauStepAt(k); got != want {
-			return fmt.Errorf("TauStepAt(%d) = %v, TauSteps[%d] = %v", k, got, k, want)
-		}
-	}
-	empty := true
-	for m := range s.cache {
-		for _, v := range s.cache[m] {
-			empty = empty && v == Bot
-		}
-	}
-	if s.CachesEmpty() != empty {
-		return fmt.Errorf("CachesEmpty = %v, a scan says %v", s.CachesEmpty(), empty)
-	}
-	return nil
-}
 
 // fuzzTopo is three machines with interleaved owners, one of them
 // volatile, over enough locations that every machine's index spans more
@@ -49,51 +27,51 @@ func fuzzTopo() *Topology {
 
 // FuzzTauIndex reads its input as a sequence of four-byte operations —
 // kind, machine, two bytes of location — applied in place to one state
-// (and now and then to a clone that replaces it), and holds the index to
-// the full scans after every one. The seed corpus is
-// testdata/fuzz/FuzzTauIndex.
+// (and now and then to a clone that replaces it) and replayed into a dense
+// mirror, and holds the state to the mirror after every one. The seed
+// corpus is testdata/fuzz/FuzzTauIndex.
 func FuzzTauIndex(f *testing.F) {
 	topo := fuzzTopo()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewState(topo)
+		s, d := NewState(topo), newDense(topo)
+		apply := func(l Label, v Variant) {
+			if got, want := ApplyInPlace(s, l, v), d.apply(l, v); got != want {
+				t.Fatalf("%v enabled: %v, in the mirror: %v", l, got, want)
+			}
+		}
 		for ; len(data) >= 4; data = data[4:] {
 			m := MachineID(int(data[1]) % topo.NumMachines())
 			x := LocID((int(data[2])<<8 | int(data[3])) % topo.NumLocs())
 			v := Val(data[1] % 3)
 			switch data[0] % 12 {
 			case 0:
-				ApplyInPlace(s, LStoreL(m, x, v), Base)
+				apply(LStoreL(m, x, v), Base)
 			case 1:
-				ApplyInPlace(s, RStoreL(m, x, v), Base)
+				apply(RStoreL(m, x, v), Base)
 			case 2:
-				ApplyInPlace(s, MStoreL(m, x, v), Base)
+				apply(MStoreL(m, x, v), Base)
 			case 3:
-				ApplyInPlace(s, LoadL(m, x, s.Readable(x)), Base)
+				apply(LoadL(m, x, s.Readable(x)), Base)
 			case 4:
-				ApplyInPlace(s, RFlushL(m, x), LWB)
+				apply(RFlushL(m, x), LWB)
 			case 5:
-				ApplyInPlace(s, RMWL(OpRRMW, m, x, s.Readable(x), v), Base)
+				apply(RMWL(OpRRMW, m, x, s.Readable(x), v), Base)
 			case 6:
 				if n := s.TauStepCount(); n > 0 {
 					ts := s.TauStepAt(int(x) % n)
 					cloned := ApplyTau(s, ts)
 					ApplyTauInPlace(s, ts)
-					if !s.Equal(cloned) {
-						t.Fatalf("%v: in place %v, cloned %v", ts, s, cloned)
-					}
-					if err := indexAgrees(cloned); err != nil {
+					d.tau(ts)
+					if err := agrees(cloned, d); err != nil {
 						t.Fatalf("ApplyTau(%v): %v", ts, err)
 					}
 				}
 			case 7:
-				CrashInPlace(s, m, Base)
+				apply(CrashL(m), Base)
 			case 8:
 				cloned := Crash(s, m, PSN)
-				CrashInPlace(s, m, PSN)
-				if !s.Equal(cloned) {
-					t.Fatalf("PSN crash of %d: in place %v, cloned %v", m, s, cloned)
-				}
-				if err := indexAgrees(cloned); err != nil {
+				apply(CrashL(m), PSN)
+				if err := agrees(cloned, d); err != nil {
 					t.Fatalf("Crash(%d, PSN): %v", m, err)
 				}
 			case 9:
@@ -103,14 +81,135 @@ func FuzzTauIndex(f *testing.F) {
 					v = cv // keep the global invariant
 				}
 				s.SetCache(m, x, v)
+				d.cache[m][x] = v
 			case 11:
 				s.SetCache(m, x, Bot)
+				d.cache[m][x] = Bot
 			}
-			if err := indexAgrees(s); err != nil {
+			if err := agrees(s, d); err != nil {
 				t.Fatalf("op %v: %v", data[:4], err)
 			}
 		}
 	})
+}
+
+// TestTopologyRuns registers locations one at a time and in ranges,
+// interleaved over three machines, beside a table with one entry per
+// location, and holds Owner, LocName, LocByName and OwnerRuns to the table.
+// Neighbouring registrations to one machine must share a run.
+func TestTopologyRuns(t *testing.T) {
+	topo := NewTopology()
+	ms := []MachineID{topo.AddMachine("a", NonVolatile), topo.AddMachine("b", Volatile), topo.AddMachine("c", NonVolatile)}
+	var owner []MachineID
+	var name []string
+	rng := rand.New(rand.NewSource(21))
+	for reg, changes := 0, 0; reg < 60; reg++ {
+		m, first := ms[rng.Intn(len(ms))], LocID(len(owner))
+		n := rng.Intn(200) // now and then none at all
+		if named := rng.Intn(3) == 0; named {
+			n = 1
+			name = append(name, fmt.Sprintf("n%d", reg))
+			if got := topo.AddLoc(name[first], m); got != first {
+				t.Fatalf("AddLoc returned %d, want %d", got, first)
+			}
+		} else {
+			for l := int(first); l < int(first)+n; l++ {
+				name = append(name, fmt.Sprintf("%s[%d]", topo.MachineName(m), l))
+			}
+			if got := topo.AddLocs(m, n); got != first {
+				t.Fatalf("AddLocs returned %d, want %d", got, first)
+			}
+		}
+		if n > 0 && (first == 0 || owner[first-1] != m) {
+			changes++
+		}
+		owner = append(owner, slices.Repeat([]MachineID{m}, n)...)
+		if len(topo.runs) != changes {
+			t.Fatalf("after %d registrations: %d runs for %d changes of owner", reg+1, len(topo.runs), changes)
+		}
+	}
+	if topo.NumLocs() != len(owner) {
+		t.Fatalf("NumLocs = %d, %d registered", topo.NumLocs(), len(owner))
+	}
+	for l, want := range owner {
+		if got := topo.Owner(LocID(l)); got != want {
+			t.Fatalf("Owner(%d) = %d, want %d", l, got, want)
+		}
+		if got := topo.LocName(LocID(l)); got != name[l] {
+			t.Fatalf("LocName(%d) = %q, want %q", l, got, name[l])
+		}
+		if got, ok := topo.LocByName(name[l]); !ok || got != LocID(l) {
+			t.Fatalf("LocByName(%q) = %d, %v, want %d", name[l], got, ok, l)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		from := LocID(rng.Intn(len(owner) + 1))
+		to := from + LocID(rng.Intn(len(owner)+1-int(from)))
+		at := from
+		topo.OwnerRuns(from, to, func(m MachineID, lo, hi LocID) {
+			if lo != at || hi <= lo || hi > to {
+				t.Fatalf("OwnerRuns(%d, %d): run [%d,%d) after %d", from, to, lo, hi, at)
+			}
+			for l := lo; l < hi; l++ {
+				if owner[l] != m {
+					t.Fatalf("OwnerRuns(%d, %d): run [%d,%d) of %d holds %d, owned by %d", from, to, lo, hi, m, l, owner[l])
+				}
+			}
+			if hi < to && owner[hi] == m {
+				t.Fatalf("OwnerRuns(%d, %d): run [%d,%d) of %d stops short of %d", from, to, lo, hi, m, hi)
+			}
+			at = hi
+		})
+		if at != to {
+			t.Fatalf("OwnerRuns(%d, %d) stopped at %d", from, to, at)
+		}
+	}
+}
+
+// TestLineSetMatchesMapModel drives a LineSet and a map through the same
+// random insertions, removals, range removals and clears, and holds
+// membership, the count and the ascending order to the map.
+func TestLineSetMatchesMapModel(t *testing.T) {
+	const locs = 64*blockWords + 700 // two blocks, the second partial, the last word too
+	set, model := NewLineSet(locs), map[LocID]bool{}
+	rng := rand.New(rand.NewSource(4))
+	for round := 0; round < 4000; round++ {
+		l := LocID(rng.Intn(locs))
+		switch k := rng.Intn(40); {
+		case k < 24:
+			set.Add(l)
+			model[l] = true
+		case k < 36:
+			set.Remove(l)
+			delete(model, l)
+		case k < 39:
+			hi := l + LocID(rng.Intn(300))%(locs-l+1)
+			set.RemoveRange(l, hi)
+			for x := l; x < hi; x++ {
+				delete(model, x)
+			}
+		default:
+			set.Clear()
+			clear(model)
+		}
+		if set.Has(l) != model[l] || set.total != len(model) {
+			t.Fatalf("round %d: Has(%d) = %v, %d lines; the model has %v, %d", round, l, set.Has(l), set.total, model[l], len(model))
+		}
+		if round%50 != 0 {
+			continue
+		}
+		want := slices.Sorted(maps.Keys(model))
+		var got []LocID
+		set.each(func(l LocID) { got = append(got, l) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: each yields %v, the model holds %v", round, got, want)
+		}
+		for k, l := range want {
+			if n := set.nth(uint64(k)); n != l {
+				t.Fatalf("round %d: nth(%d) = %d, want %d", round, k, n, l)
+			}
+		}
+	}
 }
 
 // TestLocNamesRoundTrip: every location's name resolves back to it, for

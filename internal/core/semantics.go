@@ -78,7 +78,7 @@ func Apply(s *State, l Label, v Variant) []*State {
 		n.mem[l.Loc] = l.Val
 		return []*State{n}
 	case OpLFlush:
-		if s.cache[l.M][l.Loc] != Bot {
+		if s.Cache(l.M, l.Loc) != Bot {
 			return nil // blocks until τ drains the issuer's copy
 		}
 		return []*State{s.Clone()}
@@ -119,7 +119,7 @@ func applyLoad(s *State, l Label, v Variant) []*State {
 	case LWB:
 		// LOAD-from-C(LWB): only the issuer's own cache can serve the load,
 		// and doing so does not change the state.
-		if own := s.cache[l.M][l.Loc]; own != Bot {
+		if own := s.Cache(l.M, l.Loc); own != Bot {
 			if own != l.Val {
 				return nil
 			}
@@ -184,28 +184,24 @@ func applyRMW(s *State, l Label) []*State {
 // additionally poisons (invalidates) all m-owned lines.
 func Crash(s *State, m MachineID, v Variant) *State {
 	n := s.Clone()
-	for l := range n.cache[m] {
+	for l := range n.mem {
 		n.setCache(m, LocID(l), Bot)
 	}
-	if s.topo.Mem(m) == Volatile {
-		for l := 0; l < s.topo.NumLocs(); l++ {
-			if s.topo.Owner(LocID(l)) == m {
-				n.mem[l] = 0
-			}
+	s.topo.OwnerRuns(0, LocID(len(n.mem)), func(owner MachineID, lo, hi LocID) {
+		if owner != m {
+			return
 		}
-	}
-	if v == PSN {
-		for j := range n.cache {
-			if MachineID(j) == m {
-				continue
-			}
-			for l := 0; l < s.topo.NumLocs(); l++ {
-				if s.topo.Owner(LocID(l)) == m {
-					n.setCache(MachineID(j), LocID(l), Bot)
+		if s.topo.Mem(m) == Volatile {
+			clear(n.mem[lo:hi])
+		}
+		if v == PSN {
+			for j := range n.rows {
+				for l := lo; l < hi; l++ {
+					n.setCache(MachineID(j), l, Bot)
 				}
 			}
 		}
-	}
+	})
 	return n
 }
 
@@ -235,9 +231,9 @@ func (t TauStep) String() string {
 //     owner's memory, invalidating x in every cache.
 func TauSteps(s *State) []TauStep {
 	var steps []TauStep
-	for m := range s.cache {
-		for l, val := range s.cache[m] {
-			if val == Bot {
+	for m := range s.rows {
+		for l := range s.mem {
+			if s.Cache(MachineID(m), LocID(l)) == Bot {
 				continue
 			}
 			if s.topo.Owner(LocID(l)) == MachineID(m) {
@@ -252,7 +248,7 @@ func TauSteps(s *State) []TauStep {
 
 // ApplyTau performs one silent propagation step, which must be enabled.
 func ApplyTau(s *State, t TauStep) *State {
-	v := s.cache[t.From][t.Loc]
+	v := s.Cache(t.From, t.Loc)
 	if v == Bot {
 		panic("core: ApplyTau: step not enabled")
 	}

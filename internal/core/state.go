@@ -3,69 +3,176 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // State is a CXL0 system state γ = (C, M): per-machine caches over the whole
 // address space (Bot = invalid) and one memory cell per location, held by
 // its owner.
+//
+// A cache is a partial map, and is stored as one: a machine's row is a
+// table with one entry per occupancy word, naming the page of cells that
+// holds the word's 64 lines, and a row holds a page only while the word
+// holds a line — every other entry names the one page of ⊥ all rows share.
+// A state therefore takes O(locations) for memory and the tables, plus a
+// page per 64-line stretch in which some cache holds a line: not machines ×
+// locations cells. Pages a row gives back wait on the state's free list,
+// so stepping a live state allocates nothing once it has seen its largest
+// number of pages.
 type State struct {
 	topo *Topology
-	// cells backs cache and mem — one row of NumLocs values per machine,
-	// then memory — so that Clone copies all of them with one allocation.
-	cells []Val
-	cache [][]Val // [machine][loc]; Bot means ⊥; written only by setCache
-	mem   []Val   // [loc], stored at Owner(loc)
+	rows []cacheRow // [machine]
+	mem  []Val      // [loc], stored at Owner(loc)
 
-	// occ and held index the non-⊥ cells of cache (occupancy.go). They are
-	// derived from it, so Key, Equal and String leave them out.
-	occBits []uint64    // backs every machine's occupancy
-	occ     []occupancy // [machine]
-	held    int         // non-⊥ cells over all machines
+	// cells is every page, pageLen cells each. The first is the shared page
+	// of ⊥ and is never written; the rest are each held by one table entry
+	// or on the free list, and are written only by setCache and takePage.
+	// free is the offset of the first free page (0: none), whose first cell
+	// is the offset of the next; the other cells of a free page are stale.
+	cells   []Val
+	pageLen int // min(pageCells, locations): a small topology has small pages
+	free    uint64
+
+	// index backs every row's occupancy and table, so that Clone copies
+	// them all with one allocation.
+	index []uint64
+	held  int // non-⊥ cells over all machines
+}
+
+// pageCells is the number of lines a page covers: those of one occupancy
+// word.
+const pageCells = 64
+
+// cacheRow is one machine's cache: C_m(l) is cells[page[l/64] + l%64], and
+// page[l/64] is 0, the shared page of ⊥, while the row holds none of those
+// lines. held indexes the non-⊥ cells (occupancy.go); it is derived from
+// them, so Key, Equal and String leave it out.
+type cacheRow struct {
+	page []uint64
+	held LineSet
 }
 
 // NewState returns the initial state for t: all caches ⊥, all memory zero.
 func NewState(t *Topology) *State {
-	s := &State{topo: t, occ: make([]occupancy, t.NumMachines())}
-	_, stride := occLayout(t.NumLocs())
-	s.occBits = make([]uint64, t.NumMachines()*stride)
-	s.cells = make([]Val, (t.NumMachines()+1)*t.NumLocs())
-	for i := range s.cells[:t.NumMachines()*t.NumLocs()] {
-		s.cells[i] = Bot
-	}
-	s.carve()
+	s := &State{topo: t, mem: make([]Val, t.NumLocs()), pageLen: min(pageCells, t.NumLocs())}
+	s.cells = slices.Repeat([]Val{Bot}, s.pageLen)
+	_, set := lineSetLayout(t.NumLocs())
+	s.carve(make([]uint64, t.NumMachines()*(set+s.words())))
 	return s
 }
 
-// carve points the cache rows and mem at their parts of cells, and every
-// machine's occupancy at its part of occBits.
-func (s *State) carve() {
-	n := s.topo.NumLocs()
-	blocks, stride := occLayout(n)
-	s.cache = make([][]Val, s.topo.NumMachines())
-	for m := range s.cache {
-		s.cache[m] = s.cells[m*n : (m+1)*n : (m+1)*n]
-		part := s.occBits[m*stride : (m+1)*stride]
-		s.occ[m].block, s.occ[m].words = part[:blocks], part[blocks:]
+// words is the number of occupancy words, and so of table entries, a row
+// has.
+func (s *State) words() int { return (len(s.mem) + pageCells - 1) / pageCells }
+
+// carve makes index the backing of s's rows: each machine's part of it is
+// its occupancy, then its table. Line counts carry over from the rows s
+// had, if any.
+func (s *State) carve(index []uint64) {
+	blocks, set := lineSetLayout(len(s.mem))
+	stride := set + s.words()
+	rows := make([]cacheRow, s.topo.NumMachines())
+	for m := range rows {
+		part := index[m*stride : (m+1)*stride : (m+1)*stride]
+		rows[m].held = lineSetOver(part[:set], blocks)
+		rows[m].page = part[set:]
+		if s.rows != nil {
+			rows[m].held.total = s.rows[m].held.total
+		}
 	}
-	s.mem = s.cells[len(s.cache)*n:]
+	s.rows, s.index = rows, index
 }
 
 // Topology returns the topology this state belongs to.
 func (s *State) Topology() *Topology { return s.topo }
 
-// Clone returns a deep copy of s.
+// Clone returns a deep copy of s. The pages its rows hold are copied into
+// one slab; the free ones stay behind, as room for the pages the copy's
+// next step may take.
 func (s *State) Clone() *State {
 	c := *s
-	c.cells = append([]Val(nil), s.cells...)
-	c.occBits = append([]uint64(nil), s.occBits...)
-	c.occ = append([]occupancy(nil), s.occ...)
-	c.carve()
+	c.mem = slices.Clone(s.mem)
+	c.free = 0
+	c.cells = make([]Val, s.pageLen, len(s.cells)+s.pageLen)
+	copy(c.cells, s.cells)
+	c.carve(slices.Clone(s.index))
+	for _, r := range c.rows {
+		for w, off := range r.page {
+			if off != 0 {
+				r.page[w] = uint64(len(c.cells))
+				c.cells = append(c.cells, s.cells[off:int(off)+s.pageLen]...)
+			}
+		}
+	}
 	return &c
 }
 
-// Cache returns C_m(l).
-func (s *State) Cache(m MachineID, l LocID) Val { return s.cache[m][l] }
+// takePage returns the offset in cells of a page of ⊥ for a row to hold: a
+// recycled one if the free list has any, a new one at the end otherwise.
+func (s *State) takePage() uint64 {
+	off := s.free
+	if off == 0 {
+		s.cells = append(s.cells, s.cells[:s.pageLen]...)
+		return uint64(len(s.cells) - s.pageLen)
+	}
+	s.free = uint64(s.cells[off])
+	copy(s.cells[off:int(off)+s.pageLen], s.cells[:s.pageLen])
+	return off
+}
+
+// setCache is the one place a cache cell is written, and with it the one
+// place a row takes a page or gives one back: the first line under an
+// occupancy word takes a page of ⊥ for the word, the last one to leave
+// releases it.
+func (s *State) setCache(m MachineID, l LocID, v Val) {
+	if uint(l) >= uint(len(s.mem)) {
+		panic(fmt.Sprintf("core: no location %d to cache", l))
+	}
+	r := &s.rows[m]
+	w := int(l) >> 6
+	off := r.page[w]
+	cell := &s.cells[int(off)+int(l)&(pageCells-1)]
+	if v == Bot {
+		if *cell == Bot {
+			return
+		}
+		r.held.flip(l, -1)
+		s.held--
+		if r.held.words[w] == 0 {
+			// The page goes back with this cell still set: takePage
+			// fills whatever it hands out.
+			r.page[w] = 0
+			s.cells[off], s.free = Val(s.free), off
+			return
+		}
+		*cell = Bot
+		return
+	}
+	if off == 0 {
+		off = s.takePage()
+		r.page[w] = off
+		cell = &s.cells[int(off)+int(l)&(pageCells-1)]
+	}
+	if *cell == Bot {
+		r.held.flip(l, 1)
+		s.held++
+	}
+	*cell = v
+}
+
+// invalidate sets C_m(l) = ⊥ for every machine m.
+func (s *State) invalidate(l LocID) {
+	for m := range s.rows {
+		s.setCache(MachineID(m), l, Bot)
+	}
+}
+
+// Cache returns C_m(l). It is the one reader of a cache cell: everything
+// that looks at the caches, the enumerating references included, asks it.
+func (s *State) Cache(m MachineID, l LocID) Val {
+	return s.cells[int(s.rows[m].page[int(l)>>6])+int(l)&(pageCells-1)]
+}
 
 // Mem returns M_k(l) where k owns l.
 func (s *State) Mem(l LocID) Val { return s.mem[l] }
@@ -81,8 +188,8 @@ func (s *State) SetMem(l LocID, v Val) { s.mem[l] = v }
 // (Bot, false) when no cache holds l. The global invariant guarantees
 // uniqueness.
 func (s *State) CachedValue(l LocID) (Val, bool) {
-	for m := range s.cache {
-		if v := s.cache[m][l]; v != Bot {
+	for m := range s.rows {
+		if v := s.Cache(MachineID(m), l); v != Bot {
 			return v, true
 		}
 	}
@@ -100,8 +207,8 @@ func (s *State) Readable(l LocID) Val {
 
 // NoCacheHolds reports whether no machine caches l (∀j. C_j(l) = ⊥).
 func (s *State) NoCacheHolds(l LocID) bool {
-	for m := range s.cache {
-		if s.cache[m][l] != Bot {
+	for m := range s.rows {
+		if s.Cache(MachineID(m), l) != Bot {
 			return false
 		}
 	}
@@ -129,8 +236,8 @@ func (s *State) CachesEmpty() bool { return s.held == 0 }
 func (s *State) CheckInvariant() error {
 	for l := 0; l < s.topo.NumLocs(); l++ {
 		have := Bot
-		for m := range s.cache {
-			v := s.cache[m][l]
+		for m := range s.rows {
+			v := s.Cache(MachineID(m), LocID(l))
 			if v == Bot {
 				continue
 			}
@@ -151,10 +258,10 @@ func (s *State) CheckInvariant() error {
 // key for memoized exploration. Two states of the same topology have equal
 // keys iff they are equal.
 func (s *State) Key() string {
-	var b []byte
-	for m := range s.cache {
-		for _, v := range s.cache[m] {
-			b = binary.AppendVarint(b, int64(v))
+	b := make([]byte, 0, (len(s.rows)+1)*len(s.mem)) // exact while every value fits a byte
+	for m := range s.rows {
+		for l := range s.mem {
+			b = binary.AppendVarint(b, int64(s.Cache(MachineID(m), LocID(l))))
 		}
 	}
 	for _, v := range s.mem {
@@ -168,9 +275,9 @@ func (s *State) Equal(o *State) bool {
 	if s.topo != o.topo {
 		return false
 	}
-	for m := range s.cache {
-		for l := range s.cache[m] {
-			if s.cache[m][l] != o.cache[m][l] {
+	for m := range s.rows {
+		for l := range s.mem {
+			if s.Cache(MachineID(m), LocID(l)) != o.Cache(MachineID(m), LocID(l)) {
 				return false
 			}
 		}
@@ -187,13 +294,14 @@ func (s *State) Equal(o *State) bool {
 // "C0{x=1} C1{} | M{x:0 y:2}".
 func (s *State) String() string {
 	var sb strings.Builder
-	for m := range s.cache {
+	for m := range s.rows {
 		if m > 0 {
 			sb.WriteByte(' ')
 		}
 		fmt.Fprintf(&sb, "C%d{", m)
 		first := true
-		for l, v := range s.cache[m] {
+		for l := range s.mem {
+			v := s.Cache(MachineID(m), LocID(l))
 			if v == Bot {
 				continue
 			}

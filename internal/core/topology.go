@@ -54,12 +54,22 @@ type MachineSpec struct {
 // is immutable once states have been created from it.
 type Topology struct {
 	machines []MachineSpec
-	owner    []MachineID // indexed by LocID
+	// runs assigns owners by run length: run i covers the locations from
+	// runs[i].first up to the next run's first (numLocs for the last), all
+	// owned by runs[i].m. Firsts ascend and neighbours differ in owner, so
+	// there are at most as many runs as registrations.
+	runs    []ownerRun
+	numLocs int
 	// named lists the locations AddLoc registered, in ID order, and
 	// locIndex finds them by name. Every other location came from AddLocs,
 	// has no entry in either, and is called "<machine>[<id>]".
 	named    []namedLoc
 	locIndex map[string]LocID
+}
+
+type ownerRun struct {
+	first LocID
+	m     MachineID
 }
 
 type namedLoc struct {
@@ -87,8 +97,7 @@ func (t *Topology) AddLoc(name string, m MachineID) LocID {
 	if int(m) < 0 || int(m) >= len(t.machines) {
 		panic(fmt.Sprintf("core: AddLoc(%q): no machine %d", name, m))
 	}
-	id := LocID(len(t.owner))
-	t.owner = append(t.owner, m)
+	id := t.extend(m, 1)
 	t.named = append(t.named, namedLoc{id, name})
 	t.locIndex[name] = id
 	return id
@@ -101,15 +110,23 @@ func (t *Topology) AddLocs(m MachineID, n int) LocID {
 	if int(m) < 0 || int(m) >= len(t.machines) {
 		panic(fmt.Sprintf("core: AddLocs: no machine %d", m))
 	}
-	first := LocID(len(t.owner))
+	first := LocID(t.numLocs)
 	for _, nl := range t.named {
 		if machine, id, ok := parseAnonName(nl.name); ok && machine == t.machines[m].Name && id >= first && id < first+LocID(n) {
 			panic(fmt.Sprintf("core: duplicate location name %q", nl.name))
 		}
 	}
-	for i := 0; i < n; i++ {
-		t.owner = append(t.owner, m)
+	return t.extend(m, max(n, 0))
+}
+
+// extend gives the next n location IDs to machine m and returns the first:
+// they join the last run if it is m's, and start a run otherwise.
+func (t *Topology) extend(m MachineID, n int) LocID {
+	first := LocID(t.numLocs)
+	if n > 0 && (len(t.runs) == 0 || t.runs[len(t.runs)-1].m != m) {
+		t.runs = append(t.runs, ownerRun{first, m})
 	}
+	t.numLocs += n
 	return first
 }
 
@@ -132,14 +149,48 @@ func parseAnonName(name string) (machine string, id LocID, ok bool) {
 func (t *Topology) NumMachines() int { return len(t.machines) }
 
 // NumLocs returns the number of shared locations.
-func (t *Topology) NumLocs() int { return len(t.owner) }
+func (t *Topology) NumLocs() int { return t.numLocs }
 
 // Owner returns the machine owning location l.
 func (t *Topology) Owner(l LocID) MachineID {
-	if int(l) < 0 || int(l) >= len(t.owner) {
+	if int(l) < 0 || int(l) >= t.numLocs {
 		panic(fmt.Sprintf("core: Owner: no location %d", l))
 	}
-	return t.owner[l]
+	return t.runs[t.runAt(l)].m
+}
+
+// runAt returns the index of the run holding location l, which must exist:
+// the last run that starts at or before l.
+func (t *Topology) runAt(l LocID) int {
+	lo, hi := 0, len(t.runs)
+	for hi-lo > 1 {
+		if mid := int(uint(lo+hi) >> 1); t.runs[mid].first <= l {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// OwnerRuns calls f, in ascending order, on each maximal stretch [lo, hi)
+// of [from, to) whose locations share an owner — what a walk over
+// Owner(from), …, Owner(to-1) would find, at the cost of the runs it
+// crosses instead of the locations.
+func (t *Topology) OwnerRuns(from, to LocID, f func(owner MachineID, lo, hi LocID)) {
+	if from >= to {
+		return
+	}
+	if int(from) < 0 || int(to) > t.numLocs {
+		panic(fmt.Sprintf("core: OwnerRuns: [%d,%d) outside the %d locations", from, to, t.numLocs))
+	}
+	for i := t.runAt(from); i < len(t.runs) && t.runs[i].first < to; i++ {
+		hi := to
+		if i+1 < len(t.runs) {
+			hi = min(hi, t.runs[i+1].first)
+		}
+		f(t.runs[i].m, max(from, t.runs[i].first), hi)
+	}
 }
 
 // Mem returns the memory kind of machine m.
@@ -162,7 +213,7 @@ func (t *Topology) LocName(l LocID) string {
 	if name, ok := t.givenName(l); ok {
 		return name
 	}
-	return fmt.Sprintf("%s[%d]", t.machines[t.owner[l]].Name, int(l))
+	return fmt.Sprintf("%s[%d]", t.machines[t.Owner(l)].Name, int(l))
 }
 
 // LocByName returns the location with the given name.
@@ -171,7 +222,7 @@ func (t *Topology) LocByName(name string) (LocID, bool) {
 		return l, true
 	}
 	machine, l, ok := parseAnonName(name)
-	if !ok || int(l) >= len(t.owner) || t.machines[t.owner[l]].Name != machine {
+	if !ok || int(l) >= t.numLocs || t.machines[t.Owner(l)].Name != machine {
 		return 0, false
 	}
 	if _, named := t.givenName(l); named {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"cxl0/internal/core"
@@ -101,8 +102,10 @@ type Cluster struct {
 	// behaviour, so LOAD-from-M leaves C unchanged), but they matter for
 	// cost: real hardware serves repeated reads of a clean line from
 	// cache. This overlay exists purely for latency accounting and never
-	// influences semantics.
-	hot []map[core.LocID]bool
+	// influences semantics. Each machine's set is the bitset type the
+	// state's occupancy index is made of, so warming, cooling and asking
+	// are bit operations and a crash clears a row.
+	hot []core.LineSet
 
 	// flushLines is chargeRangedFlushLocked's scratch: lines of the range
 	// being flushed, per owning machine.
@@ -112,25 +115,29 @@ type Cluster struct {
 // NewCluster builds a cluster with the given machines and pre-provisioned
 // heaps.
 func NewCluster(machines []MachineConfig, cfg Config) *Cluster {
-	topo := core.NewTopology()
-	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	for _, mc := range machines {
-		m := topo.AddMachine(mc.Name, mc.Mem)
-		c.heapBase = append(c.heapBase, core.LocID(topo.NumLocs()))
-		c.heapSize = append(c.heapSize, mc.Heap)
-		c.heapNext = append(c.heapNext, 0)
-		if mc.Heap > 0 {
-			topo.AddLocs(m, mc.Heap)
-		}
-		c.alive = append(c.alive, true)
-		c.epoch = append(c.epoch, 0)
-		c.unreach = append(c.unreach, false)
-		c.degrade = append(c.degrade, 1)
-		c.hot = append(c.hot, map[core.LocID]bool{})
+	n := len(machines)
+	c := &Cluster{
+		topo:       core.NewTopology(),
+		cfg:        cfg,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		alive:      slices.Repeat([]bool{true}, n),
+		epoch:      make([]uint64, n),
+		unreach:    make([]bool, n),
+		degrade:    slices.Repeat([]float64{1}, n),
+		heapBase:   make([]core.LocID, n),
+		heapSize:   make([]int, n),
+		heapNext:   make([]int, n),
+		hot:        make([]core.LineSet, n),
+		flushLines: make([]int, n),
 	}
-	c.topo = topo
-	c.st = core.NewState(topo)
-	c.flushLines = make([]int, len(machines))
+	for i, mc := range machines {
+		m := c.topo.AddMachine(mc.Name, mc.Mem)
+		c.heapBase[i], c.heapSize[i] = c.topo.AddLocs(m, mc.Heap), mc.Heap
+	}
+	c.st = core.NewState(c.topo)
+	for m := range c.hot {
+		c.hot[m] = core.NewLineSet(c.topo.NumLocs())
+	}
 	return c
 }
 
@@ -176,15 +183,15 @@ func (c *Cluster) Crash(m core.MachineID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	core.CrashInPlace(c.st, m, c.cfg.Variant)
-	c.hot[m] = map[core.LocID]bool{}
+	c.hot[m].Clear()
 	if c.cfg.Variant == core.PSN {
-		for j := range c.hot {
-			for x := range c.hot[j] { //cxl0:order-insensitive — uniform delete, order-free
-				if c.topo.Owner(x) == m {
-					delete(c.hot[j], x)
+		c.topo.OwnerRuns(0, core.LocID(c.topo.NumLocs()), func(owner core.MachineID, lo, hi core.LocID) {
+			if owner == m {
+				for j := range c.hot {
+					c.hot[j].RemoveRange(lo, hi)
 				}
 			}
-		}
+		})
 	}
 	c.epoch[m]++
 	c.alive[m] = false
@@ -327,14 +334,14 @@ func (c *Cluster) applyTauLocked(ts core.TauStep) {
 	if ts.ToMemory {
 		c.coolAllLocked(ts.Loc)
 	} else {
-		delete(c.hot[ts.From], ts.Loc)
-		c.hot[c.topo.Owner(ts.Loc)][ts.Loc] = true
+		c.hot[ts.From].Remove(ts.Loc)
+		c.hot[c.topo.Owner(ts.Loc)].Add(ts.Loc)
 	}
 }
 
 // warmLocked records that machine m now holds a (possibly clean) copy of x.
 func (c *Cluster) warmLocked(m core.MachineID, x core.LocID) {
-	c.hot[m][x] = true
+	c.hot[m].Add(x)
 }
 
 // coolExceptLocked invalidates x in every machine's performance cache but
@@ -342,7 +349,7 @@ func (c *Cluster) warmLocked(m core.MachineID, x core.LocID) {
 func (c *Cluster) coolExceptLocked(m core.MachineID, x core.LocID) {
 	for j := range c.hot {
 		if core.MachineID(j) != m {
-			delete(c.hot[j], x)
+			c.hot[j].Remove(x)
 		}
 	}
 }
@@ -350,14 +357,14 @@ func (c *Cluster) coolExceptLocked(m core.MachineID, x core.LocID) {
 // coolAllLocked invalidates x everywhere (writeback, MStore, flush).
 func (c *Cluster) coolAllLocked(x core.LocID) {
 	for j := range c.hot {
-		delete(c.hot[j], x)
+		c.hot[j].Remove(x)
 	}
 }
 
 // hotLocked reports whether machine m holds a (semantic or clean) copy of
 // x, for cost accounting.
 func (c *Cluster) hotLocked(m core.MachineID, x core.LocID) bool {
-	return c.st.Cache(m, x) != core.Bot || c.hot[m][x]
+	return c.st.Cache(m, x) != core.Bot || c.hot[m].Has(x)
 }
 
 func (c *Cluster) maybeEvictLocked() {
@@ -429,9 +436,9 @@ func (c *Cluster) chargeRangedFlushLocked(issuer core.MachineID, base core.LocID
 		return
 	}
 	clear(c.flushLines)
-	for i := 0; i < n; i++ {
-		c.flushLines[c.topo.Owner(base+core.LocID(i))]++
-	}
+	c.topo.OwnerRuns(base, base+core.LocID(n), func(owner core.MachineID, lo, hi core.LocID) {
+		c.flushLines[owner] += int(hi - lo)
+	})
 	// Charge devices in machine order: float64 addition is not
 	// associative, so the order is part of the simulated clock's value.
 	// Each device's portion scales with its own degradation factor — a

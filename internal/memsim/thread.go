@@ -157,7 +157,7 @@ func (t *Thread) LFlush(x core.LocID) error {
 	}
 	t.drainLocked(x, false)
 	t.applyLocked(core.LFlushL(t.m, x))
-	delete(t.c.hot[t.m], x)
+	t.c.hot[t.m].Remove(x)
 	t.c.chargeLocked(core.OpLFlush, t.c.topo.Owner(x), t.Local(x), false)
 	t.c.maybeEvictLocked()
 	return nil
