@@ -164,7 +164,9 @@ func (s *State) setCache(m MachineID, l LocID, v Val) {
 // invalidate sets C_m(l) = ⊥ for every machine m.
 func (s *State) invalidate(l LocID) {
 	for m := range s.rows {
-		s.setCache(MachineID(m), l, Bot)
+		if s.Cache(MachineID(m), l) != Bot {
+			s.setCache(MachineID(m), l, Bot)
+		}
 	}
 }
 
