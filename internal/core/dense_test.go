@@ -182,29 +182,24 @@ func (d *dense) state() *State {
 	return s
 }
 
-// agrees holds what s answers to d: every cell and memory value, the
-// enumerated τ steps and the index's count and selection of them,
-// CachesEmpty, the key, and equality both ways with a State built from d
-// from scratch. It also checks that s holds a page exactly where a
-// 64-line stretch of a row has a line.
+// agrees holds what s answers to d, a page of cells at a time: every cell
+// and memory value, the enumerated τ steps and the index's count and
+// selection of them, and CachesEmpty. It also checks that s holds a page
+// exactly where a 64-line stretch of a row has a line.
 func agrees(s *State, d *dense) error {
 	for m, row := range d.cache {
-		for l, want := range row {
-			if got := s.Cache(MachineID(m), LocID(l)); got != want {
-				return fmt.Errorf("C%d(%d) = %d, the mirror has %d", m, l, got, want)
-			}
-		}
-		for w, p := range s.rows[m].page {
+		for w, off := range s.rows[m].page {
 			stretch := row[w*pageCells : min((w+1)*pageCells, len(row))]
-			if all := !slices.ContainsFunc(stretch, func(v Val) bool { return v != Bot }); all != (p == 0) {
-				return fmt.Errorf("C%d: locations %d… all ⊥: %v, no page held: %v", m, w*pageCells, all, p == 0)
+			if got := s.lines(MachineID(m), w); !slices.Equal(got, stretch) {
+				return fmt.Errorf("C%d(%d…) = %v, the mirror has %v", m, w*pageCells, got, stretch)
+			}
+			if empty := slices.Equal(stretch, s.cells[:len(stretch)]); empty != (off == 0) {
+				return fmt.Errorf("C%d: locations %d… all ⊥: %v, no page held: %v", m, w*pageCells, empty, off == 0)
 			}
 		}
 	}
-	for l, want := range d.mem {
-		if got := s.Mem(LocID(l)); got != want {
-			return fmt.Errorf("M(%d) = %d, the mirror has %d", l, got, want)
-		}
+	if !slices.Equal(s.mem, d.mem) {
+		return fmt.Errorf("memory is %v, the mirror's %v", s.mem, d.mem)
 	}
 	steps := d.tauSteps()
 	if got := TauSteps(s); !slices.Equal(got, steps) {
@@ -220,6 +215,27 @@ func agrees(s *State, d *dense) error {
 	}
 	if s.CachesEmpty() != (len(steps) == 0) {
 		return fmt.Errorf("CachesEmpty = %v, the mirror holds %d lines", s.CachesEmpty(), len(steps))
+	}
+	return nil
+}
+
+// sameState is agrees, and holds to d what s answers one location at a
+// time — Cache, Mem — and s's identity: its key, and equality both ways
+// with a State built from d from scratch. It costs several times what
+// agrees does.
+func sameState(s *State, d *dense) error {
+	if err := agrees(s, d); err != nil {
+		return err
+	}
+	for l, want := range d.mem {
+		if got := s.Mem(LocID(l)); got != want {
+			return fmt.Errorf("M(%d) = %d, the mirror has %d", l, got, want)
+		}
+		for m, row := range d.cache {
+			if got := s.Cache(MachineID(m), LocID(l)); got != row[l] {
+				return fmt.Errorf("C%d(%d) = %d, the mirror has %d", m, l, got, row[l])
+			}
+		}
 	}
 	if s.Key() != d.key() {
 		return fmt.Errorf("Key differs from the mirror's in %v", s)

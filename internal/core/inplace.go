@@ -5,17 +5,22 @@ import "fmt"
 // This file provides destructive counterparts of Apply/ApplyTau/Crash for
 // the executable runtime (package memsim): the runtime holds a single live
 // state behind a lock and has no use for persistent snapshots, so mutating
-// in place avoids cloning the whole state on every primitive. Exploration
-// code must keep using the cloning API.
+// in place avoids cloning the state on every primitive. Exploration code
+// must keep using the cloning API.
 //
 // The runtime does not enumerate TauSteps to take one either: it draws
 // k < State.TauStepCount() and applies State.TauStepAt(k), the k-th step of
 // that enumeration, which the state's occupancy index (occupancy.go) finds
 // without visiting the cells. Every cache write of both APIs goes through
-// State.setCache, which keeps the index.
+// State.setCache, which keeps the index and takes and releases the row's
+// pages (state.go), and every cache read through State.Cache; a step on a
+// live state allocates nothing once its pages exist. A crash visits the
+// lines the caches hold and the crashed machine's runs of locations
+// (Topology.OwnerRuns), not every location.
 //
 // TestInPlaceAgreesWithApply property-checks that both APIs define the same
-// transition relation and leave the index agreeing with TauSteps.
+// transition relation, and holds every state either produces to a dense
+// mirror the same labels were replayed into (dense_test.go).
 
 // ApplyInPlace mutates s by the labeled transition l under variant v and
 // reports whether l was enabled (s is unchanged when not). For OpLoad under

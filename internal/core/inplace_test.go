@@ -40,7 +40,7 @@ func randomLabel(rng *rand.Rand) Label {
 // random states and labels, enabledness matches, and when enabled the
 // in-place result equals Apply's successor. Every state either API
 // produces must also answer as the dense mirror does that the same labels
-// were replayed into (agrees), and Apply must leave its argument alone.
+// were replayed into (sameState), and Apply must leave its argument alone.
 func TestInPlaceAgreesWithApply(t *testing.T) {
 	topo := NewTopology()
 	m0 := topo.AddMachine("m1", NonVolatile)
@@ -54,7 +54,7 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 		s, d := NewState(topo), newDense(topo)
 		mirrored := func(what string, d *dense, states ...*State) bool {
 			for _, st := range states {
-				if err := agrees(st, d); err != nil {
+				if err := sameState(st, d); err != nil {
 					t.Logf("after %s: %v", what, err)
 					return false
 				}

@@ -28,8 +28,9 @@ func fuzzTopo() *Topology {
 // FuzzTauIndex reads its input as a sequence of four-byte operations —
 // kind, machine, two bytes of location — applied in place to one state
 // (and now and then to a clone that replaces it) and replayed into a dense
-// mirror, and holds the state to the mirror after every one. The seed
-// corpus is testdata/fuzz/FuzzTauIndex.
+// mirror, and holds the state to the mirror after every one, and its key
+// and equality to the mirror's at the end. The seed corpus is
+// testdata/fuzz/FuzzTauIndex.
 func FuzzTauIndex(f *testing.F) {
 	topo := fuzzTopo()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -89,6 +90,9 @@ func FuzzTauIndex(f *testing.F) {
 			if err := agrees(s, d); err != nil {
 				t.Fatalf("op %v: %v", data[:4], err)
 			}
+		}
+		if err := sameState(s, d); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -232,14 +232,13 @@ func (t TauStep) String() string {
 func TauSteps(s *State) []TauStep {
 	var steps []TauStep
 	for m := range s.rows {
-		for l := range s.mem {
-			if s.Cache(MachineID(m), LocID(l)) == Bot {
-				continue
-			}
-			if s.topo.Owner(LocID(l)) == MachineID(m) {
-				steps = append(steps, TauStep{From: MachineID(m), Loc: LocID(l), ToMemory: true})
-			} else {
-				steps = append(steps, TauStep{From: MachineID(m), Loc: LocID(l), ToMemory: false})
+		for w := range s.rows[m].page {
+			for i, val := range s.lines(MachineID(m), w) {
+				if val == Bot {
+					continue
+				}
+				l := LocID(w*pageCells + i)
+				steps = append(steps, TauStep{From: MachineID(m), Loc: l, ToMemory: s.topo.Owner(l) == MachineID(m)})
 			}
 		}
 	}

@@ -57,31 +57,24 @@ type cacheRow struct {
 func NewState(t *Topology) *State {
 	s := &State{topo: t, mem: make([]Val, t.NumLocs()), pageLen: min(pageCells, t.NumLocs())}
 	s.cells = slices.Repeat([]Val{Bot}, s.pageLen)
-	_, set := lineSetLayout(t.NumLocs())
-	s.carve(make([]uint64, t.NumMachines()*(set+s.words())))
+	s.carve(nil)
 	return s
 }
 
-// words is the number of occupancy words, and so of table entries, a row
-// has.
-func (s *State) words() int { return (len(s.mem) + pageCells - 1) / pageCells }
-
-// carve makes index the backing of s's rows: each machine's part of it is
-// its occupancy, then its table. Line counts carry over from the rows s
-// had, if any.
+// carve makes index, or a zeroed one if index is nil, the backing of fresh
+// rows for s: each machine's part of it is its occupancy, then its table
+// with an entry per occupancy word.
 func (s *State) carve(index []uint64) {
 	blocks, set := lineSetLayout(len(s.mem))
-	stride := set + s.words()
-	rows := make([]cacheRow, s.topo.NumMachines())
-	for m := range rows {
-		part := index[m*stride : (m+1)*stride : (m+1)*stride]
-		rows[m].held = lineSetOver(part[:set], blocks)
-		rows[m].page = part[set:]
-		if s.rows != nil {
-			rows[m].held.total = s.rows[m].held.total
-		}
+	stride := set + (len(s.mem)+pageCells-1)/pageCells
+	if index == nil {
+		index = make([]uint64, s.topo.NumMachines()*stride)
 	}
-	s.rows, s.index = rows, index
+	s.rows, s.index = make([]cacheRow, s.topo.NumMachines()), index
+	for m := range s.rows {
+		part := index[m*stride : (m+1)*stride : (m+1)*stride]
+		s.rows[m] = cacheRow{held: lineSetOver(part[:set], blocks), page: part[set:]}
+	}
 }
 
 // Topology returns the topology this state belongs to.
@@ -97,7 +90,8 @@ func (s *State) Clone() *State {
 	c.cells = make([]Val, s.pageLen, len(s.cells)+s.pageLen)
 	copy(c.cells, s.cells)
 	c.carve(slices.Clone(s.index))
-	for _, r := range c.rows {
+	for m, r := range c.rows {
+		c.rows[m].held.total = s.rows[m].held.total
 		for w, off := range r.page {
 			if off != 0 {
 				r.page[w] = uint64(len(c.cells))
@@ -170,10 +164,19 @@ func (s *State) invalidate(l LocID) {
 	}
 }
 
-// Cache returns C_m(l). It is the one reader of a cache cell: everything
-// that looks at the caches, the enumerating references included, asks it.
+// Cache returns C_m(l). It and lines are the two readers of the cache:
+// whatever looks at one cell asks Cache, whatever walks a row — the
+// enumerating references included — asks lines.
 func (s *State) Cache(m MachineID, l LocID) Val {
 	return s.cells[int(s.rows[m].page[int(l)>>6])+int(l)&(pageCells-1)]
+}
+
+// lines returns machine m's cells for the lines of occupancy word w,
+// w*pageCells and up: the page its row holds for them, or the shared page
+// of ⊥.
+func (s *State) lines(m MachineID, w int) []Val {
+	off := int(s.rows[m].page[w])
+	return s.cells[off : off+min(s.pageLen, len(s.mem)-w*pageCells)]
 }
 
 // Mem returns M_k(l) where k owns l.
@@ -262,8 +265,10 @@ func (s *State) CheckInvariant() error {
 func (s *State) Key() string {
 	b := make([]byte, 0, (len(s.rows)+1)*len(s.mem)) // exact while every value fits a byte
 	for m := range s.rows {
-		for l := range s.mem {
-			b = binary.AppendVarint(b, int64(s.Cache(MachineID(m), LocID(l))))
+		for w := range s.rows[m].page {
+			for _, v := range s.lines(MachineID(m), w) {
+				b = binary.AppendVarint(b, int64(v))
+			}
 		}
 	}
 	for _, v := range s.mem {
@@ -278,8 +283,8 @@ func (s *State) Equal(o *State) bool {
 		return false
 	}
 	for m := range s.rows {
-		for l := range s.mem {
-			if s.Cache(MachineID(m), LocID(l)) != o.Cache(MachineID(m), LocID(l)) {
+		for w := range s.rows[m].page {
+			if !slices.Equal(s.lines(MachineID(m), w), o.lines(MachineID(m), w)) {
 				return false
 			}
 		}
@@ -302,16 +307,17 @@ func (s *State) String() string {
 		}
 		fmt.Fprintf(&sb, "C%d{", m)
 		first := true
-		for l := range s.mem {
-			v := s.Cache(MachineID(m), LocID(l))
-			if v == Bot {
-				continue
+		for w := range s.rows[m].page {
+			for i, v := range s.lines(MachineID(m), w) {
+				if v == Bot {
+					continue
+				}
+				if !first {
+					sb.WriteByte(' ')
+				}
+				first = false
+				fmt.Fprintf(&sb, "%s=%d", s.topo.LocName(LocID(w*pageCells+i)), v)
 			}
-			if !first {
-				sb.WriteByte(' ')
-			}
-			first = false
-			fmt.Fprintf(&sb, "%s=%d", s.topo.LocName(LocID(l)), v)
 		}
 		sb.WriteByte('}')
 	}

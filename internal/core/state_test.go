@@ -64,7 +64,7 @@ func TestCloneIsDeep(t *testing.T) {
 			s *State
 			d *dense
 		}{{s, d}, {c, dc}} {
-			if err := agrees(other.s, other.d); err != nil {
+			if err := sameState(other.s, other.d); err != nil {
 				t.Fatalf("after writing to the %s: %v", side.name, err)
 			}
 		}

@@ -16,6 +16,15 @@
 // simulated clock charges each primitive the latency model's cost,
 // enabling performance comparisons between persistence strategies that
 // wall-clock time on a single host cannot expose.
+//
+// A cluster's footprint follows its locations and what is cached, not
+// machines × locations: the state keeps a cache row as pages of 64 cells
+// that exist only while they hold a line, the topology keeps owners as one
+// run per heap (a ranged flush is charged by walking the runs it crosses),
+// and the clean-copy overlay that cost accounting needs is one
+// core.LineSet per machine — the bitset type of the state's occupancy
+// index. NewCluster allocates memory, the per-machine tables and those
+// sets, and nothing per cache cell.
 package memsim
 
 import (
