@@ -13,8 +13,8 @@ import "fmt"
 // that enumeration, which the state's occupancy index (occupancy.go) finds
 // without visiting the cells. Every cache write of both APIs goes through
 // State.setCache, which keeps the index and takes and releases the row's
-// pages (state.go), and every cache read through State.Cache; a step on a
-// live state allocates nothing once its pages exist. A crash visits the
+// pages (state.go), and every read of a cell through State.Cache; a step
+// on a live state allocates nothing once its pages exist. A crash visits the
 // lines the caches hold and the crashed machine's runs of locations
 // (Topology.OwnerRuns), not every location.
 //

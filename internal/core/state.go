@@ -66,7 +66,7 @@ func NewState(t *Topology) *State {
 // with an entry per occupancy word.
 func (s *State) carve(index []uint64) {
 	blocks, set := lineSetLayout(len(s.mem))
-	stride := set + (len(s.mem)+pageCells-1)/pageCells
+	stride := set + (set - blocks) // the set's words, and a table entry for each
 	if index == nil {
 		index = make([]uint64, s.topo.NumMachines()*stride)
 	}
@@ -124,11 +124,10 @@ func (s *State) setCache(m MachineID, l LocID, v Val) {
 		panic(fmt.Sprintf("core: no location %d to cache", l))
 	}
 	r := &s.rows[m]
-	w := int(l) >> 6
+	w, i := int(l)>>6, int(l)&(pageCells-1)
 	off := r.page[w]
-	cell := &s.cells[int(off)+int(l)&(pageCells-1)]
 	if v == Bot {
-		if *cell == Bot {
+		if s.cells[int(off)+i] == Bot {
 			return
 		}
 		r.held.flip(l, -1)
@@ -140,19 +139,18 @@ func (s *State) setCache(m MachineID, l LocID, v Val) {
 			s.cells[off], s.free = Val(s.free), off
 			return
 		}
-		*cell = Bot
+		s.cells[int(off)+i] = Bot
 		return
 	}
 	if off == 0 {
 		off = s.takePage()
 		r.page[w] = off
-		cell = &s.cells[int(off)+int(l)&(pageCells-1)]
 	}
-	if *cell == Bot {
+	if s.cells[int(off)+i] == Bot {
 		r.held.flip(l, 1)
 		s.held++
 	}
-	*cell = v
+	s.cells[int(off)+i] = v
 }
 
 // invalidate sets C_m(l) = ⊥ for every machine m.
