@@ -25,6 +25,14 @@
 //	GPF_i          — global persistent flush: block until all caches drain
 //	L/R/M-RMW      — atomic read-modify-write, store half as above
 //
+// An RMW that succeeds reads the unique cached copy of x, wherever it is,
+// or memory when there is none — in every variant: §3.3 gives the RMW
+// rules once and §3.5 does not vary them, so under LWB a successful RMW
+// does not wait for a peer's copy to be written back. An RMW whose compare
+// fails is not a transition of its own: it is the variant's Load (§3.3),
+// which under LWB is served only from the issuer's cache or, once no cache
+// holds x, from memory. The explorer and the runtime both step it that way.
+//
 // plus silent nondeterministic propagation steps τ (cache-to-owner-cache and
 // owner-cache-to-memory, modeling cache replacement) and per-machine crash
 // steps E_i (the cache vanishes; volatile memory resets to zero).

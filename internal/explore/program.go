@@ -326,9 +326,14 @@ func stepThread(p Program, c *progConfig, i int, v core.Variant) []*progConfig {
 			}
 			return out
 		}
-		// Failed CAS acts as a plain read: it pulls the line like a load.
+		// Failed CAS acts as a plain read: it pulls the line like a load of
+		// the variant explored, and under LWB blocks like one while only a
+		// peer caches the line — the value it then reads from memory is cur.
+		if _, ok := loadValue(c.st, p.Threads[i].Machine, ins.Loc, v); !ok {
+			return nil
+		}
 		var out []*progConfig
-		for _, st := range core.Apply(c.st, core.LoadL(p.Threads[i].Machine, ins.Loc, cur), core.Base) {
+		for _, st := range core.Apply(c.st, core.LoadL(p.Threads[i].Machine, ins.Loc, cur), v) {
 			out = append(out, advance(st, func(r []core.Val) { r[ins.Dst] = 0 }))
 		}
 		return out

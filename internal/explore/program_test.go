@@ -309,3 +309,46 @@ func TestExploreMessagePassing(t *testing.T) {
 		}
 	}
 }
+
+// TestRMWReadHalfUnderLWB pins what an RMW observes under LWB. A CAS that
+// succeeds reads the unique cached copy wherever it is, in every variant
+// (§3.3's RMW rules do not vary): it steps at once beside a peer's copy.
+// A CAS that fails is the variant's load, so under LWB it is blocked until
+// τ has written the peer's copy back, exactly like an ILoad.
+func TestRMWReadHalfUnderLWB(t *testing.T) {
+	topo := core.NewTopology()
+	mA := topo.AddMachine("A", core.NonVolatile)
+	mB := topo.AddMachine("B", core.NonVolatile)
+	x := topo.AddLoc("x", mA)
+
+	cas := func(old core.Val) Program {
+		return Program{Threads: []Thread{{Machine: mA, NumRegs: 1, Instrs: []Instr{
+			{Kind: ICAS, Op: core.OpLRMW, Loc: x, Old: old, New: 9, Dst: 0},
+		}}}}
+	}
+	beside := func() *progConfig { // B holds the only copy of x, 3
+		st := core.NewState(topo)
+		st.SetCache(mB, x, 3)
+		return &progConfig{st: st, pc: []int{0}, regs: [][]core.Val{{0}}, dead: []bool{false}}
+	}
+
+	next := stepThread(cas(3), beside(), 0, core.LWB)
+	if len(next) != 1 || next[0].regs[0][0] != 1 {
+		t.Fatalf("CAS(3→9) beside a peer's copy of 3 under LWB: %d successors, want one that succeeded", len(next))
+	}
+	if st := next[0].st; st.Cache(mA, x) != 9 || st.Cache(mB, x) != core.Bot || st.Mem(x) != 0 {
+		t.Errorf("after the CAS: %v, want 9 in A's cache only and memory untouched", st)
+	}
+
+	if next := stepThread(cas(4), beside(), 0, core.LWB); len(next) != 0 {
+		t.Errorf("failed CAS beside a peer's copy under LWB stepped (%v); an LWB load is blocked there", next[0].st)
+	}
+	if next := stepThread(cas(4), beside(), 0, core.Base); len(next) != 1 || next[0].regs[0][0] != 0 || next[0].st.Cache(mA, x) != 3 {
+		t.Errorf("failed CAS beside a peer's copy under Base: want one successor that read 3 into A's cache")
+	}
+	drained := beside()
+	drained.st = core.ApplyTau(core.ApplyTau(drained.st, core.TauStep{From: mB, Loc: x}), core.TauStep{From: mA, Loc: x, ToMemory: true})
+	if next := stepThread(cas(4), drained, 0, core.LWB); len(next) != 1 || next[0].regs[0][0] != 0 || !next[0].st.Equal(drained.st) {
+		t.Errorf("failed CAS under LWB once the copy is in memory: want one successor, state unchanged")
+	}
+}

@@ -55,25 +55,26 @@ func TestRuntimeConformsToExplorer(t *testing.T) {
 	// Drive the same program through the runtime under many randomized
 	// schedules (thread interleaving, eviction churn, crash placement).
 	for seed := int64(0); seed < 400; seed++ {
-		outcome := runScheduled(t, prog, seed)
+		outcome := runScheduled(t, prog, []int{1, 1}, core.Base, seed)
 		if !allowed[outcome.Key()] {
 			t.Fatalf("seed %d: runtime outcome %v not reachable in the model", seed, outcome)
 		}
 	}
 }
 
-// runScheduled executes prog on a fresh cluster with a random schedule
-// derived from seed and returns the explorer-comparable outcome.
-func runScheduled(t *testing.T, prog explore.Program, seed int64) explore.Outcome {
+// runScheduled executes prog under variant on a fresh cluster of machines
+// A and B with a random schedule derived from seed and returns the
+// explorer-comparable outcome.
+func runScheduled(t *testing.T, prog explore.Program, heaps []int, variant core.Variant, seed int64) explore.Outcome {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
 	// The cluster mirrors the program's topology: one heap word per
 	// location, in declaration order.
 	c := NewCluster([]MachineConfig{
-		{Name: "A", Mem: core.NonVolatile, Heap: 1},
-		{Name: "B", Mem: core.NonVolatile, Heap: 1},
-	}, Config{Seed: seed})
+		{Name: "A", Mem: core.NonVolatile, Heap: heaps[0]},
+		{Name: "B", Mem: core.NonVolatile, Heap: heaps[1]},
+	}, Config{Variant: variant, Seed: seed})
 
 	type threadState struct {
 		th   *Thread
@@ -199,17 +200,23 @@ func execInstr(th *Thread, ins explore.Instr, regs []core.Val) error {
 	return nil
 }
 
-// TestRuntimeConformsUnderVariants repeats a smaller conformance check for
-// the PSN and LWB variants.
+// TestRuntimeConformsUnderVariants repeats two smaller conformance checks
+// under every variant, on one location x owned by A: a thread of B that
+// stores and reloads x across a crash of A, and a CAS by A that fails
+// while B may hold the only copy of x — a failed RMW is the variant's load
+// (under LWB: write the peer's copy back, then read memory) — across a
+// crash of B.
 func TestRuntimeConformsUnderVariants(t *testing.T) {
-	for _, variant := range []core.Variant{core.PSN, core.LWB} {
-		topo := core.NewTopology()
-		mA := topo.AddMachine("A", core.NonVolatile)
-		mB := topo.AddMachine("B", core.NonVolatile)
-		x := topo.AddLoc("x", mA)
-		_ = mB
+	topo := core.NewTopology()
+	mA := topo.AddMachine("A", core.NonVolatile)
+	mB := topo.AddMachine("B", core.NonVolatile)
+	x := topo.AddLoc("x", mA)
 
-		prog := explore.Program{
+	progs := []struct {
+		name string
+		explore.Program
+	}{
+		{"store and reload", explore.Program{
 			Threads: []explore.Thread{
 				{Machine: mB, NumRegs: 2, Instrs: []explore.Instr{
 					{Kind: explore.IStore, Op: core.OpLStore, Loc: x, Src: explore.ConstOp(1)},
@@ -219,42 +226,39 @@ func TestRuntimeConformsUnderVariants(t *testing.T) {
 			},
 			MaxCrashes: 1,
 			Crashable:  []core.MachineID{mA},
-		}
-		allowed := map[string]bool{}
-		for _, o := range explore.Explore(topo, variant, prog) {
-			allowed[o.Key()] = true
-		}
-
-		for seed := int64(0); seed < 200; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			c := NewCluster([]MachineConfig{
-				{Name: "A", Mem: core.NonVolatile, Heap: 1},
-				{Name: "B", Mem: core.NonVolatile, Heap: 0},
-			}, Config{Variant: variant, Seed: seed})
-			th, err := c.NewThread(mB)
-			if err != nil {
-				t.Fatal(err)
+		}},
+		{"failed CAS beside a peer's copy", explore.Program{
+			Threads: []explore.Thread{
+				{Machine: mB, NumRegs: 1, Instrs: []explore.Instr{
+					{Kind: explore.IStore, Op: core.OpLStore, Loc: x, Src: explore.ConstOp(7)},
+					{Kind: explore.ILoad, Loc: x, Dst: 0},
+				}},
+				{Machine: mA, NumRegs: 2, Instrs: []explore.Instr{
+					{Kind: explore.ICAS, Op: core.OpLRMW, Loc: x, Old: 3, New: 9, Dst: 0},
+					{Kind: explore.ILoad, Loc: x, Dst: 1},
+				}},
+			},
+			MaxCrashes: 1,
+			Crashable:  []core.MachineID{mB},
+		}},
+	}
+	for _, p := range progs {
+		name, prog := p.name, p.Program
+		for _, variant := range core.Variants {
+			allowed := map[string]bool{}
+			for _, o := range explore.Explore(topo, variant, prog) {
+				allowed[o.Key()] = true
 			}
-			regs := make([]core.Val, 2)
-			crashLeft := 1
-			for pc := 0; pc < len(prog.Threads[0].Instrs); {
-				switch k := rng.Intn(8); {
-				case k == 0 && crashLeft > 0:
-					c.Crash(mA)
-					c.Recover(mA)
-					crashLeft--
-				case k <= 2:
-					c.Churn(1)
-				default:
-					if err := execInstr(th, prog.Threads[0].Instrs[pc], regs); err != nil {
-						t.Fatal(err)
-					}
-					pc++
+			reached := map[string]bool{}
+			for seed := int64(0); seed < 400; seed++ {
+				out := runScheduled(t, prog, []int{1, 0}, variant, seed)
+				if !allowed[out.Key()] {
+					t.Fatalf("%s, %v, seed %d: runtime outcome %v not in model set", name, variant, seed, out)
 				}
+				reached[out.Key()] = true
 			}
-			out := explore.Outcome{Regs: [][]core.Val{regs}, Died: []bool{false}}
-			if !allowed[out.Key()] {
-				t.Fatalf("%v seed %d: runtime outcome %v not in model set", variant, seed, out)
+			if len(reached) != len(allowed) {
+				t.Errorf("%s, %v: 400 schedules reached %d of the model's %d outcomes", name, variant, len(reached), len(allowed))
 			}
 		}
 	}

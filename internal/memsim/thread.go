@@ -85,6 +85,13 @@ func (t *Thread) Load(x core.LocID) (core.Val, error) {
 	if err := t.checkOpLocked(x); err != nil {
 		return 0, err
 	}
+	return t.loadLocked(x), nil
+}
+
+// loadLocked performs the variant's load of x — a Load, and a CAS whose
+// compare fails (§3.3: a failed RMW is a plain read) — and returns what it
+// observed.
+func (t *Thread) loadLocked(x core.LocID) core.Val {
 	cached := t.c.hotLocked(t.m, x)
 	var v core.Val
 	if t.c.cfg.Variant == core.LWB {
@@ -103,7 +110,7 @@ func (t *Thread) Load(x core.LocID) (core.Val, error) {
 	t.c.warmLocked(t.m, x)
 	t.c.chargeLocked(core.OpLoad, t.c.topo.Owner(x), t.Local(x), cached)
 	t.c.maybeEvictLocked()
-	return v, nil
+	return v
 }
 
 func (t *Thread) store(op core.Op, x core.LocID, v core.Val) error {
@@ -278,13 +285,9 @@ func (t *Thread) CAS(op core.Op, x core.LocID, old, new core.Val) (bool, error) 
 		return false, err
 	}
 	cached := t.c.hotLocked(t.m, x)
-	cur := t.c.st.Readable(x)
-	if cur != old {
+	if t.c.st.Readable(x) != old {
 		// Failed RMW ≡ plain read (§3.3): the line is pulled like a load.
-		t.applyLocked(core.LoadL(t.m, x, cur))
-		t.c.warmLocked(t.m, x)
-		t.c.chargeLocked(core.OpLoad, t.c.topo.Owner(x), t.Local(x), cached)
-		t.c.maybeEvictLocked()
+		t.loadLocked(x)
 		return false, nil
 	}
 	t.applyLocked(core.RMWL(op, t.m, x, old, new))
