@@ -163,7 +163,8 @@ func (c *Cluster) Alloc(m core.MachineID, n int) (core.LocID, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.heapNext[m]+n > c.heapSize[m] {
+	// n is compared with what is left of the heap: heapNext+n can overflow.
+	if n > c.heapSize[m]-c.heapNext[m] {
 		return 0, fmt.Errorf("%w: machine %s (%d of %d used)",
 			ErrOutOfMemory, c.topo.MachineName(m), c.heapNext[m], c.heapSize[m])
 	}

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -176,6 +177,23 @@ func TestAllocRejectsNegativeSize(t *testing.T) {
 	}
 	if next < first+4 {
 		t.Errorf("Alloc after a negative request returned %d, inside the live block [%d,%d)", next, first, first+4)
+	}
+}
+
+// A size near the top of int used to overflow the capacity check's sum,
+// pass it, and leave the heap pointer negative: the next Alloc handed out a
+// negative location.
+func TestAllocRejectsOverflowingSize(t *testing.T) {
+	c := NewCluster([]MachineConfig{{Name: "m", Mem: core.NonVolatile, Heap: 8}}, Config{})
+	first, err := c.Alloc(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, err := c.Alloc(0, math.MaxInt); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("Alloc(MaxInt) with 4 of 8 used = %d, %v; want ErrOutOfMemory", l, err)
+	}
+	if next, err := c.Alloc(0, 4); err != nil || next != first+4 {
+		t.Errorf("Alloc(4) after the rejected request = %d, %v; want %d at the old cursor", next, err, first+4)
 	}
 }
 
