@@ -46,7 +46,13 @@
 //	      a machine never reads directly out of a peer's cache.
 //
 // The package provides states, labels, the step relation (per variant), and
-// the global single-valid-value invariant. Exhaustive exploration utilities
-// live in package explore; the executable concurrent runtime lives in
-// package memsim.
+// the global single-valid-value invariant. The step relation is written
+// once, as steps on the state it is given (inplace.go: each labeled rule's
+// premise and its effect under ApplyInPlace, ApplyTauInPlace, CrashInPlace,
+// and State.Observed — the value a load observes under a variant, or that
+// it is blocked); Apply, ApplyTau and Crash are Clone followed by those. Exhaustive exploration utilities live
+// in package explore and call the cloning API; the executable concurrent
+// runtime lives in package memsim and steps its one live state in place.
+// Both resolve a primitive to a label through Observed and Readable, so
+// they execute the same rules.
 package core

@@ -2,105 +2,112 @@ package core
 
 import "fmt"
 
-// This file provides destructive counterparts of Apply/ApplyTau/Crash for
-// the executable runtime (package memsim): the runtime holds a single live
-// state behind a lock and has no use for persistent snapshots, so mutating
-// in place avoids cloning the state on every primitive. Exploration code
-// must keep using the cloning API.
+// This file is the implementation of Figure 2: every labeled rule
+// (ApplyInPlace), both propagation rules (ApplyTauInPlace) and the crash
+// rule with its PSN variant (CrashInPlace), written once, as steps on the
+// state they are given. The executable runtime (package memsim) holds one
+// live state behind a lock and steps it directly; exploration code, which
+// needs the state it stepped from afterwards, calls Apply, ApplyTau and
+// Crash (semantics.go) — Clone, then the step here.
 //
 // The runtime does not enumerate TauSteps to take one either: it draws
 // k < State.TauStepCount() and applies State.TauStepAt(k), the k-th step of
 // that enumeration, which the state's occupancy index (occupancy.go) finds
-// without visiting the cells. Every cache write of both APIs goes through
+// without visiting the cells. Every cache write goes through
 // State.setCache, which keeps the index and takes and releases the row's
 // pages (state.go), and every read of a cell through State.Cache; a step
 // on a live state allocates nothing once its pages exist. A crash visits the
 // lines the caches hold and the crashed machine's runs of locations
 // (Topology.OwnerRuns), not every location.
 //
-// TestInPlaceAgreesWithApply property-checks that both APIs define the same
-// transition relation, and holds every state either produces to a dense
-// mirror the same labels were replayed into (dense_test.go).
+// The reference these rules are held to is a second, plain implementation
+// over a dense matrix that only the tests have (dense_test.go):
+// TestInPlaceAgreesWithApply replays the same labels and τ steps into both
+// and compares every answer of the state after each.
 
-// ApplyInPlace mutates s by the labeled transition l under variant v and
-// reports whether l was enabled (s is unchanged when not). For OpLoad under
-// the Base/PSN variants the transition is deterministic, matching Apply's
-// single successor.
-func ApplyInPlace(s *State, l Label, v Variant) bool {
+// Observed returns the value a Load of x by machine m observes in s under
+// variant v, and false when the load is blocked. Base and PSN read the
+// unique valid copy out of whichever cache holds it, else the owner's
+// memory, and never block. Under LWB a load is served from m's own cache
+// or, once no cache holds x, from memory: while only a peer caches x it is
+// blocked until τ has written the copy back.
+func (s *State) Observed(m MachineID, x LocID, v Variant) (Val, bool) {
+	if v != LWB {
+		return s.Readable(x), true
+	}
+	if own := s.Cache(m, x); own != Bot {
+		return own, true
+	}
+	return s.mem[x], s.NoCacheHolds(x)
+}
+
+// enabled is the premise of l's rule: whether the labeled transition l can
+// be taken from s under variant v.
+func enabled(s *State, l Label, v Variant) bool {
 	switch l.Op {
 	case OpLoad:
-		return loadInPlace(s, l, v)
-	case OpLStore:
-		s.invalidate(l.Loc)
-		s.setCache(l.M, l.Loc, l.Val)
-		return true
-	case OpRStore:
-		k := s.topo.Owner(l.Loc)
-		s.invalidate(l.Loc)
-		s.setCache(k, l.Loc, l.Val)
-		return true
-	case OpMStore:
-		s.invalidate(l.Loc)
-		s.mem[l.Loc] = l.Val
+		// The label must name the value the variant lets l.M observe.
+		got, ok := s.Observed(l.M, l.Loc, v)
+		return ok && got == l.Val
+	case OpLStore, OpRStore, OpMStore, OpCrash:
 		return true
 	case OpLFlush:
-		return s.Cache(l.M, l.Loc) == Bot
+		return s.Cache(l.M, l.Loc) == Bot // blocks until τ drains the issuer's copy
 	case OpRFlush:
-		return s.NoCacheHolds(l.Loc)
+		return s.NoCacheHolds(l.Loc) // blocks until τ drains every copy
 	case OpRFlushRange:
+		// The ranged flush generalizes RFlush to n consecutive locations:
+		// it blocks until every copy of every line in [Loc, Loc+N) has
+		// drained to its owner's memory. Like the per-line flushes, it is
+		// variant-independent: Base, PSN and LWB differ in how copies come
+		// to exist (loads, poisoning), not in how they drain.
 		return l.N >= 1 && s.NoCacheHoldsRange(l.Loc, l.N)
 	case OpGPF:
-		return s.CachesEmpty()
+		return s.CachesEmpty() // blocks until all caches drain entirely
 	case OpLRMW, OpRRMW, OpMRMW:
-		return rmwInPlace(s, l)
-	case OpCrash:
-		CrashInPlace(s, l.M, v)
-		return true
+		// The read half observes the unique cached copy, or memory when no
+		// cache holds the line, in every variant. A failed RMW (current
+		// value ≠ Old) is not a transition here — the paper equates it with
+		// a plain read, which callers express as OpLoad.
+		return s.Readable(l.Loc) == l.Old
 	default:
 		panic(fmt.Sprintf("core: ApplyInPlace: unknown op %v", l.Op))
 	}
 }
 
-func loadInPlace(s *State, l Label, v Variant) bool {
-	if v == LWB {
-		if own := s.Cache(l.M, l.Loc); own != Bot {
-			return own == l.Val
-		}
-		if !s.NoCacheHolds(l.Loc) {
-			return false
-		}
-		return s.mem[l.Loc] == l.Val
-	}
-	if cv, ok := s.CachedValue(l.Loc); ok {
-		if cv != l.Val {
-			return false
-		}
-		s.setCache(l.M, l.Loc, cv)
-		return true
-	}
-	return s.mem[l.Loc] == l.Val
-}
-
-func rmwInPlace(s *State, l Label) bool {
-	cur, cached := s.CachedValue(l.Loc)
-	if !cached {
-		cur = s.mem[l.Loc]
-	}
-	if cur != l.Old {
+// ApplyInPlace mutates s by the labeled transition l under variant v and
+// reports whether l was enabled (s is unchanged when not). Every labeled
+// transition is deterministic.
+func ApplyInPlace(s *State, l Label, v Variant) bool {
+	if !enabled(s, l, v) {
 		return false
 	}
-	var storeOp Op
-	switch l.Op {
-	case OpLRMW:
-		storeOp = OpLStore
-	case OpRRMW:
-		storeOp = OpRStore
-	case OpMRMW:
-		storeOp = OpMStore
-	default:
-		return false // not an RMW label: no store half to apply
+	stored := l.Val // by a store, or by the store half of an RMW
+	if l.Op.IsRMW() {
+		stored = l.New
 	}
-	return ApplyInPlace(s, Label{Op: storeOp, M: l.M, Loc: l.Loc, Val: l.New}, Base)
+	switch l.Op {
+	case OpLoad:
+		// LOAD-from-C (Base, PSN) replicates the copy read into the
+		// issuer's cache; LOAD-from-M, and both LWB rules, change nothing.
+		if v != LWB && !s.NoCacheHolds(l.Loc) {
+			s.setCache(l.M, l.Loc, l.Val)
+		}
+	case OpLStore, OpLRMW:
+		s.invalidate(l.Loc)
+		s.setCache(l.M, l.Loc, stored)
+	case OpRStore, OpRRMW:
+		s.invalidate(l.Loc)
+		s.setCache(s.topo.Owner(l.Loc), l.Loc, stored)
+	case OpMStore, OpMRMW:
+		s.invalidate(l.Loc)
+		s.mem[l.Loc] = stored
+	case OpLFlush, OpRFlush, OpRFlushRange, OpGPF:
+		// A flush only waits: once enabled, it changes nothing.
+	case OpCrash:
+		CrashInPlace(s, l.M, v)
+	}
+	return true
 }
 
 // ApplyTauInPlace mutates s by one silent propagation step, which must be
@@ -122,7 +129,9 @@ func ApplyTauInPlace(s *State, t TauStep) {
 	}
 }
 
-// CrashInPlace mutates s by the crash of machine m under variant v.
+// CrashInPlace mutates s by the crash of machine m under variant v: C_m is
+// wiped; M_m resets to zero iff volatile. Under PSN, every other cache
+// additionally poisons (invalidates) all m-owned lines.
 func CrashInPlace(s *State, m MachineID, v Variant) {
 	s.rows[m].held.each(func(l LocID) { s.setCache(m, l, Bot) })
 	if s.topo.Mem(m) == Volatile {

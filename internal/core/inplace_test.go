@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -11,7 +12,7 @@ func randomLabel(rng *rand.Rand) Label {
 	m := MachineID(rng.Intn(2))
 	x := LocID(rng.Intn(2))
 	v := Val(rng.Intn(3))
-	switch rng.Intn(10) {
+	switch rng.Intn(11) {
 	case 0:
 		return LoadL(m, x, v)
 	case 1:
@@ -30,17 +31,21 @@ func randomLabel(rng *rand.Rand) Label {
 		return RMWL(OpLRMW, m, x, v, Val(rng.Intn(3)))
 	case 8:
 		return RFlushRangeL(m, x, 1+rng.Intn(2-int(x)))
+	case 9:
+		return RMWL(OpRRMW, m, x, v, Val(rng.Intn(3)))
 	default:
 		return RMWL(OpMRMW, m, x, v, Val(rng.Intn(3)))
 	}
 }
 
-// TestInPlaceAgreesWithApply property-checks that ApplyInPlace defines the
-// same (deterministic fragment of the) transition relation as Apply: for
-// random states and labels, enabledness matches, and when enabled the
-// in-place result equals Apply's successor. Every state either API
-// produces must also answer as the dense mirror does that the same labels
-// were replayed into (sameState), and Apply must leave its argument alone.
+// TestInPlaceAgreesWithApply property-checks the rules against the dense
+// mirror (dense_test.go): for random states and labels, ApplyInPlace is
+// enabled exactly when the mirror's apply is, a disabled label mutates
+// nothing, and the state after every labeled step and every τ step answers
+// as the mirror does that the same steps were replayed into (sameState).
+// Apply and ApplyTau are held to a wrapper's contract: they leave their
+// argument alone, Apply returns nil iff the label is disabled, and
+// otherwise each returns one state Equal to the in-place result.
 func TestInPlaceAgreesWithApply(t *testing.T) {
 	topo := NewTopology()
 	m0 := topo.AddMachine("m1", NonVolatile)
@@ -52,12 +57,10 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		variant := Variants[int(variantRaw)%len(Variants)]
 		s, d := NewState(topo), newDense(topo)
-		mirrored := func(what string, d *dense, states ...*State) bool {
-			for _, st := range states {
-				if err := sameState(st, d); err != nil {
-					t.Logf("after %s: %v", what, err)
-					return false
-				}
+		mirrored := func(what string, st *State) bool {
+			if err := sameState(st, d); err != nil {
+				t.Logf("after %s: %v", what, err)
+				return false
 			}
 			return true
 		}
@@ -75,62 +78,56 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 				s = s.Clone()
 				s.SetCache(m, x, v)
 				d.cache[m][x] = v
-				if !mirrored("SetCache on a clone", d, s) {
+				if !mirrored("SetCache on a clone", s) {
 					return false
 				}
 			}
 			l := randomLabel(rng)
 			viaClone := Apply(s, l, variant)
+			if !mirrored("Apply of "+l.String()+" to it", s) {
+				return false
+			}
 			inPlace := s.Clone()
 			enabled := ApplyInPlace(inPlace, l, variant)
-			if !mirrored("Apply of "+l.String()+" to it", d, s) {
+			if !enabled && !inPlace.Equal(s) {
+				t.Logf("disabled %v mutated the state", l)
 				return false
 			}
 			if want := d.apply(l, variant); want != enabled {
 				t.Logf("%v enabled in place: %v, in the mirror: %v (state %v)", l, enabled, want, s)
 				return false
 			}
-			if !mirrored(l.String(), d, append(viaClone, inPlace)...) {
-				return false
-			}
-			if enabled != (len(viaClone) > 0) {
-				t.Logf("enabledness mismatch at %v (state %v): clone=%d inplace=%v",
-					l, s, len(viaClone), enabled)
+			if !mirrored(l.String(), inPlace) {
 				return false
 			}
 			if !enabled {
-				// Also check the failed in-place application left the state
-				// alone (loads/RMWs may not, per contract, mutate on failure).
-				if !inPlace.Equal(s) {
-					t.Logf("disabled %v mutated the state", l)
+				if viaClone != nil {
+					t.Logf("Apply of the disabled %v returned %v", l, viaClone)
 					return false
 				}
 				continue
 			}
-			if len(viaClone) != 1 {
-				t.Logf("nondeterministic label %v yields %d successors", l, len(viaClone))
+			if len(viaClone) != 1 || !viaClone[0].Equal(inPlace) {
+				t.Logf("Apply of %v to %v returned %v, in place it is %v", l, s, viaClone, inPlace)
 				return false
 			}
-			if !inPlace.Equal(viaClone[0]) {
-				t.Logf("result mismatch at %v: %v vs %v", l, inPlace, viaClone[0])
-				return false
-			}
-			s = viaClone[0]
-			// Occasionally interleave a τ step through both APIs.
+			s = inPlace
+			// Occasionally interleave a τ step.
 			if steps := TauSteps(s); len(steps) > 0 && rng.Intn(3) == 0 {
 				ts := steps[rng.Intn(len(steps))]
 				cloned := ApplyTau(s, ts)
-				ip := s.Clone()
-				ApplyTauInPlace(ip, ts)
-				if !ip.Equal(cloned) {
-					t.Logf("τ mismatch at %v", ts)
+				if !mirrored("ApplyTau of "+ts.String()+" to it", s) {
 					return false
 				}
+				ApplyTauInPlace(s, ts)
 				d.tau(ts)
-				if !mirrored(ts.String(), d, ip, cloned) {
+				if !mirrored(ts.String(), s) {
 					return false
 				}
-				s = cloned
+				if !cloned.Equal(s) {
+					t.Logf("ApplyTau of %v returned %v, in place it is %v", ts, cloned, s)
+					return false
+				}
 			}
 		}
 		return true
@@ -140,8 +137,11 @@ func TestInPlaceAgreesWithApply(t *testing.T) {
 	}
 }
 
-// TestCrashInPlaceMatchesCrash compares the two crash implementations on
-// random states under all variants.
+// TestCrashInPlaceMatchesCrash holds CrashInPlace, which visits only the
+// lines some cache holds and the crashed machine's runs, to the mirror's
+// crash, which looks at every location, on random states under all
+// variants; Crash must return a state Equal to it and leave its argument
+// alone.
 func TestCrashInPlaceMatchesCrash(t *testing.T) {
 	topo := NewTopology()
 	m0 := topo.AddMachine("m1", NonVolatile)
@@ -151,25 +151,64 @@ func TestCrashInPlaceMatchesCrash(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 300; iter++ {
-		s := NewState(topo)
-		if rng.Intn(2) == 0 {
-			s.SetCache(MachineID(rng.Intn(2)), x, Val(rng.Intn(3)))
+		d := newDense(topo)
+		for _, l := range []LocID{x, y} {
+			if rng.Intn(2) == 0 {
+				d.cache[rng.Intn(2)][l] = Val(rng.Intn(3))
+			}
 		}
-		if rng.Intn(2) == 0 {
-			s.SetCache(MachineID(rng.Intn(2)), y, Val(rng.Intn(3)))
-		}
-		s.SetMem(x, Val(rng.Intn(3)))
-		s.SetMem(y, Val(rng.Intn(3)))
-		if s.CheckInvariant() != nil {
-			continue
-		}
+		d.mem[x], d.mem[y] = Val(rng.Intn(3)), Val(rng.Intn(3))
+		s := d.state()
 		for _, variant := range Variants {
 			for _, m := range []MachineID{m0, m1} {
-				want := Crash(s, m, variant)
+				want := d.clone()
+				want.crash(m, variant)
 				got := s.Clone()
 				CrashInPlace(got, m, variant)
-				if !got.Equal(want) {
-					t.Fatalf("crash mismatch: machine %d variant %v state %v", m, variant, s)
+				if err := sameState(got, want); err != nil {
+					t.Fatalf("crash of machine %d under %v in %v: %v", m, variant, s, err)
+				}
+				if cloned := Crash(s, m, variant); !cloned.Equal(got) || sameState(s, d) != nil {
+					t.Fatalf("Crash of machine %d under %v: returned %v from %v, in place it is %v", m, variant, cloned, s, got)
+				}
+			}
+		}
+	}
+}
+
+// TestObservedMatchesDense drives State.Observed against the mirror's load
+// rule: with the issuer's own copy, a peer's copy only, and no copy, under
+// each variant, Observed must name exactly the value for which the mirror
+// enables a Load — none when it blocks (LWB beside a peer's copy).
+func TestObservedMatchesDense(t *testing.T) {
+	topo := NewTopology()
+	m0 := topo.AddMachine("m1", NonVolatile)
+	m1 := topo.AddMachine("m2", NonVolatile)
+	x := topo.AddLoc("x", m0)
+
+	for _, tc := range []struct {
+		name    string
+		holder  MachineID // of the only copy, 2; -1: no cache holds x
+		blocked []Variant
+	}{
+		{"own copy", m1, nil},
+		{"peer's copy", m0, []Variant{LWB}},
+		{"no copy", -1, nil},
+	} {
+		d := newDense(topo)
+		d.mem[x] = 1
+		if tc.holder >= 0 {
+			d.cache[tc.holder][x] = 2
+		}
+		s := d.state()
+		for _, v := range Variants {
+			got, ok := s.Observed(m1, x, v)
+			if ok == slices.Contains(tc.blocked, v) {
+				t.Errorf("%s, %v: Observed ok = %v", tc.name, v, ok)
+			}
+			for val := Val(0); val < 3; val++ {
+				if enabled := d.clone().apply(LoadL(m1, x, val), v); enabled != (ok && got == val) {
+					t.Errorf("%s, %v: the mirror enables Load(%d): %v; Observed = %d, %v", tc.name, v, val, enabled, got, ok)
 				}
 			}
 		}

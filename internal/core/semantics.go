@@ -51,157 +51,26 @@ func ParseVariant(name string) (Variant, error) {
 }
 
 // Apply returns the states reachable from s by performing exactly the
-// labeled transition l under variant v, with no interleaved τ steps. The
-// result is empty when l is not enabled (e.g. a Load whose expected value
-// does not match, or a flush whose precondition does not hold yet).
-//
-// All rules of Figure 2 are implemented here; τ (silent propagation) is in
-// TauSuccessors, since it carries no label.
+// labeled transition l under variant v, with no interleaved τ steps: a
+// clone of s stepped by ApplyInPlace, which holds every rule of Figure 2
+// (inplace.go). The result is empty when l is not enabled (e.g. a Load
+// whose expected value does not match, or a flush whose precondition does
+// not hold yet) — asked first, so that a blocked label costs no clone. τ
+// (silent propagation) is in TauSuccessors, since it carries no label.
 func Apply(s *State, l Label, v Variant) []*State {
-	switch l.Op {
-	case OpLoad:
-		return applyLoad(s, l, v)
-	case OpLStore:
-		n := s.Clone()
-		n.invalidate(l.Loc)
-		n.setCache(l.M, l.Loc, l.Val)
-		return []*State{n}
-	case OpRStore:
-		k := s.topo.Owner(l.Loc)
-		n := s.Clone()
-		n.invalidate(l.Loc)
-		n.setCache(k, l.Loc, l.Val)
-		return []*State{n}
-	case OpMStore:
-		n := s.Clone()
-		n.invalidate(l.Loc)
-		n.mem[l.Loc] = l.Val
-		return []*State{n}
-	case OpLFlush:
-		if s.Cache(l.M, l.Loc) != Bot {
-			return nil // blocks until τ drains the issuer's copy
-		}
-		return []*State{s.Clone()}
-	case OpRFlush:
-		if !s.NoCacheHolds(l.Loc) {
-			return nil // blocks until τ drains every copy
-		}
-		return []*State{s.Clone()}
-	case OpRFlushRange:
-		// The ranged flush generalizes RFlush to n consecutive locations:
-		// it blocks until every copy of every line in [Loc, Loc+N) has
-		// drained to its owner's memory. Like the per-line flushes, it is
-		// variant-independent: Base, PSN and LWB differ in how copies come
-		// to exist (loads, poisoning), not in how they drain.
-		if l.N < 1 {
-			return nil
-		}
-		if !s.NoCacheHoldsRange(l.Loc, l.N) {
-			return nil // blocks until τ drains every copy of every line
-		}
-		return []*State{s.Clone()}
-	case OpGPF:
-		if !s.CachesEmpty() {
-			return nil // blocks until all caches drain entirely
-		}
-		return []*State{s.Clone()}
-	case OpLRMW, OpRRMW, OpMRMW:
-		return applyRMW(s, l)
-	case OpCrash:
-		return []*State{Crash(s, l.M, v)}
-	default:
-		panic(fmt.Sprintf("core: Apply: unknown op %v", l.Op))
-	}
-}
-
-func applyLoad(s *State, l Label, v Variant) []*State {
-	switch v {
-	case LWB:
-		// LOAD-from-C(LWB): only the issuer's own cache can serve the load,
-		// and doing so does not change the state.
-		if own := s.Cache(l.M, l.Loc); own != Bot {
-			if own != l.Val {
-				return nil
-			}
-			return []*State{s.Clone()}
-		}
-		// Otherwise LOAD-from-M: requires every cache to have drained.
-		if !s.NoCacheHolds(l.Loc) {
-			return nil
-		}
-		if s.mem[l.Loc] != l.Val {
-			return nil
-		}
-		return []*State{s.Clone()}
-	default: // Base and PSN share the load rules.
-		if cv, ok := s.CachedValue(l.Loc); ok {
-			// LOAD-from-C: read the (unique) valid copy and replicate it
-			// into the issuer's cache.
-			if cv != l.Val {
-				return nil
-			}
-			n := s.Clone()
-			n.setCache(l.M, l.Loc, cv)
-			return []*State{n}
-		}
-		// LOAD-from-M.
-		if s.mem[l.Loc] != l.Val {
-			return nil
-		}
-		return []*State{s.Clone()}
-	}
-}
-
-// applyRMW implements the six RMW rules: the read half observes the unique
-// cached copy, or memory when no cache holds the line; the write half
-// behaves like the corresponding store. A failed RMW (current value ≠ Old)
-// is not a transition here — the paper equates it with a plain read, which
-// callers express as OpLoad.
-func applyRMW(s *State, l Label) []*State {
-	cur, cached := s.CachedValue(l.Loc)
-	if !cached {
-		cur = s.mem[l.Loc]
-	}
-	if cur != l.Old {
+	if !enabled(s, l, v) {
 		return nil
 	}
-	var storeOp Op
-	switch l.Op {
-	case OpLRMW:
-		storeOp = OpLStore
-	case OpRRMW:
-		storeOp = OpRStore
-	case OpMRMW:
-		storeOp = OpMStore
-	default:
-		return nil // not an RMW label: no store half, no successor state
-	}
-	return Apply(s, Label{Op: storeOp, M: l.M, Loc: l.Loc, Val: l.New}, Base)
+	n := s.Clone()
+	ApplyInPlace(n, l, v)
+	return []*State{n}
 }
 
-// Crash returns the state after machine m crashes under variant v: C_m is
-// wiped; M_m resets to zero iff volatile. Under PSN, every other cache
-// additionally poisons (invalidates) all m-owned lines.
+// Crash returns the state after machine m crashes under variant v: a clone
+// of s stepped by CrashInPlace.
 func Crash(s *State, m MachineID, v Variant) *State {
 	n := s.Clone()
-	for l := range n.mem {
-		n.setCache(m, LocID(l), Bot)
-	}
-	s.topo.OwnerRuns(0, LocID(len(n.mem)), func(owner MachineID, lo, hi LocID) {
-		if owner != m {
-			return
-		}
-		if s.topo.Mem(m) == Volatile {
-			clear(n.mem[lo:hi])
-		}
-		if v == PSN {
-			for j := range n.rows {
-				for l := lo; l < hi; l++ {
-					n.setCache(MachineID(j), l, Bot)
-				}
-			}
-		}
-	})
+	CrashInPlace(n, m, v)
 	return n
 }
 
@@ -245,23 +114,11 @@ func TauSteps(s *State) []TauStep {
 	return steps
 }
 
-// ApplyTau performs one silent propagation step, which must be enabled.
+// ApplyTau performs one silent propagation step, which must be enabled: a
+// clone of s stepped by ApplyTauInPlace.
 func ApplyTau(s *State, t TauStep) *State {
-	v := s.Cache(t.From, t.Loc)
-	if v == Bot {
-		panic("core: ApplyTau: step not enabled")
-	}
 	n := s.Clone()
-	if t.ToMemory {
-		if s.topo.Owner(t.Loc) != t.From {
-			panic("core: ApplyTau: vertical propagation from non-owner")
-		}
-		n.invalidate(t.Loc)
-		n.mem[t.Loc] = v
-	} else {
-		n.setCache(t.From, t.Loc, Bot)
-		n.setCache(s.topo.Owner(t.Loc), t.Loc, v)
-	}
+	ApplyTauInPlace(n, t)
 	return n
 }
 
