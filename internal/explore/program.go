@@ -201,9 +201,7 @@ func Explore(t *core.Topology, v core.Variant, p Program) []Outcome {
 			if c.dead[i] || c.pc[i] >= len(p.Threads[i].Instrs) {
 				continue
 			}
-			for _, n := range stepThread(p, c, i, v) {
-				stack = append(stack, n)
-			}
+			stack = append(stack, stepThread(p, c, i, v)...)
 		}
 		// τ propagation.
 		for _, ts := range core.TauSteps(c.st) {
@@ -255,96 +253,52 @@ func (o Operand) eval(regs []core.Val) core.Val {
 	return o.Const
 }
 
-// loadValue returns the value a load by machine m of loc observes in st
-// under variant v, or false when the load is blocked (LWB with the line in
-// a peer's cache only).
-func loadValue(st *core.State, m core.MachineID, loc core.LocID, v core.Variant) (core.Val, bool) {
-	if v == core.LWB {
-		if own := st.Cache(m, loc); own != core.Bot {
-			return own, true
-		}
-		if !st.NoCacheHolds(loc) {
-			return 0, false
-		}
-		return st.Mem(loc), true
-	}
-	return st.Readable(loc), true
-}
-
+// stepThread returns the configurations thread i's next instruction leads
+// to from c under variant v — none while the instruction is blocked. The
+// instruction is resolved to a label against c's state (what a load
+// observes, whether a CAS compares equal) and the label applied under v.
 func stepThread(p Program, c *progConfig, i int, v core.Variant) []*progConfig {
-	ins := p.Threads[i].Instrs[c.pc[i]]
-	advance := func(st *core.State, set func(regs []core.Val)) *progConfig {
-		n := c.clone()
-		n.st = st
-		n.pc[i]++
-		if set != nil {
-			set(n.regs[i])
+	ins, m := p.Threads[i].Instrs[c.pc[i]], p.Threads[i].Machine
+	// step applies l; in each successor the thread has advanced and, when a
+	// result is given, holds it in ins.Dst.
+	step := func(l core.Label, result ...core.Val) []*progConfig {
+		var out []*progConfig
+		for _, st := range core.Apply(c.st, l, v) {
+			n := c.clone()
+			n.st = st
+			n.pc[i]++
+			for _, val := range result {
+				n.regs[i][ins.Dst] = val
+			}
+			out = append(out, n)
 		}
-		return n
+		return out
 	}
 
 	switch ins.Kind {
-	case ILoad:
-		val, ok := loadValue(c.st, p.Threads[i].Machine, ins.Loc, v)
+	case ILoad, ICAS:
+		if ins.Kind == ICAS && c.st.Readable(ins.Loc) == ins.Old {
+			return step(core.RMWL(ins.Op, m, ins.Loc, ins.Old, ins.New), 1)
+		}
+		// A load, or a CAS that fails — a plain read (§3.3): the variant's
+		// load, blocked under LWB while only a peer caches the line.
+		val, ok := c.st.Observed(m, ins.Loc, v)
 		if !ok {
 			return nil
 		}
-		next := core.Apply(c.st, core.LoadL(p.Threads[i].Machine, ins.Loc, val), v)
-		var out []*progConfig
-		for _, st := range next {
-			out = append(out, advance(st, func(r []core.Val) { r[ins.Dst] = val }))
+		if ins.Kind == ICAS {
+			return step(core.LoadL(m, ins.Loc, val), 0)
 		}
-		return out
+		return step(core.LoadL(m, ins.Loc, val), val)
 	case IStore:
-		val := ins.Src.eval(c.regs[i])
-		lbl := core.Label{Op: ins.Op, M: p.Threads[i].Machine, Loc: ins.Loc, Val: val}
-		var out []*progConfig
-		for _, st := range core.Apply(c.st, lbl, v) {
-			out = append(out, advance(st, nil))
-		}
-		return out
+		return step(core.Label{Op: ins.Op, M: m, Loc: ins.Loc, Val: ins.Src.eval(c.regs[i])})
 	case IFlush:
-		lbl := core.Label{Op: ins.Op, M: p.Threads[i].Machine, Loc: ins.Loc}
-		var out []*progConfig
-		for _, st := range core.Apply(c.st, lbl, v) {
-			out = append(out, advance(st, nil))
-		}
-		return out
+		return step(core.Label{Op: ins.Op, M: m, Loc: ins.Loc})
 	case IGPF:
-		var out []*progConfig
-		for _, st := range core.Apply(c.st, core.GPFL(p.Threads[i].Machine), v) {
-			out = append(out, advance(st, nil))
-		}
-		return out
-	case ICAS:
-		cur := c.st.Readable(ins.Loc)
-		if cur == ins.Old {
-			lbl := core.RMWL(ins.Op, p.Threads[i].Machine, ins.Loc, ins.Old, ins.New)
-			var out []*progConfig
-			for _, st := range core.Apply(c.st, lbl, core.Base) {
-				out = append(out, advance(st, func(r []core.Val) { r[ins.Dst] = 1 }))
-			}
-			return out
-		}
-		// Failed CAS acts as a plain read: it pulls the line like a load of
-		// the variant explored, and under LWB blocks like one while only a
-		// peer caches the line — the value it then reads from memory is cur.
-		if _, ok := loadValue(c.st, p.Threads[i].Machine, ins.Loc, v); !ok {
-			return nil
-		}
-		var out []*progConfig
-		for _, st := range core.Apply(c.st, core.LoadL(p.Threads[i].Machine, ins.Loc, cur), v) {
-			out = append(out, advance(st, func(r []core.Val) { r[ins.Dst] = 0 }))
-		}
-		return out
+		return step(core.GPFL(m))
 	case IFAA:
 		cur := c.st.Readable(ins.Loc)
-		lbl := core.RMWL(ins.Op, p.Threads[i].Machine, ins.Loc, cur, cur+ins.Delta)
-		var out []*progConfig
-		for _, st := range core.Apply(c.st, lbl, core.Base) {
-			out = append(out, advance(st, func(r []core.Val) { r[ins.Dst] = cur }))
-		}
-		return out
+		return step(core.RMWL(ins.Op, m, ins.Loc, cur, cur+ins.Delta), cur)
 	}
 	panic(fmt.Sprintf("explore: unknown instruction kind %d", ins.Kind))
 }
