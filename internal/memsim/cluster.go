@@ -5,17 +5,24 @@
 //
 // Every primitive takes the cluster's global lock and applies the
 // corresponding CXL0 transition from package core, so the set of traces the
-// runtime can produce is exactly the set the LTS allows. Nondeterministic
-// cache eviction (the τ steps) is injected probabilistically after
-// operations and on demand via Churn: one seeded draw k below
-// core.State.TauStepCount picks step k of core.TauSteps' (machine, loc)
-// order, which core.State.TauStepAt returns from the state's occupancy
-// index, so an eviction costs the host the same whatever the size of the
-// state. GPF and Crash likewise visit only the lines some cache holds.
-// Crashes and recoveries are injected through Crash and Recover. A
-// simulated clock charges each primitive the latency model's cost,
-// enabling performance comparisons between persistence strategies that
-// wall-clock time on a single host cannot expose.
+// runtime can produce is exactly the set the LTS allows. A primitive on one
+// line takes one path: Thread.beginLocked (alive, the line's owner resolved
+// once, reachable), the primitive resolved to a label against the live
+// state (core.State.Observed for what a load — or a failed CAS — reads),
+// then Cluster.stepLocked, the only caller of core.ApplyInPlace: the state
+// steps, the clean-copy overlay follows the label through one table
+// (followLocked), the cost is charged and the eviction clock ticks.
+//
+// Nondeterministic cache eviction (the τ steps) is injected
+// probabilistically after operations and on demand via Churn: one seeded
+// draw k below core.State.TauStepCount picks step k of core.TauSteps'
+// (machine, loc) order, which core.State.TauStepAt returns from the state's
+// occupancy index, so an eviction costs the host the same whatever the size
+// of the state. GPF and Crash likewise visit only the lines some cache
+// holds. Crashes and recoveries are injected through Crash and Recover. A
+// simulated clock charges each primitive the latency model's cost, enabling
+// performance comparisons between persistence strategies that wall-clock
+// time on a single host cannot expose.
 //
 // A cluster's footprint follows its locations and what is cached, not
 // machines × locations: the state keeps a cache row as pages of 64 cells
@@ -111,13 +118,15 @@ type Cluster struct {
 	// behaviour, so LOAD-from-M leaves C unchanged), but they matter for
 	// cost: real hardware serves repeated reads of a clean line from
 	// cache. This overlay exists purely for latency accounting and never
-	// influences semantics. Each machine's set is the bitset type the
-	// state's occupancy index is made of, so warming, cooling and asking
-	// are bit operations and a crash clears a row.
+	// influences semantics: it follows the state, one row of followLocked
+	// per label and applyTauLocked for a τ step, and nothing else writes
+	// it (TestSeams). Each machine's set is the bitset type the state's
+	// occupancy index is made of, so warming, cooling and asking are bit
+	// operations and a crash clears a row.
 	hot []core.LineSet
 
-	// flushLines is chargeRangedFlushLocked's scratch: lines of the range
-	// being flushed, per owning machine.
+	// flushLines is chargeLocked's scratch: lines of the range being
+	// flushed, per owning machine.
 	flushLines []int
 }
 
@@ -193,16 +202,7 @@ func (c *Cluster) Crash(m core.MachineID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	core.CrashInPlace(c.st, m, c.cfg.Variant)
-	c.hot[m].Clear()
-	if c.cfg.Variant == core.PSN {
-		c.topo.OwnerRuns(0, core.LocID(c.topo.NumLocs()), func(owner core.MachineID, lo, hi core.LocID) {
-			if owner == m {
-				for j := range c.hot {
-					c.hot[j].RemoveRange(lo, hi)
-				}
-			}
-		})
-	}
+	c.followLocked(core.CrashL(m), m)
 	c.epoch[m]++
 	c.alive[m] = false
 	c.bumpStampLocked()
@@ -273,11 +273,11 @@ func (c *Cluster) DegradeFactor(m core.MachineID) float64 {
 	return c.degrade[m]
 }
 
-// reachableLocked checks that a thread on issuer can operate on location
-// x: always, when issuer owns x (a partitioned machine keeps serving its
-// own island); otherwise both ends must be connected to the fabric.
-func (c *Cluster) reachableLocked(issuer core.MachineID, x core.LocID) error {
-	owner := c.topo.Owner(x)
+// reachableLocked checks that a thread on issuer can operate on a line of
+// owner's: always, when issuer is the owner (a partitioned machine keeps
+// serving its own island); otherwise both ends must be connected to the
+// fabric.
+func (c *Cluster) reachableLocked(issuer, owner core.MachineID) error {
 	if owner == issuer {
 		return nil
 	}
@@ -336,36 +336,87 @@ func (c *Cluster) evictOnceLocked() {
 	c.applyTauLocked(c.st.TauStepAt(c.rng.Intn(n)))
 }
 
+// stepLocked performs the labeled step l, which must be enabled — the
+// thread resolved it against the live state, draining first what a flush
+// or an LWB load waits for. It is the runtime's only call of
+// core.ApplyInPlace: the state steps, the overlay follows, the cost is
+// charged and the eviction clock ticks. owner owns l.Loc (for the labels
+// of one line; a GPF or a ranged flush passes its issuer); cached says the
+// issuer held a copy of the line, semantic or clean, before the primitive
+// began.
+func (c *Cluster) stepLocked(l core.Label, owner core.MachineID, cached bool) {
+	if !core.ApplyInPlace(c.st, l, c.cfg.Variant) {
+		panic(fmt.Sprintf("memsim: %v not enabled in %v", l, c.st))
+	}
+	c.followLocked(l, owner)
+	c.chargeLocked(l, owner, cached)
+	if l.Op != core.OpGPF { // a global flush leaves nothing to evict
+		c.maybeEvictLocked()
+	}
+}
+
+// followLocked moves the clean-copy overlay the way label l, on a line of
+// owner's, moved the state. It is the one table of what each label does to
+// the overlay (applyTauLocked is the row of the unlabeled τ step): a new op
+// must decide its row here.
+func (c *Cluster) followLocked(l core.Label, owner core.MachineID) {
+	x := l.Loc
+	switch l.Op {
+	case core.OpLoad:
+		c.hot[l.M].Add(x) // the reader now holds a (possibly clean) copy
+	case core.OpLStore, core.OpLRMW:
+		// The store, or the store half, leaves the only copy in the
+		// issuer's cache…
+		c.coolLocked(x)
+		c.hot[l.M].Add(x)
+	case core.OpRStore, core.OpRRMW:
+		// …in the owner's…
+		c.coolLocked(x)
+		c.hot[owner].Add(x)
+	case core.OpMStore, core.OpMRMW, core.OpRFlush:
+		// …or in no cache at all, as a flush of every copy does.
+		c.coolLocked(x)
+	case core.OpLFlush:
+		c.hot[l.M].Remove(x)
+	case core.OpRFlushRange:
+		for i := 0; i < l.N; i++ {
+			c.coolLocked(x + core.LocID(i))
+		}
+	case core.OpGPF:
+		// Each line that drained was cooled by its τ step; clean copies of
+		// the other lines stay.
+	case core.OpCrash:
+		// The crashed machine's copies go and, under PSN, every copy of a
+		// line it owns.
+		c.hot[l.M].Clear()
+		if c.cfg.Variant == core.PSN {
+			c.topo.OwnerRuns(0, core.LocID(c.topo.NumLocs()), func(m core.MachineID, lo, hi core.LocID) {
+				if m == l.M {
+					for j := range c.hot {
+						c.hot[j].RemoveRange(lo, hi)
+					}
+				}
+			})
+		}
+	}
+}
+
 // applyTauLocked performs one propagation step and maintains the hot-line
 // overlay: horizontal propagation removes the source's copy; vertical
 // propagation (writeback) invalidates the line everywhere.
 func (c *Cluster) applyTauLocked(ts core.TauStep) {
 	core.ApplyTauInPlace(c.st, ts)
 	if ts.ToMemory {
-		c.coolAllLocked(ts.Loc)
+		c.coolLocked(ts.Loc)
 	} else {
 		c.hot[ts.From].Remove(ts.Loc)
 		c.hot[c.topo.Owner(ts.Loc)].Add(ts.Loc)
 	}
 }
 
-// warmLocked records that machine m now holds a (possibly clean) copy of x.
-func (c *Cluster) warmLocked(m core.MachineID, x core.LocID) {
-	c.hot[m].Add(x)
-}
-
-// coolExceptLocked invalidates x in every machine's performance cache but
-// m's (a store by m gained exclusive ownership).
-func (c *Cluster) coolExceptLocked(m core.MachineID, x core.LocID) {
-	for j := range c.hot {
-		if core.MachineID(j) != m {
-			c.hot[j].Remove(x)
-		}
-	}
-}
-
-// coolAllLocked invalidates x everywhere (writeback, MStore, flush).
-func (c *Cluster) coolAllLocked(x core.LocID) {
+// coolLocked invalidates x in every machine's performance cache
+// (writeback, a store, a flush of every copy).
+func (c *Cluster) coolLocked(x core.LocID) {
 	for j := range c.hot {
 		c.hot[j].Remove(x)
 	}
@@ -407,57 +458,50 @@ func (c *Cluster) NowNS() float64 {
 	return c.clockNS
 }
 
-// chargeLocked charges one primitive touching a line of device dev. A
-// degraded device multiplies the modeled cost: the operation still
-// succeeds, it just pays a realistic penalty for the slow medium.
-func (c *Cluster) chargeLocked(op core.Op, dev core.MachineID, local, cached bool) {
-	c.opStats[op]++
-	if c.cfg.Latency != nil {
-		c.clockNS += c.cfg.Latency.CXL0CostCached(op, local, cached) * c.degrade[dev]
-	}
-}
-
-// chargeGPFLocked charges one global persistent flush. The drain completes
-// only when the slowest participating device has written back, so the cost
-// scales with the maximum degradation factor across the cluster —
-// a single slow device gates every fabric-wide flush.
-func (c *Cluster) chargeGPFLocked() {
-	c.opStats[core.OpGPF]++
-	if c.cfg.Latency == nil {
+// chargeLocked counts the primitive l and charges its modeled cost. A
+// primitive on one line is charged to dev, the line's owner; a degraded
+// device multiplies the cost: the operation still succeeds, it just pays a
+// realistic penalty for the slow medium.
+func (c *Cluster) chargeLocked(l core.Label, dev core.MachineID, cached bool) {
+	c.opStats[l.Op]++
+	lat := c.cfg.Latency
+	if lat == nil {
 		return
 	}
-	worst := 1.0
-	for _, f := range c.degrade {
-		if f > worst {
-			worst = f
+	switch l.Op {
+	case core.OpGPF:
+		// The drain completes only when the slowest participating device
+		// has written back, so the cost scales with the maximum degradation
+		// factor across the cluster — a single slow device gates every
+		// fabric-wide flush.
+		worst := 1.0
+		for _, f := range c.degrade {
+			if f > worst {
+				worst = f
+			}
 		}
-	}
-	c.clockNS += c.cfg.Latency.CXL0CostCached(core.OpGPF, false, false) * worst
-}
-
-// chargeRangedFlushLocked charges one ranged persistent flush issued by
-// issuer over [base, base+n). Unlike GPF — whose drain involves every cache
-// in the fabric — the cost is per owning device: each device covering part
-// of the range pays one flush command plus its share of per-line media
-// writes, so the total depends on the range, never on the cluster size.
-func (c *Cluster) chargeRangedFlushLocked(issuer core.MachineID, base core.LocID, n int) {
-	c.opStats[core.OpRFlushRange]++
-	if c.cfg.Latency == nil {
-		return
-	}
-	clear(c.flushLines)
-	c.topo.OwnerRuns(base, base+core.LocID(n), func(owner core.MachineID, lo, hi core.LocID) {
-		c.flushLines[owner] += int(hi - lo)
-	})
-	// Charge devices in machine order: float64 addition is not
-	// associative, so the order is part of the simulated clock's value.
-	// Each device's portion scales with its own degradation factor — a
-	// slow device slows exactly its share of the range, not the whole
-	// fabric.
-	for dev, lines := range c.flushLines {
-		if lines > 0 {
-			c.clockNS += c.cfg.Latency.RFlushRangeCost(lines, core.MachineID(dev) == issuer) * c.degrade[dev]
+		c.clockNS += lat.CXL0CostCached(core.OpGPF, false, false) * worst
+	case core.OpRFlushRange:
+		// Unlike GPF — whose drain involves every cache in the fabric — the
+		// cost is per owning device: each device covering part of the range
+		// pays one flush command plus its share of per-line media writes,
+		// so the total depends on the range, never on the cluster size.
+		clear(c.flushLines)
+		c.topo.OwnerRuns(l.Loc, l.Loc+core.LocID(l.N), func(owner core.MachineID, lo, hi core.LocID) {
+			c.flushLines[owner] += int(hi - lo)
+		})
+		// Charge devices in machine order: float64 addition is not
+		// associative, so the order is part of the simulated clock's value.
+		// Each device's portion scales with its own degradation factor — a
+		// slow device slows exactly its share of the range, not the whole
+		// fabric.
+		for m, lines := range c.flushLines {
+			if lines > 0 {
+				c.clockNS += lat.RFlushRangeCost(lines, core.MachineID(m) == l.M) * c.degrade[m]
+			}
 		}
+	default:
+		c.clockNS += lat.CXL0CostCached(l.Op, l.M == dev, cached) * c.degrade[dev]
 	}
 }
 

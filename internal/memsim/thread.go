@@ -33,30 +33,26 @@ func (t *Thread) checkAliveLocked() error {
 	return nil
 }
 
-// checkOpLocked gates one single-location primitive: the thread's machine
-// must be alive and the target line's owner reachable from it. The checks
-// run before any state mutation or cost charge, so a failed operation has
-// no effect at all — like an op rejected by a dead machine.
-func (t *Thread) checkOpLocked(x core.LocID) error {
+// beginLocked gates one single-location primitive and resolves the owner
+// of its line, once: the thread's machine must be alive and the owner
+// reachable from it. The checks run before any state mutation or cost
+// charge, so a failed operation has no effect at all — like an op rejected
+// by a dead machine. What follows resolves the primitive to a label
+// against the live state and hands it to Cluster.stepLocked.
+func (t *Thread) beginLocked(x core.LocID) (owner core.MachineID, err error) {
 	if err := t.checkAliveLocked(); err != nil {
-		return err
+		return 0, err
 	}
-	return t.c.reachableLocked(t.m, x)
+	owner = t.c.topo.Owner(x)
+	return owner, t.c.reachableLocked(t.m, owner)
 }
 
-// applyLocked performs a deterministic labeled step, which must be enabled.
-func (t *Thread) applyLocked(l core.Label) {
-	if !core.ApplyInPlace(t.c.st, l, t.c.cfg.Variant) {
-		panic(fmt.Sprintf("memsim: %v not enabled in %v", l, t.c.st))
-	}
-}
-
-// drainLocked forces propagation steps until location x is absent from the
-// caches selected by all (every cache vs. just this thread's). This is how
-// the runtime executes the paper's "blocking" flush semantics: the flush
-// waits for (here: forces) the nondeterministic propagation it depends on.
-func (t *Thread) drainLocked(x core.LocID, all bool) {
-	owner := t.c.topo.Owner(x)
+// drainLocked forces propagation steps until location x, a line of
+// owner's, is absent from the caches selected by all (every cache vs. just
+// this thread's). This is how the runtime executes the paper's "blocking"
+// semantics: the flush, or the LWB load, waits for (here: forces) the
+// nondeterministic propagation it depends on.
+func (t *Thread) drainLocked(x core.LocID, owner core.MachineID, all bool) {
 	if !all {
 		if t.c.st.Cache(t.m, x) != core.Bot {
 			t.c.applyTauLocked(core.TauStep{From: t.m, Loc: x, ToMemory: t.m == owner})
@@ -82,34 +78,26 @@ func (t *Thread) drainLocked(x core.LocID, all bool) {
 func (t *Thread) Load(x core.LocID) (core.Val, error) {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	if err := t.checkOpLocked(x); err != nil {
+	owner, err := t.beginLocked(x)
+	if err != nil {
 		return 0, err
 	}
-	return t.loadLocked(x), nil
+	return t.loadLocked(x, owner), nil
 }
 
 // loadLocked performs the variant's load of x — a Load, and a CAS whose
 // compare fails (§3.3: a failed RMW is a plain read) — and returns what it
 // observed.
-func (t *Thread) loadLocked(x core.LocID) core.Val {
+func (t *Thread) loadLocked(x core.LocID, owner core.MachineID) core.Val {
 	cached := t.c.hotLocked(t.m, x)
-	var v core.Val
-	if t.c.cfg.Variant == core.LWB {
-		// Implicit write-back: a load never reads a peer's cache; if the
-		// line is cached remotely the hardware drains it to memory first.
-		if own := t.c.st.Cache(t.m, x); own != core.Bot {
-			v = own
-		} else {
-			t.drainLocked(x, true)
-			v = t.c.st.Mem(x)
-		}
-	} else {
-		v = t.c.st.Readable(x)
+	v, ok := t.c.st.Observed(t.m, x, t.c.cfg.Variant)
+	if !ok {
+		// LWB's implicit write-back: a load never reads a peer's cache; the
+		// hardware drains the line to memory first.
+		t.drainLocked(x, owner, true)
+		v = t.c.st.Mem(x)
 	}
-	t.applyLocked(core.LoadL(t.m, x, v))
-	t.c.warmLocked(t.m, x)
-	t.c.chargeLocked(core.OpLoad, t.c.topo.Owner(x), t.Local(x), cached)
-	t.c.maybeEvictLocked()
+	t.c.stepLocked(core.LoadL(t.m, x, v), owner, cached)
 	return v
 }
 
@@ -119,27 +107,11 @@ func (t *Thread) store(op core.Op, x core.LocID, v core.Val) error {
 	}
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	if err := t.checkOpLocked(x); err != nil {
+	owner, err := t.beginLocked(x)
+	if err != nil {
 		return err
 	}
-	t.applyLocked(core.Label{Op: op, M: t.m, Loc: x, Val: v})
-	switch op {
-	case core.OpLStore:
-		t.c.warmLocked(t.m, x)
-		t.c.coolExceptLocked(t.m, x)
-	case core.OpRStore:
-		owner := t.c.topo.Owner(x)
-		t.c.warmLocked(owner, x)
-		t.c.coolExceptLocked(owner, x)
-	case core.OpMStore:
-		t.c.coolAllLocked(x)
-	default:
-		// Only the three store ops reach this path; a new op added to
-		// the instruction set must decide its hot-line overlay effect
-		// here explicitly.
-	}
-	t.c.chargeLocked(op, t.c.topo.Owner(x), t.Local(x), false)
-	t.c.maybeEvictLocked()
+	t.c.stepLocked(core.Label{Op: op, M: t.m, Loc: x, Val: v}, owner, false)
 	return nil
 }
 
@@ -154,37 +126,26 @@ func (t *Thread) RStore(x core.LocID, v core.Val) error { return t.store(core.Op
 // return.
 func (t *Thread) MStore(x core.LocID, v core.Val) error { return t.store(core.OpMStore, x, v) }
 
-// LFlush drains x from this machine's cache to the next level (the owner's
-// cache, or local memory when this machine owns x).
-func (t *Thread) LFlush(x core.LocID) error {
+// flush drains x from every cache (RFlush) or this machine's (LFlush).
+func (t *Thread) flush(op core.Op, x core.LocID) error {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	if err := t.checkOpLocked(x); err != nil {
+	owner, err := t.beginLocked(x)
+	if err != nil {
 		return err
 	}
-	t.drainLocked(x, false)
-	t.applyLocked(core.LFlushL(t.m, x))
-	t.c.hot[t.m].Remove(x)
-	t.c.chargeLocked(core.OpLFlush, t.c.topo.Owner(x), t.Local(x), false)
-	t.c.maybeEvictLocked()
+	t.drainLocked(x, owner, op == core.OpRFlush)
+	t.c.stepLocked(core.Label{Op: op, M: t.m, Loc: x}, owner, false)
 	return nil
 }
 
+// LFlush drains x from this machine's cache to the next level (the owner's
+// cache, or local memory when this machine owns x).
+func (t *Thread) LFlush(x core.LocID) error { return t.flush(core.OpLFlush, x) }
+
 // RFlush drains x from every cache into the owner's physical memory; x is
 // persistent on return.
-func (t *Thread) RFlush(x core.LocID) error {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	if err := t.checkOpLocked(x); err != nil {
-		return err
-	}
-	t.drainLocked(x, true)
-	t.applyLocked(core.RFlushL(t.m, x))
-	t.c.coolAllLocked(x)
-	t.c.chargeLocked(core.OpRFlush, t.c.topo.Owner(x), t.Local(x), false)
-	t.c.maybeEvictLocked()
-	return nil
-}
+func (t *Thread) RFlush(x core.LocID) error { return t.flush(core.OpRFlush, x) }
 
 // RFlushRange drains the n consecutive locations starting at base from
 // every cache into their owners' physical memories; the whole range is
@@ -210,20 +171,22 @@ func (t *Thread) RFlushRange(base core.LocID, n int) error {
 	// Every device owning part of the range participates in the flush, so
 	// each must be reachable; a partition anywhere in the range fails the
 	// whole primitive before anything drains.
-	for i := 0; i < n; i++ {
-		if err := t.c.reachableLocked(t.m, base+core.LocID(i)); err != nil {
-			return err
+	end := base + core.LocID(n)
+	var unreachable error
+	t.c.topo.OwnerRuns(base, end, func(owner core.MachineID, _, _ core.LocID) {
+		if unreachable == nil {
+			unreachable = t.c.reachableLocked(t.m, owner)
 		}
+	})
+	if unreachable != nil {
+		return unreachable
 	}
-	for i := 0; i < n; i++ {
-		t.drainLocked(base+core.LocID(i), true)
-	}
-	t.applyLocked(core.RFlushRangeL(t.m, base, n))
-	for i := 0; i < n; i++ {
-		t.c.coolAllLocked(base + core.LocID(i))
-	}
-	t.c.chargeRangedFlushLocked(t.m, base, n)
-	t.c.maybeEvictLocked()
+	t.c.topo.OwnerRuns(base, end, func(owner core.MachineID, lo, hi core.LocID) {
+		for x := lo; x < hi; x++ {
+			t.drainLocked(x, owner, true)
+		}
+	})
+	t.c.stepLocked(core.RFlushRangeL(t.m, base, n), t.m, false)
 	return nil
 }
 
@@ -246,28 +209,8 @@ func (t *Thread) GPF() error {
 	for t.c.st.TauStepCount() > 0 {
 		t.c.applyTauLocked(t.c.st.TauStepAt(0))
 	}
-	t.applyLocked(core.GPFL(t.m))
-	t.c.chargeGPFLocked()
+	t.c.stepLocked(core.GPFL(t.m), t.m, false)
 	return nil
-}
-
-// rmwHotLocked updates the performance-cache overlay after an RMW's store
-// half.
-func (t *Thread) rmwHotLocked(op core.Op, x core.LocID) {
-	switch op {
-	case core.OpLRMW:
-		t.c.warmLocked(t.m, x)
-		t.c.coolExceptLocked(t.m, x)
-	case core.OpRRMW:
-		owner := t.c.topo.Owner(x)
-		t.c.warmLocked(owner, x)
-		t.c.coolExceptLocked(owner, x)
-	case core.OpMRMW:
-		t.c.coolAllLocked(x)
-	default:
-		// Only the three RMW ops have a store half; a new op added to
-		// the instruction set must decide its overlay effect here.
-	}
 }
 
 // CAS atomically compares-and-swaps x from old to new using the RMW kind in
@@ -281,19 +224,16 @@ func (t *Thread) CAS(op core.Op, x core.LocID, old, new core.Val) (bool, error) 
 	}
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	if err := t.checkOpLocked(x); err != nil {
+	owner, err := t.beginLocked(x)
+	if err != nil {
 		return false, err
 	}
-	cached := t.c.hotLocked(t.m, x)
 	if t.c.st.Readable(x) != old {
 		// Failed RMW ≡ plain read (§3.3): the line is pulled like a load.
-		t.loadLocked(x)
+		t.loadLocked(x, owner)
 		return false, nil
 	}
-	t.applyLocked(core.RMWL(op, t.m, x, old, new))
-	t.rmwHotLocked(op, x)
-	t.c.chargeLocked(op, t.c.topo.Owner(x), t.Local(x), cached)
-	t.c.maybeEvictLocked()
+	t.c.stepLocked(core.RMWL(op, t.m, x, old, new), owner, t.c.hotLocked(t.m, x))
 	return true, nil
 }
 
@@ -305,17 +245,14 @@ func (t *Thread) FAA(op core.Op, x core.LocID, delta core.Val) (core.Val, error)
 	}
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	if err := t.checkOpLocked(x); err != nil {
+	owner, err := t.beginLocked(x)
+	if err != nil {
 		return 0, err
 	}
-	cached := t.c.hotLocked(t.m, x)
 	cur := t.c.st.Readable(x)
 	if cur+delta < 0 {
 		return 0, fmt.Errorf("memsim: FAA would produce negative value %d", cur+delta)
 	}
-	t.applyLocked(core.RMWL(op, t.m, x, cur, cur+delta))
-	t.rmwHotLocked(op, x)
-	t.c.chargeLocked(op, t.c.topo.Owner(x), t.Local(x), cached)
-	t.c.maybeEvictLocked()
+	t.c.stepLocked(core.RMWL(op, t.m, x, cur, cur+delta), owner, t.c.hotLocked(t.m, x))
 	return cur, nil
 }
