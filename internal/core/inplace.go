@@ -32,13 +32,22 @@ import "fmt"
 // or, once no cache holds x, from memory: while only a peer caches x it is
 // blocked until τ has written the copy back.
 func (s *State) Observed(m MachineID, x LocID, v Variant) (Val, bool) {
-	if v != LWB {
-		return s.Readable(x), true
+	val, _, ok := s.observe(m, x, v)
+	return val, ok
+}
+
+// observe is Observed, and whether the value came out of a cache.
+func (s *State) observe(m MachineID, x LocID, v Variant) (val Val, cached, ok bool) {
+	if v == LWB {
+		if own := s.Cache(m, x); own != Bot {
+			return own, true, true
+		}
+		return s.mem[x], false, s.NoCacheHolds(x)
 	}
-	if own := s.Cache(m, x); own != Bot {
-		return own, true
+	if cv, held := s.CachedValue(x); held {
+		return cv, true, true
 	}
-	return s.mem[x], s.NoCacheHolds(x)
+	return s.mem[x], false, true
 }
 
 // enabled is the premise of l's rule: whether the labeled transition l can
@@ -79,6 +88,19 @@ func enabled(s *State, l Label, v Variant) bool {
 // reports whether l was enabled (s is unchanged when not). Every labeled
 // transition is deterministic.
 func ApplyInPlace(s *State, l Label, v Variant) bool {
+	if l.Op == OpLoad {
+		// One look at the caches serves the premise and the effect:
+		// LOAD-from-C (Base, PSN) replicates the copy read into the
+		// issuer's cache; LOAD-from-M, and both LWB rules, change nothing.
+		val, cached, ok := s.observe(l.M, l.Loc, v)
+		if !ok || val != l.Val {
+			return false
+		}
+		if cached && v != LWB {
+			s.setCache(l.M, l.Loc, val)
+		}
+		return true
+	}
 	if !enabled(s, l, v) {
 		return false
 	}
@@ -87,12 +109,6 @@ func ApplyInPlace(s *State, l Label, v Variant) bool {
 		stored = l.New
 	}
 	switch l.Op {
-	case OpLoad:
-		// LOAD-from-C (Base, PSN) replicates the copy read into the
-		// issuer's cache; LOAD-from-M, and both LWB rules, change nothing.
-		if v != LWB && !s.NoCacheHolds(l.Loc) {
-			s.setCache(l.M, l.Loc, l.Val)
-		}
 	case OpLStore, OpLRMW:
 		s.invalidate(l.Loc)
 		s.setCache(l.M, l.Loc, stored)
@@ -102,8 +118,9 @@ func ApplyInPlace(s *State, l Label, v Variant) bool {
 	case OpMStore, OpMRMW:
 		s.invalidate(l.Loc)
 		s.mem[l.Loc] = stored
-	case OpLFlush, OpRFlush, OpRFlushRange, OpGPF:
-		// A flush only waits: once enabled, it changes nothing.
+	case OpLoad, OpLFlush, OpRFlush, OpRFlushRange, OpGPF:
+		// A flush only waits: once enabled, it changes nothing. (A load was
+		// stepped above.)
 	case OpCrash:
 		CrashInPlace(s, l.M, v)
 	}

@@ -267,8 +267,8 @@ func stepThread(p Program, c *progConfig, i int, v core.Variant) []*progConfig {
 			n := c.clone()
 			n.st = st
 			n.pc[i]++
-			for _, val := range result {
-				n.regs[i][ins.Dst] = val
+			if len(result) > 0 {
+				n.regs[i][ins.Dst] = result[0]
 			}
 			out = append(out, n)
 		}

@@ -365,17 +365,11 @@ func (c *Cluster) followLocked(l core.Label, owner core.MachineID) {
 	case core.OpLoad:
 		c.hot[l.M].Add(x) // the reader now holds a (possibly clean) copy
 	case core.OpLStore, core.OpLRMW:
-		// The store, or the store half, leaves the only copy in the
-		// issuer's cache…
-		c.coolLocked(x)
-		c.hot[l.M].Add(x)
+		c.onlyCopyLocked(x, l.M) // the store, or the store half, lands in the issuer's cache…
 	case core.OpRStore, core.OpRRMW:
-		// …in the owner's…
-		c.coolLocked(x)
-		c.hot[owner].Add(x)
+		c.onlyCopyLocked(x, owner) // …in the owner's…
 	case core.OpMStore, core.OpMRMW, core.OpRFlush:
-		// …or in no cache at all, as a flush of every copy does.
-		c.coolLocked(x)
+		c.coolLocked(x) // …or in memory, where a flush of every copy leaves it
 	case core.OpLFlush:
 		c.hot[l.M].Remove(x)
 	case core.OpRFlushRange:
@@ -415,11 +409,22 @@ func (c *Cluster) applyTauLocked(ts core.TauStep) {
 }
 
 // coolLocked invalidates x in every machine's performance cache
-// (writeback, a store, a flush of every copy).
+// (writeback, MStore, a flush of every copy).
 func (c *Cluster) coolLocked(x core.LocID) {
 	for j := range c.hot {
 		c.hot[j].Remove(x)
 	}
+}
+
+// onlyCopyLocked records that holder's cache is the only one left with a
+// copy of x (a store gained exclusive ownership).
+func (c *Cluster) onlyCopyLocked(x core.LocID, holder core.MachineID) {
+	for j := range c.hot {
+		if core.MachineID(j) != holder {
+			c.hot[j].Remove(x)
+		}
+	}
+	c.hot[holder].Add(x)
 }
 
 // hotLocked reports whether machine m holds a (semantic or clean) copy of

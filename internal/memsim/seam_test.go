@@ -31,7 +31,7 @@ func TestSeams(t *testing.T) {
 		{"core.ApplyTauInPlace calls", callsCore("ApplyTauInPlace"), "", map[string]int{"Cluster.applyTauLocked": 1}},
 		{"core.CrashInPlace calls", callsCore("CrashInPlace"), "", map[string]int{"Cluster.Crash": 1}},
 		{"writes of the hot overlay", writesHot, "", map[string]int{
-			"NewCluster": 0, "Cluster.followLocked": 0, "Cluster.applyTauLocked": 0, "Cluster.coolLocked": 0,
+			"NewCluster": 0, "Cluster.followLocked": 0, "Cluster.applyTauLocked": 0, "Cluster.coolLocked": 0, "Cluster.onlyCopyLocked": 0,
 		}},
 		{"topo.Owner calls in thread.go", func(n ast.Node) bool {
 			c, ok := n.(*ast.CallExpr)

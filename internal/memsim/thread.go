@@ -39,11 +39,11 @@ func (t *Thread) checkAliveLocked() error {
 // charge, so a failed operation has no effect at all — like an op rejected
 // by a dead machine. What follows resolves the primitive to a label
 // against the live state and hands it to Cluster.stepLocked.
-func (t *Thread) beginLocked(x core.LocID) (owner core.MachineID, err error) {
+func (t *Thread) beginLocked(x core.LocID) (core.MachineID, error) {
 	if err := t.checkAliveLocked(); err != nil {
 		return 0, err
 	}
-	owner = t.c.topo.Owner(x)
+	owner := t.c.topo.Owner(x)
 	return owner, t.c.reachableLocked(t.m, owner)
 }
 
