@@ -80,7 +80,8 @@ type DB interface {
 	Heal(i int)
 	// Degrade sets shard i's device latency multiplier: every operation
 	// served by the shard's memory charges factor× the modeled cost
-	// (factor 1 restores full speed; values below 1 clamp to 1).
+	// (factor 1 restores full speed; anything but a finite number >= 1
+	// reads as 1).
 	// Degradation is pure cost — results and durability are unaffected.
 	Degrade(i int, factor float64)
 	// Health reports each shard's fault state in global shard order.

@@ -979,18 +979,16 @@ func (s *Store) Heal(i int) {
 
 // Degrade sets shard i's device latency multiplier: every operation
 // served by the shard's memory charges factor× the modeled cost (factor
-// 1 restores full speed; below 1 clamps to 1). Pure cost, no semantic
-// effect — the shard keeps serving, just slower, and its busy time grows
-// accordingly.
+// 1 restores full speed; anything but a finite number >= 1 reads as 1).
+// Pure cost, no semantic effect — the shard keeps serving, just slower,
+// and its busy time grows accordingly.
 func (s *Store) Degrade(i int, factor float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sh := s.shards[i]
 	s.cluster.Degrade(sh.machine, factor)
-	if factor < 1 {
-		factor = 1
-	}
-	s.rec.Degrade(i, factor, s.cluster.NowNS())
+	// The event carries the factor the device took, not the one asked for.
+	s.rec.Degrade(i, s.cluster.DegradeFactor(sh.machine), s.cluster.NowNS())
 }
 
 // Health reports each shard's fault state in shard order.

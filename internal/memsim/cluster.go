@@ -37,6 +37,7 @@ package memsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -97,7 +98,7 @@ type Cluster struct {
 	epoch []uint64
 	// unreach marks machines cut off by a fabric partition: healthy but
 	// unreachable from every other machine (see ErrUnreachable). degrade
-	// holds per-machine latency multipliers (values < 1 read as 1): a
+	// holds per-machine latency multipliers (finite and >= 1, see Degrade): a
 	// degraded device charges factor× the modeled cost for every operation
 	// its memory serves, without any semantic effect.
 	unreach []bool
@@ -253,13 +254,15 @@ func (c *Cluster) Partitioned(m core.MachineID) bool {
 }
 
 // Degrade sets machine m's device latency multiplier: every operation
-// served by m's memory charges factor× the modeled cost. Factors below 1
-// are clamped to 1 (Degrade(m, 1) restores full speed). Degradation is
-// pure cost — it never changes what any operation returns or persists.
+// served by m's memory charges factor× the modeled cost. A factor that is
+// not a finite number >= 1 — below 1, NaN, ±Inf — reads as 1 (Degrade(m, 1)
+// restores full speed): the factor multiplies into the clock, and a clock
+// that went NaN or infinite would stay so. Degradation is pure cost — it
+// never changes what any operation returns or persists.
 func (c *Cluster) Degrade(m core.MachineID, factor float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if factor < 1 {
+	if !(factor >= 1) || math.IsInf(factor, 1) {
 		factor = 1
 	}
 	c.degrade[m] = factor

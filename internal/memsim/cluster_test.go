@@ -320,6 +320,41 @@ func TestSimulatedClockChargesRemotePremium(t *testing.T) {
 	}
 }
 
+// TestDegradeRejectsNonFiniteFactor: a factor that is not a finite number
+// >= 1 reads as 1. NaN passed the old `factor < 1` clamp and the first
+// primitive the device served made the clock NaN for good.
+func TestDegradeRejectsNonFiniteFactor(t *testing.T) {
+	c := NewCluster([]MachineConfig{
+		{Name: "m1", Mem: core.NonVolatile, Heap: 8},
+		{Name: "m2", Mem: core.NonVolatile, Heap: 8},
+	}, Config{Latency: latency.NewModel()})
+	th, _ := c.NewThread(0)
+	remote, _ := c.Alloc(1, 1)
+	mstore := func() float64 {
+		t.Helper()
+		start := c.NowNS()
+		if err := th.MStore(remote, 1); err != nil {
+			t.Fatal(err)
+		}
+		return c.NowNS() - start
+	}
+	undegraded := mstore()
+	for _, tc := range []struct{ factor, want float64 }{
+		{math.NaN(), 1}, {math.Inf(1), 1}, {math.Inf(-1), 1}, {-3, 1}, {0.5, 1}, {8, 8},
+	} {
+		c.Degrade(1, tc.factor)
+		if got := c.DegradeFactor(1); got != tc.want {
+			t.Errorf("Degrade(1, %v): DegradeFactor = %v, want %v", tc.factor, got, tc.want)
+		}
+		if cost := mstore(); cost != undegraded*tc.want {
+			t.Errorf("Degrade(1, %v): an MStore cost %v, want %v x the undegraded %v", tc.factor, cost, tc.want, undegraded)
+		}
+		if now := c.NowNS(); math.IsNaN(now) || math.IsInf(now, 0) {
+			t.Fatalf("Degrade(1, %v) left the clock at %v", tc.factor, now)
+		}
+	}
+}
+
 func TestLWBRuntimeLoadDrains(t *testing.T) {
 	c := NewCluster([]MachineConfig{
 		{Name: "m1", Mem: core.NonVolatile, Heap: 4},
