@@ -278,14 +278,24 @@ func BenchmarkKVWorkloadE(b *testing.B) {
 }
 
 // BenchmarkKVScanLimit tracks the host cost of a limit-16 scan at two
-// shard sizes. A shard's range walk is ordered and stops at the limit, so
-// ns/op must not follow keys-per-shard; every scan must come back full.
+// shard sizes and two shard counts. A scan merges the shards' ordered runs
+// and stops at the limit, so ns/op must follow neither keys-per-shard nor,
+// beyond one seek per shard, the shard count; every scan must come back
+// full.
 func BenchmarkKVScanLimit(b *testing.B) {
-	const shards, limit = 2, 16
-	for _, perShard := range []int{1 << 10, 1 << 16} {
-		b.Run(fmt.Sprintf("keys-per-shard=%d", perShard), func(b *testing.B) {
-			keys := shards * perShard
-			st, err := kv.Open(kv.Config{Shards: shards, Capacity: 2 * perShard, Strategy: kv.MStoreEach, Seed: 1})
+	const limit = 16
+	for _, shape := range []struct {
+		name         string
+		shards, keys int
+	}{
+		{"keys-per-shard=1024", 2, 2 << 10},
+		{"keys-per-shard=65536", 2, 2 << 16},
+		{"shards=12", 12, 4096},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			keys := shape.keys
+			// Keys hash to shards, so a shard's share is only near keys/shards.
+			st, err := kv.Open(kv.Config{Shards: shape.shards, Capacity: 2 * keys / shape.shards, Strategy: kv.MStoreEach, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -135,7 +135,7 @@ func (s *Store) prefetchLocked(keys []core.Val) {
 			continue
 		}
 		s.cache.fillLocked(k, sh.mirrorVal(slot), true)
-		s.rec.SpeculativeFill(sh.id, s.obsNow())
+		s.rec.SpeculativeFill(sh.id, s.cluster.NowNS())
 	}
 }
 

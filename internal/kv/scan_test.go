@@ -27,7 +27,7 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 		return nil, ErrFrontDown
 	}
 	s.ctr.Scans++
-	sstart := s.obsNow()
+	sstart := s.cluster.NowNS()
 	type cand struct {
 		key  core.Val
 		slot int
@@ -96,7 +96,7 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 		s.prefetchLocked(ahead)
 	}
 	s.ctr.ScannedPairs += uint64(len(out))
-	s.rec.OpSpan(obs.OpScan, -1, sstart, s.obsNow(), len(out), 0, false)
+	s.rec.OpSpan(obs.OpScan, -1, sstart, s.cluster.NowNS(), len(out), 0, false)
 	if missing > 0 {
 		return out, &PartialResultError{Op: "scan", Unavailable: shardList(unavailable), Missing: missing}
 	}
@@ -213,6 +213,31 @@ func TestScanMatchesReference(t *testing.T) {
 						overShadow, overDeleted)
 				}
 			})
+		}
+	}
+}
+
+// TestScanAllocations pins what a healthy limited scan allocates: the
+// result slice, and nothing per shard or per candidate — a count, which
+// host noise cannot move.
+func TestScanAllocations(t *testing.T) {
+	for _, shards := range []int{2, 12} {
+		st := openTest(t, Config{Shards: shards, Capacity: 512, Strategy: StoreFlush, Seed: 5})
+		for k := core.Val(0); k < 400; k++ {
+			if _, err := st.Put(k, k+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo := core.Val(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			pairs, err := st.Scan(lo, math.MaxInt64, 16)
+			if err != nil || len(pairs) != 16 || pairs[0].Key != lo || pairs[15].Key != lo+15 {
+				t.Fatalf("Scan(%d, max, 16) = %v, %v", lo, pairs, err)
+			}
+			lo = (lo + 7) % 300
+		})
+		if allocs != 1 {
+			t.Errorf("%d shards: a limit-16 Scan allocates %v objects, want 1 (the result)", shards, allocs)
 		}
 	}
 }

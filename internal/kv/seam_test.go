@@ -40,13 +40,24 @@ var seams = []seam{
 		fix:   "dispatch through the persister (persist.go)",
 	},
 	{
-		// keys is the tip index's ordered key set.
+		// keys is the tip index's ordered key set. The range cursor
+		// (view.seek, cursor.advance) walks it through the gate and the
+		// shadow, and lives in view.go with them.
 		name: "the tip index, the watermark shadow and the slot encoding's base",
 		site: func(n ast.Node) bool {
 			return selects(n, "index") || selects(n, "keys") || selects(n, "shadow") || selects(n, "logCap")
 		},
 		files: []string{"view.go"},
 		fix:   "go through a view method (view.go)",
+	},
+	{
+		// One range read: a seek per shard, the walk of a partitioned
+		// shard's whole run, the merge's step.
+		name:  "the view's range cursor",
+		site:  func(n ast.Node) bool { return calls(n, "seek") != nil || calls(n, "advance") != nil },
+		files: []string{"view.go"},
+		funcs: []string{"Store.Scan", "Store.Scan", "Store.Scan"},
+		fix:   "range reads are Store.Scan's merge over the shards' cursors",
 	},
 	{
 		name:  "the view's per-key write step",

@@ -40,7 +40,10 @@ func (r rec) chk(slot int, epoch uint64) core.Val {
 // region and a two-slot snapshot-epoch record on one machine, plus the
 // volatile view of what reads of them are served (view.go).
 type shard struct {
-	view    view
+	view view
+	// scan is the shard's run in Store.Scan's merge: a cursor over view,
+	// kept here so a scan allocates nothing per shard. Dead outside Scan.
+	scan    cursor
 	id      int
 	machine core.MachineID
 	base    core.LocID

@@ -1,9 +1,7 @@
 package kv
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 
 	"cxl0/internal/core"
@@ -104,8 +102,8 @@ type Store struct {
 	// for everything the store does. Instrumentation reads the simulated
 	// clock but never advances it and never touches the fabric's RNG, so
 	// an observed run is bit-identical on the simulated timeline to an
-	// unobserved one; with rec nil the hot path pays pointer checks only
-	// (obsNow and the nil recorder's no-op methods).
+	// unobserved one; with rec nil the hot path pays the nil recorder's
+	// no-op methods and lock-free clock reads.
 	// obsCommitAcked counts the client acks carried on emitted commit
 	// events, so op spans can report exactly the acks not already
 	// attributed to a commit event (the ack-agreement invariant).
@@ -217,17 +215,6 @@ func (s *Store) Observe(rec *obs.Recorder) {
 
 // NowNS returns the cluster's simulated clock.
 func (s *Store) NowNS() float64 { return s.cluster.NowNS() }
-
-// obsNow is the simulated clock as an observability timestamp: read only
-// while a recorder is attached (the read takes the cluster's lock), so
-// the unobserved hot path pays one pointer check and hands the nil
-// recorder's no-op methods a zero they ignore.
-func (s *Store) obsNow() float64 {
-	if s.rec == nil {
-		return 0
-	}
-	return s.cluster.NowNS()
-}
 
 // NumShards returns the shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
@@ -567,10 +554,10 @@ func (s *Store) writeOp(op obs.Op, key, val core.Val) (Ack, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sh := s.shards[s.shardOf(key)]
-	start := s.obsNow()
+	start := s.cluster.NowNS()
 	ackedW, commitW := s.ctr.Acked, s.obsCommitAcked
 	ack, err := s.append(sh, key, val)
-	s.rec.OpSpan(op, sh.id, start, s.obsNow(),
+	s.rec.OpSpan(op, sh.id, start, s.cluster.NowNS(),
 		1, s.spanAcked(ackedW, commitW), ack.Durable)
 	return ack, err
 }
@@ -606,13 +593,13 @@ func (s *Store) Get(key core.Val) (core.Val, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	shard := s.shardOf(key)
-	start := s.obsNow()
+	start := s.cluster.NowNS()
 	v, ok, err := s.getLocked(key)
 	n := 0
 	if ok {
 		n = 1
 	}
-	s.rec.OpSpan(obs.OpGet, shard, start, s.obsNow(), n, 0, false)
+	s.rec.OpSpan(obs.OpGet, shard, start, s.cluster.NowNS(), n, 0, false)
 	return v, ok, err
 }
 
@@ -656,7 +643,7 @@ func (s *Store) getLocked(key core.Val) (core.Val, bool, error) {
 func (s *Store) readValue(sh *shard, key core.Val, slot int) (core.Val, error) {
 	if s.cache != nil {
 		if v, hit := s.cache.lookupLocked(key); hit {
-			s.rec.CacheHit(sh.id, s.obsNow())
+			s.rec.CacheHit(sh.id, s.cluster.NowNS())
 			return v, nil
 		}
 	}
@@ -697,7 +684,7 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 	}
 	// Served-only counting, like getLocked: a denied MultiGet never ran.
 	s.ctr.MultiGets++
-	start := s.obsNow()
+	start := s.cluster.NowNS()
 	out := make([]Lookup, 0, len(keys))
 	var unavailable []bool
 	missing := 0
@@ -716,7 +703,7 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 		}
 		out = append(out, Lookup{Key: k, Val: v, Found: ok})
 	}
-	s.rec.OpSpan(obs.OpMultiGet, -1, start, s.obsNow(), len(out)-missing, 0, false)
+	s.rec.OpSpan(obs.OpMultiGet, -1, start, s.cluster.NowNS(), len(out)-missing, 0, false)
 	if missing > 0 {
 		return out, &PartialResultError{Op: "multiget", Unavailable: shardList(unavailable), Missing: missing}
 	}
@@ -766,10 +753,10 @@ func (s *Store) Apply(b *Batch) (Ack, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := s.obsNow()
+	start := s.cluster.NowNS()
 	ackedW, commitW := s.ctr.Acked, s.obsCommitAcked
 	ack, err := s.applyLocked(b)
-	s.rec.OpSpan(obs.OpApply, -1, start, s.obsNow(),
+	s.rec.OpSpan(obs.OpApply, -1, start, s.cluster.NowNS(),
 		b.Len(), s.spanAcked(ackedW, commitW), ack.Durable)
 	return ack, err
 }
@@ -815,9 +802,10 @@ func (s *Store) applyLocked(b *Batch) (Ack, error) {
 }
 
 // Scan returns up to limit live pairs with lo <= key < hi, in key order,
-// loading each value from its shard. Each shard's range walk is ordered
-// (view.inRange) and stops after limit keys, so a limited scan costs
-// O(shards · (log live + limit)), whatever the shards hold.
+// loading each value from its shard. Every shard's range is an ordered
+// run (a view cursor), and Scan is a merge over the runs that reads each
+// value as its key is picked: a limited scan walks at most limit + shards
+// keys, whatever the shards hold — O(shards · log live + limit · shards).
 func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -826,60 +814,56 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 	}
 	// Served-only counting, like getLocked: a denied Scan never ran.
 	s.ctr.Scans++
-	sstart := s.obsNow()
-	type cand struct {
-		key  core.Val
-		slot int
-		sh   *shard
-	}
-	var cands []cand
-	if limit > 0 {
-		// A shard contributes its limit smallest in-range keys at most.
-		n := 0
-		for _, sh := range s.shards {
-			n += min(limit, sh.view.live())
-		}
-		cands = make([]cand, 0, n)
-	}
+	sstart := s.cluster.NowNS()
 	var unavailable []bool
-	missing := 0
+	missing, atMost := 0, 0
 	for _, sh := range s.shards {
 		if !sh.partitioned {
 			s.retireReady(sh)
 		}
-		taken := 0
-		for k, slot := range sh.view.inRange(lo, hi) {
-			// A down shard only fails the scan when it actually holds
-			// keys in range; an idle down shard costs nothing. A
-			// partitioned shard degrades the scan to a partial result
-			// instead: its data is intact behind the partition, so
-			// skipping it is safe and the typed error says what is
-			// missing — exactly, so its walk runs the whole range.
-			if sh.down {
-				return nil, ErrShardDown
-			}
-			if sh.partitioned {
-				unavailable = s.markShard(unavailable, sh)
+		c := &sh.scan
+		n := sh.view.seek(c, lo, hi)
+		switch {
+		case !c.ok:
+			// A down or partitioned shard with no key in range costs
+			// the scan nothing.
+		case sh.down:
+			// Before any value is read.
+			return nil, ErrShardDown
+		case sh.partitioned:
+			// The scan degrades to a partial result instead: the shard's
+			// data is intact behind the partition, so skipping it is safe
+			// and the typed error says what is missing — exactly, so its
+			// run is walked to the end.
+			unavailable = s.markShard(unavailable, sh)
+			for ; c.ok; c.advance() {
 				missing++
-				continue
 			}
-			cands = append(cands, cand{key: k, slot: slot, sh: sh})
-			if taken++; taken == limit {
-				break
-			}
+		default:
+			atMost += n
 		}
 	}
-	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.key, b.key) })
-	if limit > 0 && len(cands) > limit {
-		cands = cands[:limit]
+	if limit > 0 {
+		atMost = min(atMost, limit)
 	}
-	out := make([]Pair, 0, len(cands))
-	for _, c := range cands {
-		v, err := s.readValue(c.sh, c.key, c.slot)
+	out := make([]Pair, 0, atMost)
+	for limit <= 0 || len(out) < limit {
+		var next *shard
+		for _, sh := range s.shards {
+			if sh.scan.ok && (next == nil || sh.scan.key < next.scan.key) {
+				next = sh
+			}
+		}
+		if next == nil {
+			break
+		}
+		c := &next.scan
+		v, err := s.readValue(next, c.key, c.slot)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Pair{Key: c.key, Val: v})
+		c.advance()
 	}
 	if s.pred != nil && len(out) > 0 {
 		// Scan-run prefetch: warm the keys just past the scanned range
@@ -892,7 +876,7 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 		s.prefetchLocked(ahead)
 	}
 	s.ctr.ScannedPairs += uint64(len(out))
-	s.rec.OpSpan(obs.OpScan, -1, sstart, s.obsNow(), len(out), 0, false)
+	s.rec.OpSpan(obs.OpScan, -1, sstart, s.cluster.NowNS(), len(out), 0, false)
 	if missing > 0 {
 		return out, &PartialResultError{Op: "scan", Unavailable: shardList(unavailable), Missing: missing}
 	}

@@ -78,43 +78,67 @@ func (v *view) visible(key core.Val) (slot int, ok bool) {
 	return slot, ok
 }
 
-// inRange yields every key in [lo, hi) with a visible state and its
-// encoded slot, in ascending key order: tip keys through the watermark
-// gate (a key whose first write is still in flight has no visible state
-// and is skipped), merged with the keys deleted past the watermark,
-// which left the index but whose acked state the shadow still carries.
-// The walk starts at a binary search to lo, so a caller that stops after
-// n yields has paid O(log live + n + shadowed).
+// cursor walks the keys of one view in [lo, hi) that have a visible
+// state, in ascending key order, one step per advance: tip keys through
+// the watermark gate (a key whose first write is still in flight has no
+// visible state and is skipped), merged with the keys deleted past the
+// watermark, which left the index but whose acked state the shadow still
+// carries. While ok, key is the head and slot the encoded slot a read of
+// it is served from. The view must not move between seek and the last
+// advance.
+type cursor struct {
+	v    *view
+	key  core.Val
+	slot int
+	ok   bool
+	// v.keys[i:end] are the tip keys in range not yet walked.
+	i, end int
+	// deleted[d:] are the in-range keys deleted past the watermark not yet
+	// yielded, ascending; the backing array is kept from seek to seek.
+	deleted []core.Val
+	d       int
+}
+
+// seek positions c on the first key of [lo, hi) with a visible state and
+// returns a bound on the keys the run holds (a tip key the gate hides is
+// counted and never yielded): two binary searches and a pass over the
+// shadow, which holds only keys written past the watermark — a set
+// bounded by the pipeline's in-flight writes. A caller that stops after n
+// keys has paid O(log live + n + shadowed).
 //
 //cxl0:locked mu
-func (v *view) inRange(lo, hi core.Val) iter.Seq2[core.Val, int] {
-	return func(yield func(core.Val, int) bool) {
-		// The shadow holds only keys written past the watermark, a set
-		// bounded by the pipeline's in-flight writes.
-		var deleted []core.Val
-		for k, e := range v.shadow { //cxl0:order-insensitive — sorted below
-			if _, tip := v.index[k]; !tip && e.exists && k >= lo && k < hi {
-				deleted = append(deleted, k)
-			}
+func (v *view) seek(c *cursor, lo, hi core.Val) (atMost int) {
+	c.v = v
+	c.i, _ = slices.BinarySearch(v.keys, lo)
+	n, _ := slices.BinarySearch(v.keys[c.i:], hi)
+	c.end = c.i + n
+	c.deleted, c.d = c.deleted[:0], 0
+	for k, e := range v.shadow { //cxl0:order-insensitive — sorted below
+		if _, tip := v.index[k]; !tip && e.exists && k >= lo && k < hi {
+			c.deleted = append(c.deleted, k)
 		}
-		slices.Sort(deleted)
-		i, _ := slices.BinarySearch(v.keys, lo)
-		for ; i < len(v.keys) && v.keys[i] < hi; i++ {
-			k := v.keys[i]
-			for ; len(deleted) > 0 && deleted[0] < k; deleted = deleted[1:] {
-				if !yield(deleted[0], v.shadow[deleted[0]].slot) {
-					return
-				}
-			}
-			if slot, ok := v.visible(k); ok && !yield(k, slot) {
-				return
-			}
+	}
+	slices.Sort(c.deleted)
+	c.advance()
+	return n + len(c.deleted)
+}
+
+// advance steps c to the next key, or clears ok past the last one.
+//
+//cxl0:locked mu
+func (c *cursor) advance() {
+	v := c.v
+	for c.i < c.end && (c.d == len(c.deleted) || v.keys[c.i] < c.deleted[c.d]) {
+		c.key = v.keys[c.i]
+		c.i++
+		if c.slot, c.ok = v.visible(c.key); c.ok {
+			return
 		}
-		for _, k := range deleted {
-			if !yield(k, v.shadow[k].slot) {
-				return
-			}
-		}
+	}
+	if c.ok = c.d < len(c.deleted); c.ok {
+		c.key = c.deleted[c.d]
+		c.slot = v.shadow[c.key].slot
+		c.d++
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 // watermark, of the whole log when they are not — onto the snapshot the
 // view was last re-homed to, a move marker wiping its bucket.
 type viewModel struct {
-	v     view
+	v view
+	// cur is the one cursor every range walk reuses, the way a shard's is.
+	cur   cursor
 	snap  []rec
 	log   []rec
 	acked int
@@ -170,27 +172,58 @@ func (m *viewModel) check(t *testing.T, keys core.Val, lo, hi core.Val) {
 			t.Fatalf("keys not strictly ascending at %d: %v", i, m.v.keys)
 		}
 	}
-	got := map[core.Val]int{}
-	prev := core.Val(-1)
-	for k, slot := range m.v.inRange(lo, hi) {
-		if k <= prev {
-			t.Fatalf("inRange(%d,%d) yielded key %d after key %d, want strictly ascending", lo, hi, k, prev)
+	// The cursor (walk: strictly ascending): every key it yields visible
+	// at the slot the model says, no visible key in range skipped.
+	got := m.walk(t, lo, hi, -1)
+	seen := map[core.Val]bool{}
+	for _, p := range got {
+		if wslot, ok := want[p.key]; !ok || wslot != p.slot || p.key < lo || p.key >= hi {
+			t.Fatalf("cursor over [%d,%d) yielded key %d at slot %d, the model says (%d,%v)", lo, hi, p.key, p.slot, wslot, ok)
 		}
-		prev = k
-		got[k] = slot
+		seen[p.key] = true
 	}
-	for k, wslot := range want { //cxl0:order-insensitive — set comparison
-		if k < lo || k >= hi {
-			continue
+	for k := range want { //cxl0:order-insensitive — set comparison
+		if k >= lo && k < hi && !seen[k] {
+			t.Fatalf("cursor over [%d,%d) skipped visible key %d: %v", lo, hi, k, got)
 		}
-		if slot, ok := got[k]; !ok || slot != wslot {
-			t.Fatalf("inRange(%d,%d) has key %d at (%d,%v), want slot %d", lo, hi, k, slot, ok, wslot)
+	}
+	// Stopping after n keys leaves the rest untouched: a cursor stopped
+	// there saw the same first n, and the next full walk the same keys.
+	n := len(got) / 2
+	if part := m.walk(t, lo, hi, n); !slices.Equal(part, got[:n]) {
+		t.Fatalf("cursor over [%d,%d) stopped after %d yielded %v, the full walk %v", lo, hi, n, part, got)
+	}
+	if again := m.walk(t, lo, hi, -1); !slices.Equal(again, got) {
+		t.Fatalf("cursor over [%d,%d) yielded %v after a stopped walk, %v before it", lo, hi, again, got)
+	}
+}
+
+// keySlot is one step of a cursor.
+type keySlot struct {
+	key  core.Val
+	slot int
+}
+
+// walk seeks the model's cursor to [lo, hi) and pulls up to stop keys
+// from it (all of them when stop < 0), holding the pulled keys to strictly
+// ascending order and the bound seek returned to what the run held.
+//
+//cxl0:locked mu
+func (m *viewModel) walk(t *testing.T, lo, hi core.Val, stop int) []keySlot {
+	t.Helper()
+	c := &m.cur
+	var got []keySlot
+	atMost := m.v.seek(c, lo, hi)
+	for ; c.ok && len(got) != stop; c.advance() {
+		if len(got) > 0 && c.key <= got[len(got)-1].key {
+			t.Fatalf("cursor over [%d,%d) yielded key %d after key %d, want strictly ascending", lo, hi, c.key, got[len(got)-1].key)
 		}
-		delete(got, k)
+		got = append(got, keySlot{c.key, c.slot})
 	}
-	if len(got) != 0 {
-		t.Fatalf("inRange(%d,%d) yielded keys with no visible state in range: %v", lo, hi, got)
+	if len(got) > atMost {
+		t.Fatalf("cursor over [%d,%d) yielded %d keys, seek said at most %d", lo, hi, len(got), atMost)
 	}
+	return got
 }
 
 // TestViewModel holds the view to the replay model over random
@@ -318,16 +351,30 @@ func TestViewWatermarkCases(t *testing.T) {
 		m.write(3, 100)
 		m.ack(t, 1)
 		m.write(3, 0) // left the tip index; the shadow still carries slot 0
-		n := 0
-		for k, slot := range m.v.inRange(0, 8) {
-			if k != 3 || slot != 0 {
-				t.Fatalf("inRange yielded (%d,%d), want key 3 at acked slot 0", k, slot)
-			}
-			n++
+		if got := m.walk(t, 0, 8, -1); !slices.Equal(got, []keySlot{{3, 0}}) {
+			t.Fatalf("the cursor yielded %v, want the one key deleted past the watermark at its acked slot 0", got)
 		}
-		if n != 1 {
-			t.Fatalf("inRange yielded %d keys, want the one deleted past the watermark", n)
+	})
+	t.Run("DeletedPastWatermarkOnBothSidesOfLo", func(t *testing.T) {
+		m := newViewModel(true)
+		for _, k := range []core.Val{1, 2, 4, 5, 6, 7} { // slots 0..5
+			m.write(k, 100+k)
 		}
+		m.ack(t, 6)
+		m.write(2, 0) // below lo
+		m.write(4, 0) // lo itself
+		m.write(6, 0) // between two tip keys
+		m.write(7, 0) // the last key of the range
+		m.write(3, 9) // first write in flight: no visible state
+		want := []keySlot{{4, 2}, {5, 3}, {6, 4}, {7, 5}}
+		if got := m.walk(t, 4, 8, -1); !slices.Equal(got, want) {
+			t.Fatalf("cursor over [4,8) yielded %v, want %v", got, want)
+		}
+		if got := m.walk(t, 3, 7, -1); !slices.Equal(got, want[:3]) {
+			t.Fatalf("cursor over [3,7) yielded %v, want %v", got, want[:3])
+		}
+		m.check(t, 8, 4, 8)
+		m.check(t, 8, 0, 8)
 	})
 	t.Run("FirstWriteInFlight", func(t *testing.T) {
 		m := newViewModel(true)
@@ -335,8 +382,8 @@ func TestViewWatermarkCases(t *testing.T) {
 		if _, ok := m.v.visible(5); ok {
 			t.Fatal("visible(5) found while the key's first write is in flight")
 		}
-		for k := range m.v.inRange(0, 8) {
-			t.Fatalf("inRange yielded key %d whose first write is in flight", k)
+		if got := m.walk(t, 0, 8, -1); len(got) != 0 {
+			t.Fatalf("the cursor yielded %v: a key whose first write is in flight", got)
 		}
 		m.write(5, 200) // a second write, same flight window
 		m.check(t, 8, 0, 8)

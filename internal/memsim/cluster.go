@@ -41,6 +41,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"cxl0/internal/core"
 	"cxl0/internal/latency"
@@ -108,7 +109,12 @@ type Cluster struct {
 	heapSize []int
 	heapNext []int
 
-	clockNS float64
+	// clockNS is the simulated clock; it moves in chargeLocked and nowhere
+	// else, and clockBits is its bit pattern, published there so NowNS —
+	// called around every primitive by the layers above — takes no lock.
+	clockNS   float64
+	clockBits atomic.Uint64
+
 	stamp   uint64
 	opCount uint64
 	opStats [16]uint64 // indexed by core.Op
@@ -459,12 +465,9 @@ func (c *Cluster) bumpStampLocked() uint64 {
 	return c.stamp
 }
 
-// NowNS returns the simulated clock in nanoseconds.
-func (c *Cluster) NowNS() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.clockNS
-}
+// NowNS returns the simulated clock in nanoseconds: the value the last
+// charged primitive left, read without the cluster lock.
+func (c *Cluster) NowNS() float64 { return math.Float64frombits(c.clockBits.Load()) }
 
 // chargeLocked counts the primitive l and charges its modeled cost. A
 // primitive on one line is charged to dev, the line's owner; a degraded
@@ -511,6 +514,7 @@ func (c *Cluster) chargeLocked(l core.Label, dev core.MachineID, cached bool) {
 	default:
 		c.clockNS += lat.CXL0CostCached(l.Op, l.M == dev, cached) * c.degrade[dev]
 	}
+	c.clockBits.Store(math.Float64bits(c.clockNS))
 }
 
 // Stats returns the number of primitives executed so far, per CXL0

@@ -355,6 +355,62 @@ func TestDegradeRejectsNonFiniteFactor(t *testing.T) {
 	}
 }
 
+// TestNowNSBesidePrimitives reads the clock from goroutines that hold no
+// lock while others run primitives: every reader must see it only move
+// forward, and it ends on the sum of what was charged (run under -race).
+func TestNowNSBesidePrimitives(t *testing.T) {
+	c := NewCluster([]MachineConfig{
+		{Name: "m1", Mem: core.NonVolatile, Heap: 8},
+		{Name: "m2", Mem: core.NonVolatile, Heap: 8},
+	}, Config{Latency: latency.NewModel()})
+	x, _ := c.Alloc(1, 1)
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for last := 0.0; ; {
+				now := c.NowNS()
+				if now < last {
+					t.Errorf("the clock went back: %v after %v", now, last)
+					return
+				}
+				last = now
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	const stores = 500
+	for w := 0; w < 2; w++ {
+		th, _ := c.NewThread(core.MachineID(w))
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < stores; i++ {
+				if err := th.MStore(x, core.Val(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	// The interleaving picks the order the costs were added in, hence the
+	// tolerance.
+	lat := latency.NewModel()
+	want := stores * (lat.CXL0CostCached(core.OpMStore, false, false) + lat.CXL0CostCached(core.OpMStore, true, false))
+	if got := c.NowNS(); math.Abs(got-want) > 1e-6*want {
+		t.Errorf("clock = %v after %d remote and %d local MStores, want %v", got, stores, stores, want)
+	}
+}
+
 func TestLWBRuntimeLoadDrains(t *testing.T) {
 	c := NewCluster([]MachineConfig{
 		{Name: "m1", Mem: core.NonVolatile, Heap: 4},

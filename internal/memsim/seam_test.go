@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,10 +15,11 @@ import (
 // claim rests on — "the runtime produces exactly the traces the LTS
 // allows, and the overlay never influences them": the state is stepped in
 // three functions, one per core entry point; the clean-copy overlay moves
-// only in the follow table, the τ step and the helper they share; and a
+// only in the follow table, the τ step and the helper they share; a
 // thread primitive asks the topology for a line's owner once, in
-// beginLocked. A site anywhere else fails its row (in the manner of
-// internal/kv's seam table).
+// beginLocked; and the simulated clock moves, and is published to its
+// lock-free readers, only where a primitive is charged. A site anywhere
+// else fails its row (in the manner of internal/kv's seam table).
 func TestSeams(t *testing.T) {
 	seams := []struct {
 		name string
@@ -37,6 +39,32 @@ func TestSeams(t *testing.T) {
 			c, ok := n.(*ast.CallExpr)
 			return ok && selects(c.Fun, "Owner")
 		}, "thread.go", map[string]int{"Thread.beginLocked": 1, "Thread.Local": 1}},
+		// NowNS reads the published bits without the lock, so the clock and
+		// its copy may only move together, where a primitive is charged.
+		{"assignments to clockNS", func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				return slices.ContainsFunc(n.Lhs, func(e ast.Expr) bool { return selects(e, "clockNS") })
+			case *ast.IncDecStmt:
+				return selects(n.X, "clockNS")
+			}
+			return false
+		}, "", map[string]int{"Cluster.chargeLocked": 0}},
+		{"stores of the published clock", func(n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			return ok && selects(c.Fun, "Store") && selects(c.Fun.(*ast.SelectorExpr).X, "clockBits")
+		}, "", map[string]int{"Cluster.chargeLocked": 1}},
+		{"uses of the cluster lock in NowNS", func(n ast.Node) bool {
+			fn, ok := n.(*ast.FuncDecl)
+			found := false
+			if ok && fn.Name.Name == "NowNS" {
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					found = found || selects(n, "mu")
+					return !found
+				})
+			}
+			return found
+		}, "", nil},
 	}
 
 	fset := token.NewFileSet()

@@ -35,10 +35,8 @@
 package pool
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -371,11 +369,13 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 			l.everAsked = true
 			pairs, err := r.stores[c].Scan(l.next, hi, ask)
 			l.simEnd = r.obsClusterNow(c)
-			var partial *kv.PartialResultError
-			if err != nil && !errors.As(err, &partial) {
-				return nil, clusterErr(c, err)
-			}
-			if partial != nil {
+			if err != nil {
+				// Declared here so that a healthy leg does not pay for the
+				// target errors.As makes escape.
+				var partial *kv.PartialResultError
+				if !errors.As(err, &partial) {
+					return nil, clusterErr(c, err)
+				}
 				if unavail == nil {
 					unavail = make([]bool, r.nShards)
 				}
@@ -393,6 +393,12 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 			if l.pairs == nil {
 				l.pairs = pairs // the store's slice is fresh and ours to keep
 			} else {
+				// A refetch resumes past the leg's last key, so the leg stays
+				// ascending; it never holds more than limit pairs, so it
+				// grows once.
+				if cap(l.pairs) < limit {
+					l.pairs = append(make([]kv.Pair, 0, limit), l.pairs...)
+				}
 				l.pairs = append(l.pairs, pairs...)
 			}
 			progressed = progressed || len(pairs) > 0
@@ -443,15 +449,17 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 	for c := range legs {
 		fetched += legs[c].fetched
 	}
-	merged := make([]kv.Pair, 0, fetched)
-	for c := range legs {
-		merged = append(merged, legs[c].pairs...)
+	// Clusters partition the keyspace and every leg is ascending, so the
+	// result is a merge of the legs' heads; what the limit cuts is never
+	// copied.
+	n := fetched
+	if limit > 0 && n > limit {
+		n = limit
 	}
-	// Clusters partition the keyspace, so pairs are unique across them and
-	// a sort is a merge.
-	slices.SortFunc(merged, func(a, b kv.Pair) int { return cmp.Compare(a.Key, b.Key) })
-	if limit > 0 && len(merged) > limit {
-		merged = merged[:limit]
+	merged := make([]kv.Pair, 0, n)
+	rewind(legs)
+	for len(merged) < n {
+		merged = append(merged, popSmallest(legs))
 	}
 	if d := fetched - len(merged); d > 0 {
 		r.scanDiscarded.Add(uint64(d))
@@ -481,9 +489,10 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 // scanLeg tracks one cluster's progress through a progressive pooled
 // scan.
 type scanLeg struct {
-	pairs     []kv.Pair
-	next      core.Val // resume point: one past the last fetched key
-	done      bool     // range exhausted or per-cluster cap reached
+	pairs     []kv.Pair // ascending
+	merged    int       // pairs[:merged] are popped (rewind, popSmallest)
+	next      core.Val  // resume point: one past the last fetched key
+	done      bool      // range exhausted or per-cluster cap reached
 	fetched   int
 	missing   int // in-range entries withheld by partitioned shards
 	simStart  float64
@@ -494,14 +503,33 @@ type scanLeg struct {
 // kthSmallestKey returns the limit-th smallest key fetched across the
 // legs. The caller has checked at least limit pairs are fetched.
 func kthSmallestKey(legs []scanLeg, limit int) core.Val {
-	keys := make([]core.Val, 0, limit*2)
+	rewind(legs)
+	var kth core.Val
+	for i := 0; i < limit; i++ {
+		kth = popSmallest(legs).Key
+	}
+	return kth
+}
+
+// rewind restarts the merge over the legs at their first pairs.
+func rewind(legs []scanLeg) {
 	for c := range legs {
-		for _, p := range legs[c].pairs {
-			keys = append(keys, p.Key)
+		legs[c].merged = 0
+	}
+}
+
+// popSmallest takes the next pair of the merge: the smallest head among
+// the legs. The caller pops no more pairs than the legs hold.
+func popSmallest(legs []scanLeg) kv.Pair {
+	var head *scanLeg
+	for c := range legs {
+		l := &legs[c]
+		if l.merged < len(l.pairs) && (head == nil || l.pairs[l.merged].Key < head.pairs[head.merged].Key) {
+			head = l
 		}
 	}
-	slices.Sort(keys)
-	return keys[limit-1]
+	head.merged++
+	return head.pairs[head.merged-1]
 }
 
 // Apply splits the batch into per-cluster sub-batches (each preserving
