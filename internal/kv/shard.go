@@ -40,10 +40,7 @@ func (r rec) chk(slot int, epoch uint64) core.Val {
 // region and a two-slot snapshot-epoch record on one machine, plus the
 // volatile view of what reads of them are served (view.go).
 type shard struct {
-	view view
-	// scan is the shard's run in Store.Scan's merge: a cursor over view,
-	// kept here so a scan allocates nothing per shard. Dead outside Scan.
-	scan    cursor
+	view    view
 	id      int
 	machine core.MachineID
 	base    core.LocID
@@ -101,6 +98,9 @@ type shard struct {
 	writeLat []float64
 	//cxl0:guarded-by mu
 	issueLat []float64
+	// scan is the shard's run in Store.Scan's merge: a cursor over view,
+	// kept here so a scan allocates nothing per shard. Dead outside Scan.
+	scan cursor
 }
 
 func (sh *shard) keyLoc(slot int) core.LocID { return sh.base + core.LocID(slot*recWords) }

@@ -22,7 +22,9 @@
 // holds. Crashes and recoveries are injected through Crash and Recover. A
 // simulated clock charges each primitive the latency model's cost, enabling
 // performance comparisons between persistence strategies that wall-clock
-// time on a single host cannot expose.
+// time on a single host cannot expose; it moves only where a primitive is
+// charged, under the lock, and is published there, so reading it (NowNS)
+// takes no lock.
 //
 // A cluster's footprint follows its locations and what is cached, not
 // machines × locations: the state keeps a cache row as pages of 64 cells

@@ -288,7 +288,7 @@ func (r *Router) MultiGet(keys []core.Val) ([]kv.Lookup, error) {
 		if len(sub) == 0 {
 			continue
 		}
-		lstart := r.obsClusterNow(c)
+		lstart := r.stores[c].NowNS()
 		res, err := r.stores[c].MultiGet(sub)
 		var partial *kv.PartialResultError
 		if err != nil && !errors.As(err, &partial) {
@@ -302,7 +302,7 @@ func (r *Router) MultiGet(keys []core.Val) ([]kv.Lookup, error) {
 			}
 			missing += partial.Missing
 		}
-		r.rec.FanOutLeg(span, obs.OpMultiGet, c, lstart, r.obsClusterNow(c), len(sub)-missingOf(partial))
+		r.rec.FanOutLeg(span, obs.OpMultiGet, c, lstart, r.stores[c].NowNS(), len(sub)-missingOf(partial))
 		for j, l := range res {
 			out[byClusterPos[c][j]] = l
 		}
@@ -364,11 +364,11 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 				ask = limit - l.fetched
 			}
 			if !l.everAsked {
-				l.simStart = r.obsClusterNow(c)
+				l.simStart = r.stores[c].NowNS()
 			}
 			l.everAsked = true
 			pairs, err := r.stores[c].Scan(l.next, hi, ask)
-			l.simEnd = r.obsClusterNow(c)
+			l.simEnd = r.stores[c].NowNS()
 			if err != nil {
 				// Declared here so that a healthy leg does not pay for the
 				// target errors.As makes escape.
@@ -571,12 +571,12 @@ func (r *Router) Apply(b *Batch) (kv.Ack, error) {
 		if sub[c].Len() == 0 {
 			continue
 		}
-		lstart := r.obsClusterNow(c)
+		lstart := r.stores[c].NowNS()
 		ack, err := r.stores[c].Apply(&sub[c])
 		if err != nil {
 			return kv.Ack{}, clusterErr(c, err)
 		}
-		r.rec.FanOutLeg(span, obs.OpApply, c, lstart, r.obsClusterNow(c), sub[c].Len())
+		r.rec.FanOutLeg(span, obs.OpApply, c, lstart, r.stores[c].NowNS(), sub[c].Len())
 		ack.Shard = r.globalShard(c, ack.Shard)
 		if c == lastCluster {
 			final = ack
@@ -808,8 +808,8 @@ func (r *Router) ResetMetrics() {
 }
 
 // nowNS sums the pooled clusters' clocks without taking the router lock
-// (the store slice is immutable and each store's clock read is
-// internally synchronized).
+// (the store slice is immutable and a cluster's clock is read
+// atomically).
 func (r *Router) nowNS() float64 {
 	total := 0.0
 	for _, st := range r.stores {
@@ -818,23 +818,15 @@ func (r *Router) nowNS() float64 {
 	return total
 }
 
-// obsNow is the pool's summed clock as an observability timestamp, and
-// obsClusterNow cluster c's own: read only while a recorder is attached
-// (each read takes a cluster's lock), so an unobserved fan-out pays one
+// obsNow is the pool's summed clock as an observability timestamp: summed
+// only while a recorder is attached, so an unobserved fan-out pays one
 // pointer check and hands the nil recorder's no-op methods a zero they
-// ignore — kv.Store's obsNow, one level up.
+// ignore. (One cluster's clock is a lock-free read; legs take it bare.)
 func (r *Router) obsNow() float64 {
 	if r.rec == nil {
 		return 0
 	}
 	return r.nowNS()
-}
-
-func (r *Router) obsClusterNow(c int) float64 {
-	if r.rec == nil {
-		return 0
-	}
-	return r.stores[c].NowNS()
 }
 
 // NowNS returns the sum of the pooled clusters' independent simulated
