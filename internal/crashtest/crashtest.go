@@ -91,24 +91,6 @@ type Result struct {
 	Err          error
 }
 
-// spec returns the sequential specification for a structure.
-func spec(s Structure) history.Spec {
-	switch s {
-	case StructQueue:
-		return history.QueueSpec{}
-	case StructStack:
-		return history.StackSpec{}
-	case StructRegister:
-		return history.RegisterSpec{}
-	case StructCounter:
-		return history.CounterSpec{}
-	case StructSet:
-		return history.SetSpec{}
-	default:
-		return history.MapSpec{}
-	}
-}
-
 const (
 	computeA = core.MachineID(0)
 	computeB = core.MachineID(1)
@@ -140,7 +122,7 @@ func Run(o Options) Result {
 	}
 	setup := flit.NewSession(o.Strategy, setupThread)
 
-	obj, err := newObject(o.Structure, heap, setup)
+	obj, err := structures[o.Structure](heap, setup)
 	if err != nil {
 		return Result{Options: o, Err: err}
 	}
@@ -176,10 +158,11 @@ func Run(o Options) Result {
 				fail(err)
 				return
 			}
-			se := flit.NewSession(o.Strategy, th)
+			c := client{se: flit.NewSession(o.Strategy, th), rec: &rec, cl: cluster, id: w}
 			rng := rand.New(rand.NewSource(o.Seed*1000 + int64(w)))
 			for i := 0; i < o.OpsPerWorker; i++ {
-				if err := obj.randomOp(se, &rec, cluster, w, rng); err != nil {
+				arg := core.Val(1 + rng.Intn(keySpace))
+				if err := obj.step(c, arg, rng); err != nil {
 					if errors.Is(err, memsim.ErrCrashed) {
 						return // worker died with the machine; its op stays pending
 					}
@@ -227,8 +210,8 @@ func Run(o Options) Result {
 	if err != nil {
 		return Result{Options: o, Err: err}
 	}
-	obs := flit.NewSession(o.Strategy, obsThread)
-	if err := obj.observe(obs, &rec, cluster, o.Workers); err != nil {
+	obs := client{se: flit.NewSession(o.Strategy, obsThread), rec: &rec, cl: cluster, id: o.Workers}
+	if err := obj.observe(obs); err != nil {
 		return Result{Options: o, Err: err}
 	}
 
@@ -236,231 +219,187 @@ func Run(o Options) Result {
 	if err := h.WellFormed(); err != nil {
 		return Result{Options: o, Err: err}
 	}
-	ok := history.Linearizable(h, spec(o.Structure))
+	ok := history.Linearizable(h, obj.spec)
 	return Result{Options: o, History: h, Linearizable: ok}
 }
 
-// object adapts one data structure to the harness.
-type object struct {
-	kind  Structure
-	queue *ds.Queue
-	stack *ds.Stack
-	reg   *ds.Register
-	ctr   *ds.Counter
-	set   *ds.Set
-	hmap  *ds.Map
+// client records the operations one client issues through se.
+type client struct {
+	se  *flit.Session
+	rec *history.Recorder
+	cl  *memsim.Cluster
+	id  int
 }
 
-func newObject(kind Structure, heap *flit.Heap, se *flit.Session) (*object, error) {
-	o := &object{kind: kind}
-	var err error
-	switch kind {
-	case StructQueue:
-		o.queue, err = ds.NewQueue(heap, se)
-	case StructStack:
-		o.stack, err = ds.NewStack(heap)
-	case StructRegister:
-		o.reg, err = ds.NewRegister(heap)
-	case StructCounter:
-		o.ctr, err = ds.NewCounter(heap)
-	case StructSet:
-		o.set, err = ds.NewSet(heap)
-	case StructMap:
-		o.hmap, err = ds.NewMap(heap, 4)
+// call is one data-structure call in the shape the history records: a
+// return value, an ok flag and an error.
+type call func() (core.Val, bool, error)
+
+// do records kind(arg, arg2) around f: Begin, the call, End with what it
+// returned. A call that fails — its machine crashed, or it found the
+// structure's anchors destroyed (ds.ErrCorrupt), a durability failure only
+// unsound strategies produce — leaves the operation pending.
+func (c client) do(kind string, arg, arg2 core.Val, f call) error {
+	tok := c.rec.Begin(c.id, kind, arg, arg2, c.cl.Stamp())
+	v, ok, err := f()
+	if err != nil {
+		return err
 	}
-	return o, err
+	c.rec.End(tok, v, ok, c.cl.Stamp())
+	return nil
 }
 
-// randomOp performs one randomized operation, recording it. Values are ≥ 1
-// so that a zeroed (lost) location can never masquerade as real data.
-func (o *object) randomOp(se *flit.Session, rec *history.Recorder, cl *memsim.Cluster, client int, rng *rand.Rand) error {
-	arg := core.Val(1 + rng.Intn(keySpace))
-	switch o.kind {
-	case StructQueue:
-		if rng.Intn(2) == 0 {
-			tok := rec.Begin(client, "enq", arg, 0, cl.Stamp())
-			if err := o.queue.Enqueue(se, arg); err != nil {
-				return err
-			}
-			rec.End(tok, 0, true, cl.Stamp())
-			return nil
-		}
-		tok := rec.Begin(client, "deq", 0, 0, cl.Stamp())
-		v, ok, err := o.queue.Dequeue(se)
+// drain records kind until take reports nothing left.
+func (c client) drain(kind string, take call) error {
+	for more := true; more; {
+		err := c.do(kind, 0, 0, func() (v core.Val, _ bool, err error) {
+			v, more, err = take()
+			return v, more, err
+		})
 		if err != nil {
 			return err
-		}
-		rec.End(tok, v, ok, cl.Stamp())
-	case StructStack:
-		if rng.Intn(2) == 0 {
-			tok := rec.Begin(client, "push", arg, 0, cl.Stamp())
-			if err := o.stack.Push(se, arg); err != nil {
-				return err
-			}
-			rec.End(tok, 0, true, cl.Stamp())
-			return nil
-		}
-		tok := rec.Begin(client, "pop", 0, 0, cl.Stamp())
-		v, ok, err := o.stack.Pop(se)
-		if err != nil {
-			return err
-		}
-		rec.End(tok, v, ok, cl.Stamp())
-	case StructRegister:
-		switch rng.Intn(3) {
-		case 0:
-			tok := rec.Begin(client, "write", arg, 0, cl.Stamp())
-			if err := o.reg.Write(se, arg); err != nil {
-				return err
-			}
-			rec.End(tok, 0, true, cl.Stamp())
-		case 1:
-			tok := rec.Begin(client, "read", 0, 0, cl.Stamp())
-			v, err := o.reg.Read(se)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, v, true, cl.Stamp())
-		default:
-			old, new := arg, core.Val(1+rng.Intn(keySpace))
-			tok := rec.Begin(client, "cas", old, new, cl.Stamp())
-			ok, err := o.reg.CompareAndSwap(se, old, new)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, 0, ok, cl.Stamp())
-		}
-	case StructCounter:
-		if rng.Intn(3) > 0 {
-			tok := rec.Begin(client, "add", 1, 0, cl.Stamp())
-			prev, err := o.ctr.Inc(se)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, prev, true, cl.Stamp())
-			return nil
-		}
-		tok := rec.Begin(client, "get", 0, 0, cl.Stamp())
-		v, err := o.ctr.Value(se)
-		if err != nil {
-			return err
-		}
-		rec.End(tok, v, true, cl.Stamp())
-	case StructSet:
-		switch rng.Intn(3) {
-		case 0:
-			tok := rec.Begin(client, "ins", arg, 0, cl.Stamp())
-			ok, err := o.set.Insert(se, arg)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, 0, ok, cl.Stamp())
-		case 1:
-			tok := rec.Begin(client, "rem", arg, 0, cl.Stamp())
-			ok, err := o.set.Remove(se, arg)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, 0, ok, cl.Stamp())
-		default:
-			tok := rec.Begin(client, "has", arg, 0, cl.Stamp())
-			ok, err := o.set.Contains(se, arg)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, 0, ok, cl.Stamp())
-		}
-	case StructMap:
-		switch rng.Intn(3) {
-		case 0:
-			val := core.Val(1 + rng.Intn(9))
-			tok := rec.Begin(client, "put", arg, val, cl.Stamp())
-			if err := o.hmap.Put(se, arg, val); err != nil {
-				return err
-			}
-			rec.End(tok, 0, true, cl.Stamp())
-		case 1:
-			tok := rec.Begin(client, "get", arg, 0, cl.Stamp())
-			v, ok, err := o.hmap.Get(se, arg)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, v, ok, cl.Stamp())
-		default:
-			tok := rec.Begin(client, "del", arg, 0, cl.Stamp())
-			ok, err := o.hmap.Delete(se, arg)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, 0, ok, cl.Stamp())
 		}
 	}
 	return nil
 }
 
-// observe reads the whole structure after recovery, recording the reads as
-// operations of a fresh client so that the checker can confront them with
-// the pre-crash history.
-func (o *object) observe(se *flit.Session, rec *history.Recorder, cl *memsim.Cluster, client int) error {
-	switch o.kind {
-	case StructQueue:
-		if err := o.queue.Recover(se); err != nil {
+// Adapters from the ds result shapes to call's.
+func none(err error) (core.Val, bool, error)              { return 0, true, err }
+func value(v core.Val, err error) (core.Val, bool, error) { return v, true, err }
+func found(ok bool, err error) (core.Val, bool, error)    { return 0, ok, err }
+
+// object is one structure under test, as the harness drives it.
+type object struct {
+	spec history.Spec
+	// step performs one randomized operation. arg is drawn before the
+	// step's own draws; values are ≥ 1 so that a zeroed (lost) location
+	// can never masquerade as real data.
+	step func(c client, arg core.Val, rng *rand.Rand) error
+	// observe reads the whole structure after recovery, recording the
+	// reads as operations of a fresh client so that the checker can
+	// confront them with the pre-crash history.
+	observe func(c client) error
+}
+
+// structures declares each Structure in one place: its constructor builds
+// the object on heap (with se for set-up writes) and returns it with its
+// spec, its randomized step and its post-recovery observation.
+var structures = [...]func(heap *flit.Heap, se *flit.Session) (object, error){
+	StructQueue: func(heap *flit.Heap, se *flit.Session) (object, error) {
+		q, err := ds.NewQueue(heap, se)
+		return object{
+			spec: history.QueueSpec{},
+			step: func(c client, arg core.Val, rng *rand.Rand) error {
+				if rng.Intn(2) == 0 {
+					return c.do("enq", arg, 0, func() (core.Val, bool, error) { return none(q.Enqueue(c.se, arg)) })
+				}
+				return c.do("deq", 0, 0, func() (core.Val, bool, error) { return q.Dequeue(c.se) })
+			},
+			observe: func(c client) error {
+				if err := q.Recover(c.se); err != nil {
+					return err
+				}
+				return c.drain("deq", func() (core.Val, bool, error) { return q.Dequeue(c.se) })
+			},
+		}, err
+	},
+	StructStack: func(heap *flit.Heap, _ *flit.Session) (object, error) {
+		s, err := ds.NewStack(heap)
+		return object{
+			spec: history.StackSpec{},
+			step: func(c client, arg core.Val, rng *rand.Rand) error {
+				if rng.Intn(2) == 0 {
+					return c.do("push", arg, 0, func() (core.Val, bool, error) { return none(s.Push(c.se, arg)) })
+				}
+				return c.do("pop", 0, 0, func() (core.Val, bool, error) { return s.Pop(c.se) })
+			},
+			observe: func(c client) error {
+				return c.drain("pop", func() (core.Val, bool, error) { return s.Pop(c.se) })
+			},
+		}, err
+	},
+	StructRegister: func(heap *flit.Heap, _ *flit.Session) (object, error) {
+		r, err := ds.NewRegister(heap)
+		read := func(c client) error {
+			return c.do("read", 0, 0, func() (core.Val, bool, error) { return value(r.Read(c.se)) })
+		}
+		return object{
+			spec: history.RegisterSpec{},
+			step: func(c client, arg core.Val, rng *rand.Rand) error {
+				switch rng.Intn(3) {
+				case 0:
+					return c.do("write", arg, 0, func() (core.Val, bool, error) { return none(r.Write(c.se, arg)) })
+				case 1:
+					return read(c)
+				}
+				old, new := arg, core.Val(1+rng.Intn(keySpace))
+				return c.do("cas", old, new, func() (core.Val, bool, error) { return found(r.CompareAndSwap(c.se, old, new)) })
+			},
+			observe: read,
+		}, err
+	},
+	StructCounter: func(heap *flit.Heap, _ *flit.Session) (object, error) {
+		ctr, err := ds.NewCounter(heap)
+		get := func(c client) error {
+			return c.do("get", 0, 0, func() (core.Val, bool, error) { return value(ctr.Value(c.se)) })
+		}
+		return object{
+			spec: history.CounterSpec{},
+			step: func(c client, _ core.Val, rng *rand.Rand) error {
+				if rng.Intn(3) > 0 {
+					return c.do("add", 1, 0, func() (core.Val, bool, error) { return value(ctr.Inc(c.se)) })
+				}
+				return get(c)
+			},
+			observe: get,
+		}, err
+	},
+	StructSet: func(heap *flit.Heap, _ *flit.Session) (object, error) {
+		set, err := ds.NewSet(heap)
+		has := func(c client, k core.Val) error {
+			return c.do("has", k, 0, func() (core.Val, bool, error) { return found(set.Contains(c.se, k)) })
+		}
+		return object{
+			spec: history.SetSpec{},
+			step: func(c client, arg core.Val, rng *rand.Rand) error {
+				switch rng.Intn(3) {
+				case 0:
+					return c.do("ins", arg, 0, func() (core.Val, bool, error) { return found(set.Insert(c.se, arg)) })
+				case 1:
+					return c.do("rem", arg, 0, func() (core.Val, bool, error) { return found(set.Remove(c.se, arg)) })
+				}
+				return has(c, arg)
+			},
+			observe: func(c client) error { return everyKey(c, has) },
+		}, err
+	},
+	StructMap: func(heap *flit.Heap, _ *flit.Session) (object, error) {
+		m, err := ds.NewMap(heap, 4)
+		get := func(c client, k core.Val) error {
+			return c.do("get", k, 0, func() (core.Val, bool, error) { return m.Get(c.se, k) })
+		}
+		return object{
+			spec: history.MapSpec{},
+			step: func(c client, arg core.Val, rng *rand.Rand) error {
+				switch rng.Intn(3) {
+				case 0:
+					val := core.Val(1 + rng.Intn(9))
+					return c.do("put", arg, val, func() (core.Val, bool, error) { return none(m.Put(c.se, arg, val)) })
+				case 1:
+					return get(c, arg)
+				}
+				return c.do("del", arg, 0, func() (core.Val, bool, error) { return found(m.Delete(c.se, arg)) })
+			},
+			observe: func(c client) error { return everyKey(c, get) },
+		}, err
+	},
+}
+
+// everyKey records read(k) for every key of the key space, in order.
+func everyKey(c client, read func(c client, k core.Val) error) error {
+	for k := core.Val(1); k <= keySpace; k++ {
+		if err := read(c, k); err != nil {
 			return err
-		}
-		for {
-			tok := rec.Begin(client, "deq", 0, 0, cl.Stamp())
-			v, ok, err := o.queue.Dequeue(se)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, v, ok, cl.Stamp())
-			if !ok {
-				return nil
-			}
-		}
-	case StructStack:
-		for {
-			tok := rec.Begin(client, "pop", 0, 0, cl.Stamp())
-			v, ok, err := o.stack.Pop(se)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, v, ok, cl.Stamp())
-			if !ok {
-				return nil
-			}
-		}
-	case StructRegister:
-		tok := rec.Begin(client, "read", 0, 0, cl.Stamp())
-		v, err := o.reg.Read(se)
-		if err != nil {
-			return err
-		}
-		rec.End(tok, v, true, cl.Stamp())
-	case StructCounter:
-		tok := rec.Begin(client, "get", 0, 0, cl.Stamp())
-		v, err := o.ctr.Value(se)
-		if err != nil {
-			return err
-		}
-		rec.End(tok, v, true, cl.Stamp())
-	case StructSet:
-		for k := core.Val(1); k <= keySpace; k++ {
-			tok := rec.Begin(client, "has", k, 0, cl.Stamp())
-			ok, err := o.set.Contains(se, k)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, 0, ok, cl.Stamp())
-		}
-	case StructMap:
-		for k := core.Val(1); k <= keySpace; k++ {
-			tok := rec.Begin(client, "get", k, 0, cl.Stamp())
-			v, ok, err := o.hmap.Get(se, k)
-			if err != nil {
-				return err
-			}
-			rec.End(tok, v, ok, cl.Stamp())
 		}
 	}
 	return nil

@@ -17,7 +17,7 @@
 // helps by flushing before its own operation completes, which is exactly
 // what durable linearizability requires.
 //
-// Four strategies are provided:
+// Six strategies are provided:
 //
 //	CXL0FliT      — Algorithm 2 as above (correct).
 //	CXL0FliTOpt   — Algorithm 2 with the §6.1 optimisation: RFlush is
@@ -38,6 +38,20 @@
 //	                reproduce the paper's motivating failure.
 //	NoPersist     — plain loads and stores with no flushing (incorrect;
 //	                the untransformed legacy object).
+//
+// # The write rule
+//
+// Store, CAS and FAA differ only in their primitive; each hands it to one
+// function, Session.write, which decides how the write persists from the
+// strategy and from where x lives:
+//
+//	NoPersist                            cached write
+//	MStoreAll; sound strategy, remote x  persistent write (MStore / M-RMW)
+//	OriginalFliT; sound strategy, local  ctrInc ; cached write ; flush ; ctrDec
+//
+// A CAS that wrote nothing skips the flush. The one exception is
+// FlushOnRead's owner-local Store, an LStore and a flush with no counter:
+// its readers flush unconditionally.
 //
 // As in the original FliT library, counters live in a fixed hashed counter
 // table (one table per heap); distinct variables may share a counter, which
@@ -355,153 +369,91 @@ func (se *Session) storeAndFlush(x Var, v core.Val) error {
 	}
 }
 
-// Store is shared_store with pflag set.
+// write applies the write rule of the package comment to one shared write
+// of x. prim performs the write — persistent (MStore / M-RMW) when asked,
+// cached (LStore / L-RMW) otherwise — and reports whether it wrote
+// anything; the flush is skipped when it did not (a failed CAS).
 //
-// Remote shared stores use MStore under the sound strategies: the
-// store-then-flush sequence has a window in which the owner's crash can
-// destroy the value after readers observed (and possibly helped persist)
-// it, and a blind retry then applies the write a second time — the
-// crash-injection harness exhibits both the loss and the double-apply as
-// durable-linearizability violations. MStore has no such window. The cheap
-// cached path survives for owner-local data, where the only crash that can
-// destroy the cached value also kills the issuing thread.
-func (se *Session) Store(x Var, v core.Val) error {
-	switch se.S {
-	case NoPersist:
-		return se.T.LStore(x.Data, v)
-	case MStoreAll:
-		return se.T.MStore(x.Data, v)
-	case FlushOnRead:
-		if !se.T.Local(x.Data) {
-			return se.T.MStore(x.Data, v)
-		}
-		if err := se.T.LStore(x.Data, v); err != nil {
-			return err
-		}
-		return se.flush(x)
-	case OriginalFliT:
-		if err := se.ctrInc(x); err != nil {
-			return err
-		}
-		if err := se.T.LStore(x.Data, v); err != nil {
-			return err
-		}
-		if err := se.flush(x); err != nil {
-			return err
-		}
-		return se.ctrDec(x)
-	}
-	if !se.T.Local(x.Data) {
-		return se.T.MStore(x.Data, v)
+// Remote shared writes take the persistent primitive under the sound
+// strategies because the write-then-flush sequence has a window in which
+// the owner's crash can destroy the value after readers observed (and
+// possibly helped persist) it, and a blind retry then applies the write a
+// second time — the crash-injection harness exhibits both the loss and the
+// double-apply as durable-linearizability violations; for an RMW, which
+// is a linearization point, the retry's outcome is ambiguous besides. The
+// cheap cached path survives for owner-local data, where the only crash
+// that can destroy the cached value also kills the issuing thread.
+func (se *Session) write(x Var, prim func(persist bool) (wrote bool, err error)) error {
+	switch {
+	case se.S == NoPersist:
+		_, err := prim(false)
+		return err
+	case se.S == MStoreAll, se.S != OriginalFliT && !se.T.Local(x.Data):
+		_, err := prim(true)
+		return err
 	}
 	if err := se.ctrInc(x); err != nil {
 		return err
 	}
-	if err := se.T.LStore(x.Data, v); err != nil {
+	wrote, err := prim(false)
+	if err != nil {
 		return err
 	}
-	if err := se.flush(x); err != nil {
-		return err
+	if wrote {
+		if err := se.flush(x); err != nil {
+			return err
+		}
 	}
 	return se.ctrDec(x)
 }
 
-// CAS is the shared RMW wrapper.
-//
-// For remote variables under the sound strategies, the store half uses
-// M-RMW: a read-modify-write is a linearization point whose effect must be
-// crash-atomic, and retrying a cached CAS whose value was destroyed by the
-// owner's crash is ambiguous (the outcome may already have been observed
-// and built upon). M-RMW persists the effect in one step, with no
-// vulnerable window. Owner-local CAS keeps the cheap cached path (counter,
-// L-RMW, local flush): the only crash that can destroy the owner's cached
-// value kills the issuing thread too.
+// rmw is the RMW kind write asks for.
+func rmw(persist bool) core.Op {
+	if persist {
+		return core.OpMRMW
+	}
+	return core.OpLRMW
+}
+
+// Store is shared_store with pflag set. FlushOnRead's owner-local store is
+// the one exception to write's rule: LStore then flush with no counter,
+// since its readers flush unconditionally.
+func (se *Session) Store(x Var, v core.Val) error {
+	if se.S == FlushOnRead && se.T.Local(x.Data) {
+		if err := se.T.LStore(x.Data, v); err != nil {
+			return err
+		}
+		return se.flush(x)
+	}
+	return se.write(x, func(persist bool) (bool, error) {
+		if persist {
+			return true, se.T.MStore(x.Data, v)
+		}
+		return true, se.T.LStore(x.Data, v)
+	})
+}
+
+// CAS is the shared compare-and-swap wrapper.
 func (se *Session) CAS(x Var, old, new core.Val) (bool, error) {
-	switch se.S {
-	case NoPersist:
-		return se.T.CAS(core.OpLRMW, x.Data, old, new)
-	case MStoreAll:
-		return se.T.CAS(core.OpMRMW, x.Data, old, new)
-	case OriginalFliT:
-		if err := se.ctrInc(x); err != nil {
-			return false, err
-		}
-		ok, err := se.T.CAS(core.OpLRMW, x.Data, old, new)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			if err := se.flush(x); err != nil {
-				return false, err
-			}
-		}
-		if err := se.ctrDec(x); err != nil {
-			return false, err
-		}
-		return ok, nil
-	}
-	if se.T.Local(x.Data) {
-		if err := se.ctrInc(x); err != nil {
-			return false, err
-		}
-		ok, err := se.T.CAS(core.OpLRMW, x.Data, old, new)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			if err := se.flush(x); err != nil {
-				return false, err
-			}
-		}
-		if err := se.ctrDec(x); err != nil {
-			return false, err
-		}
-		return ok, nil
-	}
-	return se.T.CAS(core.OpMRMW, x.Data, old, new)
+	var ok bool
+	err := se.write(x, func(persist bool) (_ bool, err error) {
+		ok, err = se.T.CAS(rmw(persist), x.Data, old, new)
+		return ok, err
+	})
+	return ok && err == nil, err
 }
 
 // FAA is the shared fetch-and-add wrapper.
 func (se *Session) FAA(x Var, delta core.Val) (core.Val, error) {
-	switch se.S {
-	case NoPersist:
-		return se.T.FAA(core.OpLRMW, x.Data, delta)
-	case MStoreAll:
-		return se.T.FAA(core.OpMRMW, x.Data, delta)
-	case OriginalFliT:
-		if err := se.ctrInc(x); err != nil {
-			return 0, err
-		}
-		prev, err := se.T.FAA(core.OpLRMW, x.Data, delta)
-		if err != nil {
-			return 0, err
-		}
-		if err := se.flush(x); err != nil {
-			return 0, err
-		}
-		if err := se.ctrDec(x); err != nil {
-			return 0, err
-		}
-		return prev, nil
+	var prev core.Val
+	err := se.write(x, func(persist bool) (_ bool, err error) {
+		prev, err = se.T.FAA(rmw(persist), x.Data, delta)
+		return true, err
+	})
+	if err != nil {
+		return 0, err
 	}
-	if se.T.Local(x.Data) {
-		if err := se.ctrInc(x); err != nil {
-			return 0, err
-		}
-		prev, err := se.T.FAA(core.OpLRMW, x.Data, delta)
-		if err != nil {
-			return 0, err
-		}
-		if err := se.flush(x); err != nil {
-			return 0, err
-		}
-		if err := se.ctrDec(x); err != nil {
-			return 0, err
-		}
-		return prev, nil
-	}
-	// Remote FAA under sound strategies: crash-atomic M-RMW.
-	return se.T.FAA(core.OpMRMW, x.Data, delta)
+	return prev, nil
 }
 
 // StoreBegin performs the first half of an owner-local shared store —

@@ -8,8 +8,8 @@ import (
 	"cxl0/internal/memsim"
 )
 
-// Ablation studies for the design choices DESIGN.md calls out: how
-// sensitive each persistence strategy is to cache-replacement pressure,
+// Ablation studies for the design choices package flit's comment explains:
+// how sensitive each persistence strategy is to cache-replacement pressure,
 // where the owner-local optimisation starts to pay as data placement
 // shifts, and how the FliT counter-table size trades false sharing against
 // footprint.
@@ -29,7 +29,7 @@ func EvictionAblation(strategies []flit.Strategy, rates []int, ops int) ([]Evict
 	var out []EvictionPoint
 	for _, rate := range rates {
 		for _, s := range strategies {
-			st, err := runWithCluster(Config{Workload: QueuePingPong, Strategy: s, Placement: Remote, Ops: ops, Seed: 1}, rate, 128)
+			st, err := run(Config{Workload: QueuePingPong, Strategy: s, Placement: Remote, Ops: ops, Seed: 1}, rate)
 			if err != nil {
 				return nil, err
 			}
@@ -195,50 +195,4 @@ func CounterTableAblation(sizes []int, readsPerSize int) ([]TablePoint, error) {
 		})
 	}
 	return out, nil
-}
-
-// runWithCluster is Run with explicit eviction rate and counter-table
-// size.
-func runWithCluster(cfg Config, evictEvery, tableSize int) (Stats, error) {
-	if cfg.Ops <= 0 {
-		cfg.Ops = 2000
-	}
-	heapWords := cfg.Ops*8 + 1024
-	cluster := memsim.NewCluster([]memsim.MachineConfig{
-		{Name: "worker", Mem: core.NonVolatile, Heap: heapWords},
-		{Name: "memhost", Mem: core.NonVolatile, Heap: heapWords},
-	}, memsim.Config{Latency: latency.NewModel(), EvictEvery: evictEvery, Seed: cfg.Seed})
-
-	home := core.MachineID(1)
-	if cfg.Placement == Local {
-		home = 0
-	}
-	heap, err := flit.NewHeapSized(cluster, home, tableSize)
-	if err != nil {
-		return Stats{}, err
-	}
-	th, err := cluster.NewThread(0)
-	if err != nil {
-		return Stats{}, err
-	}
-	se := flit.NewSession(cfg.Strategy, th)
-
-	step, err := newStepper(cfg.Workload, heap, se)
-	if err != nil {
-		return Stats{}, err
-	}
-	rng := newRand(cfg.Seed + 1)
-	for i := 0; i < 32; i++ {
-		if err := step(se, rng); err != nil {
-			return Stats{}, err
-		}
-	}
-	start := cluster.NowNS()
-	for i := 0; i < cfg.Ops; i++ {
-		if err := step(se, rng); err != nil {
-			return Stats{}, err
-		}
-	}
-	total := cluster.NowNS() - start
-	return Stats{Config: cfg, Ops: cfg.Ops, SimNS: total, SimNSPerOp: total / float64(cfg.Ops)}, nil
 }

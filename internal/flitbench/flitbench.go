@@ -82,8 +82,12 @@ type Stats struct {
 	SimNSPerOp float64
 }
 
-// Run executes one benchmark cell on a fresh cluster.
-func Run(cfg Config) (Stats, error) {
+// Run executes one benchmark cell on a fresh cluster, one random eviction
+// per 64 primitives.
+func Run(cfg Config) (Stats, error) { return run(cfg, 64) }
+
+// run is Run at an explicit eviction rate (the eviction ablation's knob).
+func run(cfg Config, evictEvery int) (Stats, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 2000
 	}
@@ -91,7 +95,7 @@ func Run(cfg Config) (Stats, error) {
 	cluster := memsim.NewCluster([]memsim.MachineConfig{
 		{Name: "worker", Mem: core.NonVolatile, Heap: heapWords},
 		{Name: "memhost", Mem: core.NonVolatile, Heap: heapWords},
-	}, memsim.Config{Latency: latency.NewModel(), EvictEvery: 64, Seed: cfg.Seed})
+	}, memsim.Config{Latency: latency.NewModel(), EvictEvery: evictEvery, Seed: cfg.Seed})
 
 	home := core.MachineID(1)
 	if cfg.Placement == Local {
@@ -127,9 +131,6 @@ func Run(cfg Config) (Stats, error) {
 	total := cluster.NowNS() - start
 	return Stats{Config: cfg, Ops: cfg.Ops, SimNS: total, SimNSPerOp: total / float64(cfg.Ops)}, nil
 }
-
-// newRand returns the deterministic PRNG used by benchmark cells.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // stepper performs one workload operation.
 type stepper func(se *flit.Session, rng *rand.Rand) error
