@@ -91,40 +91,55 @@ func TestMetricsEndpointAdvances(t *testing.T) {
 	if len(m1.Shards) != 4 {
 		t.Fatalf("snapshot has %d shard rows, want 4", len(m1.Shards))
 	}
-	time.Sleep(300 * time.Millisecond) //cxl0:hostclock — let the host-clock rolling rate tick
-	m2 := get()
-	if m2.Ops <= m1.Ops {
-		t.Fatalf("ops did not advance: %d -> %d", m1.Ops, m2.Ops)
+	// The driver is host-paced, compacts every 300 ops (restarting a
+	// shard's acked count at 0) and, under the partitioned campaign, holds
+	// a cluster's group commits for half of every 150-op window, so one
+	// sample after a fixed sleep may land anywhere in that cycle. Poll
+	// until every condition holds at once.
+	conds := []struct {
+		what string
+		ok   func(m2 metricsSnapshot) bool
+	}{
+		{"ops advance", func(m2 metricsSnapshot) bool { return m2.Ops > m1.Ops }},
+		{"the sim clock advances", func(m2 metricsSnapshot) bool { return m2.SimNS > m1.SimNS }},
+		{"writes are acked under a running update-heavy workload", func(m2 metricsSnapshot) bool { return m2.KV.Acked > 0 }},
+		{"the bus publishes under instrumentation", func(m2 metricsSnapshot) bool { return m2.Bus.Published > 0 }},
+		{"a PipelineDepth=2 batched store pipelines commits", func(m2 metricsSnapshot) bool { return m2.KV.PipelinedCommits > 0 }},
+		{"the max in-flight depth is >= 1 with the pipeline active", func(m2 metricsSnapshot) bool { return m2.KV.MaxInFlight >= 1 }},
+		{"a shard row reports an advanced acked-watermark", func(m2 metricsSnapshot) bool {
+			for _, row := range m2.Shards {
+				if row.Acked > 0 {
+					return true
+				}
+			}
+			return false
+		}},
+		{"the faults block reports the partitioned campaign", func(m2 metricsSnapshot) bool { return m2.Faults.Campaign == "partitioned" }},
+		{"the faults shard lists are present (empty, not null)", func(m2 metricsSnapshot) bool {
+			return m2.Faults.Down != nil && m2.Faults.Partitioned != nil && m2.Faults.Degraded != nil
+		}},
 	}
-	if m2.SimNS <= m1.SimNS {
-		t.Fatalf("sim clock did not advance: %g -> %g", m1.SimNS, m2.SimNS)
-	}
-	if m2.KV.Acked == 0 {
-		t.Fatal("no writes acked under a running update-heavy workload")
-	}
-	if m2.Bus.Published == 0 {
-		t.Fatal("bus published nothing despite instrumentation")
-	}
-	if m2.KV.PipelinedCommits == 0 {
-		t.Fatal("no pipelined commits under a PipelineDepth=2 batched store")
-	}
-	if m2.KV.MaxInFlight < 1 {
-		t.Fatalf("max in-flight depth %d, want >= 1 with the pipeline active", m2.KV.MaxInFlight)
-	}
-	ackedRows := 0
-	for _, row := range m2.Shards {
-		if row.Acked > 0 {
-			ackedRows++
+	held := make([]bool, len(conds))
+	deadline := time.Now().Add(10 * time.Second) //cxl0:hostclock — test timeout
+	for {
+		time.Sleep(50 * time.Millisecond) //cxl0:hostclock — let the host-paced driver run
+		m2, all := get(), true
+		for i, c := range conds {
+			ok := c.ok(m2)
+			held[i] = held[i] || ok
+			all = all && ok
 		}
-	}
-	if ackedRows == 0 {
-		t.Fatal("no shard row reports an advanced acked-watermark")
-	}
-	if m2.Faults.Campaign != "partitioned" {
-		t.Fatalf("faults block reports campaign %q, want partitioned", m2.Faults.Campaign)
-	}
-	if m2.Faults.Down == nil || m2.Faults.Partitioned == nil || m2.Faults.Degraded == nil {
-		t.Fatalf("faults shard lists must be present (empty, not null): %+v", m2.Faults)
+		if all {
+			return
+		}
+		if time.Now().After(deadline) { //cxl0:hostclock — test timeout
+			for i, c := range conds {
+				if !held[i] {
+					t.Fatalf("after 10 s of /metrics samples, never: %s (last: %+v)", c.what, m2)
+				}
+			}
+			t.Fatalf("after 10 s of /metrics samples, each condition held at some point but never all at once (last: %+v)", m2)
+		}
 	}
 }
 
