@@ -10,15 +10,11 @@
 //
 // # Routing
 //
-// Keys route key → pool bucket → cluster → (inside the owning store)
-// key → store bucket → shard: the same virtual-bucket indirection the
-// shard map uses (docs/rebalancing.md), lifted one level. The pool-level
-// map is a front-end DRAM array costing nothing on the simulated clock.
-// It is fixed today — bucket b lives on cluster b mod Clusters — but the
-// indirection is the point: a future cross-cluster migration repoints one
-// bucket at a time and can reuse the shard map's durable move protocol
-// (copy → durable move-out record → flip) across clusters. See
-// docs/pooling.md.
+// Keys route key → cluster by hash (ClusterOf: mix(k) mod Clusters), then
+// inside the owning store key → store bucket → shard through the shard
+// map (docs/rebalancing.md). The cluster choice is front-end arithmetic
+// costing nothing on the simulated clock, and it is fixed: no key moves
+// between clusters. See docs/pooling.md.
 //
 // # What is and isn't crash-safe
 //
@@ -45,10 +41,6 @@ import (
 	"cxl0/internal/obs"
 )
 
-// DefaultBuckets is the pool-level virtual-bucket count when
-// Config.Buckets is zero, mirroring kv.DefaultBuckets.
-const DefaultBuckets = 128
-
 // Batch aliases kv.Batch so pool-only callers need one import; Apply
 // accepts exactly kv's type, as the DB interface requires.
 type Batch = kv.Batch
@@ -57,10 +49,6 @@ type Batch = kv.Batch
 type Config struct {
 	// Clusters is the number of independent pooled clusters (default 1).
 	Clusters int
-	// Buckets is the pool-level virtual-bucket count (default
-	// DefaultBuckets), rounded up to a multiple of Clusters so the
-	// initial layout spreads buckets evenly.
-	Buckets int
 	// Store configures each cluster's store identically — shards,
 	// strategy, capacity and variant are per cluster. Store.Seed seeds
 	// cluster 0; cluster c runs at Store.Seed + c so the pooled fabrics
@@ -72,21 +60,12 @@ func (c Config) withDefaults() Config {
 	if c.Clusters <= 0 {
 		c.Clusters = 1
 	}
-	if c.Buckets <= 0 {
-		c.Buckets = DefaultBuckets
-	}
-	if c.Buckets < c.Clusters {
-		c.Buckets = c.Clusters
-	}
-	if r := c.Buckets % c.Clusters; r != 0 {
-		c.Buckets += c.Clusters - r
-	}
 	return c
 }
 
 // Router pools N cluster-backed stores behind the kv.DB interface.
 // Shards are addressed by global index: cluster c's shard i is
-// c*shardsPerCluster + i. The cluster map is immutable after Open, and
+// c*shardsPerCluster + i. The cluster set is immutable after Open, and
 // every store serializes its own operations, so Router methods are safe
 // for concurrent use; operations on distinct clusters do not serialize
 // against each other (they hold mu only for reading). Metrics,
@@ -94,11 +73,10 @@ func (c Config) withDefaults() Config {
 // atomically consistent — it never observes a fan-out operation half
 // applied.
 type Router struct {
-	cfg        Config
-	stores     []*kv.Store
-	clusterMap []int // pool bucket -> cluster
-	shardBase  []int // cluster -> first global shard index
-	nShards    int
+	cfg       Config
+	stores    []*kv.Store
+	shardBase []int // cluster -> first global shard index
+	nShards   int
 
 	// mu is held shared by every operation and exclusively by
 	// Metrics/ResetMetrics/Observe. scanDiscarded is atomic because Scan
@@ -115,10 +93,7 @@ var _ kv.DB = (*Router)(nil)
 // over them.
 func Open(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	r := &Router{cfg: cfg, clusterMap: make([]int, cfg.Buckets)}
-	for b := range r.clusterMap {
-		r.clusterMap[b] = b % cfg.Clusters
-	}
+	r := &Router{cfg: cfg}
 	for c := 0; c < cfg.Clusters; c++ {
 		scfg := cfg.Store
 		scfg.Seed += int64(c)
@@ -153,31 +128,21 @@ func (r *Router) Observe(rec *obs.Recorder) {
 // NumClusters returns the pooled cluster count.
 func (r *Router) NumClusters() int { return len(r.stores) }
 
-// NumBuckets returns the pool-level virtual-bucket count.
-func (r *Router) NumBuckets() int { return len(r.clusterMap) }
-
-// BucketOf returns the pool bucket key k hashes to. The hash must be
+// ClusterOf returns the cluster key k routes to. The hash must be
 // independent of the store-level shard map's (bare Fibonacci
-// multiplication): both maps reduce modulo bucket counts that share
-// factors in common configurations (128 by default), so reusing the
-// store's hash would alias cluster routing with shard routing — at
-// Clusters == Shards every cluster would serve all of its traffic on the
-// single shard congruent to its own index. The avalanche finisher
-// (Murmur3-style, the same mixing idiom as kv's record checksums)
-// decorrelates the two levels.
-func (r *Router) BucketOf(k core.Val) int {
+// multiplication): both reduce modulo counts that share factors in common
+// configurations, so reusing the store's hash would alias cluster routing
+// with shard routing — at Clusters == Shards every cluster would serve all
+// of its traffic on the single shard congruent to its own index. The
+// avalanche finisher (Murmur3-style, the same mixing idiom as kv's record
+// checksums) decorrelates the two levels.
+func (r *Router) ClusterOf(k core.Val) int {
 	h := uint64(k) * 0x9e3779b97f4a7c15
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return int(h % uint64(len(r.clusterMap)))
+	return int(h % uint64(len(r.stores)))
 }
-
-// ClusterOf returns the cluster key k currently routes to.
-func (r *Router) ClusterOf(k core.Val) int { return r.clusterMap[r.BucketOf(k)] }
-
-// ClusterOfBucket returns the cluster serving pool bucket b.
-func (r *Router) ClusterOfBucket(b int) int { return r.clusterMap[b] }
 
 // Cluster returns cluster c's backing store (for inspection and tests).
 func (r *Router) Cluster(c int) *kv.Store { return r.stores[c] }

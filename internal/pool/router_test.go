@@ -85,16 +85,13 @@ func TestRouterSingleClusterEquivalence(t *testing.T) {
 	}
 }
 
-// TestRouterRoutesAndAggregates: keys partition across clusters by the
-// pool bucket map, every key stays readable through the router, and the
+// TestRouterRoutesAndAggregates: keys partition across clusters by
+// hash, every key stays readable through the router, and the
 // aggregate metrics are the per-cluster sums in global shard order.
 func TestRouterRoutesAndAggregates(t *testing.T) {
 	r := openTest(t, Config{Clusters: 3, Store: kv.Config{Shards: 2, Strategy: kv.MStoreEach, Capacity: 128, Seed: 5}})
 	if r.NumClusters() != 3 || r.NumShards() != 6 {
 		t.Fatalf("pool shape: %d clusters, %d shards", r.NumClusters(), r.NumShards())
-	}
-	if r.NumBuckets()%3 != 0 {
-		t.Fatalf("bucket count %d not a multiple of the cluster count", r.NumBuckets())
 	}
 	const n = 60
 	seen := map[int]int{}
@@ -105,9 +102,6 @@ func TestRouterRoutesAndAggregates(t *testing.T) {
 		}
 		c := r.ClusterOf(k)
 		seen[c]++
-		if want := r.ClusterOfBucket(r.BucketOf(k)); c != want {
-			t.Fatalf("key %d: ClusterOf %d != ClusterOfBucket %d", k, c, want)
-		}
 		if ack.Shard < r.shardBase[c] || (c < 2 && ack.Shard >= r.shardBase[c+1]) {
 			t.Fatalf("key %d on cluster %d acked with global shard %d", k, c, ack.Shard)
 		}
@@ -379,9 +373,29 @@ func TestRouterCrashRecoverGlobalIndex(t *testing.T) {
 	}
 }
 
+// TestClusterOfMatchesBucketMap holds the hash routing to the two-level
+// pool-bucket map it replaced — 128 buckets rounded up to a multiple of
+// the cluster count, bucket b on cluster b mod Clusters — which it equals
+// because the cluster count divides the bucket count.
+func TestClusterOfMatchesBucketMap(t *testing.T) {
+	for clusters := 1; clusters <= 8; clusters++ {
+		r := &Router{stores: make([]*kv.Store, clusters)}
+		buckets := (128 + clusters - 1) / clusters * clusters
+		for k := core.Val(0); k < 10000; k++ {
+			h := uint64(k) * 0x9e3779b97f4a7c15
+			h ^= h >> 33
+			h *= 0xff51afd7ed558ccd
+			h ^= h >> 33
+			if want := int(h%uint64(buckets)) % clusters; r.ClusterOf(k) != want {
+				t.Fatalf("%d clusters, key %d: ClusterOf %d, bucket map %d", clusters, k, r.ClusterOf(k), want)
+			}
+		}
+	}
+}
+
 // TestRouterHashDecorrelatedFromShardMap is the regression test for a
-// routing-aliasing bug: the pool map and the store shard map both reduce
-// a key hash modulo bucket counts that share factors (128 by default), so
+// routing-aliasing bug: the cluster hash and the store shard map both
+// reduce a key hash modulo counts that share factors (128 by default), so
 // if the two levels used the same hash, every cluster at Clusters ==
 // Shards would route all of its traffic to the one shard congruent to
 // its own index. Each cluster must spread its keys over all of its
