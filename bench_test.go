@@ -437,7 +437,7 @@ func BenchmarkTraceCheck(b *testing.B) {
 }
 
 // BenchmarkAblationEviction measures the eviction-pressure sensitivity of
-// the sound strategies (DESIGN.md ablation).
+// the sound strategies (flitbench.EvictionAblation).
 func BenchmarkAblationEviction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		points, err := flitbench.EvictionAblation(

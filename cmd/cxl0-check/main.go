@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"cxl0/internal/crashtest"
 	"cxl0/internal/flit"
@@ -66,7 +67,7 @@ func main() {
 		if *verbose && firstViolation != nil {
 			fmt.Printf("  first violating history (%v/%v, seed %d):\n",
 				firstViolation.Options.Structure, firstViolation.Options.Crash, firstViolation.Options.Seed)
-			for _, line := range splitLines(history.Timeline(firstViolation.History)) {
+			for _, line := range strings.Split(strings.TrimSuffix(history.Timeline(firstViolation.History), "\n"), "\n") {
 				fmt.Printf("    %s\n", line)
 			}
 		}
@@ -75,19 +76,4 @@ func main() {
 	fmt.Println("cells are pass/total durably-linearizable runs; sound strategies must be n/n,")
 	fmt.Println("unsound ones are expected to drop below n/n under memory-host crashes.")
 	os.Exit(exit)
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }

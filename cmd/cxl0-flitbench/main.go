@@ -2,7 +2,7 @@
 // simulated CXL clock: simulated nanoseconds per high-level operation for
 // each workload, strategy, and data placement.
 //
-// Expected shape (see EXPERIMENTS.md): no-persist sets the durability-free
+// Expected shape (internal/flitbench's tests assert it): no-persist sets the durability-free
 // floor; among the sound strategies, the FliT transformations beat
 // MStore-everything on read-mostly and RMW-heavy workloads, and the §6.1
 // owner-local LFlush optimisation pays off when the data lives on the

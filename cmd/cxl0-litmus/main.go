@@ -106,8 +106,8 @@ func printMotivating() {
 }
 
 func printExtended() bool {
-	fmt.Println("Extended corpus — reproduction-finding traces (see EXPERIMENTS.md)")
-	fmt.Println("-------------------------------------------------------------------")
+	fmt.Println("Extended corpus — reproduction-finding traces (see internal/litmus/extended.go)")
+	fmt.Println("-------------------------------------------------------------------------------")
 	agree := true
 	for _, r := range litmus.RunAll(litmus.Extended()) {
 		status := "agree"

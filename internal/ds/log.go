@@ -38,9 +38,6 @@ func NewLog(h *flit.Heap, capacity int) (*Log, error) {
 	return &Log{h: h, claim: vars[0], done: vars[1], slots: slots, cap: capacity}, nil
 }
 
-// Cap returns the log's capacity.
-func (l *Log) Cap() int { return l.cap }
-
 // Append adds v (≥ 1) and returns its index. It returns ErrCorrupt when
 // the log is full. The entry is persistent when Append returns.
 func (l *Log) Append(se *flit.Session, v core.Val) (int, error) {

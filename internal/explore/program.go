@@ -44,9 +44,6 @@ type Operand struct {
 // ConstOp returns a constant operand.
 func ConstOp(v core.Val) Operand { return Operand{Const: v} }
 
-// RegOp returns a register operand.
-func RegOp(r Reg) Operand { return Operand{IsReg: true, Reg: r} }
-
 // Instr is one program instruction.
 type Instr struct {
 	Kind  InstrKind

@@ -5,8 +5,9 @@ import (
 )
 
 // Extended returns litmus tests beyond the paper's corpus: model-level
-// encodings of the reproduction findings from EXPERIMENTS.md (counter
-// rollback, vacuous flushes, poisoned in-flight stores) and additional
+// encodings of the reproduction findings package flit's comment and
+// docs/persistence.md describe (counter rollback, vacuous flushes,
+// poisoned in-flight stores) and additional
 // sanity traces for GPF and RMW persistence. Expected verdicts were
 // derived by hand from the Figure 2 semantics and are revalidated by the
 // checker on every test run.

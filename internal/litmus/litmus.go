@@ -6,8 +6,6 @@
 package litmus
 
 import (
-	"fmt"
-
 	"cxl0/internal/core"
 	"cxl0/internal/explore"
 )
@@ -237,9 +235,4 @@ func MotivatingAssertionHolds(storeOp core.Op, withRFlush bool) bool {
 		}
 	}
 	return true
-}
-
-// Describe renders a one-line summary of a test for tooling.
-func (t *Test) Describe() string {
-	return fmt.Sprintf("(%d) %s", t.ID, t.Paper)
 }

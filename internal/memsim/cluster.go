@@ -226,13 +226,6 @@ func (c *Cluster) Recover(m core.MachineID) {
 	c.bumpStampLocked()
 }
 
-// Alive reports whether machine m is up.
-func (c *Cluster) Alive(m core.MachineID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.alive[m]
-}
-
 // Partition cuts machine m off the fabric: cross-machine operations
 // touching it fail with ErrUnreachable in either direction, and a global
 // persistent flush cannot complete anywhere while any machine is
