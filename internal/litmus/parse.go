@@ -100,6 +100,9 @@ func ParseScript(input string) (*Script, error) {
 				if err != nil {
 					return nil, fmt.Errorf("line %d: %v", lineNo, err)
 				}
+				if _, dup := s.Topo.LocByName(name); dup {
+					return nil, fmt.Errorf("line %d: duplicate location name %q", lineNo, name)
+				}
 				locs[name] = s.Topo.AddLoc(name, m)
 			}
 		case "trace":

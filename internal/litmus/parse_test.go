@@ -198,3 +198,17 @@ expect: base=allowed
 		}
 	}
 }
+
+// TestParseDuplicateLocation: a location declared twice, on one locs: line
+// or across two, is a parse error naming its line, not a topology panic.
+func TestParseDuplicateLocation(t *testing.T) {
+	for _, input := range []string{
+		"machines: M1:nvm M2:nvm\nlocs: x@M1 x@M2\ntrace: E1",
+		"machines: M1:nvm M2:nvm\nlocs: x@M1\nlocs: x@M2\ntrace: E1",
+	} {
+		_, err := ParseScript(input)
+		if err == nil || !strings.Contains(err.Error(), `duplicate location name "x"`) || !strings.HasPrefix(err.Error(), "line ") {
+			t.Errorf("%q: got %v, want a line-numbered duplicate-location error", input, err)
+		}
+	}
+}
