@@ -155,8 +155,10 @@ func Run(o Options) Result {
 			}
 			th, err := cluster.NewThread(machine)
 			if err != nil {
-				fail(err)
-				return
+				if !errors.Is(err, memsim.ErrCrashed) {
+					fail(err)
+				}
+				return // the machine crashed before the worker started
 			}
 			c := client{se: flit.NewSession(o.Strategy, th), rec: &rec, cl: cluster, id: w}
 			rng := rand.New(rand.NewSource(o.Seed*1000 + int64(w)))
