@@ -1,186 +1,29 @@
-// Package cxl0bench is the top-level benchmark harness: one benchmark per
-// table and figure of the paper's evaluation, regenerating the artifact and
-// reporting its headline numbers as benchmark metrics.
+// Package cxl0bench is the top-level benchmark harness and the home of
+// TestPaperClaims, which derives every result of the paper and writes
+// RESULTS.md.
 //
-// Run everything with:
+// Run the benchmarks with:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem -run '^$' .
 //
-// The benchmarks are verification harnesses as much as performance
-// measurements: each one recomputes its experiment from scratch per
-// iteration, so ns/op tracks the cost of full regeneration, and the
-// reported custom metrics carry the experiment's results (latencies in
-// simulated nanoseconds, agreement counts, throughput in simulated time).
+// Each benchmark recomputes its experiment from scratch per iteration, so
+// ns/op tracks the cost of full regeneration, and the reported custom
+// metrics carry the experiment's results (latencies in simulated
+// nanoseconds, throughput in simulated time). The KV benchmarks assert as
+// they run.
 package cxl0bench
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"cxl0/internal/core"
-	"cxl0/internal/crashtest"
-	"cxl0/internal/cxlsim"
-	"cxl0/internal/explore"
 	"cxl0/internal/flit"
 	"cxl0/internal/flitbench"
 	"cxl0/internal/kv"
-	"cxl0/internal/latency"
 	"cxl0/internal/litmus"
 	"cxl0/internal/workload"
 )
-
-// BenchmarkFigure3Litmus regenerates the Figure 3 verdicts (litmus tests
-// 1–9) by exhaustive trace exploration and reports agreement with the
-// paper.
-func BenchmarkFigure3Litmus(b *testing.B) {
-	agree := 0
-	for i := 0; i < b.N; i++ {
-		agree = 0
-		for _, r := range litmus.RunAll(litmus.Figure3()) {
-			if r.Agrees() {
-				agree++
-			}
-		}
-	}
-	b.ReportMetric(float64(agree), "verdicts-agree")
-	b.ReportMetric(9, "verdicts-total")
-	if agree != 9 {
-		b.Fatalf("only %d/9 Figure 3 verdicts agree", agree)
-	}
-}
-
-// BenchmarkVariantTriples regenerates the §3.5 variant comparison table
-// (tests 10–12 under CXL0, CXL0-LWB, CXL0-PSN).
-func BenchmarkVariantTriples(b *testing.B) {
-	agree := 0
-	for i := 0; i < b.N; i++ {
-		agree = 0
-		for _, r := range litmus.RunAll(litmus.VariantTests()) {
-			if r.Agrees() {
-				agree++
-			}
-		}
-	}
-	b.ReportMetric(float64(agree), "verdicts-agree")
-	b.ReportMetric(9, "verdicts-total") // 3 tests × 3 variants
-	if agree != 9 {
-		b.Fatalf("only %d/9 variant verdicts agree", agree)
-	}
-}
-
-// BenchmarkMotivatingExample explores the §6 motivating program (the
-// assert(r1==r2) anomaly and its two repairs).
-func BenchmarkMotivatingExample(b *testing.B) {
-	ok := true
-	for i := 0; i < b.N; i++ {
-		ok = !litmus.MotivatingAssertionHolds(core.OpLStore, false) &&
-			litmus.MotivatingAssertionHolds(core.OpMStore, false) &&
-			litmus.MotivatingAssertionHolds(core.OpLStore, true)
-	}
-	if !ok {
-		b.Fatal("motivating-example verdicts diverged from the paper")
-	}
-}
-
-// BenchmarkProposition1 re-verifies the eight reach-set inclusions of
-// Proposition 1 on a fixed state family (the exhaustive check lives in the
-// explore package's tests; this tracks its cost).
-func BenchmarkProposition1(b *testing.B) {
-	topo := core.NewTopology()
-	m0 := topo.AddMachine("m1", core.NonVolatile)
-	m1 := topo.AddMachine("m2", core.NonVolatile)
-	x := topo.AddLoc("x", m0)
-	topo.AddLoc("y", m1)
-	s := core.NewState(topo)
-	s.SetCache(1, x, 1)
-
-	for i := 0; i < b.N; i++ {
-		lhs := explore.ReachVia(s, core.Base, core.MStoreL(m1, x, 1))
-		rhs := explore.ReachVia(s, core.Base, core.RStoreL(m1, x, 1))
-		if !explore.Subset(lhs, rhs) {
-			b.Fatal("Proposition 1(3) violated")
-		}
-	}
-}
-
-// BenchmarkTable1TxnMap regenerates Table 1 (the CXL transaction → CXL0
-// primitive mapping) and reports cell agreement with the paper.
-func BenchmarkTable1TxnMap(b *testing.B) {
-	agree, total := 0, 0
-	for i := 0; i < b.N; i++ {
-		agree, total = 0, 0
-		paper := cxlsim.PaperTable1()
-		for _, cell := range cxlsim.GenerateTable1() {
-			exp, ok := paper[cell.CellKey()]
-			if !ok {
-				continue
-			}
-			total++
-			if cell.Available && fmt.Sprint(cell.Observed) == fmt.Sprint(exp) {
-				agree++
-			}
-		}
-	}
-	b.ReportMetric(float64(agree), "cells-agree")
-	b.ReportMetric(float64(total), "cells-total")
-	if agree != total {
-		b.Fatalf("Table 1: only %d/%d cells agree", agree, total)
-	}
-}
-
-// BenchmarkFigure5Latency regenerates Figure 5 (median latency of every
-// CXL0 primitive per access class, 1000 samples per bar) and reports the
-// headline medians.
-func BenchmarkFigure5Latency(b *testing.B) {
-	m := latency.NewModel()
-	var cells []latency.Figure5Cell
-	for i := 0; i < b.N; i++ {
-		cells = Figure5Once(m)
-	}
-	for _, c := range cells {
-		if !c.Measurable {
-			continue
-		}
-		switch {
-		case c.Class == latency.HostToHM && c.Prim == cxlsim.PRead:
-			b.ReportMetric(c.MedianNS, "host-local-read-ns")
-		case c.Class == latency.HostToHDM && c.Prim == cxlsim.PRead:
-			b.ReportMetric(c.MedianNS, "host-remote-read-ns")
-		case c.Class == latency.DevToHM && c.Prim == cxlsim.PMStore:
-			b.ReportMetric(c.MedianNS, "dev-mstore-hm-ns")
-		}
-	}
-}
-
-// Figure5Once regenerates all thirty bars once.
-func Figure5Once(m *latency.Model) []latency.Figure5Cell {
-	return latency.Figure5(m, 1000)
-}
-
-// BenchmarkDurableLinearizability runs one crash-injected workload +
-// durable-linearizability check per iteration (the §6 experiment).
-func BenchmarkDurableLinearizability(b *testing.B) {
-	violations := 0
-	for i := 0; i < b.N; i++ {
-		r := crashtest.Run(crashtest.Options{
-			Structure: crashtest.StructQueue,
-			Strategy:  flit.CXL0FliT,
-			Crash:     crashtest.CrashMemoryHost,
-			Seed:      int64(i + 1),
-		})
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-		if !r.Linearizable {
-			violations++
-		}
-	}
-	b.ReportMetric(float64(violations), "violations")
-	if violations != 0 {
-		b.Fatalf("%d durable-linearizability violations under the sound strategy", violations)
-	}
-}
 
 // benchStrategy measures one persistence strategy's simulated cost on one
 // workload, reporting sim-ns/op (the §6.1 comparison).

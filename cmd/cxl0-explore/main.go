@@ -12,13 +12,12 @@
 //
 //	cxl0-explore file.litmus     # check a script file
 //	cxl0-explore -               # read the script from stdin
-//	cxl0-explore -demo           # run a built-in demonstration script
 //
-// Exit status is non-zero when any stated expectation is violated.
+// internal/litmus/testdata holds example scripts. Exit status is 1 when
+// any stated expectation is violated and 2 on a usage or parse error.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -28,100 +27,44 @@ import (
 	"cxl0/internal/litmus"
 )
 
-// discoverSeparators enumerates the focused trace family on the §3.5
-// topology and prints minimized witnesses separating the model variants —
-// the comparison the paper performs with FDR4.
-func discoverSeparators() {
-	topo := core.NewTopology()
-	m1 := topo.AddMachine("M1", core.NonVolatile)
-	m2 := topo.AddMachine("M2", core.Volatile)
-	topo.AddLoc("x", m1)
-	topo.AddLoc("y", m2)
-
-	fmt.Println("variant refinement over machines M1:nvm M2:vol, locs x@M1 y@M2")
-	fmt.Println("===============================================================")
-	pairs := [][2]core.Variant{
-		{core.Base, core.PSN}, {core.Base, core.LWB},
-		{core.PSN, core.LWB}, {core.LWB, core.PSN},
-		{core.PSN, core.Base}, {core.LWB, core.Base},
-	}
-	for _, p := range pairs {
-		sep := explore.FindSeparator(topo, p[0], p[1])
-		if sep == nil {
-			fmt.Printf("  no trace allowed by %-8v and forbidden by %v (in the searched family)\n", p[0], p[1])
-			continue
-		}
-		fmt.Printf("  allowed by %-8v forbidden by %-8v : %s\n", p[0], p[1], sep.Pretty(topo))
-	}
-	fmt.Println("\n(the PSN/LWB pair of witnesses is the paper's incomparability result;")
-	fmt.Println(" the absence of variant-allowed/base-forbidden traces confirms both")
-	fmt.Println(" variants refine base CXL0.)")
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout))
 }
 
-const demoScript = `# Can a value observed by a peer still be lost? (paper test 8)
-machines: M1:nvm M2:nvm
-locs: x@M2 y@M1
-trace: RStore1(x,1) Load2(x,1) RStore2(y,1) E2 Load1(y,1) Load1(x,0)
-expect: base=allowed
-
-# ...and MStore forbids the inconsistent recovery (test 9).
-trace: MStore1(x,1) Load2(x,1) RStore2(y,1) E2 Load1(y,1) Load1(x,0)
-expect: base=forbidden
-
-# The store-then-flush crash window: an eviction plus the owner's crash
-# between the LStore and the RFlush silently destroys the value, and the
-# flush completes vacuously.
-trace: LStore1(x,1) E2 RFlush1(x) Load1(x,1)
-expect: base=allowed
-trace: LStore1(x,1) E2 RFlush1(x) Load1(x,0)
-expect: base=allowed
-`
-
-func main() {
-	demo := flag.Bool("demo", false, "run the built-in demonstration script")
-	discover := flag.Bool("discover", false, "search for variant-separating traces (FDR4-style)")
-	flag.Parse()
-
-	if *discover {
-		discoverSeparators()
-		return
+// run checks the script named by args (or stdin for "-"), prints every
+// trace's verdict under each variant to stdout, and returns the exit
+// status.
+func run(args []string, stdin io.Reader, stdout io.Writer) int {
+	if len(args) != 1 {
+		fmt.Fprintln(os.Stderr, "usage: cxl0-explore <file.litmus | ->")
+		return 2
 	}
-
 	var (
 		input []byte
 		err   error
-		name  string
+		name  = args[0]
 	)
-	switch {
-	case *demo:
-		input, name = []byte(demoScript), "demo"
-	case flag.NArg() == 1 && flag.Arg(0) == "-":
-		input, err = io.ReadAll(os.Stdin)
+	if name == "-" {
+		input, err = io.ReadAll(stdin)
 		name = "stdin"
-	case flag.NArg() == 1:
-		input, err = os.ReadFile(flag.Arg(0))
-		name = flag.Arg(0)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: cxl0-explore <file.litmus | - | -demo>")
-		os.Exit(2)
+	} else {
+		input, err = os.ReadFile(name)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cxl0-explore:", err)
-		os.Exit(2)
+		return 2
 	}
-
 	script, err := litmus.ParseScript(string(input))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cxl0-explore:", err)
-		os.Exit(2)
+		return 2
 	}
 
-	fmt.Printf("%s: %d machines, %d locations, %d traces\n\n",
+	fmt.Fprintf(stdout, "%s: %d machines, %d locations, %d traces\n\n",
 		name, script.Topo.NumMachines(), script.Topo.NumLocs(), len(script.Traces))
-
 	failures := 0
 	for i, tr := range script.Traces {
-		fmt.Printf("trace %d: %s\n", i+1, tr.Source)
+		fmt.Fprintf(stdout, "trace %d: %s\n", i+1, tr.Source)
 		for _, variant := range core.Variants {
 			got := explore.Allows(script.Topo, variant, tr.Labels)
 			verdict := "forbidden"
@@ -137,12 +80,13 @@ func main() {
 					failures++
 				}
 			}
-			fmt.Printf("  %-9s %s%s\n", variant.String()+":", verdict, note)
+			fmt.Fprintf(stdout, "  %-9s %s%s\n", variant.String()+":", verdict, note)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if failures > 0 {
-		fmt.Printf("%d expectation(s) violated\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "%d expectation(s) violated\n", failures)
+		return 1
 	}
+	return 0
 }

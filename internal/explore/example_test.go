@@ -60,3 +60,53 @@ func ExampleExplore() {
 	// Output:
 	// assert(r1==r2) can fail: true
 }
+
+// ExampleExplore_messagePassing asks which publish recipes keep message
+// passing safe when the memory host may crash: a producer writes data=42
+// then flag=1 to memory it does not own, a consumer reads flag then data,
+// and the question is whether any interleaving shows flag=1 with data≠42.
+// An LStore+RFlush pair is not crash-atomic: eviction can park the payload
+// in the owner's dying cache before the flush, which then completes
+// vacuously. MStore is the crash-atomic publish.
+func ExampleExplore_messagePassing() {
+	unsafe := func(dataOp, flagOp core.Op, flushData bool) bool {
+		topo := core.NewTopology()
+		producer := topo.AddMachine("producer", core.NonVolatile)
+		host := topo.AddMachine("memhost", core.NonVolatile)
+		consumer := topo.AddMachine("consumer", core.NonVolatile)
+		data := topo.AddLoc("data", host)
+		flag := topo.AddLoc("flag", host)
+
+		publish := []explore.Instr{{Kind: explore.IStore, Op: dataOp, Loc: data, Src: explore.ConstOp(42)}}
+		if flushData {
+			publish = append(publish, explore.Instr{Kind: explore.IFlush, Op: core.OpRFlush, Loc: data})
+		}
+		publish = append(publish, explore.Instr{Kind: explore.IStore, Op: flagOp, Loc: flag, Src: explore.ConstOp(1)})
+		prog := explore.Program{
+			Threads: []explore.Thread{
+				{Machine: producer, Instrs: publish},
+				{Machine: consumer, NumRegs: 2, Instrs: []explore.Instr{
+					{Kind: explore.ILoad, Loc: flag, Dst: 0},
+					{Kind: explore.ILoad, Loc: data, Dst: 1},
+				}},
+			},
+			MaxCrashes: 1,
+			Crashable:  []core.MachineID{host},
+		}
+		for _, o := range explore.Explore(topo, core.Base, prog) {
+			if !o.Died[1] && o.Regs[1][0] == 1 && o.Regs[1][1] != 42 {
+				return true
+			}
+		}
+		return false
+	}
+	fmt.Println("LStore data; LStore flag:              unsafe =", unsafe(core.OpLStore, core.OpLStore, false))
+	fmt.Println("LStore data; RFlush data; LStore flag: unsafe =", unsafe(core.OpLStore, core.OpLStore, true))
+	fmt.Println("MStore data; LStore flag:              unsafe =", unsafe(core.OpMStore, core.OpLStore, false))
+	fmt.Println("MStore data; MStore flag:              unsafe =", unsafe(core.OpMStore, core.OpMStore, false))
+	// Output:
+	// LStore data; LStore flag:              unsafe = true
+	// LStore data; RFlush data; LStore flag: unsafe = true
+	// MStore data; LStore flag:              unsafe = false
+	// MStore data; MStore flag:              unsafe = false
+}

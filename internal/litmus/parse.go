@@ -8,9 +8,10 @@ import (
 	"cxl0/internal/core"
 )
 
-// This file implements a small text format for litmus tests, used by
-// cmd/cxl0-explore, so new tests can be checked without writing Go. The
-// syntax mirrors the paper's notation:
+// This file implements a small text format for litmus tests, so new tests
+// can be checked without writing Go: cmd/cxl0-explore checks a script,
+// and testdata/ holds the corpus TestScriptCorpusFiles verifies and
+// FuzzParseScript is seeded from. The syntax mirrors the paper's notation:
 //
 //	# three machines, one location each, all non-volatile
 //	machines: M1:nvm M2:nvm M3:vol

@@ -1,6 +1,8 @@
 package litmus
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -211,4 +213,37 @@ func TestParseDuplicateLocation(t *testing.T) {
 			t.Errorf("%q: got %v, want a line-numbered duplicate-location error", input, err)
 		}
 	}
+}
+
+// FuzzParseScript feeds arbitrary text to the parser, seeded with the
+// testdata corpus. Input it rejects must come back as an error; every
+// script it accepts that is small enough to explore (≤ 4 machines, ≤ 4
+// locations, traces of ≤ 8 labels) must go through explore.Allows under
+// every variant without panicking.
+func FuzzParseScript(f *testing.F) {
+	files, err := filepath.Glob("testdata/*.litmus")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(raw))
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		s, err := ParseScript(input)
+		if err != nil || s.Topo.NumMachines() > 4 || s.Topo.NumLocs() > 4 {
+			return
+		}
+		for _, tr := range s.Traces {
+			if len(tr.Labels) > 8 {
+				continue
+			}
+			for _, v := range core.Variants {
+				explore.Allows(s.Topo, v, tr.Labels)
+			}
+		}
+	})
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // TestScriptCorpusFiles parses and verifies every .litmus script under
-// testdata — the same files a user would feed to cxl0-explore.
+// testdata. They double as examples for cxl0-explore, and
+// walkthrough.litmus is a section of RESULTS.md.
 func TestScriptCorpusFiles(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.litmus")
 	if err != nil {
