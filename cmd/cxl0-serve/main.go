@@ -43,29 +43,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], nil); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":8080", "listen address")
-	clusters := flag.Int("clusters", 2, "pooled cluster count")
-	shards := flag.Int("shards", 2, "shards per cluster")
-	strategyF := flag.String("strategy", "group", "persistence strategy (mstore,flush,rflush,gpf,group,ranged)")
-	pipeline := flag.Int("pipeline", 2, "commit pipeline depth for batched strategies (1 = blocking commit)")
-	cacheCap := flag.Int("cache", 256, "per-front-end read-cache entry capacity (0 disables the cache and prefetcher)")
-	workloadF := flag.String("workload", "A", "YCSB workload (A,B,C,D,E)")
-	keys := flag.Int("keys", 500, "preloaded keyspace size")
-	rate := flag.Int("rate", 500, "target operations per host second")
-	crashEvery := flag.Int("crash-every", 4000, "ops between crash+recover cycles (0 disables)")
-	rebalanceEvery := flag.Int("rebalance-every", 1500, "ops between rebalance checks (0 disables)")
-	compactEvery := flag.Int("compact-every", 2500, "ops between compaction sweeps (0 disables)")
-	campaignF := flag.String("campaign", "", "looping fault-campaign class (uniform, correlated, degraded, partitioned; empty disables)")
-	campaignEvery := flag.Int("campaign-every", 2000, "ops between campaign fault windows")
-	seed := flag.Int64("seed", 1, "workload seed")
-	busSize := flag.Int("bus", obs.DefaultBusSize, "event bus ring size")
-	flag.Parse()
+// run is the whole command: parse args, open and preload the service,
+// then drive and serve it until ctx is done. ready, if not nil, is
+// called with the listen address once the server accepts connections.
+func run(ctx context.Context, args []string, ready func(addr string)) error {
+	fs := flag.NewFlagSet("cxl0-serve", flag.ContinueOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	clusters := fs.Int("clusters", 2, "pooled cluster count")
+	shards := fs.Int("shards", 2, "shards per cluster")
+	strategyF := fs.String("strategy", "group", "persistence strategy (mstore,flush,rflush,gpf,group,ranged)")
+	pipeline := fs.Int("pipeline", 2, "commit pipeline depth for batched strategies (1 = blocking commit)")
+	cacheCap := fs.Int("cache", 256, "per-front-end read-cache entry capacity (0 disables the cache and prefetcher)")
+	workloadF := fs.String("workload", "A", "YCSB workload (A,B,C,D,E)")
+	keys := fs.Int("keys", 500, "preloaded keyspace size")
+	rate := fs.Int("rate", 500, "target operations per host second")
+	crashEvery := fs.Int("crash-every", 4000, "ops between crash+recover cycles (0 disables)")
+	rebalanceEvery := fs.Int("rebalance-every", 1500, "ops between rebalance checks (0 disables)")
+	compactEvery := fs.Int("compact-every", 2500, "ops between compaction sweeps (0 disables)")
+	campaignF := fs.String("campaign", "", "looping fault-campaign class (uniform, correlated, degraded, partitioned; empty disables)")
+	campaignEvery := fs.Int("campaign-every", 2000, "ops between campaign fault windows")
+	seed := fs.Int64("seed", 1, "workload seed")
+	busSize := fs.Int("bus", obs.DefaultBusSize, "event bus ring size")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	strat, err := kv.ParseStrategy(*strategyF)
 	if err != nil {
@@ -78,6 +86,9 @@ func run() error {
 	spec.Keys = *keys
 	if spec.ScanPct > 0 && spec.MaxScanLen <= 0 {
 		spec.MaxScanLen = 16
+	}
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("cxl0-serve: %w", err)
 	}
 	if *rate <= 0 {
 		return fmt.Errorf("cxl0-serve: -rate must be positive")
@@ -128,9 +139,10 @@ func run() error {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -139,11 +151,6 @@ func run() error {
 	}()
 
 	srv := &http.Server{Addr: *addr, Handler: s.mux()}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
 	campaignNote := ""
 	if *campaignF != "" {
 		campaignNote = fmt.Sprintf(", %s campaign every %d ops", *campaignF, *campaignEvery)
@@ -156,6 +163,9 @@ func run() error {
 		*clusters, *shards, strat, pipeNote, spec.Name, *rate, campaignNote, ln.Addr())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
+	if ready != nil {
+		ready(ln.Addr().String())
+	}
 
 	select {
 	case <-ctx.Done():

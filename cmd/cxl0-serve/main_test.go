@@ -65,6 +65,22 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// TestRunRejectsEmptyKeyspace holds run to the keyspace workload.Run
+// accepts: with -keys 0 the server used to preload nothing and serve
+// workload D's inserts over an empty keyspace, where some ops carry
+// negative keys and fail with kv.ErrBadKey. The context is already
+// cancelled, so a run that accepts the flags returns nil at once.
+func TestRunRejectsEmptyKeyspace(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, keys := range []string{"0", "-5"} {
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-workload", "D", "-keys", keys}, nil)
+		if err == nil || !strings.Contains(err.Error(), "keyspace must be positive") {
+			t.Errorf("-keys %s: run returned %v, want the workload's keyspace error", keys, err)
+		}
+	}
+}
+
 func TestMetricsEndpointAdvances(t *testing.T) {
 	ts := newTestServer(t)
 
