@@ -38,21 +38,15 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-var pkgsFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&pkgsFlag, "pkgs", "cxl0/internal/kv,cxl0/internal/pool",
-		"comma-separated import paths whose raise sites must use the typed taxonomy")
+// checkedPkgs are the import paths whose raise sites must use the typed
+// taxonomy.
+var checkedPkgs = map[string]bool{
+	"cxl0/internal/kv":   true,
+	"cxl0/internal/pool": true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	checked := false
-	for _, p := range strings.Split(pkgsFlag, ",") {
-		if p != "" && p == pass.Pkg.Path() {
-			checked = true
-		}
-	}
-	if !checked {
+	if !checkedPkgs[pass.Pkg.Path()] {
 		return nil, nil
 	}
 	anns := annot.Gather(pass.Fset, pass.Files)

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestLintCleanOverTree is the meta-check behind the CI lint job: the
-// full cxl0-lint suite must run clean over the whole repository. A
-// finding here is either a genuine new violation (fix it) or a
-// deliberate exception (annotate it — see docs/analysis.md).
+// TestLintCleanOverTree puts the lint suite under `go test ./...`: the
+// full cxl0-lint suite must run clean over the whole repository, test
+// files included. A finding here is either a genuine new violation (fix
+// it) or a deliberate exception (annotate it — see docs/analysis.md).
 func TestLintCleanOverTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full dependency graph; run without -short")

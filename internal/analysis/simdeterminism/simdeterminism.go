@@ -24,7 +24,6 @@ package simdeterminism
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 
@@ -33,23 +32,23 @@ import (
 
 // simPkgs are the packages on the simulated timeline: every rule
 // applies.
-var simPkgs = flagSet(
-	"cxl0/internal/core",
-	"cxl0/internal/memsim",
-	"cxl0/internal/kv",
-	"cxl0/internal/kv/kvtest",
-	"cxl0/internal/pool",
-	"cxl0/internal/faults",
-	"cxl0/internal/workload",
-)
+var simPkgs = map[string]bool{
+	"cxl0/internal/core":      true,
+	"cxl0/internal/memsim":    true,
+	"cxl0/internal/kv":        true,
+	"cxl0/internal/kv/kvtest": true,
+	"cxl0/internal/pool":      true,
+	"cxl0/internal/faults":    true,
+	"cxl0/internal/workload":  true,
+}
 
 // hostPkgs sit at the host boundary: the clock and RNG rules apply
 // (with //cxl0:hostclock escapes expected), but map iteration there
 // feeds host-visible output only.
-var hostPkgs = flagSet(
-	"cxl0/internal/obs",
-	"cxl0/cmd/cxl0-serve",
-)
+var hostPkgs = map[string]bool{
+	"cxl0/internal/obs":   true,
+	"cxl0/cmd/cxl0-serve": true,
+}
 
 // hostClockFuncs are the time package's host-clock entry points. Pure
 // arithmetic (time.Duration, time.Unix) stays allowed.
@@ -78,37 +77,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.StringVar(&extraSimPkgs, "simpkgs", "", "comma-separated extra import paths to treat as sim-path")
-	Analyzer.Flags.StringVar(&extraHostPkgs, "hostpkgs", "", "comma-separated extra import paths to treat as host-boundary")
-}
-
-var extraSimPkgs, extraHostPkgs string
-
-func flagSet(paths ...string) map[string]bool {
-	m := map[string]bool{}
-	for _, p := range paths {
-		m[p] = true
-	}
-	return m
-}
-
-func inSet(set map[string]bool, extra, path string) bool {
-	if set[path] {
-		return true
-	}
-	for _, p := range strings.Split(extra, ",") {
-		if p != "" && p == path {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	path := pass.Pkg.Path()
-	sim := inSet(simPkgs, extraSimPkgs, path)
-	host := inSet(hostPkgs, extraHostPkgs, path)
+	sim, host := simPkgs[pass.Pkg.Path()], hostPkgs[pass.Pkg.Path()]
 	if !sim && !host {
 		return nil, nil
 	}

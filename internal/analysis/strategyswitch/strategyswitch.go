@@ -2,9 +2,10 @@
 // simulator's closed enums: any switch over kv.Strategy, core.Op (the
 // litmus op kinds) or workload.OpKind must either cover every declared
 // constant of the type or carry an explicit default clause. The next
-// strategy or op added to the simulator then fails the lint job at
-// every dispatch it silently falls through (store.go's strategy
-// dispatch being the load-bearing one), instead of persisting nothing.
+// strategy or op added to the simulator then fails cxl0-lint (and so
+// `go test ./...`) at every dispatch it silently falls through
+// (persist.go's strategy dispatch being the load-bearing one), instead
+// of persisting nothing.
 package strategyswitch
 
 import (
@@ -25,22 +26,14 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-var typesFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&typesFlag, "types",
-		"cxl0/internal/kv.Strategy,cxl0/internal/core.Op,cxl0/internal/workload.OpKind",
-		"comma-separated qualified named types whose switches must be exhaustive")
+// enums are the qualified named types whose switches must be exhaustive.
+var enums = map[string]bool{
+	"cxl0/internal/kv.Strategy":     true,
+	"cxl0/internal/core.Op":         true,
+	"cxl0/internal/workload.OpKind": true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	enums := map[string]bool{}
-	for _, t := range strings.Split(typesFlag, ",") {
-		if t != "" {
-			enums[t] = true
-		}
-	}
-
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sw, ok := n.(*ast.SwitchStmt)
