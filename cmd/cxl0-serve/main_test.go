@@ -81,6 +81,96 @@ func TestRunRejectsEmptyKeyspace(t *testing.T) {
 	}
 }
 
+// startRun runs the whole command on a free local port and returns the
+// server's base URL and a stop function that cancels run's context and
+// returns what run returned.
+func startRun(t *testing.T, args ...string) (string, func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	addrc, errc := make(chan string, 1), make(chan error, 1)
+	go func() {
+		errc <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), func(addr string) { addrc <- addr })
+	}()
+	var url string
+	select {
+	case addr := <-addrc:
+		url = "http://" + addr
+	case err := <-errc:
+		t.Fatalf("run returned before serving: %v", err)
+	}
+	return url, func() error {
+		cancel()
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(10 * time.Second): //cxl0:hostclock — test timeout
+			t.Fatal("run did not return within 10 s of its context being cancelled")
+			return nil
+		}
+	}
+}
+
+// pollMetrics scrapes url's /metrics until ok holds, failing the test
+// after 10 s, and returns the sample it held on.
+func pollMetrics(t *testing.T, url, what string, ok func(metricsSnapshot) bool) metricsSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second) //cxl0:hostclock — test timeout
+	for {
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m metricsSnapshot
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok(m) {
+			return m
+		}
+		if time.Now().After(deadline) { //cxl0:hostclock — test timeout
+			t.Fatalf("after 10 s of /metrics samples, never: %s (last: %+v)", what, m)
+		}
+		time.Sleep(50 * time.Millisecond) //cxl0:hostclock — let the host-paced driver run
+	}
+}
+
+// TestRunServesReadCacheAndStops runs the command at its defaults (a
+// 256-entry read cache with prefetch on every front end): the driver's
+// reads flow through the cache, and cancelling the context (what
+// SIGINT/SIGTERM do in main) drains the server and returns nil.
+func TestRunServesReadCacheAndStops(t *testing.T) {
+	url, stop := startRun(t, "-rate", "2000")
+	pollMetrics(t, url, "reads go through a non-empty read cache", func(m metricsSnapshot) bool {
+		return m.KV.CacheHits+m.KV.CacheMisses > 0 && m.KV.CacheSize > 0
+	})
+	if err := stop(); err != nil {
+		t.Fatalf("run returned %v after its context was cancelled, want nil", err)
+	}
+}
+
+// TestRunPartitionedCampaign drives the partitioned fault campaign end
+// to end: it cuts a shard off every 150 ops and heals it half a window
+// later, so the obs counters must show a partition and its heal, and the
+// ops the partition denies are tolerated, not counted as failures.
+func TestRunPartitionedCampaign(t *testing.T) {
+	url, stop := startRun(t, "-rate", "2000", "-crash-every", "0", "-campaign", "partitioned", "-campaign-every", "150")
+	m := pollMetrics(t, url, "a partition and its heal", func(m metricsSnapshot) bool {
+		return m.Obs.Partitions >= 1 && m.Obs.Heals >= 1
+	})
+	if m.Obs.Heals > m.Obs.Partitions {
+		t.Errorf("%d heals for %d partitions", m.Obs.Heals, m.Obs.Partitions)
+	}
+	if m.Failed != 0 {
+		t.Errorf("%d ops failed under the partitioned campaign, want 0", m.Failed)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMetricsEndpointAdvances(t *testing.T) {
 	ts := newTestServer(t)
 
@@ -162,8 +252,8 @@ func TestMetricsEndpointAdvances(t *testing.T) {
 // TestMetricsKVKeys pins the /metrics compatibility contract: the kv
 // block is kv.Counters plus two gauges, so its keys are whatever the
 // struct tags say — and these 19, served since before the counters had
-// one declaration, must stay among them, each a number. (CI's serve smoke
-// and the dashboard read them by name.)
+// one declaration, must stay among them, each a number. (The dashboard
+// and scrapers read them by name.)
 func TestMetricsKVKeys(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
