@@ -64,7 +64,6 @@ type benchConfig struct {
 // expands its rows from.
 type matrix struct {
 	benchConfig
-	colocate   bool
 	specs      []workload.Spec
 	strategies []kv.Strategy
 	variants   []core.Variant
@@ -197,7 +196,6 @@ func (m *matrix) options(spec workload.Spec, strat kv.Strategy, shards, clusters
 			Batch:      m.Batch,
 			Variant:    variant,
 			EvictEvery: m.EvictEvery,
-			Colocate:   m.colocate,
 		},
 		Clusters:   clusters,
 		Ops:        m.Ops,
@@ -225,7 +223,6 @@ func parseFlags(args []string) (*matrix, string, error) {
 	variants := fs.String("variants", "base,psn", "comma-separated hardware variants (base,psn,lwb)")
 	depths := fs.String("pipeline-depths", "1,2,4", "comma-separated commit-pipeline depths for the pipelined sweep (1 is the blocking baseline already in the matrix; depths >1 add sweep rows)")
 	fs.IntVar(&m.Cache, "cache", 256, "read-cache entry capacity of the cache-sweep rows (0 disables those rows)")
-	fs.BoolVar(&m.colocate, "colocate", false, "bind shard workers to the shard's machine")
 	out := fs.String("out", "BENCH_kv.json", "output JSON path (empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return nil, "", err

@@ -141,7 +141,6 @@ import (
 	"strings"
 
 	"cxl0/internal/core"
-	"cxl0/internal/latency"
 )
 
 // ErrShardDown is returned for operations routed to a crashed shard that
@@ -319,9 +318,6 @@ type Config struct {
 	// Colocate binds each shard's worker thread to the shard's own
 	// machine (owner-local access) instead of the front-end machine.
 	Colocate bool
-	// Latency is the cost model charged to the simulated clock
-	// (default latency.NewModel()).
-	Latency *latency.Model
 	// ReadCache is the entry capacity of the per-front-end volatile read
 	// cache: a bounded key→value cache of MESI-modeled lines consulted
 	// before paying the simulated Load on the read path, invalidated
@@ -367,9 +363,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PipelineDepth < 1 {
 		c.PipelineDepth = 1
-	}
-	if c.Latency == nil {
-		c.Latency = latency.NewModel()
 	}
 	return c
 }

@@ -213,16 +213,7 @@ scan:
 		if !r.move {
 			continue
 		}
-		ver, out, _ := decodeMove(r.val, len(s.shards))
-		if ver > s.moveSeq {
-			// Redundant today — every scanned marker was written by this
-			// Store instance under the lock, so ver <= moveSeq always —
-			// but a future front-end-restart path (ROADMAP) that rebuilds
-			// the map from shard logs must treat every logged version as
-			// spent, and this loop is where that contract lives.
-			s.moveSeq = ver
-		}
-		if !out {
+		if _, out, _ := decodeMove(r.val, len(s.shards)); !out {
 			continue
 		}
 		b := int(r.key)

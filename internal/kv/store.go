@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"cxl0/internal/core"
+	"cxl0/internal/latency"
 	"cxl0/internal/memsim"
 	"cxl0/internal/obs"
 )
@@ -134,7 +135,7 @@ func Open(cfg Config) (*Store, error) {
 		Variant:    cfg.Variant,
 		EvictEvery: cfg.EvictEvery,
 		Seed:       cfg.Seed,
-		Latency:    cfg.Latency,
+		Latency:    latency.NewModel(),
 	})
 	s := &Store{
 		cfg:       cfg,

@@ -69,7 +69,6 @@ type Result struct {
 	Clusters int    `json:"clusters"`
 	Variant  string `json:"variant"`
 	Batch    int    `json:"batch,omitempty"`
-	Colocate bool   `json:"colocate,omitempty"`
 	Seed     int64  `json:"seed"`
 	// Capacity echoes an explicitly constrained per-shard log capacity
 	// (0 = the runner's worst-case auto-sizing) and CompactAtFill the
@@ -269,7 +268,6 @@ func Run(o Options) (Result, error) {
 		Shards:   db.NumShards() / clusters,
 		Clusters: clusters,
 		Variant:  cfg.Variant.String(),
-		Colocate: cfg.Colocate,
 		Seed:     o.Seed,
 		Ops:      o.Ops,
 
