@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -247,5 +248,15 @@ func TestRun(t *testing.T) {
 	}
 	if err := run([]string{"-strategies", "turbo", "-out", ""}, io.Discard); !errors.Is(err, kv.ErrUnknownStrategy) {
 		t.Errorf("run with an unknown strategy: %v", err)
+	}
+	// -ops 0 used to write an artifact whose config said 0 ops over rows
+	// that each ran 1000, with every campaign schedule empty.
+	zero := filepath.Join(t.TempDir(), "zero.json")
+	args = strings.Fields("-ops 0 -keys 40 -shards 1,2 -clusters 1 -workloads A -strategies group,ranged -variants base -pipeline-depths 1 -cache 0 -out " + zero)
+	if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "Ops must be positive") {
+		t.Errorf("run with -ops 0: %v, want the Ops error", err)
+	}
+	if _, err := os.Stat(zero); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("run with -ops 0 left an artifact behind (stat: %v)", err)
 	}
 }

@@ -26,7 +26,8 @@ type Options struct {
 	// (0 or 1 = a single cluster; the run then matches the pre-pooling
 	// harness bit for bit).
 	Clusters int
-	// Ops is the number of measured operations (after preload).
+	// Ops is the number of measured operations (after preload); it must
+	// be positive.
 	Ops int
 	// CrashEvery injects one crash+recover cycle (rotating over shards)
 	// every CrashEvery measured operations; 0 disables crash churn. The
@@ -209,7 +210,7 @@ func Run(o Options) (Result, error) {
 		return Result{}, err
 	}
 	if o.Ops <= 0 {
-		o.Ops = 1000
+		return Result{}, fmt.Errorf("workload %s: Ops must be positive, got %d", o.Spec.Name, o.Ops)
 	}
 	clusters := o.Clusters
 	if clusters < 1 {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"cxl0/internal/kv"
@@ -114,6 +115,19 @@ func TestRunSmoke(t *testing.T) {
 	}
 	if res.RecoveryMeanNS <= 0 {
 		t.Fatal("no recovery time recorded")
+	}
+}
+
+// TestRunRejectsBadOptions: Run used to substitute 1000 ops for Ops <= 0,
+// so a caller asking for 0 ran 1000 ops while its own config said 0.
+func TestRunRejectsBadOptions(t *testing.T) {
+	spec, _ := YCSB("A")
+	spec.Keys = 20
+	for _, ops := range []int{0, -1} {
+		_, err := Run(Options{Spec: spec, Store: kv.Config{Shards: 1, Strategy: kv.GroupCommit}, Ops: ops, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "Ops must be positive") {
+			t.Errorf("Ops %d: Run returned %v, want an Ops error", ops, err)
+		}
 	}
 }
 
