@@ -7,13 +7,12 @@
 //	GET /events   — the observability event stream over Server-Sent
 //	                Events, one typed JSON event per frame
 //
-// The driver paces a YCSB-style workload on the host clock (-rate) and
-// periodically injects crash/recover cycles, rebalance checks and
-// compaction sweeps, so every event kind in internal/obs flows through
-// the stream. With -campaign it additionally loops a scripted fault
-// campaign (internal/faults) — correlated crashes, device degradation
-// or fabric partitions — so the dashboard shows structured fault churn
-// and graceful degradation, not just uniform crash cycles.
+// The driver paces a YCSB-style workload on the host clock (-rate),
+// periodically runs rebalance checks and compaction sweeps, and loops a
+// scripted fault campaign (internal/faults, -campaign): uniform
+// crash/recover cycles by default, or correlated crashes, device
+// degradation or fabric partitions — so every event kind in internal/obs
+// flows through the stream and the dashboard shows graceful degradation.
 // SIGINT/SIGTERM shut the server down cleanly (exit 0).
 package main
 
@@ -64,13 +63,9 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	workloadF := fs.String("workload", "A", "YCSB workload (A,B,C,D,E)")
 	keys := fs.Int("keys", 500, "preloaded keyspace size")
 	rate := fs.Int("rate", 500, "target operations per host second")
-	crashEvery := fs.Int("crash-every", 4000, "ops between crash+recover cycles (0 disables)")
-	rebalanceEvery := fs.Int("rebalance-every", 1500, "ops between rebalance checks (0 disables)")
-	compactEvery := fs.Int("compact-every", 2500, "ops between compaction sweeps (0 disables)")
-	campaignF := fs.String("campaign", "", "looping fault-campaign class (uniform, correlated, degraded, partitioned; empty disables)")
-	campaignEvery := fs.Int("campaign-every", 2000, "ops between campaign fault windows")
+	campaignF := fs.String("campaign", "uniform", "looping fault-campaign class (uniform, correlated, degraded, partitioned; empty disables)")
+	campaignEvery := fs.Int("campaign-every", 4000, "ops between campaign fault windows")
 	seed := fs.Int64("seed", 1, "workload seed")
-	busSize := fs.Int("bus", obs.DefaultBusSize, "event bus ring size")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -121,7 +116,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	bus := obs.NewBus(*busSize)
+	bus := obs.NewBus(obs.DefaultBusSize)
 	stats := obs.NewStats()
 	r.Observe(obs.NewRecorder(bus, stats))
 
@@ -147,7 +142,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.drive(ctx, *rate, *seed, *crashEvery, *rebalanceEvery, *compactEvery, *campaignF, *campaignEvery)
+		s.drive(ctx, *rate, *seed, *campaignF, *campaignEvery)
 	}()
 
 	srv := &http.Server{Addr: *addr, Handler: s.mux()}
@@ -208,6 +203,12 @@ func (s *server) mux() *http.ServeMux {
 	return mux
 }
 
+// The driver's control-plane cadences, in ops.
+const (
+	rebalanceEvery = 1500
+	compactEvery   = 2500
+)
+
 // drive paces the workload on the host clock until ctx is done. Failures
 // from a shard that is down mid-churn are counted, not fatal — a live
 // service keeps serving what it can. When campaignClass is set, a
@@ -215,7 +216,7 @@ func (s *server) mux() *http.ServeMux {
 // windows, then Finish() heals and recovers everything before the next
 // cycle starts, so the dashboard shows repeated inject→degrade→restore
 // arcs.
-func (s *server) drive(ctx context.Context, rate int, seed int64, crashEvery, rebalanceEvery, compactEvery int, campaignClass string, campaignEvery int) {
+func (s *server) drive(ctx context.Context, rate int, seed int64, campaignClass string, campaignEvery int) {
 	gen := workload.NewGenerator(s.spec, seed)
 	interval := time.Second / time.Duration(rate)
 	if interval <= 0 {
@@ -242,7 +243,6 @@ func (s *server) drive(ctx context.Context, rate int, seed int64, crashEvery, re
 		eng = faults.New(s.db, sched)
 	}
 
-	crashShard := 0
 	for i := 1; ; i++ {
 		select {
 		case <-ctx.Done():
@@ -263,22 +263,12 @@ func (s *server) drive(ctx context.Context, rate int, seed int64, crashEvery, re
 				s.failed.Add(1)
 			}
 		}
-		if crashEvery > 0 && i%crashEvery == 0 {
-			// Rotate over healthy shards only (see faults.NextHealthy).
-			if shard := faults.NextHealthy(s.db.Health(), crashShard); shard >= 0 {
-				crashShard = shard + 1
-				s.db.Crash(shard)
-				if _, err := s.db.Recover(shard); err != nil {
-					s.failed.Add(1)
-				}
-			}
-		}
-		if rebalanceEvery > 0 && i%rebalanceEvery == 0 {
+		if i%rebalanceEvery == 0 {
 			if _, err := s.db.Rebalance(); err != nil {
 				s.failed.Add(1)
 			}
 		}
-		if compactEvery > 0 && i%compactEvery == 0 {
+		if i%compactEvery == 0 {
 			if _, err := s.db.Compact(); err != nil {
 				s.failed.Add(1)
 			}

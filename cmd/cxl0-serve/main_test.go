@@ -53,7 +53,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.drive(ctx, 2000, 3, 500, 200, 300, "partitioned", 150)
+		s.drive(ctx, 2000, 3, "partitioned", 150)
 	}()
 
 	ts := httptest.NewServer(s.mux())
@@ -156,7 +156,7 @@ func TestRunServesReadCacheAndStops(t *testing.T) {
 // later, so the obs counters must show a partition and its heal, and the
 // ops the partition denies are tolerated, not counted as failures.
 func TestRunPartitionedCampaign(t *testing.T) {
-	url, stop := startRun(t, "-rate", "2000", "-crash-every", "0", "-campaign", "partitioned", "-campaign-every", "150")
+	url, stop := startRun(t, "-rate", "2000", "-campaign", "partitioned", "-campaign-every", "150")
 	m := pollMetrics(t, url, "a partition and its heal", func(m metricsSnapshot) bool {
 		return m.Obs.Partitions >= 1 && m.Obs.Heals >= 1
 	})
@@ -197,7 +197,7 @@ func TestMetricsEndpointAdvances(t *testing.T) {
 	if len(m1.Shards) != 4 {
 		t.Fatalf("snapshot has %d shard rows, want 4", len(m1.Shards))
 	}
-	// The driver is host-paced, compacts every 300 ops (restarting a
+	// The driver is host-paced, compacts every 2500 ops (restarting a
 	// shard's acked count at 0) and, under the partitioned campaign, holds
 	// a cluster's group commits for half of every 150-op window, so one
 	// sample after a fixed sleep may land anywhere in that cycle. Poll

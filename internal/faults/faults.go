@@ -4,12 +4,12 @@
 // to operation indices, and an Engine fires them as a workload advances,
 // measuring the outage and recovery windows they cause.
 //
-// Campaigns replace the uniform crash-churn knob (workload
-// Options.CrashEvery) with structured fault classes:
+// Campaigns generalize uniform crash churn into structured fault
+// classes:
 //
 //   - Uniform: one crash+immediate-recover cycle rotating over shards —
-//     the legacy knob, expressed as a campaign so the classes share one
-//     measurement path.
+//     how workload Options.CrashEvery runs, so every class and the churn
+//     knob share one fault path.
 //   - Correlated: several shards crash at the same operation index (one
 //     blast radius, as when a rack or fabric switch fails) and recover
 //     together later — in schedule order, which is the campaign's order,
@@ -301,22 +301,6 @@ func (e *Engine) Finish() error {
 // Stats returns what the campaign has measured so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// NextHealthy returns the index of the first shard at or after from
-// (wrapping round) that is neither down nor partitioned, or -1 when
-// every shard is impaired. Uniform crash churn running beside a campaign
-// rotates with it: injecting into a shard the campaign already holds
-// down — or partitioned, where recovery would need a heal first — would
-// double-fault it and break the campaign's outage accounting.
-func NextHealthy(health []kv.ShardHealth, from int) int {
-	for probe := range health {
-		cand := (from + probe) % len(health)
-		if !health[cand].Down && !health[cand].Partitioned {
-			return cand
-		}
-	}
-	return -1
-}
-
 // PercentileNS returns the p-th percentile (nearest-rank, p in [0,100])
 // of xs, which need not be sorted. Returns 0 for an empty slice.
 func PercentileNS(xs []float64, p float64) float64 {
@@ -364,8 +348,9 @@ func ForClass(name string, ops, shards, every int) (*Campaign, error) {
 	return nil, fmt.Errorf("faults: unknown campaign class %q (want none, uniform, correlated, degraded or partitioned)", name)
 }
 
-// Uniform is the legacy crash-churn knob as a campaign: every `every`
-// measured ops, one shard (rotating) crashes and recovers immediately.
+// Uniform is crash churn as a campaign (and how workload
+// Options.CrashEvery runs): every `every` measured ops, one shard
+// (rotating) crashes and recovers immediately.
 func Uniform(ops, shards, every int) *Campaign {
 	c := &Campaign{Name: "uniform"}
 	s := 0

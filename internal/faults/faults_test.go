@@ -361,22 +361,3 @@ func TestPercentileNS(t *testing.T) {
 		t.Fatal("PercentileNS mutated its input")
 	}
 }
-
-func TestNextHealthy(t *testing.T) {
-	health := []kv.ShardHealth{{Shard: 0}, {Shard: 1, Down: true}, {Shard: 2, Partitioned: true}, {Shard: 3}}
-	for _, tc := range []struct{ from, want int }{
-		{0, 0}, {1, 3}, {2, 3}, {3, 3},
-		{4, 0}, // the caller's cursor runs one past the last pick: wraps
-		{5, 3},
-	} {
-		if got := faults.NextHealthy(health, tc.from); got != tc.want {
-			t.Errorf("NextHealthy(from %d) = %d, want %d", tc.from, got, tc.want)
-		}
-	}
-	if got := faults.NextHealthy(health[1:3], 0); got != -1 {
-		t.Errorf("all shards impaired: got %d, want -1", got)
-	}
-	if got := faults.NextHealthy(nil, 0); got != -1 {
-		t.Errorf("no shards: got %d, want -1", got)
-	}
-}

@@ -18,7 +18,11 @@ package kv
 // shards' own caches, so there the replay typically salvages even the
 // open batch. See docs/pipeline.md for the full argument.
 
-import "fmt"
+import (
+	"fmt"
+
+	"cxl0/internal/obs"
+)
 
 // CrashFront fails the front-end machine. Every client operation enters
 // through the front end, so the entire service surface — data plane and
@@ -41,7 +45,8 @@ func (s *Store) CrashFront() {
 	// The read cache is front-end DRAM, the most volatile state of all:
 	// it dies with the front's machine, wholesale.
 	s.cache.invalidateAllLocked()
-	s.rec.Crash(-1, s.cluster.NowNS())
+	now := s.cluster.NowNS()
+	s.rec.Mark(obs.KindCrash, -1, 0, now, now)
 }
 
 // FrontDown reports whether the front-end machine is currently crashed.

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"cxl0/internal/core"
+	"cxl0/internal/obs"
 )
 
 // This file implements bucket migration — the mechanism behind load-aware
@@ -398,7 +399,7 @@ func (s *Store) Rebalance() ([]MigrationStats, error) {
 	}
 	start := s.cluster.NowNS()
 	moves, err := s.rebalanceLocked()
-	s.rec.Rebalance(len(moves), start, s.cluster.NowNS())
+	s.rec.Mark(obs.KindRebalance, -1, len(moves), start, s.cluster.NowNS())
 	return moves, err
 }
 

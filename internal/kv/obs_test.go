@@ -38,7 +38,8 @@ func TestObserveEventStream(t *testing.T) {
 	}
 	bus := obs.NewBus(0)
 	sub := bus.Subscribe()
-	s.Observe(obs.NewRecorder(bus, obs.NewStats()))
+	stats := obs.NewStats()
+	s.Observe(obs.NewRecorder(bus, stats))
 
 	for k := core.Val(0); k < 10; k++ {
 		if _, err := s.Put(k, k+1); err != nil {
@@ -174,7 +175,7 @@ func TestObserveEventStream(t *testing.T) {
 	}
 
 	// The stats side saw the same traffic.
-	snap := s.rec.Stats().Snapshot()
+	snap := stats.Snapshot()
 	totalSpans := 0
 	for _, n := range byOp { //cxl0:order-insensitive — commutative sum
 		totalSpans += n

@@ -28,7 +28,10 @@ package kv
 // reset wholesale when full (no eviction policy that would need map
 // iteration), and the tables are only ever indexed, never ranged over.
 
-import "cxl0/internal/core"
+import (
+	"cxl0/internal/core"
+	"cxl0/internal/obs"
+)
 
 const (
 	// maxSuccessors bounds each shard's Markov table; at the bound the
@@ -135,7 +138,8 @@ func (s *Store) prefetchLocked(keys []core.Val) {
 			continue
 		}
 		s.cache.fillLocked(k, sh.mirrorVal(slot), true)
-		s.rec.SpeculativeFill(sh.id, s.cluster.NowNS())
+		now := s.cluster.NowNS()
+		s.rec.Mark(obs.KindSpeculative, sh.id, 0, now, now)
 	}
 }
 

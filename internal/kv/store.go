@@ -644,7 +644,8 @@ func (s *Store) getLocked(key core.Val) (core.Val, bool, error) {
 func (s *Store) readValue(sh *shard, key core.Val, slot int) (core.Val, error) {
 	if s.cache != nil {
 		if v, hit := s.cache.lookupLocked(key); hit {
-			s.rec.CacheHit(sh.id, s.cluster.NowNS())
+			now := s.cluster.NowNS()
+			s.rec.Mark(obs.KindCacheHit, sh.id, 0, now, now)
 			return v, nil
 		}
 	}
@@ -659,7 +660,7 @@ func (s *Store) readValue(sh *shard, key core.Val, slot int) (core.Val, error) {
 	}
 	if s.cache != nil {
 		s.cache.fillLocked(key, v, false)
-		s.rec.CacheMiss(sh.id, end)
+		s.rec.Mark(obs.KindCacheMiss, sh.id, 0, end, end)
 	}
 	return v, nil
 }
@@ -922,7 +923,8 @@ func (s *Store) crashLocked(i int) {
 	// just destroyed; recovery decides what survives, so the front end's
 	// copies of the shard's keys go now.
 	s.invalidateShardLocked(i)
-	s.rec.Crash(i, s.cluster.NowNS())
+	now := s.cluster.NowNS()
+	s.rec.Mark(obs.KindCrash, i, 0, now, now)
 }
 
 // Partition cuts shard i's machine off the fabric. Operations routed to
@@ -941,7 +943,8 @@ func (s *Store) Partition(i int) {
 	// front end drops them instead of holding lines the fabric cannot
 	// revoke (see docs/caching.md).
 	s.invalidateShardLocked(i)
-	s.rec.Partition(i, s.cluster.NowNS())
+	now := s.cluster.NowNS()
+	s.rec.Mark(obs.KindPartition, i, 0, now, now)
 }
 
 // Heal reconnects shard i to the fabric, restoring service immediately.
@@ -959,7 +962,8 @@ func (s *Store) Heal(i int) {
 	// Partition's: service resumes from the authoritative medium, not
 	// from copies cached across the outage.
 	s.invalidateShardLocked(i)
-	s.rec.Heal(i, s.cluster.NowNS())
+	now := s.cluster.NowNS()
+	s.rec.Mark(obs.KindHeal, i, 0, now, now)
 }
 
 // Degrade sets shard i's device latency multiplier: every operation
@@ -972,8 +976,10 @@ func (s *Store) Degrade(i int, factor float64) {
 	defer s.mu.Unlock()
 	sh := s.shards[i]
 	s.cluster.Degrade(sh.machine, factor)
-	// The event carries the factor the device took, not the one asked for.
-	s.rec.Degrade(i, s.cluster.DegradeFactor(sh.machine), s.cluster.NowNS())
+	// The event carries the factor the device took, not the one asked for,
+	// in percent.
+	now := s.cluster.NowNS()
+	s.rec.Mark(obs.KindDegrade, i, int(s.cluster.DegradeFactor(sh.machine)*100), now, now)
 }
 
 // Health reports each shard's fault state in shard order.

@@ -31,10 +31,7 @@
 // clock (events per host second — the liveness signal a dashboard wants).
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Kind classifies an Event.
 type Kind int
@@ -97,6 +94,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
+// MarshalText puts the kind on the wire by name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // Op names the operation of a KindOp event.
 type Op int
 
@@ -128,90 +128,64 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
+// MarshalText puts the op on the wire by name.
+func (o Op) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
 // Event is one typed observability record. Fields that do not apply to a
 // kind hold their -1/zero defaults; Cluster and Shard use -1 for "not
 // attributed" (a store outside a pool, an op spanning shards).
+//
+// The JSON tags are the wire form: kind and op by name; op, step, span,
+// parent and epoch omitted when zero; every other field always present,
+// so consumers need no per-kind schema.
 type Event struct {
 	// Seq is the bus-assigned publication sequence number (1, 2, ...).
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// Kind classifies the event; Op names the operation for KindOp.
-	Kind Kind
-	Op   Op
+	Kind Kind `json:"kind"`
+	Op   Op   `json:"op,omitempty"`
 	// Step names the checkpoint for migration and compaction events
 	// (kv.MigrateStep / kv.CompactStep strings).
-	Step string
+	Step string `json:"step,omitempty"`
 	// Span identifies an operation span; Parent links a router fan-out
 	// leg to its parent span. 0 = none.
-	Span, Parent uint64
+	Span   uint64 `json:"span,omitempty"`
+	Parent uint64 `json:"parent,omitempty"`
 	// Cluster attributes the event to one pooled cluster (-1 outside a
 	// pool or for a router-level parent span). Shard is the global shard
 	// index (-1 when the event is not shard-scoped).
-	Cluster, Shard int
+	Cluster int `json:"cluster"`
+	Shard   int `json:"shard"`
 	// Bucket, From and To describe a bucket migration (-1 otherwise).
-	Bucket, From, To int
+	Bucket int `json:"bucket"`
+	From   int `json:"from"`
+	To     int `json:"to"`
 	// Epoch is the snapshot epoch a compaction event belongs to.
-	Epoch uint64
+	Epoch uint64 `json:"epoch,omitempty"`
 	// N is the event's generic size: pairs returned by a scan, keys of a
 	// multiget, records of a batch/migration/recovery, moves of a
 	// rebalance.
-	N int
+	N int `json:"n"`
 	// Acked is the number of client writes this event acknowledged
 	// durable. Summed over a store's op-span, commit and recover events
 	// it equals the store's Metrics.Acked — the ack-agreement invariant
 	// kvtest pins.
-	Acked int
+	Acked int `json:"acked"`
 	// Lost counts retired records: appended records a recovery found
 	// destroyed, or slots a compaction's "after-reclaim" step retired.
-	Lost int
+	Lost int `json:"lost"`
 	// Durable reports an op span's ack state at return (Ack.Durable).
-	Durable bool
+	Durable bool `json:"durable"`
 	// Depth is a commit event's pipeline occupancy at issue (1 for a
 	// blocking commit; 0 on non-commit events) and QueueNS how long the
 	// batch waited for the shard's flush lane behind earlier in-flight
 	// flushes before its flush started (0 for a blocking commit, whose
 	// span is pure flush). The event's StartNS..EndNS span is the flush
 	// itself; queue wait precedes it.
-	Depth   int
-	QueueNS float64
-	// StartNS and EndNS are simulated nanoseconds; their delta is the
-	// event's simulated cost. Instantaneous events carry StartNS == EndNS.
-	StartNS, EndNS float64
-}
-
-// eventJSON is Event's wire form: kinds and ops by name, steps omitted
-// when empty. Every numeric field is always present so consumers need no
-// per-kind schema.
-type eventJSON struct {
-	Seq     uint64  `json:"seq"`
-	Kind    string  `json:"kind"`
-	Op      string  `json:"op,omitempty"`
-	Step    string  `json:"step,omitempty"`
-	Span    uint64  `json:"span,omitempty"`
-	Parent  uint64  `json:"parent,omitempty"`
-	Cluster int     `json:"cluster"`
-	Shard   int     `json:"shard"`
-	Bucket  int     `json:"bucket"`
-	From    int     `json:"from"`
-	To      int     `json:"to"`
-	Epoch   uint64  `json:"epoch,omitempty"`
-	N       int     `json:"n"`
-	Acked   int     `json:"acked"`
-	Lost    int     `json:"lost"`
-	Durable bool    `json:"durable"`
 	Depth   int     `json:"depth"`
 	QueueNS float64 `json:"queue_ns"`
+	// StartNS and EndNS are simulated nanoseconds; their delta is the
+	// event's simulated cost. Instantaneous events carry StartNS == EndNS.
 	StartNS float64 `json:"start_ns"`
 	EndNS   float64 `json:"end_ns"`
-}
-
-// MarshalJSON renders the event with kind and op as their names.
-func (e Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal(eventJSON{
-		Seq: e.Seq, Kind: e.Kind.String(), Op: e.Op.String(), Step: e.Step,
-		Span: e.Span, Parent: e.Parent, Cluster: e.Cluster, Shard: e.Shard,
-		Bucket: e.Bucket, From: e.From, To: e.To, Epoch: e.Epoch,
-		N: e.N, Acked: e.Acked, Lost: e.Lost, Durable: e.Durable,
-		Depth: e.Depth, QueueNS: e.QueueNS,
-		StartNS: e.StartNS, EndNS: e.EndNS,
-	})
 }

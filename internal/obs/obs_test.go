@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -177,9 +176,9 @@ func TestStatsSnapshot(t *testing.T) {
 	rec.MigrationStep("before-copy", 3, 0, 1, 7, 0)
 	rec.MigrationStep("after-flip", 3, 0, 1, 7, 0)
 	rec.CompactionStep("after-reclaim", 0, 1, 5, 9, 0)
-	rec.Crash(0, 0)
+	rec.Mark(KindCrash, 0, 0, 0, 0)
 	rec.Recover(0, 0, 10, 3, 1, 2)
-	rec.Rebalance(2, 0, 50)
+	rec.Mark(KindRebalance, -1, 2, 0, 50)
 
 	snap := s.Snapshot()
 	if snap.OpSpans != 11 || snap.Commits != 1 || snap.Migrations != 1 ||
@@ -231,7 +230,8 @@ func TestRecorderTagging(t *testing.T) {
 func TestRecorderFanOutLinking(t *testing.T) {
 	b := NewBus(32)
 	sub := b.Subscribe()
-	rec := NewRecorder(b, NewStats())
+	stats := NewStats()
+	rec := NewRecorder(b, stats)
 	span := rec.NewSpan()
 	rec.FanOutLeg(span, OpMultiGet, 0, 0, 5, 2)
 	rec.FanOutLeg(span, OpMultiGet, 1, 0, 7, 3)
@@ -249,7 +249,7 @@ func TestRecorderFanOutLinking(t *testing.T) {
 		t.Fatalf("parent event span/parent = %d/%d, want %d/0", evs[2].Span, evs[2].Parent, span)
 	}
 	// Fan-out events are events-only: no histogram samples.
-	if snap := rec.Stats().Snapshot(); snap.OpSpans != 0 || len(snap.Ops) != 0 {
+	if snap := stats.Snapshot(); snap.OpSpans != 0 || len(snap.Ops) != 0 {
 		t.Fatalf("fan-out events leaked into stats: %+v", snap)
 	}
 }
@@ -261,33 +261,49 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.FanOutLeg(1, OpScan, 0, 0, 1, 1)
 	r.Commit(0, 0, 1, 1, 1, 1, 0)
 	r.WriteLatency(1, 1)
-	r.Crash(0, 0)
+	r.Mark(KindCrash, 0, 0, 0, 0)
 	r.Recover(0, 0, 1, 1, 1, 1)
 	r.MigrationStep("after-flip", 0, 0, 1, 1, 0)
 	r.CompactionStep("after-reclaim", 0, 1, 1, 1, 0)
-	r.Rebalance(0, 0, 1)
-	if r.NewSpan() != 0 || r.Tagged(1, 2) != nil || r.Bus() != nil || r.Stats() != nil {
+	if r.NewSpan() != 0 || r.Tagged(1, 2) != nil {
 		t.Fatal("nil recorder accessors should return zero values")
 	}
 }
 
+// TestEventJSON pins the event wire form byte for byte — what /events
+// streams and scrapers parse: one event of every kind under every op,
+// OpNone (op omitted) and out-of-range kinds and ops included, plus the
+// zero event (every omitempty field omitted).
 func TestEventJSON(t *testing.T) {
+	kinds := []string{
+		"op", "commit", "migration", "compaction", "crash", "recover", "rebalance",
+		"partition", "heal", "degrade", "hit", "miss", "speculative", "Kind(13)",
+	}
+	ops := []string{"", "put", "delete", "get", "multiget", "scan", "apply", "Op(7)"}
+	const tail = `"step":"after-flip","span":3,"parent":2,"cluster":1,"shard":-1,"bucket":12,"from":3,"to":5,` +
+		`"epoch":4,"n":9,"acked":2,"lost":1,"durable":true,"depth":2,"queue_ns":1.5,"start_ns":100,"end_ns":250.25}`
 	e := Event{
-		Seq: 7, Kind: KindMigration, Step: "after-flip",
-		Cluster: 1, Shard: 3, Bucket: 12, From: 3, To: 5, N: 9,
-		StartNS: 100, EndNS: 100,
+		Seq: 7, Step: "after-flip", Span: 3, Parent: 2, Cluster: 1, Shard: -1, Bucket: 12, From: 3, To: 5,
+		Epoch: 4, N: 9, Acked: 2, Lost: 1, Durable: true, Depth: 2, QueueNS: 1.5, StartNS: 100, EndNS: 250.25,
 	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(data)
-	for _, want := range []string{`"kind":"migration"`, `"step":"after-flip"`, `"bucket":12`, `"seq":7`} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("marshaled event %s missing %s", s, want)
+	check := func(e Event, want string) {
+		t.Helper()
+		got, err := json.Marshal(e)
+		if err != nil || string(got) != want {
+			t.Errorf("kind %d op %d: marshaled %s (err %v)\nwant %s", int(e.Kind), int(e.Op), got, err, want)
 		}
 	}
-	if strings.Contains(s, `"op":""`) {
-		t.Fatalf("empty op should be omitted: %s", s)
+	for k, kind := range kinds {
+		for o, op := range ops {
+			e.Kind, e.Op = Kind(k), Op(o)
+			if op != "" {
+				op = `"op":"` + op + `",`
+			}
+			check(e, `{"seq":7,"kind":"`+kind+`",`+op+tail)
+		}
 	}
+	e.Kind, e.Op = -1, -2
+	check(e, `{"seq":7,"kind":"Kind(-1)","op":"Op(-2)",`+tail)
+	check(Event{}, `{"seq":0,"kind":"op","cluster":0,"shard":0,"bucket":0,"from":0,"to":0,"n":0,"acked":0,`+
+		`"lost":0,"durable":false,"depth":0,"queue_ns":0,"start_ns":0,"end_ns":0}`)
 }

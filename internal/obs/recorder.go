@@ -39,23 +39,6 @@ func (r *Recorder) Tagged(cluster, shardBase int) *Recorder {
 	return &d
 }
 
-// Bus returns the recorder's bus (nil for a stats-only recorder).
-func (r *Recorder) Bus() *Bus {
-	if r == nil {
-		return nil
-	}
-	return r.bus
-}
-
-// Stats returns the recorder's aggregate (nil for an events-only
-// recorder).
-func (r *Recorder) Stats() *Stats {
-	if r == nil {
-		return nil
-	}
-	return r.stats
-}
-
 // NewSpan allocates a fresh span ID (shared across derived recorders, so
 // parent/leg links never collide).
 func (r *Recorder) NewSpan() uint64 {
@@ -74,7 +57,7 @@ func (r *Recorder) shard(local int) int {
 	return r.shardBase + local
 }
 
-// publish stamps the recorder's cluster tag and defaults, then publishes.
+// publish hands a finished event to the bus, if there is one.
 func (r *Recorder) publish(e Event) {
 	if r.bus != nil {
 		r.bus.Publish(e)
@@ -175,111 +158,26 @@ func (r *Recorder) WriteLatency(ackNS, issueNS float64) {
 	r.stats.recordWrite(ackNS, issueNS)
 }
 
-// Crash records a shard machine failure.
-func (r *Recorder) Crash(shard int, nowNS float64) {
+// Mark records one event of a plain kind — one that carries nothing but
+// a shard, a size and a span — and bumps the kind's counter. The plain
+// kinds are KindCrash, KindPartition, KindHeal, KindCacheHit,
+// KindCacheMiss and KindSpeculative (n 0, startNS == endNS), KindDegrade
+// (n = the device's new latency factor × 100, so 100 is full speed
+// restored) and KindRebalance (shard -1, n = migrations performed,
+// possibly 0 — a "balanced" decision is a signal too; the moves' detail
+// rides their MigrationStep events). shard is the store-local shard
+// index, -1 when the event is not shard-scoped (a front-end crash).
+func (r *Recorder) Mark(kind Kind, shard, n int, startNS, endNS float64) {
 	if r == nil {
 		return
 	}
 	if r.stats != nil {
-		r.stats.count(KindCrash)
+		r.stats.count(kind)
 	}
-	e := r.base(KindCrash)
+	e := r.base(kind)
 	e.Shard = r.shard(shard)
-	e.StartNS, e.EndNS = nowNS, nowNS
-	r.publish(e)
-}
-
-// Partition records a shard machine cut off by a fabric partition.
-// Instantaneous and ack-free, like Crash.
-func (r *Recorder) Partition(shard int, nowNS float64) {
-	if r == nil {
-		return
-	}
-	if r.stats != nil {
-		r.stats.count(KindPartition)
-	}
-	e := r.base(KindPartition)
-	e.Shard = r.shard(shard)
-	e.StartNS, e.EndNS = nowNS, nowNS
-	r.publish(e)
-}
-
-// Heal records a partitioned shard machine reconnecting to the fabric.
-func (r *Recorder) Heal(shard int, nowNS float64) {
-	if r == nil {
-		return
-	}
-	if r.stats != nil {
-		r.stats.count(KindHeal)
-	}
-	e := r.base(KindHeal)
-	e.Shard = r.shard(shard)
-	e.StartNS, e.EndNS = nowNS, nowNS
-	r.publish(e)
-}
-
-// Degrade records a change of a shard device's latency multiplier; the
-// new factor rides N in percent (100 = full speed restored).
-func (r *Recorder) Degrade(shard int, factor float64, nowNS float64) {
-	if r == nil {
-		return
-	}
-	if r.stats != nil {
-		r.stats.count(KindDegrade)
-	}
-	e := r.base(KindDegrade)
-	e.Shard = r.shard(shard)
-	e.N = int(factor * 100)
-	e.StartNS, e.EndNS = nowNS, nowNS
-	r.publish(e)
-}
-
-// CacheHit records one served read answered from the front end's read
-// cache without a simulated Load. Emitted only with the cache enabled
-// (kv.Config.ReadCache > 0), so a cache-off stream is unchanged.
-func (r *Recorder) CacheHit(shard int, nowNS float64) {
-	if r == nil {
-		return
-	}
-	if r.stats != nil {
-		r.stats.count(KindCacheHit)
-	}
-	e := r.base(KindCacheHit)
-	e.Shard = r.shard(shard)
-	e.StartNS, e.EndNS = nowNS, nowNS
-	r.publish(e)
-}
-
-// CacheMiss records one served read that consulted the cache, paid the
-// simulated Load and filled the value back. Cache-enabled only, like
-// CacheHit.
-func (r *Recorder) CacheMiss(shard int, nowNS float64) {
-	if r == nil {
-		return
-	}
-	if r.stats != nil {
-		r.stats.count(KindCacheMiss)
-	}
-	e := r.base(KindCacheMiss)
-	e.Shard = r.shard(shard)
-	e.StartNS, e.EndNS = nowNS, nowNS
-	r.publish(e)
-}
-
-// SpeculativeFill records one prefetcher warm-up: a predicted key's
-// value installed in the read cache ahead of demand. Instantaneous on
-// the simulated clock — the speculative read is modeled as fully
-// overlapped (see docs/caching.md).
-func (r *Recorder) SpeculativeFill(shard int, nowNS float64) {
-	if r == nil {
-		return
-	}
-	if r.stats != nil {
-		r.stats.count(KindSpeculative)
-	}
-	e := r.base(KindSpeculative)
-	e.Shard = r.shard(shard)
-	e.StartNS, e.EndNS = nowNS, nowNS
+	e.N = n
+	e.StartNS, e.EndNS = startNS, endNS
 	r.publish(e)
 }
 
@@ -338,22 +236,5 @@ func (r *Recorder) CompactionStep(step string, shard int, epoch uint64, live, re
 	e.Epoch = epoch
 	e.N, e.Lost = live, reclaimed
 	e.StartNS, e.EndNS = nowNS, nowNS
-	r.publish(e)
-}
-
-// Rebalance records one load-aware rebalance decision: moves migrations
-// performed — possibly 0, a "balanced" decision is a signal too. The
-// per-move detail (buckets, records) rides the MigrationStep events the
-// moves emitted.
-func (r *Recorder) Rebalance(moves int, startNS, endNS float64) {
-	if r == nil {
-		return
-	}
-	if r.stats != nil {
-		r.stats.count(KindRebalance)
-	}
-	e := r.base(KindRebalance)
-	e.N = moves
-	e.StartNS, e.EndNS = startNS, endNS
 	r.publish(e)
 }

@@ -108,7 +108,7 @@ type Stats struct {
 	kinds    [numKinds]uint64 // completed events per kind (see Recorder)
 	perOp    [numOps]Hist
 	rates    [numOps]rateWindow
-	perShard map[int][numOps]*Hist
+	perShard [][numOps]Hist // indexed by global shard, grown on first sample
 	// Write-latency split (Recorder.WriteLatency): submit-to-durable-ack
 	// vs submit-to-return per acknowledged write. With the commit
 	// pipeline off the two nearly coincide; the gap is what pipelining
@@ -122,7 +122,7 @@ type Stats struct {
 // NewStats returns an empty aggregate on the real host clock.
 func NewStats() *Stats {
 	// Host-clock rate windows only; never feeds simulated state.
-	return &Stats{now: time.Now, perShard: map[int][numOps]*Hist{}} //cxl0:hostclock
+	return &Stats{now: time.Now} //cxl0:hostclock
 }
 
 // recordOp feeds one op span's simulated latency (and its host-time rate
@@ -137,14 +137,10 @@ func (s *Stats) recordOp(op Op, shard int, simNS float64) {
 	s.perOp[op].add(simNS)
 	s.rates[op].add(s.now().Unix())
 	if shard >= 0 {
-		hs, ok := s.perShard[shard]
-		if !ok {
-			for i := range hs {
-				hs[i] = &Hist{}
-			}
-			s.perShard[shard] = hs
+		for len(s.perShard) <= shard {
+			s.perShard = append(s.perShard, [numOps]Hist{})
 		}
-		hs[op].add(simNS)
+		s.perShard[shard][op].add(simNS)
 	}
 }
 
@@ -225,13 +221,8 @@ type Snapshot struct {
 	SpeculativeFills uint64 `json:"speculative_fills"`
 }
 
-func opSnapshot(op Op, h *Hist, rate float64) OpSnapshot {
-	return histSnapshot(op.String(), h, rate)
-}
-
-// histSnapshot renders one histogram under an arbitrary row label —
-// opSnapshot's core, shared with the non-op rows (write/commit latency
-// splits).
+// histSnapshot renders one histogram as a row under label: an op's name,
+// or a write/commit latency split's.
 func histSnapshot(label string, h *Hist, rate float64) OpSnapshot {
 	return OpSnapshot{
 		Op:         label,
@@ -270,7 +261,7 @@ func (s *Stats) Snapshot() Snapshot {
 		if s.perOp[op].N() == 0 {
 			continue
 		}
-		snap.Ops = append(snap.Ops, opSnapshot(op, &s.perOp[op], s.rates[op].perSec(now)))
+		snap.Ops = append(snap.Ops, histSnapshot(op.String(), &s.perOp[op], s.rates[op].perSec(now)))
 	}
 	if s.writeAck.N() > 0 {
 		snap.WriteLat = []OpSnapshot{
@@ -284,23 +275,14 @@ func (s *Stats) Snapshot() Snapshot {
 			histSnapshot("flush", &s.commitFlush, 0),
 		}
 	}
-	shards := make([]int, 0, len(s.perShard))
 	for id := range s.perShard {
-		shards = append(shards, id)
-	}
-	for i := 0; i < len(shards); i++ { // insertion sort: tiny n, no extra import
-		for j := i; j > 0 && shards[j] < shards[j-1]; j-- {
-			shards[j], shards[j-1] = shards[j-1], shards[j]
-		}
-	}
-	for _, id := range shards {
-		hs := s.perShard[id]
+		hs := &s.perShard[id]
 		row := ShardSnapshot{Shard: id}
 		for op := OpNone + 1; op < numOps; op++ {
 			if hs[op].N() == 0 {
 				continue
 			}
-			row.Ops = append(row.Ops, opSnapshot(op, hs[op], 0))
+			row.Ops = append(row.Ops, histSnapshot(op.String(), &hs[op], 0))
 		}
 		if len(row.Ops) > 0 {
 			snap.Shards = append(snap.Shards, row)

@@ -30,10 +30,10 @@ type Options struct {
 	// be positive.
 	Ops int
 	// CrashEvery injects one crash+recover cycle (rotating over shards)
-	// every CrashEvery measured operations; 0 disables crash churn. The
-	// rotation skips shards a concurrent Campaign already holds down or
-	// partitioned — injecting into a down shard would double-count
-	// recovery churn.
+	// every CrashEvery measured operations; 0 disables crash churn. It runs
+	// as the faults.Uniform campaign, through the same engine as Campaign,
+	// but is not one: the result's campaign fields stay empty and a denied
+	// operation still fails the run. It cannot be combined with Campaign.
 	CrashEvery int
 	// Campaign is a scripted fault schedule driven alongside the
 	// operation stream (see internal/faults); nil runs fault-free (or
@@ -212,6 +212,9 @@ func Run(o Options) (Result, error) {
 	if o.Ops <= 0 {
 		return Result{}, fmt.Errorf("workload %s: Ops must be positive, got %d", o.Spec.Name, o.Ops)
 	}
+	if o.CrashEvery > 0 && o.Campaign != nil {
+		return Result{}, fmt.Errorf("workload %s: CrashEvery and Campaign %q are exclusive", o.Spec.Name, o.Campaign.Name)
+	}
 	clusters := o.Clusters
 	if clusters < 1 {
 		clusters = 1
@@ -286,15 +289,18 @@ func Run(o Options) (Result, error) {
 	}
 
 	var eng *faults.Engine
-	if o.Campaign != nil {
+	switch {
+	case o.Campaign != nil:
 		eng = faults.New(db, o.Campaign)
+	case o.CrashEvery > 0:
+		eng = faults.New(db, faults.Uniform(o.Ops, db.NumShards(), o.CrashEvery))
 	}
 	// tolerate classifies an operation error under a campaign: faults
 	// the campaign injected deny operations by design, so they count
 	// instead of aborting. Partial results are checked first — they
 	// unwrap to ErrUnavailable but did serve the reachable shards.
 	tolerate := func(err error) bool {
-		if eng == nil {
+		if o.Campaign == nil {
 			return false
 		}
 		var partial *kv.PartialResultError
@@ -327,24 +333,10 @@ func Run(o Options) (Result, error) {
 		readLat = append(readLat, makespan)
 		readLatSerial = append(readLatSerial, serial)
 	}
-	crashShard := 0
-	recoveryLost := 0
 	for i := 0; i < o.Ops; i++ {
 		if eng != nil {
 			if err := eng.Step(i); err != nil {
 				return Result{}, err
-			}
-		}
-		if o.CrashEvery > 0 && i > 0 && i%o.CrashEvery == 0 {
-			// Rotate over healthy shards only (see faults.NextHealthy).
-			if shard := faults.NextHealthy(db.Health(), crashShard); shard >= 0 {
-				crashShard = shard + 1
-				db.Crash(shard)
-				stats, err := db.Recover(shard)
-				if err != nil {
-					return Result{}, fmt.Errorf("recover shard %d: %w", shard, err)
-				}
-				recoveryLost += stats.Lost
 			}
 		}
 		if o.RebalanceEvery > 0 && i > 0 && i%o.RebalanceEvery == 0 {
@@ -445,7 +437,6 @@ func Run(o Options) (Result, error) {
 		res.IssueP99NS = faults.PercentileNS(m.IssueLatencies, 99)
 	}
 	res.Recoveries = int(m.Recoveries)
-	res.RecordsLost = recoveryLost
 	res.DroppedPending = int(m.DroppedPending)
 	res.Commits = m.Commits
 	res.MaxMeanBusy = m.MaxMeanBusyRatio()
@@ -468,10 +459,13 @@ func Run(o Options) (Result, error) {
 	if len(m.RecoveryNS) > 0 {
 		res.RecoveryMeanNS /= float64(len(m.RecoveryNS))
 	}
+	var fs faults.Stats
 	if eng != nil {
-		fs := eng.Stats()
+		fs = eng.Stats()
+		res.RecordsLost = fs.RecordsLost
+	}
+	if o.Campaign != nil {
 		res.Campaign = fs.Campaign
-		res.RecordsLost += fs.RecordsLost
 		res.OutageP50NS = faults.PercentileNS(fs.OutageNS, 50)
 		res.OutageP95NS = faults.PercentileNS(fs.OutageNS, 95)
 		res.RecoveryP50NS = faults.PercentileNS(fs.RecoveryNS, 50)

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"cxl0/internal/faults"
 	"cxl0/internal/kv"
 )
 
@@ -120,15 +122,63 @@ func TestRunSmoke(t *testing.T) {
 
 // TestRunRejectsBadOptions: Run used to substitute 1000 ops for Ops <= 0,
 // so a caller asking for 0 ran 1000 ops while its own config said 0.
+// Uniform crash churn and a campaign cannot share one run: both would
+// drive the same engine.
 func TestRunRejectsBadOptions(t *testing.T) {
 	spec, _ := YCSB("A")
 	spec.Keys = 20
+	store := kv.Config{Shards: 1, Strategy: kv.GroupCommit}
 	for _, ops := range []int{0, -1} {
-		_, err := Run(Options{Spec: spec, Store: kv.Config{Shards: 1, Strategy: kv.GroupCommit}, Ops: ops, Seed: 1})
+		_, err := Run(Options{Spec: spec, Store: store, Ops: ops, Seed: 1})
 		if err == nil || !strings.Contains(err.Error(), "Ops must be positive") {
 			t.Errorf("Ops %d: Run returned %v, want an Ops error", ops, err)
 		}
 	}
+	_, err := Run(Options{Spec: spec, Store: store, Ops: 100, CrashEvery: 10, Campaign: faults.Degraded(100, 1, 20, 2), Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "exclusive") {
+		t.Errorf("CrashEvery with a Campaign: Run returned %v, want an exclusivity error", err)
+	}
+}
+
+// FuzzRunCampaign drives arbitrary faults.Campaign JSON — the input
+// format of a scripted fault schedule — through Run on 2 clusters × 2
+// shards for 120 ops, under the strategy and pipeline depth (1 or 2) the
+// selector byte picks. Any schedule either runs or fails with the
+// engine's schedule error (a shard out of range, an unknown action);
+// nothing panics. The seed corpus is the four ForClass schedules.
+func FuzzRunCampaign(f *testing.F) {
+	for i, class := range []string{"uniform", "correlated", "degraded", "partitioned"} {
+		c, err := faults.ForClass(class, 120, 4, 30)
+		if err != nil {
+			f.Fatal(err)
+		}
+		blob, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(byte(5*i), blob)
+	}
+	spec, _ := YCSB("A")
+	spec.Keys = 40
+	f.Fuzz(func(t *testing.T, sel byte, blob []byte) {
+		var c faults.Campaign
+		if json.Unmarshal(blob, &c) != nil || len(c.Events) > 32 {
+			t.Skip()
+		}
+		strat := kv.Strategies[int(sel)%len(kv.Strategies)]
+		depth := 1 + int(sel)/len(kv.Strategies)%2
+		_, err := Run(Options{
+			Spec:     spec,
+			Store:    kv.Config{Shards: 2, Strategy: strat, Batch: 4, PipelineDepth: depth},
+			Clusters: 2,
+			Ops:      120,
+			Campaign: &c,
+			Seed:     1,
+		})
+		if err != nil && !strings.Contains(err.Error(), " names shard ") && !strings.Contains(err.Error(), "faults: unknown action") {
+			t.Fatalf("%v at depth %d: %v", strat, depth, err)
+		}
+	})
 }
 
 func TestRunReproducible(t *testing.T) {
