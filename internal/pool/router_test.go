@@ -447,6 +447,102 @@ func TestRouterThroughputScalesWithClusters(t *testing.T) {
 	}
 }
 
+// TestRouterGlobalIndexAtThreeShards holds the global-index rule — cluster
+// c's local shard i is c*3 + i — at a per-cluster shard count other than
+// 2, on the three reports no other test lifts: Rebalance's From/To,
+// Health's Shard and RecoverFront's stats. Two routers run the same
+// deterministic workload; one answers through the router, the other
+// through its clusters' stores, lifted by hand.
+func TestRouterGlobalIndexAtThreeShards(t *testing.T) {
+	const clusters, per = 2, 3
+	open := func() *Router {
+		r := openTest(t, Config{Clusters: clusters, Store: kv.Config{
+			Shards: per, Strategy: kv.GroupCommit, Batch: 4, Capacity: 512, Seed: 5, RebalanceThreshold: 1.01,
+		}})
+		for k := core.Val(0); k < 60; k++ {
+			if _, err := r.Put(k, k+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One hot key per cluster, so every cluster has a shard to drain.
+		for c := 0; c < clusters; c++ {
+			hot := keyOnCluster(t, r, c)
+			for i := core.Val(0); i < 60; i++ {
+				if _, err := r.Put(hot, i+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := r.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	pooled, bare := open(), open()
+
+	moves, err := pooled.Rebalance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantMoves []kv.MigrationStats
+	for c := 0; c < clusters; c++ {
+		ms, err := bare.Cluster(c).Rebalance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			m.From, m.To = c*per+m.From, c*per+m.To
+			wantMoves = append(wantMoves, m)
+		}
+	}
+	if len(moves) == 0 || moves[len(moves)-1].From < per {
+		t.Fatalf("the workload should migrate on cluster 1 too: %+v", moves)
+	}
+	if !reflect.DeepEqual(moves, wantMoves) {
+		t.Fatalf("pooled moves\n  %+v\nare not the clusters' lifted by c*%d\n  %+v", moves, per, wantMoves)
+	}
+
+	pooled.CrashFront()
+	stats, err := pooled.RecoverFront()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantStats []kv.RecoveryStats
+	for c := 0; c < clusters; c++ {
+		bare.Cluster(c).CrashFront()
+		rs, err := bare.Cluster(c).RecoverFront()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range rs {
+			s.Shard = c*per + s.Shard
+			wantStats = append(wantStats, s)
+		}
+	}
+	if len(stats) != clusters*per || !reflect.DeepEqual(stats, wantStats) {
+		t.Fatalf("pooled front recovery\n  %+v\nis not the clusters' lifted by c*%d\n  %+v", stats, per, wantStats)
+	}
+
+	// One fault per shard state, each on a different local index.
+	pooled.Partition(0*per + 2)
+	pooled.Crash(1*per + 1)
+	pooled.Degrade(1*per+2, 4)
+	health := pooled.Health()
+	if len(health) != clusters*per {
+		t.Fatalf("health of %d shards, want %d", len(health), clusters*per)
+	}
+	for g, h := range health {
+		want := pooled.Cluster(g / per).Health()[g%per]
+		want.Shard = g
+		if h != want {
+			t.Fatalf("health[%d] = %+v, want cluster %d's shard %d lifted: %+v", g, h, g/per, g%per, want)
+		}
+		if h.Partitioned != (g == 2) || h.Down != (g == 4) || (h.DegradeFactor == 4) != (g == 5) {
+			t.Fatalf("health[%d] = %+v: the faults went to the wrong global shards", g, h)
+		}
+	}
+}
+
 // TestRouterCompactGlobalIndices: Compact passes through to every
 // cluster's compaction, returns stats carrying global shard indices, and
 // the aggregate metrics sum the per-cluster compaction counters.

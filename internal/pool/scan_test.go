@@ -48,9 +48,9 @@ const scanFuzzKeys = 96
 // write is one acknowledged record of a shard's log, as the model keeps it.
 type write struct{ key, val core.Val }
 
-// runScanProgram interprets prog against a router of 2–4 clusters × 2
-// shards under ranged commit at pipeline depth 1 or 2 (byte 0 picks both)
-// and holds every scan to a model. Every following 4 bytes (op, a, b, c)
+// runScanProgram interprets prog against a router of 2–4 clusters × 2 or
+// 3 shards under ranged commit at pipeline depth 1 or 2 (byte 0 picks all
+// three) and holds every scan to a model. Every following 4 bytes (op, a, b, c)
 // are one step: a put, a delete, a Sync, a partition or heal of a global
 // shard, or — one step in four — Scan(lo, hi, limit) with limit in [0, 40).
 //
@@ -66,9 +66,9 @@ func runScanProgram(t *testing.T, prog []byte) {
 	if len(prog) == 0 {
 		return
 	}
-	clusters, depth := 2+int(prog[0])%3, 1+int(prog[0]>>2)&1
+	clusters, depth, shards := 2+int(prog[0])%3, 1+int(prog[0]>>2)&1, 2+int(prog[0]>>3)&1
 	r := openTest(t, Config{Clusters: clusters, Store: kv.Config{
-		Shards: 2, Capacity: 1024, Strategy: kv.RangedCommit, Batch: 4, PipelineDepth: depth, Seed: 3, EvictEvery: 5,
+		Shards: shards, Capacity: 1024, Strategy: kv.RangedCommit, Batch: 4, PipelineDepth: depth, Seed: 3, EvictEvery: 5,
 	}})
 	logs := make([][]write, r.NumShards())
 	cut := make([]bool, r.NumShards())
