@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -252,6 +253,52 @@ func TestRouterFanOutEvents(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("pooled store put emitted no event on the shared bus")
+	}
+}
+
+// TestFanOutFailurePublishesParent: a fan-out that fails part-way still
+// publishes its parent span, so every leg that went out names a parent a
+// consumer can find. On 2 clusters × 1 shard with cluster 1's shard
+// crashed, MultiGet and Apply over one key per cluster run cluster 0's
+// leg — for Apply a durable sub-batch — and then fail on cluster 1.
+func TestFanOutFailurePublishesParent(t *testing.T) {
+	r := openTest(t, Config{Clusters: 2, Store: kv.Config{Shards: 1, Strategy: kv.GroupCommit, Batch: 4, Capacity: 128, Seed: 7}})
+	k0, k1 := keyOnCluster(t, r, 0), keyOnCluster(t, r, 1)
+	bus := obs.NewBus(0)
+	sub := bus.Subscribe()
+	r.Observe(obs.NewRecorder(bus, obs.NewStats()))
+	r.Crash(1)
+
+	for _, call := range []struct {
+		name string
+		do   func() error
+	}{
+		{"MultiGet", func() error { _, err := r.MultiGet([]core.Val{k0, k1}); return err }},
+		{"Apply", func() error { _, err := r.Apply(new(Batch).Put(k0, 1).Put(k1, 2)); return err }},
+	} {
+		if err := call.do(); !errors.Is(err, kv.ErrShardDown) {
+			t.Fatalf("%s over a crashed cluster: %v, want ErrShardDown", call.name, err)
+		}
+		evs := sub.Poll(0)
+		parents := map[uint64]bool{}
+		for _, e := range evs {
+			if e.Kind == obs.KindOp && e.Parent == 0 && e.Cluster == -1 {
+				parents[e.Span] = true
+			}
+		}
+		legs := 0
+		for _, e := range evs {
+			if e.Kind != obs.KindOp || e.Parent == 0 {
+				continue
+			}
+			legs++
+			if !parents[e.Parent] {
+				t.Errorf("%s: cluster %d's leg names parent %d, which was never published", call.name, e.Cluster, e.Parent)
+			}
+		}
+		if legs != 1 {
+			t.Errorf("%s: %d legs published, want cluster 0's", call.name, legs)
+		}
 	}
 }
 

@@ -257,6 +257,8 @@ func (r *Router) MultiGet(keys []core.Val) ([]kv.Lookup, error) {
 		res, err := r.stores[c].MultiGet(sub)
 		var partial *kv.PartialResultError
 		if err != nil && !errors.As(err, &partial) {
+			// The legs already out name this span: publish it on failure too.
+			r.rec.FanOut(span, obs.OpMultiGet, pstart, r.obsNow(), len(keys))
 			return nil, clusterErr(c, err)
 		}
 		if partial != nil {
@@ -539,6 +541,7 @@ func (r *Router) Apply(b *Batch) (kv.Ack, error) {
 		lstart := r.stores[c].NowNS()
 		ack, err := r.stores[c].Apply(&sub[c])
 		if err != nil {
+			r.rec.FanOut(span, obs.OpApply, pstart, r.obsNow(), b.Len())
 			return kv.Ack{}, clusterErr(c, err)
 		}
 		r.rec.FanOutLeg(span, obs.OpApply, c, lstart, r.stores[c].NowNS(), sub[c].Len())
