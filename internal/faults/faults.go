@@ -327,31 +327,32 @@ func PercentileNS(xs []float64, p float64) float64 {
 // ForClass builds the named campaign class over ops operations and
 // shards shards (global indices), one fault window per `every` ops:
 // "none" (an empty baseline schedule), "uniform", "correlated" (blast
-// of 2), "degraded" (8× device latency) and "partitioned".
+// of 2), "degraded" (8× device latency) and "partitioned". It is the one
+// way to a generated schedule, and it rejects a shape with no shard to
+// target or no period to step by.
 func ForClass(name string, ops, shards, every int) (*Campaign, error) {
+	if shards < 1 || every < 1 {
+		return nil, fmt.Errorf("faults: campaign over %d shard(s) every %d op(s): both must be positive", shards, every)
+	}
 	switch name {
 	case "none":
 		return &Campaign{Name: "none"}, nil
 	case "uniform":
-		return Uniform(ops, shards, every), nil
+		return uniform(ops, shards, every), nil
 	case "correlated":
-		blast := 2
-		if shards < 2 {
-			blast = 1
-		}
-		return Correlated(ops, shards, every, blast), nil
+		return correlated(ops, shards, every, 2), nil
 	case "degraded":
-		return Degraded(ops, shards, every, 8), nil
+		return degraded(ops, shards, every, 8), nil
 	case "partitioned":
-		return Partitioned(ops, shards, every), nil
+		return partitioned(ops, shards, every), nil
 	}
 	return nil, fmt.Errorf("faults: unknown campaign class %q (want none, uniform, correlated, degraded or partitioned)", name)
 }
 
-// Uniform is crash churn as a campaign (and how workload
+// uniform is crash churn as a campaign (and how workload
 // Options.CrashEvery runs): every `every` measured ops, one shard
 // (rotating) crashes and recovers immediately.
-func Uniform(ops, shards, every int) *Campaign {
+func uniform(ops, shards, every int) *Campaign {
 	c := &Campaign{Name: "uniform"}
 	s := 0
 	for at := every; at < ops; at += every {
@@ -365,10 +366,10 @@ func Uniform(ops, shards, every int) *Campaign {
 	return c
 }
 
-// Correlated crashes `blast` consecutive shards (rotating start) at one
+// correlated crashes `blast` consecutive shards (rotating start) at one
 // instant every `every` ops and recovers them — in schedule order —
 // half a period later.
-func Correlated(ops, shards, every, blast int) *Campaign {
+func correlated(ops, shards, every, blast int) *Campaign {
 	if blast > shards {
 		blast = shards
 	}
@@ -388,9 +389,9 @@ func Correlated(ops, shards, every, blast int) *Campaign {
 	return c
 }
 
-// Degraded slows one device (rotating) to factor× for half of every
+// degraded slows one device (rotating) to factor× for half of every
 // `every`-op period, then restores it.
-func Degraded(ops, shards, every int, factor float64) *Campaign {
+func degraded(ops, shards, every int, factor float64) *Campaign {
 	c := &Campaign{Name: "degraded"}
 	s := 0
 	for at := every; at < ops; at += every {
@@ -404,9 +405,9 @@ func Degraded(ops, shards, every int, factor float64) *Campaign {
 	return c
 }
 
-// Partitioned cuts one shard (rotating) off the fabric for half of
+// partitioned cuts one shard (rotating) off the fabric for half of
 // every `every`-op period, then heals it.
-func Partitioned(ops, shards, every int) *Campaign {
+func partitioned(ops, shards, every int) *Campaign {
 	c := &Campaign{Name: "partitioned"}
 	s := 0
 	for at := every; at < ops; at += every {

@@ -71,9 +71,25 @@ func TestForClassShapes(t *testing.T) {
 	}
 }
 
+// TestForClassRejectsBadShapes: with no shard to target a generator would
+// divide by zero or script empty blasts, and with no positive period its
+// window loop would never end. ForClass refuses both, for every class.
+func TestForClassRejectsBadShapes(t *testing.T) {
+	for _, shape := range []struct{ shards, every int }{{0, 10}, {4, 0}, {4, -1}} {
+		for _, class := range []string{"none", "uniform", "correlated", "degraded", "partitioned"} {
+			if c, err := faults.ForClass(class, 100, shape.shards, shape.every); err == nil {
+				t.Errorf("ForClass(%s, 100, %d, %d) = %d events, want an error", class, shape.shards, shape.every, len(c.Events))
+			}
+		}
+	}
+}
+
 func TestCorrelatedBlastCrashesTogether(t *testing.T) {
 	st := open(t, 4)
-	c := faults.Correlated(200, 4, 50, 2)
+	c, err := faults.ForClass("correlated", 200, 4, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := faults.New(st, c)
 	sawDown := false
 	for i := 0; i < 200; i++ {

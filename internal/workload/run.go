@@ -31,9 +31,10 @@ type Options struct {
 	Ops int
 	// CrashEvery injects one crash+recover cycle (rotating over shards)
 	// every CrashEvery measured operations; 0 disables crash churn. It runs
-	// as the faults.Uniform campaign, through the same engine as Campaign,
-	// but is not one: the result's campaign fields stay empty and a denied
-	// operation still fails the run. It cannot be combined with Campaign.
+	// as the "uniform" faults.ForClass campaign, through the same engine as
+	// Campaign, but is not one: the result's campaign fields stay empty
+	// and a denied operation still fails the run. It cannot be combined
+	// with Campaign.
 	CrashEvery int
 	// Campaign is a scripted fault schedule driven alongside the
 	// operation stream (see internal/faults); nil runs fault-free (or
@@ -293,7 +294,11 @@ func Run(o Options) (Result, error) {
 	case o.Campaign != nil:
 		eng = faults.New(db, o.Campaign)
 	case o.CrashEvery > 0:
-		eng = faults.New(db, faults.Uniform(o.Ops, db.NumShards(), o.CrashEvery))
+		churn, err := faults.ForClass("uniform", o.Ops, db.NumShards(), o.CrashEvery)
+		if err != nil {
+			return Result{}, err
+		}
+		eng = faults.New(db, churn)
 	}
 	// tolerate classifies an operation error under a campaign: faults
 	// the campaign injected deny operations by design, so they count

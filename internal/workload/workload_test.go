@@ -134,7 +134,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 			t.Errorf("Ops %d: Run returned %v, want an Ops error", ops, err)
 		}
 	}
-	_, err := Run(Options{Spec: spec, Store: store, Ops: 100, CrashEvery: 10, Campaign: faults.Degraded(100, 1, 20, 2), Seed: 1})
+	_, err := Run(Options{Spec: spec, Store: store, Ops: 100, CrashEvery: 10, Campaign: new(faults.Campaign), Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "exclusive") {
 		t.Errorf("CrashEvery with a Campaign: Run returned %v, want an exclusivity error", err)
 	}
