@@ -57,7 +57,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	clusters := fs.Int("clusters", 2, "pooled cluster count")
 	shards := fs.Int("shards", 2, "shards per cluster")
-	strategyF := fs.String("strategy", "group", "persistence strategy (mstore,flush,rflush,gpf,group,ranged)")
+	strategyF := fs.String("strategy", "group", fmt.Sprintf("persistence strategy, one of %v", kv.Strategies))
 	pipeline := fs.Int("pipeline", 2, "commit pipeline depth for batched strategies (1 = blocking commit)")
 	cacheCap := fs.Int("cache", 256, "per-front-end read-cache entry capacity (0 disables the cache and prefetcher)")
 	workloadF := fs.String("workload", "A", "YCSB workload (A,B,C,D,E)")
@@ -70,6 +70,9 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		return err
 	}
 
+	if *clusters < 1 || *shards < 1 {
+		return fmt.Errorf("cxl0-serve: -clusters must be positive and -shards must be positive (got %d and %d)", *clusters, *shards)
+	}
 	strat, err := kv.ParseStrategy(*strategyF)
 	if err != nil {
 		return err
@@ -89,13 +92,10 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		return fmt.Errorf("cxl0-serve: -rate must be positive")
 	}
 	if *campaignF != "" {
-		if *campaignEvery <= 0 {
-			return fmt.Errorf("cxl0-serve: -campaign-every must be positive")
-		}
-		// Validate the class name up front; drive rebuilds the schedule
-		// each cycle.
-		if _, err := faults.ForClass(*campaignF, 1, 1, 1); err != nil {
-			return err
+		// Validate the class and its period up front; drive rebuilds the
+		// schedule each cycle.
+		if _, err := faults.ForClass(*campaignF, 1, *clusters**shards, *campaignEvery); err != nil {
+			return fmt.Errorf("cxl0-serve: -campaign %q -campaign-every %d: %w", *campaignF, *campaignEvery, err)
 		}
 	}
 

@@ -65,18 +65,28 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// TestRunRejectsEmptyKeyspace holds run to the keyspace workload.Run
-// accepts: with -keys 0 the server used to preload nothing and serve
-// workload D's inserts over an empty keyspace, where some ops carry
-// negative keys and fail with kv.ErrBadKey. The context is already
-// cancelled, so a run that accepts the flags returns nil at once.
+// TestRunRejectsEmptyKeyspace holds run to the shapes it can serve. With
+// -keys 0 the server used to preload nothing and serve workload D's
+// inserts over an empty keyspace, where some ops carry negative keys and
+// fail with kv.ErrBadKey; with -clusters 0 or -shards -2 it served one
+// cluster or one shard while its banner printed the value given. The
+// context is already cancelled, so a run that accepts the flags returns
+// nil at once.
 func TestRunRejectsEmptyKeyspace(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, keys := range []string{"0", "-5"} {
-		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-workload", "D", "-keys", keys}, nil)
-		if err == nil || !strings.Contains(err.Error(), "keyspace must be positive") {
-			t.Errorf("-keys %s: run returned %v, want the workload's keyspace error", keys, err)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "D", "-keys", "0"}, "keyspace must be positive"},
+		{[]string{"-workload", "D", "-keys", "-5"}, "keyspace must be positive"},
+		{[]string{"-clusters", "0"}, "-clusters must be positive"},
+		{[]string{"-shards", "-2"}, "-shards must be positive"},
+	} {
+		err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, tc.args...), nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: run returned %v, want an error saying %q", tc.args, err, tc.want)
 		}
 	}
 }
