@@ -246,7 +246,7 @@ func TestRouterFanOutEvents(t *testing.T) {
 			if e.Cluster != c {
 				t.Fatalf("put event cluster = %d, want %d", e.Cluster, c)
 			}
-			if e.Shard < r.shardBase[c] || e.Shard >= r.shardBase[c]+r.stores[c].NumShards() {
+			if e.Shard < r.globalShard(c, 0) || e.Shard >= r.globalShard(c+1, 0) {
 				t.Fatalf("put event shard %d outside cluster %d's global range", e.Shard, c)
 			}
 		}

@@ -33,6 +33,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,27 +57,20 @@ type Config struct {
 	Store kv.Config
 }
 
-func (c Config) withDefaults() Config {
-	if c.Clusters <= 0 {
-		c.Clusters = 1
-	}
-	return c
-}
-
 // Router pools N cluster-backed stores behind the kv.DB interface.
-// Shards are addressed by global index: cluster c's shard i is
-// c*shardsPerCluster + i. The cluster set is immutable after Open, and
-// every store serializes its own operations, so Router methods are safe
-// for concurrent use; operations on distinct clusters do not serialize
+// Every cluster runs the one Config.Store, so every cluster has the same
+// shard count per, and shards are addressed by global index: cluster c's
+// shard i is c*per + i, and global shard g is cluster g/per's shard
+// g%per. The cluster set is immutable after Open, and every store
+// serializes its own operations, so Router methods are safe for
+// concurrent use; operations on distinct clusters do not serialize
 // against each other (they hold mu only for reading). Metrics,
 // ResetMetrics and Observe take mu exclusively, so a Metrics snapshot is
 // atomically consistent — it never observes a fan-out operation half
 // applied.
 type Router struct {
-	cfg       Config
-	stores    []*kv.Store
-	shardBase []int // cluster -> first global shard index
-	nShards   int
+	stores []*kv.Store
+	per    int // shards per cluster
 
 	// mu is held shared by every operation and exclusively by
 	// Metrics/ResetMetrics/Observe. scanDiscarded is atomic because Scan
@@ -92,19 +86,17 @@ var _ kv.DB = (*Router)(nil)
 // Open builds Clusters independent cluster-backed stores and the router
 // over them.
 func Open(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
-	r := &Router{cfg: cfg}
-	for c := 0; c < cfg.Clusters; c++ {
+	r := &Router{}
+	for c := 0; c < max(cfg.Clusters, 1); c++ {
 		scfg := cfg.Store
 		scfg.Seed += int64(c)
 		st, err := kv.Open(scfg)
 		if err != nil {
 			return nil, fmt.Errorf("pool: cluster %d: %w", c, err)
 		}
-		r.shardBase = append(r.shardBase, r.nShards)
-		r.nShards += st.NumShards()
 		r.stores = append(r.stores, st)
 	}
+	r.per = r.stores[0].NumShards()
 	return r, nil
 }
 
@@ -121,7 +113,7 @@ func (r *Router) Observe(rec *obs.Recorder) {
 	defer r.mu.Unlock()
 	r.rec = rec
 	for c, st := range r.stores {
-		st.Observe(rec.Tagged(c, r.shardBase[c]))
+		st.Observe(rec.Tagged(c, r.globalShard(c, 0)))
 	}
 }
 
@@ -147,22 +139,9 @@ func (r *Router) ClusterOf(k core.Val) int {
 // Cluster returns cluster c's backing store (for inspection and tests).
 func (r *Router) Cluster(c int) *kv.Store { return r.stores[c] }
 
-// store returns the store serving key k.
-func (r *Router) store(k core.Val) *kv.Store { return r.stores[r.ClusterOf(k)] }
-
 // globalShard lifts cluster c's local shard index to the pool's global
 // index space.
-func (r *Router) globalShard(c, local int) int { return r.shardBase[c] + local }
-
-// localShard resolves a global shard index to (cluster, local index).
-func (r *Router) localShard(i int) (c, local int) {
-	for c = len(r.stores) - 1; c > 0; c-- {
-		if i >= r.shardBase[c] {
-			break
-		}
-	}
-	return c, i - r.shardBase[c]
-}
+func (r *Router) globalShard(c, local int) int { return c*r.per + local }
 
 // clusterErr tags a per-store error with the cluster it came from — a
 // pooled deployment has Clusters copies of every shard index, so a bare
@@ -244,50 +223,61 @@ func (r *Router) MultiGet(keys []core.Val) ([]kv.Lookup, error) {
 		byCluster[c] = append(byCluster[c], k)
 		byClusterPos[c] = append(byClusterPos[c], i)
 	}
-	span := r.rec.NewSpan()
-	pstart := r.obsNow()
 	out := make([]kv.Lookup, len(keys))
 	var unavailable []int
 	missing := 0
-	for c, sub := range byCluster {
-		if len(sub) == 0 {
-			continue
-		}
-		lstart := r.stores[c].NowNS()
-		res, err := r.stores[c].MultiGet(sub)
+	err := r.fanOut(obs.OpMultiGet, len(keys), func(c int) bool { return len(byCluster[c]) > 0 }, func(c int) (int, error) {
+		res, err := r.stores[c].MultiGet(byCluster[c])
 		var partial *kv.PartialResultError
 		if err != nil && !errors.As(err, &partial) {
-			// The legs already out name this span: publish it on failure too.
-			r.rec.FanOut(span, obs.OpMultiGet, pstart, r.obsNow(), len(keys))
-			return nil, clusterErr(c, err)
+			return 0, err
 		}
-		if partial != nil {
-			// Cluster order is ascending and each cluster reports its
-			// unavailable shards ascending, so the global list stays sorted.
-			for _, sh := range partial.Unavailable {
-				unavailable = append(unavailable, r.globalShard(c, sh))
-			}
-			missing += partial.Missing
-		}
-		r.rec.FanOutLeg(span, obs.OpMultiGet, c, lstart, r.stores[c].NowNS(), len(sub)-missingOf(partial))
 		for j, l := range res {
 			out[byClusterPos[c][j]] = l
 		}
+		if partial == nil {
+			return len(byCluster[c]), nil
+		}
+		// Cluster order is ascending and each cluster reports its
+		// unavailable shards ascending, so the global list stays sorted.
+		for _, sh := range partial.Unavailable {
+			unavailable = append(unavailable, r.globalShard(c, sh))
+		}
+		missing += partial.Missing
+		return len(byCluster[c]) - partial.Missing, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	r.rec.FanOut(span, obs.OpMultiGet, pstart, r.obsNow(), len(keys))
 	if missing > 0 {
 		return out, &kv.PartialResultError{Op: "multiget", Unavailable: unavailable, Missing: missing}
 	}
 	return out, nil
 }
 
-// missingOf returns a partial-result error's withheld-entry count (0 for
-// nil — a fully-served leg).
-func missingOf(e *kv.PartialResultError) int {
-	if e == nil {
-		return 0
+// fanOut runs one leg per cluster that has a part in the call (has), in
+// cluster order, under a parent span covering the whole call of size n.
+// leg runs cluster c's part and returns the size its span reports; the
+// first error ends the fan-out, tagged with its cluster. The parent is
+// published on every return path, so every leg that went out names a
+// parent a consumer can find.
+func (r *Router) fanOut(op obs.Op, n int, has func(c int) bool, leg func(c int) (int, error)) error {
+	span, start := r.rec.NewSpan(), r.obsNow()
+	var err error
+	for c, st := range r.stores {
+		if !has(c) {
+			continue
+		}
+		lstart := st.NowNS()
+		var size int
+		if size, err = leg(c); err != nil {
+			err = clusterErr(c, err)
+			break
+		}
+		r.rec.FanOutLeg(span, op, c, lstart, st.NowNS(), size)
 	}
-	return e.Missing
+	r.rec.FanOut(span, op, start, r.obsNow(), n)
+	return err
 }
 
 // Scan fans the range out across the clusters and merges the per-cluster
@@ -344,7 +334,7 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 					return nil, clusterErr(c, err)
 				}
 				if unavail == nil {
-					unavail = make([]bool, r.nShards)
+					unavail = make([]bool, r.NumShards())
 				}
 				for _, sh := range partial.Unavailable {
 					unavail[r.globalShard(c, sh)] = true
@@ -531,54 +521,35 @@ func (r *Router) Apply(b *Batch) (kv.Ack, error) {
 		}
 		lastCluster = c
 	}
-	span := r.rec.NewSpan()
-	pstart := r.obsNow()
 	var final kv.Ack
-	for c := range sub {
-		if sub[c].Len() == 0 {
-			continue
-		}
-		lstart := r.stores[c].NowNS()
+	err := r.fanOut(obs.OpApply, b.Len(), func(c int) bool { return sub[c].Len() > 0 }, func(c int) (int, error) {
 		ack, err := r.stores[c].Apply(&sub[c])
-		if err != nil {
-			r.rec.FanOut(span, obs.OpApply, pstart, r.obsNow(), b.Len())
-			return kv.Ack{}, clusterErr(c, err)
-		}
-		r.rec.FanOutLeg(span, obs.OpApply, c, lstart, r.stores[c].NowNS(), sub[c].Len())
-		ack.Shard = r.globalShard(c, ack.Shard)
 		if c == lastCluster {
 			final = ack
+			final.Shard = r.globalShard(c, ack.Shard)
 		}
+		return sub[c].Len(), err
+	})
+	if err != nil {
+		return kv.Ack{}, err
 	}
-	r.rec.FanOut(span, obs.OpApply, pstart, r.obsNow(), b.Len())
 	return final, nil
 }
 
-// Sync commits every cluster's open batches.
-func (r *Router) Sync() error {
+// gather calls f on every cluster in order and concatenates what comes
+// back, lift moving each element's shard indices up by its cluster's
+// first global index. It stops at the first error, returning what it
+// gathered so far — the earlier clusters' calls stay done.
+func gather[T any](r *Router, f func(*kv.Store) ([]T, error), lift func(t *T, base int)) ([]T, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	var all []T
 	for c, st := range r.stores {
-		if err := st.Sync(); err != nil {
-			return clusterErr(c, err)
+		got, err := f(st)
+		for i := range got {
+			lift(&got[i], r.globalShard(c, 0))
 		}
-	}
-	return nil
-}
-
-// Compact runs each cluster's log compaction — entirely cluster-local
-// machinery, like Rebalance — and returns the union of per-shard stats
-// with shard indices lifted to the global space.
-func (r *Router) Compact() ([]kv.CompactionStats, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var all []kv.CompactionStats
-	for c, st := range r.stores {
-		stats, err := st.Compact()
-		for i := range stats {
-			stats[i].Shard = r.globalShard(c, stats[i].Shard)
-		}
-		all = append(all, stats...)
+		all = append(all, got...)
 		if err != nil {
 			return all, clusterErr(c, err)
 		}
@@ -586,28 +557,41 @@ func (r *Router) Compact() ([]kv.CompactionStats, error) {
 	return all, nil
 }
 
-// NumShards returns the total shard count across clusters.
-func (r *Router) NumShards() int { return r.nShards }
-
-// Crash fails the machine of the shard with global index i.
-func (r *Router) Crash(i int) {
+// onShard calls f with the store owning the shard with global index i
+// and the shard's index in that store.
+func (r *Router) onShard(i int, f func(st *kv.Store, local int)) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	c, local := r.localShard(i)
-	r.stores[c].Crash(local)
+	f(r.stores[i/r.per], i%r.per)
 }
+
+// Sync commits every cluster's open batches.
+func (r *Router) Sync() error {
+	_, err := gather(r, func(st *kv.Store) ([]struct{}, error) { return nil, st.Sync() }, nil)
+	return err
+}
+
+// Compact runs each cluster's log compaction — entirely cluster-local
+// machinery, like Rebalance — and returns the union of per-shard stats
+// with shard indices lifted to the global space.
+func (r *Router) Compact() ([]kv.CompactionStats, error) {
+	return gather(r, (*kv.Store).Compact, func(s *kv.CompactionStats, base int) { s.Shard += base })
+}
+
+// NumShards returns the total shard count across clusters.
+func (r *Router) NumShards() int { return len(r.stores) * r.per }
+
+// Crash fails the machine of the shard with global index i.
+func (r *Router) Crash(i int) { r.onShard(i, (*kv.Store).Crash) }
 
 // Recover restarts the shard with global index i; the returned stats
 // carry the global index.
-func (r *Router) Recover(i int) (kv.RecoveryStats, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, local := r.localShard(i)
-	stats, err := r.stores[c].Recover(local)
+func (r *Router) Recover(i int) (stats kv.RecoveryStats, err error) {
+	r.onShard(i, func(st *kv.Store, local int) { stats, err = st.Recover(local) })
 	if err != nil {
-		return kv.RecoveryStats{}, clusterErr(c, err)
+		return kv.RecoveryStats{}, clusterErr(i/r.per, err)
 	}
-	stats.Shard = r.globalShard(c, stats.Shard)
+	stats.Shard = r.globalShard(i/r.per, stats.Shard)
 	return stats, nil
 }
 
@@ -616,42 +600,21 @@ func (r *Router) Recover(i int) (kv.RecoveryStats, error) {
 // dependent: under the GPF-based strategies the partitioned cluster
 // cannot commit at all, while the other pooled clusters are entirely
 // unaffected — exactly the isolation pooling exists to provide.
-func (r *Router) Partition(i int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, local := r.localShard(i)
-	r.stores[c].Partition(local)
-}
+func (r *Router) Partition(i int) { r.onShard(i, (*kv.Store).Partition) }
 
 // Heal reconnects the shard with global index i to its cluster's fabric.
-func (r *Router) Heal(i int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, local := r.localShard(i)
-	r.stores[c].Heal(local)
-}
+func (r *Router) Heal(i int) { r.onShard(i, (*kv.Store).Heal) }
 
 // Degrade sets the latency multiplier of the shard with global index i's
 // device.
 func (r *Router) Degrade(i int, factor float64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, local := r.localShard(i)
-	r.stores[c].Degrade(local, factor)
+	r.onShard(i, func(st *kv.Store, local int) { st.Degrade(local, factor) })
 }
 
 // Health concatenates every cluster's shard health in global shard order.
 func (r *Router) Health() []kv.ShardHealth {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var all []kv.ShardHealth
-	for c, st := range r.stores {
-		hs := st.Health()
-		for j := range hs {
-			hs[j].Shard = r.globalShard(c, hs[j].Shard)
-		}
-		all = append(all, hs...)
-	}
+	all, _ := gather(r, func(st *kv.Store) ([]kv.ShardHealth, error) { return st.Health(), nil },
+		func(h *kv.ShardHealth, base int) { h.Shard += base })
 	return all
 }
 
@@ -660,32 +623,14 @@ func (r *Router) Health() []kv.ShardHealth {
 // and returns the union of moves with shard indices lifted to the global
 // space.
 func (r *Router) Rebalance() ([]kv.MigrationStats, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var all []kv.MigrationStats
-	for c, st := range r.stores {
-		moves, err := st.Rebalance()
-		for i := range moves {
-			moves[i].From = r.globalShard(c, moves[i].From)
-			moves[i].To = r.globalShard(c, moves[i].To)
-		}
-		all = append(all, moves...)
-		if err != nil {
-			return all, clusterErr(c, err)
-		}
-	}
-	return all, nil
+	return gather(r, (*kv.Store).Rebalance, func(m *kv.MigrationStats, base int) { m.From, m.To = m.From+base, m.To+base })
 }
 
 // CrashFront fails every cluster's front-end machine — the pooled
 // analogue of one coordinator process dying: each cluster's data plane
 // fails with kv.ErrFrontDown until RecoverFront.
 func (r *Router) CrashFront() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, st := range r.stores {
-		st.CrashFront()
-	}
+	gather(r, func(st *kv.Store) ([]struct{}, error) { st.CrashFront(); return nil, nil }, nil)
 }
 
 // RecoverFront restarts every cluster's front end and re-attaches its
@@ -695,20 +640,7 @@ func (r *Router) CrashFront() {
 // returned) and the failing cluster's front stays down — retry after
 // addressing the error.
 func (r *Router) RecoverFront() ([]kv.RecoveryStats, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var all []kv.RecoveryStats
-	for c, st := range r.stores {
-		stats, err := st.RecoverFront()
-		for i := range stats {
-			stats[i].Shard = r.globalShard(c, stats[i].Shard)
-		}
-		all = append(all, stats...)
-		if err != nil {
-			return all, clusterErr(c, err)
-		}
-	}
-	return all, nil
+	return gather(r, (*kv.Store).RecoverFront, func(s *kv.RecoveryStats, base int) { s.Shard += base })
 }
 
 // FrontDown reports whether any cluster's front end is currently
@@ -716,12 +648,7 @@ func (r *Router) RecoverFront() ([]kv.RecoveryStats, error) {
 func (r *Router) FrontDown() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, st := range r.stores {
-		if st.FrontDown() {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(r.stores, (*kv.Store).FrontDown)
 }
 
 // Router implements the optional front-end failover surface by fan-out.
@@ -775,17 +702,6 @@ func (r *Router) ResetMetrics() {
 	r.scanDiscarded.Store(0)
 }
 
-// nowNS sums the pooled clusters' clocks without taking the router lock
-// (the store slice is immutable and a cluster's clock is read
-// atomically).
-func (r *Router) nowNS() float64 {
-	total := 0.0
-	for _, st := range r.stores {
-		total += st.NowNS()
-	}
-	return total
-}
-
 // obsNow is the pool's summed clock as an observability timestamp: summed
 // only while a recorder is attached, so an unobserved fan-out pays one
 // pointer check and hands the nil recorder's no-op methods a zero they
@@ -794,13 +710,19 @@ func (r *Router) obsNow() float64 {
 	if r.rec == nil {
 		return 0
 	}
-	return r.nowNS()
+	return r.NowNS()
 }
 
 // NowNS returns the sum of the pooled clusters' independent simulated
 // clocks — the pool's total consumed simulated time. Deltas around an
 // operation measure its cost (its owning cluster is the only clock that
 // advances; a fan-out op's delta is the summed cost across clusters).
+// It takes no router lock: the store slice is immutable and a cluster's
+// clock is read atomically.
 func (r *Router) NowNS() float64 {
-	return r.nowNS()
+	total := 0.0
+	for _, st := range r.stores {
+		total += st.NowNS()
+	}
+	return total
 }

@@ -102,7 +102,7 @@ func TestRouterRoutesAndAggregates(t *testing.T) {
 		}
 		c := r.ClusterOf(k)
 		seen[c]++
-		if ack.Shard < r.shardBase[c] || (c < 2 && ack.Shard >= r.shardBase[c+1]) {
+		if ack.Shard < r.globalShard(c, 0) || ack.Shard >= r.globalShard(c+1, 0) {
 			t.Fatalf("key %d on cluster %d acked with global shard %d", k, c, ack.Shard)
 		}
 	}
@@ -299,8 +299,8 @@ func TestRouterApplySplitsAndCommits(t *testing.T) {
 	}
 	// The batch's final op (Delete k1) lives on cluster 1: the returned
 	// ack must point into cluster 1's global shard range.
-	if ack.Shard < r.shardBase[1] {
-		t.Fatalf("ack shard %d not global to cluster 1 (base %d)", ack.Shard, r.shardBase[1])
+	if ack.Shard < r.globalShard(1, 0) {
+		t.Fatalf("ack shard %d not global to cluster 1 (base %d)", ack.Shard, r.globalShard(1, 0))
 	}
 	if v, ok, _ := r.Get(k0); !ok || v != 10 {
 		t.Fatalf("k0 = (%d, %v)", v, ok)
@@ -348,7 +348,7 @@ func TestRouterCrashRecoverGlobalIndex(t *testing.T) {
 	}
 	// Crash the shard serving k1, addressed globally.
 	local := r.Cluster(1).ShardOf(k1)
-	global := r.shardBase[1] + local
+	global := r.globalShard(1, local)
 	r.Crash(global)
 	if _, _, err := r.Get(k1); !errors.Is(err, kv.ErrShardDown) {
 		t.Fatalf("get through crashed shard: %v", err)
