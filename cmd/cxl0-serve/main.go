@@ -70,8 +70,11 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		return err
 	}
 
-	if *clusters < 1 || *shards < 1 {
-		return fmt.Errorf("cxl0-serve: -clusters must be positive and -shards must be positive (got %d and %d)", *clusters, *shards)
+	if *clusters < 1 {
+		return fmt.Errorf("cxl0-serve: -clusters must be positive")
+	}
+	if *shards < 1 {
+		return fmt.Errorf("cxl0-serve: -shards must be positive")
 	}
 	strat, err := kv.ParseStrategy(*strategyF)
 	if err != nil {
@@ -94,7 +97,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	if *campaignF != "" {
 		// Validate the class and its period up front; drive rebuilds the
 		// schedule each cycle.
-		if _, err := faults.ForClass(*campaignF, 1, *clusters**shards, *campaignEvery); err != nil {
+		if _, err := faults.ForClass(*campaignF, 1, 1, *campaignEvery); err != nil {
 			return fmt.Errorf("cxl0-serve: -campaign %q -campaign-every %d: %w", *campaignF, *campaignEvery, err)
 		}
 	}
