@@ -58,9 +58,9 @@ type Config struct {
 }
 
 // Router pools N cluster-backed stores behind the kv.DB interface.
-// Every cluster runs the one Config.Store, so every cluster has the same
-// shard count per, and shards are addressed by global index: cluster c's
-// shard i is c*per + i, and global shard g is cluster g/per's shard
+// Every cluster runs the one Config.Store, so all clusters have the same
+// shard count, per, and shards are addressed by global index: cluster
+// c's shard i is c*per + i, and global shard g is cluster g/per's shard
 // g%per. The cluster set is immutable after Open, and every store
 // serializes its own operations, so Router methods are safe for
 // concurrent use; operations on distinct clusters do not serialize
