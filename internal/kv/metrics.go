@@ -9,7 +9,9 @@ package kv
 // two together).
 type Counters struct {
 	// Puts, Gets, Deletes and Scans count operations served. Gets counts
-	// point lookups, including each key resolved by a MultiGet.
+	// point lookups, including each key resolved by a MultiGet; Scans
+	// counts Store.Scan calls, not ScanKeys listings, so a pooled scan
+	// ticks it once per cluster its read pass reads (see pool.Router.Scan).
 	Puts         uint64 `json:"puts"`
 	Gets         uint64 `json:"gets"`
 	Deletes      uint64 `json:"deletes"`
@@ -21,9 +23,12 @@ type Counters struct {
 	MultiGets uint64 `json:"multi_gets"`
 	Batches   uint64 `json:"batches"`
 	Commits   uint64 `json:"commits"` // commit flushes issued (GPF or ranged batches)
-	// ScanDiscardedPairs counts pairs a pooled scan fan-out loaded from
-	// clusters and then discarded in the router's merge — always 0 on a
-	// single store, where Scan never over-fetches (see pool.Router.Scan).
+	// ScanDiscardedPairs counts pairs a scan loaded and then discarded.
+	// It is 0 by construction: a store's Scan loads only the pairs it
+	// returns, and so does a pooled one, which merges its clusters' keys
+	// before it loads a value (see pool.Router.Scan). The field stays
+	// because readers of the metrics (the repo benchmark's
+	// pool.scan_useful_ratio, /metrics) report it.
 	ScanDiscardedPairs uint64 `json:"scan_discarded_pairs"`
 	// Acked is the cumulative count of client writes acknowledged durable
 	// (at return, at a batch commit, via Sync, or by a recovery that

@@ -97,7 +97,8 @@ func TestCountersDeclaredOnce(t *testing.T) {
 	}
 	moved := st.Metrics().Counters
 	for i := 0; i < typ.NumField(); i++ {
-		// A single store never over-fetches a scan; the router owns that one.
+		// No scan discards a pair it loaded: ScanDiscardedPairs is 0 by
+		// construction (see its doc).
 		if name := typ.Field(i).Name; reflect.ValueOf(moved).Field(i).Uint() == 0 && name != "ScanDiscardedPairs" {
 			t.Errorf("the traffic above never moved %s; extend it so the reset below is held to every counter", name)
 		}
