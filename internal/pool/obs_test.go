@@ -30,10 +30,10 @@ func seedKeys(t *testing.T, r *Router, n int) {
 	}
 }
 
-// TestScanOverFetchCapped pins the progressive fan-out: a limited pooled
-// scan returns the same result as a full scan truncated, fetches no more
-// than limit pairs from any single cluster, and accounts every pair it
-// cut in Metrics.ScanDiscardedPairs.
+// TestScanOverFetchCapped pins the keys-first scan: a limited pooled scan
+// returns the same result as a full scan truncated, loads no more than
+// limit pairs in all, and accounts every pair it loaded and cut (none) in
+// Metrics.ScanDiscardedPairs.
 func TestScanOverFetchCapped(t *testing.T) {
 	r, err := Open(obsPoolCfg(4))
 	if err != nil {
@@ -74,10 +74,9 @@ func TestScanOverFetchCapped(t *testing.T) {
 		if fetched-uint64(len(got)) != discarded {
 			t.Fatalf("limit %d: fetched %d, returned %d, but discarded accounts %d", limit, fetched, len(got), discarded)
 		}
-		// The cap: no cluster is ever asked past limit, so the whole
-		// fan-out can never fetch more than Clusters × limit — and with
-		// the progressive rounds it should fetch far less than the old
-		// everyone-fetches-limit behavior when limit is large.
+		// The cap: the read pass loads only the pairs the keys merge
+		// kept, so the scan never loads more than Clusters × limit — nor
+		// even more than limit.
 		if fetched > uint64(r.NumClusters()*limit) {
 			t.Fatalf("limit %d: fetched %d pairs, cap is %d", limit, fetched, r.NumClusters()*limit)
 		}
@@ -99,9 +98,9 @@ func TestScanOverFetchCapped(t *testing.T) {
 	}
 }
 
-// TestScanDiscardBeatsNaiveFanOut checks the progressive scan's point:
-// on an even spread with a large limit it fetches close to limit pairs,
-// not Clusters × limit.
+// TestScanDiscardBeatsNaiveFanOut checks the keys-first scan's point: on
+// an even spread with a large limit it loads exactly limit pairs, not
+// Clusters × limit.
 func TestScanDiscardBeatsNaiveFanOut(t *testing.T) {
 	r, err := Open(obsPoolCfg(4))
 	if err != nil {
@@ -117,10 +116,10 @@ func TestScanDiscardBeatsNaiveFanOut(t *testing.T) {
 	m := r.Metrics()
 	naive := uint64(r.NumClusters() * limit)
 	if m.ScannedPairs >= naive {
-		t.Fatalf("progressive scan fetched %d pairs, no better than the naive fan-out's %d", m.ScannedPairs, naive)
+		t.Fatalf("keys-first scan loaded %d pairs, no better than the naive fan-out's %d", m.ScannedPairs, naive)
 	}
-	if m.ScannedPairs < limit {
-		t.Fatalf("scan fetched %d pairs, fewer than the %d returned", m.ScannedPairs, limit)
+	if m.ScannedPairs != limit {
+		t.Fatalf("scan loaded %d pairs to return %d", m.ScannedPairs, limit)
 	}
 }
 
@@ -331,14 +330,16 @@ func TestRouterObservedTimelineUnchanged(t *testing.T) {
 	}
 }
 
-// TestScanResumeBoundaries drives limits that force multi-round refetches
-// and cross-checks against a locally merged reference.
+// TestScanResumeBoundaries drives limits that cut the clusters' key lists
+// at varied points of a sparse key set and cross-checks against a locally
+// merged reference.
 func TestScanResumeBoundaries(t *testing.T) {
 	r, err := Open(obsPoolCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sparse, irregular keys so resume points land between existing keys.
+	// Sparse, irregular keys so the read passes' bounds land between
+	// existing keys.
 	var all []core.Val
 	for i := 0; i < 120; i++ {
 		k := core.Val((i*i*7 + i) % 1000)

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"cxl0/internal/core"
 	"cxl0/internal/kv"
@@ -73,11 +72,9 @@ type Router struct {
 	per    int // shards per cluster
 
 	// mu is held shared by every operation and exclusively by
-	// Metrics/ResetMetrics/Observe. scanDiscarded is atomic because Scan
-	// updates it under the shared lock.
-	mu            sync.RWMutex
-	scanDiscarded atomic.Uint64
-	rec           *obs.Recorder
+	// Metrics/ResetMetrics/Observe.
+	mu  sync.RWMutex
+	rec *obs.Recorder
 }
 
 // Router implements the full DB surface over pooled clusters.
@@ -280,157 +277,103 @@ func (r *Router) fanOut(op obs.Op, n int, has func(c int) bool, leg func(c int) 
 	return err
 }
 
-// Scan fans the range out across the clusters and merges the per-cluster
-// results — each already in key order — into one globally key-ordered
-// slice, truncated to limit. A limited scan fetches progressively: the
-// first round asks every cluster for limit/Clusters + 1 pairs, then only
-// clusters whose next unread key could still displace the current
-// limit-th smallest are asked again, and no cluster is ever asked for
-// more than limit pairs in total. Pairs fetched but cut by the merge are
-// counted in Metrics.ScanDiscardedPairs; each refetch round ticks the
-// owning store's Scans counter. Like MultiGet, partitioned shards degrade
-// the scan to a partial result (reachable shards' pairs plus one
-// pool-level kv.PartialResultError) while a crashed in-range shard fails
-// it.
+// Scan merges the clusters' ranges — each already in key order — into
+// one globally key-ordered slice of at most limit pairs, and loads only
+// the values it returns: kv.Store.Scan's rule over its shards, lifted to
+// the clusters. A limited scan runs two passes. The keys pass lists up to
+// limit keys of [lo, hi) from every cluster's index (kv.Store.ScanKeys,
+// free on the simulated clock) and merges the lists, keeping the limit
+// smallest. The read pass runs one ordinary kv.Store.Scan on each cluster
+// that holds a kept key, up to and including its last one, so it loads
+// exactly the cluster's kept pairs. An unlimited scan returns everything
+// it loads and skips the keys pass: one kv.Store.Scan per cluster. The
+// read pass is the fan-out — one leg, and one tick of the store's Scans
+// counter, per cluster it reads. Like MultiGet, partitioned shards
+// degrade the scan to a partial result (reachable shards' pairs plus one
+// pool-level kv.PartialResultError whose Missing the first pass counts)
+// while a crashed in-range shard fails it.
 func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	span := r.rec.NewSpan()
-	pstart := r.obsNow()
+	legs := make([]scanLeg, len(r.stores))
 	// Read only when a partitioned shard was met: allocated on first use.
 	var unavail []bool
-
-	legs := make([]scanLeg, len(r.stores))
-	for c := range legs {
-		legs[c].next = lo
+	missing := 0
+	// degrade folds cluster c's partial result into the scan's — its
+	// Missing only from the first pass, which covers all of [lo, hi) — and
+	// returns any other error.
+	degrade := func(c int, err error, first bool) error {
+		// Declared here so that a healthy scan does not pay for the
+		// target errors.As makes escape.
+		var partial *kv.PartialResultError
+		if !errors.As(err, &partial) {
+			return err
+		}
+		if unavail == nil {
+			unavail = make([]bool, r.NumShards())
+		}
+		for _, sh := range partial.Unavailable {
+			unavail[r.globalShard(c, sh)] = true
+		}
+		if first {
+			missing += partial.Missing
+		}
+		return nil
 	}
-
-	per := limit
 	if limit > 0 {
-		per = limit/len(r.stores) + 1
+		for c, st := range r.stores {
+			var err error
+			if legs[c].keys, err = st.ScanKeys(lo, hi, limit); err != nil && degrade(c, err, true) != nil {
+				return nil, clusterErr(c, err)
+			}
+		}
+		// Clusters partition the keyspace and every list is ascending, so
+		// the limit smallest keys are the merge's first limit heads.
+		for kept := 0; kept < limit; kept++ {
+			var head *scanLeg
+			for c := range legs {
+				if l := &legs[c]; l.kept < len(l.keys) && (head == nil || l.keys[l.kept] < head.keys[head.kept]) {
+					head = l
+				}
+			}
+			if head == nil {
+				break
+			}
+			head.kept++
+		}
 	}
-	for {
-		progressed := false
-		for c := range legs {
-			l := &legs[c]
-			if l.done {
+	// The read pass. Its legs are published once the merge is done, each
+	// with its span on its own cluster's clock.
+	span, pstart := r.rec.NewSpan(), r.obsNow()
+	total := 0
+	for c, st := range r.stores {
+		l := &legs[c]
+		end, ask := hi, limit
+		if limit > 0 {
+			if l.kept == 0 {
 				continue
 			}
-			ask := per
-			if limit > 0 && limit-l.fetched < ask {
-				ask = limit - l.fetched
-			}
-			if !l.everAsked {
-				l.simStart = r.stores[c].NowNS()
-			}
-			l.everAsked = true
-			pairs, err := r.stores[c].Scan(l.next, hi, ask)
-			l.simEnd = r.stores[c].NowNS()
-			if err != nil {
-				// Declared here so that a healthy leg does not pay for the
-				// target errors.As makes escape.
-				var partial *kv.PartialResultError
-				if !errors.As(err, &partial) {
-					return nil, clusterErr(c, err)
-				}
-				if unavail == nil {
-					unavail = make([]bool, r.NumShards())
-				}
-				for _, sh := range partial.Unavailable {
-					unavail[r.globalShard(c, sh)] = true
-				}
-				// Every round's range is a subset of the first's, so the
-				// largest count seen is the leg's total withheld entries —
-				// summing rounds would double-count them.
-				if partial.Missing > l.missing {
-					l.missing = partial.Missing
-				}
-			}
-			l.fetched += len(pairs)
-			if l.pairs == nil {
-				l.pairs = pairs // the store's slice is fresh and ours to keep
-			} else {
-				// A refetch resumes past the leg's last key, so the leg stays
-				// ascending; it never holds more than limit pairs, so it
-				// grows once.
-				if cap(l.pairs) < limit {
-					l.pairs = append(make([]kv.Pair, 0, limit), l.pairs...)
-				}
-				l.pairs = append(l.pairs, pairs...)
-			}
-			progressed = progressed || len(pairs) > 0
-			if limit <= 0 || len(pairs) < ask {
-				// Unlimited scans finish in one round; a short return
-				// means the cluster's range is exhausted.
-				l.done = true
-			} else {
-				l.next = pairs[len(pairs)-1].Key + 1
-				if l.next >= hi || l.fetched >= limit {
-					// A cluster's limit smallest in-range keys are the
-					// only ones that can survive the merge — no point
-					// fetching past the cap.
-					l.done = true
-				}
-			}
+			end, ask = l.keys[l.kept-1]+1, l.kept
 		}
-		// Settle check: a cluster needs another round only if its next
-		// unread key could still displace the limit-th smallest fetched
-		// so far (or fewer than limit pairs are fetched in total).
-		total := 0
-		for c := range legs {
-			total += legs[c].fetched
+		l.start = st.NowNS()
+		pairs, err := st.Scan(lo, end, ask)
+		l.end = st.NowNS()
+		if err != nil && degrade(c, err, limit <= 0) != nil {
+			return nil, clusterErr(c, err)
 		}
-		allSettled := true
-		if limit <= 0 || total < limit {
-			for c := range legs {
-				if !legs[c].done {
-					allSettled = false
-					break
-				}
-			}
-		} else {
-			kth := kthSmallestKey(legs, limit)
-			for c := range legs {
-				if !legs[c].done && legs[c].next <= kth {
-					allSettled = false
-					break
-				}
-			}
-		}
-		if allSettled || !progressed {
-			break
-		}
+		l.pairs = pairs
+		total += len(pairs)
 	}
-
-	fetched := 0
-	for c := range legs {
-		fetched += legs[c].fetched
-	}
-	// Clusters partition the keyspace and every leg is ascending, so the
-	// result is a merge of the legs' heads; what the limit cuts is never
-	// copied.
-	n := fetched
-	if limit > 0 && n > limit {
-		n = limit
-	}
-	merged := make([]kv.Pair, 0, n)
-	rewind(legs)
-	for len(merged) < n {
+	merged := make([]kv.Pair, 0, total)
+	for len(merged) < total {
 		merged = append(merged, popSmallest(legs))
 	}
-	if d := fetched - len(merged); d > 0 {
-		r.scanDiscarded.Add(uint64(d))
-	}
 	for c := range legs {
-		if legs[c].everAsked {
-			r.rec.FanOutLeg(span, obs.OpScan, c, legs[c].simStart, legs[c].simEnd, legs[c].fetched)
+		if l := &legs[c]; limit <= 0 || l.kept > 0 {
+			r.rec.FanOutLeg(span, obs.OpScan, c, l.start, l.end, len(l.pairs))
 		}
 	}
 	r.rec.FanOut(span, obs.OpScan, pstart, r.obsNow(), len(merged))
-	missing := 0
-	for c := range legs {
-		missing += legs[c].missing
-	}
 	if missing > 0 {
 		var shards []int
 		for i, hit := range unavail {
@@ -443,36 +386,13 @@ func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 	return merged, nil
 }
 
-// scanLeg tracks one cluster's progress through a progressive pooled
-// scan.
+// scanLeg is one cluster's part of a pooled scan.
 type scanLeg struct {
-	pairs     []kv.Pair // ascending
-	merged    int       // pairs[:merged] are popped (rewind, popSmallest)
-	next      core.Val  // resume point: one past the last fetched key
-	done      bool      // range exhausted or per-cluster cap reached
-	fetched   int
-	missing   int // in-range entries withheld by partitioned shards
-	simStart  float64
-	simEnd    float64
-	everAsked bool
-}
-
-// kthSmallestKey returns the limit-th smallest key fetched across the
-// legs. The caller has checked at least limit pairs are fetched.
-func kthSmallestKey(legs []scanLeg, limit int) core.Val {
-	rewind(legs)
-	var kth core.Val
-	for i := 0; i < limit; i++ {
-		kth = popSmallest(legs).Key
-	}
-	return kth
-}
-
-// rewind restarts the merge over the legs at their first pairs.
-func rewind(legs []scanLeg) {
-	for c := range legs {
-		legs[c].merged = 0
-	}
+	keys       []core.Val // the keys pass's listing, ascending
+	kept       int        // keys[:kept] survived the keys merge
+	pairs      []kv.Pair  // the read pass's pairs, ascending
+	popped     int        // pairs[:popped] are merged (popSmallest)
+	start, end float64    // the read pass's span on the cluster's clock
 }
 
 // popSmallest takes the next pair of the merge: the smallest head among
@@ -481,12 +401,12 @@ func popSmallest(legs []scanLeg) kv.Pair {
 	var head *scanLeg
 	for c := range legs {
 		l := &legs[c]
-		if l.merged < len(l.pairs) && (head == nil || l.pairs[l.merged].Key < head.pairs[head.merged].Key) {
+		if l.popped < len(l.pairs) && (head == nil || l.pairs[l.popped].Key < head.pairs[head.popped].Key) {
 			head = l
 		}
 	}
-	head.merged++
-	return head.pairs[head.merged-1]
+	head.popped++
+	return head.pairs[head.popped-1]
 }
 
 // Apply splits the batch into per-cluster sub-batches (each preserving
@@ -656,13 +576,12 @@ var _ kv.FrontRecoverer = (*Router)(nil)
 
 // Metrics aggregates every cluster's snapshot: counters summed, per-shard
 // series concatenated in global shard order, latency and recovery samples
-// pooled, plus the router's own ScanDiscardedPairs. kv.Metrics' derived
-// views keep their meaning: MaxBusyNS is the pooled service makespan
-// (clusters run in parallel like shards do) and MaxMeanBusyRatio the
-// placement skew across all shards of all clusters. The snapshot is
-// atomically consistent — Metrics holds the router lock exclusively, so
-// no operation (in particular no multi-cluster Apply) is in flight while
-// the clusters are read.
+// pooled. kv.Metrics' derived views keep their meaning: MaxBusyNS is the
+// pooled service makespan (clusters run in parallel like shards do) and
+// MaxMeanBusyRatio the placement skew across all shards of all clusters.
+// The snapshot is atomically consistent — Metrics holds the router lock
+// exclusively, so no operation (in particular no multi-cluster Apply) is
+// in flight while the clusters are read.
 func (r *Router) Metrics() kv.Metrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -687,19 +606,16 @@ func (r *Router) Metrics() kv.Metrics {
 		agg.PerShardInFlight = append(agg.PerShardInFlight, m.PerShardInFlight...)
 		agg.PerShardAcked = append(agg.PerShardAcked, m.PerShardAcked...)
 	}
-	agg.ScanDiscardedPairs += r.scanDiscarded.Load()
 	return agg
 }
 
-// ResetMetrics zeroes every cluster's counters and clocks, and the
-// router's discarded-pair counter.
+// ResetMetrics zeroes every cluster's counters and clocks.
 func (r *Router) ResetMetrics() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, st := range r.stores {
 		st.ResetMetrics()
 	}
-	r.scanDiscarded.Store(0)
 }
 
 // obsNow is the pool's summed clock as an observability timestamp: summed
