@@ -189,7 +189,7 @@ var ErrUnknownStrategy = errors.New("kv: unknown strategy")
 
 // ErrOutOfRange is returned when a caller-supplied shard or bucket index
 // is outside the store's topology (control-plane methods like
-// CompactShard and MigrateBucket take raw indices).
+// CompactShard, MigrateBucket and Recover take raw indices).
 var ErrOutOfRange = errors.New("kv: index out of range")
 
 // Strategy selects how writes reach persistence and when they are

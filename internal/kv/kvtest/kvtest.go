@@ -1095,6 +1095,11 @@ func testBadArguments(t *testing.T, f Factory) {
 	if _, err := db.Delete(-1); !errors.Is(err, kv.ErrBadKey) {
 		t.Fatalf("negative key delete: %v", err)
 	}
+	for _, i := range []int{-1, db.NumShards()} {
+		if _, err := db.Recover(i); !errors.Is(err, kv.ErrOutOfRange) {
+			t.Fatalf("recover shard %d: %v, want ErrOutOfRange", i, err)
+		}
+	}
 }
 
 // observable is the optional surface a DB exposes to attach the

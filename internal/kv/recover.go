@@ -43,6 +43,9 @@ type RecoveryStats struct {
 func (s *Store) Recover(i int) (RecoveryStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if i < 0 || i >= len(s.shards) {
+		return RecoveryStats{}, fmt.Errorf("%w: shard %d not in [0,%d)", ErrOutOfRange, i, len(s.shards))
+	}
 	if s.frontDown {
 		// Non-colocated workers are homed on the front end; nothing can
 		// run until it is back. RecoverFront recovers every shard's state

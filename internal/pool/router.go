@@ -507,6 +507,9 @@ func (r *Router) Crash(i int) { r.onShard(i, (*kv.Store).Crash) }
 // Recover restarts the shard with global index i; the returned stats
 // carry the global index.
 func (r *Router) Recover(i int) (stats kv.RecoveryStats, err error) {
+	if n := r.NumShards(); i < 0 || i >= n {
+		return kv.RecoveryStats{}, fmt.Errorf("%w: shard %d not in [0,%d)", kv.ErrOutOfRange, i, n)
+	}
 	r.onShard(i, func(st *kv.Store, local int) { stats, err = st.Recover(local) })
 	if err != nil {
 		return kv.RecoveryStats{}, clusterErr(i/r.per, err)
