@@ -60,45 +60,27 @@ import (
 // MigrateBucket, and a dead front-end cannot compact, so compaction can
 // never reclaim a marker that recovery still needs.
 
-// epochWords is the snapshot-epoch record layout: [epoch, snapLen, chk].
-const epochWords = 3
-
-// CompactStep names the checkpoints of one shard compaction, in order.
-// The test hook fires at each so crash-safety can be probed at every
-// phase boundary.
-type CompactStep int
-
+// The checkpoints of one shard compaction, in order. The test hook fires
+// at each so crash-safety can be probed at every phase boundary.
 const (
 	// StepBeforeSnapshot fires after the open batch committed and the
 	// live set was collected, before anything of the snapshot is written.
-	StepBeforeSnapshot CompactStep = iota
+	StepBeforeSnapshot Step = "before-snapshot"
 	// StepMidSnapshot fires halfway through writing the snapshot records.
-	StepMidSnapshot
+	StepMidSnapshot Step = "mid-snapshot"
 	// StepAfterSnapshot fires once the snapshot is durable, before the
 	// commit record.
-	StepAfterSnapshot
+	StepAfterSnapshot Step = "after-snapshot"
 	// StepBeforeEpoch fires immediately before the snapshot-epoch record
 	// (the commit point) is written.
-	StepBeforeEpoch
+	StepBeforeEpoch Step = "before-epoch"
 	// StepAfterEpoch fires after the commit record is durable and before
 	// the reclaim sweep.
-	StepAfterEpoch
+	StepAfterEpoch Step = "after-epoch"
 	// StepAfterReclaim fires after the old log's checksum words were
 	// zeroed and the in-memory log and index were re-homed.
-	StepAfterReclaim
+	StepAfterReclaim Step = "after-reclaim"
 )
-
-var compactStepNames = [...]string{
-	"before-snapshot", "mid-snapshot", "after-snapshot",
-	"before-epoch", "after-epoch", "after-reclaim",
-}
-
-func (st CompactStep) String() string {
-	if st >= 0 && int(st) < len(compactStepNames) {
-		return compactStepNames[st]
-	}
-	return fmt.Sprintf("CompactStep(%d)", int(st))
-}
 
 // CompactionStats reports one committed shard compaction.
 type CompactionStats struct {
@@ -118,19 +100,13 @@ type CompactionStats struct {
 	SimNS float64
 }
 
-func (s *Store) hookCompact(step CompactStep) {
-	if s.compactHook != nil {
-		s.compactHook(step)
-	}
-}
-
 // compactCheckpoint publishes the compaction checkpoint as an
 // observability event, then fires the test hook — in that order, so the
 // event records reaching the checkpoint even when the hook injects a
 // crash there.
-func (s *Store) compactCheckpoint(step CompactStep, sh *shard, epoch uint64, live, reclaimed int) {
-	s.rec.CompactionStep(step.String(), sh.id, epoch, live, reclaimed, s.cluster.NowNS())
-	s.hookCompact(step)
+func (s *Store) compactCheckpoint(step Step, sh *shard, epoch uint64, live, reclaimed int) {
+	s.rec.CompactionStep(string(step), sh.id, epoch, live, reclaimed, s.cluster.NowNS())
+	s.fireStep(step)
 }
 
 // compactThreshold is the log length at which auto-compaction triggers
@@ -227,11 +203,11 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 		return stats, err
 	}
 
-	s.compacting = true
+	s.churning = true
 	start := s.cluster.NowNS()
 	committed := false
 	defer func() {
-		s.compacting = false
+		s.churning = false
 		span := s.cluster.NowNS() - start
 		sh.charge(span, true)
 		if committed {
@@ -279,7 +255,7 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	}
 
 	// Phase 2: commit — the durable snapshot-epoch record.
-	if err := s.writeEpochRecord(sh, t, next, len(live)); err != nil {
+	if err := sh.writeEpochRecord(t, next, len(live)); err != nil {
 		return stats, err
 	}
 	s.compactCheckpoint(StepAfterEpoch, sh, next, len(live), 0)
@@ -291,7 +267,7 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	sh.epoch = next
 	sh.snap = live
 	sh.log = sh.log[:0]
-	sh.acked, sh.pending = 0, 0
+	sh.catchUp()
 	sh.view.reset(live)
 	// Reclaim re-homed every live record into the new snapshot region:
 	// the lines the front end's copies were filled against are being
@@ -302,10 +278,8 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	// as well as invalid. Best-effort: the epoch binding already retires
 	// these records, so a crash mid-sweep loses nothing — the sweep just
 	// stops (MStore to a down machine fails).
-	for slot := 0; slot < oldLog && !sh.down; slot++ {
-		if err := t.MStore(sh.chkLoc(slot), 0); err != nil {
-			break
-		}
+	if !sh.down {
+		_ = sh.logR.retire(t, 0, oldLog)
 	}
 	s.compactCheckpoint(StepAfterReclaim, sh, next, len(live), oldLog+oldSnap-len(live))
 
@@ -335,14 +309,11 @@ func (s *Store) writeSnapshot(sh *shard, t *memsim.Thread, epoch uint64, live []
 		if sh.down {
 			return ErrShardDown
 		}
-		err := s.writeWords(t, sh,
-			[recWords]core.LocID{sh.snapKeyLoc(epoch, i), sh.snapValLoc(epoch, i), sh.snapChkLoc(epoch, i)},
-			[recWords]core.Val{r.key, r.val, snapChkOf(i, r.key, r.val, epoch)})
-		if err != nil {
+		if err := s.writeWords(t, sh, sh.snapR(epoch), i, [recWords]core.Val{r.key, r.val, snapChkOf(i, r.key, r.val, epoch)}); err != nil {
 			return err
 		}
 	}
-	if err := s.flushRange(t, sh, sh.snapKeyLoc(epoch, 0), len(live)*recWords, true); err != nil {
+	if err := s.flushRange(t, sh, sh.snapR(epoch), 0, len(live), true); err != nil {
 		return err
 	}
 	if sh.down || s.cluster.Epoch(sh.machine) != machineEpoch {
@@ -352,46 +323,4 @@ func (s *Store) writeSnapshot(sh *shard, t *memsim.Thread, epoch uint64, live []
 		return ErrShardDown
 	}
 	return nil
-}
-
-// writeEpochRecord MStores the snapshot-epoch record (epoch, snapLen,
-// checksum — checksum word last, so a torn write validates in neither
-// slot) into its parity slot. MStore is persistent at return, making the
-// completed record the compaction's commit point under every strategy.
-func (s *Store) writeEpochRecord(sh *shard, t *memsim.Thread, epoch uint64, snapLen int) error {
-	words := [epochWords]core.Val{core.Val(epoch), core.Val(snapLen), epochChkOf(epoch, snapLen)}
-	for w, v := range words {
-		if err := t.MStore(sh.epochLoc(epoch%2, w), v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readEpochRecord loads both snapshot-epoch slots and returns the valid
-// one with the highest epoch; (0, 0) when neither validates (a shard
-// that never compacted — the region's initial zeros are invalid in the
-// epoch-checksum domain).
-func (s *Store) readEpochRecord(sh *shard, t *memsim.Thread) (epoch uint64, snapLen int, err error) {
-	for parity := uint64(0); parity < 2; parity++ {
-		e, err := t.Load(sh.epochLoc(parity, 0))
-		if err != nil {
-			return 0, 0, err
-		}
-		n, err := t.Load(sh.epochLoc(parity, 1))
-		if err != nil {
-			return 0, 0, err
-		}
-		chk, err := t.Load(sh.epochLoc(parity, 2))
-		if err != nil {
-			return 0, 0, err
-		}
-		if e < 0 || n < 0 || chk != epochChkOf(uint64(e), int(n)) {
-			continue
-		}
-		if uint64(e) > epoch {
-			epoch, snapLen = uint64(e), int(n)
-		}
-	}
-	return epoch, snapLen, nil
 }

@@ -374,13 +374,13 @@ func TestRecoverDetectsSnapshotCorruption(t *testing.T) {
 		return rerr
 	}
 	t.Run("snapshot-record", func(t *testing.T) {
-		err := corrupt(t, func(st *Store) core.LocID { return st.shards[0].snapChkLoc(1, 2) })
+		err := corrupt(t, func(st *Store) core.LocID { return st.shards[0].snapR(1).loc(2, 2) })
 		if !errors.Is(err, ErrDurabilityViolation) {
 			t.Fatalf("recover after snapshot corruption: %v, want ErrDurabilityViolation", err)
 		}
 	})
 	t.Run("epoch-record", func(t *testing.T) {
-		err := corrupt(t, func(st *Store) core.LocID { return st.shards[0].epochLoc(1, 2) })
+		err := corrupt(t, func(st *Store) core.LocID { return st.shards[0].epochR.loc(1, 2) })
 		if !errors.Is(err, ErrDurabilityViolation) {
 			t.Fatalf("recover after epoch-record corruption: %v, want ErrDurabilityViolation", err)
 		}

@@ -367,54 +367,5 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// recWords is the record layout: [key, value, chk].
-const recWords = 3
-
-// chkOf is the record checksum: a function of the slot, the record's
-// content and the shard's snapshot epoch, so a partially persisted record
-// (some words still zero or stale) fails validation during the recovery
-// scan — and so does a pre-compaction leftover once the epoch moves on:
-// compaction reclaims the log by bumping the epoch, which retires every
-// old record's checksum without touching the medium (see compact.go).
-// Always >= 1, so a never-written slot (all zeros) is invalid.
-func chkOf(slot int, key, val core.Val, epoch uint64) core.Val {
-	h := (uint64(slot) + 1) * 0x9e3779b97f4a7c15
-	h ^= (uint64(key) + 3) * 0xff51afd7ed558ccd
-	h ^= (uint64(val) + 7) * 0xc4ceb9fe1a85ec53
-	h ^= (epoch + 11) * 0x94d049bb133111eb
-	h ^= h >> 29
-	return core.Val(h%((1<<40)-1)) + 1
-}
-
-// moveChkOf is the checksum domain of move-marker records (bucket
-// migration bookkeeping in the log; see migrate.go). Client checksums are
-// < 2^41 and move checksums in [2^41, 2^42), so a recovery scan can tell
-// the record kinds apart from the checksum word alone while keeping the
-// same partial-persist detection: a half-written marker validates in
-// neither domain.
-func moveChkOf(slot int, key, val core.Val, epoch uint64) core.Val {
-	return chkOf(slot, key, val, epoch) + (1 << 41)
-}
-
-// snapChkOf is the checksum domain of snapshot records (>= 2^42): a
-// compaction's snapshot region is validated in its own domain so a
-// snapshot word can never be mistaken for a log record (or vice versa),
-// with the same epoch binding — an old snapshot's leftovers in the
-// double-buffered region never validate under a newer epoch.
-func snapChkOf(slot int, key, val core.Val, epoch uint64) core.Val {
-	return chkOf(slot, key, val, epoch) + (1 << 42)
-}
-
-// epochChkOf is the checksum of a snapshot-epoch record — the two-slot
-// commit record of compaction, covering the epoch number and the snapshot
-// length. Always >= 1, so the never-written initial state (all zeros) is
-// invalid and decodes as "epoch 0, no snapshot".
-func epochChkOf(epoch uint64, snapLen int) core.Val {
-	h := (epoch + 5) * 0xff51afd7ed558ccd
-	h ^= (uint64(snapLen) + 9) * 0x9e3779b97f4a7c15
-	h ^= h >> 31
-	return core.Val(h%((1<<40)-1)) + 1
-}
-
 // hashKey spreads keys over shards (Fibonacci hashing, as in ds.Map).
 func hashKey(k core.Val) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }

@@ -508,7 +508,7 @@ func TestRecoverDetectsDurabilityViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := th.MStore(st.shards[0].chkLoc(2), 0); err != nil {
+	if err := th.MStore(st.shards[0].logR.loc(2, 2), 0); err != nil {
 		t.Fatal(err)
 	}
 	st.Crash(0)

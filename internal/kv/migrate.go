@@ -56,34 +56,26 @@ import (
 // copies are durable, and a down destination simply answers ErrShardDown
 // until it recovers.
 
-// MigrateStep names the checkpoints of one bucket migration, in order. The
-// test hook fires at each so crash-safety can be probed at every phase
-// boundary.
-type MigrateStep int
+// Step names a checkpoint of a bucket migration or a shard compaction.
+// Its value is the name the checkpoint's obs event carries.
+type Step string
 
+// The checkpoints of one bucket migration, in order. The test hook fires
+// at each so crash-safety can be probed at every phase boundary.
 const (
 	// StepBeforeCopy fires after both shards' open batches committed,
 	// before anything of the migration is written.
-	StepBeforeCopy MigrateStep = iota
+	StepBeforeCopy Step = "before-copy"
 	// StepMidCopy fires halfway through writing the copied records.
-	StepMidCopy
+	StepMidCopy Step = "mid-copy"
 	// StepAfterCopy fires once the copies are durable on the destination.
-	StepAfterCopy
+	StepAfterCopy Step = "after-copy"
 	// StepBeforeFlip fires after the move-out record is durable on the
 	// source (the commit point) and before the in-memory map flip.
-	StepBeforeFlip
+	StepBeforeFlip Step = "before-flip"
 	// StepAfterFlip fires after the map flip and index handoff.
-	StepAfterFlip
+	StepAfterFlip Step = "after-flip"
 )
-
-var migrateStepNames = [...]string{"before-copy", "mid-copy", "after-copy", "before-flip", "after-flip"}
-
-func (st MigrateStep) String() string {
-	if st >= 0 && int(st) < len(migrateStepNames) {
-		return migrateStepNames[st]
-	}
-	return fmt.Sprintf("MigrateStep(%d)", int(st))
-}
 
 // MigrationStats reports one completed bucket migration.
 type MigrationStats struct {
@@ -118,18 +110,19 @@ func decodeMove(v core.Val, nShards int) (ver uint64, out bool, shard int) {
 	return u / 2, u%2 == 1, shard
 }
 
-func (s *Store) hookStep(step MigrateStep) {
-	if s.migrateHook != nil {
-		s.migrateHook(step)
+// fireStep calls the test hook at a migration or compaction checkpoint.
+func (s *Store) fireStep(step Step) {
+	if s.stepHook != nil {
+		s.stepHook(step)
 	}
 }
 
 // stepCheckpoint publishes the migration checkpoint as an observability
 // event, then fires the test hook — in that order, so the event records
 // reaching the checkpoint even when the hook injects a crash there.
-func (s *Store) stepCheckpoint(step MigrateStep, b, from, to, records int) {
-	s.rec.MigrationStep(step.String(), b, from, to, records, s.cluster.NowNS())
-	s.hookStep(step)
+func (s *Store) stepCheckpoint(step Step, b, from, to, records int) {
+	s.rec.MigrationStep(string(step), b, from, to, records, s.cluster.NowNS())
+	s.fireStep(step)
 }
 
 // MigrateBucket moves bucket b's live records to shard `to`, durably, and
@@ -206,8 +199,8 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 		}
 	}
 
-	s.migrating = true
-	defer func() { s.migrating = false }()
+	s.churning = true
+	defer func() { s.churning = false }()
 
 	// Collect b's live records in slot order, paying the simulated cost
 	// of reading each value from the source shard's memory.
@@ -284,7 +277,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 		if err := s.commitLocked(dst); err != nil {
 			return err
 		}
-		dst.acked = len(dst.log)
+		dst.catchUp()
 		return nil
 	}()
 	dst.charge(s.cluster.NowNS()-wstart, true)
@@ -313,7 +306,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 		if err := s.commitLocked(src); err != nil {
 			return err
 		}
-		src.acked = len(src.log)
+		src.catchUp()
 		return nil
 	}()
 	src.charge(s.cluster.NowNS()-tstart, true)
@@ -347,15 +340,11 @@ func (s *Store) abortCopies(dst *shard, preLen int, cause error) error {
 	}
 	start := s.cluster.NowNS()
 	defer func() { dst.charge(s.cluster.NowNS()-start, true) }()
-	t := dst.thread
-	for slot := preLen; slot < len(dst.log); slot++ {
-		if err := t.MStore(dst.chkLoc(slot), 0); err != nil {
-			return cause
-		}
+	if err := dst.logR.retire(dst.thread, preLen, len(dst.log)); err != nil {
+		return cause
 	}
 	dst.log = dst.log[:preLen]
-	dst.pending = 0
-	dst.acked = preLen
+	dst.catchUp()
 	return cause
 }
 

@@ -97,34 +97,35 @@ func rstoreFlushWord(t *memsim.Thread, _ core.MachineID, l core.LocID, v core.Va
 	return t.RFlush(l)
 }
 
-// writeWords writes one record's words on shard sh with the store's
-// strategy. The arrays travel by value so they stay on the caller's
-// stack across the indirect call.
-func (s *Store) writeWords(t *memsim.Thread, sh *shard, locs [recWords]core.LocID, vals [recWords]core.Val) error {
-	for i, l := range locs {
-		if err := s.persist.word(t, sh.machine, l, vals[i]); err != nil {
+// writeWords writes the words of record slot of region r on shard sh
+// with the store's strategy. The array travels by value so it stays on
+// the caller's stack across the indirect call.
+func (s *Store) writeWords(t *memsim.Thread, sh *shard, r region, slot int, words [recWords]core.Val) error {
+	for w, v := range words {
+		if err := s.persist.word(t, sh.machine, r.loc(slot, w), v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// flushRange makes the words written at [first, first+words) on shard sh
-// durable per the strategy's scope. sh itself pays through its caller's
-// elapsed-span accounting, which contains this call; a fabric-wide flush
-// also charges its cost to every other shard, because the whole fabric
-// stalls for its duration regardless of which shard triggered it. When
-// the flush serves churn work (recovery, migration, compaction) rather
-// than client traffic, that cross-charge is classified as churn on the
-// stalled shards too, keeping the placement-skew metric clean of it.
+// flushRange makes the records written at slots [first, first+n) of
+// region r on shard sh durable per the strategy's scope. sh itself pays
+// through its caller's elapsed-span accounting, which contains this
+// call; a fabric-wide flush also charges its cost to every other shard,
+// because the whole fabric stalls for its duration regardless of which
+// shard triggered it. When the flush serves churn work (recovery,
+// migration, compaction) rather than client traffic, that cross-charge
+// is classified as churn on the stalled shards too, keeping the
+// placement-skew metric clean of it.
 //
 //cxl0:locked mu
-func (s *Store) flushRange(t *memsim.Thread, sh *shard, first core.LocID, words int, churn bool) error {
+func (s *Store) flushRange(t *memsim.Thread, sh *shard, r region, first, n int, churn bool) error {
 	switch s.persist.scope {
 	case perWord:
 	case shardLocal:
-		if words > 0 {
-			return t.RFlushRange(first, words)
+		if n > 0 {
+			return t.RFlushRange(r.loc(first, 0), n*recWords)
 		}
 	case fabricWide:
 		start := s.cluster.NowNS()

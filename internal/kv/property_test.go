@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -202,12 +203,23 @@ func verifyMigrated(t *testing.T, st *Store, want map[core.Val]core.Val, maxKey 
 	}
 }
 
+// migrateSteps and compactSteps are the checkpoints of a bucket migration
+// and of a shard compaction, in protocol order; a crash test's seed
+// derives from its step's index here.
+var (
+	migrateSteps = []Step{StepBeforeCopy, StepMidCopy, StepAfterCopy, StepBeforeFlip, StepAfterFlip}
+	compactSteps = []Step{
+		StepBeforeSnapshot, StepMidSnapshot, StepAfterSnapshot,
+		StepBeforeEpoch, StepAfterEpoch, StepAfterReclaim,
+	}
+)
+
 // testMigrationCrashAt runs one migration with a crash injected at the
 // given step (victim: source shard, destination shard, or both) and checks
 // that acknowledged writes survive, ownership stays single-shard, and the
 // store keeps working — through a repeated migration and one more full
 // crash/recover cycle.
-func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, step MigrateStep, victim string) {
+func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, step Step, victim string) {
 	const maxKey = 30
 	st, err := Open(Config{
 		Shards:     2,
@@ -217,7 +229,7 @@ func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, st
 		Batch:      3,
 		Variant:    variant,
 		EvictEvery: 2,
-		Seed:       int64(strat)*1000 + int64(variant)*100 + int64(step)*10 + int64(len(victim)),
+		Seed:       int64(strat)*1000 + int64(variant)*100 + int64(slices.Index(migrateSteps, step))*10 + int64(len(victim)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +267,7 @@ func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, st
 	to := 1 - from
 
 	fired := false
-	st.migrateHook = func(s MigrateStep) {
+	st.stepHook = func(s Step) {
 		if s != step || fired {
 			return
 		}
@@ -268,7 +280,7 @@ func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, st
 		}
 	}
 	_, migErr := st.MigrateBucket(b, to)
-	st.migrateHook = nil
+	st.stepHook = nil
 	if !fired {
 		t.Fatalf("hook never fired at %v", step)
 	}
@@ -334,10 +346,9 @@ func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, st
 // persistence strategies and all three hardware variants: acknowledged
 // writes must survive and no key may ever be served from two shards.
 func TestMigrationCrashSteps(t *testing.T) {
-	steps := []MigrateStep{StepBeforeCopy, StepMidCopy, StepAfterCopy, StepBeforeFlip, StepAfterFlip}
 	for _, variant := range []core.Variant{core.Base, core.PSN, core.LWB} {
 		for _, strat := range Strategies {
-			for _, step := range steps {
+			for _, step := range migrateSteps {
 				for _, victim := range []string{"src", "dst", "both"} {
 					t.Run(fmt.Sprintf("%v/%v/%v/%s", variant, strat, step, victim), func(t *testing.T) {
 						testMigrationCrashAt(t, strat, variant, step, victim)
@@ -376,7 +387,7 @@ func TestMigrationRedoFromLog(t *testing.T) {
 			from := st.ShardOfBucket(b)
 			to := 1 - from
 
-			st.migrateHook = func(s MigrateStep) {
+			st.stepHook = func(s Step) {
 				if s == StepBeforeFlip {
 					st.crashLocked(from)
 					panic("front-end died before the map flip")
@@ -390,7 +401,7 @@ func TestMigrationRedoFromLog(t *testing.T) {
 				}()
 				st.MigrateBucket(b, to)
 			}()
-			st.migrateHook = nil
+			st.stepHook = nil
 			if st.ShardOfBucket(b) != from {
 				t.Fatal("map flipped despite the lost flip")
 			}
@@ -433,7 +444,7 @@ func TestMigrationRedoWithDestinationDown(t *testing.T) {
 			from := st.ShardOfBucket(b)
 			to := 1 - from
 
-			st.migrateHook = func(s MigrateStep) {
+			st.stepHook = func(s Step) {
 				if s == StepBeforeFlip {
 					st.crashLocked(from)
 					st.crashLocked(to)
@@ -448,7 +459,7 @@ func TestMigrationRedoWithDestinationDown(t *testing.T) {
 				}()
 				st.MigrateBucket(b, to)
 			}()
-			st.migrateHook = nil
+			st.stepHook = nil
 
 			// Recover only the source: the redo flips the bucket to the
 			// still-down destination.
@@ -531,7 +542,7 @@ func TestMigrationRedoSupersededByLaterWrites(t *testing.T) {
 			from := st.ShardOfBucket(b)
 
 			// Phase-2 failure: move-out durable, flip lost, no crash.
-			st.migrateHook = func(s MigrateStep) {
+			st.stepHook = func(s Step) {
 				if s == StepBeforeFlip {
 					panic("phase-2 failure after the commit record")
 				}
@@ -544,7 +555,7 @@ func TestMigrationRedoSupersededByLaterWrites(t *testing.T) {
 				}()
 				st.MigrateBucket(b, 1-from)
 			}()
-			st.migrateHook = nil
+			st.stepHook = nil
 
 			// The source keeps serving the bucket and acknowledges ONE
 			// newer write after the orphaned marker — every other key of
@@ -581,7 +592,7 @@ func TestMigrationRedoSupersededByLaterWrites(t *testing.T) {
 // the crash aborted the compaction, identical state if it committed),
 // ownership stays single-shard, and the service keeps serving, compacting
 // and recovering afterwards.
-func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, step CompactStep) {
+func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, step Step) {
 	const maxKey = 30
 	st, err := Open(Config{
 		Shards:     2,
@@ -591,7 +602,7 @@ func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, s
 		Batch:      3,
 		Variant:    variant,
 		EvictEvery: 2,
-		Seed:       int64(strat)*1000 + int64(variant)*100 + int64(step)*10,
+		Seed:       int64(strat)*1000 + int64(variant)*100 + int64(slices.Index(compactSteps, step))*10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -622,7 +633,7 @@ func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, s
 
 	target := st.ShardOf(1)
 	fired := false
-	st.compactHook = func(s CompactStep) {
+	st.stepHook = func(s Step) {
 		if s != step || fired {
 			return
 		}
@@ -630,7 +641,7 @@ func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, s
 		st.crashLocked(target)
 	}
 	_, compErr := st.CompactShard(target)
-	st.compactHook = nil
+	st.stepHook = nil
 	if !fired {
 		t.Fatalf("hook never fired at %v", step)
 	}
@@ -683,13 +694,9 @@ func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, s
 // acknowledged writes must survive, state must resolve to old-or-new
 // (never garbage), and the service must keep compacting.
 func TestCompactionCrashSteps(t *testing.T) {
-	steps := []CompactStep{
-		StepBeforeSnapshot, StepMidSnapshot, StepAfterSnapshot,
-		StepBeforeEpoch, StepAfterEpoch, StepAfterReclaim,
-	}
 	for _, variant := range []core.Variant{core.Base, core.PSN, core.LWB} {
 		for _, strat := range Strategies {
-			for _, step := range steps {
+			for _, step := range compactSteps {
 				t.Run(fmt.Sprintf("%v/%v/%v", variant, strat, step), func(t *testing.T) {
 					testCompactionCrashAt(t, strat, variant, step)
 				})

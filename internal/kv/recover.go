@@ -92,7 +92,7 @@ func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
 	// persistent the moment it was written — so it must agree with the
 	// front-end's committed view; any divergence means the compaction
 	// commit record was lost, which no crash can cause.
-	epoch, snapLen, err := s.readEpochRecord(sh, t)
+	epoch, snapLen, err := sh.readEpochRecord(t)
 	if err != nil {
 		return RecoveryStats{}, err
 	}
@@ -105,21 +105,14 @@ func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
 	// Revalidate the committed snapshot: every record was durable at the
 	// epoch commit, so all snapLen of them must validate in the snapshot
 	// domain under the committed epoch.
-	snapScanned := make([]rec, 0, snapLen)
+	snapScanned, snap := make([]rec, 0, snapLen), sh.snapR(epoch)
 	for slot := 0; slot < snapLen; slot++ {
-		k, err := t.Load(sh.snapKeyLoc(epoch, slot))
+		w, err := snap.read(t, slot)
 		if err != nil {
 			return RecoveryStats{}, err
 		}
-		v, err := t.Load(sh.snapValLoc(epoch, slot))
-		if err != nil {
-			return RecoveryStats{}, err
-		}
-		chk, err := t.Load(sh.snapChkLoc(epoch, slot))
-		if err != nil {
-			return RecoveryStats{}, err
-		}
-		if chk != snapChkOf(slot, k, v, epoch) {
+		k, v := w[0], w[1]
+		if w[2] != snapChkOf(slot, k, v, epoch) {
 			return RecoveryStats{}, fmt.Errorf(
 				"%w: shard %d snapshot record %d of %d (epoch %d) failed validation",
 				ErrDurabilityViolation, i, slot, snapLen, epoch)
@@ -127,40 +120,27 @@ func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
 		snapScanned = append(snapScanned, rec{key: k, val: v})
 	}
 
-	// Scan: accept log records until the first one whose checksum does not
-	// match its content in either domain (client records validate under
-	// chkOf, move markers under moveChkOf) for the committed epoch — a
-	// pre-compaction leftover carries an older epoch's checksum and cuts
-	// the scan exactly where the reclaimed log ends. Acknowledged records
-	// are all durable, so the cut can only fall in the unacknowledged
-	// tail.
+	// Scan: accept log records while the medium holds exactly what the
+	// front end wrote there — key, value, and the checksum in the record's
+	// own domain (chkOf for client records, moveChkOf for move markers)
+	// under the committed epoch. A partially persisted record differs in
+	// some word; a pre-compaction leftover carries an older epoch's
+	// checksum and cuts the scan exactly where the reclaimed log ends; a
+	// checksum word changed into the other kind's domain does not pass for
+	// that kind. Acknowledged records are all durable, so the cut can only
+	// fall in the unacknowledged tail.
 	cut := 0
-	scanned := make([]rec, 0, appended)
-scan:
-	for slot := 0; slot < appended; slot++ {
-		k, err := t.Load(sh.keyLoc(slot))
+	for cut < appended {
+		w, err := sh.logR.read(t, cut)
 		if err != nil {
 			return RecoveryStats{}, err
 		}
-		v, err := t.Load(sh.valLoc(slot))
-		if err != nil {
-			return RecoveryStats{}, err
+		if r := sh.log[cut]; w != [recWords]core.Val{r.key, r.val, r.chk(cut, epoch)} {
+			break
 		}
-		chk, err := t.Load(sh.chkLoc(slot))
-		if err != nil {
-			return RecoveryStats{}, err
-		}
-		r := rec{key: k, val: v}
-		switch chk {
-		case chkOf(slot, k, v, epoch):
-		case moveChkOf(slot, k, v, epoch):
-			r.move = true
-		default:
-			break scan
-		}
-		scanned = append(scanned, r)
-		cut = slot + 1
+		cut++
 	}
+	scanned := sh.log[:cut]
 
 	// A cut inside the acknowledged prefix means an acknowledged — and
 	// therefore durable — record failed to validate. No crash can cause
@@ -175,10 +155,8 @@ scan:
 	// Truncate: invalidate the checksum words of the lost tail so a
 	// half-persisted old record can never validate once its slot is
 	// reused in a later incarnation.
-	for slot := cut; slot < appended; slot++ {
-		if err := t.MStore(sh.chkLoc(slot), 0); err != nil {
-			return RecoveryStats{}, err
-		}
+	if err := sh.logR.retire(t, cut, appended); err != nil {
+		return RecoveryStats{}, err
 	}
 
 	// Re-persist: the scan may have read records that survived only in a
@@ -195,7 +173,7 @@ scan:
 	// per-word strategy, whose surviving records (a crashed migration's
 	// copies) were each persistent when their write returned.
 	if cut > ackedBefore {
-		if err := s.flushRange(t, sh, sh.keyLoc(ackedBefore), (cut-ackedBefore)*recWords, true); err != nil {
+		if err := s.flushRange(t, sh, sh.logR, ackedBefore, cut-ackedBefore, true); err != nil {
 			return RecoveryStats{}, err
 		}
 	}
@@ -285,12 +263,7 @@ scan:
 		}
 	}
 	sh.log = sh.log[:cut]
-	for slot := range sh.log {
-		sh.log[slot].key = scanned[slot].key
-		sh.log[slot].val = scanned[slot].val
-	}
-	sh.acked = cut
-	sh.pending = 0
+	sh.catchUp()
 
 	// Recovery truncated the unacknowledged tail and rebuilt the shard's
 	// visible state; any copy cached from the pre-crash state is suspect.

@@ -101,10 +101,34 @@ var seams = []seam{
 	{
 		// One demand read; the two churn reads fold (compaction) or copy
 		// (migration) whole sets of records on the shard's own thread.
+		// They are the only loads of the medium outside medium.go.
 		name:  "loads of an encoded slot's value",
 		site:  func(n ast.Node) bool { return calls(n, "valLocOf") != nil },
 		funcs: []string{"Store.readValue", "Store.compactLocked", "Store.migrateBucket"},
 		fix:   "serve demand reads through Store.readValue",
+	},
+	{
+		// The medium's format — record layout, region addressing, the
+		// Load×3 read, the checksum-zeroing retire — is medium.go's; the
+		// strategy's word writer (persist.go) stores and flushes through
+		// region.loc. A site is a Load, an MStore or a word address.
+		name: "Loads and MStores of a shard's medium",
+		site: func(n ast.Node) bool {
+			return calls(n, "Load") != nil || calls(n, "MStore") != nil || calls(n, "loc") != nil
+		},
+		files: []string{"medium.go", "persist.go"},
+		funcs: []string{"Store.readValue", "Store.compactLocked", "Store.migrateBucket"},
+		fix:   "read, retire and address records through region (medium.go)",
+	},
+	{
+		// The watermark moves at a batch's commit point (ackFlight) and
+		// catches up with the log tip when the log was committed whole,
+		// cut back or restarted (shard.catchUp, which also closes the
+		// batch and drops the view's shadow).
+		name:  "assignments to a shard's acked watermark",
+		site:  func(n ast.Node) bool { return assigns(n, "acked") },
+		funcs: []string{"Store.ackFlight", "shard.catchUp"},
+		fix:   "move the watermark through shard.catchUp (shard.go)",
 	},
 	{
 		// A shard's clocks move through shard.charge (a span, churn or

@@ -1,7 +1,7 @@
 package kv
 
-// One shard: its regions on the shard's machine and how slots address
-// them, the Go-side mirror of what was written there, the commit
+// One shard: its regions on the shard's machine (their format is
+// medium.go's), the Go-side mirror of what was written there, the commit
 // pipeline's bookkeeping and its clocks. What reads of the shard are
 // served is its view (view.go).
 
@@ -27,15 +27,6 @@ type rec struct {
 	move, copied bool
 }
 
-// chk returns the record's checksum word for slot under the shard's
-// snapshot epoch, in the domain matching its kind.
-func (r rec) chk(slot int, epoch uint64) core.Val {
-	if r.move {
-		return moveChkOf(slot, r.key, r.val, epoch)
-	}
-	return chkOf(slot, r.key, r.val, epoch)
-}
-
 // shard is one hash partition: a log region, a double-buffered snapshot
 // region and a two-slot snapshot-epoch record on one machine, plus the
 // volatile view of what reads of them are served (view.go).
@@ -43,15 +34,14 @@ type shard struct {
 	view    view
 	id      int
 	machine core.MachineID
-	base    core.LocID
 	cap     int
-	// snapBase are the two snapshot regions (each cap records): the
-	// snapshot of epoch e lives in region e%2, so writing the next
-	// snapshot never disturbs the committed one. epochBase is the two-slot
-	// snapshot-epoch record (the compaction commit record, parity-
-	// addressed the same way).
-	snapBase  [2]core.LocID
-	epochBase core.LocID
+	// logR is the log (cap records). snaps are the two snapshot halves
+	// (each cap records, addressed through snapR): the snapshot of epoch
+	// e lives in half e%2, so writing the next snapshot never disturbs
+	// the committed one. epochR is the two-slot snapshot-epoch record
+	// (the compaction commit record, parity-addressed the same way).
+	logR, epochR region
+	snaps        [2]region
 
 	// thread is the shard's worker: homed on the front end, or on the
 	// shard's own machine under Config.Colocate.
@@ -103,37 +93,6 @@ type shard struct {
 	scan cursor
 }
 
-func (sh *shard) keyLoc(slot int) core.LocID { return sh.base + core.LocID(slot*recWords) }
-func (sh *shard) valLoc(slot int) core.LocID { return sh.base + core.LocID(slot*recWords+1) }
-func (sh *shard) chkLoc(slot int) core.LocID { return sh.base + core.LocID(slot*recWords+2) }
-
-// Snapshot-region locations, addressed by the epoch whose snapshot they
-// hold (region epoch%2).
-func (sh *shard) snapKeyLoc(epoch uint64, slot int) core.LocID {
-	return sh.snapBase[epoch%2] + core.LocID(slot*recWords)
-}
-func (sh *shard) snapValLoc(epoch uint64, slot int) core.LocID {
-	return sh.snapBase[epoch%2] + core.LocID(slot*recWords+1)
-}
-func (sh *shard) snapChkLoc(epoch uint64, slot int) core.LocID {
-	return sh.snapBase[epoch%2] + core.LocID(slot*recWords+2)
-}
-
-// epochLoc addresses word w of the epoch-record slot with the given
-// parity.
-func (sh *shard) epochLoc(parity uint64, w int) core.LocID {
-	return sh.epochBase + core.LocID(int(parity)*epochWords+w)
-}
-
-// valLocOf resolves an encoded slot (see view.decode) to its value
-// location: in the log, or in the committed snapshot's region.
-func (sh *shard) valLocOf(slot int) core.LocID {
-	if i, inSnap := sh.view.decode(slot); inSnap {
-		return sh.snapValLoc(sh.epoch, i)
-	}
-	return sh.valLoc(slot)
-}
-
 // mirrorVal resolves an encoded slot to the value the service's Go-side
 // mirror holds for it — what valLocOf's location holds on the medium.
 func (sh *shard) mirrorVal(slot int) core.Val {
@@ -154,6 +113,18 @@ func (sh *shard) unavailable() error {
 		return ErrUnavailable
 	}
 	return nil
+}
+
+// catchUp moves the acked-watermark to the log tip once the log was
+// committed whole, cut back or restarted: no batch is left open and no
+// read needs shadow state. It and Store.ackFlight are the only writers
+// of acked (TestSeams).
+//
+//cxl0:locked mu
+func (sh *shard) catchUp() {
+	sh.acked = len(sh.log)
+	sh.pending = 0
+	sh.view.caughtUp()
 }
 
 // charge is the one place the shard's clocks advance: span of simulated

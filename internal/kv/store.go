@@ -73,18 +73,14 @@ type Store struct {
 	// failover.go).
 	frontDown bool
 
-	// migrating (resp. compacting) is true while a bucket migration (resp.
-	// a log compaction) is writing and flushing its records, so shared
-	// flush paths (a fabric-wide flush's cross-charge) can classify their
-	// cost as churn.
-	migrating  bool
-	compacting bool
+	// churning is true while a bucket migration or a log compaction is
+	// writing and flushing its records, so shared flush paths (a
+	// fabric-wide flush's cross-charge) can classify their cost as churn.
+	churning bool
 
-	// migrateHook and compactHook, when set (tests only), are called at
-	// each checkpoint of a bucket migration / shard compaction with the
-	// store lock held.
-	migrateHook func(step MigrateStep)
-	compactHook func(step CompactStep)
+	// stepHook, when set (tests only), is called at each checkpoint of a
+	// bucket migration or a shard compaction with the store lock held.
+	stepHook func(step Step)
 	// applyHook, when set (tests only), is called before each batch op of
 	// an Apply with the op's index — the fault-campaign property tests
 	// inject correlated crashes mid-batch through it.
@@ -127,8 +123,7 @@ func Open(cfg Config) (*Store, error) {
 		machines = append(machines, memsim.MachineConfig{
 			Name: fmt.Sprintf("shard%d", i),
 			Mem:  core.NonVolatile,
-			// Log region, two snapshot regions, two epoch-record slots.
-			Heap: 3*cfg.Capacity*recWords + 2*epochWords,
+			Heap: mediumWords(cfg.Capacity),
 		})
 	}
 	cluster := memsim.NewCluster(machines, memsim.Config{
@@ -163,23 +158,9 @@ func Open(cfg Config) (*Store, error) {
 			cap:     cfg.Capacity,
 			view:    view{logCap: cfg.Capacity, index: map[core.Val]int{}},
 		}
-		base, err := cluster.Alloc(sh.machine, cfg.Capacity*recWords)
-		if err != nil {
+		if err := sh.allocMedium(cluster); err != nil {
 			return nil, err
 		}
-		sh.base = base
-		for r := 0; r < 2; r++ {
-			snapBase, err := cluster.Alloc(sh.machine, cfg.Capacity*recWords)
-			if err != nil {
-				return nil, err
-			}
-			sh.snapBase[r] = snapBase
-		}
-		epochBase, err := cluster.Alloc(sh.machine, 2*epochWords)
-		if err != nil {
-			return nil, err
-		}
-		sh.epochBase = epochBase
 		if err := s.spawnThread(sh); err != nil {
 			return nil, err
 		}
@@ -269,9 +250,7 @@ func (s *Store) AppendedCount(i int) int {
 // otherwise in the worker's cache (visible, not yet durable) until a
 // flush over the slot's lines.
 func (s *Store) writeLogWords(t *memsim.Thread, sh *shard, slot int, r rec) error {
-	return s.writeWords(t, sh,
-		[recWords]core.LocID{sh.keyLoc(slot), sh.valLoc(slot), sh.chkLoc(slot)},
-		[recWords]core.Val{r.key, r.val, r.chk(slot, sh.epoch)})
+	return s.writeWords(t, sh, sh.logR, slot, [recWords]core.Val{r.key, r.val, r.chk(slot, sh.epoch)})
 }
 
 // writeRecord is the log writer: it makes the record at slot durable
@@ -302,7 +281,7 @@ func (s *Store) writeRecord(sh *shard, slot int, r rec) error {
 		if err := s.writeLogWords(t, sh, slot, r); err != nil {
 			return err
 		}
-		if err := s.flushRange(t, sh, sh.keyLoc(slot), recWords, s.migrating || s.compacting); err != nil {
+		if err := s.flushRange(t, sh, sh.logR, slot, 1, s.churning); err != nil {
 			return err
 		}
 		if s.cluster.Epoch(sh.machine) == epoch {
@@ -341,7 +320,7 @@ func (s *Store) flushBatch(sh *shard) (flight, error) {
 			sh.batchE = epoch
 			continue
 		}
-		if err := s.flushRange(t, sh, sh.keyLoc(first), sh.pending*recWords, s.migrating || s.compacting); err != nil {
+		if err := s.flushRange(t, sh, sh.logR, first, sh.pending, s.churning); err != nil {
 			return flight{}, err
 		}
 		if s.cluster.Epoch(sh.machine) == epoch {
@@ -517,7 +496,7 @@ func (s *Store) append(sh *shard, key, val core.Val) (Ack, error) {
 	s.bucketWin[s.bucketOf(key)] += s.cluster.NowNS() - start
 	durable := !s.persist.batched
 	if durable {
-		sh.acked = len(sh.log)
+		sh.catchUp()
 		s.ackRange(sh, slot, slot+1, s.cluster.NowNS(), 0)
 	} else if sh.pending >= s.cfg.Batch {
 		if s.pipelined() {

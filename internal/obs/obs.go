@@ -145,7 +145,7 @@ type Event struct {
 	Kind Kind `json:"kind"`
 	Op   Op   `json:"op,omitempty"`
 	// Step names the checkpoint for migration and compaction events
-	// (kv.MigrateStep / kv.CompactStep strings).
+	// (the value of a kv.Step).
 	Step string `json:"step,omitempty"`
 	// Span identifies an operation span; Parent links a router fan-out
 	// leg to its parent span. 0 = none.

@@ -200,7 +200,7 @@ func (r *Recorder) Recover(shard int, startNS, endNS float64, recovered, salvage
 }
 
 // MigrationStep records one bucket-migration checkpoint; step is the
-// kv.MigrateStep name, records the live records being moved. The
+// kv.Step value, records the live records being moved. The
 // "after-flip" step completes the migration and bumps the Migrations
 // counter.
 func (r *Recorder) MigrationStep(step string, bucket, from, to, records int, nowNS float64) {
@@ -219,7 +219,7 @@ func (r *Recorder) MigrationStep(step string, bucket, from, to, records int, now
 }
 
 // CompactionStep records one compaction checkpoint; step is the
-// kv.CompactStep name, live the folded record count, reclaimed the slots
+// kv.Step value, live the folded record count, reclaimed the slots
 // retired (known only at "after-reclaim", which completes the compaction
 // and bumps the Compactions counter; earlier steps pass 0). Reclaimed
 // slots ride the Lost field — records retired, like a recovery's.
