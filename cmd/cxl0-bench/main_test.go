@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -259,4 +260,84 @@ func TestRun(t *testing.T) {
 	if _, err := os.Stat(zero); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("run with -ops 0 left an artifact behind (stat: %v)", err)
 	}
+}
+
+// FuzzParseFlags holds the six list flags to parseList's contract: any
+// input is parsed or rejected with an error, never a panic; a list that
+// is accepted is echoed as its trimmed elements, in order, with no value
+// twice; and parsing the echoed lists again gives the same matrix.
+func FuzzParseFlags(f *testing.F) {
+	f.Add("A,E", "mstore,flush,gpf,group,ranged", "1,4,12", "1,2,4", "base,psn", "1,2,4")
+	f.Add("A,E", "mstore,flush,gpf,group,ranged", "1,4", "1,2", "base,psn", "1,2,4")
+	f.Add("A,\tb", " group,RANGED", "+1, 04", "2", "base,\tPSN,lwb", "1")
+	f.Fuzz(func(t *testing.T, workloads, strategies, shards, clusters, variants, depths string) {
+		lists := func(w, s, sh, cl, v, d string) []string {
+			return []string{"-workloads=" + w, "-strategies=" + s, "-shards=" + sh, "-clusters=" + cl, "-variants=" + v, "-pipeline-depths=" + d}
+		}
+		m, _, err := parseFlags(lists(workloads, strategies, shards, clusters, variants, depths))
+		if err != nil {
+			return
+		}
+		for _, l := range []struct {
+			flag, in string
+			echo     []string // trimmed names; counts in decimal
+			values   int      // distinct parsed values
+			counts   bool
+		}{
+			{"workloads", workloads, m.Workloads, len(distinct(specNames(m))), false},
+			{"strategies", strategies, m.Strategies, len(distinct(m.strategies)), false},
+			{"variants", variants, m.Variants, len(distinct(m.variants)), false},
+			{"shards", shards, itoas(m.Shards), len(distinct(m.Shards)), true},
+			{"clusters", clusters, itoas(m.Clusters), len(distinct(m.Clusters)), true},
+			{"pipeline-depths", depths, itoas(m.PipelineDepths), len(distinct(m.PipelineDepths)), true},
+		} {
+			elems := strings.Split(l.in, ",")
+			if len(l.echo) != len(elems) || l.values != len(elems) {
+				t.Fatalf("-%s=%q: echoed %q with %d distinct values, want %d", l.flag, l.in, l.echo, l.values, len(elems))
+			}
+			for i, e := range elems {
+				want := strings.TrimSpace(e)
+				if l.counts {
+					n, _ := strconv.Atoi(want)
+					want = strconv.Itoa(n)
+				}
+				if l.echo[i] != want {
+					t.Fatalf("-%s=%q: element %d echoed as %q, want %q", l.flag, l.in, i, l.echo[i], want)
+				}
+			}
+		}
+		again, _, err := parseFlags(lists(strings.Join(m.Workloads, ","), strings.Join(m.Strategies, ","),
+			strings.Join(itoas(m.Shards), ","), strings.Join(itoas(m.Clusters), ","),
+			strings.Join(m.Variants, ","), strings.Join(itoas(m.PipelineDepths), ",")))
+		if err != nil {
+			t.Fatalf("the echoed lists do not parse: %v", err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("the echoed lists parse to a different matrix:\n%+v\nwant\n%+v", again, m)
+		}
+	})
+}
+
+func specNames(m *matrix) []string {
+	var out []string
+	for _, s := range m.specs {
+		out = append(out, s.Name)
+	}
+	return out
+}
+
+func itoas(ns []int) []string {
+	var out []string
+	for _, n := range ns {
+		out = append(out, strconv.Itoa(n))
+	}
+	return out
+}
+
+func distinct[T comparable](xs []T) map[T]bool {
+	set := map[T]bool{}
+	for _, x := range xs {
+		set[x] = true
+	}
+	return set
 }

@@ -85,9 +85,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		return err
 	}
 	spec.Keys = *keys
-	if spec.ScanPct > 0 && spec.MaxScanLen <= 0 {
-		spec.MaxScanLen = 16
-	}
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("cxl0-serve: %w", err)
 	}
@@ -388,24 +385,12 @@ func (s *server) snapshot() metricsSnapshot {
 	}
 	perCluster := s.db.NumShards() / s.db.NumClusters()
 	for i, b := range m.PerShardBusyNS {
-		row := shardRow{Shard: i, Cluster: i / perCluster, BusyNS: b}
+		row := shardRow{
+			Shard: i, Cluster: i / perCluster, BusyNS: b, ChurnNS: m.PerShardChurnNS[i],
+			Fill: m.PerShardFill[i], Live: m.PerShardLive[i], Acked: m.PerShardAcked[i], InFlight: m.PerShardInFlight[i],
+		}
 		if totalBusy > 0 {
 			row.BusyShare = b / totalBusy
-		}
-		if i < len(m.PerShardChurnNS) {
-			row.ChurnNS = m.PerShardChurnNS[i]
-		}
-		if i < len(m.PerShardFill) {
-			row.Fill = m.PerShardFill[i]
-		}
-		if i < len(m.PerShardLive) {
-			row.Live = m.PerShardLive[i]
-		}
-		if i < len(m.PerShardAcked) {
-			row.Acked = m.PerShardAcked[i]
-		}
-		if i < len(m.PerShardInFlight) {
-			row.InFlight = m.PerShardInFlight[i]
 		}
 		doc.Shards = append(doc.Shards, row)
 	}

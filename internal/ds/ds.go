@@ -1,7 +1,9 @@
 // Package ds provides linearizable concurrent data structures written
 // against the CXL0 runtime's primitives through the flit persistence layer:
 // an atomic register, a counter, a Treiber stack, a Michael–Scott queue, a
-// Harris-style sorted-list set, and a hash map.
+// set and a hash map. The set and every bucket of the map are the same
+// Harris lock-free sorted list (list.go), so the map is Michael's
+// lock-free hash table.
 //
 // The structures themselves are ordinary lock-free algorithms; every shared
 // memory access goes through a flit.Session, so the persistence strategy

@@ -5,12 +5,13 @@ import (
 	"cxl0/internal/flit"
 )
 
-// Map is a durably linearizable hash map: a fixed array of bucket heads,
-// each an unsorted Harris-style chain of nodes with three fields — key,
-// value, and a marked next pointer. Updates to an existing key overwrite
-// the node's value field (an atomic register per key).
+// Map is a durably linearizable hash map in the form of Michael's
+// lock-free hash table: a fixed array of bucket heads, each a sorted
+// Harris list (list.go) of three-field nodes — key, value, and marked
+// next pointer. Updates to an existing key overwrite the node's value
+// field (an atomic register per key).
 type Map struct {
-	h       *flit.Heap
+	l       list
 	buckets []flit.Var
 }
 
@@ -23,7 +24,7 @@ func NewMap(h *flit.Heap, buckets int) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Map{h: h, buckets: bs}, nil
+	return &Map{l: list{h: h, width: 3}, buckets: bs}, nil
 }
 
 func (m *Map) bucket(k core.Val) flit.Var {
@@ -32,91 +33,19 @@ func (m *Map) bucket(k core.Val) flit.Var {
 	return m.buckets[h%uint64(len(m.buckets))]
 }
 
-// findNode walks the bucket chain for k and returns the pointer value of
-// the unmarked node holding k (0 when absent) along with the field that
-// points to it.
-func (m *Map) findNode(se *flit.Session, k core.Val) (predField flit.Var, cur core.Val, err error) {
-	head := m.bucket(k)
-retry:
-	for {
-		predField = head
-		e, err := se.Load(predField)
-		if err != nil {
-			return flit.Var{}, 0, err
-		}
-		cur, _ = dec(e)
-		for {
-			base, valid := nodeBase(cur)
-			if !valid {
-				return predField, nilPtr, nil
-			}
-			nextE, err := se.Load(field(m.h, base, 2))
-			if err != nil {
-				return flit.Var{}, 0, err
-			}
-			next, marked := dec(nextE)
-			if marked {
-				ok, err := se.CAS(predField, enc(cur, false), enc(next, false))
-				if err != nil {
-					return flit.Var{}, 0, err
-				}
-				if !ok {
-					continue retry
-				}
-				cur = next
-				continue
-			}
-			key, err := se.Load(field(m.h, base, 0))
-			if err != nil {
-				return flit.Var{}, 0, err
-			}
-			if key == k {
-				return predField, cur, nil
-			}
-			predField = field(m.h, base, 2)
-			cur = next
-		}
-	}
-}
-
 // Put maps k to v, overwriting any previous value.
 func (m *Map) Put(se *flit.Session, k, v core.Val) error {
 	if k < 0 || v < 0 {
 		return ErrNegative
 	}
-	for {
-		predField, cur, err := m.findNode(se, k)
-		if err != nil {
-			return err
-		}
-		if cur != nilPtr {
-			base, _ := nodeBase(cur)
-			if err := se.Store(field(m.h, base, 1), v); err != nil {
-				return err
-			}
-			return se.Complete()
-		}
-		base, err := m.h.AllocNode(3)
-		if err != nil {
-			return err
-		}
-		if err := se.PrivateStore(field(m.h, base, 0), k); err != nil {
-			return err
-		}
-		if err := se.PrivateStore(field(m.h, base, 1), v); err != nil {
-			return err
-		}
-		if err := se.PrivateStore(field(m.h, base, 2), enc(nilPtr, false)); err != nil {
-			return err
-		}
-		ok, err := se.CAS(predField, enc(nilPtr, false), enc(ptr(base), false))
-		if err != nil {
-			return err
-		}
-		if ok {
-			return se.Complete()
-		}
+	found, err := m.l.link(se, m.bucket(k), k, v)
+	if err == nil && found != nilPtr {
+		err = se.Store(m.l.field(found, 1), v)
 	}
+	if err != nil {
+		return err
+	}
+	return se.Complete()
 }
 
 // Get returns the value mapped to k; ok is false when k is absent.
@@ -124,34 +53,14 @@ func (m *Map) Get(se *flit.Session, k core.Val) (v core.Val, ok bool, err error)
 	if k < 0 {
 		return 0, false, ErrNegative
 	}
-	e, err := se.Load(m.bucket(k))
+	found, err := m.l.lookup(se, m.bucket(k), k)
+	if err == nil && found != nilPtr {
+		v, err = se.Load(m.l.field(found, 1))
+	}
 	if err != nil {
 		return 0, false, err
 	}
-	cur, _ := dec(e)
-	for {
-		base, valid := nodeBase(cur)
-		if !valid {
-			return 0, false, se.Complete()
-		}
-		key, err := se.Load(field(m.h, base, 0))
-		if err != nil {
-			return 0, false, err
-		}
-		nextE, err := se.Load(field(m.h, base, 2))
-		if err != nil {
-			return 0, false, err
-		}
-		next, marked := dec(nextE)
-		if key == k && !marked {
-			val, err := se.Load(field(m.h, base, 1))
-			if err != nil {
-				return 0, false, err
-			}
-			return val, true, se.Complete()
-		}
-		cur = next
-	}
+	return v, found != nilPtr, se.Complete()
 }
 
 // Delete removes k; it returns false when k is absent.
@@ -159,35 +68,8 @@ func (m *Map) Delete(se *flit.Session, k core.Val) (bool, error) {
 	if k < 0 {
 		return false, ErrNegative
 	}
-	for {
-		predField, cur, err := m.findNode(se, k)
-		if err != nil {
-			return false, err
-		}
-		if cur == nilPtr {
-			return false, se.Complete()
-		}
-		base, _ := nodeBase(cur)
-		nextE, err := se.Load(field(m.h, base, 2))
-		if err != nil {
-			return false, err
-		}
-		next, marked := dec(nextE)
-		if marked {
-			continue
-		}
-		ok, err := se.CAS(field(m.h, base, 2), enc(next, false), enc(next, true))
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			continue
-		}
-		if _, err := se.CAS(predField, enc(cur, false), enc(next, false)); err != nil {
-			return false, err
-		}
-		return true, se.Complete()
-	}
+	ok, err := m.l.unlink(se, m.bucket(k), k)
+	return done(se, ok, err)
 }
 
 // Snapshot returns all live key/value pairs. Not atomic under concurrency;
@@ -195,33 +77,16 @@ func (m *Map) Delete(se *flit.Session, k core.Val) (bool, error) {
 func (m *Map) Snapshot(se *flit.Session) (map[core.Val]core.Val, error) {
 	out := map[core.Val]core.Val{}
 	for _, head := range m.buckets {
-		e, err := se.Load(head)
+		err := m.l.walk(se, head, func(n, key core.Val, live bool) (bool, error) {
+			if !live {
+				return true, nil
+			}
+			v, err := se.Load(m.l.field(n, 1))
+			out[key] = v
+			return true, err
+		})
 		if err != nil {
 			return nil, err
-		}
-		cur, _ := dec(e)
-		for {
-			base, valid := nodeBase(cur)
-			if !valid {
-				break
-			}
-			key, err := se.Load(field(m.h, base, 0))
-			if err != nil {
-				return nil, err
-			}
-			val, err := se.Load(field(m.h, base, 1))
-			if err != nil {
-				return nil, err
-			}
-			nextE, err := se.Load(field(m.h, base, 2))
-			if err != nil {
-				return nil, err
-			}
-			next, marked := dec(nextE)
-			if !marked {
-				out[key] = val
-			}
-			cur = next
 		}
 	}
 	return out, nil

@@ -174,6 +174,76 @@ func TestMapAgainstReferenceModel(t *testing.T) {
 	}
 }
 
+// TestMapBucketsAscending holds the map to the form of Michael's hash
+// table: after a random put/delete program, the unmarked nodes of every
+// bucket carry strictly ascending keys. It reads each chain by the node
+// layout (key, value, marked next), not through the list it checks.
+func TestMapBucketsAscending(t *testing.T) {
+	f := func(seed int64, opsRaw []byte) bool {
+		_, h, se, err := propRig(flit.CXL0FliTOpt, seed)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		m, err := NewMap(h, 4)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		for i, b := range opsRaw {
+			if i > 80 {
+				break
+			}
+			k := core.Val(1 + int(b)%24)
+			if b%5 == 0 {
+				_, err = m.Delete(se, k)
+			} else {
+				err = m.Put(se, k, core.Val(b))
+			}
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		for i, head := range m.buckets {
+			e, err := se.Load(head)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			var keys []core.Val
+			for cur, _ := dec(e); cur != nilPtr; {
+				base, _ := nodeBase(cur)
+				key, err := se.Load(field(h, base, 0))
+				if err != nil {
+					t.Log(err)
+					return false
+				}
+				nextE, err := se.Load(field(h, base, 2))
+				if err != nil {
+					t.Log(err)
+					return false
+				}
+				next, marked := dec(nextE)
+				if !marked {
+					keys = append(keys, key)
+				}
+				cur = next
+			}
+			for j := 1; j < len(keys); j++ {
+				if keys[j-1] >= keys[j] {
+					t.Logf("bucket %d holds keys %v, not strictly ascending", i, keys)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(4))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSetAgainstReferenceModel(t *testing.T) {
 	f := func(seed int64, opsRaw []byte) bool {
 		c, h, se, err := propRig(flit.CXL0FliT, seed)

@@ -5,16 +5,10 @@ import (
 	"cxl0/internal/flit"
 )
 
-// Set is a durably linearizable sorted-list set in the style of Harris's
-// lock-free linked list: deletion first marks the victim's next pointer
-// (the linearization point), then unlinks it physically; traversals snip
-// marked nodes as they go.
-//
-// Nodes have two fields: key, and a marked next pointer (enc/dec).
+// Set is a durably linearizable set: one sorted Harris list (list.go) of
+// two-field nodes, key and marked next pointer.
 type Set struct {
-	h *flit.Heap
-	// head holds the marked pointer to the first node (the mark bit of the
-	// head itself is never set).
+	l    list
 	head flit.Var
 }
 
@@ -24,60 +18,7 @@ func NewSet(h *flit.Heap) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Set{h: h, head: head}, nil
-}
-
-// search returns the field holding the pointer to the first unmarked node
-// with key ≥ k (predField), and that node's pointer value (0 when none).
-// Marked nodes encountered on the way are physically unlinked.
-func (s *Set) search(se *flit.Session, k core.Val) (predField flit.Var, cur core.Val, err error) {
-retry:
-	for {
-		predField = s.head
-		e, err := se.Load(predField)
-		if err != nil {
-			return flit.Var{}, 0, err
-		}
-		cur, _ = dec(e)
-		for {
-			curBase, valid := nodeBase(cur)
-			if !valid {
-				return predField, nilPtr, nil
-			}
-			nextE, err := se.Load(field(s.h, curBase, 1))
-			if err != nil {
-				return flit.Var{}, 0, err
-			}
-			next, marked := dec(nextE)
-			if marked {
-				// Snip the logically deleted node.
-				ok, err := se.CAS(predField, enc(cur, false), enc(next, false))
-				if err != nil {
-					return flit.Var{}, 0, err
-				}
-				if !ok {
-					continue retry
-				}
-				cur = next
-				continue
-			}
-			key, err := se.Load(field(s.h, curBase, 0))
-			if err != nil {
-				return flit.Var{}, 0, err
-			}
-			if key >= k {
-				return predField, cur, nil
-			}
-			predField = field(s.h, curBase, 1)
-			cur = next
-		}
-	}
-}
-
-// keyOf reads the key of the node a pointer value names.
-func (s *Set) keyOf(se *flit.Session, p core.Val) (core.Val, error) {
-	base, _ := nodeBase(p)
-	return se.Load(field(s.h, base, 0))
+	return &Set{l: list{h: h, width: 2}, head: head}, nil
 }
 
 // Insert adds k; it returns false when k is already present.
@@ -85,38 +26,8 @@ func (s *Set) Insert(se *flit.Session, k core.Val) (bool, error) {
 	if k < 0 {
 		return false, ErrNegative
 	}
-	for {
-		predField, cur, err := s.search(se, k)
-		if err != nil {
-			return false, err
-		}
-		if cur != nilPtr {
-			key, err := s.keyOf(se, cur)
-			if err != nil {
-				return false, err
-			}
-			if key == k {
-				return false, se.Complete()
-			}
-		}
-		base, err := s.h.AllocNode(2)
-		if err != nil {
-			return false, err
-		}
-		if err := se.PrivateStore(field(s.h, base, 0), k); err != nil {
-			return false, err
-		}
-		if err := se.PrivateStore(field(s.h, base, 1), enc(cur, false)); err != nil {
-			return false, err
-		}
-		ok, err := se.CAS(predField, enc(cur, false), enc(ptr(base), false))
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, se.Complete()
-		}
-	}
+	found, err := s.l.link(se, s.head, k)
+	return done(se, found == nilPtr, err)
 }
 
 // Remove deletes k; it returns false when k is absent.
@@ -124,44 +35,8 @@ func (s *Set) Remove(se *flit.Session, k core.Val) (bool, error) {
 	if k < 0 {
 		return false, ErrNegative
 	}
-	for {
-		predField, cur, err := s.search(se, k)
-		if err != nil {
-			return false, err
-		}
-		if cur == nilPtr {
-			return false, se.Complete()
-		}
-		key, err := s.keyOf(se, cur)
-		if err != nil {
-			return false, err
-		}
-		if key != k {
-			return false, se.Complete()
-		}
-		curBase, _ := nodeBase(cur)
-		nextE, err := se.Load(field(s.h, curBase, 1))
-		if err != nil {
-			return false, err
-		}
-		next, marked := dec(nextE)
-		if marked {
-			continue // someone else is removing it; retry to settle
-		}
-		// Logical deletion is the linearization point.
-		ok, err := se.CAS(field(s.h, curBase, 1), enc(next, false), enc(next, true))
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			continue
-		}
-		// Physical unlink; a failure leaves it to future traversals.
-		if _, err := se.CAS(predField, enc(cur, false), enc(next, false)); err != nil {
-			return false, err
-		}
-		return true, se.Complete()
-	}
+	ok, err := s.l.unlink(se, s.head, k)
+	return done(se, ok, err)
 }
 
 // Contains reports whether k is present. It is wait-free with respect to
@@ -170,61 +45,19 @@ func (s *Set) Contains(se *flit.Session, k core.Val) (bool, error) {
 	if k < 0 {
 		return false, ErrNegative
 	}
-	e, err := se.Load(s.head)
-	if err != nil {
-		return false, err
-	}
-	cur, _ := dec(e)
-	for {
-		base, valid := nodeBase(cur)
-		if !valid {
-			return false, se.Complete()
-		}
-		key, err := se.Load(field(s.h, base, 0))
-		if err != nil {
-			return false, err
-		}
-		nextE, err := se.Load(field(s.h, base, 1))
-		if err != nil {
-			return false, err
-		}
-		next, marked := dec(nextE)
-		if key == k && !marked {
-			return true, se.Complete()
-		}
-		if key > k {
-			return false, se.Complete()
-		}
-		cur = next
-	}
+	found, err := s.l.lookup(se, s.head, k)
+	return done(se, found != nilPtr, err)
 }
 
 // Snapshot returns the unmarked keys in order. Intended for recovery
 // inspection and tests; it is not atomic under concurrency.
 func (s *Set) Snapshot(se *flit.Session) ([]core.Val, error) {
 	var out []core.Val
-	e, err := se.Load(s.head)
-	if err != nil {
-		return nil, err
-	}
-	cur, _ := dec(e)
-	for {
-		base, valid := nodeBase(cur)
-		if !valid {
-			return out, nil
-		}
-		key, err := se.Load(field(s.h, base, 0))
-		if err != nil {
-			return nil, err
-		}
-		nextE, err := se.Load(field(s.h, base, 1))
-		if err != nil {
-			return nil, err
-		}
-		next, marked := dec(nextE)
-		if !marked {
+	err := s.l.walk(se, s.head, func(_, key core.Val, live bool) (bool, error) {
+		if live {
 			out = append(out, key)
 		}
-		cur = next
-	}
+		return true, nil
+	})
+	return out, err
 }

@@ -5,15 +5,16 @@ package kv
 // disaggregated memory; a front end that recently served a key can
 // instead answer from a node-local volatile copy — the local cache tier
 // CXL-SpecKV and XL-Share layer over disaggregated memory (PAPERS.md).
-// The copy is modeled as a MESI cache line (internal/coherence, the same
-// state machine the CXL.cache substrate uses): a fill installs the line
-// Shared — the owning device keeps its copy — and every write path that
-// can change the key's visible state snoops the line Invalid inline,
-// under the same store lock that changes the state. There is no side
-// channel to race with: a reader either sees the line before the snoop
-// (and the old value was still the visible state, because the snoop
-// happens with the lock held before the new state is readable) or after
-// it (and misses to the authoritative medium).
+// The copy follows the read-only half of MESI: an entry present is a
+// Shared line — the owning device keeps its copy, and the front end never
+// writes through the cache — and an entry absent is an Invalid one. A
+// fill installs the entry; every write path that can change the key's
+// visible state snoops it out inline, under the same store lock that
+// changes the state. There is no side channel to race with: a reader
+// either sees the entry before the snoop (and the old value was still
+// the visible state, because the snoop happens with the lock held before
+// the new state is readable) or after it (and misses to the
+// authoritative medium).
 //
 // What "every write path" means, precisely — one function per scope of
 // move, each the only place its snoop is issued (the invalidation table
@@ -46,16 +47,13 @@ package kv
 // way). Capacity is bounded; eviction is exact LRU, which is
 // deterministic — no randomness, no map iteration.
 
-import (
-	"cxl0/internal/coherence"
-	"cxl0/internal/core"
-)
+import "cxl0/internal/core"
 
-// cacheEntry is one cached key: a MESI line holding the value word,
-// threaded on the LRU list (head = most recently used).
+// cacheEntry is one cached key and its value, threaded on the LRU list
+// (head = most recently used). Its presence in the map is the Shared
+// state; removal is the snoop to Invalid.
 type cacheEntry struct {
-	key        core.Val
-	line       coherence.Line
+	key, val   core.Val
 	prev, next *cacheEntry
 }
 
@@ -116,13 +114,13 @@ func (c *readCache) pushFrontLocked(e *cacheEntry) {
 	}
 }
 
-// lookupLocked consults the cache on the served-read path: a valid line
-// is a hit (served locally, zero simulated cost, promoted to MRU), and
+// lookupLocked consults the cache on the served-read path: a present
+// entry is a hit (served locally, zero simulated cost, promoted to MRU), and
 // anything else a miss the caller resolves with a paid Load and fills
 // back. Counts hits and misses; speculative probes use containsLocked.
 func (c *readCache) lookupLocked(key core.Val) (core.Val, bool) {
 	e, ok := c.entries[key]
-	if !ok || !e.line.ReadHit() {
+	if !ok {
 		c.ctr.CacheMisses++
 		return 0, false
 	}
@@ -131,23 +129,23 @@ func (c *readCache) lookupLocked(key core.Val) (core.Val, bool) {
 		c.unlinkLocked(e)
 		c.pushFrontLocked(e)
 	}
-	return core.Val(e.line.Data), true
+	return e.val, true
 }
 
-// containsLocked reports whether key holds a valid line, without
-// touching the counters or the LRU order — the prefetcher's probe.
+// containsLocked reports whether key is cached, without touching the
+// counters or the LRU order — the prefetcher's probe.
 func (c *readCache) containsLocked(key core.Val) bool {
-	e, ok := c.entries[key]
-	return ok && e.line.ReadHit()
+	_, ok := c.entries[key]
+	return ok
 }
 
 // fillLocked installs the value just read (or speculatively prefetched)
-// for key. The line fills Shared: the owning shard keeps its copy, and
-// ownership stays with the device — the front end never writes through
-// the cache, so it never needs E/M. Evicts the LRU tail at capacity.
+// for key, Shared: the owning shard keeps its copy, and ownership stays
+// with the device — the front end never writes through the cache, so it
+// never needs E/M. Evicts the LRU tail at capacity.
 func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 	if e, ok := c.entries[key]; ok {
-		e.line.OnFill(uint64(val), false)
+		e.val = val
 		if c.head != e {
 			c.unlinkLocked(e)
 			c.pushFrontLocked(e)
@@ -161,10 +159,8 @@ func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 		lru := c.tail
 		c.unlinkLocked(lru)
 		delete(c.entries, lru.key)
-		lru.line.OnEvict()
 	}
-	e := &cacheEntry{key: key}
-	e.line.OnFill(uint64(val), false)
+	e := &cacheEntry{key: key, val: val}
 	c.entries[key] = e
 	c.pushFrontLocked(e)
 	if speculative {
@@ -172,7 +168,7 @@ func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 	}
 }
 
-// invalidateKeyLocked snoops key's line Invalid — the inline coherence
+// invalidateKeyLocked snoops key's entry out — the inline coherence
 // action keyMoved performs for a key whose visible state moved. A no-op
 // for an uncached key, and — like the other invalidate methods — on a
 // nil cache (Config.ReadCache == 0), so write and churn paths call them
@@ -185,7 +181,6 @@ func (c *readCache) invalidateKeyLocked(key core.Val) {
 	if !ok {
 		return
 	}
-	e.line.OnSnoopInvalidate()
 	c.unlinkLocked(e)
 	delete(c.entries, key)
 	c.ctr.CacheInvalidations++
@@ -202,7 +197,6 @@ func (c *readCache) invalidateMatchLocked(pred func(core.Val) bool) {
 	for e := c.head; e != nil; {
 		next := e.next
 		if pred(e.key) {
-			e.line.OnSnoopInvalidate()
 			c.unlinkLocked(e)
 			delete(c.entries, e.key)
 			c.ctr.CacheInvalidations++
@@ -225,10 +219,7 @@ func (c *readCache) invalidateAllLocked() {
 	if c == nil {
 		return
 	}
-	for e := c.head; e != nil; e = e.next {
-		e.line.OnSnoopInvalidate()
-		c.ctr.CacheInvalidations++
-	}
+	c.ctr.CacheInvalidations += uint64(len(c.entries))
 	c.head, c.tail = nil, nil
 	c.entries = make(map[core.Val]*cacheEntry, c.capacity)
 }

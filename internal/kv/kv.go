@@ -319,10 +319,10 @@ type Config struct {
 	// machine (owner-local access) instead of the front-end machine.
 	Colocate bool
 	// ReadCache is the entry capacity of the per-front-end volatile read
-	// cache: a bounded key→value cache of MESI-modeled lines consulted
-	// before paying the simulated Load on the read path, invalidated
-	// inline by every write path that changes visible state (see
-	// docs/caching.md). 0 (the default) disables the cache entirely —
+	// cache: a bounded key→value cache (present = Shared, absent =
+	// Invalid) consulted before paying the simulated Load on the read
+	// path, invalidated inline by every write path that changes visible
+	// state (see docs/caching.md). 0 (the default) disables the cache entirely —
 	// the read path is byte-for-byte the uncached one.
 	ReadCache int
 	// Prefetch enables the speculative prefetcher on top of the read

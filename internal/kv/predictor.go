@@ -19,8 +19,8 @@ package kv
 // value, and charges no simulated time — the model is a prefetch fully
 // overlapped with the foreground operation on spare fabric bandwidth,
 // exactly like the flush/append overlap of the commit pipeline
-// (docs/pipeline.md). A speculative fill is a plain Shared-state cache
-// line like any demand fill: every invalidation path snoops it the same
+// (docs/pipeline.md). A speculative fill is a plain cache entry like any
+// demand fill: every invalidation path snoops it the same
 // way, so a wrong or stale speculation can cost capacity, never
 // correctness (docs/caching.md).
 //

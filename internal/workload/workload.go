@@ -130,7 +130,7 @@ type Generator struct {
 }
 
 // NewGenerator seeds a generator. The keyspace [0, spec.Keys) is assumed
-// preloaded (see Runner).
+// preloaded (Run loads it before the first operation).
 func NewGenerator(spec Spec, seed int64) *Generator {
 	g := &Generator{spec: spec, rng: rand.New(rand.NewSource(seed)), inserted: int64(spec.Keys)}
 	g.reskew()
