@@ -14,6 +14,7 @@
 package cxl0bench
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -22,6 +23,7 @@ import (
 	"cxl0/internal/flitbench"
 	"cxl0/internal/kv"
 	"cxl0/internal/litmus"
+	"cxl0/internal/pool"
 	"cxl0/internal/workload"
 )
 
@@ -153,6 +155,40 @@ func BenchmarkKVScanLimit(b *testing.B) {
 				pairs, err := st.Scan(lo, math.MaxInt64, limit)
 				if err != nil || len(pairs) != limit || pairs[0].Key != lo {
 					b.Fatalf("scan from %d: %d pairs, %v; want %d from a dense keyspace", lo, len(pairs), err, limit)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKVPooledScan tracks the host cost of a limit-16 pooled scan —
+// one merge over every cluster's shard runs, then each cluster's reads of
+// its picks — at 1, 4 and 8 clusters of 2 shards over a dense keyspace,
+// and asserts every scan's pairs as it runs.
+func BenchmarkKVPooledScan(b *testing.B) {
+	const limit, keys = 16, 4096
+	for _, clusters := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("clusters=%d", clusters), func(b *testing.B) {
+			r, err := pool.Open(pool.Config{Clusters: clusters, Store: kv.Config{Shards: 2, Capacity: 2 * keys / clusters, Strategy: kv.StoreFlush, Seed: 1}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := 0; k < keys; k++ {
+				if _, err := r.Put(core.Val(k), core.Val(k+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := core.Val(i * 7919 % (keys - limit))
+				pairs, err := r.Scan(lo, math.MaxInt64, limit)
+				if err != nil || len(pairs) != limit {
+					b.Fatalf("scan from %d: %d pairs, %v; want %d", lo, len(pairs), err, limit)
+				}
+				for j, p := range pairs {
+					if p.Key != lo+core.Val(j) || p.Val != p.Key+1 {
+						b.Fatalf("scan from %d: pair %d is %+v, want key %d = %d", lo, j, p, lo+core.Val(j), lo+core.Val(j)+1)
+					}
 				}
 			}
 		})

@@ -151,6 +151,25 @@ func (s *LineSet) each(f func(LocID)) {
 	}
 }
 
+// DrainTau empties every cache: it hands take each enabled τ step,
+// machine by machine and each machine's lines in ascending order, and
+// walks again until nothing is cached. take must take the step it is
+// handed (ApplyTauInPlace), which clears the source cell; a line that
+// moves to a lower-numbered owner's cache is taken on the next walk.
+// Lines drain independently and the drain draws no randomness, so it
+// ends in the same state as taking TauStepAt(0) until TauStepCount() is
+// 0, without a select through the block counts for every step.
+func (s *State) DrainTau(take func(TauStep)) {
+	for s.held > 0 {
+		for m := range s.rows {
+			from := MachineID(m)
+			s.rows[m].held.each(func(l LocID) {
+				take(TauStep{From: from, Loc: l, ToMemory: s.topo.Owner(l) == from})
+			})
+		}
+	}
+}
+
 // TauStepCount returns len(TauSteps(s)) without enumerating them.
 func (s *State) TauStepCount() int { return s.held }
 

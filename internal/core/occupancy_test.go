@@ -216,6 +216,40 @@ func TestLineSetMatchesMapModel(t *testing.T) {
 	}
 }
 
+// TestDrainTauMatchesStepLoop holds DrainTau to the drain it replaced —
+// take TauStepAt(0) until TauStepCount() is 0 — on random states of
+// fuzzTopo: lines cached by their owners and by other machines on either
+// side of them, so some propagate to a lower-numbered owner and are
+// taken on a later walk. Both drains must end in one state with nothing
+// cached, and DrainTau must hand take only enabled steps.
+func TestDrainTauMatchesStepLoop(t *testing.T) {
+	topo := fuzzTopo()
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewState(topo)
+		for n := rng.Intn(400); n > 0; n-- {
+			m := MachineID(rng.Intn(topo.NumMachines()))
+			x := LocID(rng.Intn(topo.NumLocs()))
+			v := Val(1 + rng.Intn(3))
+			if cv, held := s.CachedValue(x); held {
+				v = cv // keep the global invariant
+			}
+			s.SetCache(m, x, v)
+		}
+		loop, walked := s.Clone(), s.Clone()
+		for loop.TauStepCount() > 0 {
+			ApplyTauInPlace(loop, loop.TauStepAt(0))
+		}
+		walked.DrainTau(func(ts TauStep) { ApplyTauInPlace(walked, ts) })
+		if !walked.Equal(loop) || !walked.CachesEmpty() {
+			t.Fatalf("seed %d: from %v\nDrainTau ends in %v\nthe TauStepAt(0) loop in %v", seed, s, walked, loop)
+		}
+		if err := walked.CheckInvariant(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 // TestLocNamesRoundTrip: every location's name resolves back to it, for
 // named locations and for the anonymous ranges whose names are made on
 // demand, and nothing else of the anonymous form resolves.

@@ -10,8 +10,10 @@ package kv
 type Counters struct {
 	// Puts, Gets, Deletes and Scans count operations served. Gets counts
 	// point lookups, including each key resolved by a MultiGet; Scans
-	// counts Store.Scan calls, not ScanKeys listings, so a pooled scan
-	// ticks it once per cluster its read pass reads (see pool.Router.Scan).
+	// counts a store's scan legs (see ScanStores): one per Store.Scan, and
+	// one per store a range read over several stores reads — every store
+	// on an unlimited read, else those it returns a pair from — so a
+	// pooled scan ticks it once per cluster it reads.
 	Puts         uint64 `json:"puts"`
 	Gets         uint64 `json:"gets"`
 	Deletes      uint64 `json:"deletes"`
@@ -24,10 +26,10 @@ type Counters struct {
 	Batches   uint64 `json:"batches"`
 	Commits   uint64 `json:"commits"` // commit flushes issued (GPF or ranged batches)
 	// ScanDiscardedPairs counts pairs a scan loaded and then discarded.
-	// It is 0 by construction: a store's Scan loads only the pairs it
-	// returns, and so does a pooled one, which merges its clusters' keys
-	// before it loads a value (see pool.Router.Scan). The field stays
-	// because readers of the metrics (the repo benchmark's
+	// It is 0 by construction: every range read, over one store or the
+	// clusters of a pool, picks its keys in one merge before it loads a
+	// value, and loads only the pairs it returns (see ScanStores). The
+	// field stays because readers of the metrics (the repo benchmark's
 	// pool.scan_useful_ratio, /metrics) report it.
 	ScanDiscardedPairs uint64 `json:"scan_discarded_pairs"`
 	// Acked is the cumulative count of client writes acknowledged durable

@@ -51,13 +51,13 @@ var seams = []seam{
 		fix:   "go through a view method (view.go)",
 	},
 	{
-		// One range read, shared by Scan and ScanKeys: a seek per shard,
-		// the walk of a partitioned shard's whole run, the merge's step.
+		// One range read, over one store or many: a seek per shard, the
+		// walk of a partitioned shard's whole run, the merge's step.
 		name:  "the view's range cursor",
 		site:  func(n ast.Node) bool { return calls(n, "seek") != nil || calls(n, "advance") != nil },
 		files: []string{"view.go"},
-		funcs: []string{"mergeRunsLocked", "mergeRunsLocked", "mergeRunsLocked"},
-		fix:   "range reads are mergeRunsLocked's merge over the shards' cursors",
+		funcs: []string{"scanLocked", "scanLocked", "scanLocked"},
+		fix:   "range reads are scanLocked's merge over the stores' shard cursors",
 	},
 	{
 		name:  "the view's per-key write step",

@@ -88,8 +88,9 @@ type shard struct {
 	writeLat []float64
 	//cxl0:guarded-by mu
 	issueLat []float64
-	// scan is the shard's run in Store.Scan's merge: a cursor over view,
-	// kept here so a scan allocates nothing per shard. Dead outside Scan.
+	// scan is the shard's run in a range read's merge (ScanStores): a
+	// cursor over view, kept here so a read allocates nothing per shard.
+	// Dead outside the read.
 	scan cursor
 }
 

@@ -106,6 +106,10 @@ type Store struct {
 	// attributed to a commit event (the ack-agreement invariant).
 	rec            *obs.Recorder
 	obsCommitAcked uint64
+
+	// leg is the store's part of the range read in progress, kept here
+	// so a read allocates nothing per store (scan.go). Dead outside it.
+	leg scanLeg
 }
 
 // Open builds the cluster (one front-end machine plus one machine per
@@ -780,123 +784,6 @@ func (s *Store) applyLocked(b *Batch) (Ack, error) {
 		}
 	}
 	return Ack{Shard: last.Shard, Seq: last.Seq, Durable: true}, nil
-}
-
-// Scan returns up to limit live pairs with lo <= key < hi, in key order,
-// loading each value from its shard. Every shard's range is an ordered
-// run (a view cursor), and Scan is a merge over the runs that reads each
-// value as its key is picked: a limited scan walks at most limit + shards
-// keys, whatever the shards hold — O(shards · log live + limit · shards).
-func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.frontDown {
-		return nil, ErrFrontDown
-	}
-	// Served-only counting, like getLocked: a denied Scan never ran.
-	s.ctr.Scans++
-	sstart := s.cluster.NowNS()
-	out, err := mergeRunsLocked(s, lo, hi, limit, func(sh *shard, c *cursor) (Pair, error) {
-		v, err := s.readValue(sh, c.key, c.slot)
-		return Pair{Key: c.key, Val: v}, err
-	})
-	if out == nil { // a failed read
-		return nil, err
-	}
-	if s.pred != nil && len(out) > 0 {
-		// Scan-run prefetch: warm the keys just past the scanned range
-		// ahead of a continuing sweep (workload E's scans walk forward).
-		last := out[len(out)-1].Key
-		ahead := make([]core.Val, 0, scanRunAhead)
-		for i := core.Val(1); i <= scanRunAhead; i++ {
-			ahead = append(ahead, last+i)
-		}
-		s.prefetchLocked(ahead)
-	}
-	s.ctr.ScannedPairs += uint64(len(out))
-	s.rec.OpSpan(obs.OpScan, -1, sstart, s.cluster.NowNS(), len(out), 0, false)
-	return out, err
-}
-
-// ScanKeys returns the keys of the pairs Scan(lo, hi, limit) would
-// return, in key order, and reads no value: it walks the front end's
-// index, so it costs no simulated time and counts as no Scan. It retires
-// the flights that are ready and degrades on a partitioned shard exactly
-// as Scan does, so a Scan over the keys it listed, run with no simulated
-// time spent in between, loads exactly them — the two passes of a pooled
-// scan (pool.Router.Scan).
-func (s *Store) ScanKeys(lo, hi core.Val, limit int) ([]core.Val, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.frontDown {
-		return nil, ErrFrontDown
-	}
-	return mergeRunsLocked(s, lo, hi, limit, func(_ *shard, c *cursor) (core.Val, error) { return c.key, nil })
-}
-
-// mergeRunsLocked is the range read Scan and ScanKeys share: it seeks
-// every shard's run of [lo, hi), then merges the runs into one slice of
-// what take makes of each of the first limit keys (all of them when limit
-// <= 0), in ascending key order. The slice is allocated once, at the
-// size the runs bound, and is never nil unless the read failed: a
-// down shard with a key in range fails it before take first runs, an
-// error from take where it arises. A partitioned shard is skipped: the
-// slice comes back with a *PartialResultError counting exactly what the
-// shard withheld.
-func mergeRunsLocked[T any](s *Store, lo, hi core.Val, limit int, take func(sh *shard, c *cursor) (T, error)) ([]T, error) {
-	var unavailable []bool
-	missing, atMost := 0, 0
-	for _, sh := range s.shards {
-		if !sh.partitioned {
-			s.retireReady(sh)
-		}
-		c := &sh.scan
-		n := sh.view.seek(c, lo, hi)
-		switch {
-		case !c.ok:
-			// A down or partitioned shard with no key in range costs
-			// the read nothing.
-		case sh.down:
-			// Before any value is read.
-			return nil, ErrShardDown
-		case sh.partitioned:
-			// The read degrades to a partial result instead: the shard's
-			// data is intact behind the partition, so skipping it is safe
-			// and the typed error says what is missing — exactly, so its
-			// run is walked to the end.
-			unavailable = s.markShard(unavailable, sh)
-			for ; c.ok; c.advance() {
-				missing++
-			}
-		default:
-			atMost += n
-		}
-	}
-	if limit > 0 {
-		atMost = min(atMost, limit)
-	}
-	out := make([]T, 0, atMost)
-	for taken := 0; limit <= 0 || taken < limit; taken++ {
-		var next *shard
-		for _, sh := range s.shards {
-			if sh.scan.ok && (next == nil || sh.scan.key < next.scan.key) {
-				next = sh
-			}
-		}
-		if next == nil {
-			break
-		}
-		t, err := take(next, &next.scan)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		next.scan.advance()
-	}
-	if missing > 0 {
-		return out, &PartialResultError{Op: "scan", Unavailable: shardList(unavailable), Missing: missing}
-	}
-	return out, nil
 }
 
 // Sync commits every shard's open batch (GroupCommit or RangedCommit). A

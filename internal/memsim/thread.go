@@ -203,12 +203,8 @@ func (t *Thread) GPF() error {
 	if err := t.c.fabricWholeLocked(); err != nil {
 		return err
 	}
-	// Force propagation until nothing is cached. Lines drain independently
-	// and a drain draws no randomness, so taking whichever step is first
-	// ends in the same state as draining location by location.
-	for t.c.st.TauStepCount() > 0 {
-		t.c.applyTauLocked(t.c.st.TauStepAt(0))
-	}
+	// Force propagation until nothing is cached.
+	t.c.st.DrainTau(t.c.applyTauLocked)
 	t.c.stepLocked(core.GPFL(t.m), t.m, false)
 	return nil
 }

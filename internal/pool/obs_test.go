@@ -30,7 +30,7 @@ func seedKeys(t *testing.T, r *Router, n int) {
 	}
 }
 
-// TestScanOverFetchCapped pins the keys-first scan: a limited pooled scan
+// TestScanOverFetchCapped pins the one-merge scan: a limited pooled scan
 // returns the same result as a full scan truncated, loads no more than
 // limit pairs in all, and accounts every pair it loaded and cut (none) in
 // Metrics.ScanDiscardedPairs.
@@ -74,9 +74,9 @@ func TestScanOverFetchCapped(t *testing.T) {
 		if fetched-uint64(len(got)) != discarded {
 			t.Fatalf("limit %d: fetched %d, returned %d, but discarded accounts %d", limit, fetched, len(got), discarded)
 		}
-		// The cap: the read pass loads only the pairs the keys merge
-		// kept, so the scan never loads more than Clusters × limit — nor
-		// even more than limit.
+		// The cap: each cluster loads only the pairs the merge picked
+		// from it, so the scan never loads more than Clusters × limit —
+		// nor even more than limit.
 		if fetched > uint64(r.NumClusters()*limit) {
 			t.Fatalf("limit %d: fetched %d pairs, cap is %d", limit, fetched, r.NumClusters()*limit)
 		}
@@ -98,7 +98,7 @@ func TestScanOverFetchCapped(t *testing.T) {
 	}
 }
 
-// TestScanDiscardBeatsNaiveFanOut checks the keys-first scan's point: on
+// TestScanDiscardBeatsNaiveFanOut checks the one-merge scan's point: on
 // an even spread with a large limit it loads exactly limit pairs, not
 // Clusters × limit.
 func TestScanDiscardBeatsNaiveFanOut(t *testing.T) {
@@ -116,7 +116,7 @@ func TestScanDiscardBeatsNaiveFanOut(t *testing.T) {
 	m := r.Metrics()
 	naive := uint64(r.NumClusters() * limit)
 	if m.ScannedPairs >= naive {
-		t.Fatalf("keys-first scan loaded %d pairs, no better than the naive fan-out's %d", m.ScannedPairs, naive)
+		t.Fatalf("the scan loaded %d pairs, no better than the naive fan-out's %d", m.ScannedPairs, naive)
 	}
 	if m.ScannedPairs != limit {
 		t.Fatalf("scan loaded %d pairs to return %d", m.ScannedPairs, limit)
@@ -330,16 +330,16 @@ func TestRouterObservedTimelineUnchanged(t *testing.T) {
 	}
 }
 
-// TestScanResumeBoundaries drives limits that cut the clusters' key lists
-// at varied points of a sparse key set and cross-checks against a locally
-// merged reference.
+// TestScanResumeBoundaries drives limits that cut the merge inside the
+// clusters' runs at varied points of a sparse key set and cross-checks
+// against a locally merged reference.
 func TestScanResumeBoundaries(t *testing.T) {
 	r, err := Open(obsPoolCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sparse, irregular keys so the read passes' bounds land between
-	// existing keys.
+	// Sparse, irregular keys so the limits cut the merge between existing
+	// keys.
 	var all []core.Val
 	for i := 0; i < 120; i++ {
 		k := core.Val((i*i*7 + i) % 1000)

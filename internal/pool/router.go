@@ -277,136 +277,29 @@ func (r *Router) fanOut(op obs.Op, n int, has func(c int) bool, leg func(c int) 
 	return err
 }
 
-// Scan merges the clusters' ranges — each already in key order — into
-// one globally key-ordered slice of at most limit pairs, and loads only
-// the values it returns: kv.Store.Scan's rule over its shards, lifted to
-// the clusters. A limited scan runs two passes. The keys pass lists up to
-// limit keys of [lo, hi) from every cluster's index (kv.Store.ScanKeys,
-// free on the simulated clock) and merges the lists, keeping the limit
-// smallest. The read pass runs one ordinary kv.Store.Scan on each cluster
-// that holds a kept key, up to and including its last one, so it loads
-// exactly the cluster's kept pairs. An unlimited scan returns everything
-// it loads and skips the keys pass: one kv.Store.Scan per cluster. The
-// read pass is the fan-out — one leg, and one tick of the store's Scans
-// counter, per cluster it reads. Like MultiGet, partitioned shards
-// degrade the scan to a partial result (reachable shards' pairs plus one
-// pool-level kv.PartialResultError whose Missing the first pass counts)
-// while a crashed in-range shard fails it.
+// Scan is kv.ScanStores over the clusters, which partition the keyspace:
+// one merge over every cluster's shards picks the first limit pairs of
+// [lo, hi) (all of them when limit <= 0), then each cluster reads the
+// values it holds of them, so the scan walks each key once and loads only
+// what it returns. The locks are taken in one order, the router's mu
+// (shared) and then every cluster's store lock by cluster index, and held
+// to the end, so the pairs are one cut of the pool. Each cluster that
+// reads is a leg of the fan-out — every cluster on an unlimited scan, else
+// those holding a returned pair — with one tick of its store's Scans
+// counter, published under the parent span allocated here. Like MultiGet, partitioned shards degrade the scan to a partial
+// result (the reachable shards' pairs plus one pool-level
+// kv.PartialResultError with global shard indices, Missing counted over
+// all of [lo, hi)) while a crashed in-range shard fails it.
 func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	legs := make([]scanLeg, len(r.stores))
-	// Read only when a partitioned shard was met: allocated on first use.
-	var unavail []bool
-	missing := 0
-	// degrade folds cluster c's partial result into the scan's — its
-	// Missing only from the first pass, which covers all of [lo, hi) — and
-	// returns any other error.
-	degrade := func(c int, err error, first bool) error {
-		// Declared here so that a healthy scan does not pay for the
-		// target errors.As makes escape.
-		var partial *kv.PartialResultError
-		if !errors.As(err, &partial) {
-			return err
-		}
-		if unavail == nil {
-			unavail = make([]bool, r.NumShards())
-		}
-		for _, sh := range partial.Unavailable {
-			unavail[r.globalShard(c, sh)] = true
-		}
-		if first {
-			missing += partial.Missing
-		}
-		return nil
+	span, start := r.rec.NewSpan(), r.obsNow()
+	pairs, failed, err := kv.ScanStores(r.stores, lo, hi, limit, span)
+	if failed >= 0 {
+		return nil, clusterErr(failed, err)
 	}
-	if limit > 0 {
-		for c, st := range r.stores {
-			var err error
-			if legs[c].keys, err = st.ScanKeys(lo, hi, limit); err != nil && degrade(c, err, true) != nil {
-				return nil, clusterErr(c, err)
-			}
-		}
-		// Clusters partition the keyspace and every list is ascending, so
-		// the limit smallest keys are the merge's first limit heads.
-		for kept := 0; kept < limit; kept++ {
-			var head *scanLeg
-			for c := range legs {
-				if l := &legs[c]; l.kept < len(l.keys) && (head == nil || l.keys[l.kept] < head.keys[head.kept]) {
-					head = l
-				}
-			}
-			if head == nil {
-				break
-			}
-			head.kept++
-		}
-	}
-	// The read pass. Its legs are published once the merge is done, each
-	// with its span on its own cluster's clock.
-	span, pstart := r.rec.NewSpan(), r.obsNow()
-	total := 0
-	for c, st := range r.stores {
-		l := &legs[c]
-		end, ask := hi, limit
-		if limit > 0 {
-			if l.kept == 0 {
-				continue
-			}
-			end, ask = l.keys[l.kept-1]+1, l.kept
-		}
-		l.start = st.NowNS()
-		pairs, err := st.Scan(lo, end, ask)
-		l.end = st.NowNS()
-		if err != nil && degrade(c, err, limit <= 0) != nil {
-			return nil, clusterErr(c, err)
-		}
-		l.pairs = pairs
-		total += len(pairs)
-	}
-	merged := make([]kv.Pair, 0, total)
-	for len(merged) < total {
-		merged = append(merged, popSmallest(legs))
-	}
-	for c := range legs {
-		if l := &legs[c]; limit <= 0 || l.kept > 0 {
-			r.rec.FanOutLeg(span, obs.OpScan, c, l.start, l.end, len(l.pairs))
-		}
-	}
-	r.rec.FanOut(span, obs.OpScan, pstart, r.obsNow(), len(merged))
-	if missing > 0 {
-		var shards []int
-		for i, hit := range unavail {
-			if hit {
-				shards = append(shards, i)
-			}
-		}
-		return merged, &kv.PartialResultError{Op: "scan", Unavailable: shards, Missing: missing}
-	}
-	return merged, nil
-}
-
-// scanLeg is one cluster's part of a pooled scan.
-type scanLeg struct {
-	keys       []core.Val // the keys pass's listing, ascending
-	kept       int        // keys[:kept] survived the keys merge
-	pairs      []kv.Pair  // the read pass's pairs, ascending
-	popped     int        // pairs[:popped] are merged (popSmallest)
-	start, end float64    // the read pass's span on the cluster's clock
-}
-
-// popSmallest takes the next pair of the merge: the smallest head among
-// the legs. The caller pops no more pairs than the legs hold.
-func popSmallest(legs []scanLeg) kv.Pair {
-	var head *scanLeg
-	for c := range legs {
-		l := &legs[c]
-		if l.popped < len(l.pairs) && (head == nil || l.pairs[l.popped].Key < head.pairs[head.popped].Key) {
-			head = l
-		}
-	}
-	head.popped++
-	return head.pairs[head.popped-1]
+	r.rec.FanOut(span, obs.OpScan, start, r.obsNow(), len(pairs))
+	return pairs, err
 }
 
 // Apply splits the batch into per-cluster sub-batches (each preserving
