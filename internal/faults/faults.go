@@ -26,8 +26,11 @@
 package faults
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cxl0/internal/kv"
@@ -44,7 +47,10 @@ const (
 	// Recover restarts the target shards in the listed order — the
 	// campaign's schedule decides recovery order, not the caller. A
 	// partitioned target is healed first (partition-heal-then-recover);
-	// targets that are not down are skipped.
+	// targets that are not down are skipped, and so is one whose recovery
+	// a partition elsewhere in its cluster refuses (group commit's
+	// recovery flush is a GPF): it stays down until recovered again or
+	// until Engine.Finish.
 	Recover
 	// Partition cuts the target shards off the fabric. Already
 	// partitioned or down targets are skipped.
@@ -64,6 +70,46 @@ func (a Action) String() string {
 		return actionNames[a]
 	}
 	return fmt.Sprintf("Action(%d)", int(a))
+}
+
+// MarshalText puts the action on the wire by name (its String). An
+// action without a name is an error: no campaign could run it.
+func (a Action) MarshalText() ([]byte, error) {
+	if a < 0 || int(a) >= len(actionNames) {
+		return nil, fmt.Errorf("faults: unknown action %v", a)
+	}
+	return []byte(actionNames[a]), nil
+}
+
+// UnmarshalText reads an action by name.
+func (a *Action) UnmarshalText(text []byte) error {
+	i := slices.Index(actionNames[:], string(text))
+	if i < 0 {
+		return fmt.Errorf("faults: unknown action %q", text)
+	}
+	*a = Action(i)
+	return nil
+}
+
+// UnmarshalJSON reads an action by name, or by number — campaign JSON's
+// older form, which encoding/json alone rejects for a TextUnmarshaler. A
+// number is taken as is: one without a name fails the campaign's step
+// with "faults: unknown action", as it always has. A null leaves a as it
+// was.
+func (a *Action) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	var n int
+	if json.Unmarshal(b, &n) == nil {
+		*a = Action(n)
+		return nil
+	}
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return err
+	}
+	return a.UnmarshalText([]byte(name))
 }
 
 // Event is one scheduled fault: at measured-operation index At, apply
@@ -102,7 +148,8 @@ type Stats struct {
 	Campaign string `json:"campaign"`
 	// Injection counters: faults actually applied (skipped injections —
 	// a crash into an already-down shard, a partition of a partitioned
-	// one — count in Skipped instead, never double-applied).
+	// one, a recovery a partition refuses — count in Skipped instead,
+	// never double-applied).
 	Crashes    int `json:"crashes"`
 	Recoveries int `json:"recoveries"`
 	Partitions int `json:"partitions"`
@@ -224,6 +271,14 @@ func (e *Engine) recover(sh int) error {
 	}
 	start := e.db.NowNS()
 	stats, err := e.db.Recover(sh)
+	if errors.Is(err, kv.ErrUnavailable) {
+		// A partition elsewhere blocks the flush this recovery needs (a
+		// GPF drains every cache of the cluster): the shard stays down
+		// until the schedule recovers it again, or until Finish, which
+		// heals every partition first.
+		e.stats.Skipped++
+		return nil
+	}
 	if err != nil {
 		return fmt.Errorf("faults: recover shard %d: %w", sh, err)
 	}

@@ -1,9 +1,11 @@
 package faults_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cxl0/internal/core"
@@ -311,6 +313,53 @@ func TestRecoverHealsPartitionFirst(t *testing.T) {
 	}
 }
 
+// TestRecoverBlockedByPartitionWaits: under group commit a recovery
+// that must re-persist a surviving pending tail issues a GPF, which a
+// partition anywhere in the cluster blocks. The engine keeps the shard
+// down instead of failing the run, and Finish — which heals every
+// partition first — recovers it with no write lost or garbled.
+func TestRecoverBlockedByPartitionWaits(t *testing.T) {
+	st := open(t, 2)
+	const n = 12
+	for k := core.Val(0); k < n; k++ {
+		if _, err := st.Put(k, 100+k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := faults.New(st, &faults.Campaign{Name: "blocked", Events: []faults.Event{
+		{At: 1, Action: faults.Crash, Shards: []int{1}},
+		{At: 1, Action: faults.Partition, Shards: []int{0}},
+		{At: 2, Action: faults.Recover, Shards: []int{1}},
+	}})
+	for op := 1; op <= 2; op++ {
+		if err := eng.Step(op); err != nil {
+			t.Fatalf("step %d: %v", op, err)
+		}
+	}
+	if !eng.Down(1) || !st.Health()[1].Down {
+		t.Fatalf("shard 1 recovered behind a partition that blocks its flush: %+v", st.Health())
+	}
+	if err := eng.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range st.Health() {
+		if h.Down || h.Partitioned {
+			t.Fatalf("service not healthy after Finish: %+v", st.Health())
+		}
+	}
+	if s := eng.Stats(); s.Recoveries != 1 || s.Heals != 1 {
+		t.Fatalf("stats %+v, want one recovery and one heal", s)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for k := core.Val(0); k < n; k++ {
+		if v, ok, err := st.Get(k); err != nil || (ok && v != 100+k) {
+			t.Fatalf("get %d = (%d, %v, %v), want %d or absent", k, v, ok, err, 100+k)
+		}
+	}
+}
+
 // TestObservedCampaignBitIdentical is the acceptance invariant: running
 // the same campaign with an observability recorder attached must leave
 // the simulated clock, the data, and the campaign measurements
@@ -375,5 +424,47 @@ func TestPercentileNS(t *testing.T) {
 	}
 	if got := xs[0]; got != 30 {
 		t.Fatal("PercentileNS mutated its input")
+	}
+}
+
+// TestActionText round-trips every action through its text and JSON
+// forms: the wire name is String, a campaign written with names decodes
+// to the same events, and the older numeric form still decodes.
+func TestActionText(t *testing.T) {
+	for a := faults.Crash; a <= faults.Degrade; a++ {
+		text, err := a.MarshalText()
+		if err != nil || string(text) != a.String() {
+			t.Fatalf("%v.MarshalText() = %q, %v; want %q", a, text, err, a.String())
+		}
+		var back faults.Action
+		if err := back.UnmarshalText(text); err != nil || back != a {
+			t.Fatalf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, a)
+		}
+		ev := faults.Event{At: 7, Action: a, Shards: []int{1}, Factor: 2}
+		blob, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`"action":%q`, a.String()); !strings.Contains(string(blob), want) {
+			t.Fatalf("event JSON %s does not carry %s", blob, want)
+		}
+		for _, form := range []string{string(blob), fmt.Sprintf(`{"at":7,"action":%d,"shards":[1],"factor":2}`, int(a))} {
+			var got faults.Event
+			if err := json.Unmarshal([]byte(form), &got); err != nil || !reflect.DeepEqual(got, ev) {
+				t.Fatalf("decoding %s = %+v, %v; want %+v", form, got, err, ev)
+			}
+		}
+	}
+	if _, err := faults.Action(5).MarshalText(); err == nil {
+		t.Error("an action without a name marshals")
+	}
+	var a faults.Action
+	if err := json.Unmarshal([]byte(`"explode"`), &a); err == nil {
+		t.Error(`"explode" decodes as an action`)
+	}
+	// A number without a name decodes as is and fails at its step, as it
+	// did before actions had names.
+	if err := json.Unmarshal([]byte(`9`), &a); err != nil || a != 9 {
+		t.Errorf("9 decodes as %v, %v; want Action(9)", a, err)
 	}
 }

@@ -20,6 +20,23 @@ func TestStoreConformance(t *testing.T) {
 	})
 }
 
+// TestStoreSnapshotCostFlat is the scaling gate of a snapshot: a
+// 12-shard store's Metrics allocates the same objects and bytes after 100
+// and 20 000 acknowledged writes, as its sample series are views.
+func TestStoreSnapshotCostFlat(t *testing.T) {
+	small, large := kvtest.SnapshotCosts(t, func(t *testing.T, cfg kv.Config) kv.DB {
+		t.Helper()
+		st, err := kv.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}, 12)
+	if small.Objects != large.Objects || small.Bytes != large.Bytes {
+		t.Fatalf("Metrics allocates %+v after 100 acked writes but %+v after 20000", small, large)
+	}
+}
+
 // TestStoreShardFullDiagnosable checks a full shard fails with the
 // structured ShardFullError (shard identity + fill level).
 func TestStoreShardFullDiagnosable(t *testing.T) {

@@ -91,7 +91,7 @@ type DB interface {
 	Rebalance() ([]MigrationStats, error)
 	// Metrics snapshots the service counters; a pooled DB aggregates
 	// across clusters (counters summed, per-shard series concatenated in
-	// global shard order).
+	// global shard order). Its sample series are read-only (see Metrics).
 	Metrics() Metrics
 	// ResetMetrics zeroes counters and clocks while keeping stored data.
 	ResetMetrics()

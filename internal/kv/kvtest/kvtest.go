@@ -55,6 +55,8 @@ func Run(t *testing.T, f Factory) {
 	t.Run("AutoCompactCapacity", func(t *testing.T) { testAutoCompactCapacity(t, f) })
 	t.Run("BadArguments", func(t *testing.T) { testBadArguments(t, f) })
 	t.Run("ObservabilityAgreement", func(t *testing.T) { testObservabilityAgreement(t, f) })
+	t.Run("MetricsSnapshotStable", func(t *testing.T) { testMetricsSnapshotStable(t, f) })
+	t.Run("MetricsConcurrent", func(t *testing.T) { testMetricsConcurrent(t, f) })
 	t.Run("DeterministicReplay", func(t *testing.T) { DeterministicReplay(t, f) })
 }
 

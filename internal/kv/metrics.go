@@ -93,8 +93,16 @@ func (c *Counters) Add(o Counters) {
 
 // Metrics is a snapshot of a store's service counters, plus the gauges
 // and sample series that do not sum.
+//
+// The four sample series (RecoveryNS, CompactionNS, WriteLatencies,
+// IssueLatencies) are read-only views shared with the store, not copies:
+// the store only appends to its logs and ResetMetrics starts new ones, so
+// a snapshot's series never change, and appending to one copies it. Do
+// not write their elements in place (sort a copy instead).
 type Metrics struct {
 	Counters
+	// RecoveryNS are the simulated durations of recoveries, in the order
+	// they ran.
 	RecoveryNS []float64
 	// CompactionNS are the simulated durations of committed compactions
 	// (charged to the compacted shard as churn, like recovery time).
@@ -118,8 +126,10 @@ type Metrics struct {
 	PerShardLive []int
 	// WriteLatencies are simulated ack latencies of acknowledged writes
 	// (submit to durable-ack, including any commit-pipeline lane wait);
-	// IssueLatencies are the same writes' submit-to-return latencies.
-	// With the pipeline off they nearly coincide; the gap between their
+	// IssueLatencies are the same writes' submit-to-return latencies,
+	// index for index. Both are store-wide and in ack order, not grouped
+	// by shard (a pool.Router concatenates its clusters' series). With
+	// the pipeline off they nearly coincide; the gap between their
 	// distributions is exactly what pipelining buys (see docs/pipeline.md).
 	WriteLatencies []float64
 	IssueLatencies []float64
@@ -180,31 +190,47 @@ func (m Metrics) MaxMeanBusyRatio() float64 {
 	return max / (total / float64(len(m.PerShardBusyNS)))
 }
 
-// Metrics returns a snapshot of the store's counters.
+// Metrics returns a snapshot of the store's counters. It costs
+// O(shards) however many writes have been acknowledged: the four sample
+// series are capped views of the store's own logs (see Metrics), and
+// only the per-shard gauges are built.
 func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := len(s.shards)
 	m := Metrics{
-		Counters:     s.ctr,
-		RecoveryNS:   append([]float64(nil), s.recoveryNS...),
-		CompactionNS: append([]float64(nil), s.compactionNS...),
-		MaxInFlight:  s.maxInFlight,
+		Counters:         s.ctr,
+		RecoveryNS:       capped(s.recoveryNS),
+		CompactionNS:     capped(s.compactionNS),
+		PerShardBusyNS:   make([]float64, n),
+		PerShardChurnNS:  make([]float64, n),
+		PerShardFill:     make([]float64, n),
+		PerShardLive:     make([]int, n),
+		WriteLatencies:   capped(s.writeLat),
+		IssueLatencies:   capped(s.issueLat),
+		MaxInFlight:      s.maxInFlight,
+		PerShardInFlight: make([]int, n),
+		PerShardAcked:    make([]int, n),
 	}
 	if s.cache != nil {
 		m.CacheSize = s.cache.lenLocked()
 	}
-	for _, sh := range s.shards {
-		m.PerShardBusyNS = append(m.PerShardBusyNS, sh.busyNS)
-		m.PerShardChurnNS = append(m.PerShardChurnNS, sh.churnNS)
-		m.PerShardFill = append(m.PerShardFill, float64(len(sh.log))/float64(sh.cap))
-		m.PerShardLive = append(m.PerShardLive, sh.view.live())
-		m.WriteLatencies = append(m.WriteLatencies, sh.writeLat...)
-		m.IssueLatencies = append(m.IssueLatencies, sh.issueLat...)
-		m.PerShardInFlight = append(m.PerShardInFlight, len(sh.flights))
-		m.PerShardAcked = append(m.PerShardAcked, sh.acked)
+	for i, sh := range s.shards {
+		m.PerShardBusyNS[i] = sh.busyNS
+		m.PerShardChurnNS[i] = sh.churnNS
+		m.PerShardFill[i] = float64(len(sh.log)) / float64(sh.cap)
+		m.PerShardLive[i] = sh.view.live()
+		m.PerShardInFlight[i] = len(sh.flights)
+		m.PerShardAcked[i] = sh.acked
 	}
 	return m
 }
+
+// capped is xs with its capacity cut to its length: the store only
+// appends to xs, so the view's elements never change, and a caller's
+// append to it copies rather than writing into the store's spare
+// capacity.
+func capped(xs []float64) []float64 { return xs[:len(xs):len(xs)] }
 
 // ResetMetrics zeroes the counters, busy clocks and latency records while
 // keeping the stored data — used to exclude a preload phase from
@@ -214,11 +240,10 @@ func (s *Store) ResetMetrics() {
 	defer s.mu.Unlock()
 	s.ctr = Counters{}
 	s.recoveryNS, s.compactionNS = nil, nil
+	s.writeLat, s.issueLat = nil, nil
 	s.maxInFlight = 0
 	for _, sh := range s.shards {
 		sh.resetClocks()
-		sh.writeLat = nil
-		sh.issueLat = nil
 	}
 	clear(s.winBase)
 	clear(s.bucketWin)

@@ -653,18 +653,15 @@ func TestResetMetricsRebasesFlushLane(t *testing.T) {
 		}
 		st.mu.Lock()
 		busy0 := 0.0
-		acked0 := make([]int, len(st.shards))
-		for i, sh := range st.shards {
+		for _, sh := range st.shards {
 			busy0 += sh.busyNS
-			acked0[i] = len(sh.writeLat)
 		}
+		acked0 := len(st.writeLat)
 		st.mu.Unlock()
 		if reset {
 			st.ResetMetrics()
 			busy0 = 0
-			for i := range acked0 {
-				acked0[i] = 0
-			}
+			acked0 = 0
 		}
 		for i := preload; i < preload+measured; i++ {
 			put(i)
@@ -675,12 +672,10 @@ func TestResetMetricsRebasesFlushLane(t *testing.T) {
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		busy := -busy0
-		var acks []float64
-		for i, sh := range st.shards {
+		for _, sh := range st.shards {
 			busy += sh.busyNS
-			acks = append(acks, sh.writeLat[acked0[i]:]...)
 		}
-		return busy, acks
+		return busy, st.writeLat[acked0:]
 	}
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*math.Max(math.Abs(a), math.Abs(b)) }
 	for _, strat := range []Strategy{GroupCommit, RangedCommit} {

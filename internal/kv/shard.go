@@ -82,12 +82,6 @@ type shard struct {
 	// the rebalancer's load windows exclude it.
 	//cxl0:guarded-by mu
 	churnNS float64
-	// Per-shard write-latency samples: ack latencies of acknowledged
-	// writes and the issue (submit-to-return) latencies of the same.
-	//cxl0:guarded-by mu
-	writeLat []float64
-	//cxl0:guarded-by mu
-	issueLat []float64
 	// scan is the shard's run in a range read's merge (ScanStores): a
 	// cursor over view, kept here so a read allocates nothing per shard.
 	// Dead outside the read.

@@ -59,13 +59,21 @@ type Store struct {
 	bucketWin []float64
 
 	// ctr holds the service counters (metrics.go is their one
-	// declaration); maxInFlight and the two sample series are the
-	// store-level metrics state that does not sum.
+	// declaration); maxInFlight and the four sample series are the
+	// store-level metrics state that does not sum. The series only ever
+	// grow by append (ResetMetrics swaps in nil), so Metrics hands out
+	// capped views of them without copying.
 	//cxl0:guarded-by mu
 	ctr          Counters
 	maxInFlight  int
 	recoveryNS   []float64
 	compactionNS []float64
+	// writeLat and issueLat are the ack and issue (submit-to-return)
+	// latencies of acknowledged writes, store-wide in ack order.
+	//cxl0:guarded-by mu
+	writeLat []float64
+	//cxl0:guarded-by mu
+	issueLat []float64
 
 	// frontDown is true while the front-end machine is crashed: every
 	// client operation enters through the front end, so the whole
@@ -374,8 +382,8 @@ func (s *Store) ackRange(sh *shard, first, limit int, ackNS, queueNS float64) in
 			continue
 		}
 		ackLat, issueLat := (ackNS-r.startNS)+queueNS, r.issueNS-r.startNS
-		sh.writeLat = append(sh.writeLat, ackLat)
-		sh.issueLat = append(sh.issueLat, issueLat)
+		s.writeLat = append(s.writeLat, ackLat)
+		s.issueLat = append(s.issueLat, issueLat)
 		s.rec.WriteLatency(ackLat, issueLat)
 		s.ctr.Acked++
 		acked++

@@ -32,6 +32,25 @@ func TestRouterConformanceThreeClusters(t *testing.T) {
 	kvtest.Run(t, routerFactory(3))
 }
 
+// TestRouterSnapshotCostFlat is the scaling gate of a pooled snapshot.
+// At one cluster, the store's snapshot is passed through: the same
+// objects and bytes after 100 and 20 000 acknowledged writes. At four,
+// the objects are the same, and the bytes grow by one copy of each
+// sample: every series is joined once, at its exact size.
+func TestRouterSnapshotCostFlat(t *testing.T) {
+	if small, large := kvtest.SnapshotCosts(t, routerFactory(1), 2); small.Objects != large.Objects || small.Bytes != large.Bytes {
+		t.Errorf("1 cluster: Metrics allocates %+v after 100 acked writes but %+v after 20000", small, large)
+	}
+	small, large := kvtest.SnapshotCosts(t, routerFactory(4), 2)
+	if small.Objects != large.Objects {
+		t.Errorf("4 clusters: Metrics allocates %v objects after 100 acked writes but %v after 20000", small.Objects, large.Objects)
+	}
+	// A size class rounds a large allocation up by at most an eighth.
+	if perSample := (large.Bytes - small.Bytes) / float64(8*(large.Samples-small.Samples)); perSample > 1.125 {
+		t.Errorf("4 clusters: Metrics copies each new sample %.2f times, want once", perSample)
+	}
+}
+
 // TestRouterShardFullDiagnosable: the structured ShardFullError surfaces
 // through the router unchanged.
 func TestRouterShardFullDiagnosable(t *testing.T) {

@@ -145,7 +145,9 @@ func TestRunRejectsBadOptions(t *testing.T) {
 // shards for 120 ops, under the strategy and pipeline depth (1 or 2) the
 // selector byte picks. Any schedule either runs or fails with the
 // engine's schedule error (a shard out of range, an unknown action);
-// nothing panics. The seed corpus is the four ForClass schedules.
+// nothing panics. The seed corpus is the four ForClass schedules, which
+// marshal their actions by name, plus one schedule written by hand with
+// named actions and the same schedule in the older numeric form.
 func FuzzRunCampaign(f *testing.F) {
 	for i, class := range []string{"uniform", "correlated", "degraded", "partitioned"} {
 		c, err := faults.ForClass(class, 120, 4, 30)
@@ -158,6 +160,14 @@ func FuzzRunCampaign(f *testing.F) {
 		}
 		f.Add(byte(5*i), blob)
 	}
+	f.Add(byte(3), []byte(`{"name":"named","events":[{"at":10,"action":"crash","shards":[0,3]},`+
+		`{"at":20,"action":"recover","shards":[3,0]},{"at":30,"action":"degrade","shards":[1],"factor":4},`+
+		`{"at":40,"action":"partition","shards":[2]},{"at":60,"action":"heal","shards":[2]},`+
+		`{"at":70,"action":"degrade","shards":[1],"factor":1}]}`))
+	f.Add(byte(3), []byte(`{"name":"numeric","events":[{"at":10,"action":0,"shards":[0,3]},`+
+		`{"at":20,"action":1,"shards":[3,0]},{"at":30,"action":4,"shards":[1],"factor":4},`+
+		`{"at":40,"action":2,"shards":[2]},{"at":60,"action":3,"shards":[2]},`+
+		`{"at":70,"action":4,"shards":[1],"factor":1}]}`))
 	spec, _ := YCSB("A")
 	spec.Keys = 40
 	f.Fuzz(func(t *testing.T, sel byte, blob []byte) {
