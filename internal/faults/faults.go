@@ -224,7 +224,16 @@ func (e *Engine) fire(ev Event) error {
 		}
 	case Recover:
 		for _, sh := range ev.Shards {
-			if err := e.recover(sh); err != nil {
+			err := e.recover(sh)
+			if errors.Is(err, kv.ErrUnavailable) {
+				// A partition elsewhere blocks the flush this recovery
+				// needs (a GPF drains every cache of the cluster): the
+				// shard stays down until the schedule recovers it again,
+				// or until Finish, which heals every partition first.
+				e.stats.Skipped++
+				continue
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -271,14 +280,6 @@ func (e *Engine) recover(sh int) error {
 	}
 	start := e.db.NowNS()
 	stats, err := e.db.Recover(sh)
-	if errors.Is(err, kv.ErrUnavailable) {
-		// A partition elsewhere blocks the flush this recovery needs (a
-		// GPF drains every cache of the cluster): the shard stays down
-		// until the schedule recovers it again, or until Finish, which
-		// heals every partition first.
-		e.stats.Skipped++
-		return nil
-	}
 	if err != nil {
 		return fmt.Errorf("faults: recover shard %d: %w", sh, err)
 	}
@@ -337,7 +338,10 @@ func (e *Engine) Down(sh int) bool {
 // Finish drains the campaign: remaining scheduled events fire, then
 // every still-partitioned shard heals (in partition order) and every
 // still-down shard recovers (in crash order — the campaign schedule's
-// order, preserved). A run therefore always ends with a healthy service.
+// order, preserved). A run therefore ends with a healthy service, unless
+// a partition the campaign did not inject still refuses a recovery: then
+// Finish returns an error that names the shard and wraps
+// kv.ErrUnavailable, and the shard stays down.
 func (e *Engine) Finish() error {
 	if err := e.Step(math.MaxInt); err != nil {
 		return err

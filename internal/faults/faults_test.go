@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cxl0/internal/core"
 	"cxl0/internal/faults"
@@ -357,6 +358,42 @@ func TestRecoverBlockedByPartitionWaits(t *testing.T) {
 		if v, ok, err := st.Get(k); err != nil || (ok && v != 100+k) {
 			t.Fatalf("get %d = (%d, %v, %v), want %d or absent", k, v, ok, err, 100+k)
 		}
+	}
+}
+
+// TestFinishFailsOnForeignPartition: a partition the campaign did not
+// inject is not the engine's to heal, and under group commit it refuses
+// the recovery GPF of every shard in the cluster. Finish must then fail,
+// naming the shard it cannot bring back, instead of retrying forever.
+func TestFinishFailsOnForeignPartition(t *testing.T) {
+	st, err := kv.Open(kv.Config{Shards: 2, Strategy: kv.GroupCommit, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := core.Val(0); k < 20; k++ {
+		if _, err := st.Put(k, 100+k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Partition(1)
+	eng := faults.New(st, &faults.Campaign{Name: "foreign", Events: []faults.Event{
+		{At: 0, Action: faults.Crash, Shards: []int{0}},
+	}})
+	if err := eng.Step(0); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- eng.Finish() }()
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Finish did not return with a foreign partition blocking recovery")
+	}
+	if !errors.Is(err, kv.ErrUnavailable) || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("Finish = %v, want an ErrUnavailable naming shard 0", err)
+	}
+	if !eng.Down(0) {
+		t.Fatal("engine stopped holding the unrecovered shard down")
 	}
 }
 
