@@ -37,6 +37,22 @@ func TestStoreSnapshotCostFlat(t *testing.T) {
 	}
 }
 
+// TestStoreScanCostFlat is the scaling gate of a range read: a limit-16
+// scan allocates the same objects at 1 k and 64 k keys per shard.
+func TestStoreScanCostFlat(t *testing.T) {
+	open := func(t *testing.T, cfg kv.Config) kv.DB {
+		t.Helper()
+		st, err := kv.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if small, large := kvtest.ScanObjects(t, open, 1<<10), kvtest.ScanObjects(t, open, 1<<16); small != large {
+		t.Fatalf("a limit-16 scan allocates %v objects at 1 k keys per shard but %v at 64 k", small, large)
+	}
+}
+
 // TestStoreShardFullDiagnosable checks a full shard fails with the
 // structured ShardFullError (shard identity + fill level).
 func TestStoreShardFullDiagnosable(t *testing.T) {

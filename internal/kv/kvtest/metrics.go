@@ -1,6 +1,7 @@
 package kvtest
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -229,4 +230,35 @@ func SnapshotCosts(t *testing.T, f Factory, shards int) (small, large SnapshotCo
 	small = cost()
 	write(20000)
 	return small, cost()
+}
+
+// ScanObjects returns the objects one limit-16 scan allocates, averaged
+// over scans from starts spread across a fresh two-shard-per-cluster DB
+// preloaded with keysPerShard keys per shard (a dense keyspace), for the
+// scaling gates of a range read: a scan merges the shards' ordered runs
+// and stops at the limit, so its allocations follow neither the keys per
+// shard nor the cluster count. Every scan must come back full, from its
+// start. Exposed separately from Run because the size is the point: kv
+// holds a Store to it at 1 k and 64 k keys per shard, pool a Router at
+// 1, 4 and 8 clusters.
+func ScanObjects(t *testing.T, f Factory, keysPerShard int) float64 {
+	t.Helper()
+	const limit = 16
+	// Keys hash to shards, so a shard's share is only near its average.
+	db := f(t, kv.Config{Shards: 2, Capacity: 2 * keysPerShard, Strategy: kv.StoreFlush, Seed: 1})
+	keys := keysPerShard * db.NumShards()
+	for k := 0; k < keys; k++ {
+		if _, err := db.Put(core.Val(k), core.Val(k+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	return testing.AllocsPerRun(100, func() {
+		lo := core.Val(i * 7919 % (keys - limit))
+		i++
+		pairs, err := db.Scan(lo, math.MaxInt64, limit)
+		if err != nil || len(pairs) != limit || pairs[0].Key != lo {
+			t.Fatalf("scan from %d: %d pairs, %v; want %d from a dense keyspace", lo, len(pairs), err, limit)
+		}
+	})
 }

@@ -51,6 +51,17 @@ func TestRouterSnapshotCostFlat(t *testing.T) {
 	}
 }
 
+// TestRouterScanCostFlat is the scaling gate of a pooled range read: a
+// limit-16 scan allocates the same objects at 1, 4 and 8 clusters.
+func TestRouterScanCostFlat(t *testing.T) {
+	one := kvtest.ScanObjects(t, routerFactory(1), 1<<10)
+	for _, clusters := range []int{4, 8} {
+		if n := kvtest.ScanObjects(t, routerFactory(clusters), 1<<10); n != one {
+			t.Errorf("a limit-16 scan allocates %v objects at 1 cluster but %v at %d", one, n, clusters)
+		}
+	}
+}
+
 // TestRouterShardFullDiagnosable: the structured ShardFullError surfaces
 // through the router unchanged.
 func TestRouterShardFullDiagnosable(t *testing.T) {
