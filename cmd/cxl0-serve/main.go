@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -273,23 +272,15 @@ func (s *server) drive(ctx context.Context, rate int, seed int64, campaignClass 
 				s.failed.Add(1)
 			}
 		}
-		op := gen.Next()
-		var err error
-		switch op.Kind {
-		case workload.OpRead:
-			_, _, err = s.db.Get(core.Val(op.Key))
-		case workload.OpUpdate, workload.OpInsert:
-			_, err = s.db.Put(core.Val(op.Key), core.Val(op.Value))
-		case workload.OpScan:
-			_, err = s.db.Scan(core.Val(op.Key), math.MaxInt64, op.ScanLen)
-		}
+		err := gen.Next().Issue(s.db)
 		s.ops.Add(1)
-		var partial *kv.PartialResultError
-		switch {
-		case err == nil:
-		case errors.As(err, &partial):
+		if err == nil {
+			continue
+		}
+		switch faults.DeniedBy(err) {
+		case faults.Partial:
 			s.partial.Add(1)
-		case errors.Is(err, kv.ErrUnavailable):
+		case faults.Unavailable:
 			s.unavailable.Add(1)
 		default:
 			s.failed.Add(1)

@@ -175,24 +175,32 @@ type Engine struct {
 	events []Event
 	next   int
 
-	downAt    map[int]float64 // shard -> NowNS at crash
-	downOrder []int           // down shards in crash order
-	partAt    map[int]float64 // shard -> NowNS at partition
-	partOrder []int           // partitioned shards in partition order
+	down   holds // crashed shards, in crash order
+	parted holds // partitioned shards, in partition order
 
 	stats Stats
+}
+
+// held is one fault the engine holds: its shard, and the simulated
+// instant (NowNS) it was injected.
+type held struct {
+	shard int
+	since float64
+}
+
+// holds lists the faults of one kind the engine holds, in injection
+// order — the order Finish releases them in.
+type holds []held
+
+// index returns the position of shard sh in l, or -1.
+func (l holds) index(sh int) int {
+	return slices.IndexFunc(l, func(h held) bool { return h.shard == sh })
 }
 
 // New builds an engine firing c against db. The schedule is copied and
 // ordered; the campaign value is not retained.
 func New(db kv.DB, c *Campaign) *Engine {
-	return &Engine{
-		db:     db,
-		events: c.sorted(),
-		downAt: map[int]float64{},
-		partAt: map[int]float64{},
-		stats:  Stats{Campaign: c.Name},
-	}
+	return &Engine{db: db, events: c.sorted(), stats: Stats{Campaign: c.Name}}
 }
 
 // Step fires every not-yet-fired event whose At index is <= op. Call it
@@ -257,25 +265,24 @@ func (e *Engine) fire(ev Event) error {
 }
 
 func (e *Engine) crash(sh int) {
-	if _, down := e.downAt[sh]; down {
+	if e.down.index(sh) >= 0 {
 		e.stats.Skipped++
 		return
 	}
-	e.downAt[sh] = e.db.NowNS()
-	e.downOrder = append(e.downOrder, sh)
+	e.down = append(e.down, held{sh, e.db.NowNS()})
 	e.db.Crash(sh)
 	e.stats.Crashes++
 }
 
 func (e *Engine) recover(sh int) error {
-	since, down := e.downAt[sh]
-	if !down {
+	i := e.down.index(sh)
+	if i < 0 {
 		e.stats.Skipped++
 		return nil
 	}
 	// A crashed shard behind a partition heals first: recovery needs the
 	// fabric (kv.Store.Recover refuses with ErrUnavailable otherwise).
-	if _, part := e.partAt[sh]; part {
+	if e.parted.index(sh) >= 0 {
 		e.heal(sh)
 	}
 	start := e.db.NowNS()
@@ -287,53 +294,35 @@ func (e *Engine) recover(sh int) error {
 	e.stats.Recoveries++
 	e.stats.RecordsLost += stats.Lost
 	e.stats.RecoveryNS = append(e.stats.RecoveryNS, now-start)
-	e.stats.OutageNS = append(e.stats.OutageNS, now-since)
-	delete(e.downAt, sh)
-	for i, d := range e.downOrder {
-		if d == sh {
-			e.downOrder = append(e.downOrder[:i], e.downOrder[i+1:]...)
-			break
-		}
-	}
+	e.stats.OutageNS = append(e.stats.OutageNS, now-e.down[i].since)
+	e.down = slices.Delete(e.down, i, i+1)
 	return nil
 }
 
 func (e *Engine) partition(sh int) {
-	_, part := e.partAt[sh]
-	_, down := e.downAt[sh]
-	if part || down {
+	if e.parted.index(sh) >= 0 || e.down.index(sh) >= 0 {
 		e.stats.Skipped++
 		return
 	}
-	e.partAt[sh] = e.db.NowNS()
-	e.partOrder = append(e.partOrder, sh)
+	e.parted = append(e.parted, held{sh, e.db.NowNS()})
 	e.db.Partition(sh)
 	e.stats.Partitions++
 }
 
 func (e *Engine) heal(sh int) {
-	since, part := e.partAt[sh]
-	if !part {
+	i := e.parted.index(sh)
+	if i < 0 {
 		e.stats.Skipped++
 		return
 	}
 	e.db.Heal(sh)
 	e.stats.Heals++
-	e.stats.PartitionNS = append(e.stats.PartitionNS, e.db.NowNS()-since)
-	delete(e.partAt, sh)
-	for i, p := range e.partOrder {
-		if p == sh {
-			e.partOrder = append(e.partOrder[:i], e.partOrder[i+1:]...)
-			break
-		}
-	}
+	e.stats.PartitionNS = append(e.stats.PartitionNS, e.db.NowNS()-e.parted[i].since)
+	e.parted = slices.Delete(e.parted, i, i+1)
 }
 
 // Down reports whether the campaign currently holds shard sh down.
-func (e *Engine) Down(sh int) bool {
-	_, down := e.downAt[sh]
-	return down
-}
+func (e *Engine) Down(sh int) bool { return e.down.index(sh) >= 0 }
 
 // Finish drains the campaign: remaining scheduled events fire, then
 // every still-partitioned shard heals (in partition order) and every
@@ -346,11 +335,11 @@ func (e *Engine) Finish() error {
 	if err := e.Step(math.MaxInt); err != nil {
 		return err
 	}
-	for len(e.partOrder) > 0 {
-		e.heal(e.partOrder[0])
+	for len(e.parted) > 0 {
+		e.heal(e.parted[0].shard)
 	}
-	for len(e.downOrder) > 0 {
-		if err := e.recover(e.downOrder[0]); err != nil {
+	for len(e.down) > 0 {
+		if err := e.recover(e.down[0].shard); err != nil {
 			return err
 		}
 	}
@@ -359,6 +348,39 @@ func (e *Engine) Finish() error {
 
 // Stats returns what the campaign has measured so far.
 func (e *Engine) Stats() Stats { return e.stats }
+
+// Denial is how a fault denied an operation: docs/faults.md's error
+// taxonomy, as the one classification every client counts through.
+type Denial int
+
+const (
+	// NotDenied: the operation succeeded, or failed for a reason no
+	// injected fault explains.
+	NotDenied Denial = iota
+	// Partial: a fan-out read skipped partitioned shards and served the
+	// rest (*kv.PartialResultError).
+	Partial
+	// Unavailable: a fabric partition refused the operation
+	// (kv.ErrUnavailable); nothing is lost.
+	Unavailable
+	// Down: the operation hit a crashed shard (kv.ErrShardDown).
+	Down
+)
+
+// DeniedBy classifies an operation's error. Partial results come first:
+// they unwrap to kv.ErrUnavailable, but did serve the reachable shards.
+func DeniedBy(err error) Denial {
+	var partial *kv.PartialResultError
+	switch {
+	case errors.As(err, &partial):
+		return Partial
+	case errors.Is(err, kv.ErrUnavailable):
+		return Unavailable
+	case errors.Is(err, kv.ErrShardDown):
+		return Down
+	}
+	return NotDenied
+}
 
 // PercentileNS returns the p-th percentile (nearest-rank, p in [0,100])
 // of xs, which need not be sorted. Returns 0 for an empty slice.
@@ -379,103 +401,59 @@ func PercentileNS(xs []float64, p float64) float64 {
 	return sorted[rank-1]
 }
 
-// The class generators below script the benchmark's campaign classes.
-// All are deterministic in their arguments; shards rotate round-robin so
-// repeated windows spread over the service.
+// window is one campaign class's fault window, opened every `every`
+// ops on blast consecutive shards (clamped to the fleet; the first shard
+// rotates round-robin, so repeated windows spread over the service) and
+// closed on the same shards at once or, if half, half a period later.
+// Factor is the opening Degrade's multiplier; a closing Degrade restores
+// factor 1.
+type window struct {
+	open, close Action
+	blast       int
+	factor      float64
+	half        bool
+}
+
+// windows is the table of generated classes.
+var windows = map[string]window{
+	// none is the fault-free baseline: no window opens.
+	"none": {},
+	// uniform is crash churn as a campaign, and how workload
+	// Options.CrashEvery runs.
+	"uniform":     {open: Crash, close: Recover, blast: 1},
+	"correlated":  {open: Crash, close: Recover, blast: 2, half: true},
+	"degraded":    {open: Degrade, close: Degrade, blast: 1, factor: 8, half: true},
+	"partitioned": {open: Partition, close: Heal, blast: 1, half: true},
+}
 
 // ForClass builds the named campaign class over ops operations and
 // shards shards (global indices), one fault window per `every` ops:
 // "none" (an empty baseline schedule), "uniform", "correlated" (blast
 // of 2), "degraded" (8× device latency) and "partitioned". It is the one
-// way to a generated schedule, and it rejects a shape with no shard to
-// target or no period to step by.
+// way to a generated schedule, deterministic in its arguments, and it
+// rejects a shape with no shard to target or no period to step by.
 func ForClass(name string, ops, shards, every int) (*Campaign, error) {
 	if shards < 1 || every < 1 {
 		return nil, fmt.Errorf("faults: campaign over %d shard(s) every %d op(s): both must be positive", shards, every)
 	}
-	switch name {
-	case "none":
-		return &Campaign{Name: "none"}, nil
-	case "uniform":
-		return uniform(ops, shards, every), nil
-	case "correlated":
-		return correlated(ops, shards, every, 2), nil
-	case "degraded":
-		return degraded(ops, shards, every, 8), nil
-	case "partitioned":
-		return partitioned(ops, shards, every), nil
+	w, ok := windows[name]
+	if !ok {
+		return nil, fmt.Errorf("faults: unknown campaign class %q (want none, uniform, correlated, degraded or partitioned)", name)
 	}
-	return nil, fmt.Errorf("faults: unknown campaign class %q (want none, uniform, correlated, degraded or partitioned)", name)
-}
-
-// uniform is crash churn as a campaign (and how workload
-// Options.CrashEvery runs): every `every` measured ops, one shard
-// (rotating) crashes and recovers immediately.
-func uniform(ops, shards, every int) *Campaign {
-	c := &Campaign{Name: "uniform"}
-	s := 0
-	for at := every; at < ops; at += every {
-		target := []int{s % shards}
-		c.Events = append(c.Events,
-			Event{At: at, Action: Crash, Shards: target},
-			Event{At: at, Action: Recover, Shards: target},
-		)
-		s++
-	}
-	return c
-}
-
-// correlated crashes `blast` consecutive shards (rotating start) at one
-// instant every `every` ops and recovers them — in schedule order —
-// half a period later.
-func correlated(ops, shards, every, blast int) *Campaign {
-	if blast > shards {
-		blast = shards
-	}
-	c := &Campaign{Name: "correlated"}
-	s := 0
-	for at := every; at < ops; at += every {
-		targets := make([]int, blast)
+	c := &Campaign{Name: name}
+	for s, at := 0, every; w.blast > 0 && at < ops; s, at = s+1, at+every {
+		targets := make([]int, min(w.blast, shards))
 		for i := range targets {
 			targets[i] = (s + i) % shards
 		}
-		c.Events = append(c.Events,
-			Event{At: at, Action: Crash, Shards: targets},
-			Event{At: at + every/2, Action: Recover, Shards: targets},
-		)
-		s++
+		shut := Event{At: at, Action: w.close, Shards: targets}
+		if w.half {
+			shut.At += every / 2
+		}
+		if w.close == Degrade {
+			shut.Factor = 1
+		}
+		c.Events = append(c.Events, Event{At: at, Action: w.open, Shards: targets, Factor: w.factor}, shut)
 	}
-	return c
-}
-
-// degraded slows one device (rotating) to factor× for half of every
-// `every`-op period, then restores it.
-func degraded(ops, shards, every int, factor float64) *Campaign {
-	c := &Campaign{Name: "degraded"}
-	s := 0
-	for at := every; at < ops; at += every {
-		target := []int{s % shards}
-		c.Events = append(c.Events,
-			Event{At: at, Action: Degrade, Shards: target, Factor: factor},
-			Event{At: at + every/2, Action: Degrade, Shards: target, Factor: 1},
-		)
-		s++
-	}
-	return c
-}
-
-// partitioned cuts one shard (rotating) off the fabric for half of
-// every `every`-op period, then heals it.
-func partitioned(ops, shards, every int) *Campaign {
-	c := &Campaign{Name: "partitioned"}
-	s := 0
-	for at := every; at < ops; at += every {
-		target := []int{s % shards}
-		c.Events = append(c.Events,
-			Event{At: at, Action: Partition, Shards: target},
-			Event{At: at + every/2, Action: Heal, Shards: target},
-		)
-		s++
-	}
-	return c
+	return c, nil
 }

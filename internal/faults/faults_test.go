@@ -29,14 +29,55 @@ func open(t *testing.T, shards int) *kv.Store {
 // expected, anything else is a test failure.
 func tolerate(t *testing.T, err error) {
 	t.Helper()
-	if err == nil {
-		return
+	if err != nil && faults.DeniedBy(err) == faults.NotDenied {
+		t.Fatalf("unexpected op error: %v", err)
 	}
-	var partial *kv.PartialResultError
-	if errors.As(err, &partial) || errors.Is(err, kv.ErrUnavailable) || errors.Is(err, kv.ErrShardDown) {
-		return
+}
+
+// TestDeniedBy holds the classification to docs/faults.md's error
+// taxonomy, on the errors a pooled service really returns: a partition
+// refuses a point op and cuts a scan short, a crash fails both, and
+// errors no fault explains are not denials.
+func TestDeniedBy(t *testing.T) {
+	r, err := pool.Open(pool.Config{Clusters: 2, Store: kv.Config{Shards: 2, Strategy: kv.RangedCommit, Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("unexpected op error: %v", err)
+	for k := core.Val(0); k < 40; k++ {
+		if _, err := r.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() error { _, err := r.Scan(0, 40, 0); return err }
+	get := func(k core.Val) error { _, _, err := r.Get(k); return err }
+	type probe struct {
+		name string
+		err  error
+		want faults.Denial
+	}
+	_, badKey := r.Put(1, 0)
+	probes := []probe{
+		{"nil", nil, faults.NotDenied},
+		{"bad key", badKey, faults.NotDenied},
+		{"front down", fmt.Errorf("pool: cluster 1: %w", kv.ErrFrontDown), faults.NotDenied},
+	}
+	// The first key a partition of shard 3 refuses lives there.
+	r.Partition(3)
+	victim := core.Val(0)
+	for ; get(victim) == nil; victim++ {
+		if victim == 40 {
+			t.Fatal("no key lives on partitioned shard 3")
+		}
+	}
+	probes = append(probes, probe{"partitioned get", get(victim), faults.Unavailable}, probe{"partitioned scan", scan(), faults.Partial})
+	r.Heal(3)
+	r.Crash(3)
+	probes = append(probes, probe{"crashed get", get(victim), faults.Down}, probe{"crashed scan", scan(), faults.Down})
+	for _, p := range probes {
+		if got := faults.DeniedBy(p.err); got != p.want {
+			t.Errorf("%s: DeniedBy(%v) = %d, want %d", p.name, p.err, got, p.want)
+		}
+	}
 }
 
 func TestForClassShapes(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cxl0/internal/core"
+	"cxl0/internal/obs"
 )
 
 // DB is the service surface of the durable KV layer: everything a client
@@ -17,9 +18,11 @@ import (
 // plane carries client traffic and follows the acknowledgment contract of
 // the package documentation: Ack.Durable reports persistence at return,
 // batched strategies defer it to the batch's commit point. The control
-// plane injects faults, triggers placement changes and snapshots metrics —
-// in this simulated world, fault injection is part of the service surface,
-// because crash/recovery behaviour is what the layer exists to get right.
+// plane injects faults — shard crashes, partitions and degradation, and
+// front-end failover — triggers placement changes, snapshots metrics and
+// attaches observability. In this simulated world fault injection is part
+// of the service surface, because crash/recovery behaviour is what the
+// layer exists to get right.
 type DB interface {
 	// Put maps key to val (val >= 1), acknowledged per the configured
 	// strategy's ack discipline.
@@ -86,6 +89,22 @@ type DB interface {
 	Degrade(i int, factor float64)
 	// Health reports each shard's fault state in global shard order.
 	Health() []ShardHealth
+	// CrashFront fails the front-end machine(s) — the coordinator every
+	// non-colocated worker is homed on — destroying their cached
+	// (unflushed) batches. Every subsequent operation returns
+	// ErrFrontDown until RecoverFront (see failover.go and
+	// docs/pipeline.md).
+	CrashFront()
+	// RecoverFront restarts the front end and re-attaches every healthy
+	// shard by replaying its durable log, salvaging flushed batches and
+	// dropping whatever lived only in the front's cache: one
+	// RecoveryStats per shard re-attached (crashed shards are skipped —
+	// recover them with Recover afterwards). It refuses with
+	// ErrUnavailable while any shard is partitioned: re-attachment must
+	// read the shard's medium.
+	RecoverFront() ([]RecoveryStats, error)
+	// FrontDown reports whether the front end is currently crashed.
+	FrontDown() bool
 	// Rebalance runs one load-aware rebalance check (shard-map bucket
 	// migration within each cluster; see docs/rebalancing.md).
 	Rebalance() ([]MigrationStats, error)
@@ -99,6 +118,10 @@ type DB interface {
 	// cluster's clock, or the sum of a pool's independent clocks. Deltas
 	// around an operation measure its simulated cost.
 	NowNS() float64
+	// Observe attaches an observability recorder (nil detaches). Observing
+	// only reads the simulated clocks: an observed run is bit-identical
+	// to an unobserved one.
+	Observe(rec *obs.Recorder)
 }
 
 // Lookup is one MultiGet result.
@@ -235,29 +258,5 @@ func (e *PartialResultError) Error() string {
 // Unwrap keeps errors.Is(err, ErrUnavailable) working.
 func (e *PartialResultError) Unwrap() error { return ErrUnavailable }
 
-// FrontRecoverer is the optional front-end failover surface (see
-// failover.go and docs/pipeline.md). A DB implements it when it can
-// crash and restart its front-end machine(s) — the coordinator every
-// non-colocated worker is homed on. While the front is down the whole
-// data plane fails with ErrFrontDown; RecoverFront restarts the front
-// and replays every shard's durable log to re-attach, salvaging flushed
-// batches and dropping whatever lived only in the front's cache.
-// *Store implements it; pool.Router fans it out to every cluster.
-type FrontRecoverer interface {
-	// CrashFront fails the front-end machine, destroying its cached
-	// (unflushed) batches. Every subsequent operation returns
-	// ErrFrontDown until RecoverFront.
-	CrashFront()
-	// RecoverFront restarts the front end and re-attaches every healthy
-	// shard by replaying its durable log, one RecoveryStats per shard
-	// re-attached (crashed shards are skipped — recover them with
-	// Recover afterwards). It refuses with ErrUnavailable while any
-	// shard is partitioned: re-attachment must read the shard's medium.
-	RecoverFront() ([]RecoveryStats, error)
-	// FrontDown reports whether the front end is currently crashed.
-	FrontDown() bool
-}
-
 // Store implements the full DB surface.
 var _ DB = (*Store)(nil)
-var _ FrontRecoverer = (*Store)(nil)

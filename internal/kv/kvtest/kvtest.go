@@ -129,12 +129,9 @@ func testPipelinedAckOrder(t *testing.T, f Factory) {
 			cfg := cfgFor(strat)
 			cfg.PipelineDepth = 3
 			db := f(t, cfg)
-			var sub *obs.Sub
-			if o, ok := db.(observable); ok {
-				bus := obs.NewBus(obs.DefaultBusSize)
-				sub = bus.Subscribe()
-				o.Observe(obs.NewRecorder(bus, nil))
-			}
+			bus := obs.NewBus(obs.DefaultBusSize)
+			sub := bus.Subscribe()
+			db.Observe(obs.NewRecorder(bus, nil))
 
 			const n = 48
 			for k := core.Val(0); k < n; k++ {
@@ -228,25 +225,23 @@ func testPipelinedAckOrder(t *testing.T, f Factory) {
 			// Commit events carry the pipeline telemetry: depth within
 			// [1, PipelineDepth], and per shard the commit points — each
 			// batch's ack time — never regress: acks fire in batch order.
-			if sub != nil {
-				lastEnd := map[int]float64{}
-				commits := 0
-				for _, e := range sub.Poll(0) {
-					if e.Kind != obs.KindCommit {
-						continue
-					}
-					commits++
-					if e.Depth < 1 || e.Depth > cfg.PipelineDepth {
-						t.Fatalf("commit depth %d outside [1, %d]", e.Depth, cfg.PipelineDepth)
-					}
-					if e.EndNS < lastEnd[e.Shard] {
-						t.Fatalf("shard %d commit point %g regressed below %g", e.Shard, e.EndNS, lastEnd[e.Shard])
-					}
-					lastEnd[e.Shard] = e.EndNS
+			lastEnd := map[int]float64{}
+			commits := 0
+			for _, e := range sub.Poll(0) {
+				if e.Kind != obs.KindCommit {
+					continue
 				}
-				if commits == 0 {
-					t.Fatal("no commit events observed")
+				commits++
+				if e.Depth < 1 || e.Depth > cfg.PipelineDepth {
+					t.Fatalf("commit depth %d outside [1, %d]", e.Depth, cfg.PipelineDepth)
 				}
+				if e.EndNS < lastEnd[e.Shard] {
+					t.Fatalf("shard %d commit point %g regressed below %g", e.Shard, e.EndNS, lastEnd[e.Shard])
+				}
+				lastEnd[e.Shard] = e.EndNS
+			}
+			if commits == 0 {
+				t.Fatal("no commit events observed")
 			}
 		})
 	}
@@ -1104,13 +1099,6 @@ func testBadArguments(t *testing.T, f Factory) {
 	}
 }
 
-// observable is the optional surface a DB exposes to attach the
-// observability layer. Both *kv.Store and *pool.Router implement it; a
-// future implementation without it simply skips the agreement case.
-type observable interface {
-	Observe(rec *obs.Recorder)
-}
-
 // testObservabilityAgreement pins the event/metrics contract across the
 // DB surface: over a crash-churn run with a periodically drained
 // subscriber, the summed client acks carried on op-span, commit and
@@ -1127,13 +1115,9 @@ func testObservabilityAgreement(t *testing.T, f Factory) {
 			cfg.Capacity = 64
 			cfg.CompactAtFill = 0.5
 			db := f(t, cfg)
-			o, ok := db.(observable)
-			if !ok {
-				t.Skipf("%T does not expose Observe; agreement not applicable", db)
-			}
 			bus := obs.NewBus(obs.DefaultBusSize)
 			sub := bus.Subscribe()
-			o.Observe(obs.NewRecorder(bus, obs.NewStats()))
+			db.Observe(obs.NewRecorder(bus, obs.NewStats()))
 
 			ackSum, flips, reclaims, recovers := 0, uint64(0), uint64(0), uint64(0)
 			drain := func() {

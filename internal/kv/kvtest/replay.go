@@ -207,16 +207,10 @@ func replayRun(t *testing.T, f Factory, strat kv.Strategy, depth, cache int) rep
 	db := f(t, cfg)
 
 	var events strings.Builder
-	var sub *obs.Sub
-	if o, ok := db.(observable); ok {
-		bus := obs.NewBus(obs.DefaultBusSize)
-		sub = bus.Subscribe()
-		o.Observe(obs.NewRecorder(bus, nil))
-	}
+	bus := obs.NewBus(obs.DefaultBusSize)
+	sub := bus.Subscribe()
+	db.Observe(obs.NewRecorder(bus, nil))
 	drain := func() {
-		if sub == nil {
-			return
-		}
 		for _, e := range sub.Poll(0) {
 			fmt.Fprintf(&events, "%+v\n", e)
 		}
@@ -285,10 +279,8 @@ func replayRun(t *testing.T, f Factory, strat kv.Strategy, depth, cache int) rep
 		record("final sync: %v", err)
 	}
 	drain()
-	if sub != nil {
-		if d := sub.Dropped(); d != 0 {
-			t.Fatalf("subscriber dropped %d events; the stream comparison would be partial — drain more often or grow the bus", d)
-		}
+	if d := sub.Dropped(); d != 0 {
+		t.Fatalf("subscriber dropped %d events; the stream comparison would be partial — drain more often or grow the bus", d)
 	}
 
 	return replayOutcome{results: results.String(), metrics: metricsDoc(t, db.Metrics()), events: events.String()}

@@ -467,9 +467,6 @@ func (r *Router) FrontDown() bool {
 	return slices.ContainsFunc(r.stores, (*kv.Store).FrontDown)
 }
 
-// Router implements the optional front-end failover surface by fan-out.
-var _ kv.FrontRecoverer = (*Router)(nil)
-
 // Metrics aggregates every cluster's snapshot: counters summed, per-shard
 // series concatenated in global shard order, latency and recovery samples
 // pooled cluster-major (cluster 0's series in its own order, then cluster

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"cxl0/internal/core"
 	"cxl0/internal/faults"
@@ -300,30 +298,6 @@ func Run(o Options) (Result, error) {
 		}
 		eng = faults.New(db, churn)
 	}
-	// tolerate classifies an operation error under a campaign: faults
-	// the campaign injected deny operations by design, so they count
-	// instead of aborting. Partial results are checked first — they
-	// unwrap to ErrUnavailable but did serve the reachable shards.
-	tolerate := func(err error) bool {
-		if o.Campaign == nil {
-			return false
-		}
-		var partial *kv.PartialResultError
-		if errors.As(err, &partial) {
-			res.PartialResults++
-			return true
-		}
-		if errors.Is(err, kv.ErrUnavailable) {
-			res.UnavailableOps++
-			return true
-		}
-		if errors.Is(err, kv.ErrShardDown) {
-			res.FailedOps++
-			return true
-		}
-		return false
-	}
-
 	var readLat, readLatSerial []float64
 	// sampleRead folds one bracketed read into both latency populations.
 	sampleRead := func(start, end []float64) {
@@ -338,6 +312,7 @@ func Run(o Options) (Result, error) {
 		readLat = append(readLat, makespan)
 		readLatSerial = append(readLatSerial, serial)
 	}
+	var n [len(opNames)]int // operations issued, by kind
 	for i := 0; i < o.Ops; i++ {
 		if eng != nil {
 			if err := eng.Step(i); err != nil {
@@ -350,45 +325,35 @@ func Run(o Options) (Result, error) {
 			}
 		}
 		op := gen.Next()
-		switch op.Kind {
-		case OpRead:
-			res.Reads++
-			start := clocks()
-			if _, _, err := db.Get(core.Val(op.Key)); err != nil {
-				if !tolerate(err) {
-					return Result{}, fmt.Errorf("op %d read: %w", i, err)
-				}
-				break // a denied read costs nothing; no latency sample
-			}
+		n[op.Kind]++
+		read := op.Kind == OpRead || op.Kind == OpScan
+		var start []float64
+		if read {
+			start = clocks()
+		}
+		err := op.Issue(db)
+		denial := faults.DeniedBy(err)
+		if err != nil && (o.Campaign == nil || denial == faults.NotDenied) {
+			return Result{}, fmt.Errorf("op %d %v: %w", i, op.Kind, err)
+		}
+		// Under a campaign, the faults it injected deny operations by
+		// design: they count instead of aborting the run.
+		switch denial {
+		case faults.Partial:
+			res.PartialResults++
+		case faults.Unavailable:
+			res.UnavailableOps++
+		case faults.Down:
+			res.FailedOps++
+		}
+		// A denied read costs nothing and has no latency sample, but a
+		// scan a partition cut short did real work on the reachable
+		// shards: its cost belongs in the latency distribution.
+		if read && (err == nil || (op.Kind == OpScan && denial != faults.Down)) {
 			sampleRead(start, clocks())
-		case OpUpdate:
-			res.Updates++
-			if _, err := db.Put(core.Val(op.Key), core.Val(op.Value)); err != nil {
-				if !tolerate(err) {
-					return Result{}, fmt.Errorf("op %d update: %w", i, err)
-				}
-			}
-		case OpInsert:
-			res.Inserts++
-			if _, err := db.Put(core.Val(op.Key), core.Val(op.Value)); err != nil {
-				if !tolerate(err) {
-					return Result{}, fmt.Errorf("op %d insert: %w", i, err)
-				}
-			}
-		case OpScan:
-			res.Scans++
-			start := clocks()
-			_, err := db.Scan(core.Val(op.Key), math.MaxInt64, op.ScanLen)
-			if err != nil && !tolerate(err) {
-				return Result{}, fmt.Errorf("op %d scan: %w", i, err)
-			}
-			if err == nil || errors.Is(err, kv.ErrUnavailable) {
-				// Partial scans did real work on the reachable shards;
-				// their cost belongs in the latency distribution.
-				sampleRead(start, clocks())
-			}
 		}
 	}
+	res.Reads, res.Updates, res.Inserts, res.Scans = n[OpRead], n[OpUpdate], n[OpInsert], n[OpScan]
 	if eng != nil {
 		if err := eng.Finish(); err != nil {
 			return Result{}, err

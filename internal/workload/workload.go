@@ -10,7 +10,11 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+
+	"cxl0/internal/core"
+	"cxl0/internal/kv"
 )
 
 // Dist selects the key distribution of a workload.
@@ -63,6 +67,22 @@ type Op struct {
 	Key     int64
 	Value   int64
 	ScanLen int
+}
+
+// Issue runs op against db — a Get, a Put (update or insert), or a Scan
+// of up to ScanLen pairs from Key to the end of the keyspace — and
+// returns the operation's error; results are dropped.
+func (op Op) Issue(db kv.DB) error {
+	var err error
+	switch op.Kind {
+	case OpRead:
+		_, _, err = db.Get(core.Val(op.Key))
+	case OpUpdate, OpInsert:
+		_, err = db.Put(core.Val(op.Key), core.Val(op.Value))
+	case OpScan:
+		_, err = db.Scan(core.Val(op.Key), math.MaxInt64, op.ScanLen)
+	}
+	return err
 }
 
 // Spec describes a workload mix, YCSB-style.
