@@ -185,7 +185,8 @@ func (d *dense) state() *State {
 // agrees holds what s answers to d, a page of cells at a time: every cell
 // and memory value, the enumerated τ steps and the index's count and
 // selection of them, and CachesEmpty. It also checks that s holds a page
-// exactly where a 64-line stretch of a row has a line.
+// exactly where a 64-line stretch of a row has a line, and that the holder
+// mask names exactly the rows that hold one.
 func agrees(s *State, d *dense) error {
 	for m, row := range d.cache {
 		for w, off := range s.rows[m].page {
@@ -195,6 +196,9 @@ func agrees(s *State, d *dense) error {
 			}
 			if empty := slices.Equal(stretch, s.cells[:len(stretch)]); empty != (off == 0) {
 				return fmt.Errorf("C%d: locations %d… all ⊥: %v, no page held: %v", m, w*pageCells, empty, off == 0)
+			}
+			if bit := maskHas(&s.holders, MachineID(m), LocID(w*pageCells)); bit != (off != 0) {
+				return fmt.Errorf("C%d: holder mask bit for locations %d… is %v, a page held: %v", m, w*pageCells, bit, off != 0)
 			}
 		}
 	}
@@ -244,4 +248,10 @@ func sameState(s *State, d *dense) error {
 		return fmt.Errorf("%v is not Equal to the same cells written in another order, %v", s, twin)
 	}
 	return nil
+}
+
+// maskHas reports whether k's bit for machine m is set in l's occupancy
+// word, read as the mask is laid out.
+func maskHas(k *MachineMask, m MachineID, l LocID) bool {
+	return k.Of(l)[m/64]&(1<<(m%64)) != 0
 }

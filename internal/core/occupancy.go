@@ -12,11 +12,16 @@ import (
 // cached at all", without walking the machines × locations cells. It also
 // decides how long a cache page lives: a row keeps the page of 64 cells
 // under an occupancy word exactly while that word is non-zero (state.go).
-// State.setCache is the only writer of a cache cell and keeps the index in
-// step; TauSteps stays the enumerating reference the index is tested
-// against.
 //
-// The same type serves package memsim's clean-copy overlay, the other
+// Above the rows sits the holder mask, a MachineMask: per occupancy word,
+// the machines whose row holds a page for it. It answers "which machines
+// cache line l" — what a store's invalidation, a flush's drain and a
+// load's lookup ask — at the cost of the holders, not of the machines.
+// State.setCache is the only writer of a cache cell and keeps the index
+// and the mask in step; TauSteps stays the enumerating reference both are
+// tested against.
+//
+// The same two types serve package memsim's clean-copy overlay, the other
 // per-machine set of lines in the simulator.
 
 // blockWords is how many 64-line bitset words one block count covers:
@@ -83,19 +88,30 @@ func (s *LineSet) RemoveRange(lo, hi LocID) {
 		panic(fmt.Sprintf("core: LineSet.RemoveRange: [%d,%d) outside the set's locations", lo, hi))
 	}
 	for w := int(lo) >> 6; w<<6 < int(hi); w++ {
-		mask := ^uint64(0)
-		if first := w << 6; first < int(lo) {
-			mask <<= uint(int(lo) - first)
-		}
-		if past := (w + 1) << 6; past > int(hi) {
-			mask &= ^uint64(0) >> uint(past-int(hi))
-		}
+		mask := rangeBits(w, lo, hi)
 		if n := bits.OnesCount64(s.words[w] & mask); n > 0 {
 			s.words[w] &^= mask
 			s.block[w/blockWords] -= uint64(n)
 			s.total -= n
 		}
 	}
+}
+
+// HasWordOf reports whether the set holds any line of l's occupancy word,
+// the 64 lines from l&^63 up.
+func (s *LineSet) HasWordOf(l LocID) bool { return s.words[int(l)>>6] != 0 }
+
+// rangeBits returns the bits of occupancy word w that stand for lines of
+// [lo, hi); w must be a word the range meets.
+func rangeBits(w int, lo, hi LocID) uint64 {
+	mask := ^uint64(0)
+	if first := w << 6; first < int(lo) {
+		mask <<= uint(int(lo) - first)
+	}
+	if past := (w + 1) << 6; past > int(hi) {
+		mask &= ^uint64(0) >> uint(past-int(hi))
+	}
+	return mask
 }
 
 // Clear empties the set.
@@ -170,6 +186,38 @@ func (s *State) DrainTau(take func(TauStep)) {
 	}
 }
 
+// DrainRange is DrainTau restricted to the lines of [lo, hi): it hands
+// take, which must take it, every τ step that empties the caches of those
+// lines, and no other. It ends where a per-line drain taking the
+// lowest-numbered holder first ends: a line its owner does not hold moves
+// to the owner's cache from its lowest holder, then the owner writes it
+// back, which clears every other copy. It works an occupancy word at a
+// time, over the rows the holder mask names, with owners from OwnerRuns.
+func (s *State) DrainRange(lo, hi LocID, take func(TauStep)) {
+	s.topo.OwnerRuns(lo, hi, func(owner MachineID, lo, hi LocID) {
+		own := &s.rows[owner].held
+		for w := int(lo) >> 6; w<<6 < int(hi); w++ {
+			in := rangeBits(w, lo, hi)
+			// A copy moves to the owner from its lowest holder only: once
+			// there, the owner's word masks it out of the later holders'.
+			for i, mask := range s.holders.Of(LocID(w << 6)) {
+				for ; mask != 0; mask &= mask - 1 {
+					m := MachineID(i<<6 | bits.TrailingZeros64(mask))
+					if m == owner {
+						continue
+					}
+					for word := s.rows[m].held.words[w] & in &^ own.words[w]; word != 0; word &= word - 1 {
+						take(TauStep{From: m, Loc: LocID(w<<6 | bits.TrailingZeros64(word))})
+					}
+				}
+			}
+			for word := own.words[w] & in; word != 0; word &= word - 1 {
+				take(TauStep{From: owner, Loc: LocID(w<<6 | bits.TrailingZeros64(word)), ToMemory: true})
+			}
+		}
+	})
+}
+
 // TauStepCount returns len(TauSteps(s)) without enumerating them.
 func (s *State) TauStepCount() int { return s.held }
 
@@ -187,4 +235,48 @@ func (s *State) TauStepAt(k int) TauStep {
 		}
 		k -= o.total
 	}
+}
+
+// MachineMask is a bitmask of machines per occupancy word of a topology's
+// locations: ⌈machines/64⌉ uint64s for each word, bit m%64 of the m/64-th
+// standing for machine m. A State keeps one exact — bit m of a word is set
+// iff row m holds a page for it — and package memsim keeps one over its
+// clean-copy overlay as a superset of the machines with a line in the
+// word.
+type MachineMask struct {
+	stride int // uint64s per occupancy word
+	bits   []uint64
+}
+
+// NewMachineMask returns the empty mask of machines machines over locs
+// locations.
+func NewMachineMask(machines, locs int) MachineMask {
+	stride, n := machineMaskLayout(machines, locs)
+	return MachineMask{stride: stride, bits: make([]uint64, n)}
+}
+
+// machineMaskLayout returns, for a mask of machines machines over locs
+// locations, the uint64s each occupancy word takes and the mask's length.
+func machineMaskLayout(machines, locs int) (stride, n int) {
+	stride = (machines + 63) / 64
+	return stride, stride * ((locs + 63) / 64)
+}
+
+// Add sets machine m's bit for l's occupancy word.
+func (k *MachineMask) Add(m MachineID, l LocID) {
+	k.bits[int(l)>>6*k.stride+int(m)>>6] |= 1 << (uint(m) & 63)
+}
+
+// Drop clears machine m's bit for l's occupancy word.
+func (k *MachineMask) Drop(m MachineID, l LocID) {
+	k.bits[int(l)>>6*k.stride+int(m)>>6] &^= 1 << (uint(m) & 63)
+}
+
+// Of returns the mask of l's occupancy word: stride uint64s, bit m%64 of
+// the m/64-th set for machine m. A walk over its set bits in ascending
+// order visits the machines lowest first, and may change the mask as it
+// goes — each uint64 is read once, when the walk reaches it.
+func (k *MachineMask) Of(l LocID) []uint64 {
+	at := int(l) >> 6 * k.stride
+	return k.bits[at : at+k.stride : at+k.stride]
 }

@@ -250,6 +250,182 @@ func TestDrainTauMatchesStepLoop(t *testing.T) {
 	}
 }
 
+// perLineDrain empties every cache of the lines of [lo, hi) as the ranged
+// flush's drain was first written: line by line, asking every machine in
+// turn for the lowest-numbered holder, and stepping it towards memory
+// until no cache holds the line.
+func perLineDrain(s *State, lo, hi LocID) {
+	for l := lo; l < hi; l++ {
+		for {
+			holder := MachineID(-1)
+			for m := range MachineID(s.topo.NumMachines()) {
+				if s.Cache(m, l) != Bot {
+					holder = m
+					break
+				}
+			}
+			if holder < 0 {
+				break
+			}
+			ApplyTauInPlace(s, TauStep{From: holder, Loc: l, ToMemory: s.topo.Owner(l) == holder})
+		}
+	}
+}
+
+// checkDrainRange holds s.DrainRange(lo, hi) to perLineDrain on clones of
+// s: it may hand take only enabled steps of lines in the range, must end
+// Equal to the per-line drain with nothing of the range cached and the
+// holder mask in step, and must leave every line outside the range as it
+// was in s.
+func checkDrainRange(s *State, lo, hi LocID) error {
+	ref, drained := s.Clone(), s.Clone()
+	perLineDrain(ref, lo, hi)
+	var bad error
+	drained.DrainRange(lo, hi, func(ts TauStep) {
+		if ts.Loc < lo || ts.Loc >= hi || drained.Cache(ts.From, ts.Loc) == Bot {
+			bad = fmt.Errorf("DrainRange(%d, %d) handed %v, which it may not take", lo, hi, ts)
+		}
+		if bad == nil {
+			ApplyTauInPlace(drained, ts)
+		}
+	})
+	if bad != nil {
+		return bad
+	}
+	if !drained.Equal(ref) {
+		return fmt.Errorf("from %v\nDrainRange(%d, %d) ends in %v\nthe per-line drain in %v", s, lo, hi, drained, ref)
+	}
+	if !drained.NoCacheHoldsRange(lo, int(hi-lo)) {
+		return fmt.Errorf("DrainRange(%d, %d) left a line of the range cached: %v", lo, hi, drained)
+	}
+	for l := range LocID(s.topo.NumLocs()) {
+		if l >= lo && l < hi {
+			continue
+		}
+		if drained.Mem(l) != s.Mem(l) {
+			return fmt.Errorf("DrainRange(%d, %d) moved M(%d) from %d to %d", lo, hi, l, s.Mem(l), drained.Mem(l))
+		}
+		for m := range MachineID(s.topo.NumMachines()) {
+			if drained.Cache(m, l) != s.Cache(m, l) {
+				return fmt.Errorf("DrainRange(%d, %d) moved C%d(%d) from %d to %d", lo, hi, m, l, s.Cache(m, l), drained.Cache(m, l))
+			}
+		}
+	}
+	for m, r := range drained.rows {
+		for w, off := range r.page {
+			if maskHas(&drained.holders, MachineID(m), LocID(w*pageCells)) != (off != 0) {
+				return fmt.Errorf("after DrainRange(%d, %d) the holder mask disagrees with C%d's page for %d…", lo, hi, m, w*pageCells)
+			}
+		}
+	}
+	return nil
+}
+
+// randomHeld fills s with n random cached lines of the given machines,
+// keeping the global invariant, and mirrors them into d.
+func randomHeld(rng *rand.Rand, s *State, d *dense, machines []MachineID, n int) {
+	for ; n > 0; n-- {
+		m := machines[rng.Intn(len(machines))]
+		x := LocID(rng.Intn(s.topo.NumLocs()))
+		v := Val(1 + rng.Intn(3))
+		if cv, held := s.CachedValue(x); held {
+			v = cv // keep the global invariant
+		}
+		s.SetCache(m, x, v)
+		d.cache[m][x] = v
+	}
+}
+
+// TestDrainRangeMatchesPerLineDrain holds DrainRange to the per-line drain
+// it replaced on random states of fuzzTopo — lines cached by their owners
+// and by machines on either side of them — over random ranges: empty ones,
+// ranges inside one word, and ranges across words and owners.
+func TestDrainRangeMatchesPerLineDrain(t *testing.T) {
+	topo := fuzzTopo()
+	all := []MachineID{0, 1, 2}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, d := NewState(topo), newDense(topo)
+		randomHeld(rng, s, d, all, rng.Intn(400))
+		lo := LocID(rng.Intn(topo.NumLocs() + 1))
+		hi := lo + LocID(rng.Intn(topo.NumLocs()+1-int(lo)))
+		if seed%2 == 0 { // a ranged commit's length, where it fits
+			hi = min(lo+48, LocID(topo.NumLocs()))
+		}
+		if err := checkDrainRange(s, lo, hi); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// wideTopo is 70 machines, more than one mask word holds, each owning runs
+// of three lines round robin over four occupancy words, so that the lines
+// of a word have many owners and machines 0, 63, 64 and 69 own some.
+func wideTopo() *Topology {
+	topo := NewTopology()
+	for m := 0; m < 70; m++ {
+		topo.AddMachine(fmt.Sprintf("m%d", m), NonVolatile)
+	}
+	for l := 0; l < 240; l += 3 {
+		topo.AddLocs(MachineID(l/3%70), 3)
+	}
+	return topo
+}
+
+// TestHolderMaskBeyond64Machines: with 70 machines each occupancy word's
+// mask is two uint64s. Lines held by machines 0, 63, 64 and 69 — either
+// side of the boundary and at both ends — are answered by Holder,
+// CachedValue, NoCacheHolds, invalidate and DrainRange as the enumerating
+// reference answers them.
+func TestHolderMaskBeyond64Machines(t *testing.T) {
+	topo := wideTopo()
+	if stride, _ := machineMaskLayout(topo.NumMachines(), topo.NumLocs()); stride != 2 {
+		t.Fatalf("a mask word of %d machines is %d uint64s, want 2", topo.NumMachines(), stride)
+	}
+	edges := []MachineID{0, 63, 64, 69}
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, d := NewState(topo), newDense(topo)
+		randomHeld(rng, s, d, edges, rng.Intn(200))
+		if err := agrees(s, d); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for l := range LocID(topo.NumLocs()) {
+			want, wantVal := MachineID(-1), Bot
+			for m := range d.cache {
+				if d.cache[m][l] != Bot {
+					want, wantVal = MachineID(m), d.cache[m][l]
+					break
+				}
+			}
+			if got, held := s.Holder(l); held != (want >= 0) || held && got != want {
+				t.Fatalf("seed %d: Holder(%d) = %d, %v; the lowest holder is %d", seed, l, got, held, want)
+			}
+			if v, held := s.CachedValue(l); held != (want >= 0) || v != wantVal {
+				t.Fatalf("seed %d: CachedValue(%d) = %d, %v; the reference holds %d", seed, l, v, held, wantVal)
+			}
+			if s.NoCacheHolds(l) != (want < 0) {
+				t.Fatalf("seed %d: NoCacheHolds(%d) = %v with holder %d", seed, l, s.NoCacheHolds(l), want)
+			}
+		}
+		x := LocID(rng.Intn(topo.NumLocs()))
+		inv, dinv := s.Clone(), d.clone()
+		inv.invalidate(x)
+		dinv.invalidate(x)
+		if err := agrees(inv, dinv); err != nil {
+			t.Fatalf("seed %d: invalidate(%d): %v", seed, x, err)
+		}
+		lo := LocID(rng.Intn(topo.NumLocs()))
+		hi := lo + LocID(rng.Intn(topo.NumLocs()+1-int(lo)))
+		if err := checkDrainRange(s, lo, hi); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := checkDrainRange(s, 0, LocID(topo.NumLocs())); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 // TestLocNamesRoundTrip: every location's name resolves back to it, for
 // named locations and for the anonymous ranges whose names are made on
 // demand, and nothing else of the anonymous form resolves.

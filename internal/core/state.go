@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -20,6 +21,13 @@ import (
 // locations cells. Pages a row gives back wait on the state's free list,
 // so stepping a live state allocates nothing once it has seen its largest
 // number of pages.
+//
+// Whether a row holds a page for a word is also kept by word, across the
+// rows: the holder mask names, per occupancy word, the machines holding a
+// page for it. Every question of the form "which caches hold line l" —
+// a store's invalidation, a lookup of the valid copy, a flush's drain —
+// walks the set bits of l's mask, so it costs the holders of the line's
+// word, not the machines.
 type State struct {
 	topo *Topology
 	rows []cacheRow // [machine]
@@ -34,10 +42,13 @@ type State struct {
 	pageLen int // min(pageCells, locations): a small topology has small pages
 	free    uint64
 
-	// index backs every row's occupancy and table, so that Clone copies
-	// them all with one allocation.
-	index []uint64
-	held  int // non-⊥ cells over all machines
+	// index backs every row's occupancy and table, and the holder mask
+	// after them, so that Clone copies them all with one allocation.
+	// holders is derived from the tables, so Key, Equal and String leave
+	// it out.
+	index   []uint64
+	holders MachineMask
+	held    int // non-⊥ cells over all machines
 }
 
 // pageCells is the number of lines a page covers: those of one occupancy
@@ -62,19 +73,23 @@ func NewState(t *Topology) *State {
 }
 
 // carve makes index, or a zeroed one if index is nil, the backing of fresh
-// rows for s: each machine's part of it is its occupancy, then its table
-// with an entry per occupancy word.
+// rows for s and of its holder mask: each machine's part of it is its
+// occupancy, then its table with an entry per occupancy word; the mask
+// follows the last machine's.
 func (s *State) carve(index []uint64) {
+	machines := s.topo.NumMachines()
 	blocks, set := lineSetLayout(len(s.mem))
 	stride := set + (set - blocks) // the set's words, and a table entry for each
+	maskStride, maskLen := machineMaskLayout(machines, len(s.mem))
 	if index == nil {
-		index = make([]uint64, s.topo.NumMachines()*stride)
+		index = make([]uint64, machines*stride+maskLen)
 	}
-	s.rows, s.index = make([]cacheRow, s.topo.NumMachines()), index
+	s.rows, s.index = make([]cacheRow, machines), index
 	for m := range s.rows {
 		part := index[m*stride : (m+1)*stride : (m+1)*stride]
 		s.rows[m] = cacheRow{held: lineSetOver(part[:set], blocks), page: part[set:]}
 	}
+	s.holders = MachineMask{stride: maskStride, bits: index[machines*stride:]}
 }
 
 // Topology returns the topology this state belongs to.
@@ -116,9 +131,10 @@ func (s *State) takePage() uint64 {
 }
 
 // setCache is the one place a cache cell is written, and with it the one
-// place a row takes a page or gives one back: the first line under an
-// occupancy word takes a page of ⊥ for the word, the last one to leave
-// releases it.
+// place a row takes a page or gives one back, and the holder mask moves:
+// the first line under an occupancy word takes a page of ⊥ for the word
+// and sets the row's bit, the last one to leave releases it and clears
+// the bit.
 func (s *State) setCache(m MachineID, l LocID, v Val) {
 	if uint(l) >= uint(len(s.mem)) {
 		panic(fmt.Sprintf("core: no location %d to cache", l))
@@ -137,6 +153,7 @@ func (s *State) setCache(m MachineID, l LocID, v Val) {
 			// fills whatever it hands out.
 			r.page[w] = 0
 			s.cells[off], s.free = Val(s.free), off
+			s.holders.Drop(m, l)
 			return
 		}
 		s.cells[int(off)+i] = Bot
@@ -145,6 +162,7 @@ func (s *State) setCache(m MachineID, l LocID, v Val) {
 	if off == 0 {
 		off = s.takePage()
 		r.page[w] = off
+		s.holders.Add(m, l)
 	}
 	if s.cells[int(off)+i] == Bot {
 		r.held.flip(l, 1)
@@ -153,13 +171,30 @@ func (s *State) setCache(m MachineID, l LocID, v Val) {
 	s.cells[int(off)+i] = v
 }
 
-// invalidate sets C_m(l) = ⊥ for every machine m.
+// invalidate sets C_m(l) = ⊥ for every machine m: for each one the holder
+// mask names for l's word.
 func (s *State) invalidate(l LocID) {
-	for m := range s.rows {
-		if s.Cache(MachineID(m), l) != Bot {
-			s.setCache(MachineID(m), l, Bot)
+	for i, mask := range s.holders.Of(l) {
+		for ; mask != 0; mask &= mask - 1 {
+			if m := MachineID(i<<6 | bits.TrailingZeros64(mask)); s.Cache(m, l) != Bot {
+				s.setCache(m, l, Bot)
+			}
 		}
 	}
+}
+
+// Holder returns the lowest-numbered machine whose cache holds l, and false
+// when no cache does. It asks only the machines the holder mask names for
+// l's word.
+func (s *State) Holder(l LocID) (MachineID, bool) {
+	for i, mask := range s.holders.Of(l) {
+		for ; mask != 0; mask &= mask - 1 {
+			if m := MachineID(i<<6 | bits.TrailingZeros64(mask)); s.Cache(m, l) != Bot {
+				return m, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // Cache returns C_m(l). It and lines are the two readers of the cache:
@@ -191,10 +226,8 @@ func (s *State) SetMem(l LocID, v Val) { s.mem[l] = v }
 // (Bot, false) when no cache holds l. The global invariant guarantees
 // uniqueness.
 func (s *State) CachedValue(l LocID) (Val, bool) {
-	for m := range s.rows {
-		if v := s.Cache(MachineID(m), l); v != Bot {
-			return v, true
-		}
+	if m, held := s.Holder(l); held {
+		return s.Cache(m, l), true
 	}
 	return Bot, false
 }
@@ -210,12 +243,8 @@ func (s *State) Readable(l LocID) Val {
 
 // NoCacheHolds reports whether no machine caches l (∀j. C_j(l) = ⊥).
 func (s *State) NoCacheHolds(l LocID) bool {
-	for m := range s.rows {
-		if s.Cache(MachineID(m), l) != Bot {
-			return false
-		}
-	}
-	return true
+	_, held := s.Holder(l)
+	return !held
 }
 
 // NoCacheHoldsRange reports whether no machine caches any of the n

@@ -19,7 +19,15 @@
 // (machine, loc) order, which core.State.TauStepAt returns from the state's
 // occupancy index, so an eviction costs the host the same whatever the size
 // of the state. GPF and Crash likewise visit only the lines some cache
-// holds. Crashes and recoveries are injected through Crash and Recover. A
+// holds. Every "which machines cache line x" question is answered by the
+// holders, not by the machines, as a CXL device's snoop filter answers it:
+// the state keeps a holder mask per 64-line occupancy word, so a store's
+// invalidation, an RFlush's drain (lowest holder first, core.State.Holder)
+// and a τ write-back ask only the machines that hold a page for the line's
+// word, and a ranged flush drains a word at a time over the holding rows
+// (core.State.DrainRange) instead of line by line over every machine. The
+// overlay's cooling asks only the machines its own warm mask names.
+// Crashes and recoveries are injected through Crash and Recover. A
 // simulated clock charges each primitive the latency model's cost, enabling
 // performance comparisons between persistence strategies that wall-clock
 // time on a single host cannot expose; it moves only where a primitive is
@@ -32,14 +40,16 @@
 // run per heap (a ranged flush is charged by walking the runs it crosses),
 // and the clean-copy overlay that cost accounting needs is one
 // core.LineSet per machine — the bitset type of the state's occupancy
-// index. NewCluster allocates memory, the per-machine tables and those
-// sets, and nothing per cache cell.
+// index — under one core.MachineMask. NewCluster allocates memory, the
+// per-machine tables, those sets and their mask, and nothing per cache
+// cell.
 package memsim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -129,14 +139,25 @@ type Cluster struct {
 	// cache. This overlay exists purely for latency accounting and never
 	// influences semantics: it follows the state, one row of followLocked
 	// per label and applyTauLocked for a τ step, and nothing else writes
-	// it (TestSeams). Each machine's set is the bitset type the state's
-	// occupancy index is made of, so warming, cooling and asking are bit
-	// operations and a crash clears a row.
-	hot []core.LineSet
+	// it (TestSeams).
+	hot overlay
 
 	// flushLines is chargeLocked's scratch: lines of the range being
 	// flushed, per owning machine.
 	flushLines []int
+}
+
+// overlay is the clean-copy overlay: per machine, the lines it holds a
+// clean copy of, as the bitset type the state's occupancy index is made of
+// — warming, cooling and asking are bit operations, and a crash clears a
+// row — and over them warm, a superset, per occupancy word, of the
+// machines with a line of the word. A bit of warm is set when a line is
+// added and cleared when cooling a line finds the machine's word empty, so
+// cooling asks only the machines that may hold the line, as the state's
+// holder mask lets a store ask only the caches that hold it.
+type overlay struct {
+	lines []core.LineSet // [machine]
+	warm  core.MachineMask
 }
 
 // NewCluster builds a cluster with the given machines and pre-provisioned
@@ -154,7 +175,7 @@ func NewCluster(machines []MachineConfig, cfg Config) *Cluster {
 		heapBase:   make([]core.LocID, n),
 		heapSize:   make([]int, n),
 		heapNext:   make([]int, n),
-		hot:        make([]core.LineSet, n),
+		hot:        overlay{lines: make([]core.LineSet, n)},
 		flushLines: make([]int, n),
 	}
 	for i, mc := range machines {
@@ -162,9 +183,10 @@ func NewCluster(machines []MachineConfig, cfg Config) *Cluster {
 		c.heapBase[i], c.heapSize[i] = c.topo.AddLocs(m, mc.Heap), mc.Heap
 	}
 	c.st = core.NewState(c.topo)
-	for m := range c.hot {
-		c.hot[m] = core.NewLineSet(c.topo.NumLocs())
+	for m := range c.hot.lines {
+		c.hot.lines[m] = core.NewLineSet(c.topo.NumLocs())
 	}
+	c.hot.warm = core.NewMachineMask(n, c.topo.NumLocs())
 	return c
 }
 
@@ -367,7 +389,8 @@ func (c *Cluster) followLocked(l core.Label, owner core.MachineID) {
 	x := l.Loc
 	switch l.Op {
 	case core.OpLoad:
-		c.hot[l.M].Add(x) // the reader now holds a (possibly clean) copy
+		c.hot.lines[l.M].Add(x) // the reader now holds a (possibly clean) copy
+		c.hot.warm.Add(l.M, x)
 	case core.OpLStore, core.OpLRMW:
 		c.onlyCopyLocked(x, l.M) // the store, or the store half, lands in the issuer's cache…
 	case core.OpRStore, core.OpRRMW:
@@ -375,10 +398,11 @@ func (c *Cluster) followLocked(l core.Label, owner core.MachineID) {
 	case core.OpMStore, core.OpMRMW, core.OpRFlush:
 		c.coolLocked(x) // …or in memory, where a flush of every copy leaves it
 	case core.OpLFlush:
-		c.hot[l.M].Remove(x)
+		c.hot.lines[l.M].Remove(x)
 	case core.OpRFlushRange:
-		for i := 0; i < l.N; i++ {
-			c.coolLocked(x + core.LocID(i))
+		// warm keeps the bits of words this empties: it is a superset.
+		for j := range c.hot.lines {
+			c.hot.lines[j].RemoveRange(x, x+core.LocID(l.N))
 		}
 	case core.OpGPF:
 		// Each line that drained was cooled by its τ step; clean copies of
@@ -386,12 +410,12 @@ func (c *Cluster) followLocked(l core.Label, owner core.MachineID) {
 	case core.OpCrash:
 		// The crashed machine's copies go and, under PSN, every copy of a
 		// line it owns.
-		c.hot[l.M].Clear()
+		c.hot.lines[l.M].Clear()
 		if c.cfg.Variant == core.PSN {
 			c.topo.OwnerRuns(0, core.LocID(c.topo.NumLocs()), func(m core.MachineID, lo, hi core.LocID) {
 				if m == l.M {
-					for j := range c.hot {
-						c.hot[j].RemoveRange(lo, hi)
+					for j := range c.hot.lines {
+						c.hot.lines[j].RemoveRange(lo, hi)
 					}
 				}
 			})
@@ -407,34 +431,41 @@ func (c *Cluster) applyTauLocked(ts core.TauStep) {
 	if ts.ToMemory {
 		c.coolLocked(ts.Loc)
 	} else {
-		c.hot[ts.From].Remove(ts.Loc)
-		c.hot[c.topo.Owner(ts.Loc)].Add(ts.Loc)
+		owner := c.topo.Owner(ts.Loc)
+		c.hot.lines[ts.From].Remove(ts.Loc)
+		c.hot.lines[owner].Add(ts.Loc)
+		c.hot.warm.Add(owner, ts.Loc)
 	}
 }
 
 // coolLocked invalidates x in every machine's performance cache
-// (writeback, MStore, a flush of every copy).
+// (writeback, MStore, a flush of every copy): in each machine warm names
+// for x's word, dropping the machine from warm once its word is empty.
 func (c *Cluster) coolLocked(x core.LocID) {
-	for j := range c.hot {
-		c.hot[j].Remove(x)
+	for i, mask := range c.hot.warm.Of(x) {
+		for ; mask != 0; mask &= mask - 1 {
+			j := core.MachineID(i<<6 | bits.TrailingZeros64(mask))
+			lines := &c.hot.lines[j]
+			lines.Remove(x)
+			if !lines.HasWordOf(x) {
+				c.hot.warm.Drop(j, x)
+			}
+		}
 	}
 }
 
 // onlyCopyLocked records that holder's cache is the only one left with a
 // copy of x (a store gained exclusive ownership).
 func (c *Cluster) onlyCopyLocked(x core.LocID, holder core.MachineID) {
-	for j := range c.hot {
-		if core.MachineID(j) != holder {
-			c.hot[j].Remove(x)
-		}
-	}
-	c.hot[holder].Add(x)
+	c.coolLocked(x)
+	c.hot.lines[holder].Add(x)
+	c.hot.warm.Add(holder, x)
 }
 
 // hotLocked reports whether machine m holds a (semantic or clean) copy of
 // x, for cost accounting.
 func (c *Cluster) hotLocked(m core.MachineID, x core.LocID) bool {
-	return c.st.Cache(m, x) != core.Bot || c.hot[m].Has(x)
+	return c.st.Cache(m, x) != core.Bot || c.hot.lines[m].Has(x)
 }
 
 func (c *Cluster) maybeEvictLocked() {

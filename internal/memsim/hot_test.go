@@ -53,9 +53,10 @@ func (h hotModel) tau(ts core.TauStep, owner core.MachineID) {
 // six PSN crashes and recoveries on a three-machine cluster, with the clock
 // recomputed beside them from the latency model and the `cached` flag the
 // map model predicts for each charge, and the overlay's sets compared with
-// the maps after every one. A line-set overlay that warms, cools or forgets
-// a line differently charges some load or RMW differently, and the clocks
-// part.
+// the maps after every one — its warm mask too, which must name every
+// machine with a line in a word, since cooling asks no other. A line-set
+// overlay that warms, cools or forgets a line differently charges some
+// load or RMW differently, and the clocks part.
 func TestHotOverlayMatchesMapModel(t *testing.T) {
 	const seed, heap = 17, 96
 	lat := latency.NewModel()
@@ -198,12 +199,16 @@ func TestHotOverlayMatchesMapModel(t *testing.T) {
 			t.Fatalf("round %d: clock %v, the map model's %v", round, got, want)
 		}
 		// The clock shows a wrong bit only once something is charged for
-		// the line; the sets themselves are held to the maps every round.
+		// the line; the sets themselves are held to the maps every round,
+		// and the warm mask must name every machine with a line in a word.
 		c.mu.Lock()
 		for m := range hot {
 			for l := core.LocID(0); l < 2*heap; l++ {
-				if c.hot[m].Has(l) != hot[m][l] {
+				if c.hot.lines[m].Has(l) != hot[m][l] {
 					t.Fatalf("round %d: machine %d holds a clean copy of %d: %v, in the map model: %v", round, m, l, !hot[m][l], hot[m][l])
+				}
+				if hot[m][l] && c.hot.warm.Of(l)[m/64]&(1<<(m%64)) == 0 {
+					t.Fatalf("round %d: machine %d holds a clean copy of %d, but warm leaves it out of the word", round, m, l)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -242,5 +243,54 @@ func TestRFlushRangeMatchesModelSemantics(t *testing.T) {
 	}
 	if err := c.CheckInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rangedCommitLines is the length of the range a ranged commit flushes:
+// sixteen three-word records.
+const rangedCommitLines = 48
+
+// rangedCommit stores one record's three words at the start of the i-th
+// 48-line range of the first device's heap and flushes the whole range,
+// the shape of kv's ranged commit.
+func rangedCommit(tb testing.TB, th *Thread, i int) {
+	base := core.LocID(i%64) * rangedCommitLines
+	for w := core.LocID(0); w < 3; w++ {
+		if err := th.LStore(base+w, core.Val(i%7)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := th.RFlushRange(base, rangedCommitLines); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestRFlushRangeDoesNotAllocate: a ranged commit — its stores and its
+// flush — allocates nothing on a cluster whose pages exist.
+func TestRFlushRangeDoesNotAllocate(t *testing.T) {
+	_, th := ownersCluster(t, 12, 12*64*rangedCommitLines)
+	i := 0
+	for ; i < 64; i++ {
+		rangedCommit(t, th, i)
+	}
+	if allocs := testing.AllocsPerRun(500, func() { rangedCommit(t, th, i); i++ }); allocs != 0 {
+		t.Errorf("a ranged commit allocates %v times", allocs)
+	}
+}
+
+// BenchmarkRFlushRange times a ranged commit of 48 lines on 3 and on 13
+// machines (the repository benchmark's update-ranged-12sh): the flush asks
+// only the machines that hold a line, so ns/op should barely follow the
+// machine count.
+func BenchmarkRFlushRange(b *testing.B) {
+	for _, machines := range []int{3, 13} {
+		b.Run(fmt.Sprintf("%dmachines", machines), func(b *testing.B) {
+			_, th := ownersCluster(b, machines-1, (machines-1)*64*rangedCommitLines)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rangedCommit(b, th, i)
+			}
+		})
 	}
 }

@@ -51,7 +51,12 @@ func (t *Thread) beginLocked(x core.LocID) (core.MachineID, error) {
 // owner's, is absent from the caches selected by all (every cache vs. just
 // this thread's). This is how the runtime executes the paper's "blocking"
 // semantics: the flush, or the LWB load, waits for (here: forces) the
-// nondeterministic propagation it depends on.
+// nondeterministic propagation it depends on. Every cache is emptied
+// lowest holder first, each asked for through core.State.Holder, which
+// walks only the machines the state's holder mask names for x: a copy
+// held away from the owner moves to the owner's cache, whose write-back
+// then clears every other copy. A ranged flush drains its range a word at
+// a time instead (core.State.DrainRange).
 func (t *Thread) drainLocked(x core.LocID, owner core.MachineID, all bool) {
 	if !all {
 		if t.c.st.Cache(t.m, x) != core.Bot {
@@ -59,17 +64,7 @@ func (t *Thread) drainLocked(x core.LocID, owner core.MachineID, all bool) {
 		}
 		return
 	}
-	for {
-		holder := core.MachineID(-1)
-		for m := 0; m < t.c.topo.NumMachines(); m++ {
-			if t.c.st.Cache(core.MachineID(m), x) != core.Bot {
-				holder = core.MachineID(m)
-				break
-			}
-		}
-		if holder < 0 {
-			return
-		}
+	for holder, held := t.c.st.Holder(x); held; holder, held = t.c.st.Holder(x) {
 		t.c.applyTauLocked(core.TauStep{From: holder, Loc: x, ToMemory: holder == owner})
 	}
 }
@@ -181,11 +176,7 @@ func (t *Thread) RFlushRange(base core.LocID, n int) error {
 	if unreachable != nil {
 		return unreachable
 	}
-	t.c.topo.OwnerRuns(base, end, func(owner core.MachineID, lo, hi core.LocID) {
-		for x := lo; x < hi; x++ {
-			t.drainLocked(x, owner, true)
-		}
-	})
+	t.c.st.DrainRange(base, end, t.c.applyTauLocked)
 	t.c.stepLocked(core.RFlushRangeL(t.m, base, n), t.m, false)
 	return nil
 }
