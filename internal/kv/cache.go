@@ -142,7 +142,8 @@ func (c *readCache) containsLocked(key core.Val) bool {
 // fillLocked installs the value just read (or speculatively prefetched)
 // for key, Shared: the owning shard keeps its copy, and ownership stays
 // with the device — the front end never writes through the cache, so it
-// never needs E/M. Evicts the LRU tail at capacity.
+// never needs E/M. At capacity the LRU tail is evicted and its entry
+// reused, so a fill into a full cache allocates nothing.
 func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 	if e, ok := c.entries[key]; ok {
 		e.val = val
@@ -155,12 +156,15 @@ func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 		}
 		return
 	}
+	var e *cacheEntry
 	if len(c.entries) >= c.capacity {
-		lru := c.tail
-		c.unlinkLocked(lru)
-		delete(c.entries, lru.key)
+		e = c.tail
+		c.unlinkLocked(e)
+		delete(c.entries, e.key)
+		*e = cacheEntry{key: key, val: val}
+	} else {
+		e = &cacheEntry{key: key, val: val}
 	}
-	e := &cacheEntry{key: key, val: val}
 	c.entries[key] = e
 	c.pushFrontLocked(e)
 	if speculative {

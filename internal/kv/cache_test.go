@@ -272,3 +272,50 @@ func TestPrefetchWarmsCache(t *testing.T) {
 		t.Fatalf("alternating reads never hit: %+v", mm)
 	}
 }
+
+// TestReadPathDoesNotAllocate: in steady state the cached read path
+// allocates nothing — a warm Get with the prefetcher proposing keys (its
+// proposals live in the predictor's buffer), and a fill into a full cache
+// (the evicted LRU entry is reused).
+func TestReadPathDoesNotAllocate(t *testing.T) {
+	st := openTest(t, Config{Shards: 2, Capacity: 128, Strategy: MStoreEach, Seed: 5, ReadCache: 32, Prefetch: true})
+	const keys = 16
+	for k := core.Val(0); k < keys+scanRunAhead; k++ {
+		if _, err := st.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Sweeps of the keys in order: a sequential run and a learned chain, so
+	// every Get is followed by proposals, all of them already cached.
+	i := 0
+	get := func() {
+		k := core.Val(i % keys)
+		if v, ok, err := st.Get(k); err != nil || !ok || v != k+1 {
+			t.Fatalf("Get(%d) = %d, %v, %v", k, v, ok, err)
+		}
+		i++
+	}
+	for ; i < 4*keys; get() {
+	}
+	hits := st.Metrics().CacheHits
+	if allocs := testing.AllocsPerRun(10*keys, get); allocs != 0 {
+		t.Errorf("a warm cached Get with prefetch allocates %v times", allocs)
+	}
+	if got := st.Metrics().CacheHits - hits; got < 10*keys {
+		t.Fatalf("%d hits in %d measured Gets: the reads were not served by the cache", got, 10*keys+1)
+	}
+
+	var ctr Counters
+	c := newReadCache(256, &ctr)
+	k := core.Val(0)
+	for ; k < 256; k++ {
+		c.fillLocked(k, k, false)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { c.fillLocked(k, k, false); k++ }); allocs != 0 {
+		t.Errorf("a fill into a full cache allocates %v times", allocs)
+	}
+	if c.lenLocked() != 256 || !c.containsLocked(k-1) || c.containsLocked(k-257) {
+		t.Fatalf("after the fills the cache holds %d entries, the last key %v, the 257th last %v",
+			c.lenLocked(), c.containsLocked(k-1), c.containsLocked(k-257))
+	}
+}

@@ -63,6 +63,11 @@ type predictor struct {
 	runKey core.Val
 	//cxl0:guarded-by mu
 	runLen int
+	// proposed is the buffer predictLocked and aheadLocked return their keys
+	// in, so that proposing them allocates nothing; a result lives until
+	// the next call of either.
+	//cxl0:guarded-by mu
+	proposed [1 + scanRunAhead]core.Val
 }
 
 // newPredictor builds a predictor for a store with shards shards.
@@ -148,14 +153,26 @@ func (s *Store) prefetchLocked(keys []core.Val) {
 // sequential sweep is established. Order is deterministic; duplicates
 // and the key itself are filtered by the prefetch path's cache probe.
 func (p *predictor) predictLocked(shard int, key core.Val) []core.Val {
-	var out []core.Val
+	out := p.proposed[:0]
 	if next, ok := p.succ[shard][key]; ok && next != key {
 		out = append(out, next)
 	}
 	if p.runLen >= scanRunThreshold && key == p.runKey {
-		for i := core.Val(1); i <= scanRunAhead; i++ {
-			out = append(out, key+i)
-		}
+		out = appendAhead(out, key)
+	}
+	return out
+}
+
+// aheadLocked returns the scanRunAhead keys just past last, the keys a
+// scan prefetches ahead of a continuing sweep.
+func (p *predictor) aheadLocked(last core.Val) []core.Val {
+	return appendAhead(p.proposed[:0], last)
+}
+
+// appendAhead appends the scanRunAhead keys after key to out.
+func appendAhead(out []core.Val, key core.Val) []core.Val {
+	for i := core.Val(1); i <= scanRunAhead; i++ {
+		out = append(out, key+i)
 	}
 	return out
 }

@@ -191,12 +191,7 @@ func (s *Store) readLegLocked(out []Pair) error {
 	if n := len(s.leg.picks); s.pred != nil && n > 0 {
 		// Scan-run prefetch: warm the keys just past the scanned range
 		// ahead of a continuing sweep (workload E's scans walk forward).
-		last := out[s.leg.picks[n-1].pos].Key
-		ahead := make([]core.Val, 0, scanRunAhead)
-		for i := core.Val(1); i <= scanRunAhead; i++ {
-			ahead = append(ahead, last+i)
-		}
-		s.prefetchLocked(ahead)
+		s.prefetchLocked(s.pred.aheadLocked(out[s.leg.picks[n-1].pos].Key))
 	}
 	s.ctr.ScannedPairs += uint64(len(s.leg.picks))
 	s.leg.endNS = s.cluster.NowNS()
