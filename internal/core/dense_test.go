@@ -197,7 +197,7 @@ func agrees(s *State, d *dense) error {
 			if empty := slices.Equal(stretch, s.cells[:len(stretch)]); empty != (off == 0) {
 				return fmt.Errorf("C%d: locations %d… all ⊥: %v, no page held: %v", m, w*pageCells, empty, off == 0)
 			}
-			if bit := maskHas(&s.holders, MachineID(m), LocID(w*pageCells)); bit != (off != 0) {
+			if bit := s.holders.Has(MachineID(m), LocID(w*pageCells)); bit != (off != 0) {
 				return fmt.Errorf("C%d: holder mask bit for locations %d… is %v, a page held: %v", m, w*pageCells, bit, off != 0)
 			}
 		}
@@ -248,10 +248,4 @@ func sameState(s *State, d *dense) error {
 		return fmt.Errorf("%v is not Equal to the same cells written in another order, %v", s, twin)
 	}
 	return nil
-}
-
-// maskHas reports whether k's bit for machine m is set in l's occupancy
-// word, read as the mask is laid out.
-func maskHas(k *MachineMask, m MachineID, l LocID) bool {
-	return k.Of(l)[m/64]&(1<<(m%64)) != 0
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 )
 
@@ -19,7 +20,8 @@ import (
 // load's lookup ask — at the cost of the holders, not of the machines.
 // State.setCache is the only writer of a cache cell and keeps the index
 // and the mask in step; TauSteps stays the enumerating reference both are
-// tested against.
+// tested against. Only this file reads the mask's layout: everything else
+// asks MachineMask.Has or ranges over MachineMask.Machines.
 //
 // The same two types serve package memsim's clean-copy overlay, the other
 // per-machine set of lines in the simulator.
@@ -188,34 +190,35 @@ func (s *State) DrainTau(take func(TauStep)) {
 
 // DrainRange is DrainTau restricted to the lines of [lo, hi): it hands
 // take, which must take it, every τ step that empties the caches of those
-// lines, and no other. It ends where a per-line drain taking the
-// lowest-numbered holder first ends: a line its owner does not hold moves
-// to the owner's cache from its lowest holder, then the owner writes it
-// back, which clears every other copy. It works an occupancy word at a
-// time, over the rows the holder mask names, with owners from OwnerRuns.
+// lines, and no other. It works a run of one owner's lines and an
+// occupancy word at a time, over the rows the holder mask names: each line
+// the owner does not hold moves to the owner's cache from its
+// lowest-numbered holder, then the owner writes back every line of the
+// word it holds, which clears every other copy. It is the one drain of a
+// flush of every cache: Thread's RFlush and LWB load ask it for one line.
 func (s *State) DrainRange(lo, hi LocID, take func(TauStep)) {
-	s.topo.OwnerRuns(lo, hi, func(owner MachineID, lo, hi LocID) {
+	for lo < hi {
+		owner, past := s.topo.runOf(lo)
+		past = min(past, hi)
 		own := &s.rows[owner].held
-		for w := int(lo) >> 6; w<<6 < int(hi); w++ {
-			in := rangeBits(w, lo, hi)
+		for w := int(lo) >> 6; w<<6 < int(past); w++ {
+			in := rangeBits(w, lo, past)
 			// A copy moves to the owner from its lowest holder only: once
 			// there, the owner's word masks it out of the later holders'.
-			for i, mask := range s.holders.Of(LocID(w << 6)) {
-				for ; mask != 0; mask &= mask - 1 {
-					m := MachineID(i<<6 | bits.TrailingZeros64(mask))
-					if m == owner {
-						continue
-					}
-					for word := s.rows[m].held.words[w] & in &^ own.words[w]; word != 0; word &= word - 1 {
-						take(TauStep{From: m, Loc: LocID(w<<6 | bits.TrailingZeros64(word))})
-					}
+			for m := range s.holders.Machines(LocID(w << 6)) {
+				if m == owner {
+					continue
+				}
+				for word := s.rows[m].held.words[w] & in &^ own.words[w]; word != 0; word &= word - 1 {
+					take(TauStep{From: m, Loc: LocID(w<<6 | bits.TrailingZeros64(word))})
 				}
 			}
 			for word := own.words[w] & in; word != 0; word &= word - 1 {
 				take(TauStep{From: owner, Loc: LocID(w<<6 | bits.TrailingZeros64(word)), ToMemory: true})
 			}
 		}
-	})
+		lo = past
+	}
 }
 
 // TauStepCount returns len(TauSteps(s)) without enumerating them.
@@ -272,11 +275,25 @@ func (k *MachineMask) Drop(m MachineID, l LocID) {
 	k.bits[int(l)>>6*k.stride+int(m)>>6] &^= 1 << (uint(m) & 63)
 }
 
-// Of returns the mask of l's occupancy word: stride uint64s, bit m%64 of
-// the m/64-th set for machine m. A walk over its set bits in ascending
-// order visits the machines lowest first, and may change the mask as it
-// goes — each uint64 is read once, when the walk reaches it.
-func (k *MachineMask) Of(l LocID) []uint64 {
-	at := int(l) >> 6 * k.stride
-	return k.bits[at : at+k.stride : at+k.stride]
+// Has reports whether machine m's bit is set for l's occupancy word.
+func (k *MachineMask) Has(m MachineID, l LocID) bool {
+	return k.bits[int(l)>>6*k.stride+int(m)>>6]&(1<<(uint(m)&63)) != 0
+}
+
+// Machines returns the machines whose bit is set for l's occupancy word,
+// lowest first. Each uint64 of the word's mask is read once, when the walk
+// reaches it, so the loop it drives may clear the bit of the machine it is
+// at. TestRFlushRangeDoesNotAllocate holds the walks on the flush path to
+// no allocation: the loop's closure must not escape.
+func (k *MachineMask) Machines(l LocID) iter.Seq[MachineID] {
+	return func(yield func(MachineID) bool) {
+		at := int(l) >> 6 * k.stride
+		for i := range k.stride {
+			for mask := k.bits[at+i]; mask != 0; mask &= mask - 1 {
+				if !yield(MachineID(i<<6 | bits.TrailingZeros64(mask))) {
+					return
+				}
+			}
+		}
+	}
 }

@@ -313,7 +313,7 @@ func checkDrainRange(s *State, lo, hi LocID) error {
 	}
 	for m, r := range drained.rows {
 		for w, off := range r.page {
-			if maskHas(&drained.holders, MachineID(m), LocID(w*pageCells)) != (off != 0) {
+			if drained.holders.Has(MachineID(m), LocID(w*pageCells)) != (off != 0) {
 				return fmt.Errorf("after DrainRange(%d, %d) the holder mask disagrees with C%d's page for %d…", lo, hi, m, w*pageCells)
 			}
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strings"
 )
@@ -174,11 +173,9 @@ func (s *State) setCache(m MachineID, l LocID, v Val) {
 // invalidate sets C_m(l) = ⊥ for every machine m: for each one the holder
 // mask names for l's word.
 func (s *State) invalidate(l LocID) {
-	for i, mask := range s.holders.Of(l) {
-		for ; mask != 0; mask &= mask - 1 {
-			if m := MachineID(i<<6 | bits.TrailingZeros64(mask)); s.Cache(m, l) != Bot {
-				s.setCache(m, l, Bot)
-			}
+	for m := range s.holders.Machines(l) {
+		if s.Cache(m, l) != Bot {
+			s.setCache(m, l, Bot)
 		}
 	}
 }
@@ -187,11 +184,9 @@ func (s *State) invalidate(l LocID) {
 // when no cache does. It asks only the machines the holder mask names for
 // l's word.
 func (s *State) Holder(l LocID) (MachineID, bool) {
-	for i, mask := range s.holders.Of(l) {
-		for ; mask != 0; mask &= mask - 1 {
-			if m := MachineID(i<<6 | bits.TrailingZeros64(mask)); s.Cache(m, l) != Bot {
-				return m, true
-			}
+	for m := range s.holders.Machines(l) {
+		if s.Cache(m, l) != Bot {
+			return m, true
 		}
 	}
 	return 0, false

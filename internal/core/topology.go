@@ -184,13 +184,22 @@ func (t *Topology) OwnerRuns(from, to LocID, f func(owner MachineID, lo, hi LocI
 	if int(from) < 0 || int(to) > t.numLocs {
 		panic(fmt.Sprintf("core: OwnerRuns: [%d,%d) outside the %d locations", from, to, t.numLocs))
 	}
-	for i := t.runAt(from); i < len(t.runs) && t.runs[i].first < to; i++ {
-		hi := to
-		if i+1 < len(t.runs) {
-			hi = min(hi, t.runs[i+1].first)
-		}
-		f(t.runs[i].m, max(from, t.runs[i].first), hi)
+	for from < to {
+		owner, past := t.runOf(from)
+		past = min(past, to)
+		f(owner, from, past)
+		from = past
 	}
+}
+
+// runOf returns the owner of location l, which must exist, and the first
+// location past l's run.
+func (t *Topology) runOf(l LocID) (owner MachineID, past LocID) {
+	i := t.runAt(l)
+	if i+1 < len(t.runs) {
+		return t.runs[i].m, t.runs[i+1].first
+	}
+	return t.runs[i].m, LocID(t.numLocs)
 }
 
 // Mem returns the memory kind of machine m.

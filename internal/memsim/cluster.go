@@ -22,11 +22,12 @@
 // holds. Every "which machines cache line x" question is answered by the
 // holders, not by the machines, as a CXL device's snoop filter answers it:
 // the state keeps a holder mask per 64-line occupancy word, so a store's
-// invalidation, an RFlush's drain (lowest holder first, core.State.Holder)
-// and a τ write-back ask only the machines that hold a page for the line's
-// word, and a ranged flush drains a word at a time over the holding rows
-// (core.State.DrainRange) instead of line by line over every machine. The
-// overlay's cooling asks only the machines its own warm mask names.
+// invalidation and a τ write-back ask only the machines that hold a page
+// for the line's word. Every flush of all caches — RFlush, an LWB load's
+// write-back, RFlushRange — drains through one policy,
+// core.State.DrainRange, a word at a time over the holding rows instead of
+// line by line over every machine. The overlay's cooling asks only the
+// machines its own warm mask names.
 // Crashes and recoveries are injected through Crash and Recover. A
 // simulated clock charges each primitive the latency model's cost, enabling
 // performance comparisons between persistence strategies that wall-clock
@@ -49,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -442,14 +442,11 @@ func (c *Cluster) applyTauLocked(ts core.TauStep) {
 // (writeback, MStore, a flush of every copy): in each machine warm names
 // for x's word, dropping the machine from warm once its word is empty.
 func (c *Cluster) coolLocked(x core.LocID) {
-	for i, mask := range c.hot.warm.Of(x) {
-		for ; mask != 0; mask &= mask - 1 {
-			j := core.MachineID(i<<6 | bits.TrailingZeros64(mask))
-			lines := &c.hot.lines[j]
-			lines.Remove(x)
-			if !lines.HasWordOf(x) {
-				c.hot.warm.Drop(j, x)
-			}
+	for j := range c.hot.warm.Machines(x) {
+		lines := &c.hot.lines[j]
+		lines.Remove(x)
+		if !lines.HasWordOf(x) {
+			c.hot.warm.Drop(j, x)
 		}
 	}
 }

@@ -207,7 +207,7 @@ func TestHotOverlayMatchesMapModel(t *testing.T) {
 				if c.hot.lines[m].Has(l) != hot[m][l] {
 					t.Fatalf("round %d: machine %d holds a clean copy of %d: %v, in the map model: %v", round, m, l, !hot[m][l], hot[m][l])
 				}
-				if hot[m][l] && c.hot.warm.Of(l)[m/64]&(1<<(m%64)) == 0 {
+				if hot[m][l] && !c.hot.warm.Has(core.MachineID(m), l) {
 					t.Fatalf("round %d: machine %d holds a clean copy of %d, but warm leaves it out of the word", round, m, l)
 				}
 			}

@@ -51,12 +51,11 @@ func (t *Thread) beginLocked(x core.LocID) (core.MachineID, error) {
 // owner's, is absent from the caches selected by all (every cache vs. just
 // this thread's). This is how the runtime executes the paper's "blocking"
 // semantics: the flush, or the LWB load, waits for (here: forces) the
-// nondeterministic propagation it depends on. Every cache is emptied
-// lowest holder first, each asked for through core.State.Holder, which
-// walks only the machines the state's holder mask names for x: a copy
-// held away from the owner moves to the owner's cache, whose write-back
-// then clears every other copy. A ranged flush drains its range a word at
-// a time instead (core.State.DrainRange).
+// nondeterministic propagation it depends on. Every cache is emptied by
+// the one drain a ranged flush also takes, core.State.DrainRange over the
+// single line, which asks only the machines the state's holder mask names:
+// a copy the owner lacks moves to the owner's cache from its lowest
+// holder, whose write-back then clears every other copy.
 func (t *Thread) drainLocked(x core.LocID, owner core.MachineID, all bool) {
 	if !all {
 		if t.c.st.Cache(t.m, x) != core.Bot {
@@ -64,9 +63,7 @@ func (t *Thread) drainLocked(x core.LocID, owner core.MachineID, all bool) {
 		}
 		return
 	}
-	for holder, held := t.c.st.Holder(x); held; holder, held = t.c.st.Holder(x) {
-		t.c.applyTauLocked(core.TauStep{From: holder, Loc: x, ToMemory: holder == owner})
-	}
+	t.c.st.DrainRange(x, x+1, t.c.applyTauLocked)
 }
 
 // Load reads location x.
