@@ -123,7 +123,8 @@ func BenchmarkKVWorkloadE(b *testing.B) {
 }
 
 // BenchmarkKVScanLimit tracks the host cost of a limit-16 scan at two
-// shard sizes and two shard counts. A scan merges the shards' ordered runs
+// shard sizes and two shard counts, open at the top, and of one whose hi
+// falls inside the shards' runs. A scan merges the shards' ordered runs
 // and stops at the limit, so ns/op must follow neither keys-per-shard nor,
 // beyond one seek per shard, the shard count; every scan must come back
 // full.
@@ -132,10 +133,13 @@ func BenchmarkKVScanLimit(b *testing.B) {
 	for _, shape := range []struct {
 		name         string
 		shards, keys int
+		// bounded scans [lo, lo+limit) instead of [lo, MaxInt64).
+		bounded bool
 	}{
-		{"keys-per-shard=1024", 2, 2 << 10},
-		{"keys-per-shard=65536", 2, 2 << 16},
-		{"shards=12", 12, 4096},
+		{"keys-per-shard=1024", 2, 2 << 10, false},
+		{"keys-per-shard=65536", 2, 2 << 16, false},
+		{"shards=12", 12, 4096, false},
+		{"hi-in-range", 2, 2 << 10, true},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			keys := shape.keys
@@ -152,7 +156,11 @@ func BenchmarkKVScanLimit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				lo := core.Val(i * 7919 % (keys - limit))
-				pairs, err := st.Scan(lo, math.MaxInt64, limit)
+				hi := core.Val(math.MaxInt64)
+				if shape.bounded {
+					hi = lo + limit
+				}
+				pairs, err := st.Scan(lo, hi, limit)
 				if err != nil || len(pairs) != limit || pairs[0].Key != lo {
 					b.Fatalf("scan from %d: %d pairs, %v; want %d from a dense keyspace", lo, len(pairs), err, limit)
 				}

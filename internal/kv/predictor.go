@@ -90,9 +90,11 @@ func newPredictor(shards int) *predictor {
 func (p *predictor) observeLocked(shard int, key core.Val) {
 	if prev := p.last[shard]; prev >= 0 && prev != key {
 		m := p.succ[shard]
-		if _, ok := m[prev]; !ok && len(m) >= maxSuccessors {
-			p.succ[shard] = make(map[core.Val]core.Val, maxSuccessors)
-			m = p.succ[shard]
+		if len(m) >= maxSuccessors { // only a full table needs the probe
+			if _, ok := m[prev]; !ok {
+				p.succ[shard] = make(map[core.Val]core.Val, maxSuccessors)
+				m = p.succ[shard]
+			}
 		}
 		m[prev] = key
 	}

@@ -9,10 +9,19 @@ import (
 )
 
 // scanLeg is one store's part of a range read: the keys the merge took
-// from it, in key order, and the span of its reads on its clock.
+// from it, in key order, and the span of its reads on its clock. runs is
+// the merge's list of live shard runs, kept by the round's first store.
 type scanLeg struct {
 	picks          []pick
+	runs           []run
 	startNS, endNS float64
+}
+
+// run is one shard's ordered run in a range read's merge, with the store
+// that owns the shard.
+type run struct {
+	sh *shard
+	st *Store
 }
 
 // pick is one key the merge took: its position in the result and the
@@ -38,10 +47,11 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 //
 // It takes every store's lock in index order and holds them all to the
 // end, so the pairs are one cut of the stores. Every shard of every store
-// is an ordered run (a view cursor); one merge over all the runs picks
-// the first limit keys, walking at most limit + runs keys whatever the
-// shards hold, and each store in turn then reads the values of its picks
-// in key order, each into its place in the result. A store's reads are
+// is an ordered run (a view cursor); the seeks list the runs with a key
+// in range, and one merge over that list picks the first limit keys,
+// dropping a run when it ends — walking at most limit + runs keys
+// whatever the shards hold — and each store in turn then reads the values
+// of its picks in key order, each into its place in the result. A store's reads are
 // its leg: one tick of its Scans counter, its pairs in ScannedPairs, its
 // op span and its scan-run prefetch. A store the merge took no key from
 // runs no leg, unless it is read alone. An unlimited read takes every key
@@ -85,6 +95,8 @@ func scanLocked(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]P
 	missing, base := 0, 0
 	for first := 0; first < len(stores); first += group {
 		round := stores[first : first+group]
+		// Sized once for a round of like stores; any other round grows it.
+		runs := slices.Grow(round[0].leg.runs[:0], len(round)*len(round[0].shards))
 		atMost := 0
 		for i, st := range round {
 			if st.frontDown {
@@ -121,32 +133,34 @@ func scanLocked(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]P
 					}
 				default:
 					atMost += n
+					runs = append(runs, run{sh: sh, st: st})
 				}
 			}
 			base += len(st.shards)
 		}
+		round[0].leg.runs = runs
 		if limit > 0 {
 			atMost = min(atMost, limit)
 		}
 		if cap(out)-len(out) < atMost {
 			out = append(make([]Pair, 0, len(out)+atMost), out...)
 		}
-		for limit <= 0 || len(out) < limit {
-			var next *shard
-			var owner *Store
-			for _, st := range round {
-				for _, sh := range st.shards {
-					if sh.scan.ok && (next == nil || sh.scan.key < next.scan.key) {
-						next, owner = sh, st
-					}
+		// The merge: take the smallest head among the live runs (the
+		// first in store and shard order on a tie), and drop a run once
+		// its cursor ends.
+		for len(runs) > 0 && (limit <= 0 || len(out) < limit) {
+			j := 0
+			for k := 1; k < len(runs); k++ {
+				if runs[k].sh.scan.key < runs[j].sh.scan.key {
+					j = k
 				}
 			}
-			if next == nil {
-				break
+			c, owner := &runs[j].sh.scan, runs[j].st
+			owner.leg.picks = append(owner.leg.picks, pick{pos: len(out), sh: runs[j].sh, slot: c.resolve()})
+			out = append(out, Pair{Key: c.key})
+			if c.advance(); !c.ok {
+				runs = slices.Delete(runs, j, j+1)
 			}
-			owner.leg.picks = append(owner.leg.picks, pick{pos: len(out), sh: next, slot: next.scan.slot})
-			out = append(out, Pair{Key: next.scan.key})
-			next.scan.advance()
 		}
 		for i, st := range round {
 			if group > 1 {

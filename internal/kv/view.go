@@ -64,6 +64,13 @@ func (v *view) decode(slot int) (i int, inSnap bool) {
 // live returns the number of live keys at the tip.
 func (v *view) live() int { return len(v.index) }
 
+// tipVisible reports whether nothing is shadowed, in which case every
+// tip key is visible at its index slot and a read needs no gate — always
+// so at pipeline depth 1, and between flights at any depth.
+//
+//cxl0:locked mu
+func (v *view) tipVisible() bool { return len(v.shadow) == 0 }
+
 // visible resolves key to the encoded slot a read is served from — the
 // watermark gate: a key overwritten past the acked-watermark resolves to
 // its shadow (last acked) state, so a read never observes a value a
@@ -71,26 +78,32 @@ func (v *view) live() int { return len(v.index) }
 //
 //cxl0:locked mu
 func (v *view) visible(key core.Val) (slot int, ok bool) {
-	if e, shadowed := v.shadow[key]; shadowed {
-		return e.slot, e.exists
+	if !v.tipVisible() {
+		if e, shadowed := v.shadow[key]; shadowed {
+			return e.slot, e.exists
+		}
 	}
 	slot, ok = v.index[key]
 	return slot, ok
 }
 
 // cursor walks the keys of one view in [lo, hi) that have a visible
-// state, in ascending key order, one step per advance: tip keys through
-// the watermark gate (a key whose first write is still in flight has no
-// visible state and is skipped), merged with the keys deleted past the
-// watermark, which left the index but whose acked state the shadow still
-// carries. While ok, key is the head and slot the encoded slot a read of
-// it is served from. The view must not move between seek and the last
-// advance.
+// state, in ascending key order, one step per advance. When nothing is
+// shadowed that is the tip keys in range, stepped through without a
+// lookup. Otherwise tip keys pass the watermark gate (a key whose first
+// write is still in flight has no visible state and is skipped), merged
+// with the keys deleted past the watermark, which left the index but
+// whose acked state the shadow still carries. While ok, key is the head;
+// resolve gives the encoded slot a read of it is served from. The view
+// must not move between seek and the last advance or resolve.
 type cursor struct {
-	v    *view
-	key  core.Val
-	slot int
-	ok   bool
+	v   *view
+	key core.Val
+	ok  bool
+	// gated is seek's !v.tipVisible(): advance runs the gate, and slot
+	// holds the head's slot, only when it is set.
+	gated bool
+	slot  int
 	// v.keys[i:end] are the tip keys in range not yet walked.
 	i, end int
 	// deleted[d:] are the in-range keys deleted past the watermark not yet
@@ -101,26 +114,34 @@ type cursor struct {
 
 // seek positions c on the first key of [lo, hi) with a visible state and
 // returns a bound on the keys the run holds (a tip key the gate hides is
-// counted and never yielded): two binary searches and a pass over the
-// shadow, which holds only keys written past the watermark — a set
-// bounded by the pipeline's in-flight writes. A caller that stops after n
-// keys has paid O(log live + n + shadowed).
+// counted and never yielded). It costs one binary search to lo, a second
+// to hi only when hi falls inside the key set (a range read open at the
+// top, as workload E's, ends at the last key), and, only while something
+// is shadowed, a pass over the shadow, which holds only keys written past
+// the watermark — a set bounded by the pipeline's in-flight writes. A
+// caller that stops after n keys has paid O(log live + n + shadowed).
 //
 //cxl0:locked mu
 func (v *view) seek(c *cursor, lo, hi core.Val) (atMost int) {
 	c.v = v
 	c.i, _ = slices.BinarySearch(v.keys, lo)
-	n, _ := slices.BinarySearch(v.keys[c.i:], hi)
-	c.end = c.i + n
-	c.deleted, c.d = c.deleted[:0], 0
-	for k, e := range v.shadow { //cxl0:order-insensitive — sorted below
-		if _, tip := v.index[k]; !tip && e.exists && k >= lo && k < hi {
-			c.deleted = append(c.deleted, k)
-		}
+	c.end = len(v.keys)
+	if c.end > 0 && hi <= v.keys[c.end-1] {
+		n, _ := slices.BinarySearch(v.keys[c.i:], hi)
+		c.end = c.i + n
 	}
-	slices.Sort(c.deleted)
+	c.deleted, c.d = c.deleted[:0], 0
+	if c.gated = !v.tipVisible(); c.gated {
+		for k, e := range v.shadow { //cxl0:order-insensitive — sorted below
+			if _, tip := v.index[k]; !tip && e.exists && k >= lo && k < hi {
+				c.deleted = append(c.deleted, k)
+			}
+		}
+		slices.Sort(c.deleted)
+	}
+	atMost = c.end - c.i + len(c.deleted)
 	c.advance()
-	return n + len(c.deleted)
+	return atMost
 }
 
 // advance steps c to the next key, or clears ok past the last one.
@@ -128,6 +149,13 @@ func (v *view) seek(c *cursor, lo, hi core.Val) (atMost int) {
 //cxl0:locked mu
 func (c *cursor) advance() {
 	v := c.v
+	if !c.gated {
+		if c.ok = c.i < c.end; c.ok {
+			c.key = v.keys[c.i]
+			c.i++
+		}
+		return
+	}
 	for c.i < c.end && (c.d == len(c.deleted) || v.keys[c.i] < c.deleted[c.d]) {
 		c.key = v.keys[c.i]
 		c.i++
@@ -140,6 +168,18 @@ func (c *cursor) advance() {
 		c.slot = v.shadow[c.key].slot
 		c.d++
 	}
+}
+
+// resolve returns the encoded slot the head is read from. An ungated
+// walk looks it up only here, so a head the caller never reads costs no
+// lookup.
+//
+//cxl0:locked mu
+func (c *cursor) resolve() int {
+	if !c.gated {
+		return c.v.index[c.key]
+	}
+	return c.slot
 }
 
 // tip yields every live key with the encoded slot of its newest record,

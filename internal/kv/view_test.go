@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -172,8 +173,19 @@ func (m *viewModel) check(t *testing.T, keys core.Val, lo, hi core.Val) {
 			t.Fatalf("keys not strictly ascending at %d: %v", i, m.v.keys)
 		}
 	}
-	// The cursor (walk: strictly ascending): every key it yields visible
-	// at the slot the model says, no visible key in range skipped.
+	// The cursor, over [lo, hi) and over [lo, MaxInt64) — a range open at
+	// the top, as workload E's, whose end seek takes without a search.
+	m.checkWalk(t, want, lo, hi)
+	m.checkWalk(t, want, lo, math.MaxInt64)
+}
+
+// checkWalk holds the cursor over [lo, hi) to want (walk: strictly
+// ascending): every key it yields visible at the slot the model says, no
+// visible key in range skipped.
+//
+//cxl0:locked mu
+func (m *viewModel) checkWalk(t *testing.T, want map[core.Val]int, lo, hi core.Val) {
+	t.Helper()
 	got := m.walk(t, lo, hi, -1)
 	seen := map[core.Val]bool{}
 	for _, p := range got {
@@ -189,12 +201,14 @@ func (m *viewModel) check(t *testing.T, keys core.Val, lo, hi core.Val) {
 	}
 	// Stopping after n keys leaves the rest untouched: a cursor stopped
 	// there saw the same first n, and the next full walk the same keys.
-	n := len(got) / 2
-	if part := m.walk(t, lo, hi, n); !slices.Equal(part, got[:n]) {
-		t.Fatalf("cursor over [%d,%d) stopped after %d yielded %v, the full walk %v", lo, hi, n, part, got)
-	}
-	if again := m.walk(t, lo, hi, -1); !slices.Equal(again, got) {
-		t.Fatalf("cursor over [%d,%d) yielded %v after a stopped walk, %v before it", lo, hi, again, got)
+	// A walk stopped after one key resolves its one head only after seek.
+	for _, n := range []int{len(got) / 2, min(1, len(got))} {
+		if part := m.walk(t, lo, hi, n); !slices.Equal(part, got[:n]) {
+			t.Fatalf("cursor over [%d,%d) stopped after %d yielded %v, the full walk %v", lo, hi, n, part, got)
+		}
+		if again := m.walk(t, lo, hi, -1); !slices.Equal(again, got) {
+			t.Fatalf("cursor over [%d,%d) yielded %v after a stopped walk, %v before it", lo, hi, again, got)
+		}
 	}
 }
 
@@ -218,7 +232,7 @@ func (m *viewModel) walk(t *testing.T, lo, hi core.Val, stop int) []keySlot {
 		if len(got) > 0 && c.key <= got[len(got)-1].key {
 			t.Fatalf("cursor over [%d,%d) yielded key %d after key %d, want strictly ascending", lo, hi, c.key, got[len(got)-1].key)
 		}
-		got = append(got, keySlot{c.key, c.slot})
+		got = append(got, keySlot{c.key, c.resolve()})
 	}
 	if len(got) > atMost {
 		t.Fatalf("cursor over [%d,%d) yielded %d keys, seek said at most %d", lo, hi, len(got), atMost)
@@ -319,9 +333,9 @@ func FuzzViewKeys(f *testing.F) {
 	f.Fuzz(runViewProgram)
 }
 
-// TestViewWatermarkCases pins the gate's two edge shapes by hand: a key
-// deleted past the watermark and then re-put, and a key whose first
-// write is still in flight.
+// TestViewWatermarkCases pins the gate's edge shapes by hand: a key
+// deleted past the watermark and then re-put, a shadow that holds only
+// overwrites, and a key whose first write is still in flight.
 //
 //cxl0:locked mu
 func TestViewWatermarkCases(t *testing.T) {
@@ -374,6 +388,38 @@ func TestViewWatermarkCases(t *testing.T) {
 			t.Fatalf("cursor over [3,7) yielded %v, want %v", got, want[:3])
 		}
 		m.check(t, 8, 4, 8)
+		m.check(t, 8, 0, 8)
+	})
+	t.Run("OnlyOverwritesPastWatermark", func(t *testing.T) {
+		// Pipeline depth 2 with a shadow that holds no deleted key: the
+		// cursor runs the gate and yields every tip key at its acked slot.
+		m := newViewModel(true)
+		for _, k := range []core.Val{1, 3, 5} { // slots 0..2
+			m.write(k, 100+k)
+		}
+		m.ack(t, 3)
+		m.write(3, 200) // slot 3
+		m.write(5, 300) // slot 4
+		if m.v.tipVisible() {
+			t.Fatal("two overwrites in flight left the shadow empty")
+		}
+		want := []keySlot{{1, 0}, {3, 1}, {5, 2}}
+		if got := m.walk(t, 0, math.MaxInt64, -1); !slices.Equal(got, want) {
+			t.Fatalf("cursor over [0,max) yielded %v, want %v", got, want)
+		}
+		if got := m.walk(t, 2, 5, -1); !slices.Equal(got, want[1:2]) {
+			t.Fatalf("cursor over [2,5) yielded %v, want %v", got, want[1:2])
+		}
+		m.check(t, 8, 0, 8)
+		m.check(t, 8, 3, 5)
+		m.ack(t, 5) // both overwrites acked: the shadow empties
+		if !m.v.tipVisible() {
+			t.Fatal("the shadow kept an entry the watermark passed")
+		}
+		want = []keySlot{{1, 0}, {3, 3}, {5, 4}}
+		if got := m.walk(t, 0, math.MaxInt64, -1); !slices.Equal(got, want) {
+			t.Fatalf("cursor over [0,max) yielded %v after the acks, want %v", got, want)
+		}
 		m.check(t, 8, 0, 8)
 	})
 	t.Run("FirstWriteInFlight", func(t *testing.T) {

@@ -22,25 +22,22 @@ func (m *Model) CXL0Cost(op core.Op, local bool) float64 {
 // and the read half of RMWs are cache hits rather than full fills. Flushes
 // and MStores always pay the full propagation path.
 func (m *Model) CXL0CostCached(op core.Op, local, cached bool) float64 {
-	c := m.C
+	c := &m.C
 	rtt := 2 * c.LinkHop
-	localLoad := c.HostDRAM
-	remoteLoad := rtt + c.DevMem
 	localPersist := c.HostDRAM + c.FenceLocal
 	remotePersist := rtt + c.DevMem + c.FenceLocal + c.DevIPOverhead
-	loadCost := func() float64 {
-		if cached {
-			return c.CacheHit
-		}
-		if local {
-			return localLoad
-		}
-		return remoteLoad
+	// load is a load's cost, and the read half of an RMW's.
+	load := rtt + c.DevMem
+	switch {
+	case cached:
+		load = c.CacheHit
+	case local:
+		load = c.HostDRAM
 	}
 
 	switch op {
 	case core.OpLoad:
-		return loadCost()
+		return load
 	case core.OpLStore:
 		return c.HostWriteBuffer
 	case core.OpRStore:
@@ -76,17 +73,17 @@ func (m *Model) CXL0CostCached(op core.Op, local, cached bool) float64 {
 		return m.RFlushRangeCost(1, local)
 	case core.OpLRMW:
 		// Line pull (or hit) plus locked update in the local cache.
-		return loadCost() + c.FenceLocal
+		return load + c.FenceLocal
 	case core.OpRRMW:
 		if local {
-			return loadCost() + c.FenceLocal
+			return load + c.FenceLocal
 		}
-		return loadCost() + rtt
+		return load + rtt
 	case core.OpMRMW:
 		if local {
-			return loadCost() + localPersist
+			return load + localPersist
 		}
-		return loadCost() + remotePersist
+		return load + remotePersist
 	case core.OpCrash:
 		// A crash is an event, not a fabric command: it costs nothing on
 		// the simulated clock (outage windows are measured by the fault
@@ -113,7 +110,7 @@ func (m *Model) RFlushRangeCost(lines int, local bool) float64 {
 	if lines < 1 {
 		lines = 1
 	}
-	c := m.C
+	c := &m.C
 	rtt := 2 * c.LinkHop
 	if local {
 		// Like a local RFlush, the device must still confirm over the
