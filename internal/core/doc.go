@@ -50,7 +50,9 @@
 // once, as steps on the state it is given (inplace.go: each labeled rule's
 // premise and its effect under ApplyInPlace, ApplyTauInPlace, CrashInPlace,
 // and State.Observed — the value a load observes under a variant, or that
-// it is blocked); Apply, ApplyTau and Crash are Clone followed by those. Exhaustive exploration utilities live
+// it is blocked); Apply, ApplyTau and Crash are Clone followed by those,
+// and ApplyTauWordInPlace takes the τ steps of one occupancy word's lines
+// at once, as ApplyTauInPlace would one by one. Exhaustive exploration utilities live
 // in package explore and call the cloning API; the executable concurrent
 // runtime lives in package memsim and steps its one live state in place.
 // Both resolve a primitive to a label through Observed and Readable, so

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file is the implementation of Figure 2: every labeled rule
 // (ApplyInPlace), both propagation rules (ApplyTauInPlace) and the crash
@@ -13,12 +16,15 @@ import "fmt"
 // The runtime does not enumerate TauSteps to take one either: it draws
 // k < State.TauStepCount() and applies State.TauStepAt(k), the k-th step of
 // that enumeration, which the state's occupancy index (occupancy.go) finds
-// without visiting the cells. Every cache write goes through
-// State.setCache, which keeps the index and takes and releases the row's
-// pages (state.go), and every read of a cell through State.Cache; a step
-// on a live state allocates nothing once its pages exist. A crash visits the
-// lines the caches hold and the crashed machine's runs of locations
-// (Topology.OwnerRuns), not every location.
+// without visiting the cells. It takes every τ step as a word step
+// (ApplyTauWordInPlace): the lines of one machine's occupancy word and one
+// owner's run at once, a one-bit word for a single line. Every cache
+// write goes through State.setCache (a value), clearWord (⊥) or moveWord
+// (a word step's move), which keep the index and take and release the
+// row's pages (state.go), and every read of a cell through State.Cache; a
+// step on a live state allocates nothing once its pages exist. A crash
+// wipes the crashed machine's row a word at a time and visits its runs of
+// locations (Topology.OwnerRuns), not every location.
 //
 // The reference these rules are held to is a second, plain implementation
 // over a dense matrix that only the tests have (dense_test.go):
@@ -128,7 +134,9 @@ func ApplyInPlace(s *State, l Label, v Variant) bool {
 }
 
 // ApplyTauInPlace mutates s by one silent propagation step, which must be
-// enabled.
+// enabled. It is the rule of one line, as the paper writes it; the
+// runtime takes τ a word at a time through ApplyTauWordInPlace, which is
+// held to this.
 func ApplyTauInPlace(s *State, t TauStep) {
 	v := s.Cache(t.From, t.Loc)
 	if v == Bot {
@@ -146,25 +154,62 @@ func ApplyTauInPlace(s *State, t TauStep) {
 	}
 }
 
+// ApplyTauWordInPlace mutates s by the τ steps of the lines t names, which
+// must all be cached by t.From and owned by one machine, and which
+// t.ToMemory must send to memory iff t.From owns them: it ends where
+// ApplyTauInPlace over each of those lines would. A write-back copies the
+// lines to memory and clears them from every row the holder mask names,
+// one popcount per row; a move copies them to the owner's page and clears
+// them from t.From's.
+func ApplyTauWordInPlace(s *State, t TauWord) {
+	if t.Mask == 0 || t.Mask&^s.rows[t.From].held.words[t.Word] != 0 {
+		panic("core: ApplyTauWordInPlace: step not enabled")
+	}
+	first := t.First()
+	owner, past := s.topo.ownerThrough(first)
+	if last := t.Word<<6 | (63 - bits.LeadingZeros64(t.Mask)); last >= int(past) {
+		panic("core: ApplyTauWordInPlace: the lines have more than one owner")
+	}
+	if t.ToMemory != (owner == t.From) {
+		panic("core: ApplyTauWordInPlace: ToMemory must say whether the source owns the lines")
+	}
+	if !t.ToMemory {
+		s.moveWord(t.From, owner, t.Word, t.Mask)
+		return
+	}
+	src := int(s.rows[t.From].page[t.Word])
+	for word := t.Mask; word != 0; word &= word - 1 {
+		i := bits.TrailingZeros64(word)
+		s.mem[t.Word<<6|i] = s.cells[src+i]
+	}
+	for m := range s.holders.Machines(first) {
+		s.clearWord(m, t.Word, t.Mask)
+	}
+}
+
 // CrashInPlace mutates s by the crash of machine m under variant v: C_m is
-// wiped; M_m resets to zero iff volatile. Under PSN, every other cache
-// additionally poisons (invalidates) all m-owned lines.
+// wiped, a word at a time; M_m resets to zero iff volatile. Under PSN,
+// every other cache additionally poisons (invalidates) all m-owned lines:
+// each word of m's runs is cleared from the rows its holder mask names.
 func CrashInPlace(s *State, m MachineID, v Variant) {
-	s.rows[m].held.each(func(l LocID) { s.setCache(m, l, Bot) })
-	if s.topo.Mem(m) == Volatile {
-		s.topo.OwnerRuns(0, LocID(len(s.mem)), func(owner MachineID, lo, hi LocID) {
-			if owner == m {
-				clear(s.mem[lo:hi])
-			}
-		})
+	s.rows[m].held.eachWord(func(w int, word uint64) { s.clearWord(m, w, word) })
+	volatile := s.topo.Mem(m) == Volatile
+	if !volatile && v != PSN {
+		return
 	}
-	if v == PSN {
-		for j := range s.rows {
-			s.rows[j].held.each(func(l LocID) {
-				if s.topo.Owner(l) == m {
-					s.setCache(MachineID(j), l, Bot)
-				}
-			})
+	s.topo.OwnerRuns(0, LocID(len(s.mem)), func(owner MachineID, lo, hi LocID) {
+		if owner != m {
+			return
 		}
-	}
+		if volatile {
+			clear(s.mem[lo:hi])
+		}
+		if v == PSN {
+			for w, mask := range WordsOf(lo, hi) {
+				for j := range s.holders.Machines(LocID(w << 6)) {
+					s.clearWord(j, w, mask)
+				}
+			}
+		}
+	})
 }

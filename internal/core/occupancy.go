@@ -14,12 +14,18 @@ import (
 // decides how long a cache page lives: a row keeps the page of 64 cells
 // under an occupancy word exactly while that word is non-zero (state.go).
 //
+// The drains work a word at a time too. The τ steps of one machine's
+// lines of one word and one owner's run commute, so DrainTau and
+// DrainRange hand them over as one TauWord — the lines as a mask — and
+// ApplyTauWordInPlace takes it with one popcount per row it touches.
+// ApplyTauInPlace stays the rule of one line the word step is held to.
+//
 // Above the rows sits the holder mask, a MachineMask: per occupancy word,
 // the machines whose row holds a page for it. It answers "which machines
 // cache line l" — what a store's invalidation, a flush's drain and a
 // load's lookup ask — at the cost of the holders, not of the machines.
-// State.setCache is the only writer of a cache cell and keeps the index
-// and the mask in step; TauSteps stays the enumerating reference both are
+// State.setCache, clearWord and moveWord are the only writers of a cache
+// cell and keep the index and the mask in step; TauSteps stays the enumerating reference both are
 // tested against. Only this file reads the mask's layout: everything else
 // asks MachineMask.Has or ranges over MachineMask.Machines.
 //
@@ -71,37 +77,59 @@ func (s *LineSet) Has(l LocID) bool {
 }
 
 // Add puts line l in the set.
-func (s *LineSet) Add(l LocID) {
-	if !s.Has(l) {
-		s.flip(l, 1)
-	}
-}
+func (s *LineSet) Add(l LocID) { s.AddWord(LineWord(l)) }
 
 // Remove takes line l out of the set.
-func (s *LineSet) Remove(l LocID) {
-	if s.Has(l) {
-		s.flip(l, -1)
-	}
+func (s *LineSet) Remove(l LocID) { s.RemoveWord(LineWord(l)) }
+
+// AddWord puts the lines of occupancy word w whose bits mask sets in the
+// set, and returns how many of them were not in it.
+func (s *LineSet) AddWord(w int, mask uint64) int {
+	n := bits.OnesCount64(mask &^ s.words[w])
+	s.words[w] |= mask
+	s.block[w/blockWords] += uint64(n)
+	s.total += n
+	return n
 }
+
+// RemoveWord takes the lines of occupancy word w whose bits mask sets out
+// of the set, and returns how many of them were in it.
+func (s *LineSet) RemoveWord(w int, mask uint64) int {
+	n := bits.OnesCount64(mask & s.words[w])
+	s.words[w] &^= mask
+	s.block[w/blockWords] -= uint64(n)
+	s.total -= n
+	return n
+}
+
+// Word returns occupancy word w of the set: bit i is set iff line w*64+i
+// is in it.
+func (s *LineSet) Word(w int) uint64 { return s.words[w] }
 
 // RemoveRange takes every line of [lo, hi) out of the set.
 func (s *LineSet) RemoveRange(lo, hi LocID) {
 	if lo < 0 || int(hi) > len(s.words)<<6 {
 		panic(fmt.Sprintf("core: LineSet.RemoveRange: [%d,%d) outside the set's locations", lo, hi))
 	}
-	for w := int(lo) >> 6; w<<6 < int(hi); w++ {
-		mask := rangeBits(w, lo, hi)
-		if n := bits.OnesCount64(s.words[w] & mask); n > 0 {
-			s.words[w] &^= mask
-			s.block[w/blockWords] -= uint64(n)
-			s.total -= n
-		}
+	for w, mask := range WordsOf(lo, hi) {
+		s.RemoveWord(w, mask)
 	}
 }
 
-// HasWordOf reports whether the set holds any line of l's occupancy word,
-// the 64 lines from l&^63 up.
-func (s *LineSet) HasWordOf(l LocID) bool { return s.words[int(l)>>6] != 0 }
+// LineWord returns line l's occupancy word and l's bit in it.
+func LineWord(l LocID) (w int, bit uint64) { return int(l) >> 6, 1 << (uint(l) & 63) }
+
+// WordsOf returns, in ascending order, each occupancy word the lines of
+// [lo, hi) meet, with the bits of the word that stand for them.
+func WordsOf(lo, hi LocID) iter.Seq2[int, uint64] {
+	return func(yield func(int, uint64) bool) {
+		for w := int(lo) >> 6; w<<6 < int(hi); w++ {
+			if !yield(w, rangeBits(w, lo, hi)) {
+				return
+			}
+		}
+	}
+}
 
 // rangeBits returns the bits of occupancy word w that stand for lines of
 // [lo, hi); w must be a word the range meets.
@@ -121,14 +149,6 @@ func (s *LineSet) Clear() {
 	clear(s.block)
 	clear(s.words)
 	s.total = 0
-}
-
-// flip toggles line l and moves the counts above it by d, +1 or -1.
-func (s *LineSet) flip(l LocID, d int) {
-	w := int(l) >> 6
-	s.words[w] ^= 1 << (uint(l) & 63)
-	s.block[w/blockWords] += uint64(d) // two's complement: -1 subtracts
-	s.total += d
 }
 
 // nth returns the k-th line of the set in ascending order, 0 <= k < total.
@@ -153,36 +173,74 @@ func (s *LineSet) nth(k uint64) LocID {
 	return LocID(w<<6 | bits.TrailingZeros64(word))
 }
 
-// each calls f on every line of the set in ascending order. f may remove
-// the line it is handed.
-func (s *LineSet) each(f func(LocID)) {
+// eachWord calls f on every non-zero occupancy word of the set in
+// ascending order, with the word as it is when the walk reaches it. f may
+// remove lines of the word it is handed.
+func (s *LineSet) eachWord(f func(w int, word uint64)) {
 	for b, n := range s.block {
 		if n == 0 {
 			continue
 		}
 		lo := b * blockWords
 		for w := lo; w < min(lo+blockWords, len(s.words)); w++ {
-			for word := s.words[w]; word != 0; word &= word - 1 {
-				f(LocID(w<<6 | bits.TrailingZeros64(word)))
+			if word := s.words[w]; word != 0 {
+				f(w, word)
 			}
 		}
 	}
 }
 
-// DrainTau empties every cache: it hands take each enabled τ step,
-// machine by machine and each machine's lines in ascending order, and
-// walks again until nothing is cached. take must take the step it is
-// handed (ApplyTauInPlace), which clears the source cell; a line that
-// moves to a lower-numbered owner's cache is taken on the next walk.
-// Lines drain independently and the drain draws no randomness, so it
-// ends in the same state as taking TauStepAt(0) until TauStepCount() is
-// 0, without a select through the block counts for every step.
-func (s *State) DrainTau(take func(TauStep)) {
+// TauWord is the τ steps of some of one machine's lines of one occupancy
+// word, all of one owner's run, taken as one step: Mask names the lines
+// (bit i stands for line Word*64+i), From gives them up, and ToMemory says
+// whether they go to memory (From owns them) or to their owner's cache.
+// The τ rule moves each line on its own, so the steps of a word's lines
+// commute, and ApplyTauWordInPlace ends in the state their
+// ApplyTauInPlace steps would, in any order.
+type TauWord struct {
+	From     MachineID
+	Word     int
+	Mask     uint64
+	ToMemory bool
+}
+
+// AsWord returns the word step of the single line t propagates.
+func (t TauStep) AsWord() TauWord {
+	w, bit := LineWord(t.Loc)
+	return TauWord{From: t.From, Word: w, Mask: bit, ToMemory: t.ToMemory}
+}
+
+// First returns the lowest line t propagates.
+func (t TauWord) First() LocID { return LocID(t.Word<<6 | bits.TrailingZeros64(t.Mask)) }
+
+func (t TauWord) String() string {
+	to := "C"
+	if t.ToMemory {
+		to = "M"
+	}
+	return fmt.Sprintf("τ(C%d→%s, word%d %#x)", t.From, to, t.Word, t.Mask)
+}
+
+// DrainTau empties every cache: it hands take each enabled τ step, as one
+// word step per machine, occupancy word and owner run, machine by machine
+// and each machine's words in ascending order, and walks again until
+// nothing is cached. take must take the step it is handed
+// (ApplyTauWordInPlace), which clears the source lines; a line that moves
+// to a lower-numbered owner's cache is taken on the next walk. Lines drain
+// independently and the drain draws no randomness, so it ends in the same
+// state as taking TauStepAt(0) until TauStepCount() is 0, without a select
+// through the block counts for every step.
+func (s *State) DrainTau(take func(TauWord)) {
 	for s.held > 0 {
 		for m := range s.rows {
 			from := MachineID(m)
-			s.rows[m].held.each(func(l LocID) {
-				take(TauStep{From: from, Loc: l, ToMemory: s.topo.Owner(l) == from})
+			s.rows[m].held.eachWord(func(w int, word uint64) {
+				for word != 0 {
+					owner, past := s.topo.ownerThrough(LocID(w<<6 | bits.TrailingZeros64(word)))
+					mask := word & rangeBits(w, LocID(w<<6), past)
+					word &^= mask
+					take(TauWord{From: from, Word: w, Mask: mask, ToMemory: owner == from})
+				}
 			})
 		}
 	}
@@ -190,31 +248,31 @@ func (s *State) DrainTau(take func(TauStep)) {
 
 // DrainRange is DrainTau restricted to the lines of [lo, hi): it hands
 // take, which must take it, every τ step that empties the caches of those
-// lines, and no other. It works a run of one owner's lines and an
-// occupancy word at a time, over the rows the holder mask names: each line
-// the owner does not hold moves to the owner's cache from its
-// lowest-numbered holder, then the owner writes back every line of the
-// word it holds, which clears every other copy. It is the one drain of a
-// flush of every cache: Thread's RFlush and LWB load ask it for one line.
-func (s *State) DrainRange(lo, hi LocID, take func(TauStep)) {
+// lines, and no other. It works a stretch of one owner's lines and an
+// occupancy word at a time, over the rows the holder mask names: the lines
+// the owner does not hold move to the owner's cache from their
+// lowest-numbered holder, one word step per holder, then the owner writes
+// back every line of the word it holds in one more, which clears every
+// other copy. It is the one drain of a flush of every cache: Thread's
+// RFlush and LWB load ask it for one line, a one-bit word step.
+func (s *State) DrainRange(lo, hi LocID, take func(TauWord)) {
 	for lo < hi {
-		owner, past := s.topo.runOf(lo)
+		owner, past := s.topo.ownerThrough(lo)
 		past = min(past, hi)
 		own := &s.rows[owner].held
-		for w := int(lo) >> 6; w<<6 < int(past); w++ {
-			in := rangeBits(w, lo, past)
+		for w, in := range WordsOf(lo, past) {
 			// A copy moves to the owner from its lowest holder only: once
 			// there, the owner's word masks it out of the later holders'.
 			for m := range s.holders.Machines(LocID(w << 6)) {
 				if m == owner {
 					continue
 				}
-				for word := s.rows[m].held.words[w] & in &^ own.words[w]; word != 0; word &= word - 1 {
-					take(TauStep{From: m, Loc: LocID(w<<6 | bits.TrailingZeros64(word))})
+				if mask := s.rows[m].held.words[w] & in &^ own.words[w]; mask != 0 {
+					take(TauWord{From: m, Word: w, Mask: mask})
 				}
 			}
-			for word := own.words[w] & in; word != 0; word &= word - 1 {
-				take(TauStep{From: owner, Loc: LocID(w<<6 | bits.TrailingZeros64(word)), ToMemory: true})
+			if mask := own.words[w] & in; mask != 0 {
+				take(TauWord{From: owner, Word: w, Mask: mask, ToMemory: true})
 			}
 		}
 		lo = past

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -204,7 +205,11 @@ func TestLineSetMatchesMapModel(t *testing.T) {
 		}
 		want := slices.Sorted(maps.Keys(model))
 		var got []LocID
-		set.each(func(l LocID) { got = append(got, l) })
+		set.eachWord(func(w int, word uint64) {
+			for ; word != 0; word &= word - 1 {
+				got = append(got, LocID(w<<6|bits.TrailingZeros64(word)))
+			}
+		})
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d: each yields %v, the model holds %v", round, got, want)
 		}
@@ -221,28 +226,36 @@ func TestLineSetMatchesMapModel(t *testing.T) {
 // fuzzTopo: lines cached by their owners and by other machines on either
 // side of them, so some propagate to a lower-numbered owner and are
 // taken on a later walk. Both drains must end in one state with nothing
-// cached, and DrainTau must hand take only enabled steps.
+// cached, DrainTau must hand take only enabled word steps, and the state
+// it leaves must agree with a dense mirror that took each word step's
+// lines one by one (pages and holder mask included).
 func TestDrainTauMatchesStepLoop(t *testing.T) {
 	topo := fuzzTopo()
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewState(topo)
-		for n := rng.Intn(400); n > 0; n-- {
-			m := MachineID(rng.Intn(topo.NumMachines()))
-			x := LocID(rng.Intn(topo.NumLocs()))
-			v := Val(1 + rng.Intn(3))
-			if cv, held := s.CachedValue(x); held {
-				v = cv // keep the global invariant
-			}
-			s.SetCache(m, x, v)
-		}
+		s, d := NewState(topo), newDense(topo)
+		randomHeld(rng, s, d, []MachineID{0, 1, 2}, rng.Intn(400))
 		loop, walked := s.Clone(), s.Clone()
 		for loop.TauStepCount() > 0 {
 			ApplyTauInPlace(loop, loop.TauStepAt(0))
 		}
-		walked.DrainTau(func(ts TauStep) { ApplyTauInPlace(walked, ts) })
+		var bad error
+		walked.DrainTau(func(tw TauWord) {
+			if bad = wordEnabled(walked, tw); bad == nil {
+				ApplyTauWordInPlace(walked, tw)
+				for _, ts := range perLine(tw) {
+					d.tau(ts)
+				}
+			}
+		})
+		if bad != nil {
+			t.Fatalf("seed %d: DrainTau: %v", seed, bad)
+		}
 		if !walked.Equal(loop) || !walked.CachesEmpty() {
 			t.Fatalf("seed %d: from %v\nDrainTau ends in %v\nthe TauStepAt(0) loop in %v", seed, s, walked, loop)
+		}
+		if err := agrees(walked, d); err != nil {
+			t.Fatalf("seed %d: after DrainTau: %v", seed, err)
 		}
 		if err := walked.CheckInvariant(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -272,21 +285,57 @@ func perLineDrain(s *State, lo, hi LocID) {
 	}
 }
 
+// perLine returns the single-line steps of the word step tw, in ascending
+// order of their lines.
+func perLine(tw TauWord) []TauStep {
+	var steps []TauStep
+	for word := tw.Mask; word != 0; word &= word - 1 {
+		steps = append(steps, TauStep{From: tw.From, Loc: LocID(tw.Word<<6 | bits.TrailingZeros64(word)), ToMemory: tw.ToMemory})
+	}
+	return steps
+}
+
+// wordEnabled reports, as an error naming tw, why the word step tw is not
+// one a drain may hand over in s: no lines, a line tw.From does not cache,
+// lines of two owners, or a destination that is not the owner's.
+func wordEnabled(s *State, tw TauWord) error {
+	if tw.Mask == 0 {
+		return fmt.Errorf("%v names no line", tw)
+	}
+	owner := s.topo.Owner(tw.First())
+	for _, ts := range perLine(tw) {
+		switch {
+		case s.Cache(ts.From, ts.Loc) == Bot:
+			return fmt.Errorf("%v names %d, which C%d does not hold", tw, ts.Loc, ts.From)
+		case s.topo.Owner(ts.Loc) != owner:
+			return fmt.Errorf("%v names lines of %d and of %d", tw, owner, s.topo.Owner(ts.Loc))
+		}
+	}
+	if tw.ToMemory != (owner == tw.From) {
+		return fmt.Errorf("%v: its lines are %d's", tw, owner)
+	}
+	return nil
+}
+
 // checkDrainRange holds s.DrainRange(lo, hi) to perLineDrain on clones of
-// s: it may hand take only enabled steps of lines in the range, must end
-// Equal to the per-line drain with nothing of the range cached and the
+// s: it may hand take only enabled word steps of lines in the range, must
+// end Equal to the per-line drain with nothing of the range cached and the
 // holder mask in step, and must leave every line outside the range as it
 // was in s.
 func checkDrainRange(s *State, lo, hi LocID) error {
 	ref, drained := s.Clone(), s.Clone()
 	perLineDrain(ref, lo, hi)
 	var bad error
-	drained.DrainRange(lo, hi, func(ts TauStep) {
-		if ts.Loc < lo || ts.Loc >= hi || drained.Cache(ts.From, ts.Loc) == Bot {
-			bad = fmt.Errorf("DrainRange(%d, %d) handed %v, which it may not take", lo, hi, ts)
+	drained.DrainRange(lo, hi, func(tw TauWord) {
+		if bad != nil {
+			return
 		}
-		if bad == nil {
-			ApplyTauInPlace(drained, ts)
+		if tw.Mask&^rangeBits(tw.Word, lo, hi) != 0 {
+			bad = fmt.Errorf("DrainRange(%d, %d) handed %v, a step outside the range", lo, hi, tw)
+		} else if err := wordEnabled(drained, tw); err != nil {
+			bad = fmt.Errorf("DrainRange(%d, %d): %v", lo, hi, err)
+		} else {
+			ApplyTauWordInPlace(drained, tw)
 		}
 	})
 	if bad != nil {
@@ -422,6 +471,99 @@ func TestHolderMaskBeyond64Machines(t *testing.T) {
 		}
 		if err := checkDrainRange(s, 0, LocID(topo.NumLocs())); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestTauWordMatchesPerLineSteps holds ApplyTauWordInPlace to
+// ApplyTauInPlace over the lines of its mask in ascending order, on random
+// states of fuzzTopo and of wideTopo, whose words hold several owners'
+// runs. Each step takes a held line at random and, as one word step, a
+// random part of its machine's lines of the same word and owner run; the
+// state after it must be Equal to the per-line steps' and agree with a
+// dense mirror that took them (pages and holder mask included).
+func TestTauWordMatchesPerLineSteps(t *testing.T) {
+	for _, topo := range []*Topology{fuzzTopo(), wideTopo()} {
+		machines := make([]MachineID, topo.NumMachines())
+		for m := range machines {
+			machines[m] = MachineID(m)
+		}
+		for seed := int64(0); seed < 100; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			s, d := NewState(topo), newDense(topo)
+			randomHeld(rng, s, d, machines, 1+rng.Intn(400))
+			for step := 0; step < 20 && s.TauStepCount() > 0; step++ {
+				ts := s.TauStepAt(rng.Intn(s.TauStepCount()))
+				w, bit := LineWord(ts.Loc)
+				_, past := topo.runOf(ts.Loc)
+				run := rangeBits(w, topo.runs[topo.runAt(ts.Loc)].first, past)
+				tw := TauWord{From: ts.From, Word: w, Mask: s.rows[ts.From].held.words[w] & run & (rng.Uint64() | bit), ToMemory: ts.ToMemory}
+				ref := s.Clone()
+				for _, one := range perLine(tw) {
+					ApplyTauInPlace(ref, one)
+					d.tau(one)
+				}
+				ApplyTauWordInPlace(s, tw)
+				if !s.Equal(ref) {
+					t.Fatalf("seed %d: %v ends in %v, its lines one by one in %v", seed, tw, s, ref)
+				}
+				if err := agrees(s, d); err != nil {
+					t.Fatalf("seed %d: after %v: %v", seed, tw, err)
+				}
+			}
+		}
+	}
+	// Steps no drain may hand over: lines of two runs (wideTopo's lines 0–2
+	// are machine 0's, 3–5 machine 1's; one line past the run is enough),
+	// a line the source does not cache,
+	// no line at all, and a destination other than the owner's.
+	s := NewState(wideTopo())
+	for l := range LocID(6) {
+		s.SetCache(5, l, 1)
+	}
+	s.SetCache(0, 0, 1)
+	for _, tw := range []TauWord{
+		{From: 5, Word: 0, Mask: 0b111111},
+		{From: 5, Word: 0, Mask: 0b1111},
+		{From: 5, Word: 0, Mask: 0b1000000},
+		{From: 5, Word: 0},
+		{From: 5, Word: 0, Mask: 0b111, ToMemory: true},
+		{From: 0, Word: 0, Mask: 0b1},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "core: ApplyTauWordInPlace:") {
+					t.Errorf("%v: panicked with %q, want a core: message", tw, msg)
+				}
+			}()
+			ApplyTauWordInPlace(s.Clone(), tw)
+		}()
+	}
+}
+
+// TestOwnerMatchesRuns: after registrations of single locations and of
+// ranges, some shorter than a word and some longer, Owner — answered from
+// the per-word table where one machine owns the word — equals the owner
+// the search of the runs finds, for every location.
+func TestOwnerMatchesRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for trial := 0; trial < 50; trial++ {
+		topo := NewTopology()
+		for m := range 4 {
+			topo.AddMachine(fmt.Sprintf("m%d", m), NonVolatile)
+		}
+		for reg := 0; reg < 40; reg++ {
+			m := MachineID(rng.Intn(4))
+			if rng.Intn(3) == 0 {
+				topo.AddLoc(fmt.Sprintf("n%d", reg), m)
+			} else {
+				topo.AddLocs(m, []int{0, 1, 3, 63, 64, 65, 200}[rng.Intn(7)])
+			}
+		}
+		for l := range LocID(topo.NumLocs()) {
+			if got, want := topo.Owner(l), topo.runs[topo.runAt(l)].m; got != want {
+				t.Fatalf("trial %d: Owner(%d) = %d, the runs say %d", trial, l, got, want)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -34,7 +35,8 @@ type State struct {
 
 	// cells is every page, pageLen cells each. The first is the shared page
 	// of ⊥ and is never written; the rest are each held by one table entry
-	// or on the free list, and are written only by setCache and takePage.
+	// or on the free list, and are written only by setCache, clearWord,
+	// moveWord and takePage.
 	// free is the offset of the first free page (0: none), whose first cell
 	// is the offset of the next; the other cells of a free page are stale.
 	cells   []Val
@@ -129,54 +131,87 @@ func (s *State) takePage() uint64 {
 	return off
 }
 
-// setCache is the one place a cache cell is written, and with it the one
-// place a row takes a page or gives one back, and the holder mask moves:
-// the first line under an occupancy word takes a page of ⊥ for the word
-// and sets the row's bit, the last one to leave releases it and clears
-// the bit.
+// setCache sets one cache cell to a value: the first line under an
+// occupancy word takes a page of ⊥ for the word and sets the row's holder
+// bit. Setting cells to ⊥ is clearWord's, a word step's move moveWord's.
 func (s *State) setCache(m MachineID, l LocID, v Val) {
 	if uint(l) >= uint(len(s.mem)) {
 		panic(fmt.Sprintf("core: no location %d to cache", l))
 	}
-	r := &s.rows[m]
-	w, i := int(l)>>6, int(l)&(pageCells-1)
-	off := r.page[w]
+	w, bit := LineWord(l)
 	if v == Bot {
-		if s.cells[int(off)+i] == Bot {
-			return
-		}
-		r.held.flip(l, -1)
-		s.held--
-		if r.held.words[w] == 0 {
-			// The page goes back with this cell still set: takePage
-			// fills whatever it hands out.
-			r.page[w] = 0
-			s.cells[off], s.free = Val(s.free), off
-			s.holders.Drop(m, l)
-			return
-		}
-		s.cells[int(off)+i] = Bot
+		s.clearWord(m, w, bit)
 		return
 	}
+	r := &s.rows[m]
+	off := r.page[w]
 	if off == 0 {
 		off = s.takePage()
 		r.page[w] = off
 		s.holders.Add(m, l)
 	}
-	if s.cells[int(off)+i] == Bot {
-		r.held.flip(l, 1)
-		s.held++
+	s.held += r.held.AddWord(w, bit)
+	s.cells[int(off)+int(l)&(pageCells-1)] = v
+}
+
+// clearWord sets C_m(l) = ⊥ for the lines l of occupancy word w that mask
+// names, counting them off m's row with one popcount. When the word
+// empties, the row's holder bit clears and its page goes back with its
+// cells still set: takePage fills whatever it hands out.
+func (s *State) clearWord(m MachineID, w int, mask uint64) {
+	r := &s.rows[m]
+	mask &= r.held.words[w]
+	if mask == 0 {
+		return
 	}
-	s.cells[int(off)+i] = v
+	s.held -= r.held.RemoveWord(w, mask)
+	off := r.page[w]
+	if r.held.words[w] == 0 {
+		r.page[w] = 0
+		s.cells[off], s.free = Val(s.free), off
+		s.holders.Drop(m, LocID(w<<6))
+		return
+	}
+	for ; mask != 0; mask &= mask - 1 {
+		s.cells[int(off)+bits.TrailingZeros64(mask)] = Bot
+	}
+}
+
+// moveWord is the horizontal word step: it moves the lines of occupancy
+// word w that mask names, all held by from, to machine to's cache. When
+// from gives up every line of the word and to holds none, the page itself
+// changes hands; otherwise to takes a page if it has none before from
+// gives one back, as the steps of the lines one by one would.
+func (s *State) moveWord(from, to MachineID, w int, mask uint64) {
+	r, o := &s.rows[from], &s.rows[to]
+	src, dst := r.page[w], o.page[w]
+	if dst == 0 && mask == r.held.words[w] {
+		r.held.RemoveWord(w, mask)
+		o.held.AddWord(w, mask)
+		r.page[w], o.page[w] = 0, src
+		s.holders.Drop(from, LocID(w<<6))
+		s.holders.Add(to, LocID(w<<6))
+		return
+	}
+	if dst == 0 {
+		dst = s.takePage()
+		o.page[w] = dst
+		s.holders.Add(to, LocID(w<<6))
+	}
+	for word := mask; word != 0; word &= word - 1 {
+		i := bits.TrailingZeros64(word)
+		s.cells[int(dst)+i] = s.cells[int(src)+i]
+	}
+	s.held += o.held.AddWord(w, mask)
+	s.clearWord(from, w, mask)
 }
 
 // invalidate sets C_m(l) = ⊥ for every machine m: for each one the holder
 // mask names for l's word.
 func (s *State) invalidate(l LocID) {
+	w, bit := LineWord(l)
 	for m := range s.holders.Machines(l) {
-		if s.Cache(m, l) != Bot {
-			s.setCache(m, l, Bot)
-		}
+		s.clearWord(m, w, bit)
 	}
 }
 

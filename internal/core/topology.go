@@ -60,6 +60,10 @@ type Topology struct {
 	// there are at most as many runs as registrations.
 	runs    []ownerRun
 	numLocs int
+	// wordOwner is, per 64-line occupancy word, the one machine owning
+	// every registered line of it, or -1 where two runs share the word:
+	// Owner answers from it and searches runs only for those words.
+	wordOwner []int32
 	// named lists the locations AddLoc registered, in ID order, and
 	// locIndex finds them by name. Every other location came from AddLocs,
 	// has no entry in either, and is called "<machine>[<id>]".
@@ -120,13 +124,22 @@ func (t *Topology) AddLocs(m MachineID, n int) LocID {
 }
 
 // extend gives the next n location IDs to machine m and returns the first:
-// they join the last run if it is m's, and start a run otherwise.
+// they join the last run if it is m's, and start a run otherwise. A word
+// they fill from its start is m's; a word they share with the run before
+// is nobody's alone.
 func (t *Topology) extend(m MachineID, n int) LocID {
 	first := LocID(t.numLocs)
 	if n > 0 && (len(t.runs) == 0 || t.runs[len(t.runs)-1].m != m) {
 		t.runs = append(t.runs, ownerRun{first, m})
 	}
 	t.numLocs += n
+	for w := int(first) >> 6; n > 0 && w<<6 < t.numLocs; w++ {
+		if w == len(t.wordOwner) {
+			t.wordOwner = append(t.wordOwner, int32(m))
+		} else if t.wordOwner[w] != int32(m) {
+			t.wordOwner[w] = -1
+		}
+	}
 	return first
 }
 
@@ -155,6 +168,9 @@ func (t *Topology) NumLocs() int { return t.numLocs }
 func (t *Topology) Owner(l LocID) MachineID {
 	if int(l) < 0 || int(l) >= t.numLocs {
 		panic(fmt.Sprintf("core: Owner: no location %d", l))
+	}
+	if m := t.wordOwner[int(l)>>6]; m >= 0 {
+		return MachineID(m)
 	}
 	return t.runs[t.runAt(l)].m
 }
@@ -200,6 +216,18 @@ func (t *Topology) runOf(l LocID) (owner MachineID, past LocID) {
 		return t.runs[i].m, t.runs[i+1].first
 	}
 	return t.runs[i].m, LocID(t.numLocs)
+}
+
+// ownerThrough returns the owner of location l, which must exist, and a
+// location past l up to which it owns every line: the end of l's
+// occupancy word when one machine owns the whole word, the end of l's run
+// otherwise. It costs a table read where runOf costs a search.
+func (t *Topology) ownerThrough(l LocID) (owner MachineID, past LocID) {
+	w := int(l) >> 6
+	if m := t.wordOwner[w]; m >= 0 {
+		return MachineID(m), LocID(min((w+1)<<6, t.numLocs))
+	}
+	return t.runOf(l)
 }
 
 // Mem returns the memory kind of machine m.

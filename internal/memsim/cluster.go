@@ -26,8 +26,13 @@
 // for the line's word. Every flush of all caches — RFlush, an LWB load's
 // write-back, RFlushRange — drains through one policy,
 // core.State.DrainRange, a word at a time over the holding rows instead of
-// line by line over every machine. The overlay's cooling asks only the
-// machines its own warm mask names.
+// line by line over every machine. Every τ step the runtime takes is a
+// word step (core.TauWord, applied by applyTauLocked): the lines of one
+// machine's 64-line occupancy word and one owner's run, moved or written
+// back at once — whole words for GPF's and the flushes' drains, one bit
+// for an eviction and an LFlush — and the clean-copy overlay follows it by
+// the same word mask. The overlay's cooling asks only the machines its own
+// warm mask names, a ranged flush's a word at a time.
 // Crashes and recoveries are injected through Crash and Recover. A
 // simulated clock charges each primitive the latency model's cost, enabling
 // performance comparisons between persistence strategies that wall-clock
@@ -359,7 +364,7 @@ func (c *Cluster) evictOnceLocked() {
 	if n == 0 {
 		return
 	}
-	c.applyTauLocked(c.st.TauStepAt(c.rng.Intn(n)))
+	c.applyTauLocked(c.st.TauStepAt(c.rng.Intn(n)).AsWord())
 }
 
 // stepLocked performs the labeled step l, which must be enabled — the
@@ -396,13 +401,12 @@ func (c *Cluster) followLocked(l core.Label, owner core.MachineID) {
 	case core.OpRStore, core.OpRRMW:
 		c.onlyCopyLocked(x, owner) // …in the owner's…
 	case core.OpMStore, core.OpMRMW, core.OpRFlush:
-		c.coolLocked(x) // …or in memory, where a flush of every copy leaves it
+		c.coolLocked(core.LineWord(x)) // …or in memory, where a flush of every copy leaves it
 	case core.OpLFlush:
 		c.hot.lines[l.M].Remove(x)
 	case core.OpRFlushRange:
-		// warm keeps the bits of words this empties: it is a superset.
-		for j := range c.hot.lines {
-			c.hot.lines[j].RemoveRange(x, x+core.LocID(l.N))
+		for w, mask := range core.WordsOf(x, x+core.LocID(l.N)) {
+			c.coolLocked(w, mask)
 		}
 	case core.OpGPF:
 		// Each line that drained was cooled by its τ step; clean copies of
@@ -423,30 +427,35 @@ func (c *Cluster) followLocked(l core.Label, owner core.MachineID) {
 	}
 }
 
-// applyTauLocked performs one propagation step and maintains the hot-line
-// overlay: horizontal propagation removes the source's copy; vertical
-// propagation (writeback) invalidates the line everywhere.
-func (c *Cluster) applyTauLocked(ts core.TauStep) {
-	core.ApplyTauInPlace(c.st, ts)
-	if ts.ToMemory {
-		c.coolLocked(ts.Loc)
-	} else {
-		owner := c.topo.Owner(ts.Loc)
-		c.hot.lines[ts.From].Remove(ts.Loc)
-		c.hot.lines[owner].Add(ts.Loc)
-		c.hot.warm.Add(owner, ts.Loc)
+// applyTauLocked performs the τ steps of one word step — the only way the
+// runtime propagates, a one-bit word for an eviction or an LFlush — and
+// maintains the hot-line overlay: horizontal propagation moves the lines
+// from the source's overlay row to the owner's; vertical propagation
+// (writeback) cools them everywhere.
+func (c *Cluster) applyTauLocked(t core.TauWord) {
+	core.ApplyTauWordInPlace(c.st, t)
+	if t.ToMemory {
+		c.coolLocked(t.Word, t.Mask)
+		return
 	}
+	first := t.First()
+	owner := c.topo.Owner(first)
+	c.hot.lines[t.From].RemoveWord(t.Word, t.Mask)
+	c.hot.lines[owner].AddWord(t.Word, t.Mask)
+	c.hot.warm.Add(owner, first)
 }
 
-// coolLocked invalidates x in every machine's performance cache
-// (writeback, MStore, a flush of every copy): in each machine warm names
-// for x's word, dropping the machine from warm once its word is empty.
-func (c *Cluster) coolLocked(x core.LocID) {
-	for j := range c.hot.warm.Machines(x) {
+// coolLocked invalidates the lines of occupancy word w that mask names in
+// every machine's performance cache (writeback, MStore, a flush of every
+// copy): in each machine warm names for the word, dropping the machine
+// from warm once its word is empty.
+func (c *Cluster) coolLocked(w int, mask uint64) {
+	at := core.LocID(w << 6)
+	for j := range c.hot.warm.Machines(at) {
 		lines := &c.hot.lines[j]
-		lines.Remove(x)
-		if !lines.HasWordOf(x) {
-			c.hot.warm.Drop(j, x)
+		lines.RemoveWord(w, mask)
+		if lines.Word(w) == 0 {
+			c.hot.warm.Drop(j, at)
 		}
 	}
 }
@@ -454,7 +463,7 @@ func (c *Cluster) coolLocked(x core.LocID) {
 // onlyCopyLocked records that holder's cache is the only one left with a
 // copy of x (a store gained exclusive ownership).
 func (c *Cluster) onlyCopyLocked(x core.LocID, holder core.MachineID) {
-	c.coolLocked(x)
+	c.coolLocked(core.LineWord(x))
 	c.hot.lines[holder].Add(x)
 	c.hot.warm.Add(holder, x)
 }

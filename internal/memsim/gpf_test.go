@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"fmt"
 	"testing"
 
 	"cxl0/internal/core"
@@ -84,5 +85,58 @@ func TestSnapshotIsACopy(t *testing.T) {
 	}
 	if snap.Mem(x) != 5 {
 		t.Errorf("snapshot mutated by later store: %d", snap.Mem(x))
+	}
+}
+
+// groupCommit stores sixteen three-word records from the front end, one on
+// each device in turn at the i-th 48-line stretch of its heap, and drains
+// every cache with one GPF: the shape of kv's group commit, 48 dirty lines
+// over several owners and words.
+func groupCommit(tb testing.TB, th *Thread, owners, i int) {
+	heap := th.Cluster().Topology().NumLocs() / owners
+	for r := 0; r < rangedCommitLines/3; r++ {
+		base := core.LocID(r%owners*heap + i%64*rangedCommitLines + r/owners*3)
+		for w := core.LocID(0); w < 3; w++ {
+			if err := th.LStore(base+w, core.Val(i%7)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := th.GPF(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestGPFDoesNotAllocate: a group commit — its stores and the GPF's drain
+// of 48 lines — allocates nothing on a cluster whose pages exist.
+func TestGPFDoesNotAllocate(t *testing.T) {
+	const owners = 12
+	c, th := ownersCluster(t, owners, owners*64*rangedCommitLines)
+	i := 0
+	for ; i < 64; i++ {
+		groupCommit(t, th, owners, i)
+	}
+	if allocs := testing.AllocsPerRun(500, func() { groupCommit(t, th, owners, i); i++ }); allocs != 0 {
+		t.Errorf("a group commit allocates %v times", allocs)
+	}
+	if !c.Snapshot().CachesEmpty() {
+		t.Fatal("a GPF left lines cached")
+	}
+}
+
+// BenchmarkGPF times a group commit of 48 lines on 5 and on 13 machines:
+// the drain walks the held lines a word step at a time, so ns/op should
+// follow the words the lines fall in more than the machine count.
+func BenchmarkGPF(b *testing.B) {
+	for _, machines := range []int{5, 13} {
+		b.Run(fmt.Sprintf("%dmachines", machines), func(b *testing.B) {
+			owners := machines - 1
+			_, th := ownersCluster(b, owners, owners*64*rangedCommitLines)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				groupCommit(b, th, owners, i)
+			}
+		})
 	}
 }

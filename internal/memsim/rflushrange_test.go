@@ -281,7 +281,9 @@ func TestRFlushRangeDoesNotAllocate(t *testing.T) {
 // BenchmarkRFlushRange times a ranged commit of 48 lines on 3 and on 13
 // machines (the repository benchmark's update-ranged-12sh): the flush asks
 // only the machines that hold a line, so ns/op should barely follow the
-// machine count.
+// machine count. The 1line cases time the one-line drain RFlush and the
+// LWB load take — a store and an RFlush, a one-bit word step each way —
+// which a 12 000-key preload of scan-flush-pooled pays per key.
 func BenchmarkRFlushRange(b *testing.B) {
 	for _, machines := range []int{3, 13} {
 		b.Run(fmt.Sprintf("%dmachines", machines), func(b *testing.B) {
@@ -290,6 +292,23 @@ func BenchmarkRFlushRange(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rangedCommit(b, th, i)
+			}
+		})
+	}
+	for _, machines := range []int{3, 13} {
+		b.Run(fmt.Sprintf("1line/%dmachines", machines), func(b *testing.B) {
+			c, th := ownersCluster(b, machines-1, (machines-1)*64*rangedCommitLines)
+			locs := c.Topology().NumLocs()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x := core.LocID(i * 97 % locs)
+				if err := th.LStore(x, core.Val(i%7)); err != nil {
+					b.Fatal(err)
+				}
+				if err := th.RFlush(x); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

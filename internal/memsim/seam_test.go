@@ -14,7 +14,8 @@ import (
 // TestSeams holds the non-test sources of the package to the shape its
 // claim rests on — "the runtime produces exactly the traces the LTS
 // allows, and the overlay never influences them": the state is stepped in
-// three functions, one per core entry point; the clean-copy overlay moves
+// three functions, one per core entry point (τ a word at a time: the rule
+// of one line, core.ApplyTauInPlace, is not called); the clean-copy overlay moves
 // only in the follow table, the τ step and the helper they share; a
 // thread primitive asks the topology for a line's owner once, in
 // beginLocked; and the simulated clock moves, and is published to its
@@ -30,7 +31,8 @@ func TestSeams(t *testing.T) {
 		funcs map[string]int
 	}{
 		{"core.ApplyInPlace calls", callsCore("ApplyInPlace"), "", map[string]int{"Cluster.stepLocked": 1}},
-		{"core.ApplyTauInPlace calls", callsCore("ApplyTauInPlace"), "", map[string]int{"Cluster.applyTauLocked": 1}},
+		{"core.ApplyTauWordInPlace calls", callsCore("ApplyTauWordInPlace"), "", map[string]int{"Cluster.applyTauLocked": 1}},
+		{"core.ApplyTauInPlace calls", callsCore("ApplyTauInPlace"), "", nil},
 		{"core.CrashInPlace calls", callsCore("CrashInPlace"), "", map[string]int{"Cluster.Crash": 1}},
 		{"writes of the hot overlay", writesHot, "", map[string]int{
 			"NewCluster": 0, "Cluster.followLocked": 0, "Cluster.applyTauLocked": 0, "Cluster.coolLocked": 0, "Cluster.onlyCopyLocked": 0,

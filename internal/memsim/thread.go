@@ -55,11 +55,12 @@ func (t *Thread) beginLocked(x core.LocID) (core.MachineID, error) {
 // the one drain a ranged flush also takes, core.State.DrainRange over the
 // single line, which asks only the machines the state's holder mask names:
 // a copy the owner lacks moves to the owner's cache from its lowest
-// holder, whose write-back then clears every other copy.
+// holder, whose write-back then clears every other copy — each a one-bit
+// word step.
 func (t *Thread) drainLocked(x core.LocID, owner core.MachineID, all bool) {
 	if !all {
 		if t.c.st.Cache(t.m, x) != core.Bot {
-			t.c.applyTauLocked(core.TauStep{From: t.m, Loc: x, ToMemory: t.m == owner})
+			t.c.applyTauLocked(core.TauStep{From: t.m, Loc: x, ToMemory: t.m == owner}.AsWord())
 		}
 		return
 	}
