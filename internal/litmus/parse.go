@@ -110,7 +110,7 @@ func ParseScript(input string) (*Script, error) {
 			if s.Topo == nil || locs == nil {
 				return nil, fmt.Errorf("line %d: trace before machines/locs", lineNo)
 			}
-			labels, err := parseTrace(rest, locs, machineCount)
+			labels, err := parseTrace(rest, locs, s.Topo)
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
@@ -170,11 +170,11 @@ func parseMachine(name string, count int) (core.MachineID, error) {
 // RMW events: LRMW1(x,0,1) RRMW2(y,1,2) MRMW1(x,2,3).
 // Ranged flush: RFlushRange1(x,2) flushes the 2 consecutively declared
 // locations starting at x.
-func parseTrace(text string, locs map[string]core.LocID, machines int) ([]core.Label, error) {
+func parseTrace(text string, locs map[string]core.LocID, topo *core.Topology) ([]core.Label, error) {
 	text = strings.ReplaceAll(text, ";", " ")
 	var out []core.Label
 	for _, tok := range strings.Fields(text) {
-		l, err := parseEvent(tok, locs, machines)
+		l, err := parseEvent(tok, locs, topo)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +206,7 @@ var eventOps = []struct {
 	{"E", core.OpCrash, 0},
 }
 
-func parseEvent(tok string, locs map[string]core.LocID, machines int) (core.Label, error) {
+func parseEvent(tok string, locs map[string]core.LocID, topo *core.Topology) (core.Label, error) {
 	for _, e := range eventOps {
 		if !strings.HasPrefix(tok, e.prefix) {
 			continue
@@ -221,7 +221,7 @@ func parseEvent(tok string, locs map[string]core.LocID, machines int) (core.Labe
 			return core.Label{}, fmt.Errorf("event %q: missing machine index", tok)
 		}
 		n, _ := strconv.Atoi(rest[:digits])
-		if n < 1 || n > machines {
+		if n < 1 || n > topo.NumMachines() {
 			return core.Label{}, fmt.Errorf("event %q: machine M%d out of range", tok, n)
 		}
 		m := core.MachineID(n - 1)
@@ -278,7 +278,7 @@ func parseEvent(tok string, locs map[string]core.LocID, machines int) (core.Labe
 			if perr != nil || n < 1 {
 				return core.Label{}, fmt.Errorf("event %q: bad range count %q", tok, parts[1])
 			}
-			if int(loc)+n > len(locs) {
+			if int(loc)+n > topo.NumLocs() {
 				return core.Label{}, fmt.Errorf("event %q: range of %d runs past the declared locations", tok, n)
 			}
 			lbl.N = n

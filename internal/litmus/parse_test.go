@@ -144,6 +144,21 @@ trace: RFlushRange1(x,0)
 	}
 }
 
+// TestParseRFlushRangeOverLocsLines: a ranged flush's bound is every
+// declared location, not only those of the last locs: line.
+func TestParseRFlushRangeOverLocsLines(t *testing.T) {
+	s, err := ParseScript("machines: M1:nvm M2:nvm\nlocs: x@M1\nlocs: y@M2\ntrace: RFlushRange1(y,1)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lbl := s.Traces[0].Labels[0]; lbl.Op != core.OpRFlushRange || lbl.Loc != 1 || lbl.N != 1 {
+		t.Fatalf("parsed ranged flush = %+v", lbl)
+	}
+	if _, err := ParseScript("machines: M1:nvm M2:nvm\nlocs: x@M1\nlocs: y@M2\ntrace: RFlushRange1(y,2)\n"); err == nil || !strings.Contains(err.Error(), "runs past") {
+		t.Errorf("a range past the last location: got %v", err)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, input, wantErr string
