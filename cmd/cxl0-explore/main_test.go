@@ -22,6 +22,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"parse error", []string{"-"}, "machines: M1:ssd\n", 2},
 		{"duplicate location", []string{"-"}, "machines: M1:nvm M2:nvm\nlocs: x@M1 x@M2\ntrace: E1\n", 2},
 		{"duplicate location across lines", []string{"-"}, "machines: M1:nvm M2:nvm\nlocs: x@M1\nlocs: x@M2\ntrace: E1\n", 2},
+		{"locations across locs lines", []string{"-"}, "machines: M1:nvm M2:nvm\nlocs: x@M1\nlocs: y@M2\ntrace: LStore1(x,1) E1 Load1(x,1)\nexpect: base=allowed\n", 0},
 		{"missing file", []string{"no-such.litmus"}, "", 2},
 		{"no arguments", nil, "", 2},
 	}

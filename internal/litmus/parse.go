@@ -42,7 +42,6 @@ type ScriptTrace struct {
 // ParseScript parses the litmus text format.
 func ParseScript(input string) (*Script, error) {
 	s := &Script{}
-	var locs map[string]core.LocID
 	var machineCount int
 
 	lineNo := 0
@@ -91,7 +90,6 @@ func ParseScript(input string) (*Script, error) {
 			if s.Topo == nil {
 				return nil, fmt.Errorf("line %d: locs before machines", lineNo)
 			}
-			locs = map[string]core.LocID{}
 			for _, spec := range strings.Fields(rest) {
 				name, owner, ok := strings.Cut(spec, "@")
 				if !ok {
@@ -104,13 +102,13 @@ func ParseScript(input string) (*Script, error) {
 				if _, dup := s.Topo.LocByName(name); dup {
 					return nil, fmt.Errorf("line %d: duplicate location name %q", lineNo, name)
 				}
-				locs[name] = s.Topo.AddLoc(name, m)
+				s.Topo.AddLoc(name, m)
 			}
 		case "trace":
-			if s.Topo == nil || locs == nil {
+			if s.Topo == nil || s.Topo.NumLocs() == 0 {
 				return nil, fmt.Errorf("line %d: trace before machines/locs", lineNo)
 			}
-			labels, err := parseTrace(rest, locs, s.Topo)
+			labels, err := parseTrace(rest, s.Topo)
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
@@ -170,11 +168,11 @@ func parseMachine(name string, count int) (core.MachineID, error) {
 // RMW events: LRMW1(x,0,1) RRMW2(y,1,2) MRMW1(x,2,3).
 // Ranged flush: RFlushRange1(x,2) flushes the 2 consecutively declared
 // locations starting at x.
-func parseTrace(text string, locs map[string]core.LocID, topo *core.Topology) ([]core.Label, error) {
+func parseTrace(text string, topo *core.Topology) ([]core.Label, error) {
 	text = strings.ReplaceAll(text, ";", " ")
 	var out []core.Label
 	for _, tok := range strings.Fields(text) {
-		l, err := parseEvent(tok, locs, topo)
+		l, err := parseEvent(tok, topo)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +204,7 @@ var eventOps = []struct {
 	{"E", core.OpCrash, 0},
 }
 
-func parseEvent(tok string, locs map[string]core.LocID, topo *core.Topology) (core.Label, error) {
+func parseEvent(tok string, topo *core.Topology) (core.Label, error) {
 	for _, e := range eventOps {
 		if !strings.HasPrefix(tok, e.prefix) {
 			continue
@@ -244,7 +242,7 @@ func parseEvent(tok string, locs map[string]core.LocID, topo *core.Topology) (co
 		if len(parts) != wantParts {
 			return core.Label{}, fmt.Errorf("event %q: want %d arguments, got %d", tok, wantParts, len(parts))
 		}
-		loc, ok := locs[strings.TrimSpace(parts[0])]
+		loc, ok := topo.LocByName(strings.TrimSpace(parts[0]))
 		if !ok {
 			return core.Label{}, fmt.Errorf("event %q: unknown location %q", tok, parts[0])
 		}

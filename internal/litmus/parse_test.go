@@ -144,6 +144,18 @@ trace: RFlushRange1(x,0)
 	}
 }
 
+// TestParseLocsAcrossLines: a trace names locations of every locs: line,
+// not only of the last one.
+func TestParseLocsAcrossLines(t *testing.T) {
+	s, err := ParseScript("machines: M1:nvm M2:nvm\nlocs: x@M1\nlocs: y@M2\ntrace: LStore1(x,1) LStore1(y,2)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, y := s.Traces[0].Labels[0], s.Traces[0].Labels[1]; x.Loc != 0 || y.Loc != 1 {
+		t.Errorf("x is location %d, y is %d; want 0 and 1", x.Loc, y.Loc)
+	}
+}
+
 // TestParseRFlushRangeOverLocsLines: a ranged flush's bound is every
 // declared location, not only those of the last locs: line.
 func TestParseRFlushRangeOverLocsLines(t *testing.T) {
