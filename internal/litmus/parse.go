@@ -130,6 +130,9 @@ func ParseScript(input string) (*Script, error) {
 				if err != nil {
 					return nil, fmt.Errorf("line %d: %v", lineNo, err)
 				}
+				if _, dup := tr.Expect[variant]; dup {
+					return nil, fmt.Errorf("line %d: expect: variant %q stated twice", lineNo, vs)
+				}
 				switch verdict {
 				case "allowed":
 					tr.Expect[variant] = true

@@ -185,6 +185,8 @@ func TestParseErrors(t *testing.T) {
 		{"expect before trace", "machines: M1:nvm\nlocs: x@M1\nexpect: base=allowed", "expect before any trace"},
 		{"bad verdict", "machines: M1:nvm\nlocs: x@M1\ntrace: E1\nexpect: base=maybe", "must be allowed or forbidden"},
 		{"no trace", "machines: M1:nvm\nlocs: x@M1", "no trace directive"},
+		{"contradictory expect", "machines: M1:nvm\nlocs: x@M1\ntrace: E1\nexpect: base=allowed base=forbidden", `variant "base" stated twice`},
+		{"expect repeated across lines", "machines: M1:nvm\nlocs: x@M1\ntrace: E1\nexpect: psn=allowed\nexpect: lwb=allowed psn=forbidden", `variant "psn" stated twice`},
 		{"negative value", "machines: M1:nvm\nlocs: x@M1\ntrace: LStore1(x,-1)", "bad value"},
 		{"wrong arity", "machines: M1:nvm\nlocs: x@M1\ntrace: LStore1(x)", "want 2 arguments"},
 	}
