@@ -16,6 +16,7 @@ package cxl0bench
 import (
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"cxl0/internal/core"
@@ -314,12 +315,20 @@ func BenchmarkModelStep(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceCheck measures litmus-style trace admissibility checking.
+// BenchmarkTraceCheck measures litmus trace admissibility checking: one
+// op is litmus.Check over figure3.litmus, Figure 3's nine traces under
+// each variant.
 func BenchmarkTraceCheck(b *testing.B) {
-	tests := litmus.Figure3()
+	raw, err := os.ReadFile("internal/litmus/testdata/figure3.litmus")
+	if err != nil {
+		b.Fatal(err)
+	}
+	script, err := litmus.ParseScript(string(raw))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		t := tests[i%len(tests)]
-		t.Run(core.Base)
+		litmus.Check(script)
 	}
 }
 

@@ -39,8 +39,8 @@ var paperClaims = []struct {
 	title string
 	rows  func(t *testing.T) []claim
 }{
-	{"Figure 3 — litmus tests 1–9", func(*testing.T) []claim { return litmusClaims(litmus.Figure3(), true) }},
-	{"§3.5 — tests 10–12 under each variant", func(*testing.T) []claim { return litmusClaims(litmus.VariantTests(), true) }},
+	{"Figure 3 — litmus tests 1–9", litmusClaims("figure3.litmus", paperRows)},
+	{"§3.5 — tests 10–12 under each variant", litmusClaims("variants.litmus", paperRows)},
 	{"§3.5 — the variant lattice (machines M1:nvm M2:vol, locations x@M1 y@M2)", latticeClaims},
 	{"§6 — the motivating example: x on M2; M1 runs x=1; r1=x; r2=x; assert(r1==r2)", motivatingClaims},
 	{"Proposition 1", propositionClaims},
@@ -51,8 +51,8 @@ var paperClaims = []struct {
 	{"The disaggregation gap across CXL generations", projectionClaims},
 	{"§6.1 — persistence-strategy cost, simulated ns/op, 2000 ops per cell", flitbenchClaims},
 	{"§6.1 — ablations, simulated ns/op", ablationClaims},
-	{"Extended litmus corpus (internal/litmus/extended.go)", func(*testing.T) []claim { return litmusClaims(litmus.Extended(), false) }},
-	{"cxl0-explore's walkthrough script (internal/litmus/testdata/walkthrough.litmus)", walkthroughClaims},
+	{"Extended litmus corpus (internal/litmus/testdata/findings.litmus)", litmusClaims("findings.litmus", ownRows)},
+	{"cxl0-explore's walkthrough script (internal/litmus/testdata/walkthrough.litmus)", litmusClaims("walkthrough.litmus", traceRows)},
 	{"§6 — durable linearizability under partial crashes, 8 seeds per cell, 3 workers × 6 ops", soundnessClaims},
 }
 
@@ -105,22 +105,60 @@ func at(lines []string, i int) string {
 	return "<end of file>"
 }
 
-// litmusClaims checks each test under each variant it states a verdict
-// for; fromPaper says whether that verdict is the paper's.
-func litmusClaims(tests []*litmus.Test, fromPaper bool) []claim {
-	var rows []claim
-	for _, r := range litmus.RunAll(tests) {
-		c := claim{
-			where: fmt.Sprintf("(%d) `%s` under %v", r.Test.ID, r.Test.Paper, r.Variant),
-			paper: litmus.Mark(r.Expected), repo: litmus.Mark(r.Got), agree: r.Agrees(),
-			check: "`litmus.RunAll` → `explore.Allows`",
+// How litmusClaims turns a corpus file's verdicts into rows.
+const (
+	paperRows = iota // a row per stated verdict: the paper's beside the model's
+	ownRows          // a row per stated verdict, a claim of the repository's own
+	traceRows        // a row per trace: the model's verdict under every variant
+)
+
+// litmusClaims renders the traces of internal/litmus/testdata/file, each
+// in the paper's notation behind its name:, with every verdict from
+// litmus.Check.
+func litmusClaims(file string, rows int) func(*testing.T) []claim {
+	return func(t *testing.T) []claim {
+		raw, err := os.ReadFile("internal/litmus/testdata/" + file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !fromPaper {
-			c.paper, c.repo = "—", fmt.Sprintf("%s, expected %s", c.repo, c.paper)
+		script, err := litmus.ParseScript(string(raw))
+		if err != nil {
+			t.Fatal(err)
 		}
-		rows = append(rows, c)
+		const check = "`litmus.Check` → `explore.Allows`"
+		verdicts, _ := litmus.Check(script)
+		var out []claim
+		for i, tr := range script.Traces {
+			where := "`" + (&explore.Separator{Trace: tr.Labels}).Pretty(script.Topo) + "`"
+			if tr.Name != "" {
+				where = "(" + tr.Name + ") " + where
+			}
+			if rows == traceRows {
+				var got, want []string
+				ok := true
+				for _, v := range verdicts[i] {
+					got = append(got, fmt.Sprintf("%v %s", v.Variant, litmus.Mark(v.Allowed)))
+					if v.Stated {
+						want = append(want, fmt.Sprintf("%v %s", v.Variant, litmus.Mark(v.Want)))
+					}
+					ok = ok && !v.Violated
+				}
+				out = append(out, claim{where, "—", fmt.Sprintf("%s; expected %s", strings.Join(got, " · "), strings.Join(want, " · ")), ok, check})
+				continue
+			}
+			for _, v := range verdicts[i] {
+				if !v.Stated {
+					continue
+				}
+				c := claim{where + " under " + v.Variant.String(), litmus.Mark(v.Want), litmus.Mark(v.Allowed), !v.Violated, check}
+				if rows == ownRows {
+					c.paper, c.repo = "—", fmt.Sprintf("%s, expected %s", c.repo, c.paper)
+				}
+				out = append(out, c)
+			}
+		}
+		return out
 	}
-	return rows
 }
 
 func latticeClaims(*testing.T) []claim {
@@ -364,33 +402,6 @@ func ablationClaims(t *testing.T) []claim {
 			fmt.Sprintf("%.0f ns/read, %d/128 spurious helping flushes", p.SimNSPerOp, p.HelpedLoads),
 			i == 0 || (p.HelpedLoads <= table[i-1].HelpedLoads && p.SimNSPerOp <= table[i-1].SimNSPerOp),
 			"`flitbench.CounterTableAblation`; false sharing falls as the table grows"})
-	}
-	return rows
-}
-
-func walkthroughClaims(t *testing.T) []claim {
-	raw, err := os.ReadFile("internal/litmus/testdata/walkthrough.litmus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	script, err := litmus.ParseScript(string(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []claim
-	for _, tr := range script.Traces {
-		var got, want []string
-		ok := true
-		for _, v := range core.Variants {
-			allowed := explore.Allows(script.Topo, v, tr.Labels)
-			got = append(got, fmt.Sprintf("%v %s", v, litmus.Mark(allowed)))
-			if exp, stated := tr.Expect[v]; stated {
-				want = append(want, fmt.Sprintf("%v %s", v, litmus.Mark(exp)))
-				ok = ok && exp == allowed
-			}
-		}
-		rows = append(rows, claim{"`" + tr.Source + "`", "—", fmt.Sprintf("%s; expected %s", strings.Join(got, " · "), strings.Join(want, " · ")),
-			ok, "`explore.Allows` against the script's `expect:`"})
 	}
 	return rows
 }

@@ -6,7 +6,10 @@
 //	machines: M1:nvm M2:vol
 //	locs: x@M2
 //	trace: LStore1(x,1) RFlush1(x) E2 Load1(x,0)
+//	name: remote flush
 //	expect: base=forbidden
+//
+// A trace's optional name: is printed beside its number.
 //
 // Usage:
 //
@@ -22,8 +25,6 @@ import (
 	"io"
 	"os"
 
-	"cxl0/internal/core"
-	"cxl0/internal/explore"
 	"cxl0/internal/litmus"
 )
 
@@ -62,25 +63,25 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 
 	fmt.Fprintf(stdout, "%s: %d machines, %d locations, %d traces\n\n",
 		name, script.Topo.NumMachines(), script.Topo.NumLocs(), len(script.Traces))
-	failures := 0
+	verdicts, failures := litmus.Check(script)
 	for i, tr := range script.Traces {
-		fmt.Fprintf(stdout, "trace %d: %s\n", i+1, tr.Source)
-		for _, variant := range core.Variants {
-			got := explore.Allows(script.Topo, variant, tr.Labels)
+		name := ""
+		if tr.Name != "" {
+			name = " (" + tr.Name + ")"
+		}
+		fmt.Fprintf(stdout, "trace %d%s: %s\n", i+1, name, tr.Source)
+		for _, v := range verdicts[i] {
 			verdict := "forbidden"
-			if got {
+			if v.Allowed {
 				verdict = "allowed"
 			}
 			note := ""
-			if want, stated := tr.Expect[variant]; stated {
-				if want == got {
-					note = "  [expected]"
-				} else {
-					note = "  [EXPECTATION VIOLATED]"
-					failures++
-				}
+			if v.Violated {
+				note = "  [EXPECTATION VIOLATED]"
+			} else if v.Stated {
+				note = "  [expected]"
 			}
-			fmt.Fprintf(stdout, "  %-9s %s%s\n", variant.String()+":", verdict, note)
+			fmt.Fprintf(stdout, "  %-9s %s%s\n", v.Variant.String()+":", verdict, note)
 		}
 		fmt.Fprintln(stdout)
 	}

@@ -8,21 +8,26 @@ import (
 	"cxl0/internal/core"
 )
 
-// This file implements a small text format for litmus tests, so new tests
-// can be checked without writing Go: cmd/cxl0-explore checks a script,
-// and testdata/ holds the corpus TestScriptCorpusFiles verifies and
-// FuzzParseScript is seeded from. The syntax mirrors the paper's notation:
+// This file implements the text format of litmus tests: cmd/cxl0-explore
+// checks a script, and testdata/ holds the corpus — the paper's tests,
+// the reproduction findings and worked examples — that TestScriptCorpusFiles
+// and TestPaperClaims check and FuzzParseScript is seeded from. The syntax
+// mirrors the paper's notation:
 //
 //	# three machines, one location each, all non-volatile
 //	machines: M1:nvm M2:nvm M3:vol
 //	locs: x@M1 y@M2
 //	trace: LStore1(x,1) LFlush1(x) E1 Load1(x,0)
+//	name: 3
 //	expect: base=forbidden lwb=forbidden psn=forbidden
 //
 // Machine names must be M1..Mn (the digit after an operation name refers
-// to them). `expect:` is optional; when present the checker reports
-// agreement. Lines starting with '#' are comments. Multiple trace/expect
-// pairs may follow one machines/locs header.
+// to them). Locations may be declared over several locs: lines. A trace
+// may be followed by one optional name: line (the corpus numbers the
+// paper's tests 1–12 and the findings 101–110 this way) and by expect:
+// lines, which state each variant at most once; when present the checker
+// reports agreement. Lines starting with '#' are comments. Multiple
+// traces may follow one machines/locs header.
 
 // Script is a parsed litmus script: one topology and one or more traces.
 type Script struct {
@@ -30,9 +35,10 @@ type Script struct {
 	Traces []ScriptTrace
 }
 
-// ScriptTrace is one trace line plus its optional expectations.
+// ScriptTrace is one trace line plus its optional name and expectations.
 type ScriptTrace struct {
 	Source string
+	Name   string
 	Labels []core.Label
 	// Expect maps variants to the expected verdict (true = allowed);
 	// missing entries mean "no expectation stated".
@@ -42,7 +48,6 @@ type ScriptTrace struct {
 // ParseScript parses the litmus text format.
 func ParseScript(input string) (*Script, error) {
 	s := &Script{}
-	var machineCount int
 
 	lineNo := 0
 	for _, raw := range strings.Split(input, "\n") {
@@ -55,8 +60,8 @@ func ParseScript(input string) (*Script, error) {
 		if !found {
 			return nil, fmt.Errorf("line %d: expected 'directive: ...', got %q", lineNo, line)
 		}
-		rest = strings.TrimSpace(rest)
-		switch strings.TrimSpace(key) {
+		key, rest = strings.TrimSpace(key), strings.TrimSpace(rest)
+		switch key {
 		case "machines":
 			if s.Topo != nil {
 				return nil, fmt.Errorf("line %d: duplicate machines directive", lineNo)
@@ -80,9 +85,8 @@ func ParseScript(input string) (*Script, error) {
 					return nil, fmt.Errorf("line %d: unknown memory kind %q (want nvm or vol)", lineNo, kind)
 				}
 				topo.AddMachine(name, mk)
-				machineCount++
 			}
-			if machineCount == 0 {
+			if topo.NumMachines() == 0 {
 				return nil, fmt.Errorf("line %d: no machines declared", lineNo)
 			}
 			s.Topo = topo
@@ -95,7 +99,7 @@ func ParseScript(input string) (*Script, error) {
 				if !ok {
 					return nil, fmt.Errorf("line %d: loc spec %q must be NAME@Mi", lineNo, spec)
 				}
-				m, err := parseMachine(owner, machineCount)
+				m, err := parseMachine(owner, s.Topo.NumMachines())
 				if err != nil {
 					return nil, fmt.Errorf("line %d: %v", lineNo, err)
 				}
@@ -113,11 +117,18 @@ func ParseScript(input string) (*Script, error) {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
 			s.Traces = append(s.Traces, ScriptTrace{Source: rest, Labels: labels})
-		case "expect":
+		case "name", "expect":
 			if len(s.Traces) == 0 {
-				return nil, fmt.Errorf("line %d: expect before any trace", lineNo)
+				return nil, fmt.Errorf("line %d: %s before any trace", lineNo, key)
 			}
 			tr := &s.Traces[len(s.Traces)-1]
+			if key == "name" {
+				if tr.Name != "" || rest == "" {
+					return nil, fmt.Errorf("line %d: a trace takes one non-empty name", lineNo)
+				}
+				tr.Name = rest
+				continue
+			}
 			if tr.Expect == nil {
 				tr.Expect = map[core.Variant]bool{}
 			}

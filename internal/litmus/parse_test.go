@@ -15,6 +15,7 @@ const sampleScript = `
 machines: M1:nvm M2:nvm
 locs: x@M2
 trace: LStore1(x,1) RFlush1(x) E2 Load1(x,0)
+name: 5
 expect: base=forbidden lwb=forbidden psn=forbidden
 trace: LStore1(x,1); LFlush1(x); E2; Load1(x,0)
 expect: base=allowed
@@ -47,6 +48,9 @@ func TestParseScript(t *testing.T) {
 	if tr.Labels[2].M != 1 {
 		t.Errorf("crash machine = %d, want 1", tr.Labels[2].M)
 	}
+	if tr.Name != "5" || s.Traces[1].Name != "" {
+		t.Errorf("names %q and %q, want \"5\" and none", tr.Name, s.Traces[1].Name)
+	}
 	if got := tr.Expect[core.Base]; got {
 		t.Errorf("expect base = %v, want forbidden", got)
 	}
@@ -60,13 +64,8 @@ func TestParsedScriptVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tr := range s.Traces {
-		for variant, want := range tr.Expect {
-			got := explore.Allows(s.Topo, variant, tr.Labels)
-			if got != want {
-				t.Errorf("trace %d under %v: got %v, want %v", i, variant, got, want)
-			}
-		}
+	if _, violated := Check(s); violated != 0 {
+		t.Errorf("%d stated verdicts violated", violated)
 	}
 }
 
@@ -84,7 +83,7 @@ expect: base=allowed
 	if tr.Labels[0].Op != core.OpLRMW || tr.Labels[0].Old != 0 || tr.Labels[0].New != 1 {
 		t.Errorf("LRMW parsed wrong: %+v", tr.Labels[0])
 	}
-	if !explore.Allows(s.Topo, core.Base, tr.Labels) {
+	if verdicts, _ := Check(s); !verdictOf(verdicts[0], core.Base).Allowed {
 		t.Errorf("M-RMW result should persist across the crash")
 	}
 }
@@ -98,7 +97,7 @@ trace: LStore1(x,1) LStore1(y,2) GPF1 E1 E2 Load1(x,1) Load1(y,2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !explore.Allows(s.Topo, core.Base, s.Traces[0].Labels) {
+	if verdicts, _ := Check(s); !verdictOf(verdicts[0], core.Base).Allowed {
 		t.Errorf("GPF trace should be allowed")
 	}
 }
@@ -119,12 +118,8 @@ expect: base=forbidden psn=forbidden lwb=forbidden
 	if lbl.Op != core.OpRFlushRange || lbl.M != 0 || lbl.N != 2 {
 		t.Fatalf("parsed ranged flush = %+v", lbl)
 	}
-	for i, tr := range s.Traces {
-		for variant, want := range tr.Expect {
-			if got := explore.Allows(s.Topo, variant, tr.Labels); got != want {
-				t.Errorf("trace %d under %v: got %v, want %v", i, variant, got, want)
-			}
-		}
+	if _, violated := Check(s); violated != 0 {
+		t.Errorf("%d stated verdicts violated", violated)
 	}
 	// A range running past the declared locations is a parse error, not a
 	// model panic.
@@ -185,6 +180,9 @@ func TestParseErrors(t *testing.T) {
 		{"expect before trace", "machines: M1:nvm\nlocs: x@M1\nexpect: base=allowed", "expect before any trace"},
 		{"bad verdict", "machines: M1:nvm\nlocs: x@M1\ntrace: E1\nexpect: base=maybe", "must be allowed or forbidden"},
 		{"no trace", "machines: M1:nvm\nlocs: x@M1", "no trace directive"},
+		{"name before trace", "machines: M1:nvm\nlocs: x@M1\nname: 1", "name before any trace"},
+		{"two names", "machines: M1:nvm\nlocs: x@M1\ntrace: E1\nname: 1\nname: 2", "one non-empty name"},
+		{"empty name", "machines: M1:nvm\nlocs: x@M1\ntrace: E1\nname:", "one non-empty name"},
 		{"contradictory expect", "machines: M1:nvm\nlocs: x@M1\ntrace: E1\nexpect: base=allowed base=forbidden", `variant "base" stated twice`},
 		{"expect repeated across lines", "machines: M1:nvm\nlocs: x@M1\ntrace: E1\nexpect: psn=allowed\nexpect: lwb=allowed psn=forbidden", `variant "psn" stated twice`},
 		{"negative value", "machines: M1:nvm\nlocs: x@M1\ntrace: LStore1(x,-1)", "bad value"},
@@ -200,33 +198,6 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.wantErr)
 			}
 		})
-	}
-}
-
-// TestRoundTripPaperTests re-encodes the Figure 3 corpus through the script
-// format and checks verdicts survive the round trip.
-func TestRoundTripPaperTests(t *testing.T) {
-	script := `
-machines: M1:nvm M2:nvm M3:nvm
-locs: x1@M1 x2@M2 x3@M3 y1@M1
-trace: RStore1(x1,1) E1 Load1(x1,0)
-expect: base=allowed
-trace: MStore1(x1,1) E1 Load1(x1,0)
-expect: base=forbidden
-trace: LStore1(x3,1) Load2(x3,1) LFlush2(x3) E1 E2 Load2(x3,0)
-expect: base=forbidden
-trace: RStore1(x2,1) Load2(x2,1) RStore2(y1,1) E2 Load1(y1,1) Load1(x2,0)
-expect: base=allowed
-`
-	s, err := ParseScript(script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range s.Traces {
-		got := explore.Allows(s.Topo, core.Base, tr.Labels)
-		if got != tr.Expect[core.Base] {
-			t.Errorf("round-trip trace %d (%s): got %v, want %v", i, tr.Source, got, tr.Expect[core.Base])
-		}
 	}
 }
 

@@ -4,13 +4,26 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"cxl0/internal/explore"
 )
 
-// TestScriptCorpusFiles parses and verifies every .litmus script under
-// testdata. They double as examples for cxl0-explore, and
-// walkthrough.litmus is a section of RESULTS.md.
+// readScript parses the corpus file testdata/name.
+func readScript(t *testing.T, name string) *Script {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ParseScript(string(raw))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return s
+}
+
+// TestScriptCorpusFiles checks every .litmus script under testdata through
+// Check: every trace states a verdict, and the model derives each one.
+// They double as examples for cxl0-explore; figure3, variants, findings
+// and walkthrough are sections of RESULTS.md.
 func TestScriptCorpusFiles(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.litmus")
 	if err != nil {
@@ -21,29 +34,20 @@ func TestScriptCorpusFiles(t *testing.T) {
 	}
 	for _, file := range files {
 		t.Run(filepath.Base(file), func(t *testing.T) {
-			raw, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			script, err := ParseScript(string(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checked := 0
-			for i, tr := range script.Traces {
-				if len(tr.Expect) == 0 {
+			s := readScript(t, filepath.Base(file))
+			verdicts, _ := Check(s)
+			for i, vs := range verdicts {
+				stated := false
+				for _, v := range vs {
+					stated = stated || v.Stated
+					if v.Violated {
+						t.Errorf("trace %d (%s) under %v: got %s, want %s",
+							i+1, s.Traces[i].Source, v.Variant, Mark(v.Allowed), Mark(v.Want))
+					}
+				}
+				if !stated {
 					t.Errorf("trace %d has no expectations", i+1)
 				}
-				for variant, want := range tr.Expect {
-					if got := explore.Allows(script.Topo, variant, tr.Labels); got != want {
-						t.Errorf("trace %d (%s) under %v: got %v, want %v",
-							i+1, tr.Source, variant, got, want)
-					}
-					checked++
-				}
-			}
-			if checked == 0 {
-				t.Error("no expectations checked")
 			}
 		})
 	}
