@@ -35,3 +35,14 @@ func TestRunExitStatus(t *testing.T) {
 		})
 	}
 }
+
+// TestRunPrintsName: a trace's name: is printed beside its number.
+func TestRunPrintsName(t *testing.T) {
+	var out strings.Builder
+	if got := run([]string{"-"}, strings.NewReader("machines: M1:nvm\nlocs: x@M1\ntrace: E1\nname: crash\n"), &out); got != 0 {
+		t.Fatalf("exit %d, want 0", got)
+	}
+	if !strings.Contains(out.String(), "\ntrace 1 (crash): E1\n") {
+		t.Errorf("output does not print the name:\n%s", out.String())
+	}
+}

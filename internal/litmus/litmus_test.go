@@ -17,6 +17,29 @@ func verdictOf(vs []Verdict, v core.Variant) Verdict {
 	panic(fmt.Sprintf("no verdict under %v", v))
 }
 
+// TestCheckFlagsViolations: Check derives every variant, marks the stated
+// verdicts, and counts as violated exactly the stated one the model
+// contradicts.
+func TestCheckFlagsViolations(t *testing.T) {
+	s, err := ParseScript("machines: M1:nvm\nlocs: x@M1\ntrace: MStore1(x,1) E1 Load1(x,0)\nexpect: base=allowed psn=forbidden\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts, violated := Check(s)
+	if violated != 1 {
+		t.Errorf("%d violated, want 1", violated)
+	}
+	for _, want := range []Verdict{
+		{Variant: core.Base, Stated: true, Want: true, Violated: true},
+		{Variant: core.PSN, Stated: true},
+		{Variant: core.LWB},
+	} {
+		if got := verdictOf(verdicts[0], want.Variant); got != want {
+			t.Errorf("got %+v, want %+v", got, want)
+		}
+	}
+}
+
 // TestVariantsAreIncomparable confirms the paper's claim that PSN and LWB
 // are incomparable: each forbids a trace of tests 10–12 the other allows.
 func TestVariantsAreIncomparable(t *testing.T) {
