@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/bits"
@@ -26,26 +27,44 @@ func fuzzTopo() *Topology {
 	return topo
 }
 
-// FuzzTauIndex reads its input as a sequence of four-byte operations —
-// kind, machine, two bytes of location — applied in place to one state
-// (and now and then to a clone that replaces it) and replayed into a dense
-// mirror, and holds the state to the mirror after every one, and its key
-// and equality to the mirror's at the end. The seed corpus is
-// testdata/fuzz/FuzzTauIndex.
+// FuzzTauIndex reads its input's first byte as the topology — fuzzTopo
+// when even, wideTopo, whose owner runs share occupancy words, when odd —
+// and the rest as a sequence of four-byte operations — kind, machine, two
+// bytes of location — applied in place to one state (and now and then to
+// a clone that replaces it) and replayed into a dense mirror, and holds
+// the state to the mirror after every one, and its key and equality to
+// the mirror's at the end. Besides the labeled and per-line τ steps, it
+// drives the word steps memsim takes: DrainRange, DrainTau, and one
+// ApplyTauWordInPlace whose mask the next eight bytes cut; the mirror
+// takes a word step's lines one at a time in ascending order. The seed
+// corpus is testdata/fuzz/FuzzTauIndex.
 func FuzzTauIndex(f *testing.F) {
-	topo := fuzzTopo()
+	topos := []*Topology{fuzzTopo(), wideTopo()}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		topo := topos[data[0]&1]
+		data = data[1:]
 		s, d := NewState(topo), newDense(topo)
 		apply := func(l Label, v Variant) {
 			if got, want := ApplyInPlace(s, l, v), d.apply(l, v); got != want {
 				t.Fatalf("%v enabled: %v, in the mirror: %v", l, got, want)
 			}
 		}
-		for ; len(data) >= 4; data = data[4:] {
-			m := MachineID(int(data[1]) % topo.NumMachines())
-			x := LocID((int(data[2])<<8 | int(data[3])) % topo.NumLocs())
-			v := Val(data[1] % 3)
-			switch data[0] % 12 {
+		take := func(tw TauWord) {
+			ApplyTauWordInPlace(s, tw)
+			for _, ts := range perLine(tw) {
+				d.tau(ts)
+			}
+		}
+		for len(data) >= 4 {
+			op := data[:4]
+			data = data[4:]
+			m := MachineID(int(op[1]) % topo.NumMachines())
+			x := LocID((int(op[2])<<8 | int(op[3])) % topo.NumLocs())
+			v := Val(op[1] % 3)
+			switch op[0] % 15 {
 			case 0:
 				apply(LStoreL(m, x, v), Base)
 			case 1:
@@ -87,9 +106,35 @@ func FuzzTauIndex(f *testing.F) {
 			case 11:
 				s.SetCache(m, x, Bot)
 				d.cache[m][x] = Bot
+			case 12:
+				// The square of op[1] reaches every length up to the
+				// whole of fuzzTopo.
+				hi := min(x+LocID(int(op[1])*int(op[1])), LocID(topo.NumLocs()))
+				s.DrainRange(x, hi, take)
+				if !s.NoCacheHoldsRange(x, int(hi-x)) {
+					t.Fatalf("DrainRange(%d, %d) left a line of the range cached", x, hi)
+				}
+			case 13:
+				s.DrainTau(take)
+				if !s.CachesEmpty() {
+					t.Fatal("DrainTau left a line cached")
+				}
+			case 14:
+				// m's lines of x's word and owner run, cut by the next
+				// eight bytes when there are.
+				w, _ := LineWord(x)
+				_, past := topo.runOf(x)
+				mask := s.rows[m].held.words[w] & rangeBits(w, topo.runs[topo.runAt(x)].first, past)
+				if len(data) >= 8 {
+					mask &= binary.LittleEndian.Uint64(data)
+					data = data[8:]
+				}
+				if mask != 0 {
+					take(TauWord{From: m, Word: w, Mask: mask, ToMemory: topo.Owner(x) == m})
+				}
 			}
 			if err := agrees(s, d); err != nil {
-				t.Fatalf("op %v: %v", data[:4], err)
+				t.Fatalf("op %v: %v", op, err)
 			}
 		}
 		if err := sameState(s, d); err != nil {
