@@ -65,11 +65,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 		name, script.Topo.NumMachines(), script.Topo.NumLocs(), len(script.Traces))
 	verdicts, failures := litmus.Check(script)
 	for i, tr := range script.Traces {
-		name := ""
+		label := ""
 		if tr.Name != "" {
-			name = " (" + tr.Name + ")"
+			label = " (" + tr.Name + ")"
 		}
-		fmt.Fprintf(stdout, "trace %d%s: %s\n", i+1, name, tr.Source)
+		fmt.Fprintf(stdout, "trace %d%s: %s\n", i+1, label, tr.Source)
 		for _, v := range verdicts[i] {
 			verdict := "forbidden"
 			if v.Allowed {
