@@ -40,6 +40,37 @@ func TestCheckFlagsViolations(t *testing.T) {
 	}
 }
 
+// agreesWithPaper checks a numbered corpus file through Check: each of its
+// tests states a verdict under every variant in want, and the model
+// derives each stated one.
+func agreesWithPaper(t *testing.T, file string, want []core.Variant) {
+	s := readScript(t, file)
+	verdicts, _ := Check(s)
+	for i, vs := range verdicts {
+		for _, v := range want {
+			switch got := verdictOf(vs, v); {
+			case !got.Stated:
+				t.Errorf("%s: test %s states no verdict under %v", file, s.Traces[i].Name, v)
+			case got.Violated:
+				t.Errorf("%s: test %s under %v: got %s, paper says %s",
+					file, s.Traces[i].Name, v, Mark(got.Allowed), Mark(got.Want))
+			}
+		}
+	}
+}
+
+// TestFigure3 re-derives the verdicts of all nine Figure 3 litmus tests and
+// compares them with the paper.
+func TestFigure3(t *testing.T) {
+	agreesWithPaper(t, "figure3.litmus", []core.Variant{core.Base})
+}
+
+// TestVariantTriples re-derives the (CXL0, LWB, PSN) verdict triples of
+// tests 10–12.
+func TestVariantTriples(t *testing.T) {
+	agreesWithPaper(t, "variants.litmus", core.Variants)
+}
+
 // TestVariantsAreIncomparable confirms the paper's claim that PSN and LWB
 // are incomparable: each forbids a trace of tests 10–12 the other allows.
 func TestVariantsAreIncomparable(t *testing.T) {

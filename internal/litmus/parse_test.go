@@ -1,8 +1,10 @@
 package litmus
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -198,6 +200,61 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestRoundTripPaperTests renders the paper's tests 1–12 back into the
+// script format, the header from the topology and each trace with
+// Label.Pretty, and checks that names, labels, expectations and Check's
+// verdicts survive the round trip.
+func TestRoundTripPaperTests(t *testing.T) {
+	short := map[core.Variant]string{core.Base: "base", core.PSN: "psn", core.LWB: "lwb"}
+	word := map[bool]string{true: "allowed", false: "forbidden"}
+	for _, file := range []string{"figure3.litmus", "variants.litmus"} {
+		s := readScript(t, file)
+		var b strings.Builder
+		b.WriteString("machines:")
+		for m := core.MachineID(0); int(m) < s.Topo.NumMachines(); m++ {
+			kind := "nvm"
+			if s.Topo.Mem(m) != core.NonVolatile {
+				kind = "vol"
+			}
+			fmt.Fprintf(&b, " %s:%s", s.Topo.MachineName(m), kind)
+		}
+		b.WriteString("\nlocs:")
+		for l := core.LocID(0); int(l) < s.Topo.NumLocs(); l++ {
+			fmt.Fprintf(&b, " %s@%s", s.Topo.LocName(l), s.Topo.MachineName(s.Topo.Owner(l)))
+		}
+		for _, tr := range s.Traces {
+			events := make([]string, len(tr.Labels))
+			for i, l := range tr.Labels {
+				events[i] = l.Pretty(s.Topo)
+			}
+			fmt.Fprintf(&b, "\ntrace: %s\nname: %s\nexpect:", strings.Join(events, " "), tr.Name)
+			for _, v := range core.Variants {
+				if want, ok := tr.Expect[v]; ok {
+					fmt.Fprintf(&b, " %s=%s", short[v], word[want])
+				}
+			}
+		}
+		back, err := ParseScript(b.String())
+		if err != nil {
+			t.Fatalf("%s: rendered script does not parse: %v\n%s", file, err, b.String())
+		}
+		if len(back.Traces) != len(s.Traces) {
+			t.Fatalf("%s: %d traces back, want %d", file, len(back.Traces), len(s.Traces))
+		}
+		for i, tr := range back.Traces {
+			orig := s.Traces[i]
+			if tr.Name != orig.Name || !reflect.DeepEqual(tr.Labels, orig.Labels) || !reflect.DeepEqual(tr.Expect, orig.Expect) {
+				t.Errorf("%s: test %s changed in the round trip: %s", file, orig.Name, tr.Source)
+			}
+		}
+		got, violated := Check(back)
+		want, _ := Check(s)
+		if violated != 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: verdicts changed in the round trip (%d violated)", file, violated)
+		}
 	}
 }
 
