@@ -52,7 +52,8 @@
 // and State.Observed — the value a load observes under a variant, or that
 // it is blocked); Apply, ApplyTau and Crash are Clone followed by those,
 // and ApplyTauWordInPlace takes the τ steps of one occupancy word's lines
-// at once, as ApplyTauInPlace would one by one. Exhaustive exploration utilities live
+// at once, as ApplyTauInPlace would one by one; ApplyStoreWordInPlace
+// does the same for one machine's stores to them. Exhaustive exploration utilities live
 // in package explore and call the cloning API; the executable concurrent
 // runtime lives in package memsim and steps its one live state in place.
 // Both resolve a primitive to a label through Observed and Readable, so

@@ -18,7 +18,10 @@ import (
 // that enumeration, which the state's occupancy index (occupancy.go) finds
 // without visiting the cells. It takes every τ step as a word step
 // (ApplyTauWordInPlace): the lines of one machine's occupancy word and one
-// owner's run at once, a one-bit word for a single line. Every cache
+// owner's run at once, a one-bit word for a single line. It takes a
+// record's plain stores the same way (ApplyStoreWordInPlace): the stores
+// of one machine to the lines of one occupancy word and one owner's run
+// that no eviction draw separates, as one step. Every cache
 // write goes through State.setCache (a value), clearWord (⊥) or moveWord
 // (a word step's move), which keep the index and take and release the
 // row's pages (state.go), and every read of a cell through State.Cache; a
@@ -166,7 +169,7 @@ func ApplyTauWordInPlace(s *State, t TauWord) {
 		panic("core: ApplyTauWordInPlace: step not enabled")
 	}
 	first := t.First()
-	owner, past := s.topo.ownerThrough(first)
+	owner, past := s.topo.OwnerThrough(first)
 	if last := t.Word<<6 | (63 - bits.LeadingZeros64(t.Mask)); last >= int(past) {
 		panic("core: ApplyTauWordInPlace: the lines have more than one owner")
 	}
@@ -184,6 +187,44 @@ func ApplyTauWordInPlace(s *State, t TauWord) {
 	}
 	for m := range s.holders.Machines(first) {
 		s.clearWord(m, t.Word, t.Mask)
+	}
+}
+
+// ApplyStoreWordInPlace mutates s by the stores op (OpLStore, OpRStore or
+// OpMStore) of machine m to the lines of occupancy word w that mask names,
+// which must all be owned by one machine: vals holds one value per line,
+// in ascending order of the lines. It ends where ApplyInPlace over each
+// of those stores, in ascending order, would: the lines are cleared from
+// every row the holder mask names, one masked clearWord per row, then set
+// in the issuer's cache (LStore) or the owner's (RStore), or written to
+// memory (MStore).
+func ApplyStoreWordInPlace(s *State, op Op, m MachineID, w int, mask uint64, vals []Val) {
+	if mask == 0 || len(vals) != bits.OnesCount64(mask) {
+		panic("core: ApplyStoreWordInPlace: the mask must name one line per value")
+	}
+	first := LocID(w<<6 | bits.TrailingZeros64(mask))
+	owner, past := s.topo.OwnerThrough(first)
+	if last := w<<6 | (63 - bits.LeadingZeros64(mask)); last >= int(past) {
+		panic("core: ApplyStoreWordInPlace: the lines have more than one owner")
+	}
+	holder := m
+	switch op {
+	case OpLStore, OpMStore:
+	case OpRStore:
+		holder = owner
+	default:
+		panic(fmt.Sprintf("core: ApplyStoreWordInPlace: %v is not a store", op))
+	}
+	for j := range s.holders.Machines(first) {
+		s.clearWord(j, w, mask)
+	}
+	for i, word := 0, mask; word != 0; i, word = i+1, word&(word-1) {
+		l := LocID(w<<6 | bits.TrailingZeros64(word))
+		if op == OpMStore {
+			s.mem[l] = vals[i]
+		} else {
+			s.setCache(holder, l, vals[i])
+		}
 	}
 }
 

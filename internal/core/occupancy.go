@@ -236,7 +236,7 @@ func (s *State) DrainTau(take func(TauWord)) {
 			from := MachineID(m)
 			s.rows[m].held.eachWord(func(w int, word uint64) {
 				for word != 0 {
-					owner, past := s.topo.ownerThrough(LocID(w<<6 | bits.TrailingZeros64(word)))
+					owner, past := s.topo.OwnerThrough(LocID(w<<6 | bits.TrailingZeros64(word)))
 					mask := word & rangeBits(w, LocID(w<<6), past)
 					word &^= mask
 					take(TauWord{From: from, Word: w, Mask: mask, ToMemory: owner == from})
@@ -257,7 +257,7 @@ func (s *State) DrainTau(take func(TauWord)) {
 // RFlush and LWB load ask it for one line, a one-bit word step.
 func (s *State) DrainRange(lo, hi LocID, take func(TauWord)) {
 	for lo < hi {
-		owner, past := s.topo.ownerThrough(lo)
+		owner, past := s.topo.OwnerThrough(lo)
 		past = min(past, hi)
 		own := &s.rows[owner].held
 		for w, in := range WordsOf(lo, past) {

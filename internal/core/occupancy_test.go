@@ -34,17 +34,22 @@ func fuzzTopo() *Topology {
 // a clone that replaces it) and replayed into a dense mirror, and holds
 // the state to the mirror after every one, and its key and equality to
 // the mirror's at the end. Besides the labeled and per-line τ steps, it
-// drives the word steps memsim takes: DrainRange, DrainTau, and one
-// ApplyTauWordInPlace whose mask the next eight bytes cut; the mirror
-// takes a word step's lines one at a time in ascending order. The seed
-// corpus is testdata/fuzz/FuzzTauIndex.
+// drives the word steps memsim takes: DrainRange, DrainTau, one
+// ApplyTauWordInPlace whose mask the next eight bytes cut, and one
+// ApplyStoreWordInPlace of LStores, RStores or MStores to the lines of a
+// word and owner's stretch (the split OwnerThrough hands a record's
+// stores), cut the same way; the mirror takes a word step's lines one at a
+// time in ascending order. An AddLocs op grows the topology — a run that
+// starts inside a word makes two runs share it — and carries the state
+// and the mirror over to it. The seed corpus is
+// testdata/fuzz/FuzzTauIndex.
 func FuzzTauIndex(f *testing.F) {
-	topos := []*Topology{fuzzTopo(), wideTopo()}
+	topos := []func() *Topology{fuzzTopo, wideTopo}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		topo := topos[data[0]&1]
+		topo := topos[data[0]&1]() // its own: AddLocs ops grow it
 		data = data[1:]
 		s, d := NewState(topo), newDense(topo)
 		apply := func(l Label, v Variant) {
@@ -64,7 +69,7 @@ func FuzzTauIndex(f *testing.F) {
 			m := MachineID(int(op[1]) % topo.NumMachines())
 			x := LocID((int(op[2])<<8 | int(op[3])) % topo.NumLocs())
 			v := Val(op[1] % 3)
-			switch op[0] % 15 {
+			switch k := op[0] % 19; k {
 			case 0:
 				apply(LStoreL(m, x, v), Base)
 			case 1:
@@ -132,6 +137,33 @@ func FuzzTauIndex(f *testing.F) {
 				if mask != 0 {
 					take(TauWord{From: m, Word: w, Mask: mask, ToMemory: topo.Owner(x) == m})
 				}
+			case 15, 16, 17:
+				// m's stores of one kind to x and lines of x's word and
+				// owner's stretch, cut by the next eight bytes when there
+				// are.
+				w, bit := LineWord(x)
+				_, past := topo.OwnerThrough(x)
+				mask := rangeBits(w, topo.runs[topo.runAt(x)].first, past)
+				if len(data) >= 8 {
+					mask &= binary.LittleEndian.Uint64(data) | bit
+					data = data[8:]
+				}
+				vals := make([]Val, bits.OnesCount64(mask))
+				for i := range vals {
+					vals[i] = Val((int(op[1]) + i) % 5)
+				}
+				store := []Op{OpLStore, OpRStore, OpMStore}[k-15]
+				ApplyStoreWordInPlace(s, store, m, w, mask, vals)
+				for _, l := range storeWordLines(store, m, w, mask, vals) {
+					d.apply(l, Base)
+				}
+			case 18:
+				// op[2]%100 more locations of m's; the state and the
+				// mirror carry over with the new lines uncached and zero.
+				if n := int(op[2]) % 100; topo.NumLocs()+n <= maxFuzzLocs {
+					topo.AddLocs(m, n)
+					s, d = grownState(s, d)
+				}
 			}
 			if err := agrees(s, d); err != nil {
 				t.Fatalf("op %v: %v", op, err)
@@ -141,6 +173,27 @@ func FuzzTauIndex(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// maxFuzzLocs bounds how far FuzzTauIndex's AddLocs ops grow a topology.
+const maxFuzzLocs = 6000
+
+// grownState returns a state and a mirror over s's topology, which has
+// grown since s was made, holding what s and d hold, every new line
+// uncached and zero.
+func grownState(s *State, d *dense) (*State, *dense) {
+	grown, mirror := NewState(s.topo), newDense(s.topo)
+	for l := range LocID(len(s.mem)) {
+		grown.SetMem(l, s.Mem(l))
+		mirror.mem[l] = d.mem[l]
+		for m := range MachineID(len(s.rows)) {
+			if v := s.Cache(m, l); v != Bot {
+				grown.SetCache(m, l, v)
+			}
+			mirror.cache[m][l] = d.cache[m][l]
+		}
+	}
+	return grown, mirror
 }
 
 // TestTopologyRuns registers locations one at a time and in ranges,
@@ -582,6 +635,97 @@ func TestTauWordMatchesPerLineSteps(t *testing.T) {
 				}
 			}()
 			ApplyTauWordInPlace(s.Clone(), tw)
+		}()
+	}
+}
+
+// storeWordLines returns m's store labels of op for the lines of word w
+// that mask names, with vals in ascending order of the lines: the per-line
+// steps ApplyStoreWordInPlace is held to.
+func storeWordLines(op Op, m MachineID, w int, mask uint64, vals []Val) []Label {
+	var steps []Label
+	for i, word := 0, mask; word != 0; i, word = i+1, word&(word-1) {
+		steps = append(steps, Label{Op: op, M: m, Loc: LocID(w<<6 | bits.TrailingZeros64(word)), Val: vals[i]})
+	}
+	return steps
+}
+
+// TestStoreWordMatchesPerLineSteps holds ApplyStoreWordInPlace to
+// ApplyInPlace over the stores of its mask's lines in ascending order, on
+// random states of fuzzTopo and of wideTopo, whose words hold several
+// owners' runs. Each step picks a line at random and, as one word step of
+// LStore, RStore or MStore by a random machine, a random part of the lines
+// of its word and owner's stretch (OwnerThrough); the state after it must
+// be Equal to the per-line steps' and agree with a dense mirror that took
+// them (pages and holder mask included).
+func TestStoreWordMatchesPerLineSteps(t *testing.T) {
+	stores := []Op{OpLStore, OpRStore, OpMStore}
+	for _, topo := range []*Topology{fuzzTopo(), wideTopo()} {
+		machines := make([]MachineID, topo.NumMachines())
+		for m := range machines {
+			machines[m] = MachineID(m)
+		}
+		for seed := int64(0); seed < 100; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			s, d := NewState(topo), newDense(topo)
+			randomHeld(rng, s, d, machines, rng.Intn(400))
+			for step := 0; step < 20; step++ {
+				x := LocID(rng.Intn(topo.NumLocs()))
+				w, bit := LineWord(x)
+				owner, past := topo.OwnerThrough(x)
+				first := x
+				for first > LocID(w<<6) && topo.Owner(first-1) == owner {
+					first--
+				}
+				mask := rangeBits(w, first, past) & (rng.Uint64() | bit)
+				op, m := stores[rng.Intn(len(stores))], machines[rng.Intn(len(machines))]
+				vals := make([]Val, bits.OnesCount64(mask))
+				for i := range vals {
+					vals[i] = Val(rng.Intn(9))
+				}
+				ref := s.Clone()
+				for _, l := range storeWordLines(op, m, w, mask, vals) {
+					ApplyInPlace(ref, l, Base)
+					d.apply(l, Base)
+				}
+				ApplyStoreWordInPlace(s, op, m, w, mask, vals)
+				if !s.Equal(ref) {
+					t.Fatalf("seed %d: %v by %d of %#x in word %d ends in %v, its lines one by one in %v", seed, op, m, mask, w, s, ref)
+				}
+				if err := agrees(s, d); err != nil {
+					t.Fatalf("seed %d: after %v by %d of %#x in word %d: %v", seed, op, m, mask, w, err)
+				}
+			}
+		}
+	}
+	// Steps no record may be cut into: lines of two runs (wideTopo's lines
+	// 0–2 are machine 0's, 3–5 machine 1's; one line past the run is
+	// enough), no line, a value too many or too few, a line past the
+	// topology, and an op that is not a store.
+	s := NewState(wideTopo())
+	for _, c := range []struct {
+		op   Op
+		w    int
+		mask uint64
+		vals []Val
+	}{
+		{OpLStore, 0, 0b1111, []Val{1, 2, 3, 4}},
+		{OpMStore, 0, 0b1100, []Val{1, 2}},
+		{OpLStore, 0, 0, nil},
+		{OpLStore, 0, 0b11, []Val{1}},
+		{OpRStore, 0, 0b1, []Val{1, 2}},
+		{OpLStore, 3, 1 << 48, []Val{1}},
+		{OpLStore, 4, 0b1, []Val{1}},
+		{OpLRMW, 0, 0b1, []Val{1}},
+		{OpLoad, 0, 0b1, []Val{1}},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "core: ") {
+					t.Errorf("%v of %#x in word %d with %v: panicked with %q, want a core: message", c.op, c.mask, c.w, c.vals, msg)
+				}
+			}()
+			ApplyStoreWordInPlace(s.Clone(), c.op, 0, c.w, c.mask, c.vals)
 		}()
 	}
 }

@@ -218,11 +218,14 @@ func (t *Topology) runOf(l LocID) (owner MachineID, past LocID) {
 	return t.runs[i].m, LocID(t.numLocs)
 }
 
-// ownerThrough returns the owner of location l, which must exist, and a
-// location past l up to which it owns every line: the end of l's
-// occupancy word when one machine owns the whole word, the end of l's run
-// otherwise. It costs a table read where runOf costs a search.
-func (t *Topology) ownerThrough(l LocID) (owner MachineID, past LocID) {
+// OwnerThrough returns the owner of location l and a location past l up
+// to which it owns every line: the end of l's occupancy word when one
+// machine owns the whole word, the end of l's run otherwise. It costs a
+// table read where a walk of OwnerRuns costs a search.
+func (t *Topology) OwnerThrough(l LocID) (owner MachineID, past LocID) {
+	if int(l) < 0 || int(l) >= t.numLocs {
+		panic(fmt.Sprintf("core: OwnerThrough: no location %d", l))
+	}
 	w := int(l) >> 6
 	if m := t.wordOwner[w]; m >= 0 {
 		return MachineID(m), LocID(min((w+1)<<6, t.numLocs))

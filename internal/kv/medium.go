@@ -33,14 +33,11 @@ type region struct{ base core.LocID }
 // loc addresses word w of record slot.
 func (r region) loc(slot, w int) core.LocID { return r.base + core.LocID(slot*recWords+w) }
 
-// read loads record slot's words, in key, value, checksum order.
+// read loads record slot's words, in key, value, checksum order, under
+// one take of the cluster lock.
 func (r region) read(t *memsim.Thread, slot int) (words [recWords]core.Val, err error) {
-	for w := range words {
-		if words[w], err = t.Load(r.loc(slot, w)); err != nil {
-			return words, err
-		}
-	}
-	return words, nil
+	err = t.LoadWords(r.loc(slot, 0), words[:])
+	return words, err
 }
 
 // retire MStores zero over the checksum words of slots [from, to), so
@@ -86,16 +83,12 @@ func (sh *shard) valLocOf(slot int) core.LocID {
 
 // writeEpochRecord MStores the snapshot-epoch record (epoch, snapLen,
 // checksum — checksum word last, so a torn write validates in neither
-// slot) into its parity slot. MStore is persistent at return, making the
-// completed record the compaction's commit point under every strategy.
+// slot) into its parity slot, a record at a time. MStore is persistent at
+// return, making the completed record the compaction's commit point under
+// every strategy.
 func (sh *shard) writeEpochRecord(t *memsim.Thread, epoch uint64, snapLen int) error {
 	words := [recWords]core.Val{core.Val(epoch), core.Val(snapLen), epochChkOf(epoch, snapLen)}
-	for w, v := range words {
-		if err := t.MStore(sh.epochR.loc(int(epoch%2), w), v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.StoreWords(core.OpMStore, sh.epochR.loc(int(epoch%2), 0), words[:])
 }
 
 // readEpochRecord loads both snapshot-epoch slots and returns the valid

@@ -9,6 +9,14 @@ package kv
 // instead of dispatching on the strategy itself. What stays with each
 // caller is its crash policy: the log writer retries under an epoch
 // guard, the snapshot writer aborts (see docs/persistence.md).
+//
+// The plain rules (MStoreEach, GPFEach, GroupCommit, RangedCommit) write a
+// record at a time, with one memsim.Thread.StoreWords: one lock for the
+// record, its stores taken a word step at a time, and the same simulated
+// state, clock and eviction draws as a store per word. The store+flush
+// rules (StoreFlush, RStoreFlush) write a word and flush it before the
+// next word's store, so they keep a loop of per-word pairs: there is no
+// run of plain stores to take at once.
 
 import (
 	"errors"
@@ -38,9 +46,15 @@ const (
 
 // persister is one strategy's answer to "make these words durable".
 type persister struct {
-	// word writes one word of a record at l on behalf of the shard on
-	// machine owner; under a perWord scope it is persistent on return.
-	word func(t *memsim.Thread, owner core.MachineID, l core.LocID, v core.Val) error
+	// store is the primitive a plain rule writes a record with, a record
+	// at a time (memsim.Thread.StoreWords): MStore, persistent on return,
+	// or LStore, which the scope's flush makes durable.
+	store core.Op
+	// storeFlush, set for the rules that pair each store with a flush,
+	// writes one word of a record at l on behalf of the shard on machine
+	// owner and flushes it, a word at a time: its word is persistent on
+	// return.
+	storeFlush func(t *memsim.Thread, owner core.MachineID, l core.LocID, v core.Val) error
 	// scope is the flush the written words still need.
 	scope flushScope
 	// batched says the log writer only stages records and a commit
@@ -53,29 +67,19 @@ type persister struct {
 func persisterFor(st Strategy) (persister, error) {
 	switch st {
 	case MStoreEach:
-		return persister{word: mstoreWord, scope: perWord}, nil
+		return persister{store: core.OpMStore, scope: perWord}, nil
 	case StoreFlush:
-		return persister{word: lstoreFlushWord, scope: perWord}, nil
+		return persister{storeFlush: lstoreFlushWord, scope: perWord}, nil
 	case RStoreFlush:
-		return persister{word: rstoreFlushWord, scope: perWord}, nil
+		return persister{storeFlush: rstoreFlushWord, scope: perWord}, nil
 	case GPFEach:
-		return persister{word: lstoreWord, scope: fabricWide}, nil
+		return persister{store: core.OpLStore, scope: fabricWide}, nil
 	case GroupCommit:
-		return persister{word: lstoreWord, scope: fabricWide, batched: true}, nil
+		return persister{store: core.OpLStore, scope: fabricWide, batched: true}, nil
 	case RangedCommit:
-		return persister{word: lstoreWord, scope: shardLocal, batched: true}, nil
+		return persister{store: core.OpLStore, scope: shardLocal, batched: true}, nil
 	}
 	return persister{}, fmt.Errorf("%w: %v", ErrUnknownStrategy, st)
-}
-
-func mstoreWord(t *memsim.Thread, _ core.MachineID, l core.LocID, v core.Val) error {
-	return t.MStore(l, v)
-}
-
-// lstoreWord leaves the word in the worker's cache: visible, not yet
-// durable.
-func lstoreWord(t *memsim.Thread, _ core.MachineID, l core.LocID, v core.Val) error {
-	return t.LStore(l, v)
 }
 
 // lstoreFlushWord is the LStore+flush idiom: the owner's LFlush when the
@@ -98,11 +102,15 @@ func rstoreFlushWord(t *memsim.Thread, _ core.MachineID, l core.LocID, v core.Va
 }
 
 // writeWords writes the words of record slot of region r on shard sh
-// with the store's strategy. The array travels by value so it stays on
-// the caller's stack across the indirect call.
+// with the store's strategy: a plain rule's record in one StoreWords, a
+// store+flush rule's a word and its flush at a time. The array travels by
+// value so it stays on the caller's stack across the indirect call.
 func (s *Store) writeWords(t *memsim.Thread, sh *shard, r region, slot int, words [recWords]core.Val) error {
+	if s.persist.storeFlush == nil {
+		return t.StoreWords(s.persist.store, r.loc(slot, 0), words[:])
+	}
 	for w, v := range words {
-		if err := s.persist.word(t, sh.machine, r.loc(slot, w), v); err != nil {
+		if err := s.persist.storeFlush(t, sh.machine, r.loc(slot, w), v); err != nil {
 			return err
 		}
 	}

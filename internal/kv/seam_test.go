@@ -109,12 +109,16 @@ var seams = []seam{
 	},
 	{
 		// The medium's format — record layout, region addressing, the
-		// Load×3 read, the checksum-zeroing retire — is medium.go's; the
-		// strategy's word writer (persist.go) stores and flushes through
-		// region.loc. A site is a Load, an MStore or a word address.
+		// record read (one LoadWords), the epoch record's MStores (one
+		// StoreWords), the checksum-zeroing retire — is medium.go's; the
+		// strategy's record writer (persist.go) stores a record, or stores
+		// and flushes it a word at a time, through region.loc. A site is a
+		// Load, an MStore, a record's LoadWords or StoreWords, or a word
+		// address.
 		name: "Loads and MStores of a shard's medium",
 		site: func(n ast.Node) bool {
-			return calls(n, "Load") != nil || calls(n, "MStore") != nil || calls(n, "loc") != nil
+			return calls(n, "Load") != nil || calls(n, "MStore") != nil || calls(n, "loc") != nil ||
+				calls(n, "LoadWords") != nil || calls(n, "StoreWords") != nil
 		},
 		files: []string{"medium.go", "persist.go"},
 		funcs: []string{"Store.readValue", "Store.compactLocked", "Store.migrateBucket"},

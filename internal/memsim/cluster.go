@@ -5,13 +5,15 @@
 //
 // Every primitive takes the cluster's global lock and applies the
 // corresponding CXL0 transition from package core, so the set of traces the
-// runtime can produce is exactly the set the LTS allows. A primitive on one
-// line takes one path: Thread.beginLocked (alive, the line's owner resolved
-// once, reachable), the primitive resolved to a label against the live
-// state (core.State.Observed for what a load — or a failed CAS — reads),
-// then Cluster.stepLocked, the only caller of core.ApplyInPlace: the state
-// steps, the clean-copy overlay follows the label through one table
-// (followLocked), the cost is charged and the eviction clock ticks.
+// runtime can produce is exactly the set the LTS allows. A load, flush or
+// RMW on one line takes one path: Thread.beginLocked (alive, the line's
+// owner resolved once, reachable), the primitive resolved to a label
+// against the live state (core.State.Observed for what a load — or a
+// failed CAS — reads), then Cluster.stepLocked, the only caller of
+// core.ApplyInPlace: the state steps, the clean-copy overlay follows the
+// label through one table (followLocked), the cost is charged and the
+// eviction clock ticks. Stores take the record path below, through the
+// same table, charge and clock.
 //
 // Nondeterministic cache eviction (the τ steps) is injected
 // probabilistically after operations and on demand via Churn: one seeded
@@ -33,6 +35,18 @@
 // for an eviction and an LFlush — and the clean-copy overlay follows it by
 // the same word mask. The overlay's cooling asks only the machines its own
 // warm mask names, a ranged flush's a word at a time.
+//
+// A store is a word step too. Thread.StoreWords writes a record — the
+// consecutive words a caller such as a KV log writes at once — under one
+// take of the lock: the stores to one occupancy word and one owner's
+// stretch that no eviction draw separates are one
+// core.ApplyStoreWordInPlace step (Cluster.storeLocked), the overlay
+// follows them by the word's mask, each is charged in order and the
+// eviction clock ticks once per store, so the record ends where a loop of
+// single stores would, eviction draws included; LStore, RStore and MStore
+// are its one-word calls. A record's loads share one lock too
+// (Thread.LoadWords) but stay one step each: a load's cost depends on
+// whether its line was cached, and an LWB load may drain first.
 // Crashes and recoveries are injected through Crash and Recover. A
 // simulated clock charges each primitive the latency model's cost, enabling
 // performance comparisons between persistence strategies that wall-clock
@@ -238,7 +252,7 @@ func (c *Cluster) Crash(m core.MachineID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	core.CrashInPlace(c.st, m, c.cfg.Variant)
-	c.followLocked(core.CrashL(m), m)
+	c.followLocked(core.CrashL(m), m, 0)
 	c.epoch[m]++
 	c.alive[m] = false
 	c.bumpStampLocked()
@@ -379,31 +393,52 @@ func (c *Cluster) stepLocked(l core.Label, owner core.MachineID, cached bool) {
 	if !core.ApplyInPlace(c.st, l, c.cfg.Variant) {
 		panic(fmt.Sprintf("memsim: %v not enabled in %v", l, c.st))
 	}
-	c.followLocked(l, owner)
-	c.chargeLocked(l, owner, cached)
+	_, bit := core.LineWord(l.Loc)
+	c.followLocked(l, owner, bit)
+	c.chargeLocked(l, owner, cached, 1)
 	if l.Op != core.OpGPF { // a global flush leaves nothing to evict
-		c.maybeEvictLocked()
+		c.maybeEvictLocked(1)
 	}
 }
 
-// followLocked moves the clean-copy overlay the way label l, on a line of
-// owner's, moved the state. It is the one table of what each label does to
-// the overlay (applyTauLocked is the row of the unlabeled τ step): a new op
+// storeLocked performs the stores op of machine m of vals to base, base+1,
+// …: lines of one occupancy word, all owned by owner, with no eviction draw
+// due before the last (Thread.StoreWords cuts a record there). It is the
+// runtime's only call of core.ApplyStoreWordInPlace and ends where
+// stepLocked over each store in ascending order would: the state steps,
+// the overlay follows by the word's mask, each store is charged in turn
+// and the eviction clock ticks once per store.
+func (c *Cluster) storeLocked(op core.Op, m, owner core.MachineID, base core.LocID, vals []core.Val) {
+	w, bit := core.LineWord(base)
+	mask := bit * (1<<len(vals) - 1)
+	core.ApplyStoreWordInPlace(c.st, op, m, w, mask, vals)
+	l, n := core.Label{Op: op, M: m, Loc: base}, uint64(len(vals))
+	c.followLocked(l, owner, mask)
+	c.chargeLocked(l, owner, false, n)
+	c.maybeEvictLocked(n)
+}
+
+// followLocked moves the clean-copy overlay the way label l, on the lines
+// of l.Loc's occupancy word that mask names — l.Loc's bit for a step of
+// one line, a word step's mask for a record's stores — all of owner's,
+// moved the state. It is the one table of what each label does to the
+// overlay (applyTauLocked is the row of the unlabeled τ step): a new op
 // must decide its row here.
-func (c *Cluster) followLocked(l core.Label, owner core.MachineID) {
+func (c *Cluster) followLocked(l core.Label, owner core.MachineID, mask uint64) {
 	x := l.Loc
+	w := int(x) >> 6
 	switch l.Op {
 	case core.OpLoad:
-		c.hot.lines[l.M].Add(x) // the reader now holds a (possibly clean) copy
+		c.hot.lines[l.M].AddWord(w, mask) // the reader now holds a (possibly clean) copy
 		c.hot.warm.Add(l.M, x)
 	case core.OpLStore, core.OpLRMW:
-		c.onlyCopyLocked(x, l.M) // the store, or the store half, lands in the issuer's cache…
+		c.onlyCopyLocked(w, mask, l.M) // the store, or the store half, lands in the issuer's cache…
 	case core.OpRStore, core.OpRRMW:
-		c.onlyCopyLocked(x, owner) // …in the owner's…
+		c.onlyCopyLocked(w, mask, owner) // …in the owner's…
 	case core.OpMStore, core.OpMRMW, core.OpRFlush:
-		c.coolLocked(core.LineWord(x)) // …or in memory, where a flush of every copy leaves it
+		c.coolLocked(w, mask) // …or in memory, where a flush of every copy leaves it
 	case core.OpLFlush:
-		c.hot.lines[l.M].Remove(x)
+		c.hot.lines[l.M].RemoveWord(w, mask)
 	case core.OpRFlushRange:
 		for w, mask := range core.WordsOf(x, x+core.LocID(l.N)) {
 			c.coolLocked(w, mask)
@@ -461,11 +496,12 @@ func (c *Cluster) coolLocked(w int, mask uint64) {
 }
 
 // onlyCopyLocked records that holder's cache is the only one left with a
-// copy of x (a store gained exclusive ownership).
-func (c *Cluster) onlyCopyLocked(x core.LocID, holder core.MachineID) {
-	c.coolLocked(core.LineWord(x))
-	c.hot.lines[holder].Add(x)
-	c.hot.warm.Add(holder, x)
+// copy of the lines of occupancy word w that mask names (a store gained
+// exclusive ownership).
+func (c *Cluster) onlyCopyLocked(w int, mask uint64, holder core.MachineID) {
+	c.coolLocked(w, mask)
+	c.hot.lines[holder].AddWord(w, mask)
+	c.hot.warm.Add(holder, core.LocID(w<<6))
 }
 
 // hotLocked reports whether machine m holds a (semantic or clean) copy of
@@ -474,14 +510,28 @@ func (c *Cluster) hotLocked(m core.MachineID, x core.LocID) bool {
 	return c.st.Cache(m, x) != core.Bot || c.hot.lines[m].Has(x)
 }
 
-func (c *Cluster) maybeEvictLocked() {
+// maybeEvictLocked ticks the eviction clock by the n primitives just
+// stepped and draws an eviction when the last of them reaches a multiple
+// of EvictEvery; a caller stepping n > 1 at once stops at the draw
+// (untilDrawLocked), so that no earlier one reaches one.
+func (c *Cluster) maybeEvictLocked(n uint64) {
 	if c.cfg.EvictEvery <= 0 {
 		return
 	}
-	c.opCount++
+	c.opCount += n
 	if c.opCount%uint64(c.cfg.EvictEvery) == 0 {
 		c.evictOnceLocked()
 	}
+}
+
+// untilDrawLocked returns how many primitives may step before the eviction
+// clock draws: the draw follows the last of them.
+func (c *Cluster) untilDrawLocked() int {
+	if c.cfg.EvictEvery <= 0 {
+		return math.MaxInt
+	}
+	every := uint64(c.cfg.EvictEvery)
+	return int(every - c.opCount%every)
 }
 
 // Stamp returns a fresh monotonically increasing event stamp, used by
@@ -501,12 +551,13 @@ func (c *Cluster) bumpStampLocked() uint64 {
 // charged primitive left, read without the cluster lock.
 func (c *Cluster) NowNS() float64 { return math.Float64frombits(c.clockBits.Load()) }
 
-// chargeLocked counts the primitive l and charges its modeled cost. A
+// chargeLocked counts n primitives of label l's kind — n > 1 only for a
+// record's stores, one per word — and charges their modeled cost. A
 // primitive on one line is charged to dev, the line's owner; a degraded
 // device multiplies the cost: the operation still succeeds, it just pays a
 // realistic penalty for the slow medium.
-func (c *Cluster) chargeLocked(l core.Label, dev core.MachineID, cached bool) {
-	c.opStats[l.Op]++
+func (c *Cluster) chargeLocked(l core.Label, dev core.MachineID, cached bool, n uint64) {
+	c.opStats[l.Op] += n
 	lat := c.cfg.Latency
 	if lat == nil {
 		return
@@ -544,7 +595,11 @@ func (c *Cluster) chargeLocked(l core.Label, dev core.MachineID, cached bool) {
 			}
 		}
 	default:
-		c.clockNS += lat.CXL0CostCached(l.Op, l.M == dev, cached) * c.degrade[dev]
+		// One addition per primitive, in order: float64 addition is not
+		// associative, so n stores add what n single ones would.
+		for range n {
+			c.clockNS += lat.CXL0CostCached(l.Op, l.M == dev, cached) * c.degrade[dev]
+		}
 	}
 	c.clockBits.Store(math.Float64bits(c.clockNS))
 }

@@ -117,7 +117,7 @@ func TestHotOverlayMatchesMapModel(t *testing.T) {
 			charge(core.OpLoad, cached)
 		case k < 20:
 			op := []core.Op{core.OpLStore, core.OpRStore, core.OpMStore}[script.Intn(3)]
-			must(th.store(op, x, core.Val(1+script.Intn(9))))
+			must(th.StoreWords(op, x, []core.Val{core.Val(1 + script.Intn(9))}))
 			hot.stored(op, m, owner, x)
 			charge(op, false)
 		case k < 24:

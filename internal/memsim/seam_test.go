@@ -14,11 +14,12 @@ import (
 // TestSeams holds the non-test sources of the package to the shape its
 // claim rests on — "the runtime produces exactly the traces the LTS
 // allows, and the overlay never influences them": the state is stepped in
-// three functions, one per core entry point (τ a word at a time: the rule
-// of one line, core.ApplyTauInPlace, is not called); the clean-copy overlay moves
-// only in the follow table, the τ step and the helper they share; a
-// thread primitive asks the topology for a line's owner once, in
-// beginLocked; and the simulated clock moves, and is published to its
+// four functions, one per core entry point (τ a word at a time: the rule
+// of one line, core.ApplyTauInPlace, is not called; a record's stores a
+// word at a time too); the clean-copy overlay moves
+// only in the follow table, the τ step and the helpers they share; a
+// thread primitive asks the topology for a line's owner in one place,
+// reachLocked; and the simulated clock moves, and is published to its
 // lock-free readers, only where a primitive is charged. A site anywhere
 // else fails its row (in the manner of internal/kv's seam table).
 func TestSeams(t *testing.T) {
@@ -33,14 +34,16 @@ func TestSeams(t *testing.T) {
 		{"core.ApplyInPlace calls", callsCore("ApplyInPlace"), "", map[string]int{"Cluster.stepLocked": 1}},
 		{"core.ApplyTauWordInPlace calls", callsCore("ApplyTauWordInPlace"), "", map[string]int{"Cluster.applyTauLocked": 1}},
 		{"core.ApplyTauInPlace calls", callsCore("ApplyTauInPlace"), "", nil},
+		{"core.ApplyStoreWordInPlace calls", callsCore("ApplyStoreWordInPlace"), "", map[string]int{"Cluster.storeLocked": 1}},
 		{"core.CrashInPlace calls", callsCore("CrashInPlace"), "", map[string]int{"Cluster.Crash": 1}},
 		{"writes of the hot overlay", writesHot, "", map[string]int{
 			"NewCluster": 0, "Cluster.followLocked": 0, "Cluster.applyTauLocked": 0, "Cluster.coolLocked": 0, "Cluster.onlyCopyLocked": 0,
 		}},
+		// OwnerThrough, the owner and how far it owns on, is a site too.
 		{"topo.Owner calls in thread.go", func(n ast.Node) bool {
 			c, ok := n.(*ast.CallExpr)
-			return ok && selects(c.Fun, "Owner")
-		}, "thread.go", map[string]int{"Thread.beginLocked": 1, "Thread.Local": 1}},
+			return ok && (selects(c.Fun, "Owner") || selects(c.Fun, "OwnerThrough"))
+		}, "thread.go", map[string]int{"Thread.reachLocked": 1, "Thread.Local": 1}},
 		// NowNS reads the published bits without the lock, so the clock and
 		// its copy may only move together, where a primitive is charged.
 		{"assignments to clockNS", func(n ast.Node) bool {

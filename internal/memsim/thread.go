@@ -43,8 +43,32 @@ func (t *Thread) beginLocked(x core.LocID) (core.MachineID, error) {
 	if err := t.checkAliveLocked(); err != nil {
 		return 0, err
 	}
-	owner := t.c.topo.Owner(x)
-	return owner, t.c.reachableLocked(t.m, owner)
+	owner, _, err := t.reachLocked(x)
+	return owner, err
+}
+
+// reachLocked resolves the owner of line x, and past, the line up to which
+// that owner owns every line from x on (core.Topology.OwnerThrough), and
+// checks that the thread's machine reaches the owner. It is the one place
+// a primitive asks for an owner: beginLocked for one line, LoadWords and
+// StoreWords once per owner's stretch of their range.
+func (t *Thread) reachLocked(x core.LocID) (owner core.MachineID, past core.LocID, err error) {
+	owner, past = t.c.topo.OwnerThrough(x)
+	return owner, past, t.c.reachableLocked(t.m, owner)
+}
+
+// checkRange rejects a range of n locations from base that is empty or not
+// inside the topology. n is compared with what is left past base: base+n
+// can overflow.
+func (t *Thread) checkRange(prim string, base core.LocID, n int) error {
+	if n < 1 {
+		return fmt.Errorf("memsim: %s needs n >= 1, got %d", prim, n)
+	}
+	if locs := t.c.topo.NumLocs(); int(base) < 0 || n > locs-int(base) {
+		return fmt.Errorf("memsim: %s of %d locations from %d is outside the %d allocated",
+			prim, n, base, locs)
+	}
+	return nil
 }
 
 // drainLocked forces propagation steps until location x, a line of
@@ -78,6 +102,33 @@ func (t *Thread) Load(x core.LocID) (core.Val, error) {
 	return t.loadLocked(x, owner), nil
 }
 
+// LoadWords reads the len(dst) consecutive locations from base into dst, in
+// ascending order, under one take of the cluster lock: each is the Load a
+// loop over them would take — a load's cost depends on whether its line
+// was cached, and an LWB load may drain first, so they are not merged. On
+// an error dst holds the words read before it, as the loop would.
+func (t *Thread) LoadWords(base core.LocID, dst []core.Val) error {
+	if err := t.checkRange("LoadWords", base, len(dst)); err != nil {
+		return err
+	}
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	if err := t.checkAliveLocked(); err != nil {
+		return err
+	}
+	for i := 0; i < len(dst); {
+		x := base + core.LocID(i)
+		owner, past, err := t.reachLocked(x)
+		if err != nil {
+			return err
+		}
+		for ; i < len(dst) && x < past; i, x = i+1, x+1 {
+			dst[i] = t.loadLocked(x, owner)
+		}
+	}
+	return nil
+}
+
 // loadLocked performs the variant's load of x — a Load, and a CAS whose
 // compare fails (§3.3: a failed RMW is a plain read) — and returns what it
 // observed.
@@ -94,30 +145,61 @@ func (t *Thread) loadLocked(x core.LocID, owner core.MachineID) core.Val {
 	return v
 }
 
-func (t *Thread) store(op core.Op, x core.LocID, v core.Val) error {
-	if v < 0 {
-		return fmt.Errorf("memsim: negative value %d (values must be non-negative)", v)
+// StoreWords stores vals to the len(vals) consecutive locations from base
+// with the store op (OpLStore, OpRStore or OpMStore), under one take of the
+// cluster lock, and ends where a loop of that store over them would: the
+// same state, overlay, clock, counts and eviction draws. The stores of one
+// occupancy word and one owner's stretch that no eviction draw separates
+// are one word step (Cluster.storeLocked). A bad argument — an op that is
+// not a store, no value, a negative one, a range outside the topology — is
+// rejected before any effect; a dead issuer stores nothing, and an owner
+// it cannot reach stops it after the words before that owner's, as the
+// loop would.
+func (t *Thread) StoreWords(op core.Op, base core.LocID, vals []core.Val) error {
+	if !op.IsStore() {
+		return fmt.Errorf("memsim: StoreWords requires a store op, got %v", op)
+	}
+	if err := t.checkRange("StoreWords", base, len(vals)); err != nil {
+		return err
+	}
+	for _, v := range vals {
+		if v < 0 {
+			return fmt.Errorf("memsim: negative value %d (values must be non-negative)", v)
+		}
 	}
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	owner, err := t.beginLocked(x)
-	if err != nil {
+	if err := t.checkAliveLocked(); err != nil {
 		return err
 	}
-	t.c.stepLocked(core.Label{Op: op, M: t.m, Loc: x, Val: v}, owner, false)
+	for len(vals) > 0 {
+		owner, past, err := t.reachLocked(base)
+		if err != nil {
+			return err
+		}
+		n := min(len(vals), int(past-base), 64-int(base)&63, t.c.untilDrawLocked())
+		t.c.storeLocked(op, t.m, owner, base, vals[:n])
+		base, vals = base+core.LocID(n), vals[n:]
+	}
 	return nil
 }
 
 // LStore stores v into the thread's local cache; it may be lost on crash
 // until flushed or evicted towards the owner's memory.
-func (t *Thread) LStore(x core.LocID, v core.Val) error { return t.store(core.OpLStore, x, v) }
+func (t *Thread) LStore(x core.LocID, v core.Val) error {
+	return t.StoreWords(core.OpLStore, x, []core.Val{v})
+}
 
 // RStore stores v into the owner's cache.
-func (t *Thread) RStore(x core.LocID, v core.Val) error { return t.store(core.OpRStore, x, v) }
+func (t *Thread) RStore(x core.LocID, v core.Val) error {
+	return t.StoreWords(core.OpRStore, x, []core.Val{v})
+}
 
 // MStore stores v into the owner's physical memory; it is persistent on
 // return.
-func (t *Thread) MStore(x core.LocID, v core.Val) error { return t.store(core.OpMStore, x, v) }
+func (t *Thread) MStore(x core.LocID, v core.Val) error {
+	return t.StoreWords(core.OpMStore, x, []core.Val{v})
+}
 
 // flush drains x from every cache (RFlush) or this machine's (LFlush).
 func (t *Thread) flush(op core.Op, x core.LocID) error {
@@ -148,13 +230,8 @@ func (t *Thread) RFlush(x core.LocID) error { return t.flush(core.OpRFlush, x) }
 // cost is charged per owning device (one flush command each, plus a
 // per-line media write) and is therefore independent of cluster size.
 func (t *Thread) RFlushRange(base core.LocID, n int) error {
-	if n < 1 {
-		return fmt.Errorf("memsim: RFlushRange needs n >= 1, got %d", n)
-	}
-	// n is compared with what is left past base: base+n can overflow.
-	if locs := t.c.topo.NumLocs(); int(base) < 0 || n > locs-int(base) {
-		return fmt.Errorf("memsim: RFlushRange of %d locations from %d is outside the %d allocated",
-			n, base, locs)
+	if err := t.checkRange("RFlushRange", base, n); err != nil {
+		return err
 	}
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
