@@ -185,9 +185,7 @@ func ApplyTauWordInPlace(s *State, t TauWord) {
 		i := bits.TrailingZeros64(word)
 		s.mem[t.Word<<6|i] = s.cells[src+i]
 	}
-	for m := range s.holders.Machines(first) {
-		s.clearWord(m, t.Word, t.Mask)
-	}
+	s.invalidateWord(t.Word, t.Mask)
 }
 
 // ApplyStoreWordInPlace mutates s by the stores op (OpLStore, OpRStore or
@@ -215,9 +213,7 @@ func ApplyStoreWordInPlace(s *State, op Op, m MachineID, w int, mask uint64, val
 	default:
 		panic(fmt.Sprintf("core: ApplyStoreWordInPlace: %v is not a store", op))
 	}
-	for j := range s.holders.Machines(first) {
-		s.clearWord(j, w, mask)
-	}
+	s.invalidateWord(w, mask)
 	for i, word := 0, mask; word != 0; i, word = i+1, word&(word-1) {
 		l := LocID(w<<6 | bits.TrailingZeros64(word))
 		if op == OpMStore {
@@ -247,9 +243,7 @@ func CrashInPlace(s *State, m MachineID, v Variant) {
 		}
 		if v == PSN {
 			for w, mask := range WordsOf(lo, hi) {
-				for j := range s.holders.Machines(LocID(w << 6)) {
-					s.clearWord(j, w, mask)
-				}
+				s.invalidateWord(w, mask)
 			}
 		}
 	})

@@ -206,12 +206,15 @@ func (s *State) moveWord(from, to MachineID, w int, mask uint64) {
 	s.clearWord(from, w, mask)
 }
 
-// invalidate sets C_m(l) = ⊥ for every machine m: for each one the holder
-// mask names for l's word.
-func (s *State) invalidate(l LocID) {
-	w, bit := LineWord(l)
-	for m := range s.holders.Machines(l) {
-		s.clearWord(m, w, bit)
+// invalidate sets C_m(l) = ⊥ for every machine m.
+func (s *State) invalidate(l LocID) { s.invalidateWord(LineWord(l)) }
+
+// invalidateWord sets C_m(l) = ⊥ for the lines l of occupancy word w that
+// mask names and every machine m: for each one the holder mask names for
+// the word.
+func (s *State) invalidateWord(w int, mask uint64) {
+	for m := range s.holders.Machines(LocID(w << 6)) {
+		s.clearWord(m, w, mask)
 	}
 }
 

@@ -401,8 +401,8 @@ func (c *Cluster) stepLocked(l core.Label, owner core.MachineID, cached bool) {
 	}
 }
 
-// storeLocked performs the stores op of machine m of vals to base, base+1,
-// …: lines of one occupancy word, all owned by owner, with no eviction draw
+// storeLocked performs machine m's stores op of vals to base, base+1, …:
+// lines of one occupancy word, all owned by owner, with no eviction draw
 // due before the last (Thread.StoreWords cuts a record there). It is the
 // runtime's only call of core.ApplyStoreWordInPlace and ends where
 // stepLocked over each store in ascending order would: the state steps,
@@ -426,7 +426,7 @@ func (c *Cluster) storeLocked(op core.Op, m, owner core.MachineID, base core.Loc
 // must decide its row here.
 func (c *Cluster) followLocked(l core.Label, owner core.MachineID, mask uint64) {
 	x := l.Loc
-	w := int(x) >> 6
+	w, _ := core.LineWord(x)
 	switch l.Op {
 	case core.OpLoad:
 		c.hot.lines[l.M].AddWord(w, mask) // the reader now holds a (possibly clean) copy
