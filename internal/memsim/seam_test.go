@@ -18,8 +18,9 @@ import (
 // of one line, core.ApplyTauInPlace, is not called; a record's stores a
 // word at a time too); the clean-copy overlay moves
 // only in the follow table, the τ step and the helpers they share; a
-// thread primitive asks the topology for a line's owner in one place,
-// reachLocked; and the simulated clock moves, and is published to its
+// thread primitive asks the topology for a line's owner once, in
+// beginLocked, or once per owner's stretch of a range, in reachLocked; and
+// the simulated clock moves, and is published to its
 // lock-free readers, only where a primitive is charged. A site anywhere
 // else fails its row (in the manner of internal/kv's seam table).
 func TestSeams(t *testing.T) {
@@ -43,7 +44,7 @@ func TestSeams(t *testing.T) {
 		{"topo.Owner calls in thread.go", func(n ast.Node) bool {
 			c, ok := n.(*ast.CallExpr)
 			return ok && (selects(c.Fun, "Owner") || selects(c.Fun, "OwnerThrough"))
-		}, "thread.go", map[string]int{"Thread.reachLocked": 1, "Thread.Local": 1}},
+		}, "thread.go", map[string]int{"Thread.beginLocked": 1, "Thread.reachLocked": 1, "Thread.Local": 1}},
 		// NowNS reads the published bits without the lock, so the clock and
 		// its copy may only move together, where a primitive is charged.
 		{"assignments to clockNS", func(n ast.Node) bool {

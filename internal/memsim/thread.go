@@ -43,15 +43,15 @@ func (t *Thread) beginLocked(x core.LocID) (core.MachineID, error) {
 	if err := t.checkAliveLocked(); err != nil {
 		return 0, err
 	}
-	owner, _, err := t.reachLocked(x)
-	return owner, err
+	owner := t.c.topo.Owner(x)
+	return owner, t.c.reachableLocked(t.m, owner)
 }
 
-// reachLocked resolves the owner of line x, and past, the line up to which
-// that owner owns every line from x on (core.Topology.OwnerThrough), and
-// checks that the thread's machine reaches the owner. It is the one place
-// a primitive asks for an owner: beginLocked for one line, LoadWords and
-// StoreWords once per owner's stretch of their range.
+// reachLocked is beginLocked's owner check for a range: it resolves the
+// owner of line x, and past, the line up to which that owner owns every
+// line from x on (core.Topology.OwnerThrough), and checks that the
+// thread's machine reaches the owner. LoadWords and StoreWords ask it once
+// per owner's stretch of their range.
 func (t *Thread) reachLocked(x core.LocID) (owner core.MachineID, past core.LocID, err error) {
 	owner, past = t.c.topo.OwnerThrough(x)
 	return owner, past, t.c.reachableLocked(t.m, owner)
