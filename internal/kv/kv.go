@@ -138,6 +138,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"cxl0/internal/core"
@@ -278,8 +279,8 @@ type Config struct {
 	// map to shards and can be migrated between them at runtime.
 	Buckets int
 	// RebalanceThreshold is the max/mean busy-share ratio above which
-	// Rebalance migrates buckets (default DefaultRebalanceThreshold;
-	// values below 1 are treated as 1).
+	// Rebalance migrates buckets (default DefaultRebalanceThreshold, also
+	// for NaN; values below 1 are treated as 1).
 	RebalanceThreshold float64
 	// Capacity is the number of log records per shard (default 4096). It
 	// is also the shard's live-set capacity: compaction folds at most
@@ -345,7 +346,7 @@ func (c Config) withDefaults() Config {
 	if r := c.Buckets % c.Shards; r != 0 {
 		c.Buckets += c.Shards - r
 	}
-	if c.RebalanceThreshold <= 0 {
+	if c.RebalanceThreshold <= 0 || math.IsNaN(c.RebalanceThreshold) {
 		c.RebalanceThreshold = DefaultRebalanceThreshold
 	} else if c.RebalanceThreshold < 1 {
 		c.RebalanceThreshold = 1

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"cxl0/internal/core"
@@ -398,6 +399,43 @@ func TestRebalanceShedsHotLoad(t *testing.T) {
 	}
 	if r1, r2 := ratio(window1), ratio(delta); r2 >= r1 {
 		t.Fatalf("imbalance did not improve: %.2f static, %.2f rebalanced", r1, r2)
+	}
+}
+
+// TestRebalanceThresholdNaN: a NaN Config.RebalanceThreshold reads as the
+// default. NaN used to pass withDefaults, and since no comparison with
+// NaN holds, Rebalance then migrated at any imbalance.
+func TestRebalanceThresholdNaN(t *testing.T) {
+	if got := (Config{RebalanceThreshold: math.NaN()}).withDefaults().RebalanceThreshold; got != DefaultRebalanceThreshold {
+		t.Fatalf("NaN threshold reads as %v, want the default %v", got, DefaultRebalanceThreshold)
+	}
+	moves := func(threshold float64) int {
+		st := openTest(t, Config{Shards: 2, Strategy: MStoreEach, Capacity: 1024, Seed: 5, RebalanceThreshold: threshold})
+		// 11 writes to shard 0 for every 9 to shard 1, spread over many
+		// buckets: a max/mean busy share near 1.1, below the default.
+		var keys [2][]core.Val
+		for k := core.Val(0); len(keys[0]) < 11 || len(keys[1]) < 9; k++ {
+			if sh := st.ShardOf(k); len(keys[sh]) < 11-2*sh {
+				keys[sh] = append(keys[sh], k)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			for _, ks := range keys {
+				for _, k := range ks {
+					if _, err := st.Put(k, core.Val(i)+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		m, err := st.Rebalance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(m)
+	}
+	if def, nan := moves(0), moves(math.NaN()); def != 0 || nan != def {
+		t.Fatalf("rebalance below the default threshold migrated %d buckets with the default and %d with NaN, want 0 and 0", def, nan)
 	}
 }
 
