@@ -56,7 +56,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	clusters := fs.Int("clusters", 2, "pooled cluster count")
 	shards := fs.Int("shards", 2, "shards per cluster")
-	strategyF := fs.String("strategy", "group", fmt.Sprintf("persistence strategy, one of %v", kv.Strategies))
+	strategyF := fs.String("strategy", kv.GroupCommit.String(), fmt.Sprintf("persistence strategy, one of %v", kv.Strategies))
 	pipeline := fs.Int("pipeline", 2, "commit pipeline depth for batched strategies (1 = blocking commit)")
 	cacheCap := fs.Int("cache", 256, "per-front-end read-cache entry capacity (0 disables the cache and prefetcher)")
 	workloadF := fs.String("workload", "A", "YCSB workload (A,B,C,D,E)")

@@ -3,9 +3,10 @@
 // litmus op kinds) or workload.OpKind must either cover every declared
 // constant of the type or carry an explicit default clause. The next
 // strategy or op added to the simulator then fails cxl0-lint (and so
-// `go test ./...`) at every dispatch it silently falls through
-// (persist.go's strategy dispatch being the load-bearing one), instead
-// of persisting nothing.
+// `go test ./...`) at every dispatch it silently falls through, instead
+// of doing nothing. internal/kv has no strategy switch: a strategy is a
+// row of persist.go's rules table, which TestStrategyTable holds to the
+// declared strategies.
 package strategyswitch
 
 import (

@@ -309,7 +309,7 @@ func (s *Store) writeSnapshot(sh *shard, t *memsim.Thread, epoch uint64, live []
 		if sh.down {
 			return ErrShardDown
 		}
-		if err := s.writeWords(t, sh, sh.snapR(epoch), i, [recWords]core.Val{r.key, r.val, snapChkOf(i, r.key, r.val, epoch)}); err != nil {
+		if err := s.writeWords(t, sh.snapR(epoch), i, [recWords]core.Val{r.key, r.val, snapChkOf(i, r.key, r.val, epoch)}); err != nil {
 			return err
 		}
 	}

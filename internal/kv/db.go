@@ -90,7 +90,7 @@ type DB interface {
 	// Health reports each shard's fault state in global shard order.
 	Health() []ShardHealth
 	// CrashFront fails the front-end machine(s) — the coordinator every
-	// non-colocated worker is homed on — destroying their cached
+	// worker is homed on — destroying their cached
 	// (unflushed) batches. Every subsequent operation returns
 	// ErrFrontDown until RecoverFront (see failover.go and
 	// docs/pipeline.md).

@@ -1,22 +1,20 @@
 package kv
 
-// Front-end failover. Every non-colocated worker thread is homed on the
-// front-end machine, so the front's cache is where batched strategies
-// stage their open batches (LStore lands in the issuing thread's home
-// cache). A front crash therefore destroys exactly the state that was
-// never flushed: open batches staged in its cache, plus the volatile
-// pipeline bookkeeping (flight queue, flush lane, watermark shadow).
-// The shards' media — logs, snapshots, epoch records — are untouched,
-// and so are batches already flushed by the commit pipeline.
+// Front-end failover. Every worker thread is homed on the front-end
+// machine, so the front's cache is where batched strategies stage their
+// open batches (LStore lands in the issuing thread's home cache). A front
+// crash therefore destroys exactly the state that was never flushed: open
+// batches staged in its cache, plus the volatile pipeline bookkeeping
+// (flight queue, flush lane, watermark shadow). The shards' media — logs,
+// snapshots, epoch records — are untouched, and so are batches already
+// flushed by the commit pipeline.
 //
 // RecoverFront restarts the front and re-attaches each shard by
 // replaying its durable log through the same recovery core a crashed
 // shard uses (recoverShard): scan the medium, cut at the first invalid
 // record, salvage the durable pending tail — which includes every
 // in-flight pipelined flush, flushed at issue — and drop what lived
-// only in the front's cache. Colocated deployments stage batches in the
-// shards' own caches, so there the replay typically salvages even the
-// open batch. See docs/pipeline.md for the full argument.
+// only in the front's cache. See docs/pipeline.md for the full argument.
 
 import (
 	"fmt"
@@ -83,8 +81,7 @@ func (s *Store) RecoverFront() ([]RecoveryStats, error) {
 			continue
 		}
 		// Respawn the shard's worker on the restarted front (its old
-		// thread died with it); a colocated worker gets a fresh thread on
-		// its shard machine, which is equivalent.
+		// thread died with it).
 		if err := s.spawnThread(sh); err != nil {
 			return all, err
 		}

@@ -35,9 +35,8 @@
 //
 //	MStoreEach   — every record word is an MStore: persistent on return,
 //	               paying the full memory round trip per word.
-//	StoreFlush   — LStore the record, then flush word by word (the owner's
-//	               LFlush when the worker is colocated with the shard,
-//	               RFlush otherwise): the paper's LStore+LFlush/RFlush idiom.
+//	StoreFlush   — LStore each word, then RFlush it: the paper's
+//	               LStore+RFlush idiom.
 //	RStoreFlush  — RStore pushes each word into the owner's cache, then
 //	               RFlush persists it.
 //	GPFEach      — LStore the record, then issue one Global Persistent
@@ -63,13 +62,12 @@
 //
 //   - Ack.Durable reports whether the record was persistent — present in
 //     its owner's physical memory — at the moment the call returned.
-//   - Strategy.Durable() reports whether the strategy acknowledges every
-//     write at return. For MStoreEach, StoreFlush, RStoreFlush and GPFEach
-//     it returns true, and Ack.Durable is true on every successful write.
-//   - For the deferred strategies (GroupCommit, RangedCommit),
-//     Strategy.Durable() returns false: a write is acknowledged durable
-//     only at its batch's commit point, which is reached when the Batch-th
-//     write of the batch arrives (that write returns Ack.Durable == true,
+//   - For MStoreEach, StoreFlush, RStoreFlush and GPFEach, Ack.Durable is
+//     true on every successful write.
+//   - For the deferred strategies (GroupCommit, RangedCommit: the ones
+//     whose Batched() is true), a write is acknowledged durable only at
+//     its batch's commit point, which is reached when the Batch-th write
+//     of the batch arrives (that write returns Ack.Durable == true,
 //     covering the whole batch) or when Sync is called. Before that the
 //     write returned Ack.Durable == false: it is visible to Get/Scan (like
 //     an unflushed RStore'd value in litmus test 1) but a shard crash may
@@ -200,8 +198,7 @@ type Strategy int
 const (
 	// MStoreEach writes every record word with MStore.
 	MStoreEach Strategy = iota
-	// StoreFlush writes with LStore and flushes per word (LFlush when the
-	// worker owns the shard's memory, RFlush otherwise).
+	// StoreFlush writes with LStore and RFlushes each word.
 	StoreFlush
 	// RStoreFlush pushes words into the owner's cache with RStore, then
 	// persists them with RFlush.
@@ -217,11 +214,18 @@ const (
 	RangedCommit
 )
 
-var strategyNames = [...]string{"mstore", "flush", "rstore", "gpf", "group", "ranged"}
+// row returns s's row of the strategy table (persist.go), or
+// ErrUnknownStrategy for a Strategy outside the declared set.
+func (s Strategy) row() (rule, error) {
+	if s < 0 || int(s) >= len(rules) {
+		return rule{}, fmt.Errorf("%w: Strategy(%d)", ErrUnknownStrategy, int(s))
+	}
+	return rules[s], nil
+}
 
 func (s Strategy) String() string {
-	if s >= 0 && int(s) < len(strategyNames) {
-		return strategyNames[s]
+	if r, err := s.row(); err == nil {
+		return r.name
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
@@ -233,23 +237,21 @@ var Strategies = []Strategy{MStoreEach, StoreFlush, RStoreFlush, GPFEach, GroupC
 // case-insensitively) back into a Strategy.
 func ParseStrategy(name string) (Strategy, error) {
 	normalized := strings.ToLower(strings.TrimSpace(name))
-	for i, n := range strategyNames {
-		if n == normalized {
+	for i, r := range rules {
+		if r.name == normalized {
 			return Strategy(i), nil
 		}
 	}
 	return 0, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownStrategy, name, Strategies)
 }
 
-// Durable reports whether a write is persistent — and therefore
-// acknowledged — when the operation returns: exactly the non-batched
-// strategies. The batched ones defer durability and acknowledgment to the
-// batch's commit point; see the package documentation for the precise
-// contract.
-func (s Strategy) Durable() bool { return !s.Batched() }
-
-// Batched reports whether s enqueues writes and commits them per batch.
-func (s Strategy) Batched() bool { return s == GroupCommit || s == RangedCommit }
+// Batched reports whether s enqueues writes and commits them per batch:
+// such a write is acknowledged durable at its batch's commit point, every
+// other strategy's when it returns (see the package documentation).
+func (s Strategy) Batched() bool {
+	r, _ := s.row()
+	return r.batched
+}
 
 // DefaultBatch is the batch size the batched strategies (GroupCommit,
 // RangedCommit) use when Config.Batch is zero.
@@ -316,9 +318,6 @@ type Config struct {
 	EvictEvery int
 	// Seed drives the cluster's nondeterminism.
 	Seed int64
-	// Colocate binds each shard's worker thread to the shard's own
-	// machine (owner-local access) instead of the front-end machine.
-	Colocate bool
 	// ReadCache is the entry capacity of the per-front-end volatile read
 	// cache: a bounded key→value cache (present = Shared, absent =
 	// Invalid) consulted before paying the simulated Load on the read

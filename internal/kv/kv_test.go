@@ -26,7 +26,7 @@ func TestBasicOps(t *testing.T) {
 				if err != nil {
 					t.Fatalf("put %d: %v", k, err)
 				}
-				if strat.Durable() && !ack.Durable {
+				if !strat.Batched() && !ack.Durable {
 					t.Fatalf("put %d not durable under %v", k, strat)
 				}
 			}
@@ -555,6 +555,41 @@ func TestRecoverDetectsDurabilityViolation(t *testing.T) {
 	}
 }
 
+// TestStrategyTable holds the rules table (persist.go) to the declared
+// strategies: with the table there is no dispatch switch for the
+// strategyswitch lint to hold exhaustive, so a strategy added without a
+// row, or a row that would persist nothing, fails here.
+func TestStrategyTable(t *testing.T) {
+	if len(rules) != len(Strategies) {
+		t.Fatalf("%d rows for %d strategies", len(rules), len(Strategies))
+	}
+	names := map[string]bool{}
+	for _, s := range Strategies {
+		r, err := s.row()
+		if err != nil {
+			t.Fatalf("strategy %d has no row: %v", int(s), err)
+		}
+		if r.name == "" || names[r.name] {
+			t.Errorf("strategy %d: name %q empty or not unique", int(s), r.name)
+		}
+		names[r.name] = true
+		if !r.store.IsStore() {
+			t.Errorf("%v: store op %v is not a store", s, r.store)
+		}
+		if r.flush == flushEach && r.batched {
+			t.Errorf("%v: a flush-each rule cannot batch", s)
+		}
+		if r.flush == flushNone && r.store != core.OpMStore {
+			t.Errorf("%v: %v without a flush persists nothing", s, r.store)
+		}
+	}
+	for _, bad := range []Strategy{-1, Strategy(len(Strategies))} {
+		if _, err := Open(Config{Strategy: bad}); !errors.Is(err, ErrUnknownStrategy) {
+			t.Errorf("Open(%v) = %v, want ErrUnknownStrategy", bad, err)
+		}
+	}
+}
+
 func TestStrategyParsing(t *testing.T) {
 	for _, s := range Strategies {
 		got, err := ParseStrategy(s.String())
@@ -570,24 +605,5 @@ func TestStrategyParsing(t *testing.T) {
 	}
 	if MStoreEach.Batched() || !RangedCommit.Batched() || !GroupCommit.Batched() {
 		t.Error("Batched predicate wrong")
-	}
-	if RangedCommit.Durable() || GroupCommit.Durable() || !GPFEach.Durable() {
-		t.Error("Durable predicate wrong")
-	}
-}
-
-func TestColocatedWorkers(t *testing.T) {
-	remote := openTest(t, Config{Shards: 1, Capacity: 128, Strategy: StoreFlush, Seed: 3})
-	local := openTest(t, Config{Shards: 1, Capacity: 128, Strategy: StoreFlush, Seed: 3, Colocate: true})
-	for _, st := range []*Store{remote, local} {
-		for k := core.Val(0); k < 64; k++ {
-			if _, err := st.Put(k, k+1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if local.Metrics().MaxBusyNS() >= remote.Metrics().MaxBusyNS() {
-		t.Fatalf("colocated StoreFlush (%.0f) should beat remote (%.0f): owner-local LFlush is cheaper",
-			local.Metrics().MaxBusyNS(), remote.Metrics().MaxBusyNS())
 	}
 }

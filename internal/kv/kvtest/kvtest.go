@@ -91,7 +91,7 @@ func testAckDurability(t *testing.T, f Factory) {
 				if err != nil {
 					t.Fatalf("put %d: %v", k, err)
 				}
-				if strat.Durable() && !ack.Durable {
+				if !strat.Batched() && !ack.Durable {
 					t.Fatalf("put %d not acked at return under %v", k, strat)
 				}
 				if !ack.Durable {

@@ -93,7 +93,7 @@ func (s *Store) issueFlight(sh *shard) error {
 	if err != nil {
 		return err
 	}
-	// When the flush starts depends on the strategy's scope. Shard-local
+	// When the flush starts depends on the rule's flush. Shard-local
 	// flushes cover disjoint log ranges, so the device processes up to
 	// PipelineDepth of them concurrently — the software window is the
 	// modeled device queue depth, and a new flight's flush starts the
@@ -101,7 +101,7 @@ func (s *Store) issueFlight(sh *shard) error {
 	// system: two of them cannot overlap, so such flights queue on the
 	// shard's flush lane behind the previous one.
 	lane := sh.busyNS
-	if s.persist.scope == fabricWide && lane < sh.laneEnd {
+	if s.persist.flush == flushFabric && lane < sh.laneEnd {
 		lane = sh.laneEnd
 	}
 	f.queueNS = lane - sh.busyNS

@@ -394,41 +394,6 @@ func TestFrontFailover(t *testing.T) {
 		}
 	}
 
-	// Colocated staging survives a front crash: the open batches live in
-	// the shard machines' caches, which the front's death never touches,
-	// so even unacknowledged writes re-attach.
-	t.Run("Colocate", func(t *testing.T) {
-		st, err := Open(Config{
-			Shards: 2, Capacity: 512, Strategy: GroupCommit, Batch: 3,
-			PipelineDepth: 2, Colocate: true, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := core.Val(0); k <= maxKey; k++ {
-			if _, err := st.Put(k, 100+k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		for k := core.Val(0); k <= maxKey; k++ {
-			if _, err := st.Put(k, 500+k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st.CrashFront()
-		if _, err := st.RecoverFront(); err != nil {
-			t.Fatal(err)
-		}
-		for k := core.Val(0); k <= maxKey; k++ {
-			if v, ok, _ := st.Get(k); !ok || v != 500+k {
-				t.Fatalf("colocated staged write %d = (%d,%v) lost by a front crash", k, v, ok)
-			}
-		}
-	})
-
 	// Re-attachment must read every shard's medium: a partitioned shard
 	// refuses the whole RecoverFront until healed.
 	t.Run("PartitionedRefusal", func(t *testing.T) {

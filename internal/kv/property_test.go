@@ -935,7 +935,7 @@ func testFaultCampaign(t *testing.T, strat Strategy, variant core.Variant) {
 			case err == nil:
 				logs[shard] = append(logs[shard], modelOp{k, v})
 			case errors.Is(err, ErrUnavailable) && anyPart():
-				if !strat.Durable() {
+				if strat.Batched() {
 					logs[shard] = append(logs[shard], modelOp{k, v})
 				}
 			default:

@@ -47,8 +47,8 @@ func (s *Store) Recover(i int) (RecoveryStats, error) {
 		return RecoveryStats{}, fmt.Errorf("%w: shard %d not in [0,%d)", ErrOutOfRange, i, len(s.shards))
 	}
 	if s.frontDown {
-		// Non-colocated workers are homed on the front end; nothing can
-		// run until it is back. RecoverFront recovers every shard's state
+		// Workers are homed on the front end; nothing can run until it
+		// is back. RecoverFront recovers every shard's state
 		// itself.
 		return RecoveryStats{}, fmt.Errorf("%w: recover shard %d via RecoverFront", ErrFrontDown, i)
 	}

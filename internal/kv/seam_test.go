@@ -30,14 +30,14 @@ type seam struct {
 
 var seams = []seam{
 	{
-		// Config.Strategy is resolved to a persister once, in Open; no
-		// other code may read it apart from the strategy table (persist.go)
-		// and the Config and Strategy declarations (kv.go).
+		// Config.Strategy is resolved to its row of the strategy table
+		// once, in Open; no other code may read it apart from the table
+		// (persist.go) and the Config and Strategy declarations (kv.go).
 		name:  "cfg.Strategy reads",
 		site:  cfgStrategyRead,
 		files: []string{"persist.go", "kv.go"},
 		funcs: []string{"Open"},
-		fix:   "dispatch through the persister (persist.go)",
+		fix:   "read the store's row of the strategy table (persist.go)",
 	},
 	{
 		// keys is the tip index's ordered key set. The range cursor

@@ -43,8 +43,7 @@ type shard struct {
 	logR, epochR region
 	snaps        [2]region
 
-	// thread is the shard's worker: homed on the front end, or on the
-	// shard's own machine under Config.Colocate.
+	// thread is the shard's worker, homed on the front end.
 	thread *memsim.Thread
 
 	log []rec // appended records, slot-ordered

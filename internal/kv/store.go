@@ -34,9 +34,10 @@ type Pair struct {
 type Store struct {
 	mu  sync.Mutex
 	cfg Config
-	// persist is the configured Strategy, resolved (see persist.go): the
-	// only form in which it reaches the write, commit and recovery paths.
-	persist persister
+	// persist is the configured Strategy's row of the rules table
+	// (persist.go): the only form in which it reaches the write, commit
+	// and recovery paths.
+	persist rule
 	cluster *memsim.Cluster
 	front   core.MachineID
 	shards  []*shard
@@ -126,7 +127,7 @@ type Store struct {
 //cxl0:locked mu — the store has not escaped yet
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	persist, err := persisterFor(cfg.Strategy)
+	persist, err := cfg.Strategy.row()
 	if err != nil {
 		return nil, err
 	}
@@ -181,13 +182,9 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// spawnThread (re)starts shard sh's worker thread.
+// spawnThread (re)starts shard sh's worker thread on the front end.
 func (s *Store) spawnThread(sh *shard) (err error) {
-	home := s.front
-	if s.cfg.Colocate {
-		home = sh.machine
-	}
-	sh.thread, err = s.cluster.NewThread(home)
+	sh.thread, err = s.cluster.NewThread(s.front)
 	return err
 }
 
@@ -262,7 +259,7 @@ func (s *Store) AppendedCount(i int) int {
 // otherwise in the worker's cache (visible, not yet durable) until a
 // flush over the slot's lines.
 func (s *Store) writeLogWords(t *memsim.Thread, sh *shard, slot int, r rec) error {
-	return s.writeWords(t, sh, sh.logR, slot, [recWords]core.Val{r.key, r.val, r.chk(slot, sh.epoch)})
+	return s.writeWords(t, sh.logR, slot, [recWords]core.Val{r.key, r.val, r.chk(slot, sh.epoch)})
 }
 
 // writeRecord is the log writer: it makes the record at slot durable
