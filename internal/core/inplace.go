@@ -195,7 +195,9 @@ func ApplyTauWordInPlace(s *State, t TauWord) {
 // of those stores, in ascending order, would: the lines are cleared from
 // every row the holder mask names, one masked clearWord per row, then set
 // in the issuer's cache (LStore) or the owner's (RStore), or written to
-// memory (MStore).
+// memory (MStore). The row that receives a cache store is overwritten,
+// not cleared first: clearing could hand its page back only for setCache
+// to take a page again and fill it with ⊥.
 func ApplyStoreWordInPlace(s *State, op Op, m MachineID, w int, mask uint64, vals []Val) {
 	if mask == 0 || len(vals) != bits.OnesCount64(mask) {
 		panic("core: ApplyStoreWordInPlace: the mask must name one line per value")
@@ -213,7 +215,11 @@ func ApplyStoreWordInPlace(s *State, op Op, m MachineID, w int, mask uint64, val
 	default:
 		panic(fmt.Sprintf("core: ApplyStoreWordInPlace: %v is not a store", op))
 	}
-	s.invalidateWord(w, mask)
+	for h := range s.holders.Machines(LocID(w << 6)) {
+		if h != holder || op == OpMStore {
+			s.clearWord(h, w, mask)
+		}
+	}
 	for i, word := 0, mask; word != 0; i, word = i+1, word&(word-1) {
 		l := LocID(w<<6 | bits.TrailingZeros64(word))
 		if op == OpMStore {

@@ -383,22 +383,81 @@ func DeniedBy(err error) Denial {
 }
 
 // PercentileNS returns the p-th percentile (nearest-rank, p in [0,100])
-// of xs, which need not be sorted. Returns 0 for an empty slice.
+// of xs, which need not be sorted. Returns 0 for an empty slice. It is
+// the element sort.Float64s would put at the rank, found by selection on
+// a copy: xs is not reordered.
 func PercentileNS(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	rank := int(math.Ceil(p / 100 * float64(len(xs))))
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > len(sorted) {
-		rank = len(sorted)
+	if rank > len(xs) {
+		rank = len(xs)
 	}
-	return sorted[rank-1]
+	return selectRank(append([]float64(nil), xs...), rank-1)
+}
+
+// selectRank returns the element sort.Float64s would put at index k of
+// xs — NaNs first, then ascending — reordering xs. It is Hoare's
+// quickselect with a median-of-three pivot over the NaN-free tail, and
+// sorts what is left of the range if 64 partitions did not finish it.
+func selectRank(xs []float64, k int) float64 {
+	lo := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[lo] = xs[lo], x
+			lo++
+		}
+	}
+	if k < lo {
+		return xs[k]
+	}
+	hi := len(xs) - 1
+	for round := 0; lo < hi; round++ {
+		if round == 64 {
+			sort.Float64s(xs[lo : hi+1])
+			break
+		}
+		m := lo + (hi-lo)/2
+		if xs[m] < xs[lo] {
+			xs[m], xs[lo] = xs[lo], xs[m]
+		}
+		if xs[hi] < xs[m] {
+			xs[hi], xs[m] = xs[m], xs[hi]
+			if xs[m] < xs[lo] {
+				xs[m], xs[lo] = xs[lo], xs[m]
+			}
+		}
+		pivot := xs[m]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] <= pivot <= xs[i..hi], and every element between
+		// equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // window is one campaign class's fault window, opened every `every`

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -502,6 +505,63 @@ func TestPercentileNS(t *testing.T) {
 	}
 	if got := xs[0]; got != 30 {
 		t.Fatal("PercentileNS mutated its input")
+	}
+}
+
+// TestPercentileNSMatchesSort holds PercentileNS's selection to the
+// definition it replaced — sort a copy with sort.Float64s, take the
+// nearest rank — on random, heavily tied, ±Inf- and NaN-laden, sorted
+// and reversed inputs of many lengths, at ranks from below 0 to above
+// 100. Equal results are equal values (±0 tie) or both NaN.
+func TestPercentileNSMatchesSort(t *testing.T) {
+	bySort := func(xs []float64, p float64) float64 {
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		rank := min(max(int(math.Ceil(p/100*float64(len(sorted)))), 1), len(sorted))
+		return sorted[rank-1]
+	}
+	rng := rand.New(rand.NewSource(1))
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1)}
+	gens := []struct {
+		name string
+		gen  func(i int) float64
+	}{
+		{"random", func(int) float64 { return rng.NormFloat64() * 1e3 }},
+		{"tied", func(int) float64 { return float64(rng.Intn(3)) }},
+		{"special", func(int) float64 { return special[rng.Intn(len(special))] }},
+		{"mixed", func(int) float64 {
+			if rng.Intn(4) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return rng.ExpFloat64()
+		}},
+		{"sorted", func(i int) float64 { return float64(i) }},
+		{"reversed", func(i int) float64 { return float64(-i) }},
+		{"equal", func(int) float64 { return 7 }},
+	}
+	ps := []float64{-5, 0, 0.1, 1, 25, 50, 95, 99, 99.9, 100, 150}
+	for _, g := range gens {
+		name, gen := g.name, g.gen
+		for _, n := range []int{1, 2, 3, 5, 8, 13, 64, 100, 1000, 5000} {
+			for rep := 0; rep < 3; rep++ {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = gen(i)
+				}
+				before := append([]float64(nil), xs...)
+				for _, p := range ps {
+					got, want := faults.PercentileNS(xs, p), bySort(xs, p)
+					if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+						t.Fatalf("%s n=%d p=%g: got %g, sort gives %g", name, n, p, got, want)
+					}
+				}
+				for i := range xs {
+					if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
+						t.Fatalf("%s n=%d: PercentileNS reordered its input", name, n)
+					}
+				}
+			}
+		}
 	}
 }
 

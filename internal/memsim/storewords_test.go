@@ -367,7 +367,9 @@ func TestStoreWordsDoesNotAllocate(t *testing.T) {
 // BenchmarkStoreWords times one three-word record's store and read on 3
 // and on 13 machines (the repository benchmark's update-ranged-12sh): a
 // store asks only the machines that hold its word, so ns/op should not
-// follow the machine count.
+// follow the machine count. The 1word cases time one LStore, the
+// one-word StoreWords that LStore, RStore and MStore and kv's per-word
+// store rules issue.
 func BenchmarkStoreWords(b *testing.B) {
 	for _, machines := range []int{3, 13} {
 		b.Run(fmt.Sprintf("%dmachines", machines), func(b *testing.B) {
@@ -377,6 +379,18 @@ func BenchmarkStoreWords(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				storeRecord(b, th, i, dst)
+			}
+		})
+	}
+	for _, machines := range []int{3, 13} {
+		b.Run(fmt.Sprintf("1word/%dmachines", machines), func(b *testing.B) {
+			_, th := ownersCluster(b, machines-1, (machines-1)*64*rangedCommitLines)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := th.LStore(core.LocID(i%64)*rangedCommitLines, core.Val(i%7)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -169,6 +169,15 @@ func (t *Thread) StoreWords(op core.Op, base core.LocID, vals []core.Val) error 
 	}
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
+	if len(vals) == 1 {
+		// One word has no owner's stretch or eviction draw to cut at.
+		owner, err := t.beginLocked(base)
+		if err != nil {
+			return err
+		}
+		t.c.storeLocked(op, t.m, owner, base, vals)
+		return nil
+	}
 	if err := t.checkAliveLocked(); err != nil {
 		return err
 	}

@@ -145,7 +145,7 @@ func (s Spec) Validate() error {
 type Generator struct {
 	spec     Spec
 	rng      *rand.Rand
-	zipf     *rand.Zipf
+	zipf     zipf  // over [0, inserted-1]; zipfian and latest specs only
 	inserted int64 // keys [0, inserted) exist
 }
 
@@ -157,14 +157,13 @@ func NewGenerator(spec Spec, seed int64) *Generator {
 	return g
 }
 
-// reskew rebuilds the zipf sampler over the current keyspace so keys
-// inserted during the run join the selectable population. rand.NewZipf
-// only stores parameters (it draws nothing), so rebuilding keeps the
-// stream deterministic. s=1.1, v=1 approximates YCSB's 0.99 zipfian
-// constant within rand.Zipf's s>1 requirement.
+// reskew resizes the zipf sampler to the current keyspace so keys
+// inserted during the run join the selectable population. It draws
+// nothing and recomputes two constants (zipf.go); the sampler's draws
+// are rand.NewZipf(g.rng, 1.1, 1, inserted-1)'s, value for value.
 func (g *Generator) reskew() {
 	if g.spec.Dist == Zipfian || g.spec.Dist == Latest {
-		g.zipf = rand.NewZipf(g.rng, 1.1, 1, uint64(g.inserted-1))
+		g.zipf = newZipf(uint64(g.inserted - 1))
 	}
 }
 
@@ -172,9 +171,9 @@ func (g *Generator) reskew() {
 func (g *Generator) key() int64 {
 	switch g.spec.Dist {
 	case Zipfian:
-		return int64(g.zipf.Uint64())
+		return int64(g.zipf.next(g.rng))
 	case Latest:
-		return g.inserted - 1 - int64(g.zipf.Uint64())
+		return g.inserted - 1 - int64(g.zipf.next(g.rng))
 	default:
 		return g.rng.Int63n(g.inserted)
 	}
