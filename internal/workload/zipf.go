@@ -26,7 +26,7 @@ package workload
 // x by a few ulps, some 1e-15 relative, and ur by 1e-10 relative moves
 // x+v by 1e-9 relative (x+v ∝ |ur|^-10): so an ur outside every band has
 // the outcome its run's label says, by a factor of about 10⁵. A declined
-// attempt runs the stdlib's own formula on the same ur (attempt). Every
+// attempt runs the stdlib's own formula on the same ur (zipfAttempt). Every
 // attempt, fast or not, draws one Float64, as the stdlib's does.
 //
 // The table depends only on s and v, which are fixed, so it is filled
@@ -116,7 +116,7 @@ func (z *zipf) next(rng *rand.Rand) uint64 {
 		case k == zipfReject:
 			continue
 		}
-		if k, ok := z.attempt(ur); ok {
+		if k, ok := zipfAttempt(ur); ok {
 			return k
 		}
 	}
@@ -144,11 +144,11 @@ func zipfBucket(ur float64) uint {
 	return uint(int((ur - zipfLo) * zipfBucketsPerUr))
 }
 
-// attempt is one iteration of the stdlib's loop at ur, copied from Go's
+// zipfAttempt is one iteration of the stdlib's loop at ur, copied from Go's
 // math/rand/zipf.go (Copyright 2009 The Go Authors; BSD-style license,
 // see https://go.dev/LICENSE): it reports the key and whether the
 // attempt accepts it.
-func (z *zipf) attempt(ur float64) (uint64, bool) {
+func zipfAttempt(ur float64) (uint64, bool) {
 	x := zipfHinv(ur)
 	k := math.Floor(x + 0.5)
 	if k-x <= zipfS {
