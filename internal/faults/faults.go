@@ -387,17 +387,23 @@ func DeniedBy(err error) Denial {
 // the element sort.Float64s would put at the rank, found by selection on
 // a copy: xs is not reordered.
 func PercentileNS(xs []float64, p float64) float64 {
+	return Percentiles(xs, p)[0]
+}
+
+// Percentiles returns PercentileNS(xs, p) for each p of ps, in order,
+// from one copy of xs: selection only reorders the copy, so each rank is
+// selected on it as on xs itself.
+func Percentiles(xs []float64, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	if len(xs) == 0 {
-		return 0
+		return out
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(xs))))
-	if rank < 1 {
-		rank = 1
+	buf := append([]float64(nil), xs...)
+	for i, p := range ps {
+		rank := int(math.Ceil(p / 100 * float64(len(xs))))
+		out[i] = selectRank(buf, min(max(rank, 1), len(xs))-1)
 	}
-	if rank > len(xs) {
-		rank = len(xs)
-	}
-	return selectRank(append([]float64(nil), xs...), rank-1)
+	return out
 }
 
 // selectRank returns the element sort.Float64s would put at index k of

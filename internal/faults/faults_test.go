@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -549,15 +550,26 @@ func TestPercentileNSMatchesSort(t *testing.T) {
 					xs[i] = gen(i)
 				}
 				before := append([]float64(nil), xs...)
+				check := func(how string, p, got float64) {
+					if want := bySort(xs, p); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+						t.Fatalf("%s n=%d p=%g %s: got %g, sort gives %g", name, n, p, how, got, want)
+					}
+				}
 				for _, p := range ps {
-					got, want := faults.PercentileNS(xs, p), bySort(xs, p)
-					if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-						t.Fatalf("%s n=%d p=%g: got %g, sort gives %g", name, n, p, got, want)
+					check("alone", p, faults.PercentileNS(xs, p))
+				}
+				// Every rank of one copy, in the order given and reversed:
+				// each selection starts from the last one's reordering.
+				rev := slices.Clone(ps)
+				slices.Reverse(rev)
+				for _, order := range [][]float64{ps, rev} {
+					for i, got := range faults.Percentiles(xs, order...) {
+						check("of many", order[i], got)
 					}
 				}
 				for i := range xs {
 					if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
-						t.Fatalf("%s n=%d: PercentileNS reordered its input", name, n)
+						t.Fatalf("%s n=%d: PercentileNS or Percentiles reordered its input", name, n)
 					}
 				}
 			}

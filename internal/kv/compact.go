@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"cxl0/internal/core"
-	"cxl0/internal/memsim"
 )
 
 // This file implements log compaction / checkpointing — the mechanism
@@ -225,20 +224,19 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	for k := range sh.view.tip() {
 		live = append(live, rec{key: k})
 	}
-	t := sh.thread
 	for i := range live {
 		if sh.down {
 			return stats, ErrShardDown
 		}
 		slot, _ := sh.view.visible(live[i].key) // the tip: the commit above drained the pipeline
-		if live[i].val, err = t.Load(sh.valLocOf(slot)); err != nil {
+		if live[i].val, err = s.worker.Load(sh.valLocOf(slot)); err != nil {
 			return stats, err
 		}
 	}
 
 	next := sh.epoch + 1
 	s.compactCheckpoint(StepBeforeSnapshot, sh, next, len(live), 0)
-	if err := s.writeSnapshot(sh, t, next, live); err != nil {
+	if err := s.writeSnapshot(sh, next, live); err != nil {
 		return stats, err
 	}
 	s.compactCheckpoint(StepAfterSnapshot, sh, next, len(live), 0)
@@ -255,7 +253,7 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	}
 
 	// Phase 2: commit — the durable snapshot-epoch record.
-	if err := sh.writeEpochRecord(t, next, len(live)); err != nil {
+	if err := sh.writeEpochRecord(s.worker, next, len(live)); err != nil {
 		return stats, err
 	}
 	s.compactCheckpoint(StepAfterEpoch, sh, next, len(live), 0)
@@ -279,7 +277,7 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	// these records, so a crash mid-sweep loses nothing — the sweep just
 	// stops (MStore to a down machine fails).
 	if !sh.down {
-		_ = sh.logR.retire(t, 0, oldLog)
+		_ = sh.logR.retire(s.worker, 0, oldLog)
 	}
 	s.compactCheckpoint(StepAfterReclaim, sh, next, len(live), oldLog+oldSnap-len(live))
 
@@ -297,7 +295,7 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 // RFlushRange over exactly its lines, or a single GPF. The snapshot is
 // private until the epoch record commits it, so a crash in here simply
 // aborts; there is no retry.
-func (s *Store) writeSnapshot(sh *shard, t *memsim.Thread, epoch uint64, live []rec) error {
+func (s *Store) writeSnapshot(sh *shard, epoch uint64, live []rec) error {
 	machineEpoch := s.cluster.Epoch(sh.machine)
 	if len(live) == 0 {
 		s.compactCheckpoint(StepMidSnapshot, sh, epoch, len(live), 0)
@@ -309,11 +307,11 @@ func (s *Store) writeSnapshot(sh *shard, t *memsim.Thread, epoch uint64, live []
 		if sh.down {
 			return ErrShardDown
 		}
-		if err := s.writeWords(t, sh.snapR(epoch), i, [recWords]core.Val{r.key, r.val, snapChkOf(i, r.key, r.val, epoch)}); err != nil {
+		if err := s.writeWords(sh.snapR(epoch), i, [recWords]core.Val{r.key, r.val, snapChkOf(i, r.key, r.val, epoch)}); err != nil {
 			return err
 		}
 	}
-	if err := s.flushRange(t, sh, sh.snapR(epoch), 0, len(live), true); err != nil {
+	if err := s.flushRange(sh, sh.snapR(epoch), 0, len(live)); err != nil {
 		return err
 	}
 	if sh.down || s.cluster.Epoch(sh.machine) != machineEpoch {

@@ -170,8 +170,14 @@ func TestCompactEmptyLogIsNoop(t *testing.T) {
 // behind on the source shard are dead weight until compaction retires
 // them (the ROADMAP hand-off between rebalancing and compaction).
 func TestCompactReclaimsMigratedAwayRecords(t *testing.T) {
-	st := openTest(t, Config{Shards: 2, Buckets: 8, Capacity: 128, Strategy: RangedCommit, Batch: 4, Seed: 19})
+	st := openTest(t, Config{Shards: 2, Capacity: 128, Strategy: RangedCommit, Batch: 4, Seed: 19})
+	// Keys 0..23 and three more of key 0's bucket, which the test moves.
+	var keys []core.Val
 	for k := core.Val(0); k < 24; k++ {
+		keys = append(keys, k)
+	}
+	keys = append(keys, bucketMates(st, 0, 4)[1:]...)
+	for _, k := range keys {
 		if _, err := st.Put(k, 10+k); err != nil {
 			t.Fatal(err)
 		}
@@ -185,12 +191,12 @@ func TestCompactReclaimsMigratedAwayRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mig.Records == 0 {
-		t.Fatal("migration moved nothing")
+	if mig.Records != 4 {
+		t.Fatalf("migration moved %d records, want 4", mig.Records)
 	}
 	appended := st.AppendedCount(from)
 	live := 0
-	for k := core.Val(0); k < 24; k++ {
+	for _, k := range keys {
 		if st.ShardOf(k) == from {
 			live++
 		}
@@ -204,7 +210,7 @@ func TestCompactReclaimsMigratedAwayRecords(t *testing.T) {
 	if stats.Live != live || stats.Reclaimed != appended-live {
 		t.Fatalf("compaction stats %+v: want live %d, reclaimed %d", stats, live, appended-live)
 	}
-	for k := core.Val(0); k < 24; k++ {
+	for _, k := range keys {
 		v, ok, err := st.Get(k)
 		if err != nil || !ok || v != 10+k {
 			t.Fatalf("get(%d) = (%d,%v,%v) after migrate+compact", k, v, ok, err)
@@ -218,7 +224,7 @@ func TestCompactReclaimsMigratedAwayRecords(t *testing.T) {
 	if _, err := st.MigrateBucket(b, from); err != nil {
 		t.Fatal(err)
 	}
-	for k := core.Val(0); k < 24; k++ {
+	for _, k := range keys {
 		if v, ok, err := st.Get(k); err != nil || !ok || v != 10+k {
 			t.Fatalf("get(%d) = (%d,%v,%v) after migrate-back", k, v, ok, err)
 		}
@@ -393,7 +399,7 @@ func TestRecoverDetectsSnapshotCorruption(t *testing.T) {
 // is clogged with dead records (for the copies) — instead of failing
 // with ShardFullError while reclaimable slots abound.
 func TestMigrateAutoCompactsForHeadroom(t *testing.T) {
-	st := openTest(t, Config{Shards: 2, Buckets: 8, Capacity: 24, CompactAtFill: 1, Strategy: MStoreEach, Seed: 37})
+	st := openTest(t, Config{Shards: 2, Capacity: 24, CompactAtFill: 1, Strategy: MStoreEach, Seed: 37})
 	// Find one key per shard.
 	k0 := core.Val(0)
 	k1 := core.Val(-1)

@@ -89,11 +89,10 @@ type DB interface {
 	Degrade(i int, factor float64)
 	// Health reports each shard's fault state in global shard order.
 	Health() []ShardHealth
-	// CrashFront fails the front-end machine(s) — the coordinator every
-	// worker is homed on — destroying their cached
-	// (unflushed) batches. Every subsequent operation returns
-	// ErrFrontDown until RecoverFront (see failover.go and
-	// docs/pipeline.md).
+	// CrashFront fails the front-end machine(s) — the coordinator each
+	// store's worker is homed on — destroying their cached (unflushed)
+	// batches. Every subsequent operation returns ErrFrontDown until
+	// RecoverFront (see failover.go and docs/pipeline.md).
 	CrashFront()
 	// RecoverFront restarts the front end and re-attaches every healthy
 	// shard by replaying its durable log, salvaging flushed batches and

@@ -1,13 +1,13 @@
 package kv
 
-// Front-end failover. Every worker thread is homed on the front-end
-// machine, so the front's cache is where batched strategies stage their
-// open batches (LStore lands in the issuing thread's home cache). A front
-// crash therefore destroys exactly the state that was never flushed: open
-// batches staged in its cache, plus the volatile pipeline bookkeeping
-// (flight queue, flush lane, watermark shadow). The shards' media — logs,
-// snapshots, epoch records — are untouched, and so are batches already
-// flushed by the commit pipeline.
+// Front-end failover. The store's one worker thread is homed on the
+// front-end machine, so the front's cache is where batched strategies
+// stage their open batches (LStore lands in the worker's home cache). A
+// front crash therefore destroys exactly the state that was never
+// flushed: open batches staged in its cache, plus the volatile pipeline
+// bookkeeping (flight queue, flush lane, watermark shadow). The shards'
+// media — logs, snapshots, epoch records — are untouched, and so are
+// batches already flushed by the commit pipeline.
 //
 // RecoverFront restarts the front and re-attaches each shard by
 // replaying its durable log through the same recovery core a crashed
@@ -75,15 +75,16 @@ func (s *Store) RecoverFront() ([]RecoveryStats, error) {
 		}
 	}
 	s.cluster.Recover(s.front)
+	// The old worker died with the front; its successor runs every
+	// shard's work from here on.
+	var err error
+	if s.worker, err = s.cluster.NewThread(s.front); err != nil {
+		return nil, err
+	}
 	var all []RecoveryStats
 	for _, sh := range s.shards {
 		if sh.down {
 			continue
-		}
-		// Respawn the shard's worker on the restarted front (its old
-		// thread died with it).
-		if err := s.spawnThread(sh); err != nil {
-			return all, err
 		}
 		stats, err := s.recoverShard(sh)
 		if err != nil {

@@ -117,17 +117,18 @@
 //
 // # Shard map and load-aware rebalancing
 //
-// Keys do not hash to shards directly: they hash to one of Config.Buckets
-// virtual buckets, and a shard map assigns each bucket to a shard (bucket
-// b starts on shard b mod Shards). The indirection is what makes placement
-// a runtime decision: MigrateBucket moves one bucket's live records to
-// another shard — copied durably with the store's own persistence strategy
+// Keys do not hash to shards directly: they hash to one of max(128,
+// Shards) virtual buckets (rounded up to a multiple of Shards), and a
+// shard map assigns each bucket to a shard (bucket b starts on shard b
+// mod Shards). The indirection is what makes placement a runtime
+// decision: MigrateBucket moves one bucket's live records to another
+// shard — copied durably with the store's own persistence strategy
 // (under RangedCommit, one ranged flush over the copied records) and made
 // crash-safe by move-marker records in both shards' logs — and Rebalance
 // watches per-shard busy-time shares, migrating the hottest buckets off a
-// shard whose share exceeds Config.RebalanceThreshold × the mean. Under a
-// zipfian mix this turns the static hash layout's hot-shard makespan
-// bottleneck into a balanced one, and because RangedCommit charges commit
+// shard whose share exceeds 1.2 × the mean. Under a zipfian mix this
+// turns the static hash layout's hot-shard makespan bottleneck into a
+// balanced one, and because RangedCommit charges commit
 // cost shard-locally, migrating a hot bucket sheds its commit cost too —
 // something a fabric-wide GPF commit cannot do. See docs/rebalancing.md
 // for the full migration protocol and its crash-safety argument.
@@ -136,7 +137,6 @@ package kv
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"cxl0/internal/core"
@@ -257,33 +257,32 @@ func (s Strategy) Batched() bool {
 // RangedCommit) use when Config.Batch is zero.
 const DefaultBatch = 32
 
-// DefaultBuckets is the virtual-bucket count of the shard map when
-// Config.Buckets is zero. More buckets give the rebalancer finer migration
+// minBuckets is the least virtual-bucket count of the shard map (see
+// bucketCount). More buckets give the rebalancer finer migration
 // granularity (down to isolating a single hot key's bucket); the map
 // itself is a front-end DRAM array, so the count costs nothing on the
 // simulated clock.
-const DefaultBuckets = 128
+const minBuckets = 128
 
-// DefaultRebalanceThreshold is the busy-share imbalance (max/mean over the
+// bucketCount is the shard map's bucket count over shards shards:
+// minBuckets or shards, whichever is larger, rounded up to a multiple of
+// shards. Then the initial layout (bucket b on shard b mod shards) routes
+// every key to exactly the shard static hash-mod-shards routing would,
+// and the map only diverges once migrations happen.
+func bucketCount(shards int) int {
+	n := max(minBuckets, shards)
+	return (n + shards - 1) / shards * shards
+}
+
+// rebalanceThreshold is the busy-share imbalance (max/mean over the
 // window since the last check) above which Rebalance starts migrating
-// buckets, when Config.RebalanceThreshold is zero.
-const DefaultRebalanceThreshold = 1.2
+// buckets.
+const rebalanceThreshold = 1.2
 
 // Config describes a Store.
 type Config struct {
 	// Shards is the number of shard machines (default 1).
 	Shards int
-	// Buckets is the number of virtual buckets of the shard map (default
-	// DefaultBuckets), rounded up to a multiple of Shards: then the
-	// initial layout (bucket b on shard b mod Shards) routes every key to
-	// exactly the shard static hash-mod-Shards routing would, and the map
-	// only diverges once migrations happen. Keys hash to buckets; buckets
-	// map to shards and can be migrated between them at runtime.
-	Buckets int
-	// RebalanceThreshold is the max/mean busy-share ratio above which
-	// Rebalance migrates buckets (default DefaultRebalanceThreshold, also
-	// for NaN; values below 1 are treated as 1).
-	RebalanceThreshold float64
 	// Capacity is the number of log records per shard (default 4096). It
 	// is also the shard's live-set capacity: compaction folds at most
 	// Capacity live records into a snapshot.
@@ -335,20 +334,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = DefaultBuckets
-	}
-	if c.Buckets < c.Shards {
-		c.Buckets = c.Shards
-	}
-	if r := c.Buckets % c.Shards; r != 0 {
-		c.Buckets += c.Shards - r
-	}
-	if c.RebalanceThreshold <= 0 || math.IsNaN(c.RebalanceThreshold) {
-		c.RebalanceThreshold = DefaultRebalanceThreshold
-	} else if c.RebalanceThreshold < 1 {
-		c.RebalanceThreshold = 1
 	}
 	if c.CompactAtFill < 0 {
 		c.CompactAtFill = 0

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"cxl0/internal/core"
@@ -15,6 +14,19 @@ func openTest(t *testing.T, cfg Config) *Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// bucketMates returns n keys of key k's bucket, k first and the rest
+// ascending. The shard map has at least 128 buckets, so a test that
+// moves a bucket of several records picks them through bucketOf.
+func bucketMates(st *Store, k core.Val, n int) []core.Val {
+	keys := []core.Val{k}
+	for c := k + 1; len(keys) < n; c++ {
+		if st.bucketOf(c) == st.bucketOf(k) {
+			keys = append(keys, c)
+		}
+	}
+	return keys
 }
 
 func TestBasicOps(t *testing.T) {
@@ -285,12 +297,38 @@ func TestRangedCommitCostFlatInShardCount(t *testing.T) {
 	}
 }
 
+// TestShardMapLayout pins the shard map Open builds: max(128, Shards)
+// buckets rounded up to a multiple of Shards, so every key starts on the
+// shard static hash-mod-Shards routing would pick.
+func TestShardMapLayout(t *testing.T) {
+	for _, tc := range []struct{ shards, buckets int }{
+		{1, 128}, {2, 128}, {3, 129}, {4, 128}, {5, 130}, {6, 132}, {7, 133},
+		{8, 128}, {9, 135}, {10, 130}, {11, 132}, {12, 132}, {13, 130}, {200, 200},
+	} {
+		st := openTest(t, Config{Shards: tc.shards, Capacity: 1})
+		if got := st.NumBuckets(); got != tc.buckets {
+			t.Errorf("%d shards: %d buckets, want %d", tc.shards, got, tc.buckets)
+		}
+		for k := core.Val(0); k < 1000; k++ {
+			if got, want := st.ShardOf(k), int(hashKey(k)%uint64(tc.shards)); got != want {
+				t.Fatalf("%d shards: key %d starts on shard %d, want %d", tc.shards, k, got, want)
+			}
+		}
+	}
+}
+
 // TestShardMapMigrateBucket covers the shard-map indirection end to end:
 // migrating a bucket repoints routing, hands the index over, keeps every
 // value readable, and reports itself in the metrics.
 func TestShardMapMigrateBucket(t *testing.T) {
-	st := openTest(t, Config{Shards: 3, Buckets: 12, Capacity: 64, Strategy: RangedCommit, Batch: 4, Seed: 7})
+	st := openTest(t, Config{Shards: 3, Capacity: 64, Strategy: RangedCommit, Batch: 4, Seed: 7})
+	// Keys 0..20 and two more of key 5's bucket, which the test moves.
+	var keys []core.Val
 	for k := core.Val(0); k < 21; k++ {
+		keys = append(keys, k)
+	}
+	keys = append(keys, bucketMates(st, 5, 3)[1:]...)
+	for _, k := range keys {
 		if _, err := st.Put(k, k*10+1); err != nil {
 			t.Fatal(err)
 		}
@@ -305,10 +343,10 @@ func TestShardMapMigrateBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.From != from || stats.To != to || stats.Records < 1 || stats.SimNS <= 0 {
-		t.Fatalf("migration stats %+v", stats)
+	if stats.From != from || stats.To != to || stats.Records != 3 || stats.SimNS <= 0 {
+		t.Fatalf("migration stats %+v, want 3 records", stats)
 	}
-	for k := core.Val(0); k < 21; k++ {
+	for _, k := range keys {
 		if st.BucketOf(k) == b && st.ShardOf(k) != to {
 			t.Fatalf("key %d (bucket %d) still routes to shard %d", k, b, st.ShardOf(k))
 		}
@@ -322,8 +360,8 @@ func TestShardMapMigrateBucket(t *testing.T) {
 			}
 		}
 	}
-	pairs, err := st.Scan(0, 100, 0)
-	if err != nil || len(pairs) != 21 {
+	pairs, err := st.Scan(0, keys[len(keys)-1]+1, 0)
+	if err != nil || len(pairs) != len(keys) {
 		t.Fatalf("scan after migration: %d pairs, %v", len(pairs), err)
 	}
 	// Migrating to the current owner is a no-op.
@@ -341,7 +379,7 @@ func TestShardMapMigrateBucket(t *testing.T) {
 // shard and checks that Rebalance splits them: the busy-share imbalance of
 // the post-rebalance window must be strictly below the static one.
 func TestRebalanceShedsHotLoad(t *testing.T) {
-	st := openTest(t, Config{Shards: 4, Strategy: RangedCommit, Batch: 8, Capacity: 4096, Seed: 9, RebalanceThreshold: 1.1})
+	st := openTest(t, Config{Shards: 4, Strategy: RangedCommit, Batch: 8, Capacity: 4096, Seed: 9})
 	// Two keys in different buckets served by the same shard.
 	k1 := core.Val(0)
 	k2 := core.Val(-1)
@@ -402,40 +440,32 @@ func TestRebalanceShedsHotLoad(t *testing.T) {
 	}
 }
 
-// TestRebalanceThresholdNaN: a NaN Config.RebalanceThreshold reads as the
-// default. NaN used to pass withDefaults, and since no comparison with
-// NaN holds, Rebalance then migrated at any imbalance.
-func TestRebalanceThresholdNaN(t *testing.T) {
-	if got := (Config{RebalanceThreshold: math.NaN()}).withDefaults().RebalanceThreshold; got != DefaultRebalanceThreshold {
-		t.Fatalf("NaN threshold reads as %v, want the default %v", got, DefaultRebalanceThreshold)
-	}
-	moves := func(threshold float64) int {
-		st := openTest(t, Config{Shards: 2, Strategy: MStoreEach, Capacity: 1024, Seed: 5, RebalanceThreshold: threshold})
-		// 11 writes to shard 0 for every 9 to shard 1, spread over many
-		// buckets: a max/mean busy share near 1.1, below the default.
-		var keys [2][]core.Val
-		for k := core.Val(0); len(keys[0]) < 11 || len(keys[1]) < 9; k++ {
-			if sh := st.ShardOf(k); len(keys[sh]) < 11-2*sh {
-				keys[sh] = append(keys[sh], k)
-			}
+// TestRebalanceHoldsBelowThreshold: a busy-share imbalance under the 1.2
+// threshold migrates nothing, so a balanced map settles.
+func TestRebalanceHoldsBelowThreshold(t *testing.T) {
+	st := openTest(t, Config{Shards: 2, Strategy: MStoreEach, Capacity: 1024, Seed: 5})
+	// 11 writes to shard 0 for every 9 to shard 1, spread over many
+	// buckets: a max/mean busy share near 1.1.
+	var keys [2][]core.Val
+	for k := core.Val(0); len(keys[0]) < 11 || len(keys[1]) < 9; k++ {
+		if sh := st.ShardOf(k); len(keys[sh]) < 11-2*sh {
+			keys[sh] = append(keys[sh], k)
 		}
-		for i := 0; i < 20; i++ {
-			for _, ks := range keys {
-				for _, k := range ks {
-					if _, err := st.Put(k, core.Val(i)+1); err != nil {
-						t.Fatal(err)
-					}
+	}
+	for i := 0; i < 20; i++ {
+		for _, ks := range keys {
+			for _, k := range ks {
+				if _, err := st.Put(k, core.Val(i)+1); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
-		m, err := st.Rebalance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(m)
 	}
-	if def, nan := moves(0), moves(math.NaN()); def != 0 || nan != def {
-		t.Fatalf("rebalance below the default threshold migrated %d buckets with the default and %d with NaN, want 0 and 0", def, nan)
+	if r := st.Metrics().MaxMeanBusyRatio(); r <= 1.05 || r >= rebalanceThreshold {
+		t.Fatalf("max/mean busy %.3f, want just under the threshold %v", r, rebalanceThreshold)
+	}
+	if moves, err := st.Rebalance(); err != nil || len(moves) != 0 {
+		t.Fatalf("rebalance below the threshold: %d moves, %v; want none", len(moves), err)
 	}
 }
 
@@ -473,7 +503,7 @@ func TestScanSkipsIdleDownShard(t *testing.T) {
 // a cumulative acknowledged-client-write counter that neither recovery
 // truncation nor migration bookkeeping can distort.
 func TestAckedCountsCumulativeClientWrites(t *testing.T) {
-	st := openTest(t, Config{Shards: 2, Buckets: 8, Capacity: 128, Strategy: GroupCommit, Batch: 4, Seed: 13})
+	st := openTest(t, Config{Shards: 2, Capacity: 128, Strategy: GroupCommit, Batch: 4, Seed: 13})
 	for k := core.Val(0); k < 10; k++ {
 		if _, err := st.Put(k, k+1); err != nil {
 			t.Fatal(err)

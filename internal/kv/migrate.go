@@ -217,12 +217,11 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 	}
 	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.slot, b.slot) })
 	rstart := s.cluster.NowNS()
-	rt := src.thread
 	readErr := func() error {
 		for i := range pairs {
 			// The newest record may live in the log or — after a
 			// compaction — in the snapshot region; valLocOf dispatches.
-			v, err := rt.Load(src.valLocOf(pairs[i].slot))
+			v, err := s.worker.Load(src.valLocOf(pairs[i].slot))
 			if err != nil {
 				return err
 			}
@@ -340,7 +339,7 @@ func (s *Store) abortCopies(dst *shard, preLen int, cause error) error {
 	}
 	start := s.cluster.NowNS()
 	defer func() { dst.charge(s.cluster.NowNS()-start, true) }()
-	if err := dst.logR.retire(dst.thread, preLen, len(dst.log)); err != nil {
+	if err := dst.logR.retire(s.worker, preLen, len(dst.log)); err != nil {
 		return cause
 	}
 	dst.log = dst.log[:preLen]
@@ -374,7 +373,7 @@ func (s *Store) flipBucket(b, to int, ver uint64) {
 
 // Rebalance examines per-shard busy-time shares accumulated since the last
 // call (or since Open/ResetMetrics) and, while the busiest shard's share
-// exceeds Config.RebalanceThreshold × the mean, migrates its hottest
+// exceeds rebalanceThreshold (1.2) × the mean, migrates its hottest
 // buckets to the least-loaded shard — skipping moves that would merely
 // relocate the hotspot. It returns the migrations performed; an empty
 // slice means the service is balanced (or a shard is down or partitioned,
@@ -426,7 +425,7 @@ func (s *Store) rebalanceLocked() ([]MigrationStats, error) {
 				cold = i
 			}
 		}
-		if delta[hot] <= s.cfg.RebalanceThreshold*mean {
+		if delta[hot] <= rebalanceThreshold*mean {
 			break
 		}
 		// Live-record counts per bucket on the hot shard, for the

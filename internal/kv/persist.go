@@ -74,7 +74,8 @@ var rules = [...]rule{
 // writeWords writes the words of record slot of region r with the
 // store's rule: the record in one StoreWords, or a flush-each rule's a
 // word and its RFlush at a time.
-func (s *Store) writeWords(t *memsim.Thread, r region, slot int, words [recWords]core.Val) error {
+func (s *Store) writeWords(r region, slot int, words [recWords]core.Val) error {
+	t := s.worker
 	if s.persist.flush != flushEach {
 		return t.StoreWords(s.persist.store, r.loc(slot, 0), words[:])
 	}
@@ -95,22 +96,22 @@ func (s *Store) writeWords(t *memsim.Thread, r region, slot int, words [recWords
 // through its caller's elapsed-span accounting, which contains this
 // call; a fabric-wide flush also charges its cost to every other shard,
 // because the whole fabric stalls for its duration regardless of which
-// shard triggered it. When the flush serves churn work (recovery,
-// migration, compaction) rather than client traffic, that cross-charge
-// is classified as churn on the stalled shards too, keeping the
-// placement-skew metric clean of it.
+// shard triggered it. When the flush serves churn work (s.churning:
+// recovery, migration, compaction) rather than client traffic, that
+// cross-charge is classified as churn on the stalled shards too, keeping
+// the placement-skew metric clean of it.
 //
 //cxl0:locked mu
-func (s *Store) flushRange(t *memsim.Thread, sh *shard, r region, first, n int, churn bool) error {
+func (s *Store) flushRange(sh *shard, r region, first, n int) error {
 	switch s.persist.flush {
 	case flushNone, flushEach:
 	case flushShard:
 		if n > 0 {
-			return t.RFlushRange(r.loc(first, 0), n*recWords)
+			return s.worker.RFlushRange(r.loc(first, 0), n*recWords)
 		}
 	case flushFabric:
 		start := s.cluster.NowNS()
-		if err := t.GPF(); err != nil {
+		if err := s.worker.GPF(); err != nil {
 			if errors.Is(err, memsim.ErrUnreachable) {
 				// One partitioned machine anywhere blocks commits
 				// cluster-wide — the blast radius the ranged strategy
@@ -122,7 +123,7 @@ func (s *Store) flushRange(t *memsim.Thread, sh *shard, r region, first, n int, 
 		cost := s.cluster.NowNS() - start
 		for _, other := range s.shards {
 			if other != sh {
-				other.charge(cost, churn)
+				other.charge(cost, s.churning)
 			}
 		}
 	}

@@ -173,13 +173,13 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// verifyMigrated checks the full store against the model after migrations
-// and crashes: every acknowledged write must be served with its value,
-// deleted keys must stay deleted, and no key may be indexed on more than
-// one shard (or on a shard the map does not route it to).
-func verifyMigrated(t *testing.T, st *Store, want map[core.Val]core.Val, maxKey core.Val) {
+// verifyMigrated checks the store's keys against the model after
+// migrations and crashes: every acknowledged write must be served with its
+// value, deleted keys must stay deleted, and no key may be indexed on more
+// than one shard (or on a shard the map does not route it to).
+func verifyMigrated(t *testing.T, st *Store, want map[core.Val]core.Val, keys []core.Val) {
 	t.Helper()
-	for k := core.Val(0); k <= maxKey; k++ {
+	for _, k := range keys {
 		v, ok, err := st.Get(k)
 		if err != nil {
 			t.Fatalf("get(%d): %v", k, err)
@@ -203,6 +203,33 @@ func verifyMigrated(t *testing.T, st *Store, want map[core.Val]core.Val, maxKey 
 	}
 }
 
+// sweepKeys is the key set of the migration and compaction crash tests:
+// four keys in the bucket of each of keys 0..7 (eight buckets of a
+// two-shard store), so every bucket a test moves carries several records.
+func sweepKeys(st *Store) []core.Val {
+	var keys []core.Val
+	for k := core.Val(0); k < 8; k++ {
+		keys = append(keys, bucketMates(st, k, 4)...)
+	}
+	return keys
+}
+
+// requireMultiRecord fails the test unless bucket b holds at least two
+// live keys of want, so a migration of b has a copy on each side of
+// StepMidCopy.
+func requireMultiRecord(t *testing.T, st *Store, want map[core.Val]core.Val, b int) {
+	t.Helper()
+	n := 0
+	for k := range want { //cxl0:order-insensitive — a count
+		if st.BucketOf(k) == b {
+			n++
+		}
+	}
+	if n < 2 {
+		t.Fatalf("bucket %d holds %d live records, want at least 2", b, n)
+	}
+}
+
 // migrateSteps and compactSteps are the checkpoints of a bucket migration
 // and of a shard compaction, in protocol order; a crash test's seed
 // derives from its step's index here.
@@ -220,10 +247,8 @@ var (
 // store keeps working — through a repeated migration and one more full
 // crash/recover cycle.
 func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, step Step, victim string) {
-	const maxKey = 30
 	st, err := Open(Config{
 		Shards:     2,
-		Buckets:    8,
 		Capacity:   512,
 		Strategy:   strat,
 		Batch:      3,
@@ -234,14 +259,16 @@ func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, st
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := sweepKeys(st)
 	want := map[core.Val]core.Val{}
-	for k := core.Val(0); k <= maxKey; k++ {
+	for _, k := range keys {
 		if _, err := st.Put(k, 100+k); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = 100 + k
 	}
-	for k := core.Val(0); k <= maxKey; k += 7 {
+	for i := 0; i < len(keys); i += 7 {
+		k := keys[i]
 		if _, err := st.Delete(k); err != nil {
 			t.Fatal(err)
 		}
@@ -252,17 +279,15 @@ func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, st
 	}
 	// Every surviving write above is acknowledged durable from here on.
 
-	// Pick a bucket holding at least one live key.
+	// Move the bucket of the first live key.
 	b := -1
-	for k := core.Val(0); k <= maxKey; k++ {
+	for _, k := range keys {
 		if _, ok := want[k]; ok {
 			b = st.BucketOf(k)
 			break
 		}
 	}
-	if b < 0 {
-		t.Fatal("no live bucket")
-	}
+	requireMultiRecord(t, st, want, b)
 	from := st.ShardOfBucket(b)
 	to := 1 - from
 
@@ -293,14 +318,14 @@ func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, st
 			}
 		}
 	}
-	verifyMigrated(t, st, want, maxKey)
+	verifyMigrated(t, st, want, keys)
 
 	// Mutate the bucket's keys so any orphaned copies the aborted attempt
 	// left in a log now hold stale values — if a later replay fails to
 	// retire them (the move-in marker's wipe rule), verification catches
 	// the resurrection.
 	mutated := false
-	for k := core.Val(0); k <= maxKey; k++ {
+	for _, k := range keys {
 		if st.BucketOf(k) != b {
 			continue
 		}
@@ -331,14 +356,14 @@ func testMigrationCrashAt(t *testing.T, strat Strategy, variant core.Variant, st
 	if _, err := st.MigrateBucket(b, 1-cur); err != nil {
 		t.Fatalf("follow-up migration: %v", err)
 	}
-	verifyMigrated(t, st, want, maxKey)
+	verifyMigrated(t, st, want, keys)
 	for i := range st.shards {
 		st.Crash(i)
 		if _, err := st.Recover(i); err != nil {
 			t.Fatalf("post-migration recover shard %d: %v", i, err)
 		}
 	}
-	verifyMigrated(t, st, want, maxKey)
+	verifyMigrated(t, st, want, keys)
 }
 
 // TestMigrationCrashSteps crashes the source shard, the destination shard,
@@ -368,13 +393,14 @@ func TestMigrationRedoFromLog(t *testing.T) {
 	for _, strat := range Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
 			st, err := Open(Config{
-				Shards: 2, Buckets: 8, Capacity: 256, Strategy: strat, Batch: 3, Seed: 21, EvictEvery: 2,
+				Shards: 2, Capacity: 256, Strategy: strat, Batch: 3, Seed: 21, EvictEvery: 2,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			keys := sweepKeys(st)
 			want := map[core.Val]core.Val{}
-			for k := core.Val(0); k <= 20; k++ {
+			for _, k := range keys {
 				if _, err := st.Put(k, 500+k); err != nil {
 					t.Fatal(err)
 				}
@@ -383,7 +409,8 @@ func TestMigrationRedoFromLog(t *testing.T) {
 			if err := st.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			b := st.BucketOf(0)
+			b := st.BucketOf(keys[0])
+			requireMultiRecord(t, st, want, b)
 			from := st.ShardOfBucket(b)
 			to := 1 - from
 
@@ -411,7 +438,7 @@ func TestMigrationRedoFromLog(t *testing.T) {
 			if st.ShardOfBucket(b) != to {
 				t.Fatalf("recovery did not redo the flip: bucket %d still on shard %d", b, from)
 			}
-			verifyMigrated(t, st, want, 20)
+			verifyMigrated(t, st, want, keys)
 		})
 	}
 }
@@ -425,13 +452,14 @@ func TestMigrationRedoWithDestinationDown(t *testing.T) {
 	for _, strat := range Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
 			st, err := Open(Config{
-				Shards: 2, Buckets: 8, Capacity: 256, Strategy: strat, Batch: 3, Seed: 33, EvictEvery: 2,
+				Shards: 2, Capacity: 256, Strategy: strat, Batch: 3, Seed: 33, EvictEvery: 2,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			keys := sweepKeys(st)
 			want := map[core.Val]core.Val{}
-			for k := core.Val(0); k <= 20; k++ {
+			for _, k := range keys {
 				if _, err := st.Put(k, 500+k); err != nil {
 					t.Fatal(err)
 				}
@@ -440,7 +468,8 @@ func TestMigrationRedoWithDestinationDown(t *testing.T) {
 			if err := st.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			b := st.BucketOf(0)
+			b := st.BucketOf(keys[0])
+			requireMultiRecord(t, st, want, b)
 			from := st.ShardOfBucket(b)
 			to := 1 - from
 
@@ -471,16 +500,7 @@ func TestMigrationRedoWithDestinationDown(t *testing.T) {
 			}
 			// The bucket's keys are durably owned by the down destination:
 			// reads and scans over them must fail loudly, not omit them.
-			var bucketKey core.Val = -1
-			for k := core.Val(0); k <= 20; k++ {
-				if st.BucketOf(k) == b {
-					bucketKey = k
-					break
-				}
-			}
-			if bucketKey < 0 {
-				t.Fatal("bucket held no keys")
-			}
+			bucketKey := keys[0]
 			if _, _, err := st.Get(bucketKey); !errors.Is(err, ErrShardDown) {
 				t.Fatalf("get on redo'd-down shard: %v, want ErrShardDown", err)
 			}
@@ -490,7 +510,7 @@ func TestMigrationRedoWithDestinationDown(t *testing.T) {
 			if _, err := st.Recover(to); err != nil {
 				t.Fatal(err)
 			}
-			verifyMigrated(t, st, want, 20)
+			verifyMigrated(t, st, want, keys)
 		})
 	}
 }
@@ -506,13 +526,14 @@ func TestMigrationRedoSupersededByLaterWrites(t *testing.T) {
 	for _, strat := range Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
 			st, err := Open(Config{
-				Shards: 2, Buckets: 8, Capacity: 256, Strategy: strat, Batch: 3, Seed: 27, EvictEvery: 2,
+				Shards: 2, Capacity: 256, Strategy: strat, Batch: 3, Seed: 27, EvictEvery: 2,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			keys := sweepKeys(st)
 			want := map[core.Val]core.Val{}
-			for k := core.Val(0); k <= 20; k++ {
+			for _, k := range keys {
 				if _, err := st.Put(k, 500+k); err != nil {
 					t.Fatal(err)
 				}
@@ -524,21 +545,9 @@ func TestMigrationRedoSupersededByLaterWrites(t *testing.T) {
 			// A bucket with at least two live keys: the supersede must be
 			// provable from a single rewritten key while the OTHER keys'
 			// survival is what the wipe rule would otherwise destroy.
-			b, rewrite := -1, core.Val(-1)
-			for k := core.Val(0); k <= 20 && b < 0; k++ {
-				n := 0
-				for k2 := core.Val(0); k2 <= 20; k2++ {
-					if st.BucketOf(k2) == st.BucketOf(k) {
-						n++
-					}
-				}
-				if n >= 2 {
-					b, rewrite = st.BucketOf(k), k
-				}
-			}
-			if b < 0 {
-				t.Fatal("no bucket with two keys")
-			}
+			rewrite := keys[0]
+			b := st.BucketOf(rewrite)
+			requireMultiRecord(t, st, want, b)
 			from := st.ShardOfBucket(b)
 
 			// Phase-2 failure: move-out durable, flip lost, no crash.
@@ -575,13 +584,13 @@ func TestMigrationRedoSupersededByLaterWrites(t *testing.T) {
 			if st.ShardOfBucket(b) != from {
 				t.Fatalf("recovery redid a superseded flip: bucket %d moved to shard %d", b, st.ShardOfBucket(b))
 			}
-			verifyMigrated(t, st, want, 20)
+			verifyMigrated(t, st, want, keys)
 
 			// The bucket must still migrate cleanly afterwards.
 			if _, err := st.MigrateBucket(b, 1-from); err != nil {
 				t.Fatal(err)
 			}
-			verifyMigrated(t, st, want, 20)
+			verifyMigrated(t, st, want, keys)
 		})
 	}
 }
@@ -593,10 +602,8 @@ func TestMigrationRedoSupersededByLaterWrites(t *testing.T) {
 // ownership stays single-shard, and the service keeps serving, compacting
 // and recovering afterwards.
 func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, step Step) {
-	const maxKey = 30
 	st, err := Open(Config{
 		Shards:     2,
-		Buckets:    8,
 		Capacity:   128,
 		Strategy:   strat,
 		Batch:      3,
@@ -607,20 +614,23 @@ func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, s
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := sweepKeys(st)
 	want := map[core.Val]core.Val{}
-	for k := core.Val(0); k <= maxKey; k++ {
+	for _, k := range keys {
 		if _, err := st.Put(k, 100+k); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = 100 + k
 	}
-	for k := core.Val(0); k <= maxKey; k += 7 {
+	for i := 0; i < len(keys); i += 7 {
+		k := keys[i]
 		if _, err := st.Delete(k); err != nil {
 			t.Fatal(err)
 		}
 		delete(want, k)
 	}
-	for k := core.Val(1); k <= maxKey; k += 5 {
+	for i := 1; i < len(keys); i += 5 {
+		k := keys[i]
 		if _, err := st.Put(k, 200+k); err != nil {
 			t.Fatal(err)
 		}
@@ -631,7 +641,7 @@ func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, s
 	}
 	// Every surviving write above is acknowledged durable from here on.
 
-	target := st.ShardOf(1)
+	target := st.ShardOf(keys[1])
 	fired := false
 	st.stepHook = func(s Step) {
 		if s != step || fired {
@@ -653,13 +663,14 @@ func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, s
 			t.Fatalf("recover shard %d (compact err %v): %v", target, compErr, err)
 		}
 	}
-	verifyMigrated(t, st, want, maxKey)
+	verifyMigrated(t, st, want, keys)
 
 	// The service must keep serving and compacting: overwrite and delete
 	// more keys (so a stale snapshot or log leftover would be caught as a
 	// resurrection), compact again, and survive one more crash/recover
 	// round per shard.
-	for k := core.Val(2); k <= maxKey; k += 3 {
+	for i := 2; i < len(keys); i += 3 {
+		k := keys[i]
 		if _, ok := want[k]; !ok {
 			continue
 		}
@@ -677,14 +688,14 @@ func testCompactionCrashAt(t *testing.T, strat Strategy, variant core.Variant, s
 	if st.SnapshotEpoch(target) == 0 {
 		t.Fatal("no snapshot epoch committed by the follow-up compaction")
 	}
-	verifyMigrated(t, st, want, maxKey)
+	verifyMigrated(t, st, want, keys)
 	for i := range st.shards {
 		st.Crash(i)
 		if _, err := st.Recover(i); err != nil {
 			t.Fatalf("post-compaction recover shard %d: %v", i, err)
 		}
 	}
-	verifyMigrated(t, st, want, maxKey)
+	verifyMigrated(t, st, want, keys)
 }
 
 // TestCompactionCrashSteps crashes the compacting shard at every

@@ -47,9 +47,8 @@ func (s *Store) Recover(i int) (RecoveryStats, error) {
 		return RecoveryStats{}, fmt.Errorf("%w: shard %d not in [0,%d)", ErrOutOfRange, i, len(s.shards))
 	}
 	if s.frontDown {
-		// Workers are homed on the front end; nothing can run until it
-		// is back. RecoverFront recovers every shard's state
-		// itself.
+		// The worker is homed on the front end; nothing can run until
+		// it is back. RecoverFront recovers every shard's state itself.
 		return RecoveryStats{}, fmt.Errorf("%w: recover shard %d via RecoverFront", ErrFrontDown, i)
 	}
 	sh := s.shards[i]
@@ -60,9 +59,6 @@ func (s *Store) Recover(i int) (RecoveryStats, error) {
 		return RecoveryStats{}, fmt.Errorf("%w: shard %d cannot recover while partitioned; heal first", ErrUnavailable, i)
 	}
 	s.cluster.Recover(sh.machine)
-	if err := s.spawnThread(sh); err != nil {
-		return RecoveryStats{}, err
-	}
 	stats, err := s.recoverShard(sh)
 	if err != nil {
 		return RecoveryStats{}, err
@@ -77,13 +73,13 @@ func (s *Store) Recover(i int) (RecoveryStats, error) {
 // resolve the epoch record, revalidate the snapshot, scan the log,
 // truncate, re-persist, rebuild the index, redo lost migration flips and
 // salvage the durable pending tail. The caller has already restarted
-// whatever machine crashed and respawned the shard's workers; clearing
-// sh.down (when set) is also the caller's job.
+// whatever machine crashed (RecoverFront also starts the new worker);
+// clearing sh.down (when set) is also the caller's job.
 //
 //cxl0:locked mu
 func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
 	i := sh.id
-	t := sh.thread
+	t := s.worker
 	appended := len(sh.log)
 	ackedBefore := sh.acked
 	start := s.cluster.NowNS()
@@ -173,7 +169,10 @@ func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
 	// per-word strategy, whose surviving records (a crashed migration's
 	// copies) were each persistent when their write returned.
 	if cut > ackedBefore {
-		if err := s.flushRange(t, sh, sh.logR, ackedBefore, cut-ackedBefore, true); err != nil {
+		s.churning = true
+		err := s.flushRange(sh, sh.logR, ackedBefore, cut-ackedBefore)
+		s.churning = false
+		if err != nil {
 			return RecoveryStats{}, err
 		}
 	}

@@ -100,7 +100,7 @@ var seams = []seam{
 	},
 	{
 		// One demand read; the two churn reads fold (compaction) or copy
-		// (migration) whole sets of records on the shard's own thread.
+		// (migration) whole sets of records on the store's worker.
 		// They are the only loads of the medium outside medium.go.
 		name:  "loads of an encoded slot's value",
 		site:  func(n ast.Node) bool { return calls(n, "valLocOf") != nil },
@@ -158,6 +158,15 @@ var seams = []seam{
 		site:  func(n ast.Node) bool { return calls(n, "commitLocked") != nil },
 		funcs: []string{"Store.commitCharged", "Store.append", "Store.migrateBucket", "Store.migrateBucket"},
 		fix:   "commit through Store.commitCharged, which charges the flush to the shard",
+	},
+	{
+		// Every shard's work runs on the store's one worker, homed on the
+		// front end: Open starts it, and RecoverFront starts its
+		// successor once a front crash killed it.
+		name:  "worker thread starts",
+		site:  func(n ast.Node) bool { return calls(n, "NewThread") != nil },
+		funcs: []string{"Open", "Store.RecoverFront"},
+		fix:   "run the work on Store.worker",
 	},
 	{
 		// The shapes a hand-derived log-slot-vs-snapshot-slot encoding

@@ -5,10 +5,7 @@ package kv
 // pipeline's bookkeeping and its clocks. What reads of the shard are
 // served is its view (view.go).
 
-import (
-	"cxl0/internal/core"
-	"cxl0/internal/memsim"
-)
+import "cxl0/internal/core"
 
 // rec mirrors one appended log record on the Go side (the service's own
 // bookkeeping; authoritative content lives in simulated memory).
@@ -42,9 +39,6 @@ type shard struct {
 	// (the compaction commit record, parity-addressed the same way).
 	logR, epochR region
 	snaps        [2]region
-
-	// thread is the shard's worker, homed on the front end.
-	thread *memsim.Thread
 
 	log []rec // appended records, slot-ordered
 	// snap mirrors the committed snapshot's records (slot-ordered live

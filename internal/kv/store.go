@@ -40,7 +40,11 @@ type Store struct {
 	persist rule
 	cluster *memsim.Cluster
 	front   core.MachineID
-	shards  []*shard
+	// worker is the one thread every shard's work runs on, homed on the
+	// front end: a front crash kills it and RecoverFront starts its
+	// successor (failover.go).
+	worker *memsim.Thread
+	shards []*shard
 
 	// Shard map: keys hash to one of len(shardMap) virtual buckets;
 	// shardMap assigns each bucket to a shard. bucketVer is the version of
@@ -82,9 +86,10 @@ type Store struct {
 	// failover.go).
 	frontDown bool
 
-	// churning is true while a bucket migration or a log compaction is
-	// writing and flushing its records, so shared flush paths (a
-	// fabric-wide flush's cross-charge) can classify their cost as churn.
+	// churning is true while a bucket migration, a log compaction or a
+	// recovery's re-persist is writing and flushing records, so shared
+	// flush paths (a fabric-wide flush's cross-charge) can classify their
+	// cost as churn.
 	churning bool
 
 	// stepHook, when set (tests only), is called at each checkpoint of a
@@ -122,7 +127,8 @@ type Store struct {
 }
 
 // Open builds the cluster (one front-end machine plus one machine per
-// shard, all with non-volatile memory) and the shards on it.
+// shard, all with non-volatile memory), the worker on its front end and
+// the shards.
 //
 //cxl0:locked mu — the store has not escaped yet
 func Open(cfg Config) (*Store, error) {
@@ -145,15 +151,19 @@ func Open(cfg Config) (*Store, error) {
 		Seed:       cfg.Seed,
 		Latency:    latency.NewModel(),
 	})
+	buckets := bucketCount(cfg.Shards)
 	s := &Store{
 		cfg:       cfg,
 		persist:   persist,
 		cluster:   cluster,
 		front:     0,
-		shardMap:  make([]int, cfg.Buckets),
-		bucketVer: make([]uint64, cfg.Buckets),
-		bucketWin: make([]float64, cfg.Buckets),
+		shardMap:  make([]int, buckets),
+		bucketVer: make([]uint64, buckets),
+		bucketWin: make([]float64, buckets),
 		winBase:   make([]float64, cfg.Shards),
+	}
+	if s.worker, err = cluster.NewThread(s.front); err != nil {
+		return nil, err
 	}
 	if cfg.ReadCache > 0 {
 		s.cache = newReadCache(cfg.ReadCache, &s.ctr)
@@ -174,18 +184,9 @@ func Open(cfg Config) (*Store, error) {
 		if err := sh.allocMedium(cluster); err != nil {
 			return nil, err
 		}
-		if err := s.spawnThread(sh); err != nil {
-			return nil, err
-		}
 		s.shards = append(s.shards, sh)
 	}
 	return s, nil
-}
-
-// spawnThread (re)starts shard sh's worker thread on the front end.
-func (s *Store) spawnThread(sh *shard) (err error) {
-	sh.thread, err = s.cluster.NewThread(s.front)
-	return err
 }
 
 // Cluster returns the backing cluster (for churn injection and
@@ -258,8 +259,8 @@ func (s *Store) AppendedCount(i int) int {
 // strategy's word write: persistent on return under a per-word strategy,
 // otherwise in the worker's cache (visible, not yet durable) until a
 // flush over the slot's lines.
-func (s *Store) writeLogWords(t *memsim.Thread, sh *shard, slot int, r rec) error {
-	return s.writeWords(t, sh.logR, slot, [recWords]core.Val{r.key, r.val, r.chk(slot, sh.epoch)})
+func (s *Store) writeLogWords(sh *shard, slot int, r rec) error {
+	return s.writeWords(sh.logR, slot, [recWords]core.Val{r.key, r.val, r.chk(slot, sh.epoch)})
 }
 
 // writeRecord is the log writer: it makes the record at slot durable
@@ -269,12 +270,11 @@ func (s *Store) writeLogWords(t *memsim.Thread, sh *shard, slot int, r rec) erro
 //
 //cxl0:locked mu
 func (s *Store) writeRecord(sh *shard, slot int, r rec) error {
-	t := sh.thread
 	if s.persist.batched {
 		if sh.pending == 0 {
 			sh.batchE = s.cluster.Epoch(sh.machine)
 		}
-		if err := s.writeLogWords(t, sh, slot, r); err != nil {
+		if err := s.writeLogWords(sh, slot, r); err != nil {
 			return err
 		}
 		sh.pending++
@@ -287,10 +287,10 @@ func (s *Store) writeRecord(sh *shard, slot int, r rec) error {
 	// that have no such window.
 	for {
 		epoch := s.cluster.Epoch(sh.machine)
-		if err := s.writeLogWords(t, sh, slot, r); err != nil {
+		if err := s.writeLogWords(sh, slot, r); err != nil {
 			return err
 		}
-		if err := s.flushRange(t, sh, sh.logR, slot, 1, s.churning); err != nil {
+		if err := s.flushRange(sh, sh.logR, slot, 1); err != nil {
 			return err
 		}
 		if s.cluster.Epoch(sh.machine) == epoch {
@@ -311,7 +311,6 @@ func (s *Store) flushBatch(sh *shard) (flight, error) {
 	if err := sh.unavailable(); err != nil {
 		return flight{}, err
 	}
-	t := sh.thread
 	first := len(sh.log) - sh.pending
 	fstart := s.cluster.NowNS()
 	for {
@@ -322,14 +321,14 @@ func (s *Store) flushBatch(sh *shard) (flight, error) {
 			// cached remotely. Records are unacknowledged, so re-issuing
 			// them is sound.
 			for slot := first; slot < len(sh.log); slot++ {
-				if err := s.writeLogWords(t, sh, slot, sh.log[slot]); err != nil {
+				if err := s.writeLogWords(sh, slot, sh.log[slot]); err != nil {
 					return flight{}, err
 				}
 			}
 			sh.batchE = epoch
 			continue
 		}
-		if err := s.flushRange(t, sh, sh.logR, first, sh.pending, s.churning); err != nil {
+		if err := s.flushRange(sh, sh.logR, first, sh.pending); err != nil {
 			return flight{}, err
 		}
 		if s.cluster.Epoch(sh.machine) == epoch {
@@ -638,7 +637,7 @@ func (s *Store) readValue(sh *shard, key core.Val, slot int) (core.Val, error) {
 		}
 	}
 	start := s.cluster.NowNS()
-	v, err := sh.thread.Load(sh.valLocOf(slot))
+	v, err := s.worker.Load(sh.valLocOf(slot))
 	end := s.cluster.NowNS()
 	span := end - start
 	sh.charge(span, false)

@@ -371,15 +371,12 @@ func Run(o Options) (Result, error) {
 		res.GoodputOpsPerSec = float64(o.Ops-res.FailedOps-res.UnavailableOps) / (res.SimNS * 1e-9)
 	}
 	lat := append(append([]float64(nil), readLat...), m.WriteLatencies...)
-	res.P50NS = faults.PercentileNS(lat, 50)
-	res.P95NS = faults.PercentileNS(lat, 95)
-	res.P99NS = faults.PercentileNS(lat, 99)
-	res.MaxNS = faults.PercentileNS(lat, 100)
+	ps := faults.Percentiles(lat, 50, 95, 99, 100)
+	res.P50NS, res.P95NS, res.P99NS, res.MaxNS = ps[0], ps[1], ps[2], ps[3]
 	if clusters > 1 {
 		slat := append(append([]float64(nil), readLatSerial...), m.WriteLatencies...)
-		res.SerialP50NS = faults.PercentileNS(slat, 50)
-		res.SerialP95NS = faults.PercentileNS(slat, 95)
-		res.SerialP99NS = faults.PercentileNS(slat, 99)
+		ps = faults.Percentiles(slat, 50, 95, 99)
+		res.SerialP50NS, res.SerialP95NS, res.SerialP99NS = ps[0], ps[1], ps[2]
 	}
 	if o.CacheSweep {
 		res.CacheSweep = true
@@ -399,12 +396,10 @@ func Run(o Options) (Result, error) {
 	}
 	if cfg.Strategy.Batched() && cfg.PipelineDepth > 1 {
 		res.PipelineDepth = cfg.PipelineDepth
-		res.AckP50NS = faults.PercentileNS(m.WriteLatencies, 50)
-		res.AckP95NS = faults.PercentileNS(m.WriteLatencies, 95)
-		res.AckP99NS = faults.PercentileNS(m.WriteLatencies, 99)
-		res.IssueP50NS = faults.PercentileNS(m.IssueLatencies, 50)
-		res.IssueP95NS = faults.PercentileNS(m.IssueLatencies, 95)
-		res.IssueP99NS = faults.PercentileNS(m.IssueLatencies, 99)
+		ps = faults.Percentiles(m.WriteLatencies, 50, 95, 99)
+		res.AckP50NS, res.AckP95NS, res.AckP99NS = ps[0], ps[1], ps[2]
+		ps = faults.Percentiles(m.IssueLatencies, 50, 95, 99)
+		res.IssueP50NS, res.IssueP95NS, res.IssueP99NS = ps[0], ps[1], ps[2]
 	}
 	res.Recoveries = int(m.Recoveries)
 	res.DroppedPending = int(m.DroppedPending)
@@ -436,11 +431,11 @@ func Run(o Options) (Result, error) {
 	}
 	if o.Campaign != nil {
 		res.Campaign = fs.Campaign
-		res.OutageP50NS = faults.PercentileNS(fs.OutageNS, 50)
-		res.OutageP95NS = faults.PercentileNS(fs.OutageNS, 95)
-		res.RecoveryP50NS = faults.PercentileNS(fs.RecoveryNS, 50)
-		res.RecoveryP95NS = faults.PercentileNS(fs.RecoveryNS, 95)
-		res.PartitionP95NS = faults.PercentileNS(fs.PartitionNS, 95)
+		ps = faults.Percentiles(fs.OutageNS, 50, 95)
+		res.OutageP50NS, res.OutageP95NS = ps[0], ps[1]
+		ps = faults.Percentiles(fs.RecoveryNS, 50, 95)
+		res.RecoveryP50NS, res.RecoveryP95NS = ps[0], ps[1]
+		res.PartitionP95NS = faults.Percentiles(fs.PartitionNS, 95)[0]
 	}
 	return res, nil
 }
