@@ -1,7 +1,6 @@
 package cxl0bench
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -15,14 +14,10 @@ import (
 	"cxl0/internal/explore"
 	"cxl0/internal/flit"
 	"cxl0/internal/flitbench"
+	"cxl0/internal/golden"
 	"cxl0/internal/latency"
 	"cxl0/internal/litmus"
 )
-
-// update rewrites RESULTS.md from this run instead of checking it:
-//
-//	go test -run TestPaperClaims -update .
-var update = flag.Bool("update", false, "rewrite RESULTS.md from this run")
 
 // claim is one row of RESULTS.md: where the paper makes it, what the paper
 // says ("—" for a claim the repo makes on its own), what the repo derives,
@@ -58,7 +53,7 @@ var paperClaims = []struct {
 
 // TestPaperClaims derives every result the paper reports, fails on any row
 // that disagrees with the paper, and holds RESULTS.md to what this run
-// writes.
+// writes (go test -run TestPaperClaims -update . rewrites it).
 func TestPaperClaims(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# Paper claims against this repository\n\n" +
@@ -79,30 +74,7 @@ func TestPaperClaims(t *testing.T) {
 			fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n", c.where, c.paper, c.repo, verdict, c.check)
 		}
 	}
-	if *update {
-		if err := os.WriteFile("RESULTS.md", []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile("RESULTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, committed := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range max(len(got), len(committed)) {
-		if i >= len(got) || i >= len(committed) || got[i] != committed[i] {
-			t.Fatalf("RESULTS.md differs from this run from line %d (rerun with -update if intended):\ncommitted: %q\nthis run:  %q",
-				i+1, at(committed, i), at(got, i))
-		}
-	}
-}
-
-func at(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return "<end of file>"
+	golden.Check(t, "RESULTS.md", b.String())
 }
 
 // How litmusClaims turns a corpus file's verdicts into rows.

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"cxl0/internal/golden"
 	"cxl0/internal/kv"
 )
 
@@ -161,10 +162,27 @@ func TestTableCoversHeadline(t *testing.T) {
 	}
 }
 
+// TestArtifactCurrent runs the command on the default matrix in-process
+// and holds BENCH_kv.json to its output byte for byte; -update rewrites
+// the file:
+//
+//	go test ./cmd/cxl0-bench -run ArtifactCurrent -update
+func TestArtifactCurrent(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH_kv.json")
+	if err := run([]string{"-out", out}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, filepath.Join("..", "..", "BENCH_kv.json"), string(blob))
+}
+
 // TestCommittedArtifact holds the one claim that needs the full matrix's
 // 12 shards to be robust — ranged commit with a pipeline beats its
 // blocking self (~1.3x at 12 shards, ~1.0x at 4) — on the committed
-// artifact, which CI's "artifact is current" step proves current.
+// artifact, which TestArtifactCurrent proves current.
 func TestCommittedArtifact(t *testing.T) {
 	_, file := committed(t)
 	if !slices.ContainsFunc(file.Headline.PipelinedThroughput, func(ph pipelinedHead) bool {

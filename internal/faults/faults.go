@@ -387,21 +387,22 @@ func DeniedBy(err error) Denial {
 // the element sort.Float64s would put at the rank, found by selection on
 // a copy: xs is not reordered.
 func PercentileNS(xs []float64, p float64) float64 {
-	return Percentiles(xs, p)[0]
+	return Percentiles([][]float64{xs}, p)[0]
 }
 
 // Percentiles returns PercentileNS(xs, p) for each p of ps, in order,
-// from one copy of xs: selection only reorders the copy, so each rank is
+// where xs is the concatenation of parts. It copies each part once, into
+// one buffer: selection only reorders the buffer, so each rank is
 // selected on it as on xs itself.
-func Percentiles(xs []float64, ps ...float64) []float64 {
+func Percentiles(parts [][]float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
-	if len(xs) == 0 {
+	buf := slices.Concat(parts...)
+	if len(buf) == 0 {
 		return out
 	}
-	buf := append([]float64(nil), xs...)
 	for i, p := range ps {
-		rank := int(math.Ceil(p / 100 * float64(len(xs))))
-		out[i] = selectRank(buf, min(max(rank, 1), len(xs))-1)
+		rank := int(math.Ceil(p / 100 * float64(len(buf))))
+		out[i] = selectRank(buf, min(max(rank, 1), len(buf))-1)
 	}
 	return out
 }

@@ -559,12 +559,15 @@ func TestPercentileNSMatchesSort(t *testing.T) {
 					check("alone", p, faults.PercentileNS(xs, p))
 				}
 				// Every rank of one copy, in the order given and reversed:
-				// each selection starts from the last one's reordering.
+				// each selection starts from the last one's reordering. xs
+				// whole and xs in two parts are one series.
 				rev := slices.Clone(ps)
 				slices.Reverse(rev)
 				for _, order := range [][]float64{ps, rev} {
-					for i, got := range faults.Percentiles(xs, order...) {
-						check("of many", order[i], got)
+					for _, parts := range [][][]float64{{xs}, {xs[:n/3], xs[n/3:]}} {
+						for i, got := range faults.Percentiles(parts, order...) {
+							check("of many", order[i], got)
+						}
 					}
 				}
 				for i := range xs {

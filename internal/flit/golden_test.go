@@ -1,78 +1,36 @@
 package flit
 
 import (
-	"crypto/sha256"
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 
 	"cxl0/internal/core"
+	"cxl0/internal/golden"
 	"cxl0/internal/latency"
 	"cxl0/internal/memsim"
 )
-
-// update rewrites testdata/session.golden from this run instead of
-// checking against it:
-//
-//	go test ./internal/flit -run Golden -update
-//
-// Only a change that means to alter a wrapper's primitive sequence may
-// use it.
-var update = flag.Bool("update", false, "rewrite testdata/session.golden from this run")
-
-// goldenCase is one named case of a golden test and the text it pins.
-type goldenCase struct{ name, text string }
-
-// checkGolden holds every case's SHA-256 digest to the "name digest" line
-// recorded for it in path, in case order, or rewrites path under -update.
-func checkGolden(t *testing.T, path string, cases []goldenCase) {
-	t.Helper()
-	var b strings.Builder
-	b.WriteString("# SHA-256 per case; regenerate with -update, do not edit by hand.\n")
-	for _, c := range cases {
-		fmt.Fprintf(&b, "%s %x\n", c.name, sha256.Sum256([]byte(c.text)))
-	}
-	if *update {
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	doc, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := strings.Split(b.String(), "\n"), strings.Split(string(doc), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("%s holds %d lines, this run %d: the case set changed (rerun with -update if intended)", path, len(want), len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("%s: got %q, golden %q: behaviour changed (rerun with -update if intended)", path, got[i], want[i])
-		}
-	}
-}
 
 // TestSessionTraceGolden pins every wrapper's primitive sequence. Per
 // strategy, with the data on the issuing machine and on its peer, 400
 // seeded calls of the session's operations run on a latency-charged,
 // evicting cluster; after each call the trace records the result, the
-// error, the simulated clock and the cumulative primitive counts.
+// error, the simulated clock and the cumulative primitive counts. Only a
+// change that means to alter a wrapper's primitive sequence reruns it
+// with -update.
 func TestSessionTraceGolden(t *testing.T) {
-	var cases []goldenCase
+	var cases []golden.Case
 	for _, strat := range Strategies {
 		for _, home := range []core.MachineID{0, 1} {
 			name := strat.String() + "/issuer"
 			if home != 0 {
 				name = strat.String() + "/peer"
 			}
-			cases = append(cases, goldenCase{name, sessionTrace(t, strat, home)})
+			cases = append(cases, golden.Case{Name: name, Text: sessionTrace(t, strat, home)})
 		}
 	}
-	checkGolden(t, "testdata/session.golden", cases)
+	golden.Check(t, "testdata/session.golden", golden.Digests(cases))
 }
 
 func sessionTrace(t *testing.T, strat Strategy, home core.MachineID) string {

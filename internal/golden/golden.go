@@ -1,0 +1,83 @@
+// Package golden holds a rendered artifact to its committed file: the
+// one check behind RESULTS.md, BENCH_kv.json and every testdata/*.golden
+// digest file. Only tests, and the test helpers of internal/kv/kvtest,
+// import it, so no command grows its flag.
+//
+// A run that means to move an artifact rewrites it with -update, one
+// package at a time (a package whose tests do not import golden has no
+// such flag):
+//
+//	go test ./internal/flitbench -run Golden -update
+package golden
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite each committed artifact this package's tests check from this run")
+
+// Updating reports whether -update is set: a check rewrites its file
+// instead of comparing against it.
+func Updating() bool { return *update }
+
+// Check holds got to the file at path, or writes got there under -update.
+// A difference fails t with the first line that differs and, if the
+// number of lines changed, both counts. It reports through t.Error only,
+// so the caller's test goes on.
+func Check(t testing.TB, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Error(err)
+		}
+		return
+	}
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if string(doc) == got {
+		return
+	}
+	want, have := strings.Split(string(doc), "\n"), strings.Split(got, "\n")
+	i := 0
+	for i < len(want) && i < len(have) && want[i] == have[i] {
+		i++
+	}
+	msg := fmt.Sprintf("%s differs from this run from line %d (rerun with -update if intended):\ncommitted: %s\nthis run:  %s",
+		path, i+1, line(want, i), line(have, i))
+	if len(want) != len(have) {
+		msg += fmt.Sprintf("\ncommitted holds %d lines, this run %d", len(want), len(have))
+	}
+	t.Error(msg)
+}
+
+func line(lines []string, i int) string {
+	if i < len(lines) {
+		return fmt.Sprintf("%q", lines[i])
+	}
+	return "<end of file>"
+}
+
+// Case is one named case of a digest file and the text it pins.
+type Case struct{ Name, Text string }
+
+// header opens every digest file Digests renders.
+const header = "# SHA-256 per case; regenerate with -update, do not edit by hand.\n"
+
+// Digests renders a digest file: the header, then one "name digest" line
+// per case, in case order, the digest the SHA-256 of the case's text.
+func Digests(cases []Case) string {
+	var b strings.Builder
+	b.WriteString(header)
+	for _, c := range cases {
+		fmt.Fprintf(&b, "%s %x\n", c.Name, sha256.Sum256([]byte(c.Text)))
+	}
+	return b.String()
+}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,6 +15,7 @@ import (
 	"testing"
 
 	"cxl0/internal/core"
+	"cxl0/internal/golden"
 	"cxl0/internal/kv"
 	"cxl0/internal/obs"
 	"cxl0/internal/workload"
@@ -38,7 +38,7 @@ import (
 // bucket rebalancing and log compaction.
 //
 // Each case's outcome is also pinned across commits by a digest in
-// testdata/replay.golden (see checkGolden).
+// testdata/replay.golden (see checkDigest).
 func DeterministicReplay(t *testing.T, f Factory) {
 	for _, c := range replayCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -47,7 +47,7 @@ func DeterministicReplay(t *testing.T, f Factory) {
 			compareReplay(t, "operation results", first.results, second.results)
 			compareReplay(t, "metrics", first.metrics, second.metrics)
 			compareReplay(t, "event stream", first.events, second.events)
-			checkGolden(t, first)
+			checkDigest(t, first)
 		})
 	}
 }
@@ -90,37 +90,35 @@ func replayCases() []replayCase {
 	return cases
 }
 
-// update rewrites testdata/replay.golden from the current run instead of
-// checking against it:
+// checkDigest pins the run's outcome across commits: a SHA-256 over the
+// operation results, the metrics document and the rendered event stream
+// must equal the digest recorded for this test (keyed by its full name,
+// so the Store and each Router topology pin their own, and -run on one
+// case checks that case) in testdata/replay.golden. Replay determinism
+// says two runs of one build agree; the golden says two builds agree —
+// which is what makes "zero behavioural diff" a tier-1 check for
+// refactors of the commit, cache and recovery paths.
+//
+// Under golden's -update flag it records this run's digest instead:
 //
 //	go test -p 1 ./internal/kv ./internal/pool -run Conformance/DeterministicReplay -update
 //
 // (-p 1: both test binaries merge into the one file). Only a change that
 // means to alter simulated behaviour may use it.
-var update = flag.Bool("update", false, "rewrite kvtest/testdata/replay.golden from this run")
-
-// checkGolden pins the run's outcome across commits: a SHA-256 over the
-// operation results, the metrics document and the rendered event stream
-// must equal the digest recorded for this test (keyed by its full name,
-// so the Store and each Router topology pin their own) in
-// testdata/replay.golden. Replay determinism says two runs of one build
-// agree; the golden says two builds agree — which is what makes "zero
-// behavioural diff" a tier-1 check for refactors of the commit, cache
-// and recovery paths.
-func checkGolden(t *testing.T, out replayOutcome) {
+func checkDigest(t *testing.T, out replayOutcome) {
 	t.Helper()
 	h := sha256.New()
 	for _, part := range []string{out.results, out.metrics, out.events} {
 		fmt.Fprintf(h, "%d\n%s", len(part), part)
 	}
 	got := hex.EncodeToString(h.Sum(nil))
-	golden := readGolden(t)
-	if *update {
-		golden[t.Name()] = got
-		writeGolden(t, golden)
+	digests := readDigests(t)
+	if golden.Updating() {
+		digests[t.Name()] = got
+		writeDigests(t, digests)
 		return
 	}
-	want, ok := golden[t.Name()]
+	want, ok := digests[t.Name()]
 	if !ok {
 		t.Fatalf("no golden digest for %s in testdata/replay.golden (run with -update to record one)", t.Name())
 	}
@@ -141,9 +139,9 @@ func goldenPath(t *testing.T) string {
 	return filepath.Join(filepath.Dir(src), "testdata", "replay.golden")
 }
 
-// readGolden parses the golden file's "name digest" lines; blank lines
+// readDigests parses the golden file's "name digest" lines; blank lines
 // and # comments are skipped.
-func readGolden(t *testing.T) map[string]string {
+func readDigests(t *testing.T) map[string]string {
 	t.Helper()
 	doc, err := os.ReadFile(goldenPath(t))
 	if err != nil {
@@ -158,10 +156,10 @@ func readGolden(t *testing.T) map[string]string {
 	return m
 }
 
-// writeGolden rewrites the golden file sorted by name. The kv and pool
+// writeDigests rewrites the golden file sorted by name. The kv and pool
 // test binaries each own a disjoint set of names, so an -update run
 // merges into what is on disk rather than replacing it.
-func writeGolden(t *testing.T, m map[string]string) {
+func writeDigests(t *testing.T, m map[string]string) {
 	t.Helper()
 	names := make([]string, 0, len(m))
 	for n := range m { //cxl0:order-insensitive — collected then sorted below

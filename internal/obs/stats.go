@@ -44,10 +44,10 @@ func (h *Hist) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-// Quantile returns the q-quantile (q in [0,1]) as the geometric midpoint
-// of the bucket holding the rank — an estimate with log2-bucket
-// resolution, documented in docs/observability.md. Returns 0 with no
-// samples.
+// Quantile returns the q-quantile (q in [0,1]) as the arithmetic
+// midpoint 1.5·2^(i-1) of the bucket [2^(i-1), 2^i) holding the rank — an
+// estimate with log2-bucket resolution, +50 %/−25 % of the true value,
+// documented in docs/observability.md. Returns 0 with no samples.
 func (h *Hist) Quantile(q float64) float64 {
 	if h.n == 0 {
 		return 0

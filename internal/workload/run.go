@@ -370,12 +370,10 @@ func Run(o Options) (Result, error) {
 		res.ThroughputOpsPerSec = float64(o.Ops) / (res.SimNS * 1e-9)
 		res.GoodputOpsPerSec = float64(o.Ops-res.FailedOps-res.UnavailableOps) / (res.SimNS * 1e-9)
 	}
-	lat := append(append([]float64(nil), readLat...), m.WriteLatencies...)
-	ps := faults.Percentiles(lat, 50, 95, 99, 100)
+	ps := faults.Percentiles([][]float64{readLat, m.WriteLatencies}, 50, 95, 99, 100)
 	res.P50NS, res.P95NS, res.P99NS, res.MaxNS = ps[0], ps[1], ps[2], ps[3]
 	if clusters > 1 {
-		slat := append(append([]float64(nil), readLatSerial...), m.WriteLatencies...)
-		ps = faults.Percentiles(slat, 50, 95, 99)
+		ps = faults.Percentiles([][]float64{readLatSerial, m.WriteLatencies}, 50, 95, 99)
 		res.SerialP50NS, res.SerialP95NS, res.SerialP99NS = ps[0], ps[1], ps[2]
 	}
 	if o.CacheSweep {
@@ -396,9 +394,9 @@ func Run(o Options) (Result, error) {
 	}
 	if cfg.Strategy.Batched() && cfg.PipelineDepth > 1 {
 		res.PipelineDepth = cfg.PipelineDepth
-		ps = faults.Percentiles(m.WriteLatencies, 50, 95, 99)
+		ps = faults.Percentiles([][]float64{m.WriteLatencies}, 50, 95, 99)
 		res.AckP50NS, res.AckP95NS, res.AckP99NS = ps[0], ps[1], ps[2]
-		ps = faults.Percentiles(m.IssueLatencies, 50, 95, 99)
+		ps = faults.Percentiles([][]float64{m.IssueLatencies}, 50, 95, 99)
 		res.IssueP50NS, res.IssueP95NS, res.IssueP99NS = ps[0], ps[1], ps[2]
 	}
 	res.Recoveries = int(m.Recoveries)
@@ -431,11 +429,11 @@ func Run(o Options) (Result, error) {
 	}
 	if o.Campaign != nil {
 		res.Campaign = fs.Campaign
-		ps = faults.Percentiles(fs.OutageNS, 50, 95)
+		ps = faults.Percentiles([][]float64{fs.OutageNS}, 50, 95)
 		res.OutageP50NS, res.OutageP95NS = ps[0], ps[1]
-		ps = faults.Percentiles(fs.RecoveryNS, 50, 95)
+		ps = faults.Percentiles([][]float64{fs.RecoveryNS}, 50, 95)
 		res.RecoveryP50NS, res.RecoveryP95NS = ps[0], ps[1]
-		res.PartitionP95NS = faults.Percentiles(fs.PartitionNS, 95)[0]
+		res.PartitionP95NS = faults.PercentileNS(fs.PartitionNS, 95)
 	}
 	return res, nil
 }
