@@ -585,6 +585,36 @@ func TestRecoverDetectsDurabilityViolation(t *testing.T) {
 	}
 }
 
+// TestRefusedRecoveryIsCharged: a recovery that fails part-way has still
+// spent simulated time on the shard, and that span is churn on its busy
+// clock like a successful recovery's. The crashed shard's open batch
+// needs a re-persisting GPF, which the other shard's partition refuses.
+func TestRefusedRecoveryIsCharged(t *testing.T) {
+	st := openTest(t, Config{Shards: 2, Capacity: 256, Strategy: GroupCommit, Batch: 64, Seed: 1})
+	for k := core.Val(0); k < 40; k++ {
+		if _, err := st.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := st.ShardOf(0)
+	st.Crash(victim)
+	st.Partition(1 - victim)
+	before, m := st.Cluster().NowNS(), st.Metrics()
+	if _, err := st.Recover(victim); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("recover beside a partitioned shard: %v, want ErrUnavailable", err)
+	}
+	span := st.Cluster().NowNS() - before
+	if span <= 0 {
+		t.Fatal("the refused recovery took no simulated time")
+	}
+	after := st.Metrics()
+	busy := after.PerShardBusyNS[victim] - m.PerShardBusyNS[victim]
+	churn := after.PerShardChurnNS[victim] - m.PerShardChurnNS[victim]
+	if busy != span || churn != span {
+		t.Errorf("refused recovery of %.0f ns charged busy %.0f ns, churn %.0f ns", span, busy, churn)
+	}
+}
+
 // TestStrategyTable holds the rules table (persist.go) to the declared
 // strategies: with the table there is no dispatch switch for the
 // strategyswitch lint to hold exhaustive, so a strategy added without a

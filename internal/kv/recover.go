@@ -83,6 +83,9 @@ func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
 	appended := len(sh.log)
 	ackedBefore := sh.acked
 	start := s.cluster.NowNS()
+	// The span is churn on every return path: a recovery the medium or
+	// the fabric refuses has still spent its time on the shard.
+	defer func() { sh.charge(s.cluster.NowNS()-start, true) }()
 
 	// Resolve the snapshot-epoch record from the medium. It was MStored —
 	// persistent the moment it was written — so it must agree with the
@@ -272,7 +275,6 @@ func (s *Store) recoverShard(sh *shard) (RecoveryStats, error) {
 	s.invalidateShardLocked(i)
 
 	simNS := s.cluster.NowNS() - start
-	sh.charge(simNS, true)
 	s.ctr.DroppedPending += uint64(droppedPending)
 	s.ctr.Recoveries++
 	s.recoveryNS = append(s.recoveryNS, simNS)
