@@ -1,6 +1,8 @@
 package cxl0bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -49,6 +51,7 @@ var paperClaims = []struct {
 	{"Extended litmus corpus (internal/litmus/testdata/findings.litmus)", litmusClaims("findings.litmus", ownRows)},
 	{"cxl0-explore's walkthrough script (internal/litmus/testdata/walkthrough.litmus)", litmusClaims("walkthrough.litmus", traceRows)},
 	{"§6 — durable linearizability under partial crashes, 8 seeds per cell, 3 workers × 6 ops", soundnessClaims},
+	{"The KV service's headline (BENCH_kv.json)", kvClaims},
 }
 
 // TestPaperClaims derives every result the paper reports, fails on any row
@@ -409,4 +412,207 @@ func soundnessClaims(t *testing.T) []claim {
 		}
 	}
 	return rows
+}
+
+// kvClaims states each claim README.md and docs/ make about the KV
+// service's headline in the committed BENCH_kv.json, which
+// cmd/cxl0-bench's TestArtifactCurrent holds to a fresh run of the
+// default matrix.
+func kvClaims(t *testing.T) []claim {
+	blob, err := os.ReadFile("BENCH_kv.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return headlineClaims(t, blob)
+}
+
+// headline is BENCH_kv.json's headline object, read key by key through
+// field, which records every key it reads.
+type headline struct {
+	t    *testing.T
+	keys map[string]json.RawMessage
+	read map[string]bool
+}
+
+// field decodes the headline's key into a T and marks the key read.
+func field[T any](h *headline, key string) T {
+	h.read[key] = true
+	var v T
+	if err := json.Unmarshal(h.keys[key], &v); err != nil {
+		h.t.Fatalf("BENCH_kv.json headline %q: %v", key, err)
+	}
+	return v
+}
+
+// headlineClaims renders one row per claim about the headline of the
+// artifact blob, then one row that fails if a headline key is read by no
+// row: a key added to the headline arrives with its claim.
+func headlineClaims(t *testing.T, blob []byte) []claim {
+	var file struct {
+		Headline map[string]json.RawMessage `json:"headline"`
+	}
+	if err := json.Unmarshal(blob, &file); err != nil {
+		t.Fatal(err)
+	}
+	h := &headline{t: t, keys: file.Headline, read: map[string]bool{}}
+	row := func(where, repo string, holds bool, check string) claim {
+		return claim{where, "—", repo, holds, check}
+	}
+	var rows []claim
+
+	groupSpeedup, groupAt := field[float64](h, "group_vs_gpf_speedup"), field[string](h, "group_config")
+	rows = append(rows, row("group commit beats per-op GPF", fmt.Sprintf("%.2f× at %s", groupSpeedup, groupAt),
+		groupSpeedup > 1, "`group_vs_gpf_speedup` > 1"))
+	rangedSpeedup, rangedAt := field[float64](h, "ranged_vs_group_speedup"), field[string](h, "ranged_config")
+	rows = append(rows, row("ranged commit beats group commit at the most shards", fmt.Sprintf("%.2f× at %s", rangedSpeedup, rangedAt),
+		rangedSpeedup > 1, "`ranged_vs_group_speedup` > 1"))
+	groupGrowth, rangedGrowth := field[float64](h, "group_per_op_cost_growth"), field[float64](h, "ranged_per_op_cost_growth")
+	rows = append(rows, row("ranged per-op cost grows less than group's",
+		fmt.Sprintf("from the fewest to the most shards: group %.2f×, ranged %.2f×", groupGrowth, rangedGrowth),
+		rangedGrowth < groupGrowth, "`ranged_per_op_cost_growth` < `group_per_op_cost_growth`"))
+
+	// Every field of a pipelined row, so that two rows compare equal
+	// only if they are identical.
+	type pipelined struct {
+		Strategy   string  `json:"strategy"`
+		Shards     int     `json:"shards"`
+		Depth      int     `json:"pipeline_depth"`
+		Throughput float64 `json:"throughput_ops_per_sec"`
+		Speedup    float64 `json:"speedup_vs_blocking"`
+		AckP99NS   float64 `json:"ack_p99_ns"`
+		IssueP99NS float64 `json:"issue_p99_ns"`
+	}
+	// Each row as shards/depth, its speedup over blocking commit and, for
+	// group commit, its ack p99.
+	var group, ranged []string
+	groupFlat, rangedGains := true, false
+	groupK2 := map[int]pipelined{}
+	for _, p := range field[[]pipelined](h, "pipelined_throughput") {
+		at := fmt.Sprintf("%d/K%d %.2f×", p.Shards, p.Depth, p.Speedup)
+		switch {
+		case p.Strategy == "ranged":
+			ranged = append(ranged, at)
+			rangedGains = rangedGains || (p.Depth > 1 && p.Speedup > 1)
+			continue
+		case p.Depth == 2:
+			groupK2[p.Shards] = p
+		default:
+			twin, ok := groupK2[p.Shards]
+			twin.Depth = p.Depth
+			groupFlat = groupFlat && ok && twin == p
+		}
+		group = append(group, fmt.Sprintf("%s (ack p99 %.0f µs)", at, p.AckP99NS/1000))
+	}
+	rows = append(rows, row("a deeper pipeline adds nothing to group commit", "over blocking, shards/depth: "+strings.Join(group, " · "),
+		groupFlat && len(groupK2) > 0, "`pipelined_throughput`: each group K>2 row equals its K=2 row"))
+	rows = append(rows, row("ranged commit gains from the pipeline", "over blocking, shards/depth: "+strings.Join(ranged, " · "),
+		rangedGains, "`pipelined_throughput`: some ranged K>1 row beats blocking commit"))
+
+	type readCache struct {
+		Workload  string  `json:"workload"`
+		Clusters  int     `json:"clusters"`
+		HitRate   float64 `json:"cache_hit_rate"`
+		Reduction float64 `json:"read_latency_reduction"`
+	}
+	var cached []string
+	cuts := true
+	for _, c := range field[[]readCache](h, "read_cache") {
+		cached = append(cached, fmt.Sprintf("%s %dcl: %.0f %% hits, read −%.0f %%", c.Workload, c.Clusters, 100*c.HitRate, 100*c.Reduction))
+		cuts = cuts && c.HitRate > 0.5 && c.Reduction > 0
+	}
+	rows = append(rows, row("every read-cache row serves most reads and cuts read latency", strings.Join(cached, " · "),
+		cuts && len(cached) > 0, "`read_cache`: every hit rate > 1/2, every read-latency reduction > 0"))
+
+	static, rebalanced := field[float64](h, "static_max_mean_busy"), field[float64](h, "rebalanced_max_mean_busy")
+	imbalanceAt := field[string](h, "imbalance_config")
+	rows = append(rows, row("rebalancing cuts max/mean busy", fmt.Sprintf("%.2f× → %.2f× at %s", static, rebalanced, imbalanceAt),
+		rebalanced < static, "`rebalanced_max_mean_busy` < `static_max_mean_busy`"))
+	rebalanceSpeedup := field[float64](h, "rebalance_speedup")
+	rows = append(rows, row("rebalancing raises throughput", fmt.Sprintf("%.2f× at %s", rebalanceSpeedup, imbalanceAt),
+		rebalanceSpeedup > 1, "`rebalance_speedup` > 1"))
+
+	type pooled struct {
+		Clusters    int     `json:"clusters"`
+		MeanSpeedup float64 `json:"mean_speedup"`
+		BestSpeedup float64 `json:"best_speedup"`
+		BestConfig  string  `json:"best_config"`
+	}
+	var scaling []string
+	scales := true
+	for _, p := range field[[]pooled](h, "pooled_throughput_scaling") {
+		scaling = append(scaling, fmt.Sprintf("%d clusters: mean %.2f×, best %.2f× at %s", p.Clusters, p.MeanSpeedup, p.BestSpeedup, p.BestConfig))
+		scales = scales && p.MeanSpeedup > 1 && p.BestSpeedup > float64(p.Clusters)
+	}
+	rows = append(rows, row("pooling beats one cluster at every count, the best pairing super-linearly", strings.Join(scaling, " · "),
+		scales && len(scaling) > 0, "`pooled_throughput_scaling`: every mean speedup > 1, every best speedup > the cluster count"))
+	best, bestAt := field[float64](h, "best_throughput_ops_per_sec"), field[string](h, "best_config")
+	rows = append(rows, row("the best configuration is pooled", fmt.Sprintf("%.1f M ops/s at %s", best/1e6, bestAt),
+		strings.Contains(bestAt, "clusters"), "`best_config` runs on more than one cluster"))
+
+	compaction := field[struct {
+		Compactions  int     `json:"compactions"`
+		Reclaimed    int     `json:"reclaimed_slots"`
+		OverCapacity float64 `json:"appends_over_capacity"`
+		VsUncapped   float64 `json:"throughput_vs_uncapped"`
+		Config       string  `json:"config"`
+	}](h, "compaction")
+	rows = append(rows, row("compaction sustains more than the log's capacity",
+		fmt.Sprintf("%.2f× the capacity in appends at %.2f× uncapped throughput, %d compactions reclaiming %d slots, at %s",
+			compaction.OverCapacity, compaction.VsUncapped, compaction.Compactions, compaction.Reclaimed, compaction.Config),
+		compaction.OverCapacity > 1, "`compaction.appends_over_capacity` > 1"))
+
+	campaign := field[struct {
+		Config  string `json:"config"`
+		Classes []struct {
+			Campaign          string  `json:"campaign"`
+			MeanAvailability  float64 `json:"mean_availability"`
+			WorstAvailability float64 `json:"worst_availability"`
+			WorstStrategy     string  `json:"worst_availability_strategy"`
+		} `json:"classes"`
+	}](h, "fault_campaign")
+	partitioned, isolated := "no partitioned class", false
+	for _, c := range campaign.Classes {
+		if c.Campaign == "partitioned" {
+			partitioned = fmt.Sprintf("%.3f under %s (mean %.3f) at %s", c.WorstAvailability, c.WorstStrategy, c.MeanAvailability, campaign.Config)
+			isolated = c.WorstAvailability < 1 && (c.WorstStrategy == "gpf" || c.WorstStrategy == "group")
+		}
+	}
+	rows = append(rows, row("partitioned availability is worst under a GPF-based strategy", partitioned, isolated,
+		"`fault_campaign`: the partitioned class's worst availability is < 1, under `gpf` or `group`"))
+
+	var unread []string
+	for key := range h.keys {
+		if !h.read[key] {
+			unread = append(unread, key)
+		}
+	}
+	slices.Sort(unread)
+	covered := fmt.Sprintf("all %d keys", len(h.keys))
+	if len(unread) > 0 {
+		covered = "read by no row: " + strings.Join(unread, ", ")
+	}
+	return append(rows, row("every headline key is read by a row above", covered, len(unread) == 0,
+		"the keys `field` read against the headline's keys"))
+}
+
+// TestKVClaimsReadEveryHeadlineKey adds a key to a copy of the committed
+// artifact's headline: the last row must fail and name it.
+func TestKVClaimsReadEveryHeadlineKey(t *testing.T) {
+	blob, err := os.ReadFile("BENCH_kv.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = `"headline": {`
+	if !bytes.Contains(blob, []byte(head)) {
+		t.Fatalf("BENCH_kv.json has no %s", head)
+	}
+	rows := headlineClaims(t, bytes.Replace(blob, []byte(head), []byte(head+`"scratch_claim": 1.5,`), 1))
+	if last := rows[len(rows)-1]; last.agree || !strings.Contains(last.repo, "scratch_claim") {
+		t.Errorf("an unread headline key renders %q, %v", last.repo, last.agree)
+	}
+	for _, c := range rows[:len(rows)-1] {
+		if !c.agree {
+			t.Errorf("%s: %s fails on the copy", c.where, c.repo)
+		}
+	}
 }

@@ -179,19 +179,6 @@ func TestArtifactCurrent(t *testing.T) {
 	golden.Check(t, filepath.Join("..", "..", "BENCH_kv.json"), string(blob))
 }
 
-// TestCommittedArtifact holds the one claim that needs the full matrix's
-// 12 shards to be robust — ranged commit with a pipeline beats its
-// blocking self (~1.3x at 12 shards, ~1.0x at 4) — on the committed
-// artifact, which TestArtifactCurrent proves current.
-func TestCommittedArtifact(t *testing.T) {
-	_, file := committed(t)
-	if !slices.ContainsFunc(file.Headline.PipelinedThroughput, func(ph pipelinedHead) bool {
-		return ph.Strategy == kv.RangedCommit.String() && ph.Depth > 1 && ph.SpeedupVsBlocking > 1
-	}) {
-		t.Errorf("no pipelined ranged row beats blocking commit: %+v", file.Headline.PipelinedThroughput)
-	}
-}
-
 func TestParseFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name, args string

@@ -130,6 +130,14 @@ func (s *System) memWrite(a Addr, v uint64) {
 	}
 }
 
+// writeBackInvalidate snoop-invalidates cache line l of a and writes its
+// data back to memory if the line was dirty.
+func (s *System) writeBackInvalidate(l *coherence.Line, a Addr) {
+	if data, dirty := l.OnSnoopInvalidate(); dirty {
+		s.memWrite(a, data)
+	}
+}
+
 // SetBias sets the bias of an HDM line.
 func (s *System) SetBias(a Addr, b Bias) {
 	if a.Region != HDM {
@@ -222,10 +230,7 @@ func (s *System) HostLoad(a Addr) uint64 {
 		// already holds the line Shared.
 		if d.State.Valid() {
 			s.emit(SnpInv, a)
-			data, dirty := d.OnSnoopInvalidate()
-			if dirty {
-				s.memWrite(a, data)
-			}
+			s.writeBackInvalidate(d, a)
 		}
 		if !h.State.Valid() {
 			h.OnFill(s.memRead(a), true) // device just invalidated: exclusive
@@ -260,10 +265,7 @@ func (s *System) HostLStore(a Addr, v uint64) {
 		if !h.State.Owned() {
 			if d.State.Valid() {
 				s.emit(SnpInv, a)
-				data, dirty := d.OnSnoopInvalidate()
-				if dirty {
-					s.memWrite(a, data)
-				}
+				s.writeBackInvalidate(d, a)
 			}
 			// Shared→E upgrades and local fills stay inside the host.
 			h.OnGrantOwnership(s.valueOrCached(h, a))
@@ -328,10 +330,7 @@ func (s *System) HostRFlush(a Addr) {
 	case HM:
 		if d.State.Valid() {
 			s.emit(SnpInv, a)
-			data, dirty := d.OnSnoopInvalidate()
-			if dirty {
-				s.memWrite(a, data)
-			}
+			s.writeBackInvalidate(d, a)
 		}
 		if h.State.Valid() {
 			data, dirty := h.OnEvict() // host-internal writeback
@@ -412,10 +411,7 @@ func (s *System) DevLStore(a Addr, v uint64) {
 	if !d.State.Owned() {
 		s.emit(RdOwn, a)
 		if h.State.Valid() {
-			data, dirty := h.OnSnoopInvalidate() // host-side handling of RdOwn
-			if dirty {
-				s.memWrite(a, data)
-			}
+			s.writeBackInvalidate(h, a) // host-side handling of RdOwn
 		}
 		d.OnGrantOwnership(s.memRead(a))
 	}
@@ -463,10 +459,7 @@ func (s *System) DevMStore(a Addr, v uint64) {
 			if !d.State.Owned() {
 				s.emit(RdOwn, a)
 				if h.State.Valid() {
-					data, dirty := h.OnSnoopInvalidate()
-					if dirty {
-						s.memWrite(a, data)
-					}
+					s.writeBackInvalidate(h, a)
 				}
 				d.OnGrantOwnership(s.memRead(a))
 			}
@@ -507,10 +500,7 @@ func (s *System) DevRFlush(a Addr) {
 	// extracted through the host, observed as M2S MemRd.
 	if s.BiasOf(a) == HostBias && h.State.Valid() {
 		s.emit(MemRd, a)
-		data, dirty := h.OnSnoopInvalidate()
-		if dirty {
-			s.memWrite(a, data)
-		}
+		s.writeBackInvalidate(h, a)
 	}
 	if d.State.Valid() {
 		data, dirty := d.OnEvict()

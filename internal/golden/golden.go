@@ -42,20 +42,30 @@ func Check(t testing.TB, path, got string) {
 		t.Error(err)
 		return
 	}
-	if string(doc) == got {
-		return
+	if n, diff := FirstDifference(string(doc), got, "committed", "this run"); n > 0 {
+		t.Error(fmt.Sprintf("%s differs from this run from line %d (rerun with -update if intended):\n%s", path, n, diff))
 	}
-	want, have := strings.Split(string(doc), "\n"), strings.Split(got, "\n")
+}
+
+// FirstDifference compares two renderings of one artifact line by line.
+// It returns 0 and "" when they are equal; otherwise the number of the
+// first line that differs and a report of it: each side's line there
+// under its label, and both line counts if they differ.
+func FirstDifference(a, b, labelA, labelB string) (int, string) {
+	if a == b {
+		return 0, ""
+	}
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	i := 0
-	for i < len(want) && i < len(have) && want[i] == have[i] {
+	for i < len(al) && i < len(bl) && al[i] == bl[i] {
 		i++
 	}
-	msg := fmt.Sprintf("%s differs from this run from line %d (rerun with -update if intended):\ncommitted: %s\nthis run:  %s",
-		path, i+1, line(want, i), line(have, i))
-	if len(want) != len(have) {
-		msg += fmt.Sprintf("\ncommitted holds %d lines, this run %d", len(want), len(have))
+	w := max(len(labelA), len(labelB)) + 1
+	report := fmt.Sprintf("%-*s %s\n%-*s %s", w, labelA+":", line(al, i), w, labelB+":", line(bl, i))
+	if len(al) != len(bl) {
+		report += fmt.Sprintf("\n%s holds %d lines, %s %d", labelA, len(al), labelB, len(bl))
 	}
-	t.Error(msg)
+	return i + 1, report
 }
 
 func line(lines []string, i int) string {

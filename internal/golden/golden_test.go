@@ -35,22 +35,34 @@ func withUpdate(t *testing.T, on bool) {
 
 func TestCheckReportsFirstDifferenceAndLength(t *testing.T) {
 	withUpdate(t, false)
+	const committed = "a\nb\nc\n"
 	path := filepath.Join(t.TempDir(), "artifact")
-	if err := os.WriteFile(path, []byte("a\nb\nc\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(committed), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	msg := func(line int, committed, run, length string) string {
 		return fmt.Sprintf("%s differs from this run from line %d (rerun with -update if intended):\ncommitted: %s\nthis run:  %s%s",
 			path, line, committed, run, length)
 	}
-	for _, tc := range []struct{ got, want string }{
-		{"a\nb\nc\n", ""},
-		{"a\nB\nc\n", msg(2, `"b"`, `"B"`, "")},
-		{"a\nb\nc\nd\n", msg(4, `""`, `"d"`, "\ncommitted holds 4 lines, this run 5")},
-		{"a\nb\nc", msg(4, `""`, "<end of file>", "\ncommitted holds 4 lines, this run 3")},
+	// Each case also goes through FirstDifference under other labels, as
+	// kvtest's replay comparison calls it.
+	for _, tc := range []struct {
+		got, want string
+		line      int
+		report    string
+	}{
+		{"a\nb\nc\n", "", 0, ""},
+		{"a\nB\nc\n", msg(2, `"b"`, `"B"`, ""), 2, "run 1: \"b\"\nrun 2: \"B\""},
+		{"a\nb\nc\nd\n", msg(4, `""`, `"d"`, "\ncommitted holds 4 lines, this run 5"), 4,
+			"run 1: \"\"\nrun 2: \"d\"\nrun 1 holds 4 lines, run 2 5"},
+		{"a\nb\nc", msg(4, `""`, "<end of file>", "\ncommitted holds 4 lines, this run 3"), 4,
+			"run 1: \"\"\nrun 2: <end of file>\nrun 1 holds 4 lines, run 2 3"},
 	} {
 		if got := strings.Join(check(path, tc.got).msgs, "\n"); got != tc.want {
 			t.Errorf("checking %q:\n%s\nwant:\n%s", tc.got, got, tc.want)
+		}
+		if line, report := FirstDifference(committed, tc.got, "run 1", "run 2"); line != tc.line || report != tc.report {
+			t.Errorf("FirstDifference of %q: line %d\n%s\nwant line %d\n%s", tc.got, line, report, tc.line, tc.report)
 		}
 	}
 	if f := check(filepath.Join(t.TempDir(), "missing"), "x"); len(f.msgs) == 0 {

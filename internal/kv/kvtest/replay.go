@@ -332,14 +332,7 @@ func metricsDoc(t *testing.T, m kv.Metrics) string {
 // of the same replay artifact differ.
 func compareReplay(t *testing.T, what, a, b string) {
 	t.Helper()
-	if a == b {
-		return
+	if n, diff := golden.FirstDifference(a, b, "run 1", "run 2"); n > 0 {
+		t.Fatalf("%s diverged at line %d:\n%s", what, n, diff)
 	}
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			t.Fatalf("%s diverged at line %d:\n  run 1: %s\n  run 2: %s", what, i+1, al[i], bl[i])
-		}
-	}
-	t.Fatalf("%s diverged in length: %d vs %d lines", what, len(al), len(bl))
 }
