@@ -4,9 +4,10 @@
 //
 // A run builds a three-machine cluster (two compute nodes and one NVM
 // memory host holding the structure), spawns workers issuing randomized
-// operations, crashes a machine mid-run (the memory host, a compute node,
-// or both), recovers, drains/reads the structure, and hands the recorded
-// history to the durable-linearizability checker.
+// operations (every third worker on the memory host itself, where the
+// structure's data is owner-local), crashes a machine mid-run (the memory
+// host, a compute node, or both), recovers, drains/reads the structure,
+// and hands the recorded history to the durable-linearizability checker.
 //
 // Under the correct strategies (Algorithm 2, its §6.1 optimisation, and
 // MStore-everything) every run must be durably linearizable. The original
@@ -78,7 +79,7 @@ type Options struct {
 	Strategy     flit.Strategy
 	Crash        CrashMode
 	Seed         int64
-	Workers      int // concurrent clients, spread over the two compute machines
+	Workers      int // concurrent clients, spread round-robin over computeA, computeB and the memory host
 	OpsPerWorker int
 	Variant      core.Variant
 }
@@ -149,10 +150,9 @@ func Run(o Options) Result {
 		go func(w int) {
 			defer wg.Done()
 			defer workersDone.Add(1)
-			machine := computeA
-			if w%2 == 1 {
-				machine = computeB
-			}
+			// Every third worker runs on the memory host, so the owner-local
+			// write paths (Local(x) true) run under crashes too.
+			machine := [...]core.MachineID{computeA, computeB, memHost}[w%3]
 			th, err := cluster.NewThread(machine)
 			if err != nil {
 				if !errors.Is(err, memsim.ErrCrashed) {
