@@ -4,9 +4,10 @@
 // constant of the type or carry an explicit default clause. The next
 // strategy or op added to the simulator then fails cxl0-lint (and so
 // `go test ./...`) at every dispatch it silently falls through, instead
-// of doing nothing. internal/kv has no strategy switch: a strategy is a
-// row of persist.go's rules table, which TestStrategyTable holds to the
-// declared strategies.
+// of doing nothing. internal/kv and internal/flit have no strategy switch
+// either: a strategy is a row of a rules table (kv's persist.go, flit's
+// flit.go), which each package's TestStrategyTable holds to the declared
+// strategies.
 package strategyswitch
 
 import (

@@ -17,7 +17,7 @@
 // helps by flushing before its own operation completes, which is exactly
 // what durable linearizability requires.
 //
-// Six strategies are provided:
+// Six strategies are provided, each one row of the rules table:
 //
 //	CXL0FliT      — Algorithm 2 as above (correct).
 //	CXL0FliTOpt   — Algorithm 2 with the §6.1 optimisation: RFlush is
@@ -39,19 +39,37 @@
 //	NoPersist     — plain loads and stores with no flushing (incorrect;
 //	                the untransformed legacy object).
 //
-// # The write rule
+// # The rules table
+//
+// NewSession resolves the strategy's row once; every wrapper reads its
+// decisions from the row, and none tests the strategy. A row states:
+//
+//	               flush                shared write  load helps  epoch guard
+//	CXL0FliT       RFlush               Algorithm 2   counter     yes
+//	CXL0FliTOpt    §6.1 LFlush/RFlush   Algorithm 2   counter     yes
+//	MStoreAll      none                 persistent    never       no
+//	FlushOnRead    RFlush               Algorithm 2   always      yes
+//	OriginalFliT   LFlush               Algorithm 1   counter     no
+//	NoPersist      none                 cached        never       no
+//
+// "§6.1 LFlush/RFlush" is an LFlush when the issuer owns x, an RFlush
+// otherwise. A load helps by flushing x after reading it: never, when x's
+// counter is raised, or always. The epoch guard reruns a load or private
+// store of remote x whose owner crashed meanwhile.
 //
 // Store, CAS and FAA differ only in their primitive; each hands it to one
-// function, Session.write, which decides how the write persists from the
-// strategy and from where x lives:
+// function, Session.write, which applies the row's shared-write rule:
 //
-//	NoPersist                            cached write
-//	MStoreAll; sound strategy, remote x  persistent write (MStore / M-RMW)
-//	OriginalFliT; sound strategy, local  ctrInc ; cached write ; flush ; ctrDec
+//	cached       cached write
+//	persistent   persistent write (MStore / M-RMW)
+//	Algorithm 2  remote x: persistent write;
+//	             owner-local x: ctrInc ; cached write ; flush ; ctrDec
+//	Algorithm 1  ctrInc ; cached write ; flush ; ctrDec
 //
 // A CAS that wrote nothing skips the flush. The one exception is
 // FlushOnRead's owner-local Store, an LStore and a flush with no counter:
-// its readers flush unconditionally.
+// its readers flush unconditionally. PrivateStore is a cached write and
+// flush under the epoch guard, an MStore under the persistent rule.
 //
 // As in the original FliT library, counters live in a fixed hashed counter
 // table (one table per heap); distinct variables may share a counter, which
@@ -106,11 +124,92 @@ const (
 	NoPersist
 )
 
-var strategyNames = [...]string{"cxl0-flit", "cxl0-flit-opt", "mstore-all", "flush-on-read", "original-flit", "no-persist"}
+// flushKind is what a rule's flush of x issues.
+type flushKind int
+
+const (
+	// flushNone issues nothing: the rule either writes persistently or
+	// persists nothing.
+	flushNone flushKind = iota
+	// flushRemote is an RFlush, which forces x to its owner's persistent
+	// memory wherever x lives.
+	flushRemote
+	// flushOwnerLocal is §6.1's substitution: an LFlush when the issuing
+	// machine owns x (the owner's local flush reaches its own persistent
+	// memory), an RFlush otherwise.
+	flushOwnerLocal
+	// flushLocal is Algorithm 1's Flush, an LFlush: it reaches only the
+	// next hierarchy level — not necessarily persistence, which is the
+	// bug under partial crashes.
+	flushLocal
+)
+
+// writeRule is how a shared write (Store, CAS, FAA) persists.
+type writeRule int
+
+const (
+	// writeCached is a cached write and nothing more.
+	writeCached writeRule = iota
+	// writePersistent is the persistent primitive (MStore / M-RMW)
+	// wherever x lives.
+	writePersistent
+	// writeAlg2 is Algorithm 2's rule: the persistent primitive when x is
+	// remote, a counter-bracketed cached write and flush when x is
+	// owner-local.
+	writeAlg2
+	// writeAlg1 is Algorithm 1's rule: a counter-bracketed cached write
+	// and flush wherever x lives.
+	writeAlg1
+)
+
+// helpRule is when a shared load helps an in-flight store persist by
+// flushing x.
+type helpRule int
+
+const (
+	helpNever   helpRule = iota
+	helpCounter          // when x's FliT counter is raised
+	helpAlways
+)
+
+// rule is one strategy's row: its name, its soundness and every decision
+// the session wrappers make from it.
+type rule struct {
+	name string
+	// sound says the strategy guarantees durable linearizability under
+	// CXL0's partial-crash model.
+	sound bool
+	flush flushKind
+	write writeRule
+	help  helpRule
+	// guarded says loads and private stores of remote x carry the owner's
+	// crash-epoch guard.
+	guarded bool
+}
+
+// rules is the strategy table, indexed by Strategy: the one place a
+// strategy's name and persistence rules are stated.
+var rules = [...]rule{
+	CXL0FliT:     {"cxl0-flit", true, flushRemote, writeAlg2, helpCounter, true},
+	CXL0FliTOpt:  {"cxl0-flit-opt", true, flushOwnerLocal, writeAlg2, helpCounter, true},
+	MStoreAll:    {"mstore-all", true, flushNone, writePersistent, helpNever, false},
+	FlushOnRead:  {"flush-on-read", true, flushRemote, writeAlg2, helpAlways, true},
+	OriginalFliT: {"original-flit", false, flushLocal, writeAlg1, helpCounter, false},
+	NoPersist:    {"no-persist", false, flushNone, writeCached, helpNever, false},
+}
+
+// row returns s's rule, or an error naming s if it is outside the
+// declared strategies.
+func (s Strategy) row() (rule, error) {
+	if s < 0 || int(s) >= len(rules) {
+		return rule{}, fmt.Errorf("flit: unknown strategy Strategy(%d)", int(s))
+	}
+	return rules[s], nil
+}
 
 func (s Strategy) String() string {
-	if int(s) < len(strategyNames) {
-		return strategyNames[s]
+	if r, err := s.row(); err == nil {
+		return r.name
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
@@ -121,11 +220,8 @@ var Strategies = []Strategy{CXL0FliT, CXL0FliTOpt, MStoreAll, FlushOnRead, Origi
 // Correct reports whether the strategy guarantees durable linearizability
 // under CXL0's partial-crash model.
 func (s Strategy) Correct() bool {
-	switch s {
-	case CXL0FliT, CXL0FliTOpt, MStoreAll, FlushOnRead:
-		return true
-	}
-	return false
+	r, _ := s.row()
+	return r.sound
 }
 
 // Var is a persistent variable: a data location paired with its FliT
@@ -223,27 +319,28 @@ func (h *Heap) AllocVars(n int) ([]Var, error) {
 // operations run inside a session. Sessions are cheap and not safe for
 // concurrent use (use one per goroutine, like a thread).
 type Session struct {
-	S Strategy
 	T *memsim.Thread
+	r rule // the strategy's row, resolved once by NewSession
 }
 
-// NewSession returns a session applying strategy s on thread t.
-func NewSession(s Strategy, t *memsim.Thread) *Session { return &Session{S: s, T: t} }
+// NewSession returns a session applying strategy s on thread t. It panics
+// on a strategy outside Strategies, which would otherwise persist nothing
+// without a word.
+func NewSession(s Strategy, t *memsim.Thread) *Session {
+	r, err := s.row()
+	if err != nil {
+		panic(err)
+	}
+	return &Session{T: t, r: r}
+}
 
-// flush performs the strategy's flush for x (the pflag-tagged path).
+// flush performs the rule's flush of x (the pflag-tagged path).
 func (se *Session) flush(x Var) error {
-	switch se.S {
-	case CXL0FliT, FlushOnRead:
-		return se.T.RFlush(x.Data)
-	case CXL0FliTOpt:
-		if se.T.Local(x.Data) {
-			return se.T.LFlush(x.Data)
-		}
-		return se.T.RFlush(x.Data)
-	case OriginalFliT:
-		// Algorithm 1's Flush reaches only the next hierarchy level — not
-		// necessarily persistence. This is the bug under partial crashes.
+	switch f := se.r.flush; {
+	case f == flushLocal, f == flushOwnerLocal && se.T.Local(x.Data):
 		return se.T.LFlush(x.Data)
+	case f != flushNone:
+		return se.T.RFlush(x.Data)
 	}
 	return nil
 }
@@ -254,59 +351,48 @@ func (se *Session) ownerEpoch(x Var) uint64 {
 	return c.Epoch(c.Owner(x.Data))
 }
 
-// Load is shared_load with pflag set.
-//
-// For the sound strategies the load is guarded by the owner's crash epoch:
-// if the owner crashed between the data read and the helping flush, the
-// value the reader observed (and its own cached copy, under poisoning) may
-// have been destroyed, so the read restarts. Owner-local reads need no
-// guard — only the reader's own crash can destroy its copy, and that kills
-// the thread itself.
+// guard runs op once, or, under a guarded rule with x remote, until x's
+// owner keeps its crash epoch across op: if the owner crashed in between,
+// the value op observed or wrote (and, under poisoning, the issuer's own
+// cached copy) may have been destroyed, so op reruns against the
+// recovered state. Owner-local x needs no guard — only the issuer's own
+// crash can destroy its copy, and that kills the thread itself.
+func (se *Session) guard(x Var, op func() (core.Val, error)) (core.Val, error) {
+	if !se.r.guarded || se.T.Local(x.Data) {
+		return op()
+	}
+	for {
+		epoch := se.ownerEpoch(x)
+		if v, err := op(); err != nil || se.ownerEpoch(x) == epoch {
+			return v, err
+		}
+	}
+}
+
+// Load is shared_load with pflag set: a load of x, then the rule's
+// helping flush — never, when x's counter is raised, or always — under
+// the rule's crash-epoch guard.
 func (se *Session) Load(x Var) (core.Val, error) {
-	switch se.S {
-	case MStoreAll, NoPersist:
-		return se.T.Load(x.Data)
-	case OriginalFliT:
+	return se.guard(x, func() (core.Val, error) {
 		v, err := se.T.Load(x.Data)
 		if err != nil {
 			return 0, err
 		}
-		ctr, err := se.T.Load(x.Ctr)
-		if err != nil {
-			return 0, err
+		help := se.r.help == helpAlways
+		if se.r.help == helpCounter {
+			ctr, err := se.T.Load(x.Ctr)
+			if err != nil {
+				return 0, err
+			}
+			help = ctr > 0
 		}
-		if ctr > 0 {
+		if help {
 			if err := se.flush(x); err != nil {
 				return 0, err
 			}
 		}
 		return v, nil
-	}
-	local := se.T.Local(x.Data)
-	for {
-		epoch := se.ownerEpoch(x)
-		v, err := se.T.Load(x.Data)
-		if err != nil {
-			return 0, err
-		}
-		helped := se.S == FlushOnRead
-		if !helped {
-			ctr, err := se.T.Load(x.Ctr)
-			if err != nil {
-				return 0, err
-			}
-			helped = ctr > 0
-		}
-		if helped {
-			if err := se.flush(x); err != nil {
-				return 0, err
-			}
-		}
-		if local || se.ownerEpoch(x) == epoch {
-			return v, nil
-		}
-		// The owner crashed mid-read; retry against the recovered state.
-	}
+	})
 }
 
 // ctrInc increments x's FliT counter. For remote counters the sound
@@ -316,11 +402,7 @@ func (se *Session) Load(x Var) (core.Val, error) {
 // detect through their crash-epoch guard (and which kills the incrementing
 // thread).
 func (se *Session) ctrInc(x Var) error {
-	kind := core.OpMRMW
-	if se.S == OriginalFliT || se.T.Local(x.Ctr) {
-		kind = core.OpLRMW
-	}
-	_, err := se.T.FAA(kind, x.Ctr, 1)
+	_, err := se.T.FAA(rmw(se.r.sound && !se.T.Local(x.Ctr)), x.Ctr, 1)
 	return err
 }
 
@@ -345,64 +427,36 @@ func (se *Session) ctrDec(x Var) error {
 	}
 }
 
-// storeAndFlush performs the crash-epoch-guarded LStore + flush sequence
-// used for PRIVATE stores: if the owner of x crashed during the window, the
-// value may have been destroyed while sitting in the owner's cache (the
-// flush then completed vacuously), so the store is re-issued. The retry is
-// sound only because private data has no concurrent observers — for shared
-// stores a retry can double-apply an already-observed write, which is why
-// shared remote stores use MStore instead. Owner-local stores need no
-// guard.
-func (se *Session) storeAndFlush(x Var, v core.Val) error {
-	local := se.T.Local(x.Data)
-	for {
-		epoch := se.ownerEpoch(x)
-		if err := se.T.LStore(x.Data, v); err != nil {
-			return err
-		}
-		if err := se.flush(x); err != nil {
-			return err
-		}
-		if local || se.ownerEpoch(x) == epoch {
-			return nil
-		}
-	}
-}
-
-// write applies the write rule of the package comment to one shared write
-// of x. prim performs the write — persistent (MStore / M-RMW) when asked,
-// cached (LStore / L-RMW) otherwise — and reports whether it wrote
-// anything; the flush is skipped when it did not (a failed CAS).
+// write applies the rule's write rule (see the package comment) to one
+// shared write of x. prim performs the write — persistent (MStore /
+// M-RMW) when asked, cached (LStore / L-RMW) otherwise — and reports
+// whether it wrote anything; the flush is skipped when it did not (a
+// failed CAS).
 //
-// Remote shared writes take the persistent primitive under the sound
-// strategies because the write-then-flush sequence has a window in which
-// the owner's crash can destroy the value after readers observed (and
-// possibly helped persist) it, and a blind retry then applies the write a
-// second time — the crash-injection harness exhibits both the loss and the
-// double-apply as durable-linearizability violations; for an RMW, which
-// is a linearization point, the retry's outcome is ambiguous besides. The
+// Algorithm 2 takes the persistent primitive for remote writes because
+// the write-then-flush sequence has a window in which the owner's crash
+// can destroy the value after readers observed (and possibly helped
+// persist) it, and a blind retry then applies the write a second time —
+// the crash-injection harness exhibits both the loss and the double-apply
+// as durable-linearizability violations; for an RMW, which is a
+// linearization point, the retry's outcome is ambiguous besides. The
 // cheap cached path survives for owner-local data, where the only crash
 // that can destroy the cached value also kills the issuing thread.
 func (se *Session) write(x Var, prim func(persist bool) (wrote bool, err error)) error {
-	switch {
-	case se.S == NoPersist:
-		_, err := prim(false)
-		return err
-	case se.S == MStoreAll, se.S != OriginalFliT && !se.T.Local(x.Data):
-		_, err := prim(true)
+	switch w := se.r.write; {
+	case w == writeCached, w == writePersistent, w == writeAlg2 && !se.T.Local(x.Data):
+		_, err := prim(w != writeCached)
 		return err
 	}
 	if err := se.ctrInc(x); err != nil {
 		return err
 	}
 	wrote, err := prim(false)
+	if err == nil && wrote {
+		err = se.flush(x)
+	}
 	if err != nil {
 		return err
-	}
-	if wrote {
-		if err := se.flush(x); err != nil {
-			return err
-		}
 	}
 	return se.ctrDec(x)
 }
@@ -419,7 +473,7 @@ func rmw(persist bool) core.Op {
 // the one exception to write's rule: LStore then flush with no counter,
 // since its readers flush unconditionally.
 func (se *Session) Store(x Var, v core.Val) error {
-	if se.S == FlushOnRead && se.T.Local(x.Data) {
+	if se.r.help == helpAlways && se.T.Local(x.Data) {
 		if err := se.T.LStore(x.Data, v); err != nil {
 			return err
 		}
@@ -484,21 +538,22 @@ func (se *Session) StoreFinish(x Var) error {
 func (se *Session) PrivateLoad(x Var) (core.Val, error) { return se.T.Load(x.Data) }
 
 // PrivateStore is private_store with pflag set: store then flush, no
-// counter (the location is never accessed concurrently). Sound strategies
-// apply the same crash-epoch guard as shared stores.
+// counter (the location is never accessed concurrently), under the rule's
+// crash-epoch guard. The retry is sound only because private data has no
+// concurrent observers — for shared stores a retry can double-apply an
+// already-observed write, which is why Algorithm 2's remote shared stores
+// use MStore instead. A persistent-write rule stores with MStore.
 func (se *Session) PrivateStore(x Var, v core.Val) error {
-	switch se.S {
-	case NoPersist:
-		return se.T.LStore(x.Data, v)
-	case MStoreAll:
+	if se.r.write == writePersistent {
 		return se.T.MStore(x.Data, v)
-	case OriginalFliT:
-		if err := se.T.LStore(x.Data, v); err != nil {
-			return err
-		}
-		return se.flush(x)
 	}
-	return se.storeAndFlush(x, v)
+	_, err := se.guard(x, func() (core.Val, error) {
+		if err := se.T.LStore(x.Data, v); err != nil {
+			return 0, err
+		}
+		return 0, se.flush(x)
+	})
+	return err
 }
 
 // Complete is completeOp: empty under CXL0's synchronous flushes (the
