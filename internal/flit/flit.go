@@ -63,13 +63,15 @@
 //	cached       cached write
 //	persistent   persistent write (MStore / M-RMW)
 //	Algorithm 2  remote x: persistent write;
-//	             owner-local x: ctrInc ; cached write ; flush ; ctrDec
-//	Algorithm 1  ctrInc ; cached write ; flush ; ctrDec
+//	             owner-local x: [ctrInc ;] cached write ; flush [; ctrDec]
+//	Algorithm 1  [ctrInc ;] cached write ; flush [; ctrDec]
 //
-// A CAS that wrote nothing skips the flush. The one exception is
-// FlushOnRead's owner-local Store, an LStore and a flush with no counter:
-// its readers flush unconditionally. PrivateStore is a cached write and
-// flush under the epoch guard, an MStore under the persistent rule.
+// A CAS that wrote nothing skips the flush. The bracketed ctrInc and
+// ctrDec are taken only by rows whose loads help when the counter is
+// raised: a counter serves only readers that check it. FlushOnRead's
+// readers flush unconditionally, so its owner-local writes are a cached
+// write and a flush. PrivateStore is a cached write and flush under the
+// epoch guard, an MStore under the persistent rule.
 //
 // As in the original FliT library, counters live in a fixed hashed counter
 // table (one table per heap); distinct variables may share a counter, which
@@ -154,11 +156,10 @@ const (
 	// wherever x lives.
 	writePersistent
 	// writeAlg2 is Algorithm 2's rule: the persistent primitive when x is
-	// remote, a counter-bracketed cached write and flush when x is
-	// owner-local.
+	// remote, a cached write and flush when x is owner-local.
 	writeAlg2
-	// writeAlg1 is Algorithm 1's rule: a counter-bracketed cached write
-	// and flush wherever x lives.
+	// writeAlg1 is Algorithm 1's rule: a cached write and flush wherever
+	// x lives.
 	writeAlg1
 )
 
@@ -448,14 +449,17 @@ func (se *Session) write(x Var, prim func(persist bool) (wrote bool, err error))
 		_, err := prim(w != writeCached)
 		return err
 	}
-	if err := se.ctrInc(x); err != nil {
-		return err
+	bracket := se.r.help == helpCounter // a counter serves only readers that check it
+	if bracket {
+		if err := se.ctrInc(x); err != nil {
+			return err
+		}
 	}
 	wrote, err := prim(false)
 	if err == nil && wrote {
 		err = se.flush(x)
 	}
-	if err != nil {
+	if err != nil || !bracket {
 		return err
 	}
 	return se.ctrDec(x)
@@ -469,16 +473,8 @@ func rmw(persist bool) core.Op {
 	return core.OpLRMW
 }
 
-// Store is shared_store with pflag set. FlushOnRead's owner-local store is
-// the one exception to write's rule: LStore then flush with no counter,
-// since its readers flush unconditionally.
+// Store is shared_store with pflag set.
 func (se *Session) Store(x Var, v core.Val) error {
-	if se.r.help == helpAlways && se.T.Local(x.Data) {
-		if err := se.T.LStore(x.Data, v); err != nil {
-			return err
-		}
-		return se.flush(x)
-	}
 	return se.write(x, func(persist bool) (bool, error) {
 		if persist {
 			return true, se.T.MStore(x.Data, v)

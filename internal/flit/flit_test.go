@@ -108,9 +108,16 @@ func TestUnsoundStoresMayNotPersist(t *testing.T) {
 
 // TestLocalPathUsesCheapStores: on owner-local data the sound FliT
 // strategies keep the cached store path (the §6.1 optimisation target), and
-// still persist before returning.
+// still persist before returning. Only strategies whose readers check the
+// counter bracket the write with it: a local Store and CAS cost the FliT
+// strategies two counter L-RMWs each besides the CAS itself, flush-on-read
+// none.
 func TestLocalPathUsesCheapStores(t *testing.T) {
-	for _, strat := range []Strategy{CXL0FliT, CXL0FliTOpt} {
+	for _, tc := range []struct {
+		strat    Strategy
+		wantLRMW uint64
+	}{{CXL0FliT, 5}, {CXL0FliTOpt, 5}, {FlushOnRead, 1}} {
+		strat := tc.strat
 		c := memsim.NewCluster([]memsim.MachineConfig{
 			{Name: "owner", Mem: core.NonVolatile, Heap: 512},
 		}, memsim.Config{})
@@ -139,6 +146,9 @@ func TestLocalPathUsesCheapStores(t *testing.T) {
 		}
 		if got := c.PersistedValue(x.Data); got != 6 {
 			t.Errorf("%v: local CAS not persisted: %d", strat, got)
+		}
+		if got := c.Stats()[core.OpLRMW]; got != tc.wantLRMW {
+			t.Errorf("%v: local Store and CAS issued %d L-RMWs, want %d", strat, got, tc.wantLRMW)
 		}
 	}
 }
