@@ -1,14 +1,10 @@
 package flit
 
 import (
-	"errors"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io/fs"
 	"strings"
 	"testing"
+
+	"cxl0/internal/seam"
 )
 
 // TestStrategyTable holds the rules table to the declared strategies: one
@@ -69,69 +65,16 @@ func TestUnknownStrategy(t *testing.T) {
 	}
 }
 
-// TestNoStrategyBranch holds every strategy decision to the rules table:
-// the package's sources switch over no Strategy and name a Strategy
-// constant only in the declarations of rules and Strategies. A strategy
-// added without a row, or a branch on one, fails here.
-func TestNoStrategyBranch(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []*ast.File
-	for _, pkg := range pkgs { //cxl0:order-insensitive — the files are type-checked together
-		for _, f := range pkg.Files { //cxl0:order-insensitive — as above
-			files = append(files, f)
-		}
-	}
-	// Imports stay unresolved: Strategy and its constants are declared
-	// here, so their uses type-check without them.
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
-	conf := types.Config{Importer: noImports{}, Error: func(error) {}}
-	pkg, _ := conf.Check("flit", fset, files, info)
-	strategy := pkg.Scope().Lookup("Strategy").Type()
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			if g, ok := decl.(*ast.GenDecl); ok && g.Tok == token.VAR && declares(g, "rules", "Strategies") {
-				continue
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SwitchStmt:
-					if n.Tag != nil && types.Identical(info.TypeOf(n.Tag), strategy) {
-						t.Errorf("%s: switch over a Strategy — read the decision from its row in rules", fset.Position(n.Pos()))
-					}
-				case *ast.Ident:
-					if c, ok := info.Uses[n].(*types.Const); ok && types.Identical(c.Type(), strategy) {
-						t.Errorf("%s: %s named outside rules and Strategies — read the decision from its row", fset.Position(n.Pos()), n.Name)
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// declares reports whether g declares one of names.
-func declares(g *ast.GenDecl, names ...string) bool {
-	for _, spec := range g.Specs {
-		for _, id := range spec.(*ast.ValueSpec).Names {
-			for _, name := range names {
-				if id.Name == name {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// noImports resolves no import.
-type noImports struct{}
-
-func (noImports) Import(path string) (*types.Package, error) {
-	return nil, errors.New("not loaded: " + path)
+// TestSeams holds every strategy decision to the rules table: the
+// package's sources switch over no Strategy and name a Strategy constant
+// only in the declarations of rules and Strategies (see internal/seam). A
+// strategy added without a row, or a branch on one, fails here.
+func TestSeams(t *testing.T) {
+	p := seam.Load(t)
+	p.Check(t, []seam.Row{
+		{Name: "switches over a Strategy", Site: p.Switches(t, "Strategy"),
+			Fix: "read the decision from its row in rules"},
+		{Name: "Strategy constants", Site: p.Consts(t, "Strategy"), Funcs: map[string]int{"rules": 0, "Strategies": 0},
+			Fix: "read the decision from its row in rules"},
+	})
 }

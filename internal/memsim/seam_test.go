@@ -2,13 +2,10 @@ package memsim
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
-	"slices"
-	"strings"
 	"testing"
+
+	"cxl0/internal/seam"
 )
 
 // TestSeams holds the non-test sources of the package to the shape its
@@ -22,127 +19,57 @@ import (
 // beginLocked, or once per owner's stretch of a range, in reachLocked; and
 // the simulated clock moves, and is published to its
 // lock-free readers, only where a primitive is charged. A site anywhere
-// else fails its row (in the manner of internal/kv's seam table).
+// else fails its row (see internal/seam).
 func TestSeams(t *testing.T) {
-	seams := []struct {
-		name string
-		site func(n ast.Node) bool
-		file string // "": every non-test file
-		// funcs are the only functions that may hold a site; a count > 0
-		// is the exact number of sites the function must hold.
-		funcs map[string]int
-	}{
-		{"core.ApplyInPlace calls", callsCore("ApplyInPlace"), "", map[string]int{"Cluster.stepLocked": 1}},
-		{"core.ApplyTauWordInPlace calls", callsCore("ApplyTauWordInPlace"), "", map[string]int{"Cluster.applyTauLocked": 1}},
-		{"core.ApplyTauInPlace calls", callsCore("ApplyTauInPlace"), "", nil},
-		{"core.ApplyStoreWordInPlace calls", callsCore("ApplyStoreWordInPlace"), "", map[string]int{"Cluster.storeLocked": 1}},
-		{"core.CrashInPlace calls", callsCore("CrashInPlace"), "", map[string]int{"Cluster.Crash": 1}},
-		{"writes of the hot overlay", writesHot, "", map[string]int{
+	seam.Load(t).Check(t, []seam.Row{
+		{Name: "core.ApplyInPlace calls", Site: callsCore("ApplyInPlace"), Funcs: map[string]int{"Cluster.stepLocked": 1},
+			Fix: "step the state through Cluster.stepLocked"},
+		{Name: "core.ApplyTauWordInPlace calls", Site: callsCore("ApplyTauWordInPlace"), Funcs: map[string]int{"Cluster.applyTauLocked": 1},
+			Fix: "take τ steps through Cluster.applyTauLocked"},
+		{Name: "core.ApplyTauInPlace calls", Site: callsCore("ApplyTauInPlace"),
+			Fix: "take τ a word at a time (Cluster.applyTauLocked)"},
+		{Name: "core.ApplyStoreWordInPlace calls", Site: callsCore("ApplyStoreWordInPlace"), Funcs: map[string]int{"Cluster.storeLocked": 1},
+			Fix: "store through Cluster.storeLocked"},
+		{Name: "core.CrashInPlace calls", Site: callsCore("CrashInPlace"), Funcs: map[string]int{"Cluster.Crash": 1},
+			Fix: "crash through Cluster.Crash"},
+		{Name: "writes of the hot overlay", Site: writesHot, Funcs: map[string]int{
 			"NewCluster": 0, "Cluster.followLocked": 0, "Cluster.applyTauLocked": 0, "Cluster.coolLocked": 0, "Cluster.onlyCopyLocked": 0,
-		}},
-		// OwnerThrough, the owner and how far it owns on, is a site too.
-		{"topo.Owner calls in thread.go", func(n ast.Node) bool {
-			c, ok := n.(*ast.CallExpr)
-			return ok && (selects(c.Fun, "Owner") || selects(c.Fun, "OwnerThrough"))
-		}, "thread.go", map[string]int{"Thread.beginLocked": 1, "Thread.reachLocked": 1, "Thread.Local": 1}},
+		}, Fix: "move the overlay in the follow table (Cluster.followLocked) or the τ step"},
+		// OwnerThrough, the owner and how far it owns on, is a site too;
+		// cluster.go asks freely.
+		{Name: "topo.Owner calls in thread.go", Site: func(n ast.Node) bool {
+			return seam.Calls(n, "Owner") != nil || seam.Calls(n, "OwnerThrough") != nil
+		}, Files: []string{"cluster.go"}, Funcs: map[string]int{"Thread.beginLocked": 1, "Thread.reachLocked": 1, "Thread.Local": 1},
+			Fix: "ask for the owner in Thread.beginLocked or Thread.reachLocked"},
 		// NowNS reads the published bits without the lock, so the clock and
 		// its copy may only move together, where a primitive is charged.
-		{"assignments to clockNS", func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				return slices.ContainsFunc(n.Lhs, func(e ast.Expr) bool { return selects(e, "clockNS") })
-			case *ast.IncDecStmt:
-				return selects(n.X, "clockNS")
-			}
-			return false
-		}, "", map[string]int{"Cluster.chargeLocked": 0}},
-		{"stores of the published clock", func(n ast.Node) bool {
-			c, ok := n.(*ast.CallExpr)
-			return ok && selects(c.Fun, "Store") && selects(c.Fun.(*ast.SelectorExpr).X, "clockBits")
-		}, "", map[string]int{"Cluster.chargeLocked": 1}},
-		{"uses of the cluster lock in NowNS", func(n ast.Node) bool {
+		{Name: "assignments to clockNS", Site: func(n ast.Node) bool { return seam.Assigns(n, "clockNS") },
+			Funcs: map[string]int{"Cluster.chargeLocked": 0}, Fix: "charge the primitive through Cluster.chargeLocked"},
+		{Name: "stores of the published clock", Site: func(n ast.Node) bool { return seam.CallsOn(n, "clockBits", "Store") },
+			Funcs: map[string]int{"Cluster.chargeLocked": 1}, Fix: "charge the primitive through Cluster.chargeLocked"},
+		{Name: "uses of the cluster lock in NowNS", Site: func(n ast.Node) bool {
 			fn, ok := n.(*ast.FuncDecl)
 			found := false
 			if ok && fn.Name.Name == "NowNS" {
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					found = found || selects(n, "mu")
+					found = found || seam.Selects(n, "mu")
 					return !found
 				})
 			}
 			return found
-		}, "", nil},
-	}
-
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sm := range seams {
-		t.Run(sm.name, func(t *testing.T) {
-			got := map[string]int{}
-			for _, pkg := range pkgs { //cxl0:order-insensitive — every file is checked, order-free
-				for path, file := range pkg.Files { //cxl0:order-insensitive — as above
-					if sm.file != "" && filepath.Base(path) != sm.file {
-						continue
-					}
-					for _, decl := range file.Decls {
-						fn := funcName(decl)
-						ast.Inspect(decl, func(n ast.Node) bool {
-							if n != nil && sm.site(n) {
-								got[fn]++
-								if _, ok := sm.funcs[fn]; !ok {
-									t.Errorf("%s: %s outside their seam, in %q", fset.Position(n.Pos()), sm.name, fn)
-								}
-							}
-							return true
-						})
-					}
-				}
-			}
-			for fn, want := range sm.funcs { //cxl0:order-insensitive — independent per-function asserts
-				if want > 0 && got[fn] != want {
-					t.Errorf("%s: %d in %s, want exactly %d — update the table if the seam moved", sm.name, got[fn], fn, want)
-				}
-			}
-		})
-	}
-}
-
-// funcName names a declaration: "Recv.name" for a method, "name" for a
-// function, "" for anything else.
-func funcName(decl ast.Decl) string {
-	fn, ok := decl.(*ast.FuncDecl)
-	if !ok {
-		return ""
-	}
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	recv := fn.Recv.List[0].Type
-	if star, ok := recv.(*ast.StarExpr); ok {
-		recv = star.X
-	}
-	return recv.(*ast.Ident).Name + "." + fn.Name.Name
-}
-
-// selects reports whether n is a selector expression x.name.
-func selects(n ast.Node, name string) bool {
-	sel, ok := n.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == name
+		}, Fix: "read the published clock bits"},
+	})
 }
 
 // callsCore returns the site of a call core.name(...).
 func callsCore(name string) func(ast.Node) bool {
 	return func(n ast.Node) bool {
-		c, ok := n.(*ast.CallExpr)
-		if !ok || !selects(c.Fun, name) {
+		c := seam.Calls(n, name)
+		if c == nil {
 			return false
 		}
-		pkg, ok := c.Fun.(*ast.SelectorExpr).X.(*ast.Ident)
-		return ok && pkg.Name == "core"
+		sel, ok := c.Fun.(*ast.SelectorExpr)
+		return ok && seam.IsIdent(sel.X, "core")
 	}
 }
 
@@ -166,7 +93,7 @@ func writesHot(n ast.Node) bool {
 	found := false
 	for _, e := range targets {
 		ast.Inspect(e, func(n ast.Node) bool {
-			found = found || selects(n, "hot")
+			found = found || seam.Selects(n, "hot")
 			return !found
 		})
 	}
