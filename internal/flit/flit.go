@@ -77,26 +77,25 @@
 // table (one table per heap); distinct variables may share a counter, which
 // only ever causes spurious helping flushes, never missed ones.
 //
-// # Counter crash-robustness (a partial-crash subtlety)
+// # Counters under partial crashes
 //
-// Under the partial-crash model the counter itself needs care that the
-// full-system-crash setting never did: a counter INCREMENT performed with a
-// plain cached RMW lives in the incrementing machine's cache, so a crash
-// can roll the counter back to zero while the in-flight data value is still
-// visible in another machine's cache (loads replicate values across
-// caches). A reader then sees the new value with a zero counter, skips the
-// helping flush, and completes — and a second crash can destroy the value
-// it observed, breaking durable linearizability. Our crash-injection
-// harness (package crashtest) finds this interleaving mechanically.
+// A counter increment is a cached RMW. Under the sound rows only an
+// owner-local write raises a counter (Algorithm 2 writes remote x with the
+// persistent primitive and no bracket), and the only crash that can roll
+// an owner-local increment back is the owner's own: it kills the writing
+// thread, and readers of x on other machines detect it through their
+// crash-epoch guard and rerun against the recovered state. OriginalFliT
+// brackets remote writes too, with the same cached increment, so a crash
+// of the counter's owner can roll the counter back to zero while the value
+// is still visible in another machine's cache (loads replicate values
+// across caches): a reader then skips its helping flush — one way the x86
+// construction breaks under partial crashes.
 //
-// The sound strategies therefore persist counter increments (M-RMW): an
-// increment can never roll back, so a zero counter really does mean "all
-// stores to this counter's variables are persistent". Decrements stay
-// cached — losing a decrement only leaves the counter too high, which
-// causes spurious helping flushes but never unsound ones. Decrements use a
-// CAS loop that skips when the counter already reads zero, so a rolled-back
-// increment (possible only under the unsound OriginalFliT) never drives
-// the counter negative.
+// Decrements stay cached — losing a decrement only leaves the counter too
+// high, which causes spurious helping flushes but never unsound ones.
+// Decrements use a CAS loop that skips when the counter already reads
+// zero, so a rolled-back increment (possible only under OriginalFliT)
+// never drives the counter negative.
 package flit
 
 import (
@@ -396,14 +395,10 @@ func (se *Session) Load(x Var) (core.Val, error) {
 	})
 }
 
-// ctrInc increments x's FliT counter. For remote counters the sound
-// strategies persist the increment (see the package comment on counter
-// crash-robustness). An owner-local increment may stay cached: the only
-// crash that can roll it back is the owner's own, which readers already
-// detect through their crash-epoch guard (and which kills the incrementing
-// thread).
+// ctrInc increments x's FliT counter with a cached RMW (see the package
+// comment on counters under partial crashes).
 func (se *Session) ctrInc(x Var) error {
-	_, err := se.T.FAA(rmw(se.r.sound && !se.T.Local(x.Ctr)), x.Ctr, 1)
+	_, err := se.T.FAA(core.OpLRMW, x.Ctr, 1)
 	return err
 }
 

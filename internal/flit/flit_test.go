@@ -197,26 +197,6 @@ func TestCounterLifecycle(t *testing.T) {
 	}
 }
 
-// TestCounterIncrementSurvivesOwnerCrash: the sound strategies persist
-// counter increments, so a crash cannot roll them back (the counter-
-// rollback anomaly found by the crash harness).
-func TestCounterIncrementSurvivesOwnerCrash(t *testing.T) {
-	c, h, se := rig(t, CXL0FliT)
-	x, err := h.AllocVar()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := se.ctrInc(x); err != nil {
-		t.Fatal(err)
-	}
-	c.Crash(1) // counter lives on machine 1 (NVM)
-	c.Recover(1)
-	ctr, err := se.T.Load(x.Ctr)
-	if err != nil || ctr != 1 {
-		t.Fatalf("counter after owner crash = %d, %v; want 1 (persistent increment)", ctr, err)
-	}
-}
-
 // TestReaderHelpsPersistLocalInFlightStore reproduces the helping protocol:
 // a store on owner-local data is visible but unpersisted mid-window; a
 // remote reader sees the positive counter and must persist the value before
