@@ -45,7 +45,7 @@ const (
 
 var structNames = [...]string{"queue", "stack", "register", "counter", "set", "map"}
 
-func (s Structure) String() string { return structNames[s] }
+func (s Structure) String() string { return nameOf(structNames[:], "Structure", int(s)) }
 
 // Structures lists every testable structure.
 var Structures = []Structure{StructQueue, StructStack, StructRegister, StructCounter, StructSet, StructMap}
@@ -68,7 +68,15 @@ const (
 
 var crashModeNames = [...]string{"none", "memory-host", "compute", "both"}
 
-func (m CrashMode) String() string { return crashModeNames[m] }
+func (m CrashMode) String() string { return nameOf(crashModeNames[:], "CrashMode", int(m)) }
+
+// nameOf returns names[i], or typ(i) when i names no declared value.
+func nameOf(names []string, typ string, i int) string {
+	if i < 0 || i >= len(names) {
+		return fmt.Sprintf("%s(%d)", typ, i)
+	}
+	return names[i]
+}
 
 // CrashModes lists all crash modes.
 var CrashModes = []CrashMode{CrashNone, CrashMemoryHost, CrashCompute, CrashBoth}

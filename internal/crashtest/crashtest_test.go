@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"fmt"
 	"testing"
 
 	"cxl0/internal/core"
@@ -265,6 +266,26 @@ func TestLWBVariantStillCorrect(t *testing.T) {
 		}
 		if bad != 0 {
 			t.Fatalf("LWB/%v: %d/%d violations; first: %v", mode, bad, ok+bad, first.History.Ops)
+		}
+	}
+}
+
+// TestUnknownNames: a value outside the declared structures or crash
+// modes names itself instead of panicking.
+func TestUnknownNames(t *testing.T) {
+	for _, c := range []struct {
+		v    fmt.Stringer
+		want string
+	}{
+		{Structure(-1), "Structure(-1)"},
+		{Structure(len(Structures)), "Structure(6)"},
+		{CrashMode(-1), "CrashMode(-1)"},
+		{CrashMode(len(CrashModes)), "CrashMode(4)"},
+		{StructMap, "map"},
+		{CrashBoth, "both"},
+	} {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
 		}
 	}
 }
