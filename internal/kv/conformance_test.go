@@ -1,8 +1,10 @@
 package kv_test
 
 import (
+	"path/filepath"
 	"testing"
 
+	"cxl0/internal/golden"
 	"cxl0/internal/kv"
 	"cxl0/internal/kv/kvtest"
 )
@@ -10,28 +12,30 @@ import (
 // TestStoreConformance runs the reusable kv.DB conformance suite against
 // the single-cluster *Store — the same suite pool.Router must pass.
 func TestStoreConformance(t *testing.T) {
-	kvtest.Run(t, func(t *testing.T, cfg kv.Config) kv.DB {
-		t.Helper()
-		st, err := kv.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	})
+	kvtest.Run(t, openStore)
+}
+
+// TestReplayGolden pins TestStoreConformance's replay cases across
+// commits (see kvtest.ReplayCases).
+func TestReplayGolden(t *testing.T) {
+	golden.Check(t, filepath.Join("testdata", "replay.golden"), golden.Digests(kvtest.ReplayCases(t, "TestStoreConformance", openStore)))
+}
+
+// openStore is the suite's factory of single-cluster stores.
+func openStore(t *testing.T, cfg kv.Config) kv.DB {
+	t.Helper()
+	st, err := kv.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestStoreSnapshotCostFlat is the scaling gate of a snapshot: a
 // 12-shard store's Metrics allocates the same objects and bytes after 100
 // and 20 000 acknowledged writes, as its sample series are views.
 func TestStoreSnapshotCostFlat(t *testing.T) {
-	small, large := kvtest.SnapshotCosts(t, func(t *testing.T, cfg kv.Config) kv.DB {
-		t.Helper()
-		st, err := kv.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}, 12)
+	small, large := kvtest.SnapshotCosts(t, openStore, 12)
 	if small.Objects != large.Objects || small.Bytes != large.Bytes {
 		t.Fatalf("Metrics allocates %+v after 100 acked writes but %+v after 20000", small, large)
 	}
@@ -40,15 +44,7 @@ func TestStoreSnapshotCostFlat(t *testing.T) {
 // TestStoreScanCostFlat is the scaling gate of a range read: a limit-16
 // scan allocates the same objects at 1 k and 64 k keys per shard.
 func TestStoreScanCostFlat(t *testing.T) {
-	open := func(t *testing.T, cfg kv.Config) kv.DB {
-		t.Helper()
-		st, err := kv.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	if small, large := kvtest.ScanObjects(t, open, 1<<10), kvtest.ScanObjects(t, open, 1<<16); small != large {
+	if small, large := kvtest.ScanObjects(t, openStore, 1<<10), kvtest.ScanObjects(t, openStore, 1<<16); small != large {
 		t.Fatalf("a limit-16 scan allocates %v objects at 1 k keys per shard but %v at 64 k", small, large)
 	}
 }
@@ -56,12 +52,5 @@ func TestStoreScanCostFlat(t *testing.T) {
 // TestStoreShardFullDiagnosable checks a full shard fails with the
 // structured ShardFullError (shard identity + fill level).
 func TestStoreShardFullDiagnosable(t *testing.T) {
-	kvtest.FullToDiagnosable(t, func(t *testing.T, cfg kv.Config) kv.DB {
-		t.Helper()
-		st, err := kv.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	})
+	kvtest.FullToDiagnosable(t, openStore)
 }

@@ -1,16 +1,10 @@
 package kvtest
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -37,8 +31,7 @@ import (
 // iteration order is easiest to leak: crash/recovery, partition/heal,
 // bucket rebalancing and log compaction.
 //
-// Each case's outcome is also pinned across commits by a digest in
-// testdata/replay.golden (see checkDigest).
+// Each case's outcome is also pinned across commits: see ReplayCases.
 func DeterministicReplay(t *testing.T, f Factory) {
 	for _, c := range replayCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -47,7 +40,6 @@ func DeterministicReplay(t *testing.T, f Factory) {
 			compareReplay(t, "operation results", first.results, second.results)
 			compareReplay(t, "metrics", first.metrics, second.metrics)
 			compareReplay(t, "event stream", first.events, second.events)
-			checkDigest(t, first)
 		})
 	}
 }
@@ -90,91 +82,27 @@ func replayCases() []replayCase {
 	return cases
 }
 
-// checkDigest pins the run's outcome across commits: a SHA-256 over the
-// operation results, the metrics document and the rendered event stream
-// must equal the digest recorded for this test (keyed by its full name,
-// so the Store and each Router topology pin their own, and -run on one
-// case checks that case) in testdata/replay.golden. Replay determinism
-// says two runs of one build agree; the golden says two builds agree —
-// which is what makes "zero behavioural diff" a tier-1 check for
-// refactors of the commit, cache and recovery paths.
-//
-// Under golden's -update flag it records this run's digest instead:
-//
-//	go test -p 1 ./internal/kv ./internal/pool -run Conformance/DeterministicReplay -update
-//
-// (-p 1: both test binaries merge into the one file). Only a change that
-// means to alter simulated behaviour may use it.
-func checkDigest(t *testing.T, out replayOutcome) {
-	t.Helper()
-	h := sha256.New()
-	for _, part := range []string{out.results, out.metrics, out.events} {
-		fmt.Fprintf(h, "%d\n%s", len(part), part)
-	}
-	got := hex.EncodeToString(h.Sum(nil))
-	digests := readDigests(t)
-	if golden.Updating() {
-		digests[t.Name()] = got
-		writeDigests(t, digests)
-		return
-	}
-	want, ok := digests[t.Name()]
-	if !ok {
-		t.Fatalf("no golden digest for %s in testdata/replay.golden (run with -update to record one)", t.Name())
-	}
-	if got != want {
-		t.Fatalf("replay digest %s differs from the golden %s: simulated behaviour changed "+
-			"(results, metrics or event stream). If that is intended, rerun with -update.", got, want)
-	}
-}
-
-// goldenPath locates testdata/replay.golden next to this source file:
-// the suite runs from the kv and pool package directories, not here.
-func goldenPath(t *testing.T) string {
-	t.Helper()
-	_, src, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("cannot locate kvtest's source directory")
-	}
-	return filepath.Join(filepath.Dir(src), "testdata", "replay.golden")
-}
-
-// readDigests parses the golden file's "name digest" lines; blank lines
-// and # comments are skipped.
-func readDigests(t *testing.T) map[string]string {
-	t.Helper()
-	doc, err := os.ReadFile(goldenPath(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := map[string]string{}
-	for _, line := range strings.Split(string(doc), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(f[0], "#") {
-			m[f[0]] = f[1]
+// ReplayCases runs each DeterministicReplay case of f once and returns
+// its outcome as a golden case, named as the subtest of test (the
+// conformance test that calls Run with f) that replays it twice. Its text
+// is the operation results, the metrics document and the rendered event
+// stream, each after its length. Each test binary pins its cases' digests
+// in its own testdata/replay.golden through golden.Check: replay
+// determinism says two runs of one build agree; the digests say two
+// builds agree — which is what makes "zero behavioural diff" a tier-1
+// check for refactors of the commit, cache and recovery paths. Only a
+// change that means to alter simulated behaviour reruns it with -update.
+func ReplayCases(t *testing.T, test string, f Factory) []golden.Case {
+	var cases []golden.Case
+	for _, c := range replayCases() {
+		out := replayRun(t, f, c.strat, c.depth, c.cache)
+		var text strings.Builder
+		for _, part := range []string{out.results, out.metrics, out.events} {
+			fmt.Fprintf(&text, "%d\n%s", len(part), part)
 		}
+		cases = append(cases, golden.Case{Name: test + "/DeterministicReplay/" + c.name, Text: text.String()})
 	}
-	return m
-}
-
-// writeDigests rewrites the golden file sorted by name. The kv and pool
-// test binaries each own a disjoint set of names, so an -update run
-// merges into what is on disk rather than replacing it.
-func writeDigests(t *testing.T, m map[string]string) {
-	t.Helper()
-	names := make([]string, 0, len(m))
-	for n := range m { //cxl0:order-insensitive — collected then sorted below
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString("# SHA-256 of (results, metrics JSON, event stream) per DeterministicReplay case.\n")
-	b.WriteString("# Regenerate with -update (see kvtest/replay.go); do not edit by hand.\n")
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s %s\n", n, m[n])
-	}
-	if err := os.WriteFile(goldenPath(t), []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return cases
 }
 
 // replayOutcome is everything one replay run produced, each part

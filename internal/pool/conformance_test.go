@@ -1,8 +1,10 @@
 package pool_test
 
 import (
+	"path/filepath"
 	"testing"
 
+	"cxl0/internal/golden"
 	"cxl0/internal/kv"
 	"cxl0/internal/kv/kvtest"
 	"cxl0/internal/pool"
@@ -30,6 +32,14 @@ func TestRouterConformance(t *testing.T) {
 // where fan-out and merge paths split three ways.
 func TestRouterConformanceThreeClusters(t *testing.T) {
 	kvtest.Run(t, routerFactory(3))
+}
+
+// TestReplayGolden pins both conformance tests' replay cases across
+// commits (see kvtest.ReplayCases).
+func TestReplayGolden(t *testing.T) {
+	cases := kvtest.ReplayCases(t, "TestRouterConformance", routerFactory(2))
+	cases = append(cases, kvtest.ReplayCases(t, "TestRouterConformanceThreeClusters", routerFactory(3))...)
+	golden.Check(t, filepath.Join("testdata", "replay.golden"), golden.Digests(cases))
 }
 
 // TestRouterSnapshotCostFlat is the scaling gate of a pooled snapshot.
