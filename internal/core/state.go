@@ -93,9 +93,6 @@ func (s *State) carve(index []uint64) {
 	s.holders = MachineMask{stride: maskStride, bits: index[machines*stride:]}
 }
 
-// Topology returns the topology this state belongs to.
-func (s *State) Topology() *Topology { return s.topo }
-
 // Clone returns a deep copy of s. The pages its rows hold are copied into
 // one slab; the free ones stay behind, as room for the pages the copy's
 // next step may take.

@@ -132,9 +132,6 @@ type Analyzer struct {
 // Record appends a transaction to the capture buffer.
 func (a *Analyzer) Record(t Transaction) { a.txns = append(a.txns, t) }
 
-// Trace returns the captured transactions in order.
-func (a *Analyzer) Trace() []Transaction { return append([]Transaction(nil), a.txns...) }
-
 // Ops returns just the opcodes of the captured transactions.
 func (a *Analyzer) Ops() []TxnOp {
 	out := make([]TxnOp, len(a.txns))

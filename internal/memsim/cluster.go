@@ -288,13 +288,6 @@ func (c *Cluster) Heal(m core.MachineID) {
 	c.bumpStampLocked()
 }
 
-// Partitioned reports whether machine m is cut off the fabric.
-func (c *Cluster) Partitioned(m core.MachineID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.unreach[m]
-}
-
 // Degrade sets machine m's device latency multiplier: every operation
 // served by m's memory charges factor× the modeled cost. A factor that is
 // not a finite number >= 1 — below 1, NaN, ±Inf — reads as 1 (Degrade(m, 1)
