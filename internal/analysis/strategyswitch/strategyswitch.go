@@ -7,7 +7,9 @@
 // of doing nothing. internal/kv and internal/flit have no strategy switch
 // either: a strategy is a row of a rules table (kv's persist.go, flit's
 // flit.go), which each package's TestStrategyTable holds to the declared
-// strategies.
+// strategies, and each package's TestSeams rows (internal/seam) fail on a
+// Strategy constant named outside the table and its declarations — in
+// flit, on a switch over a Strategy too.
 package strategyswitch
 
 import (
