@@ -31,9 +31,10 @@ type Row struct {
 	// Files may hold any number of sites (base names of the package's
 	// files); they are not walked.
 	Files []string
-	// Funcs are the only declarations outside Files that may hold a site,
-	// by Package's names, each with the exact number of sites it must
-	// hold; 0 allows any number.
+	// Funcs are the only declarations outside Files that may hold a site
+	// ("name" for a function, "Recv.name" for a method, a var, const or
+	// type spec's first name), each with the exact number of sites it
+	// must hold; 0 allows any number.
 	Funcs map[string]int
 	// Fix is what to do instead of adding a site.
 	Fix string
@@ -102,17 +103,17 @@ func (noImports) Import(path string) (*types.Package, error) {
 func (p *Package) Check(t *testing.T, rows []Row) {
 	for _, r := range rows {
 		t.Run(r.Name, func(t *testing.T) {
-			for _, v := range p.Violations(r) {
+			for _, v := range p.violations(r) {
 				t.Error(v)
 			}
 		})
 	}
 }
 
-// Violations lists where the sources break r: each site outside r.Files
+// violations lists where the sources break r: each site outside r.Files
 // and r.Funcs, and each function of r.Funcs whose site count is not the
 // one it states.
-func (p *Package) Violations(r Row) []string {
+func (p *Package) violations(r Row) []string {
 	var out []string
 	got := map[string]int{}
 	for i, f := range p.files {
@@ -142,9 +143,9 @@ func (p *Package) Violations(r Row) []string {
 	return out
 }
 
-// declared yields the named parts of a declaration: a function as "name",
-// a method as "Recv.name", and each spec of a var, const or type
-// declaration under the first name it declares ("" for an import).
+// declared yields the parts of a declaration under the names Row.Funcs
+// uses: the function or method, or each spec of a var, const or type
+// declaration ("" for an import).
 func declared(decl ast.Decl) func(yield func(string, ast.Node) bool) {
 	return func(yield func(string, ast.Node) bool) {
 		switch d := decl.(type) {

@@ -35,7 +35,7 @@ func TestViolations(t *testing.T) {
 			[]string{`a.go:20:2: switches outside its seam, in "pick": `}},
 		{Row{Name: "assigns", Site: func(n ast.Node) bool { return Assigns(n, "n") }, Funcs: map[string]int{"T.bump": 2}}, nil},
 	} {
-		if got := p.Violations(tc.row); !slices.Equal(got, tc.want) {
+		if got := p.violations(tc.row); !slices.Equal(got, tc.want) {
 			t.Errorf("%s: %q, want %q", tc.row.Name, got, tc.want)
 		}
 	}
