@@ -237,7 +237,7 @@ func parseFlags(args []string) (*matrix, string, error) {
 	m.Clusters, _, errs[3] = parseList("clusters", *clusters, parseCount)
 	m.variants, m.Variants, errs[4] = parseList("variants", *variants, core.ParseVariant)
 	m.PipelineDepths, _, errs[5] = parseList("pipeline-depths", *depths, parseCount)
-	if err := errors.Join(errs[:]...); err != nil {
+	if err := errors.Join(append(errs[:], m.checkScalars()...)...); err != nil {
 		return nil, "", err
 	}
 	for i := range m.specs {
@@ -246,6 +246,29 @@ func parseFlags(args []string) (*matrix, string, error) {
 	m.sweepSpec = m.specs[max(0, slices.IndexFunc(m.specs, func(s workload.Spec) bool { return s.Name == "A" }))]
 	m.CampaignEvery = max(m.Ops/5, 2)
 	return &m, *out, nil
+}
+
+// checkScalars rejects the scalar flag values the artifact's config
+// would echo but the rows would not run: kv takes a batch below 1 as its
+// default and clamps a compaction threshold to [0, 1], the periods and
+// the cache size run as 0 when negative, and a row needs a key.
+func (m *matrix) checkScalars() []error {
+	var errs []error
+	atLeast := func(flagName string, v, least int) {
+		if v < least {
+			errs = append(errs, fmt.Errorf("-%s: %d is below %d", flagName, v, least))
+		}
+	}
+	atLeast("keys", m.Keys, 1)
+	atLeast("batch", m.Batch, 1)
+	atLeast("crash-every", m.CrashEvery, 0)
+	atLeast("evict-every", m.EvictEvery, 0)
+	atLeast("rebalance-every", m.RebalanceEvery, 0)
+	atLeast("cache", m.Cache, 0)
+	if !(m.CompactAtFill >= 0 && m.CompactAtFill <= 1) {
+		errs = append(errs, fmt.Errorf("-compact-at-fill: %v is outside [0, 1]", m.CompactAtFill))
+	}
+	return errs
 }
 
 // parseList is the one parser behind every comma-separated list flag:

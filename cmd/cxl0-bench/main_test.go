@@ -202,6 +202,14 @@ func TestParseFlags(t *testing.T) {
 		{name: "empty list", args: "-workloads=", want: `-workloads: `},
 		{name: "non-positive count", args: "-clusters 0", want: `-clusters: bad count "0"`},
 		{name: "every bad list is reported", args: "-strategies turbo -shards x", is: kv.ErrUnknownStrategy, want: `-shards: bad count "x"`},
+		{name: "no keys", args: "-keys 0", want: `-keys: 0 is below 1`},
+		{name: "batch below 1", args: "-batch 0", want: `-batch: 0 is below 1`},
+		{name: "negative crash period", args: "-crash-every -1", want: `-crash-every: -1 is below 0`},
+		{name: "negative eviction period", args: "-evict-every -3", want: `-evict-every: -3 is below 0`},
+		{name: "negative rebalance period", args: "-rebalance-every -1", want: `-rebalance-every: -1 is below 0`},
+		{name: "negative cache", args: "-cache -256", want: `-cache: -256 is below 0`},
+		{name: "compaction threshold above 1", args: "-compact-at-fill 2", want: `-compact-at-fill: 2 is outside [0, 1]`},
+		{name: "negative compaction threshold", args: "-compact-at-fill -0.5", want: `-compact-at-fill: -0.5 is outside [0, 1]`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Split on single spaces only: the tabs above stay inside

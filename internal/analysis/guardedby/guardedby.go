@@ -35,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "guardedby",
 	Doc: "fields annotated //cxl0:guarded-by mu may only be accessed while the named mutex is held\n\n" +
 		"Protects the pipelined commit path's crash-safety argument: the acked watermark, flight queue and " +
-		"shadow map only change under the shard lock.",
+		"the view's mark only change under the shard lock.",
 	Run: run,
 }
 

@@ -23,12 +23,13 @@ package kv
 //   - one key: keyMoved. append (Put/Delete/Apply) takes the view's
 //     write step and always snoops; a commit point (ackRange — an
 //     in-place commit, a flight's retirement, recovery's salvage) takes
-//     the ack step and snoops every key whose shadow entry it retires or
-//     advances. Under the pipeline, reads are gated by the
-//     acked-watermark (docs/pipeline.md) and may have cached the key's
-//     *shadow* (last acked) state; the commit moves the watermark past
-//     the newer record, so the cached shadow value must die with the
-//     shadow entry.
+//     the ack step and snoops every key whose record the view takes.
+//     Under the pipeline the view takes a write only at its commit
+//     point (docs/pipeline.md), so reads may have cached the key's last
+//     acked state; the commit moves the view past it, so the cached
+//     value must die with it. The write step's snoop moves nothing
+//     there, and is kept because dropping it would change which reads
+//     hit (docs/caching.md).
 //   - one bucket: flipBucket — a migration's flip, in line or redone by
 //     recovery.
 //   - one shard: invalidateShardLocked — its state replaced (compaction's

@@ -104,7 +104,7 @@ type CompactionStats struct {
 // event records reaching the checkpoint even when the hook injects a
 // crash there.
 func (s *Store) compactCheckpoint(step Step, sh *shard, epoch uint64, live, reclaimed int) {
-	s.rec.CompactionStep(string(step), sh.id, epoch, live, reclaimed, s.cluster.NowNS())
+	s.rec.CompactionStep(string(step), step == StepAfterReclaim, sh.id, epoch, live, reclaimed, s.cluster.NowNS())
 	s.fireStep(step)
 }
 
@@ -185,21 +185,22 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 	if len(sh.log) == 0 {
 		return stats, nil
 	}
-	// A live set beyond the shard's capacity can never fold — this is the
-	// one condition that remains a ShardFullError under auto-compaction.
-	// Checked up front so a client retrying against a full shard fails
-	// cheaply instead of re-running the collect phase every time.
-	if live := sh.view.live(); live > sh.cap {
-		return stats, &ShardFullError{
-			Shard: sh.id, Appended: live, Capacity: sh.cap, Need: live - sh.cap, Live: true,
-		}
-	}
 	// Commit the open batch first so every record to fold is acknowledged
 	// state. The commit acknowledges client writes, so its cost is
 	// charged as ordinary traffic, like the append- and Sync-triggered
 	// commits; everything after is compaction churn.
 	if err := s.commitCharged(sh); err != nil {
 		return stats, err
+	}
+	// A live set beyond the shard's capacity can never fold — this is the
+	// one condition that remains a ShardFullError under auto-compaction.
+	// Counted once the commit above drained the pipeline (before it, the
+	// view does not count the writes in flight), and before the collect
+	// phase, so a client retrying against a full shard fails cheaply.
+	if live := sh.view.live(); live > sh.cap {
+		return stats, &ShardFullError{
+			Shard: sh.id, Appended: live, Capacity: sh.cap, Need: live - sh.cap, Live: true,
+		}
 	}
 
 	s.churning = true
@@ -217,21 +218,19 @@ func (s *Store) compactLocked(sh *shard) (stats CompactionStats, err error) {
 		}
 	}()
 
-	// Collect the live set in key order (the order tip yields), paying
+	// Collect the live set in key order (the order all yields), paying
 	// the simulated cost of reading each value from wherever it lives (log
 	// or old snapshot).
 	live := make([]rec, 0, sh.view.live())
-	for k := range sh.view.tip() {
-		live = append(live, rec{key: k})
-	}
-	for i := range live {
+	for k, slot := range sh.view.all() {
 		if sh.down {
 			return stats, ErrShardDown
 		}
-		slot, _ := sh.view.visible(live[i].key) // the tip: the commit above drained the pipeline
-		if live[i].val, err = s.worker.Load(sh.valLocOf(slot)); err != nil {
+		v, err := s.worker.Load(sh.valLocOf(slot))
+		if err != nil {
 			return stats, err
 		}
+		live = append(live, rec{key: k, val: v})
 	}
 
 	next := sh.epoch + 1

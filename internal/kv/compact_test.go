@@ -13,7 +13,7 @@ import (
 // reclaimed, deleted and overwritten records are retired, the snapshot
 // epoch advances, and the compacted state survives crash/recovery.
 func TestCompactReclaimsAndPreserves(t *testing.T) {
-	// The snapshot is written in key order: compaction folds view.tip(),
+	// The snapshot is written in key order: compaction folds view.all(),
 	// which yields it, and recovery's re-homing relies on it.
 	snapInKeyOrder := func(t *testing.T, st *Store) {
 		t.Helper()
@@ -454,6 +454,50 @@ func TestMigrateAutoCompactsForHeadroom(t *testing.T) {
 	for k, want := range map[core.Val]core.Val{k0: 24, k1: 123} { //cxl0:order-insensitive — independent per-key asserts
 		if v, ok, err := st.Get(k); err != nil || !ok || v != want {
 			t.Fatalf("get(%d) = (%d,%v,%v) after crash sweep, want %d", k, v, ok, err, want)
+		}
+	}
+}
+
+// TestCompactCountsWritesInFlight: under the pipeline, the view does not
+// count writes still in flight, so compaction counts its live set only
+// after the commit that drains the pipeline. Six keys folded into an
+// 8-record shard plus four fresh keys in flight make a live set of ten:
+// the fold must refuse it, and the shard must still recover the
+// six-key snapshot with the four writes on top.
+func TestCompactCountsWritesInFlight(t *testing.T) {
+	st := openTest(t, Config{Shards: 1, Capacity: 8, Strategy: RangedCommit, Batch: 2, PipelineDepth: 3, Seed: 3})
+	for k := core.Val(0); k < 6; k++ {
+		if _, err := st.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.CompactShard(0); err != nil {
+		t.Fatal(err)
+	}
+	for k := core.Val(10); k < 14; k++ {
+		if _, err := st.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if acked, appended := st.AckedCount(0), st.AppendedCount(0); acked+2 > appended {
+		t.Fatalf("%d of %d fresh writes acked before the compaction: too few in flight to test the count", acked, appended)
+	}
+	_, err := st.CompactShard(0)
+	var full *ShardFullError
+	if !errors.As(err, &full) || !full.Live || full.Appended != 10 {
+		t.Fatalf("CompactShard over 10 live keys in an 8-record shard = %v, want a live-set ShardFullError of 10", err)
+	}
+	st.Crash(0)
+	stats, err := st.Recover(0)
+	if err != nil || stats.Snapshot != 6 || stats.Recovered != 4 {
+		t.Fatalf("Recover = %+v, %v; want the six-key snapshot and the four writes", stats, err)
+	}
+	for _, k := range []core.Val{0, 5, 10, 13} {
+		if v, ok, err := st.Get(k); err != nil || !ok || v != k+1 {
+			t.Fatalf("Get(%d) = %d, %v, %v after recovery, want %d", k, v, ok, err, k+1)
 		}
 	}
 }

@@ -5,7 +5,8 @@ package kv
 // stage their open batches (LStore lands in the worker's home cache). A
 // front crash therefore destroys exactly the state that was never
 // flushed: open batches staged in its cache, plus the volatile pipeline
-// bookkeeping (flight queue, flush lane, watermark shadow). The shards'
+// bookkeeping (flight queue, flush lane; each shard's view takes the
+// writes still waiting, as on a shard crash). The shards'
 // media — logs, snapshots, epoch records — are untouched, and so are
 // batches already flushed by the commit pipeline.
 //

@@ -55,7 +55,7 @@ type replayCase struct {
 // replayCases is the full matrix: every strategy, the asynchronous
 // commit pipeline on top of the batched ones, each with the read cache
 // and prefetcher off and on. Between them the cases cross every append,
-// commit, shadow-map, retire and invalidation path (the cache is small
+// commit, watermark, retire and invalidation path (the cache is small
 // enough that the LRU evicts during the run), so a refactor of any of
 // them either replays to the pinned digests or shows up here.
 func replayCases() []replayCase {

@@ -120,7 +120,10 @@ type Metrics struct {
 	PerShardChurnNS []float64
 	// PerShardFill is each shard's log fill fraction at snapshot time
 	// (appended records over capacity — live occupancy, not cumulative),
-	// and PerShardLive its live record count (index size). Both follow
+	// and PerShardLive the number of keys its reads see (index size):
+	// under the pipeline, mid-flight, that leaves out a key whose first
+	// write is still in flight and keeps one whose delete is; at every
+	// drain point it is the live count of the whole log. Both follow
 	// PerShardBusyNS's global shard order under a pooled router.
 	PerShardFill []float64
 	PerShardLive []int

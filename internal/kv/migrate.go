@@ -121,7 +121,7 @@ func (s *Store) fireStep(step Step) {
 // event, then fires the test hook — in that order, so the event records
 // reaching the checkpoint even when the hook injects a crash there.
 func (s *Store) stepCheckpoint(step Step, b, from, to, records int) {
-	s.rec.MigrationStep(string(step), b, from, to, records, s.cluster.NowNS())
+	s.rec.MigrationStep(string(step), step == StepAfterFlip, b, from, to, records, s.cluster.NowNS())
 	s.fireStep(step)
 }
 
@@ -182,7 +182,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 	// aborts the migration untouched.
 	if s.cfg.CompactAtFill > 0 {
 		need := 0
-		for k := range src.view.tip() {
+		for k := range src.view.all() {
 			if s.bucketOf(k) == b {
 				need++
 			}
@@ -210,7 +210,7 @@ func (s *Store) migrateBucket(b, to int) (MigrationStats, error) {
 		val  core.Val
 	}
 	var pairs []pair
-	for k, slot := range src.view.tip() {
+	for k, slot := range src.view.all() {
 		if s.bucketOf(k) == b {
 			pairs = append(pairs, pair{slot: slot, key: k})
 		}
@@ -432,7 +432,7 @@ func (s *Store) rebalanceLocked() ([]MigrationStats, error) {
 		// destination-headroom check below (rebuilt per move: each
 		// migration changes the indexes).
 		counts := map[int]int{}
-		for k := range s.shards[hot].view.tip() {
+		for k := range s.shards[hot].view.all() {
 			counts[s.bucketOf(k)]++
 		}
 		// Hottest bucket on the hot shard whose move strictly lowers the

@@ -315,3 +315,34 @@ func TestMetricsFillAndLive(t *testing.T) {
 		t.Fatalf("fill gauges account for %g slots, want >= 12", totalFillSlots)
 	}
 }
+
+// TestObserveCountsCompletedSteps holds obs's completed-migration and
+// completed-compaction counters to the store's own after a run that
+// migrates and compacts: the store marks the checkpoint that completes
+// each, so the counters follow kv's steps whatever they are named.
+func TestObserveCountsCompletedSteps(t *testing.T) {
+	s := openTest(t, obsCfg())
+	stats := obs.NewStats()
+	s.Observe(obs.NewRecorder(nil, stats))
+	for k := core.Val(0); k < 40; k++ {
+		if _, err := s.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b, moved := 0, 0; b < s.NumBuckets() && moved < 3; b++ {
+		if s.ShardOfBucket(b) == 0 {
+			if _, err := s.MigrateBucket(b, 1); err != nil {
+				t.Fatal(err)
+			}
+			moved++
+		}
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	m, snap := s.Metrics(), stats.Snapshot()
+	if m.Migrations != 3 || m.Compactions != 2 || snap.Migrations != m.Migrations || snap.Compactions != m.Compactions {
+		t.Fatalf("obs counted %d migrations and %d compactions, the store %d and %d (want 3 and 2)",
+			snap.Migrations, snap.Compactions, m.Migrations, m.Compactions)
+	}
+}

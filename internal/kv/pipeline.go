@@ -30,9 +30,9 @@ package kv
 //     to the oldest flight's completion point — the only moments flush
 //     cost can surface in the makespan.
 //   - sh.acked — the acked-watermark — advances only at a commit point,
-//     and reads are gated by it: every key overwritten past the
-//     watermark keeps its last acked state in the shard's view (view.go),
-//     and Get/MultiGet/Scan serve that state until the covering batch's
+//     and the shard's view (view.go) takes a write only there: reads
+//     serve a replay of the acknowledged records, so Get/MultiGet/Scan
+//     keep serving a key's last acked state until the covering batch's
 //     commit point. A read never observes a value a crash could take
 //     back.
 //
@@ -67,11 +67,11 @@ type flight struct {
 }
 
 // pipelined reports whether a full batch is issued asynchronously: a
-// pipeline depth above 1 under a batched strategy. It is append's
-// decision alone — gate the view's write step and issue a flight, or
-// commit in place. Everything else in this file works off the flight
-// queue and the view's shadow, which are simply empty when nothing was
-// ever issued.
+// pipeline depth above 1 under a batched strategy. It decides whether
+// append issues a flight or commits in place, and whether the view takes
+// a write at its write step or at its ack step (Store.keyMoved).
+// Everything else in this file works off the flight queue, which is
+// simply empty when nothing was ever issued.
 func (s *Store) pipelined() bool {
 	return s.cfg.PipelineDepth > 1 && s.persist.batched
 }
@@ -131,15 +131,17 @@ func (s *Store) retireFlight(sh *shard) {
 // when the shard's (or the front end's) machine crashes: in-flight
 // flights were flushed to the medium at issue, so recovery's scan
 // salvages them like any recovered pending batch — the acked prefix is
-// exactly [0, acked). The flight queue, flush lane and watermark shadow
-// are volatile bookkeeping and die with the crash.
+// exactly [0, acked). The flight queue and flush lane are volatile
+// bookkeeping and die with the crash; the view takes the client writes
+// still waiting on their ack, so a down shard's view holds every write
+// recovery may salvage.
 //
 //cxl0:locked mu
 func (sh *shard) foldFlights() {
 	sh.pending = len(sh.log) - sh.acked
 	sh.flights = nil
 	sh.laneEnd = 0
-	sh.view.caughtUp()
+	sh.view.takeRest(sh.log)
 }
 
 // rebaseFlights moves the flush lane and the in-flight flights'

@@ -663,3 +663,40 @@ func TestResetMetricsRebasesFlushLane(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashTakesWritesInFlight: a crash takes the client writes still
+// waiting on their ack into the down shard's view, since recovery may
+// salvage every one of them. The shard's live count includes them, and
+// a range read that meets only them fails instead of leaving them out.
+func TestCrashTakesWritesInFlight(t *testing.T) {
+	st := openTest(t, Config{Shards: 1, Capacity: 64, Strategy: RangedCommit, Batch: 2, PipelineDepth: 3, Seed: 3})
+	for k := core.Val(0); k < 4; k++ {
+		if _, err := st.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for k := core.Val(100); k < 104; k++ {
+		if _, err := st.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if acked := st.AckedCount(0); acked != 4 {
+		t.Fatalf("%d records acked before the crash, want the 4 synced ones only", acked)
+	}
+	st.Crash(0)
+	if live := st.Metrics().PerShardLive[0]; live != 8 {
+		t.Fatalf("PerShardLive = %d after the crash, want 8: the four writes in flight count", live)
+	}
+	if pairs, err := st.Scan(100, 200, 0); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("Scan over the in-flight keys of a down shard = %v, %v; want ErrShardDown", pairs, err)
+	}
+	if _, err := st.Recover(0); err != nil {
+		t.Fatal(err)
+	}
+	if pairs, err := st.Scan(100, 200, 0); err != nil || len(pairs) != 4 {
+		t.Fatalf("Scan after recovery = %v, %v; want the four salvaged writes", pairs, err)
+	}
+}

@@ -120,15 +120,16 @@ func (s *Store) observeReadLocked(sh *shard, key core.Val) {
 
 // prefetchLocked issues non-blocking speculative reads for keys, warming
 // the read cache ahead of demand. A speculative read resolves the key
-// exactly like getLocked — current routing, index, and the pipelined
-// shadow's acked-watermark gate — but reads the shard's authoritative
-// Go-side record mirror instead of paying a simulated Load: the model is
-// a prefetch fully overlapped with the foreground operation on spare
-// fabric bandwidth, so it charges no simulated time and cannot perturb
-// the timeline (a cache-off run and a prefetch-on run issue the same
-// Loads for different costs, never different fabric traffic). Keys that
-// are unroutable (down, partitioned), absent, or already cached are
-// skipped. Callers hold a predictor, which only exists over a cache.
+// exactly like getLocked — current routing and the view's index, which
+// under the pipeline holds only acknowledged writes — but reads the
+// shard's authoritative Go-side record mirror instead of paying a
+// simulated Load: the model is a prefetch fully overlapped with the
+// foreground operation on spare fabric bandwidth, so it charges no
+// simulated time and cannot perturb the timeline (a cache-off run and a
+// prefetch-on run issue the same Loads for different costs, never
+// different fabric traffic). Keys that are unroutable (down,
+// partitioned), absent, or already cached are skipped. Callers hold a
+// predictor, which only exists over a cache.
 func (s *Store) prefetchLocked(keys []core.Val) {
 	for _, k := range keys {
 		if k < 0 || s.cache.containsLocked(k) {
@@ -138,7 +139,7 @@ func (s *Store) prefetchLocked(keys []core.Val) {
 		if sh.unavailable() != nil {
 			continue
 		}
-		// The same watermark gate as getLocked: speculate only on the
+		// The same view as getLocked: speculate only on the
 		// state a demand read would be served.
 		slot, ok := sh.view.visible(k)
 		if !ok {

@@ -40,28 +40,13 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 		if !sh.partitioned {
 			s.retireReady(sh)
 		}
-		// The unordered range walk: tip keys through the watermark gate,
-		// then keys deleted past the watermark.
-		v := &sh.view
+		// The unordered range walk over the hash index.
 		var keys []core.Val
 		var slots []int
-		for k, slot := range v.index { //cxl0:order-insensitive — sorted below
-			if k < lo || k >= hi {
-				continue
+		for k, slot := range sh.view.index { //cxl0:order-insensitive — sorted below
+			if k >= lo && k < hi {
+				keys, slots = append(keys, k), append(slots, slot)
 			}
-			if e, shadowed := v.shadow[k]; shadowed {
-				if !e.exists {
-					continue
-				}
-				slot = e.slot
-			}
-			keys, slots = append(keys, k), append(slots, slot)
-		}
-		for k, e := range v.shadow { //cxl0:order-insensitive — sorted below
-			if _, tip := v.index[k]; tip || k < lo || k >= hi || !e.exists {
-				continue
-			}
-			keys, slots = append(keys, k), append(slots, e.slot)
 		}
 		for i, k := range keys {
 			if sh.down {
@@ -103,23 +88,23 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 	return out, nil
 }
 
-// shadowInRange counts the shards of s holding a watermark shadow, and
-// the keys in [lo, hi) that shadow alone still carries — deleted past
-// the watermark — which are what the ordered walk has to merge in.
-func shadowInRange(s *Store, lo, hi core.Val) (shadowed, deleted int) {
+// pastMark counts the shards of s whose log holds records past the
+// view's mark, and the keys in [lo, hi) deleted past it while still
+// visible — writes a scan must not see yet.
+func pastMark(s *Store, lo, hi core.Val) (shards, deleted int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sh := range s.shards {
-		if len(sh.view.shadow) > 0 {
-			shadowed++
+		if sh.view.taken < len(sh.log) {
+			shards++
 		}
-		for k, e := range sh.view.shadow { //cxl0:order-insensitive — counted
-			if _, tip := sh.view.index[k]; !tip && e.exists && k >= lo && k < hi {
+		for _, r := range sh.log[sh.view.taken:] {
+			if _, ok := sh.view.index[r.key]; ok && !r.move && !r.copied && r.val == 0 && r.key >= lo && r.key < hi {
 				deleted++
 			}
 		}
 	}
-	return shadowed, deleted
+	return shards, deleted
 }
 
 // TestScanMatchesReference drives two identically configured stores
@@ -138,12 +123,12 @@ func TestScanMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		// shadowed says the sequence must meet scans over keys written
-		// and deleted past the watermark.
-		shadowed bool
+		// pastMark says the sequence must meet scans over shards with
+		// client writes past the view's mark, keys deleted among them.
+		pastMark bool
 	}{
 		{name: "depth=1", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 1}},
-		{name: "depth=2", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 2}, shadowed: true},
+		{name: "depth=2", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 2}, pastMark: true},
 		{name: "depth=1/cache+prefetch", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 1, ReadCache: 32, Prefetch: true}},
 	} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -159,7 +144,7 @@ func TestScanMatchesReference(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(seed))
 				down, cut := -1, -1
-				scans, partial, failed, overShadow, overDeleted := 0, 0, 0, 0, 0
+				scans, partial, failed, overMark, overDeleted := 0, 0, 0, 0, 0
 				for step := 0; step < steps; step++ {
 					key := core.Val(rng.Intn(keys))
 					switch p := rng.Intn(100); {
@@ -183,8 +168,8 @@ func TestScanMatchesReference(t *testing.T) {
 					default:
 						hi := []core.Val{key, key + core.Val(1+rng.Intn(keys/2)), math.MaxInt64}[rng.Intn(3)]
 						limit := []int{0, 1, 16, keys + 1}[rng.Intn(4)]
-						shadowed, deleted := shadowInRange(got, key, hi)
-						overShadow, overDeleted = overShadow+shadowed, overDeleted+deleted
+						shards, deleted := pastMark(got, key, hi)
+						overMark, overDeleted = overMark+shards, overDeleted+deleted
 						gp, gerr := got.Scan(key, hi, limit)
 						rp, rerr := scanReference(ref, key, hi, limit)
 						if !slices.Equal(gp, rp) || !reflect.DeepEqual(gerr, rerr) {
@@ -208,9 +193,9 @@ func TestScanMatchesReference(t *testing.T) {
 				if scans == 0 || partial == 0 || failed == 0 {
 					t.Fatalf("%d scans, %d partial, %d failed: the sequence did not reach every outcome", scans, partial, failed)
 				}
-				if tc.shadowed && (overShadow == 0 || overDeleted == 0) {
-					t.Fatalf("%d scans met a shadow, %d in-range keys deleted past the watermark: the gate's merge went untested",
-						overShadow, overDeleted)
+				if tc.pastMark && (overMark == 0 || overDeleted == 0) {
+					t.Fatalf("%d scans met writes past the mark, %d in-range keys deleted past it: the watermark went untested",
+						overMark, overDeleted)
 				}
 			})
 		}

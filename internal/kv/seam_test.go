@@ -24,12 +24,12 @@ var seams = []seam.Row{
 		Fix:   "read the store's row of the strategy table (persist.go)",
 	},
 	{
-		// keys is the tip index's ordered key set. The range cursor
-		// (view.seek, cursor.advance) walks it through the gate and the
-		// shadow, and lives in view.go with them.
-		Name: "the tip index, the watermark shadow and the slot encoding's base",
+		// keys is the index's ordered key set. The range cursor
+		// (view.seek, cursor.advance) walks it, and the mark says which
+		// log records the index has taken; both live in view.go with them.
+		Name: "the index, its key set, the view's mark and the slot encoding's base",
 		Site: func(n ast.Node) bool {
-			return seam.Selects(n, "index") || seam.Selects(n, "keys") || seam.Selects(n, "shadow") || seam.Selects(n, "logCap")
+			return seam.Selects(n, "index") || seam.Selects(n, "keys") || seam.Selects(n, "taken") || seam.Selects(n, "logCap")
 		},
 		Files: []string{"view.go"},
 		Fix:   "go through a view method (view.go)",
@@ -44,15 +44,11 @@ var seams = []seam.Row{
 		Fix:   "range reads are scanLocked's merge over the stores' shard cursors",
 	},
 	{
-		Name:  "the view's per-key write step",
-		Site:  func(n ast.Node) bool { return seam.CallsOn(n, "view", "write") },
-		Funcs: map[string]int{"Store.keyMoved": 1},
-		Fix:   "a key's visible state moves in Store.keyMoved, which also snoops the read cache",
-	},
-	{
-		Name:  "the view's per-key ack step",
-		Site:  func(n ast.Node) bool { return seam.CallsOn(n, "view", "ack") },
-		Funcs: map[string]int{"Store.keyMoved": 1},
+		// A crash takes every write still waiting; the shard's keys are
+		// snooped wholesale by the crash paths that call it.
+		Name:  "the view's takes of log records",
+		Site:  func(n ast.Node) bool { return seam.CallsOn(n, "view", "take") || seam.CallsOn(n, "view", "takeRest") },
+		Funcs: map[string]int{"Store.keyMoved": 1, "shard.foldFlights": 1},
 		Fix:   "a key's visible state moves in Store.keyMoved, which also snoops the read cache",
 	},
 	{
@@ -112,7 +108,7 @@ var seams = []seam.Row{
 		// The watermark moves at a batch's commit point (ackFlight) and
 		// catches up with the log tip when the log was committed whole,
 		// cut back or restarted (shard.catchUp, which also closes the
-		// batch and drops the view's shadow).
+		// batch).
 		Name:  "assignments to a shard's acked watermark",
 		Site:  func(n ast.Node) bool { return seam.Assigns(n, "acked") },
 		Funcs: map[string]int{"Store.ackFlight": 1, "shard.catchUp": 1},

@@ -56,7 +56,7 @@ type shard struct {
 	// Asynchronous commit pipeline state (all empty at pipeline depth 1;
 	// see pipeline.go). flights are the in-flight commit flushes, oldest
 	// first; laneEnd is the flush lane's frontier in shard-busy-time
-	// coordinates. The watermark's read state is the view's shadow.
+	// coordinates. What reads see of the watermark is the view's mark.
 	//cxl0:guarded-by mu
 	flights []flight
 	//cxl0:guarded-by mu
@@ -104,15 +104,13 @@ func (sh *shard) unavailable() error {
 }
 
 // catchUp moves the acked-watermark to the log tip once the log was
-// committed whole, cut back or restarted: no batch is left open and no
-// read needs shadow state. It and Store.ackFlight are the only writers
-// of acked (TestSeams).
+// committed whole, cut back or restarted: no batch is left open. It and
+// Store.ackFlight are the only writers of acked (TestSeams).
 //
 //cxl0:locked mu
 func (sh *shard) catchUp() {
 	sh.acked = len(sh.log)
 	sh.pending = 0
-	sh.view.caughtUp()
 }
 
 // charge is the one place the shard's clocks advance: span of simulated

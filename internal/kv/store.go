@@ -364,10 +364,9 @@ func (s *Store) flushBatch(sh *shard) (flight, error) {
 // [first, limit), durable since ackNS after waiting queueNS for the
 // flush lane, and returns how many there were. It is the one place an
 // acknowledgment is recorded — per-record acks, commit points and
-// recovery's salvage all pass through it — and the one place the
-// acked-watermark's read state catches up, record by record (keyMoved's
-// ack step). Move markers and migrated copies are not client writes and
-// are skipped.
+// recovery's salvage all pass through it — and, under the pipeline, the
+// one place the view takes a client write (keyMoved's ack step). Move
+// markers and migrated copies are not client writes and are skipped.
 //
 //cxl0:locked mu
 func (s *Store) ackRange(sh *shard, first, limit int, ackNS, queueNS float64) int {
@@ -383,7 +382,7 @@ func (s *Store) ackRange(sh *shard, first, limit int, ackNS, queueNS float64) in
 		s.rec.WriteLatency(ackLat, issueLat)
 		s.ctr.Acked++
 		acked++
-		s.keyMoved(sh, r, slot, limit)
+		s.keyMoved(sh, r, slot, true)
 	}
 	return acked
 }
@@ -391,20 +390,19 @@ func (s *Store) ackRange(sh *shard, first, limit int, ackNS, queueNS float64) in
 // keyMoved is the one visibility event: the only function in which the
 // state reads of a single key are served moves, so the only per-key
 // snoop of the front end's cached copy (docs/caching.md). The record r
-// at log slot slot was either just appended (acked < 0: the view's write
-// step — the tip moves, and under the pipeline reads now serve the key's
-// shadow state, which its commit point snoops in turn) or is being
-// acknowledged by the watermark advancing to acked (the view's ack step,
-// which moves nothing unless the key was shadowed).
+// at log slot slot was either just appended (the write step, !ack) or is
+// being acknowledged (the ack step). The view takes the record at the
+// write step when the write is acknowledged as it is written, and at the
+// ack step under the pipeline, so a read never observes a write before
+// its commit point. The write step snoops even when the pipeline defers
+// the take (docs/caching.md says why).
 //
 //cxl0:locked mu
-func (s *Store) keyMoved(sh *shard, r rec, slot, acked int) {
-	if acked < 0 {
-		sh.view.write(r.key, slot, r.val != 0, s.pipelined())
-	} else if !sh.view.ack(r.key, slot, r.val != 0, acked) {
-		return
+func (s *Store) keyMoved(sh *shard, r rec, slot int, ack bool) {
+	took := (ack || !s.pipelined()) && sh.view.take(r.key, slot, r.val != 0)
+	if took || !ack {
+		s.cache.invalidateKeyLocked(r.key)
 	}
-	s.cache.invalidateKeyLocked(r.key)
 }
 
 // ackFlight is a batch's commit point: the acked-watermark advances to
@@ -437,9 +435,6 @@ func (s *Store) commitLocked(sh *shard) error {
 		return err
 	}
 	s.ackFlight(sh, f)
-	// The watermark caught up with the log tip; no read needs shadow
-	// state anymore.
-	sh.view.caughtUp()
 	return nil
 }
 
@@ -497,7 +492,7 @@ func (s *Store) append(sh *shard, key, val core.Val) (Ack, error) {
 	}
 	r.issueNS = s.cluster.NowNS()
 	sh.log = append(sh.log, r)
-	s.keyMoved(sh, r, slot, -1)
+	s.keyMoved(sh, r, slot, false)
 	// The write path's cost is this key's bucket's load; a batch commit
 	// triggered below is shared cost, attributed to the whole batch's
 	// buckets by flushBatch.

@@ -1,18 +1,20 @@
 package kv
 
-// A shard's read-visible state. Which record a read of key k is served
-// is decided by two volatile maps — the tip index over everything
-// appended, and the shadow of keys whose newest record sits past the
-// acked-watermark (docs/pipeline.md) — and by one slot encoding that says
-// whether a record lives in the log or in the committed snapshot; the
-// tip index's key set is also kept sorted, so a range read costs what it
-// yields and not what the shard holds. All four live in this file and
-// are touched nowhere else (TestSeams): the store drives the view
-// through the per-key write and ack steps (and snoops its read cache
-// when they say a key moved, see Store.keyMoved) and through the bulk
-// steps compaction, recovery and bucket migration need. No method here
-// takes or reaches a *Store: the view knows keys, slots and the
-// watermark, not routing, caches or clocks.
+// A shard's read-visible state: a plain replay of the log's records
+// [0, taken) onto the committed snapshot the view was last re-homed to.
+// The index maps a key to the record a read of it is served, one slot
+// encoding says whether that record lives in the log or in the
+// snapshot, and the index's key set is kept sorted, so a range read
+// costs what it yields and not what the shard holds. A record is taken
+// once, in slot order: at its write step when the write is acknowledged
+// as it is written, at its ack step under the commit pipeline
+// (docs/pipeline.md) — so a read never observes a value a crash could
+// still take back. All of it lives in this file and is touched nowhere
+// else (TestSeams): the store drives the view through the per-key take
+// (and snoops its read cache, see Store.keyMoved) and through the bulk
+// steps a crash, compaction, recovery and bucket migration need. No
+// method here takes or reaches a *Store: the view knows keys, slots and
+// the log, not routing, caches or clocks.
 
 import (
 	"iter"
@@ -21,35 +23,26 @@ import (
 	"cxl0/internal/core"
 )
 
-// shadowEntry is one key's acked-watermark state: what a read must
-// serve while newer records of the key sit beyond the watermark.
-type shadowEntry struct {
-	// exists and slot give the key's newest acked state (slot is an
-	// encoded slot; meaningless when !exists).
-	exists bool
-	slot   int
-	// newest is the slot of the key's newest appended record — the
-	// entry dies when the watermark passes it.
-	newest int
-}
-
 // view is the volatile read-visible state of one shard.
 type view struct {
 	// logCap is the base of the slot encoding (the shard's log
 	// capacity): encoded slots below it are log slots, logCap+i is slot
 	// i of the committed snapshot (compaction re-homes live records there).
 	logCap int
-	// index maps a key to the encoded slot of its newest live record.
+	// index maps a key to the encoded slot of the record reads of it are
+	// served.
 	index map[core.Val]int
 	// keys is index's key set in ascending order. It moves only when a
 	// key enters or leaves index, never on an overwrite.
 	keys []core.Val
-	// shadow holds the acked-watermark read state of keys overwritten
-	// past the watermark (nil when empty; always empty at pipeline
-	// depth 1). It anchors the pipelined commit path's crash-safety
-	// argument, so it may only move under the store lock.
+	// taken is the first log slot the view has not taken: no client write
+	// at or past it is visible. A take moves it past the record taken; a
+	// re-homing and recovery's full replay move it with the log; a
+	// bucket-scoped replay leaves it. It anchors the pipelined commit
+	// path's crash-safety argument, so it may only move under the store
+	// lock.
 	//cxl0:guarded-by mu
-	shadow map[core.Val]shadowEntry
+	taken int
 }
 
 // decode splits an encoded slot into a region-relative slot and whether
@@ -61,68 +54,34 @@ func (v *view) decode(slot int) (i int, inSnap bool) {
 	return slot, false
 }
 
-// live returns the number of live keys at the tip.
+// live returns the number of visible keys.
 func (v *view) live() int { return len(v.index) }
 
-// tipVisible reports whether nothing is shadowed, in which case every
-// tip key is visible at its index slot and a read needs no gate — always
-// so at pipeline depth 1, and between flights at any depth.
-//
-//cxl0:locked mu
-func (v *view) tipVisible() bool { return len(v.shadow) == 0 }
-
-// visible resolves key to the encoded slot a read is served from — the
-// watermark gate: a key overwritten past the acked-watermark resolves to
-// its shadow (last acked) state, so a read never observes a value a
-// crash could still take back.
-//
-//cxl0:locked mu
+// visible resolves key to the encoded slot a read is served from.
 func (v *view) visible(key core.Val) (slot int, ok bool) {
-	if !v.tipVisible() {
-		if e, shadowed := v.shadow[key]; shadowed {
-			return e.slot, e.exists
-		}
-	}
 	slot, ok = v.index[key]
 	return slot, ok
 }
 
-// cursor walks the keys of one view in [lo, hi) that have a visible
-// state, in ascending key order, one step per advance. When nothing is
-// shadowed that is the tip keys in range, stepped through without a
-// lookup. Otherwise tip keys pass the watermark gate (a key whose first
-// write is still in flight has no visible state and is skipped), merged
-// with the keys deleted past the watermark, which left the index but
-// whose acked state the shadow still carries. While ok, key is the head;
-// resolve gives the encoded slot a read of it is served from. The view
-// must not move between seek and the last advance or resolve.
+// cursor walks the keys of one view in [lo, hi), in ascending key order,
+// one step per advance. While ok, key is the head; resolve gives the
+// encoded slot a read of it is served from, so a head the caller never
+// reads costs no lookup. The view must not move between seek and the
+// last advance or resolve.
 type cursor struct {
 	v   *view
 	key core.Val
 	ok  bool
-	// gated is seek's !v.tipVisible(): advance runs the gate, and slot
-	// holds the head's slot, only when it is set.
-	gated bool
-	slot  int
-	// v.keys[i:end] are the tip keys in range not yet walked.
+	// v.keys[i:end] are the keys in range not yet walked.
 	i, end int
-	// deleted[d:] are the in-range keys deleted past the watermark not yet
-	// yielded, ascending; the backing array is kept from seek to seek.
-	deleted []core.Val
-	d       int
 }
 
-// seek positions c on the first key of [lo, hi) with a visible state and
-// returns a bound on the keys the run holds (a tip key the gate hides is
-// counted and never yielded). It costs one binary search to lo, a second
-// to hi only when hi falls inside the key set (a range read open at the
-// top, as workload E's, ends at the last key), and, only while something
-// is shadowed, a pass over the shadow, which holds only keys written past
-// the watermark — a set bounded by the pipeline's in-flight writes. A
-// caller that stops after n keys has paid O(log live + n + shadowed).
-//
-//cxl0:locked mu
-func (v *view) seek(c *cursor, lo, hi core.Val) (atMost int) {
+// seek positions c on the first key of [lo, hi) and returns how many
+// keys the range holds. It costs one binary search to lo and a second to
+// hi only when hi falls inside the key set (a range read open at the
+// top, as workload E's, ends at the last key): a caller that stops after
+// n keys has paid O(log live + n).
+func (v *view) seek(c *cursor, lo, hi core.Val) (n int) {
 	c.v = v
 	c.i, _ = slices.BinarySearch(v.keys, lo)
 	c.end = len(v.keys)
@@ -130,62 +89,26 @@ func (v *view) seek(c *cursor, lo, hi core.Val) (atMost int) {
 		n, _ := slices.BinarySearch(v.keys[c.i:], hi)
 		c.end = c.i + n
 	}
-	c.deleted, c.d = c.deleted[:0], 0
-	if c.gated = !v.tipVisible(); c.gated {
-		for k, e := range v.shadow { //cxl0:order-insensitive — sorted below
-			if _, tip := v.index[k]; !tip && e.exists && k >= lo && k < hi {
-				c.deleted = append(c.deleted, k)
-			}
-		}
-		slices.Sort(c.deleted)
-	}
-	atMost = c.end - c.i + len(c.deleted)
+	n = c.end - c.i
 	c.advance()
-	return atMost
+	return n
 }
 
 // advance steps c to the next key, or clears ok past the last one.
-//
-//cxl0:locked mu
 func (c *cursor) advance() {
-	v := c.v
-	if !c.gated {
-		if c.ok = c.i < c.end; c.ok {
-			c.key = v.keys[c.i]
-			c.i++
-		}
-		return
-	}
-	for c.i < c.end && (c.d == len(c.deleted) || v.keys[c.i] < c.deleted[c.d]) {
-		c.key = v.keys[c.i]
+	if c.ok = c.i < c.end; c.ok {
+		c.key = c.v.keys[c.i]
 		c.i++
-		if c.slot, c.ok = v.visible(c.key); c.ok {
-			return
-		}
-	}
-	if c.ok = c.d < len(c.deleted); c.ok {
-		c.key = c.deleted[c.d]
-		c.slot = v.shadow[c.key].slot
-		c.d++
 	}
 }
 
-// resolve returns the encoded slot the head is read from. An ungated
-// walk looks it up only here, so a head the caller never reads costs no
-// lookup.
-//
-//cxl0:locked mu
-func (c *cursor) resolve() int {
-	if !c.gated {
-		return c.v.index[c.key]
-	}
-	return c.slot
-}
+// resolve returns the encoded slot the head is read from.
+func (c *cursor) resolve() int { return c.v.index[c.key] }
 
-// tip yields every live key with the encoded slot of its newest record,
-// in ascending key order and ungated — what compaction folds and
-// migration copies, both of which drain the pipeline first.
-func (v *view) tip() iter.Seq2[core.Val, int] {
+// all yields every visible key with its encoded slot, in ascending key
+// order — what compaction folds and migration copies once they have
+// drained the pipeline.
+func (v *view) all() iter.Seq2[core.Val, int] {
 	return func(yield func(core.Val, int) bool) {
 		for _, k := range v.keys {
 			if !yield(k, v.index[k]) {
@@ -195,9 +118,9 @@ func (v *view) tip() iter.Seq2[core.Val, int] {
 	}
 }
 
-// set moves key's tip to slot, or drops the key when the record there
-// is a tombstone. The ordered key set follows only when the index's size
-// says the key entered or left it.
+// set moves key's visible state to slot, or drops the key when the
+// record there is a tombstone. The ordered key set follows only when the
+// index's size says the key entered or left it.
 func (v *view) set(key core.Val, slot int, live bool) {
 	n := len(v.index)
 	if live {
@@ -216,59 +139,40 @@ func (v *view) set(key core.Val, slot int, live bool) {
 	}
 }
 
-// write is the write step: key's newest record now sits at log slot
-// slot (a tombstone when !live). When the write is gated — its batch is
-// acknowledged later, at a flight's retirement — the key's acked state
-// is recorded before the tip moves past it, so reads keep serving that
-// state until the covering commit point.
+// take is the per-key step: key's record at log slot slot (a tombstone
+// when !live) becomes what reads of key are served, unless the view took
+// that slot already. It reports whether it did.
 //
 //cxl0:locked mu
-func (v *view) write(key core.Val, slot int, live, gated bool) {
-	if e, ok := v.shadow[key]; ok {
-		e.newest = slot
-		v.shadow[key] = e
-	} else if gated {
-		if v.shadow == nil {
-			v.shadow = map[core.Val]shadowEntry{}
-		}
-		prev, had := v.index[key]
-		v.shadow[key] = shadowEntry{exists: had, slot: prev, newest: slot}
-	}
-	v.set(key, slot, live)
-}
-
-// ack is the ack step: the watermark is advancing to limit over key's
-// record at slot (a tombstone when !live). A shadow entry whose newest
-// record the advance covers dies — reads fall through to the tip — and
-// any other catches up to this record. It reports whether key was
-// shadowed at all, i.e. whether the state reads of key are served just
-// moved.
-//
-//cxl0:locked mu
-func (v *view) ack(key core.Val, slot int, live bool, limit int) bool {
-	e, ok := v.shadow[key]
-	if !ok {
+func (v *view) take(key core.Val, slot int, live bool) bool {
+	if slot < v.taken {
 		return false
 	}
-	if e.newest < limit {
-		delete(v.shadow, key)
-	} else {
-		e.exists, e.slot = live, slot
-		v.shadow[key] = e
-	}
+	v.set(key, slot, live)
+	v.taken = slot + 1
 	return true
 }
 
-// caughtUp drops the shadow: the watermark covers the whole log, or the
-// machine holding this volatile state crashed and recovery will rebuild
-// from the acked prefix.
+// takeRest takes every client write log holds past the mark — a crash's
+// step. Whether they survive is recovery's to decide; until then a down
+// shard's view holds them, so a range read that meets one fails instead
+// of leaving it out. Move markers and migrated copies are not client
+// writes: a copy becomes visible only at its bucket's flip.
 //
 //cxl0:locked mu
-func (v *view) caughtUp() { v.shadow = nil }
+func (v *view) takeRest(log []rec) {
+	for slot := v.taken; slot < len(log); slot++ {
+		if r := log[slot]; !r.move && !r.copied {
+			v.set(r.key, slot, r.val != 0)
+		}
+	}
+	v.taken = len(log)
+}
 
-// reset re-homes the view onto a committed snapshot: record i of snap
-// becomes key snap[i].key's visible state and nothing else is live —
-// compaction's reclaim, and the base recovery replays the log onto.
+// reset re-homes the view onto a committed snapshot and an empty log:
+// record i of snap becomes key snap[i].key's visible state and nothing
+// else is live — compaction's reclaim, and the base recovery replays the
+// log onto.
 //
 //cxl0:locked mu
 func (v *view) reset(snap []rec) {
@@ -278,14 +182,14 @@ func (v *view) reset(snap []rec) {
 		v.index[r.key] = v.logCap + i
 		v.keys[i] = r.key
 	}
-	// A snapshot is written in key order (compaction folds tip()), so
+	// A snapshot is written in key order (compaction folds all()), so
 	// this is a check, not a sort, on every path that exists today.
 	slices.Sort(v.keys)
-	v.shadow = nil
+	v.taken = 0
 }
 
-// drop removes every tip key matching gone (a bucket that moved away,
-// keys the shard no longer owns).
+// drop removes every visible key matching gone (a bucket that moved
+// away, keys the shard no longer owns).
 func (v *view) drop(gone func(core.Val) bool) {
 	v.keys = slices.DeleteFunc(v.keys, func(k core.Val) bool {
 		if !gone(k) {
@@ -302,11 +206,16 @@ func (v *view) drop(gone func(core.Val) bool) {
 // the copies following the marker carry its authoritative state
 // (move-in). Without the wipe, a key deleted while its bucket lived
 // elsewhere could resurrect from a pre-migration record. only >= 0
-// restricts the replay to that bucket's records (the redo re-index);
-// -1 replays everything (recovery's full rebuild). Both crash paths must
-// agree on these semantics exactly, which is why they share this one
-// implementation.
+// restricts the replay to that bucket's records (the redo re-index) and
+// leaves the mark where it is; -1 replays everything (recovery's full
+// rebuild) and takes the slot. Both crash paths must agree on these
+// semantics exactly, which is why they share this one implementation.
+//
+//cxl0:locked mu
 func (v *view) replay(slot int, r rec, bucketOf func(core.Val) int, only int) {
+	if only < 0 {
+		v.taken = slot + 1
+	}
 	if r.move {
 		if b := int(r.key); only < 0 || b == only {
 			v.drop(func(k core.Val) bool { return bucketOf(k) == b })

@@ -12,12 +12,13 @@ import (
 )
 
 // viewModel drives a bare view — no Store, no memsim — the way the
-// commit path does: every write appends to a log and takes the view's
-// write step, every ack advances the watermark over a prefix and takes
-// the ack step record by record. What the view must serve is then a
-// plain replay: of records [0, acked) when writes are gated by the
-// watermark, of the whole log when they are not — onto the snapshot the
-// view was last re-homed to, a move marker wiping its bucket.
+// commit path does: every write appends to a log, and the view takes it
+// at once when writes are not gated by the watermark; every ack advances
+// the watermark over a prefix, the view taking it record by record. What
+// the view must serve is then a plain replay: of records [0, acked) when
+// writes are gated, of the whole log when they are not — onto the
+// snapshot the view was last re-homed to, a move marker wiping its
+// bucket.
 type viewModel struct {
 	v view
 	// cur is the one cursor every range walk reuses, the way a shard's is.
@@ -37,13 +38,15 @@ func newViewModel(gated bool) *viewModel {
 
 //cxl0:locked mu
 func (m *viewModel) write(key, val core.Val) {
-	m.v.write(key, len(m.log), val != 0, m.gated)
+	if !m.gated {
+		m.v.take(key, len(m.log), val != 0)
+	}
 	m.log = append(m.log, rec{key: key, val: val})
 }
 
-// ack advances the watermark to limit. The ack step's report is the
-// store's cue to snoop its read cache, so it must be true whenever the
-// step moved what reads of the key are served.
+// ack advances the watermark to limit. The take's report is the store's
+// cue to snoop its read cache, so it must be true whenever the take
+// moved what reads of the key are served.
 //
 //cxl0:locked mu
 func (m *viewModel) ack(t *testing.T, limit int) {
@@ -51,7 +54,7 @@ func (m *viewModel) ack(t *testing.T, limit int) {
 	for slot := m.acked; slot < limit; slot++ {
 		r := m.log[slot]
 		beforeSlot, beforeOK := m.v.visible(r.key)
-		moved := m.v.ack(r.key, slot, r.val != 0, limit)
+		moved := m.v.take(r.key, slot, r.val != 0)
 		afterSlot, afterOK := m.v.visible(r.key)
 		if !moved && (beforeOK != afterOK || (afterOK && beforeSlot != afterSlot)) {
 			t.Fatalf("ack of slot %d (key %d) moved its visible state (%d,%v)→(%d,%v) unreported",
@@ -59,11 +62,6 @@ func (m *viewModel) ack(t *testing.T, limit int) {
 		}
 	}
 	m.acked = limit
-	if m.acked == len(m.log) && limit%2 == 0 {
-		// An in-place commit reaching the tip drops the shadow wholesale;
-		// a flight retiring there does not. Both must read the same.
-		m.v.caughtUp()
-	}
 }
 
 // want replays the records the view is obliged to serve.
@@ -93,15 +91,24 @@ func (m *viewModel) want() map[core.Val]int {
 	return want
 }
 
-// drain acks every record and drops the shadow: the state the bulk
-// steps below start from (compaction and migration commit first, and a
-// crash took the shadow with it before recovery replays).
+// drain acks every record: the state the bulk steps below start from
+// (compaction and migration commit first, and a crash took every write
+// still waiting before recovery replays).
 //
 //cxl0:locked mu
 func (m *viewModel) drain(t *testing.T) {
 	t.Helper()
 	m.ack(t, len(m.log))
-	m.v.caughtUp()
+}
+
+// crash takes every write still waiting on its ack, the way a shard's
+// crash does; the model then serves the whole log, as a recovery that
+// salvages every one of them would.
+//
+//cxl0:locked mu
+func (m *viewModel) crash() {
+	m.v.takeRest(m.log)
+	m.acked = len(m.log)
 }
 
 // compact re-homes the view onto a snapshot of its visible state, the
@@ -275,8 +282,9 @@ const viewFuzzKeys = 12
 
 // runViewProgram interprets prog against a fresh model, checking it after
 // every step. Byte 0 says whether writes are gated; every following pair
-// (op, arg) is one step — a put, a delete, an ack of a prefix, or one of
-// the bulk steps on a drained view — and the range the check scans.
+// (op, arg) is one step — a put, a delete, an ack of a prefix, a crash,
+// or one of the bulk steps on a drained view — and the range the check
+// scans.
 //
 //cxl0:locked mu
 func runViewProgram(t *testing.T, prog []byte) {
@@ -297,7 +305,7 @@ func runViewProgram(t *testing.T, prog []byte) {
 				m.ack(t, m.acked+1+int(arg)%(len(m.log)-m.acked))
 			}
 		default:
-			switch arg % 5 {
+			switch arg % 6 {
 			case 0:
 				m.compact(t, arg&16 != 0)
 			case 1:
@@ -308,6 +316,8 @@ func runViewProgram(t *testing.T, prog []byte) {
 				m.replay(t, rec{key: core.Val(arg >> 4 % viewFuzzKeys)})
 			case 4:
 				m.replay(t, rec{key: core.Val(modelBucket(core.Val(arg >> 4))), val: 1, move: true})
+			case 5:
+				m.crash()
 			}
 		}
 		lo := core.Val(op>>4) % viewFuzzKeys
@@ -333,9 +343,10 @@ func FuzzViewKeys(f *testing.F) {
 	f.Fuzz(runViewProgram)
 }
 
-// TestViewWatermarkCases pins the gate's edge shapes by hand: a key
-// deleted past the watermark and then re-put, a shadow that holds only
-// overwrites, and a key whose first write is still in flight.
+// TestViewWatermarkCases pins the watermark's edge shapes by hand: a key
+// deleted past the watermark and then re-put, only overwrites past the
+// watermark, a key whose first write is still in flight, and a crash
+// with writes in flight.
 //
 //cxl0:locked mu
 func TestViewWatermarkCases(t *testing.T) {
@@ -364,7 +375,7 @@ func TestViewWatermarkCases(t *testing.T) {
 		m := newViewModel(true)
 		m.write(3, 100)
 		m.ack(t, 1)
-		m.write(3, 0) // left the tip index; the shadow still carries slot 0
+		m.write(3, 0) // not taken: the view still serves slot 0
 		if got := m.walk(t, 0, 8, -1); !slices.Equal(got, []keySlot{{3, 0}}) {
 			t.Fatalf("the cursor yielded %v, want the one key deleted past the watermark at its acked slot 0", got)
 		}
@@ -377,7 +388,7 @@ func TestViewWatermarkCases(t *testing.T) {
 		m.ack(t, 6)
 		m.write(2, 0) // below lo
 		m.write(4, 0) // lo itself
-		m.write(6, 0) // between two tip keys
+		m.write(6, 0) // between two visible keys
 		m.write(7, 0) // the last key of the range
 		m.write(3, 9) // first write in flight: no visible state
 		want := []keySlot{{4, 2}, {5, 3}, {6, 4}, {7, 5}}
@@ -391,8 +402,8 @@ func TestViewWatermarkCases(t *testing.T) {
 		m.check(t, 8, 0, 8)
 	})
 	t.Run("OnlyOverwritesPastWatermark", func(t *testing.T) {
-		// Pipeline depth 2 with a shadow that holds no deleted key: the
-		// cursor runs the gate and yields every tip key at its acked slot.
+		// Pipeline depth 2 with no key deleted past the watermark: the
+		// cursor yields every key at its acked slot.
 		m := newViewModel(true)
 		for _, k := range []core.Val{1, 3, 5} { // slots 0..2
 			m.write(k, 100+k)
@@ -400,8 +411,8 @@ func TestViewWatermarkCases(t *testing.T) {
 		m.ack(t, 3)
 		m.write(3, 200) // slot 3
 		m.write(5, 300) // slot 4
-		if m.v.tipVisible() {
-			t.Fatal("two overwrites in flight left the shadow empty")
+		if m.v.taken != 3 {
+			t.Fatalf("the mark reads %d with two overwrites in flight, want 3 (the watermark)", m.v.taken)
 		}
 		want := []keySlot{{1, 0}, {3, 1}, {5, 2}}
 		if got := m.walk(t, 0, math.MaxInt64, -1); !slices.Equal(got, want) {
@@ -412,9 +423,9 @@ func TestViewWatermarkCases(t *testing.T) {
 		}
 		m.check(t, 8, 0, 8)
 		m.check(t, 8, 3, 5)
-		m.ack(t, 5) // both overwrites acked: the shadow empties
-		if !m.v.tipVisible() {
-			t.Fatal("the shadow kept an entry the watermark passed")
+		m.ack(t, 5) // both overwrites acked: the mark follows the watermark
+		if m.v.taken != 5 {
+			t.Fatalf("the mark reads %d after the watermark passed slot 4, want 5", m.v.taken)
 		}
 		want = []keySlot{{1, 0}, {3, 3}, {5, 4}}
 		if got := m.walk(t, 0, math.MaxInt64, -1); !slices.Equal(got, want) {
@@ -440,6 +451,21 @@ func TestViewWatermarkCases(t *testing.T) {
 		m.ack(t, 2)
 		m.check(t, 8, 0, 8)
 	})
+	t.Run("CrashTakesWaitingWrites", func(t *testing.T) {
+		m := newViewModel(true)
+		m.write(2, 100) // slot 0
+		m.ack(t, 1)
+		m.write(2, 0)   // slot 1: a delete in flight
+		m.write(5, 200) // slot 2: a first write in flight
+		m.crash()
+		if _, ok := m.v.visible(2); ok {
+			t.Fatal("visible(2) found after a crash took its delete")
+		}
+		if slot, ok := m.v.visible(5); !ok || slot != 2 || m.v.taken != 3 {
+			t.Fatalf("visible(5) = (%d,%v) with the mark at %d after a crash, want slot 2 and mark 3", slot, ok, m.v.taken)
+		}
+		m.check(t, 8, 0, 8)
+	})
 }
 
 // TestViewBulkSteps covers the steps compaction, recovery and bucket
@@ -450,10 +476,10 @@ func TestViewWatermarkCases(t *testing.T) {
 //cxl0:locked mu
 func TestViewBulkSteps(t *testing.T) {
 	v := view{logCap: 64, index: map[core.Val]int{}}
-	v.write(1, 0, true, true)
+	v.take(1, 0, true)
 	v.reset([]rec{{key: 10, val: 1}, {key: 11, val: 1}, {key: 20, val: 1}})
-	if _, ok := v.visible(1); ok {
-		t.Fatal("reset kept a key outside the snapshot")
+	if _, ok := v.visible(1); ok || v.taken != 0 {
+		t.Fatalf("reset kept a key outside the snapshot or a log slot (mark %d)", v.taken)
 	}
 	for i, k := range []core.Val{10, 11, 20} {
 		slot, ok := v.visible(k)
@@ -472,8 +498,8 @@ func TestViewBulkSteps(t *testing.T) {
 	for slot, r := range log {
 		v.replay(slot, r, bucketOf, -1)
 	}
-	if v.live() != 2 {
-		t.Fatalf("replay left %d live keys, want 12 and 20", v.live())
+	if v.live() != 2 || v.taken != len(log) {
+		t.Fatalf("replay left %d live keys and the mark at %d, want 12 and 20 and %d", v.live(), v.taken, len(log))
 	}
 	if slot, ok := v.visible(12); !ok || slot != 3 {
 		t.Fatalf("visible(12) = (%d,%v), want the post-marker copy at slot 3", slot, ok)
@@ -485,10 +511,13 @@ func TestViewBulkSteps(t *testing.T) {
 		t.Fatalf("visible(20) = (%d,%v), want log slot 4", slot, ok)
 	}
 
-	// A restricted replay touches only its bucket.
+	// A restricted replay touches only its bucket, and not the mark.
 	v.reset([]rec{{key: 20, val: 1}})
 	for slot, r := range log {
 		v.replay(slot, r, bucketOf, 1)
+	}
+	if v.taken != 0 {
+		t.Fatalf("a bucket-1 replay moved the mark to %d", v.taken)
 	}
 	if slot, ok := v.visible(20); !ok || slot != v.logCap {
 		t.Fatalf("bucket-1 replay moved key 20 to (%d,%v)", slot, ok)
@@ -502,13 +531,13 @@ func TestViewBulkSteps(t *testing.T) {
 		t.Fatalf("drop left key 20 (live = %d)", v.live())
 	}
 	n := 0
-	for k, slot := range v.tip() {
+	for k, slot := range v.all() {
 		if k != 12 || slot != 3 {
-			t.Fatalf("tip yielded (%d,%d), want (12,3)", k, slot)
+			t.Fatalf("all yielded (%d,%d), want (12,3)", k, slot)
 		}
 		n++
 	}
 	if n != 1 {
-		t.Fatalf("tip yielded %d keys, want 1", n)
+		t.Fatalf("all yielded %d keys, want 1", n)
 	}
 }

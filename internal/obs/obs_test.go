@@ -173,9 +173,9 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	rec.OpSpan(OpGet, 0, 0, 500, 1, 0, false)
 	rec.Commit(1, 0, 100, 4, 4, 1, 0)
-	rec.MigrationStep("before-copy", 3, 0, 1, 7, 0)
-	rec.MigrationStep("after-flip", 3, 0, 1, 7, 0)
-	rec.CompactionStep("after-reclaim", 0, 1, 5, 9, 0)
+	rec.MigrationStep("before-copy", false, 3, 0, 1, 7, 0)
+	rec.MigrationStep("after-flip", true, 3, 0, 1, 7, 0)
+	rec.CompactionStep("after-reclaim", true, 0, 1, 5, 9, 0)
 	rec.Mark(KindCrash, 0, 0, 0, 0)
 	rec.Recover(0, 0, 10, 3, 1, 2)
 	rec.Mark(KindRebalance, -1, 2, 0, 50)
@@ -263,8 +263,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.WriteLatency(1, 1)
 	r.Mark(KindCrash, 0, 0, 0, 0)
 	r.Recover(0, 0, 1, 1, 1, 1)
-	r.MigrationStep("after-flip", 0, 0, 1, 1, 0)
-	r.CompactionStep("after-reclaim", 0, 1, 1, 1, 0)
+	r.MigrationStep("after-flip", true, 0, 0, 1, 1, 0)
+	r.CompactionStep("after-reclaim", true, 0, 1, 1, 1, 0)
 	if r.NewSpan() != 0 || r.Tagged(1, 2) != nil {
 		t.Fatal("nil recorder accessors should return zero values")
 	}

@@ -200,14 +200,13 @@ func (r *Recorder) Recover(shard int, startNS, endNS float64, recovered, salvage
 }
 
 // MigrationStep records one bucket-migration checkpoint; step is the
-// kv.Step value, records the live records being moved. The
-// "after-flip" step completes the migration and bumps the Migrations
-// counter.
-func (r *Recorder) MigrationStep(step string, bucket, from, to, records int, nowNS float64) {
+// kv.Step value, records the live records being moved. done marks the
+// step that completes the migration, which bumps the Migrations counter.
+func (r *Recorder) MigrationStep(step string, done bool, bucket, from, to, records int, nowNS float64) {
 	if r == nil {
 		return
 	}
-	if r.stats != nil && step == "after-flip" {
+	if r.stats != nil && done {
 		r.stats.count(KindMigration)
 	}
 	e := r.base(KindMigration)
@@ -220,14 +219,15 @@ func (r *Recorder) MigrationStep(step string, bucket, from, to, records int, now
 
 // CompactionStep records one compaction checkpoint; step is the
 // kv.Step value, live the folded record count, reclaimed the slots
-// retired (known only at "after-reclaim", which completes the compaction
-// and bumps the Compactions counter; earlier steps pass 0). Reclaimed
-// slots ride the Lost field — records retired, like a recovery's.
-func (r *Recorder) CompactionStep(step string, shard int, epoch uint64, live, reclaimed int, nowNS float64) {
+// retired (known only at the step that completes the compaction, marked
+// done, which bumps the Compactions counter; earlier steps pass 0).
+// Reclaimed slots ride the Lost field — records retired, like a
+// recovery's.
+func (r *Recorder) CompactionStep(step string, done bool, shard int, epoch uint64, live, reclaimed int, nowNS float64) {
 	if r == nil {
 		return
 	}
-	if r.stats != nil && step == "after-reclaim" {
+	if r.stats != nil && done {
 		r.stats.count(KindCompaction)
 	}
 	e := r.base(KindCompaction)

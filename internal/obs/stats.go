@@ -200,8 +200,8 @@ type Snapshot struct {
 	WriteLat  []OpSnapshot `json:"write_latency,omitempty"`
 	CommitLat []OpSnapshot `json:"commit_latency,omitempty"`
 	// Completed-event counters: operation spans, commit flushes,
-	// completed migrations ("after-flip") and compactions
-	// ("after-reclaim"), crashes, recoveries, rebalance decisions, and
+	// completed migrations and compactions (the checkpoint the store
+	// marks done), crashes, recoveries, rebalance decisions, and
 	// fault-campaign churn (partitions, heals, degrade changes).
 	OpSpans     uint64 `json:"op_spans"`
 	Commits     uint64 `json:"commits"`

@@ -154,29 +154,25 @@ func clusterErr(c int, err error) error {
 // Put routes the write to the key's cluster. The returned Ack's Shard is
 // a global index.
 func (r *Router) Put(key, val core.Val) (kv.Ack, error) {
-	if key < 0 {
-		return kv.Ack{}, kv.ErrBadKey
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c := r.ClusterOf(key)
-	ack, err := r.stores[c].Put(key, val)
-	if err != nil {
-		return kv.Ack{}, clusterErr(c, err)
-	}
-	ack.Shard = r.globalShard(c, ack.Shard)
-	return ack, nil
+	return r.write(key, func(st *kv.Store) (kv.Ack, error) { return st.Put(key, val) })
 }
 
 // Delete routes the tombstone to the key's cluster.
 func (r *Router) Delete(key core.Val) (kv.Ack, error) {
+	return r.write(key, func(st *kv.Store) (kv.Ack, error) { return st.Delete(key) })
+}
+
+// write is the body Put and Delete share: op runs on the key's cluster
+// under the router's shared lock, and its Ack comes back with a global
+// shard index.
+func (r *Router) write(key core.Val, op func(*kv.Store) (kv.Ack, error)) (kv.Ack, error) {
 	if key < 0 {
 		return kv.Ack{}, kv.ErrBadKey
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	c := r.ClusterOf(key)
-	ack, err := r.stores[c].Delete(key)
+	ack, err := op(r.stores[c])
 	if err != nil {
 		return kv.Ack{}, clusterErr(c, err)
 	}
