@@ -52,6 +52,22 @@ var seams = []seam.Row{
 		Fix:   "a key's visible state moves in Store.keyMoved, which also snoops the read cache",
 	},
 	{
+		// keyMoved's write step (ack false): the record was just appended.
+		// A call whose step is not the literal true counts here.
+		Name:  "the view's per-key write step",
+		Site:  func(n ast.Node) bool { return keyMovedStep(n) == "write" },
+		Funcs: map[string]int{"Store.append": 1},
+		Fix:   "a record's write step is Store.append's; the view takes or defers it in Store.keyMoved",
+	},
+	{
+		// keyMoved's ack step (ack true): the record's write is
+		// acknowledged, which ackRange records in one place.
+		Name:  "the view's per-key ack step",
+		Site:  func(n ast.Node) bool { return keyMovedStep(n) == "ack" },
+		Funcs: map[string]int{"Store.ackRange": 1},
+		Fix:   "acknowledge writes through Store.ackRange",
+	},
+	{
 		Name:  "the per-key cache snoop",
 		Site:  func(n ast.Node) bool { return seam.Calls(n, "invalidateKeyLocked") != nil },
 		Funcs: map[string]int{"Store.keyMoved": 1},
@@ -184,6 +200,20 @@ func cfgStrategyRead(n ast.Node) bool {
 		x = inner.Sel
 	}
 	return seam.IsIdent(x, "cfg")
+}
+
+// keyMovedStep reports which step of Store.keyMoved n calls: "ack" when
+// its ack argument is the literal true, "write" for any other call, ""
+// when n is not a keyMoved call.
+func keyMovedStep(n ast.Node) string {
+	c := seam.Calls(n, "keyMoved")
+	switch {
+	case c == nil:
+		return ""
+	case len(c.Args) == 4 && seam.IsIdent(c.Args[3], "true"):
+		return "ack"
+	}
+	return "write"
 }
 
 // capSlotArith reports whether n offsets a value by x.cap (x.cap + i) or
