@@ -36,7 +36,8 @@ func TestServedOnlyCounters(t *testing.T) {
 	}
 	base := st.Metrics()
 
-	// A down shard denies point ops on its keys without counting them.
+	// A down shard denies point ops and scans over its keys without
+	// counting them.
 	st.Crash(0)
 	if _, _, err := st.Get(k0); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("get on down shard: %v", err)
@@ -50,8 +51,11 @@ func TestServedOnlyCounters(t *testing.T) {
 	if _, err := st.Apply(new(Batch).Put(k0, 300)); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("apply on down shard: %v", err)
 	}
+	if _, err := st.Scan(k0, k0+1, 0); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("scan over a down shard's key: %v", err)
+	}
 	m := st.Metrics()
-	if m.Gets != base.Gets || m.Puts != base.Puts || m.Deletes != base.Deletes {
+	if m.Gets != base.Gets || m.Puts != base.Puts || m.Deletes != base.Deletes || m.Scans != base.Scans {
 		t.Fatalf("denied ops counted: %+v vs base %+v", m, base)
 	}
 	if _, err := st.Recover(0); err != nil {

@@ -102,12 +102,6 @@ func scanLocked(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]P
 			if st.frontDown {
 				return nil, first + i, ErrFrontDown
 			}
-			if group == 1 {
-				// Read alone, a store runs its leg whatever it holds, so
-				// its Scan counts from here on (served-only counting, like
-				// getLocked: a denied Scan never ran).
-				st.ctr.Scans++
-			}
 			st.leg.picks = st.leg.picks[:0]
 			for _, sh := range st.shards {
 				if !sh.partitioned {
@@ -163,12 +157,12 @@ func scanLocked(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]P
 			}
 		}
 		for i, st := range round {
-			if group > 1 {
-				if len(st.leg.picks) == 0 {
-					continue // no leg
-				}
-				st.ctr.Scans++
+			if group > 1 && len(st.leg.picks) == 0 {
+				continue // no leg
 			}
+			// Served-only counting, like getLocked: a Scan a shard denied
+			// never ran a leg.
+			st.ctr.Scans++
 			if err := st.readLegLocked(out); err != nil {
 				return nil, first + i, err
 			}

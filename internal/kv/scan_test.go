@@ -26,7 +26,6 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 	if s.frontDown {
 		return nil, ErrFrontDown
 	}
-	s.ctr.Scans++
 	sstart := s.cluster.NowNS()
 	type cand struct {
 		key  core.Val
@@ -60,6 +59,7 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 			cands = append(cands, cand{key: k, slot: slots[i], sh: sh})
 		}
 	}
+	s.ctr.Scans++
 	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.key, b.key) })
 	if limit > 0 && len(cands) > limit {
 		cands = cands[:limit]
