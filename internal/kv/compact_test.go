@@ -501,3 +501,40 @@ func TestCompactCountsWritesInFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestMediumWritesStayInTheirRegion: a region refuses a record past its
+// end before anything is stored. A snapshot of cap+1 records fails and
+// leaves the neighbouring region (the other snapshot half) as it was;
+// the ranged flush and the retire refuse a range that runs past the end.
+func TestMediumWritesStayInTheirRegion(t *testing.T) {
+	const capacity = 8
+	st := openTest(t, Config{Shards: 1, Capacity: capacity, Strategy: RangedCommit, Batch: 4, Seed: 3})
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sh := st.shards[0]
+	half, next := sh.snapR(0), sh.snapR(1)
+	if half.loc(capacity, 0) != next.loc(0, 0) {
+		t.Fatalf("the snapshot halves are not adjacent: slot %d of half 0 is %d, half 1 starts at %d",
+			capacity, half.loc(capacity, 0), next.loc(0, 0))
+	}
+	before, err := next.read(st.worker, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make([]rec, capacity+1)
+	for i := range live {
+		live[i] = rec{key: core.Val(i), val: core.Val(100 + i)}
+	}
+	if err := st.writeSnapshot(sh, 0, live); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("a snapshot of %d records in a %d-record half: %v, want ErrOutOfRange", len(live), capacity, err)
+	}
+	if after, err := next.read(st.worker, 0); err != nil || after != before {
+		t.Fatalf("the next region's first record went from %v to %v (%v)", before, after, err)
+	}
+	if err := st.flushRange(sh, sh.logR, capacity-1, 2); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("a flush past the log's end: %v, want ErrOutOfRange", err)
+	}
+	if err := sh.logR.retire(st.worker, capacity, capacity+1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("a retire past the log's end: %v, want ErrOutOfRange", err)
+	}
+}

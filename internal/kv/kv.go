@@ -188,7 +188,8 @@ var ErrUnknownStrategy = errors.New("kv: unknown strategy")
 
 // ErrOutOfRange is returned when a caller-supplied shard or bucket index
 // is outside the store's topology (control-plane methods like
-// CompactShard, MigrateBucket and Recover take raw indices).
+// CompactShard, MigrateBucket and Recover take raw indices), and when a
+// write or flush of a shard's medium names a record past its region.
 var ErrOutOfRange = errors.New("kv: index out of range")
 
 // Strategy selects how writes reach persistence and when they are

@@ -12,6 +12,8 @@ package kv
 // and the three value loads of an encoded slot (valLocOf).
 
 import (
+	"fmt"
+
 	"cxl0/internal/core"
 	"cxl0/internal/memsim"
 )
@@ -27,11 +29,24 @@ const epochSlots = 2
 // two snapshot halves and the epoch record.
 func mediumWords(capacity int) int { return (3*capacity + epochSlots) * recWords }
 
-// region is one array of records on a shard's machine.
-type region struct{ base core.LocID }
+// region is one array of slots records on a shard's machine.
+type region struct {
+	base  core.LocID
+	slots int
+}
 
 // loc addresses word w of record slot.
 func (r region) loc(slot, w int) core.LocID { return r.base + core.LocID(slot*recWords+w) }
+
+// holds refuses records [first, first+n) unless every one is a slot of
+// the region: a writer checks before it stores, so a slot past the end
+// never lands in the neighbouring region.
+func (r region) holds(first, n int) error {
+	if n > 0 && (first < 0 || first+n > r.slots) {
+		return fmt.Errorf("%w: records [%d,%d) of a %d-record region", ErrOutOfRange, first, first+n, r.slots)
+	}
+	return nil
+}
 
 // read loads record slot's words, in key, value, checksum order, under
 // one take of the cluster lock.
@@ -44,6 +59,9 @@ func (r region) read(t *memsim.Thread, slot int) (words [recWords]core.Val, err 
 // their records can never validate again — MStore is persistent at
 // return under every strategy. It stops at the first failed store.
 func (r region) retire(t *memsim.Thread, from, to int) error {
+	if err := r.holds(from, to-from); err != nil {
+		return err
+	}
 	for slot := from; slot < to; slot++ {
 		if err := t.MStore(r.loc(slot, recWords-1), 0); err != nil {
 			return err
@@ -64,7 +82,7 @@ func (sh *shard) allocMedium(c *memsim.Cluster) error {
 		if err != nil {
 			return err
 		}
-		r.base = base
+		r.base, r.slots = base, slots
 	}
 	return nil
 }

@@ -73,8 +73,11 @@ var rules = [...]rule{
 
 // writeWords writes the words of record slot of region r with the
 // store's rule: the record in one StoreWords, or a flush-each rule's a
-// word and its RFlush at a time.
+// word and its RFlush at a time. A slot outside r is refused.
 func (s *Store) writeWords(r region, slot int, words [recWords]core.Val) error {
+	if err := r.holds(slot, 1); err != nil {
+		return err
+	}
 	t := s.worker
 	if s.persist.flush != flushEach {
 		return t.StoreWords(s.persist.store, r.loc(slot, 0), words[:])
@@ -103,6 +106,9 @@ func (s *Store) writeWords(r region, slot int, words [recWords]core.Val) error {
 //
 //cxl0:locked mu
 func (s *Store) flushRange(sh *shard, r region, first, n int) error {
+	if err := r.holds(first, n); err != nil {
+		return err
+	}
 	switch s.persist.flush {
 	case flushNone, flushEach:
 	case flushShard:
