@@ -26,7 +26,10 @@ var update = flag.Bool("update", false, "rewrite each committed artifact this pa
 func Updating() bool { return *update }
 
 // Check holds got to the file at path, or writes got there under -update.
-// A difference fails t with the first line that differs and, if the
+// A difference in a digest file fails t with every case that changed,
+// appeared or went, and their counts, so an intended regeneration shows
+// its whole scope and an unintended move cannot hide behind it. Any
+// other difference fails t with the first line that differs and, if the
 // number of lines changed, both counts. It reports through t.Error only,
 // so the caller's test goes on.
 func Check(t testing.TB, path, got string) {
@@ -42,9 +45,65 @@ func Check(t testing.TB, path, got string) {
 		t.Error(err)
 		return
 	}
-	if n, diff := FirstDifference(string(doc), got, "committed", "this run"); n > 0 {
+	if moved := movedCases(string(doc), got); moved != "" {
+		t.Error(fmt.Sprintf("%s differs from this run (rerun with -update if intended): %s", path, moved))
+	} else if n, diff := FirstDifference(string(doc), got, "committed", "this run"); n > 0 {
 		t.Error(fmt.Sprintf("%s differs from this run from line %d (rerun with -update if intended):\n%s", path, n, diff))
 	}
+}
+
+// movedCases compares two digest files case by case. It returns how
+// many cases changed, were added and were removed, then one line per
+// such case, in file order; "" when either side is not a digest file or
+// no case moved.
+func movedCases(committed, got string) string {
+	was, wasNames, ok1 := parseDigests(committed)
+	now, nowNames, ok2 := parseDigests(got)
+	if !ok1 || !ok2 {
+		return ""
+	}
+	var lines []string
+	count := map[string]int{}
+	note := func(what, name string) {
+		count[what]++
+		lines = append(lines, fmt.Sprintf("\n%-8s %s", what+":", name))
+	}
+	for _, name := range nowNames {
+		if d, ok := was[name]; !ok {
+			note("added", name)
+		} else if d != now[name] {
+			note("changed", name)
+		}
+	}
+	for _, name := range wasNames {
+		if _, ok := now[name]; !ok {
+			note("removed", name)
+		}
+	}
+	if len(lines) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d cases moved (%d changed, %d added, %d removed):%s",
+		len(lines), count["changed"], count["added"], count["removed"], strings.Join(lines, ""))
+}
+
+// parseDigests reads a file Digests rendered: each case's digest by
+// name, and the names in file order. ok is false for any other file.
+func parseDigests(doc string) (digest map[string]string, names []string, ok bool) {
+	body, ok := strings.CutPrefix(doc, header)
+	if !ok {
+		return nil, nil, false
+	}
+	digest = map[string]string{}
+	for _, l := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		i := strings.LastIndexByte(l, ' ')
+		if i < 0 {
+			return nil, nil, false
+		}
+		digest[l[:i]] = l[i+1:]
+		names = append(names, l[:i])
+	}
+	return digest, names, true
 }
 
 // FirstDifference compares two renderings of one artifact line by line.

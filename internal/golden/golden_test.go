@@ -70,6 +70,28 @@ func TestCheckReportsFirstDifferenceAndLength(t *testing.T) {
 	}
 }
 
+// TestCheckNamesEveryMovedCase: on a digest file, the report names each
+// case that changed, appeared or went, with the counts — not only the
+// first line that differs.
+func TestCheckNamesEveryMovedCase(t *testing.T) {
+	withUpdate(t, false)
+	path := filepath.Join(t.TempDir(), "digests.golden")
+	committed := Digests([]Case{{"a", "1"}, {"b", "2"}, {"c", "3"}, {"gone", "4"}})
+	if err := os.WriteFile(path, []byte(committed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if f := check(path, committed); len(f.msgs) > 0 {
+		t.Fatalf("an unchanged digest file failed: %q", f.msgs)
+	}
+	got := strings.Join(check(path, Digests([]Case{{"a", "1"}, {"b", "two"}, {"c", "three"}, {"new", "5"}})).msgs, "\n")
+	want := path + " differs from this run (rerun with -update if intended): " +
+		"4 cases moved (2 changed, 1 added, 1 removed):\n" +
+		"changed: b\nchanged: c\nadded:   new\nremoved: gone"
+	if got != want {
+		t.Errorf("report:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestCheckUpdateWritesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "artifact")
 	for _, got := range []string{"first\n", "second\nrun\n"} {
