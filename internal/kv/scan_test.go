@@ -107,11 +107,32 @@ func pastMark(s *Store, lo, hi core.Val) (shards, deleted int) {
 	return shards, deleted
 }
 
+// checkCacheCoherent fails t unless every entry of s's read cache holds
+// the value of its key's visible record: the one snoop rule (a cached
+// copy dies when its key's visible state moves, or with the front end),
+// stated as a check. It walks the LRU list, in recency order.
+func checkCacheCoherent(t *testing.T, s *Store, step int) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cache == nil {
+		return
+	}
+	for e := s.cache.head; e != nil; e = e.next {
+		sh := s.shards[s.shardOf(e.key)]
+		if slot, ok := sh.view.visible(e.key); !ok || sh.mirrorVal(slot) != e.val {
+			t.Fatalf("step %d: key %d is cached as %d but its visible record is slot %d (visible %v) of shard %d",
+				step, e.key, e.val, slot, ok, sh.id)
+		}
+	}
+}
+
 // TestScanMatchesReference drives two identically configured stores
 // through one random put/delete/scan sequence with shards crashed and
 // partitioned along the way, one scanning through Store.Scan and the
 // other through scanReference. Every scan must agree on pairs, error
-// type, Unavailable and Missing, and at the end the two stores must
+// type, Unavailable and Missing, every cached copy must hold its key's
+// visible value after every step, and at the end the two stores must
 // agree on every metric and on the simulated clock: the ordered walk
 // issues exactly the reads the walk-and-sort issued, in the same order.
 func TestScanMatchesReference(t *testing.T) {
@@ -130,6 +151,7 @@ func TestScanMatchesReference(t *testing.T) {
 		{name: "depth=1", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 1}},
 		{name: "depth=2", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 2}, pastMark: true},
 		{name: "depth=1/cache+prefetch", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 1, ReadCache: 32, Prefetch: true}},
+		{name: "depth=2/cache+prefetch", cfg: Config{Strategy: RangedCommit, Batch: 4, PipelineDepth: 2, ReadCache: 32, Prefetch: true}, pastMark: true},
 	} {
 		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
@@ -183,6 +205,8 @@ func TestScanMatchesReference(t *testing.T) {
 							failed++
 						}
 					}
+					checkCacheCoherent(t, got, step)
+					checkCacheCoherent(t, ref, step)
 				}
 				if gm, rm := got.Metrics(), ref.Metrics(); !reflect.DeepEqual(gm, rm) {
 					t.Fatalf("metrics diverged:\n got %+v\n ref %+v", gm, rm)
