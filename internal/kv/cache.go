@@ -16,30 +16,29 @@ package kv
 // the new state is readable) or after it (and misses to the
 // authoritative medium).
 //
-// What "every write path" means, precisely — one function per scope of
-// move, each the only place its snoop is issued (the invalidation table
-// in docs/caching.md; TestSeams holds the package to it):
+// What "every write path" means, precisely, is one rule: a cached copy
+// dies when its key's visible state moves, or when the front end dies.
+// One function per scope of move is the only place its snoop is issued
+// (the invalidation table in docs/caching.md; TestSeams holds the
+// package to it):
 //
-//   - one key: keyMoved. append (Put/Delete/Apply) takes the view's
-//     write step and always snoops; a commit point (ackRange — an
-//     in-place commit, a flight's retirement, recovery's salvage) takes
-//     the ack step and snoops every key whose record the view takes.
-//     Under the pipeline the view takes a write only at its commit
-//     point (docs/pipeline.md), so reads may have cached the key's last
-//     acked state; the commit moves the view past it, so the cached
-//     value must die with it. The write step's snoop moves nothing
-//     there, and is kept because dropping it would change which reads
-//     hit (docs/caching.md).
+//   - one key: keyMoved, exactly when the view takes a record — at the
+//     write step (append: Put/Delete/Apply) when the write is
+//     acknowledged as it is written, at the ack step (ackRange — an
+//     in-place commit, a flight's retirement, recovery's salvage) under
+//     the pipeline (docs/pipeline.md). A pipelined write step moves
+//     nothing a read sees, so it snoops nothing: the copy still holds
+//     the key's last acked state until the commit moves the view past it.
 //   - one bucket: flipBucket — a migration's flip, in line or redone by
 //     recovery.
 //   - one shard: invalidateShardLocked — its state replaced (compaction's
-//     reclaim, recovery's rebuild) or its availability changed (crash,
-//     partition, heal). This is load-bearing, not conservatism: under a
-//     batched strategy a read can cache a visible-but-unacknowledged
-//     value, and recovery may legitimately drop that record — the cached
-//     copy must go with it. And a partitioned owner cannot snoop the
-//     front end, so the front end drops its copies instead of serving
-//     them while the fabric cannot revoke them.
+//     reclaim, recovery's rebuild) or moved by a crash, whose takeRest
+//     takes every write still waiting: under a batched strategy a read
+//     can then cache a visible-but-unacknowledged value that recovery
+//     may legitimately drop, and the copy must go with it. A partition
+//     or a heal moves neither the medium nor the view: every read path
+//     denies a partitioned shard before it looks at the cache, and the
+//     only move of its keys meanwhile is a bucket flip, which snoops.
 //   - everything: CrashFront — the cache is front-end volatile state.
 //
 // A cache hit costs nothing on the simulated clock, like the index
@@ -211,7 +210,7 @@ func (c *readCache) invalidateMatchLocked(pred func(core.Val) bool) {
 }
 
 // invalidateShardLocked snoops every cached key shard i serves — the
-// shard-scoped transitions (crash, recovery, partition, heal, compaction
+// shard-scoped moves of visible state (crash, recovery, compaction
 // reclaim).
 func (s *Store) invalidateShardLocked(i int) {
 	s.cache.invalidateMatchLocked(func(k core.Val) bool { return s.shardOf(k) == i })

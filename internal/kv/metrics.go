@@ -10,10 +10,10 @@ package kv
 type Counters struct {
 	// Puts, Gets, Deletes and Scans count operations served. Gets counts
 	// point lookups, including each key resolved by a MultiGet; Scans
-	// counts a store's scan legs (see ScanStores): one per Store.Scan, and
-	// one per store a range read over several stores reads — every store
-	// on an unlimited read, else those it returns a pair from — so a
-	// pooled scan ticks it once per cluster it reads.
+	// counts a store's scan legs (see ScanStores): one per served
+	// Store.Scan, and one per store a range read over several stores
+	// returns a pair from — so a pooled scan ticks it once per cluster
+	// the merge took a key from.
 	Puts         uint64 `json:"puts"`
 	Gets         uint64 `json:"gets"`
 	Deletes      uint64 `json:"deletes"`

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"cmp"
 	"slices"
 
 	"cxl0/internal/core"
@@ -10,7 +9,7 @@ import (
 
 // scanLeg is one store's part of a range read: the keys the merge took
 // from it, in key order, and the span of its reads on its clock. runs is
-// the merge's list of live shard runs, kept by the round's first store.
+// the merge's list of live shard runs, kept by the first store.
 type scanLeg struct {
 	picks          []pick
 	runs           []run
@@ -51,14 +50,10 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 // in range, and one merge over that list picks the first limit keys,
 // dropping a run when it ends — walking at most limit + runs keys
 // whatever the shards hold — and each store in turn then reads the values
-// of its picks in key order, each into its place in the result. A store's reads are
-// its leg: one tick of its Scans counter, its pairs in ScannedPairs, its
-// op span and its scan-run prefetch. A store the merge took no key from
-// runs no leg, unless it is read alone. An unlimited read takes every key
-// whatever the other stores hold, so it visits the stores one at a time
-// instead — each store's ready flights retire just before its own reads,
-// as in a Store.Scan of it — and sorts the stores' ascending runs into
-// one at the end.
+// of its picks in key order, each into its place in the result. A store
+// runs a leg iff the merge took a key from it, or it is the only store
+// read. A leg is one tick of its Scans counter, its reads (its pairs in
+// ScannedPairs and its scan-run prefetch) and its op span.
 //
 // parent, when not 0, is the span of a fan-out the read serves: once
 // every store has read, each leg is published as one of its legs, in
@@ -84,96 +79,78 @@ func ScanStores(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]P
 
 // scanLocked is ScanStores with every store's lock held.
 func scanLocked(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]Pair, int, error) {
-	// A round is the stores one merge runs over: all of them, or one at
-	// a time on an unlimited read.
-	group := len(stores)
-	if limit <= 0 {
-		group = 1
-	}
-	out := []Pair{}
+	// Sized once for like stores.
+	runs := slices.Grow(stores[0].leg.runs[:0], len(stores)*len(stores[0].shards))
 	var unavailable []int
-	missing, base := 0, 0
-	for first := 0; first < len(stores); first += group {
-		round := stores[first : first+group]
-		// Sized once for a round of like stores; any other round grows it.
-		runs := slices.Grow(round[0].leg.runs[:0], len(round)*len(round[0].shards))
-		atMost := 0
-		for i, st := range round {
-			if st.frontDown {
-				return nil, first + i, ErrFrontDown
+	missing, base, atMost := 0, 0, 0
+	for i, st := range stores {
+		if st.frontDown {
+			return nil, i, ErrFrontDown
+		}
+		st.leg.picks = st.leg.picks[:0]
+		for _, sh := range st.shards {
+			if !sh.partitioned {
+				st.retireReady(sh)
 			}
-			st.leg.picks = st.leg.picks[:0]
-			for _, sh := range st.shards {
-				if !sh.partitioned {
-					st.retireReady(sh)
+			c := &sh.scan
+			n := sh.view.seek(c, lo, hi)
+			switch {
+			case !c.ok:
+				// A down or partitioned shard with no key in range
+				// costs the read nothing.
+			case sh.down:
+				// Before any value is read.
+				return nil, i, ErrShardDown
+			case sh.partitioned:
+				// The read degrades to a partial result instead: the
+				// shard's data is intact behind the partition, so
+				// skipping it is safe and the typed error says what is
+				// missing — exactly, so its run is walked to the end.
+				unavailable = append(unavailable, base+sh.id)
+				for ; c.ok; c.advance() {
+					missing++
 				}
-				c := &sh.scan
-				n := sh.view.seek(c, lo, hi)
-				switch {
-				case !c.ok:
-					// A down or partitioned shard with no key in range
-					// costs the read nothing.
-				case sh.down:
-					// Before any value is read.
-					return nil, first + i, ErrShardDown
-				case sh.partitioned:
-					// The read degrades to a partial result instead: the
-					// shard's data is intact behind the partition, so
-					// skipping it is safe and the typed error says what is
-					// missing — exactly, so its run is walked to the end.
-					unavailable = append(unavailable, base+sh.id)
-					for ; c.ok; c.advance() {
-						missing++
-					}
-				default:
-					atMost += n
-					runs = append(runs, run{sh: sh, st: st})
-				}
-			}
-			base += len(st.shards)
-		}
-		round[0].leg.runs = runs
-		if limit > 0 {
-			atMost = min(atMost, limit)
-		}
-		if cap(out)-len(out) < atMost {
-			out = append(make([]Pair, 0, len(out)+atMost), out...)
-		}
-		// The merge: take the smallest head among the live runs (the
-		// first in store and shard order on a tie), and drop a run once
-		// its cursor ends.
-		for len(runs) > 0 && (limit <= 0 || len(out) < limit) {
-			j := 0
-			for k := 1; k < len(runs); k++ {
-				if runs[k].sh.scan.key < runs[j].sh.scan.key {
-					j = k
-				}
-			}
-			c, owner := &runs[j].sh.scan, runs[j].st
-			owner.leg.picks = append(owner.leg.picks, pick{pos: len(out), sh: runs[j].sh, slot: c.resolve()})
-			out = append(out, Pair{Key: c.key})
-			if c.advance(); !c.ok {
-				runs = slices.Delete(runs, j, j+1)
+			default:
+				atMost += n
+				runs = append(runs, run{sh: sh, st: st})
 			}
 		}
-		for i, st := range round {
-			if group > 1 && len(st.leg.picks) == 0 {
-				continue // no leg
+		base += len(st.shards)
+	}
+	stores[0].leg.runs = runs
+	if limit > 0 {
+		atMost = min(atMost, limit)
+	}
+	out := make([]Pair, 0, atMost)
+	// The merge: take the smallest head among the live runs (the first
+	// in store and shard order on a tie), and drop a run once its cursor
+	// ends.
+	for len(runs) > 0 && (limit <= 0 || len(out) < limit) {
+		j := 0
+		for k := 1; k < len(runs); k++ {
+			if runs[k].sh.scan.key < runs[j].sh.scan.key {
+				j = k
 			}
-			// Served-only counting, like getLocked: a Scan a shard denied
-			// never ran a leg.
-			st.ctr.Scans++
-			if err := st.readLegLocked(out); err != nil {
-				return nil, first + i, err
-			}
+		}
+		c, owner := &runs[j].sh.scan, runs[j].st
+		owner.leg.picks = append(owner.leg.picks, pick{pos: len(out), sh: runs[j].sh, slot: c.resolve()})
+		out = append(out, Pair{Key: c.key})
+		if c.advance(); !c.ok {
+			runs = slices.Delete(runs, j, j+1)
 		}
 	}
-	if group < len(stores) { // the rounds' runs, each ascending, into one
-		slices.SortFunc(out, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+	legs := func(st *Store) bool { return len(st.leg.picks) > 0 || len(stores) == 1 }
+	for i, st := range stores {
+		if !legs(st) {
+			continue
+		}
+		if err := st.readLegLocked(out); err != nil {
+			return nil, i, err
+		}
 	}
 	if parent != 0 {
 		for c, st := range stores {
-			if len(st.leg.picks) > 0 || group == 1 {
+			if legs(st) {
 				st.rec.FanOutLeg(parent, obs.OpScan, c, st.leg.startNS, st.leg.endNS, len(st.leg.picks))
 			}
 		}
@@ -184,10 +161,12 @@ func scanLocked(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]P
 	return out, -1, nil
 }
 
-// readLegLocked runs the store's leg of a range read: it reads the values
-// of its picks, in key order, each into its place in out, then accounts
-// the leg — its pairs, its scan-run prefetch and its span.
+// readLegLocked runs the store's leg of a range read: it counts the
+// Scan as served (every denial came before the first leg), reads the
+// values of its picks, in key order, each into its place in out, then
+// accounts the leg — its pairs, its scan-run prefetch and its span.
 func (s *Store) readLegLocked(out []Pair) error {
+	s.ctr.Scans++
 	s.leg.startNS = s.cluster.NowNS()
 	for _, p := range s.leg.picks {
 		v, err := s.readValue(p.sh, out[p.pos].Key, p.slot)

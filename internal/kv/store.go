@@ -394,13 +394,11 @@ func (s *Store) ackRange(sh *shard, first, limit int, ackNS, queueNS float64) in
 // being acknowledged (the ack step). The view takes the record at the
 // write step when the write is acknowledged as it is written, and at the
 // ack step under the pipeline, so a read never observes a write before
-// its commit point. The write step snoops even when the pipeline defers
-// the take (docs/caching.md says why).
+// its commit point. The copy is snooped exactly when the view takes.
 //
 //cxl0:locked mu
 func (s *Store) keyMoved(sh *shard, r rec, slot int, ack bool) {
-	took := (ack || !s.pipelined()) && sh.view.take(r.key, slot, r.val != 0)
-	if took || !ack {
+	if (ack || !s.pipelined()) && sh.view.take(r.key, slot, r.val != 0) {
 		s.cache.invalidateKeyLocked(r.key)
 	}
 }
@@ -819,9 +817,10 @@ func (s *Store) crashLocked(i int) {
 	s.cluster.Crash(sh.machine)
 	sh.down = true
 	sh.foldFlights()
-	// Reads may have cached visible-but-unacknowledged values this crash
-	// just destroyed; recovery decides what survives, so the front end's
-	// copies of the shard's keys go now.
+	// The crash moves the view (foldFlights takes every write still
+	// waiting), and reads may have cached visible-but-unacknowledged
+	// values it just destroyed; recovery decides what survives, so the
+	// front end's copies of the shard's keys go now.
 	s.invalidateShardLocked(i)
 	now := s.cluster.NowNS()
 	s.rec.Mark(obs.KindCrash, i, 0, now, now)
@@ -832,23 +831,24 @@ func (s *Store) crashLocked(i int) {
 // results) until Heal; under the GPF-based strategies no shard of this
 // store can commit meanwhile, because a global flush must drain the
 // partitioned machine's cache too. Nothing is lost — caches, memory and
-// the log stay intact, so Heal restores service without recovery.
+// the log stay intact, so Heal restores service without recovery. The
+// front end's cached copies of the shard's keys stay too: every read
+// path denies the shard before it looks at the cache, and only a bucket
+// flip, which snoops the bucket itself, can move their visible state
+// meanwhile (docs/caching.md).
 func (s *Store) Partition(i int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sh := s.shards[i]
 	sh.partitioned = true
 	s.cluster.Partition(sh.machine)
-	// A partitioned owner cannot snoop the front end's copies, so the
-	// front end drops them instead of holding lines the fabric cannot
-	// revoke (see docs/caching.md).
-	s.invalidateShardLocked(i)
 	now := s.cluster.NowNS()
 	s.rec.Mark(obs.KindPartition, i, 0, now, now)
 }
 
 // Heal reconnects shard i to the fabric, restoring service immediately.
-// A no-op for a shard that is not partitioned.
+// A no-op for a shard that is not partitioned. It moves neither the
+// medium nor the view, so it snoops no cached copy.
 func (s *Store) Heal(i int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -858,10 +858,6 @@ func (s *Store) Heal(i int) {
 	}
 	sh.partitioned = false
 	s.cluster.Heal(sh.machine)
-	// Conservative partition-transition invalidation, mirroring
-	// Partition's: service resumes from the authoritative medium, not
-	// from copies cached across the outage.
-	s.invalidateShardLocked(i)
 	now := s.cluster.NowNS()
 	s.rec.Mark(obs.KindHeal, i, 0, now, now)
 }

@@ -279,10 +279,11 @@ func (r *Router) fanOut(op obs.Op, n int, has func(c int) bool, leg func(c int) 
 // values it holds of them, so the scan walks each key once and loads only
 // what it returns. The locks are taken in one order, the router's mu
 // (shared) and then every cluster's store lock by cluster index, and held
-// to the end, so the pairs are one cut of the pool. Each cluster that
-// reads is a leg of the fan-out — every cluster on an unlimited scan, else
-// those holding a returned pair — with one tick of its store's Scans
-// counter, published under the parent span allocated here. Like MultiGet, partitioned shards degrade the scan to a partial
+// to the end, so the pairs are one cut of the pool. A cluster is a leg of
+// the fan-out iff the merge took a key from it (or it is the only
+// cluster), with one tick of its store's Scans counter, published under
+// the parent span allocated here. Like MultiGet, partitioned shards
+// degrade the scan to a partial
 // result (the reachable shards' pairs plus one pool-level
 // kv.PartialResultError with global shard indices, Missing counted over
 // all of [lo, hi)) while a crashed in-range shard fails it.
