@@ -3,8 +3,6 @@ package kvtest
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -212,48 +210,16 @@ func replayRun(t *testing.T, f Factory, strat kv.Strategy, depth, cache int) rep
 	return replayOutcome{results: results.String(), metrics: metricsDoc(t, db.Metrics()), events: events.String()}
 }
 
-// goldenMetricsOrder is kv.Metrics' field order when testdata/replay.golden
-// was captured, before the counters moved into kv.Counters.
-var goldenMetricsOrder = strings.Fields(`
-	Puts Gets Deletes Scans ScannedPairs MultiGets Batches Commits ScanDiscardedPairs
-	Acked DroppedPending Recoveries Migrations MigratedRecords Compactions ReclaimedSlots
-	RecoveryNS CompactionNS PerShardBusyNS PerShardChurnNS PerShardFill PerShardLive
-	WriteLatencies IssueLatencies PipelinedCommits MaxInFlight PerShardInFlight PerShardAcked
-	CacheHits CacheMisses SpeculativeFills CacheInvalidations CacheSize`)
-
-// metricsDoc renders m as the JSON document the golden digests were taken
-// over: every field of kv.Metrics, the embedded Counters' among them,
-// keyed by its Go name, in goldenMetricsOrder — so regrouping the struct
-// does not read as a behavioural diff. A field added since follows in
-// declaration order (and, being new content, needs an -update anyway).
+// metricsDoc renders m as its JSON document: the store's /metrics keys
+// for the counters, the Go field names for the rest, in declaration
+// order.
 func metricsDoc(t *testing.T, m kv.Metrics) string {
 	t.Helper()
-	fields := map[string]string{}
-	var declared []string
-	var flatten func(v reflect.Value)
-	flatten = func(v reflect.Value) {
-		for i := 0; i < v.NumField(); i++ {
-			if f := v.Type().Field(i); f.Anonymous {
-				flatten(v.Field(i))
-			} else {
-				val, err := json.Marshal(v.Field(i).Interface())
-				if err != nil {
-					t.Fatal(err)
-				}
-				fields[f.Name] = string(val)
-				declared = append(declared, f.Name)
-			}
-		}
+	doc, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	flatten(reflect.ValueOf(m))
-	var doc []string
-	for _, name := range slices.Concat(goldenMetricsOrder, declared) {
-		if val, ok := fields[name]; ok {
-			doc = append(doc, fmt.Sprintf("%q:%s", name, val))
-			delete(fields, name)
-		}
-	}
-	return "{" + strings.Join(doc, ",") + "}"
+	return string(doc)
 }
 
 // compareReplay fails with the first divergent line when two renderings
