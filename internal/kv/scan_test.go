@@ -33,7 +33,7 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 		sh   *shard
 	}
 	var cands []cand
-	unavailable := make([]bool, len(s.shards))
+	var unavailable []int
 	missing := 0
 	for _, sh := range s.shards {
 		if !sh.partitioned {
@@ -52,7 +52,9 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 				return nil, ErrShardDown
 			}
 			if sh.partitioned {
-				unavailable[sh.id] = true
+				if !slices.Contains(unavailable, sh.id) {
+					unavailable = append(unavailable, sh.id)
+				}
 				missing++
 				continue
 			}
@@ -83,7 +85,7 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 	s.ctr.ScannedPairs += uint64(len(out))
 	s.rec.OpSpan(obs.OpScan, -1, sstart, s.cluster.NowNS(), len(out), 0, false)
 	if missing > 0 {
-		return out, &PartialResultError{Op: "scan", Unavailable: shardList(unavailable), Missing: missing}
+		return out, &PartialResultError{Op: "scan", Unavailable: unavailable, Missing: missing}
 	}
 	return out, nil
 }

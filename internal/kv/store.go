@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"cxl0/internal/core"
@@ -668,13 +669,15 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 	s.ctr.MultiGets++
 	start := s.cluster.NowNS()
 	out := make([]Lookup, 0, len(keys))
-	var unavailable []bool
+	var unavailable []int
 	missing := 0
 	for _, k := range keys {
 		if sh := s.shards[s.shardOf(k)]; sh.partitioned && !sh.down {
 			// Not counted in Gets: the placeholder lookup was denied by
 			// the partition, not served.
-			unavailable = s.markShard(unavailable, sh)
+			if !slices.Contains(unavailable, sh.id) {
+				unavailable = append(unavailable, sh.id)
+			}
 			missing++
 			out = append(out, Lookup{Key: k})
 			continue
@@ -687,31 +690,10 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 	}
 	s.rec.OpSpan(obs.OpMultiGet, -1, start, s.cluster.NowNS(), len(out)-missing, 0, false)
 	if missing > 0 {
-		return out, &PartialResultError{Op: "multiget", Unavailable: shardList(unavailable), Missing: missing}
+		slices.Sort(unavailable)
+		return out, &PartialResultError{Op: "multiget", Unavailable: unavailable, Missing: missing}
 	}
 	return out, nil
-}
-
-// markShard sets sh in a shard membership mask, allocated on first use:
-// the mask is read only when a partitioned shard was met.
-func (s *Store) markShard(mask []bool, sh *shard) []bool {
-	if mask == nil {
-		mask = make([]bool, len(s.shards))
-	}
-	mask[sh.id] = true
-	return mask
-}
-
-// shardList converts a membership mask into the ascending index list a
-// PartialResultError carries.
-func shardList(mask []bool) []int {
-	var out []int
-	for i, hit := range mask {
-		if hit {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Apply applies the batch's puts and deletes in order, then commits every
