@@ -29,7 +29,8 @@ const epochSlots = 2
 // two snapshot halves and the epoch record.
 func mediumWords(capacity int) int { return (3*capacity + epochSlots) * recWords }
 
-// region is one array of slots records on a shard's machine.
+// region is one array of records on a shard's machine; slots is how
+// many it holds.
 type region struct {
 	base  core.LocID
 	slots int

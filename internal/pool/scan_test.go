@@ -312,9 +312,8 @@ func runScanProgram(t *testing.T, prog []byte) {
 }
 
 // FuzzRouterScan holds Router.Scan — one merge over every cluster's
-// shard runs, then each cluster's reads of the keys it picked, and on an
-// unlimited scan the clusters read one at a time and their runs sorted
-// into one — to a replay of the acknowledged writes over arbitrary step
+// shard runs, limited or not, then each cluster's reads of the keys it
+// picked — to a replay of the acknowledged writes over arbitrary step
 // programs with deletes, partitions and a commit pipeline. Every scan is
 // held to the model. The seed corpus is 40 programs of 600 seeded steps.
 func FuzzRouterScan(f *testing.F) {
