@@ -44,32 +44,40 @@ package kv
 // A cache hit costs nothing on the simulated clock, like the index
 // probe: the copy lives in the front end's local DRAM. Only found
 // values are cached (a lookup that misses the index pays no Load either
-// way). Capacity is bounded; eviction is exact LRU, which is
-// deterministic — no randomness, no map iteration.
+// way). Capacity is bounded, and the entries are one slab allocated when
+// the store opens, so no fill allocates an entry; eviction is exact LRU,
+// which is deterministic — no randomness, no map iteration.
 
 import "cxl0/internal/core"
 
-// cacheEntry is one cached key and its value, threaded on the LRU list
-// (head = most recently used). Its presence in the map is the Shared
-// state; removal is the snoop to Invalid.
+// cacheEntry is one slot of the cache's slab: a cached key and its
+// value, threaded on the LRU list (head = most recently used) by slab
+// index, or a free slot threaded on the free list through next. Its
+// presence in the map is the Shared state; removal is the snoop to
+// Invalid.
 type cacheEntry struct {
 	key, val   core.Val
-	prev, next *cacheEntry
+	prev, next int32 // slab indices; noSlot at a list end
 }
 
+// noSlot is the nil slab index.
+const noSlot int32 = -1
+
 // readCache is the bounded key→value cache one Store front end owns.
-// All state is guarded by the owning store's mu: every method is
-// ...Locked, called with the store lock held.
+// Its entries live in one slab allocated at construction, and a snooped
+// or evicted entry's slot goes back on the free list. All state is
+// guarded by the owning store's mu: every method is ...Locked, called
+// with the store lock held.
 type readCache struct {
-	capacity int
+	// slab holds every entry, live or free; its length is the capacity.
+	//cxl0:guarded-by mu
+	slab []cacheEntry
 	// entries indexes the LRU list by key; head/tail are the list ends
-	// (head = most recently used).
+	// (head = most recently used) and free the free list's head.
 	//cxl0:guarded-by mu
-	entries map[core.Val]*cacheEntry
+	entries map[core.Val]int32
 	//cxl0:guarded-by mu
-	head *cacheEntry
-	//cxl0:guarded-by mu
-	tail *cacheEntry
+	head, tail, free int32
 	// ctr is the owning store's counter block: lookups on the served-read
 	// path count into CacheHits/CacheMisses (the hit rate's denominator is
 	// exactly the reads that resolved a value), speculative prefetch
@@ -79,39 +87,69 @@ type readCache struct {
 	ctr *Counters
 }
 
-// newReadCache builds a cache bounded to capacity entries (capacity >= 1;
-// the caller gates on Config.ReadCache > 0) that counts into ctr.
+// newReadCache builds a cache bounded to capacity entries (1 <= capacity
+// <= math.MaxInt32; the caller gates on Config.ReadCache > 0) that
+// counts into ctr.
 //
 //cxl0:locked mu
 func newReadCache(capacity int, ctr *Counters) *readCache {
-	return &readCache{capacity: capacity, entries: make(map[core.Val]*cacheEntry, capacity), ctr: ctr}
+	c := &readCache{slab: make([]cacheEntry, capacity), entries: make(map[core.Val]int32, capacity), ctr: ctr}
+	c.resetLocked()
+	return c
 }
 
-// unlinkLocked removes e from the LRU list (not from the map).
-func (c *readCache) unlinkLocked(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// resetLocked empties the lists: no entry is live and every slot is free.
+func (c *readCache) resetLocked() {
+	c.head, c.tail, c.free = noSlot, noSlot, 0
+	for i := range c.slab {
+		c.slab[i].next = int32(i) + 1
+	}
+	c.slab[len(c.slab)-1].next = noSlot
+}
+
+// unlinkLocked removes slot i from the LRU list (not from the map).
+func (c *readCache) unlinkLocked(i int32) {
+	e := &c.slab[i]
+	if e.prev != noSlot {
+		c.slab[e.prev].next = e.next
 	} else {
 		c.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != noSlot {
+		c.slab[e.next].prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
-// pushFrontLocked inserts e at the list head (most recently used).
-func (c *readCache) pushFrontLocked(e *cacheEntry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
+// pushFrontLocked inserts slot i at the list head (most recently used).
+func (c *readCache) pushFrontLocked(i int32) {
+	e := &c.slab[i]
+	e.prev, e.next = noSlot, c.head
+	if c.head != noSlot {
+		c.slab[c.head].prev = i
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+	c.head = i
+	if c.tail == noSlot {
+		c.tail = i
 	}
+}
+
+// promoteLocked makes slot i the most recently used.
+func (c *readCache) promoteLocked(i int32) {
+	if c.head != i {
+		c.unlinkLocked(i)
+		c.pushFrontLocked(i)
+	}
+}
+
+// dropLocked snoops slot i's entry out: off the LRU list and the map,
+// onto the free list.
+func (c *readCache) dropLocked(i int32) {
+	c.unlinkLocked(i)
+	delete(c.entries, c.slab[i].key)
+	c.slab[i].next = c.free
+	c.free = i
 }
 
 // lookupLocked consults the cache on the served-read path: a present
@@ -119,17 +157,14 @@ func (c *readCache) pushFrontLocked(e *cacheEntry) {
 // anything else a miss the caller resolves with a paid Load and fills
 // back. Counts hits and misses; speculative probes use containsLocked.
 func (c *readCache) lookupLocked(key core.Val) (core.Val, bool) {
-	e, ok := c.entries[key]
+	i, ok := c.entries[key]
 	if !ok {
 		c.ctr.CacheMisses++
 		return 0, false
 	}
 	c.ctr.CacheHits++
-	if c.head != e {
-		c.unlinkLocked(e)
-		c.pushFrontLocked(e)
-	}
-	return e.val, true
+	c.promoteLocked(i)
+	return c.slab[i].val, true
 }
 
 // containsLocked reports whether key is cached, without touching the
@@ -142,34 +177,25 @@ func (c *readCache) containsLocked(key core.Val) bool {
 // fillLocked installs the value just read (or speculatively prefetched)
 // for key, Shared: the owning shard keeps its copy, and ownership stays
 // with the device — the front end never writes through the cache, so it
-// never needs E/M. At capacity the LRU tail is evicted and its entry
-// reused, so a fill into a full cache allocates nothing.
+// never needs E/M. A new key takes a free slot, and a full cache first
+// evicts its LRU tail to the free list.
 func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
-	if e, ok := c.entries[key]; ok {
-		e.val = val
-		if c.head != e {
-			c.unlinkLocked(e)
-			c.pushFrontLocked(e)
-		}
-		if speculative {
-			c.ctr.SpeculativeFills++
-		}
-		return
-	}
-	var e *cacheEntry
-	if len(c.entries) >= c.capacity {
-		e = c.tail
-		c.unlinkLocked(e)
-		delete(c.entries, e.key)
-		*e = cacheEntry{key: key, val: val}
-	} else {
-		e = &cacheEntry{key: key, val: val}
-	}
-	c.entries[key] = e
-	c.pushFrontLocked(e)
 	if speculative {
 		c.ctr.SpeculativeFills++
 	}
+	if i, ok := c.entries[key]; ok {
+		c.slab[i].val = val
+		c.promoteLocked(i)
+		return
+	}
+	if c.free == noSlot {
+		c.dropLocked(c.tail)
+	}
+	i := c.free
+	c.free = c.slab[i].next
+	c.slab[i].key, c.slab[i].val = key, val
+	c.entries[key] = i
+	c.pushFrontLocked(i)
 }
 
 // invalidateKeyLocked snoops key's entry out — the inline coherence
@@ -181,13 +207,10 @@ func (c *readCache) invalidateKeyLocked(key core.Val) {
 	if c == nil {
 		return
 	}
-	e, ok := c.entries[key]
-	if !ok {
-		return
+	if i, ok := c.entries[key]; ok {
+		c.dropLocked(i)
+		c.ctr.CacheInvalidations++
 	}
-	c.unlinkLocked(e)
-	delete(c.entries, key)
-	c.ctr.CacheInvalidations++
 }
 
 // invalidateMatchLocked snoops every cached key matching pred — the
@@ -198,14 +221,13 @@ func (c *readCache) invalidateMatchLocked(pred func(core.Val) bool) {
 	if c == nil {
 		return
 	}
-	for e := c.head; e != nil; {
-		next := e.next
-		if pred(e.key) {
-			c.unlinkLocked(e)
-			delete(c.entries, e.key)
+	for i := c.head; i != noSlot; {
+		next := c.slab[i].next
+		if pred(c.slab[i].key) {
+			c.dropLocked(i)
 			c.ctr.CacheInvalidations++
 		}
-		e = next
+		i = next
 	}
 }
 
@@ -224,8 +246,8 @@ func (c *readCache) invalidateAllLocked() {
 		return
 	}
 	c.ctr.CacheInvalidations += uint64(len(c.entries))
-	c.head, c.tail = nil, nil
-	c.entries = make(map[core.Val]*cacheEntry, c.capacity)
+	clear(c.entries)
+	c.resetLocked()
 }
 
 // lenLocked returns the current entry count (gauges and tests).

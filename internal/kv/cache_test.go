@@ -55,7 +55,8 @@ func TestServedOnlyCounters(t *testing.T) {
 		t.Fatalf("scan over a down shard's key: %v", err)
 	}
 	m := st.Metrics()
-	if m.Gets != base.Gets || m.Puts != base.Puts || m.Deletes != base.Deletes || m.Scans != base.Scans {
+	if m.Gets != base.Gets || m.Puts != base.Puts || m.Deletes != base.Deletes ||
+		m.Scans != base.Scans || m.Batches != base.Batches {
 		t.Fatalf("denied ops counted: %+v vs base %+v", m, base)
 	}
 	if _, err := st.Recover(0); err != nil {
@@ -279,8 +280,9 @@ func TestPrefetchWarmsCache(t *testing.T) {
 
 // TestReadPathDoesNotAllocate: in steady state the cached read path
 // allocates nothing — a warm Get with the prefetcher proposing keys (its
-// proposals live in the predictor's buffer), and a fill into a full cache
-// (the evicted LRU entry is reused).
+// proposals live in the predictor's buffer), a fill into a full cache
+// (the evicted LRU slot is reused), and the fills after every kind of
+// snoop (the snooped slots go back to the slab's free list).
 func TestReadPathDoesNotAllocate(t *testing.T) {
 	st := openTest(t, Config{Shards: 2, Capacity: 128, Strategy: MStoreEach, Seed: 5, ReadCache: 32, Prefetch: true})
 	const keys = 16
@@ -321,5 +323,35 @@ func TestReadPathDoesNotAllocate(t *testing.T) {
 	if c.lenLocked() != 256 || !c.containsLocked(k-1) || c.containsLocked(k-257) {
 		t.Fatalf("after the fills the cache holds %d entries, the last key %v, the 257th last %v",
 			c.lenLocked(), c.containsLocked(k-1), c.containsLocked(k-257))
+	}
+
+	// Each snoop drops entries and the fills after it take their slots
+	// back: the one key keyMoved snoops, a sweep (invalidateShardLocked's,
+	// flipBucket's) and every entry at once (CrashFront).
+	for _, snoop := range []struct {
+		name string
+		drop func() int // snoops, and returns the entries it dropped
+	}{
+		{"a key snoop", func() int { c.invalidateKeyLocked(k - 256); return 1 }},
+		{"a sweep", func() int {
+			n := c.lenLocked()
+			c.invalidateMatchLocked(func(v core.Val) bool { return v%2 == 0 })
+			return n - c.lenLocked()
+		}},
+		{"the front end's crash", func() int { c.invalidateAllLocked(); return 256 }},
+	} {
+		refill := func() {
+			for n := snoop.drop(); n > 0; n-- {
+				c.fillLocked(k, k, false)
+				k++
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, refill); allocs != 0 {
+			t.Errorf("the fills after %s allocate %v times", snoop.name, allocs)
+		}
+		if c.lenLocked() != 256 || !c.containsLocked(k-1) {
+			t.Fatalf("after the fills after %s the cache holds %d entries, the last key %v",
+				snoop.name, c.lenLocked(), c.containsLocked(k-1))
+		}
 	}
 }

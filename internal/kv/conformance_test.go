@@ -33,11 +33,15 @@ func openStore(t *testing.T, cfg kv.Config) kv.DB {
 
 // TestStoreSnapshotCostFlat is the scaling gate of a snapshot: a
 // 12-shard store's Metrics allocates the same objects and bytes after 100
-// and 20 000 acknowledged writes, as its sample series are views.
+// and 20 000 acknowledged writes, as its sample series are views, and
+// exactly two objects, the per-shard gauges' one []float64 and one []int.
 func TestStoreSnapshotCostFlat(t *testing.T) {
 	small, large := kvtest.SnapshotCosts(t, openStore, 12)
 	if small.Objects != large.Objects || small.Bytes != large.Bytes {
 		t.Fatalf("Metrics allocates %+v after 100 acked writes but %+v after 20000", small, large)
+	}
+	if small.Objects != 2 {
+		t.Fatalf("Metrics allocates %v objects, want 2", small.Objects)
 	}
 }
 

@@ -322,8 +322,9 @@ type Config struct {
 	// cache: a bounded key→value cache (present = Shared, absent =
 	// Invalid) consulted before paying the simulated Load on the read
 	// path, invalidated inline by every write path that changes visible
-	// state (see docs/caching.md). 0 (the default) disables the cache entirely —
-	// the read path is byte-for-byte the uncached one.
+	// state (see docs/caching.md). Its entries are allocated once, at
+	// Open. 0 (the default) disables the cache entirely — the read path
+	// is byte-for-byte the uncached one.
 	ReadCache int
 	// Prefetch enables the speculative prefetcher on top of the read
 	// cache: a per-shard Markov successor table plus a sequential-run

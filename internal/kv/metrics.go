@@ -21,7 +21,9 @@ type Counters struct {
 	ScannedPairs uint64 `json:"scanned_pairs"`
 	// MultiGets counts MultiGet calls and Batches counts Apply calls (a
 	// Router splitting one client batch across clusters counts one Apply
-	// per sub-batch it forwards).
+	// per sub-batch it forwards). A batch counts once its first record is
+	// written: one denied before that is not counted, and one a failure
+	// cuts short partway is (a batch is not a transaction).
 	MultiGets uint64 `json:"multi_gets"`
 	Batches   uint64 `json:"batches"`
 	Commits   uint64 `json:"commits"` // commit flushes issued (GPF or ranged batches)
@@ -91,14 +93,19 @@ func (c *Counters) Add(o Counters) {
 	c.CacheInvalidations += o.CacheInvalidations
 }
 
-// Metrics is a snapshot of a store's service counters, plus the gauges
-// and sample series that do not sum.
+// Metrics is a snapshot of a store's (or a pool's) service counters,
+// plus the gauges and sample series that do not sum. One routine takes
+// every snapshot, MetricsOf: it holds every store's lock at once, taken
+// in ScanStores' order, and allocates two objects, or three over several
+// stores.
 //
-// The four sample series (RecoveryNS, CompactionNS, WriteLatencies,
-// IssueLatencies) are read-only views shared with the store, not copies:
-// the store only appends to its logs and ResetMetrics starts new ones, so
-// a snapshot's series never change, and appending to one copies it. Do
-// not write their elements in place (sort a copy instead).
+// One store's four sample series (RecoveryNS, CompactionNS,
+// WriteLatencies, IssueLatencies) are read-only views shared with the
+// store, not copies: the store only appends to its logs and ResetMetrics
+// starts new ones, so a snapshot's series never change, and appending to
+// one copies it. Several stores' are copied once, into one buffer the
+// four share. Do not write their elements in place (sort a copy
+// instead).
 type Metrics struct {
 	Counters
 	// RecoveryNS are the simulated durations of recoveries, in the order
@@ -193,39 +200,90 @@ func (m Metrics) MaxMeanBusyRatio() float64 {
 	return max / (total / float64(len(m.PerShardBusyNS)))
 }
 
-// Metrics returns a snapshot of the store's counters. It costs
-// O(shards) however many writes have been acknowledged: the four sample
-// series are capped views of the store's own logs (see Metrics), and
-// only the per-shard gauges are built.
-func (s *Store) Metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.shards)
-	m := Metrics{
-		Counters:         s.ctr,
-		RecoveryNS:       capped(s.recoveryNS),
-		CompactionNS:     capped(s.compactionNS),
-		PerShardBusyNS:   make([]float64, n),
-		PerShardChurnNS:  make([]float64, n),
-		PerShardFill:     make([]float64, n),
-		PerShardLive:     make([]int, n),
-		WriteLatencies:   capped(s.writeLat),
-		IssueLatencies:   capped(s.issueLat),
-		MaxInFlight:      s.maxInFlight,
-		PerShardInFlight: make([]int, n),
-		PerShardAcked:    make([]int, n),
+// Metrics returns a snapshot of the store's counters: MetricsOf of the
+// store alone.
+func (s *Store) Metrics() Metrics { return MetricsOf([]*Store{s}) }
+
+// MetricsOf is the one snapshot routine, of one store or of the clusters
+// of a pool: counters summed, per-shard gauges in global shard order
+// (store 0's shards, then store 1's, ...), sample series pooled
+// store-major, MaxInFlight the deepest pipeline of any store and
+// CacheSize the sum over the stores' front-end caches. It takes every
+// store's lock in slice order, as ScanStores does, so the snapshot is
+// consistent across the stores.
+//
+// It costs O(shards) and two or three allocations however many writes
+// have been acknowledged: the six per-shard gauges are cut from one
+// []float64 and one []int; one store's four sample series are capped
+// views of its own logs (see Metrics), and several stores' are copied
+// once, into one shared []float64. MaxBusyNS is then the pooled service
+// makespan (clusters run in parallel like shards do) and MaxMeanBusyRatio
+// the placement skew across every shard of every store.
+func MetricsOf(stores []*Store) Metrics {
+	for _, st := range stores {
+		st.mu.Lock()
 	}
-	if s.cache != nil {
-		m.CacheSize = s.cache.lenLocked()
+	defer func() {
+		for _, st := range stores {
+			st.mu.Unlock()
+		}
+	}()
+	return metricsLocked(stores)
+}
+
+// metricsLocked is MetricsOf with every store's lock held.
+func metricsLocked(stores []*Store) Metrics {
+	var m Metrics
+	n := 0
+	for _, st := range stores {
+		m.Counters.Add(st.ctr)
+		m.MaxInFlight = max(m.MaxInFlight, st.maxInFlight)
+		if st.cache != nil {
+			m.CacheSize += st.cache.lenLocked()
+		}
+		n += len(st.shards)
 	}
-	for i, sh := range s.shards {
-		m.PerShardBusyNS[i] = sh.busyNS
-		m.PerShardChurnNS[i] = sh.churnNS
-		m.PerShardFill[i] = float64(len(sh.log)) / float64(sh.cap)
-		m.PerShardLive[i] = sh.view.live()
-		m.PerShardInFlight[i] = len(sh.flights)
-		m.PerShardAcked[i] = sh.acked
+	fs, is := make([]float64, 4*n), make([]int, 3*n)
+	m.PerShardBusyNS, m.PerShardChurnNS = fs[:n:n], fs[n:2*n:2*n]
+	m.PerShardFill = fs[2*n : 3*n : 3*n]
+	m.PerShardLive, m.PerShardInFlight, m.PerShardAcked = is[:n:n], is[n:2*n:2*n], is[2*n:]
+	i := 0
+	for _, st := range stores {
+		for _, sh := range st.shards {
+			m.PerShardBusyNS[i] = sh.busyNS
+			m.PerShardChurnNS[i] = sh.churnNS
+			m.PerShardFill[i] = float64(len(sh.log)) / float64(sh.cap)
+			m.PerShardLive[i] = sh.view.live()
+			m.PerShardInFlight[i] = len(sh.flights)
+			m.PerShardAcked[i] = sh.acked
+			i++
+		}
 	}
+	if len(stores) == 1 {
+		st := stores[0]
+		m.RecoveryNS, m.CompactionNS = capped(st.recoveryNS), capped(st.compactionNS)
+		m.WriteLatencies, m.IssueLatencies = capped(st.writeLat), capped(st.issueLat)
+		return m
+	}
+	samples := 0
+	for _, st := range stores {
+		samples += len(st.recoveryNS) + len(st.compactionNS) + len(st.writeLat) + len(st.issueLat)
+	}
+	buf := make([]float64, 0, samples)
+	join := func(series func(*Store) []float64) []float64 {
+		from := len(buf)
+		for _, st := range stores {
+			buf = append(buf, series(st)...)
+		}
+		if len(buf) == from {
+			return nil
+		}
+		return buf[from:len(buf):len(buf)]
+	}
+	m.RecoveryNS = join(func(st *Store) []float64 { return st.recoveryNS })
+	m.CompactionNS = join(func(st *Store) []float64 { return st.compactionNS })
+	m.WriteLatencies = join(func(st *Store) []float64 { return st.writeLat })
+	m.IssueLatencies = join(func(st *Store) []float64 { return st.issueLat })
 	return m
 }
 

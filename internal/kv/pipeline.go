@@ -118,12 +118,14 @@ func (s *Store) issueFlight(sh *shard) error {
 
 // retireFlight retires the oldest flight: its batch's commit point (ack
 // latency spans submit to flush completion plus lane wait; issue latency
-// was recorded at append).
+// was recorded at append). The queue shifts in place — it holds at most
+// PipelineDepth flights, so the copy is short — and keeps its buffer, so
+// the next issueFlight never regrows it.
 //
 //cxl0:locked mu
 func (s *Store) retireFlight(sh *shard) {
 	f := sh.flights[0]
-	sh.flights = sh.flights[1:]
+	sh.flights = sh.flights[:copy(sh.flights, sh.flights[1:])]
 	s.ackFlight(sh, f)
 }
 
@@ -132,14 +134,14 @@ func (s *Store) retireFlight(sh *shard) {
 // flights were flushed to the medium at issue, so recovery's scan
 // salvages them like any recovered pending batch — the acked prefix is
 // exactly [0, acked). The flight queue and flush lane are volatile
-// bookkeeping and die with the crash; the view takes the client writes
-// still waiting on their ack, so a down shard's view holds every write
-// recovery may salvage.
+// bookkeeping and die with the crash (the queue keeps its buffer); the
+// view takes the client writes still waiting on their ack, so a down
+// shard's view holds every write recovery may salvage.
 //
 //cxl0:locked mu
 func (sh *shard) foldFlights() {
 	sh.pending = len(sh.log) - sh.acked
-	sh.flights = nil
+	sh.flights = sh.flights[:0]
 	sh.laneEnd = 0
 	sh.view.takeRest(sh.log)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -699,4 +700,53 @@ func TestCrashTakesWritesInFlight(t *testing.T) {
 	if pairs, err := st.Scan(100, 200, 0); err != nil || len(pairs) != 4 {
 		t.Fatalf("Scan after recovery = %v, %v; want the four salvaged writes", pairs, err)
 	}
+}
+
+// TestFlightQueueDoesNotAllocate: the flight queue keeps its buffer.
+// retireFlight shifts in place and a crash's foldFlights truncates, so
+// issueFlight never regrows the queue. Every measured run issues and
+// retires four flights on one shard at depth 2, after the store's own
+// append-only series (the log, the latency logs) were grown ahead, so an
+// allocation left would be the queue's.
+func TestFlightQueueDoesNotAllocate(t *testing.T) {
+	const runs, flights = 50, 4
+	st := openTest(t, Config{Shards: 1, Capacity: 1 << 12, Strategy: RangedCommit, Batch: 1, PipelineDepth: 2, Seed: 5})
+	put := func() {
+		for k := range core.Val(flights) {
+			if _, err := st.Put(k, k+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	crash := func() {
+		t.Helper()
+		if n := flightsLen(st, 0); n != 2 {
+			t.Fatalf("%d flights in flight before the crash, want 2", n)
+		}
+		st.Crash(0)
+		if _, err := st.Recover(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measure := func(after string) {
+		t.Helper()
+		st.mu.Lock()
+		sh := st.shards[0]
+		sh.log = slices.Grow(sh.log, (runs+1)*flights)
+		st.writeLat = slices.Grow(st.writeLat, (runs+1)*flights)
+		st.issueLat = slices.Grow(st.issueLat, (runs+1)*flights)
+		st.mu.Unlock()
+		before := st.Metrics().PipelinedCommits
+		if allocs := testing.AllocsPerRun(runs, put); allocs != 0 {
+			t.Errorf("%s: issuing and retiring %d flights allocates %v times", after, flights, allocs)
+		}
+		if n := st.Metrics().PipelinedCommits - before; n < runs*flights {
+			t.Fatalf("%s: %d flights issued in %d runs, want %d a run", after, n, runs, flights)
+		}
+	}
+	put()
+	measure("a fresh queue")
+	crash()
+	put()
+	measure("a crash")
 }

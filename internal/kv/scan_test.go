@@ -120,7 +120,8 @@ func checkCacheCoherent(t *testing.T, s *Store, step int) {
 	if s.cache == nil {
 		return
 	}
-	for e := s.cache.head; e != nil; e = e.next {
+	for i := s.cache.head; i != noSlot; i = s.cache.slab[i].next {
+		e := &s.cache.slab[i]
 		sh := s.shards[s.shardOf(e.key)]
 		if slot, ok := sh.view.visible(e.key); !ok || sh.mirrorVal(slot) != e.val {
 			t.Fatalf("step %d: key %d is cached as %d but its visible record is slot %d (visible %v) of shard %d",

@@ -125,6 +125,11 @@ type Store struct {
 	// leg is the store's part of the range read in progress, kept here
 	// so a read allocates nothing per store (scan.go). Dead outside it.
 	leg scanLeg
+	// touched marks, per shard, the shards the Apply in progress wrote
+	// (applyLocked), kept here so a batch allocates nothing. Dead
+	// outside it.
+	//cxl0:guarded-by mu
+	touched []bool
 }
 
 // Open builds the cluster (one front-end machine plus one machine per
@@ -162,6 +167,7 @@ func Open(cfg Config) (*Store, error) {
 		bucketVer: make([]uint64, buckets),
 		bucketWin: make([]float64, buckets),
 		winBase:   make([]float64, cfg.Shards),
+		touched:   make([]bool, cfg.Shards),
 	}
 	if s.worker, err = cluster.NewThread(s.front); err != nil {
 		return nil, err
@@ -731,9 +737,8 @@ func (s *Store) applyLocked(b *Batch) (Ack, error) {
 	if s.frontDown {
 		return Ack{}, ErrFrontDown
 	}
-	// Served-only counting, like getLocked: a denied Apply never ran.
-	s.ctr.Batches++
-	touched := make([]bool, len(s.shards))
+	touched := s.touched
+	clear(touched)
 	var last Ack
 	for bi, op := range b.ops {
 		if s.applyHook != nil {
@@ -747,6 +752,12 @@ func (s *Store) applyLocked(b *Batch) (Ack, error) {
 		ack, err := s.append(sh, op.Key, val)
 		if err != nil {
 			return Ack{}, err
+		}
+		if bi == 0 {
+			// Served-only counting, like getLocked: a batch counts once
+			// its first record is written, and one denied before that
+			// never ran.
+			s.ctr.Batches++
 		}
 		touched[sh.id] = true
 		last = ack

@@ -464,67 +464,17 @@ func (r *Router) FrontDown() bool {
 	return slices.ContainsFunc(r.stores, (*kv.Store).FrontDown)
 }
 
-// Metrics aggregates every cluster's snapshot: counters summed, per-shard
-// series concatenated in global shard order, latency and recovery samples
-// pooled cluster-major (cluster 0's series in its own order, then cluster
-// 1's, ...). Each series is joined once, at its exact size, and a single
-// cluster's is passed through uncopied: a one-cluster pool's snapshot is
-// its store's, O(shards) however many writes were acked, and its sample
-// series are the store's read-only views (see kv.Metrics).
-// kv.Metrics' derived views keep their meaning: MaxBusyNS is the
-// pooled service makespan (clusters run in parallel like shards do) and
-// MaxMeanBusyRatio the placement skew across all shards of all clusters.
-// The snapshot is atomically consistent — Metrics holds the router lock
-// exclusively, so no operation (in particular no multi-cluster Apply) is
-// in flight while the clusters are read.
+// Metrics is the pool's snapshot, kv.MetricsOf over the clusters:
+// counters summed, per-shard series in global shard order, latency and
+// recovery samples pooled cluster-major (cluster 0's series in its own
+// order, then cluster 1's, ...). A one-cluster pool's snapshot is its
+// store's. The snapshot is atomically consistent — Metrics holds the
+// router lock exclusively, so no operation (in particular no
+// multi-cluster Apply) is in flight while the clusters are read.
 func (r *Router) Metrics() kv.Metrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ms := make([]kv.Metrics, len(r.stores))
-	var agg kv.Metrics
-	for c, st := range r.stores {
-		ms[c] = st.Metrics()
-		agg.Counters.Add(ms[c].Counters)
-		agg.MaxInFlight = max(agg.MaxInFlight, ms[c].MaxInFlight)
-		// Each pooled cluster's front end owns its own read cache
-		// (Config.Store passes ReadCache/Prefetch through), so the pooled
-		// size, like the cache counters, is the sum over per-front-end
-		// caches.
-		agg.CacheSize += ms[c].CacheSize
-	}
-	agg.RecoveryNS = join(ms, func(m *kv.Metrics) []float64 { return m.RecoveryNS })
-	agg.CompactionNS = join(ms, func(m *kv.Metrics) []float64 { return m.CompactionNS })
-	agg.PerShardBusyNS = join(ms, func(m *kv.Metrics) []float64 { return m.PerShardBusyNS })
-	agg.PerShardChurnNS = join(ms, func(m *kv.Metrics) []float64 { return m.PerShardChurnNS })
-	agg.PerShardFill = join(ms, func(m *kv.Metrics) []float64 { return m.PerShardFill })
-	agg.PerShardLive = join(ms, func(m *kv.Metrics) []int { return m.PerShardLive })
-	agg.WriteLatencies = join(ms, func(m *kv.Metrics) []float64 { return m.WriteLatencies })
-	agg.IssueLatencies = join(ms, func(m *kv.Metrics) []float64 { return m.IssueLatencies })
-	agg.PerShardInFlight = join(ms, func(m *kv.Metrics) []int { return m.PerShardInFlight })
-	agg.PerShardAcked = join(ms, func(m *kv.Metrics) []int { return m.PerShardAcked })
-	return agg
-}
-
-// join concatenates one series of every cluster's snapshot in cluster
-// order, allocated once at its exact size (nil if all are empty); a lone
-// snapshot's series is returned unchanged, as strings.Join does with one
-// element.
-func join[T any](ms []kv.Metrics, series func(*kv.Metrics) []T) []T {
-	if len(ms) == 1 {
-		return series(&ms[0])
-	}
-	n := 0
-	for i := range ms {
-		n += len(series(&ms[i]))
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, 0, n)
-	for i := range ms {
-		out = append(out, series(&ms[i])...)
-	}
-	return out
+	return kv.MetricsOf(r.stores)
 }
 
 // ResetMetrics zeroes every cluster's counters and clocks.
