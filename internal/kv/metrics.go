@@ -220,14 +220,8 @@ func (s *Store) Metrics() Metrics { return MetricsOf([]*Store{s}) }
 // makespan (clusters run in parallel like shards do) and MaxMeanBusyRatio
 // the placement skew across every shard of every store.
 func MetricsOf(stores []*Store) Metrics {
-	for _, st := range stores {
-		st.mu.Lock()
-	}
-	defer func() {
-		for _, st := range stores {
-			st.mu.Unlock()
-		}
-	}()
+	lockStores(stores)
+	defer unlockStores(stores)
 	return metricsLocked(stores)
 }
 

@@ -66,15 +66,24 @@ func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
 // a key in range, a failed read) fails the read, with the index of the
 // store it came from; the index is -1 otherwise.
 func ScanStores(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]Pair, int, error) {
+	lockStores(stores)
+	defer unlockStores(stores)
+	return scanLocked(stores, lo, hi, limit, parent)
+}
+
+// lockStores takes every store's lock in slice order, the one order in
+// which anything holds several (ScanStores, MetricsOf); unlockStores
+// releases them.
+func lockStores(stores []*Store) {
 	for _, st := range stores {
 		st.mu.Lock()
 	}
-	defer func() {
-		for _, st := range stores {
-			st.mu.Unlock()
-		}
-	}()
-	return scanLocked(stores, lo, hi, limit, parent)
+}
+
+func unlockStores(stores []*Store) {
+	for _, st := range stores {
+		st.mu.Unlock()
+	}
 }
 
 // scanLocked is ScanStores with every store's lock held.
