@@ -162,10 +162,18 @@ func replayRun(t *testing.T, f Factory, strat kv.Strategy, depth, cache int) rep
 	const ops = 320
 	for i := 0; i < ops; i++ {
 		// Deterministic churn at fixed indices: a partition window, a
-		// crash/recovery, a rebalance and an explicit compaction. Errors
-		// are recorded, not fatal — a Put denied by the partition window
-		// is part of the outcome being compared.
+		// crash/recovery, a rebalance and an explicit compaction; and the
+		// batch calls, which the workload does not issue: an Apply and a
+		// MultiGet before the window, a MultiGet and an Apply inside it.
+		// Errors are recorded, not fatal — a Put denied by the partition
+		// window is part of the outcome being compared.
 		switch i {
+		case 100, 140:
+			b := new(kv.Batch).Put(3, core.Val(i)).Put(17, 7).Delete(29).Put(41, 9).Put(55, core.Val(i)+1).Put(60, 2)
+			ack, err := db.Apply(b)
+			record("batch %d apply: %+v %v", i, ack, err)
+			res, err := db.MultiGet([]core.Val{1, 3, 9, 17, 29, 33, 41, 55, 60, 70})
+			record("batch %d multiget: %+v %v", i, res, err)
 		case 120:
 			db.Partition(i % db.NumShards())
 		case 160:
