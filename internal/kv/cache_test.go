@@ -54,10 +54,23 @@ func TestServedOnlyCounters(t *testing.T) {
 	if _, err := st.Scan(k0, k0+1, 0); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("scan over a down shard's key: %v", err)
 	}
+	if _, err := st.MultiGet([]core.Val{k0, k1}); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("multiget whose first key is on a down shard: %v", err)
+	}
 	m := st.Metrics()
 	if m.Gets != base.Gets || m.Puts != base.Puts || m.Deletes != base.Deletes ||
-		m.Scans != base.Scans || m.Batches != base.Batches {
+		m.Scans != base.Scans || m.MultiGets != base.MultiGets || m.Batches != base.Batches {
 		t.Fatalf("denied ops counted: %+v vs base %+v", m, base)
+	}
+	// A MultiGet that resolved a key before the down shard cut it short
+	// ran, like an Apply that wrote a record: it counts, with that key.
+	if _, err := st.MultiGet([]core.Val{k1, k0}); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("multiget with a key on a down shard: %v", err)
+	}
+	m = st.Metrics()
+	if m.MultiGets != base.MultiGets+1 || m.Gets != base.Gets+1 {
+		t.Fatalf("multiget cut short after one key: MultiGets %d, Gets %d, want %d, %d",
+			m.MultiGets, m.Gets, base.MultiGets+1, base.Gets+1)
 	}
 	if _, err := st.Recover(0); err != nil {
 		t.Fatal(err)

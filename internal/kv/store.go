@@ -671,8 +671,6 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 	if s.frontDown {
 		return nil, ErrFrontDown
 	}
-	// Served-only counting, like getLocked: a denied MultiGet never ran.
-	s.ctr.MultiGets++
 	start := s.cluster.NowNS()
 	out := make([]Lookup, 0, len(keys))
 	var unavailable []int
@@ -690,10 +688,17 @@ func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
 		}
 		v, ok, err := s.getLocked(k)
 		if err != nil {
+			if len(out) > 0 {
+				// Served-only counting, like Apply's: a MultiGet counts
+				// once it has resolved its first key, and one a down
+				// shard denies before that never ran.
+				s.ctr.MultiGets++
+			}
 			return nil, err
 		}
 		out = append(out, Lookup{Key: k, Val: v, Found: ok})
 	}
+	s.ctr.MultiGets++
 	s.rec.OpSpan(obs.OpMultiGet, -1, start, s.cluster.NowNS(), len(out)-missing, 0, false)
 	if missing > 0 {
 		slices.Sort(unavailable)

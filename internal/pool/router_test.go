@@ -249,6 +249,25 @@ func TestRouterMultiGetMergesAcrossClusters(t *testing.T) {
 	}
 }
 
+// TestRouterMultiGetCountsServedOnly: a pooled MultiGet counts once per
+// cluster that resolved a key, so a cluster whose first key a down shard
+// denies adds nothing. On 2 clusters × 1 shard with cluster 1's shard
+// crashed, a MultiGet over a key of each cluster counts cluster 0's part
+// alone, and one whose keys are all on cluster 1 counts nothing.
+func TestRouterMultiGetCountsServedOnly(t *testing.T) {
+	r := openTest(t, Config{Clusters: 2, Store: kv.Config{Shards: 1, Strategy: kv.MStoreEach, Capacity: 64, Seed: 3}})
+	k0, k1 := keyOnCluster(t, r, 0), keyOnCluster(t, r, 1)
+	r.Crash(1)
+	for _, keys := range [][]core.Val{{k0, k1}, {k1}} {
+		if _, err := r.MultiGet(keys); !errors.Is(err, kv.ErrShardDown) {
+			t.Fatalf("MultiGet(%v) with cluster 1 down: %v, want ErrShardDown", keys, err)
+		}
+	}
+	if m := r.Metrics(); m.MultiGets != 1 || m.Gets != 1 {
+		t.Fatalf("MultiGets %d, Gets %d, want 1 and 1 (cluster 0's part of the first call)", m.MultiGets, m.Gets)
+	}
+}
+
 // TestRouterScanMergesGlobalOrder: a pooled scan returns one globally
 // key-ordered result across clusters, honoring the limit.
 func TestRouterScanMergesGlobalOrder(t *testing.T) {
