@@ -32,9 +32,9 @@ type DB interface {
 	// Get returns the newest value mapped to key.
 	Get(key core.Val) (core.Val, bool, error)
 	// MultiGet looks up a set of keys in one call, returning one Lookup
-	// per key in input order. Implementations amortize routing: the Store
-	// resolves all keys under one lock acquisition, and a Router fans the
-	// keys out to their clusters in per-cluster groups.
+	// per key in input order. Each key pays a Get's simulated read cost;
+	// what the call amortizes is the routing: one MultiGetStores, under
+	// the store's lock or every pooled cluster's, resolves them all.
 	MultiGet(keys []core.Val) ([]Lookup, error)
 	// Scan returns up to limit live pairs with lo <= key < hi, in global
 	// key order across every shard (and every cluster).
@@ -130,46 +130,37 @@ type Lookup struct {
 	Found bool     `json:"found"`
 }
 
-// BatchOp is one operation of a Batch: a put of Val >= 1, or a delete
-// (Val 0, the tombstone value). The kind is tracked explicitly rather
-// than inferred from Val so that an invalid Put(key, 0) stays a put —
+// batchOp is one operation of a Batch: a put of val >= 1, or a delete
+// (val 0, the tombstone value). The kind is tracked explicitly rather
+// than inferred from val so that an invalid Put(key, 0) stays a put —
 // and fails Apply's validation with ErrBadKey, exactly like Store.Put —
 // instead of silently turning into a delete.
-type BatchOp struct {
-	Key core.Val
-	Val core.Val
-	del bool
+type batchOp struct {
+	key, val core.Val
+	del      bool
 }
-
-// IsDelete reports whether the operation is a delete.
-func (op BatchOp) IsDelete() bool { return op.del }
 
 // Batch is an ordered list of puts and deletes applied as one unit by
 // DB.Apply. Order matters: a put followed by a delete of the same key
 // leaves the key deleted. The zero Batch is empty and ready to use.
 type Batch struct {
-	ops []BatchOp
+	ops []batchOp
 }
 
 // Put appends a put of key to val (val >= 1; validated by Apply).
 func (b *Batch) Put(key, val core.Val) *Batch {
-	b.ops = append(b.ops, BatchOp{Key: key, Val: val})
+	b.ops = append(b.ops, batchOp{key: key, val: val})
 	return b
 }
 
 // Delete appends a delete of key.
 func (b *Batch) Delete(key core.Val) *Batch {
-	b.ops = append(b.ops, BatchOp{Key: key, del: true})
+	b.ops = append(b.ops, batchOp{key: key, del: true})
 	return b
 }
 
 // Len returns the number of operations in the batch.
 func (b *Batch) Len() int { return len(b.ops) }
-
-// Ops returns the batch's operations in order. The slice is the batch's
-// own backing store: callers (like a router splitting the batch per
-// cluster) must not mutate it.
-func (b *Batch) Ops() []BatchOp { return b.ops }
 
 // ShardFullError is the concrete error behind ErrShardFull: it identifies
 // the exhausted shard and how full its log is, so a failure deep in a

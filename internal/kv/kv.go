@@ -24,8 +24,6 @@
 // a Batch of puts/deletes and acknowledges it with one Ack at its commit
 // point — the batch maps directly onto the batched persistence strategies
 // below — and MultiGet amortizes routing across a set of point lookups.
-// (Before the pooling work this package exported only the concrete Store;
-// callers outside construction sites should now hold a DB.)
 //
 // # Persistence strategies
 //
@@ -356,3 +354,17 @@ func (c Config) withDefaults() Config {
 
 // hashKey spreads keys over shards (Fibonacci hashing, as in ds.Map).
 func hashKey(k core.Val) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
+
+// StoreOf returns which of n stores that partition the keyspace key k
+// routes to: a pool's cluster. The avalanche finisher (Murmur3-style, as
+// in the record checksums) decorrelates it from the shard map's hashKey:
+// reducing one hash modulo counts that share factors would alias the two
+// levels — at n == Shards each store would serve all its keys from one
+// shard.
+func StoreOf(k core.Val, n int) int {
+	h := hashKey(k)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return int(h % uint64(n))
+}

@@ -8,25 +8,22 @@ package kv
 // a field here plus its line in Add (TestCountersDeclaredOnce holds the
 // two together).
 type Counters struct {
-	// Puts, Gets, Deletes and Scans count operations served. Gets counts
-	// point lookups, including each key resolved by a MultiGet; Scans
-	// counts a store's scan legs (see ScanStores): one per served
-	// Store.Scan, and one per store a range read over several stores
-	// returns a pair from — so a pooled scan ticks it once per cluster
-	// the merge took a key from.
+	// Puts, Gets and Deletes count operations served, Gets including each
+	// key a MultiGet resolves. Scans, MultiGets and Batches count the legs
+	// (fanout.go) of range reads, MultiGets and Applies: one per call on a
+	// store, one per cluster a pooled call reaches (for a scan, one the
+	// merge took a key from). A leg counts once it has resolved its first
+	// key (served, or withheld behind a partition) or written its first
+	// record: one denied before that is not counted, one a failure cuts
+	// short later is.
 	Puts         uint64 `json:"puts"`
 	Gets         uint64 `json:"gets"`
 	Deletes      uint64 `json:"deletes"`
 	Scans        uint64 `json:"scans"`
 	ScannedPairs uint64 `json:"scanned_pairs"`
-	// MultiGets counts MultiGet calls and Batches counts Apply calls (a
-	// Router splitting one client batch across clusters counts one Apply
-	// per sub-batch it forwards). A batch counts once its first record is
-	// written: one denied before that is not counted, and one a failure
-	// cuts short partway is (a batch is not a transaction).
-	MultiGets uint64 `json:"multi_gets"`
-	Batches   uint64 `json:"batches"`
-	Commits   uint64 `json:"commits"` // commit flushes issued (GPF or ranged batches)
+	MultiGets    uint64 `json:"multi_gets"`
+	Batches      uint64 `json:"batches"`
+	Commits      uint64 `json:"commits"` // commit flushes issued (GPF or ranged batches)
 	// ScanDiscardedPairs counts pairs a scan loaded and then discarded.
 	// It is 0 by construction: every range read, over one store or the
 	// clusters of a pool, picks its keys in one merge before it loads a
@@ -95,9 +92,8 @@ func (c *Counters) Add(o Counters) {
 
 // Metrics is a snapshot of a store's (or a pool's) service counters,
 // plus the gauges and sample series that do not sum. One routine takes
-// every snapshot, MetricsOf: it holds every store's lock at once, taken
-// in ScanStores' order, and allocates two objects, or three over several
-// stores.
+// every snapshot, MetricsOf, which allocates two objects, or three over
+// several stores.
 //
 // One store's four sample series (RecoveryNS, CompactionNS,
 // WriteLatencies, IssueLatencies) are read-only views shared with the
@@ -208,9 +204,8 @@ func (s *Store) Metrics() Metrics { return MetricsOf([]*Store{s}) }
 // of a pool: counters summed, per-shard gauges in global shard order
 // (store 0's shards, then store 1's, ...), sample series pooled
 // store-major, MaxInFlight the deepest pipeline of any store and
-// CacheSize the sum over the stores' front-end caches. It takes every
-// store's lock in slice order, as ScanStores does, so the snapshot is
-// consistent across the stores.
+// CacheSize the sum over the stores' front-end caches — one cut of the
+// stores, like every call over several (fanout.go).
 //
 // It costs O(shards) and two or three allocations however many writes
 // have been acknowledged: the six per-shard gauges are cut from one

@@ -7,15 +7,6 @@ import (
 	"cxl0/internal/obs"
 )
 
-// scanLeg is one store's part of a range read: the keys the merge took
-// from it, in key order, and the span of its reads on its clock. runs is
-// the merge's list of live shard runs, kept by the first store.
-type scanLeg struct {
-	picks          []pick
-	runs           []run
-	startNS, endNS float64
-}
-
 // run is one shard's ordered run in a range read's merge, with the store
 // that owns the shard.
 type run struct {
@@ -34,60 +25,41 @@ type pick struct {
 // Scan returns up to limit live pairs with lo <= key < hi, in key order,
 // loading each value from its shard: ScanStores over this one store.
 func (s *Store) Scan(lo, hi core.Val, limit int) ([]Pair, error) {
-	out, _, err := ScanStores([]*Store{s}, lo, hi, limit, 0)
+	out, _, err := ScanStores([]*Store{s}, lo, hi, limit, nil)
 	return out, err
 }
 
 // ScanStores is the range read over stores that partition the keyspace
-// between them: Store.Scan is the one-store case and a pool.Router's Scan
-// the pooled one. It returns up to limit live pairs with lo <= key < hi
-// (all of them when limit <= 0), in key order, and loads only the values
-// it returns.
+// (fanout.go). It returns up to limit live pairs with lo <= key < hi (all
+// of them when limit <= 0), in key order, and loads only the values it
+// returns.
 //
-// It takes every store's lock in index order and holds them all to the
-// end, so the pairs are one cut of the stores. Every shard of every store
-// is an ordered run (a view cursor); the seeks list the runs with a key
-// in range, and one merge over that list picks the first limit keys,
-// dropping a run when it ends — walking at most limit + runs keys
-// whatever the shards hold — and each store in turn then reads the values
-// of its picks in key order, each into its place in the result. A store
-// runs a leg iff the merge took a key from it, or it is the only store
-// read. A leg is one tick of its Scans counter, its reads (its pairs in
-// ScannedPairs and its scan-run prefetch) and its op span.
-//
-// parent, when not 0, is the span of a fan-out the read serves: once
-// every store has read, each leg is published as one of its legs, in
-// store order, with its span on its store's clock.
+// Every shard of every store is an ordered run (a view cursor); the
+// seeks list the runs with a key in range, and one merge over that list
+// picks the first limit keys, dropping a run when it ends — walking at
+// most limit + runs keys whatever the shards hold — and each store in
+// turn then reads the values of its picks in key order, each into its
+// place in the result. A store runs a leg iff the merge took a key from
+// it, or it is the only store read. A leg is one tick of its Scans
+// counter, its reads (its pairs in ScannedPairs and its scan-run
+// prefetch) and its op span.
 //
 // A partitioned shard is skipped: the pairs come back with a
-// *PartialResultError whose Unavailable numbers the stores' shards one
-// after another and whose Missing counts every key in [lo, hi) the shards
-// it names withhold. Any other error (a front end down, a down shard with
-// a key in range, a failed read) fails the read, with the index of the
-// store it came from; the index is -1 otherwise.
-func ScanStores(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]Pair, int, error) {
+// *PartialResultError whose Missing counts every key in [lo, hi) the
+// shards it names withhold. Any other error (a front end down, a down
+// shard with a key in range, a failed read) fails the read. fan, when
+// set, is the recorder of the fan-out the read serves (fanOut.publish).
+func ScanStores(stores []*Store, lo, hi core.Val, limit int, fan *obs.Recorder) ([]Pair, int, error) {
 	lockStores(stores)
 	defer unlockStores(stores)
-	return scanLocked(stores, lo, hi, limit, parent)
-}
-
-// lockStores takes every store's lock in slice order, the one order in
-// which anything holds several (ScanStores, MetricsOf); unlockStores
-// releases them.
-func lockStores(stores []*Store) {
-	for _, st := range stores {
-		st.mu.Lock()
-	}
-}
-
-func unlockStores(stores []*Store) {
-	for _, st := range stores {
-		st.mu.Unlock()
-	}
+	f := openFanOut(stores, fan)
+	pairs, failed, err := scanLocked(stores, lo, hi, limit)
+	f.publish(stores, obs.OpScan, len(pairs))
+	return pairs, failed, err
 }
 
 // scanLocked is ScanStores with every store's lock held.
-func scanLocked(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]Pair, int, error) {
+func scanLocked(stores []*Store, lo, hi core.Val, limit int) ([]Pair, int, error) {
 	// Sized once for like stores.
 	runs := slices.Grow(stores[0].leg.runs[:0], len(stores)*len(stores[0].shards))
 	var unavailable []int
@@ -148,20 +120,12 @@ func scanLocked(stores []*Store, lo, hi core.Val, limit int, parent uint64) ([]P
 			runs = slices.Delete(runs, j, j+1)
 		}
 	}
-	legs := func(st *Store) bool { return len(st.leg.picks) > 0 || len(stores) == 1 }
 	for i, st := range stores {
-		if !legs(st) {
+		if len(st.leg.picks) == 0 && len(stores) > 1 {
 			continue
 		}
 		if err := st.readLegLocked(out); err != nil {
 			return nil, i, err
-		}
-	}
-	if parent != 0 {
-		for c, st := range stores {
-			if legs(st) {
-				st.rec.FanOutLeg(parent, obs.OpScan, c, st.leg.startNS, st.leg.endNS, len(st.leg.picks))
-			}
 		}
 	}
 	if missing > 0 {
@@ -190,7 +154,7 @@ func (s *Store) readLegLocked(out []Pair) error {
 		s.prefetchLocked(s.pred.aheadLocked(out[s.leg.picks[n-1].pos].Key))
 	}
 	s.ctr.ScannedPairs += uint64(len(s.leg.picks))
-	s.leg.endNS = s.cluster.NowNS()
-	s.rec.OpSpan(obs.OpScan, -1, s.leg.startNS, s.leg.endNS, len(s.leg.picks), 0, false)
+	s.endLeg(len(s.leg.picks))
+	s.rec.OpSpan(obs.OpScan, -1, s.leg.startNS, s.leg.endNS, s.leg.n, 0, false)
 	return nil
 }

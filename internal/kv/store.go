@@ -122,9 +122,9 @@ type Store struct {
 	rec            *obs.Recorder
 	obsCommitAcked uint64
 
-	// leg is the store's part of the range read in progress, kept here
-	// so a read allocates nothing per store (scan.go). Dead outside it.
-	leg scanLeg
+	// leg is the store's part of the call over several stores in
+	// progress (fanout.go).
+	leg leg
 	// touched marks, per shard, the shards the Apply in progress wrote
 	// (applyLocked), kept here so a batch allocates nothing. Dead
 	// outside it.
@@ -652,120 +652,168 @@ func (s *Store) readValue(sh *shard, key core.Val, slot int) (core.Val, error) {
 	return v, nil
 }
 
-// MultiGet resolves a set of keys under one lock acquisition, returning
-// one Lookup per key in input order. Each key pays the same simulated
-// read cost as a Get; the amortization is the routing (one traversal of
-// the service instead of one call per key). A key routed to a down shard
-// fails the whole call, like Get. Keys routed to a *partitioned* shard
-// degrade gracefully instead: their lookups come back Found == false and
-// the call returns the other keys' results together with a
-// *PartialResultError naming the unreachable shards.
+// MultiGet is MultiGetStores over this one store.
 func (s *Store) MultiGet(keys []core.Val) ([]Lookup, error) {
+	out, _, err := MultiGetStores([]*Store{s}, keys, nil)
+	return out, err
+}
+
+// MultiGetStores is the batch lookup (DB.MultiGet) over stores that
+// partition the keyspace (fanout.go), each key routed by StoreOf. A store
+// with a key, or the only store, runs a leg: it resolves its keys,
+// counting in MultiGets once it has resolved the first, and reports its
+// op span. A key on a partitioned shard is withheld — Found false, its
+// shard named in the *PartialResultError the other keys' results come
+// with — while any other error fails the call. fan, when set, is the
+// recorder of the fan-out the call serves (fanOut.publish).
+func MultiGetStores(stores []*Store, keys []core.Val, fan *obs.Recorder) ([]Lookup, int, error) {
 	for _, k := range keys {
 		if k < 0 {
-			return nil, ErrBadKey
+			return nil, -1, ErrBadKey
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.frontDown {
-		return nil, ErrFrontDown
-	}
-	start := s.cluster.NowNS()
-	out := make([]Lookup, 0, len(keys))
+	lockStores(stores)
+	defer unlockStores(stores)
+	f := openFanOut(stores, fan)
+	defer f.publish(stores, obs.OpMultiGet, len(keys))
+	route(stores, len(keys), func(i int) core.Val { return keys[i] })
+	out := make([]Lookup, len(keys))
 	var unavailable []int
-	missing := 0
-	for _, k := range keys {
+	missing, base := 0, 0
+	for i, st := range stores {
+		if len(st.leg.pos) > 0 || len(stores) == 1 {
+			var err error
+			if unavailable, err = st.multiGetLegLocked(keys, out, base, unavailable); err != nil {
+				return nil, i, err
+			}
+			missing += len(st.leg.pos) - st.leg.n
+		}
+		base += len(st.shards)
+	}
+	if missing > 0 {
+		slices.Sort(unavailable)
+		return out, -1, &PartialResultError{Op: "multiget", Unavailable: unavailable, Missing: missing}
+	}
+	return out, -1, nil
+}
+
+// multiGetLegLocked resolves the keys at the store's positions into out,
+// adding the partitioned shards it withholds keys of, numbered from base,
+// to unavailable.
+func (s *Store) multiGetLegLocked(keys []core.Val, out []Lookup, base int, unavailable []int) ([]int, error) {
+	if s.frontDown {
+		return unavailable, ErrFrontDown
+	}
+	s.leg.startNS = s.cluster.NowNS()
+	n := 0
+	for j, i := range s.leg.pos {
+		k := keys[i]
+		out[i].Key = k
 		if sh := s.shards[s.shardOf(k)]; sh.partitioned && !sh.down {
 			// Not counted in Gets: the placeholder lookup was denied by
 			// the partition, not served.
-			if !slices.Contains(unavailable, sh.id) {
-				unavailable = append(unavailable, sh.id)
+			if !slices.Contains(unavailable, base+sh.id) {
+				unavailable = append(unavailable, base+sh.id)
 			}
-			missing++
-			out = append(out, Lookup{Key: k})
 			continue
 		}
 		v, ok, err := s.getLocked(k)
 		if err != nil {
-			if len(out) > 0 {
-				// Served-only counting, like Apply's: a MultiGet counts
-				// once it has resolved its first key, and one a down
-				// shard denies before that never ran.
+			if j > 0 {
 				s.ctr.MultiGets++
 			}
-			return nil, err
+			return unavailable, err
 		}
-		out = append(out, Lookup{Key: k, Val: v, Found: ok})
+		out[i].Val, out[i].Found = v, ok
+		n++
 	}
 	s.ctr.MultiGets++
-	s.rec.OpSpan(obs.OpMultiGet, -1, start, s.cluster.NowNS(), len(out)-missing, 0, false)
-	if missing > 0 {
-		slices.Sort(unavailable)
-		return out, &PartialResultError{Op: "multiget", Unavailable: unavailable, Missing: missing}
-	}
-	return out, nil
+	s.endLeg(n)
+	s.rec.OpSpan(obs.OpMultiGet, -1, s.leg.startNS, s.leg.endNS, n, 0, false)
+	return unavailable, nil
 }
 
-// Apply applies the batch's puts and deletes in order, then commits every
-// shard the batch touched, acknowledging the whole batch with one Ack at
-// that commit point: on success every record is durable (Ack.Durable ==
-// true) regardless of strategy. Under GroupCommit/RangedCommit the client
-// batch becomes the commit unit — one flush per touched shard — instead
-// of acking at Config.Batch boundaries; under the per-operation
-// strategies every record was durable as it was written and the trailing
-// commit is a no-op. Apply is not a transaction: on error a prefix of the
-// batch may already be applied. Ack.Shard/Seq identify the batch's last
-// appended record.
+// Apply is ApplyStores over this one store.
 func (s *Store) Apply(b *Batch) (Ack, error) {
-	if b == nil || b.Len() == 0 {
-		return Ack{Shard: -1, Seq: -1, Durable: true}, nil
-	}
-	for _, op := range b.ops {
-		if op.Key < 0 || (!op.IsDelete() && op.Val < 1) {
-			return Ack{}, ErrBadKey
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := s.cluster.NowNS()
-	ackedW, commitW := s.ctr.Acked, s.obsCommitAcked
-	ack, err := s.applyLocked(b)
-	s.rec.OpSpan(obs.OpApply, -1, start, s.cluster.NowNS(),
-		b.Len(), s.spanAcked(ackedW, commitW), ack.Durable)
+	ack, _, err := ApplyStores([]*Store{s}, b, nil)
 	return ack, err
 }
 
-// applyLocked is Apply's body with the store lock held and the batch
-// validated.
-func (s *Store) applyLocked(b *Batch) (Ack, error) {
+// ApplyStores is the batch write (DB.Apply) over stores that partition
+// the keyspace (fanout.go), each op routed by StoreOf. A store with an op
+// runs a leg: it applies its ops in batch order, then commits every shard
+// they touched. The Ack is the last record of the store holding the
+// batch's final op. No other call over the stores sees the batch part
+// applied, since it holds their locks throughout; a failure leaves the
+// earlier legs and a prefix of the failing one applied. fan, when set, is
+// the recorder of the fan-out the call serves (fanOut.publish).
+func ApplyStores(stores []*Store, b *Batch, fan *obs.Recorder) (Ack, int, error) {
+	if b == nil || b.Len() == 0 {
+		return Ack{Shard: -1, Seq: -1, Durable: true}, -1, nil
+	}
+	for _, op := range b.ops {
+		if op.key < 0 || (!op.del && op.val < 1) {
+			return Ack{}, -1, ErrBadKey
+		}
+	}
+	lockStores(stores)
+	defer unlockStores(stores)
+	f := openFanOut(stores, fan)
+	defer f.publish(stores, obs.OpApply, b.Len())
+	route(stores, len(b.ops), func(i int) core.Val { return b.ops[i].key })
+	last := StoreOf(b.ops[len(b.ops)-1].key, len(stores))
+	var final Ack
+	base := 0
+	for i, st := range stores {
+		if len(st.leg.pos) > 0 {
+			ack, err := st.applyLegLocked(b.ops)
+			if err != nil {
+				return Ack{}, i, err
+			}
+			if i == last {
+				final = ack
+				final.Shard += base
+			}
+		}
+		base += len(st.shards)
+	}
+	return final, -1, nil
+}
+
+// applyLegLocked runs the store's leg of an Apply inside its op span.
+func (s *Store) applyLegLocked(ops []batchOp) (last Ack, err error) {
+	s.leg.startNS = s.cluster.NowNS()
+	ackedW, commitW := s.ctr.Acked, s.obsCommitAcked
+	defer func() {
+		s.rec.OpSpan(obs.OpApply, -1, s.leg.startNS, s.cluster.NowNS(),
+			len(s.leg.pos), s.spanAcked(ackedW, commitW), last.Durable)
+		if err == nil {
+			s.endLeg(len(s.leg.pos))
+		}
+	}()
 	if s.frontDown {
 		return Ack{}, ErrFrontDown
 	}
 	touched := s.touched
 	clear(touched)
-	var last Ack
-	for bi, op := range b.ops {
+	for j, i := range s.leg.pos {
 		if s.applyHook != nil {
-			s.applyHook(bi)
+			s.applyHook(j)
 		}
-		val := op.Val
-		if op.IsDelete() {
-			val = 0 // the tombstone value
-		}
-		sh := s.shards[s.shardOf(op.Key)]
-		ack, err := s.append(sh, op.Key, val)
+		op := ops[i]
+		sh := s.shards[s.shardOf(op.key)]
+		ack, err := s.append(sh, op.key, op.val) // a delete's val is 0, the tombstone
 		if err != nil {
 			return Ack{}, err
 		}
-		if bi == 0 {
+		if j == 0 {
 			// Served-only counting, like getLocked: a batch counts once
 			// its first record is written, and one denied before that
 			// never ran.
 			s.ctr.Batches++
 		}
 		touched[sh.id] = true
-		last = ack
+		last = Ack{Shard: ack.Shard, Seq: ack.Seq, Durable: true}
 	}
 	// The batch's commit point: flush every touched shard's open batch
 	// (which may also cover earlier writes pending on those shards — a
@@ -778,7 +826,7 @@ func (s *Store) applyLocked(b *Batch) (Ack, error) {
 			return Ack{}, err
 		}
 	}
-	return Ack{Shard: last.Shard, Seq: last.Seq, Durable: true}, nil
+	return last, nil
 }
 
 // Sync commits every shard's open batch (GroupCommit or RangedCommit). A

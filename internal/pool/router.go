@@ -10,28 +10,25 @@
 //
 // # Routing
 //
-// Keys route key → cluster by hash (ClusterOf: mix(k) mod Clusters), then
-// inside the owning store key → store bucket → shard through the shard
-// map (docs/rebalancing.md). The cluster choice is front-end arithmetic
-// costing nothing on the simulated clock, and it is fixed: no key moves
-// between clusters. See docs/pooling.md.
+// Keys route key → cluster by hash (ClusterOf, kv.StoreOf), then inside
+// the owning store key → bucket → shard through the shard map
+// (docs/rebalancing.md). The cluster choice costs nothing on the
+// simulated clock, and it is fixed: no key moves between clusters.
 //
 // # What is and isn't crash-safe
 //
 // Every per-cluster guarantee survives pooling unchanged: an acknowledged
-// write durably lives in exactly one cluster, and that cluster's
-// crash/recovery rules apply verbatim (Crash/Recover pass through to the
-// owning store, with shards addressed by global index). What pooling does
-// NOT add is any cross-cluster ordering: an Apply spanning clusters
-// commits per cluster in sequence, so a crash between those commits can
-// leave the batch durable in one cluster and dropped in another — the
-// same partial-prefix caveat Apply already carries within one store,
-// widened to cluster granularity. Cross-cluster atomicity (and
-// cross-cluster bucket migration) is future work; see docs/pooling.md.
+// write durably lives in exactly one cluster, under that cluster's
+// crash/recovery rules (with shards addressed by global index). Pooling
+// adds no cross-cluster atomicity: an Apply commits per cluster in
+// sequence under every cluster's lock, so no other call sees it half
+// applied, but a failure in a later cluster leaves the earlier clusters'
+// parts durable — Apply's partial-prefix caveat at cluster granularity.
+// Cross-cluster atomicity and migration are future work; see
+// docs/pooling.md.
 package pool
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -56,23 +53,19 @@ type Config struct {
 	Store kv.Config
 }
 
-// Router pools N cluster-backed stores behind the kv.DB interface.
-// Every cluster runs the one Config.Store, so all clusters have the same
-// shard count, per, and shards are addressed by global index: cluster
-// c's shard i is c*per + i, and global shard g is cluster g/per's shard
-// g%per. The cluster set is immutable after Open, and every store
-// serializes its own operations, so Router methods are safe for
-// concurrent use; operations on distinct clusters do not serialize
-// against each other (they hold mu only for reading). Metrics,
-// ResetMetrics and Observe take mu exclusively, so a Metrics snapshot is
-// atomically consistent — it never observes a fan-out operation half
-// applied.
+// Router pools N cluster-backed stores behind the kv.DB interface. Every
+// cluster runs the one Config.Store, so cluster c's shard i has global
+// index c*per + i. Router methods are safe for concurrent use: a point
+// operation (Put, Delete, Get) takes its cluster's store lock alone, so
+// those on distinct clusters do not serialize, while MultiGet, Scan,
+// Apply and Metrics are each one kv routine over the clusters, holding
+// every cluster's lock: one cut of the pool.
 type Router struct {
 	stores []*kv.Store
 	per    int // shards per cluster
 
 	// mu is held shared by every operation and exclusively by
-	// Metrics/ResetMetrics/Observe.
+	// ResetMetrics and Observe.
 	mu  sync.RWMutex
 	rec *obs.Recorder
 }
@@ -100,11 +93,9 @@ func Open(cfg Config) (*Router, error) {
 // Observe attaches rec to the router and, derived per cluster with the
 // cluster's tag and global shard base, to every pooled store — so every
 // store-level event carries its cluster and global shard index while all
-// clusters share one bus, one aggregate and one span-ID sequence. The
-// router itself emits fan-out parent/leg spans for MultiGet, Scan and
-// Apply. Pass nil to detach. Like kv.Store.Observe, instrumentation only
-// reads the simulated clocks — the pooled timeline is bit-identical with
-// and without a recorder.
+// clusters share one bus, one aggregate and one span-ID sequence;
+// MultiGet, Scan and Apply publish their fan-out spans under rec itself.
+// Pass nil to detach. Instrumentation only reads the simulated clocks.
 func (r *Router) Observe(rec *obs.Recorder) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -117,21 +108,8 @@ func (r *Router) Observe(rec *obs.Recorder) {
 // NumClusters returns the pooled cluster count.
 func (r *Router) NumClusters() int { return len(r.stores) }
 
-// ClusterOf returns the cluster key k routes to. The hash must be
-// independent of the store-level shard map's (bare Fibonacci
-// multiplication): both reduce modulo counts that share factors in common
-// configurations, so reusing the store's hash would alias cluster routing
-// with shard routing — at Clusters == Shards every cluster would serve all
-// of its traffic on the single shard congruent to its own index. The
-// avalanche finisher (Murmur3-style, the same mixing idiom as kv's record
-// checksums) decorrelates the two levels.
-func (r *Router) ClusterOf(k core.Val) int {
-	h := uint64(k) * 0x9e3779b97f4a7c15
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h % uint64(len(r.stores)))
-}
+// ClusterOf returns the cluster key k routes to (kv.StoreOf).
+func (r *Router) ClusterOf(k core.Val) int { return kv.StoreOf(k, len(r.stores)) }
 
 // Cluster returns cluster c's backing store (for inspection and tests).
 func (r *Router) Cluster(c int) *kv.Store { return r.stores[c] }
@@ -140,13 +118,13 @@ func (r *Router) Cluster(c int) *kv.Store { return r.stores[c] }
 // index space.
 func (r *Router) globalShard(c, local int) int { return c*r.per + local }
 
-// clusterErr tags a per-store error with the cluster it came from — a
-// pooled deployment has Clusters copies of every shard index, so a bare
-// "shard 1 is down/full" is ambiguous without it. fmt.Errorf's %w keeps
-// errors.Is/errors.As (ErrShardDown, *ShardFullError, ...) working.
+// clusterErr tags a per-store error with the cluster it came from, if
+// any (c >= 0) — a pooled deployment has Clusters copies of every shard
+// index, so a bare "shard 1 is down/full" is ambiguous without it.
+// fmt.Errorf's %w keeps errors.Is/errors.As working.
 func clusterErr(c int, err error) error {
-	if err == nil {
-		return nil
+	if err == nil || c < 0 {
+		return err
 	}
 	return fmt.Errorf("pool: cluster %d: %w", c, err)
 }
@@ -192,158 +170,30 @@ func (r *Router) Get(key core.Val) (core.Val, bool, error) {
 	return v, ok, clusterErr(c, err)
 }
 
-// MultiGet fans the keys out to their clusters — one MultiGet per
-// involved cluster, carrying that cluster's keys in input order — and
-// merges the per-cluster results back into input order. Partitioned
-// shards degrade the call, not fail it: clusters whose MultiGet returned
-// a kv.PartialResultError contribute their reachable results, and the
-// merged call returns one pool-level PartialResultError with the
-// unreachable shards lifted to global indices. A crashed shard still
-// fails the whole call (see kv.PartialResultError for why the two paths
-// differ).
+// MultiGet is kv.MultiGetStores over the clusters; partitioned shards
+// degrade it to a partial result with global shard indices, and an error
+// is tagged with its cluster, as for Scan and Apply.
 func (r *Router) MultiGet(keys []core.Val) ([]kv.Lookup, error) {
-	for _, k := range keys {
-		if k < 0 {
-			return nil, kv.ErrBadKey
-		}
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	byCluster := make([][]core.Val, len(r.stores))
-	byClusterPos := make([][]int, len(r.stores))
-	for i, k := range keys {
-		c := r.ClusterOf(k)
-		byCluster[c] = append(byCluster[c], k)
-		byClusterPos[c] = append(byClusterPos[c], i)
-	}
-	out := make([]kv.Lookup, len(keys))
-	var unavailable []int
-	missing := 0
-	err := r.fanOut(obs.OpMultiGet, len(keys), func(c int) bool { return len(byCluster[c]) > 0 }, func(c int) (int, error) {
-		res, err := r.stores[c].MultiGet(byCluster[c])
-		var partial *kv.PartialResultError
-		if err != nil && !errors.As(err, &partial) {
-			return 0, err
-		}
-		for j, l := range res {
-			out[byClusterPos[c][j]] = l
-		}
-		if partial == nil {
-			return len(byCluster[c]), nil
-		}
-		// Cluster order is ascending and each cluster reports its
-		// unavailable shards ascending, so the global list stays sorted.
-		for _, sh := range partial.Unavailable {
-			unavailable = append(unavailable, r.globalShard(c, sh))
-		}
-		missing += partial.Missing
-		return len(byCluster[c]) - partial.Missing, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if missing > 0 {
-		return out, &kv.PartialResultError{Op: "multiget", Unavailable: unavailable, Missing: missing}
-	}
-	return out, nil
+	out, failed, err := kv.MultiGetStores(r.stores, keys, r.rec)
+	return out, clusterErr(failed, err)
 }
 
-// fanOut runs one leg per cluster that has a part in the call (has), in
-// cluster order, under a parent span covering the whole call of size n.
-// leg runs cluster c's part and returns the size its span reports; the
-// first error ends the fan-out, tagged with its cluster. The parent is
-// published on every return path, so every leg that went out names a
-// parent a consumer can find.
-func (r *Router) fanOut(op obs.Op, n int, has func(c int) bool, leg func(c int) (int, error)) error {
-	span, start := r.rec.NewSpan(), r.obsNow()
-	var err error
-	for c, st := range r.stores {
-		if !has(c) {
-			continue
-		}
-		lstart := st.NowNS()
-		var size int
-		if size, err = leg(c); err != nil {
-			err = clusterErr(c, err)
-			break
-		}
-		r.rec.FanOutLeg(span, op, c, lstart, st.NowNS(), size)
-	}
-	r.rec.FanOut(span, op, start, r.obsNow(), n)
-	return err
-}
-
-// Scan is kv.ScanStores over the clusters, which partition the keyspace:
-// one merge over every cluster's shards picks the first limit pairs of
-// [lo, hi) (all of them when limit <= 0), then each cluster reads the
-// values it holds of them, so the scan walks each key once and loads only
-// what it returns. The locks are taken in one order, the router's mu
-// (shared) and then every cluster's store lock by cluster index, and held
-// to the end, so the pairs are one cut of the pool. A cluster is a leg of
-// the fan-out iff the merge took a key from it (or it is the only
-// cluster), with one tick of its store's Scans counter, published under
-// the parent span allocated here. Like MultiGet, partitioned shards
-// degrade the scan to a partial
-// result (the reachable shards' pairs plus one pool-level
-// kv.PartialResultError with global shard indices, Missing counted over
-// all of [lo, hi)) while a crashed in-range shard fails it.
+// Scan is kv.ScanStores over the clusters.
 func (r *Router) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	span, start := r.rec.NewSpan(), r.obsNow()
-	pairs, failed, err := kv.ScanStores(r.stores, lo, hi, limit, span)
-	if failed >= 0 {
-		return nil, clusterErr(failed, err)
-	}
-	r.rec.FanOut(span, obs.OpScan, start, r.obsNow(), len(pairs))
-	return pairs, err
+	pairs, failed, err := kv.ScanStores(r.stores, lo, hi, limit, r.rec)
+	return pairs, clusterErr(failed, err)
 }
 
-// Apply splits the batch into per-cluster sub-batches (each preserving
-// the batch's operation order — order across clusters is irrelevant
-// because clusters partition the keyspace) and applies them in cluster
-// order. Each sub-batch commits inside its own cluster, so on success the
-// whole batch is durable and acknowledged with one Ack; on error, whole
-// sub-batches (and a prefix of the failing one) may already be applied —
-// the same partial-prefix caveat kv.Store.Apply carries, at cluster
-// granularity. The returned Ack identifies the last record of the
-// sub-batch holding the batch's final operation, with Shard global.
+// Apply is kv.ApplyStores over the clusters; the Ack's Shard is global.
 func (r *Router) Apply(b *Batch) (kv.Ack, error) {
-	if b == nil || b.Len() == 0 {
-		return kv.Ack{Shard: -1, Seq: -1, Durable: true}, nil
-	}
-	ops := b.Ops()
-	for _, op := range ops {
-		if op.Key < 0 || (!op.IsDelete() && op.Val < 1) {
-			return kv.Ack{}, kv.ErrBadKey
-		}
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	sub := make([]kv.Batch, len(r.stores))
-	lastCluster := 0
-	for _, op := range ops {
-		c := r.ClusterOf(op.Key)
-		if op.IsDelete() {
-			sub[c].Delete(op.Key)
-		} else {
-			sub[c].Put(op.Key, op.Val)
-		}
-		lastCluster = c
-	}
-	var final kv.Ack
-	err := r.fanOut(obs.OpApply, b.Len(), func(c int) bool { return sub[c].Len() > 0 }, func(c int) (int, error) {
-		ack, err := r.stores[c].Apply(&sub[c])
-		if c == lastCluster {
-			final = ack
-			final.Shard = r.globalShard(c, ack.Shard)
-		}
-		return sub[c].Len(), err
-	})
-	if err != nil {
-		return kv.Ack{}, err
-	}
-	return final, nil
+	ack, failed, err := kv.ApplyStores(r.stores, b, r.rec)
+	return ack, clusterErr(failed, err)
 }
 
 // gather calls f on every cluster in order and concatenates what comes
@@ -468,12 +318,11 @@ func (r *Router) FrontDown() bool {
 // counters summed, per-shard series in global shard order, latency and
 // recovery samples pooled cluster-major (cluster 0's series in its own
 // order, then cluster 1's, ...). A one-cluster pool's snapshot is its
-// store's. The snapshot is atomically consistent — Metrics holds the
-// router lock exclusively, so no operation (in particular no
-// multi-cluster Apply) is in flight while the clusters are read.
+// store's. The snapshot is one cut of the pool, like every call over the
+// clusters: it never observes a multi-cluster Apply half applied.
 func (r *Router) Metrics() kv.Metrics {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return kv.MetricsOf(r.stores)
 }
 
@@ -486,23 +335,10 @@ func (r *Router) ResetMetrics() {
 	}
 }
 
-// obsNow is the pool's summed clock as an observability timestamp: summed
-// only while a recorder is attached, so an unobserved fan-out pays one
-// pointer check and hands the nil recorder's no-op methods a zero they
-// ignore. (One cluster's clock is a lock-free read; legs take it bare.)
-func (r *Router) obsNow() float64 {
-	if r.rec == nil {
-		return 0
-	}
-	return r.NowNS()
-}
-
 // NowNS returns the sum of the pooled clusters' independent simulated
-// clocks — the pool's total consumed simulated time. Deltas around an
-// operation measure its cost (its owning cluster is the only clock that
-// advances; a fan-out op's delta is the summed cost across clusters).
-// It takes no router lock: the store slice is immutable and a cluster's
-// clock is read atomically.
+// clocks — the pool's total consumed simulated time, so the delta around
+// an operation is its summed cost across clusters. It takes no lock: the
+// store slice is immutable and a cluster's clock is read atomically.
 func (r *Router) NowNS() float64 {
 	total := 0.0
 	for _, st := range r.stores {
