@@ -44,6 +44,14 @@ var seams = []seam.Row{
 		Fix:   "range reads are scanLocked's merge over the stores' shard cursors",
 	},
 	{
+		// Several stores' locks are held only by the calls over several
+		// stores, each one cut of them (fanout.go), all in slice order.
+		Name:  "takes of several stores' locks",
+		Site:  func(n ast.Node) bool { return seam.Calls(n, "lockStores") != nil },
+		Funcs: map[string]int{"ScanStores": 1, "MetricsOf": 1, "MultiGetStores": 1, "ApplyStores": 1},
+		Fix:   "a call over several stores is one of ScanStores, MetricsOf, MultiGetStores and ApplyStores",
+	},
+	{
 		// A crash takes every write still waiting; the shard's keys are
 		// snooped wholesale by the crash paths that call it.
 		Name:  "the view's takes of log records",

@@ -259,10 +259,17 @@ func TestRouterFanOutEvents(t *testing.T) {
 // publishes its parent span, so every leg that went out names a parent a
 // consumer can find. On 2 clusters × 1 shard with cluster 1's shard
 // crashed, MultiGet and Apply over one key per cluster run cluster 0's
-// leg — for Apply a durable sub-batch — and then fail on cluster 1.
+// leg — for Apply a durable part of the batch — and then fail on cluster
+// 1; a Scan over both keys fails in its merge, before any leg ran.
 func TestFanOutFailurePublishesParent(t *testing.T) {
 	r := openTest(t, Config{Clusters: 2, Store: kv.Config{Shards: 1, Strategy: kv.GroupCommit, Batch: 4, Capacity: 128, Seed: 7}})
 	k0, k1 := keyOnCluster(t, r, 0), keyOnCluster(t, r, 1)
+	if _, err := r.Put(k1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	bus := obs.NewBus(0)
 	sub := bus.Subscribe()
 	r.Observe(obs.NewRecorder(bus, obs.NewStats()))
@@ -270,10 +277,12 @@ func TestFanOutFailurePublishesParent(t *testing.T) {
 
 	for _, call := range []struct {
 		name string
+		legs int
 		do   func() error
 	}{
-		{"MultiGet", func() error { _, err := r.MultiGet([]core.Val{k0, k1}); return err }},
-		{"Apply", func() error { _, err := r.Apply(new(Batch).Put(k0, 1).Put(k1, 2)); return err }},
+		{"MultiGet", 1, func() error { _, err := r.MultiGet([]core.Val{k0, k1}); return err }},
+		{"Apply", 1, func() error { _, err := r.Apply(new(Batch).Put(k0, 1).Put(k1, 2)); return err }},
+		{"Scan", 0, func() error { _, err := r.Scan(0, max(k0, k1)+1, 0); return err }},
 	} {
 		if err := call.do(); !errors.Is(err, kv.ErrShardDown) {
 			t.Fatalf("%s over a crashed cluster: %v, want ErrShardDown", call.name, err)
@@ -285,6 +294,9 @@ func TestFanOutFailurePublishesParent(t *testing.T) {
 				parents[e.Span] = true
 			}
 		}
+		if len(parents) != 1 {
+			t.Errorf("%s: %d parent spans published, want 1", call.name, len(parents))
+		}
 		legs := 0
 		for _, e := range evs {
 			if e.Kind != obs.KindOp || e.Parent == 0 {
@@ -295,8 +307,8 @@ func TestFanOutFailurePublishesParent(t *testing.T) {
 				t.Errorf("%s: cluster %d's leg names parent %d, which was never published", call.name, e.Cluster, e.Parent)
 			}
 		}
-		if legs != 1 {
-			t.Errorf("%s: %d legs published, want cluster 0's", call.name, legs)
+		if legs != call.legs {
+			t.Errorf("%s: %d legs published, want %d", call.name, legs, call.legs)
 		}
 	}
 }

@@ -166,6 +166,73 @@ func TestScanIsACut(t *testing.T) {
 	}
 }
 
+// TestApplyIsACut holds a pooled Apply to the cut the calls over the
+// clusters share: a writer applies one value to one key on every cluster,
+// batch after batch, while pooled Scans and MultiGets run; every read must
+// see the whole batch or none of it — one value on every key. An Apply
+// that committed cluster by cluster, each under its own store's lock
+// alone, would show a read the new value on the clusters already
+// committed and the old one on the rest. Run it under -race.
+func TestApplyIsACut(t *testing.T) {
+	for _, clusters := range []int{3, 4} {
+		r := openTest(t, Config{Clusters: clusters, Store: kv.Config{Shards: 2, Capacity: 1024, Strategy: kv.StoreFlush, PipelineDepth: 1, Seed: 11}})
+		keys := make([]core.Val, clusters)
+		for c := range keys {
+			keys[c] = keyOnCluster(t, r, c)
+		}
+		hi := slices.Max(keys) + 1
+		apply := func(v core.Val) error {
+			b := new(Batch)
+			for _, k := range keys {
+				b.Put(k, v)
+			}
+			_, err := r.Apply(b)
+			return err
+		}
+		if err := apply(1); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for v := core.Val(2); v <= 300; v++ {
+				if err := apply(v); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for i, writing := 0, true; writing; i++ {
+			select {
+			case <-done:
+				writing = false
+			default:
+			}
+			var vals []core.Val
+			if i%2 == 0 {
+				pairs, err := r.Scan(0, hi, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range pairs {
+					vals = append(vals, p.Val)
+				}
+			} else {
+				res, err := r.MultiGet(keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, l := range res {
+					vals = append(vals, l.Val)
+				}
+			}
+			if len(vals) != clusters || slices.Min(vals) != slices.Max(vals) {
+				t.Fatalf("%d clusters: read %d saw values %v of the batches over keys %v, want one value on every key", clusters, i, vals, keys)
+			}
+		}
+	}
+}
+
 // scanFuzzKeys is the key space of FuzzRouterScan's programs: a few dozen
 // keys per cluster, so a limit below 40 both cuts most clusters' key
 // lists in the merge and, early in a program or on a narrow range,
