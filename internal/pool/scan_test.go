@@ -244,18 +244,27 @@ type write struct{ key, val core.Val }
 
 // runScanProgram interprets prog against a router of 2–4 clusters × 2 or
 // 3 shards under ranged commit at pipeline depth 1 or 2 (byte 0 picks all
-// three) and holds every scan to a model. Every following 4 bytes (op, a, b, c)
-// are one step: a put, a delete, a Sync, a partition or heal of a global
-// shard, or — one step in four — Scan(lo, hi, limit) with limit in [0, 40).
+// three) and holds every read to a model. Every following 4 bytes (op,
+// a, b, c) are one step: a put, a delete, a Sync, a partition or heal of
+// a global shard, an Apply of up to 6 puts and deletes, a MultiGet of up
+// to 8 keys, or Scan(lo, hi, limit) with limit in [0, 40).
 //
-// The model is each global shard's log, rebuilt from the Acks, and the
-// set of shards the program has cut off. What a scan must serve is a
-// replay of every shard's log — all of it at depth 1, where a write is
-// visible at once, and the prefix below the shard's acked watermark
-// (Metrics.PerShardAcked) at depth 2, where reads are gated by it: the
-// pairs are the first limit replayed keys in range on reachable shards,
-// Missing counts the replayed keys in range on partitioned ones and
-// Unavailable names the partitioned shards that hold one.
+// The model is each global shard's log, rebuilt from the Acks (an Apply's
+// records in the order its legs write them: cluster by cluster, each
+// cluster's ops in batch order), and the set of shards the program has
+// cut off. What a read must serve is a replay of every shard's log — all
+// of it at depth 1, where a write is visible at once, and the prefix
+// below the shard's acked watermark (Metrics.PerShardAcked) at depth 2,
+// where reads are gated by it: a scan's pairs are the first limit
+// replayed keys in range on reachable shards, Missing counts the replayed
+// keys in range on partitioned ones and Unavailable names the partitioned
+// shards that hold one. A MultiGet returns each key's replayed value, or
+// not found, at a watermark between the call's start and end (its reads
+// move the clock, so a flight may retire between two keys); a key routed
+// to a partitioned shard is a placeholder counted in Missing, its shard
+// in Unavailable. An Apply acknowledges its records durable, or fails on
+// the first op routed to a partitioned shard, the records before it
+// written.
 func runScanProgram(t *testing.T, prog []byte) {
 	if len(prog) == 0 {
 		return
@@ -292,27 +301,130 @@ func runScanProgram(t *testing.T, prog []byte) {
 		}
 		return upto
 	}
+	// shardOf is the global shard a key routes to (no bucket moves here).
+	shardOf := func(k core.Val) int {
+		c := r.ClusterOf(k)
+		return r.globalShard(c, r.Cluster(c).ShardOf(k))
+	}
+	// replayed returns key k's value in the first upto records of its
+	// shard's log (0 if none, or deleted).
+	replayed := func(k core.Val, upto int) core.Val {
+		val := core.Val(0)
+		for _, w := range logs[shardOf(k)][:upto] {
+			if w.key == k {
+				val = w.val
+			}
+		}
+		return val
+	}
 	// The log capacity bounds a program; the rest of a longer one is unread.
 	for i := 1; i+3 < len(prog) && i < 4*900; i += 4 {
 		op, a, b, c := prog[i], prog[i+1], prog[i+2], prog[i+3]
 		key := core.Val(a) % scanFuzzKeys
 		switch op % 32 {
-		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13:
+		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12:
 			val := 1 + core.Val(b) + core.Val(c)<<8
 			ack, err := r.Put(key, val)
 			wrote(key, val, ack, err)
-		case 14, 15, 16, 17:
+		case 13, 14, 15:
 			ack, err := r.Delete(key)
 			wrote(key, 0, ack, err)
-		case 18, 19:
+		case 16, 17:
 			if err := r.Sync(); err != nil && !errors.Is(err, kv.ErrUnavailable) {
 				t.Fatalf("Sync: %v", err)
 			}
-		case 20:
+		case 18:
 			sh := int(a) % len(cut)
 			r.Partition(sh)
 			cut[sh] = true
-		case 21, 22, 23:
+		case 22, 23:
+			// Op j puts key a + j*b (mod the key space), or deletes it
+			// when bit j of c is set.
+			batch := new(Batch)
+			var ops []write
+			for j := range 1 + int(c>>5)%6 {
+				k := (key + core.Val(j)*core.Val(b)) % scanFuzzKeys
+				val := 1 + core.Val(b) + core.Val(j)<<8
+				if c>>j&1 == 1 {
+					batch.Delete(k)
+					val = 0
+				} else {
+					batch.Put(k, val)
+				}
+				ops = append(ops, write{k, val})
+			}
+			ack, err := r.Apply(batch)
+			// The model's legs: cluster by cluster, ops in batch order.
+			var wantErr error
+			for cl := 0; cl < r.NumClusters() && wantErr == nil; cl++ {
+				for _, w := range ops {
+					if r.ClusterOf(w.key) != cl {
+						continue
+					}
+					sh := shardOf(w.key)
+					if cut[sh] {
+						wantErr = kv.ErrUnavailable
+						break
+					}
+					home[w.key] = sh
+					logs[sh] = append(logs[sh], w)
+				}
+			}
+			last := shardOf(ops[len(ops)-1].key)
+			if wantErr != nil {
+				if !errors.Is(err, wantErr) {
+					t.Fatalf("step %d: Apply(%v) = %+v, %v; want ErrUnavailable (partitioned: %v)", i/4, ops, ack, err, cut)
+				}
+			} else if err != nil || !ack.Durable || ack.Shard != last || ack.Seq != len(logs[last])-1 {
+				t.Fatalf("step %d: Apply(%v) = %+v, %v; want shard %d slot %d durable (partitioned: %v)",
+					i/4, ops, ack, err, last, len(logs[last])-1, cut)
+			}
+		case 24, 25:
+			var keys []core.Val
+			for j := range 1 + int(c)%8 {
+				keys = append(keys, (key+core.Val(j)*core.Val(b))%scanFuzzKeys)
+			}
+			if _, err := r.Scan(0, 0, 1); err != nil {
+				t.Fatalf("Scan(0,0,1): %v", err)
+			}
+			before := watermarks()
+			res, err := r.MultiGet(keys)
+			after := watermarks()
+			var unavailable []int
+			missing := 0
+			for j, k := range keys {
+				sh := shardOf(k)
+				if cut[sh] {
+					if !slices.Contains(unavailable, sh) {
+						unavailable = append(unavailable, sh)
+					}
+					missing++
+					if j < len(res) && res[j] != (kv.Lookup{Key: k}) {
+						t.Fatalf("step %d: MultiGet(%v)[%d] = %+v; want a placeholder, shard %d is partitioned", i/4, keys, j, res[j], sh)
+					}
+					continue
+				}
+				ok := false
+				for upto := before[sh]; upto <= after[sh] && !ok && j < len(res); upto++ {
+					val := replayed(k, upto)
+					ok = res[j] == kv.Lookup{Key: k, Val: val, Found: val != 0}
+				}
+				if !ok {
+					t.Fatalf("step %d: MultiGet(%v) = %+v, %v; key %d's replay at shard %d's watermarks %d..%d is %d..%d",
+						i/4, keys, res, err, k, sh, before[sh], after[sh], replayed(k, before[sh]), replayed(k, after[sh]))
+				}
+			}
+			slices.Sort(unavailable)
+			var wantErr error
+			if missing > 0 {
+				wantErr = &kv.PartialResultError{Op: "multiget", Unavailable: unavailable, Missing: missing}
+			}
+			var partial *kv.PartialResultError
+			if len(res) != len(keys) || (err == nil) != (wantErr == nil) ||
+				(err != nil && (!errors.As(err, &partial) || partial.Error() != wantErr.Error())) {
+				t.Fatalf("step %d: MultiGet(%v) = %+v, %v; the model says %v (partitioned: %v)", i/4, keys, res, err, wantErr, cut)
+			}
+		case 19, 20, 21:
 			// The first partitioned shard from a on, so that most heals heal.
 			for j := range cut {
 				if sh := (int(a) + j) % len(cut); cut[sh] {
@@ -378,11 +490,13 @@ func runScanProgram(t *testing.T, prog []byte) {
 	}
 }
 
-// FuzzRouterScan holds Router.Scan — one merge over every cluster's
-// shard runs, limited or not, then each cluster's reads of the keys it
-// picked — to a replay of the acknowledged writes over arbitrary step
-// programs with deletes, partitions and a commit pipeline. Every scan is
-// held to the model. The seed corpus is 40 programs of 600 seeded steps.
+// FuzzRouterScan holds the pooled reads and batch writes — Router.Scan
+// (one merge over every cluster's shard runs, limited or not, then each
+// cluster's reads of the keys it picked), MultiGet and Apply — to a
+// replay of the acknowledged writes over arbitrary step programs with
+// deletes, partitions and a commit pipeline. Every read and every batch
+// is held to the model. The seed corpus is 40 programs of 600 seeded
+// steps.
 func FuzzRouterScan(f *testing.F) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
