@@ -95,7 +95,8 @@ func Open(cfg Config) (*Router, error) {
 // store-level event carries its cluster and global shard index while all
 // clusters share one bus, one aggregate and one span-ID sequence;
 // MultiGet, Scan and Apply publish their fan-out spans under rec itself.
-// Pass nil to detach. Instrumentation only reads the simulated clocks.
+// Pass nil to detach. Instrumentation only reads the simulated clocks:
+// the pooled timeline is bit-identical with and without a recorder.
 func (r *Router) Observe(rec *obs.Recorder) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
