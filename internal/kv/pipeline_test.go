@@ -4,22 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"cxl0/internal/core"
 )
 
 // Tests for the asynchronous commit pipeline (pipeline.go) and the
-// front-end failover path (failover.go): the acked-watermark read model,
-// crashes with the pipeline at full depth, partitions while flushes are
-// in flight, and front crash + re-attachment replay. The property layer
-// extends property_test.go's prefix-state model — under pipelining a
-// read serves the replay of the shard's log up to the acked watermark,
-// not the full log — and adds in-flight-depth crash points plus front
-// crashes to the crash sweep.
+// front-end failover path (failover.go): crashes with the pipeline at
+// full depth, partitions while flushes are in flight, and front crash +
+// re-attachment replay. The pipelined crash property, where a read sees
+// only the acknowledged prefix, is a row of property_test.go.
 
 // flightsLen reads a shard's in-flight flush count under the store
 // lock. Tests peek at pipeline internals between operations, and the
@@ -30,21 +25,18 @@ func flightsLen(st *Store, shard int) int {
 	return len(st.shards[shard].flights)
 }
 
-// pumpToDepth overwrites keys 0..maxKey round-robin on a 1-shard store
-// until the pipeline holds exactly want in-flight flushes, mirroring the
-// writes into mlog. Fails the test if depth never stacks.
-func pumpToDepth(t *testing.T, st *Store, mlog *[]modelOp, maxKey core.Val, want int) {
+// pumpToDepth overwrites keys round-robin on a 1-shard store until the
+// pipeline holds exactly want in-flight flushes. Fails the test if depth
+// never stacks.
+func pumpToDepth(t *testing.T, r *specRun, want int) {
 	t.Helper()
-	for i := 0; flightsLen(st, 0) < want; i++ {
+	for i := 0; flightsLen(r.st, 0) < want; i++ {
 		if i > 300 {
-			t.Fatalf("pipeline never reached depth %d (at %d after %d writes)", want, flightsLen(st, 0), i)
+			t.Fatalf("pipeline never reached depth %d (at %d after %d writes)", want, flightsLen(r.st, 0), i)
 		}
-		k := core.Val(i) % (maxKey + 1)
-		v := core.Val(2000 + i)
-		if _, err := st.Put(k, v); err != nil {
-			t.Fatalf("pump put(%d): %v", k, err)
+		if err := r.write(core.Val(i)%r.keys, core.Val(2000+i)); err != nil {
+			t.Fatalf("pump: %v", err)
 		}
-		*mlog = append(*mlog, modelOp{k, v})
 	}
 }
 
@@ -52,41 +44,36 @@ func pumpToDepth(t *testing.T, st *Store, mlog *[]modelOp, maxKey core.Val, want
 // depth K and pins the recovery floor: every in-flight flush was
 // performed at issue, so the salvage must recover at least through the
 // newest flight's limit — strictly more than the acked watermark — and
-// the visible state must equal the replay of exactly the recovered
-// prefix.
+// the shard must read as the spec's log cut there.
 func TestPipelineCrashAtDepth(t *testing.T) {
-	const maxKey = 5
+	const keys = 6
 	for _, variant := range []core.Variant{core.Base, core.PSN, core.LWB} {
 		for _, strat := range []Strategy{GroupCommit, RangedCommit} {
 			for _, depth := range []int{2, 4} {
 				t.Run(fmt.Sprintf("%v/%v/K%d", variant, strat, depth), func(t *testing.T) {
-					st, err := Open(Config{
+					st := openTest(t, Config{
 						Shards: 1, Capacity: 1024, Strategy: strat, Batch: 3,
 						Variant: variant, PipelineDepth: depth,
 						Seed: int64(strat)*100 + int64(variant)*10 + int64(depth),
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var mlog []modelOp
-					for k := core.Val(0); k <= maxKey; k++ {
-						if _, err := st.Put(k, 100+k); err != nil {
+					r := newSpecRun(st, keys)
+					for k := core.Val(0); k < keys; k++ {
+						if err := r.write(k, 100+k); err != nil {
 							t.Fatal(err)
 						}
-						mlog = append(mlog, modelOp{k, 100 + k})
 					}
-					if err := st.Sync(); err != nil {
+					if err := r.sync(); err != nil {
 						t.Fatal(err)
 					}
-					pumpToDepth(t, st, &mlog, maxKey, depth)
+					pumpToDepth(t, r, depth)
 
-					ackedBefore := st.AckedCount(0)
+					acked := r.spec[0].acked
 					st.mu.Lock()
 					sh := st.shards[0]
 					flushedThrough := sh.flights[len(sh.flights)-1].limit
 					st.mu.Unlock()
-					if flushedThrough <= ackedBefore {
-						t.Fatalf("no unretired flushed records: acked %d, flushed through %d", ackedBefore, flushedThrough)
+					if flushedThrough <= acked {
+						t.Fatalf("no unretired flushed records: acked %d, flushed through %d", acked, flushedThrough)
 					}
 					st.Crash(0)
 					stats, err := st.Recover(0)
@@ -95,197 +82,16 @@ func TestPipelineCrashAtDepth(t *testing.T) {
 					}
 					if stats.Recovered < flushedThrough {
 						t.Fatalf("recovered %d records; %d were flushed in flight (acked %d) — an issued flush is durable",
-							stats.Recovered, flushedThrough, ackedBefore)
+							stats.Recovered, flushedThrough, acked)
 					}
-					if stats.Recovered > len(mlog) {
-						t.Fatalf("recovered %d records, only %d appended", stats.Recovered, len(mlog))
-					}
-					if !checkShard(t, st, 0, replay(mlog[:stats.Recovered]), maxKey) {
-						t.Fatalf("state diverged from the recovered prefix (cut %d)", stats.Recovered)
-					}
-					// The service keeps pipelining afterwards.
-					mlog = mlog[:stats.Recovered]
-					pumpToDepth(t, st, &mlog, maxKey, 2)
-					if err := st.Sync(); err != nil {
+					if err := r.recovered(stats); err != nil {
 						t.Fatal(err)
 					}
-					if st.AckedCount(0) != len(mlog) {
-						t.Fatalf("acked %d after final sync, appended %d", st.AckedCount(0), len(mlog))
+					// The service keeps pipelining afterwards.
+					pumpToDepth(t, r, 2)
+					if err := r.final(); err != nil {
+						t.Fatal(err)
 					}
-					if !checkShard(t, st, 0, replay(mlog), maxKey) {
-						t.Fatal("final state diverged")
-					}
-				})
-			}
-		}
-	}
-}
-
-// testPipelineCrashRecovery is testCrashRecovery's pipelined sibling:
-// random put/delete/read streams with shard crashes, front crashes and
-// eviction churn at PipelineDepth K. Reads are checked against the
-// acked-watermark model — the replay of the shard's log up to
-// AckedCount, probed after the read (the read's own retire pass may
-// advance the watermark first) — and every crash point must recover at
-// least the acked prefix.
-func testPipelineCrashRecovery(t *testing.T, strat Strategy, variant core.Variant, depth int) {
-	const maxKey = 12
-	f := func(seed int64, opsRaw []byte) bool {
-		st, err := Open(Config{
-			Shards:        2,
-			Capacity:      256,
-			Strategy:      strat,
-			Batch:         3,
-			Variant:       variant,
-			EvictEvery:    2,
-			PipelineDepth: depth,
-			Seed:          seed,
-		})
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		logs := make([][]modelOp, st.NumShards())
-		rng := rand.New(rand.NewSource(seed))
-		for i, b := range opsRaw {
-			if i > 70 {
-				break
-			}
-			k := core.Val(int(b) % (maxKey + 1))
-			shard := st.ShardOf(k)
-			switch (b / 16) % 5 {
-			case 0, 1:
-				v := core.Val(1 + int(b)%90 + i)
-				if _, err := st.Put(k, v); err != nil {
-					t.Logf("op %d put(%d): %v", i, k, err)
-					return false
-				}
-				logs[shard] = append(logs[shard], modelOp{k, v})
-			case 2:
-				if _, err := st.Delete(k); err != nil {
-					t.Logf("op %d delete(%d): %v", i, k, err)
-					return false
-				}
-				logs[shard] = append(logs[shard], modelOp{k, 0})
-			case 3:
-				// The watermark read model: visible state is the replay
-				// of the acked prefix, never anything newer.
-				v, ok, err := st.Get(k)
-				if err != nil {
-					t.Logf("op %d get(%d): %v", i, k, err)
-					return false
-				}
-				acked := st.AckedCount(shard)
-				if acked > len(logs[shard]) {
-					t.Logf("op %d: shard %d acked %d, only %d appended", i, shard, acked, len(logs[shard]))
-					return false
-				}
-				want := replay(logs[shard][:acked])
-				wv, wok := want[k]
-				if ok != wok || (ok && v != wv) {
-					t.Logf("op %d: get(%d) = (%d,%v), acked-watermark model (%d,%v) at %d",
-						i, k, v, ok, wv, wok, acked)
-					return false
-				}
-			default:
-				if rng.Intn(4) == 0 {
-					st.Cluster().Churn(4)
-					continue
-				}
-				if rng.Intn(3) == 0 {
-					// Front crash + re-attachment replay: the front's
-					// cache (staged batches, pipeline bookkeeping) dies;
-					// every shard's acked prefix must survive the replay.
-					acked := make([]int, st.NumShards())
-					for sh := range acked {
-						acked[sh] = st.AckedCount(sh)
-					}
-					st.CrashFront()
-					stats, err := st.RecoverFront()
-					if err != nil {
-						t.Logf("op %d recover front: %v", i, err)
-						return false
-					}
-					if len(stats) != st.NumShards() {
-						t.Logf("op %d: front re-attached %d shards, want %d", i, len(stats), st.NumShards())
-						return false
-					}
-					for _, rs := range stats {
-						if rs.Recovered < acked[rs.Shard] {
-							t.Logf("op %d: shard %d re-attached %d records, %d were acknowledged",
-								i, rs.Shard, rs.Recovered, acked[rs.Shard])
-							return false
-						}
-						if rs.Recovered > len(logs[rs.Shard]) {
-							t.Logf("op %d: shard %d re-attached %d records, only %d appended",
-								i, rs.Shard, rs.Recovered, len(logs[rs.Shard]))
-							return false
-						}
-						logs[rs.Shard] = logs[rs.Shard][:rs.Recovered]
-						if !checkShard(t, st, rs.Shard, replay(logs[rs.Shard]), maxKey) {
-							t.Logf("op %d: shard %d diverged after front re-attachment", i, rs.Shard)
-							return false
-						}
-					}
-					continue
-				}
-				target := rng.Intn(st.NumShards())
-				ackedBefore := st.AckedCount(target)
-				st.Crash(target)
-				stats, err := st.Recover(target)
-				if err != nil {
-					t.Logf("op %d recover(%d): %v", i, target, err)
-					return false
-				}
-				if stats.Recovered < ackedBefore {
-					t.Logf("op %d: shard %d recovered %d records, %d were acknowledged",
-						i, target, stats.Recovered, ackedBefore)
-					return false
-				}
-				if stats.Recovered > len(logs[target]) {
-					t.Logf("op %d: shard %d recovered %d records, only %d ever appended",
-						i, target, stats.Recovered, len(logs[target]))
-					return false
-				}
-				logs[target] = logs[target][:stats.Recovered]
-				if !checkShard(t, st, target, replay(logs[target]), maxKey) {
-					t.Logf("op %d: shard %d diverged after recovery (cut %d)", i, target, stats.Recovered)
-					return false
-				}
-			}
-		}
-		if err := st.Sync(); err != nil {
-			t.Log(err)
-			return false
-		}
-		for i := range logs {
-			if st.AckedCount(i) != len(logs[i]) {
-				t.Logf("shard %d: %d acked after Sync, %d appended", i, st.AckedCount(i), len(logs[i]))
-				return false
-			}
-			if !checkShard(t, st, i, replay(logs[i]), maxKey) {
-				t.Logf("shard %d final state diverged", i)
-				return false
-			}
-		}
-		return true
-	}
-	seed := int64(strat)*31 + int64(variant)*7 + int64(depth)
-	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(seed))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPipelineCrashRecoveryProperty sweeps the pipelined prefix-state
-// model over both batched strategies, all three hardware variants and
-// pipeline depths 2 and 4 — the in-flight-depth extension of
-// TestCrashRecoveryProperty.
-func TestPipelineCrashRecoveryProperty(t *testing.T) {
-	for _, variant := range []core.Variant{core.Base, core.PSN, core.LWB} {
-		for _, strat := range []Strategy{GroupCommit, RangedCommit} {
-			for _, depth := range []int{2, 4} {
-				t.Run(fmt.Sprintf("%v/%v/K%d", variant, strat, depth), func(t *testing.T) {
-					testPipelineCrashRecovery(t, strat, variant, depth)
 				})
 			}
 		}
@@ -295,34 +101,31 @@ func TestPipelineCrashRecoveryProperty(t *testing.T) {
 // TestFrontFailover pins the front-end failover contract: a front crash
 // takes the whole service surface down with ErrFrontDown (data plane and
 // control plane), RecoverFront re-attaches every healthy shard by
-// replaying its durable log — acknowledged writes always survive, reads
-// resolve old-or-new — and the service serves again afterwards.
+// replaying its durable log, after which each shard reads as the spec's
+// log cut there, and the service serves again afterwards.
 func TestFrontFailover(t *testing.T) {
 	const maxKey = 11
 	for _, strat := range []Strategy{GroupCommit, RangedCommit} {
 		for _, depth := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%v/K%d", strat, depth), func(t *testing.T) {
-				st, err := Open(Config{
+				st := openTest(t, Config{
 					Shards: 2, Capacity: 512, Strategy: strat, Batch: 3,
 					PipelineDepth: depth, Seed: int64(strat)*10 + int64(depth),
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := core.Val(0); k <= maxKey; k++ {
-					if _, err := st.Put(k, 100+k); err != nil {
-						t.Fatal(err)
+				r := newSpecRun(st, maxKey+1)
+				writeAll := func(base core.Val) {
+					for k := range r.keys {
+						if err := r.write(k, base+k); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
-				if err := st.Sync(); err != nil {
+				writeAll(100)
+				if err := r.sync(); err != nil {
 					t.Fatal(err)
 				}
 				// Overwrites left staged and in flight when the front dies.
-				for k := core.Val(0); k <= maxKey; k++ {
-					if _, err := st.Put(k, 500+k); err != nil {
-						t.Fatal(err)
-					}
-				}
+				writeAll(500)
 
 				st.CrashFront()
 				if !st.FrontDown() {
@@ -335,7 +138,7 @@ func TestFrontFailover(t *testing.T) {
 						t.Fatalf("%s while front down: %v, want ErrFrontDown", what, err)
 					}
 				}
-				_, err = st.Put(0, 9)
+				_, err := st.Put(0, 9)
 				wantDown("put", err)
 				_, _, err = st.Get(0)
 				wantDown("get", err)
@@ -368,28 +171,15 @@ func TestFrontFailover(t *testing.T) {
 				if again, err := st.RecoverFront(); again != nil || err != nil {
 					t.Fatalf("second RecoverFront = (%v, %v), want no-op", again, err)
 				}
-				for k := core.Val(0); k <= maxKey; k++ {
-					v, ok, err := st.Get(k)
-					if err != nil || !ok {
-						t.Fatalf("get(%d) after failover: (%v, %v)", k, ok, err)
-					}
-					if v != 100+k && v != 500+k {
-						t.Fatalf("key %d = %d after failover, want acked %d or staged %d", k, v, 100+k, 500+k)
-					}
-				}
-				// Service resumes: write, commit, read back.
-				for k := core.Val(0); k <= maxKey; k++ {
-					if _, err := st.Put(k, 900+k); err != nil {
+				for _, rs := range stats {
+					if err := r.recovered(rs); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := st.Sync(); err != nil {
+				// Service resumes: write, commit, read back.
+				writeAll(900)
+				if err := r.final(); err != nil {
 					t.Fatal(err)
-				}
-				for k := core.Val(0); k <= maxKey; k++ {
-					if v, ok, _ := st.Get(k); !ok || v != 900+k {
-						t.Fatalf("key %d = (%d,%v) after resumed writes, want %d", k, v, ok, 900+k)
-					}
 				}
 			})
 		}

@@ -5,172 +5,486 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"cxl0/internal/core"
 )
 
-// Property-based crash-recovery testing, mirroring internal/ds's
-// property_test idiom: random operation streams with eviction churn and
-// injected shard crashes, checked against a pure-Go reference model.
+// The service's crash properties, held to one spec (spec_test.go). Each
+// row decodes random bytes (quick draws up to 49) into an op stream of
+// writes, reads and the row's faults, and runs it on a two-shard store
+// with eviction churn (EvictEvery 2) under every hardware variant, while
+// specRun holds every outcome to one shardSpec per shard:
 //
-// The durability property: after Crash+Recover of a shard, the recovered
-// state must equal the replay of a prefix of that shard's operation log
-// that contains every acknowledged write — no acknowledged write is ever
-// lost, under every persistence strategy and every hardware variant.
+//   - TestCrashRecoveryProperty: every strategy; the faults are a shard
+//     crash + Recover and an eviction churn.
+//   - TestPipelineCrashRecoveryProperty: the batched strategies at
+//     pipeline depths 2 and 4, so reads see only the acknowledged prefix;
+//     a front-end crash + RecoverFront joins the faults.
+//   - TestAutoCompactCrashChurnProperty: every strategy on 12-record logs
+//     that compact at 60 % fill; every sweep cell must compact.
+//   - TestFaultCampaignProperty: every strategy under campaign faults:
+//     partitions (ops denied with ErrUnavailable, nothing lost on heal),
+//     device degradation, and correlated crashes of every shard at one
+//     instant, recovered in index order, a partitioned shard healed first.
+//
+// The durability property they share: a recovery keeps a prefix of the
+// shard's log that holds every acknowledged write, and the shard then
+// reads as exactly that prefix.
 
-// modelOp is one reference-model log entry (val 0 = tombstone).
-type modelOp struct{ key, val core.Val }
-
-// replay folds a shard's model log into its expected visible contents.
-func replay(log []modelOp) map[core.Val]core.Val {
-	m := map[core.Val]core.Val{}
-	for _, op := range log {
-		if op.val == 0 {
-			delete(m, op.key)
-		} else {
-			m[op.key] = op.val
-		}
-	}
-	return m
+// specRun drives one store and holds it to one shardSpec per shard. The
+// store's error rules decide which records a write appends; every read,
+// recovery, heal, degrade, churn and Sync must agree with the spec. tally
+// counts the steps a property run took.
+type specRun struct {
+	st    *Store
+	spec  []*shardSpec
+	part  []bool   // partitioned shards
+	keys  core.Val // the keyspace is [0, keys)
+	tally tally
 }
 
-// checkShard compares shard i's visible contents with the model.
-func checkShard(t *testing.T, st *Store, i int, want map[core.Val]core.Val, maxKey core.Val) bool {
-	t.Helper()
-	for k := core.Val(0); k <= maxKey; k++ {
-		if st.ShardOf(k) != i {
+func newSpecRun(st *Store, keys core.Val) *specRun {
+	r := &specRun{st: st, part: make([]bool, st.NumShards()), keys: keys}
+	gated := st.cfg.PipelineDepth > 1 && st.cfg.Strategy.Batched()
+	for range st.NumShards() {
+		r.spec = append(r.spec, newShardSpec(gated))
+	}
+	return r
+}
+
+// write puts key to val (0 deletes it) and adopts the outcome. A write to
+// a partitioned shard is denied before anything moves. One that a remote
+// partition stops at its commit (the GPF blast radius) has appended its
+// record under a batched strategy and nothing under a per-operation one.
+// An auto-compaction the append ran first folds the log.
+func (r *specRun) write(key, val core.Val) error {
+	i := r.st.ShardOf(key)
+	epoch := r.st.SnapshotEpoch(i)
+	var ack Ack
+	var err error
+	if val == 0 {
+		ack, err = r.st.Delete(key)
+	} else {
+		ack, err = r.st.Put(key, val)
+	}
+	r.folded(i, epoch)
+	sp := r.spec[i]
+	switch {
+	case r.part[i]:
+		if !errors.Is(err, ErrUnavailable) {
+			return fmt.Errorf("%w: write(%d) to partitioned shard %d: %v, want ErrUnavailable", errOffSpec, key, i, err)
+		}
+	case err == nil:
+		sp.write(key, val)
+		if ack.Seq != len(sp.log)-1 {
+			return fmt.Errorf("%w: write(%d) took slot %d, the spec's is %d", errOffSpec, key, ack.Seq, len(sp.log)-1)
+		}
+	case errors.Is(err, ErrUnavailable) && slices.Contains(r.part, true):
+		if r.st.cfg.Strategy.Batched() {
+			sp.write(key, val)
+		}
+	default:
+		return fmt.Errorf("write(%d): %w", key, err)
+	}
+	return r.watermarks()
+}
+
+// folded adopts a compaction of shard i, seen as its snapshot epoch
+// moving past epoch.
+func (r *specRun) folded(i int, epoch uint64) {
+	if r.st.SnapshotEpoch(i) != epoch {
+		r.spec[i].compact()
+		r.tally[opCompact]++
+	}
+}
+
+// compact compacts shard i.
+func (r *specRun) compact(i int) error {
+	epoch := r.st.SnapshotEpoch(i)
+	_, err := r.st.CompactShard(i)
+	r.folded(i, epoch)
+	if err != nil {
+		return err
+	}
+	return r.watermarks()
+}
+
+// apply runs a batch and adopts, on each shard, the prefix of the batch's
+// writes there that its log took: a crash can cut a batch.
+func (r *specRun) apply(b *Batch) (Ack, error) {
+	ack, err := r.st.Apply(b)
+	for _, op := range b.ops {
+		if i := r.st.ShardOf(op.key); len(r.spec[i].log) < r.st.AppendedCount(i) {
+			r.spec[i].write(op.key, op.val)
+		}
+	}
+	return ack, err
+}
+
+// watermarks moves every shard's spec watermark to the store's.
+func (r *specRun) watermarks() error {
+	for i, sp := range r.spec {
+		from := sp.acked
+		if err := sp.ack(r.st.AckedCount(i)); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		if err := r.persisted(i, from); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// persisted holds the records of shard i's log from slot from up to the
+// spec's watermark, which has just passed them, to the medium: each is in
+// its owner's memory word for word, whatever the caches hold.
+func (r *specRun) persisted(i, from int) error {
+	sp, sh := r.spec[i], r.st.shards[i]
+	epoch := r.st.SnapshotEpoch(i)
+	for slot := from; slot < sp.acked; slot++ {
+		x := sp.log[slot]
+		want := [recWords]core.Val{x.key, x.val, chkOf(slot, x.key, x.val, epoch)}
+		for w, v := range want {
+			if got := r.st.Cluster().PersistedValue(sh.logR.loc(slot, w)); got != v {
+				return fmt.Errorf("%w: shard %d: acknowledged record %d holds %d in word %d of memory, want %d", errOffSpec, i, slot, got, w, v)
+			}
+		}
+	}
+	return nil
+}
+
+// read gets key and holds the result to the spec, after the watermark
+// moves the read's own retire pass made. A partitioned shard denies it.
+func (r *specRun) read(key core.Val) error {
+	i := r.st.ShardOf(key)
+	v, ok, err := r.st.Get(key)
+	if werr := r.watermarks(); werr != nil {
+		return werr
+	}
+	if r.part[i] {
+		if !errors.Is(err, ErrUnavailable) {
+			return fmt.Errorf("%w: get(%d) on partitioned shard %d: %v, want ErrUnavailable", errOffSpec, key, i, err)
+		}
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("get(%d): %w", key, err)
+	}
+	if wv, wok := r.spec[i].get(key); ok != wok || (ok && v != wv) {
+		return fmt.Errorf("%w: get(%d) = (%d, %v), the spec's (%d, %v)", errOffSpec, key, v, ok, wv, wok)
+	}
+	return nil
+}
+
+// check reads every key of shard i, or of every shard when i < 0.
+func (r *specRun) check(i int) error {
+	for k := range r.keys {
+		if i < 0 || r.st.ShardOf(k) == i {
+			if err := r.read(k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// recovered adopts a recovery's cut, which is durable, and checks the
+// shard.
+func (r *specRun) recovered(rs RecoveryStats) error {
+	from := r.spec[rs.Shard].acked
+	if err := r.spec[rs.Shard].recover(rs.Recovered); err != nil {
+		return fmt.Errorf("shard %d: %w", rs.Shard, err)
+	}
+	if err := r.persisted(rs.Shard, from); err != nil {
+		return err
+	}
+	return r.check(rs.Shard)
+}
+
+// crash fails shards [from, to) at one instant and recovers them in
+// order. A partitioned shard refuses recovery until it is healed, and
+// every one is healed first: a GPF of a recovery must reach them all.
+func (r *specRun) crash(from, to int) error {
+	for i := from; i < to; i++ {
+		r.st.Crash(i)
+	}
+	for i := from; i < to; i++ {
+		if !r.part[i] {
 			continue
 		}
-		v, ok, err := st.Get(k)
-		if err != nil {
-			t.Logf("get(%d): %v", k, err)
-			return false
+		if _, err := r.st.Recover(i); !errors.Is(err, ErrUnavailable) {
+			return fmt.Errorf("%w: recover of partitioned shard %d: %v, want ErrUnavailable", errOffSpec, i, err)
 		}
-		wv, wok := want[k]
-		if ok != wok || (ok && v != wv) {
-			t.Logf("get(%d) = (%d,%v), model (%d,%v)", k, v, ok, wv, wok)
-			return false
+		r.heal(i)
+	}
+	for i := from; i < to; i++ {
+		rs, err := r.st.Recover(i)
+		if err != nil {
+			return fmt.Errorf("recover(%d): %w", i, err)
+		}
+		if err := r.recovered(rs); err != nil {
+			return err
 		}
 	}
-	return true
+	return nil
 }
 
-func testCrashRecovery(t *testing.T, strat Strategy, variant core.Variant) {
-	const maxKey = 12
-	f := func(seed int64, opsRaw []byte) bool {
-		st, err := Open(Config{
-			Shards:     2,
-			Capacity:   256,
-			Strategy:   strat,
-			Batch:      3,
-			Variant:    variant,
-			EvictEvery: 2,
-			Seed:       seed,
-		})
+// front crashes the front end and re-attaches every shard.
+func (r *specRun) front() error {
+	r.st.CrashFront()
+	stats, err := r.st.RecoverFront()
+	if err != nil {
+		return fmt.Errorf("recover front: %w", err)
+	}
+	if len(stats) != len(r.spec) {
+		return fmt.Errorf("%w: front re-attached %d shards, want %d", errOffSpec, len(stats), len(r.spec))
+	}
+	for _, rs := range stats {
+		if err := r.recovered(rs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *specRun) heal(i int) {
+	r.st.Heal(i)
+	r.part[i] = false
+}
+
+// quiet runs a heal, a degrade or an eviction churn, none of which moves
+// anything visible: no watermark moves, and shard i (every shard when
+// i < 0) reads as the spec says.
+func (r *specRun) quiet(i int, f func()) error {
+	f()
+	for j, sp := range r.spec {
+		if n := r.st.AckedCount(j); n != sp.acked {
+			return fmt.Errorf("%w: shard %d: watermark moved %d -> %d", errOffSpec, j, sp.acked, n)
+		}
+	}
+	return r.check(i)
+}
+
+// sync runs a Sync, after which every watermark is at its log's end.
+func (r *specRun) sync() error {
+	if err := r.st.Sync(); err != nil {
+		return err
+	}
+	if err := r.watermarks(); err != nil {
+		return err
+	}
+	for i, sp := range r.spec {
+		if err := sp.synced(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// final heals every partition, syncs, and checks every key.
+func (r *specRun) final() error {
+	for i, p := range r.part {
+		if p {
+			r.heal(i)
+		}
+	}
+	if err := r.sync(); err != nil {
+		return fmt.Errorf("final: %w", err)
+	}
+	return r.check(-1)
+}
+
+// opKind is a kind of step of a property's op stream.
+type opKind int
+
+const (
+	opPut opKind = iota
+	opDelete
+	opGet
+	opFault     // one of the row's faults, drawn with its target from the run's rng
+	opChurn     // evict lines across the cluster
+	opCrash     // crash one shard and recover it
+	opFront     // crash the front end and re-attach every shard
+	opDegrade   // slow one shard's device
+	opPartition // partition one shard; an opHeal when it is partitioned
+	opHeal
+	opBlast   // crash every shard at one instant
+	opCompact // tallied only: a compaction a write ran
+	nOpKinds
+)
+
+var opNames = [nOpKinds]string{"put", "delete", "get", "fault", "churn", "crash", "front", "degrade", "partition", "heal", "blast", "compact"}
+
+// tally counts steps by kind.
+type tally [nOpKinds]int
+
+func (n *tally) add(m tally) {
+	for k := range n {
+		n[k] += m[k]
+	}
+}
+
+func (n tally) String() string {
+	var s []string
+	for k, c := range n {
+		if c > 0 {
+			s = append(s, fmt.Sprintf("%s %d", opNames[k], c))
+		}
+	}
+	return strings.Join(s, ", ")
+}
+
+// propertyRow is one crash property: the store it opens, what its input
+// bytes decode to, and how quick samples them.
+type propertyRow struct {
+	strategies []Strategy
+	depths     []int // pipeline depths, one subtest each; nil runs depth 1
+	capacity   int
+	compactAt  float64 // Config.CompactAtFill
+	keys       core.Val
+	// ops maps an input byte b to its step, ops[b/16 % len(ops)], and
+	// b % keys to its key; an opFault step is one of faults.
+	ops, faults []opKind
+	maxCount    int
+	// seed seeds quick: strategy·seed[0] + variant·seed[1] + depth·seed[2].
+	seed [3]int64
+}
+
+// run sweeps the row over every variant, strategy and depth, and fails a
+// cell in which a kind of step the row names never ran.
+func (row propertyRow) run(t *testing.T) {
+	depths := row.depths
+	if depths == nil {
+		depths = []int{1}
+	}
+	needs := slices.Concat(row.ops, row.faults)
+	if row.compactAt > 0 {
+		needs = append(needs, opCompact)
+	}
+	var total tally
+	for _, variant := range []core.Variant{core.Base, core.PSN, core.LWB} {
+		for _, strat := range row.strategies {
+			for _, depth := range depths {
+				name := fmt.Sprintf("%v/%v", variant, strat)
+				if row.depths != nil {
+					name += fmt.Sprintf("/K%d", depth)
+				}
+				cfg := Config{
+					Shards: 2, Capacity: row.capacity, CompactAtFill: row.compactAt,
+					Strategy: strat, Batch: 3, Variant: variant, EvictEvery: 2, PipelineDepth: depth,
+				}
+				seed := int64(strat)*row.seed[0] + int64(variant)*row.seed[1] + int64(depth)*row.seed[2]
+				t.Run(name, func(t *testing.T) {
+					var n tally
+					f := func(seed int64, opsRaw []byte) bool {
+						err := row.interpret(cfg, seed, opsRaw, &n)
+						if err != nil {
+							t.Log(err)
+						}
+						return err == nil
+					}
+					if err := quick.Check(f, &quick.Config{MaxCount: row.maxCount, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range needs {
+						if k != opFault && n[k] == 0 {
+							t.Fatalf("no run took a %s step (%v)", opNames[k], n)
+						}
+					}
+					total.add(n)
+				})
+			}
+		}
+	}
+	t.Logf("steps run: %v", total)
+}
+
+// interpret opens the row's store and runs one op stream on it.
+func (row propertyRow) interpret(cfg Config, seed int64, opsRaw []byte, n *tally) error {
+	cfg.Seed = seed
+	st, err := Open(cfg)
+	if err != nil {
+		return err
+	}
+	r := newSpecRun(st, row.keys)
+	defer func() { n.add(r.tally) }()
+	rng := rand.New(rand.NewSource(seed))
+	for i, b := range opsRaw {
+		k := core.Val(b) % row.keys
+		kind, target := row.ops[int(b/16)%len(row.ops)], 0
+		if kind == opFault {
+			target = rng.Intn(len(r.spec))
+			kind = row.faults[rng.Intn(len(row.faults))]
+		}
+		if kind == opPartition && r.part[target] {
+			kind = opHeal
+		}
+		r.tally[kind]++
+		var err error
+		switch kind {
+		case opPut:
+			err = r.write(k, core.Val(1+int(b)%90+i))
+		case opDelete:
+			err = r.write(k, 0)
+		case opGet:
+			err = r.read(k)
+		case opChurn:
+			err = r.quiet(-1, func() { st.Cluster().Churn(4) })
+		case opCrash:
+			err = r.crash(target, target+1)
+		case opFront:
+			err = r.front()
+		case opDegrade:
+			factor := float64(1 + rng.Intn(8))
+			err = r.quiet(target, func() { st.Degrade(target, factor) })
+		case opPartition:
+			st.Partition(target)
+			r.part[target] = true
+		case opHeal:
+			err = r.quiet(target, func() { r.heal(target) })
+		case opBlast:
+			err = r.crash(0, len(r.spec))
+		}
 		if err != nil {
-			t.Log(err)
-			return false
+			return fmt.Errorf("op %d (%s): %w", i, opNames[kind], err)
 		}
-		logs := make([][]modelOp, st.NumShards())
-		rng := rand.New(rand.NewSource(seed))
-		for i, b := range opsRaw {
-			if i > 70 {
-				break
-			}
-			k := core.Val(int(b) % (maxKey + 1))
-			shard := st.ShardOf(k)
-			switch (b / 16) % 5 {
-			case 0, 1:
-				v := core.Val(1 + int(b)%90 + i)
-				if _, err := st.Put(k, v); err != nil {
-					t.Logf("op %d put(%d): %v", i, k, err)
-					return false
-				}
-				logs[shard] = append(logs[shard], modelOp{k, v})
-			case 2:
-				if _, err := st.Delete(k); err != nil {
-					t.Logf("op %d delete(%d): %v", i, k, err)
-					return false
-				}
-				logs[shard] = append(logs[shard], modelOp{k, 0})
-			case 3:
-				// Visible state must always match the full model log.
-				want := replay(logs[shard])
-				wv, wok := want[k]
-				v, ok, err := st.Get(k)
-				if err != nil {
-					t.Logf("op %d get(%d): %v", i, k, err)
-					return false
-				}
-				if ok != wok || (ok && v != wv) {
-					t.Logf("op %d: get(%d) = (%d,%v), model (%d,%v)", i, k, v, ok, wv, wok)
-					return false
-				}
-			default:
-				target := rng.Intn(st.NumShards())
-				if rng.Intn(3) == 0 {
-					st.Cluster().Churn(4)
-					continue
-				}
-				ackedBefore := st.AckedCount(target)
-				st.Crash(target)
-				stats, err := st.Recover(target)
-				if err != nil {
-					t.Logf("op %d recover(%d): %v", i, target, err)
-					return false
-				}
-				if stats.Recovered < ackedBefore {
-					t.Logf("op %d: shard %d recovered only %d records, %d were acknowledged",
-						i, target, stats.Recovered, ackedBefore)
-					return false
-				}
-				if stats.Recovered > len(logs[target]) {
-					t.Logf("op %d: shard %d recovered %d records, only %d ever appended",
-						i, target, stats.Recovered, len(logs[target]))
-					return false
-				}
-				// The store truncated its log to the durable (or still
-				// visible) prefix; the model follows.
-				logs[target] = logs[target][:stats.Recovered]
-				if !checkShard(t, st, target, replay(logs[target]), maxKey) {
-					t.Logf("op %d: shard %d state diverged after recovery (cut %d)",
-						i, target, stats.Recovered)
-					return false
-				}
-			}
-		}
-		// Final: sync, then every shard must match its full model log.
-		if err := st.Sync(); err != nil {
-			t.Log(err)
-			return false
-		}
-		for i := range logs {
-			if st.AckedCount(i) != len(logs[i]) {
-				t.Logf("shard %d: %d acked after Sync, %d appended", i, st.AckedCount(i), len(logs[i]))
-				return false
-			}
-			if !checkShard(t, st, i, replay(logs[i]), maxKey) {
-				t.Logf("shard %d final state diverged", i)
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(int64(strat)*31 + int64(variant)))}); err != nil {
-		t.Fatal(err)
-	}
+	return r.final()
 }
 
 func TestCrashRecoveryProperty(t *testing.T) {
-	for _, variant := range []core.Variant{core.Base, core.PSN, core.LWB} {
-		for _, strat := range Strategies {
-			t.Run(fmt.Sprintf("%v/%v", variant, strat), func(t *testing.T) {
-				testCrashRecovery(t, strat, variant)
-			})
-		}
-	}
+	propertyRow{
+		strategies: Strategies, capacity: 256, keys: 13,
+		ops: []opKind{opPut, opPut, opDelete, opGet, opFault}, faults: []opKind{opChurn, opCrash, opCrash},
+		maxCount: 25, seed: [3]int64{31, 1, 0},
+	}.run(t)
+}
+
+func TestPipelineCrashRecoveryProperty(t *testing.T) {
+	propertyRow{
+		strategies: []Strategy{GroupCommit, RangedCommit}, depths: []int{2, 4}, capacity: 256, keys: 13,
+		ops: []opKind{opPut, opPut, opDelete, opGet, opFault}, faults: []opKind{opChurn, opFront, opCrash, opCrash},
+		maxCount: 20, seed: [3]int64{31, 7, 1},
+	}.run(t)
+}
+
+func TestAutoCompactCrashChurnProperty(t *testing.T) {
+	propertyRow{
+		strategies: Strategies, capacity: 12, compactAt: 0.6, keys: 11,
+		ops: []opKind{opPut, opPut, opDelete, opGet, opFault}, faults: []opKind{opChurn, opCrash, opCrash},
+		maxCount: 20, seed: [3]int64{37, 1, 0},
+	}.run(t)
+}
+
+func TestFaultCampaignProperty(t *testing.T) {
+	propertyRow{
+		strategies: Strategies, capacity: 256, keys: 13,
+		ops: []opKind{opPut, opPut, opDelete, opGet, opFault, opBlast}, faults: []opKind{opDegrade, opPartition},
+		maxCount: 20, seed: [3]int64{41, 1, 0},
+	}.run(t)
 }
 
 // verifyMigrated checks the store's keys against the model after
@@ -716,406 +1030,14 @@ func TestCompactionCrashSteps(t *testing.T) {
 	}
 }
 
-// testAutoCompactChurn is the randomized layer over auto-compaction:
-// random put/delete/get/crash streams against a capacity-constrained
-// store with CompactAtFill set, checked against a reference model that
-// tracks, per shard, which writes are committed (required) and which are
-// still pending (whose post-crash value may be any prefix state: old or
-// new, never garbage). Compactions interleave invisibly — the test's
-// assertions are exactly the client-visible contract.
-func testAutoCompactChurn(t *testing.T, strat Strategy, variant core.Variant, compactions *uint64) {
-	const maxKey = 10
-	f := func(seed int64, opsRaw []byte) bool {
-		st, err := Open(Config{
-			Shards:        2,
-			Capacity:      12,
-			CompactAtFill: 0.6,
-			Strategy:      strat,
-			Batch:         3,
-			Variant:       variant,
-			EvictEvery:    2,
-			Seed:          seed,
-		})
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		rng := rand.New(rand.NewSource(seed))
-		model := map[core.Val]core.Val{}             // required (committed) state; 0 = absent
-		pending := make([][]modelOp, st.NumShards()) // uncommitted writes per shard, in order
-		foldPending := func(shard int, k core.Val, upto int) core.Val {
-			v := model[k]
-			for i, op := range pending[shard] {
-				if i >= upto {
-					break
-				}
-				if op.key == k {
-					v = op.val
-				}
-			}
-			return v
-		}
-		commitShard := func(shard int) {
-			for _, op := range pending[shard] {
-				if op.val == 0 {
-					delete(model, op.key)
-				} else {
-					model[op.key] = op.val
-				}
-			}
-			pending[shard] = nil
-		}
-		for i, b := range opsRaw {
-			if i > 70 {
-				break
-			}
-			k := core.Val(int(b) % (maxKey + 1))
-			shard := st.ShardOf(k)
-			switch (b / 16) % 5 {
-			case 0, 1:
-				v := core.Val(1 + int(b)%90 + i)
-				ack, err := st.Put(k, v)
-				if err != nil {
-					t.Logf("op %d put(%d): %v", i, k, err)
-					return false
-				}
-				pending[shard] = append(pending[shard], modelOp{k, v})
-				if ack.Durable {
-					commitShard(shard)
-				}
-			case 2:
-				ack, err := st.Delete(k)
-				if err != nil {
-					t.Logf("op %d delete(%d): %v", i, k, err)
-					return false
-				}
-				pending[shard] = append(pending[shard], modelOp{k, 0})
-				if ack.Durable {
-					commitShard(shard)
-				}
-			case 3:
-				// Visible state is exact: required state plus every pending
-				// write applied in order (dirty reads, like an unflushed
-				// RStore'd value).
-				wv := foldPending(shard, k, len(pending[shard]))
-				v, ok, err := st.Get(k)
-				if err != nil {
-					t.Logf("op %d get(%d): %v", i, k, err)
-					return false
-				}
-				if ok != (wv != 0) || (ok && v != wv) {
-					t.Logf("op %d: get(%d) = (%d,%v), model %d", i, k, v, ok, wv)
-					return false
-				}
-			default:
-				target := rng.Intn(st.NumShards())
-				if rng.Intn(3) == 0 {
-					st.Cluster().Churn(4)
-					continue
-				}
-				st.Crash(target)
-				if _, err := st.Recover(target); err != nil {
-					t.Logf("op %d recover(%d): %v", i, target, err)
-					return false
-				}
-				// Resolve the surviving state: recovery keeps a prefix of
-				// the shard's pending writes, so each key must read as the
-				// state after some prefix — old or new, never garbage —
-				// and whatever it reads is durable (re-persisted) now.
-				for k := core.Val(0); k <= maxKey; k++ {
-					if st.ShardOf(k) != target {
-						continue
-					}
-					v, ok, err := st.Get(k)
-					if err != nil {
-						t.Logf("op %d post-recovery get(%d): %v", i, k, err)
-						return false
-					}
-					legal := false
-					for upto := 0; upto <= len(pending[target]); upto++ {
-						wv := foldPending(target, k, upto)
-						if ok == (wv != 0) && (!ok || v == wv) {
-							legal = true
-							break
-						}
-					}
-					if !legal {
-						t.Logf("op %d: key %d = (%d,%v) after recovery matches no prefix state", i, k, v, ok)
-						return false
-					}
-					if ok {
-						model[k] = v
-					} else {
-						delete(model, k)
-					}
-				}
-				pending[target] = nil
-			}
-		}
-		if err := st.Sync(); err != nil {
-			t.Log(err)
-			return false
-		}
-		for shard := range pending {
-			commitShard(shard)
-		}
-		for k := core.Val(0); k <= maxKey; k++ {
-			v, ok, err := st.Get(k)
-			if err != nil {
-				t.Logf("final get(%d): %v", k, err)
-				return false
-			}
-			wv, wok := model[k]
-			if ok != wok || (ok && v != wv) {
-				t.Logf("final: get(%d) = (%d,%v), model (%d,%v)", k, v, ok, wv, wok)
-				return false
-			}
-		}
-		*compactions += st.Metrics().Compactions
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(int64(strat)*37 + int64(variant)))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAutoCompactCrashChurnProperty runs the randomized auto-compaction
-// property for every strategy × variant, and requires the runs to have
-// actually compacted (the capacity is sized so the streams overflow it).
-func TestAutoCompactCrashChurnProperty(t *testing.T) {
-	for _, variant := range []core.Variant{core.Base, core.PSN, core.LWB} {
-		for _, strat := range Strategies {
-			t.Run(fmt.Sprintf("%v/%v", variant, strat), func(t *testing.T) {
-				var compactions uint64
-				testAutoCompactChurn(t, strat, variant, &compactions)
-				if compactions == 0 {
-					t.Fatal("no run auto-compacted; the property never exercised compaction")
-				}
-			})
-		}
-	}
-}
-
-// testFaultCampaign extends the prefix-state model to campaign faults:
-// random operation streams interleaved with fabric partitions (ops
-// denied with ErrUnavailable, nothing lost on heal), device degradation
-// (cost-only — crashes land while degraded), and correlated whole-blast
-// crashes of every shard at one instant, recovered in campaign order
-// with partition-heal-then-recover.
-func testFaultCampaign(t *testing.T, strat Strategy, variant core.Variant) {
-	const maxKey = 12
-	f := func(seed int64, opsRaw []byte) bool {
-		st, err := Open(Config{
-			Shards:     2,
-			Capacity:   256,
-			Strategy:   strat,
-			Batch:      3,
-			Variant:    variant,
-			EvictEvery: 2,
-			Seed:       seed,
-		})
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		logs := make([][]modelOp, st.NumShards())
-		part := make([]bool, st.NumShards())
-		anyPart := func() bool { return part[0] || part[1] }
-		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		// mutate applies one put/delete and folds the outcome into the
-		// model. A write to a partitioned shard is denied outright; a
-		// write to a healthy shard can still fail with ErrUnavailable
-		// when a REMOTE partition blocks the commit (the GPF blast
-		// radius) — then batched strategies have already appended the
-		// visible, uncommitted record, while per-operation strategies
-		// failed before any mutation.
-		mutate := func(i int, k, v core.Val) bool {
-			shard := st.ShardOf(k)
-			var err error
-			if v == 0 {
-				_, err = st.Delete(k)
-			} else {
-				_, err = st.Put(k, v)
-			}
-			switch {
-			case part[shard]:
-				if !errors.Is(err, ErrUnavailable) {
-					t.Logf("op %d: write to partitioned shard %d: %v, want ErrUnavailable", i, shard, err)
-					return false
-				}
-			case err == nil:
-				logs[shard] = append(logs[shard], modelOp{k, v})
-			case errors.Is(err, ErrUnavailable) && anyPart():
-				if strat.Batched() {
-					logs[shard] = append(logs[shard], modelOp{k, v})
-				}
-			default:
-				t.Logf("op %d: write(%d): %v", i, k, err)
-				return false
-			}
-			return true
-		}
-		for i, b := range opsRaw {
-			if i > 60 {
-				break
-			}
-			k := core.Val(int(b) % (maxKey + 1))
-			shard := st.ShardOf(k)
-			switch (b / 16) % 6 {
-			case 0, 1:
-				if !mutate(i, k, core.Val(1+int(b)%90+i)) {
-					return false
-				}
-			case 2:
-				if !mutate(i, k, 0) {
-					return false
-				}
-			case 3:
-				// Reads: denied on the partitioned shard, exact on the
-				// others — visible state always matches the full model log.
-				v, ok, err := st.Get(k)
-				if part[shard] {
-					if !errors.Is(err, ErrUnavailable) {
-						t.Logf("op %d: get on partitioned shard %d: %v, want ErrUnavailable", i, shard, err)
-						return false
-					}
-					continue
-				}
-				if err != nil {
-					t.Logf("op %d get(%d): %v", i, k, err)
-					return false
-				}
-				want := replay(logs[shard])
-				wv, wok := want[k]
-				if ok != wok || (ok && v != wv) {
-					t.Logf("op %d: get(%d) = (%d,%v), model (%d,%v)", i, k, v, ok, wv, wok)
-					return false
-				}
-			case 4:
-				target := rng.Intn(st.NumShards())
-				if rng.Intn(2) == 0 {
-					// Degradation is cost-only: it never changes outcomes,
-					// only the simulated clock — later crashes land while
-					// degraded.
-					st.Degrade(target, float64(1+rng.Intn(8)))
-					continue
-				}
-				if part[target] {
-					before := st.AckedCount(target)
-					st.Heal(target)
-					part[target] = false
-					// A heal is instant and lossless: acknowledged state is
-					// untouched and everything reads back.
-					if st.AckedCount(target) != before {
-						t.Logf("op %d: heal changed acked count %d -> %d", i, before, st.AckedCount(target))
-						return false
-					}
-					if !checkShard(t, st, target, replay(logs[target]), maxKey) {
-						t.Logf("op %d: shard %d state diverged after heal", i, target)
-						return false
-					}
-				} else {
-					st.Partition(target)
-					part[target] = true
-				}
-			default:
-				// Correlated blast: every shard crashes at one simulated
-				// instant — some possibly degraded, some possibly
-				// partitioned. Recovery refuses partitioned shards until
-				// they heal, then proceeds in campaign (index) order.
-				acked := make([]int, st.NumShards())
-				for sh := range acked {
-					acked[sh] = st.AckedCount(sh)
-				}
-				for sh := 0; sh < st.NumShards(); sh++ {
-					st.Crash(sh)
-				}
-				for sh := range part {
-					if !part[sh] {
-						continue
-					}
-					if _, err := st.Recover(sh); !errors.Is(err, ErrUnavailable) {
-						t.Logf("op %d: recover of partitioned shard %d: %v, want ErrUnavailable", i, sh, err)
-						return false
-					}
-					st.Heal(sh)
-					part[sh] = false
-				}
-				for sh := 0; sh < st.NumShards(); sh++ {
-					stats, err := st.Recover(sh)
-					if err != nil {
-						t.Logf("op %d recover(%d): %v", i, sh, err)
-						return false
-					}
-					if stats.Recovered < acked[sh] {
-						t.Logf("op %d: shard %d recovered %d records, %d were acknowledged",
-							i, sh, stats.Recovered, acked[sh])
-						return false
-					}
-					if stats.Recovered > len(logs[sh]) {
-						t.Logf("op %d: shard %d recovered %d records, only %d ever appended",
-							i, sh, stats.Recovered, len(logs[sh]))
-						return false
-					}
-					logs[sh] = logs[sh][:stats.Recovered]
-				}
-				for sh := range logs {
-					if !checkShard(t, st, sh, replay(logs[sh]), maxKey) {
-						t.Logf("op %d: shard %d state diverged after correlated recovery", i, sh)
-						return false
-					}
-				}
-			}
-		}
-		// Final: heal lingering partitions, sync, exact match everywhere.
-		for sh := range part {
-			if part[sh] {
-				st.Heal(sh)
-				part[sh] = false
-			}
-		}
-		if err := st.Sync(); err != nil {
-			t.Log(err)
-			return false
-		}
-		for i := range logs {
-			if st.AckedCount(i) != len(logs[i]) {
-				t.Logf("shard %d: %d acked after Sync, %d appended", i, st.AckedCount(i), len(logs[i]))
-				return false
-			}
-			if !checkShard(t, st, i, replay(logs[i]), maxKey) {
-				t.Logf("shard %d final state diverged", i)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(int64(strat)*41 + int64(variant)))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFaultCampaignProperty sweeps the campaign-extended prefix-state
-// model across all six persistence strategies and all three hardware
-// variants.
-func TestFaultCampaignProperty(t *testing.T) {
-	for _, variant := range []core.Variant{core.Base, core.PSN, core.LWB} {
-		for _, strat := range Strategies {
-			t.Run(fmt.Sprintf("%v/%v", variant, strat), func(t *testing.T) {
-				testFaultCampaign(t, strat, variant)
-			})
-		}
-	}
-}
-
 // testApplyCorrelatedCrash crashes BOTH shards at one simulated instant
-// in the middle of a client batch Apply: the batch must resolve per key
-// to old-or-new (never garbage, never a torn value), the pre-batch
-// acknowledged state must survive untouched, and re-applying the batch
-// afterwards must complete it.
+// in the middle of a client batch Apply: each shard then reads as the
+// spec's log cut where its recovery cut it, which keeps the pre-batch
+// acknowledged state and a prefix of the shard's part of the batch, and
+// re-applying the batch afterwards completes it.
 func testApplyCorrelatedCrash(t *testing.T, strat Strategy, variant core.Variant, at int) {
-	const maxKey = 20
-	st, err := Open(Config{
+	const keys = 21
+	st := openTest(t, Config{
 		Shards:     2,
 		Capacity:   256,
 		Strategy:   strat,
@@ -1124,20 +1046,18 @@ func testApplyCorrelatedCrash(t *testing.T, strat Strategy, variant core.Variant
 		EvictEvery: 2,
 		Seed:       int64(strat)*100 + int64(variant)*10 + int64(at),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := core.Val(0); k <= maxKey; k++ {
-		if _, err := st.Put(k, 100+k); err != nil {
+	r := newSpecRun(st, keys)
+	for k := core.Val(0); k < keys; k++ {
+		if err := r.write(k, 100+k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Sync(); err != nil {
+	if err := r.sync(); err != nil {
 		t.Fatal(err)
 	}
 
 	b := &Batch{}
-	for k := core.Val(0); k <= maxKey; k += 2 {
+	for k := core.Val(0); k < keys; k += 2 {
 		b.Put(k, 300+k)
 	}
 	fired := false
@@ -1150,7 +1070,7 @@ func testApplyCorrelatedCrash(t *testing.T, strat Strategy, variant core.Variant
 		st.crashLocked(0)
 		st.crashLocked(1)
 	}
-	_, applyErr := st.Apply(b)
+	_, applyErr := r.apply(b)
 	st.applyHook = nil
 	if !fired {
 		t.Fatalf("apply hook never fired at op %d", at)
@@ -1158,36 +1078,24 @@ func testApplyCorrelatedCrash(t *testing.T, strat Strategy, variant core.Variant
 	if !errors.Is(applyErr, ErrShardDown) {
 		t.Fatalf("mid-batch correlated crash: Apply returned %v, want ErrShardDown", applyErr)
 	}
-	for i := range st.shards {
-		if st.shards[i].down {
-			if _, err := st.Recover(i); err != nil {
-				t.Fatalf("recover shard %d: %v", i, err)
-			}
-		}
+	if err := r.watermarks(); err != nil {
+		t.Fatal(err)
 	}
-	// Old-or-new per key: batch keys read 100+k or 300+k, others exactly
-	// 100+k.
-	for k := core.Val(0); k <= maxKey; k++ {
-		v, ok, err := st.Get(k)
-		if err != nil || !ok {
-			t.Fatalf("get(%d) after correlated mid-batch crash: (%d,%v,%v)", k, v, ok, err)
+	for i := range st.shards {
+		rs, err := st.Recover(i)
+		if err != nil {
+			t.Fatalf("recover shard %d: %v", i, err)
 		}
-		if k%2 == 0 {
-			if v != 100+k && v != 300+k {
-				t.Fatalf("key %d = %d after crash, want old %d or new %d", k, v, 100+k, 300+k)
-			}
-		} else if v != 100+k {
-			t.Fatalf("non-batch key %d = %d, pre-batch acknowledged value %d destroyed", k, v, 100+k)
+		if err := r.recovered(rs); err != nil {
+			t.Fatal(err)
 		}
 	}
 	// The service completes the batch on retry.
-	if ack, err := st.Apply(b); err != nil || !ack.Durable {
+	if ack, err := r.apply(b); err != nil || !ack.Durable {
 		t.Fatalf("re-apply after recovery: ack %+v err %v", ack, err)
 	}
-	for k := core.Val(0); k <= maxKey; k += 2 {
-		if v, ok, _ := st.Get(k); !ok || v != 300+k {
-			t.Fatalf("key %d = %d after re-apply, want %d", k, v, 300+k)
-		}
+	if err := r.final(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -1208,57 +1116,38 @@ func TestApplyCorrelatedCrash(t *testing.T) {
 // TestRecoveryAfterDoubleCrash exercises the log-truncation path: a crash
 // with unacknowledged pending writes, recovery, more writes reusing the
 // truncated slots, and a second crash — stale records from the first
-// incarnation must never resurrect.
+// incarnation must never resurrect, so each recovery reads as the spec's
+// log cut where it cut.
 func TestRecoveryAfterDoubleCrash(t *testing.T) {
 	for _, variant := range []core.Variant{core.Base, core.PSN, core.LWB} {
 		t.Run(variant.String(), func(t *testing.T) {
-			st, err := Open(Config{
+			st := openTest(t, Config{
 				Shards: 1, Capacity: 64, Strategy: GroupCommit, Batch: 8,
 				Variant: variant, EvictEvery: 2, Seed: 9,
 			})
-			if err != nil {
-				t.Fatal(err)
+			r := newSpecRun(st, 43)
+			put := func(from, to, base core.Val) {
+				t.Helper()
+				for k := from; k < to; k++ {
+					if err := r.write(k, base+k); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			// Acked batch, then unacked pending writes.
-			for k := core.Val(0); k < 8; k++ {
-				if _, err := st.Put(k, 100+k); err != nil {
+			crash := func() {
+				t.Helper()
+				if err := r.crash(0, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for k := core.Val(20); k < 23; k++ {
-				if _, err := st.Put(k, 200+k); err != nil {
-					t.Fatal(err)
-				}
+			put(0, 8, 100)
+			if r.spec[0].acked != 8 {
+				t.Fatalf("%d records acknowledged, want the batch of 8", r.spec[0].acked)
 			}
-			st.Crash(0)
-			stats, err := st.Recover(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Recovered < 8 {
-				t.Fatalf("recovered %d, the 8 acknowledged writes must survive", stats.Recovered)
-			}
-			// Overwrite the reclaimed slots with different records.
-			for k := core.Val(40); k < 43; k++ {
-				if _, err := st.Put(k, 300+k); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st.Crash(0)
-			if _, err := st.Recover(0); err != nil {
-				t.Fatal(err)
-			}
-			for k := core.Val(0); k < 8; k++ {
-				v, ok, err := st.Get(k)
-				if err != nil || !ok || v != 100+k {
-					t.Fatalf("acked key %d = (%d,%v,%v) after double crash", k, v, ok, err)
-				}
-			}
-			for k := core.Val(20); k < 23; k++ {
-				if v, ok, _ := st.Get(k); ok && v != 200+k {
-					t.Fatalf("key %d resurrected with corrupt value %d", k, v)
-				}
-			}
+			put(20, 23, 200) // left pending
+			crash()
+			put(40, 43, 300) // into the slots the recovery may have reclaimed
+			crash()
 		})
 	}
 }
