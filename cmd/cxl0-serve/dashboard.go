@@ -156,7 +156,6 @@ function render(m) {
     tile("unavailable", fmt(f.unavailable || 0),
       "ops denied by a fabric partition (data intact); " +
       (f.partial_results || 0) + " fan-outs returned partial results") +
-    tile("scan discard", fmt(m.kv.scan_discarded_pairs), "pairs fetched by pooled scans and cut in the merge") +
     tile("cache hits", cacheServed > 0 ? (m.kv.cache_hits / cacheServed * 100).toFixed(1) + "%" : "&mdash;",
       "read-cache hit rate: " + fmt(m.kv.cache_hits) + " hits / " + fmt(m.kv.cache_misses) +
       " misses · " + fmt(m.kv.speculative_fills) + " speculative fills · " +
