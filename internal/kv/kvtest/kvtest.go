@@ -10,13 +10,16 @@
 //   - Scan's global key ordering and limit handling,
 //   - MultiGet's input-order results,
 //   - Sync as a universal commit point, and
-//   - crash/recovery visibility: an acknowledged write survives every
-//     shard of the service crashing and recovering; an unacknowledged
-//     write may be dropped, never corrupted, and
+//   - crash/recovery visibility: a recovery keeps a prefix of each
+//     shard's log that holds every acknowledged write, and
 //   - fault-campaign visibility: the crash/partition/degrade error
 //     taxonomy (ErrShardDown vs ErrUnavailable vs cost-only), partial
-//     results for partitioned fan-outs, lossless heals, and
-//     old-or-new-never-garbage under correlated whole-service crashes.
+//     results for partitioned fan-outs, lossless heals, and the same
+//     prefix rule under correlated whole-service crashes.
+//
+// The suites that check visibility hold every write, read, Sync and
+// recovery to kvspec, the spec of what a client may see, through one
+// driver (checked.go) instead of restating its rules inline.
 //
 // The suite deliberately avoids implementation-shaped assertions (shard
 // placement, exact commit counts, busy-time accounting): those belong to
@@ -32,6 +35,7 @@ import (
 	"cxl0/internal/core"
 	"cxl0/internal/faults"
 	"cxl0/internal/kv"
+	"cxl0/internal/kv/kvspec"
 	"cxl0/internal/obs"
 )
 
@@ -83,7 +87,7 @@ func crashRecoverAll(t *testing.T, db kv.DB) {
 func testAckDurability(t *testing.T, f Factory) {
 	for _, strat := range kv.Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
-			db := f(t, cfgFor(strat))
+			db := check(t, f, cfgFor(strat))
 			const n = 10
 			sawPending := false
 			for k := core.Val(0); k < n; k++ {
@@ -94,20 +98,13 @@ func testAckDurability(t *testing.T, f Factory) {
 				if !strat.Batched() && !ack.Durable {
 					t.Fatalf("put %d not acked at return under %v", k, strat)
 				}
-				if !ack.Durable {
-					sawPending = true
-					// Visible before durable.
-					if v, ok, err := db.Get(k); err != nil || !ok || v != k+1 {
-						t.Fatalf("pending write %d invisible: (%d, %v, %v)", k, v, ok, err)
-					}
-				}
+				sawPending = sawPending || !ack.Durable
+				db.Get(k) // visible before durable
 			}
 			if strat.Batched() && !sawPending {
 				t.Fatalf("%v acked every write at return; batched strategies must defer", strat)
 			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			db.sync()
 			if m := db.Metrics(); m.Acked != n {
 				t.Fatalf("acked = %d after sync, want %d", m.Acked, n)
 			}
@@ -121,14 +118,13 @@ func testAckDurability(t *testing.T, f Factory) {
 // overwritten key keeps serving its last acknowledged value until the
 // overwrite's batch commits; acks fire in batch order at their batches'
 // commit points; Sync drains every in-flight flush; and a whole-service
-// crash with flushes in flight recovers at least the acked prefix, with
-// reads old-or-new, never garbage.
+// crash with flushes in flight recovers at least the acked prefix.
 func testPipelinedAckOrder(t *testing.T, f Factory) {
 	for _, strat := range []kv.Strategy{kv.GroupCommit, kv.RangedCommit} {
 		t.Run(strat.String(), func(t *testing.T) {
 			cfg := cfgFor(strat)
 			cfg.PipelineDepth = 3
-			db := f(t, cfg)
+			db := check(t, f, cfg)
 			bus := obs.NewBus(obs.DefaultBusSize)
 			sub := bus.Subscribe()
 			db.Observe(obs.NewRecorder(bus, nil))
@@ -143,9 +139,7 @@ func testPipelinedAckOrder(t *testing.T, f Factory) {
 					t.Fatalf("pipelined put %d acked durable at return", k)
 				}
 			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			db.sync()
 			m := db.Metrics()
 			if m.Acked != n {
 				t.Fatalf("acked = %d after sync, want %d", m.Acked, n)
@@ -161,34 +155,19 @@ func testPipelinedAckOrder(t *testing.T, f Factory) {
 
 			// The watermark gate, deterministically: Sync left every open
 			// batch empty, so this one overwrite sits unacknowledged in a
-			// fresh open batch — reads must keep serving the acked value.
-			if _, err := db.Put(0, 9000); err != nil {
-				t.Fatal(err)
+			// fresh open batch — reads keep serving the acked value.
+			if ack, err := db.Put(0, 9000); err != nil || ack.Durable {
+				t.Fatalf("overwrite in a fresh batch: %+v, %v", ack, err)
 			}
-			if v, ok, err := db.Get(0); err != nil || !ok || v != 1000 {
-				t.Fatalf("watermark get = (%d, %v, %v), want the acked 1000", v, ok, err)
-			}
-			pairs, err := db.Scan(0, 1, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(pairs) != 1 || pairs[0].Val != 1000 {
-				t.Fatalf("watermark scan = %+v, want [{0 1000}]", pairs)
-			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if v, ok, err := db.Get(0); err != nil || !ok || v != 9000 {
-				t.Fatalf("post-sync get = (%d, %v, %v), want 9000", v, ok, err)
-			}
+			db.Get(0)
+			db.Scan(0, 1, 10)
+			db.sync()
+			db.Get(0)
 
-			// Overwrite everything and crash with flushes in flight. The
-			// acked watermark read before the crash is each key's floor:
-			// recovery must land on that value or the newer one.
+			// Overwrite everything and crash with flushes in flight:
+			// recovery keeps at least the acked prefix.
 			for k := core.Val(0); k < n; k++ {
-				if _, err := db.Put(k, 5000+k); err != nil {
-					t.Fatalf("overwrite %d: %v", k, err)
-				}
+				db.put(k, 5000+k)
 			}
 			// Only the ranged strategy is guaranteed to stack depth: a GPF
 			// occupies the whole fabric, so any shard's global flush
@@ -199,28 +178,13 @@ func testPipelinedAckOrder(t *testing.T, f Factory) {
 					t.Fatalf("max in-flight depth = %d; the pipeline never overlapped flushes", got)
 				}
 			}
-			pre := make([]core.Val, n)
-			for k := core.Val(0); k < n; k++ {
-				v, ok, err := db.Get(k)
-				if err != nil || !ok {
-					t.Fatalf("pre-crash get %d: (%v, %v)", k, ok, err)
-				}
-				pre[k] = v
-			}
+			db.readAll(n)
 			ackedBefore := db.Metrics().Acked
 			crashRecoverAll(t, db)
 			if got := db.Metrics().Acked; got < ackedBefore {
 				t.Fatalf("recovery lost acknowledged writes: %d -> %d", ackedBefore, got)
 			}
-			for k := core.Val(0); k < n; k++ {
-				v, ok, err := db.Get(k)
-				if err != nil || !ok {
-					t.Fatalf("post-crash get %d: (%v, %v)", k, ok, err)
-				}
-				if v != pre[k] && v != 5000+k {
-					t.Fatalf("post-crash get %d = %d, want acked %d or newer %d", k, v, pre[k], 5000+k)
-				}
-			}
+			db.readAll(n)
 
 			// Commit events carry the pipeline telemetry: depth within
 			// [1, PipelineDepth], and per shard the commit points — each
@@ -249,122 +213,80 @@ func testPipelinedAckOrder(t *testing.T, f Factory) {
 
 // testCachedReadVisibility pins the node-local read cache's coherence
 // contract (kv.Config.ReadCache > 0, with the prefetcher on): a cached
-// read is indistinguishable from an uncached one. Read-your-writes holds
-// through Put/Delete/Apply; visibility is unchanged across compaction,
-// rebalancing and partition/heal; reads stay monotonic across a
-// crash/recovery sweep even when eviction churn forces the cache to
-// refill from the store (a stale survivor would read backwards in time);
-// and under the pipelined batched strategies at K ∈ {2, 4} a cached
-// value tracks the acked watermark — never a value a crash could take
-// back — flipping to the overwrite only at its batch's retirement.
+// read is indistinguishable from an uncached one — every read, the
+// second of a pair (the cached path when the first filled) included, is
+// what kvspec says, through Put/Delete/Apply, compaction, a crash/recovery
+// sweep whose eviction churn forces the cache to refill from the store (a
+// stale survivor would read backwards in time) and partition/heal; under
+// the pipelined batched strategies at K ∈ {2, 4} a cached value tracks
+// the acked watermark — never a value a crash could take back. Last, a
+// rebalance moves no key's value.
 func testCachedReadVisibility(t *testing.T, f Factory) {
 	for _, strat := range kv.Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
 			cfg := cfgFor(strat)
-			// A tiny cache: eviction churn keeps the monotonic checks
-			// honest — a stale entry cannot hide behind an LRU that never
-			// refills from the store.
+			// A tiny cache: eviction churn keeps the checks honest — a
+			// stale entry cannot hide behind an LRU that never refills
+			// from the store.
 			cfg.ReadCache = 8
 			cfg.Prefetch = true
-			db := f(t, cfg)
+			db := check(t, f, cfg)
 			const n = 24
-			want := map[core.Val]core.Val{} // 0 = deleted
-			// expect reads every key twice — the second read is the cached
-			// path when the first filled — and demands the same answer.
-			expect := func(stage string) {
-				t.Helper()
-				for k := core.Val(0); k < n; k++ {
-					for pass := 0; pass < 2; pass++ {
-						v, ok, err := db.Get(k)
-						if err != nil {
-							t.Fatalf("%s: get %d pass %d: %v", stage, k, pass, err)
-						}
-						if w := want[k]; (w == 0) == ok || (ok && v != w) {
-							t.Fatalf("%s: get %d pass %d = (%d, %v), want %d", stage, k, pass, v, ok, w)
-						}
-					}
-				}
+			expect := func() {
+				db.readAll(n)
+				db.readAll(n)
 			}
 
 			// Read-your-writes through every write operation.
 			for k := core.Val(0); k < n; k++ {
-				if _, err := db.Put(k, 100+k); err != nil {
-					t.Fatal(err)
-				}
-				want[k] = 100 + k
+				db.put(k, 100+k)
 			}
-			expect("initial")
+			expect()
 			for k := core.Val(0); k < 6; k++ {
-				if _, err := db.Put(k, 200+k); err != nil {
-					t.Fatal(err)
-				}
-				want[k] = 200 + k
+				db.put(k, 200+k)
 			}
-			expect("overwrite")
+			expect()
 			if _, err := db.Delete(2); err != nil {
 				t.Fatal(err)
 			}
-			want[2] = 0
-			if _, err := db.Apply(new(kv.Batch).Put(3, 333).Delete(4)); err != nil {
+			if _, err := db.apply(kvspec.Rec{Key: 3, Val: 333}, kvspec.Rec{Key: 4}); err != nil {
 				t.Fatal(err)
 			}
-			want[3], want[4] = 333, 0
-			expect("delete+apply")
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Background reorganization changes placement, never visibility.
+			expect()
+			db.sync()
 			if _, err := db.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			expect("compacted")
-			if _, err := db.Rebalance(); err != nil {
-				t.Fatal(err)
-			}
-			expect("rebalanced")
+			expect()
 
 			// Crash/recovery: overwrite a few keys unsynced (under the
 			// batched strategies some are unacknowledged), sweep every
-			// shard, then pin monotonic reads: whatever the first
-			// post-recovery read answers — old or new — later reads must
-			// repeat, including after churn evicts and refills the cache.
+			// shard, read, churn the tiny LRU dry, and read again.
 			for k := core.Val(8); k < 14; k++ {
-				if _, err := db.Put(k, 500+k); err != nil {
-					t.Fatal(err)
-				}
-				if v, ok, err := db.Get(k); err != nil || !ok || v != 500+k {
-					t.Fatalf("pre-crash read-your-write %d: (%d, %v, %v)", k, v, ok, err)
-				}
+				db.put(k, 500+k)
+				db.Get(k)
 			}
 			crashRecoverAll(t, db)
-			for k := core.Val(8); k < 14; k++ {
-				v, ok, err := db.Get(k)
-				if err != nil || !ok {
-					t.Fatalf("post-recovery get %d: (%v, %v)", k, ok, err)
-				}
-				if v != want[k] && v != 500+k {
-					t.Fatalf("post-recovery get %d = %d, want acked %d or newer %d", k, v, want[k], 500+k)
-				}
-				want[k] = v
-			}
-			for k := core.Val(14); k < n; k++ { // churn the tiny LRU dry
-				if _, _, err := db.Get(k); err != nil {
-					t.Fatal(err)
-				}
-			}
-			expect("post-recovery")
+			db.readAll(n)
+			expect()
 
 			// Partition/heal: denied reads are denied, healed reads exact.
 			db.Partition(0)
-			for k := core.Val(0); k < n; k++ {
-				_, _, err := db.Get(k)
-				if err != nil && !errors.Is(err, kv.ErrUnavailable) {
-					t.Fatalf("partitioned get %d: %v", k, err)
+			db.readAll(n)
+			db.Heal(0)
+			expect()
+
+			// A rebalance moves buckets between shards, which the spec
+			// cannot follow, so the DB is read bare from here on.
+			if _, err := db.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
+			for k := core.Val(0); k < 2*n; k++ {
+				v, ok, err := db.DB.Get(k % n)
+				if want, _ := db.spec.Get(k % n); err != nil || (kvspec.Lookup{Key: k % n, Val: v, Found: ok}) != want {
+					t.Fatalf("rebalanced get %d = (%d, %v, %v), want %+v", k%n, v, ok, err, want)
 				}
 			}
-			db.Heal(0)
-			expect("healed")
 		})
 	}
 
@@ -379,69 +301,32 @@ func testCachedReadVisibility(t *testing.T, f Factory) {
 				cfg.PipelineDepth = depth
 				cfg.ReadCache = 32
 				cfg.Prefetch = true
-				db := f(t, cfg)
+				db := check(t, f, cfg)
 				const n = 16
 				for k := core.Val(0); k < n; k++ {
-					if _, err := db.Put(k, 1000+k); err != nil {
-						t.Fatal(err)
-					}
+					db.put(k, 1000+k)
 				}
-				if err := db.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				for k := core.Val(0); k < n; k++ { // warm the cache on acked values
-					if v, ok, err := db.Get(k); err != nil || !ok || v != 1000+k {
-						t.Fatalf("warm get %d: (%d, %v, %v)", k, v, ok, err)
-					}
-				}
+				db.sync()
+				db.readAll(n) // warm the cache on acked values
 				// One unacknowledged overwrite in a fresh open batch: both
-				// the cached and uncached path must keep serving the acked
-				// value until Sync retires it.
-				if _, err := db.Put(0, 9000); err != nil {
-					t.Fatal(err)
+				// the cached and uncached path keep serving the acked value
+				// until Sync retires it.
+				if ack, err := db.Put(0, 9000); err != nil || ack.Durable {
+					t.Fatalf("overwrite in a fresh batch: %+v, %v", ack, err)
 				}
-				for pass := 0; pass < 2; pass++ {
-					if v, ok, err := db.Get(0); err != nil || !ok || v != 1000 {
-						t.Fatalf("watermark get pass %d = (%d, %v, %v), want the acked 1000", pass, v, ok, err)
-					}
-				}
-				if err := db.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				for pass := 0; pass < 2; pass++ {
-					if v, ok, err := db.Get(0); err != nil || !ok || v != 9000 {
-						t.Fatalf("post-sync get pass %d = (%d, %v, %v), want 9000", pass, v, ok, err)
-					}
-				}
-				// Streamed overwrites with reads interleaved: every answer
-				// is the acked old value or the new one, and after the
-				// drain every key reads new — twice.
+				db.Get(0)
+				db.Get(0)
+				db.sync()
+				db.Get(0)
+				db.Get(0)
+				// Streamed overwrites with reads interleaved, then drained.
 				for k := core.Val(0); k < n; k++ {
-					if _, err := db.Put(k, 5000+k); err != nil {
-						t.Fatal(err)
-					}
-					v, ok, err := db.Get(k)
-					if err != nil || !ok {
-						t.Fatalf("in-flight get %d: (%v, %v)", k, ok, err)
-					}
-					old := core.Val(1000 + k)
-					if k == 0 {
-						old = 9000
-					}
-					if v != old && v != 5000+k {
-						t.Fatalf("in-flight get %d = %d, want acked %d or new %d", k, v, old, 5000+k)
-					}
+					db.put(k, 5000+k)
+					db.Get(k)
 				}
-				if err := db.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				for k := core.Val(0); k < n; k++ {
-					for pass := 0; pass < 2; pass++ {
-						if v, ok, err := db.Get(k); err != nil || !ok || v != 5000+k {
-							t.Fatalf("drained get %d pass %d = (%d, %v, %v), want %d", k, pass, v, ok, err, 5000+k)
-						}
-					}
-				}
+				db.sync()
+				db.readAll(n)
+				db.readAll(n)
 			})
 		}
 	}
@@ -454,51 +339,34 @@ func testCachedReadVisibility(t *testing.T, f Factory) {
 func testApplyBatch(t *testing.T, f Factory) {
 	for _, strat := range kv.Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
-			db := f(t, cfgFor(strat))
-			b := new(kv.Batch)
+			db := check(t, f, cfgFor(strat))
 			const n = 12
+			var ops []kvspec.Rec
 			for k := core.Val(0); k < n; k++ {
-				b.Put(k, k+100)
+				ops = append(ops, kvspec.Rec{Key: k, Val: k + 100})
 			}
-			b.Put(3, 333)  // overwrite inside the batch: last write wins
-			b.Delete(5)    // put-then-delete inside the batch: deleted
-			b.Put(n, 777)  // delete-then... fresh key at the end
-			b.Delete(9999) // deleting an absent key is legal
-			ack, err := db.Apply(b)
+			ops = append(ops,
+				kvspec.Rec{Key: 3, Val: 333}, // overwrite inside the batch: last write wins
+				kvspec.Rec{Key: 5},           // put-then-delete inside the batch: deleted
+				kvspec.Rec{Key: n, Val: 777}, // a fresh key at the end
+				kvspec.Rec{Key: 9999})        // deleting an absent key is legal
+			ack, err := db.apply(ops...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ack.Durable {
 				t.Fatalf("apply returned non-durable ack %+v under %v", ack, strat)
 			}
-			check := func() {
-				t.Helper()
-				for k := core.Val(0); k <= n; k++ {
-					want, present := k+100, true
-					switch k {
-					case 3:
-						want = 333
-					case 5:
-						present = false
-					case n:
-						want = 777
-					}
-					v, ok, err := db.Get(k)
-					if err != nil || ok != present || (present && v != want) {
-						t.Fatalf("get %d = (%d, %v, %v), want (%d, %v)", k, v, ok, err, want, present)
-					}
-				}
-			}
-			check()
+			db.readAll(n + 1)
 			// The commit point has passed: the batch survives every shard
 			// crashing.
 			crashRecoverAll(t, db)
-			check()
+			db.readAll(n + 1)
 			if m := db.Metrics(); m.Batches == 0 {
 				t.Fatal("Apply not counted in Metrics.Batches")
 			}
 			// An empty batch is a durable no-op.
-			if ack, err := db.Apply(new(kv.Batch)); err != nil || !ack.Durable {
+			if ack, err := db.apply(); err != nil || !ack.Durable {
 				t.Fatalf("empty apply: %+v, %v", ack, err)
 			}
 		})
@@ -508,77 +376,31 @@ func testApplyBatch(t *testing.T, f Factory) {
 // testScanLimitOrdering pins Scan: results in global key order, half-open
 // range, limit keeps the smallest keys, limit 0 means unlimited.
 func testScanLimitOrdering(t *testing.T, f Factory) {
-	db := f(t, cfgFor(kv.RangedCommit))
+	db := check(t, f, cfgFor(kv.RangedCommit))
 	const n = 30
 	// Insert in a scattered order so result order cannot be insertion
 	// order by accident.
 	for i := 0; i < n; i++ {
 		k := core.Val((i * 17) % n)
-		if _, err := db.Put(k, k+1); err != nil {
-			t.Fatal(err)
-		}
+		db.put(k, k+1)
 	}
-	if err := db.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := db.Scan(5, 25, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 20 {
+	db.sync()
+	if pairs, _ := db.Scan(5, 25, 0); len(pairs) != 20 {
 		t.Fatalf("scan [5,25) returned %d pairs, want 20", len(pairs))
 	}
-	for i, p := range pairs {
-		if want := core.Val(5 + i); p.Key != want || p.Val != want+1 {
-			t.Fatalf("pair %d = %+v, want key %d in order", i, p, want)
-		}
-	}
-	limited, err := db.Scan(5, 25, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited) != 6 {
-		t.Fatalf("limited scan returned %d pairs, want 6", len(limited))
-	}
-	for i, p := range limited {
-		if want := core.Val(5 + i); p.Key != want {
-			t.Fatalf("limited pair %d = %+v; the limit must keep the smallest keys", i, p)
-		}
-	}
-	if empty, err := db.Scan(100, 200, 0); err != nil || len(empty) != 0 {
-		t.Fatalf("empty-range scan = %v, %v", empty, err)
-	}
+	db.Scan(5, 25, 6)
+	db.Scan(100, 200, 0)
 }
 
 // testMultiGet pins MultiGet: one result per key, in input order,
 // including misses and repeats.
 func testMultiGet(t *testing.T, f Factory) {
-	db := f(t, cfgFor(kv.StoreFlush))
+	db := check(t, f, cfgFor(kv.StoreFlush))
 	for k := core.Val(0); k < 20; k++ {
-		if _, err := db.Put(k, k*2+1); err != nil {
-			t.Fatal(err)
-		}
+		db.put(k, k*2+1)
 	}
-	keys := []core.Val{13, 999, 2, 13, 0}
-	res, err := db.MultiGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(keys) {
-		t.Fatalf("%d results for %d keys", len(res), len(keys))
-	}
-	for i, l := range res {
-		if l.Key != keys[i] {
-			t.Fatalf("result %d is key %d, want %d: results must keep input order", i, l.Key, keys[i])
-		}
-		wantFound := keys[i] < 20
-		if l.Found != wantFound || (wantFound && l.Val != keys[i]*2+1) {
-			t.Fatalf("result %d = %+v", i, l)
-		}
-	}
-	if res, err := db.MultiGet(nil); err != nil || len(res) != 0 {
-		t.Fatalf("empty MultiGet = %v, %v", res, err)
-	}
+	db.MultiGet([]core.Val{13, 999, 2, 13, 0})
+	db.MultiGet(nil)
 }
 
 // testSyncCommits pins Sync as the universal commit point: after Sync
@@ -587,82 +409,41 @@ func testMultiGet(t *testing.T, f Factory) {
 func testSyncCommits(t *testing.T, f Factory) {
 	for _, strat := range []kv.Strategy{kv.GroupCommit, kv.RangedCommit, kv.MStoreEach} {
 		t.Run(strat.String(), func(t *testing.T) {
-			db := f(t, cfgFor(strat))
+			db := check(t, f, cfgFor(strat))
 			const n = 7 // not a multiple of Batch: a batch stays open
 			for k := core.Val(0); k < n; k++ {
-				if _, err := db.Put(k, k+50); err != nil {
-					t.Fatal(err)
-				}
+				db.put(k, k+50)
 			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			db.sync()
 			if m := db.Metrics(); m.Acked != n {
 				t.Fatalf("acked = %d after sync, want %d", m.Acked, n)
 			}
 			crashRecoverAll(t, db)
-			for k := core.Val(0); k < n; k++ {
-				v, ok, err := db.Get(k)
-				if err != nil || !ok || v != k+50 {
-					t.Fatalf("synced write %d lost: (%d, %v, %v)", k, v, ok, err)
-				}
-			}
+			db.readAll(n)
 		})
 	}
 }
 
 // testCrashRecoverVisibility pins the durability invariant under every
-// strategy: a write acknowledged durable survives every shard crashing
-// and recovering; an unacknowledged write may be dropped by recovery but
-// never corrupted — afterwards the key reads as either its old or its
-// new value, nothing else.
+// strategy: every shard crashing and recovering keeps a prefix of its log
+// that holds every acknowledged write, and reads as exactly that prefix.
 func testCrashRecoverVisibility(t *testing.T, f Factory) {
 	for _, strat := range kv.Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
-			db := f(t, cfgFor(strat))
+			db := check(t, f, cfgFor(strat))
 			const n = 16
 			for k := core.Val(0); k < n; k++ {
-				if _, err := db.Put(k, 1000+k); err != nil {
-					t.Fatal(err)
-				}
+				db.put(k, 1000+k)
 			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			db.sync()
 			// Overwrite a few keys without syncing: under the batched
 			// strategies some of these are unacknowledged when the crash
 			// hits.
-			ackedNew := map[core.Val]bool{}
 			for k := core.Val(0); k < 6; k++ {
-				ack, err := db.Put(k, 2000+k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ackedNew[k] = ack.Durable
+				db.put(k, 2000+k)
 			}
 			crashRecoverAll(t, db)
-			for k := core.Val(0); k < n; k++ {
-				v, ok, err := db.Get(k)
-				if err != nil || !ok {
-					t.Fatalf("key %d unreadable after recovery: (%v, %v)", k, ok, err)
-				}
-				old, new := 1000+k, 2000+k
-				switch {
-				case k >= 6:
-					if v != old {
-						t.Fatalf("untouched key %d = %d, want %d", k, v, old)
-					}
-				case ackedNew[k]:
-					if v != new {
-						t.Fatalf("key %d acked at %d but reads %d", k, new, v)
-					}
-				default:
-					// Unacknowledged overwrite: old or new, never garbage.
-					if v != old && v != new {
-						t.Fatalf("key %d corrupted: %d (want %d or %d)", k, v, old, new)
-					}
-				}
-			}
+			db.readAll(n)
 			// Recovering an up shard is a no-op.
 			if stats, err := db.Recover(0); err != nil || stats.Recovered != 0 {
 				t.Fatalf("recover of an up shard: %+v, %v", stats, err)
@@ -679,125 +460,35 @@ func testCrashRecoverVisibility(t *testing.T, f Factory) {
 // testFaultCampaignVisibility pins the fault-campaign surface of the
 // contract: a partitioned shard denies with ErrUnavailable (never
 // ErrShardDown — a partition loses nothing), fan-outs over a partition
-// degrade to a PartialResultError whose delivered results are exact,
-// heals are instant and lossless, degradation is cost-only, and a
-// correlated crash of every shard — driven through the campaign engine —
-// resolves each key to old-or-new, never garbage.
+// degrade to the partial result kvspec states, heals are instant and
+// lossless, degradation is cost-only, and a correlated crash of every
+// shard — driven through the campaign engine — keeps a prefix of every
+// shard's log that holds its acknowledged writes.
 func testFaultCampaignVisibility(t *testing.T, f Factory) {
 	for _, strat := range kv.Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
-			db := f(t, cfgFor(strat))
+			db := check(t, f, cfgFor(strat))
 			const n = 24
 			keys := make([]core.Val, n)
 			for k := core.Val(0); k < n; k++ {
-				if _, err := db.Put(k, 1000+k); err != nil {
-					t.Fatal(err)
-				}
+				db.put(k, 1000+k)
 				keys[k] = k
 			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			db.sync()
 
-			// Partition a shard that owns at least one of the keys (the
-			// contract hides key placement, so probe).
-			target, missingDirect := -1, 0
-			denied := map[core.Val]bool{}
-			for sh := 0; sh < db.NumShards() && target < 0; sh++ {
-				db.Partition(sh)
-				for k := core.Val(0); k < n; k++ {
-					_, _, err := db.Get(k)
-					if err == nil {
-						continue
-					}
-					if !errors.Is(err, kv.ErrUnavailable) {
-						t.Fatalf("get through partition: %v, want ErrUnavailable", err)
-					}
-					if errors.Is(err, kv.ErrShardDown) {
-						t.Fatalf("partition masquerades as a crash: %v", err)
-					}
-					denied[k] = true
-					missingDirect++
-				}
-				if missingDirect > 0 {
-					target = sh
-				} else {
-					db.Heal(sh)
-				}
-			}
-			if target < 0 {
-				t.Fatalf("no shard owns any of %d keys", n)
-			}
+			// Partition the shard key 0's writes were acknowledged by:
+			// reads of its keys are denied, fan-outs degrade.
+			target := db.home[0]
+			db.Partition(target)
 			h := db.Health()
 			if len(h) != db.NumShards() || !h[target].Partitioned || h[target].Down {
 				t.Fatalf("health does not report the partition: %+v", h[target])
 			}
-
-			// MultiGet degrades to a partial result: delivered entries are
-			// exact, the error names the unavailable shards and unwraps to
-			// ErrUnavailable.
-			res, err := db.MultiGet(keys)
-			var partial *kv.PartialResultError
-			if !errors.As(err, &partial) {
-				t.Fatalf("partitioned MultiGet: %v, want PartialResultError", err)
+			db.readAll(n)
+			if _, err := db.MultiGet(keys); err == nil {
+				t.Fatal("a MultiGet over a partitioned shard withheld nothing")
 			}
-			if !errors.Is(err, kv.ErrUnavailable) {
-				t.Fatalf("PartialResultError must unwrap to ErrUnavailable: %v", err)
-			}
-			if partial.Missing != missingDirect {
-				t.Fatalf("partial reports %d missing, direct probes found %d", partial.Missing, missingDirect)
-			}
-			// Input order is preserved: unavailable keys hold a not-found
-			// placeholder, delivered entries are exact.
-			if len(res) != n {
-				t.Fatalf("partial MultiGet delivered %d results, want %d (placeholders included)", len(res), n)
-			}
-			for i, l := range res {
-				if l.Key != keys[i] {
-					t.Fatalf("partial result %d is key %d, want %d: input order must survive a partition", i, l.Key, keys[i])
-				}
-				if denied[l.Key] {
-					if l.Found {
-						t.Fatalf("unavailable key %d delivered as found: %+v", l.Key, l)
-					}
-					continue
-				}
-				if !l.Found || l.Val != 1000+l.Key {
-					t.Fatalf("partial result corrupted: %+v", l)
-				}
-			}
-			if len(partial.Unavailable) == 0 {
-				t.Fatal("partial error names no unavailable shard")
-			}
-			for i, sh := range partial.Unavailable {
-				if sh < 0 || sh >= db.NumShards() {
-					t.Fatalf("unavailable shard %d outside [0,%d)", sh, db.NumShards())
-				}
-				if i > 0 && partial.Unavailable[i-1] >= sh {
-					t.Fatalf("unavailable list not ascending: %v", partial.Unavailable)
-				}
-			}
-
-			// Scan over the partition: same taxonomy, delivered pairs exact
-			// and in order.
-			pairs, err := db.Scan(0, n, 0)
-			if !errors.As(err, &partial) {
-				t.Fatalf("partitioned Scan: %v, want PartialResultError", err)
-			}
-			if partial.Missing != missingDirect {
-				t.Fatalf("scan partial reports %d missing, want %d", partial.Missing, missingDirect)
-			}
-			if len(pairs) != n-missingDirect {
-				t.Fatalf("partial Scan delivered %d pairs, want %d", len(pairs), n-missingDirect)
-			}
-			for i, p := range pairs {
-				if p.Val != 1000+p.Key {
-					t.Fatalf("partial scan pair corrupted: %+v", p)
-				}
-				if i > 0 && pairs[i-1].Key >= p.Key {
-					t.Fatalf("partial scan out of order at %d: %v", i, pairs[i-1:i+1])
-				}
-			}
+			db.Scan(0, n, 0)
 
 			// Recover of an up-but-partitioned shard stays the up-shard
 			// no-op; but a shard that dies BEHIND its partition cannot
@@ -817,39 +508,22 @@ func testFaultCampaignVisibility(t *testing.T, f Factory) {
 			if h := db.Health()[target]; h.Partitioned {
 				t.Fatalf("heal did not clear the partition: %+v", h)
 			}
-			res, err = db.MultiGet(keys)
-			if err != nil || len(res) != n {
-				t.Fatalf("post-heal MultiGet: %d results, %v", len(res), err)
-			}
-			for _, l := range res {
-				if !l.Found || l.Val != 1000+l.Key {
-					t.Fatalf("post-heal result wrong: %+v — a heal must lose nothing", l)
-				}
-			}
+			db.MultiGet(keys)
 
 			// Degradation is cost-only: reported in health, never an error.
 			db.Degrade(target, 8)
 			if got := db.Health()[target].DegradeFactor; got != 8 {
 				t.Fatalf("degrade factor %g, want 8", got)
 			}
-			for k := core.Val(0); k < n; k++ {
-				if v, ok, err := db.Get(k); err != nil || !ok || v != 1000+k {
-					t.Fatalf("degraded get %d = (%d, %v, %v)", k, v, ok, err)
-				}
-			}
+			db.readAll(n)
 			db.Degrade(target, 1)
 
 			// Correlated whole-service crash, driven through the campaign
 			// engine: overwrite a few keys (some unacknowledged under the
 			// batched strategies), blast every shard at one instant, recover
 			// in campaign order.
-			ackedNew := map[core.Val]bool{}
 			for k := core.Val(0); k < 6; k++ {
-				ack, err := db.Put(k, 2000+k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ackedNew[k] = ack.Durable
+				db.put(k, 2000+k)
 			}
 			all := make([]int, db.NumShards())
 			for i := range all {
@@ -865,6 +539,7 @@ func testFaultCampaignVisibility(t *testing.T, f Factory) {
 			// Crashed is not partitioned: fan-outs fail whole (unacked data
 			// may be lost — a partial answer could be wrong), with
 			// ErrShardDown.
+			var partial *kv.PartialResultError
 			if _, err := db.MultiGet(keys); !errors.Is(err, kv.ErrShardDown) {
 				t.Fatalf("MultiGet over a crashed service: %v, want ErrShardDown", err)
 			} else if errors.As(err, &partial) {
@@ -876,27 +551,7 @@ func testFaultCampaignVisibility(t *testing.T, f Factory) {
 			if s := eng.Stats(); s.Crashes != len(all) || s.Recoveries != len(all) {
 				t.Fatalf("engine stats %+v, want %d crashes and recoveries", s, len(all))
 			}
-			for k := core.Val(0); k < n; k++ {
-				v, ok, err := db.Get(k)
-				if err != nil || !ok {
-					t.Fatalf("key %d unreadable after correlated crash: (%v, %v)", k, ok, err)
-				}
-				old, new := 1000+k, 2000+k
-				switch {
-				case k >= 6:
-					if v != old {
-						t.Fatalf("untouched key %d = %d, want %d", k, v, old)
-					}
-				case ackedNew[k]:
-					if v != new {
-						t.Fatalf("key %d acked at %d but reads %d", k, new, v)
-					}
-				default:
-					if v != old && v != new {
-						t.Fatalf("key %d corrupted: %d (want %d or %d)", k, v, old, new)
-					}
-				}
-			}
+			db.readAll(n)
 		})
 	}
 }
@@ -908,12 +563,10 @@ func testFaultCampaignVisibility(t *testing.T, f Factory) {
 func testCompactVisibility(t *testing.T, f Factory) {
 	for _, strat := range kv.Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
-			db := f(t, cfgFor(strat))
+			db := check(t, f, cfgFor(strat))
 			const n = 24
 			for k := core.Val(0); k < n; k++ {
-				if _, err := db.Put(k, 100+k); err != nil {
-					t.Fatal(err)
-				}
+				db.put(k, 100+k)
 			}
 			for k := core.Val(0); k < n; k += 4 {
 				if _, err := db.Delete(k); err != nil {
@@ -921,27 +574,10 @@ func testCompactVisibility(t *testing.T, f Factory) {
 				}
 			}
 			for k := core.Val(1); k < n; k += 4 {
-				if _, err := db.Put(k, 300+k); err != nil {
-					t.Fatal(err)
-				}
+				db.put(k, 300+k)
 			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			check := func() {
-				t.Helper()
-				for k := core.Val(0); k < n; k++ {
-					want, present := 100+k, k%4 != 0
-					if k%4 == 1 {
-						want = 300 + k
-					}
-					v, ok, err := db.Get(k)
-					if err != nil || ok != present || (present && v != want) {
-						t.Fatalf("get %d = (%d, %v, %v), want (%d, %v)", k, v, ok, err, want, present)
-					}
-				}
-			}
-			check()
+			db.sync()
+			db.readAll(n)
 
 			stats, err := db.Compact()
 			if err != nil {
@@ -952,9 +588,6 @@ func testCompactVisibility(t *testing.T, f Factory) {
 			}
 			reclaimed := 0
 			for _, cs := range stats {
-				if cs.Shard < 0 || cs.Shard >= db.NumShards() {
-					t.Fatalf("stats name shard %d outside [0,%d)", cs.Shard, db.NumShards())
-				}
 				reclaimed += cs.Reclaimed
 			}
 			// n/4 deletes (each retiring a put and itself) and (n/4 - 1)
@@ -962,7 +595,7 @@ func testCompactVisibility(t *testing.T, f Factory) {
 			if reclaimed == 0 {
 				t.Fatal("compaction reclaimed nothing despite deletes and overwrites")
 			}
-			check()
+			db.readAll(n)
 
 			m1 := db.Metrics()
 			if m1.Compactions == 0 || m1.ReclaimedSlots == 0 {
@@ -971,17 +604,13 @@ func testCompactVisibility(t *testing.T, f Factory) {
 
 			// The compacted state is durable.
 			crashRecoverAll(t, db)
-			check()
+			db.readAll(n)
 
 			// Metrics are monotonic across further churn and compactions.
 			for k := core.Val(0); k < n; k += 4 {
-				if _, err := db.Put(k, 700+k); err != nil {
-					t.Fatal(err)
-				}
+				db.put(k, 700+k)
 			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			db.sync()
 			if _, err := db.Compact(); err != nil {
 				t.Fatal(err)
 			}
@@ -1004,7 +633,7 @@ func testCompactVisibility(t *testing.T, f Factory) {
 func testAutoCompactCapacity(t *testing.T, f Factory) {
 	for _, strat := range kv.Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
-			db := f(t, kv.Config{
+			db := check(t, f, kv.Config{
 				Shards: 2, Capacity: 24, CompactAtFill: 0.75,
 				Strategy: strat, Batch: 4, Seed: 41, EvictEvery: 3,
 			})
@@ -1013,31 +642,18 @@ func testAutoCompactCapacity(t *testing.T, f Factory) {
 			rounds := 2*total/keys + 2 // writes ≈ 2 × the service's total log capacity
 			for r := 0; r < rounds; r++ {
 				for k := core.Val(0); k < keys; k++ {
-					if _, err := db.Put(k, core.Val(r)*100+k+1); err != nil {
-						t.Fatalf("round %d put(%d): %v (writes must outlive capacity under auto-compaction)", r, k, err)
-					}
+					db.put(k, core.Val(r)*100+k+1)
 				}
 			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			db.sync()
 			m := db.Metrics()
 			if m.Compactions == 0 || m.ReclaimedSlots == 0 {
 				t.Fatalf("no compactions after %d writes through %d total slots", rounds*keys, total)
 			}
-			for k := core.Val(0); k < keys; k++ {
-				v, ok, err := db.Get(k)
-				if err != nil || !ok || v != core.Val(rounds-1)*100+k+1 {
-					t.Fatalf("get %d = (%d, %v, %v) after overwrite churn", k, v, ok, err)
-				}
-			}
+			db.readAll(keys)
 			// The survivors stay durable through a crash sweep.
 			crashRecoverAll(t, db)
-			for k := core.Val(0); k < keys; k++ {
-				if v, ok, err := db.Get(k); err != nil || !ok || v != core.Val(rounds-1)*100+k+1 {
-					t.Fatalf("get %d = (%d, %v, %v) after crash sweep", k, v, ok, err)
-				}
-			}
+			db.readAll(keys)
 
 			// Fresh keys grow the live set; once some shard's live records
 			// exceed its capacity no fold can fit and the error must

@@ -67,7 +67,7 @@ func TestPipelineCrashAtDepth(t *testing.T) {
 					}
 					pumpToDepth(t, r, depth)
 
-					acked := r.spec[0].acked
+					acked := r.spec[0].Acked
 					st.mu.Lock()
 					sh := st.shards[0]
 					flushedThrough := sh.flights[len(sh.flights)-1].limit

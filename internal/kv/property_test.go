@@ -10,13 +10,14 @@ import (
 	"testing/quick"
 
 	"cxl0/internal/core"
+	"cxl0/internal/kv/kvspec"
 )
 
-// The service's crash properties, held to one spec (spec_test.go). Each
+// The service's crash properties, held to one spec (kvspec). Each
 // row decodes random bytes (quick draws up to 49) into an op stream of
 // writes, reads and the row's faults, and runs it on a two-shard store
 // with eviction churn (EvictEvery 2) under every hardware variant, while
-// specRun holds every outcome to one shardSpec per shard:
+// specRun holds every outcome to one kvspec.Shard per shard:
 //
 //   - TestCrashRecoveryProperty: every strategy; the faults are a shard
 //     crash + Recover and an eviction churn.
@@ -34,13 +35,13 @@ import (
 // shard's log that holds every acknowledged write, and the shard then
 // reads as exactly that prefix.
 
-// specRun drives one store and holds it to one shardSpec per shard. The
+// specRun drives one store and holds it to one kvspec.Shard per shard. The
 // store's error rules decide which records a write appends; every read,
 // recovery, heal, degrade, churn and Sync must agree with the spec. tally
 // counts the steps a property run took.
 type specRun struct {
 	st    *Store
-	spec  []*shardSpec
+	spec  []*kvspec.Shard
 	part  []bool   // partitioned shards
 	keys  core.Val // the keyspace is [0, keys)
 	tally tally
@@ -50,7 +51,7 @@ func newSpecRun(st *Store, keys core.Val) *specRun {
 	r := &specRun{st: st, part: make([]bool, st.NumShards()), keys: keys}
 	gated := st.cfg.PipelineDepth > 1 && st.cfg.Strategy.Batched()
 	for range st.NumShards() {
-		r.spec = append(r.spec, newShardSpec(gated))
+		r.spec = append(r.spec, kvspec.NewShard(gated))
 	}
 	return r
 }
@@ -75,16 +76,16 @@ func (r *specRun) write(key, val core.Val) error {
 	switch {
 	case r.part[i]:
 		if !errors.Is(err, ErrUnavailable) {
-			return fmt.Errorf("%w: write(%d) to partitioned shard %d: %v, want ErrUnavailable", errOffSpec, key, i, err)
+			return fmt.Errorf("%w: write(%d) to partitioned shard %d: %v, want ErrUnavailable", kvspec.ErrOffSpec, key, i, err)
 		}
 	case err == nil:
-		sp.write(key, val)
-		if ack.Seq != len(sp.log)-1 {
-			return fmt.Errorf("%w: write(%d) took slot %d, the spec's is %d", errOffSpec, key, ack.Seq, len(sp.log)-1)
+		sp.Write(key, val)
+		if ack.Seq != len(sp.Log)-1 {
+			return fmt.Errorf("%w: write(%d) took slot %d, the spec's is %d", kvspec.ErrOffSpec, key, ack.Seq, len(sp.Log)-1)
 		}
 	case errors.Is(err, ErrUnavailable) && slices.Contains(r.part, true):
 		if r.st.cfg.Strategy.Batched() {
-			sp.write(key, val)
+			sp.Write(key, val)
 		}
 	default:
 		return fmt.Errorf("write(%d): %w", key, err)
@@ -96,7 +97,7 @@ func (r *specRun) write(key, val core.Val) error {
 // moving past epoch.
 func (r *specRun) folded(i int, epoch uint64) {
 	if r.st.SnapshotEpoch(i) != epoch {
-		r.spec[i].compact()
+		r.spec[i].Compact()
 		r.tally[opCompact]++
 	}
 }
@@ -117,8 +118,8 @@ func (r *specRun) compact(i int) error {
 func (r *specRun) apply(b *Batch) (Ack, error) {
 	ack, err := r.st.Apply(b)
 	for _, op := range b.ops {
-		if i := r.st.ShardOf(op.key); len(r.spec[i].log) < r.st.AppendedCount(i) {
-			r.spec[i].write(op.key, op.val)
+		if i := r.st.ShardOf(op.key); len(r.spec[i].Log) < r.st.AppendedCount(i) {
+			r.spec[i].Write(op.key, op.val)
 		}
 	}
 	return ack, err
@@ -127,8 +128,8 @@ func (r *specRun) apply(b *Batch) (Ack, error) {
 // watermarks moves every shard's spec watermark to the store's.
 func (r *specRun) watermarks() error {
 	for i, sp := range r.spec {
-		from := sp.acked
-		if err := sp.ack(r.st.AckedCount(i)); err != nil {
+		from := sp.Acked
+		if err := sp.Ack(r.st.AckedCount(i)); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		if err := r.persisted(i, from); err != nil {
@@ -144,12 +145,12 @@ func (r *specRun) watermarks() error {
 func (r *specRun) persisted(i, from int) error {
 	sp, sh := r.spec[i], r.st.shards[i]
 	epoch := r.st.SnapshotEpoch(i)
-	for slot := from; slot < sp.acked; slot++ {
-		x := sp.log[slot]
-		want := [recWords]core.Val{x.key, x.val, chkOf(slot, x.key, x.val, epoch)}
+	for slot := from; slot < sp.Acked; slot++ {
+		x := sp.Log[slot]
+		want := [recWords]core.Val{x.Key, x.Val, chkOf(slot, x.Key, x.Val, epoch)}
 		for w, v := range want {
 			if got := r.st.Cluster().PersistedValue(sh.logR.loc(slot, w)); got != v {
-				return fmt.Errorf("%w: shard %d: acknowledged record %d holds %d in word %d of memory, want %d", errOffSpec, i, slot, got, w, v)
+				return fmt.Errorf("%w: shard %d: acknowledged record %d holds %d in word %d of memory, want %d", kvspec.ErrOffSpec, i, slot, got, w, v)
 			}
 		}
 	}
@@ -166,15 +167,15 @@ func (r *specRun) read(key core.Val) error {
 	}
 	if r.part[i] {
 		if !errors.Is(err, ErrUnavailable) {
-			return fmt.Errorf("%w: get(%d) on partitioned shard %d: %v, want ErrUnavailable", errOffSpec, key, i, err)
+			return fmt.Errorf("%w: get(%d) on partitioned shard %d: %v, want ErrUnavailable", kvspec.ErrOffSpec, key, i, err)
 		}
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("get(%d): %w", key, err)
 	}
-	if wv, wok := r.spec[i].get(key); ok != wok || (ok && v != wv) {
-		return fmt.Errorf("%w: get(%d) = (%d, %v), the spec's (%d, %v)", errOffSpec, key, v, ok, wv, wok)
+	if wv, wok := r.spec[i].Get(key); ok != wok || (ok && v != wv) {
+		return fmt.Errorf("%w: get(%d) = (%d, %v), the spec's (%d, %v)", kvspec.ErrOffSpec, key, v, ok, wv, wok)
 	}
 	return nil
 }
@@ -194,8 +195,8 @@ func (r *specRun) check(i int) error {
 // recovered adopts a recovery's cut, which is durable, and checks the
 // shard.
 func (r *specRun) recovered(rs RecoveryStats) error {
-	from := r.spec[rs.Shard].acked
-	if err := r.spec[rs.Shard].recover(rs.Recovered); err != nil {
+	from := r.spec[rs.Shard].Acked
+	if err := r.spec[rs.Shard].Recover(rs.Recovered); err != nil {
 		return fmt.Errorf("shard %d: %w", rs.Shard, err)
 	}
 	if err := r.persisted(rs.Shard, from); err != nil {
@@ -216,7 +217,7 @@ func (r *specRun) crash(from, to int) error {
 			continue
 		}
 		if _, err := r.st.Recover(i); !errors.Is(err, ErrUnavailable) {
-			return fmt.Errorf("%w: recover of partitioned shard %d: %v, want ErrUnavailable", errOffSpec, i, err)
+			return fmt.Errorf("%w: recover of partitioned shard %d: %v, want ErrUnavailable", kvspec.ErrOffSpec, i, err)
 		}
 		r.heal(i)
 	}
@@ -240,7 +241,7 @@ func (r *specRun) front() error {
 		return fmt.Errorf("recover front: %w", err)
 	}
 	if len(stats) != len(r.spec) {
-		return fmt.Errorf("%w: front re-attached %d shards, want %d", errOffSpec, len(stats), len(r.spec))
+		return fmt.Errorf("%w: front re-attached %d shards, want %d", kvspec.ErrOffSpec, len(stats), len(r.spec))
 	}
 	for _, rs := range stats {
 		if err := r.recovered(rs); err != nil {
@@ -261,8 +262,8 @@ func (r *specRun) heal(i int) {
 func (r *specRun) quiet(i int, f func()) error {
 	f()
 	for j, sp := range r.spec {
-		if n := r.st.AckedCount(j); n != sp.acked {
-			return fmt.Errorf("%w: shard %d: watermark moved %d -> %d", errOffSpec, j, sp.acked, n)
+		if n := r.st.AckedCount(j); n != sp.Acked {
+			return fmt.Errorf("%w: shard %d: watermark moved %d -> %d", kvspec.ErrOffSpec, j, sp.Acked, n)
 		}
 	}
 	return r.check(i)
@@ -277,7 +278,7 @@ func (r *specRun) sync() error {
 		return err
 	}
 	for i, sp := range r.spec {
-		if err := sp.synced(); err != nil {
+		if err := sp.Synced(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -1141,8 +1142,8 @@ func TestRecoveryAfterDoubleCrash(t *testing.T) {
 				}
 			}
 			put(0, 8, 100)
-			if r.spec[0].acked != 8 {
-				t.Fatalf("%d records acknowledged, want the batch of 8", r.spec[0].acked)
+			if r.spec[0].Acked != 8 {
+				t.Fatalf("%d records acknowledged, want the batch of 8", r.spec[0].Acked)
 			}
 			put(20, 23, 200) // left pending
 			crash()

@@ -30,7 +30,7 @@ const (
 // prefix, the committed snapshot or the committed epoch slot is a
 // durability violation; anywhere else (the unacknowledged tail, unused
 // slots, the inactive snapshot half or epoch slot) recovery succeeds, and
-// the shard then reads as the spec's log (spec_test.go) cut at
+// the shard then reads as the spec's log (kvspec) cut at
 // RecoveryStats.Recovered, which must keep every acknowledged record.
 func FuzzRecover(f *testing.F) {
 	puts := func(n int) []byte {

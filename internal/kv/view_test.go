@@ -9,86 +9,79 @@ import (
 	"testing"
 
 	"cxl0/internal/core"
+	"cxl0/internal/kv/kvspec"
 )
 
 // viewModel drives a bare view — no Store, no memsim — the way the
-// commit path does: every write appends to a log, and the view takes it
-// at once when writes are not gated by the watermark; every ack advances
-// the watermark over a prefix, the view taking it record by record. What
-// the view must serve is then a plain replay: of records [0, acked) when
-// writes are gated, of the whole log when they are not — onto the
-// snapshot the view was last re-homed to, a move marker wiping its
-// bucket.
+// commit path does, alongside a kvspec.Shard that says what the view must
+// serve: every write appends to the spec's log, and the view takes it at
+// once when writes are not gated by the watermark; every ack advances the
+// watermark over a prefix, the view taking it record by record. A key
+// must be served from the spec's Served slot, or, when the spec serves it
+// from its base, from the key's place in the snapshot the view was last
+// re-homed to.
 type viewModel struct {
 	v view
 	// cur is the one cursor every range walk reuses, the way a shard's is.
-	cur   cursor
-	snap  []rec
-	log   []rec
-	acked int
-	gated bool
+	cur cursor
+	s   *kvspec.Shard
+	// reversed says the last compaction handed reset its snapshot in
+	// descending key order.
+	reversed bool
 }
 
 // modelBucket is the model's key-to-bucket map (the store's is a hash).
 func modelBucket(k core.Val) int { return int(k % 3) }
 
 func newViewModel(gated bool) *viewModel {
-	return &viewModel{v: view{logCap: 1 << 20, index: map[core.Val]int{}}, gated: gated}
+	return &viewModel{v: view{logCap: 1 << 20, index: map[core.Val]int{}}, s: kvspec.NewShard(gated)}
 }
 
 //cxl0:locked mu
 func (m *viewModel) write(key, val core.Val) {
-	if !m.gated {
-		m.v.take(key, len(m.log), val != 0)
+	if !m.s.Gated {
+		m.v.take(key, len(m.s.Log), val != 0)
 	}
-	m.log = append(m.log, rec{key: key, val: val})
+	m.s.Write(key, val)
 }
 
 // ack advances the watermark to limit. The take's report is the store's
 // cue to snoop its read cache, so it must be true whenever the take
-// moved what reads of the key are served.
+// moved what reads of the key are served. A bucket move's marker is no
+// client write: the view dropped its keys when it was written.
 //
 //cxl0:locked mu
 func (m *viewModel) ack(t *testing.T, limit int) {
 	t.Helper()
-	for slot := m.acked; slot < limit; slot++ {
-		r := m.log[slot]
-		beforeSlot, beforeOK := m.v.visible(r.key)
-		moved := m.v.take(r.key, slot, r.val != 0)
-		afterSlot, afterOK := m.v.visible(r.key)
+	for slot := m.s.Acked; slot < limit; slot++ {
+		r := m.s.Log[slot]
+		if r.Gone != nil {
+			continue
+		}
+		beforeSlot, beforeOK := m.v.visible(r.Key)
+		moved := m.v.take(r.Key, slot, r.Val != 0)
+		afterSlot, afterOK := m.v.visible(r.Key)
 		if !moved && (beforeOK != afterOK || (afterOK && beforeSlot != afterSlot)) {
 			t.Fatalf("ack of slot %d (key %d) moved its visible state (%d,%v)→(%d,%v) unreported",
-				slot, r.key, beforeSlot, beforeOK, afterSlot, afterOK)
+				slot, r.Key, beforeSlot, beforeOK, afterSlot, afterOK)
 		}
 	}
-	m.acked = limit
+	if err := m.s.Ack(limit); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// want replays the records the view is obliged to serve.
-func (m *viewModel) want() map[core.Val]int {
-	upto := len(m.log)
-	if m.gated {
-		upto = m.acked
-	}
-	want := map[core.Val]int{}
-	for i, r := range m.snap {
-		want[r.key] = m.v.logCap + i
-	}
-	for slot, r := range m.log[:upto] {
-		switch {
-		case r.move:
-			for k := range want { //cxl0:order-insensitive — uniform delete, order-free
-				if modelBucket(k) == int(r.key) {
-					delete(want, k)
-				}
-			}
-		case r.val == 0:
-			delete(want, r.key)
-		default:
-			want[r.key] = slot
+// served is the encoded slot the spec says a read of k is served from.
+func (m *viewModel) served(k core.Val) (int, bool) {
+	slot, ok := m.s.Served(k)
+	if ok && slot < 0 {
+		snap := slices.Sorted(maps.Keys(m.s.Base))
+		if m.reversed {
+			slices.Reverse(snap)
 		}
+		slot = m.v.logCap + slices.Index(snap, k)
 	}
-	return want
+	return slot, ok
 }
 
 // drain acks every record: the state the bulk steps below start from
@@ -98,17 +91,24 @@ func (m *viewModel) want() map[core.Val]int {
 //cxl0:locked mu
 func (m *viewModel) drain(t *testing.T) {
 	t.Helper()
-	m.ack(t, len(m.log))
+	m.ack(t, len(m.s.Log))
 }
 
 // crash takes every write still waiting on its ack, the way a shard's
-// crash does; the model then serves the whole log, as a recovery that
+// crash does; the spec then serves the whole log, as a recovery that
 // salvages every one of them would.
 //
 //cxl0:locked mu
-func (m *viewModel) crash() {
-	m.v.takeRest(m.log)
-	m.acked = len(m.log)
+func (m *viewModel) crash(t *testing.T) {
+	t.Helper()
+	log := make([]rec, len(m.s.Log))
+	for i, r := range m.s.Log {
+		log[i] = rec{key: r.Key, val: r.Val, move: r.Gone != nil}
+	}
+	m.v.takeRest(log)
+	if err := m.s.Recover(len(log)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // compact re-homes the view onto a snapshot of its visible state, the
@@ -120,28 +120,29 @@ func (m *viewModel) crash() {
 func (m *viewModel) compact(t *testing.T, reversed bool) {
 	t.Helper()
 	m.drain(t)
-	want := m.want()
-	snap := make([]rec, 0, len(want))
-	for _, k := range slices.Sorted(maps.Keys(want)) {
+	m.s.Compact()
+	var snap []rec
+	for _, k := range slices.Sorted(maps.Keys(m.s.Base)) {
 		snap = append(snap, rec{key: k, val: 1})
 	}
 	if reversed {
 		slices.Reverse(snap)
 	}
 	m.v.reset(snap)
-	m.snap, m.log, m.acked = snap, nil, 0
+	m.reversed = reversed
 }
 
-// dropBucket is the ownership drop of bucket b; the model logs it as the
-// move marker a migration would have written.
+// dropBucket is the ownership drop of bucket b, which the spec takes as
+// the bucket move a migration's marker records.
 //
 //cxl0:locked mu
 func (m *viewModel) dropBucket(t *testing.T, b int) {
 	t.Helper()
 	m.drain(t)
-	m.v.drop(func(k core.Val) bool { return modelBucket(k) == b })
-	m.log = append(m.log, rec{key: core.Val(b), move: true})
-	m.acked = len(m.log)
+	gone := func(k core.Val) bool { return modelBucket(k) == b }
+	m.v.drop(gone)
+	m.s.Move(gone)
+	m.drain(t)
 }
 
 // replay applies r the way recovery's rebuild does: ungated, under the
@@ -151,21 +152,24 @@ func (m *viewModel) dropBucket(t *testing.T, b int) {
 func (m *viewModel) replay(t *testing.T, r rec) {
 	t.Helper()
 	m.drain(t)
-	m.v.replay(len(m.log), r, modelBucket, -1)
-	m.log = append(m.log, r)
-	m.acked = len(m.log)
+	m.v.replay(len(m.s.Log), r, modelBucket, -1)
+	if r.move {
+		m.s.Move(func(k core.Val) bool { return modelBucket(k) == int(r.key) })
+	} else {
+		m.s.Write(r.key, r.val)
+	}
+	m.drain(t)
 }
 
 //cxl0:locked mu
 func (m *viewModel) check(t *testing.T, keys core.Val, lo, hi core.Val) {
 	t.Helper()
-	want := m.want()
 	for k := core.Val(0); k < keys; k++ {
 		slot, ok := m.v.visible(k)
-		wslot, wok := want[k]
+		wslot, wok := m.served(k)
 		if ok != wok || (ok && slot != wslot) {
-			t.Fatalf("visible(%d) = (%d,%v), replay of [0,%d) of %d records says (%d,%v)",
-				k, slot, ok, m.acked, len(m.log), wslot, wok)
+			t.Fatalf("visible(%d) = (%d,%v), the spec at %d of %d records says (%d,%v)",
+				k, slot, ok, m.s.Acked, len(m.s.Log), wslot, wok)
 		}
 	}
 	// The ordered key set is the index's key set, strictly ascending.
@@ -182,27 +186,27 @@ func (m *viewModel) check(t *testing.T, keys core.Val, lo, hi core.Val) {
 	}
 	// The cursor, over [lo, hi) and over [lo, MaxInt64) — a range open at
 	// the top, as workload E's, whose end seek takes without a search.
-	m.checkWalk(t, want, lo, hi)
-	m.checkWalk(t, want, lo, math.MaxInt64)
+	m.checkWalk(t, keys, lo, hi)
+	m.checkWalk(t, keys, lo, math.MaxInt64)
 }
 
-// checkWalk holds the cursor over [lo, hi) to want (walk: strictly
-// ascending): every key it yields visible at the slot the model says, no
-// visible key in range skipped.
+// checkWalk holds the cursor over [lo, hi) of the key space [0, keys) to
+// the spec (walk: strictly ascending): every key it yields visible at the
+// slot the spec says, no visible key in range skipped.
 //
 //cxl0:locked mu
-func (m *viewModel) checkWalk(t *testing.T, want map[core.Val]int, lo, hi core.Val) {
+func (m *viewModel) checkWalk(t *testing.T, keys, lo, hi core.Val) {
 	t.Helper()
 	got := m.walk(t, lo, hi, -1)
 	seen := map[core.Val]bool{}
 	for _, p := range got {
-		if wslot, ok := want[p.key]; !ok || wslot != p.slot || p.key < lo || p.key >= hi {
-			t.Fatalf("cursor over [%d,%d) yielded key %d at slot %d, the model says (%d,%v)", lo, hi, p.key, p.slot, wslot, ok)
+		if wslot, ok := m.served(p.key); !ok || wslot != p.slot || p.key < lo || p.key >= hi {
+			t.Fatalf("cursor over [%d,%d) yielded key %d at slot %d, the spec says (%d,%v)", lo, hi, p.key, p.slot, wslot, ok)
 		}
 		seen[p.key] = true
 	}
-	for k := range want { //cxl0:order-insensitive — set comparison
-		if k >= lo && k < hi && !seen[k] {
+	for k := lo; k < min(hi, keys); k++ {
+		if _, ok := m.served(k); ok && !seen[k] {
 			t.Fatalf("cursor over [%d,%d) skipped visible key %d: %v", lo, hi, k, got)
 		}
 	}
@@ -247,7 +251,7 @@ func (m *viewModel) walk(t *testing.T, lo, hi core.Val, stop int) []keySlot {
 	return got
 }
 
-// TestViewModel holds the view to the replay model over random
+// TestViewModel holds the view to kvspec over random
 // put/delete/ack-prefix sequences, gated and ungated.
 //
 //cxl0:locked mu
@@ -264,13 +268,13 @@ func TestViewModel(t *testing.T) {
 						m.write(core.Val(rng.Intn(keys)), core.Val(1+rng.Intn(1000)))
 					case p < 7:
 						m.write(core.Val(rng.Intn(keys)), 0)
-					case m.acked < len(m.log):
-						m.ack(t, m.acked+1+rng.Intn(len(m.log)-m.acked))
+					case m.s.Acked < len(m.s.Log):
+						m.ack(t, m.s.Acked+1+rng.Intn(len(m.s.Log)-m.s.Acked))
 					}
 					lo := core.Val(rng.Intn(keys))
 					m.check(t, keys, lo, lo+core.Val(rng.Intn(keys)))
 				}
-				m.ack(t, len(m.log))
+				m.drain(t)
 				m.check(t, keys, 0, keys)
 			})
 		}
@@ -301,8 +305,8 @@ func runViewProgram(t *testing.T, prog []byte) {
 		case 5, 6:
 			m.write(key, 0)
 		case 7, 8:
-			if m.acked < len(m.log) {
-				m.ack(t, m.acked+1+int(arg)%(len(m.log)-m.acked))
+			if m.s.Acked < len(m.s.Log) {
+				m.ack(t, m.s.Acked+1+int(arg)%(len(m.s.Log)-m.s.Acked))
 			}
 		default:
 			switch arg % 6 {
@@ -317,18 +321,18 @@ func runViewProgram(t *testing.T, prog []byte) {
 			case 4:
 				m.replay(t, rec{key: core.Val(modelBucket(core.Val(arg >> 4))), val: 1, move: true})
 			case 5:
-				m.crash()
+				m.crash(t)
 			}
 		}
 		lo := core.Val(op>>4) % viewFuzzKeys
 		m.check(t, viewFuzzKeys, lo, lo+core.Val(arg>>4))
 	}
-	m.ack(t, len(m.log))
+	m.drain(t)
 	m.check(t, viewFuzzKeys, 0, viewFuzzKeys)
 }
 
 // FuzzViewKeys holds the view's ordered key set to its index and its
-// range walk to the replay model over arbitrary step programs, the bulk
+// range walk to kvspec over arbitrary step programs, the bulk
 // steps included. The seed corpus is TestViewModel's mix, bulk steps
 // added, drawn from the same seeds.
 func FuzzViewKeys(f *testing.F) {
@@ -457,7 +461,7 @@ func TestViewWatermarkCases(t *testing.T) {
 		m.ack(t, 1)
 		m.write(2, 0)   // slot 1: a delete in flight
 		m.write(5, 200) // slot 2: a first write in flight
-		m.crash()
+		m.crash(t)
 		if _, ok := m.v.visible(2); ok {
 			t.Fatal("visible(2) found after a crash took its delete")
 		}

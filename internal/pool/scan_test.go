@@ -9,6 +9,7 @@ import (
 
 	"cxl0/internal/core"
 	"cxl0/internal/kv"
+	"cxl0/internal/kv/kvspec"
 )
 
 // TestScanAllocations pins what a healthy limited pooled scan allocates:
@@ -239,32 +240,17 @@ func TestApplyIsACut(t *testing.T) {
 // exceeds what is live.
 const scanFuzzKeys = 96
 
-// write is one acknowledged record of a shard's log, as the model keeps it.
-type write struct{ key, val core.Val }
-
 // runScanProgram interprets prog against a router of 2–4 clusters × 2 or
 // 3 shards under ranged commit at pipeline depth 1 or 2 (byte 0 picks all
-// three) and holds every read to a model. Every following 4 bytes (op,
-// a, b, c) are one step: a put, a delete, a Sync, a partition or heal of
-// a global shard, an Apply of up to 6 puts and deletes, a MultiGet of up
-// to 8 keys, or Scan(lo, hi, limit) with limit in [0, 40).
-//
-// The model is each global shard's log, rebuilt from the Acks (an Apply's
-// records in the order its legs write them: cluster by cluster, each
-// cluster's ops in batch order), and the set of shards the program has
-// cut off. What a read must serve is a replay of every shard's log — all
-// of it at depth 1, where a write is visible at once, and the prefix
-// below the shard's acked watermark (Metrics.PerShardAcked) at depth 2,
-// where reads are gated by it: a scan's pairs are the first limit
-// replayed keys in range on reachable shards, Missing counts the replayed
-// keys in range on partitioned ones and Unavailable names the partitioned
-// shards that hold one. A MultiGet returns each key's replayed value, or
-// not found, at a watermark between the call's start and end (its reads
-// move the clock, so a flight may retire between two keys); a key routed
-// to a partitioned shard is a placeholder counted in Missing, its shard
-// in Unavailable. An Apply acknowledges its records durable, or fails on
-// the first op routed to a partitioned shard, the records before it
-// written.
+// three) and holds every step to kvspec, routed as the router routes.
+// Every following 4 bytes (op, a, b, c) are one step: a put, a delete, a
+// Sync, a partition or heal of a global shard, an Apply of up to 6 puts
+// and deletes, a MultiGet of up to 8 keys, or Scan(lo, hi, limit) with
+// limit in [0, 40). The spec takes each write as its Ack names it and
+// each shard's watermark from Metrics.PerShardAcked after every step; a
+// read is held to the spec at the watermarks it leaves, a MultiGet's
+// keys to any watermark between the call's start and end (its reads
+// move the clock, so a flight may retire between two keys).
 func runScanProgram(t *testing.T, prog []byte) {
 	if len(prog) == 0 {
 		return
@@ -273,75 +259,70 @@ func runScanProgram(t *testing.T, prog []byte) {
 	r := openTest(t, Config{Clusters: clusters, Store: kv.Config{
 		Shards: shards, Capacity: 1024, Strategy: kv.RangedCommit, Batch: 4, PipelineDepth: depth, Seed: 3, EvictEvery: 5,
 	}})
-	logs := make([][]write, r.NumShards())
-	cut := make([]bool, r.NumShards())
-	home := map[core.Val]int{} // the shard a key's writes were acked by
-	wrote := func(key, val core.Val, ack kv.Ack, err error) {
-		t.Helper()
-		if err != nil {
-			if sh, known := home[key]; !errors.Is(err, kv.ErrUnavailable) || (known && !cut[sh]) {
-				t.Fatalf("write of key %d failed: %v (partitioned: %v)", key, err, cut)
-			}
-			return
-		}
-		if cut[ack.Shard] || ack.Seq != len(logs[ack.Shard]) {
-			t.Fatalf("write of key %d acked as %+v; shard %d is at slot %d (partitioned: %v)", key, ack, ack.Shard, len(logs[ack.Shard]), cut)
-		}
-		home[key] = ack.Shard
-		logs[ack.Shard] = append(logs[ack.Shard], write{key, val})
-	}
-	// watermarks returns, per shard, how much of its log reads are served.
-	watermarks := func() []int {
-		if depth > 1 {
-			return r.Metrics().PerShardAcked
-		}
-		upto := make([]int, len(logs))
-		for sh := range upto {
-			upto[sh] = len(logs[sh])
-		}
-		return upto
-	}
 	// shardOf is the global shard a key routes to (no bucket moves here).
 	shardOf := func(k core.Val) int {
 		c := r.ClusterOf(k)
 		return r.globalShard(c, r.Cluster(c).ShardOf(k))
 	}
-	// replayed returns key k's value in the first upto records of its
-	// shard's log (0 if none, or deleted).
-	replayed := func(k core.Val, upto int) core.Val {
-		val := core.Val(0)
-		for _, w := range logs[shardOf(k)][:upto] {
-			if w.key == k {
-				val = w.val
-			}
+	spec := kvspec.New(clusters, shards, depth > 1, shardOf)
+	adopt := func(step int) {
+		if err := spec.Ack(r.Metrics().PerShardAcked); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
-		return val
+	}
+	// withheld holds a read's error to what the spec says it withheld.
+	withheld := func(step int, op string, p kvspec.Partial, err error) {
+		var partial *kv.PartialResultError
+		if (err == nil) != (p.Missing == 0) || (err != nil && (!errors.As(err, &partial) ||
+			partial.Op != op || partial.Missing != p.Missing || !slices.Equal(partial.Unavailable, p.Unavailable))) {
+			t.Fatalf("step %d: %s failed with %v; the spec withholds %+v (partitioned: %v)", step, op, err, p, spec.Part)
+		}
 	}
 	// The log capacity bounds a program; the rest of a longer one is unread.
 	for i := 1; i+3 < len(prog) && i < 4*900; i += 4 {
 		op, a, b, c := prog[i], prog[i+1], prog[i+2], prog[i+3]
-		key := core.Val(a) % scanFuzzKeys
+		step, key := i/4, core.Val(a)%scanFuzzKeys
 		switch op % 32 {
-		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12:
+		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15:
 			val := 1 + core.Val(b) + core.Val(c)<<8
-			ack, err := r.Put(key, val)
-			wrote(key, val, ack, err)
-		case 13, 14, 15:
-			ack, err := r.Delete(key)
-			wrote(key, 0, ack, err)
+			var ack kv.Ack
+			var err error
+			if op%32 < 13 {
+				ack, err = r.Put(key, val)
+			} else {
+				val = 0
+				ack, err = r.Delete(key)
+			}
+			sh := shardOf(key)
+			if spec.Part[sh] {
+				if !errors.Is(err, kv.ErrUnavailable) {
+					t.Fatalf("step %d: write of key %d to partitioned shard %d: %+v, %v", step, key, sh, ack, err)
+				}
+			} else if spec.Shards[sh].Write(key, val); err != nil || ack.Shard != sh || ack.Seq != len(spec.Shards[sh].Log)-1 {
+				t.Fatalf("step %d: write of key %d = %+v, %v; want shard %d slot %d", step, key, ack, err, sh, len(spec.Shards[sh].Log)-1)
+			}
 		case 16, 17:
 			if err := r.Sync(); err != nil && !errors.Is(err, kv.ErrUnavailable) {
 				t.Fatalf("Sync: %v", err)
 			}
 		case 18:
-			sh := int(a) % len(cut)
+			sh := int(a) % len(spec.Part)
 			r.Partition(sh)
-			cut[sh] = true
+			spec.Part[sh] = true
+		case 19, 20, 21:
+			// The first partitioned shard from a on, so that most heals heal.
+			for j := range spec.Part {
+				if sh := (int(a) + j) % len(spec.Part); spec.Part[sh] {
+					r.Heal(sh)
+					spec.Part[sh] = false
+					break
+				}
+			}
 		case 22, 23:
 			// Op j puts key a + j*b (mod the key space), or deletes it
 			// when bit j of c is set.
 			batch := new(Batch)
-			var ops []write
+			var ops []kvspec.Rec
 			for j := range 1 + int(c>>5)%6 {
 				k := (key + core.Val(j)*core.Val(b)) % scanFuzzKeys
 				val := 1 + core.Val(b) + core.Val(j)<<8
@@ -351,151 +332,61 @@ func runScanProgram(t *testing.T, prog []byte) {
 				} else {
 					batch.Put(k, val)
 				}
-				ops = append(ops, write{k, val})
+				ops = append(ops, kvspec.Rec{Key: k, Val: val})
 			}
 			ack, err := r.Apply(batch)
-			// The model's legs: cluster by cluster, ops in batch order.
-			var wantErr error
-			for cl := 0; cl < r.NumClusters() && wantErr == nil; cl++ {
-				for _, w := range ops {
-					if r.ClusterOf(w.key) != cl {
-						continue
-					}
-					sh := shardOf(w.key)
-					if cut[sh] {
-						wantErr = kv.ErrUnavailable
-						break
-					}
-					home[w.key] = sh
-					logs[sh] = append(logs[sh], w)
+			last := shardOf(ops[len(ops)-1].Key)
+			if !spec.Apply(ops) {
+				if !errors.Is(err, kv.ErrUnavailable) {
+					t.Fatalf("step %d: Apply(%v) = %+v, %v; want ErrUnavailable (partitioned: %v)", step, ops, ack, err, spec.Part)
 				}
-			}
-			last := shardOf(ops[len(ops)-1].key)
-			if wantErr != nil {
-				if !errors.Is(err, wantErr) {
-					t.Fatalf("step %d: Apply(%v) = %+v, %v; want ErrUnavailable (partitioned: %v)", i/4, ops, ack, err, cut)
-				}
-			} else if err != nil || !ack.Durable || ack.Shard != last || ack.Seq != len(logs[last])-1 {
+			} else if err != nil || !ack.Durable || ack.Shard != last || ack.Seq != len(spec.Shards[last].Log)-1 {
 				t.Fatalf("step %d: Apply(%v) = %+v, %v; want shard %d slot %d durable (partitioned: %v)",
-					i/4, ops, ack, err, last, len(logs[last])-1, cut)
+					step, ops, ack, err, last, len(spec.Shards[last].Log)-1, spec.Part)
 			}
 		case 24, 25:
 			var keys []core.Val
 			for j := range 1 + int(c)%8 {
 				keys = append(keys, (key+core.Val(j)*core.Val(b))%scanFuzzKeys)
 			}
+			// An empty-range scan retires every flight that is ready, so
+			// the MultiGet's window opens where it starts.
 			if _, err := r.Scan(0, 0, 1); err != nil {
 				t.Fatalf("Scan(0,0,1): %v", err)
 			}
-			before := watermarks()
+			adopt(step)
 			res, err := r.MultiGet(keys)
-			after := watermarks()
-			var unavailable []int
-			missing := 0
-			for j, k := range keys {
-				sh := shardOf(k)
-				if cut[sh] {
-					if !slices.Contains(unavailable, sh) {
-						unavailable = append(unavailable, sh)
-					}
-					missing++
-					if j < len(res) && res[j] != (kv.Lookup{Key: k}) {
-						t.Fatalf("step %d: MultiGet(%v)[%d] = %+v; want a placeholder, shard %d is partitioned", i/4, keys, j, res[j], sh)
-					}
-					continue
-				}
-				ok := false
-				for upto := before[sh]; upto <= after[sh] && !ok && j < len(res); upto++ {
-					val := replayed(k, upto)
-					ok = res[j] == kv.Lookup{Key: k, Val: val, Found: val != 0}
-				}
-				if !ok {
-					t.Fatalf("step %d: MultiGet(%v) = %+v, %v; key %d's replay at shard %d's watermarks %d..%d is %d..%d",
-						i/4, keys, res, err, k, sh, before[sh], after[sh], replayed(k, before[sh]), replayed(k, after[sh]))
-				}
+			got := make([]kvspec.Lookup, len(res))
+			for j, l := range res {
+				got[j] = kvspec.Lookup(l)
 			}
-			slices.Sort(unavailable)
-			var wantErr error
-			if missing > 0 {
-				wantErr = &kv.PartialResultError{Op: "multiget", Unavailable: unavailable, Missing: missing}
+			p, serr := spec.MultiGet(keys, got, r.Metrics().PerShardAcked)
+			if serr != nil {
+				t.Fatalf("step %d: %v (%v; partitioned: %v)", step, serr, err, spec.Part)
 			}
-			var partial *kv.PartialResultError
-			if len(res) != len(keys) || (err == nil) != (wantErr == nil) ||
-				(err != nil && (!errors.As(err, &partial) || partial.Error() != wantErr.Error())) {
-				t.Fatalf("step %d: MultiGet(%v) = %+v, %v; the model says %v (partitioned: %v)", i/4, keys, res, err, wantErr, cut)
-			}
-		case 19, 20, 21:
-			// The first partitioned shard from a on, so that most heals heal.
-			for j := range cut {
-				if sh := (int(a) + j) % len(cut); cut[sh] {
-					r.Heal(sh)
-					cut[sh] = false
-					break
-				}
-			}
+			withheld(step, "multiget", p, err)
 		default:
 			lo, hi, limit := key, core.Val(math.MaxInt64), int(c)%40
 			if b&1 == 1 {
 				hi = lo + 1 + core.Val(b>>1)%scanFuzzKeys
 			}
-			// An empty-range scan retires every flight that is ready and
-			// reads nothing, so the scan below finds none to retire on
-			// entry and before is the state it starts from.
-			if _, err := r.Scan(lo, lo, 1); err != nil {
-				t.Fatalf("Scan(%d,%d,1): %v", lo, lo, err)
-			}
-			before := watermarks()
 			pairs, err := r.Scan(lo, hi, limit)
-			// Replay: a key's writes all went to one shard, so the shards'
-			// prefixes replay onto one table, in no particular shard order.
-			var state [scanFuzzKeys]struct {
-				val   core.Val
-				shard int
+			adopt(step)
+			want, p := spec.Scan(lo, hi, limit)
+			if !slices.EqualFunc(pairs, want, func(a kv.Pair, b kvspec.Pair) bool { return kvspec.Pair(a) == b }) {
+				t.Fatalf("step %d: Scan(%d,%d,%d) = %v, the spec's %v (partitioned: %v)", step, lo, hi, limit, pairs, want, spec.Part)
 			}
-			for sh, upto := range before {
-				for _, w := range logs[sh][:upto] {
-					state[w.key].val, state[w.key].shard = w.val, sh
-				}
-			}
-			var want []kv.Pair
-			withheld := make([]bool, len(cut))
-			missing := 0
-			for k := lo; k < min(hi, scanFuzzKeys); k++ {
-				switch st := state[k]; {
-				case st.val == 0:
-				case cut[st.shard]:
-					withheld[st.shard] = true
-					missing++
-				case limit <= 0 || len(want) < limit:
-					want = append(want, kv.Pair{Key: k, Val: st.val})
-				}
-			}
-			var unavailable []int
-			for sh, hit := range withheld {
-				if hit {
-					unavailable = append(unavailable, sh)
-				}
-			}
-			var wantErr error
-			if missing > 0 {
-				wantErr = &kv.PartialResultError{Op: "scan", Unavailable: unavailable, Missing: missing}
-			}
-			var partial *kv.PartialResultError
-			if !slices.Equal(pairs, want) || (err == nil) != (wantErr == nil) ||
-				(err != nil && (!errors.As(err, &partial) || partial.Error() != wantErr.Error())) {
-				t.Fatalf("step %d: Scan(%d,%d,%d) = %v, %v\nthe model says %v, %v (partitioned: %v, watermarks %v)",
-					i/4, lo, hi, limit, pairs, err, want, wantErr, cut, before)
-			}
+			withheld(step, "scan", p, err)
 		}
+		adopt(step)
 	}
 }
 
 // FuzzRouterScan holds the pooled reads and batch writes — Router.Scan
 // (one merge over every cluster's shard runs, limited or not, then each
-// cluster's reads of the keys it picked), MultiGet and Apply — to a
-// replay of the acknowledged writes over arbitrary step programs with
-// deletes, partitions and a commit pipeline. Every read and every batch
-// is held to the model. The seed corpus is 40 programs of 600 seeded
+// cluster's reads of the keys it picked), MultiGet and Apply — to kvspec
+// over arbitrary step programs with deletes, partitions and a commit
+// pipeline. Every write, read and batch is held to the spec. The seed corpus is 40 programs of 600 seeded
 // steps.
 func FuzzRouterScan(f *testing.F) {
 	for seed := int64(0); seed < 40; seed++ {
