@@ -28,11 +28,17 @@ type checked struct {
 	spec *kvspec.DB
 	home map[core.Val]int
 	down []bool
+	// twin, opened by the first apply of a key never written, is a second
+	// DB of the same factory and config: it places a key as this DB did
+	// before any rebalance.
+	f    Factory
+	cfg  kv.Config
+	twin kv.DB
 }
 
 // check opens a checked DB over f's DB for cfg.
 func check(t *testing.T, f Factory, cfg kv.Config) *checked {
-	c := &checked{DB: f(t, cfg), t: t, home: map[core.Val]int{}}
+	c := &checked{DB: f(t, cfg), t: t, home: map[core.Val]int{}, f: f, cfg: cfg}
 	c.down = make([]bool, c.NumShards())
 	c.spec = kvspec.New(1, c.NumShards(), cfg.PipelineDepth > 1 && cfg.Strategy.Batched(), func(k core.Val) int {
 		if sh, ok := c.home[k]; ok {
@@ -90,15 +96,21 @@ func (c *checked) wrote(key, val core.Val, ack kv.Ack, err error) error {
 }
 
 // apply applies ops as one Batch. The spec routes every op, so a key
-// never written is first placed by a delete, which leaves it absent.
+// never written is placed by a Delete on the twin, whose Ack names the
+// key's shard; this DB sees the batch alone.
 func (c *checked) apply(ops ...kvspec.Rec) (kv.Ack, error) {
 	c.t.Helper()
 	b := new(kv.Batch)
 	for _, op := range ops {
 		if _, ok := c.home[op.Key]; !ok {
-			if _, err := c.Delete(op.Key); err != nil {
-				return kv.Ack{}, err
+			if c.twin == nil {
+				c.twin = c.f(c.t, c.cfg)
 			}
+			ack, err := c.twin.Delete(op.Key)
+			if err != nil {
+				c.t.Fatalf("placing key %d: %v", op.Key, err)
+			}
+			c.home[op.Key] = ack.Shard
 		}
 		if op.Val == 0 {
 			b.Delete(op.Key)
@@ -176,11 +188,12 @@ func (c *checked) Scan(lo, hi core.Val, limit int) ([]kv.Pair, error) {
 }
 
 // withheld holds a fan-out read's error to what the spec says it
-// withheld: nothing and no error, or a *kv.PartialResultError naming it.
+// withheld: nothing and no error, or a *kv.PartialResultError naming it
+// that unwraps to kv.ErrUnavailable.
 func (c *checked) withheld(op string, p kvspec.Partial, err error) {
 	c.t.Helper()
 	var partial *kv.PartialResultError
-	if (err == nil) != (p.Missing == 0) || (err != nil && (!errors.As(err, &partial) ||
+	if (err == nil) != (p.Missing == 0) || (err != nil && (!errors.As(err, &partial) || !errors.Is(err, kv.ErrUnavailable) ||
 		partial.Op != op || partial.Missing != p.Missing || !slices.Equal(partial.Unavailable, p.Unavailable))) {
 		c.t.Fatalf("%v: %s failed with %v; the spec withholds %+v", kvspec.ErrOffSpec, op, err, p)
 	}
@@ -255,6 +268,15 @@ func (c *checked) put(key, val core.Val) {
 	c.t.Helper()
 	if _, err := c.Put(key, val); err != nil {
 		c.t.Fatalf("put(%d, %d): %v", key, val, err)
+	}
+}
+
+// get is a Get that must read val. The suites pin the watermark gate
+// with it: the checked read alone follows the watermark the DB reports.
+func (c *checked) get(key, val core.Val) {
+	c.t.Helper()
+	if v, _, _ := c.Get(key); v != val {
+		c.t.Fatalf("get(%d) = %d, want %d", key, v, val)
 	}
 }
 

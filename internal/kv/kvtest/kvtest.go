@@ -92,11 +92,8 @@ func testAckDurability(t *testing.T, f Factory) {
 			sawPending := false
 			for k := core.Val(0); k < n; k++ {
 				ack, err := db.Put(k, k+1)
-				if err != nil {
-					t.Fatalf("put %d: %v", k, err)
-				}
-				if !strat.Batched() && !ack.Durable {
-					t.Fatalf("put %d not acked at return under %v", k, strat)
+				if err != nil || !strat.Batched() && !ack.Durable {
+					t.Fatalf("put %d under %v: %+v, %v; want no error and, per operation, an ack at return", k, strat, ack, err)
 				}
 				sawPending = sawPending || !ack.Durable
 				db.Get(k) // visible before durable
@@ -131,12 +128,8 @@ func testPipelinedAckOrder(t *testing.T, f Factory) {
 
 			const n = 48
 			for k := core.Val(0); k < n; k++ {
-				ack, err := db.Put(k, 1000+k)
-				if err != nil {
-					t.Fatalf("put %d: %v", k, err)
-				}
-				if ack.Durable {
-					t.Fatalf("pipelined put %d acked durable at return", k)
+				if ack, err := db.Put(k, 1000+k); err != nil || ack.Durable {
+					t.Fatalf("pipelined put %d: %+v, %v; want no error and no ack at return", k, ack, err)
 				}
 			}
 			db.sync()
@@ -159,10 +152,12 @@ func testPipelinedAckOrder(t *testing.T, f Factory) {
 			if ack, err := db.Put(0, 9000); err != nil || ack.Durable {
 				t.Fatalf("overwrite in a fresh batch: %+v, %v", ack, err)
 			}
-			db.Get(0)
-			db.Scan(0, 1, 10)
+			db.get(0, 1000)
+			if pairs, _ := db.Scan(0, 1, 10); len(pairs) != 1 || pairs[0].Val != 1000 {
+				t.Fatalf("watermark scan = %+v, want [{0 1000}]", pairs)
+			}
 			db.sync()
-			db.Get(0)
+			db.get(0, 9000)
 
 			// Overwrite everything and crash with flushes in flight:
 			// recovery keeps at least the acked prefix.
@@ -220,7 +215,8 @@ func testPipelinedAckOrder(t *testing.T, f Factory) {
 // stale survivor would read backwards in time) and partition/heal; under
 // the pipelined batched strategies at K ∈ {2, 4} a cached value tracks
 // the acked watermark — never a value a crash could take back. Last, a
-// rebalance moves no key's value.
+// rebalance moves no key's value, nor does a crash sweep or a
+// partition/heal after it.
 func testCachedReadVisibility(t *testing.T, f Factory) {
 	for _, strat := range kv.Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
@@ -277,16 +273,32 @@ func testCachedReadVisibility(t *testing.T, f Factory) {
 			expect()
 
 			// A rebalance moves buckets between shards, which the spec
-			// cannot follow, so the DB is read bare from here on.
+			// cannot follow, so the DB is read bare from here on. Every
+			// write is durable by now: the move, a crash sweep after it
+			// (the cache refilling from moved buckets) and a partition
+			// leave each key as the spec has it.
 			if _, err := db.Rebalance(); err != nil {
 				t.Fatal(err)
 			}
-			for k := core.Val(0); k < 2*n; k++ {
-				v, ok, err := db.DB.Get(k % n)
-				if want, _ := db.spec.Get(k % n); err != nil || (kvspec.Lookup{Key: k % n, Val: v, Found: ok}) != want {
-					t.Fatalf("rebalanced get %d = (%d, %v, %v), want %+v", k%n, v, ok, err, want)
+			bare := func(stage string, partitioned bool) {
+				t.Helper()
+				for k := core.Val(0); k < 2*n; k++ {
+					v, ok, err := db.DB.Get(k % n)
+					if partitioned && errors.Is(err, kv.ErrUnavailable) && !errors.Is(err, kv.ErrShardDown) {
+						continue
+					}
+					if want, _ := db.spec.Get(k % n); err != nil || (kvspec.Lookup{Key: k % n, Val: v, Found: ok}) != want {
+						t.Fatalf("%s get %d = (%d, %v, %v), want %+v", stage, k%n, v, ok, err, want)
+					}
 				}
 			}
+			bare("rebalanced", false)
+			crashRecoverAll(t, db.DB)
+			bare("recovered", false)
+			db.DB.Partition(0)
+			bare("partitioned", true)
+			db.DB.Heal(0)
+			bare("healed", false)
 		})
 	}
 
@@ -314,11 +326,11 @@ func testCachedReadVisibility(t *testing.T, f Factory) {
 				if ack, err := db.Put(0, 9000); err != nil || ack.Durable {
 					t.Fatalf("overwrite in a fresh batch: %+v, %v", ack, err)
 				}
-				db.Get(0)
-				db.Get(0)
+				db.get(0, 1000)
+				db.get(0, 1000)
 				db.sync()
-				db.Get(0)
-				db.Get(0)
+				db.get(0, 9000)
+				db.get(0, 9000)
 				// Streamed overwrites with reads interleaved, then drained.
 				for k := core.Val(0); k < n; k++ {
 					db.put(k, 5000+k)

@@ -25,9 +25,9 @@ type viewModel struct {
 	// cur is the one cursor every range walk reuses, the way a shard's is.
 	cur cursor
 	s   *kvspec.Shard
-	// reversed says the last compaction handed reset its snapshot in
-	// descending key order.
-	reversed bool
+	// snap is each key's place in the snapshot the last compaction handed
+	// reset.
+	snap map[core.Val]int
 }
 
 // modelBucket is the model's key-to-bucket map (the store's is a hash).
@@ -75,11 +75,7 @@ func (m *viewModel) ack(t *testing.T, limit int) {
 func (m *viewModel) served(k core.Val) (int, bool) {
 	slot, ok := m.s.Served(k)
 	if ok && slot < 0 {
-		snap := slices.Sorted(maps.Keys(m.s.Base))
-		if m.reversed {
-			slices.Reverse(snap)
-		}
-		slot = m.v.logCap + slices.Index(snap, k)
+		slot = m.v.logCap + m.snap[k]
 	}
 	return slot, ok
 }
@@ -121,15 +117,17 @@ func (m *viewModel) compact(t *testing.T, reversed bool) {
 	t.Helper()
 	m.drain(t)
 	m.s.Compact()
-	var snap []rec
-	for _, k := range slices.Sorted(maps.Keys(m.s.Base)) {
-		snap = append(snap, rec{key: k, val: 1})
-	}
+	keys := slices.Sorted(maps.Keys(m.s.Base))
 	if reversed {
-		slices.Reverse(snap)
+		slices.Reverse(keys)
+	}
+	snap := make([]rec, len(keys))
+	m.snap = make(map[core.Val]int, len(keys))
+	for i, k := range keys {
+		snap[i] = rec{key: k, val: 1}
+		m.snap[k] = i
 	}
 	m.v.reset(snap)
-	m.reversed = reversed
 }
 
 // dropBucket is the ownership drop of bucket b, which the spec takes as
