@@ -5,30 +5,19 @@ import (
 	"testing"
 
 	"cxl0/internal/golden"
-	"cxl0/internal/kv"
 	"cxl0/internal/kv/kvtest"
 )
 
 // TestStoreConformance runs the reusable kv.DB conformance suite against
 // the single-cluster *Store — the same suite pool.Router must pass.
 func TestStoreConformance(t *testing.T) {
-	kvtest.Run(t, openStore)
+	kvtest.Run(t, kvtest.OpenStore)
 }
 
 // TestReplayGolden pins TestStoreConformance's replay cases across
 // commits (see kvtest.ReplayCases).
 func TestReplayGolden(t *testing.T) {
-	golden.Check(t, filepath.Join("testdata", "replay.golden"), golden.Digests(kvtest.ReplayCases(t, "TestStoreConformance", openStore)))
-}
-
-// openStore is the suite's factory of single-cluster stores.
-func openStore(t *testing.T, cfg kv.Config) kv.DB {
-	t.Helper()
-	st, err := kv.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	golden.Check(t, filepath.Join("testdata", "replay.golden"), golden.Digests(kvtest.ReplayCases(t, "TestStoreConformance", kvtest.OpenStore)))
 }
 
 // TestStoreSnapshotCostFlat is the scaling gate of a snapshot: a
@@ -36,7 +25,7 @@ func openStore(t *testing.T, cfg kv.Config) kv.DB {
 // and 20 000 acknowledged writes, as its sample series are views, and
 // exactly two objects, the per-shard gauges' one []float64 and one []int.
 func TestStoreSnapshotCostFlat(t *testing.T) {
-	small, large := kvtest.SnapshotCosts(t, openStore, 12)
+	small, large := kvtest.SnapshotCosts(t, kvtest.OpenStore, 12)
 	if small.Objects != large.Objects || small.Bytes != large.Bytes {
 		t.Fatalf("Metrics allocates %+v after 100 acked writes but %+v after 20000", small, large)
 	}
@@ -46,15 +35,21 @@ func TestStoreSnapshotCostFlat(t *testing.T) {
 }
 
 // TestStoreScanCostFlat is the scaling gate of a range read: a limit-16
-// scan allocates the same objects at 1 k and 64 k keys per shard.
+// scan allocates one object, the result, and nothing per shard, per key
+// or per candidate, at 2 and 12 shards and at 1 k and 64 k keys per
+// shard. A count, which host noise cannot move; it holds under -race too.
 func TestStoreScanCostFlat(t *testing.T) {
-	if small, large := kvtest.ScanObjects(t, openStore, 1<<10), kvtest.ScanObjects(t, openStore, 1<<16); small != large {
-		t.Fatalf("a limit-16 scan allocates %v objects at 1 k keys per shard but %v at 64 k", small, large)
+	for _, shards := range []int{2, 12} {
+		for _, keys := range []int{1 << 10, 1 << 16} {
+			if n := kvtest.ScanObjects(t, kvtest.OpenStore, shards, keys); n != 1 {
+				t.Errorf("%d shards of %d keys: a limit-16 scan allocates %v objects, want 1 (the result)", shards, keys, n)
+			}
+		}
 	}
 }
 
 // TestStoreShardFullDiagnosable checks a full shard fails with the
 // structured ShardFullError (shard identity + fill level).
 func TestStoreShardFullDiagnosable(t *testing.T) {
-	kvtest.FullToDiagnosable(t, openStore)
+	kvtest.FullToDiagnosable(t, kvtest.OpenStore)
 }

@@ -17,9 +17,11 @@
 //     results for partitioned fan-outs, lossless heals, and the same
 //     prefix rule under correlated whole-service crashes.
 //
-// The suites that check visibility hold every write, read, Sync and
-// recovery to kvspec, the spec of what a client may see, through one
-// driver (checked.go) instead of restating its rules inline.
+// The suites that check visibility hold every write, read, Apply, Sync
+// and recovery to kvspec, the spec of what a client may see, through one
+// checked DB (checked.go) instead of restating its rules inline. Program
+// (program.go) runs byte programs, a fuzzer's inputs, through the same
+// checked DB.
 //
 // The suite deliberately avoids implementation-shaped assertions (shard
 // placement, exact commit counts, busy-time accounting): those belong to
@@ -43,6 +45,16 @@ import (
 // store configuration. Implementations with more topology (e.g. a pooled
 // router's cluster count) fix the extra dimensions inside the factory.
 type Factory func(t *testing.T, cfg kv.Config) kv.DB
+
+// OpenStore is the Factory of single-cluster stores.
+func OpenStore(t *testing.T, cfg kv.Config) kv.DB {
+	t.Helper()
+	st, err := kv.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 // Run exercises the full kv.DB contract against DBs produced by f.
 func Run(t *testing.T, f Factory) {

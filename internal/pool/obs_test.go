@@ -2,7 +2,6 @@ package pool
 
 import (
 	"errors"
-	"sort"
 	"testing"
 
 	"cxl0/internal/core"
@@ -27,99 +26,6 @@ func seedKeys(t *testing.T, r *Router, n int) {
 	}
 	if err := r.Sync(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestScanOverFetchCapped pins the one-merge scan: a limited pooled scan
-// returns the same result as a full scan truncated, loads no more than
-// limit pairs in all, and accounts every pair it loaded and cut (none) in
-// Metrics.ScanDiscardedPairs.
-func TestScanOverFetchCapped(t *testing.T) {
-	r, err := Open(obsPoolCfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 200
-	seedKeys(t, r, n)
-	want, err := r.Scan(0, n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != n {
-		t.Fatalf("full scan returned %d pairs, want %d", len(want), n)
-	}
-	r.ResetMetrics()
-
-	for _, limit := range []int{1, 3, 16, 50, n, 2 * n} {
-		before := r.Metrics()
-		got, err := r.Scan(0, n, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLen := limit
-		if wantLen > n {
-			wantLen = n
-		}
-		if len(got) != wantLen {
-			t.Fatalf("limit %d: returned %d pairs, want %d", limit, len(got), wantLen)
-		}
-		for i, p := range got {
-			if p != want[i] {
-				t.Fatalf("limit %d: pair %d = %+v, want %+v (must equal the truncated full scan)", limit, i, p, want[i])
-			}
-		}
-		after := r.Metrics()
-		fetched := after.ScannedPairs - before.ScannedPairs
-		discarded := after.ScanDiscardedPairs - before.ScanDiscardedPairs
-		if fetched-uint64(len(got)) != discarded {
-			t.Fatalf("limit %d: fetched %d, returned %d, but discarded accounts %d", limit, fetched, len(got), discarded)
-		}
-		// The cap: each cluster loads only the pairs the merge picked
-		// from it, so the scan never loads more than Clusters × limit —
-		// nor even more than limit.
-		if fetched > uint64(r.NumClusters()*limit) {
-			t.Fatalf("limit %d: fetched %d pairs, cap is %d", limit, fetched, r.NumClusters()*limit)
-		}
-	}
-
-	// Skewed distribution: scan a narrow range so one or two clusters own
-	// all survivors; correctness must not depend on an even spread.
-	got, err := r.Scan(10, 30, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 7 {
-		t.Fatalf("narrow scan returned %d pairs, want 7", len(got))
-	}
-	for i, p := range got {
-		if p.Key != core.Val(10+i) {
-			t.Fatalf("narrow scan pair %d = %+v, want key %d", i, p, 10+i)
-		}
-	}
-}
-
-// TestScanDiscardBeatsNaiveFanOut checks the one-merge scan's point: on
-// an even spread with a large limit it loads exactly limit pairs, not
-// Clusters × limit.
-func TestScanDiscardBeatsNaiveFanOut(t *testing.T) {
-	r, err := Open(obsPoolCfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 400
-	seedKeys(t, r, n)
-	r.ResetMetrics()
-	const limit = 100
-	if _, err := r.Scan(0, n, limit); err != nil {
-		t.Fatal(err)
-	}
-	m := r.Metrics()
-	naive := uint64(r.NumClusters() * limit)
-	if m.ScannedPairs >= naive {
-		t.Fatalf("the scan loaded %d pairs, no better than the naive fan-out's %d", m.ScannedPairs, naive)
-	}
-	if m.ScannedPairs != limit {
-		t.Fatalf("scan loaded %d pairs to return %d", m.ScannedPairs, limit)
 	}
 }
 
@@ -339,57 +245,5 @@ func TestRouterObservedTimelineUnchanged(t *testing.T) {
 	}
 	if plain, observed := run(false), run(true); plain != observed {
 		t.Fatalf("observed pooled run consumed %g sim ns, unobserved %g", observed, plain)
-	}
-}
-
-// TestScanResumeBoundaries drives limits that cut the merge inside the
-// clusters' runs at varied points of a sparse key set and cross-checks
-// against a locally merged reference.
-func TestScanResumeBoundaries(t *testing.T) {
-	r, err := Open(obsPoolCfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sparse, irregular keys so the limits cut the merge between existing
-	// keys.
-	var all []core.Val
-	for i := 0; i < 120; i++ {
-		k := core.Val((i*i*7 + i) % 1000)
-		all = append(all, k)
-		if _, err := r.Put(k, k+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	uniq := map[core.Val]bool{}
-	for _, k := range all {
-		uniq[k] = true
-	}
-	var ref []core.Val
-	for k := range uniq { //cxl0:order-insensitive — ref is sorted below
-		if k >= 100 && k < 900 {
-			ref = append(ref, k)
-		}
-	}
-	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-	for _, limit := range []int{1, 2, 5, 9, 33, len(ref), len(ref) + 10} {
-		got, err := r.Scan(100, 900, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLen := limit
-		if wantLen > len(ref) {
-			wantLen = len(ref)
-		}
-		if len(got) != wantLen {
-			t.Fatalf("limit %d: %d pairs, want %d", limit, len(got), wantLen)
-		}
-		for i, p := range got {
-			if p.Key != ref[i] {
-				t.Fatalf("limit %d: pair %d key %d, want %d", limit, i, p.Key, ref[i])
-			}
-		}
 	}
 }

@@ -268,37 +268,6 @@ func TestRouterMultiGetCountsServedOnly(t *testing.T) {
 	}
 }
 
-// TestRouterScanMergesGlobalOrder: a pooled scan returns one globally
-// key-ordered result across clusters, honoring the limit.
-func TestRouterScanMergesGlobalOrder(t *testing.T) {
-	r := openTest(t, Config{Clusters: 3, Store: kv.Config{Shards: 2, Strategy: kv.MStoreEach, Capacity: 128, Seed: 7}})
-	const n = 30
-	for k := core.Val(0); k < n; k++ {
-		if _, err := r.Put(k, k+100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pairs, err := r.Scan(5, 25, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 20 {
-		t.Fatalf("scan [5,25) returned %d pairs", len(pairs))
-	}
-	for i, p := range pairs {
-		if want := core.Val(5 + i); p.Key != want || p.Val != want+100 {
-			t.Fatalf("pair %d = %+v, want key %d (global order broken)", i, p, want)
-		}
-	}
-	limited, err := r.Scan(0, n, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited) != 7 || limited[0].Key != 0 || limited[6].Key != 6 {
-		t.Fatalf("limited scan = %v, want keys 0..6", limited)
-	}
-}
-
 // TestRouterApplySplitsAndCommits: one client batch spanning clusters is
 // split per cluster, applied in order (a put then delete of the same key
 // deletes it), committed everywhere, and acknowledged with one durable

@@ -1,43 +1,13 @@
 package pool
 
 import (
-	"errors"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
 	"cxl0/internal/core"
 	"cxl0/internal/kv"
-	"cxl0/internal/kv/kvspec"
 )
-
-// TestScanAllocations pins what a healthy limited pooled scan allocates:
-// the result, and nothing per cluster, per shard, per picked key or per
-// healthy leg's error check — the merge records its picks in per-store
-// scratch and every cursor lives on its shard. A count, which host noise
-// cannot move; it holds under -race too.
-func TestScanAllocations(t *testing.T) {
-	for _, shards := range []int{2, 12} {
-		r := openTest(t, Config{Clusters: 4, Store: kv.Config{Shards: shards, Capacity: 512, Strategy: kv.StoreFlush, Seed: 5}})
-		for k := core.Val(0); k < 400; k++ {
-			if _, err := r.Put(k, k+1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		lo := core.Val(0)
-		allocs := testing.AllocsPerRun(100, func() {
-			pairs, err := r.Scan(lo, math.MaxInt64, 16)
-			if err != nil || len(pairs) != 16 || pairs[0].Key != lo || pairs[15].Key != lo+15 {
-				t.Fatalf("Scan(%d, max, 16) = %v, %v", lo, pairs, err)
-			}
-			lo = (lo + 7) % 300
-		})
-		if allocs > 1 {
-			t.Errorf("%d shards per cluster: a limit-16 Scan over 4 clusters allocates %v objects, want 1 (the result)", shards, allocs)
-		}
-	}
-}
 
 // TestScanLoadsOnlyWhatItReturns: a limited pooled scan loads the values
 // of exactly the pairs it returns. On 4 clusters × 2 shards with no read
@@ -232,170 +202,4 @@ func TestApplyIsACut(t *testing.T) {
 			}
 		}
 	}
-}
-
-// scanFuzzKeys is the key space of FuzzRouterScan's programs: a few dozen
-// keys per cluster, so a limit below 40 both cuts most clusters' key
-// lists in the merge and, early in a program or on a narrow range,
-// exceeds what is live.
-const scanFuzzKeys = 96
-
-// runScanProgram interprets prog against a router of 2–4 clusters × 2 or
-// 3 shards under ranged commit at pipeline depth 1 or 2 (byte 0 picks all
-// three) and holds every step to kvspec, routed as the router routes.
-// Every following 4 bytes (op, a, b, c) are one step: a put, a delete, a
-// Sync, a partition or heal of a global shard, an Apply of up to 6 puts
-// and deletes, a MultiGet of up to 8 keys, or Scan(lo, hi, limit) with
-// limit in [0, 40). The spec takes each write as its Ack names it and
-// each shard's watermark from Metrics.PerShardAcked after every step; a
-// read is held to the spec at the watermarks it leaves, a MultiGet's
-// keys to any watermark between the call's start and end (its reads
-// move the clock, so a flight may retire between two keys).
-func runScanProgram(t *testing.T, prog []byte) {
-	if len(prog) == 0 {
-		return
-	}
-	clusters, depth, shards := 2+int(prog[0])%3, 1+int(prog[0]>>2)&1, 2+int(prog[0]>>3)&1
-	r := openTest(t, Config{Clusters: clusters, Store: kv.Config{
-		Shards: shards, Capacity: 1024, Strategy: kv.RangedCommit, Batch: 4, PipelineDepth: depth, Seed: 3, EvictEvery: 5,
-	}})
-	// shardOf is the global shard a key routes to (no bucket moves here).
-	shardOf := func(k core.Val) int {
-		c := r.ClusterOf(k)
-		return r.globalShard(c, r.Cluster(c).ShardOf(k))
-	}
-	spec := kvspec.New(clusters, shards, depth > 1, shardOf)
-	adopt := func(step int) {
-		if err := spec.Ack(r.Metrics().PerShardAcked); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	// withheld holds a read's error to what the spec says it withheld; a
-	// partial result unwraps to kv.ErrUnavailable.
-	withheld := func(step int, op string, p kvspec.Partial, err error) {
-		var partial *kv.PartialResultError
-		if (err == nil) != (p.Missing == 0) || (err != nil && (!errors.As(err, &partial) || !errors.Is(err, kv.ErrUnavailable) ||
-			partial.Op != op || partial.Missing != p.Missing || !slices.Equal(partial.Unavailable, p.Unavailable))) {
-			t.Fatalf("step %d: %s failed with %v; the spec withholds %+v (partitioned: %v)", step, op, err, p, spec.Part)
-		}
-	}
-	// The log capacity bounds a program; the rest of a longer one is unread.
-	for i := 1; i+3 < len(prog) && i < 4*900; i += 4 {
-		op, a, b, c := prog[i], prog[i+1], prog[i+2], prog[i+3]
-		step, key := i/4, core.Val(a)%scanFuzzKeys
-		switch op % 32 {
-		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15:
-			val := 1 + core.Val(b) + core.Val(c)<<8
-			var ack kv.Ack
-			var err error
-			if op%32 < 13 {
-				ack, err = r.Put(key, val)
-			} else {
-				val = 0
-				ack, err = r.Delete(key)
-			}
-			sh := shardOf(key)
-			if spec.Part[sh] {
-				if !errors.Is(err, kv.ErrUnavailable) {
-					t.Fatalf("step %d: write of key %d to partitioned shard %d: %+v, %v", step, key, sh, ack, err)
-				}
-			} else if spec.Shards[sh].Write(key, val); err != nil || ack.Shard != sh || ack.Seq != len(spec.Shards[sh].Log)-1 {
-				t.Fatalf("step %d: write of key %d = %+v, %v; want shard %d slot %d", step, key, ack, err, sh, len(spec.Shards[sh].Log)-1)
-			}
-		case 16, 17:
-			if err := r.Sync(); err != nil && !errors.Is(err, kv.ErrUnavailable) {
-				t.Fatalf("Sync: %v", err)
-			}
-		case 18:
-			sh := int(a) % len(spec.Part)
-			r.Partition(sh)
-			spec.Part[sh] = true
-		case 19, 20, 21:
-			// The first partitioned shard from a on, so that most heals heal.
-			for j := range spec.Part {
-				if sh := (int(a) + j) % len(spec.Part); spec.Part[sh] {
-					r.Heal(sh)
-					spec.Part[sh] = false
-					break
-				}
-			}
-		case 22, 23:
-			// Op j puts key a + j*b (mod the key space), or deletes it
-			// when bit j of c is set.
-			batch := new(Batch)
-			var ops []kvspec.Rec
-			for j := range 1 + int(c>>5)%6 {
-				k := (key + core.Val(j)*core.Val(b)) % scanFuzzKeys
-				val := 1 + core.Val(b) + core.Val(j)<<8
-				if c>>j&1 == 1 {
-					batch.Delete(k)
-					val = 0
-				} else {
-					batch.Put(k, val)
-				}
-				ops = append(ops, kvspec.Rec{Key: k, Val: val})
-			}
-			ack, err := r.Apply(batch)
-			last := shardOf(ops[len(ops)-1].Key)
-			if !spec.Apply(ops) {
-				if !errors.Is(err, kv.ErrUnavailable) {
-					t.Fatalf("step %d: Apply(%v) = %+v, %v; want ErrUnavailable (partitioned: %v)", step, ops, ack, err, spec.Part)
-				}
-			} else if err != nil || !ack.Durable || ack.Shard != last || ack.Seq != len(spec.Shards[last].Log)-1 {
-				t.Fatalf("step %d: Apply(%v) = %+v, %v; want shard %d slot %d durable (partitioned: %v)",
-					step, ops, ack, err, last, len(spec.Shards[last].Log)-1, spec.Part)
-			}
-		case 24, 25:
-			var keys []core.Val
-			for j := range 1 + int(c)%8 {
-				keys = append(keys, (key+core.Val(j)*core.Val(b))%scanFuzzKeys)
-			}
-			// An empty-range scan retires every flight that is ready, so
-			// the MultiGet's window opens where it starts.
-			if _, err := r.Scan(0, 0, 1); err != nil {
-				t.Fatalf("Scan(0,0,1): %v", err)
-			}
-			adopt(step)
-			res, err := r.MultiGet(keys)
-			got := make([]kvspec.Lookup, len(res))
-			for j, l := range res {
-				got[j] = kvspec.Lookup(l)
-			}
-			p, serr := spec.MultiGet(keys, got, r.Metrics().PerShardAcked)
-			if serr != nil {
-				t.Fatalf("step %d: %v (%v; partitioned: %v)", step, serr, err, spec.Part)
-			}
-			withheld(step, "multiget", p, err)
-		default:
-			lo, hi, limit := key, core.Val(math.MaxInt64), int(c)%40
-			if b&1 == 1 {
-				hi = lo + 1 + core.Val(b>>1)%scanFuzzKeys
-			}
-			pairs, err := r.Scan(lo, hi, limit)
-			adopt(step)
-			want, p := spec.Scan(lo, hi, limit)
-			if !slices.EqualFunc(pairs, want, func(a kv.Pair, b kvspec.Pair) bool { return kvspec.Pair(a) == b }) {
-				t.Fatalf("step %d: Scan(%d,%d,%d) = %v, the spec's %v (partitioned: %v)", step, lo, hi, limit, pairs, want, spec.Part)
-			}
-			withheld(step, "scan", p, err)
-		}
-		adopt(step)
-	}
-}
-
-// FuzzRouterScan holds the pooled reads and batch writes — Router.Scan
-// (one merge over every cluster's shard runs, limited or not, then each
-// cluster's reads of the keys it picked), MultiGet and Apply — to kvspec
-// over arbitrary step programs with deletes, partitions and a commit
-// pipeline. Every write, read and batch is held to the spec. The seed corpus is 40 programs of 600 seeded
-// steps.
-func FuzzRouterScan(f *testing.F) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		prog := make([]byte, 1+4*600)
-		rng.Read(prog)
-		prog[0] = byte(seed)
-		f.Add(prog)
-	}
-	f.Fuzz(runScanProgram)
 }
