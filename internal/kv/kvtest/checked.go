@@ -14,8 +14,11 @@ import (
 // held to kvspec. It adopts a write as its Ack names it (the DB hides
 // placement, so a key's shard is the one its writes were acknowledged
 // by, or, for a key never written, a twin's), every shard's watermark
-// from Metrics().PerShardAcked after each call, a recovery — of a shard,
-// or every shard's re-attachment by RecoverFront — as the cut its
+// from Metrics().PerShardAcked after each call that can move one and
+// leaves every shard up, whatever its outcome (a refused Sync may have committed the shards
+// before the one that refused, and a MultiGet's window opens at the
+// spec's watermarks), a recovery — of a shard, or every shard's
+// re-attachment by RecoverFront — as the cut its
 // RecoveryStats.Recovered names, and a Compact as the folds its stats
 // name. The spec has one store per cluster (Router.NumClusters, or 1), so
 // an Apply over a partition is held to per-store legs. While the front
@@ -126,6 +129,7 @@ func (c *checked) wrote(key, val core.Val, ack kv.Ack, err error) error {
 		if c.spec.Part[c.place(key)] != errors.Is(err, kv.ErrUnavailable) {
 			c.t.Fatalf("%v: write of key %d failed with %v (partitioned: %v)", kvspec.ErrOffSpec, key, err, c.spec.Part)
 		}
+		c.adopt()
 		return err
 	}
 	if sh, placed := c.home[key]; placed && sh != ack.Shard || c.spec.Part[ack.Shard] {
@@ -248,10 +252,13 @@ func (c *checked) withheld(op string, p kvspec.Partial, err error) {
 // Sync commits everything: every watermark reaches its log's end.
 func (c *checked) Sync() error {
 	c.t.Helper()
-	if err := c.DB.Sync(); c.frontDenied("sync", err) || err != nil {
+	err := c.DB.Sync()
+	if c.frontDenied("sync", err) {
 		return err
 	}
-	c.adopt()
+	if c.adopt(); err != nil {
+		return err
+	}
 	for i, s := range c.spec.Shards {
 		if err := s.Synced(); err != nil {
 			c.t.Fatalf("shard %d: %v", i, err)
@@ -266,16 +273,18 @@ func (c *checked) Crash(i int) {
 }
 
 // Recover adopts a down shard's recovery as its cut; an up shard's is a
-// no-op.
+// no-op, and a refused one leaves the shard down.
 func (c *checked) Recover(i int) (kv.RecoveryStats, error) {
 	c.t.Helper()
 	rs, err := c.DB.Recover(i)
-	if err != nil || !c.down[i] {
+	if c.frontDenied("recover", err) {
 		return rs, err
 	}
-	c.recovered(rs)
+	if err == nil && c.down[i] {
+		c.recovered(rs)
+	}
 	c.adopt()
-	return rs, nil
+	return rs, err
 }
 
 // recovered adopts a recovery of shard rs.Shard, which is up again, as

@@ -239,9 +239,10 @@ func SnapshotCosts(t *testing.T, f Factory, shards int) (small, large SnapshotCo
 // ordered runs and stops at the limit, so its allocations follow neither
 // the keys per shard nor the shard or cluster count. Every scan must come
 // back full, from its start. Exposed separately from Run because the size
-// is the point: kv holds a Store to it at 2 and 12 shards and 1 k and 64 k
-// keys per shard, pool a Router at 1, 4 and 8 clusters of 2 shards and 4
-// of 12.
+// is the point: kv holds a Store of 2 and 12 shards to one object, the
+// result, and to the same count at 1 k and 64 k keys per shard; pool holds
+// a Router of 4 clusters of 2 and 12 shards to one object, and to the same
+// count at 1, 4 and 8 clusters.
 func ScanObjects(t *testing.T, f Factory, shards, keysPerShard int) float64 {
 	t.Helper()
 	const limit = 16
@@ -260,8 +261,8 @@ func ScanObjects(t *testing.T, f Factory, shards, keysPerShard int) float64 {
 		lo := core.Val(i * 7919 % (keys - limit))
 		i++
 		pairs, err := db.Scan(lo, math.MaxInt64, limit)
-		if err != nil || len(pairs) != limit || pairs[0].Key != lo {
-			t.Fatalf("scan from %d: %d pairs, %v; want %d from a dense keyspace", lo, len(pairs), err, limit)
+		if err != nil || len(pairs) != limit || pairs[0].Key != lo || pairs[limit-1].Key != lo+limit-1 {
+			t.Fatalf("scan from %d: %v, %v; want the %d keys from it of a dense keyspace", lo, pairs, err, limit)
 		}
 	})
 }

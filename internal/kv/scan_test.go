@@ -228,28 +228,3 @@ func TestScanMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// TestScanAllocations pins what a healthy limited scan allocates: the
-// result slice, and nothing per shard or per candidate — a count, which
-// host noise cannot move.
-func TestScanAllocations(t *testing.T) {
-	for _, shards := range []int{2, 12} {
-		st := openTest(t, Config{Shards: shards, Capacity: 512, Strategy: StoreFlush, Seed: 5})
-		for k := core.Val(0); k < 400; k++ {
-			if _, err := st.Put(k, k+1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		lo := core.Val(0)
-		allocs := testing.AllocsPerRun(100, func() {
-			pairs, err := st.Scan(lo, math.MaxInt64, 16)
-			if err != nil || len(pairs) != 16 || pairs[0].Key != lo || pairs[15].Key != lo+15 {
-				t.Fatalf("Scan(%d, max, 16) = %v, %v", lo, pairs, err)
-			}
-			lo = (lo + 7) % 300
-		})
-		if allocs != 1 {
-			t.Errorf("%d shards: a limit-16 Scan allocates %v objects, want 1 (the result)", shards, allocs)
-		}
-	}
-}

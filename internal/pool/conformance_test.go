@@ -107,16 +107,27 @@ func TestRouterSnapshotCostFlat(t *testing.T) {
 	}
 }
 
+// TestScanAllocations pins what a healthy limited pooled scan allocates:
+// one object, the result, and nothing per cluster, per shard, per picked
+// key or per healthy leg's error check, at 4 clusters of 2 and 12 shards
+// — the merge records its picks in per-store scratch and every cursor
+// lives on its shard. A count, which host noise cannot move; it holds
+// under -race too.
+func TestScanAllocations(t *testing.T) {
+	for _, shards := range []int{2, 12} {
+		if n := kvtest.ScanObjects(t, routerFactory(4), shards, 1<<8); n != 1 {
+			t.Errorf("%d shards per cluster: a limit-16 scan over 4 clusters allocates %v objects, want 1 (the result)", shards, n)
+		}
+	}
+}
+
 // TestRouterScanCostFlat is the scaling gate of a pooled range read: a
-// limit-16 scan allocates one object, the result, and nothing per
-// cluster, per shard, per picked key or per healthy leg's error check, at
-// 1, 4 and 8 clusters of 2 shards and 4 of 12 — the merge records its
-// picks in per-store scratch and every cursor lives on its shard. A
-// count, which host noise cannot move; it holds under -race too.
+// limit-16 scan allocates the same objects at 1, 4 and 8 clusters.
 func TestRouterScanCostFlat(t *testing.T) {
-	for _, shape := range [][2]int{{1, 2}, {4, 2}, {8, 2}, {4, 12}} {
-		if n := kvtest.ScanObjects(t, routerFactory(shape[0]), shape[1], 1<<10); n != 1 {
-			t.Errorf("%d clusters of %d shards: a limit-16 scan allocates %v objects, want 1 (the result)", shape[0], shape[1], n)
+	one := kvtest.ScanObjects(t, routerFactory(1), 2, 1<<10)
+	for _, clusters := range []int{4, 8} {
+		if n := kvtest.ScanObjects(t, routerFactory(clusters), 2, 1<<10); n != one {
+			t.Errorf("a limit-16 scan allocates %v objects at 1 cluster but %v at %d", one, n, clusters)
 		}
 	}
 }

@@ -9,33 +9,6 @@ import (
 	"cxl0/internal/kv"
 )
 
-// TestScanAllocations pins what a healthy limited pooled scan allocates:
-// the result, and nothing per cluster, per shard, per picked key or per
-// healthy leg's error check — the merge records its picks in per-store
-// scratch and every cursor lives on its shard. A count, which host noise
-// cannot move; it holds under -race too.
-func TestScanAllocations(t *testing.T) {
-	for _, shards := range []int{2, 12} {
-		r := openTest(t, Config{Clusters: 4, Store: kv.Config{Shards: shards, Capacity: 512, Strategy: kv.StoreFlush, Seed: 5}})
-		for k := core.Val(0); k < 400; k++ {
-			if _, err := r.Put(k, k+1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		lo := core.Val(0)
-		allocs := testing.AllocsPerRun(100, func() {
-			pairs, err := r.Scan(lo, math.MaxInt64, 16)
-			if err != nil || len(pairs) != 16 || pairs[0].Key != lo || pairs[15].Key != lo+15 {
-				t.Fatalf("Scan(%d, max, 16) = %v, %v", lo, pairs, err)
-			}
-			lo = (lo + 7) % 300
-		})
-		if allocs > 1 {
-			t.Errorf("%d shards per cluster: a limit-16 Scan over 4 clusters allocates %v objects, want 1 (the result)", shards, allocs)
-		}
-	}
-}
-
 // TestScanLoadsOnlyWhatItReturns: a limited pooled scan loads the values
 // of exactly the pairs it returns. On 4 clusters × 2 shards with no read
 // cache, every scan moves the clusters' summed ScannedPairs, and the
