@@ -204,6 +204,50 @@ func BenchmarkKVPooledScan(b *testing.B) {
 	}
 }
 
+// BenchmarkKVCachedRead tracks the host cost of one operation of the
+// repository benchmark's read-cached-pooled workload: YCSB-B over 10000
+// keys on 4 clusters of 2 shards, ranged commit, a 256-entry read cache
+// with the prefetcher. Most reads are served from the cache, so ns/op is
+// mostly kv's per-key lookups (view, cache, predictor) and pool routing.
+// The cache is warmed before the clock starts, and the warm-up must have
+// served hits.
+func BenchmarkKVCachedRead(b *testing.B) {
+	spec, err := workload.YCSB("B")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Keys = 10000
+	r, err := pool.Open(pool.Config{Clusters: 4, Store: kv.Config{
+		Shards: 2, Strategy: kv.RangedCommit, Batch: 16, PipelineDepth: 1,
+		ReadCache: 256, Prefetch: true,
+		EvictEvery: 8, Capacity: 2048, CompactAtFill: 0.85, Seed: 1,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < spec.Keys; k++ {
+		if _, err := r.Put(core.Val(k), core.Val(k+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	gen := workload.NewGenerator(spec, 1)
+	for range 2000 {
+		if err := gen.Next().Issue(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if m := r.Metrics(); m.CacheHits == 0 {
+		b.Fatalf("2000 warm-up operations served no read from the cache: %d misses", m.CacheMisses)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := gen.Next().Issue(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkKVGroupCommit verifies and tracks the headline batching claim:
 // group commit beats per-op GPF on simulated throughput.
 func BenchmarkKVGroupCommit(b *testing.B) {

@@ -12,6 +12,9 @@
 // Example:
 //
 //	go run ./cmd/cxl0-bench -ops 2000 -workloads A,E -shards 1,4 -clusters 1,2
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the whole
+// matrix (go tool pprof -top FILE); the artifact does not change.
 package main
 
 import (
@@ -21,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -90,26 +95,65 @@ func main() {
 	}
 }
 
-// run is the whole command: parse the flags, run the matrix, write the
-// artifact.
+// outputs are the files a run writes; an empty path writes nothing.
+type outputs struct {
+	// artifact is the JSON artifact (-out).
+	artifact string
+	// cpuProfile and memProfile are the pprof profiles of the matrix run
+	// (-cpuprofile, -memprofile).
+	cpuProfile, memProfile string
+}
+
+// run is the whole command: parse the flags, run the matrix under the
+// profiles asked for, write the artifact.
 func run(args []string, stdout io.Writer) error {
 	m, out, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	file, _, err := bench(m, stdout)
-	if err != nil || out == "" {
+	var file benchFile
+	if err := profiled(out, func() (err error) {
+		file, _, err = bench(m, stdout)
+		return err
+	}); err != nil || out.artifact == "" {
 		return err
 	}
 	blob, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(out.artifact, append(blob, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "wrote %s (%d results)\n", out, len(file.Results))
+	fmt.Fprintf(stdout, "wrote %s (%d results)\n", out.artifact, len(file.Results))
 	return nil
+}
+
+// profiled runs body under a CPU profile written to out.cpuProfile, then
+// writes a heap profile as of body's end to out.memProfile.
+func profiled(out outputs, body func() error) (err error) {
+	if out.cpuProfile != "" {
+		f, err := os.Create(out.cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return errors.Join(err, f.Close())
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
+	}
+	if err := body(); err != nil || out.memProfile == "" {
+		return err
+	}
+	f, err := os.Create(out.memProfile)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile's in-use figures are as of the last GC
+	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
 }
 
 // bench walks the plan in artifact order — its loop is the only
@@ -204,8 +248,9 @@ func (m *matrix) options(spec workload.Spec, strat kv.Strategy, shards, clusters
 	}
 }
 
-// parseFlags parses the command line into the matrix and the -out path.
-func parseFlags(args []string) (*matrix, string, error) {
+// parseFlags parses the command line into the matrix and the files the
+// run writes.
+func parseFlags(args []string) (*matrix, outputs, error) {
 	var m matrix
 	fs := flag.NewFlagSet("cxl0-bench", flag.ContinueOnError)
 	fs.IntVar(&m.Ops, "ops", 2000, "measured operations per configuration")
@@ -223,9 +268,12 @@ func parseFlags(args []string) (*matrix, string, error) {
 	variants := fs.String("variants", "base,psn", "comma-separated hardware variants (base,psn,lwb)")
 	depths := fs.String("pipeline-depths", "1,2,4", "comma-separated commit-pipeline depths for the pipelined sweep (1 is the blocking baseline already in the matrix; depths >1 add sweep rows)")
 	fs.IntVar(&m.Cache, "cache", 256, "read-cache entry capacity of the cache-sweep rows (0 disables those rows)")
-	out := fs.String("out", "BENCH_kv.json", "output JSON path (empty disables)")
+	var out outputs
+	fs.StringVar(&out.artifact, "out", "BENCH_kv.json", "output JSON path (empty disables)")
+	fs.StringVar(&out.cpuProfile, "cpuprofile", "", "write a CPU profile of the matrix run to this file")
+	fs.StringVar(&out.memProfile, "memprofile", "", "write a heap profile at the end of the matrix run to this file")
 	if err := fs.Parse(args); err != nil {
-		return nil, "", err
+		return nil, out, err
 	}
 
 	// Validate every list up front — unknown names and duplicates fail
@@ -238,14 +286,14 @@ func parseFlags(args []string) (*matrix, string, error) {
 	m.variants, m.Variants, errs[4] = parseList("variants", *variants, core.ParseVariant)
 	m.PipelineDepths, _, errs[5] = parseList("pipeline-depths", *depths, parseCount)
 	if err := errors.Join(append(errs[:], m.checkScalars()...)...); err != nil {
-		return nil, "", err
+		return nil, out, err
 	}
 	for i := range m.specs {
 		m.specs[i].Keys = m.Keys
 	}
 	m.sweepSpec = m.specs[max(0, slices.IndexFunc(m.specs, func(s workload.Spec) bool { return s.Name == "A" }))]
 	m.CampaignEvery = max(m.Ops/5, 2)
-	return &m, *out, nil
+	return &m, out, nil
 }
 
 // checkScalars rejects the scalar flag values the artifact's config

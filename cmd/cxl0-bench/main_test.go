@@ -275,6 +275,38 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestRunProfiled runs a small matrix with -cpuprofile and -memprofile
+// and without: the artifacts are byte for byte equal, and both profiles
+// are written.
+func TestRunProfiled(t *testing.T) {
+	dir := t.TempDir()
+	args := strings.Fields("-ops 40 -keys 20 -workloads A -strategies group -shards 1 -clusters 1 -variants base -pipeline-depths 1 -cache 8 -compact-at-fill 0")
+	plain, profiled := filepath.Join(dir, "plain.json"), filepath.Join(dir, "profiled.json")
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := run(append(args, "-out", plain), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-out", profiled, "-cpuprofile", cpu, "-memprofile", mem), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(profiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the profiled run wrote a different artifact (%d bytes, %d without the profiles)", len(got), len(want))
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s: %v, %v", filepath.Base(p), fi, err)
+		}
+	}
+}
+
 // FuzzParseFlags holds the six list flags to parseList's contract: any
 // input is parsed or rejected with an error, never a panic; a list that
 // is accepted is echoed as its trimmed elements, in order, with no value

@@ -53,7 +53,7 @@ import "cxl0/internal/core"
 // cacheEntry is one slot of the cache's slab: a cached key and its
 // value, threaded on the LRU list (head = most recently used) by slab
 // index, or a free slot threaded on the free list through next. Its
-// presence in the map is the Shared state; removal is the snoop to
+// presence in the key table is the Shared state; removal is the snoop to
 // Invalid.
 type cacheEntry struct {
 	key, val   core.Val
@@ -72,10 +72,11 @@ type readCache struct {
 	// slab holds every entry, live or free; its length is the capacity.
 	//cxl0:guarded-by mu
 	slab []cacheEntry
-	// entries indexes the LRU list by key; head/tail are the list ends
-	// (head = most recently used) and free the free list's head.
+	// entries takes a key to its slab index; head/tail are the LRU
+	// list's ends (head = most recently used) and free the free list's
+	// head.
 	//cxl0:guarded-by mu
-	entries map[core.Val]int32
+	entries keyTable
 	//cxl0:guarded-by mu
 	head, tail, free int32
 	// ctr is the owning store's counter block: lookups on the served-read
@@ -93,7 +94,7 @@ type readCache struct {
 //
 //cxl0:locked mu
 func newReadCache(capacity int, ctr *Counters) *readCache {
-	c := &readCache{slab: make([]cacheEntry, capacity), entries: make(map[core.Val]int32, capacity), ctr: ctr}
+	c := &readCache{slab: make([]cacheEntry, capacity), entries: newKeyTable(capacity), ctr: ctr}
 	c.resetLocked()
 	return c
 }
@@ -107,7 +108,7 @@ func (c *readCache) resetLocked() {
 	c.slab[len(c.slab)-1].next = noSlot
 }
 
-// unlinkLocked removes slot i from the LRU list (not from the map).
+// unlinkLocked removes slot i from the LRU list (not from the key table).
 func (c *readCache) unlinkLocked(i int32) {
 	e := &c.slab[i]
 	if e.prev != noSlot {
@@ -143,11 +144,11 @@ func (c *readCache) promoteLocked(i int32) {
 	}
 }
 
-// dropLocked snoops slot i's entry out: off the LRU list and the map,
-// onto the free list.
+// dropLocked snoops slot i's entry out: off the LRU list and the key
+// table, onto the free list.
 func (c *readCache) dropLocked(i int32) {
 	c.unlinkLocked(i)
-	delete(c.entries, c.slab[i].key)
+	c.entries.del(c.slab[i].key)
 	c.slab[i].next = c.free
 	c.free = i
 }
@@ -157,20 +158,20 @@ func (c *readCache) dropLocked(i int32) {
 // anything else a miss the caller resolves with a paid Load and fills
 // back. Counts hits and misses; speculative probes use containsLocked.
 func (c *readCache) lookupLocked(key core.Val) (core.Val, bool) {
-	i, ok := c.entries[key]
+	i, ok := c.entries.get(key)
 	if !ok {
 		c.ctr.CacheMisses++
 		return 0, false
 	}
 	c.ctr.CacheHits++
-	c.promoteLocked(i)
+	c.promoteLocked(int32(i))
 	return c.slab[i].val, true
 }
 
 // containsLocked reports whether key is cached, without touching the
 // counters or the LRU order — the prefetcher's probe.
 func (c *readCache) containsLocked(key core.Val) bool {
-	_, ok := c.entries[key]
+	_, ok := c.entries.get(key)
 	return ok
 }
 
@@ -183,9 +184,9 @@ func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 	if speculative {
 		c.ctr.SpeculativeFills++
 	}
-	if i, ok := c.entries[key]; ok {
+	if i, ok := c.entries.get(key); ok {
 		c.slab[i].val = val
-		c.promoteLocked(i)
+		c.promoteLocked(int32(i))
 		return
 	}
 	if c.free == noSlot {
@@ -194,7 +195,7 @@ func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
 	i := c.free
 	c.free = c.slab[i].next
 	c.slab[i].key, c.slab[i].val = key, val
-	c.entries[key] = i
+	c.entries.set(key, core.Val(i))
 	c.pushFrontLocked(i)
 }
 
@@ -207,16 +208,16 @@ func (c *readCache) invalidateKeyLocked(key core.Val) {
 	if c == nil {
 		return
 	}
-	if i, ok := c.entries[key]; ok {
-		c.dropLocked(i)
+	if i, ok := c.entries.get(key); ok {
+		c.dropLocked(int32(i))
 		c.ctr.CacheInvalidations++
 	}
 }
 
 // invalidateMatchLocked snoops every cached key matching pred — the
 // shard- and bucket-scoped invalidations (invalidateShardLocked,
-// flipBucket). Walks the LRU list, never the map: the walk order is the
-// deterministic recency order, so the sweep is replay-safe.
+// flipBucket). Walks the LRU list, never the key table: the walk order
+// is the deterministic recency order, so the sweep is replay-safe.
 func (c *readCache) invalidateMatchLocked(pred func(core.Val) bool) {
 	if c == nil {
 		return
@@ -245,10 +246,10 @@ func (c *readCache) invalidateAllLocked() {
 	if c == nil {
 		return
 	}
-	c.ctr.CacheInvalidations += uint64(len(c.entries))
-	clear(c.entries)
+	c.ctr.CacheInvalidations += uint64(c.entries.len())
+	c.entries.clear()
 	c.resetLocked()
 }
 
 // lenLocked returns the current entry count (gauges and tests).
-func (c *readCache) lenLocked() int { return len(c.entries) }
+func (c *readCache) lenLocked() int { return c.entries.len() }

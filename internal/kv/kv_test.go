@@ -355,7 +355,7 @@ func TestShardMapMigrateBucket(t *testing.T) {
 			t.Fatalf("get %d after migration = (%d, %v, %v)", k, v, ok, err)
 		}
 		if st.BucketOf(k) == b {
-			if _, stale := st.shards[from].view.index[k]; stale {
+			if _, stale := st.shards[from].view.visible(k); stale {
 				t.Fatalf("key %d still indexed on source shard %d", k, from)
 			}
 		}

@@ -25,8 +25,9 @@ package kv
 // correctness (docs/caching.md).
 //
 // All state is bounded and deterministic: fixed-size successor tables
-// reset wholesale when full (no eviction policy that would need map
-// iteration), and the tables are only ever indexed, never ranged over.
+// (key tables, keytable.go) are cleared wholesale when full (no eviction
+// policy that would need to walk one), and the tables are only ever
+// indexed, never ranged over.
 
 import (
 	"cxl0/internal/core"
@@ -50,10 +51,11 @@ const (
 // state is guarded by the owning store's mu: every method is ...Locked,
 // called with the store lock held.
 type predictor struct {
-	// succ[shard] maps a key to the key the client read next; last[shard]
-	// is the previous served read on that shard (-1 before the first).
+	// succ[shard] takes a key to the key the client read next;
+	// last[shard] is the previous served read on that shard (-1 before
+	// the first).
 	//cxl0:guarded-by mu
-	succ []map[core.Val]core.Val
+	succ []keyTable
 	//cxl0:guarded-by mu
 	last []core.Val
 	// runKey/runLen track the store-wide sequential-scan run: runLen
@@ -75,12 +77,12 @@ type predictor struct {
 //cxl0:locked mu
 func newPredictor(shards int) *predictor {
 	p := &predictor{
-		succ:   make([]map[core.Val]core.Val, shards),
+		succ:   make([]keyTable, shards),
 		last:   make([]core.Val, shards),
 		runKey: -1,
 	}
 	for i := range p.succ {
-		p.succ[i] = make(map[core.Val]core.Val, maxSuccessors)
+		p.succ[i] = newKeyTable(maxSuccessors)
 		p.last[i] = -1
 	}
 	return p
@@ -89,14 +91,13 @@ func newPredictor(shards int) *predictor {
 // observeLocked feeds one served read into the model.
 func (p *predictor) observeLocked(shard int, key core.Val) {
 	if prev := p.last[shard]; prev >= 0 && prev != key {
-		m := p.succ[shard]
-		if len(m) >= maxSuccessors { // only a full table needs the probe
-			if _, ok := m[prev]; !ok {
-				p.succ[shard] = make(map[core.Val]core.Val, maxSuccessors)
-				m = p.succ[shard]
+		m := &p.succ[shard]
+		if m.len() >= maxSuccessors { // only a full table needs the probe
+			if _, ok := m.get(prev); !ok {
+				m.clear()
 			}
 		}
-		m[prev] = key
+		m.set(prev, key)
 	}
 	p.last[shard] = key
 	if p.runKey >= 0 && key == p.runKey+1 {
@@ -157,7 +158,7 @@ func (s *Store) prefetchLocked(keys []core.Val) {
 // and the key itself are filtered by the prefetch path's cache probe.
 func (p *predictor) predictLocked(shard int, key core.Val) []core.Val {
 	out := p.proposed[:0]
-	if next, ok := p.succ[shard][key]; ok && next != key {
+	if next, ok := p.succ[shard].get(key); ok && next != key {
 		out = append(out, next)
 	}
 	if p.runLen >= scanRunThreshold && key == p.runKey {

@@ -505,7 +505,7 @@ func verifyMigrated(t *testing.T, st *Store, want map[core.Val]core.Val, keys []
 		}
 		owners := 0
 		for i, sh := range st.shards {
-			if _, present := sh.view.index[k]; present {
+			if _, present := sh.view.visible(k); present {
 				owners++
 				if st.ShardOf(k) != i {
 					t.Fatalf("key %d indexed on shard %d but routed to shard %d", k, i, st.ShardOf(k))

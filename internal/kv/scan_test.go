@@ -39,11 +39,12 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 		if !sh.partitioned {
 			s.retireReady(sh)
 		}
-		// The unordered range walk over the hash index.
+		// The walk over every key of the view, filtered to the range.
 		var keys []core.Val
 		var slots []int
-		for k, slot := range sh.view.index { //cxl0:order-insensitive — sorted below
+		for _, k := range sh.view.keys {
 			if k >= lo && k < hi {
+				slot, _ := sh.view.visible(k)
 				keys, slots = append(keys, k), append(slots, slot)
 			}
 		}
@@ -101,7 +102,7 @@ func pastMark(s *Store, lo, hi core.Val) (shards, deleted int) {
 			shards++
 		}
 		for _, r := range sh.log[sh.view.taken:] {
-			if _, ok := sh.view.index[r.key]; ok && !r.move && !r.copied && r.val == 0 && r.key >= lo && r.key < hi {
+			if _, ok := sh.view.visible(r.key); ok && !r.move && !r.copied && r.val == 0 && r.key >= lo && r.key < hi {
 				deleted++
 			}
 		}

@@ -186,7 +186,7 @@ func Open(cfg Config) (*Store, error) {
 			id:      i,
 			machine: core.MachineID(i + 1),
 			cap:     cfg.Capacity,
-			view:    view{logCap: cfg.Capacity, index: map[core.Val]int{}},
+			view:    view{logCap: cfg.Capacity},
 		}
 		if err := sh.allocMedium(cluster); err != nil {
 			return nil, err

@@ -2,9 +2,9 @@ package kv
 
 // A shard's read-visible state: a plain replay of the log's records
 // [0, taken) onto the committed snapshot the view was last re-homed to.
-// The index maps a key to the record a read of it is served, one slot
-// encoding says whether that record lives in the log or in the
-// snapshot, and the index's key set is kept sorted, so a range read
+// The index (a keyTable, keytable.go) takes a key to the record a read
+// of it is served, one slot encoding says whether that record lives in
+// the log or in the snapshot, and the index's key set is kept sorted, so a range read
 // costs what it yields and not what the shard holds. A record is taken
 // once, in slot order: at its write step when the write is acknowledged
 // as it is written, at its ack step under the commit pipeline
@@ -29,9 +29,9 @@ type view struct {
 	// capacity): encoded slots below it are log slots, logCap+i is slot
 	// i of the committed snapshot (compaction re-homes live records there).
 	logCap int
-	// index maps a key to the encoded slot of the record reads of it are
-	// served.
-	index map[core.Val]int
+	// index takes a key to the encoded slot of the record reads of it
+	// are served.
+	index keyTable
 	// keys is index's key set in ascending order. It moves only when a
 	// key enters or leaves index, never on an overwrite.
 	keys []core.Val
@@ -55,12 +55,12 @@ func (v *view) decode(slot int) (i int, inSnap bool) {
 }
 
 // live returns the number of visible keys.
-func (v *view) live() int { return len(v.index) }
+func (v *view) live() int { return v.index.len() }
 
 // visible resolves key to the encoded slot a read is served from.
 func (v *view) visible(key core.Val) (slot int, ok bool) {
-	slot, ok = v.index[key]
-	return slot, ok
+	s, ok := v.index.get(key)
+	return int(s), ok
 }
 
 // cursor walks the keys of one view in [lo, hi), in ascending key order,
@@ -103,7 +103,10 @@ func (c *cursor) advance() {
 }
 
 // resolve returns the encoded slot the head is read from.
-func (c *cursor) resolve() int { return c.v.index[c.key] }
+func (c *cursor) resolve() int {
+	slot, _ := c.v.visible(c.key)
+	return slot
+}
 
 // all yields every visible key with its encoded slot, in ascending key
 // order — what compaction folds and migration copies once they have
@@ -111,7 +114,7 @@ func (c *cursor) resolve() int { return c.v.index[c.key] }
 func (v *view) all() iter.Seq2[core.Val, int] {
 	return func(yield func(core.Val, int) bool) {
 		for _, k := range v.keys {
-			if !yield(k, v.index[k]) {
+			if slot, _ := v.visible(k); !yield(k, slot) {
 				return
 			}
 		}
@@ -122,13 +125,13 @@ func (v *view) all() iter.Seq2[core.Val, int] {
 // record there is a tombstone. The ordered key set follows only when the
 // index's size says the key entered or left it.
 func (v *view) set(key core.Val, slot int, live bool) {
-	n := len(v.index)
+	n := v.index.len()
 	if live {
-		v.index[key] = slot
+		v.index.set(key, core.Val(slot))
 	} else {
-		delete(v.index, key)
+		v.index.del(key)
 	}
-	if len(v.index) == n {
+	if v.index.len() == n {
 		return
 	}
 	i, _ := slices.BinarySearch(v.keys, key)
@@ -172,14 +175,14 @@ func (v *view) takeRest(log []rec) {
 // reset re-homes the view onto a committed snapshot and an empty log:
 // record i of snap becomes key snap[i].key's visible state and nothing
 // else is live — compaction's reclaim, and the base recovery replays the
-// log onto.
+// log onto. The index keeps its slots when they hold snap.
 //
 //cxl0:locked mu
 func (v *view) reset(snap []rec) {
-	v.index = make(map[core.Val]int, len(snap))
+	v.index.reset(len(snap))
 	v.keys = make([]core.Val, len(snap))
 	for i, r := range snap {
-		v.index[r.key] = v.logCap + i
+		v.index.set(r.key, core.Val(v.logCap+i))
 		v.keys[i] = r.key
 	}
 	// A snapshot is written in key order (compaction folds all()), so
@@ -195,7 +198,7 @@ func (v *view) drop(gone func(core.Val) bool) {
 		if !gone(k) {
 			return false
 		}
-		delete(v.index, k)
+		v.index.del(k)
 		return true
 	})
 }

@@ -34,7 +34,7 @@ type viewModel struct {
 func modelBucket(k core.Val) int { return int(k % 3) }
 
 func newViewModel(gated bool) *viewModel {
-	return &viewModel{v: view{logCap: 1 << 20, index: map[core.Val]int{}}, s: kvspec.NewShard(gated)}
+	return &viewModel{v: view{logCap: 1 << 20}, s: kvspec.NewShard(gated)}
 }
 
 //cxl0:locked mu
@@ -171,12 +171,12 @@ func (m *viewModel) check(t *testing.T, keys core.Val, lo, hi core.Val) {
 		}
 	}
 	// The ordered key set is the index's key set, strictly ascending.
-	if len(m.v.keys) != len(m.v.index) {
-		t.Fatalf("keys holds %d keys, the index %d: %v vs %v", len(m.v.keys), len(m.v.index), m.v.keys, m.v.index)
+	if len(m.v.keys) != m.v.live() {
+		t.Fatalf("keys holds %d keys, the index %d: %v", len(m.v.keys), m.v.live(), m.v.keys)
 	}
 	for i, k := range m.v.keys {
-		if _, ok := m.v.index[k]; !ok {
-			t.Fatalf("keys holds %d, which the index does not: %v vs %v", k, m.v.keys, m.v.index)
+		if _, ok := m.v.visible(k); !ok {
+			t.Fatalf("keys holds %d, which the index does not: %v", k, m.v.keys)
 		}
 		if i > 0 && m.v.keys[i-1] >= k {
 			t.Fatalf("keys not strictly ascending at %d: %v", i, m.v.keys)
@@ -477,7 +477,7 @@ func TestViewWatermarkCases(t *testing.T) {
 //
 //cxl0:locked mu
 func TestViewBulkSteps(t *testing.T) {
-	v := view{logCap: 64, index: map[core.Val]int{}}
+	v := view{logCap: 64}
 	v.take(1, 0, true)
 	v.reset([]rec{{key: 10, val: 1}, {key: 11, val: 1}, {key: 20, val: 1}})
 	if _, ok := v.visible(1); ok || v.taken != 0 {
