@@ -133,16 +133,18 @@ func run(args []string, stdout io.Writer) error {
 // writes a heap profile as of body's end to out.memProfile.
 func profiled(out outputs, body func() error) (err error) {
 	if out.cpuProfile != "" {
-		f, err := os.Create(out.cpuProfile)
-		if err != nil {
-			return err
+		// cf and cerr are the block's own names, so the deferred join
+		// below lands in the named result.
+		cf, cerr := os.Create(out.cpuProfile)
+		if cerr != nil {
+			return cerr
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return errors.Join(err, f.Close())
+		if cerr := pprof.StartCPUProfile(cf); cerr != nil {
+			return errors.Join(cerr, cf.Close())
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			err = errors.Join(err, f.Close())
+			err = errors.Join(err, cf.Close())
 		}()
 	}
 	if err := body(); err != nil || out.memProfile == "" {

@@ -15,7 +15,8 @@ import (
 
 // scanReference is Store.Scan as it stood before the view kept an
 // ordered key set: collect every visible key in range from every
-// shard's hash index, sort them all, keep limit. It is the differential
+// shard's hash index (the slots of its key table, not the sorted key
+// set Scan walks), sort them all, keep limit. It is the differential
 // reference for the ordered walk (as core.TauSteps is for the occupancy
 // index) and takes every step Scan takes — counters, flight retirement,
 // demand reads in key order, the scan-run prefetch — so a store driven
@@ -39,13 +40,13 @@ func scanReference(s *Store, lo, hi core.Val, limit int) ([]Pair, error) {
 		if !sh.partitioned {
 			s.retireReady(sh)
 		}
-		// The walk over every key of the view, filtered to the range.
+		// The unordered range walk over the index's key table: every
+		// occupied slot (its key stored as key+1), filtered to the range.
 		var keys []core.Val
 		var slots []int
-		for _, k := range sh.view.keys {
-			if k >= lo && k < hi {
-				slot, _ := sh.view.visible(k)
-				keys, slots = append(keys, k), append(slots, slot)
+		for _, e := range sh.view.index.slots { //cxl0:order-insensitive — sorted below
+			if k := e.key - 1; e.key != 0 && k >= lo && k < hi {
+				keys, slots = append(keys, k), append(slots, int(e.val))
 			}
 		}
 		for i, k := range keys {
