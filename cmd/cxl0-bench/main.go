@@ -13,8 +13,9 @@
 //
 //	go run ./cmd/cxl0-bench -ops 2000 -workloads A,E -shards 1,4 -clusters 1,2
 //
-// -cpuprofile and -memprofile write runtime/pprof profiles of the whole
-// matrix (go tool pprof -top FILE); the artifact does not change.
+// -cpuprofile, -memprofile and -mutexprofile write runtime/pprof profiles
+// of the whole matrix (go tool pprof -top FILE); the artifact does not
+// change.
 package main
 
 import (
@@ -99,9 +100,9 @@ func main() {
 type outputs struct {
 	// artifact is the JSON artifact (-out).
 	artifact string
-	// cpuProfile and memProfile are the pprof profiles of the matrix run
-	// (-cpuprofile, -memprofile).
-	cpuProfile, memProfile string
+	// cpuProfile, memProfile and mutexProfile are the pprof profiles of
+	// the matrix run (-cpuprofile, -memprofile, -mutexprofile).
+	cpuProfile, memProfile, mutexProfile string
 }
 
 // run is the whole command: parse the flags, run the matrix under the
@@ -130,8 +131,12 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // profiled runs body under a CPU profile written to out.cpuProfile, then
-// writes a heap profile as of body's end to out.memProfile.
+// writes a heap profile as of body's end to out.memProfile and the mutex
+// contention body met, every event of it sampled, to out.mutexProfile.
 func profiled(out outputs, body func() error) (err error) {
+	if out.mutexProfile != "" {
+		defer runtime.SetMutexProfileFraction(runtime.SetMutexProfileFraction(1))
+	}
 	if out.cpuProfile != "" {
 		// cf and cerr are the block's own names, so the deferred join
 		// below lands in the named result.
@@ -147,15 +152,28 @@ func profiled(out outputs, body func() error) (err error) {
 			err = errors.Join(err, cf.Close())
 		}()
 	}
-	if err := body(); err != nil || out.memProfile == "" {
+	if err := body(); err != nil {
 		return err
 	}
-	f, err := os.Create(out.memProfile)
+	if out.memProfile != "" {
+		runtime.GC() // the profile's in-use figures are as of the last GC
+		if err := writeProfile(out.memProfile, pprof.WriteHeapProfile); err != nil {
+			return err
+		}
+	}
+	if out.mutexProfile == "" {
+		return nil
+	}
+	return writeProfile(out.mutexProfile, func(w io.Writer) error { return pprof.Lookup("mutex").WriteTo(w, 0) })
+}
+
+// writeProfile writes a profile to a new file at path.
+func writeProfile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	runtime.GC() // the profile's in-use figures are as of the last GC
-	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
+	return errors.Join(write(f), f.Close())
 }
 
 // bench walks the plan in artifact order — its loop is the only
@@ -274,6 +292,7 @@ func parseFlags(args []string) (*matrix, outputs, error) {
 	fs.StringVar(&out.artifact, "out", "BENCH_kv.json", "output JSON path (empty disables)")
 	fs.StringVar(&out.cpuProfile, "cpuprofile", "", "write a CPU profile of the matrix run to this file")
 	fs.StringVar(&out.memProfile, "memprofile", "", "write a heap profile at the end of the matrix run to this file")
+	fs.StringVar(&out.mutexProfile, "mutexprofile", "", "write a mutex contention profile of the matrix run to this file")
 	if err := fs.Parse(args); err != nil {
 		return nil, out, err
 	}

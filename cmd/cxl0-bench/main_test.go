@@ -275,18 +275,19 @@ func TestRun(t *testing.T) {
 	}
 }
 
-// TestRunProfiled runs a small matrix with -cpuprofile and -memprofile
-// and without: the artifacts are byte for byte equal, and both profiles
-// are written.
+// TestRunProfiled runs a small matrix with -cpuprofile, -memprofile and
+// -mutexprofile and without: the artifacts are byte for byte equal, and
+// all three profiles are written. A profile file that cannot be created
+// fails the run.
 func TestRunProfiled(t *testing.T) {
 	dir := t.TempDir()
 	args := strings.Fields("-ops 40 -keys 20 -workloads A -strategies group -shards 1 -clusters 1 -variants base -pipeline-depths 1 -cache 8 -compact-at-fill 0")
 	plain, profiled := filepath.Join(dir, "plain.json"), filepath.Join(dir, "profiled.json")
-	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cpu, mem, mutex := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof"), filepath.Join(dir, "mutex.prof")
 	if err := run(append(args, "-out", plain), io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-out", profiled, "-cpuprofile", cpu, "-memprofile", mem), io.Discard); err != nil {
+	if err := run(append(args, "-out", profiled, "-cpuprofile", cpu, "-memprofile", mem, "-mutexprofile", mutex), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(plain)
@@ -300,9 +301,14 @@ func TestRunProfiled(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("the profiled run wrote a different artifact (%d bytes, %d without the profiles)", len(got), len(want))
 	}
-	for _, p := range []string{cpu, mem} {
+	for _, p := range []string{cpu, mem, mutex} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
 			t.Errorf("profile %s: %v, %v", filepath.Base(p), fi, err)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile", "-mutexprofile"} {
+		if err := run(append(args, "-out", "", flag, filepath.Join(dir, "no-such-dir", "p.prof")), io.Discard); err == nil {
+			t.Errorf("a run whose %s file cannot be created succeeds", flag)
 		}
 	}
 }

@@ -185,8 +185,9 @@ func (d *dense) state() *State {
 // agrees holds what s answers to d, a page of cells at a time: every cell
 // and memory value, the enumerated τ steps and the index's count and
 // selection of them, and CachesEmpty. It also checks that s holds a page
-// exactly where a 64-line stretch of a row has a line, and that the holder
-// mask names exactly the rows that hold one.
+// exactly where a 64-line stretch of a row has a line, that the holder
+// mask names exactly the rows that hold one, and that the shared pages of
+// ⊥ and of zeros are unwritten.
 func agrees(s *State, d *dense) error {
 	for m, row := range d.cache {
 		for w, off := range s.rows[m].page {
@@ -202,8 +203,15 @@ func agrees(s *State, d *dense) error {
 			}
 		}
 	}
-	if !slices.Equal(s.mem, d.mem) {
-		return fmt.Errorf("memory is %v, the mirror's %v", s.mem, d.mem)
+	for w := range s.memPage {
+		stretch := d.mem[w*pageCells : min((w+1)*pageCells, len(d.mem))]
+		if got := s.memLines(w); !slices.Equal(got, stretch) {
+			return fmt.Errorf("M(%d…) = %v, the mirror has %v", w*pageCells, got, stretch)
+		}
+	}
+	bot, zeros := s.cells[:s.pageLen], s.cells[s.pageLen:2*s.pageLen]
+	if slices.ContainsFunc(bot, func(v Val) bool { return v != Bot }) || slices.ContainsFunc(zeros, func(v Val) bool { return v != 0 }) {
+		return fmt.Errorf("a shared page was written: ⊥ %v, zeros %v", bot, zeros)
 	}
 	steps := d.tauSteps()
 	if got := TauSteps(s); !slices.Equal(got, steps) {

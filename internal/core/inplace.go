@@ -24,8 +24,11 @@ import (
 // that no eviction draw separates, as one step. Every cache
 // write goes through State.setCache (a value), clearWord (⊥) or moveWord
 // (a word step's move), which keep the index and take and release the
-// row's pages (state.go), and every read of a cell through State.Cache; a
-// step on a live state allocates nothing once its pages exist. A crash
+// row's pages (state.go), and every read of a cell through State.Cache.
+// Every memory write goes through setMem, writeBack (a word step's
+// write-back) or clearMem (a volatile crash's reset), which take and
+// release memory's pages, and every read through State.Mem. A step on a
+// live state allocates nothing once its pages exist. A crash
 // wipes the crashed machine's row a word at a time and visits its runs of
 // locations (Topology.OwnerRuns), not every location.
 //
@@ -51,12 +54,12 @@ func (s *State) observe(m MachineID, x LocID, v Variant) (val Val, cached, ok bo
 		if own := s.Cache(m, x); own != Bot {
 			return own, true, true
 		}
-		return s.mem[x], false, s.NoCacheHolds(x)
+		return s.Mem(x), false, s.NoCacheHolds(x)
 	}
 	if cv, held := s.CachedValue(x); held {
 		return cv, true, true
 	}
-	return s.mem[x], false, true
+	return s.Mem(x), false, true
 }
 
 // enabled is the premise of l's rule: whether the labeled transition l can
@@ -126,7 +129,7 @@ func ApplyInPlace(s *State, l Label, v Variant) bool {
 		s.setCache(s.topo.Owner(l.Loc), l.Loc, stored)
 	case OpMStore, OpMRMW:
 		s.invalidate(l.Loc)
-		s.mem[l.Loc] = stored
+		s.setMem(l.Loc, stored)
 	case OpLoad, OpLFlush, OpRFlush, OpRFlushRange, OpGPF:
 		// A flush only waits: once enabled, it changes nothing. (A load was
 		// stepped above.)
@@ -150,7 +153,7 @@ func ApplyTauInPlace(s *State, t TauStep) {
 			panic("core: ApplyTauInPlace: vertical propagation from non-owner")
 		}
 		s.invalidate(t.Loc)
-		s.mem[t.Loc] = v
+		s.setMem(t.Loc, v)
 	} else {
 		s.setCache(t.From, t.Loc, Bot)
 		s.setCache(s.topo.Owner(t.Loc), t.Loc, v)
@@ -180,12 +183,49 @@ func ApplyTauWordInPlace(s *State, t TauWord) {
 		s.moveWord(t.From, owner, t.Word, t.Mask)
 		return
 	}
-	src := int(s.rows[t.From].page[t.Word])
-	for word := t.Mask; word != 0; word &= word - 1 {
-		i := bits.TrailingZeros64(word)
-		s.mem[t.Word<<6|i] = s.cells[src+i]
-	}
+	s.writeBack(t.From, t.Word, t.Mask)
 	s.invalidateWord(t.Word, t.Mask)
+}
+
+// writeBack copies the lines of occupancy word w that mask names from
+// owner's cache to memory. A word of memory without a page takes one only
+// for a value other than 0, as setMem does, and then takes owner's own page
+// when mask is every line the row holds under w — the row would give it
+// back as the lines leave — with the row's other cells, stale ⊥, set to
+// memory's 0: the page changes hands, as in a horizontal move (moveWord).
+func (s *State) writeBack(owner MachineID, w int, mask uint64) {
+	r := &s.rows[owner]
+	src, dst := r.page[w], s.memPage[w]
+	if dst == s.zeroPage() {
+		nonzero := false
+		for word := mask; word != 0 && !nonzero; word &= word - 1 {
+			nonzero = s.cells[int(src)+bits.TrailingZeros64(word)] != 0
+		}
+		if !nonzero {
+			return
+		}
+		if mask == r.held.words[w] {
+			s.held -= r.held.RemoveWord(w, mask)
+			r.page[w] = 0
+			s.holders.Drop(owner, LocID(w<<6))
+			var vals [pageCells]Val
+			page := s.cells[src : int(src)+s.pageLen]
+			copy(vals[:], page)
+			clear(page)
+			for word := mask; word != 0; word &= word - 1 {
+				i := bits.TrailingZeros64(word)
+				page[i] = vals[i]
+			}
+			s.memPage[w] = src
+			return
+		}
+		dst = s.takePage(dst)
+		s.memPage[w] = dst
+	}
+	for word := mask; word != 0; word &= word - 1 {
+		i := bits.TrailingZeros64(word)
+		s.cells[int(dst)+i] = s.cells[int(src)+i]
+	}
 }
 
 // ApplyStoreWordInPlace mutates s by the stores op (OpLStore, OpRStore or
@@ -223,7 +263,7 @@ func ApplyStoreWordInPlace(s *State, op Op, m MachineID, w int, mask uint64, val
 	for i, word := 0, mask; word != 0; i, word = i+1, word&(word-1) {
 		l := LocID(w<<6 | bits.TrailingZeros64(word))
 		if op == OpMStore {
-			s.mem[l] = vals[i]
+			s.setMem(l, vals[i])
 		} else {
 			s.setCache(holder, l, vals[i])
 		}
@@ -240,15 +280,15 @@ func CrashInPlace(s *State, m MachineID, v Variant) {
 	if !volatile && v != PSN {
 		return
 	}
-	s.topo.OwnerRuns(0, LocID(len(s.mem)), func(owner MachineID, lo, hi LocID) {
+	s.topo.OwnerRuns(0, LocID(s.locs), func(owner MachineID, lo, hi LocID) {
 		if owner != m {
 			return
 		}
-		if volatile {
-			clear(s.mem[lo:hi])
-		}
-		if v == PSN {
-			for w, mask := range WordsOf(lo, hi) {
+		for w, mask := range WordsOf(lo, hi) {
+			if volatile {
+				s.clearMem(w, mask)
+			}
+			if v == PSN {
 				s.invalidateWord(w, mask)
 			}
 		}

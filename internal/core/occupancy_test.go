@@ -183,7 +183,7 @@ const maxFuzzLocs = 6000
 // uncached and zero.
 func grownState(s *State, d *dense) (*State, *dense) {
 	grown, mirror := NewState(s.topo), newDense(s.topo)
-	for l := range LocID(len(s.mem)) {
+	for l := range LocID(s.locs) {
 		grown.SetMem(l, s.Mem(l))
 		mirror.mem[l] = d.mem[l]
 		for m := range MachineID(len(s.rows)) {

@@ -9,18 +9,23 @@ import (
 )
 
 // State is a CXL0 system state γ = (C, M): per-machine caches over the whole
-// address space (Bot = invalid) and one memory cell per location, held by
-// its owner.
+// address space (Bot = invalid) and a memory cell per location, held by its
+// owner.
 //
+// Both are stored as pages of cells, 64 lines each (one occupancy word).
 // A cache is a partial map, and is stored as one: a machine's row is a
-// table with one entry per occupancy word, naming the page of cells that
-// holds the word's 64 lines, and a row holds a page only while the word
-// holds a line — every other entry names the one page of ⊥ all rows share.
-// A state therefore takes O(locations) for memory and the tables, plus a
-// page per 64-line stretch in which some cache holds a line: not machines ×
-// locations cells. Pages a row gives back wait on the state's free list,
-// so stepping a live state allocates nothing once it has seen its largest
-// number of pages.
+// table with one entry per occupancy word, naming the page that holds the
+// word's 64 lines, and a row holds a page only while the word holds a line
+// — every other entry names the one page of ⊥ all rows share. Memory has a
+// table of the same kind, whose entries start at a second shared page, of
+// zeros: the first write of a value other than 0 under a word takes a page
+// for it, and a volatile crash hands back the pages its reset covers.
+// A state therefore takes O(machines × words) for its tables, plus a page
+// per 64-line stretch that some cache holds a line of or that a run wrote
+// memory in: not machines × locations cells, nor a cell per location of an
+// address space a run never touches. Cache and memory pages come from one
+// slab and go back to one free list, so stepping a live state allocates
+// nothing once it has seen its largest number of pages.
 //
 // Whether a row holds a page for a word is also kept by word, across the
 // rows: the holder mask names, per occupancy word, the machines holding a
@@ -31,22 +36,27 @@ import (
 type State struct {
 	topo *Topology
 	rows []cacheRow // [machine]
-	mem  []Val      // [loc], stored at Owner(loc)
+	// memPage is memory's table: M(l), stored at Owner(l), is
+	// cells[memPage[l/64] + l%64], and an entry is zeroPage until a value
+	// other than 0 is written under it.
+	memPage []uint64
+	locs    int
 
 	// cells is every page, pageLen cells each. The first is the shared page
-	// of ⊥ and is never written; the rest are each held by one table entry
-	// or on the free list, and are written only by setCache, clearWord,
-	// moveWord and takePage.
+	// of ⊥ and the second the shared page of zeros; neither is ever
+	// written. The rest are each held by one table entry or on the free
+	// list, and are written only by setCache, clearWord, moveWord, setMem,
+	// writeBack, clearMem and takePage.
 	// free is the offset of the first free page (0: none), whose first cell
 	// is the offset of the next; the other cells of a free page are stale.
 	cells   []Val
 	pageLen int // min(pageCells, locations): a small topology has small pages
 	free    uint64
 
-	// index backs every row's occupancy and table, and the holder mask
-	// after them, so that Clone copies them all with one allocation.
-	// holders is derived from the tables, so Key, Equal and String leave
-	// it out.
+	// index backs every row's occupancy and table, the holder mask after
+	// them and memory's table last, so that Clone copies them all with one
+	// allocation. holders is derived from the tables, so Key, Equal and
+	// String leave it out.
 	index   []uint64
 	holders MachineMask
 	held    int // non-⊥ cells over all machines
@@ -67,72 +77,101 @@ type cacheRow struct {
 
 // NewState returns the initial state for t: all caches ⊥, all memory zero.
 func NewState(t *Topology) *State {
-	s := &State{topo: t, mem: make([]Val, t.NumLocs()), pageLen: min(pageCells, t.NumLocs())}
-	s.cells = slices.Repeat([]Val{Bot}, s.pageLen)
+	s := &State{topo: t, locs: t.NumLocs(), pageLen: min(pageCells, t.NumLocs())}
+	s.cells = make([]Val, 2*s.pageLen)
+	for i := range s.pageLen {
+		s.cells[i] = Bot
+	}
 	s.carve(nil)
 	return s
 }
 
-// carve makes index, or a zeroed one if index is nil, the backing of fresh
-// rows for s and of its holder mask: each machine's part of it is its
-// occupancy, then its table with an entry per occupancy word; the mask
-// follows the last machine's.
+// zeroPage is the offset in cells of the shared page of zeros, where every
+// entry of memory's table starts.
+func (s *State) zeroPage() uint64 { return uint64(s.pageLen) }
+
+// carve makes index, or a fresh one if index is nil, the backing of fresh
+// rows for s, of its holder mask and of memory's table: each machine's part
+// of it is its occupancy, then its table with an entry per occupancy word;
+// the mask follows the last machine's, and memory's table, an entry per
+// word, the mask. A fresh index has every row empty and every memory entry
+// at the page of zeros.
 func (s *State) carve(index []uint64) {
 	machines := s.topo.NumMachines()
-	blocks, set := lineSetLayout(len(s.mem))
-	stride := set + (set - blocks) // the set's words, and a table entry for each
-	maskStride, maskLen := machineMaskLayout(machines, len(s.mem))
-	if index == nil {
-		index = make([]uint64, machines*stride+maskLen)
+	blocks, set := lineSetLayout(s.locs)
+	words := set - blocks
+	stride := set + words // the set's words, and a table entry for each
+	maskStride, maskLen := machineMaskLayout(machines, s.locs)
+	fresh := index == nil
+	if fresh {
+		index = make([]uint64, machines*stride+maskLen+words)
 	}
 	s.rows, s.index = make([]cacheRow, machines), index
 	for m := range s.rows {
 		part := index[m*stride : (m+1)*stride : (m+1)*stride]
 		s.rows[m] = cacheRow{held: lineSetOver(part[:set], blocks), page: part[set:]}
 	}
-	s.holders = MachineMask{stride: maskStride, bits: index[machines*stride:]}
+	past := machines*stride + maskLen
+	s.holders = MachineMask{stride: maskStride, bits: index[machines*stride : past : past]}
+	s.memPage = index[past:]
+	if fresh {
+		for w := range s.memPage {
+			s.memPage[w] = s.zeroPage()
+		}
+	}
 }
 
-// Clone returns a deep copy of s. The pages its rows hold are copied into
-// one slab; the free ones stay behind, as room for the pages the copy's
-// next step may take.
+// Clone returns a deep copy of s. The pages its rows and memory hold are
+// copied into one slab; the free ones stay behind, as room for the pages
+// the copy's next step may take.
 func (s *State) Clone() *State {
 	c := *s
-	c.mem = slices.Clone(s.mem)
 	c.free = 0
-	c.cells = make([]Val, s.pageLen, len(s.cells)+s.pageLen)
+	c.cells = make([]Val, 2*s.pageLen, len(s.cells)+s.pageLen)
 	copy(c.cells, s.cells)
 	c.carve(slices.Clone(s.index))
+	copyPage := func(off uint64) uint64 {
+		c.cells = append(c.cells, s.cells[off:int(off)+s.pageLen]...)
+		return uint64(len(c.cells) - s.pageLen)
+	}
 	for m, r := range c.rows {
 		c.rows[m].held.total = s.rows[m].held.total
 		for w, off := range r.page {
 			if off != 0 {
-				r.page[w] = uint64(len(c.cells))
-				c.cells = append(c.cells, s.cells[off:int(off)+s.pageLen]...)
+				r.page[w] = copyPage(off)
 			}
+		}
+	}
+	for w, off := range c.memPage {
+		if off != c.zeroPage() {
+			c.memPage[w] = copyPage(off)
 		}
 	}
 	return &c
 }
 
-// takePage returns the offset in cells of a page of ⊥ for a row to hold: a
-// recycled one if the free list has any, a new one at the end otherwise.
-func (s *State) takePage() uint64 {
+// takePage returns the offset in cells of a page that is a copy of the
+// shared page at fill — of ⊥ for a row, of zeros for memory: a recycled one
+// if the free list has any, a new one at the end otherwise.
+func (s *State) takePage(fill uint64) uint64 {
 	off := s.free
 	if off == 0 {
-		s.cells = append(s.cells, s.cells[:s.pageLen]...)
+		s.cells = append(s.cells, s.cells[fill:int(fill)+s.pageLen]...)
 		return uint64(len(s.cells) - s.pageLen)
 	}
 	s.free = uint64(s.cells[off])
-	copy(s.cells[off:int(off)+s.pageLen], s.cells[:s.pageLen])
+	copy(s.cells[off:int(off)+s.pageLen], s.cells[fill:int(fill)+s.pageLen])
 	return off
 }
+
+// givePage puts the page at off on the free list.
+func (s *State) givePage(off uint64) { s.cells[off], s.free = Val(s.free), off }
 
 // setCache sets one cache cell to a value: the first line under an
 // occupancy word takes a page of ⊥ for the word and sets the row's holder
 // bit. Setting cells to ⊥ is clearWord's, a word step's move moveWord's.
 func (s *State) setCache(m MachineID, l LocID, v Val) {
-	if uint(l) >= uint(len(s.mem)) {
+	if uint(l) >= uint(s.locs) {
 		panic(fmt.Sprintf("core: no location %d to cache", l))
 	}
 	w, bit := LineWord(l)
@@ -143,7 +182,7 @@ func (s *State) setCache(m MachineID, l LocID, v Val) {
 	r := &s.rows[m]
 	off := r.page[w]
 	if off == 0 {
-		off = s.takePage()
+		off = s.takePage(0)
 		r.page[w] = off
 		s.holders.Add(m, l)
 	}
@@ -165,7 +204,7 @@ func (s *State) clearWord(m MachineID, w int, mask uint64) {
 	off := r.page[w]
 	if r.held.words[w] == 0 {
 		r.page[w] = 0
-		s.cells[off], s.free = Val(s.free), off
+		s.givePage(off)
 		s.holders.Drop(m, LocID(w<<6))
 		return
 	}
@@ -191,7 +230,7 @@ func (s *State) moveWord(from, to MachineID, w int, mask uint64) {
 		return
 	}
 	if dst == 0 {
-		dst = s.takePage()
+		dst = s.takePage(0)
 		o.page[w] = dst
 		s.holders.Add(to, LocID(w<<6))
 	}
@@ -239,18 +278,64 @@ func (s *State) Cache(m MachineID, l LocID) Val {
 // of ⊥.
 func (s *State) lines(m MachineID, w int) []Val {
 	off := int(s.rows[m].page[w])
-	return s.cells[off : off+min(s.pageLen, len(s.mem)-w*pageCells)]
+	return s.cells[off : off+min(s.pageLen, s.locs-w*pageCells)]
 }
 
 // Mem returns M_k(l) where k owns l.
-func (s *State) Mem(l LocID) Val { return s.mem[l] }
+func (s *State) Mem(l LocID) Val {
+	return s.cells[int(s.memPage[int(l)>>6])+int(l)&(pageCells-1)]
+}
+
+// memLines returns memory's cells for the lines of occupancy word w,
+// w*pageCells and up: the page the word holds, or the shared page of
+// zeros.
+func (s *State) memLines(w int) []Val {
+	off := int(s.memPage[w])
+	return s.cells[off : off+min(s.pageLen, s.locs-w*pageCells)]
+}
+
+// setMem sets M(l) = v. The first value other than 0 under an occupancy
+// word takes a page of zeros for the word; a 0 under a word without one is
+// already there.
+func (s *State) setMem(l LocID, v Val) {
+	if uint(l) >= uint(s.locs) {
+		panic(fmt.Sprintf("core: no location %d in memory", l))
+	}
+	w := int(l) >> 6
+	off := s.memPage[w]
+	if off == s.zeroPage() {
+		if v == 0 {
+			return
+		}
+		off = s.takePage(off)
+		s.memPage[w] = off
+	}
+	s.cells[int(off)+int(l)&(pageCells-1)] = v
+}
+
+// clearMem sets M(l) = 0 for the lines l of occupancy word w that mask
+// names. A word whose every line mask names gives its page back.
+func (s *State) clearMem(w int, mask uint64) {
+	off := s.memPage[w]
+	if off == s.zeroPage() {
+		return
+	}
+	if lines := s.locs - w*pageCells; mask == ^uint64(0)>>uint(max(0, pageCells-lines)) {
+		s.memPage[w] = s.zeroPage()
+		s.givePage(off)
+		return
+	}
+	for ; mask != 0; mask &= mask - 1 {
+		s.cells[int(off)+bits.TrailingZeros64(mask)] = 0
+	}
+}
 
 // SetCache sets C_m(l) = v. Exported for test setup and the runtime; normal
 // evolution goes through Apply and TauSuccessors.
 func (s *State) SetCache(m MachineID, l LocID, v Val) { s.setCache(m, l, v) }
 
 // SetMem sets M(l) = v.
-func (s *State) SetMem(l LocID, v Val) { s.mem[l] = v }
+func (s *State) SetMem(l LocID, v Val) { s.setMem(l, v) }
 
 // CachedValue returns the unique valid cached value of l and true, or
 // (Bot, false) when no cache holds l. The global invariant guarantees
@@ -268,7 +353,7 @@ func (s *State) Readable(l LocID) Val {
 	if v, ok := s.CachedValue(l); ok {
 		return v
 	}
-	return s.mem[l]
+	return s.Mem(l)
 }
 
 // NoCacheHolds reports whether no machine caches l (∀j. C_j(l) = ⊥).
@@ -296,7 +381,7 @@ func (s *State) CachesEmpty() bool { return s.held == 0 }
 // valid cached copies hold the same value, and memory values are
 // non-negative. It returns a descriptive error on violation.
 func (s *State) CheckInvariant() error {
-	for l := 0; l < s.topo.NumLocs(); l++ {
+	for l := 0; l < s.locs; l++ {
 		have := Bot
 		for m := range s.rows {
 			v := s.Cache(MachineID(m), LocID(l))
@@ -309,8 +394,8 @@ func (s *State) CheckInvariant() error {
 			}
 			have = v
 		}
-		if s.mem[l] < 0 {
-			return fmt.Errorf("core: negative memory value %d at %s", s.mem[l], s.topo.LocName(LocID(l)))
+		if v := s.Mem(LocID(l)); v < 0 {
+			return fmt.Errorf("core: negative memory value %d at %s", v, s.topo.LocName(LocID(l)))
 		}
 	}
 	return nil
@@ -320,7 +405,7 @@ func (s *State) CheckInvariant() error {
 // key for memoized exploration. Two states of the same topology have equal
 // keys iff they are equal.
 func (s *State) Key() string {
-	b := make([]byte, 0, (len(s.rows)+1)*len(s.mem)) // exact while every value fits a byte
+	b := make([]byte, 0, (len(s.rows)+1)*s.locs) // exact while every value fits a byte
 	for m := range s.rows {
 		for w := range s.rows[m].page {
 			for _, v := range s.lines(MachineID(m), w) {
@@ -328,8 +413,10 @@ func (s *State) Key() string {
 			}
 		}
 	}
-	for _, v := range s.mem {
-		b = binary.AppendVarint(b, int64(v))
+	for w := range s.memPage {
+		for _, v := range s.memLines(w) {
+			b = binary.AppendVarint(b, int64(v))
+		}
 	}
 	return string(b)
 }
@@ -346,8 +433,8 @@ func (s *State) Equal(o *State) bool {
 			}
 		}
 	}
-	for l := range s.mem {
-		if s.mem[l] != o.mem[l] {
+	for w := range s.memPage {
+		if !slices.Equal(s.memLines(w), o.memLines(w)) {
 			return false
 		}
 	}
@@ -379,11 +466,13 @@ func (s *State) String() string {
 		sb.WriteByte('}')
 	}
 	sb.WriteString(" | M{")
-	for l, v := range s.mem {
-		if l > 0 {
-			sb.WriteByte(' ')
+	for w := range s.memPage {
+		for i, v := range s.memLines(w) {
+			if w+i > 0 {
+				sb.WriteByte(' ')
+			}
+			fmt.Fprintf(&sb, "%s:%d", s.topo.LocName(LocID(w*pageCells+i)), v)
 		}
-		fmt.Fprintf(&sb, "%s:%d", s.topo.LocName(LocID(l)), v)
 	}
 	sb.WriteByte('}')
 	return sb.String()

@@ -145,18 +145,20 @@ func (c *readCache) promoteLocked(i int32) {
 }
 
 // dropLocked snoops slot i's entry out: off the LRU list and the key
-// table, onto the free list.
-func (c *readCache) dropLocked(i int32) {
+// table, onto the free list. It returns the key-table slot the removal
+// left empty (keyTable.del).
+func (c *readCache) dropLocked(i int32) int {
 	c.unlinkLocked(i)
-	c.entries.del(c.slab[i].key)
+	hole := c.entries.del(c.slab[i].key)
 	c.slab[i].next = c.free
 	c.free = i
+	return hole
 }
 
 // lookupLocked consults the cache on the served-read path: a present
 // entry is a hit (served locally, zero simulated cost, promoted to MRU), and
 // anything else a miss the caller resolves with a paid Load and fills
-// back. Counts hits and misses; speculative probes use containsLocked.
+// back. Counts hits and misses; speculative probes use probeLocked.
 func (c *readCache) lookupLocked(key core.Val) (core.Val, bool) {
 	i, ok := c.entries.get(key)
 	if !ok {
@@ -168,34 +170,44 @@ func (c *readCache) lookupLocked(key core.Val) (core.Val, bool) {
 	return c.slab[i].val, true
 }
 
-// containsLocked reports whether key is cached, without touching the
-// counters or the LRU order — the prefetcher's probe.
-func (c *readCache) containsLocked(key core.Val) bool {
-	_, ok := c.entries.get(key)
-	return ok
+// probeLocked reports whether key is cached, without touching the
+// counters or the LRU order — the prefetcher's probe — and returns its
+// key-table slot: for a key not cached, the one insertLocked gives it if
+// nothing is filled or snooped first.
+func (c *readCache) probeLocked(key core.Val) (int, bool) { return c.entries.slot(key) }
+
+// fillLocked installs the value a demand read just loaded for key. One
+// probe of the key table finds the key's entry, which takes the value, or
+// the slot a new entry takes (insertLocked).
+func (c *readCache) fillLocked(key, val core.Val) {
+	slot, ok := c.entries.slot(key)
+	if !ok {
+		c.insertLocked(slot, key, val, false)
+		return
+	}
+	i := int32(c.entries.valAt(slot))
+	c.slab[i].val = val
+	c.promoteLocked(i)
 }
 
-// fillLocked installs the value just read (or speculatively prefetched)
-// for key, Shared: the owning shard keeps its copy, and ownership stays
-// with the device — the front end never writes through the cache, so it
-// never needs E/M. A new key takes a free slot, and a full cache first
-// evicts its LRU tail to the free list.
-func (c *readCache) fillLocked(key, val core.Val, speculative bool) {
+// insertLocked installs key, which is not cached, with val, at key-table
+// slot slot (probeLocked's or fillLocked's), Shared: the owning shard
+// keeps its copy, and ownership stays with the device — the front end
+// never writes through the cache, so it never needs E/M. The entry takes a
+// free slab slot, and a full cache first evicts its LRU tail to the free
+// list; the eviction may empty a key-table slot nearer key's home, which
+// key then takes (keyTable.afterDel).
+func (c *readCache) insertLocked(slot int, key, val core.Val, speculative bool) {
 	if speculative {
 		c.ctr.SpeculativeFills++
 	}
-	if i, ok := c.entries.get(key); ok {
-		c.slab[i].val = val
-		c.promoteLocked(int32(i))
-		return
-	}
 	if c.free == noSlot {
-		c.dropLocked(c.tail)
+		slot = c.entries.afterDel(key, slot, c.dropLocked(c.tail))
 	}
 	i := c.free
 	c.free = c.slab[i].next
 	c.slab[i].key, c.slab[i].val = key, val
-	c.entries.set(key, core.Val(i))
+	c.entries.insertAt(slot, key, core.Val(i))
 	c.pushFrontLocked(i)
 }
 

@@ -75,52 +75,72 @@ func (t *keyTable) find(k core.Val) int {
 // len returns the number of keys stored.
 func (t *keyTable) len() int { return t.n }
 
+// slot is the table's one probe: it returns the slot holding key and true,
+// or, when key is not stored, the empty slot that ends key's probe run —
+// where insertAt puts it — and false (-1 for a table with no keys).
+func (t *keyTable) slot(key core.Val) (int, bool) {
+	if t.n == 0 {
+		return -1, false
+	}
+	i := t.find(key + 1)
+	return i, t.slots[i].key != 0
+}
+
+// valAt returns the value stored at slot i, which holds a key.
+func (t *keyTable) valAt(i int) core.Val { return t.slots[i].val }
+
 // get returns key's value and whether key is stored.
 func (t *keyTable) get(key core.Val) (core.Val, bool) {
-	if t.n == 0 {
+	i, ok := t.slot(key)
+	if !ok {
 		return 0, false
 	}
-	e := t.slots[t.find(key+1)]
-	return e.val, e.key != 0
+	return t.slots[i].val, true
 }
 
-// set stores val under key. A new key that would fill the table past
-// 3/4 doubles it first.
+// set stores val under key.
 func (t *keyTable) set(key, val core.Val) {
-	k := key + 1
-	if len(t.slots) == 0 {
-		t.alloc(minKeySlots)
+	i, ok := t.slot(key)
+	if ok {
+		t.slots[i].val = val
+		return
 	}
-	i := t.find(k)
-	if t.slots[i].key == 0 {
-		if 4*(t.n+1) > 3*len(t.slots) {
-			old := t.slots
-			t.alloc(2 * len(old))
-			for _, e := range old {
-				if e.key != 0 {
-					t.slots[t.find(e.key)] = e
-				}
-			}
-			i = t.find(k)
-		}
-		t.n++
-	}
-	t.slots[i] = keyEntry{k, val}
+	t.insertAt(i, key, val)
 }
 
-// del removes key, if stored. Each entry after the hole in its probe run
+// insertAt stores val under key, which is not stored, at slot i: the slot
+// slot returned for key, with no insert or del since but a del that
+// afterDel has moved i past. A key that would fill the table past 3/4
+// doubles it first and takes the slot a new probe finds.
+func (t *keyTable) insertAt(i int, key, val core.Val) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		t.alloc(max(minKeySlots, 2*len(old)))
+		for _, e := range old {
+			if e.key != 0 {
+				t.slots[t.find(e.key)] = e
+			}
+		}
+		i = -1
+	}
+	if i < 0 {
+		i = t.find(key + 1)
+	}
+	t.slots[i] = keyEntry{key + 1, val}
+	t.n++
+}
+
+// del removes key, if stored, and returns the slot it leaves empty (-1
+// when key was not stored). Each entry after the hole in its probe run
 // moves back into the hole when the hole lies between its home and its
 // slot, so every stored key stays reachable from its home with no
 // tombstone left behind.
-func (t *keyTable) del(key core.Val) {
-	if t.n == 0 {
-		return
+func (t *keyTable) del(key core.Val) int {
+	hole, ok := t.slot(key)
+	if !ok {
+		return -1
 	}
 	mask := len(t.slots) - 1
-	hole := t.find(key + 1)
-	if t.slots[hole].key == 0 {
-		return
-	}
 	for j := (hole + 1) & mask; t.slots[j].key != 0; j = (j + 1) & mask {
 		if (j-t.home(t.slots[j].key))&mask >= (j-hole)&mask {
 			t.slots[hole] = t.slots[j]
@@ -129,6 +149,22 @@ func (t *keyTable) del(key core.Val) {
 	}
 	t.slots[hole] = keyEntry{}
 	t.n--
+	return hole
+}
+
+// afterDel returns the slot insertAt takes for key, whose probe ended at
+// the empty slot i, after a del left slot hole empty (-1: none). A del
+// moves entries only into slots that were full, so i is still empty; but
+// when hole lies between key's home and i, key's probe now stops at hole.
+func (t *keyTable) afterDel(key core.Val, i, hole int) int {
+	if i < 0 || hole < 0 {
+		return i
+	}
+	mask := len(t.slots) - 1
+	if home := t.home(key + 1); (hole-home)&mask < (i-home)&mask {
+		return hole
+	}
+	return i
 }
 
 // clear removes every key and keeps the slots.

@@ -43,9 +43,13 @@ const keyTableFresh = 1 << 20
 
 // runKeyTableProgram interprets prog against a keyTable and a map model.
 // Every pair (op, arg) is one step on a key of the pool — a set, a del, a
-// clear, a reset, nothing — or a set of the next fresh key, which forces
-// growth; after each step len and every key the program could have
-// stored are probed on both.
+// clear, a reset, or the read cache's fill — or a set of the next fresh
+// key, which forces growth; after each step len and every key the
+// program could have stored are probed on both. A fill is one probe
+// (slot) and an insertAt at the slot it found, after the eviction of the
+// next key of the pool when that one is stored: the fill of a full cache,
+// whose eviction's backward shift may empty a slot on the filled key's
+// probe run (afterDel).
 func runKeyTableProgram(t *testing.T, prog []byte) {
 	var tab keyTable
 	model := map[core.Val]core.Val{}
@@ -61,10 +65,21 @@ func runKeyTableProgram(t *testing.T, prog []byte) {
 		case 5, 6, 7, 8:
 			tab.del(key)
 			delete(model, key)
-		case 9, 10, 11, 12:
+		case 9, 10, 11:
 			tab.set(fresh, val)
 			model[fresh] = val
 			fresh++
+		case 12, 15:
+			i, ok := tab.slot(key)
+			if ok {
+				break
+			}
+			if evict := keyTableKeys[(int(arg)+1)%len(keyTableKeys)]; op%16 == 15 {
+				i = tab.afterDel(key, i, tab.del(evict))
+				delete(model, evict)
+			}
+			tab.insertAt(i, key, val)
+			model[key] = val
 		case 13:
 			tab.clear()
 			clear(model)
@@ -146,8 +161,8 @@ func FuzzKeyTable(f *testing.F) {
 }
 
 // TestKeyTableDoesNotAllocate: at steady state a get, an overwrite, a
-// delete and a set that refills its slot allocate nothing, and neither
-// does a reset to a size the slots hold.
+// delete and a fill's probe and insert, the insert after an eviction,
+// allocate nothing, and neither does a reset to a size the slots hold.
 func TestKeyTableDoesNotAllocate(t *testing.T) {
 	tab := newKeyTable(1024)
 	slots := len(tab.slots)
@@ -160,8 +175,11 @@ func TestKeyTableDoesNotAllocate(t *testing.T) {
 			t.Fatalf("get(%d) = (%d, %v)", k, v, ok)
 		}
 		tab.set(k, k+1)
-		tab.del(k)
-		tab.set(k+1024, k+1025)
+		i, ok := tab.slot(k + 1024)
+		if ok {
+			t.Fatalf("slot(%d) finds a key never stored", k+1024)
+		}
+		tab.insertAt(tab.afterDel(k+1024, i, tab.del(k)), k+1024, k+1025)
 		k++
 	}
 	if allocs := testing.AllocsPerRun(4096, step); allocs != 0 {

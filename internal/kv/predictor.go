@@ -129,11 +129,16 @@ func (s *Store) observeReadLocked(sh *shard, key core.Val) {
 // simulated time and cannot perturb the timeline (a cache-off run and a
 // prefetch-on run issue the same Loads for different costs, never
 // different fabric traffic). Keys that are unroutable (down,
-// partitioned), absent, or already cached are skipped. Callers hold a
-// predictor, which only exists over a cache.
+// partitioned), absent, or already cached are skipped; the cache probe
+// that skips a cached key also finds the slot its fill takes. Callers hold
+// a predictor, which only exists over a cache.
 func (s *Store) prefetchLocked(keys []core.Val) {
 	for _, k := range keys {
-		if k < 0 || s.cache.containsLocked(k) {
+		if k < 0 {
+			continue
+		}
+		at, cached := s.cache.probeLocked(k)
+		if cached {
 			continue
 		}
 		sh := s.shards[s.shardOf(k)]
@@ -146,7 +151,7 @@ func (s *Store) prefetchLocked(keys []core.Val) {
 		if !ok {
 			continue
 		}
-		s.cache.fillLocked(k, sh.mirrorVal(slot), true)
+		s.cache.insertLocked(at, k, sh.mirrorVal(slot), true)
 		now := s.cluster.NowNS()
 		s.rec.Mark(obs.KindSpeculative, sh.id, 0, now, now)
 	}

@@ -94,11 +94,8 @@ var seams = []seam.Row{
 		Fix:   "serve demand reads through Store.readValue",
 	},
 	{
-		Name: "the demand-read cache fill",
-		Site: func(n ast.Node) bool {
-			c := seam.Calls(n, "fillLocked")
-			return c != nil && len(c.Args) == 3 && seam.IsIdent(c.Args[2], "false")
-		},
+		Name:  "the demand-read cache fill",
+		Site:  func(n ast.Node) bool { return seam.Calls(n, "fillLocked") != nil },
 		Funcs: map[string]int{"Store.readValue": 1},
 		Fix:   "serve demand reads through Store.readValue",
 	},

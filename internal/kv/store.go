@@ -646,7 +646,7 @@ func (s *Store) readValue(sh *shard, key core.Val, slot int) (core.Val, error) {
 		return 0, err
 	}
 	if s.cache != nil {
-		s.cache.fillLocked(key, v, false)
+		s.cache.fillLocked(key, v)
 		s.rec.Mark(obs.KindCacheMiss, sh.id, 0, end, end)
 	}
 	return v, nil
