@@ -16,6 +16,7 @@ type dense struct {
 	topo  *Topology
 	cache [][]Val
 	mem   []Val
+	steps []TauStep // agrees' scratch
 }
 
 func newDense(t *Topology) *dense {
@@ -102,7 +103,12 @@ func (d *dense) apply(l Label, v Variant) bool {
 		}
 		return n >= 1
 	case OpGPF:
-		return len(d.tauSteps()) == 0
+		for l := range d.mem {
+			if _, held := d.cached(LocID(l)); held {
+				return false
+			}
+		}
+		return true
 	case OpLRMW, OpRRMW, OpMRMW:
 		if d.readable(l.Loc) != l.Old {
 			return false
@@ -144,19 +150,6 @@ func (d *dense) tau(t TauStep) {
 	}
 }
 
-// tauSteps is TauSteps.
-func (d *dense) tauSteps() []TauStep {
-	var steps []TauStep
-	for m, row := range d.cache {
-		for l, v := range row {
-			if v != Bot {
-				steps = append(steps, TauStep{From: MachineID(m), Loc: LocID(l), ToMemory: d.topo.Owner(LocID(l)) == MachineID(m)})
-			}
-		}
-	}
-	return steps
-}
-
 // key is State.Key.
 func (d *dense) key() string {
 	var b []byte
@@ -187,22 +180,35 @@ func (d *dense) state() *State {
 // selection of them, and CachesEmpty. It also checks that s holds a page
 // exactly where a 64-line stretch of a row has a line, that the holder
 // mask names exactly the rows that hold one, and that the shared pages of
-// ⊥ and of zeros are unwritten.
+// ⊥ and of zeros are unwritten. The mirror's τ steps are collected in the
+// same walk: a stretch without a page equals the page of ⊥, so only the
+// held pages are read twice.
 func agrees(s *State, d *dense) error {
+	steps := d.steps[:0]
 	for m, row := range d.cache {
 		for w, off := range s.rows[m].page {
 			stretch := row[w*pageCells : min((w+1)*pageCells, len(row))]
 			if got := s.lines(MachineID(m), w); !slices.Equal(got, stretch) {
 				return fmt.Errorf("C%d(%d…) = %v, the mirror has %v", m, w*pageCells, got, stretch)
 			}
-			if empty := slices.Equal(stretch, s.cells[:len(stretch)]); empty != (off == 0) {
-				return fmt.Errorf("C%d: locations %d… all ⊥: %v, no page held: %v", m, w*pageCells, empty, off == 0)
+			if off != 0 {
+				n := len(steps)
+				for i, v := range stretch {
+					if v != Bot {
+						l := LocID(w*pageCells + i)
+						steps = append(steps, TauStep{From: MachineID(m), Loc: l, ToMemory: d.topo.Owner(l) == MachineID(m)})
+					}
+				}
+				if len(steps) == n {
+					return fmt.Errorf("C%d: locations %d… all ⊥, and a page held", m, w*pageCells)
+				}
 			}
 			if bit := s.holders.Has(MachineID(m), LocID(w*pageCells)); bit != (off != 0) {
 				return fmt.Errorf("C%d: holder mask bit for locations %d… is %v, a page held: %v", m, w*pageCells, bit, off != 0)
 			}
 		}
 	}
+	d.steps = steps
 	for w := range s.memPage {
 		stretch := d.mem[w*pageCells : min((w+1)*pageCells, len(d.mem))]
 		if got := s.memLines(w); !slices.Equal(got, stretch) {
@@ -213,7 +219,6 @@ func agrees(s *State, d *dense) error {
 	if slices.ContainsFunc(bot, func(v Val) bool { return v != Bot }) || slices.ContainsFunc(zeros, func(v Val) bool { return v != 0 }) {
 		return fmt.Errorf("a shared page was written: ⊥ %v, zeros %v", bot, zeros)
 	}
-	steps := d.tauSteps()
 	if got := TauSteps(s); !slices.Equal(got, steps) {
 		return fmt.Errorf("TauSteps = %v, the mirror enumerates %v", got, steps)
 	}

@@ -34,17 +34,22 @@ func fuzzTopo() *Topology {
 // a clone that replaces it) and replayed into a dense mirror, and holds
 // the state to the mirror after every one, and its key and equality to
 // the mirror's at the end. Besides the labeled and per-line τ steps, it
-// drives the word steps memsim takes: DrainRange, DrainTau, one
-// ApplyTauWordInPlace whose mask the next eight bytes cut, and one
+// drives the word steps memsim takes, each of them enabled (wordEnabled):
+// DrainRange, held to the per-line drain it replaced (checkDrainRange);
+// DrainTau, held to the TauStepAt(0) loop it replaced, on a clone; one
+// ApplyTauWordInPlace whose mask the next eight bytes cut; and one
 // ApplyStoreWordInPlace of LStores, RStores or MStores to the lines of a
 // word and owner's stretch (the split OwnerThrough hands a record's
-// stores), cut the same way; the mirror takes a word step's lines one at a
-// time in ascending order. An AddLocs op grows the topology — a run that
-// starts inside a word makes two runs share it — and carries the state
-// and the mirror over to it. The seed corpus is
-// testdata/fuzz/FuzzTauIndex.
+// stores), cut the same way. The mirror takes a word step's lines one at a
+// time in ascending order. An AddLocs op grows the topology — a
+// run that starts inside a word makes two runs share it — and carries the
+// state and the mirror over to it. The seed corpus is tauIndexSeeds'
+// generated programs and testdata/fuzz/FuzzTauIndex.
 func FuzzTauIndex(f *testing.F) {
 	topos := []func() *Topology{fuzzTopo, wideTopo}
+	for _, prog := range tauIndexSeeds(topos) {
+		f.Add(prog)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -58,6 +63,9 @@ func FuzzTauIndex(f *testing.F) {
 			}
 		}
 		take := func(tw TauWord) {
+			if err := wordEnabled(s, tw); err != nil {
+				t.Fatal(err)
+			}
 			ApplyTauWordInPlace(s, tw)
 			for _, ts := range perLine(tw) {
 				d.tau(ts)
@@ -115,14 +123,18 @@ func FuzzTauIndex(f *testing.F) {
 				// The square of op[1] reaches every length up to the
 				// whole of fuzzTopo.
 				hi := min(x+LocID(int(op[1])*int(op[1])), LocID(topo.NumLocs()))
-				s.DrainRange(x, hi, take)
-				if !s.NoCacheHoldsRange(x, int(hi-x)) {
-					t.Fatalf("DrainRange(%d, %d) left a line of the range cached", x, hi)
+				if err := checkDrainRange(s, x, hi); err != nil {
+					t.Fatal(err)
 				}
+				s.DrainRange(x, hi, take)
 			case 13:
+				loop := s.Clone()
+				for loop.TauStepCount() > 0 {
+					ApplyTauInPlace(loop, loop.TauStepAt(0))
+				}
 				s.DrainTau(take)
-				if !s.CachesEmpty() {
-					t.Fatal("DrainTau left a line cached")
+				if !s.Equal(loop) || !s.CachesEmpty() {
+					t.Fatalf("DrainTau ends in %v, the TauStepAt(0) loop in %v", s, loop)
 				}
 			case 14:
 				// m's lines of x's word and owner run, cut by the next
@@ -173,6 +185,44 @@ func FuzzTauIndex(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// tauIndexSeeds returns FuzzTauIndex's generated seeds: on each of topos
+// in turn, twenty-five states of up to 400 lines that SetCache plants in
+// random caches (keeping the invariant), each taking twenty word steps — a
+// ranged drain, half of them 49 lines long, a τ word step from a planted
+// line's word, or a record's stores of one kind — and then DrainTau.
+func tauIndexSeeds(topos []func() *Topology) (seeds [][]byte) {
+	for i, build := range topos {
+		locs := build().NumLocs()
+		for seed := range int64(25) {
+			rng := rand.New(rand.NewSource(seed))
+			prog := []byte{byte(i)}
+			op := func(k int, arg byte, x LocID) []byte {
+				prog = append(prog, byte(k), arg, byte(x>>8), byte(x))
+				return prog
+			}
+			plants := rng.Intn(400)
+			for range plants {
+				op(10, byte(rng.Intn(256)), LocID(rng.Intn(locs)))
+			}
+			for range 20 {
+				switch k := rng.Intn(4); {
+				case k == 0:
+					op(12, []byte{7, byte(rng.Intn(256))}[rng.Intn(2)], LocID(rng.Intn(locs)))
+					continue
+				case k == 1 && plants > 0:
+					plant := prog[1+4*rng.Intn(plants):]
+					op(14, plant[1], LocID(plant[2])<<8|LocID(plant[3]))
+				default:
+					op(15+rng.Intn(3), byte(rng.Intn(256)), LocID(rng.Intn(locs)))
+				}
+				prog = binary.LittleEndian.AppendUint64(prog, rng.Uint64()) // the step's mask
+			}
+			seeds = append(seeds, op(13, 0, 0))
+		}
+	}
+	return seeds
 }
 
 // maxFuzzLocs bounds how far FuzzTauIndex's AddLocs ops grow a topology.
@@ -319,48 +369,6 @@ func TestLineSetMatchesMapModel(t *testing.T) {
 	}
 }
 
-// TestDrainTauMatchesStepLoop holds DrainTau to the drain it replaced —
-// take TauStepAt(0) until TauStepCount() is 0 — on random states of
-// fuzzTopo: lines cached by their owners and by other machines on either
-// side of them, so some propagate to a lower-numbered owner and are
-// taken on a later walk. Both drains must end in one state with nothing
-// cached, DrainTau must hand take only enabled word steps, and the state
-// it leaves must agree with a dense mirror that took each word step's
-// lines one by one (pages and holder mask included).
-func TestDrainTauMatchesStepLoop(t *testing.T) {
-	topo := fuzzTopo()
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s, d := NewState(topo), newDense(topo)
-		randomHeld(rng, s, d, []MachineID{0, 1, 2}, rng.Intn(400))
-		loop, walked := s.Clone(), s.Clone()
-		for loop.TauStepCount() > 0 {
-			ApplyTauInPlace(loop, loop.TauStepAt(0))
-		}
-		var bad error
-		walked.DrainTau(func(tw TauWord) {
-			if bad = wordEnabled(walked, tw); bad == nil {
-				ApplyTauWordInPlace(walked, tw)
-				for _, ts := range perLine(tw) {
-					d.tau(ts)
-				}
-			}
-		})
-		if bad != nil {
-			t.Fatalf("seed %d: DrainTau: %v", seed, bad)
-		}
-		if !walked.Equal(loop) || !walked.CachesEmpty() {
-			t.Fatalf("seed %d: from %v\nDrainTau ends in %v\nthe TauStepAt(0) loop in %v", seed, s, walked, loop)
-		}
-		if err := agrees(walked, d); err != nil {
-			t.Fatalf("seed %d: after DrainTau: %v", seed, err)
-		}
-		if err := walked.CheckInvariant(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}
-
 // perLineDrain empties every cache of the lines of [lo, hi) as the ranged
 // flush's drain was first written: line by line, asking every machine in
 // turn for the lowest-numbered holder, and stepping it towards memory
@@ -468,43 +476,6 @@ func checkDrainRange(s *State, lo, hi LocID) error {
 	return nil
 }
 
-// randomHeld fills s with n random cached lines of the given machines,
-// keeping the global invariant, and mirrors them into d.
-func randomHeld(rng *rand.Rand, s *State, d *dense, machines []MachineID, n int) {
-	for ; n > 0; n-- {
-		m := machines[rng.Intn(len(machines))]
-		x := LocID(rng.Intn(s.topo.NumLocs()))
-		v := Val(1 + rng.Intn(3))
-		if cv, held := s.CachedValue(x); held {
-			v = cv // keep the global invariant
-		}
-		s.SetCache(m, x, v)
-		d.cache[m][x] = v
-	}
-}
-
-// TestDrainRangeMatchesPerLineDrain holds DrainRange to the per-line drain
-// it replaced on random states of fuzzTopo — lines cached by their owners
-// and by machines on either side of them — over random ranges: empty ones,
-// ranges inside one word, and ranges across words and owners.
-func TestDrainRangeMatchesPerLineDrain(t *testing.T) {
-	topo := fuzzTopo()
-	all := []MachineID{0, 1, 2}
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s, d := NewState(topo), newDense(topo)
-		randomHeld(rng, s, d, all, rng.Intn(400))
-		lo := LocID(rng.Intn(topo.NumLocs() + 1))
-		hi := lo + LocID(rng.Intn(topo.NumLocs()+1-int(lo)))
-		if seed%2 == 0 { // a ranged commit's length, where it fits
-			hi = min(lo+48, LocID(topo.NumLocs()))
-		}
-		if err := checkDrainRange(s, lo, hi); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}
-
 // wideTopo is 70 machines, more than one mask word holds, each owning runs
 // of three lines round robin over four occupancy words, so that the lines
 // of a word have many owners and machines 0, 63, 64 and 69 own some.
@@ -533,7 +504,14 @@ func TestHolderMaskBeyond64Machines(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s, d := NewState(topo), newDense(topo)
-		randomHeld(rng, s, d, edges, rng.Intn(200))
+		for n := rng.Intn(200); n > 0; n-- {
+			m, x, v := edges[rng.Intn(len(edges))], LocID(rng.Intn(topo.NumLocs())), Val(1+rng.Intn(3))
+			if cv, held := s.CachedValue(x); held {
+				v = cv // keep the global invariant
+			}
+			s.SetCache(m, x, v)
+			d.cache[m][x] = v
+		}
 		if err := agrees(s, d); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -573,44 +551,11 @@ func TestHolderMaskBeyond64Machines(t *testing.T) {
 	}
 }
 
-// TestTauWordMatchesPerLineSteps holds ApplyTauWordInPlace to
-// ApplyTauInPlace over the lines of its mask in ascending order, on random
-// states of fuzzTopo and of wideTopo, whose words hold several owners'
-// runs. Each step takes a held line at random and, as one word step, a
-// random part of its machine's lines of the same word and owner run; the
-// state after it must be Equal to the per-line steps' and agree with a
-// dense mirror that took them (pages and holder mask included).
+// TestTauWordMatchesPerLineSteps: FuzzTauIndex holds ApplyTauWordInPlace
+// to ApplyTauInPlace's rule over the lines of its mask (the dense mirror's
+// per-line steps) on fuzzTopo and wideTopo; here it must panic, naming
+// core, on a word step no drain may hand over.
 func TestTauWordMatchesPerLineSteps(t *testing.T) {
-	for _, topo := range []*Topology{fuzzTopo(), wideTopo()} {
-		machines := make([]MachineID, topo.NumMachines())
-		for m := range machines {
-			machines[m] = MachineID(m)
-		}
-		for seed := int64(0); seed < 100; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			s, d := NewState(topo), newDense(topo)
-			randomHeld(rng, s, d, machines, 1+rng.Intn(400))
-			for step := 0; step < 20 && s.TauStepCount() > 0; step++ {
-				ts := s.TauStepAt(rng.Intn(s.TauStepCount()))
-				w, bit := LineWord(ts.Loc)
-				_, past := topo.runOf(ts.Loc)
-				run := rangeBits(w, topo.runs[topo.runAt(ts.Loc)].first, past)
-				tw := TauWord{From: ts.From, Word: w, Mask: s.rows[ts.From].held.words[w] & run & (rng.Uint64() | bit), ToMemory: ts.ToMemory}
-				ref := s.Clone()
-				for _, one := range perLine(tw) {
-					ApplyTauInPlace(ref, one)
-					d.tau(one)
-				}
-				ApplyTauWordInPlace(s, tw)
-				if !s.Equal(ref) {
-					t.Fatalf("seed %d: %v ends in %v, its lines one by one in %v", seed, tw, s, ref)
-				}
-				if err := agrees(s, d); err != nil {
-					t.Fatalf("seed %d: after %v: %v", seed, tw, err)
-				}
-			}
-		}
-	}
 	// Steps no drain may hand over: lines of two runs (wideTopo's lines 0–2
 	// are machine 0's, 3–5 machine 1's; one line past the run is enough),
 	// a line the source does not cache,
@@ -650,54 +595,11 @@ func storeWordLines(op Op, m MachineID, w int, mask uint64, vals []Val) []Label 
 	return steps
 }
 
-// TestStoreWordMatchesPerLineSteps holds ApplyStoreWordInPlace to
-// ApplyInPlace over the stores of its mask's lines in ascending order, on
-// random states of fuzzTopo and of wideTopo, whose words hold several
-// owners' runs. Each step picks a line at random and, as one word step of
-// LStore, RStore or MStore by a random machine, a random part of the lines
-// of its word and owner's stretch (OwnerThrough); the state after it must
-// be Equal to the per-line steps' and agree with a dense mirror that took
-// them (pages and holder mask included).
+// TestStoreWordMatchesPerLineSteps: FuzzTauIndex holds
+// ApplyStoreWordInPlace to ApplyInPlace over its stores (the dense
+// mirror's per-line stores) on fuzzTopo and wideTopo; here it must panic,
+// naming core, on a word step no record may be cut into.
 func TestStoreWordMatchesPerLineSteps(t *testing.T) {
-	stores := []Op{OpLStore, OpRStore, OpMStore}
-	for _, topo := range []*Topology{fuzzTopo(), wideTopo()} {
-		machines := make([]MachineID, topo.NumMachines())
-		for m := range machines {
-			machines[m] = MachineID(m)
-		}
-		for seed := int64(0); seed < 100; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			s, d := NewState(topo), newDense(topo)
-			randomHeld(rng, s, d, machines, rng.Intn(400))
-			for step := 0; step < 20; step++ {
-				x := LocID(rng.Intn(topo.NumLocs()))
-				w, bit := LineWord(x)
-				owner, past := topo.OwnerThrough(x)
-				first := x
-				for first > LocID(w<<6) && topo.Owner(first-1) == owner {
-					first--
-				}
-				mask := rangeBits(w, first, past) & (rng.Uint64() | bit)
-				op, m := stores[rng.Intn(len(stores))], machines[rng.Intn(len(machines))]
-				vals := make([]Val, bits.OnesCount64(mask))
-				for i := range vals {
-					vals[i] = Val(rng.Intn(9))
-				}
-				ref := s.Clone()
-				for _, l := range storeWordLines(op, m, w, mask, vals) {
-					ApplyInPlace(ref, l, Base)
-					d.apply(l, Base)
-				}
-				ApplyStoreWordInPlace(s, op, m, w, mask, vals)
-				if !s.Equal(ref) {
-					t.Fatalf("seed %d: %v by %d of %#x in word %d ends in %v, its lines one by one in %v", seed, op, m, mask, w, s, ref)
-				}
-				if err := agrees(s, d); err != nil {
-					t.Fatalf("seed %d: after %v by %d of %#x in word %d: %v", seed, op, m, mask, w, err)
-				}
-			}
-		}
-	}
 	// Steps no record may be cut into: lines of two runs (wideTopo's lines
 	// 0–2 are machine 0's, 3–5 machine 1's; one line past the run is
 	// enough), no line, a value too many or too few, a line past the

@@ -5,15 +5,18 @@
 //
 // Every primitive takes the cluster's global lock and applies the
 // corresponding CXL0 transition from package core, so the set of traces the
-// runtime can produce is exactly the set the LTS allows. A load, flush or
-// RMW on one line takes one path: Thread.beginLocked (alive, the line's
-// owner resolved once, reachable), the primitive resolved to a label
-// against the live state (core.State.Observed for what a load — or a
-// failed CAS — reads), then Cluster.stepLocked, the only caller of
-// core.ApplyInPlace: the state steps, the clean-copy overlay follows the
-// label through one table (followLocked), the cost is charged and the
-// eviction clock ticks. Stores take the record path below, through the
-// same table, charge and clock.
+// runtime can produce is exactly the set the LTS allows. FuzzCluster holds
+// it to that: a fuzzed cluster and program run beside a plain reference —
+// a core.State stepped one line at a time, the clean-copy overlay as a map,
+// the clock charged primitive by primitive — and must agree with it after
+// every operation. A load, flush or RMW on one line takes one path:
+// Thread.beginLocked (alive, the line's owner resolved once, reachable),
+// the primitive resolved to a label against the live state
+// (core.State.Observed for what a load — or a failed CAS — reads), then
+// Cluster.stepLocked, the only caller of core.ApplyInPlace: the state
+// steps, the clean-copy overlay follows the label through one table
+// (followLocked), the cost is charged and the eviction clock ticks. Stores
+// take the record path below, through the same table, charge and clock.
 //
 // Nondeterministic cache eviction (the τ steps) is injected
 // probabilistically after operations and on demand via Churn: one seeded
@@ -440,10 +443,12 @@ func (c *Cluster) followLocked(l core.Label, owner core.MachineID, mask uint64) 
 		// Each line that drained was cooled by its τ step; clean copies of
 		// the other lines stay.
 	case core.OpCrash:
-		// The crashed machine's copies go and, under PSN, every copy of a
-		// line it owns.
+		// The crashed machine's copies go. A clean copy equals memory, so
+		// where the crash resets memory (a volatile machine's lines) or
+		// drops every cached copy (PSN), every copy of a line the machine
+		// owns goes too.
 		c.hot.lines[l.M].Clear()
-		if c.cfg.Variant == core.PSN {
+		if c.cfg.Variant == core.PSN || c.topo.Mem(l.M) == core.Volatile {
 			c.topo.OwnerRuns(0, core.LocID(c.topo.NumLocs()), func(m core.MachineID, lo, hi core.LocID) {
 				if m == l.M {
 					for j := range c.hot.lines {

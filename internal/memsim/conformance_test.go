@@ -84,11 +84,7 @@ func runScheduled(t *testing.T, prog explore.Program, heaps []int, variant core.
 	}
 	states := make([]*threadState, len(prog.Threads))
 	for i, pt := range prog.Threads {
-		th, err := c.NewThread(pt.Machine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		states[i] = &threadState{th: th, regs: make([]core.Val, pt.NumRegs)}
+		states[i] = &threadState{th: mustThread(t, c, pt.Machine), regs: make([]core.Val, pt.NumRegs)}
 	}
 
 	crashBudget := prog.MaxCrashes

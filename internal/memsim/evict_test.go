@@ -2,90 +2,11 @@ package memsim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 
 	"cxl0/internal/core"
 )
-
-// TestEvictionDrawsTheEnumeratedStep pins which τ step a seeded cluster
-// takes, through the public API only: each Churn(1) must move the state
-// exactly as core.ApplyTau does for step Intn(len(steps)) of
-// core.TauSteps' enumeration, drawn from an identically seeded generator,
-// and must draw nothing when no step is enabled — across stores, loads,
-// ranged flushes, a GPF and a PSN crash.
-func TestEvictionDrawsTheEnumeratedStep(t *testing.T) {
-	const seed, heap = 11, 96
-	c := NewCluster([]MachineConfig{
-		{Name: "front", Mem: core.NonVolatile},
-		{Name: "a", Mem: core.NonVolatile, Heap: heap},
-		{Name: "b", Mem: core.Volatile, Heap: heap},
-	}, Config{Variant: core.PSN, Seed: seed})
-	threads := make([]*Thread, c.Machines())
-	for m := range threads {
-		th, err := c.NewThread(core.MachineID(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		threads[m] = th
-	}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	mirror := rand.New(rand.NewSource(seed)) // the cluster's eviction draws, replayed
-	script := rand.New(rand.NewSource(5))
-	churns, moved := 0, 0
-	churn := func() {
-		t.Helper()
-		before := c.Snapshot()
-		want := before
-		if steps := core.TauSteps(before); len(steps) > 0 {
-			want = core.ApplyTau(before, steps[mirror.Intn(len(steps))])
-			moved++
-		}
-		c.Churn(1)
-		if after := c.Snapshot(); !after.Equal(want) {
-			t.Fatalf("Churn #%d from %v\n reached %v\n want    %v", churns, before, after, want)
-		}
-		churns++
-	}
-	for round := 0; round < 600; round++ {
-		th := threads[script.Intn(len(threads))]
-		x := core.LocID(script.Intn(2 * heap))
-		switch k := script.Intn(8); {
-		case k < 4:
-			must(th.LStore(x, core.Val(1+script.Intn(9))))
-		case k < 5:
-			must(th.RStore(x, core.Val(1+script.Intn(9))))
-		case k < 7:
-			_, err := th.Load(x)
-			must(err)
-		default:
-			must(th.RFlushRange(x, 1+script.Intn(2*heap-int(x))%12))
-		}
-		churn()
-		switch round {
-		case 250:
-			must(th.GPF())
-			churn() // nothing cached: no draw
-		case 400:
-			c.Crash(2)
-			c.Recover(2)
-			fresh, err := c.NewThread(2)
-			must(err)
-			threads[2] = fresh
-			churn()
-		}
-	}
-	if churns < 500 || moved < churns/2 {
-		t.Fatalf("%d Churn calls checked, %d with a step enabled: the trace is too thin", churns, moved)
-	}
-}
 
 // ownersMachines describes a front end owning nothing plus owners machines
 // sharing locs locations evenly.
@@ -102,11 +23,7 @@ func ownersMachines(owners, locs int) []MachineConfig {
 func ownersCluster(tb testing.TB, owners, locs int) (*Cluster, *Thread) {
 	tb.Helper()
 	c := NewCluster(ownersMachines(owners, locs), Config{Seed: 1})
-	th, err := c.NewThread(0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return c, th
+	return c, mustThread(tb, c, 0)
 }
 
 // TestChurnDoesNotAllocate: picking and applying an eviction allocates

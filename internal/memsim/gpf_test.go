@@ -16,14 +16,8 @@ func TestGPFPlannedShutdown(t *testing.T) {
 		{Name: "h2", Mem: core.NonVolatile, Heap: 8},
 		{Name: "pool", Mem: core.NonVolatile, Heap: 32},
 	}, Config{Seed: 2})
-	t1, err := c.NewThread(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := c.NewThread(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1 := mustThread(t, c, 0)
+	t2 := mustThread(t, c, 1)
 	base, err := c.Alloc(2, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +54,7 @@ func TestGPFPlannedShutdown(t *testing.T) {
 // TestGPFOnDeadMachineFails: a crashed machine cannot issue a GPF.
 func TestGPFOnDeadMachineFails(t *testing.T) {
 	c := NewCluster([]MachineConfig{{Name: "m", Mem: core.NonVolatile, Heap: 4}}, Config{})
-	th, err := c.NewThread(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	th := mustThread(t, c, 0)
 	c.Crash(0)
 	if err := th.GPF(); err == nil {
 		t.Fatal("GPF from a dead thread succeeded")

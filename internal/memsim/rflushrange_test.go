@@ -21,10 +21,7 @@ func TestRFlushRangePersistsExactlyTheRange(t *testing.T) {
 			{Name: "devA", Mem: core.NonVolatile, Heap: 8},
 			{Name: "devB", Mem: core.NonVolatile, Heap: 8},
 		}, Config{Variant: variant, Seed: 3})
-		th, err := c.NewThread(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		th := mustThread(t, c, 0)
 		a, err := c.Alloc(1, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -77,10 +74,7 @@ func TestRFlushRangeCostIsClusterSizeIndependent(t *testing.T) {
 			cfg = append(cfg, MachineConfig{Name: "dev", Mem: core.NonVolatile, Heap: 16})
 		}
 		c := NewCluster(cfg, Config{Latency: latency.NewModel()})
-		th, err := c.NewThread(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		th := mustThread(t, c, 0)
 		base, err := c.Alloc(1, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -112,10 +106,7 @@ func TestRFlushRangeCheaperThanPerLineRFlush(t *testing.T) {
 			{Name: "host", Mem: core.NonVolatile, Heap: 0},
 			{Name: "dev", Mem: core.NonVolatile, Heap: n},
 		}, Config{Latency: latency.NewModel()})
-		th, err := c.NewThread(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		th := mustThread(t, c, 0)
 		base, err := c.Alloc(1, n)
 		if err != nil {
 			t.Fatal(err)
@@ -150,10 +141,7 @@ func TestRFlushRangeCheaperThanPerLineRFlush(t *testing.T) {
 // machines.
 func TestRFlushRangeArguments(t *testing.T) {
 	c := NewCluster([]MachineConfig{{Name: "m", Mem: core.NonVolatile, Heap: 4}}, Config{})
-	th, err := c.NewThread(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	th := mustThread(t, c, 0)
 	base, err := c.Alloc(0, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -179,10 +167,7 @@ func TestRFlushRangeArguments(t *testing.T) {
 func TestRFlushRangeRejectsOverflow(t *testing.T) {
 	c := NewCluster([]MachineConfig{{Name: "m", Mem: core.NonVolatile, Heap: 4}},
 		Config{Latency: latency.NewModel()})
-	th, err := c.NewThread(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	th := mustThread(t, c, 0)
 	if err := th.LStore(1, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -203,46 +188,6 @@ func TestRFlushRangeRejectsOverflow(t *testing.T) {
 	}
 	if got := c.Snapshot(); !got.Equal(state) {
 		t.Errorf("rejected ranges moved the state: %v, was %v", got, state)
-	}
-}
-
-// TestRFlushRangeMatchesModelSemantics: after the runtime's ranged flush,
-// the live model state satisfies exactly the LTS's enabling condition for
-// the RFlushRange label — the runtime's "force the τ drains, then step" is
-// conformant with core.Apply.
-func TestRFlushRangeMatchesModelSemantics(t *testing.T) {
-	c := NewCluster([]MachineConfig{
-		{Name: "a", Mem: core.NonVolatile, Heap: 4},
-		{Name: "b", Mem: core.NonVolatile, Heap: 4},
-	}, Config{Seed: 7})
-	ta, err := c.NewThread(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := c.NewThread(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseA, _ := c.Alloc(0, 4)
-	baseB, _ := c.Alloc(1, 4)
-	// Cross stores: each machine dirties the other's lines.
-	for i := core.LocID(0); i < 4; i++ {
-		if err := ta.LStore(baseB+i, core.Val(i)+1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.LStore(baseA+i, core.Val(i)+5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ta.RFlushRange(baseB, 4); err != nil {
-		t.Fatal(err)
-	}
-	snap := c.Snapshot()
-	if got := core.Apply(snap, core.RFlushRangeL(0, baseB, 4), core.Base); len(got) != 1 {
-		t.Fatal("RFlushRange label not enabled on the post-flush state")
-	}
-	if err := c.CheckInvariant(); err != nil {
-		t.Fatal(err)
 	}
 }
 
